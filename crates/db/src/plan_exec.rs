@@ -917,7 +917,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         // would turn a type error into a silent empty result.
         let lty = l.file.schema().columns()[lkeys[ki]].ty;
         let rty = r.file.schema().columns()[rkeys[ki]].ty;
-        if !same_type_class(lty, rty) {
+        if !lty.same_class(rty) {
             return None;
         }
         let st = ix.stats();
@@ -1489,33 +1489,6 @@ fn sorted_on(sorted_by: &[usize], keys: &[usize]) -> bool {
     sorted_by.len() >= keys.len() && sorted_by[..keys.len()] == keys[..]
 }
 
-/// Whether two column types order consistently under both the index's
-/// total order and SQL comparison (the numeric tower is one class; every
-/// other type only matches itself).
-fn same_type_class(a: ColumnType, b: ColumnType) -> bool {
-    let class = |t: ColumnType| match t {
-        ColumnType::Int | ColumnType::Float => 0u8,
-        ColumnType::Str => 1,
-        ColumnType::Date => 2,
-        ColumnType::Bool => 3,
-    };
-    class(a) == class(b)
-}
-
-/// Whether `v` is a literal an index on a column of type `ty` can bound:
-/// non-null and of the same comparison class (so the B+tree's total order
-/// agrees with SQL comparison, and a would-be type error cannot silently
-/// become an empty range).
-fn literal_matches_class(ty: ColumnType, v: &Value) -> bool {
-    matches!(
-        (ty, v),
-        (ColumnType::Int | ColumnType::Float, Value::Int(_) | Value::Float(_))
-            | (ColumnType::Str, Value::Str(_))
-            | (ColumnType::Date, Value::Date(_))
-            | (ColumnType::Bool, Value::Bool(_))
-    )
-}
-
 /// Extract the sargable shape `column op literal` (either orientation) from
 /// one conjunct: the column resolving in `schema`, the op a range predicate
 /// (`=`, `<`, `<=`, `>`, `>=` — not `<>`), the literal class-compatible.
@@ -1533,7 +1506,7 @@ fn sargable_conjunct(
         _ => return None,
     };
     let i = schema.try_resolve(c.table.as_deref(), &c.column)?;
-    literal_matches_class(schema.columns()[i].ty, v).then(|| (i, op, v.clone()))
+    schema.columns()[i].ty.admits(v).then(|| (i, op, v.clone()))
 }
 
 /// Report a taken index path to the provider's statistics, resolving the

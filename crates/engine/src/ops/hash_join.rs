@@ -523,6 +523,47 @@ mod tests {
     }
 
     #[test]
+    fn hash_join_matches_negative_zero() {
+        // -0.0 = 0.0 = 0 under sql_cmp, so nested-loop and merge join pair
+        // them; the hashers used to split them by sign bit. Both hash-join
+        // implementations must now find all six pairs.
+        for vectorized in [false, true] {
+            let e = exec().with_vectorized(vectorized);
+            let st = e.storage().clone();
+            let col = |t: &str, c: &str| {
+                nsql_types::Schema::new(vec![nsql_types::Column::qualified(
+                    t,
+                    c,
+                    nsql_types::ColumnType::Float,
+                )])
+            };
+            let l = HeapFile::from_tuples(
+                &st,
+                col("L", "A"),
+                vec![Tuple::new(vec![Value::Float(-0.0)]), Tuple::new(vec![Value::Float(0.0)])],
+            );
+            let r = HeapFile::from_tuples(
+                &st,
+                col("R", "B"),
+                vec![
+                    Tuple::new(vec![Value::Int(0)]),
+                    Tuple::new(vec![Value::Float(0.0)]),
+                    Tuple::new(vec![Value::Float(-0.0)]),
+                ],
+            );
+            let on = on_pred(&l, &r, "L.A = R.B");
+            let nl = e.collect(&e.nl_join(&l, &r, &on, JoinKind::Inner).unwrap());
+            let mj = e
+                .merge_join(&l, &r, &[0], &[0], None, JoinKind::Inner, false, false)
+                .unwrap();
+            let hj = e.hash_join(&l, &r, &[0], &[0], None, JoinKind::Inner).unwrap();
+            assert_eq!(nl.len(), 6, "vectorized={vectorized}");
+            assert_eq!(e.collect(&mj).len(), 6, "vectorized={vectorized}");
+            assert_eq!(hj.tuple_count(), 6, "vectorized={vectorized}");
+        }
+    }
+
+    #[test]
     fn hash_join_io_is_two_scans_plus_output() {
         let e = exec();
         let l = int_file(e.storage(), "L", &["A"], &(0..200).map(|i| vec![i]).collect::<Vec<_>>().iter().map(|v| v.as_slice()).collect::<Vec<_>>());

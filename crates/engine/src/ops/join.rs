@@ -1,23 +1,172 @@
 //! Join operators: nested-loop and sort-merge, inner and left outer.
 
 use super::{Exec, JoinKind};
-use crate::expr::Joined;
+use crate::expr::{CExpr, Joined};
 use crate::pred::CPred;
 use crate::Result;
+use nsql_sql::CompareOp;
 use nsql_storage::sort::SortKey;
 use nsql_storage::HeapFile;
-use nsql_types::{Relation, Tuple};
+use nsql_types::{ColumnType, FxHashMap, FxHasher, Relation, Schema, Tuple};
 use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::Ordering as AtomicOrdering;
+use std::time::Instant;
+
+/// One leading `Col(left) = Col(right)` conjunct of an ON predicate.
+struct NlKey {
+    left: usize,
+    right: usize,
+    /// Declared type of the left column; the right one is of the same
+    /// comparison class, so in-class values never raise a type error
+    /// against each other under `Value::sql_cmp`.
+    ty: ColumnType,
+}
+
+/// The equality keys the inner index may use: the *leading* conjuncts of
+/// `on` that compare a left column with a right column of the same type
+/// class. Only a leading prefix qualifies, because `CPred::And` evaluates
+/// left to right and stops at the first `FALSE`: a key that is `FALSE`
+/// hides everything after it, but nothing before it.
+fn leading_keys(on: &CPred, left: &Schema, right: &Schema) -> Vec<NlKey> {
+    let conjuncts = match on {
+        CPred::And(ps) => ps.as_slice(),
+        single => std::slice::from_ref(single),
+    };
+    let split = left.arity();
+    let mut keys = Vec::new();
+    for p in conjuncts {
+        let CPred::Cmp { left: CExpr::Col(a), op: CompareOp::Eq, right: CExpr::Col(b) } = p
+        else {
+            break;
+        };
+        let (l, r) = match (*a < split, *b < split) {
+            (true, false) => (*a, *b - split),
+            (false, true) => (*b, *a - split),
+            _ => break,
+        };
+        let (Some(lc), Some(rc)) = (left.columns().get(l), right.columns().get(r)) else {
+            break;
+        };
+        if !lc.ty.same_class(rc.ty) {
+            break;
+        }
+        keys.push(NlKey { left: l, right: r, ty: lc.ty });
+    }
+    keys
+}
+
+/// Hash of `t`'s key columns, or `None` when some key value is `NULL` or
+/// outside its column's class (such a tuple's key comparison is `UNKNOWN`
+/// or an error, never `FALSE`, so the index must not rule anything out for
+/// it). Two in-class tuples whose hashes differ have a leading key that
+/// compares `FALSE`: `Value::hash` agrees with `sql_cmp` equality.
+fn key_hash(t: &Tuple, keys: &[NlKey], col: impl Fn(&NlKey) -> usize) -> Option<u64> {
+    let mut h = FxHasher::default();
+    for k in keys {
+        let v = t.get(col(k));
+        if !k.ty.admits(v) {
+            return None;
+        }
+        v.hash(&mut h);
+    }
+    Some(h.finish())
+}
+
+/// Position of an inner tuple: ordinal of its page in the file, slot on it.
+#[derive(Clone, Copy)]
+struct Slot {
+    page: u32,
+    slot: u32,
+}
+
+/// Index over the inner file built by the first inner pass. It holds
+/// positions only, in scan order; tuples stay on their buffered pages.
+#[derive(Default)]
+struct InnerIndex {
+    /// Key hash -> inner tuples with that hash.
+    buckets: FxHashMap<u64, Vec<Slot>>,
+    /// Inner tuples without a hashable key: candidates for every left tuple.
+    wild: Vec<Slot>,
+}
+
+impl InnerIndex {
+    fn add_page(&mut self, page_no: usize, tuples: &[Tuple], keys: &[NlKey]) {
+        let page = u32::try_from(page_no).expect("heap file page ordinal fits u32");
+        for (i, rt) in tuples.iter().enumerate() {
+            let at = Slot { page, slot: u32::try_from(i).expect("page slot fits u32") };
+            match key_hash(rt, keys, |k| k.right) {
+                Some(h) => self.buckets.entry(h).or_default().push(at),
+                None => self.wild.push(at),
+            }
+        }
+    }
+
+    /// The inner tuples a left tuple with key hash `h` can possibly join.
+    fn candidates(&self, h: u64) -> Candidates<'_> {
+        Candidates {
+            bucket: self.buckets.get(&h).map_or(&[], Vec::as_slice),
+            wild: &self.wild,
+        }
+    }
+}
+
+/// Cursor merging one bucket with the wild list, page by page in scan order.
+struct Candidates<'a> {
+    bucket: &'a [Slot],
+    wild: &'a [Slot],
+}
+
+impl Candidates<'_> {
+    /// Next candidate slot on page `page_no`, ascending; `None` once the
+    /// page is exhausted. Pages must be asked for in file order.
+    fn next_on(&mut self, page_no: usize) -> Option<usize> {
+        let on_page = |s: &&Slot| s.page as usize == page_no;
+        let b = self.bucket.first().filter(on_page);
+        let w = self.wild.first().filter(on_page);
+        let list = match (b, w) {
+            (None, None) => return None,
+            (Some(_), None) => &mut self.bucket,
+            (None, Some(_)) => &mut self.wild,
+            (Some(b), Some(w)) => {
+                if b.slot < w.slot {
+                    &mut self.bucket
+                } else {
+                    &mut self.wild
+                }
+            }
+        };
+        let (first, rest) = list.split_first().expect("a head was just seen");
+        *list = rest;
+        Some(first.slot as usize)
+    }
+}
 
 impl Exec {
     /// Nested-loop join: for each left tuple, rescan the right file and
     /// emit combinations accepted by `on` (a predicate over the
     /// concatenated schema).
     ///
-    /// The right file is re-read through the buffer pool per left tuple —
-    /// cheap when it fits in the buffer, thrashing when it does not. That
-    /// is exactly the cost cliff of System R's nested iteration that the
-    /// paper's Section 7.2 analyses.
+    /// **I/O.** Every page of the right file is re-read through the buffer
+    /// pool for every left tuple, in file order — cheap when it fits in
+    /// the buffer, thrashing when it does not. That is exactly the cost
+    /// cliff of System R's nested iteration that the paper's Section 7.2
+    /// analyses, and it is what the counters, the buffer state and any
+    /// recorded trace show.
+    ///
+    /// **CPU.** When `on` starts with `Col(left) = Col(right)` conjuncts
+    /// (the keys the plan layer folds in front of the residual), the first
+    /// inner pass also builds a hash index from key to inner tuple
+    /// positions, and every later pass evaluates `on` only on the positions
+    /// its left tuple's key can match. `on` stays the arbiter: the index
+    /// skips a pair only when a leading key comparison is certainly
+    /// `FALSE`, so `NULL` or off-type keys on either side, errors raised by
+    /// any conjunct, output order and outer-join padding are exactly those
+    /// of evaluating `on` on every pair. Without a usable leading key every
+    /// pass is that full evaluation.
+    ///
+    /// With an operator attached, `build_ns` is the first inner pass and
+    /// `probe_ns` the rest.
     pub fn nl_join(
         &self,
         left: &HeapFile,
@@ -50,30 +199,57 @@ impl Exec {
         on: &CPred,
         kind: JoinKind,
     ) -> Result<Vec<Tuple>> {
+        let keys = leading_keys(on, left.schema(), right.schema());
         let right_arity = right.schema().arity();
+        // Build/probe wall-clock lands on the current operator; Instant is
+        // only sampled when one is attached.
+        let op = self.current_op();
+        let started = op.as_ref().map(|_| Instant::now());
+        let mut build_ns = 0u64;
+        // `None` until the first inner pass has run (and forever when `on`
+        // has no leading key): such passes evaluate `on` on every slot.
+        let mut index: Option<InnerIndex> = None;
         let mut out = Vec::new();
         for lt in left.scan(&self.storage) {
             let mut matched = false;
+            let mut err = None;
             // The ON predicate is evaluated on the virtual pair; the
             // concatenated tuple is only built for pairs that pass, and
-            // right tuples are never cloned off their buffered page. The
-            // rescan of `right` per left tuple (through the buffer pool)
-            // is unchanged — that cost cliff is the paper's subject.
-            let mut err = None;
-            for combined in right.scan_with(&self.storage, |rt| {
-                match on.accepts_row(&Joined::new(&lt, rt)) {
-                    Ok(true) => Some(lt.join(rt)),
-                    Ok(false) => None,
-                    Err(e) => {
-                        if err.is_none() {
-                            err = Some(e);
-                        }
-                        None
+            // right tuples are never cloned off their buffered page.
+            let mut try_pair = |rt: &Tuple| match on.accepts_row(&Joined::new(&lt, rt)) {
+                Ok(true) => {
+                    matched = true;
+                    out.push(lt.join(rt));
+                }
+                Ok(false) => {}
+                Err(e) => {
+                    if err.is_none() {
+                        err = Some(e);
                     }
                 }
-            }) {
-                matched = true;
-                out.push(combined);
+            };
+            let mut candidates = match &index {
+                Some(ix) => key_hash(&lt, &keys, |k| k.left).map(|h| ix.candidates(h)),
+                None => None,
+            };
+            let mut building =
+                (index.is_none() && !keys.is_empty()).then(InnerIndex::default);
+            // Every inner page is read on every pass, whatever the index
+            // says: an index may save CPU on a page, never the page read.
+            for (page_no, &pid) in right.page_ids().iter().enumerate() {
+                let page = self.storage.read_page(pid);
+                let tuples = page.tuples();
+                if let Some(ix) = &mut building {
+                    ix.add_page(page_no, tuples, &keys);
+                }
+                match &mut candidates {
+                    Some(c) => {
+                        while let Some(slot) = c.next_on(page_no) {
+                            try_pair(&tuples[slot]);
+                        }
+                    }
+                    None => tuples.iter().for_each(&mut try_pair),
+                }
             }
             if let Some(e) = err {
                 return Err(e);
@@ -81,6 +257,17 @@ impl Exec {
             if !matched && kind == JoinKind::LeftOuter {
                 out.push(lt.join_nulls(right_arity));
             }
+            if let Some(ix) = building {
+                index = Some(ix);
+                if let Some(t0) = started {
+                    build_ns = t0.elapsed().as_nanos() as u64;
+                }
+            }
+        }
+        if let (Some(op), Some(t0)) = (&op, started) {
+            let total_ns = t0.elapsed().as_nanos() as u64;
+            op.build_ns.fetch_add(build_ns, AtomicOrdering::Relaxed);
+            op.probe_ns.fetch_add(total_ns - build_ns, AtomicOrdering::Relaxed);
         }
         Ok(out)
     }
@@ -298,6 +485,69 @@ mod tests {
         let mut rows = rows_of(e.storage(), &out);
         rows.sort();
         assert_eq!(rows, vec![vec![Some(1), None], vec![Some(2), Some(2)]]);
+    }
+
+    #[test]
+    fn leading_keys_take_only_the_equality_prefix() {
+        let e = exec();
+        let l = int_file(e.storage(), "L", &["A", "X"], &[]);
+        let r = int_file(e.storage(), "R", &["B", "Y"], &[]);
+        let keys = |cond: &str| -> Vec<(usize, usize)> {
+            leading_keys(&on_pred(&l, &r, cond), l.schema(), r.schema())
+                .iter()
+                .map(|k| (k.left, k.right))
+                .collect()
+        };
+        assert_eq!(keys("L.A = R.B"), [(0, 0)]);
+        assert_eq!(keys("R.Y = L.X AND L.A = R.B AND L.X < R.Y"), [(1, 1), (0, 0)]);
+        // A key behind any other conjunct is not leading: that conjunct may
+        // raise an error the key's FALSE would not have hidden.
+        assert_eq!(keys("L.X < R.Y AND L.A = R.B"), []);
+        assert_eq!(keys("L.A = R.B AND L.A = L.X AND L.X = R.Y"), [(0, 0)]);
+        assert_eq!(keys("L.A = R.B OR L.X = R.Y"), []);
+        assert_eq!(keys("L.A <> R.B"), []);
+    }
+
+    #[test]
+    fn nl_join_index_keeps_null_and_off_type_keys_as_candidates() {
+        // Neither NULL = x (UNKNOWN) nor 'k' = 1 (a type error) is FALSE, so
+        // the index may not hide such pairs from the predicate: the string
+        // key must still surface its error, exactly as a pair scan would.
+        use nsql_types::{Column, ColumnType, Value};
+        let e = exec();
+        let st = e.storage().clone();
+        let file = |t: &str, c: &str, vals: Vec<Value>| {
+            HeapFile::from_tuples(
+                &st,
+                Schema::new(vec![Column::qualified(t, c, ColumnType::Int)]),
+                vals.into_iter().map(|v| Tuple::new(vec![v])),
+            )
+        };
+        let l = file("L", "A", vec![Value::Int(1), Value::Null, Value::Int(2)]);
+        let clean = file("R", "B", vec![Value::Null, Value::Int(2), Value::Float(2.0)]);
+        let on = on_pred(&l, &clean, "L.A = R.B");
+        let out = e.nl_join(&l, &clean, &on, JoinKind::LeftOuter).unwrap();
+        assert_eq!(e.collect(&out).len(), 4, "1 and NULL padded, 2 matches 2 and 2.0");
+        let dirty = file("R", "B", vec![Value::Int(1), Value::str("k")]);
+        let on = on_pred(&l, &dirty, "L.A = R.B");
+        assert!(e.nl_join(&l, &dirty, &on, JoinKind::Inner).is_err());
+    }
+
+    #[test]
+    fn nl_join_reports_build_and_probe_time_to_the_attached_operator() {
+        use crate::ops::ExecObs;
+        let obs = ExecObs::new();
+        let e = exec().with_obs(obs.clone());
+        let rows: Vec<Vec<i64>> = (0..300).map(|i| vec![i % 50]).collect();
+        let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        let l = int_file(e.storage(), "L", &["A"], &refs);
+        let r = int_file(e.storage(), "R", &["B"], &refs);
+        let on = on_pred(&l, &r, "L.A = R.B");
+        let op = obs.registry.op("nested-loop join (1 keys)");
+        obs.with_current(op.clone(), || e.nl_join_collect(&l, &r, &on, JoinKind::Inner)).unwrap();
+        let snap = op.snapshot();
+        assert!(snap.build_ns > 0 && snap.probe_ns > 0, "{snap:?}");
+        assert!(snap.render().contains("(build "), "{}", snap.render());
     }
 
     #[test]

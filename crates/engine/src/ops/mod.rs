@@ -11,6 +11,14 @@
 //! nested-loop ([`Exec::nl_join`]) and sort-merge ([`Exec::merge_join`]),
 //! each in inner and **left outer** flavours — the outer join being the
 //! paper's key device for fixing the COUNT bug (Section 5.2).
+//!
+//! The nested loop reads every inner page once per outer tuple, as the
+//! paper's `Pl + Nl·Pr` prices it, but it does not compare every pair: when
+//! its predicate starts with column equalities, the first inner pass builds
+//! a hash index of inner tuple *positions* and later passes evaluate the
+//! predicate only where the key can match. The rule all operators share —
+//! an index, memo or cache may skip CPU, never a page read — is stated in
+//! DESIGN.md's I/O-accounting section.
 
 mod agg;
 mod hash_join;

@@ -1,10 +1,11 @@
 //! Property tests: the three join algorithms agree with each other on
 //! random inputs (including NULL keys, duplicates, and empty sides), for
-//! both inner and left-outer joins.
+//! both inner and left-outer joins; and the key-indexed nested-loop kernel
+//! is indistinguishable from the pair-scanning loop it replaced.
 
-use nsql_engine::{CPred, Exec, JoinKind};
+use nsql_engine::{CPred, EngineError, Exec, JoinKind, Joined};
 use nsql_sql::parse_query;
-use nsql_storage::{HeapFile, Storage};
+use nsql_storage::{HeapFile, IoSnapshot, Storage, TraceEvent};
 use nsql_testkit::{forall, prop_assert, prop_assert_eq, Rng};
 use nsql_types::{Column, ColumnType, Schema, Tuple, Value};
 
@@ -174,6 +175,216 @@ fn inner_join_cardinality_matches_key_histogram() {
                 .map(|k| hist.get(k).copied().unwrap_or(0))
                 .sum();
             prop_assert_eq!(hj.tuple_count(), expected);
+            Ok(())
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
+// Key-indexed nested loop vs. the pair-scanning loop it replaced.
+// ---------------------------------------------------------------------
+
+/// The nested-loop join as it was before the inner index: `on` evaluated on
+/// every pair, every inner page read once per left tuple. This is the
+/// reference the kernel in `ops/join.rs` must be indistinguishable from —
+/// rows, order, error, counters and page-event sequence.
+fn pair_scan_oracle(
+    st: &Storage,
+    left: &HeapFile,
+    right: &HeapFile,
+    on: &CPred,
+    kind: JoinKind,
+) -> Result<Vec<Tuple>, EngineError> {
+    let right_arity = right.schema().arity();
+    let mut out = Vec::new();
+    for lt in left.scan(st) {
+        let mut matched = false;
+        let mut err = None;
+        for &pid in right.page_ids() {
+            let page = st.read_page(pid);
+            for rt in page.tuples() {
+                match on.accepts_row(&Joined::new(&lt, rt)) {
+                    Ok(true) => {
+                        matched = true;
+                        out.push(lt.join(rt));
+                    }
+                    Ok(false) => {}
+                    Err(e) => {
+                        err.get_or_insert(e);
+                    }
+                }
+            }
+        }
+        if let Some(e) = err {
+            return Err(e);
+        }
+        if !matched && kind == JoinKind::LeftOuter {
+            out.push(lt.join_nulls(right_arity));
+        }
+    }
+    Ok(out)
+}
+
+const TWO_53: i64 = 1 << 53;
+
+/// Cell zoo, addressed by a small code so inputs shrink with the stock
+/// integer shrinker. Heap files do not enforce their schema, so any code
+/// may land in any column: `NULL`s, the three zeros, Int/Float twins, NaN,
+/// integers that collide only after rounding to `f64`, and a string that
+/// raises a typed error against every number.
+fn cell(code: u8) -> Value {
+    match code % 13 {
+        0 => Value::Null,
+        1 => Value::Int(0),
+        2 => Value::Float(0.0),
+        3 => Value::Float(-0.0),
+        4 => Value::Int(1),
+        5 => Value::Float(1.0),
+        6 => Value::Int(2),
+        7 => Value::Float(2.5),
+        8 => Value::Float(f64::NAN),
+        9 => Value::str("k"),
+        10 => Value::Int(TWO_53),
+        11 => Value::Int(TWO_53 + 1),
+        _ => Value::Float(TWO_53 as f64),
+    }
+}
+
+/// NULL- and duplicate-biased cell code; the string (a type error against
+/// any number) comes with probability `p_str`, kept low so that most cases
+/// get past the first left tuple.
+fn cell_code(rng: &mut Rng, p_str: f64) -> u8 {
+    if rng.gen_bool(0.15) {
+        0
+    } else if rng.gen_bool(p_str) {
+        9
+    } else {
+        *rng.choose(&[1, 2, 3, 4, 5, 6, 6, 6, 7, 8, 10, 11, 12])
+    }
+}
+
+type RowCodes = (u8, u8, u8);
+
+fn rows(rng: &mut Rng, max: usize) -> Vec<RowCodes> {
+    let n = rng.gen_range(0usize..max);
+    // Residuals read V, so that is where most of the errors are planted.
+    (0..n).map(|_| (cell_code(rng, 0.03), cell_code(rng, 0.03), cell_code(rng, 0.12))).collect()
+}
+
+/// `table(K1, K2, V, S)`; the two sides declare K1/K2 with swapped numeric
+/// types (one class), and S is a string column derived from V's code.
+fn mixed_file(st: &Storage, table: &str, k1: ColumnType, k2: ColumnType, rows: &[RowCodes]) -> HeapFile {
+    let schema = Schema::new(vec![
+        Column::qualified(table, "K1", k1),
+        Column::qualified(table, "K2", k2),
+        Column::qualified(table, "V", ColumnType::Int),
+        Column::qualified(table, "S", ColumnType::Str),
+    ]);
+    HeapFile::from_tuples(
+        st,
+        schema,
+        rows.iter().map(|&(a, b, v)| {
+            let s = match v % 4 {
+                0 => Value::Null,
+                1 => Value::str("a"),
+                2 => Value::str("b"),
+                _ => Value::Int(7),
+            };
+            Tuple::new(vec![cell(a), cell(b), cell(v), s])
+        }),
+    )
+}
+
+/// ON-predicate shapes: 0/1/2 leading keys, both operand orders, a string
+/// key, residuals that can raise typed errors, keys that are *not* leading
+/// (behind a residual, behind a literal test, under OR), and a pair of
+/// columns whose declared classes differ.
+const SHAPES: &[&str] = &[
+    "L.K1 = R.K1",
+    "L.K1 = R.K1 AND L.K2 = R.K2",
+    "L.K1 = R.K1 AND L.V < R.V",
+    "R.K1 = L.K1 AND L.K2 = R.K2 AND L.V <> R.V",
+    "L.S = R.S AND L.K1 = R.K1",
+    "L.V < R.V",
+    "L.V < R.V AND L.K1 = R.K1",
+    "L.K1 = 1 AND L.K1 = R.K1",
+    "L.K1 = R.K1 AND L.K1 = L.K2 AND L.K2 = R.K2",
+    "L.K1 = R.K1 OR L.V < R.V",
+    "L.K1 = R.S",
+    "L.K1 = R.K1 AND (L.K2 = R.K2 OR L.V = R.V)",
+];
+
+/// What one execution leaves observable.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// `Debug` rendering, so `-0.0` vs `0.0` and NaN are told apart.
+    result: Result<Vec<String>, EngineError>,
+    io: IoSnapshot,
+    events: Vec<TraceEvent>,
+    resident: Vec<bool>,
+}
+
+fn observe(
+    left: &[RowCodes],
+    right: &[RowCodes],
+    shape: &str,
+    kind: JoinKind,
+    pool: usize,
+    indexed: bool,
+) -> Observed {
+    // 40-byte pages hold one or two of these tuples, so a handful of rows
+    // spans more pages than the small pools and fewer than the large one.
+    let st = Storage::new(pool, 40);
+    let l = mixed_file(&st, "L", ColumnType::Int, ColumnType::Float, left);
+    let r = mixed_file(&st, "R", ColumnType::Float, ColumnType::Int, right);
+    let combined = l.schema().join(r.schema());
+    let q = parse_query(&format!("SELECT L.V FROM L, R WHERE {shape}")).unwrap();
+    let on = CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap();
+    let before = st.io_snapshot();
+    st.start_recording();
+    let result = if indexed {
+        Exec::new(st.clone())
+            .nl_join_collect(&l, &r, &on, kind)
+            .map(|rel| rel.tuples().to_vec())
+    } else {
+        pair_scan_oracle(&st, &l, &r, &on, kind)
+    };
+    let events = st.take_recording();
+    let io = st.io_snapshot().since(&before);
+    let resident =
+        l.page_ids().iter().chain(r.page_ids()).map(|&p| st.page_resident(p)).collect();
+    Observed {
+        result: result.map(|ts| ts.iter().map(|t| format!("{t:?}")).collect()),
+        io,
+        events,
+        resident,
+    }
+}
+
+#[test]
+fn indexed_nl_join_is_indistinguishable_from_pair_scan() {
+    forall(
+        600,
+        "indexed_nl_join_is_indistinguishable_from_pair_scan",
+        |rng| {
+            (
+                rows(rng, 12),
+                rows(rng, 16),
+                rng.gen_range(0usize..SHAPES.len()),
+                rng.gen_bool(0.5),
+                // Pools smaller than, about, and larger than the inner file.
+                *rng.choose(&[2usize, 5, 64]),
+            )
+        },
+        |(left, right, shape, outer, pool)| {
+            let shape = SHAPES[*shape % SHAPES.len()];
+            let kind = if *outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+            let want = observe(left, right, shape, kind, *pool, false);
+            let got = observe(left, right, shape, kind, *pool, true);
+            prop_assert_eq!(got.result, want.result, "{shape} {kind:?} B={pool}");
+            prop_assert_eq!(got.io, want.io, "{shape} {kind:?} B={pool}");
+            prop_assert_eq!(got.events, want.events, "{shape} {kind:?} B={pool}");
+            prop_assert_eq!(got.resident, want.resident, "{shape} {kind:?} B={pool}");
             Ok(())
         },
     );

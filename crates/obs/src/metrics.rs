@@ -101,9 +101,10 @@ pub struct OpMetrics {
     pub hits: AtomicU64,
     /// Buffer misses during the operator (snapshot delta).
     pub misses: AtomicU64,
-    /// Hash-join build phase, nanoseconds (0 when not a hash join).
+    /// Join build phase, nanoseconds: hash join's table build, nested-loop
+    /// join's first inner pass (0 for every other operator).
     pub build_ns: AtomicU64,
-    /// Hash-join probe phase, nanoseconds (0 when not a hash join).
+    /// Join probe phase, nanoseconds (0 when not a hash or nested-loop join).
     pub probe_ns: AtomicU64,
     /// Total operator wall time, nanoseconds.
     pub wall_ns: AtomicU64,
@@ -161,9 +162,9 @@ pub struct OpSnapshot {
     pub hits: u64,
     /// Buffer misses.
     pub misses: u64,
-    /// Hash-join build nanoseconds.
+    /// Join build nanoseconds (hash join, nested-loop join).
     pub build_ns: u64,
-    /// Hash-join probe nanoseconds.
+    /// Join probe nanoseconds (hash join, nested-loop join).
     pub probe_ns: u64,
     /// Operator wall nanoseconds.
     pub wall_ns: u64,

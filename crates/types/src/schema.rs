@@ -1,6 +1,7 @@
 //! Column and schema descriptions, with qualified-name resolution.
 
 use crate::error::TypeError;
+use crate::value::Value;
 use std::fmt;
 
 /// The static type of a column.
@@ -16,6 +17,29 @@ pub enum ColumnType {
     Date,
     /// Boolean (internal).
     Bool,
+}
+
+impl ColumnType {
+    /// Whether values of the two types compare under [`Value::sql_cmp`]
+    /// without a type error, and order there as they do under
+    /// [`Value::total_cmp`]: the numeric tower is one comparison class,
+    /// every other type only matches itself.
+    pub fn same_class(self, other: ColumnType) -> bool {
+        let class = |t: ColumnType| match t {
+            ColumnType::Int | ColumnType::Float => 0u8,
+            ColumnType::Str => 1,
+            ColumnType::Date => 2,
+            ColumnType::Bool => 3,
+        };
+        class(self) == class(other)
+    }
+
+    /// Whether `v` is non-`NULL` and of this type's comparison class.
+    /// Heap files do not enforce their schema, so code that relies on a
+    /// column's class (index bounds, join-key hashing) checks per value.
+    pub fn admits(self, v: &Value) -> bool {
+        v.column_type().is_some_and(|ty| self.same_class(ty))
+    }
 }
 
 impl fmt::Display for ColumnType {

@@ -165,6 +165,21 @@ fn cmp_f64(a: f64, b: f64) -> Ordering {
     })
 }
 
+/// The bits a numeric value contributes to a hash: floats that compare equal
+/// (`NaN` with `NaN`, `-0.0` with `0.0` and hence with `Int(0)`) get one
+/// representative. `nsql-vec`'s column hasher feeds the same bits, so the
+/// row and vector hash streams cannot drift apart.
+pub fn float_hash_bits(f: f64) -> u64 {
+    let canonical = if f.is_nan() {
+        f64::NAN
+    } else if f == 0.0 {
+        0.0
+    } else {
+        f
+    };
+    canonical.to_bits()
+}
+
 /// `PartialEq` follows the *total* order (grouping semantics), not SQL
 /// three-valued equality: `Null == Null` is `true` here. Use
 /// [`Value::sql_eq`] inside predicate evaluation.
@@ -194,8 +209,7 @@ impl Hash for Value {
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                let norm = if f.is_nan() { f64::NAN } else { *f };
-                norm.to_bits().hash(state);
+                float_hash_bits(*f).hash(state);
             }
             Value::Date(d) => {
                 3u8.hash(state);
@@ -323,6 +337,11 @@ mod tests {
         }
         assert_eq!(Value::Int(3), Value::Float(3.0));
         assert_eq!(h(&Value::Int(3)), h(&Value::Float(3.0)));
+        // Negative zero equals zero under both comparison regimes.
+        assert_eq!(Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!(Value::Float(-0.0), Value::Int(0));
+        assert_eq!(h(&Value::Float(-0.0)), h(&Value::Float(0.0)));
+        assert_eq!(h(&Value::Float(-0.0)), h(&Value::Int(0)));
     }
 
     #[test]

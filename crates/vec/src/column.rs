@@ -14,6 +14,7 @@
 //! rule against the row-side implementation.
 
 use crate::bitmap::Bitmap;
+use nsql_types::value::float_hash_bits;
 use nsql_types::{Date, FxHashMap, TypeError, Value};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -327,8 +328,7 @@ impl<'a> ValRef<'a> {
             }
             ValRef::Float(f) => {
                 2u8.hash(state);
-                let norm = if f.is_nan() { f64::NAN } else { f };
-                norm.to_bits().hash(state);
+                float_hash_bits(f).hash(state);
             }
             ValRef::Date(d) => {
                 3u8.hash(state);
@@ -480,6 +480,9 @@ mod tests {
             Value::Int(7),
             Value::Float(7.0),
             Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Int(0),
             Value::str("hello"),
             Value::Bool(true),
             Value::date("1-1-80").unwrap(),
@@ -491,5 +494,13 @@ mod tests {
             ValRef::of(v).hash_value(&mut h2);
             assert_eq!(h1.finish(), h2.finish(), "hash divergence on {v:?}");
         }
+        // -0.0, 0.0 and Int(0) are `total_eq`, so they must share a hash.
+        let h = |v: &Value| {
+            let mut s = FxHasher::default();
+            ValRef::of(v).hash_value(&mut s);
+            s.finish()
+        };
+        assert_eq!(h(&Value::Float(-0.0)), h(&Value::Float(0.0)));
+        assert_eq!(h(&Value::Float(-0.0)), h(&Value::Int(0)));
     }
 }

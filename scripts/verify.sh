@@ -175,4 +175,10 @@ NSQL_BENCH_SAMPLES=1 \
 NSQL_BENCH_SAMPLES=1 \
     cargo bench -p nsql-bench --offline --bench stats_overhead >/dev/null
 
+echo "==> benchmark smoke (one cycle per workload, answers checked; not a measurement)"
+# The standalone package under benchmark/ builds against this checkout. Each
+# run checks every answer against the reference evaluators, the metric names
+# against BENCHMARK.json, and that two cycles count the same page I/O.
+benchmark/run.sh --smoke >/dev/null
+
 echo "verify: OK"
