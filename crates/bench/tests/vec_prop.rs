@@ -35,27 +35,36 @@ fn assert_bit_identical(name: &str, row: &Relation, vec: &Relation) {
     }
 }
 
-/// Run `sql` under Row then Vector, asserting identical rows, identical
-/// reported I/O, and an identical four-counter storage trace.
-fn check(w: &Workload, sql: &str, name: &str, base: &QueryOptions) {
+/// Run `sql` under Row then Vector, asserting identical rows (or the same
+/// error), identical reported I/O, and an identical four-counter storage
+/// trace. Returns whether the statement answered (rather than raised).
+fn check(w: &Workload, sql: &str, name: &str, base: &QueryOptions) -> bool {
     let s0 = w.db.storage().io_snapshot();
-    let row = w
-        .db
-        .query_with(sql, &QueryOptions { exec_mode: ExecMode::Row, ..base.clone() })
-        .unwrap();
+    let row = w.db.query_with(sql, &QueryOptions { exec_mode: ExecMode::Row, ..base.clone() });
     let s1 = w.db.storage().io_snapshot();
-    let vec = w
-        .db
-        .query_with(sql, &QueryOptions { exec_mode: ExecMode::Vector, ..base.clone() })
-        .unwrap();
+    let vec = w.db.query_with(sql, &QueryOptions { exec_mode: ExecMode::Vector, ..base.clone() });
     let s2 = w.db.storage().io_snapshot();
-    assert_bit_identical(name, &row.relation, &vec.relation);
-    assert_eq!(row.io, vec.io, "{name}: reported I/O totals diverged");
+    let answered = row.is_ok();
+    match (row, vec) {
+        (Ok(row), Ok(vec)) => {
+            assert_bit_identical(name, &row.relation, &vec.relation);
+            assert_eq!(row.io, vec.io, "{name}: reported I/O totals diverged");
+        }
+        (Err(row), Err(vec)) => {
+            assert_eq!(format!("{row:?}"), format!("{vec:?}"), "{name}: errors diverged")
+        }
+        (row, vec) => panic!(
+            "{name}: one mode failed: row {:?}, vector {:?}",
+            row.map(|o| o.relation.len()),
+            vec.map(|o| o.relation.len())
+        ),
+    }
     assert_eq!(
         s1.since(&s0),
         s2.since(&s1),
         "{name}: vector mode changed the reads/writes/hits/misses trace"
     );
+    answered
 }
 
 const QUERIES: [(&str, &str); 4] = [
@@ -72,7 +81,8 @@ fn vectorized_nested_iteration_equals_row_mode() {
         for threads in [1usize, 4] {
             for (name, sql) in QUERIES {
                 let base = QueryOptions { threads, ..QueryOptions::nested_iteration() };
-                check(&w, sql, &format!("ni/{name}/seed={seed}/threads={threads}"), &base);
+                let name = format!("ni/{name}/seed={seed}/threads={threads}");
+                assert!(check(&w, sql, &name, &base), "{name}: expected an answer");
             }
         }
     }
@@ -93,7 +103,8 @@ fn vectorized_transform_equals_row_mode() {
                 ..QueryOptions::transformed()
             };
             for (name, sql) in QUERIES {
-                check(&w, sql, &format!("tr/{pname}/{name}/threads={threads}"), &base);
+                let name = format!("tr/{pname}/{name}/threads={threads}");
+                assert!(check(&w, sql, &name, &base), "{name}: expected an answer");
             }
         }
     }
@@ -129,7 +140,66 @@ fn vectorized_float_aggregates_bit_identical() {
         "SELECT SUM(X), AVG(X) FROM MEAS",
         "SELECT GRP, SUM(X), AVG(X) FROM MEAS GROUP BY GRP",
     ] {
-        check(&w, sql, "float-agg/ni", &QueryOptions::nested_iteration());
-        check(&w, sql, "float-agg/tr", &QueryOptions::transformed());
+        for (name, base) in [
+            ("float-agg/ni", QueryOptions::nested_iteration()),
+            ("float-agg/tr", QueryOptions::transformed()),
+        ] {
+            assert!(check(&w, sql, name, &base), "{name}: expected an answer");
+        }
     }
+}
+
+/// WHERE drops a binding at the first non-TRUE conjunct, so a conjunct that
+/// would raise a type error stays unevaluated behind one that is FALSE *or
+/// UNKNOWN*. Generated statements put a type-mismatched conjunct behind a
+/// comparison on a sometimes-NULL column, at top level and inside a
+/// correlated inner block: where no row gets past the guard both modes
+/// answer, where one does both raise the same error, after the same I/O.
+#[test]
+fn type_mismatch_behind_a_sometimes_null_conjunct() {
+    let mut rng = nsql_testkit::Rng::from_seed(DEFAULT_SEED);
+    let schema = |t: &str| {
+        Schema::new(vec![
+            Column::qualified(t, "K", ColumnType::Int),
+            Column::qualified(t, "V", ColumnType::Int),
+            Column::qualified(t, "S", ColumnType::Str),
+        ])
+    };
+    let mut db = Database::with_storage(6, 256);
+    for (table, rows) in [("T", 90i64), ("U", 150)] {
+        let mut rel = Relation::empty(schema(table));
+        for i in 0..rows {
+            let v = if rng.gen_bool(0.3) { Value::Null } else { Value::Int(rng.gen_range(0..6)) };
+            rel.push(Tuple::new(vec![Value::Int(i % 30), v, Value::str(format!("s{}", i % 4))]))
+                .unwrap();
+        }
+        db.catalog_mut().load_table(table, &rel).expect("fresh catalog");
+    }
+    let w = Workload { db, spec: WorkloadSpec::small() };
+    let (mut answered, mut raised) = (0, 0);
+    for case in 0..40 {
+        let op = *rng.choose(&["=", "<", ">", "<>"]);
+        // 9 is outside V's range: `V = 9` is never TRUE, `V <> 9` never FALSE.
+        let bound = *rng.choose(&[0i64, 2, 5, 9]);
+        let mismatch = *rng.choose(&["S = 3", "K = 'x'", "S IN (1, 2)", "NOT (S < 3)"]);
+        let sql = if rng.gen_bool(0.5) {
+            format!("SELECT K FROM T WHERE V {op} {bound} AND {mismatch}")
+        } else {
+            let inner = mismatch.replace("S ", "U.S ").replace("K ", "U.K ");
+            format!(
+                "SELECT K FROM T WHERE V IN \
+                 (SELECT V FROM U WHERE U.K = T.K AND U.V {op} {bound} AND {inner})"
+            )
+        };
+        for threads in [1usize, 4] {
+            let base = QueryOptions { threads, ..QueryOptions::nested_iteration() };
+            let name = format!("guarded-mismatch/{case}/threads={threads}: {sql}");
+            if check(&w, &sql, &name, &base) {
+                answered += 1;
+            } else {
+                raised += 1;
+            }
+        }
+    }
+    assert!(answered >= 10 && raised >= 10, "both outcomes exercised: {answered} / {raised}");
 }

@@ -1,7 +1,7 @@
 //! The System R reference evaluator: nested iteration.
 //!
-//! This evaluator interprets a nested [`QueryBlock`] directly, with the
-//! semantics the paper treats as ground truth:
+//! This evaluator runs a nested [`QueryBlock`] directly, with the semantics
+//! the paper treats as ground truth:
 //!
 //! * The FROM clause is enumerated by nested iteration (a cartesian-product
 //!   loop); WHERE predicates are applied per candidate binding, **simple
@@ -21,10 +21,41 @@
 //! Every correctness experiment in the paper compares a transformation
 //! against this evaluator's output, and every benchmark uses its measured
 //! page I/Os as the baseline.
+//!
+//! # Bind once, then iterate
+//!
+//! What the paper charges nested iteration for is the repeated page
+//! retrieval, and that is kept to the page: the one binding loop
+//! ([`NestedIter::bindings`]) calls `read_page` for every page of the
+//! block's outermost file, in file order, on every evaluation. What does
+//! *not* depend on the iteration is hoisted out of it:
+//!
+//! * **per block, per query** — the FROM files and scope schema
+//!   ([`BlockInfo`]) and the block's simple (subquery-free) conjuncts
+//!   compiled to a [`Template`]: local references become column indices,
+//!   outer references become slots;
+//! * **per evaluation of the block** — each outer slot is looked up once in
+//!   the scope chain ([`NestedIter::bind`]), giving one [`CPred`] per
+//!   conjunct;
+//! * **per tuple** — the bound conjuncts run on the buffered tuple in
+//!   place, one conjunct at a time, stopping at the first non-TRUE one;
+//!   only survivors are cloned. SELECT items, GROUP BY keys and aggregate
+//!   arguments that resolve in the block's own scope project by index.
+//!
+//! `with_vectorized(true)` swaps only the per-page kernel inside that loop
+//! (lanes over a column batch instead of rows).
+//!
+//! The by-name tree interpreter ([`NestedIter::eval_pred`] over an [`Env`])
+//! is still what evaluates *nested* conjuncts — once per binding that
+//! survives the simple ones — and it is the decline path: when a simple
+//! conjunct holds a locally ambiguous reference, or an outer reference the
+//! scope chain does not resolve, the block is interpreted per tuple, so the
+//! error surfaces lazily, if and only if a tuple reaches that operand.
 
 use crate::aggregate::AggState;
 use crate::error::EngineError;
-use crate::pred::{compare_values, not3};
+use crate::expr::CExpr;
+use crate::pred::{compare_values, not3, CPred};
 use crate::provider::TableProvider;
 use crate::vec_exec::{self, Lane3, Template, VPred};
 use crate::Result;
@@ -71,21 +102,43 @@ enum BatchPlan {
     Memo(Vec<usize>, FxHashMap<Tuple, Result<Option<bool>>>),
 }
 
+/// What one evaluation of a block binds before its loop: its compiled
+/// simple conjuncts and the values of their outer slots (the block's
+/// correlation binding — also the result memo's key).
+struct Bound {
+    tpl: Arc<Template>,
+    outer: Tuple,
+}
+
+impl Bound {
+    /// The simple conjuncts with the outer values in place.
+    fn conjuncts(&self) -> Vec<CPred> {
+        self.tpl.conjuncts(self.outer.values())
+    }
+}
+
 /// Resolved FROM clause of a block: the (requalified) files and the scope
 /// schema they jointly define. Computed once per block per query — a
 /// correlated inner block is *evaluated* per outer tuple, but its name
-/// resolution never changes, so re-deriving schemas each time is pure
-/// allocation churn.
+/// resolution never changes.
 struct BlockInfo {
     files: Vec<HeapFile>,
     schema: Schema,
 }
 
-/// The scope chain during evaluation, innermost first. Holds borrowed
-/// `(schema, tuple)` pairs: pushing a child scope copies a handful of
-/// references instead of deep-cloning every enclosing schema and binding
-/// (the dominant CPU cost of correlated-subquery evaluation before this
-/// representation).
+impl BlockInfo {
+    /// Pages of the outermost FROM file, the ones the binding loop walks.
+    fn outer_pages(&self) -> &[PageId] {
+        self.files.first().map_or(&[], |f| f.page_ids())
+    }
+}
+
+/// The scope chain of the by-name interpreter, innermost first: borrowed
+/// `(schema, tuple)` pairs, so pushing a scope copies a handful of
+/// references. A chain is built per *surviving* binding (for its nested
+/// conjuncts) and per tuple only on the decline path; bound simple
+/// conjuncts never see one — their outer references were looked up here
+/// once per block evaluation.
 #[derive(Clone, Default)]
 struct Env<'e> {
     scopes: Vec<(&'e Schema, &'e Tuple)>,
@@ -131,10 +184,10 @@ struct IterShared {
     /// Per-query memo of [`is_correlated`](NestedIter::is_correlated),
     /// which is re-consulted for every outer binding.
     correlated: Mutex<FxHashMap<usize, bool>>,
-    /// Vectorized-path memo: each block's simple conjuncts compiled to a
-    /// predicate [`Template`], keyed by [`BlockInfo`] address. `None`
-    /// records a block whose predicates decline compilation, so the row
-    /// path is taken without recompiling per outer binding.
+    /// Each block's simple conjuncts compiled to a predicate [`Template`],
+    /// keyed by [`BlockInfo`] address. `None` records a block whose
+    /// predicates decline compilation, so the interpreter is taken without
+    /// recompiling per outer binding.
     templates: Mutex<FxHashMap<usize, Option<Arc<Template>>>>,
     /// Page → column-batch cache for the vectorized path. FROM files are
     /// base tables, immutable for the duration of one query (temporaries
@@ -240,11 +293,12 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         self
     }
 
-    /// Enable the vectorized fast path: blocks with a single FROM file
-    /// evaluate their simple conjuncts with batch kernels, and fully-
-    /// simple correlated blocks memoize per distinct outer binding. Page
-    /// reads are charged identically either way, so results *and* counted
-    /// I/O are byte-identical with the row path.
+    /// Swap the binding loop's per-page kernel: blocks with a single FROM
+    /// file evaluate their bound simple conjuncts as lanes over a column
+    /// batch instead of row by row, and fully-simple correlated blocks
+    /// memoize per distinct outer binding. Page reads are charged
+    /// identically either way, so results, errors *and* counted I/O are
+    /// byte-identical with the row kernel.
     pub fn with_vectorized(mut self, vectorized: bool) -> Self {
         self.vectorized = vectorized;
         self
@@ -396,13 +450,11 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             }
         }
 
-        let scope_schema = &info.schema;
-        let conjuncts: Vec<&Predicate> = match &q.where_clause {
-            Some(p) => p.conjuncts(),
-            None => Vec::new(),
-        };
-        let (simple, nested): (Vec<&Predicate>, Vec<&Predicate>) =
-            conjuncts.into_iter().partition(|p| !p.contains_subquery());
+        // Bound once for all morsels: the top level has no enclosing scope,
+        // so its simple conjuncts either close over the block or decline.
+        let (simple, nested) = split_conjuncts(q);
+        let env = Env::default();
+        let bound = self.bind(&info, &simple, &env).map(|b| b.conjuncts());
 
         // One page per morsel: binding evaluation (the inner loops) is the
         // heavy part, so fine-grained claims balance best, and the trace
@@ -420,7 +472,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 let sink = Arc::new(Mutex::new(Vec::new()));
                 let fork = self.fork(self.storage.trace_view(Arc::clone(&sink)));
                 let res =
-                    fork.eval_morsel(&info, &pages[range.clone()], &simple, &nested);
+                    fork.bindings(&info, &pages[range.clone()], bound.as_deref(), &simple, &nested, &env);
                 let events = std::mem::take(&mut *lock(&sink));
                 *lock(&slots[range.start]) = Some((events, res));
             }
@@ -438,57 +490,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             self.replay(&events, &mat, &mut done);
             survivors.append(&mut res?);
         }
-        self.eval_select(q, scope_schema, survivors, &Env::default())
-    }
-
-    /// One worker morsel: the outer block's bindings restricted to the
-    /// given outer pages, evaluated with this evaluator's (trace-view)
-    /// storage. Mirrors [`eval_block`](NestedIter::eval_block)'s loop body,
-    /// with depth 0 of the enumeration unrolled over the morsel's pages.
-    fn eval_morsel(
-        &self,
-        info: &Arc<BlockInfo>,
-        pids: &[PageId],
-        simple: &[&Predicate],
-        nested: &[&Predicate],
-    ) -> Result<Vec<Tuple>> {
-        let scope_schema = &info.schema;
-        let env = Env::default();
-        if self.vectorized && info.files.len() == 1 {
-            // The morsel covers a page subset, so block-level memoization
-            // does not apply; the template (closed at top level — any
-            // outer ref fails the empty env and declines) and batch
-            // kernels still do.
-            if let Some(tpl) = self.template_for(info, simple) {
-                if tpl.is_closed() {
-                    let vp = tpl.instantiate(&[]);
-                    return self.filter_pages_vec(&vp, info, pids, nested, &env);
-                }
-            }
-        }
-        let mut survivors: Vec<Tuple> = Vec::new();
-        for &pid in pids {
-            let page = self.storage.read_page(pid);
-            for t in page.tuples() {
-                self.enumerate(&info.files, 1, Tuple::default().join(t), &mut |binding| {
-                    let here = env.child(scope_schema, &binding);
-                    for p in simple {
-                        if self.eval_pred(p, &here)? != Some(true) {
-                            return Ok(());
-                        }
-                    }
-                    for p in nested {
-                        if self.eval_pred(p, &here)? != Some(true) {
-                            return Ok(());
-                        }
-                    }
-                    drop(here);
-                    survivors.push(binding);
-                    Ok(())
-                })?;
-            }
-        }
-        Ok(survivors)
+        self.eval_select(q, &info.schema, survivors, &env)
     }
 
     /// Charge a captured trace against the real (counted, buffered)
@@ -562,9 +564,10 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// never consulted are swallowed — as nested iteration never evaluates
     /// them at all). Counted I/O is thread-invariant by construction: the
     /// only parallel step is the external sort, whose counted I/O is
-    /// proven thread-invariant; everything else runs serially. The
-    /// vectorized fast path is deliberately not consulted — batching is a
-    /// row-strategy.
+    /// proven thread-invariant; everything else runs serially. Phase 1 is
+    /// nested iteration's own binding loop, run without nested conjuncts
+    /// and always on the row kernel — batching is a row strategy; only the
+    /// inner blocks phase 2 evaluates follow `with_vectorized`.
     pub fn eval_query_batched(&self, q: &QueryBlock, threads: usize) -> Result<Relation> {
         let result = self.eval_batched(q, threads);
         self.teardown();
@@ -574,12 +577,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     fn eval_batched(&self, q: &QueryBlock, threads: usize) -> Result<Relation> {
         let info = self.block_info(q)?;
         let scope_schema = &info.schema;
-        let conjuncts: Vec<&Predicate> = match &q.where_clause {
-            Some(p) => p.conjuncts(),
-            None => Vec::new(),
-        };
-        let (simple, nested): (Vec<&Predicate>, Vec<&Predicate>) =
-            conjuncts.into_iter().partition(|p| !p.contains_subquery());
+        let (simple, nested) = split_conjuncts(q);
         if nested.is_empty() {
             // Nothing to batch — the block is flat; evaluate it directly.
             return self.eval_block(q, &Env::default());
@@ -587,19 +585,12 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let env = Env::default();
 
         // Phase 1: candidates surviving the simple conjuncts, in
-        // enumeration order (the order nested iteration would visit them).
-        let mut candidates: Vec<Tuple> = Vec::new();
-        self.enumerate(&info.files, 0, Tuple::default(), &mut |binding| {
-            let here = env.child(scope_schema, &binding);
-            for p in &simple {
-                if self.eval_pred(p, &here)? != Some(true) {
-                    return Ok(());
-                }
-            }
-            drop(here);
-            candidates.push(binding);
-            Ok(())
-        })?;
+        // enumeration order (the order nested iteration would visit them):
+        // nested iteration's binding loop with no nested conjuncts to run.
+        let bound = self.bind(&info, &simple, &env).map(|b| b.conjuncts());
+        let rows = self.fork(self.storage.clone()).with_vectorized(false);
+        let candidates =
+            rows.bindings(&info, info.outer_pages(), bound.as_deref(), &simple, &[], &env)?;
 
         // Phase 2: one verdict memo per nested conjunct, keyed by the
         // candidate's projection onto the conjunct's free outer columns.
@@ -769,6 +760,9 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         Ok(info)
     }
 
+    /// Evaluate one block under `env`, the scope chain of the enclosing
+    /// bindings: resolve (recalled per query), bind (once per evaluation),
+    /// run the binding loop, then the SELECT phase.
     fn eval_block(&self, q: &QueryBlock, env: &Env<'_>) -> Result<Relation> {
         let info = self.block_info(q)?;
 
@@ -786,30 +780,48 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 p.cache.find_block(&p.sig.text, &p.binding, &p.sig.table, p.generation, p.epoch)
             {
                 self.shared.xq_hits.fetch_add(1, Ordering::Relaxed);
-                for &pid in info.files[0].page_ids() {
-                    let _ = self.storage.read_page(pid);
-                }
+                self.charge_scan(&info);
                 return Ok(rel.rel.clone());
             }
             self.shared.xq_misses.fetch_add(1, Ordering::Relaxed);
         }
 
-        // Partition top-level conjuncts: simple predicates first.
-        let conjuncts: Vec<&Predicate> = match &q.where_clause {
-            Some(p) => p.conjuncts(),
-            None => Vec::new(),
-        };
-        let (simple, nested): (Vec<&Predicate>, Vec<&Predicate>) = conjuncts
-            .into_iter()
-            .partition(|p| !p.contains_subquery());
+        let (simple, nested) = split_conjuncts(q);
+        let bound = self.bind(&info, &simple, env);
 
-        let rel = 'eval: {
-            if self.vectorized {
-                if let Some(rel) = self.try_eval_block_vec(q, env, &info, &simple, &nested)? {
-                    break 'eval rel;
+        // Vector mode's per-distinct-binding memo. A fully-simple
+        // single-file block depends only on (file contents, outer values):
+        // SELECT items must resolve locally (`output_schema` errors
+        // otherwise, and errors are never memoized), so the key captures
+        // everything the result can depend on. A hit charges the same page
+        // reads a re-evaluation would issue.
+        let memo_key = match &bound {
+            Some(b) if self.vectorized && nested.is_empty() && info.files.len() == 1 => {
+                Some((Arc::as_ptr(&info) as usize, b.outer.clone()))
+            }
+            _ => None,
+        };
+        let memoized =
+            memo_key.as_ref().and_then(|key| lock(&self.shared.results).map.get(key).cloned());
+        let rel = if let Some(rel) = memoized {
+            self.charge_scan(&info);
+            (*rel).clone()
+        } else {
+            // Only now, past the memo: the conjuncts with this evaluation's
+            // outer values in place.
+            let bound = bound.map(|b| b.conjuncts());
+            let survivors =
+                self.bindings(&info, info.outer_pages(), bound.as_deref(), &simple, &nested, env)?;
+            let rel = self.eval_select(q, &info.schema, survivors, env)?;
+            if let Some(key) = memo_key {
+                let size = approx_relation_bytes(&rel);
+                let mut memo = lock(&self.shared.results);
+                if memo.bytes + size <= self.memo_budget {
+                    memo.map.insert(key, Arc::new(rel.clone()));
+                    memo.bytes += size;
                 }
             }
-            self.eval_block_rows(q, env, &info, &simple, &nested)?
+            rel
         };
 
         // Publish only successful evaluations, so an entry can never mask
@@ -827,35 +839,132 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         Ok(rel)
     }
 
-    /// The row-at-a-time block body: nested-iteration enumeration of the
-    /// FROM product, then the SELECT phase.
-    fn eval_block_rows(
+    /// Charge the page reads of one evaluation of a single-file block whose
+    /// answer was recalled instead of recomputed.
+    fn charge_scan(&self, info: &BlockInfo) {
+        for &pid in info.outer_pages() {
+            let _ = self.storage.read_page(pid);
+        }
+    }
+
+    /// The bind-once step of one block evaluation: recall the block's
+    /// compiled simple conjuncts and look every outer slot up in `env` —
+    /// here, not per tuple. `None` declines: a reference is ambiguous in
+    /// the block's own scope, or an outer reference does not resolve in
+    /// the chain. The interpreter then raises that error where SQL's
+    /// evaluation order puts it — on the first tuple that reaches the
+    /// operand, and not at all if none does.
+    fn bind(&self, info: &Arc<BlockInfo>, simple: &[&Predicate], env: &Env<'_>) -> Option<Bound> {
+        let tpl = self.template_for(info, simple)?;
+        let outer: Vec<Value> =
+            tpl.outer_refs.iter().map(|c| env.lookup(c).ok()).collect::<Option<_>>()?;
+        Some(Bound { tpl, outer: Tuple::new(outer) })
+    }
+
+    /// The binding loop — the only one: `eval_block`, every parallel
+    /// morsel and phase 1 of batched evaluation run it. Walks `pids` (pages
+    /// of the block's outermost file) calling `read_page` for each, in
+    /// order; under every tuple enumerates the remaining FROM files by
+    /// nested iteration; applies the simple conjuncts in order, stopping at
+    /// the first non-TRUE one, then hands the binding — cloned off the page
+    /// only now — to the interpreter for the nested conjuncts under the
+    /// same rule. Returns the survivors in enumeration order.
+    ///
+    /// Simple conjuncts run bound (by index, on the buffered tuple in
+    /// place) unless `bound` declined. In vector mode a single-file block
+    /// swaps the per-tuple kernel for lanes over the page's column batch;
+    /// lanes are still consumed in row order, so an error stops exactly
+    /// where the row kernel would — after earlier bindings' nested-conjunct
+    /// I/O, before later pages.
+    fn bindings(
         &self,
-        q: &QueryBlock,
-        env: &Env<'_>,
-        info: &Arc<BlockInfo>,
+        info: &BlockInfo,
+        pids: &[PageId],
+        bound: Option<&[CPred]>,
         simple: &[&Predicate],
         nested: &[&Predicate],
-    ) -> Result<Relation> {
-        let scope_schema = &info.schema;
+        env: &Env<'_>,
+    ) -> Result<Vec<Tuple>> {
+        let schema = &info.schema;
+        let passes = |t: &Tuple| -> Result<bool> {
+            match bound {
+                Some(conjuncts) => {
+                    for c in conjuncts {
+                        if c.eval(t)? != Some(true) {
+                            return Ok(false);
+                        }
+                    }
+                }
+                None => {
+                    let here = env.child(schema, t);
+                    for p in simple {
+                        if self.eval_pred(p, &here)? != Some(true) {
+                            return Ok(false);
+                        }
+                    }
+                }
+            }
+            Ok(true)
+        };
         let mut survivors: Vec<Tuple> = Vec::new();
-        self.enumerate(&info.files, 0, Tuple::default(), &mut |binding| {
-            let here = env.child(scope_schema, &binding);
-            for p in simple {
-                if self.eval_pred(p, &here)? != Some(true) {
-                    return Ok(());
+        let mut admit = |binding: Tuple| -> Result<()> {
+            if !nested.is_empty() {
+                let here = env.child(schema, &binding);
+                for p in nested {
+                    if self.eval_pred(p, &here)? != Some(true) {
+                        return Ok(());
+                    }
                 }
             }
-            for p in nested {
-                if self.eval_pred(p, &here)? != Some(true) {
-                    return Ok(());
-                }
-            }
-            drop(here);
             survivors.push(binding);
             Ok(())
-        })?;
-        self.eval_select(q, scope_schema, survivors, env)
+        };
+        if info.files.is_empty() && passes(&Tuple::default())? {
+            // FROM-less block (an AST built by hand): one empty binding.
+            admit(Tuple::default())?;
+        }
+        let single = info.files.len() == 1;
+        let lane_kernel: Option<Vec<VPred>> = match bound {
+            Some(conjuncts) if self.vectorized && single => {
+                Some(conjuncts.iter().map(vec_exec::vpred_from_cpred).collect())
+            }
+            _ => None,
+        };
+        let op = self.obs.as_ref().and_then(|o| o.current()).filter(|_| lane_kernel.is_some());
+        if let Some(op) = &op {
+            op.vectorized.store(1, Ordering::Relaxed);
+        }
+        for &pid in pids {
+            let page = self.storage.read_page(pid);
+            let lanes = lane_kernel.as_ref().map(|vps| {
+                if let Some(op) = &op {
+                    op.batches.add(0, 1);
+                }
+                vec_exec::eval_conjuncts(vps, &self.batch_for(pid, &page))
+            });
+            for (pos, t) in page.tuples().iter().enumerate() {
+                if !single {
+                    self.enumerate(&info.files, 1, t.clone(), &mut |binding| {
+                        if passes(&binding)? {
+                            admit(binding)?;
+                        }
+                        Ok(())
+                    })?;
+                    continue;
+                }
+                let pass = match &lanes {
+                    Some(lanes) => match &lanes[pos] {
+                        Lane3::Err(e) => return Err(e.clone()),
+                        lane => *lane == Lane3::T,
+                    },
+                    None => passes(t)?,
+                };
+                if pass {
+                    admit(t.clone())?;
+                }
+            }
+        }
+        Ok(survivors)
     }
 
     /// Recall (or derive) the block's normalized signature, then bind its
@@ -900,19 +1009,16 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         sig
     }
 
-    // --------------------------------------------------- vectorized path
-
     /// Recall (or compile) the block's simple conjuncts as a predicate
     /// [`Template`], keyed by the block's memoized [`BlockInfo`] address.
     /// `None` means the predicates declined compilation — e.g. a locally
-    /// ambiguous reference, whose error the row path raises lazily.
+    /// ambiguous reference, whose error the interpreter raises lazily.
     fn template_for(&self, info: &Arc<BlockInfo>, simple: &[&Predicate]) -> Option<Arc<Template>> {
         let key = Arc::as_ptr(info) as usize;
         if let Some(t) = lock(&self.shared.templates).get(&key) {
             return t.clone();
         }
-        let conj = Predicate::And(simple.iter().map(|p| (*p).clone()).collect());
-        let t = Template::compile(&info.schema, &conj).map(Arc::new);
+        let t = Template::compile(&info.schema, simple).map(Arc::new);
         lock(&self.shared.templates).insert(key, t.clone());
         t
     }
@@ -926,114 +1032,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let b = Arc::new(Batch::from_tuples(page.tuples()));
         lock(&self.shared.batches).insert(pid, Arc::clone(&b));
         b
-    }
-
-    /// Vectorized evaluation of a block whose FROM clause is a single
-    /// file. Returns `Ok(None)` to decline — more than one FROM file, the
-    /// simple conjuncts don't compile, or an outer reference fails to
-    /// resolve eagerly (the row path may hide such an error behind
-    /// short-circuiting, so declining keeps error behaviour canonical).
-    fn try_eval_block_vec(
-        &self,
-        q: &QueryBlock,
-        env: &Env<'_>,
-        info: &Arc<BlockInfo>,
-        simple: &[&Predicate],
-        nested: &[&Predicate],
-    ) -> Result<Option<Relation>> {
-        if info.files.len() != 1 {
-            return Ok(None);
-        }
-        let Some(tpl) = self.template_for(info, simple) else {
-            return Ok(None);
-        };
-        let mut outer_vals = Vec::with_capacity(tpl.outer_refs.len());
-        for c in &tpl.outer_refs {
-            match env.lookup(c) {
-                Ok(v) => outer_vals.push(v),
-                Err(_) => return Ok(None),
-            }
-        }
-
-        // Fully-simple blocks depend only on (file contents, outer
-        // values): SELECT items must resolve locally (output_schema
-        // errors otherwise, and errors are never memoized), so the memo
-        // key below captures everything the result can depend on.
-        let memo_key = nested
-            .is_empty()
-            .then(|| (Arc::as_ptr(info) as usize, Tuple::new(outer_vals.clone())));
-        if let Some(key) = &memo_key {
-            if let Some(rel) = lock(&self.shared.results).map.get(key).cloned() {
-                // Charge the same page reads a re-evaluation would issue.
-                for &pid in info.files[0].page_ids() {
-                    let _ = self.storage.read_page(pid);
-                }
-                return Ok(Some((*rel).clone()));
-            }
-        }
-
-        let vp = tpl.instantiate(&outer_vals);
-        let survivors =
-            self.filter_pages_vec(&vp, info, info.files[0].page_ids(), nested, env)?;
-        let rel = self.eval_select(q, &info.schema, survivors, env)?;
-        if let Some(key) = memo_key {
-            let size = approx_relation_bytes(&rel);
-            let mut memo = lock(&self.shared.results);
-            if memo.bytes + size <= self.memo_budget {
-                memo.map.insert(key, Arc::new(rel.clone()));
-                memo.bytes += size;
-            }
-        }
-        Ok(Some(rel))
-    }
-
-    /// The vectorized binding loop: batch each page, evaluate the compiled
-    /// simple conjuncts over all lanes at once, then walk the lanes *in
-    /// row order* — an error lane stops exactly where the row path would
-    /// (after earlier bindings' nested-conjunct I/O, before later pages),
-    /// and each surviving lane runs the nested conjuncts row-wise.
-    fn filter_pages_vec(
-        &self,
-        vp: &VPred,
-        info: &BlockInfo,
-        pids: &[PageId],
-        nested: &[&Predicate],
-        env: &Env<'_>,
-    ) -> Result<Vec<Tuple>> {
-        let scope_schema = &info.schema;
-        let op = self.obs.as_ref().and_then(|o| o.current());
-        if let Some(op) = &op {
-            op.vectorized.store(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let mut survivors: Vec<Tuple> = Vec::new();
-        for &pid in pids {
-            let page = self.storage.read_page(pid);
-            let batch = self.batch_for(pid, &page);
-            if let Some(op) = &op {
-                op.batches.add(0, 1);
-            }
-            let sel: Vec<u32> = (0..batch.len() as u32).collect();
-            let lanes = vec_exec::eval_pred(vp, &batch, &sel);
-            'lanes: for (pos, lane) in lanes.into_iter().enumerate() {
-                match lane {
-                    Lane3::Err(e) => return Err(e),
-                    Lane3::T => {
-                        let binding = Tuple::default().join(&page.tuples()[pos]);
-                        if !nested.is_empty() {
-                            let here = env.child(scope_schema, &binding);
-                            for p in nested {
-                                if self.eval_pred(p, &here)? != Some(true) {
-                                    continue 'lanes;
-                                }
-                            }
-                        }
-                        survivors.push(binding);
-                    }
-                    Lane3::F | Lane3::U => {}
-                }
-            }
-        }
-        Ok(survivors)
     }
 
     /// Depth-first enumeration of the FROM product: rescans inner files per
@@ -1076,16 +1074,14 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             let members: Vec<&Tuple> = survivors.iter().collect();
             vec![self.eval_aggregate_row(q, scope_schema, &members, env)?]
         } else {
-            let mut rows = Vec::with_capacity(survivors.len());
-            for s in &survivors {
-                let here = env.child(scope_schema, s);
-                let mut vals = Vec::with_capacity(q.select.len());
-                for item in &q.select {
-                    vals.push(self.eval_scalar(&item.expr, &here)?);
-                }
-                rows.push(Tuple::new(vals));
-            }
-            rows
+            // `output_schema` just resolved every SELECT column in the
+            // block's own scope, so the items project by index.
+            let items: Vec<CExpr> = q
+                .select
+                .iter()
+                .map(|item| CExpr::compile_scalar(scope_schema, &item.expr))
+                .collect::<Result<_>>()?;
+            survivors.iter().map(|s| items.iter().map(|e| e.eval(s).clone()).collect()).collect()
         };
 
         if q.distinct {
@@ -1202,13 +1198,20 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                     state.accumulate_row();
                 }
             }
-            AggArg::Column(c) => {
-                for m in members {
-                    let here = env.child(scope_schema, m);
-                    let v = here.lookup(c)?;
-                    state.accumulate(&v)?;
+            AggArg::Column(c) => match scope_schema.resolve(c.table.as_deref(), &c.column) {
+                Ok(i) => {
+                    for m in members {
+                        state.accumulate(m.get(i))?;
+                    }
                 }
-            }
+                // An outer or locally ambiguous argument: the scope chain
+                // decides, per member, so the error stays lazy.
+                Err(_) => {
+                    for m in members {
+                        state.accumulate(&env.child(scope_schema, m).lookup(c)?)?;
+                    }
+                }
+            },
         }
         Ok(state.finish())
     }
@@ -1274,16 +1277,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             Operand::Column(c) => env.lookup(c),
             Operand::Literal(v) => Ok(v.clone()),
             Operand::Subquery(q) => self.eval_scalar_subquery(q, env),
-        }
-    }
-
-    fn eval_scalar(&self, e: &ScalarExpr, env: &Env<'_>) -> Result<Value> {
-        match e {
-            ScalarExpr::Column(c) => env.lookup(c),
-            ScalarExpr::Literal(v) => Ok(v.clone()),
-            ScalarExpr::Aggregate(..) => Err(EngineError::Internal(
-                "aggregate reached scalar evaluation".into(),
-            )),
         }
     }
 
@@ -1502,6 +1495,12 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         }
         Ok(Schema::new(cols))
     }
+}
+
+/// A block's top-level WHERE conjuncts, split into simple (subquery-free)
+/// and nested: System R applies the simple ones first.
+fn split_conjuncts(q: &QueryBlock) -> (Vec<&Predicate>, Vec<&Predicate>) {
+    q.where_clause.iter().flat_map(|p| p.conjuncts()).partition(|p| !p.contains_subquery())
 }
 
 /// Direct subquery children of a block's WHERE clause.

@@ -14,15 +14,16 @@
 //!   comparison error wins, `TRUE` short-circuits before later errors.
 //!
 //! Two predicate forms exist. [`VPred`] is the executable form over batch
-//! column indices, built either from a physical [`CPred`]
-//! ([`vpred_from_cpred`]) or by instantiating a [`Template`]. A
-//! [`Template`] is the nested-iteration form: compiled once per query
-//! block, with outer (correlated) column references left symbolic so each
-//! outer binding instantiates them as constants. Compilation *declines*
-//! (returns `None`) rather than errs on anything the fast path cannot
-//! reproduce faithfully — subquery operands, locally ambiguous references —
-//! and the caller falls back to the row path, which produces the canonical
-//! result or error.
+//! column indices, lowered from a physical [`CPred`]
+//! ([`vpred_from_cpred`]). A [`Template`] is the nested-iteration form:
+//! compiled once per query block, with outer (correlated) column references
+//! left symbolic so each evaluation of the block binds them as constants
+//! ([`Template::conjuncts`]) and gets one [`CPred`] per WHERE conjunct —
+//! the row kernel evaluates those directly, the lane kernel
+//! ([`eval_conjuncts`]) lowers them. Compilation *declines* (returns
+//! `None`) rather than errs on anything that must stay lazy — subquery
+//! operands, locally ambiguous references — and the caller falls back to
+//! the by-name interpreter, which produces the canonical result or error.
 
 use crate::error::EngineError;
 use crate::pred::CPred;
@@ -176,40 +177,43 @@ pub enum TPred {
     },
 }
 
-/// A block-level predicate template: local references resolved to column
-/// indices, outer references collected for per-binding instantiation.
+/// A block-level predicate template: a WHERE conjunct list with local
+/// references resolved to column indices and outer references collected
+/// for per-binding instantiation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Template {
-    /// The shaped predicate.
-    pub pred: TPred,
+    /// The shaped conjuncts, in WHERE order.
+    pub conjuncts: Vec<TPred>,
     /// Deduplicated outer references, in first-appearance order; slot `i`
     /// corresponds to [`TOperand::Outer`]`(i)`.
     pub outer_refs: Vec<ColumnRef>,
 }
 
 impl Template {
-    /// Compile an AST predicate against a block's local `schema`. Returns
-    /// `None` when the predicate contains anything the vectorized path
+    /// Compile a WHERE conjunct list against a block's local `schema`.
+    /// Returns `None` when a conjunct contains anything the vectorized path
     /// cannot mirror faithfully: a subquery operand in any position, or a
     /// reference that is *ambiguous* in the local schema (the row path
     /// raises the error lazily; declining keeps that behavior canonical).
     /// References that simply don't resolve locally become outer slots.
-    pub fn compile(schema: &Schema, p: &Predicate) -> Option<Template> {
+    pub fn compile(schema: &Schema, conjuncts: &[&Predicate]) -> Option<Template> {
         let mut outer_refs = Vec::new();
-        let pred = compile_tpred(schema, p, &mut outer_refs)?;
-        Some(Template { pred, outer_refs })
+        let conjuncts = conjuncts
+            .iter()
+            .map(|p| compile_tpred(schema, p, &mut outer_refs))
+            .collect::<Option<_>>()?;
+        Some(Template { conjuncts, outer_refs })
     }
 
-    /// Instantiate with one outer binding: `outer_vals[i]` is the resolved
-    /// value of `outer_refs[i]`.
-    pub fn instantiate(&self, outer_vals: &[Value]) -> VPred {
+    /// Bind one evaluation's outer values (`outer_vals[i]` is the resolved
+    /// value of `outer_refs[i]`) and return one [`CPred`] per conjunct.
+    /// WHERE keeps a binding only while every conjunct in turn is TRUE, so
+    /// callers evaluate the list in order and stop at the first non-TRUE
+    /// one — unlike an `AND` *inside* a conjunct, which evaluates on past
+    /// an UNKNOWN operand.
+    pub fn conjuncts(&self, outer_vals: &[Value]) -> Vec<CPred> {
         debug_assert_eq!(outer_vals.len(), self.outer_refs.len());
-        instantiate_tpred(&self.pred, outer_vals)
-    }
-
-    /// Whether the template has no outer references (uncorrelated).
-    pub fn is_closed(&self) -> bool {
-        self.outer_refs.is_empty()
+        self.conjuncts.iter().map(|q| instantiate_tpred(q, outer_vals)).collect()
     }
 }
 
@@ -274,39 +278,67 @@ fn compile_tpred(
     })
 }
 
-fn instantiate_operand(o: &TOperand, outer_vals: &[Value]) -> VOperand {
+fn instantiate_operand(o: &TOperand, outer_vals: &[Value]) -> CExpr {
     match o {
-        TOperand::Local(i) => VOperand::Col(*i),
-        TOperand::Outer(s) => VOperand::Const(outer_vals[*s].clone()),
-        TOperand::Lit(v) => VOperand::Const(v.clone()),
+        TOperand::Local(i) => CExpr::Col(*i),
+        TOperand::Outer(s) => CExpr::Lit(outer_vals[*s].clone()),
+        TOperand::Lit(v) => CExpr::Lit(v.clone()),
     }
 }
 
-fn instantiate_tpred(p: &TPred, outer_vals: &[Value]) -> VPred {
+fn instantiate_tpred(p: &TPred, outer_vals: &[Value]) -> CPred {
     match p {
-        TPred::Const(v) => VPred::Const(*v),
+        TPred::Const(v) => CPred::Const(*v),
         TPred::And(ps) => {
-            VPred::And(ps.iter().map(|q| instantiate_tpred(q, outer_vals)).collect())
+            CPred::And(ps.iter().map(|q| instantiate_tpred(q, outer_vals)).collect())
         }
         TPred::Or(ps) => {
-            VPred::Or(ps.iter().map(|q| instantiate_tpred(q, outer_vals)).collect())
+            CPred::Or(ps.iter().map(|q| instantiate_tpred(q, outer_vals)).collect())
         }
-        TPred::Not(q) => VPred::Not(Box::new(instantiate_tpred(q, outer_vals))),
-        TPred::Cmp { left, op, right } => VPred::Cmp {
+        TPred::Not(q) => CPred::Not(Box::new(instantiate_tpred(q, outer_vals))),
+        TPred::Cmp { left, op, right } => CPred::Cmp {
             left: instantiate_operand(left, outer_vals),
             op: *op,
             right: instantiate_operand(right, outer_vals),
         },
-        TPred::InList { expr, list, negated } => VPred::InList {
+        TPred::InList { expr, list, negated } => CPred::InList {
             expr: instantiate_operand(expr, outer_vals),
             list: list.clone(),
             negated: *negated,
         },
-        TPred::IsNull { expr, negated } => VPred::IsNull {
+        TPred::IsNull { expr, negated } => CPred::IsNull {
             expr: instantiate_operand(expr, outer_vals),
             negated: *negated,
         },
     }
+}
+
+/// Evaluate a WHERE conjunct list over every row of `b`, one conjunct at a
+/// time: a lane stays active only while it is TRUE, so a conjunct is never
+/// evaluated (and can never raise) on a row an earlier conjunct already
+/// rejected as FALSE *or UNKNOWN* — the row loop's early exit, per lane.
+/// `out[row]` is `T` for a surviving row, else the outcome that stopped it.
+pub fn eval_conjuncts(ps: &[VPred], b: &Batch) -> Vec<Lane3> {
+    let mut out = vec![Lane3::T; b.len()];
+    let mut active = b.full_sel();
+    for p in ps {
+        if active.is_empty() {
+            break;
+        }
+        let lanes = eval_pred(p, b, &active);
+        active = active
+            .into_iter()
+            .zip(lanes)
+            .filter_map(|(row, lane)| {
+                if lane == Lane3::T {
+                    return Some(row);
+                }
+                out[row as usize] = lane;
+                None
+            })
+            .collect();
+    }
+    out
 }
 
 /// Evaluate `p` over the selected lanes of `b`. The result is parallel to
@@ -718,24 +750,53 @@ mod tests {
             "SELECT PNUM FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND PNUM > 2",
         )
         .unwrap();
-        let t = Template::compile(&s, q.where_clause.as_ref().unwrap()).unwrap();
+        let t = Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).unwrap();
         assert_eq!(t.outer_refs, vec![ColumnRef::qualified("PARTS", "PNUM")]);
-        assert!(!t.is_closed());
-        // Instantiating binds the outer ref as a constant.
-        let v = t.instantiate(&[Value::Int(7)]);
+        // Binding an evaluation's outer value turns the slot into a
+        // constant; both kernels then see one predicate per conjunct.
+        let cs = t.conjuncts(&[Value::Int(7)]);
+        assert_eq!(cs.len(), 2);
         let tuples = vec![
             Tuple::new(vec![Value::Int(7)]),
             Tuple::new(vec![Value::Int(3)]),
             Tuple::new(vec![Value::Int(7)]),
         ];
-        let b = Batch::from_tuples(&tuples);
-        let lanes = eval_pred(&v, &b, &b.full_sel());
+        let rows: Vec<bool> =
+            tuples.iter().map(|t| cs.iter().all(|c| c.accepts(t).unwrap())).collect();
+        assert_eq!(rows, [true, false, true]);
+        let vs: Vec<VPred> = cs.iter().map(vpred_from_cpred).collect();
+        let lanes = eval_conjuncts(&vs, &Batch::from_tuples(&tuples));
         assert_eq!(lanes, vec![Lane3::T, Lane3::F, Lane3::T]);
 
         // Subquery anywhere → decline.
         let q = parse_query("SELECT PNUM FROM SUPPLY WHERE PNUM IN (SELECT X FROM Y)")
             .unwrap();
-        assert!(Template::compile(&s, q.where_clause.as_ref().unwrap()).is_none());
+        assert!(Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).is_none());
+    }
+
+    /// A WHERE conjunct list is not an `AND`: the row loop drops a binding
+    /// at the first non-TRUE conjunct, so a later conjunct's type error
+    /// stays hidden behind an UNKNOWN one. (`AND` itself evaluates on.)
+    #[test]
+    fn conjunct_list_stops_at_unknown_where_and_evaluates_on() {
+        let schema = Schema::new(vec![
+            Column::qualified("T", "A", ColumnType::Int),
+            Column::qualified("T", "S", ColumnType::Str),
+        ]);
+        let q = parse_query("SELECT A FROM T WHERE A = 1 AND S = 2").unwrap();
+        let t = Template::compile(&schema, &q.where_clause.as_ref().unwrap().conjuncts()).unwrap();
+        let vs: Vec<VPred> = t.conjuncts(&[]).iter().map(vpred_from_cpred).collect();
+        let tuples = vec![
+            Tuple::new(vec![Value::Null, Value::str("x")]), // UNKNOWN hides the error
+            Tuple::new(vec![Value::Int(0), Value::str("y")]), // FALSE hides the error
+            Tuple::new(vec![Value::Int(1), Value::str("z")]), // TRUE reaches it
+        ];
+        let b = Batch::from_tuples(&tuples);
+        let lanes = eval_conjuncts(&vs, &b);
+        assert_eq!(lanes[..2], [Lane3::U, Lane3::F]);
+        assert!(matches!(lanes[2], Lane3::Err(EngineError::Type(_))), "{:?}", lanes[2]);
+        let anded = eval_pred(&VPred::And(vs), &b, &b.full_sel());
+        assert!(matches!(anded[0], Lane3::Err(_)), "AND evaluates past UNKNOWN");
     }
 
     #[test]
@@ -745,14 +806,14 @@ mod tests {
             Column::qualified("B", "K", ColumnType::Int),
         ]);
         let q = parse_query("SELECT K FROM T WHERE K = 1").unwrap();
-        assert!(Template::compile(&s, q.where_clause.as_ref().unwrap()).is_none());
+        assert!(Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).is_none());
     }
 
     #[test]
     fn outer_refs_deduplicate_by_slot() {
         let s = Schema::new(vec![Column::qualified("S", "X", ColumnType::Int)]);
         let q = parse_query("SELECT X FROM S WHERE X = P.K OR X < P.K").unwrap();
-        let t = Template::compile(&s, q.where_clause.as_ref().unwrap()).unwrap();
+        let t = Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).unwrap();
         assert_eq!(t.outer_refs.len(), 1);
     }
 

@@ -145,6 +145,31 @@ fn vectorized_errors_match_row_path() {
     assert!(res.is_err(), "expected a type error from Int-vs-Date comparison");
 }
 
+/// WHERE drops a binding at the first non-TRUE conjunct, UNKNOWN included:
+/// `QOH = 100` is FALSE or (for the NULL `QOH`s) UNKNOWN on every row, so
+/// the type-mismatched conjunct behind it is never evaluated. The lane
+/// kernel used to run the conjuncts as one `AND`, whose lanes stay active
+/// after UNKNOWN, and raised `Incomparable("int", "string")`.
+#[test]
+fn unknown_conjunct_hides_later_error_in_both_modes() {
+    for sql in [
+        "SELECT PNUM FROM PARTS WHERE QOH = 100 AND PNUM = 'x'",
+        "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH IN \
+         (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM \
+          AND SUPPLY.QUAN = 100 AND SUPPLY.PNUM = 'x')",
+    ] {
+        assert_modes_agree(sql, |v, t| run(sql, v, t));
+        for vectorized in [false, true] {
+            let (res, _, _) = run(sql, vectorized, 1);
+            assert_eq!(res.map(|r| r.len()), Ok(0), "{sql} vec={vectorized}");
+        }
+    }
+    // The error is still raised where a row reaches it.
+    let reached = "SELECT PNUM FROM PARTS WHERE QOH IS NULL AND PNUM = 'x'";
+    assert_modes_agree(reached, |v, t| run(reached, v, t));
+    assert!(run(reached, true, 1).0.is_err());
+}
+
 #[test]
 fn vectorized_matches_row_path_on_paper_fixture() {
     // String correlation values exercise the dictionary columns and

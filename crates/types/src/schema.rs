@@ -95,6 +95,13 @@ impl Column {
     }
 }
 
+/// Outcome of matching a column reference against a schema.
+enum Found {
+    None,
+    One(usize),
+    Many,
+}
+
 /// An ordered list of columns describing tuple layout.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
@@ -139,39 +146,52 @@ impl Schema {
     /// used by the analyzer, the executor, and the transformations, so all
     /// layers agree on scoping behaviour.
     pub fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize, TypeError> {
-        let name = name.to_ascii_uppercase();
-        let table = table.map(str::to_ascii_uppercase);
-        let mut found: Option<usize> = None;
+        // The display string is built on the error return only: resolution
+        // runs per column reference per block, misses included (an outer
+        // reference misses every inner scope on its way out).
+        let shown = || {
+            let mut shown = match table {
+                Some(t) => format!("{t}.{name}"),
+                None => name.to_string(),
+            };
+            shown.make_ascii_uppercase();
+            shown
+        };
+        match self.find(table, name) {
+            Found::One(i) => Ok(i),
+            Found::Many => Err(TypeError::AmbiguousColumn(shown())),
+            Found::None => Err(TypeError::UnknownColumn(shown())),
+        }
+    }
+
+    /// Column index if the reference resolves uniquely, without error
+    /// details (and without allocating).
+    pub fn try_resolve(&self, table: Option<&str>, name: &str) -> Option<usize> {
+        match self.find(table, name) {
+            Found::One(i) => Some(i),
+            Found::Many | Found::None => None,
+        }
+    }
+
+    /// First column matching the reference, or that a second one matches
+    /// too. Stored names are uppercase; the reference may be in any case.
+    fn find(&self, table: Option<&str>, name: &str) -> Found {
+        let mut found = Found::None;
         for (i, c) in self.columns.iter().enumerate() {
-            if c.name != name {
+            if !c.name.eq_ignore_ascii_case(name) {
                 continue;
             }
-            if let Some(t) = &table {
-                if c.table.as_deref() != Some(t.as_str()) {
+            if let Some(t) = table {
+                if !c.table.as_deref().is_some_and(|ct| ct.eq_ignore_ascii_case(t)) {
                     continue;
                 }
             }
-            if found.is_some() {
-                let shown = match &table {
-                    Some(t) => format!("{t}.{name}"),
-                    None => name,
-                };
-                return Err(TypeError::AmbiguousColumn(shown));
+            if let Found::One(_) = found {
+                return Found::Many;
             }
-            found = Some(i);
+            found = Found::One(i);
         }
-        found.ok_or_else(|| {
-            let shown = match &table {
-                Some(t) => format!("{t}.{name}"),
-                None => name,
-            };
-            TypeError::UnknownColumn(shown)
-        })
-    }
-
-    /// Column index if the reference resolves, without error details.
-    pub fn try_resolve(&self, table: Option<&str>, name: &str) -> Option<usize> {
-        self.resolve(table, name).ok()
+        found
     }
 
     /// Concatenate two schemas (join output layout).
@@ -261,6 +281,38 @@ mod tests {
             s.resolve(Some("PARTS"), "QUAN"),
             Err(TypeError::UnknownColumn(_))
         ));
+    }
+
+    /// Error text is the uppercased reference as written (qualifier
+    /// included), whatever the reference's case; `try_resolve` agrees with
+    /// `resolve` on every outcome.
+    #[test]
+    fn resolution_outcomes_and_messages_for_mixed_case_references() {
+        let s = parts_supply_joined();
+        let cases: [(Option<&str>, &str, Result<usize, TypeError>); 7] = [
+            (None, "qoh", Ok(1)),
+            (Some("Supply"), "Quan", Ok(3)),
+            (Some("parts"), "pNum", Ok(0)),
+            (None, "pnum", Err(TypeError::AmbiguousColumn("PNUM".into()))),
+            (None, "nope", Err(TypeError::UnknownColumn("NOPE".into()))),
+            (Some("parts"), "quan", Err(TypeError::UnknownColumn("PARTS.QUAN".into()))),
+            (Some("other"), "pnum", Err(TypeError::UnknownColumn("OTHER.PNUM".into()))),
+        ];
+        for (table, name, want) in cases {
+            assert_eq!(s.resolve(table, name), want, "{table:?}.{name}");
+            assert_eq!(s.try_resolve(table, name), want.ok(), "{table:?}.{name}");
+        }
+        // Qualified ambiguity: requalification collapses the two PNUMs.
+        let t = s.requalify("t3");
+        assert_eq!(
+            t.resolve(Some("T3"), "pnum"),
+            Err(TypeError::AmbiguousColumn("T3.PNUM".into()))
+        );
+        assert_eq!(t.try_resolve(Some("t3"), "PNUM"), None);
+        // An unqualified stored column only matches an unqualified reference.
+        let bare = Schema::new(vec![Column::new("x", ColumnType::Int)]);
+        assert_eq!(bare.resolve(None, "X"), Ok(0));
+        assert_eq!(bare.try_resolve(Some("T"), "X"), None);
     }
 
     #[test]

@@ -110,6 +110,12 @@ echo "==> vectorized-equivalence property on both storage backends"
 cargo test -q --offline -p nsql-bench --test vec_prop
 NSQL_DURABILITY=file cargo test -q --offline -p nsql-bench --test vec_prop >/dev/null
 
+echo "==> nested-iteration rows and four-counter I/O pinned to the pre-bind-once constants"
+# Runs in the workspace pass above too; this pass proves the constants do
+# not depend on what NSQL_DURABILITY resolves to (the test builds its own
+# memory and file stores).
+NSQL_DURABILITY=file cargo test -q --offline -p nsql-db --test ni_io_identity >/dev/null
+
 echo "==> recovery smoke (crash mid-commit at every write site, oracle-diff)"
 cargo run --release --offline -q -p nsql-bench --bin recovery_smoke
 
@@ -156,7 +162,7 @@ echo "==> hot-path crates carry no redundant clones (clippy)"
 # nsql-core is included for the rule engine and cost model: rule firings
 # clone plan fragments, and a redundant clone there multiplies per query.
 cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec -p nsql-cache \
-    -p nsql-core \
+    -p nsql-core -p nsql-types \
     --all-targets --offline -- -D clippy::redundant_clone
 
 echo "==> bench smoke (3 samples per bench, results discarded)"
