@@ -2,7 +2,7 @@
 
 use crate::error::AnalyzeError;
 use crate::Result;
-use nsql_sql::{ColumnRef, InRhs, Operand, Predicate, QueryBlock, ScalarExpr};
+use nsql_sql::{ColumnRef, Operand, Predicate, QueryBlock, ScalarExpr};
 use nsql_types::Schema;
 
 /// Source of table schemas (implemented by the catalog in `nsql-db`).
@@ -178,49 +178,10 @@ fn validate_block<S: SchemaSource>(
     for c in level_column_refs(block) {
         resolver.binding_depth(c)?;
     }
-    if let Some(p) = &block.where_clause {
-        validate_subqueries(catalog, p, &resolver)?;
+    for inner in block.child_blocks() {
+        validate_block(catalog, inner, &resolver)?;
     }
     Ok(local)
-}
-
-fn validate_subqueries<S: SchemaSource>(
-    catalog: &S,
-    p: &Predicate,
-    resolver: &Resolver,
-) -> Result<()> {
-    let validate_inner = |q: &QueryBlock| -> Result<()> {
-        let inner_schema = block_schema(catalog, q)?;
-        let inner_resolver = resolver.child(inner_schema);
-        for c in level_column_refs(q) {
-            inner_resolver.binding_depth(c)?;
-        }
-        if let Some(wp) = &q.where_clause {
-            validate_subqueries(catalog, wp, &inner_resolver)?;
-        }
-        Ok(())
-    };
-    match p {
-        Predicate::And(ps) | Predicate::Or(ps) => {
-            for q in ps {
-                validate_subqueries(catalog, q, resolver)?;
-            }
-        }
-        Predicate::Not(q) => validate_subqueries(catalog, q, resolver)?,
-        Predicate::Compare { left, right, .. } => {
-            for o in [left, right] {
-                if let Operand::Subquery(q) = o {
-                    validate_inner(q)?;
-                }
-            }
-        }
-        Predicate::In { rhs: InRhs::Subquery(q), .. } => validate_inner(q)?,
-        Predicate::In { .. } => {}
-        Predicate::Exists { query, .. } => validate_inner(query)?,
-        Predicate::Quantified { query, .. } => validate_inner(query)?,
-        Predicate::IsNull { .. } => {}
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -366,6 +327,20 @@ mod tests {
         assert!(matches!(validate_query(&cat, &q), Err(AnalyzeError::UnresolvedColumn(_))));
         let q = parse_query("SELECT SP.SNO FROM SP WHERE X.Y = 1").unwrap();
         assert!(matches!(validate_query(&cat, &q), Err(AnalyzeError::UnresolvedColumn(_))));
+    }
+
+    /// A block in an operand position is validated like any other.
+    #[test]
+    fn validate_enters_operand_position_blocks() {
+        let cat = PaperCatalog::new();
+        for src in [
+            "SELECT PNUM FROM PARTS WHERE (SELECT MAX(NOCOL) FROM SUPPLY) IS NULL",
+            "SELECT PNUM FROM PARTS WHERE (SELECT MAX(NOCOL) FROM SUPPLY) IN (1, 2)",
+            "SELECT PNUM FROM PARTS WHERE (SELECT MAX(NOCOL) FROM SUPPLY) < ANY (SELECT QUAN FROM SUPPLY)",
+        ] {
+            let e = validate_query(&cat, &parse_query(src).unwrap());
+            assert!(matches!(e, Err(AnalyzeError::UnresolvedColumn(_))), "{src}: {e:?}");
+        }
     }
 
     #[test]

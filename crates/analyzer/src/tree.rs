@@ -8,7 +8,7 @@
 use crate::classify::{classify_inner, NestingType};
 use crate::resolve::SchemaSource;
 use crate::Result;
-use nsql_sql::{InRhs, Operand, Predicate, QueryBlock};
+use nsql_sql::QueryBlock;
 
 /// A node of the query tree: a block, a label (`A`, `B`, … in preorder like
 /// the figure), and its nested children with edge labels.
@@ -110,48 +110,10 @@ fn build<S: SchemaSource>(
     let label = label_for(*counter);
     *counter += 1;
     let mut children = Vec::new();
-    if let Some(p) = &block.where_clause {
-        collect_children(catalog, p, counter, &mut children)?;
+    for inner in block.child_blocks() {
+        children.push((classify_inner(catalog, inner)?, build(catalog, inner, counter)?));
     }
     Ok(QueryTree { label, block: block.clone(), children })
-}
-
-fn collect_children<S: SchemaSource>(
-    catalog: &S,
-    p: &Predicate,
-    counter: &mut usize,
-    out: &mut Vec<(NestingType, QueryTree)>,
-) -> Result<()> {
-    let push = |q: &QueryBlock,
-                    counter: &mut usize,
-                    out: &mut Vec<(NestingType, QueryTree)>|
-     -> Result<()> {
-        let ty = classify_inner(catalog, q)?;
-        let sub = build(catalog, q, counter)?;
-        out.push((ty, sub));
-        Ok(())
-    };
-    match p {
-        Predicate::And(ps) | Predicate::Or(ps) => {
-            for q in ps {
-                collect_children(catalog, q, counter, out)?;
-            }
-        }
-        Predicate::Not(q) => collect_children(catalog, q, counter, out)?,
-        Predicate::Compare { left, right, .. } => {
-            for o in [left, right] {
-                if let Operand::Subquery(q) = o {
-                    push(q, counter, out)?;
-                }
-            }
-        }
-        Predicate::In { rhs: InRhs::Subquery(q), .. } => push(q, counter, out)?,
-        Predicate::In { .. } => {}
-        Predicate::Exists { query, .. } => push(query, counter, out)?,
-        Predicate::Quantified { query, .. } => push(query, counter, out)?,
-        Predicate::IsNull { .. } => {}
-    }
-    Ok(())
 }
 
 #[cfg(test)]

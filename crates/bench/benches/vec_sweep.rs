@@ -1,13 +1,13 @@
 //! Exec-mode wall-clock sweep: row vs vectorized execution per cell.
 //!
-//! Each group runs one (workload, query, strategy) cell under
-//! `ExecMode::Row` and `ExecMode::Vector` at 1 and 4 worker threads. The
-//! counted page I/Os are byte-identical across the sweep (enforced by
-//! `tests/vec_prop.rs` and the differential harness), so any median
-//! movement is pure execution-time speedup from the batch kernels and the
-//! per-binding memo. `scripts/bench.sh vec` records the results to
-//! BENCH_pr7.json; acceptance asks ≥2x on the type-J nested-iteration and
-//! hash-join groups at threads=1.
+//! Each group runs one (workload, query) cell of the transformed path, or
+//! one operator kernel, under `ExecMode::Row` and `ExecMode::Vector` at 1
+//! and 4 worker threads. The counted page I/Os are byte-identical across
+//! the sweep (enforced by `tests/vec_prop.rs` and the differential
+//! harness), so any median movement is pure execution-time speedup from
+//! the batch kernels. BENCH_pr7.json holds the original record, including
+//! the two nested-iteration cells (`vec-ni-type-J`, `vec-ni-type-JA-count`)
+//! that went with nested iteration's lane kernel.
 //!
 //! ```sh
 //! cargo bench -p nsql-bench --bench vec_sweep
@@ -37,22 +37,6 @@ fn sweep(c: &mut Bench, group_name: &str, w: &Workload, sql: &'static str, base:
             });
         }
     }
-}
-
-/// Nested iteration on the correlated workloads: the batch predicate
-/// kernels plus the per-distinct-binding memo against row-at-a-time
-/// re-evaluation of the inner block.
-fn bench_nested_iteration(c: &mut Bench) {
-    let w = ja_workload(WorkloadSpec::kim_scale(), seed_from_env());
-    sweep(c, "vec-ni-type-J", &w, queries::TYPE_J, &QueryOptions::nested_iteration());
-    let w_ja = ja_workload(WorkloadSpec::kim_scale_ja(), seed_from_env());
-    sweep(
-        c,
-        "vec-ni-type-JA-count",
-        &w_ja,
-        queries::TYPE_JA_COUNT,
-        &QueryOptions::nested_iteration(),
-    );
 }
 
 /// Transformed execution end-to-end: whole-query cells where the join is
@@ -129,4 +113,4 @@ fn bench_hash_join(c: &mut Bench) {
     }
 }
 
-bench_main!(bench_nested_iteration, bench_hash_join, bench_transformed);
+bench_main!(bench_hash_join, bench_transformed);

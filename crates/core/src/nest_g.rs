@@ -126,31 +126,8 @@ fn collect_table_names(q: &QueryBlock, out: &mut Vec<String>) {
             out.push(a.clone());
         }
     }
-    if let Some(p) = &q.where_clause {
-        collect_pred_tables(p, out);
-    }
-}
-
-fn collect_pred_tables(p: &Predicate, out: &mut Vec<String>) {
-    match p {
-        Predicate::And(ps) | Predicate::Or(ps) => {
-            for q in ps {
-                collect_pred_tables(q, out);
-            }
-        }
-        Predicate::Not(q) => collect_pred_tables(q, out),
-        Predicate::Compare { left, right, .. } => {
-            for o in [left, right] {
-                if let Operand::Subquery(q) = o {
-                    collect_table_names(q, out);
-                }
-            }
-        }
-        Predicate::In { rhs: InRhs::Subquery(q), .. } => collect_table_names(q, out),
-        Predicate::Exists { query, .. } | Predicate::Quantified { query, .. } => {
-            collect_table_names(query, out)
-        }
-        _ => {}
+    for sub in q.child_blocks() {
+        collect_table_names(sub, out);
     }
 }
 
@@ -259,18 +236,26 @@ impl Ctx {
                 kept.push(conjunct);
                 continue;
             }
+            // The algorithms connect one inner block to a column or constant
+            // of this block. Any other place a block can sit — the operand
+            // of IS NULL, of IN (list), of a quantifier, or opposite another
+            // block — is refused here, so no subquery operand survives into
+            // the canonical query.
+            let flat = |o: &Operand| o.as_subquery().is_none();
             let (operand, op, inner, via_membership) = match conjunct {
-                Predicate::Compare {
-                    left,
-                    op,
-                    right: Operand::Subquery(inner),
-                } => (left, op, *inner, false),
-                Predicate::Compare {
-                    left: Operand::Subquery(inner),
-                    op,
-                    right,
-                } => (right, op.flip(), *inner, false),
-                Predicate::In { operand, negated: false, rhs: InRhs::Subquery(inner) } => {
+                Predicate::Compare { left, op, right: Operand::Subquery(inner) }
+                    if flat(&left) =>
+                {
+                    (left, op, *inner, false)
+                }
+                Predicate::Compare { left: Operand::Subquery(inner), op, right }
+                    if flat(&right) =>
+                {
+                    (right, op.flip(), *inner, false)
+                }
+                Predicate::In { operand, negated: false, rhs: InRhs::Subquery(inner) }
+                    if flat(&operand) =>
+                {
                     (operand, CompareOp::Eq, *inner, true)
                 }
                 other => {

@@ -402,111 +402,19 @@ impl Database {
         } else {
             opts.threads
         };
-        let vectorized = opts.exec_mode.vectorized();
         let cache_mode = opts.cache.resolve();
         let mut explain = Vec::new();
         let mut temps = Vec::new();
         let relation = match opts.strategy.resolve() {
             Strategy::Auto => unreachable!("Strategy::resolve never returns Auto"),
-            Strategy::Batched => {
-                explain.push(
-                    "strategy: batched correlated evaluation (sort-deduplicated outer bindings)"
-                        .to_string(),
-                );
-                let mut evaluator = NestedIter::new(&self.catalog, storage.clone());
-                if cache_mode.enabled() {
-                    evaluator = evaluator.with_query_cache(Arc::clone(&self.cache));
-                }
-                if let Some(budget) = opts.memo_budget {
-                    evaluator = evaluator.with_memo_budget(budget);
-                }
-                let op = match &exec_obs {
-                    Some(obs) => {
-                        let op = obs.registry.op("batched evaluation");
-                        obs.set_current(Some(Arc::clone(&op)));
-                        evaluator = evaluator.with_obs(obs.clone());
-                        Some(op)
-                    }
-                    None => None,
-                };
-                let span = tracer.begin("execute: batched");
-                let io0 = storage.io_snapshot();
-                let t0 = Instant::now();
-                let rel = evaluator.eval_query_batched(q, threads);
-                if let Some(op) = &op {
-                    op.wall_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let d = storage.io_snapshot().since(&io0);
-                    op.reads.fetch_add(d.reads, Ordering::Relaxed);
-                    op.writes.fetch_add(d.writes, Ordering::Relaxed);
-                    op.hits.fetch_add(d.hits, Ordering::Relaxed);
-                    op.misses.fetch_add(d.misses, Ordering::Relaxed);
-                    if let Ok(rel) = &rel {
-                        op.rows_out.add(0, rel.len() as u64);
-                    }
-                }
-                tracer.end(span);
-                if cache_mode.enabled() {
-                    let (h, m) = evaluator.cache_counts();
-                    explain.push(format!(
-                        "cache: mode {}, inner-block {h} hit(s), {m} miss(es)",
-                        cache_mode.name()
-                    ));
-                }
-                rel?
-            }
-            Strategy::NestedIteration => {
-                explain.push("strategy: nested iteration (System R)".to_string());
-                if vectorized {
-                    explain.push(
-                        "exec mode: vectorized (batch kernels, per-operator row fallback)"
-                            .to_string(),
-                    );
-                }
-                let mut evaluator = NestedIter::new(&self.catalog, storage.clone())
-                    .with_vectorized(vectorized);
-                if cache_mode.enabled() {
-                    evaluator = evaluator.with_query_cache(Arc::clone(&self.cache));
-                }
-                if let Some(budget) = opts.memo_budget {
-                    evaluator = evaluator.with_memo_budget(budget);
-                }
-                let op = match &exec_obs {
-                    Some(obs) => {
-                        let op = obs.registry.op("nested iteration");
-                        obs.set_current(Some(Arc::clone(&op)));
-                        evaluator = evaluator.with_obs(obs.clone());
-                        Some(op)
-                    }
-                    None => None,
-                };
-                let span = tracer.begin("execute: nested iteration");
-                let io0 = storage.io_snapshot();
-                let t0 = Instant::now();
-                let rel = evaluator.eval_query_threads(q, threads);
-                if let Some(op) = &op {
-                    op.wall_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let d = storage.io_snapshot().since(&io0);
-                    op.reads.fetch_add(d.reads, Ordering::Relaxed);
-                    op.writes.fetch_add(d.writes, Ordering::Relaxed);
-                    op.hits.fetch_add(d.hits, Ordering::Relaxed);
-                    op.misses.fetch_add(d.misses, Ordering::Relaxed);
-                    if let Ok(rel) = &rel {
-                        op.rows_out.add(0, rel.len() as u64);
-                    }
-                }
-                tracer.end(span);
-                if cache_mode.enabled() {
-                    let (h, m) = evaluator.cache_counts();
-                    explain.push(format!(
-                        "cache: mode {}, inner-block {h} hit(s), {m} miss(es)",
-                        cache_mode.name()
-                    ));
-                }
-                rel?
+            strategy @ (Strategy::NestedIteration | Strategy::Batched) => {
+                let (rel, lines) =
+                    self.run_correlated(q, strategy, threads, cache_mode, tracer, exec_obs)?;
+                explain = lines;
+                rel
             }
             Strategy::Transform => {
+                let vectorized = opts.exec_mode.vectorized();
                 let mut unnest = opts.unnest.clone();
                 unnest.preserve_duplicates |=
                     opts.duplicates == crate::options::DuplicateSemantics::ForceDistinct;
@@ -603,6 +511,70 @@ impl Database {
             events: o.registry.events(),
         });
         Ok(QueryOutcome { relation, io, explain, temps, obs })
+    }
+
+    /// The two correlated strategies — nested iteration and its batched
+    /// variant — on the one evaluator: same setup, same observation, one
+    /// row kernel whatever the exec mode. They differ in the EXPLAIN line,
+    /// the operator label and the entry point called. Returns the rows and
+    /// the EXPLAIN lines.
+    fn run_correlated(
+        &self,
+        q: &QueryBlock,
+        strategy: Strategy,
+        threads: usize,
+        cache_mode: crate::options::CacheMode,
+        tracer: &Tracer,
+        exec_obs: &Option<ExecObs>,
+    ) -> Result<(Relation, Vec<String>)> {
+        let batched = strategy == Strategy::Batched;
+        let (label, span) = if batched {
+            ("batched evaluation", "execute: batched")
+        } else {
+            ("nested iteration", "execute: nested iteration")
+        };
+        let mut explain = vec![crate::explain::correlated_header(strategy).to_string()];
+        let storage = self.catalog.storage();
+        let mut evaluator = NestedIter::new(&self.catalog, storage.clone());
+        if cache_mode.enabled() {
+            evaluator = evaluator.with_query_cache(Arc::clone(&self.cache));
+        }
+        let op = exec_obs.as_ref().map(|obs| {
+            let op = obs.registry.op(label);
+            obs.set_current(Some(Arc::clone(&op)));
+            op
+        });
+        if let Some(obs) = exec_obs {
+            evaluator = evaluator.with_obs(obs.clone());
+        }
+        let span = tracer.begin(span);
+        let io0 = storage.io_snapshot();
+        let t0 = Instant::now();
+        let rel = if batched {
+            evaluator.eval_query_batched(q, threads)
+        } else {
+            evaluator.eval_query_threads(q, threads)
+        };
+        if let Some(op) = &op {
+            op.wall_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            let d = storage.io_snapshot().since(&io0);
+            op.reads.fetch_add(d.reads, Ordering::Relaxed);
+            op.writes.fetch_add(d.writes, Ordering::Relaxed);
+            op.hits.fetch_add(d.hits, Ordering::Relaxed);
+            op.misses.fetch_add(d.misses, Ordering::Relaxed);
+            if let Ok(rel) = &rel {
+                op.rows_out.add(0, rel.len() as u64);
+            }
+        }
+        tracer.end(span);
+        if cache_mode.enabled() {
+            let (h, m) = evaluator.cache_counts();
+            explain.push(format!(
+                "cache: mode {}, inner-block {h} hit(s), {m} miss(es)",
+                cache_mode.name()
+            ));
+        }
+        Ok((rel?, explain))
     }
 
     /// Transform a query without executing it (EXPLAIN-only).
@@ -832,7 +804,13 @@ mod tests {
     fn exec_mode_vector_is_invisible_except_in_explain() {
         use crate::options::ExecMode;
         let db = kiessling_db();
-        for base in [QueryOptions::nested_iteration(), QueryOptions::transformed()] {
+        // Only the transform strategy has vectorized operators to announce;
+        // the correlated strategies run one row kernel in either mode.
+        for (base, announces) in [
+            (QueryOptions::nested_iteration(), false),
+            (QueryOptions::batched(), false),
+            (QueryOptions::transformed(), true),
+        ] {
             let row = db
                 .query_with(Q2, &QueryOptions { exec_mode: ExecMode::Row, ..base.clone() })
                 .unwrap();
@@ -844,7 +822,7 @@ mod tests {
             let row_text = row.explain.join("\n");
             let vec_text = vec.explain.join("\n");
             assert!(!row_text.contains("vectorized"), "{row_text}");
-            assert!(vec_text.contains("exec mode: vectorized"), "{vec_text}");
+            assert_eq!(vec_text.contains("exec mode: vectorized"), announces, "{vec_text}");
         }
     }
 

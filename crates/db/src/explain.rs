@@ -21,7 +21,7 @@ use nsql_core::cost::{
     BatchedParams, Ja2Params, JoinMethod, StrategyCosts, StrategyKind,
 };
 use nsql_obs::{Json, OpSnapshot, SpanNode};
-use nsql_sql::{InRhs, Operand, Predicate, QueryBlock};
+use nsql_sql::QueryBlock;
 use nsql_storage::IoStats;
 use nsql_types::Schema;
 
@@ -306,27 +306,13 @@ impl Database {
         } else {
             // Plain EXPLAIN renders the same per-strategy header lines an
             // ANALYZE run would: strategy, exec mode, cache mode. The
-            // nested-iteration path used to print the bare strategy line
-            // only — keep the two paths in lockstep.
+            // correlated strategies run one row kernel whatever the exec
+            // mode, so theirs is the strategy and the cache line.
             let strategy = match opts.strategy.resolve() {
                 Strategy::Auto => unreachable!("Strategy::resolve never returns Auto"),
-                Strategy::NestedIteration => {
-                    let mut lines = vec!["strategy: nested iteration (System R)".to_string()];
-                    lines.extend(mode_lines(opts));
-                    lines
-                }
-                Strategy::Batched => {
-                    // Batched evaluation is a row strategy — no vectorized
-                    // header line, matching the ANALYZE path.
-                    let mut lines = vec![
-                        "strategy: batched correlated evaluation \
-                         (sort-deduplicated outer bindings)"
-                            .to_string(),
-                    ];
-                    let cache = opts.cache.resolve();
-                    if cache.enabled() {
-                        lines.push(format!("cache: mode {}", cache.name()));
-                    }
+                s @ (Strategy::NestedIteration | Strategy::Batched) => {
+                    let mut lines = vec![correlated_header(s).to_string()];
+                    lines.extend(mode_lines(opts, false));
                     lines
                 }
                 Strategy::Transform => {
@@ -337,7 +323,7 @@ impl Database {
                         if plan.temp_count() == 1 { "" } else { "s" },
                         opts.join_policy.name()
                     )];
-                    lines.extend(mode_lines(opts));
+                    lines.extend(mode_lines(opts, true));
                     lines.extend(plan.trace.clone());
                     lines.push(format!(
                         "canonical: {}",
@@ -521,11 +507,23 @@ impl Database {
     }
 }
 
-/// Execution-mode header lines shared by plain `EXPLAIN` across both
-/// strategies: vectorization and cache policy, after `Auto` resolution.
-fn mode_lines(opts: &QueryOptions) -> Vec<String> {
+/// The EXPLAIN strategy line of the two correlated strategies (plain and
+/// ANALYZE print the same one).
+pub(crate) fn correlated_header(strategy: Strategy) -> &'static str {
+    match strategy {
+        Strategy::Batched => {
+            "strategy: batched correlated evaluation (sort-deduplicated outer bindings)"
+        }
+        _ => "strategy: nested iteration (System R)",
+    }
+}
+
+/// Execution-mode header lines of plain `EXPLAIN`: vectorization (for a
+/// strategy that has vectorized operators) and cache policy, after `Auto`
+/// resolution.
+fn mode_lines(opts: &QueryOptions, vectorizes: bool) -> Vec<String> {
     let mut lines = Vec::new();
-    if opts.exec_mode.vectorized() {
+    if vectorizes && opts.exec_mode.vectorized() {
         lines.push(
             "exec mode: vectorized (batch kernels, per-operator row fallback)".to_string(),
         );
@@ -557,21 +555,5 @@ fn chosen_from_trace(lines: &[String]) -> String {
 
 /// First subquery block reachable from `q`'s WHERE clause.
 fn first_subquery(q: &QueryBlock) -> Option<&QueryBlock> {
-    fn in_pred(p: &Predicate) -> Option<&QueryBlock> {
-        match p {
-            Predicate::And(ps) | Predicate::Or(ps) => ps.iter().find_map(in_pred),
-            Predicate::Not(inner) => in_pred(inner),
-            Predicate::Compare { left, right, .. } => {
-                [left, right].into_iter().find_map(|o| match o {
-                    Operand::Subquery(sub) => Some(&**sub),
-                    _ => None,
-                })
-            }
-            Predicate::In { rhs: InRhs::Subquery(sub), .. } => Some(sub),
-            Predicate::Exists { query, .. } => Some(query),
-            Predicate::Quantified { query, .. } => Some(query),
-            _ => None,
-        }
-    }
-    q.where_clause.as_ref().and_then(in_pred)
+    q.child_blocks().into_iter().next()
 }

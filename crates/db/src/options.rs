@@ -324,10 +324,6 @@ pub struct QueryOptions {
     /// Cross-query result caching (see [`CacheMode`]). `Auto` (the
     /// default) resolves from `NSQL_CACHE`.
     pub cache: CacheMode,
-    /// Byte budget for nested iteration's per-query, per-distinct-binding
-    /// result memo. `None` keeps the engine default (1 MiB); the budget is
-    /// accounted with the same size estimate as the cross-query cache.
-    pub memo_budget: Option<usize>,
     /// Slow-query threshold in milliseconds: statements whose wall time
     /// reaches it are appended (with their rendered EXPLAIN) to the
     /// statistics registry's slow-query log. `Some(0)` logs everything;

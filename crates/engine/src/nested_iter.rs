@@ -22,28 +22,33 @@
 //! against this evaluator's output, and every benchmark uses its measured
 //! page I/Os as the baseline.
 //!
-//! # Bind once, then iterate
+//! # One plan per block, one kernel per binding
 //!
 //! What the paper charges nested iteration for is the repeated page
 //! retrieval, and that is kept to the page: the one binding loop
 //! ([`NestedIter::bindings`]) calls `read_page` for every page of the
-//! block's outermost file, in file order, on every evaluation. What does
-//! *not* depend on the iteration is hoisted out of it:
+//! block's outermost file, in file order, on every evaluation. Everything
+//! that does *not* depend on the binding is worked out once per block per
+//! query and kept in one value, the block's [`BlockInfo`]: its FROM files
+//! and scope schema, which WHERE conjuncts are simple and which nested, its
+//! free outer references (none ⇔ uncorrelated), its simple conjuncts
+//! compiled to a [`Template`], its cross-query cache signature and — for an
+//! uncorrelated block — its once-only result. What remains varies:
 //!
-//! * **per block, per query** — the FROM files and scope schema
-//!   ([`BlockInfo`]) and the block's simple (subquery-free) conjuncts
-//!   compiled to a [`Template`]: local references become column indices,
-//!   outer references become slots;
-//! * **per evaluation of the block** — each outer slot is looked up once in
-//!   the scope chain ([`NestedIter::bind`]), giving one [`CPred`] per
-//!   conjunct;
+//! * **per evaluation of the block** — each outer slot of the template is
+//!   looked up once in the scope chain ([`NestedIter::bind`]), giving one
+//!   [`CPred`] per simple conjunct;
 //! * **per tuple** — the bound conjuncts run on the buffered tuple in
 //!   place, one conjunct at a time, stopping at the first non-TRUE one;
 //!   only survivors are cloned. SELECT items, GROUP BY keys and aggregate
 //!   arguments that resolve in the block's own scope project by index.
 //!
-//! `with_vectorized(true)` swaps only the per-page kernel inside that loop
-//! (lanes over a column batch instead of rows).
+//! That row loop is the only kernel: once the conjuncts are bound, running
+//! them as lanes over a page's column batch costs more than it saves (the
+//! batch conversion is paid per page, the loop stops at a tuple's first
+//! non-TRUE conjunct anyway), and a per-binding result memo buys nothing
+//! the cross-query cache does not — EXPERIMENTS.md, "One block plan, one
+//! kernel", has the six measured pairs.
 //!
 //! The by-name tree interpreter ([`NestedIter::eval_pred`] over an [`Env`])
 //! is still what evaluates *nested* conjuncts — once per binding that
@@ -55,25 +60,23 @@
 use crate::aggregate::AggState;
 use crate::error::EngineError;
 use crate::expr::CExpr;
-use crate::pred::{compare_values, not3, CPred};
+use crate::pred::{compare_values, not3, CPred, Template};
 use crate::provider::TableProvider;
-use crate::vec_exec::{self, Lane3, Template, VPred};
 use crate::Result;
-use nsql_vec::Batch;
 use nsql_analyzer::normalized_block_signature;
 use nsql_analyzer::resolve::{level_column_refs, predicate_column_refs};
 use nsql_sql::{
     AggArg, AggFunc, ColumnRef, CompareOp, InRhs, Operand, Predicate, Quantifier, QueryBlock,
     ScalarExpr, SortDir,
 };
-use nsql_cache::{approx_relation_bytes, BlockEntry, QueryCache};
+use nsql_cache::{BlockEntry, QueryCache};
 use nsql_exec_par::{run_workers, Morsels};
 use nsql_storage::sort::SortKey;
 use nsql_storage::{external_sort_threads, HeapFile, PageId, Storage, TraceEvent};
 use nsql_types::{Column, ColumnType, FxHashMap, Relation, Schema, Tuple, Value};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Cached result of an uncorrelated inner block. Cloning is cheap: a
 /// value or a page-id-list handle, never page data.
@@ -97,39 +100,49 @@ enum UseKind {
 /// columns, or per-row fallback when those columns cannot be determined.
 /// Verdicts memoize errors too ([`EngineError`] is `Clone`), deferred to
 /// the replay phase so surfaced errors match nested iteration.
-enum BatchPlan {
+enum Verdicts {
     PerRow,
     Memo(Vec<usize>, FxHashMap<Tuple, Result<Option<bool>>>),
 }
 
-/// What one evaluation of a block binds before its loop: its compiled
-/// simple conjuncts and the values of their outer slots (the block's
-/// correlation binding — also the result memo's key).
-struct Bound {
-    tpl: Arc<Template>,
-    outer: Tuple,
-}
-
-impl Bound {
-    /// The simple conjuncts with the outer values in place.
-    fn conjuncts(&self) -> Vec<CPred> {
-        self.tpl.conjuncts(self.outer.values())
-    }
-}
-
-/// Resolved FROM clause of a block: the (requalified) files and the scope
-/// schema they jointly define. Computed once per block per query — a
-/// correlated inner block is *evaluated* per outer tuple, but its name
-/// resolution never changes.
+/// Everything known about a block for the whole query, resolved once: a
+/// correlated inner block is *evaluated* per outer tuple, but none of this
+/// changes between evaluations.
 struct BlockInfo {
+    /// The (requalified) FROM files and the scope schema they jointly define.
     files: Vec<HeapFile>,
     schema: Schema,
+    /// Per top-level WHERE conjunct, in order: does it hold a query block?
+    /// System R applies the others (the simple ones) first.
+    nested: Vec<bool>,
+    /// References in the block's subtree that no scope of the subtree
+    /// resolves — its outer references (deduplicated, first-occurrence
+    /// order). Empty exactly when the block is uncorrelated.
+    free: Vec<ColumnRef>,
+    /// The simple conjuncts compiled against `schema`. `None` records that
+    /// they decline compilation (e.g. a locally ambiguous reference, whose
+    /// error the interpreter raises lazily).
+    template: Option<Template>,
+    /// Normalized cross-query cache signature, derived on the first probe
+    /// (`None` inside: the block declines normalization).
+    signature: OnceLock<Option<Arc<BlockSig>>>,
+    /// An uncorrelated block's result, evaluated at its first use.
+    result: OnceLock<Cached>,
 }
 
 impl BlockInfo {
     /// Pages of the outermost FROM file, the ones the binding loop walks.
     fn outer_pages(&self) -> &[PageId] {
         self.files.first().map_or(&[], |f| f.page_ids())
+    }
+
+    /// The block's top-level WHERE conjuncts as (simple, nested).
+    fn split<'q>(&self, q: &'q QueryBlock) -> (Vec<&'q Predicate>, Vec<&'q Predicate>) {
+        let mut nested = self.nested.iter();
+        q.where_clause
+            .iter()
+            .flat_map(|p| p.conjuncts())
+            .partition(|_| !*nested.next().expect("one flag per conjunct"))
     }
 }
 
@@ -173,59 +186,18 @@ impl<'e> Env<'e> {
     }
 }
 
-/// State shared between the main evaluator and its worker forks: the
-/// uncorrelated-block cache and the per-query resolution memos. All three
-/// are short-critical-section mutexes — workers only copy handles out.
+/// State shared between the main evaluator and its worker forks: one map
+/// from block address to what the query knows about that block. Addresses
+/// are stable while the AST is borrowed, i.e. for one query; teardown
+/// clears the map. The mutex is held only to copy an `Arc` out or in.
 struct IterShared {
-    cache: Mutex<FxHashMap<usize, Cached>>,
-    /// Per-query memo of each block's resolved FROM clause, keyed by block
-    /// address (valid while the AST is borrowed; cleared after each query).
     blocks: Mutex<FxHashMap<usize, Arc<BlockInfo>>>,
-    /// Per-query memo of [`is_correlated`](NestedIter::is_correlated),
-    /// which is re-consulted for every outer binding.
-    correlated: Mutex<FxHashMap<usize, bool>>,
-    /// Each block's simple conjuncts compiled to a predicate [`Template`],
-    /// keyed by [`BlockInfo`] address. `None` records a block whose
-    /// predicates decline compilation, so the interpreter is taken without
-    /// recompiling per outer binding.
-    templates: Mutex<FxHashMap<usize, Option<Arc<Template>>>>,
-    /// Page → column-batch cache for the vectorized path. FROM files are
-    /// base tables, immutable for the duration of one query (temporaries
-    /// never reach the fast path), so content keyed by page id is stable;
-    /// cleared in teardown with the other per-query memos. The cache only
-    /// skips the row→column conversion — every access still charges
-    /// `read_page`, leaving counted I/O untouched.
-    batches: Mutex<FxHashMap<PageId, Arc<Batch>>>,
-    /// Per-distinct-binding memo for fully-simple blocks (single FROM
-    /// file, no nested conjuncts), keyed by block plus the outer values
-    /// its template depends on. A hit charges the block's entire
-    /// page-read sequence — exactly what re-evaluation would read — so
-    /// the memo saves CPU, never counted I/O. Errors are never memoized.
-    results: Mutex<ResultMemo>,
-    /// Per-query memo of each block's normalized cross-query cache
-    /// signature (`None` records a block that declines normalization),
-    /// keyed by block address like [`IterShared::blocks`].
-    signatures: Mutex<FxHashMap<usize, Option<Arc<BlockSig>>>>,
     /// Cross-query cache consults this query: hits and misses, for the
     /// EXPLAIN line. Shared with worker forks so the parallel path counts
     /// identically.
     xq_hits: AtomicU64,
     xq_misses: AtomicU64,
 }
-
-/// The per-binding result memo with its byte accounting: inserts stop once
-/// the approximate resident size reaches the budget (no eviction — entries
-/// die with the query), bounding memory on queries whose outer relation has
-/// very many distinct correlation values.
-#[derive(Default)]
-struct ResultMemo {
-    map: FxHashMap<(usize, Tuple), Arc<Relation>>,
-    bytes: usize,
-}
-
-/// Default byte budget for [`ResultMemo`], used when the caller does not
-/// configure one through [`NestedIter::with_memo_budget`].
-const DEFAULT_MEMO_BUDGET: usize = 1 << 20;
 
 /// A block's normalized cross-query cache identity: canonical text, the
 /// free (outer) references whose values form the binding key, and the
@@ -252,9 +224,7 @@ pub struct NestedIter<'a, T: TableProvider + ?Sized> {
     storage: Storage,
     shared: Arc<IterShared>,
     obs: Option<crate::ops::ExecObs>,
-    vectorized: bool,
     query_cache: Option<Arc<QueryCache>>,
-    memo_budget: usize,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -268,20 +238,12 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             tables,
             storage,
             shared: Arc::new(IterShared {
-                cache: Mutex::new(FxHashMap::default()),
                 blocks: Mutex::new(FxHashMap::default()),
-                correlated: Mutex::new(FxHashMap::default()),
-                templates: Mutex::new(FxHashMap::default()),
-                batches: Mutex::new(FxHashMap::default()),
-                results: Mutex::new(ResultMemo::default()),
-                signatures: Mutex::new(FxHashMap::default()),
                 xq_hits: AtomicU64::new(0),
                 xq_misses: AtomicU64::new(0),
             }),
             obs: None,
-            vectorized: false,
             query_cache: None,
-            memo_budget: DEFAULT_MEMO_BUDGET,
         }
     }
 
@@ -293,14 +255,11 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         self
     }
 
-    /// Swap the binding loop's per-page kernel: blocks with a single FROM
-    /// file evaluate their bound simple conjuncts as lanes over a column
-    /// batch instead of row by row, and fully-simple correlated blocks
-    /// memoize per distinct outer binding. Page reads are charged
-    /// identically either way, so results, errors *and* counted I/O are
-    /// byte-identical with the row kernel.
-    pub fn with_vectorized(mut self, vectorized: bool) -> Self {
-        self.vectorized = vectorized;
+    /// A no-op: nested iteration has one kernel (see the module docs). The
+    /// method survives only because `benchmark/src/probes.rs` calls it for
+    /// `engine.ni_vec_ms` and benchmark/README.md requires a benchmark
+    /// change before a listed symbol goes; that change deletes both.
+    pub fn with_vectorized(self, _vectorized: bool) -> Self {
         self
     }
 
@@ -314,14 +273,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         self
     }
 
-    /// Byte budget for the per-query, per-distinct-binding result memo of
-    /// the vectorized path (default 1 MiB). The memo stops inserting at
-    /// the budget; hits charge I/O identically either way.
-    pub fn with_memo_budget(mut self, budget: usize) -> Self {
-        self.memo_budget = budget;
-        self
-    }
-
     /// Cross-query cache consults so far: `(hits, misses)`. Zero/zero when
     /// no cache is attached.
     pub fn cache_counts(&self) -> (u64, u64) {
@@ -331,7 +282,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         )
     }
 
-    /// A worker's view of this evaluator: same tables, caches, and memos,
+    /// A worker's view of this evaluator: same tables, block map and cache,
     /// different storage handle (a trace view during parallel evaluation).
     fn fork(&self, storage: Storage) -> NestedIter<'a, T> {
         NestedIter {
@@ -339,14 +290,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             storage,
             shared: Arc::clone(&self.shared),
             obs: self.obs.clone(),
-            vectorized: self.vectorized,
             query_cache: self.query_cache.clone(),
-            memo_budget: self.memo_budget,
         }
-    }
-
-    fn cache(&self) -> MutexGuard<'_, FxHashMap<usize, Cached>> {
-        lock(&self.shared.cache)
     }
 
     /// Evaluate a top-level query.
@@ -356,23 +301,15 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         result
     }
 
-    /// Cached temporaries are per-query; drop their pages. The memo maps
-    /// are keyed by AST addresses, which are only stable within one
-    /// query's borrow — clear them too.
+    /// Everything in the block map is per-query: its keys are AST addresses,
+    /// stable only within one query's borrow, and the materialized lists of
+    /// uncorrelated blocks are temporaries — drop their pages.
     fn teardown(&self) {
-        for (_, cached) in self.cache().drain() {
-            if let Cached::List(f) = cached {
+        for (_, info) in lock(&self.shared.blocks).drain() {
+            if let Some(Cached::List(f)) = info.result.get() {
                 f.drop_pages(&self.storage);
             }
         }
-        lock(&self.shared.blocks).clear();
-        lock(&self.shared.correlated).clear();
-        lock(&self.shared.templates).clear();
-        lock(&self.shared.batches).clear();
-        lock(&self.shared.signatures).clear();
-        let mut memo = lock(&self.shared.results);
-        memo.map.clear();
-        memo.bytes = 0;
     }
 
     // ----------------------------------------------------------- parallel
@@ -425,20 +362,15 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let mut mat: FxHashMap<usize, Vec<TraceEvent>> = FxHashMap::default();
         for (sub, kind) in uses {
             let key = sub as *const QueryBlock as usize;
-            if mat.contains_key(&key) || self.is_correlated(sub)? {
+            let sub_info = self.block_info(sub)?;
+            if mat.contains_key(&key) || !sub_info.free.is_empty() {
                 continue;
             }
             let sink = Arc::new(Mutex::new(Vec::new()));
             let fork = self.fork(self.storage.trace_view(Arc::clone(&sink)));
-            let cached = fork.eval_block(sub, &Env::default()).and_then(|rel| {
-                Ok(match kind {
-                    UseKind::Scalar => Cached::Scalar(fork.scalar_from_relation(rel)?),
-                    UseKind::List => Cached::List(fork.storage.store_relation(&rel)),
-                })
-            });
-            match cached {
+            match fork.materialize(sub, kind) {
                 Ok(c) => {
-                    self.cache().insert(key, c);
+                    sub_info.result.get_or_init(|| c);
                     mat.insert(key, std::mem::take(&mut *lock(&sink)));
                 }
                 Err(_) => {
@@ -452,9 +384,9 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
 
         // Bound once for all morsels: the top level has no enclosing scope,
         // so its simple conjuncts either close over the block or decline.
-        let (simple, nested) = split_conjuncts(q);
+        let (simple, nested) = info.split(q);
         let env = Env::default();
-        let bound = self.bind(&info, &simple, &env).map(|b| b.conjuncts());
+        let bound = self.bind(&info, &env);
 
         // One page per morsel: binding evaluation (the inner loops) is the
         // heavy part, so fine-grained claims balance best, and the trace
@@ -545,7 +477,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// 1. **Collect** — enumerate the FROM product and apply the simple
     ///    (subquery-free) conjuncts, keeping candidates in enumeration
     ///    order.
-    /// 2. **Batch** — per nested conjunct, find its free outer columns
+    /// 2. **Deduplicate** — per nested conjunct, find its free outer columns
     ///    ([`conjunct_outer_cols`](Self::conjunct_outer_cols)); materialize
     ///    the candidates' projection onto those columns as a temporary
     ///    file, `external_sort_threads(..., unique, threads)` it, and
@@ -565,9 +497,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// them at all). Counted I/O is thread-invariant by construction: the
     /// only parallel step is the external sort, whose counted I/O is
     /// proven thread-invariant; everything else runs serially. Phase 1 is
-    /// nested iteration's own binding loop, run without nested conjuncts
-    /// and always on the row kernel — batching is a row strategy; only the
-    /// inner blocks phase 2 evaluates follow `with_vectorized`.
+    /// nested iteration's own binding loop, run without nested conjuncts.
     pub fn eval_query_batched(&self, q: &QueryBlock, threads: usize) -> Result<Relation> {
         let result = self.eval_batched(q, threads);
         self.teardown();
@@ -577,7 +507,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     fn eval_batched(&self, q: &QueryBlock, threads: usize) -> Result<Relation> {
         let info = self.block_info(q)?;
         let scope_schema = &info.schema;
-        let (simple, nested) = split_conjuncts(q);
+        let (simple, nested) = info.split(q);
         if nested.is_empty() {
             // Nothing to batch — the block is flat; evaluate it directly.
             return self.eval_block(q, &Env::default());
@@ -587,20 +517,19 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         // Phase 1: candidates surviving the simple conjuncts, in
         // enumeration order (the order nested iteration would visit them):
         // nested iteration's binding loop with no nested conjuncts to run.
-        let bound = self.bind(&info, &simple, &env).map(|b| b.conjuncts());
-        let rows = self.fork(self.storage.clone()).with_vectorized(false);
+        let bound = self.bind(&info, &env);
         let candidates =
-            rows.bindings(&info, info.outer_pages(), bound.as_deref(), &simple, &[], &env)?;
+            self.bindings(&info, info.outer_pages(), bound.as_deref(), &simple, &[], &env)?;
 
         // Phase 2: one verdict memo per nested conjunct, keyed by the
         // candidate's projection onto the conjunct's free outer columns.
-        let mut plans: Vec<BatchPlan> = Vec::with_capacity(nested.len());
+        let mut plans: Vec<Verdicts> = Vec::with_capacity(nested.len());
         for p in &nested {
             let Some(idx) = self.conjunct_outer_cols(p, scope_schema)? else {
                 // A free reference resolves past this block (deeper
                 // nesting) or ambiguously — evaluate this conjunct per
                 // row, where nested iteration's scope chain applies.
-                plans.push(BatchPlan::PerRow);
+                plans.push(Verdicts::PerRow);
                 continue;
             };
             let mut memo: FxHashMap<Tuple, Result<Option<bool>>> = FxHashMap::default();
@@ -632,7 +561,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 }
                 sorted.drop_pages(&self.storage);
             }
-            plans.push(BatchPlan::Memo(idx, memo));
+            plans.push(Verdicts::Memo(idx, memo));
         }
 
         // Phase 3: replay in original order with nested iteration's
@@ -641,11 +570,11 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         'cand: for binding in candidates {
             for (p, plan) in nested.iter().zip(&plans) {
                 let verdict = match plan {
-                    BatchPlan::PerRow => {
+                    Verdicts::PerRow => {
                         let here = env.child(scope_schema, &binding);
                         self.eval_pred(p, &here)?
                     }
-                    BatchPlan::Memo(idx, memo) => memo
+                    Verdicts::Memo(idx, memo) => memo
                         .get(&binding.project(idx))
                         .cloned()
                         .expect("batched memo covers every candidate binding")?,
@@ -672,18 +601,11 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         p: &Predicate,
         scope_schema: &Schema,
     ) -> Result<Option<Vec<usize>>> {
-        let mut refs: Vec<ColumnRef> = Vec::new();
-        for c in predicate_column_refs(p) {
-            refs.push(c.clone());
-        }
-        let mut subs = Vec::new();
-        collect_subqueries(p, &mut subs);
-        let mut scopes: Vec<Schema> = Vec::new();
-        for sub in subs {
-            self.collect_block_free_refs(sub, &mut scopes, &mut refs)?;
-        }
+        let subs: Vec<Arc<BlockInfo>> =
+            p.child_blocks().into_iter().map(|sub| self.block_info(sub)).collect::<Result<_>>()?;
+        let refs = predicate_column_refs(p).into_iter().chain(subs.iter().flat_map(|i| &i.free));
         let mut idx: Vec<usize> = Vec::new();
-        for c in &refs {
+        for c in refs {
             match scope_schema.try_resolve(c.table.as_deref(), &c.column) {
                 Some(i) => {
                     if !idx.contains(&i) {
@@ -696,49 +618,19 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         Ok(Some(idx))
     }
 
-    /// Mirror of [`subtree_has_free_refs`](Self::subtree_has_free_refs)
-    /// that *collects* the free references instead of testing for their
-    /// presence.
-    fn collect_block_free_refs(
-        &self,
-        q: &QueryBlock,
-        scopes: &mut Vec<Schema>,
-        out: &mut Vec<ColumnRef>,
-    ) -> Result<()> {
-        let mut local = Schema::default();
-        for tref in &q.from {
-            let file = self
-                .tables
-                .get_table(&tref.table)
-                .ok_or_else(|| EngineError::UnknownTable(tref.table.clone()))?;
-            local = local.join(&file.schema().requalify(tref.effective_name()));
-        }
-        scopes.push(local);
-        for c in level_column_refs(q) {
-            let bound = scopes
-                .iter()
-                .any(|s| s.try_resolve(c.table.as_deref(), &c.column).is_some());
-            if !bound {
-                out.push(c.clone());
-            }
-        }
-        for sub in subquery_children(q) {
-            self.collect_block_free_refs(sub, scopes, out)?;
-        }
-        scopes.pop();
-        Ok(())
-    }
-
     // ------------------------------------------------------------- blocks
 
-    /// Resolve (or recall) a block's FROM files and scope schema.
+    /// Recall — or, the first time a query meets the block, work out — what
+    /// holds for `q` across all its evaluations. Child blocks are resolved
+    /// on the way (their free references are part of this block's), so an
+    /// unknown table anywhere below `q` is reported here, before any I/O.
     fn block_info(&self, q: &QueryBlock) -> Result<Arc<BlockInfo>> {
         let key = q as *const QueryBlock as usize;
         if let Some(info) = lock(&self.shared.blocks).get(&key) {
             return Ok(Arc::clone(info));
         }
         let mut files: Vec<HeapFile> = Vec::new();
-        let mut scope_schema = Schema::default();
+        let mut schema = Schema::default();
         let mut seen = HashSet::new();
         for tref in &q.from {
             let file = self
@@ -752,10 +644,35 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 )));
             }
             let qualified = file.schema().requalify(name);
-            scope_schema = scope_schema.join(&qualified);
+            schema = schema.join(&qualified);
             files.push(file.with_schema(qualified));
         }
-        let info = Arc::new(BlockInfo { files, schema: scope_schema });
+        // The one free-reference walk: what this level leaves unresolved,
+        // then what each child block's subtree leaves unresolved and this
+        // scope does not bind either.
+        let mut free: Vec<ColumnRef> = Vec::new();
+        let mut note = |c: &ColumnRef| {
+            if schema.try_resolve(c.table.as_deref(), &c.column).is_none() && !free.contains(c) {
+                free.push(c.clone());
+            }
+        };
+        level_column_refs(q).into_iter().for_each(&mut note);
+        for sub in q.child_blocks() {
+            self.block_info(sub)?.free.iter().for_each(&mut note);
+        }
+        let conjuncts = q.where_clause.as_ref().map(|p| p.conjuncts()).unwrap_or_default();
+        let nested: Vec<bool> = conjuncts.iter().map(|p| p.contains_subquery()).collect();
+        let simple: Vec<&Predicate> =
+            conjuncts.into_iter().zip(&nested).filter(|(_, n)| !**n).map(|(p, _)| p).collect();
+        let info = Arc::new(BlockInfo {
+            template: Template::compile(&schema, &simple),
+            files,
+            schema,
+            nested,
+            free,
+            signature: OnceLock::new(),
+            result: OnceLock::new(),
+        });
         lock(&self.shared.blocks).insert(key, Arc::clone(&info));
         Ok(info)
     }
@@ -786,43 +703,11 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             self.shared.xq_misses.fetch_add(1, Ordering::Relaxed);
         }
 
-        let (simple, nested) = split_conjuncts(q);
-        let bound = self.bind(&info, &simple, env);
-
-        // Vector mode's per-distinct-binding memo. A fully-simple
-        // single-file block depends only on (file contents, outer values):
-        // SELECT items must resolve locally (`output_schema` errors
-        // otherwise, and errors are never memoized), so the key captures
-        // everything the result can depend on. A hit charges the same page
-        // reads a re-evaluation would issue.
-        let memo_key = match &bound {
-            Some(b) if self.vectorized && nested.is_empty() && info.files.len() == 1 => {
-                Some((Arc::as_ptr(&info) as usize, b.outer.clone()))
-            }
-            _ => None,
-        };
-        let memoized =
-            memo_key.as_ref().and_then(|key| lock(&self.shared.results).map.get(key).cloned());
-        let rel = if let Some(rel) = memoized {
-            self.charge_scan(&info);
-            (*rel).clone()
-        } else {
-            // Only now, past the memo: the conjuncts with this evaluation's
-            // outer values in place.
-            let bound = bound.map(|b| b.conjuncts());
-            let survivors =
-                self.bindings(&info, info.outer_pages(), bound.as_deref(), &simple, &nested, env)?;
-            let rel = self.eval_select(q, &info.schema, survivors, env)?;
-            if let Some(key) = memo_key {
-                let size = approx_relation_bytes(&rel);
-                let mut memo = lock(&self.shared.results);
-                if memo.bytes + size <= self.memo_budget {
-                    memo.map.insert(key, Arc::new(rel.clone()));
-                    memo.bytes += size;
-                }
-            }
-            rel
-        };
+        let (simple, nested) = info.split(q);
+        let bound = self.bind(&info, env);
+        let survivors =
+            self.bindings(&info, info.outer_pages(), bound.as_deref(), &simple, &nested, env)?;
+        let rel = self.eval_select(q, &info.schema, survivors, env)?;
 
         // Publish only successful evaluations, so an entry can never mask
         // an error a re-evaluation would raise.
@@ -847,18 +732,18 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         }
     }
 
-    /// The bind-once step of one block evaluation: recall the block's
-    /// compiled simple conjuncts and look every outer slot up in `env` —
-    /// here, not per tuple. `None` declines: a reference is ambiguous in
-    /// the block's own scope, or an outer reference does not resolve in
-    /// the chain. The interpreter then raises that error where SQL's
-    /// evaluation order puts it — on the first tuple that reaches the
-    /// operand, and not at all if none does.
-    fn bind(&self, info: &Arc<BlockInfo>, simple: &[&Predicate], env: &Env<'_>) -> Option<Bound> {
-        let tpl = self.template_for(info, simple)?;
+    /// The bind-once step of one block evaluation: look every outer slot of
+    /// the block's compiled simple conjuncts up in `env` — here, not per
+    /// tuple — and put the values in place. `None` declines: the template
+    /// did (a reference is ambiguous in the block's own scope), or an outer
+    /// reference does not resolve in the chain. The interpreter then raises
+    /// that error where SQL's evaluation order puts it — on the first tuple
+    /// that reaches the operand, and not at all if none does.
+    fn bind(&self, info: &BlockInfo, env: &Env<'_>) -> Option<Vec<CPred>> {
+        let tpl = info.template.as_ref()?;
         let outer: Vec<Value> =
             tpl.outer_refs.iter().map(|c| env.lookup(c).ok()).collect::<Option<_>>()?;
-        Some(Bound { tpl, outer: Tuple::new(outer) })
+        Some(tpl.conjuncts(&outer))
     }
 
     /// The binding loop — the only one: `eval_block`, every parallel
@@ -871,11 +756,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// same rule. Returns the survivors in enumeration order.
     ///
     /// Simple conjuncts run bound (by index, on the buffered tuple in
-    /// place) unless `bound` declined. In vector mode a single-file block
-    /// swaps the per-tuple kernel for lanes over the page's column batch;
-    /// lanes are still consumed in row order, so an error stops exactly
-    /// where the row kernel would — after earlier bindings' nested-conjunct
-    /// I/O, before later pages.
+    /// place) unless `bound` declined.
     fn bindings(
         &self,
         info: &BlockInfo,
@@ -924,25 +805,9 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             admit(Tuple::default())?;
         }
         let single = info.files.len() == 1;
-        let lane_kernel: Option<Vec<VPred>> = match bound {
-            Some(conjuncts) if self.vectorized && single => {
-                Some(conjuncts.iter().map(vec_exec::vpred_from_cpred).collect())
-            }
-            _ => None,
-        };
-        let op = self.obs.as_ref().and_then(|o| o.current()).filter(|_| lane_kernel.is_some());
-        if let Some(op) = &op {
-            op.vectorized.store(1, Ordering::Relaxed);
-        }
         for &pid in pids {
             let page = self.storage.read_page(pid);
-            let lanes = lane_kernel.as_ref().map(|vps| {
-                if let Some(op) = &op {
-                    op.batches.add(0, 1);
-                }
-                vec_exec::eval_conjuncts(vps, &self.batch_for(pid, &page))
-            });
-            for (pos, t) in page.tuples().iter().enumerate() {
+            for t in page.tuples() {
                 if !single {
                     self.enumerate(&info.files, 1, t.clone(), &mut |binding| {
                         if passes(&binding)? {
@@ -950,16 +815,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                         }
                         Ok(())
                     })?;
-                    continue;
-                }
-                let pass = match &lanes {
-                    Some(lanes) => match &lanes[pos] {
-                        Lane3::Err(e) => return Err(e.clone()),
-                        lane => *lane == Lane3::T,
-                    },
-                    None => passes(t)?,
-                };
-                if pass {
+                } else if passes(t)? {
                     admit(t.clone())?;
                 }
             }
@@ -967,11 +823,11 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         Ok(survivors)
     }
 
-    /// Recall (or derive) the block's normalized signature, then bind its
-    /// free references against the current environment. Any failure —
+    /// Take the block's normalized signature and bind its free references
+    /// against the current environment. Any failure —
     /// no attached cache, non-simple block, generation-less provider,
     /// unresolvable free reference — declines caching for this call.
-    fn xq_probe(&self, q: &QueryBlock, info: &Arc<BlockInfo>, env: &Env<'_>) -> Option<XqProbe> {
+    fn xq_probe(&self, q: &QueryBlock, info: &BlockInfo, env: &Env<'_>) -> Option<XqProbe> {
         let cache = self.query_cache.as_ref()?;
         let sig = self.block_signature(q, info)?;
         let generation = self.tables.table_generation(&sig.table)?;
@@ -988,50 +844,22 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         })
     }
 
-    /// Per-query memo of [`normalized_block_signature`] over this block,
-    /// classifying references against the block's own scope schema
-    /// (resolvable = local, ambiguous = bail, unknown = free).
-    fn block_signature(&self, q: &QueryBlock, info: &Arc<BlockInfo>) -> Option<Arc<BlockSig>> {
-        let key = q as *const QueryBlock as usize;
-        if let Some(s) = lock(&self.shared.signatures).get(&key) {
-            return s.clone();
-        }
-        let schema = &info.schema;
-        let classify = |c: &ColumnRef| match schema.resolve(c.table.as_deref(), &c.column) {
-            Ok(_) => Some(true),
-            Err(nsql_types::TypeError::AmbiguousColumn(_)) => None,
-            Err(_) => Some(false),
+    /// The block's [`normalized_block_signature`], derived at the first
+    /// probe: references are classified against the block's own scope
+    /// schema (resolvable = local, ambiguous = bail, unknown = free).
+    fn block_signature(&self, q: &QueryBlock, info: &BlockInfo) -> Option<Arc<BlockSig>> {
+        let derive = || {
+            let classify =
+                |c: &ColumnRef| match info.schema.resolve(c.table.as_deref(), &c.column) {
+                    Ok(_) => Some(true),
+                    Err(nsql_types::TypeError::AmbiguousColumn(_)) => None,
+                    Err(_) => Some(false),
+                };
+            normalized_block_signature(q, &classify).map(|(text, free)| {
+                Arc::new(BlockSig { text, free, table: q.from[0].table.to_ascii_uppercase() })
+            })
         };
-        let sig = normalized_block_signature(q, &classify).map(|(text, free)| {
-            Arc::new(BlockSig { text, free, table: q.from[0].table.to_ascii_uppercase() })
-        });
-        lock(&self.shared.signatures).insert(key, sig.clone());
-        sig
-    }
-
-    /// Recall (or compile) the block's simple conjuncts as a predicate
-    /// [`Template`], keyed by the block's memoized [`BlockInfo`] address.
-    /// `None` means the predicates declined compilation — e.g. a locally
-    /// ambiguous reference, whose error the interpreter raises lazily.
-    fn template_for(&self, info: &Arc<BlockInfo>, simple: &[&Predicate]) -> Option<Arc<Template>> {
-        let key = Arc::as_ptr(info) as usize;
-        if let Some(t) = lock(&self.shared.templates).get(&key) {
-            return t.clone();
-        }
-        let t = Template::compile(&info.schema, simple).map(Arc::new);
-        lock(&self.shared.templates).insert(key, t.clone());
-        t
-    }
-
-    /// Row→column conversion for `page`, cached per page id (see
-    /// [`IterShared::batches`]).
-    fn batch_for(&self, pid: PageId, page: &nsql_storage::Page) -> Arc<Batch> {
-        if let Some(b) = lock(&self.shared.batches).get(&pid) {
-            return Arc::clone(b);
-        }
-        let b = Arc::new(Batch::from_tuples(page.tuples()));
-        lock(&self.shared.batches).insert(pid, Arc::clone(&b));
-        b
+        info.signature.get_or_init(derive).clone()
     }
 
     /// Depth-first enumeration of the FROM product: rescans inner files per
@@ -1280,23 +1108,57 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         }
     }
 
+    /// The result of an uncorrelated inner block, evaluated once per query
+    /// at its first use (`None`: the block is correlated). The order of
+    /// storage calls is the same at every use site: mark the site, recall —
+    /// or evaluate under the empty scope and store.
+    fn once_only(&self, q: &QueryBlock, kind: UseKind) -> Result<Option<Cached>> {
+        let info = self.block_info(q)?;
+        if !info.free.is_empty() {
+            return Ok(None);
+        }
+        // In a trace view this marks where serial evaluation would (first)
+        // evaluate the block; replay splices the captured evaluation trace
+        // at the first marker. No-op when counting.
+        self.storage.trace_marker(q as *const QueryBlock as usize);
+        if let Some(cached) = info.result.get() {
+            // A value or a page-id-list handle: workers clone it out rather
+            // than hold anything across a file scan.
+            return Ok(Some(cached.clone()));
+        }
+        let cached = self.materialize(q, kind)?;
+        Ok(Some(info.result.get_or_init(|| cached).clone()))
+    }
+
+    /// Evaluate an uncorrelated block into the form its use site consumes.
+    fn materialize(&self, q: &QueryBlock, kind: UseKind) -> Result<Cached> {
+        let rel = self.eval_block(q, &Env::default())?;
+        Ok(match kind {
+            UseKind::Scalar => Cached::Scalar(self.scalar_from_relation(rel)?),
+            UseKind::List => Cached::List(self.storage.store_relation(&rel)),
+        })
+    }
+
+    /// The materialized list of an uncorrelated `IN` / `EXISTS` / quantified
+    /// block (`None`: the block is correlated).
+    fn once_only_list(&self, q: &QueryBlock) -> Result<Option<HeapFile>> {
+        match self.once_only(q, UseKind::List)? {
+            Some(Cached::List(file)) => Ok(Some(file)),
+            Some(Cached::Scalar(_)) => Err(EngineError::Internal("list cache corrupted".into())),
+            None => Ok(None),
+        }
+    }
+
     /// Scalar subquery: at most one row, one column; empty ⇒ NULL.
     fn eval_scalar_subquery(&self, q: &QueryBlock, env: &Env<'_>) -> Result<Value> {
-        if !self.is_correlated(q)? {
-            let key = q as *const QueryBlock as usize;
-            // In a trace view this marks where serial evaluation would
-            // (first) evaluate the block; replay splices the captured
-            // evaluation trace at the first marker. No-op when counting.
-            self.storage.trace_marker(key);
-            if let Some(Cached::Scalar(v)) = self.cache().get(&key) {
-                return Ok(v.clone());
+        match self.once_only(q, UseKind::Scalar)? {
+            Some(Cached::Scalar(v)) => Ok(v),
+            Some(Cached::List(_)) => Err(EngineError::Internal("scalar cache corrupted".into())),
+            None => {
+                let rel = self.eval_block(q, env)?;
+                self.scalar_from_relation(rel)
             }
-            let v = self.scalar_from_relation(self.eval_block(q, &Env::default())?)?;
-            self.cache().insert(key, Cached::Scalar(v.clone()));
-            return Ok(v);
         }
-        let rel = self.eval_block(q, env)?;
-        self.scalar_from_relation(rel)
     }
 
     fn scalar_from_relation(&self, rel: Relation) -> Result<Value> {
@@ -1311,20 +1173,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// uncorrelated inners: the list is stored as a temporary file and
     /// re-scanned per membership test.
     fn eval_membership(&self, v: &Value, q: &QueryBlock, env: &Env<'_>) -> Result<Option<bool>> {
-        if !self.is_correlated(q)? {
-            let key = q as *const QueryBlock as usize;
-            self.storage.trace_marker(key);
-            if !self.cache().contains_key(&key) {
-                let rel = self.eval_block(q, &Env::default())?;
-                let file = self.storage.store_relation(&rel);
-                self.cache().insert(key, Cached::List(file));
-            }
-            // Clone the (page-id-list) handle out so concurrent workers
-            // don't hold the cache lock across a file scan.
-            let Some(Cached::List(file)) = self.cache().get(&key).cloned() else {
-                return Err(EngineError::Internal("membership cache corrupted".into()));
-            };
-            let file = &file;
+        if let Some(file) = self.once_only_list(q)? {
             // Scan the stored list per test (bounded memory, real I/O).
             // Tuples are compared in place on their buffered pages; the scan
             // stops at the first decisive match, reading exactly the pages
@@ -1361,20 +1210,10 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         crate::pred::in_list(v, &list)
     }
 
-    /// Rows of an inner block (for EXISTS / quantified), with caching for
-    /// uncorrelated blocks.
+    /// Rows of an inner block (for EXISTS / quantified), materialized once
+    /// for uncorrelated blocks.
     fn eval_inner_rows(&self, q: &QueryBlock, env: &Env<'_>) -> Result<Vec<Value>> {
-        if !self.is_correlated(q)? {
-            let key = q as *const QueryBlock as usize;
-            self.storage.trace_marker(key);
-            if !self.cache().contains_key(&key) {
-                let rel = self.eval_block(q, &Env::default())?;
-                let file = self.storage.store_relation(&rel);
-                self.cache().insert(key, Cached::List(file));
-            }
-            let Some(Cached::List(file)) = self.cache().get(&key).cloned() else {
-                return Err(EngineError::Internal("rows cache corrupted".into()));
-            };
+        if let Some(file) = self.once_only_list(q)? {
             let mut out = Vec::with_capacity(file.tuple_count());
             file.try_for_each(&self.storage, |t| -> Result<()> {
                 out.push(t.get(0).clone());
@@ -1414,55 +1253,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         })
     }
 
-    // -------------------------------------------------------- correlation
-
-    /// Whether any column reference in `q`'s subtree fails to resolve
-    /// within the subtree's own scopes (i.e. the block depends on enclosing
-    /// bindings). Memoized per query — correlation is a static property of
-    /// the AST, but this test runs once per outer binding.
-    fn is_correlated(&self, q: &QueryBlock) -> Result<bool> {
-        let key = q as *const QueryBlock as usize;
-        if let Some(&v) = lock(&self.shared.correlated).get(&key) {
-            return Ok(v);
-        }
-        let mut scopes: Vec<Schema> = Vec::new();
-        let v = self.subtree_has_free_refs(q, &mut scopes)?;
-        lock(&self.shared.correlated).insert(key, v);
-        Ok(v)
-    }
-
-    fn subtree_has_free_refs(&self, q: &QueryBlock, scopes: &mut Vec<Schema>) -> Result<bool> {
-        let mut local = Schema::default();
-        for tref in &q.from {
-            let file = self
-                .tables
-                .get_table(&tref.table)
-                .ok_or_else(|| EngineError::UnknownTable(tref.table.clone()))?;
-            local = local.join(&file.schema().requalify(tref.effective_name()));
-        }
-        scopes.push(local);
-        let mut free = false;
-        for c in level_column_refs(q) {
-            let bound = scopes
-                .iter()
-                .any(|s| s.try_resolve(c.table.as_deref(), &c.column).is_some());
-            if !bound {
-                free = true;
-                break;
-            }
-        }
-        if !free {
-            for sub in subquery_children(q) {
-                if self.subtree_has_free_refs(sub, scopes)? {
-                    free = true;
-                    break;
-                }
-            }
-        }
-        scopes.pop();
-        Ok(free)
-    }
-
     // ------------------------------------------------------- output schema
 
     fn output_schema(&self, q: &QueryBlock, scope_schema: &Schema) -> Result<Schema> {
@@ -1497,83 +1287,13 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     }
 }
 
-/// A block's top-level WHERE conjuncts, split into simple (subquery-free)
-/// and nested: System R applies the simple ones first.
-fn split_conjuncts(q: &QueryBlock) -> (Vec<&Predicate>, Vec<&Predicate>) {
-    q.where_clause.iter().flat_map(|p| p.conjuncts()).partition(|p| !p.contains_subquery())
-}
-
-/// Direct subquery children of a block's WHERE clause.
-pub fn subquery_children(q: &QueryBlock) -> Vec<&QueryBlock> {
-    let mut out = Vec::new();
-    if let Some(p) = &q.where_clause {
-        collect_subqueries(p, &mut out);
-    }
-    out
-}
-
-fn collect_subqueries<'p>(p: &'p Predicate, out: &mut Vec<&'p QueryBlock>) {
-    match p {
-        Predicate::And(ps) | Predicate::Or(ps) => {
-            for q in ps {
-                collect_subqueries(q, out);
-            }
-        }
-        Predicate::Not(q) => collect_subqueries(q, out),
-        Predicate::Compare { left, right, .. } => {
-            for o in [left, right] {
-                if let Operand::Subquery(q) = o {
-                    out.push(q);
-                }
-            }
-        }
-        Predicate::In { rhs: InRhs::Subquery(q), .. } => out.push(q),
-        Predicate::In { .. } => {}
-        Predicate::Exists { query, .. } => out.push(query),
-        Predicate::Quantified { query, .. } => out.push(query),
-        Predicate::IsNull { .. } => {}
-    }
-}
-
 /// Every subquery block in `q`'s subtree paired with how its use site
 /// consumes it, in postorder (children before parents) — the order
 /// pre-materialization wants.
 fn collect_cached_uses<'q>(q: &'q QueryBlock, out: &mut Vec<(&'q QueryBlock, UseKind)>) {
-    if let Some(p) = &q.where_clause {
-        collect_pred_uses(p, out);
-    }
-}
-
-fn collect_pred_uses<'p>(p: &'p Predicate, out: &mut Vec<(&'p QueryBlock, UseKind)>) {
-    match p {
-        Predicate::And(ps) | Predicate::Or(ps) => {
-            for q in ps {
-                collect_pred_uses(q, out);
-            }
-        }
-        Predicate::Not(q) => collect_pred_uses(q, out),
-        Predicate::Compare { left, right, .. } => {
-            for o in [left, right] {
-                if let Operand::Subquery(q) = o {
-                    collect_cached_uses(q, out);
-                    out.push((q, UseKind::Scalar));
-                }
-            }
-        }
-        Predicate::In { rhs: InRhs::Subquery(q), .. } => {
-            collect_cached_uses(q, out);
-            out.push((q, UseKind::List));
-        }
-        Predicate::In { .. } => {}
-        Predicate::Exists { query, .. } => {
-            collect_cached_uses(query, out);
-            out.push((query, UseKind::List));
-        }
-        Predicate::Quantified { query, .. } => {
-            collect_cached_uses(query, out);
-            out.push((query, UseKind::List));
-        }
-        Predicate::IsNull { .. } => {}
+    for (sub, scalar) in q.where_clause.iter().flat_map(|p| p.child_block_uses()) {
+        collect_cached_uses(sub, out);
+        out.push((sub, if scalar { UseKind::Scalar } else { UseKind::List }));
     }
 }
 

@@ -4,11 +4,18 @@
 //! `None` (*unknown*). `WHERE` keeps a row only when the predicate is
 //! `Some(true)` — the rule that makes `MAX(∅) = NULL` drop rows in the
 //! paper's Q5 example and that outer-join `NULL` padding interacts with.
+//!
+//! Two forms. [`CPred`] is the executable one, over column indices of a
+//! fixed tuple schema. A [`Template`] is nested iteration's per-block form:
+//! a block's simple WHERE conjuncts compiled once per query, with outer
+//! (correlated) references left as slots, so each evaluation of the block
+//! binds them as constants ([`Template::conjuncts`]) and gets one [`CPred`]
+//! per conjunct.
 
 use crate::error::EngineError;
 use crate::expr::{CExpr, Row};
 use crate::Result;
-use nsql_sql::{CompareOp, InRhs, Operand, Predicate};
+use nsql_sql::{ColumnRef, CompareOp, InRhs, Operand, Predicate};
 use nsql_types::{Schema, Tuple, Value};
 
 /// Three-valued AND over an iterator of truth values.
@@ -223,26 +230,190 @@ pub fn in_list(v: &Value, list: &[Value]) -> Result<Option<bool>> {
     Ok(if unknown { None } else { Some(false) })
 }
 
-/// Check whether an AST operand is free of subqueries (usable physically).
-pub fn operand_is_simple(o: &Operand) -> bool {
-    !matches!(o, Operand::Subquery(_))
+/// A template operand: local column, outer (correlated) reference by slot,
+/// or literal.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TOperand {
+    /// Column of the local (block) schema, by index.
+    Local(usize),
+    /// Slot into the template's `outer_refs` list; instantiated per
+    /// outer binding.
+    Outer(usize),
+    /// Literal constant.
+    Lit(Value),
 }
 
-/// A *simple* predicate in the paper's sense: no nested query block at any
-/// position. These are the predicates NEST-JA2 pushes into the projection /
-/// restriction steps.
-pub fn predicate_is_simple(p: &Predicate) -> bool {
+/// A template predicate, shaped like [`CPred`] over [`TOperand`]s.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TPred {
+    /// Constant truth value.
+    Const(Option<bool>),
+    /// Conjunction.
+    And(Vec<TPred>),
+    /// Disjunction.
+    Or(Vec<TPred>),
+    /// Negation.
+    Not(Box<TPred>),
+    /// Scalar comparison.
+    Cmp {
+        /// Left side.
+        left: TOperand,
+        /// Operator.
+        op: CompareOp,
+        /// Right side.
+        right: TOperand,
+    },
+    /// Membership in a literal list.
+    InList {
+        /// Tested operand.
+        expr: TOperand,
+        /// List of values.
+        list: Vec<Value>,
+        /// Negated?
+        negated: bool,
+    },
+    /// NULL test.
+    IsNull {
+        /// Tested operand.
+        expr: TOperand,
+        /// `IS NOT NULL`?
+        negated: bool,
+    },
+}
+
+/// A block-level predicate template: a WHERE conjunct list with local
+/// references resolved to column indices and outer references collected
+/// for per-binding instantiation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Template {
+    /// The shaped conjuncts, in WHERE order.
+    pub conjuncts: Vec<TPred>,
+    /// Deduplicated outer references, in first-appearance order; slot `i`
+    /// corresponds to [`TOperand::Outer`]`(i)`.
+    pub outer_refs: Vec<ColumnRef>,
+}
+
+impl Template {
+    /// Compile a WHERE conjunct list against a block's local `schema`.
+    /// Returns `None` when a conjunct holds anything that must stay lazy: a
+    /// subquery in any position, or a reference that is *ambiguous* in the
+    /// local schema (the interpreter raises that error only when a tuple
+    /// reaches the operand; declining keeps that behavior canonical).
+    /// References that simply don't resolve locally become outer slots.
+    pub fn compile(schema: &Schema, conjuncts: &[&Predicate]) -> Option<Template> {
+        let mut outer_refs = Vec::new();
+        let conjuncts = conjuncts
+            .iter()
+            .map(|p| compile_tpred(schema, p, &mut outer_refs))
+            .collect::<Option<_>>()?;
+        Some(Template { conjuncts, outer_refs })
+    }
+
+    /// Bind one evaluation's outer values (`outer_vals[i]` is the resolved
+    /// value of `outer_refs[i]`) and return one [`CPred`] per conjunct.
+    /// WHERE keeps a binding only while every conjunct in turn is TRUE, so
+    /// callers evaluate the list in order and stop at the first non-TRUE
+    /// one — unlike an `AND` *inside* a conjunct, which evaluates on past
+    /// an UNKNOWN operand.
+    pub fn conjuncts(&self, outer_vals: &[Value]) -> Vec<CPred> {
+        debug_assert_eq!(outer_vals.len(), self.outer_refs.len());
+        self.conjuncts.iter().map(|q| instantiate_tpred(q, outer_vals)).collect()
+    }
+}
+
+fn compile_operand(
+    schema: &Schema,
+    o: &Operand,
+    outer_refs: &mut Vec<ColumnRef>,
+) -> Option<TOperand> {
+    match o {
+        Operand::Literal(v) => Some(TOperand::Lit(v.clone())),
+        Operand::Subquery(_) => None,
+        Operand::Column(c) => match schema.resolve(c.table.as_deref(), &c.column) {
+            Ok(i) => Some(TOperand::Local(i)),
+            // Ambiguous in the local scope: the interpreter errors here (the
+            // innermost scope wins ambiguity checks), and it may do so
+            // lazily under OR short-circuit — decline so it stays lazy.
+            Err(nsql_types::TypeError::AmbiguousColumn(_)) => None,
+            Err(_) => {
+                let slot = match outer_refs.iter().position(|r| r == c) {
+                    Some(i) => i,
+                    None => {
+                        outer_refs.push(c.clone());
+                        outer_refs.len() - 1
+                    }
+                };
+                Some(TOperand::Outer(slot))
+            }
+        },
+    }
+}
+
+fn compile_tpred(
+    schema: &Schema,
+    p: &Predicate,
+    outer_refs: &mut Vec<ColumnRef>,
+) -> Option<TPred> {
+    Some(match p {
+        Predicate::And(ps) => TPred::And(
+            ps.iter().map(|q| compile_tpred(schema, q, outer_refs)).collect::<Option<_>>()?,
+        ),
+        Predicate::Or(ps) => TPred::Or(
+            ps.iter().map(|q| compile_tpred(schema, q, outer_refs)).collect::<Option<_>>()?,
+        ),
+        Predicate::Not(q) => TPred::Not(Box::new(compile_tpred(schema, q, outer_refs)?)),
+        Predicate::Compare { left, op, right } => TPred::Cmp {
+            left: compile_operand(schema, left, outer_refs)?,
+            op: *op,
+            right: compile_operand(schema, right, outer_refs)?,
+        },
+        Predicate::In { operand, negated, rhs: InRhs::List(list) } => TPred::InList {
+            expr: compile_operand(schema, operand, outer_refs)?,
+            list: list.clone(),
+            negated: *negated,
+        },
+        Predicate::In { rhs: InRhs::Subquery(_), .. }
+        | Predicate::Exists { .. }
+        | Predicate::Quantified { .. } => return None,
+        Predicate::IsNull { operand, negated } => TPred::IsNull {
+            expr: compile_operand(schema, operand, outer_refs)?,
+            negated: *negated,
+        },
+    })
+}
+
+fn instantiate_operand(o: &TOperand, outer_vals: &[Value]) -> CExpr {
+    match o {
+        TOperand::Local(i) => CExpr::Col(*i),
+        TOperand::Outer(s) => CExpr::Lit(outer_vals[*s].clone()),
+        TOperand::Lit(v) => CExpr::Lit(v.clone()),
+    }
+}
+
+fn instantiate_tpred(p: &TPred, outer_vals: &[Value]) -> CPred {
     match p {
-        Predicate::And(ps) | Predicate::Or(ps) => ps.iter().all(predicate_is_simple),
-        Predicate::Not(q) => predicate_is_simple(q),
-        Predicate::Compare { left, right, .. } => {
-            operand_is_simple(left) && operand_is_simple(right)
+        TPred::Const(v) => CPred::Const(*v),
+        TPred::And(ps) => {
+            CPred::And(ps.iter().map(|q| instantiate_tpred(q, outer_vals)).collect())
         }
-        Predicate::In { operand, rhs, .. } => {
-            operand_is_simple(operand) && matches!(rhs, InRhs::List(_))
+        TPred::Or(ps) => {
+            CPred::Or(ps.iter().map(|q| instantiate_tpred(q, outer_vals)).collect())
         }
-        Predicate::Exists { .. } | Predicate::Quantified { .. } => false,
-        Predicate::IsNull { operand, .. } => operand_is_simple(operand),
+        TPred::Not(q) => CPred::Not(Box::new(instantiate_tpred(q, outer_vals))),
+        TPred::Cmp { left, op, right } => CPred::Cmp {
+            left: instantiate_operand(left, outer_vals),
+            op: *op,
+            right: instantiate_operand(right, outer_vals),
+        },
+        TPred::InList { expr, list, negated } => CPred::InList {
+            expr: instantiate_operand(expr, outer_vals),
+            list: list.clone(),
+            negated: *negated,
+        },
+        TPred::IsNull { expr, negated } => CPred::IsNull {
+            expr: instantiate_operand(expr, outer_vals),
+            negated: *negated,
+        },
     }
 }
 
@@ -336,20 +507,55 @@ mod tests {
     }
 
     #[test]
-    fn simple_predicate_detection() {
-        let q = parse_query("SELECT A FROM T WHERE A = 1 AND B IN (1, 2)").unwrap();
-        assert!(predicate_is_simple(q.where_clause.as_ref().unwrap()));
-        let q = parse_query("SELECT A FROM T WHERE A IN (SELECT B FROM T)").unwrap();
-        assert!(!predicate_is_simple(q.where_clause.as_ref().unwrap()));
-        let q = parse_query("SELECT A FROM T WHERE A = (SELECT MAX(B) FROM T)").unwrap();
-        assert!(!predicate_is_simple(q.where_clause.as_ref().unwrap()));
-    }
-
-    #[test]
     fn compile_rejects_subqueries() {
         let q = parse_query("SELECT A FROM T WHERE A IN (SELECT B FROM T)").unwrap();
         assert!(CPred::compile(&schema(), q.where_clause.as_ref().unwrap()).is_err());
         let q = parse_query("SELECT A FROM T WHERE EXISTS (SELECT B FROM T)").unwrap();
         assert!(CPred::compile(&schema(), q.where_clause.as_ref().unwrap()).is_err());
+    }
+
+    #[test]
+    fn template_compiles_locals_outers_and_declines_subqueries() {
+        let s = Schema::new(vec![Column::qualified("SUPPLY", "PNUM", ColumnType::Int)]);
+        let q = parse_query(
+            "SELECT PNUM FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND PNUM > 2",
+        )
+        .unwrap();
+        let t = Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).unwrap();
+        assert_eq!(t.outer_refs, vec![ColumnRef::qualified("PARTS", "PNUM")]);
+        // Binding an evaluation's outer value turns the slot into a
+        // constant: one predicate per conjunct.
+        let cs = t.conjuncts(&[Value::Int(7)]);
+        assert_eq!(cs.len(), 2);
+        let rows: Vec<bool> = [7, 3, 7]
+            .iter()
+            .map(|&k| cs.iter().all(|c| c.accepts(&Tuple::new(vec![Value::Int(k)])).unwrap()))
+            .collect();
+        assert_eq!(rows, [true, false, true]);
+
+        // A subquery in any position → decline.
+        for nested in ["PNUM IN (SELECT X FROM Y)", "(SELECT MAX(X) FROM Y) IS NULL"] {
+            let q = parse_query(&format!("SELECT PNUM FROM SUPPLY WHERE {nested}")).unwrap();
+            let conjuncts = q.where_clause.as_ref().unwrap().conjuncts();
+            assert!(Template::compile(&s, &conjuncts).is_none(), "{nested}");
+        }
+    }
+
+    #[test]
+    fn template_declines_locally_ambiguous_references() {
+        let s = Schema::new(vec![
+            Column::qualified("A", "K", ColumnType::Int),
+            Column::qualified("B", "K", ColumnType::Int),
+        ]);
+        let q = parse_query("SELECT K FROM T WHERE K = 1").unwrap();
+        assert!(Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).is_none());
+    }
+
+    #[test]
+    fn outer_refs_deduplicate_by_slot() {
+        let s = Schema::new(vec![Column::qualified("S", "X", ColumnType::Int)]);
+        let q = parse_query("SELECT X FROM S WHERE X = P.K OR X < P.K").unwrap();
+        let t = Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).unwrap();
+        assert_eq!(t.outer_refs.len(), 1);
     }
 }

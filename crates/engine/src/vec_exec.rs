@@ -13,23 +13,16 @@
 //! * `IN`-list evaluation walks the list in order per lane, first
 //!   comparison error wins, `TRUE` short-circuits before later errors.
 //!
-//! Two predicate forms exist. [`VPred`] is the executable form over batch
-//! column indices, lowered from a physical [`CPred`]
-//! ([`vpred_from_cpred`]). A [`Template`] is the nested-iteration form:
-//! compiled once per query block, with outer (correlated) column references
-//! left symbolic so each evaluation of the block binds them as constants
-//! ([`Template::conjuncts`]) and gets one [`CPred`] per WHERE conjunct —
-//! the row kernel evaluates those directly, the lane kernel
-//! ([`eval_conjuncts`]) lowers them. Compilation *declines* (returns
-//! `None`) rather than errs on anything that must stay lazy — subquery
-//! operands, locally ambiguous references — and the caller falls back to
-//! the by-name interpreter, which produces the canonical result or error.
+//! [`VPred`] is the executable form over batch column indices, lowered from
+//! a physical [`CPred`] ([`vpred_from_cpred`]); `Exec`'s vectorized filter
+//! and join operators are its only users. Nested iteration has one kernel —
+//! the row loop over bound [`CPred`]s — and does not come through here.
 
 use crate::error::EngineError;
 use crate::pred::CPred;
 use crate::expr::CExpr;
-use nsql_sql::{ColumnRef, CompareOp, InRhs, Operand, Predicate};
-use nsql_types::{Schema, TypeError, Value};
+use nsql_sql::CompareOp;
+use nsql_types::Value;
 use nsql_vec::{Batch, ColData, ValRef};
 
 /// Per-lane truth value: SQL's three values plus a captured typed error.
@@ -124,221 +117,6 @@ pub fn vpred_from_cpred(p: &CPred) -> VPred {
             VPred::IsNull { expr: op(expr), negated: *negated }
         }
     }
-}
-
-/// A template operand: local column, outer (correlated) reference by slot,
-/// or literal.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TOperand {
-    /// Column of the local (block) schema, by batch index.
-    Local(usize),
-    /// Slot into the template's `outer_refs` list; instantiated per
-    /// outer binding.
-    Outer(usize),
-    /// Literal constant.
-    Lit(Value),
-}
-
-/// A template predicate, shaped like [`VPred`] over [`TOperand`]s.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TPred {
-    /// Constant truth value.
-    Const(Option<bool>),
-    /// Conjunction.
-    And(Vec<TPred>),
-    /// Disjunction.
-    Or(Vec<TPred>),
-    /// Negation.
-    Not(Box<TPred>),
-    /// Scalar comparison.
-    Cmp {
-        /// Left side.
-        left: TOperand,
-        /// Operator.
-        op: CompareOp,
-        /// Right side.
-        right: TOperand,
-    },
-    /// Membership in a literal list.
-    InList {
-        /// Tested operand.
-        expr: TOperand,
-        /// List of values.
-        list: Vec<Value>,
-        /// Negated?
-        negated: bool,
-    },
-    /// NULL test.
-    IsNull {
-        /// Tested operand.
-        expr: TOperand,
-        /// `IS NOT NULL`?
-        negated: bool,
-    },
-}
-
-/// A block-level predicate template: a WHERE conjunct list with local
-/// references resolved to column indices and outer references collected
-/// for per-binding instantiation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Template {
-    /// The shaped conjuncts, in WHERE order.
-    pub conjuncts: Vec<TPred>,
-    /// Deduplicated outer references, in first-appearance order; slot `i`
-    /// corresponds to [`TOperand::Outer`]`(i)`.
-    pub outer_refs: Vec<ColumnRef>,
-}
-
-impl Template {
-    /// Compile a WHERE conjunct list against a block's local `schema`.
-    /// Returns `None` when a conjunct contains anything the vectorized path
-    /// cannot mirror faithfully: a subquery operand in any position, or a
-    /// reference that is *ambiguous* in the local schema (the row path
-    /// raises the error lazily; declining keeps that behavior canonical).
-    /// References that simply don't resolve locally become outer slots.
-    pub fn compile(schema: &Schema, conjuncts: &[&Predicate]) -> Option<Template> {
-        let mut outer_refs = Vec::new();
-        let conjuncts = conjuncts
-            .iter()
-            .map(|p| compile_tpred(schema, p, &mut outer_refs))
-            .collect::<Option<_>>()?;
-        Some(Template { conjuncts, outer_refs })
-    }
-
-    /// Bind one evaluation's outer values (`outer_vals[i]` is the resolved
-    /// value of `outer_refs[i]`) and return one [`CPred`] per conjunct.
-    /// WHERE keeps a binding only while every conjunct in turn is TRUE, so
-    /// callers evaluate the list in order and stop at the first non-TRUE
-    /// one — unlike an `AND` *inside* a conjunct, which evaluates on past
-    /// an UNKNOWN operand.
-    pub fn conjuncts(&self, outer_vals: &[Value]) -> Vec<CPred> {
-        debug_assert_eq!(outer_vals.len(), self.outer_refs.len());
-        self.conjuncts.iter().map(|q| instantiate_tpred(q, outer_vals)).collect()
-    }
-}
-
-fn compile_operand(
-    schema: &Schema,
-    o: &Operand,
-    outer_refs: &mut Vec<ColumnRef>,
-) -> Option<TOperand> {
-    match o {
-        Operand::Literal(v) => Some(TOperand::Lit(v.clone())),
-        Operand::Subquery(_) => None,
-        Operand::Column(c) => match schema.resolve(c.table.as_deref(), &c.column) {
-            Ok(i) => Some(TOperand::Local(i)),
-            // Ambiguous in the local scope: the row path errors here (the
-            // innermost scope wins ambiguity checks), and it may do so
-            // lazily under OR short-circuit — decline so it stays lazy.
-            Err(TypeError::AmbiguousColumn(_)) => None,
-            Err(_) => {
-                let slot = match outer_refs.iter().position(|r| r == c) {
-                    Some(i) => i,
-                    None => {
-                        outer_refs.push(c.clone());
-                        outer_refs.len() - 1
-                    }
-                };
-                Some(TOperand::Outer(slot))
-            }
-        },
-    }
-}
-
-fn compile_tpred(
-    schema: &Schema,
-    p: &Predicate,
-    outer_refs: &mut Vec<ColumnRef>,
-) -> Option<TPred> {
-    Some(match p {
-        Predicate::And(ps) => TPred::And(
-            ps.iter().map(|q| compile_tpred(schema, q, outer_refs)).collect::<Option<_>>()?,
-        ),
-        Predicate::Or(ps) => TPred::Or(
-            ps.iter().map(|q| compile_tpred(schema, q, outer_refs)).collect::<Option<_>>()?,
-        ),
-        Predicate::Not(q) => TPred::Not(Box::new(compile_tpred(schema, q, outer_refs)?)),
-        Predicate::Compare { left, op, right } => TPred::Cmp {
-            left: compile_operand(schema, left, outer_refs)?,
-            op: *op,
-            right: compile_operand(schema, right, outer_refs)?,
-        },
-        Predicate::In { operand, negated, rhs: InRhs::List(list) } => TPred::InList {
-            expr: compile_operand(schema, operand, outer_refs)?,
-            list: list.clone(),
-            negated: *negated,
-        },
-        Predicate::In { rhs: InRhs::Subquery(_), .. }
-        | Predicate::Exists { .. }
-        | Predicate::Quantified { .. } => return None,
-        Predicate::IsNull { operand, negated } => TPred::IsNull {
-            expr: compile_operand(schema, operand, outer_refs)?,
-            negated: *negated,
-        },
-    })
-}
-
-fn instantiate_operand(o: &TOperand, outer_vals: &[Value]) -> CExpr {
-    match o {
-        TOperand::Local(i) => CExpr::Col(*i),
-        TOperand::Outer(s) => CExpr::Lit(outer_vals[*s].clone()),
-        TOperand::Lit(v) => CExpr::Lit(v.clone()),
-    }
-}
-
-fn instantiate_tpred(p: &TPred, outer_vals: &[Value]) -> CPred {
-    match p {
-        TPred::Const(v) => CPred::Const(*v),
-        TPred::And(ps) => {
-            CPred::And(ps.iter().map(|q| instantiate_tpred(q, outer_vals)).collect())
-        }
-        TPred::Or(ps) => {
-            CPred::Or(ps.iter().map(|q| instantiate_tpred(q, outer_vals)).collect())
-        }
-        TPred::Not(q) => CPred::Not(Box::new(instantiate_tpred(q, outer_vals))),
-        TPred::Cmp { left, op, right } => CPred::Cmp {
-            left: instantiate_operand(left, outer_vals),
-            op: *op,
-            right: instantiate_operand(right, outer_vals),
-        },
-        TPred::InList { expr, list, negated } => CPred::InList {
-            expr: instantiate_operand(expr, outer_vals),
-            list: list.clone(),
-            negated: *negated,
-        },
-        TPred::IsNull { expr, negated } => CPred::IsNull {
-            expr: instantiate_operand(expr, outer_vals),
-            negated: *negated,
-        },
-    }
-}
-
-/// Evaluate a WHERE conjunct list over every row of `b`, one conjunct at a
-/// time: a lane stays active only while it is TRUE, so a conjunct is never
-/// evaluated (and can never raise) on a row an earlier conjunct already
-/// rejected as FALSE *or UNKNOWN* — the row loop's early exit, per lane.
-/// `out[row]` is `T` for a surviving row, else the outcome that stopped it.
-pub fn eval_conjuncts(ps: &[VPred], b: &Batch) -> Vec<Lane3> {
-    let mut out = vec![Lane3::T; b.len()];
-    let mut active = b.full_sel();
-    for p in ps {
-        if active.is_empty() {
-            break;
-        }
-        let lanes = eval_pred(p, b, &active);
-        active = active
-            .into_iter()
-            .zip(lanes)
-            .filter_map(|(row, lane)| {
-                if lane == Lane3::T {
-                    return Some(row);
-                }
-                out[row as usize] = lane;
-                None
-            })
-            .collect();
-    }
-    out
 }
 
 /// Evaluate `p` over the selected lanes of `b`. The result is parallel to
@@ -550,7 +328,7 @@ fn in_list_lane(v: ValRef<'_>, list: &[Value]) -> Lane3 {
 mod tests {
     use super::*;
     use nsql_sql::parse_query;
-    use nsql_types::{Column, ColumnType, Tuple};
+    use nsql_types::{Column, ColumnType, Schema, Tuple, TypeError};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -741,80 +519,6 @@ mod tests {
         let (keep, err) = keep_lanes(&v, &b, &sel);
         assert!(err.is_none());
         assert_eq!(keep, vec![1, 4]);
-    }
-
-    #[test]
-    fn template_compiles_locals_outers_and_declines_subqueries() {
-        let s = Schema::new(vec![Column::qualified("SUPPLY", "PNUM", ColumnType::Int)]);
-        let q = parse_query(
-            "SELECT PNUM FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND PNUM > 2",
-        )
-        .unwrap();
-        let t = Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).unwrap();
-        assert_eq!(t.outer_refs, vec![ColumnRef::qualified("PARTS", "PNUM")]);
-        // Binding an evaluation's outer value turns the slot into a
-        // constant; both kernels then see one predicate per conjunct.
-        let cs = t.conjuncts(&[Value::Int(7)]);
-        assert_eq!(cs.len(), 2);
-        let tuples = vec![
-            Tuple::new(vec![Value::Int(7)]),
-            Tuple::new(vec![Value::Int(3)]),
-            Tuple::new(vec![Value::Int(7)]),
-        ];
-        let rows: Vec<bool> =
-            tuples.iter().map(|t| cs.iter().all(|c| c.accepts(t).unwrap())).collect();
-        assert_eq!(rows, [true, false, true]);
-        let vs: Vec<VPred> = cs.iter().map(vpred_from_cpred).collect();
-        let lanes = eval_conjuncts(&vs, &Batch::from_tuples(&tuples));
-        assert_eq!(lanes, vec![Lane3::T, Lane3::F, Lane3::T]);
-
-        // Subquery anywhere → decline.
-        let q = parse_query("SELECT PNUM FROM SUPPLY WHERE PNUM IN (SELECT X FROM Y)")
-            .unwrap();
-        assert!(Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).is_none());
-    }
-
-    /// A WHERE conjunct list is not an `AND`: the row loop drops a binding
-    /// at the first non-TRUE conjunct, so a later conjunct's type error
-    /// stays hidden behind an UNKNOWN one. (`AND` itself evaluates on.)
-    #[test]
-    fn conjunct_list_stops_at_unknown_where_and_evaluates_on() {
-        let schema = Schema::new(vec![
-            Column::qualified("T", "A", ColumnType::Int),
-            Column::qualified("T", "S", ColumnType::Str),
-        ]);
-        let q = parse_query("SELECT A FROM T WHERE A = 1 AND S = 2").unwrap();
-        let t = Template::compile(&schema, &q.where_clause.as_ref().unwrap().conjuncts()).unwrap();
-        let vs: Vec<VPred> = t.conjuncts(&[]).iter().map(vpred_from_cpred).collect();
-        let tuples = vec![
-            Tuple::new(vec![Value::Null, Value::str("x")]), // UNKNOWN hides the error
-            Tuple::new(vec![Value::Int(0), Value::str("y")]), // FALSE hides the error
-            Tuple::new(vec![Value::Int(1), Value::str("z")]), // TRUE reaches it
-        ];
-        let b = Batch::from_tuples(&tuples);
-        let lanes = eval_conjuncts(&vs, &b);
-        assert_eq!(lanes[..2], [Lane3::U, Lane3::F]);
-        assert!(matches!(lanes[2], Lane3::Err(EngineError::Type(_))), "{:?}", lanes[2]);
-        let anded = eval_pred(&VPred::And(vs), &b, &b.full_sel());
-        assert!(matches!(anded[0], Lane3::Err(_)), "AND evaluates past UNKNOWN");
-    }
-
-    #[test]
-    fn template_declines_locally_ambiguous_references() {
-        let s = Schema::new(vec![
-            Column::qualified("A", "K", ColumnType::Int),
-            Column::qualified("B", "K", ColumnType::Int),
-        ]);
-        let q = parse_query("SELECT K FROM T WHERE K = 1").unwrap();
-        assert!(Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).is_none());
-    }
-
-    #[test]
-    fn outer_refs_deduplicate_by_slot() {
-        let s = Schema::new(vec![Column::qualified("S", "X", ColumnType::Int)]);
-        let q = parse_query("SELECT X FROM S WHERE X = P.K OR X < P.K").unwrap();
-        let t = Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).unwrap();
-        assert_eq!(t.outer_refs.len(), 1);
     }
 
     #[test]

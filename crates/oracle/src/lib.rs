@@ -563,7 +563,7 @@ impl Oracle {
         if !q.order_by.is_empty() {
             rows = order_rows(rows, &q.order_by, &out_schema, &q.select)?;
         }
-        Relation::new(out_schema, rows).map_err(|e| OracleError::Type(e))
+        Relation::new(out_schema, rows).map_err(OracleError::Type)
     }
 
     /// GROUP BY evaluation: groups in first-encounter order, NULL keys

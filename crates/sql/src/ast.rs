@@ -368,16 +368,58 @@ impl Predicate {
     /// Whether this predicate (at this level, not in subqueries) contains a
     /// nested query block.
     pub fn contains_subquery(&self) -> bool {
-        match self {
-            Predicate::And(ps) | Predicate::Or(ps) => ps.iter().any(Predicate::contains_subquery),
-            Predicate::Not(p) => p.contains_subquery(),
-            Predicate::Compare { left, right, .. } => {
-                matches!(left, Operand::Subquery(_)) || matches!(right, Operand::Subquery(_))
+        !self.child_block_uses().is_empty()
+    }
+
+    /// The query blocks this predicate holds directly (blocks nested inside
+    /// those are not entered), in evaluation order.
+    pub fn child_blocks(&self) -> Vec<&QueryBlock> {
+        self.child_block_uses().into_iter().map(|(q, _)| q).collect()
+    }
+
+    /// [`child_blocks`](Predicate::child_blocks), each paired with how its
+    /// use site consumes it: `true` for a *scalar* operand (at most one
+    /// row), `false` for a list (`IN` / `EXISTS` / `ANY` / `ALL`).
+    ///
+    /// This is the one enumeration of "positions that hold a block": both
+    /// sides of a comparison, the operand of `IS [NOT] NULL`, the operand
+    /// and the right-hand side of `IN`, the left operand and the inner block
+    /// of a quantified comparison, and the block of `EXISTS`. Everything
+    /// that asks "which blocks does this predicate hold" (classification,
+    /// validation, correlation analysis, EXPLAIN, table collection) goes
+    /// through it, so a position cannot be known to one of them and missed
+    /// by another.
+    pub fn child_block_uses(&self) -> Vec<(&QueryBlock, bool)> {
+        fn operand<'a>(o: &'a Operand, out: &mut Vec<(&'a QueryBlock, bool)>) {
+            if let Operand::Subquery(q) = o {
+                out.push((q, true));
             }
-            Predicate::In { rhs, .. } => matches!(rhs, InRhs::Subquery(_)),
-            Predicate::Exists { .. } | Predicate::Quantified { .. } => true,
-            Predicate::IsNull { .. } => false,
         }
+        fn walk<'a>(p: &'a Predicate, out: &mut Vec<(&'a QueryBlock, bool)>) {
+            match p {
+                Predicate::And(ps) | Predicate::Or(ps) => ps.iter().for_each(|q| walk(q, out)),
+                Predicate::Not(q) => walk(q, out),
+                Predicate::Compare { left, right, .. } => {
+                    operand(left, out);
+                    operand(right, out);
+                }
+                Predicate::In { operand: o, rhs, .. } => {
+                    operand(o, out);
+                    if let InRhs::Subquery(q) = rhs {
+                        out.push((q, false));
+                    }
+                }
+                Predicate::Exists { query, .. } => out.push((query, false)),
+                Predicate::Quantified { left, query, .. } => {
+                    operand(left, out);
+                    out.push((query, false));
+                }
+                Predicate::IsNull { operand: o, .. } => operand(o, out),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
     }
 }
 
@@ -457,47 +499,15 @@ impl QueryBlock {
                 out.push(t.table.clone());
             }
         }
-        if let Some(w) = &self.where_clause {
-            collect_pred_tables(w, out);
+        for sub in self.child_blocks() {
+            sub.collect_tables(out);
         }
     }
-}
 
-fn collect_pred_tables(p: &Predicate, out: &mut Vec<String>) {
-    match p {
-        Predicate::And(ps) | Predicate::Or(ps) => {
-            for sub in ps {
-                collect_pred_tables(sub, out);
-            }
-        }
-        Predicate::Not(inner) => collect_pred_tables(inner, out),
-        Predicate::Compare { left, right, .. } => {
-            for o in [left, right] {
-                if let Operand::Subquery(q) = o {
-                    q.collect_tables(out);
-                }
-            }
-        }
-        Predicate::In { operand, rhs, .. } => {
-            if let Operand::Subquery(q) = operand {
-                q.collect_tables(out);
-            }
-            if let InRhs::Subquery(q) = rhs {
-                q.collect_tables(out);
-            }
-        }
-        Predicate::IsNull { operand, .. } => {
-            if let Operand::Subquery(q) = operand {
-                q.collect_tables(out);
-            }
-        }
-        Predicate::Exists { query, .. } => query.collect_tables(out),
-        Predicate::Quantified { left, query, .. } => {
-            if let Operand::Subquery(q) = left {
-                q.collect_tables(out);
-            }
-            query.collect_tables(out);
-        }
+    /// The blocks nested directly in this block's WHERE clause (see
+    /// [`Predicate::child_block_uses`]).
+    pub fn child_blocks(&self) -> Vec<&QueryBlock> {
+        self.where_clause.as_ref().map(Predicate::child_blocks).unwrap_or_default()
     }
 }
 
@@ -529,4 +539,49 @@ pub enum Statement {
         /// The query to explain.
         query: QueryBlock,
     },
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::parse_query;
+
+    /// Every position the grammar puts a block in, in evaluation order, with
+    /// operands marked scalar — and nothing from inside those blocks.
+    #[test]
+    fn child_blocks_cover_every_operand_position() {
+        let q = parse_query(
+            "SELECT A FROM T WHERE (SELECT B1 FROM U) = (SELECT B2 FROM U) \
+             AND ((SELECT B3 FROM U) IS NOT NULL OR NOT (SELECT B4 FROM U) IN (1, 2)) \
+             AND (SELECT B5 FROM U) IN (SELECT B6 FROM U WHERE X IN (SELECT DEEP FROM V)) \
+             AND (SELECT B7 FROM U) < ANY (SELECT B8 FROM U) \
+             AND EXISTS (SELECT B9 FROM U) AND A IN (1, 2) AND A IS NULL",
+        )
+        .unwrap();
+        let uses: Vec<(String, bool)> = q
+            .where_clause
+            .as_ref()
+            .unwrap()
+            .child_block_uses()
+            .into_iter()
+            .map(|(b, scalar)| (crate::print_query(b)[7..9].to_string(), scalar))
+            .collect();
+        let want = [
+            ("B1", true),
+            ("B2", true),
+            ("B3", true),
+            ("B4", true),
+            ("B5", true),
+            ("B6", false),
+            ("B7", true),
+            ("B8", false),
+            ("B9", false),
+        ];
+        assert_eq!(uses, want.map(|(n, s)| (n.to_string(), s)));
+        assert_eq!(q.child_blocks().len(), 9);
+        assert!(q.referenced_tables().contains(&"V".to_string()), "tables are collected at depth");
+
+        let conjuncts = q.where_clause.as_ref().unwrap().conjuncts();
+        let nested: Vec<bool> = conjuncts.iter().map(|p| p.contains_subquery()).collect();
+        assert_eq!(nested, [true, true, true, true, true, false, false]);
+    }
 }

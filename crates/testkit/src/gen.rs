@@ -171,8 +171,9 @@ pub fn compare_op(rng: &mut Rng) -> CompareOp {
     ])
 }
 
-/// A comparison operand: column or literal (scalar subqueries enter the
-/// grammar through [`predicate`]'s quantified/EXISTS/IN forms instead).
+/// A comparison operand: column or literal (subqueries enter the grammar
+/// through [`predicate`]'s quantified/EXISTS/IN forms, and as the scalar
+/// operand of its IS NULL / IN-list / quantified forms).
 pub fn operand(rng: &mut Rng) -> Operand {
     if rng.gen_bool(0.5) {
         Operand::Column(column_ref(rng))
@@ -213,7 +214,10 @@ pub fn predicate(rng: &mut Rng, depth: u32) -> Predicate {
 }
 
 fn leaf_or_subquery(rng: &mut Rng, depth: u32) -> Predicate {
-    let choices = if depth == 0 { 3 } else { 6 };
+    // A scalar subquery where a column usually stands (forms 6 to 8): the
+    // operand of IS NULL, of IN (list), the left of a quantifier.
+    let scalar = |rng: &mut Rng| Operand::Subquery(Box::new(query_block(rng, depth - 1)));
+    let choices = if depth == 0 { 3 } else { 9 };
     match rng.gen_range(0u32..choices) {
         0 => Predicate::Compare { left: operand(rng), op: compare_op(rng), right: operand(rng) },
         1 => Predicate::In {
@@ -231,8 +235,20 @@ fn leaf_or_subquery(rng: &mut Rng, depth: u32) -> Predicate {
             negated: false,
             rhs: InRhs::Subquery(Box::new(query_block(rng, depth - 1))),
         },
-        _ => Predicate::Quantified {
+        5 => Predicate::Quantified {
             left: operand(rng),
+            op: compare_op(rng),
+            quantifier: *rng.choose(&[Quantifier::Any, Quantifier::All]),
+            query: Box::new(query_block(rng, depth - 1)),
+        },
+        6 => Predicate::IsNull { operand: scalar(rng), negated: rng.gen_bool(0.5) },
+        7 => Predicate::In {
+            operand: scalar(rng),
+            negated: rng.gen_bool(0.5),
+            rhs: InRhs::List((0..rng.gen_range(1usize..4)).map(|_| literal(rng)).collect()),
+        },
+        _ => Predicate::Quantified {
+            left: scalar(rng),
             op: compare_op(rng),
             quantifier: *rng.choose(&[Quantifier::Any, Quantifier::All]),
             query: Box::new(query_block(rng, depth - 1)),

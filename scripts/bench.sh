@@ -23,8 +23,10 @@
 # BENCH_pr7.json holds the exec-mode sweep (row vs vectorized at 1 and 4
 # worker threads per cell); counted page I/Os are byte-identical between
 # the modes by construction (see DESIGN.md "Vectorized execution"), so
-# the medians isolate kernel speedup. Acceptance reads the threads=1
-# medians of the vec-ni-type-J and vec-hash-join groups. BENCH_pr8.json
+# the medians isolate kernel speedup. Acceptance read the threads=1
+# medians of the vec-ni-type-J and vec-hash-join groups; the two vec-ni
+# groups are on file only (nested iteration's lane kernel is gone, see
+# EXPERIMENTS.md "One block plan, one kernel"). BENCH_pr8.json
 # holds the result-cache sweep (cache=off vs primed cache=on per cell);
 # counted page I/Os are byte-identical between the cells by construction
 # (an exact hit recharges the recorded page events; see DESIGN.md "Result

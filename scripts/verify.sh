@@ -143,8 +143,11 @@ fi
 echo "==> differential oracle check (release, 200 random cases per pipeline)"
 NSQL_DIFF_CASES=200 cargo run --release --offline -q -p nsql-bench --bin diffcheck
 
-echo "==> diff_prop smoke at a pinned seed (debug path, shrinker wired in)"
+echo "==> diff_prop smoke at two pinned seeds (debug path, shrinker wired in)"
 NSQL_TEST_SEED=0xd1ffc4ec NSQL_TEST_CASES=60 cargo test -q --offline --test diff_prop
+# Case 0 of this one holds a scalar subquery in an operand position, two
+# blocks deep (src/diff.rs pins that the seed still generates one).
+NSQL_TEST_SEED=0x9e4a100 NSQL_TEST_CASES=20 cargo test -q --offline --test diff_prop
 
 echo "==> batched_prop smoke (thread/backend I/O invariance + metamorphic mutations)"
 NSQL_TEST_SEED=0xba7c4ed0 NSQL_TEST_CASES=60 cargo test -q --offline --test batched_prop
@@ -161,8 +164,9 @@ RUSTFLAGS="-D warnings" cargo check -p nsql-testkit --all-targets --offline
 echo "==> hot-path crates carry no redundant clones (clippy)"
 # nsql-core is included for the rule engine and cost model: rule firings
 # clone plan fragments, and a redundant clone there multiplies per query.
+# nsql-sql is included for the child-block walker every crate calls.
 cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec -p nsql-cache \
-    -p nsql-core -p nsql-types \
+    -p nsql-core -p nsql-types -p nsql-sql \
     --all-targets --offline -- -D clippy::redundant_clone
 
 echo "==> bench smoke (3 samples per bench, results discarded)"

@@ -11,10 +11,10 @@
 //! interpreter to raise its error: a reference that is ambiguous in the
 //! inner block's own scope, and an outer reference that resolves nowhere.
 //!
-//! Per case: the row kernel agrees with the oracle (rows as bags, error
-//! presence), and all four of {row, lane kernel} × {1, 4 threads} agree
-//! with each other on rows in order, the error value, and the four storage
-//! counters.
+//! Per case: the serial run agrees with the oracle (rows as bags, error
+//! presence), and the 4-thread run agrees with the serial one on rows in
+//! order, the error value, and the four storage counters. (There is one
+//! kernel: the lane kernel this suite also used to cross-check is gone.)
 //!
 //! Replays and shrinks through the usual testkit machinery
 //! (`NSQL_TEST_SEED`, `NSQL_TEST_CASES`).
@@ -255,7 +255,7 @@ fn gen_case(rng: &mut Rng) -> Case {
 type Outcome = (Result<Relation, EngineError>, IoSnapshot);
 
 #[test]
-fn bound_blocks_agree_with_the_oracle_and_across_kernels_and_threads() {
+fn bound_blocks_agree_with_the_oracle_and_across_threads() {
     nsql_testkit::forall(250, "bind_once_vs_oracle", gen_case, |case| {
         let sql = case.sql();
         let q = parse_query(&sql).map_err(|e| format!("generated SQL must parse: {e}\n{sql}"))?;
@@ -269,24 +269,22 @@ fn bound_blocks_agree_with_the_oracle_and_across_kernels_and_threads() {
             provider.register(name, storage.store_relation(&rel));
             oracle.load(name, rel);
         }
-        let run = |vectorized: bool, threads: usize| -> Outcome {
+        let run = |threads: usize| -> Outcome {
             storage.clear_buffer();
             storage.reset_stats();
             let before = storage.io_snapshot();
-            let ni = NestedIter::new(&provider, storage.clone()).with_vectorized(vectorized);
+            let ni = NestedIter::new(&provider, storage.clone());
             let res = ni.eval_query_threads(&q, threads);
             (res, storage.io_snapshot().since(&before))
         };
 
-        let base = run(false, 1);
-        for (vectorized, threads) in [(false, 4), (true, 1), (true, 4)] {
-            let other = run(vectorized, threads);
-            if other != base {
-                return Err(format!(
-                    "vectorized={vectorized} threads={threads} diverged from the serial row \
-                     kernel\nsql: {sql}\nserial row: {base:?}\nother: {other:?}"
-                ));
-            }
+        let base = run(1);
+        let par = run(4);
+        if par != base {
+            return Err(format!(
+                "4 threads diverged from the serial run\nsql: {sql}\nserial: {base:?}\n\
+                 parallel: {par:?}"
+            ));
         }
 
         // The planted faults decline binding; what surfaces is the

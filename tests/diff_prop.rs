@@ -62,10 +62,9 @@ fn every_pipeline_agrees_with_the_oracle() {
             "index pipeline {ix} missing from the sweep"
         );
     }
-    // The vectorized pipelines must be in the sweep too: batch kernels and
-    // the per-binding memo must be semantically invisible on every case,
-    // serial and parallel, for both strategies.
-    for v in ["ni-vec", "ni-vec-par4", "tr-vec-cost", "tr-vec-hash"] {
+    // The vectorized transform pipelines must be in the sweep too: batch
+    // kernels must be semantically invisible on every case.
+    for v in ["tr-vec-cost", "tr-vec-hash"] {
         assert!(
             stats.iter().any(|s| s.name == v && s.compared + s.skipped > 0),
             "vectorized pipeline {v} missing from the sweep"
