@@ -1255,7 +1255,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         let (exprs, out_schema) = compile_projection(&schema, &q.select)?;
         let projector = Projector::new(&exprs);
         let mut rows: Vec<Tuple> =
-            rel.into_tuples().into_iter().map(|t| projector.apply(t)).collect();
+            rel.tuples().iter().map(|t| projector.apply_ref(t)).collect();
         if q.distinct || force_distinct {
             rows.sort_by(Tuple::total_cmp);
             rows.dedup();
@@ -1364,7 +1364,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         let slot_exprs: Vec<CExpr> = select_slots.iter().map(|&s| CExpr::Col(s)).collect();
         let projector = Projector::new(&slot_exprs);
         let mut rows: Vec<Tuple> =
-            grouped.into_tuples().into_iter().map(|t| projector.apply(t)).collect();
+            grouped.tuples().iter().map(|t| projector.apply_ref(t)).collect();
         if q.distinct || force_distinct {
             rows.sort_by(Tuple::total_cmp);
             rows.dedup();

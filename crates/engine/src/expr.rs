@@ -100,79 +100,27 @@ impl CExpr {
     }
 }
 
-/// A compiled projection list with a per-position move/clone plan.
-///
-/// Evaluating `[CExpr]` naively clones every projected value out of every
-/// input tuple. Most projections reference each input column at most once,
-/// so when the input tuple is *owned* the value can be moved out instead.
-/// `Projector` precomputes, per output position, whether it holds the last
-/// reference to its source column (move) or an earlier one (clone); literals
-/// are always cloned.
+/// A compiled projection list: one output value per expression, cloned
+/// out of the (shared, hence never consumable) input row.
 #[derive(Debug, Clone)]
 pub struct Projector {
-    steps: Vec<Step>,
-}
-
-#[derive(Debug, Clone)]
-enum Step {
-    /// Emit a constant.
-    Lit(Value),
-    /// Copy column `i` (referenced again later in the list).
-    Clone(usize),
-    /// Take column `i` (its last reference; valid only on owned input).
-    Move(usize),
+    exprs: Vec<CExpr>,
 }
 
 impl Projector {
     /// Plan a projection for `exprs`.
     pub fn new(exprs: &[CExpr]) -> Projector {
-        let mut steps: Vec<Step> = exprs
-            .iter()
-            .map(|e| match e {
-                CExpr::Lit(v) => Step::Lit(v.clone()),
-                CExpr::Col(i) => Step::Clone(*i),
-            })
-            .collect();
-        // Walk backwards; the first (rightmost) reference to each column
-        // becomes a move.
-        let mut moved = std::collections::HashSet::new();
-        for step in steps.iter_mut().rev() {
-            if let Step::Clone(i) = *step {
-                if moved.insert(i) {
-                    *step = Step::Move(i);
-                }
-            }
-        }
-        Projector { steps }
+        Projector { exprs: exprs.to_vec() }
     }
 
     /// Number of output columns.
     pub fn arity(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Project an owned tuple, moving each value out on its last use.
-    pub fn apply(&self, tuple: Tuple) -> Tuple {
-        let mut vals = tuple.into_values();
-        self.steps
-            .iter()
-            .map(|s| match s {
-                Step::Lit(v) => v.clone(),
-                Step::Clone(i) => vals[*i].clone(),
-                Step::Move(i) => std::mem::replace(&mut vals[*i], Value::Null),
-            })
-            .collect()
+        self.exprs.len()
     }
 
     /// Project a borrowed tuple, cloning only the projected columns.
     pub fn apply_ref(&self, tuple: &Tuple) -> Tuple {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                Step::Lit(v) => v.clone(),
-                Step::Clone(i) | Step::Move(i) => tuple.get(*i).clone(),
-            })
-            .collect()
+        self.exprs.iter().map(|e| e.eval(tuple).clone()).collect()
     }
 }
 
@@ -216,20 +164,18 @@ mod tests {
 
     #[test]
     fn projector_matches_naive_eval_with_repeated_columns() {
-        // Column 0 referenced twice: first use must clone, last may move.
         let exprs = [CExpr::Col(0), CExpr::Lit(Value::Int(7)), CExpr::Col(1), CExpr::Col(0)];
         let p = Projector::new(&exprs);
         let t = Tuple::new(vec![Value::str("left"), Value::Int(2)]);
         let want: Tuple = exprs.iter().map(|e| e.eval(&t).clone()).collect();
         assert_eq!(p.apply_ref(&t), want);
-        assert_eq!(p.apply(t), want);
         assert_eq!(p.arity(), 4);
     }
 
     #[test]
     fn projector_handles_empty_and_literal_only_lists() {
         let p = Projector::new(&[]);
-        assert_eq!(p.apply(Tuple::new(vec![Value::Int(1)])), Tuple::new(vec![]));
+        assert_eq!(p.apply_ref(&Tuple::new(vec![Value::Int(1)])), Tuple::new(vec![]));
         let p = Projector::new(&[CExpr::Lit(Value::Null)]);
         assert_eq!(p.apply_ref(&Tuple::new(vec![])), Tuple::new(vec![Value::Null]));
     }

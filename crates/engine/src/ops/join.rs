@@ -6,11 +6,12 @@ use crate::pred::CPred;
 use crate::Result;
 use nsql_sql::CompareOp;
 use nsql_storage::sort::SortKey;
-use nsql_storage::HeapFile;
+use nsql_storage::{HeapFile, Page, PageId, Storage};
 use nsql_types::{ColumnType, FxHashMap, FxHasher, Relation, Schema, Tuple};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering as AtomicOrdering;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One leading `Col(left) = Col(right)` conjunct of an ON predicate.
@@ -139,6 +140,42 @@ impl Candidates<'_> {
         let (first, rest) = list.split_first().expect("a head was just seen");
         *list = rest;
         Some(first.slot as usize)
+    }
+}
+
+/// Cursor over a heap file's tuples, in place on their buffered pages. It
+/// reads a page exactly when the [`HeapFile::scan`] it stands in for would
+/// under `Peekable`: on the first [`peek`](PageCursor::peek) after the
+/// previous page's last tuple was passed, never on
+/// [`advance`](PageCursor::advance).
+struct PageCursor<'a> {
+    storage: &'a Storage,
+    pages: &'a [PageId],
+    /// The page under the head; `slot` may be one past its last tuple.
+    page: Option<Arc<Page>>,
+    slot: usize,
+}
+
+impl<'a> PageCursor<'a> {
+    fn new(storage: &'a Storage, file: &'a HeapFile) -> PageCursor<'a> {
+        PageCursor { storage, pages: file.page_ids(), page: None, slot: 0 }
+    }
+
+    /// The head tuple, fetching the next non-empty page if the head has
+    /// moved off the current one; `None` at the end of the file.
+    fn peek(&mut self) -> Option<&Tuple> {
+        while self.page.as_ref().is_none_or(|p| self.slot >= p.len()) {
+            let (&id, rest) = self.pages.split_first()?;
+            self.pages = rest;
+            self.page = Some(self.storage.read_page(id));
+            self.slot = 0;
+        }
+        self.page.as_ref().map(|p| &p.tuples()[self.slot])
+    }
+
+    /// Pass the head tuple (which a `peek` has returned). No I/O.
+    fn advance(&mut self) {
+        self.slot += 1;
     }
 }
 
@@ -361,61 +398,51 @@ impl Exec {
             (self.sort(right, &rsort, false), true)
         };
 
+        // Key columns are compared where the tuples lie on their buffered
+        // pages; only group members (a reference-count bump each) and
+        // emitted rows leave them.
+        let key_order = |a: &Tuple, a_keys: &[usize], b: &Tuple, b_keys: &[usize]| {
+            a_keys
+                .iter()
+                .zip(b_keys)
+                .map(|(&i, &j)| a.get(i).total_cmp(b.get(j)))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        };
         let right_arity = right.schema().arity();
         let mut out = Vec::new();
-        let liter = lfile.scan(&self.storage).peekable();
-        // Decorate–merge: extract each right tuple's key exactly once as it
-        // comes off the scan, instead of re-projecting on every comparison.
-        let mut riter = rfile
-            .scan(&self.storage)
-            .map(|rt| (rt.project(right_keys), rt))
-            .peekable();
-        // Current right group: consecutive right tuples sharing a key.
+        let mut lcur = PageCursor::new(&self.storage, &lfile);
+        let mut rcur = PageCursor::new(&self.storage, &rfile);
+        // Current right group: consecutive right tuples sharing a key, and
+        // the left tuple whose key gathered them (`None`: no group).
         let mut group: Vec<Tuple> = Vec::new();
-        let mut group_key: Option<Tuple> = None;
+        let mut group_of: Option<Tuple> = None;
 
-        for lt in liter {
-            // Advance the right side until its key >= left key, refreshing
-            // the buffered group when we land on equality.
-            let lkey = lt.project(left_keys);
-            let need_new_group = match &group_key {
-                Some(k) => k.total_cmp(&lkey) != Ordering::Equal,
-                None => true,
-            };
-            if need_new_group {
-                // Skip right tuples with smaller keys.
-                while let Some((rkey, _)) = riter.peek() {
-                    if rkey.total_cmp(&lkey) == Ordering::Less {
-                        riter.next();
-                    } else {
-                        break;
-                    }
+        while let Some(lt) = lcur.peek() {
+            let same_group = group_of
+                .as_ref()
+                .is_some_and(|g| key_order(g, left_keys, lt, left_keys).is_eq());
+            if !same_group {
+                // Advance the right side until its key >= left key, then
+                // gather the tuples that land on equality.
+                let vs_left = |rt: &Tuple| key_order(rt, right_keys, lt, left_keys);
+                while rcur.peek().is_some_and(|rt| vs_left(rt).is_lt()) {
+                    rcur.advance();
                 }
                 group.clear();
-                group_key = None;
-                if riter
-                    .peek()
-                    .is_some_and(|(rkey, _)| rkey.total_cmp(&lkey) == Ordering::Equal)
-                {
-                    group_key = Some(lkey.clone());
-                    while let Some((rkey, _)) = riter.peek() {
-                        if rkey.total_cmp(&lkey) == Ordering::Equal {
-                            group.push(riter.next().expect("peek just returned Some").1);
-                        } else {
-                            break;
-                        }
-                    }
+                while let Some(rt) = rcur.peek().filter(|rt| vs_left(rt).is_eq()) {
+                    group.push(rt.clone());
+                    rcur.advance();
                 }
+                group_of = (!group.is_empty()).then(|| lt.clone());
             }
             // NULL keys never join (SQL equality is unknown on NULL).
-            let key_has_null = lkey.values().iter().any(nsql_types::Value::is_null);
+            let key_has_null = left_keys.iter().any(|&i| lt.get(i).is_null());
             let mut matched = false;
-            if !key_has_null
-                && group_key.as_ref().is_some_and(|k| k.total_cmp(&lkey) == Ordering::Equal)
-            {
+            if !key_has_null && group_of.is_some() {
                 for rt in &group {
                     let ok = match residual {
-                        Some(p) => p.accepts_row(&Joined::new(&lt, rt))?,
+                        Some(p) => p.accepts_row(&Joined::new(lt, rt))?,
                         None => true,
                     };
                     if ok {
@@ -427,6 +454,7 @@ impl Exec {
             if !matched && kind == JoinKind::LeftOuter {
                 out.push(lt.join_nulls(right_arity));
             }
+            lcur.advance();
         }
 
         if l_temp {
@@ -443,7 +471,6 @@ impl Exec {
 mod tests {
     use super::super::test_util::*;
     use super::*;
-    use nsql_storage::Storage;
     use nsql_sql::parse_query;
 
     fn exec() -> Exec {

@@ -1,10 +1,12 @@
 //! Property tests: the three join algorithms agree with each other on
 //! random inputs (including NULL keys, duplicates, and empty sides), for
-//! both inner and left-outer joins; and the key-indexed nested-loop kernel
-//! is indistinguishable from the pair-scanning loop it replaced.
+//! both inner and left-outer joins; the key-indexed nested-loop kernel is
+//! indistinguishable from the pair-scanning loop it replaced; and the
+//! in-place merge join from the scan–clone–project one it replaced.
 
 use nsql_engine::{CPred, EngineError, Exec, JoinKind, Joined};
 use nsql_sql::parse_query;
+use nsql_storage::sort::SortKey;
 use nsql_storage::{HeapFile, IoSnapshot, Storage, TraceEvent};
 use nsql_testkit::{forall, prop_assert, prop_assert_eq, Rng};
 use nsql_types::{Column, ColumnType, Schema, Tuple, Value};
@@ -324,31 +326,22 @@ struct Observed {
     resident: Vec<bool>,
 }
 
+/// Build the two files on a fresh `pool`-frame storage, run `join` over
+/// them and collect what it leaves observable.
 fn observe(
     left: &[RowCodes],
     right: &[RowCodes],
-    shape: &str,
-    kind: JoinKind,
     pool: usize,
-    indexed: bool,
+    join: impl FnOnce(&Storage, &HeapFile, &HeapFile) -> Result<Vec<Tuple>, EngineError>,
 ) -> Observed {
     // 40-byte pages hold one or two of these tuples, so a handful of rows
     // spans more pages than the small pools and fewer than the large one.
     let st = Storage::new(pool, 40);
     let l = mixed_file(&st, "L", ColumnType::Int, ColumnType::Float, left);
     let r = mixed_file(&st, "R", ColumnType::Float, ColumnType::Int, right);
-    let combined = l.schema().join(r.schema());
-    let q = parse_query(&format!("SELECT L.V FROM L, R WHERE {shape}")).unwrap();
-    let on = CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap();
     let before = st.io_snapshot();
     st.start_recording();
-    let result = if indexed {
-        Exec::new(st.clone())
-            .nl_join_collect(&l, &r, &on, kind)
-            .map(|rel| rel.tuples().to_vec())
-    } else {
-        pair_scan_oracle(&st, &l, &r, &on, kind)
-    };
+    let result = join(&st, &l, &r);
     let events = st.take_recording();
     let io = st.io_snapshot().since(&before);
     let resident =
@@ -359,6 +352,30 @@ fn observe(
         events,
         resident,
     }
+}
+
+fn compile_on(l: &HeapFile, r: &HeapFile, cond: &str) -> CPred {
+    let combined = l.schema().join(r.schema());
+    let q = parse_query(&format!("SELECT L.V FROM L, R WHERE {cond}")).unwrap();
+    CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap()
+}
+
+fn observe_nl(
+    left: &[RowCodes],
+    right: &[RowCodes],
+    shape: &str,
+    kind: JoinKind,
+    pool: usize,
+    indexed: bool,
+) -> Observed {
+    observe(left, right, pool, |st, l, r| {
+        let on = compile_on(l, r, shape);
+        if indexed {
+            Exec::new(st.clone()).nl_join_collect(l, r, &on, kind).map(|rel| rel.tuples().to_vec())
+        } else {
+            pair_scan_oracle(st, l, r, &on, kind)
+        }
+    })
 }
 
 #[test]
@@ -379,12 +396,194 @@ fn indexed_nl_join_is_indistinguishable_from_pair_scan() {
         |(left, right, shape, outer, pool)| {
             let shape = SHAPES[*shape % SHAPES.len()];
             let kind = if *outer { JoinKind::LeftOuter } else { JoinKind::Inner };
-            let want = observe(left, right, shape, kind, *pool, false);
-            let got = observe(left, right, shape, kind, *pool, true);
+            let want = observe_nl(left, right, shape, kind, *pool, false);
+            let got = observe_nl(left, right, shape, kind, *pool, true);
             prop_assert_eq!(got.result, want.result, "{shape} {kind:?} B={pool}");
             prop_assert_eq!(got.io, want.io, "{shape} {kind:?} B={pool}");
             prop_assert_eq!(got.events, want.events, "{shape} {kind:?} B={pool}");
             prop_assert_eq!(got.resident, want.resident, "{shape} {kind:?} B={pool}");
+            Ok(())
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
+// In-place merge join vs. the scan–clone–project one it replaced.
+// ---------------------------------------------------------------------
+
+/// The merge join as it was before rows were shared, moved here verbatim
+/// (`self.sort` spelled `e.sort`): both inputs deep-cloned off their pages
+/// by a `HeapScan`, the right one under `Peekable`, a projected key tuple
+/// per tuple on either side. This is the reference the kernel in
+/// `ops/join.rs` must be indistinguishable from — rows, order, error,
+/// counters, page-event sequence and residency.
+#[allow(clippy::too_many_arguments)]
+fn scan_clone_merge_oracle(
+    e: &Exec,
+    left: &HeapFile,
+    right: &HeapFile,
+    left_keys: &[usize],
+    right_keys: &[usize],
+    residual: Option<&CPred>,
+    kind: JoinKind,
+    left_presorted: bool,
+    right_presorted: bool,
+) -> Result<Vec<Tuple>, EngineError> {
+    use std::cmp::Ordering;
+    let storage = e.storage();
+    assert_eq!(left_keys.len(), right_keys.len(), "key lists must pair up");
+    let lsort: Vec<SortKey> = left_keys.iter().map(|&i| SortKey::asc(i)).collect();
+    let rsort: Vec<SortKey> = right_keys.iter().map(|&i| SortKey::asc(i)).collect();
+    let (lfile, l_temp) = if left_presorted {
+        (left.clone(), false)
+    } else {
+        (e.sort(left, &lsort, false), true)
+    };
+    let (rfile, r_temp) = if right_presorted {
+        (right.clone(), false)
+    } else {
+        (e.sort(right, &rsort, false), true)
+    };
+
+    let right_arity = right.schema().arity();
+    let mut out = Vec::new();
+    let liter = lfile.scan(storage).peekable();
+    // Decorate–merge: extract each right tuple's key exactly once as it
+    // comes off the scan, instead of re-projecting on every comparison.
+    let mut riter = rfile
+        .scan(storage)
+        .map(|rt| (rt.project(right_keys), rt))
+        .peekable();
+    // Current right group: consecutive right tuples sharing a key.
+    let mut group: Vec<Tuple> = Vec::new();
+    let mut group_key: Option<Tuple> = None;
+
+    for lt in liter {
+        // Advance the right side until its key >= left key, refreshing
+        // the buffered group when we land on equality.
+        let lkey = lt.project(left_keys);
+        let need_new_group = match &group_key {
+            Some(k) => k.total_cmp(&lkey) != Ordering::Equal,
+            None => true,
+        };
+        if need_new_group {
+            // Skip right tuples with smaller keys.
+            while let Some((rkey, _)) = riter.peek() {
+                if rkey.total_cmp(&lkey) == Ordering::Less {
+                    riter.next();
+                } else {
+                    break;
+                }
+            }
+            group.clear();
+            group_key = None;
+            if riter
+                .peek()
+                .is_some_and(|(rkey, _)| rkey.total_cmp(&lkey) == Ordering::Equal)
+            {
+                group_key = Some(lkey.clone());
+                while let Some((rkey, _)) = riter.peek() {
+                    if rkey.total_cmp(&lkey) == Ordering::Equal {
+                        group.push(riter.next().expect("peek just returned Some").1);
+                    } else {
+                        break;
+                    }
+                }
+            }
+        }
+        // NULL keys never join (SQL equality is unknown on NULL).
+        let key_has_null = lkey.values().iter().any(nsql_types::Value::is_null);
+        let mut matched = false;
+        if !key_has_null
+            && group_key.as_ref().is_some_and(|k| k.total_cmp(&lkey) == Ordering::Equal)
+        {
+            for rt in &group {
+                let ok = match residual {
+                    Some(p) => p.accepts_row(&Joined::new(&lt, rt))?,
+                    None => true,
+                };
+                if ok {
+                    matched = true;
+                    out.push(lt.join(rt));
+                }
+            }
+        }
+        if !matched && kind == JoinKind::LeftOuter {
+            out.push(lt.join_nulls(right_arity));
+        }
+    }
+
+    if l_temp {
+        lfile.drop_pages(storage);
+    }
+    if r_temp {
+        rfile.drop_pages(storage);
+    }
+    Ok(out)
+}
+
+/// Key cells for the merge join: `NULL`s, the zeros, Int/Float twins, NaN
+/// and the off-class string — everything in [`cell`] except the integers
+/// that collide only after rounding to `f64`, under which the total order
+/// the sort relies on is not transitive.
+fn key_code(rng: &mut Rng) -> u8 {
+    if rng.gen_bool(0.15) {
+        0
+    } else {
+        *rng.choose(&[1, 2, 3, 4, 5, 6, 6, 6, 7, 8, 9])
+    }
+}
+
+fn merge_rows(rng: &mut Rng, max: usize) -> Vec<RowCodes> {
+    let n = rng.gen_range(0usize..max);
+    (0..n).map(|_| (key_code(rng), key_code(rng), cell_code(rng, 0.06))).collect()
+}
+
+/// Residuals over `L ++ R`; the last two raise a typed error on a string.
+const RESIDUALS: &[Option<&str>] =
+    &[None, Some("L.K2 = R.K2"), Some("L.V < R.V"), Some("L.V <> R.V AND L.S = R.S")];
+
+#[test]
+fn merge_join_is_indistinguishable_from_scan_clone_merge() {
+    forall(
+        600,
+        "merge_join_is_indistinguishable_from_scan_clone_merge",
+        |rng| {
+            (
+                merge_rows(rng, 14),
+                merge_rows(rng, 18),
+                (rng.gen_bool(0.5), rng.gen_bool(0.3)),
+                rng.gen_range(0usize..RESIDUALS.len()),
+                // Presorted flags: set, the files are merged as they lie,
+                // sorted or not — the two kernels must still agree.
+                (rng.gen_bool(0.25), rng.gen_bool(0.25)),
+                *rng.choose(&[2usize, 5, 64]),
+            )
+        },
+        |(left, right, (outer, two_keys), residual, (lsorted, rsorted), pool)| {
+            let kind = if *outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+            let keys: &[usize] = if *two_keys { &[0, 1] } else { &[0] };
+            let residual = RESIDUALS[*residual % RESIDUALS.len()];
+            let run = |in_place: bool| {
+                observe(left, right, *pool, |st, l, r| {
+                    let e = Exec::new(st.clone());
+                    let res = residual.map(|cond| compile_on(l, r, cond));
+                    if in_place {
+                        e.merge_join_collect(l, r, keys, keys, res.as_ref(), kind, *lsorted, *rsorted)
+                            .map(|rel| rel.tuples().to_vec())
+                    } else {
+                        scan_clone_merge_oracle(
+                            &e, l, r, keys, keys, res.as_ref(), kind, *lsorted, *rsorted,
+                        )
+                    }
+                })
+            };
+            let (want, got) = (run(false), run(true));
+            let at = format!("{kind:?} keys={keys:?} residual={residual:?} B={pool}");
+            prop_assert_eq!(&got.result, &want.result, "{at}");
+            prop_assert_eq!(got.io, want.io, "{at}");
+            prop_assert_eq!(&got.events, &want.events, "{at}");
+            prop_assert_eq!(&got.resident, &want.resident, "{at}");
             Ok(())
         },
     );

@@ -24,7 +24,13 @@
 //!
 //! Pages hold decoded [`Tuple`]s rather than serialized bytes: the unit under
 //! study is the *I/O count*, not the byte encoding, and every algorithm in
-//! the paper is insensitive to the on-page layout.
+//! the paper is insensitive to the on-page layout. A [`Tuple`] is a shared
+//! immutable row, so a page never gives up a copy: a scan hands out
+//! reference-count bumps, the sort and the merge join compare tuples where
+//! they lie on the page, and a row written to a run, a temporary table or a
+//! result is the allocation it was loaded as. What is *counted* is the page
+//! fetch, and a kernel that works on a page in place must still fetch it
+//! exactly when the scan it replaces would have (DESIGN.md, I/O accounting).
 
 pub mod buffer;
 pub mod disk;

@@ -5,13 +5,19 @@
 //! each in memory, and writes initial runs; every subsequent pass merges up
 //! to `B−1` runs. All reads bypass the buffer pool (the sort owns the
 //! buffer while it runs, as in System R), so measured I/O matches the model.
+//!
+//! Rows are shared ([`Tuple`] is a reference-counted slice), so the sort
+//! never copies one: pass 0 sorts *references* to the tuples where they lie
+//! on the chunk's pages, the merge compares the heads of its runs in place
+//! on theirs, and what either writes out is a reference-count bump per row.
 
+use crate::disk::{Page, PageId};
 use crate::heap::HeapFile;
 use crate::Storage;
 use nsql_exec_par::{run_workers, Morsels};
-use nsql_types::Tuple;
+use nsql_types::{Tuple, Value};
 use std::cmp::Ordering;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One sort key: tuple field index plus direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,25 +52,18 @@ pub fn compare(a: &Tuple, b: &Tuple, keys: &[SortKey]) -> Ordering {
     Ordering::Equal
 }
 
-/// Compare two already-extracted key tuples, position `j` reversed when
-/// `desc[j]`. The decorated counterpart of [`compare`].
-fn key_cmp(a: &Tuple, b: &Tuple, desc: &[bool]) -> Ordering {
-    for (j, &d) in desc.iter().enumerate() {
-        let o = a.get(j).total_cmp(b.get(j));
-        let o = if d { o.reverse() } else { o };
-        if o != Ordering::Equal {
-            return o;
-        }
-    }
-    Ordering::Equal
-}
-
 /// Sort `input` into a new heap file using an external (B−1)-way merge sort.
 ///
 /// With `unique`, exact-duplicate tuples (whole-tuple comparison in the
 /// total order) are eliminated during run generation and merging — this is
 /// how NEST-JA2's `SELECT DISTINCT` projection of the outer join column and
-/// the merge-join's duplicate removal are implemented.
+/// the merge-join's duplicate removal are implemented. A `unique` sort
+/// orders by the **whole tuple, every field ascending**, and never looks at
+/// `keys` (equal rows must become adjacent everywhere); `keys` must
+/// therefore be empty or spell a prefix of that order, `asc(0), asc(1), ..`.
+///
+/// Without `unique` the sort is stable: tuples with equal keys keep their
+/// order in `input`.
 ///
 /// The input file is left intact; callers that no longer need it should
 /// [`HeapFile::drop_pages`] it.
@@ -95,88 +94,50 @@ pub fn external_sort_threads(
     unique: bool,
     threads: usize,
 ) -> HeapFile {
+    debug_assert!(
+        !unique || keys.iter().enumerate().all(|(i, k)| *k == SortKey::asc(i)),
+        "a unique sort orders by the whole tuple ascending; {keys:?} would be ignored"
+    );
     let b = storage.buffer_pages().max(2);
-    // Decorate–sort–undecorate: each tuple's key fields are extracted into a
-    // small key tuple exactly once (per pass), so comparisons — of which
-    // there are Θ(N·log N) — never re-index through the `SortKey` list. In
-    // `unique` mode the whole tuple is its own key (whole-tuple ordering so
-    // equal rows become adjacent everywhere) and no decoration is needed at
-    // all: runs compare via [`Tuple::total_cmp`], which is exactly the
-    // all-fields-ascending order the old key list spelled out.
-    let key_idx: Vec<usize> = keys.iter().map(|k| k.index).collect();
-    let desc: Vec<bool> = keys.iter().map(|k| k.desc).collect();
+    let cmp = |x: &Tuple, y: &Tuple| if unique { x.total_cmp(y) } else { compare(x, y, keys) };
 
-    // Sort one pass-0 chunk in memory (CPU only, no I/O).
-    let sort_chunk = |mut chunk: Vec<Tuple>| -> Vec<Tuple> {
+    // Pass 0: one sorted run per chunk of up to `b` pages. Reading and
+    // sorting a chunk is `sorted_chunk`; a chunk without tuples leaves no run.
+    let chunks: Vec<&[PageId]> = input.page_ids().chunks(b).collect();
+    // A unique sort's first key is field 0 ascending, if the tuples have one.
+    let first = if unique { Some(SortKey::asc(0)) } else { keys.first().copied() };
+    let sorted_chunk = |span: &[PageId]| -> Vec<Tuple> {
+        let pages: Vec<Arc<Page>> = span.iter().map(|&id| storage.read_page_direct(id)).collect();
+        let mut rows = sort_rows(&pages, first, cmp);
         if unique {
-            chunk.sort_by(Tuple::total_cmp);
-            chunk.dedup();
-            chunk
-        } else {
-            let mut dec: Vec<(Tuple, Tuple)> =
-                chunk.into_iter().map(|t| (t.project(&key_idx), t)).collect();
-            dec.sort_by(|x, y| key_cmp(&x.0, &y.0, &desc));
-            dec.into_iter().map(|(_, t)| t).collect()
+            rows.dedup();
         }
+        rows
     };
-
-    // Pass 0: produce sorted runs of up to `b` pages each.
-    let page_ids = input.page_ids();
-    let n_chunks = page_ids.len().div_ceil(b);
-    let mut runs: Vec<HeapFile> = Vec::new();
-    if threads > 1 && n_chunks > 1 {
-        // Read + sort chunks in parallel; chunk boundaries match serial.
-        let sorted: Vec<Mutex<Option<Vec<Tuple>>>> =
-            (0..n_chunks).map(|_| Mutex::new(None)).collect();
-        let morsels = Morsels::new(n_chunks, 1);
-        run_workers(threads.min(n_chunks), |_w| {
+    let write_run = |rows: Vec<Tuple>| {
+        (!rows.is_empty()).then(|| HeapFile::from_tuples(storage, input.schema().clone(), rows))
+    };
+    let mut runs: Vec<HeapFile> = if threads > 1 && chunks.len() > 1 {
+        // Read + sort chunks in parallel, then write the runs serially in
+        // chunk order: deterministic run page ids and run order, identical
+        // to the serial pass.
+        let sorted: Vec<Mutex<Vec<Tuple>>> = chunks.iter().map(|_| Mutex::default()).collect();
+        let morsels = Morsels::new(chunks.len(), 1);
+        run_workers(threads.min(chunks.len()), |_w| {
             while let Some(range) = morsels.claim() {
                 for c in range {
-                    let span = &page_ids[c * b..((c + 1) * b).min(page_ids.len())];
-                    let mut chunk: Vec<Tuple> = Vec::new();
-                    for &pid in span {
-                        chunk.extend(storage.read_page_direct(pid).tuples().iter().cloned());
-                    }
-                    let out = sort_chunk(chunk);
-                    *sorted[c].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+                    *sorted[c].lock().unwrap_or_else(PoisonError::into_inner) =
+                        sorted_chunk(chunks[c]);
                 }
             }
         });
-        // Write runs serially, in chunk order: deterministic run page ids
-        // and run order, identical to the serial pass.
-        for slot in sorted {
-            let tuples = slot
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every chunk was claimed by a worker");
-            if !tuples.is_empty() {
-                runs.push(HeapFile::from_tuples(storage, input.schema().clone(), tuples));
-            }
-        }
+        sorted
+            .into_iter()
+            .filter_map(|slot| write_run(slot.into_inner().unwrap_or_else(PoisonError::into_inner)))
+            .collect()
     } else {
-        let mut chunk: Vec<Tuple> = Vec::new();
-        let mut pages_in_chunk = 0usize;
-        let flush = |chunk: &mut Vec<Tuple>, runs: &mut Vec<HeapFile>| {
-            if chunk.is_empty() {
-                return;
-            }
-            runs.push(HeapFile::from_tuples(
-                storage,
-                input.schema().clone(),
-                sort_chunk(std::mem::take(chunk)),
-            ));
-        };
-        for &page_id in page_ids {
-            let page = storage.read_page_direct(page_id);
-            chunk.extend(page.tuples().iter().cloned());
-            pages_in_chunk += 1;
-            if pages_in_chunk == b {
-                flush(&mut chunk, &mut runs);
-                pages_in_chunk = 0;
-            }
-        }
-        flush(&mut chunk, &mut runs);
-    }
+        chunks.iter().filter_map(|span| write_run(sorted_chunk(span))).collect()
+    };
 
     if runs.is_empty() {
         return HeapFile::from_tuples(storage, input.schema().clone(), Vec::new());
@@ -187,11 +148,7 @@ pub fn external_sort_threads(
     while runs.len() > 1 {
         let mut next: Vec<HeapFile> = Vec::new();
         for group in runs.chunks(fan_in) {
-            let merged = if unique {
-                merge_runs_unique(storage, group, input)
-            } else {
-                merge_runs(storage, group, &key_idx, &desc, input)
-            };
+            let merged = merge_runs(storage, group, input, unique, cmp);
             for r in group {
                 r.drop_pages(storage);
             }
@@ -202,98 +159,138 @@ pub fn external_sort_threads(
     runs.pop().expect("at least one run")
 }
 
-/// Merge sorted runs, heads decorated with their extracted key so the
-/// per-output linear scan over candidates compares pre-built key tuples.
+/// Order-preserving fixed-width image of a first-key value: `(rank, n)`
+/// compares as [`Value::total_cmp`] does on `NULL`s, integers and dates.
+/// `None` for the other kinds — a `Float` in particular compares with an
+/// `Int` after rounding it to `f64`, which no image of the `Int` alone
+/// reproduces.
+fn key_prefix(v: &Value) -> Option<(u8, i64)> {
+    match v {
+        Value::Null => Some((0, 0)),
+        Value::Int(i) => Some((1, *i)),
+        Value::Date(d) => {
+            Some((2, i64::from(d.year()) * 10_000 + i64::from(d.month()) * 100 + i64::from(d.day())))
+        }
+        _ => None,
+    }
+}
+
+/// The tuples of one pass-0 chunk in sorted order (stable; CPU only). What
+/// is sorted is a reference to each tuple on its page, decorated — when
+/// every value of the `first` key in the chunk has a [`key_prefix`] — with
+/// that prefix, so most comparisons are two integer compares and only
+/// prefix ties go on to `cmp`. Otherwise `cmp` decides alone.
+fn sort_rows(
+    pages: &[Arc<Page>],
+    first: Option<SortKey>,
+    cmp: impl Fn(&Tuple, &Tuple) -> Ordering,
+) -> Vec<Tuple> {
+    let rows = || pages.iter().flat_map(|p| p.tuples());
+    let decorated: Option<Vec<((u8, i64), &Tuple)>> = first.and_then(|k| {
+        rows().map(|t| Some((key_prefix(t.values().get(k.index)?)?, t))).collect()
+    });
+    match decorated {
+        Some(mut dec) => {
+            let desc = first.is_some_and(|k| k.desc);
+            dec.sort_by(|(px, x), (py, y)| {
+                let o = if desc { py.cmp(px) } else { px.cmp(py) };
+                o.then_with(|| cmp(x, y))
+            });
+            dec.into_iter().map(|(_, t)| t.clone()).collect()
+        }
+        None => {
+            let mut refs: Vec<&Tuple> = rows().collect();
+            refs.sort_by(|x, y| cmp(x, y));
+            refs.into_iter().cloned().collect()
+        }
+    }
+}
+
+/// Cursor over one run's tuples, in place on the run's pages. Like the
+/// direct [`HeapFile::scan_direct`] it stands in for, it always holds its
+/// head: opening it reads the first page, and advancing past the last tuple
+/// of a page reads the next page at once.
+struct RunCursor<'a> {
+    storage: &'a Storage,
+    pages: &'a [PageId],
+    /// The page under the head and the head's slot on it; `None` at the end.
+    at: Option<(Arc<Page>, usize)>,
+}
+
+impl<'a> RunCursor<'a> {
+    fn open(storage: &'a Storage, run: &'a HeapFile) -> RunCursor<'a> {
+        let mut c = RunCursor { storage, pages: run.page_ids(), at: None };
+        c.next_page();
+        c
+    }
+
+    fn head(&self) -> Option<&Tuple> {
+        self.at.as_ref().map(|(page, slot)| &page.tuples()[*slot])
+    }
+
+    fn advance(&mut self) {
+        match &mut self.at {
+            Some((page, slot)) if *slot + 1 < page.len() => *slot += 1,
+            _ => self.next_page(),
+        }
+    }
+
+    /// Move to the first tuple of the next non-empty page.
+    fn next_page(&mut self) {
+        self.at = None;
+        while let Some((&id, rest)) = self.pages.split_first() {
+            self.pages = rest;
+            let page = self.storage.read_page_direct(id);
+            if !page.is_empty() {
+                self.at = Some((page, 0));
+                return;
+            }
+        }
+    }
+}
+
+/// Merge sorted runs under `cmp`, the lower run winning ties; with `unique`,
+/// exact duplicates are dropped.
+///
+/// Dedup is a one-element delay line: the previous winner is *held back*,
+/// each new winner is compared against it, and only on inequality is the
+/// held tuple released downstream. (The delay is observable — a run page is
+/// read before the output page its held tuple closes is written — so it is
+/// part of the sort's recorded I/O sequence.)
 fn merge_runs(
     storage: &Storage,
     runs: &[HeapFile],
-    key_idx: &[usize],
-    desc: &[bool],
     input: &HeapFile,
+    unique: bool,
+    cmp: impl Fn(&Tuple, &Tuple) -> Ordering,
 ) -> HeapFile {
-    let mut iters: Vec<crate::heap::HeapScan> =
-        runs.iter().map(|r| r.scan_direct(storage)).collect();
-    let mut heads: Vec<Option<(Tuple, Tuple)>> = iters
-        .iter_mut()
-        .map(|it| it.next().map(|t| (t.project(key_idx), t)))
-        .collect();
-    let merged = std::iter::from_fn(move || {
-        let mut best: Option<usize> = None;
-        for i in 0..heads.len() {
-            if heads[i].is_none() {
-                continue;
+    let mut cursors: Vec<RunCursor> = runs.iter().map(|r| RunCursor::open(storage, r)).collect();
+    let mut pending: Option<Tuple> = None;
+    let merged = std::iter::from_fn(|| loop {
+        let mut best: Option<(usize, &Tuple)> = None;
+        for (i, c) in cursors.iter().enumerate() {
+            let Some(t) = c.head() else { continue };
+            if best.is_none_or(|(_, b)| cmp(t, b) == Ordering::Less) {
+                best = Some((i, t));
             }
-            best = match best {
-                None => Some(i),
-                Some(j) => {
-                    let (ki, kj) = (
-                        &heads[i].as_ref().expect("checked above").0,
-                        &heads[j].as_ref().expect("best is non-empty").0,
-                    );
-                    if key_cmp(ki, kj, desc) == Ordering::Less {
-                        Some(i)
-                    } else {
-                        Some(j)
-                    }
-                }
-            };
         }
-        let i = best?;
-        let (_, t) = heads[i].take().expect("best is non-empty");
-        heads[i] = iters[i].next().map(|t| (t.project(key_idx), t));
-        Some(t)
+        let Some((i, t)) = best else {
+            return pending.take(); // release the final held tuple
+        };
+        let w = t.clone();
+        cursors[i].advance();
+        if !unique {
+            return Some(w);
+        }
+        if pending.as_ref() == Some(&w) {
+            continue; // duplicate of the held tuple
+        }
+        // The first winner is only held; later ones release their predecessor.
+        if let Some(out) = pending.replace(w) {
+            return Some(out);
+        }
     });
     HeapFile::from_tuples(storage, input.schema().clone(), merged)
-}
-
-/// Merge sorted runs under whole-tuple order, dropping exact duplicates.
-///
-/// Dedup is a clone-free one-element delay line: the previous winner is
-/// *held back* rather than copied, each new winner is compared against it,
-/// and only on inequality is the held tuple released downstream.
-fn merge_runs_unique(storage: &Storage, runs: &[HeapFile], input: &HeapFile) -> HeapFile {
-    let mut iters: Vec<crate::heap::HeapScan> =
-        runs.iter().map(|r| r.scan_direct(storage)).collect();
-    let mut heads: Vec<Option<Tuple>> = iters.iter_mut().map(Iterator::next).collect();
-    let mut pending: Option<Tuple> = None;
-    let deduped = std::iter::from_fn(move || {
-        loop {
-            let mut best: Option<usize> = None;
-            for i in 0..heads.len() {
-                if heads[i].is_none() {
-                    continue;
-                }
-                best = match best {
-                    None => Some(i),
-                    Some(j) => {
-                        let (ti, tj) = (
-                            heads[i].as_ref().expect("checked above"),
-                            heads[j].as_ref().expect("best is non-empty"),
-                        );
-                        if ti.total_cmp(tj) == Ordering::Less {
-                            Some(i)
-                        } else {
-                            Some(j)
-                        }
-                    }
-                };
-            }
-            let Some(i) = best else {
-                return pending.take(); // release the final held tuple
-            };
-            let w = heads[i].take().expect("best is non-empty");
-            heads[i] = iters[i].next();
-            if pending.as_ref() == Some(&w) {
-                continue; // duplicate of the held tuple
-            }
-            let out = pending.replace(w);
-            if out.is_some() {
-                return out;
-            }
-            // First winner: hold it, keep looking for something to emit.
-        }
-    });
-    HeapFile::from_tuples(storage, input.schema().clone(), deduped)
 }
 
 #[cfg(test)]

@@ -3,17 +3,24 @@
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
-/// A row of values. Wraps `Vec<Value>` with relational helpers.
+/// A row of values with relational helpers.
+///
+/// A row never changes once built, so it is a shared immutable slice:
+/// `clone()` is a reference-count bump, and a row scanned off a page, held
+/// in a sort run, buffered in a join group and delivered in a result is one
+/// allocation throughout. `Debug`, `Hash` and `Eq` are those of the value
+/// list.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
     /// Build a tuple from values.
     pub fn new(values: Vec<Value>) -> Tuple {
-        Tuple { values }
+        Tuple { values: values.into() }
     }
 
     /// The values in order.
@@ -50,7 +57,7 @@ impl Tuple {
 
     /// Project onto the given field indices.
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple::new(indices.iter().map(|&i| self.values[i].clone()).collect())
+        indices.iter().map(|&i| self.values[i].clone()).collect()
     }
 
     /// Compare two tuples field-wise on the given key indices using the
@@ -84,11 +91,6 @@ impl Tuple {
     pub fn storage_width(&self) -> usize {
         2 + self.values.iter().map(Value::storage_width).sum::<usize>()
     }
-
-    /// Consume into the underlying values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -106,7 +108,7 @@ impl From<Vec<Value>> for Tuple {
 
 impl FromIterator<Value> for Tuple {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Tuple::new(iter.into_iter().collect())
+        Tuple { values: iter.into_iter().collect() }
     }
 }
 

@@ -106,14 +106,21 @@ impl Value {
     /// does not arise in well-typed plans but keeps sorting total).
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
+        // The class table of `sql_cmp` again rather than a call to it: a
+        // cross-class pair must fall through to the ranks without an
+        // `Incomparable` error (two `String`s) being built and dropped.
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Null, _) => Ordering::Less,
             (_, Null) => Ordering::Greater,
-            _ => match self.sql_cmp(other) {
-                Ok(Some(o)) => o,
-                _ => self.type_rank().cmp(&other.type_rank()),
-            },
+            (Int(a), Int(b)) => a.cmp(b),
+            (Float(a), Float(b)) => cmp_f64(*a, *b),
+            (Int(a), Float(b)) => cmp_f64(*a as f64, *b),
+            (Float(a), Int(b)) => cmp_f64(*a, *b as f64),
+            (Str(a), Str(b)) => a.cmp(b),
+            (Date(a), Date(b)) => a.cmp(b),
+            (Bool(a), Bool(b)) => a.cmp(b),
+            _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
 
@@ -357,6 +364,47 @@ mod tests {
         assert_eq!(Value::Int(42).to_string(), "42");
         assert_eq!(Value::str("S1").to_string(), "S1");
         assert_eq!(Value::date("7-3-79").unwrap().to_string(), "1979-07-03");
+    }
+
+    #[test]
+    fn total_order_ranks_kinds_null_bool_numeric_date_str() {
+        // One representative list in ascending total order; Int and Float
+        // share a rank and interleave numerically, NaN closes the numbers.
+        let ladder = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(-1),
+            Value::Float(-0.5),
+            Value::Int(0),
+            Value::Float(0.5),
+            Value::Int(1),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+            Value::date("7-3-79").unwrap(),
+            Value::date("1-1-80").unwrap(),
+            Value::str(""),
+            Value::str("a"),
+        ];
+        for (i, a) in ladder.iter().enumerate() {
+            for (j, b) in ladder.iter().enumerate() {
+                assert_eq!(a.total_cmp(b), i.cmp(&j), "{a:?} vs {b:?}");
+            }
+        }
+        assert_eq!(Value::Int(2).total_cmp(&Value::Float(2.0)), Ordering::Equal);
+        assert_eq!(Value::Float(-0.0).total_cmp(&Value::Int(0)), Ordering::Equal);
+        // Cross-class pairs are exactly the ones SQL comparison refuses,
+        // and where it answers, the two class tables agree.
+        for a in &ladder {
+            for b in &ladder {
+                let sql = a.sql_cmp(b);
+                let cross = !a.is_null() && !b.is_null() && a.type_rank() != b.type_rank();
+                assert_eq!(sql.is_err(), cross, "{a:?} vs {b:?}");
+                if let Ok(Some(o)) = sql {
+                    assert_eq!(a.total_cmp(b), o, "{a:?} vs {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -116,6 +116,14 @@ echo "==> nested-iteration rows and four-counter I/O pinned to the pre-bind-once
 # memory and file stores).
 NSQL_DURABILITY=file cargo test -q --offline -p nsql-db --test ni_io_identity >/dev/null
 
+echo "==> sort / merge-join rows and four-counter I/O pinned to the pre-shared-rows constants"
+# Same reason as above for the second pass. The kernels themselves are
+# compared with the code they replaced (kept verbatim in the two property
+# tests) at a second seed besides the default one of the workspace pass.
+NSQL_DURABILITY=file cargo test -q --offline -p nsql-db --test merge_join_io_identity >/dev/null
+NSQL_TEST_SEED=0x50a7ed cargo test -q --offline -p nsql-storage --test sort_prop
+NSQL_TEST_SEED=0x50a7ed cargo test -q --offline -p nsql-engine --test join_prop
+
 echo "==> recovery smoke (crash mid-commit at every write site, oracle-diff)"
 cargo run --release --offline -q -p nsql-bench --bin recovery_smoke
 
