@@ -1,209 +1,18 @@
-//! Experiments E3–E8 — the Section 5–6 bug demonstrations, printed as the
-//! paper prints them (every intermediate temporary and final result).
-//!
-//! ```sh
-//! cargo run -p nsql-bench --bin bugs            # all demonstrations
-//! cargo run -p nsql-bench --bin bugs -- count   # just the COUNT bug
-//! ```
-//!
-//! Subcommands: `count`, `count-fix`, `count-star`, `non-eq`,
-//! `duplicates`, `ja2-trace`.
+//! Prints [`nsql_bench::figures::bugs`] under the default configuration, or
+//! only the demonstration named by the first argument.
 
-use nsql_core::{JaVariant, UnnestOptions};
-use nsql_db::plan_exec::PlanExecutor;
-use nsql_db::{Database, JoinPolicy, QueryOptions, Strategy};
-use nsql_engine::Exec;
-
-const Q2: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
-    (SELECT COUNT(SHIPDATE) FROM SUPPLY \
-     WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)";
-
-const Q5: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
-    (SELECT MAX(QUAN) FROM SUPPLY \
-     WHERE SUPPLY.PNUM < PARTS.PNUM AND SHIPDATE < 1-1-80)";
-
-fn kiessling_db() -> Database {
-    let mut db = Database::new();
-    db.execute_script(
-        "CREATE TABLE PARTS (PNUM INT, QOH INT);
-         CREATE TABLE SUPPLY (PNUM INT, QUAN INT, SHIPDATE DATE);
-         INSERT INTO PARTS VALUES (3, 6), (10, 1), (8, 0);
-         INSERT INTO SUPPLY VALUES
-           (3, 4, 7-3-79), (3, 2, 10-1-78), (10, 1, 6-8-78),
-           (10, 2, 8-10-81), (8, 5, 5-7-83);",
-    )
-    .expect("fixture loads");
-    db
-}
-
-fn section_5_3_db() -> Database {
-    let mut db = Database::new();
-    db.execute_script(
-        "CREATE TABLE PARTS (PNUM INT, QOH INT);
-         CREATE TABLE SUPPLY (PNUM INT, QUAN INT, SHIPDATE DATE);
-         INSERT INTO PARTS VALUES (3, 0), (10, 4), (8, 4);
-         INSERT INTO SUPPLY VALUES
-           (3, 4, 7-3-79), (3, 2, 10-1-78), (10, 1, 6-8-78), (9, 5, 3-2-79);",
-    )
-    .expect("fixture loads");
-    db
-}
-
-fn section_5_4_db() -> Database {
-    let mut db = Database::new();
-    db.execute_script(
-        "CREATE TABLE PARTS (PNUM INT, QOH INT);
-         CREATE TABLE SUPPLY (PNUM INT, QUAN INT, SHIPDATE DATE);
-         INSERT INTO PARTS VALUES (3, 6), (3, 2), (10, 1), (10, 0), (8, 0);
-         INSERT INTO SUPPLY VALUES
-           (3, 4, 8/14/77), (3, 2, 11/11/78), (10, 1, 6/22/76);",
-    )
-    .expect("fixture loads");
-    db
-}
-
-fn variant_opts(variant: JaVariant) -> QueryOptions {
-    QueryOptions {
-        strategy: Strategy::Transform,
-        unnest: UnnestOptions { ja_variant: variant, ..Default::default() },
-        cold_start: true,
-        ..Default::default()
-    }
-}
-
-/// Run a transformation, print each temporary table and the final result.
-fn run_with_temps(db: &Database, sql: &str, variant: JaVariant) {
-    let q = nsql_sql::parse_query(sql).expect("valid SQL");
-    let plan =
-        nsql_core::transform_query(db.catalog(), &q, &UnnestOptions { ja_variant: variant, ..Default::default() })
-            .expect("transformable");
-    println!("{plan}\n");
-    let exec = Exec::new(db.storage().clone());
-    let mut pe = PlanExecutor::new(exec, db.catalog(), JoinPolicy::ForceMergeJoin);
-    let rel = pe.execute_transform_plan(&plan, false).expect("executes");
-    for temp in &plan.temps {
-        let out = pe.temp(&temp.name).expect("registered");
-        println!(
-            "{}:\n{}\n",
-            temp.name,
-            db.storage().load_relation(&out.file)
-        );
-    }
-    pe.drop_temps();
-    println!("final result:\n{rel}\n");
-}
-
-fn demo_count() {
-    println!("════ E3 — the COUNT bug (Section 5.1) ════\n");
-    let db = kiessling_db();
-    println!("Query Q2 [KIE 84]: {Q2}\n");
-    let ni = db.query_with(Q2, &QueryOptions::nested_iteration()).unwrap();
-    println!("nested iteration (ground truth):\n{}\n", ni.relation);
-    println!("Kim's NEST-JA transformation:");
-    run_with_temps(&db, Q2, JaVariant::KimOriginal);
-    println!(
-        "→ TEMP's CT column can never be 0, so part 8 (QOH = 0) is lost.\n"
-    );
-}
-
-fn demo_count_fix() {
-    println!("════ E4 — the outer-join fix (Section 5.2) ════\n");
-    let db = kiessling_db();
-    println!("NEST-JA2 on query Q2:");
-    run_with_temps(&db, Q2, JaVariant::Ja2);
-    println!("→ the LEFT OUTER JOIN manufactures the zero counts; {{10, 8}} as in the paper.\n");
-}
-
-fn demo_count_star() {
-    println!("════ E5 — COUNT(*) (Section 5.2.1) ════\n");
-    let db = kiessling_db();
-    let q2_star = Q2.replace("COUNT(SHIPDATE)", "COUNT(*)");
-    println!("Q2 with COUNT(*): the temporary must count the *join column*, or the\n\
-              NULL-padded rows of the outer join would each count as 1.\n");
-    run_with_temps(&db, &q2_star, JaVariant::Ja2);
-    let ni = db.query_with(&q2_star, &QueryOptions::nested_iteration()).unwrap();
-    println!("nested iteration agrees:\n{}\n", ni.relation);
-}
-
-fn demo_non_eq() {
-    println!("════ E6 — relations other than equality (Section 5.3) ════\n");
-    let db = section_5_3_db();
-    println!("Query Q5: {Q5}\n");
-    let ni = db.query_with(Q5, &QueryOptions::nested_iteration()).unwrap();
-    println!("nested iteration (ground truth, MAX(∅) = NULL):\n{}\n", ni.relation);
-    println!("Kim's NEST-JA (aggregates per join-column *value*):");
-    run_with_temps(&db, Q5, JaVariant::KimOriginal);
-    println!("NEST-JA2 (aggregates over the join-column *range*):");
-    run_with_temps(&db, Q5, JaVariant::Ja2);
-}
-
-fn demo_duplicates() {
-    println!("════ E7 — the duplicates problem (Section 5.4) ════\n");
-    let db = section_5_4_db();
-    let ni = db.query_with(Q2, &QueryOptions::nested_iteration()).unwrap();
-    println!("PARTS has duplicate PNUMs. nested iteration:\n{}\n", ni.relation);
-    println!("outer-join fix WITHOUT the projection step (counts inflated):");
-    run_with_temps(&db, Q2, JaVariant::Ja2NoProjection);
-    println!("full NEST-JA2 (DISTINCT projection of the outer join column first):");
-    run_with_temps(&db, Q2, JaVariant::Ja2);
-}
-
-fn demo_late_restriction() {
-    println!("════ E5b — restriction ordering (Section 5.2) ════\n");
-    let db = kiessling_db();
-    println!(
-        "The paper: \"the condition which applies to only one relation\n\
-         (SHIPDATE < 1-1-80) must be applied before the join is performed.\n\
-         Otherwise the join would not contain the last row, and the result\n\
-         would be incorrect.\"\n"
-    );
-    println!("restriction applied AFTER the outer join (broken ordering):");
-    run_with_temps(&db, Q2, JaVariant::Ja2LateRestriction);
-    println!("→ part 8's padded row is filtered away (NULL SHIPDATE), so its zero\n\
-              count is lost — the same wrong answer as Kim's NEST-JA.\n");
-    println!("restriction applied BEFORE the join (NEST-JA2 proper):");
-    run_with_temps(&db, Q2, JaVariant::Ja2);
-}
-
-fn demo_ja2_trace() {
-    println!("════ E8 — the NEST-JA2 three-step walkthrough (Section 6.1) ════\n");
-    let db = section_5_4_db();
-    let out = db.query_with(Q2, &variant_opts(JaVariant::Ja2)).unwrap();
-    for line in &out.explain {
-        println!("  {line}");
-    }
-    println!();
-    run_with_temps(&db, Q2, JaVariant::Ja2);
-}
+use nsql_bench::figures::{bug_demo, bugs, DEMOS};
+use nsql_bench::RunConfig;
 
 fn main() {
-    // Figure/table output is diffed byte-for-byte against the serial
-    // reference traces; pin the whole process to the serial code path.
-    std::env::set_var("NSQL_THREADS", "1");
-    let arg = std::env::args().nth(1);
-    match arg.as_deref() {
-        Some("count") => demo_count(),
-        Some("count-fix") => demo_count_fix(),
-        Some("count-star") => demo_count_star(),
-        Some("non-eq") => demo_non_eq(),
-        Some("duplicates") => demo_duplicates(),
-        Some("late-restriction") => demo_late_restriction(),
-        Some("ja2-trace") => demo_ja2_trace(),
-        Some(other) => {
-            eprintln!(
-                "unknown demo {other:?}; available: count, count-fix, count-star, \
-                 non-eq, duplicates, late-restriction, ja2-trace"
-            );
+    let cfg = RunConfig::default();
+    let text = match std::env::args().nth(1) {
+        None => bugs(&cfg),
+        Some(name) => bug_demo(&cfg, &name).unwrap_or_else(|| {
+            let names: Vec<&str> = DEMOS.iter().map(|(n, _)| *n).collect();
+            eprintln!("unknown demo {name:?}; available: {}", names.join(", "));
             std::process::exit(2);
-        }
-        None => {
-            demo_count();
-            demo_count_fix();
-            demo_count_star();
-            demo_non_eq();
-            demo_duplicates();
-            demo_late_restriction();
-            demo_ja2_trace();
-        }
-    }
+        }),
+    };
+    print!("{text}");
 }

@@ -1,122 +1,6 @@
-//! Experiment E1 — Figure 1: "Page I/Os Required in Kim's Examples".
-//!
-//! The paper reprints Kim's comparison of nested iteration against
-//! transformation followed by merge join for one example of each nesting
-//! type:
-//!
-//! ```text
-//!   query     nested iteration    transformation + merge join
-//!   type-N          10 220                 720
-//!   type-J          10 120                 550
-//!   type-JA          3 050                 615
-//! ```
-//!
-//! Kim's exact table configurations are not recoverable from this paper
-//! (see DESIGN.md), so this binary measures *our* engine on workloads with
-//! the same structure (inner ≈ 100 pages, `f(i)·Ni ≈ 100`, `B = 6`) and
-//! verifies the claim under test: transformation + merge join wins by
-//! 80–95%.
-//!
-//! ```sh
-//! cargo run --release -p nsql-bench --bin figure1
-//! ```
-
-use nsql_bench::workload::{ja_workload, queries, seed_from_env, WorkloadSpec};
-use nsql_bench::{measure, print_table, savings};
-use nsql_core::cost::{nested_iteration_cost_j, nested_iteration_cost_n};
-use nsql_core::UnnestOptions;
-use nsql_db::QueryOptions;
+//! Prints [`nsql_bench::figures::figure1`] under the default configuration;
+//! an optional first argument is the workload seed (default 42).
 
 fn main() {
-    // Figure/table output is diffed byte-for-byte against the serial
-    // reference traces; pin the whole process to the serial code path.
-    std::env::set_var("NSQL_THREADS", "1");
-    let seed = seed_from_env();
-    let spec = WorkloadSpec::kim_scale();
-    let w = ja_workload(spec, seed);
-    let ja_spec = WorkloadSpec::kim_scale_ja();
-    let w_ja = ja_workload(ja_spec, seed);
-    println!(
-        "workloads: N/J rows — Pi = {} pages, Pj = {} pages; JA row — Pj = {} pages; \
-         B = {}, f(i)·Ni ≈ {}\n",
-        w.outer_pages(),
-        w.inner_pages(),
-        w_ja.inner_pages(),
-        spec.buffer_pages,
-        (spec.outer_tuples as f64 * spec.outer_selectivity) as usize
-    );
-
-    let paper: &[(&str, &str, bool, u64, u64)] = &[
-        ("type-N", queries::TYPE_N, false, 10_220, 720),
-        ("type-J", queries::TYPE_J, false, 10_120, 550),
-        ("type-JA", queries::TYPE_JA_COUNT, true, 3_050, 615),
-    ];
-
-    // Analytical NI predictions from the Section-7 model on the *actual*
-    // workload parameters.
-    let b = spec.buffer_pages as f64;
-    let fi_ni = spec.outer_tuples as f64 * spec.outer_selectivity;
-    let model_for = |label: &str| -> f64 {
-        match label {
-            // X ≈ 34% of SUPPLY projected to one wide int column.
-            "type-N" => {
-                let x_tuples = spec.inner_tuples as f64 * 0.34;
-                let px = (x_tuples * 10.0 / spec.page_size as f64).ceil();
-                nested_iteration_cost_n(
-                    w.outer_pages() as f64,
-                    w.inner_pages() as f64,
-                    px,
-                    b,
-                    spec.outer_tuples as f64,
-                )
-            }
-            "type-J" => nested_iteration_cost_j(w.outer_pages() as f64, w.inner_pages() as f64, b, fi_ni),
-            _ => nested_iteration_cost_j(w_ja.outer_pages() as f64, w_ja.inner_pages() as f64, b, fi_ni),
-        }
-    };
-
-    let mut rows = Vec::new();
-    for (label, sql, use_ja_workload, paper_ni, paper_tr) in paper {
-        let db = if *use_ja_workload { &w_ja.db } else { &w.db };
-        let ni = measure(db, sql, "nested iteration", &QueryOptions::nested_iteration());
-        let opts = QueryOptions {
-            unnest: UnnestOptions { preserve_duplicates: true, ..Default::default() },
-            ..QueryOptions::transformed_merge()
-        };
-        let tr = measure(db, sql, "transformed", &opts);
-        assert!(
-            tr.relation.same_set(&ni.relation),
-            "{label}: strategies disagree"
-        );
-        let s = savings(&ni, &tr);
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.0}", model_for(label)),
-            ni.io.total().to_string(),
-            tr.io.total().to_string(),
-            format!("{:.1}%", s * 100.0),
-            format!("{paper_ni}"),
-            format!("{paper_tr}"),
-            format!("{:.1}%", (1.0 - *paper_tr as f64 / *paper_ni as f64) * 100.0),
-        ]);
-    }
-    print_table(
-        "Figure 1 — page I/Os: nested iteration vs transformation + merge join",
-        &[
-            "query",
-            "model NI",
-            "measured NI",
-            "measured TR",
-            "savings",
-            "paper NI",
-            "paper TR",
-            "paper savings",
-        ],
-        &rows,
-    );
-    println!(
-        "The paper's claim under reproduction: savings of 80% to 95% from the\n\
-         transformation method. Absolute cells differ (Kim's exact configurations\n\
-         are not given in this paper); the shape — who wins, and by how much — holds."
-    );
+    print!("{}", nsql_bench::figures::figure1(&nsql_bench::RunConfig::from_args()));
 }

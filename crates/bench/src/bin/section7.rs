@@ -1,108 +1,6 @@
-//! Experiment E2 — the Section-7.4 worked example, analytically and
-//! measured.
-//!
-//! The paper: "Let the query to be evaluated be Kim's query Q3 where the
-//! aggregate function is MAX(). Let Pi = 50, Pj = 30, Pt2 = 7, Pt3 = 10,
-//! Pt4 = 8, Pt = 5, B = 6, and f(i)·Ni = 100. The nested iteration method
-//! of processing Q3 costs 3050 page fetches in the worst case. The
-//! transformation approach, using the modified algorithm and two merge
-//! joins, costs about 475 page fetches."
-//!
-//! ```sh
-//! cargo run --release -p nsql-bench --bin section7
-//! ```
-
-use nsql_bench::workload::{ja_workload, queries, seed_from_env, WorkloadSpec};
-use nsql_bench::{measure, print_table};
-use nsql_core::cost::{ja2_cost, nested_iteration_cost_j, Ja2Params, JoinMethod};
-use nsql_db::QueryOptions;
+//! Prints [`nsql_bench::figures::section7`] under the default configuration;
+//! an optional first argument is the workload seed (default 42).
 
 fn main() {
-    // Figure/table output is diffed byte-for-byte against the serial
-    // reference traces; pin the whole process to the serial code path.
-    std::env::set_var("NSQL_THREADS", "1");
-    // ---------------------------------------------------- analytical part
-    let p = Ja2Params::paper_example();
-    let ni = nested_iteration_cost_j(p.pi, p.pj, p.b, p.fi_ni);
-    println!(
-        "Section 7.4 parameters: Pi={} Pj={} Pt2={} Pt3={} Pt4={} Pt={} B={} f(i)·Ni={}\n",
-        p.pi, p.pj, p.pt2, p.pt3, p.pt4, p.pt, p.b, p.fi_ni
-    );
-
-    let mut rows = vec![vec![
-        "nested iteration (worst case)".to_string(),
-        String::new(),
-        String::new(),
-        String::new(),
-        format!("{ni:.0}"),
-        "3050".to_string(),
-    ]];
-    for m1 in [JoinMethod::NestedLoop, JoinMethod::MergeJoin] {
-        for m2 in [JoinMethod::NestedLoop, JoinMethod::MergeJoin] {
-            let c = ja2_cost(&p, m1, m2);
-            let paper = if m1 == JoinMethod::MergeJoin && m2 == JoinMethod::MergeJoin {
-                "≈475"
-            } else {
-                "—"
-            };
-            rows.push(vec![
-                format!("NEST-JA2: {} / {}", m1.name(), m2.name()),
-                format!("{:.1}", c.outer_projection),
-                format!("{:.1}", c.temp_creation),
-                format!("{:.1}", c.final_join),
-                format!("{:.0}", c.total()),
-                paper.to_string(),
-            ]);
-        }
-    }
-    print_table(
-        "E2 (analytical) — the four possible total costs of Section 7.4",
-        &["method (temp join / final join)", "step 1", "step 2", "step 3", "total", "paper"],
-        &rows,
-    );
-
-    let mj = ja2_cost(&p, JoinMethod::MergeJoin, JoinMethod::MergeJoin).total();
-    println!(
-        "two-merge-join total: {mj:.0} page I/Os — the paper says \"about 475\".\n\
-         (The paper's arithmetic implies a continuous log_(B-1); with a ceiled\n\
-         log the same formula gives 558. See EXPERIMENTS.md.)\n"
-    );
-
-    // ---------------------------------------------------- measured part
-    // A workload whose parameters approximate the example: Pj ≈ 30,
-    // f(i)·Ni = 100, B = 6; Pi comes out at ≈67 pages (vs the paper's 50) —
-    // reported alongside.
-    let w = ja_workload(WorkloadSpec::kim_scale_ja(), seed_from_env());
-    println!(
-        "measured companion workload: Pi = {} pages, Pj = {} pages, B = {}",
-        w.outer_pages(),
-        w.inner_pages(),
-        w.spec.buffer_pages
-    );
-    let ni = measure(
-        &w.db,
-        queries::TYPE_JA_MAX,
-        "nested iteration",
-        &QueryOptions::nested_iteration(),
-    );
-    let tr = measure(
-        &w.db,
-        queries::TYPE_JA_MAX,
-        "NEST-JA2 + 2 merge joins",
-        &QueryOptions::transformed_merge(),
-    );
-    assert!(tr.relation.same_bag(&ni.relation), "strategies disagree");
-    print_table(
-        "E2 (measured) — Q3-with-MAX on the companion workload",
-        &["strategy", "page I/Os"],
-        &[
-            vec![ni.label.clone(), ni.io.total().to_string()],
-            vec![tr.label.clone(), tr.io.total().to_string()],
-        ],
-    );
-    println!(
-        "savings: {:.1}% (paper's analytical example: {:.1}%)",
-        (1.0 - tr.io.total() as f64 / ni.io.total() as f64) * 100.0,
-        (1.0 - 475.0 / 3050.0) * 100.0
-    );
+    print!("{}", nsql_bench::figures::section7(&nsql_bench::RunConfig::from_args()));
 }

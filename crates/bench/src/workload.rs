@@ -19,18 +19,9 @@ use nsql_testkit::Rng;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
 
 /// The default workload seed. Every figure/table binary uses this unless
-/// `NSQL_WORKLOAD_SEED` overrides it, so published numbers (EXPERIMENTS.md)
+/// its first argument names another, so published numbers (EXPERIMENTS.md)
 /// are bit-reproducible run-to-run and machine-to-machine.
 pub const DEFAULT_SEED: u64 = 42;
-
-/// The workload seed to use: `NSQL_WORKLOAD_SEED` if set, else
-/// [`DEFAULT_SEED`].
-pub fn seed_from_env() -> u64 {
-    match std::env::var("NSQL_WORKLOAD_SEED") {
-        Ok(v) => v.parse().unwrap_or_else(|_| panic!("bad NSQL_WORKLOAD_SEED: {v}")),
-        Err(_) => DEFAULT_SEED,
-    }
-}
 
 /// Parameters of a generated workload.
 #[derive(Debug, Clone, Copy)]
@@ -76,7 +67,7 @@ impl WorkloadSpec {
         WorkloadSpec { inner_tuples: 450, ..WorkloadSpec::default() }
     }
 
-    /// A smaller configuration for wall-clock benches.
+    /// A smaller configuration for the property tests.
     pub fn small() -> WorkloadSpec {
         WorkloadSpec {
             outer_tuples: 200,
@@ -129,10 +120,17 @@ fn schemas() -> (Schema, Schema) {
     (parts, supply)
 }
 
-/// Generate the workload; all four benchmark queries run against it.
-/// Workloads are a pure function of `(spec, seed)` — same inputs, same
+/// Generate the workload in memory; all four benchmark queries run against
+/// it. Workloads are a pure function of `(spec, seed)` — same inputs, same
 /// database, bit for bit.
 pub fn ja_workload(spec: WorkloadSpec, seed: u64) -> Workload {
+    load(Database::with_storage(spec.buffer_pages, spec.page_size), spec, seed)
+}
+
+/// Generate the workload of `(spec, seed)` into the empty database `db`
+/// (whose geometry should be the spec's; [`crate::RunConfig::workload`]
+/// sees to that).
+pub fn load(mut db: Database, spec: WorkloadSpec, seed: u64) -> Workload {
     let mut rng = Rng::from_seed(seed);
     let (parts_schema, supply_schema) = schemas();
     let grp_mod = (1.0 / spec.outer_selectivity).round().max(1.0) as i64;
@@ -164,56 +162,6 @@ pub fn ja_workload(spec: WorkloadSpec, seed: u64) -> Workload {
             ]))
             .unwrap();
     }
-    let mut db = Database::with_storage(spec.buffer_pages, spec.page_size);
-    db.catalog_mut().load_table("PARTS", &parts).expect("fresh catalog");
-    db.catalog_mut().load_table("SUPPLY", &supply).expect("fresh catalog");
-    Workload { db, spec }
-}
-
-/// Alias kept for readability at call sites that only run type-N queries.
-pub fn n_workload(spec: WorkloadSpec, seed: u64) -> Workload {
-    ja_workload(spec, seed)
-}
-
-/// A duplicate-heavy variant of [`ja_workload`]: `PARTS.PNUM` cycles
-/// through only `distinct_outer` values instead of being unique, and every
-/// `SUPPLY.PNUM` is drawn from that same small domain, so the correlation
-/// column carries massive duplication. This is the regime where batched
-/// correlated evaluation shines — sort/dedup collapses `f(i)·Ni` outer
-/// bindings to `distinct_outer` inner evaluations — and where the
-/// NEST-JA2/merge-join transform pays full-relation sorts for a handful of
-/// distinct groups. Same determinism contract as [`ja_workload`]: a pure
-/// function of `(spec, seed, distinct_outer)`.
-pub fn dup_workload(spec: WorkloadSpec, seed: u64, distinct_outer: usize) -> Workload {
-    let mut rng = Rng::from_seed(seed);
-    let (parts_schema, supply_schema) = schemas();
-    let grp_mod = (1.0 / spec.outer_selectivity).round().max(1.0) as i64;
-    let wide = (spec.inner_tuples as i64 * 20).max(1000);
-    let domain = distinct_outer.max(1) as i64;
-
-    let mut parts = Relation::empty(parts_schema);
-    for i in 0..spec.outer_tuples {
-        parts
-            .push(Tuple::new(vec![
-                Value::Int(i as i64 % domain),
-                Value::Int(rng.gen_range(0..6)),
-                Value::Int(i as i64 % grp_mod),
-                Value::Int(rng.gen_range(0..wide)),
-            ]))
-            .unwrap();
-    }
-    let mut supply = Relation::empty(supply_schema);
-    for _ in 0..spec.inner_tuples {
-        supply
-            .push(Tuple::new(vec![
-                Value::Int(rng.gen_range(0..domain)),
-                Value::Int(rng.gen_range(0..20)),
-                Value::Int(rng.gen_range(0..100)),
-                Value::Int(rng.gen_range(0..wide)),
-            ]))
-            .unwrap();
-    }
-    let mut db = Database::with_storage(spec.buffer_pages, spec.page_size);
     db.catalog_mut().load_table("PARTS", &parts).expect("fresh catalog");
     db.catalog_mut().load_table("SUPPLY", &supply).expect("fresh catalog");
     Workload { db, spec }
@@ -230,13 +178,6 @@ pub mod queries {
 
     /// Type-J: correlated membership.
     pub const TYPE_J: &str = "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH IN \
-        (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)";
-
-    /// Type-J with NOT IN — *outside* the transformable class (the NEST-*
-    /// rewrites have no sound join form for anti-membership under NULLs),
-    /// so the transform refuses it and the pre-batched status quo is
-    /// nested iteration.
-    pub const TYPE_J_NOT_IN: &str = "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH NOT IN \
         (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)";
 
     /// Type-JA: correlated aggregate (the Q2 shape, COUNT variant).

@@ -11,15 +11,22 @@
 //! kernels stay, held to `nsql-oracle` (rows), to the transformed path
 //! (float bits) and to the serial run (four-counter trace at 4 threads).
 //!
-//! `scripts/verify.sh` runs this suite on the memory backend and again
-//! under `NSQL_DURABILITY=file` (the workload databases honor the env).
+//! Every test runs on both storage backends ([`on_both_backends`]).
 
-use nsql_bench::workload::{ja_workload, queries, WorkloadSpec, DEFAULT_SEED};
-use nsql_bench::Workload;
-use nsql_db::{Database, DbError, ExecMode, JoinPolicy, QueryOptions, QueryOutcome};
+use nsql_bench::workload::{queries, WorkloadSpec, DEFAULT_SEED};
+use nsql_bench::{RunConfig, Workload};
+use nsql_db::{DbError, ExecMode, JoinPolicy, QueryOptions, QueryOutcome};
 use nsql_oracle::Oracle;
 use nsql_storage::IoSnapshot;
+use nsql_testkit::TempDir;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
+
+/// Run `body` with databases in memory, then with file-backed ones.
+fn on_both_backends(body: impl Fn(&RunConfig)) {
+    body(&RunConfig::default());
+    let dir = TempDir::new("nsql-vec-prop");
+    body(&RunConfig { data_dir: Some(dir.path().to_path_buf()), ..RunConfig::default() });
+}
 
 /// Canonically sorted bitwise row comparison — floats via `to_bits`, so a
 /// one-ULP kernel divergence (or an Int/Float type flip) fails loudly.
@@ -125,38 +132,43 @@ fn check_ni_threads(w: &Workload, sql: &str, name: &str) -> Result<QueryOutcome,
 
 #[test]
 fn nested_iteration_equals_the_oracle() {
-    for seed in [DEFAULT_SEED, 7] {
-        let w = ja_workload(WorkloadSpec::small(), seed);
-        let oracle = oracle_of(&w, &["PARTS", "SUPPLY"]);
-        for (name, sql) in QUERIES {
-            let name = format!("ni/{name}/seed={seed}");
-            let got = check_ni_threads(&w, sql, &name).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let want = oracle.eval(&nsql_sql::parse_query(sql).unwrap()).unwrap();
-            assert!(got.relation.same_bag(&want), "{name}: nested iteration != oracle");
+    on_both_backends(|cfg| {
+        for seed in [DEFAULT_SEED, 7] {
+            let w = RunConfig { seed, ..cfg.clone() }.workload(WorkloadSpec::small());
+            let oracle = oracle_of(&w, &["PARTS", "SUPPLY"]);
+            for (name, sql) in QUERIES {
+                let name = format!("ni/{name}/seed={seed}");
+                let got =
+                    check_ni_threads(&w, sql, &name).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let want = oracle.eval(&nsql_sql::parse_query(sql).unwrap()).unwrap();
+                assert!(got.relation.same_bag(&want), "{name}: nested iteration != oracle");
+            }
         }
-    }
+    });
 }
 
 #[test]
 fn vectorized_transform_equals_row_mode() {
-    let w = ja_workload(WorkloadSpec::small(), DEFAULT_SEED);
-    for (policy, pname) in [
-        (JoinPolicy::ForceMergeJoin, "merge"),
-        (JoinPolicy::ForceHashJoin, "hash"),
-        (JoinPolicy::CostBased, "cost"),
-    ] {
-        for threads in [1usize, 4] {
-            let base = QueryOptions {
-                join_policy: policy,
-                threads,
-                ..QueryOptions::transformed()
-            };
-            for (name, sql) in QUERIES {
-                let name = format!("tr/{pname}/{name}/threads={threads}");
-                assert!(check(&w, sql, &name, &base), "{name}: expected an answer");
+    on_both_backends(|cfg| {
+        let w = cfg.workload(WorkloadSpec::small());
+        for (policy, pname) in [
+            (JoinPolicy::ForceMergeJoin, "merge"),
+            (JoinPolicy::ForceHashJoin, "hash"),
+            (JoinPolicy::CostBased, "cost"),
+        ] {
+            for threads in [1usize, 4] {
+                let base = QueryOptions {
+                    join_policy: policy,
+                    threads,
+                    ..QueryOptions::transformed()
+                };
+                for (name, sql) in QUERIES {
+                    let name = format!("tr/{pname}/{name}/threads={threads}");
+                    assert!(check(&w, sql, &name, &base), "{name}: expected an answer");
+                }
             }
         }
-    }
+    });
 }
 
 /// The vectorized aggregation fold must preserve the exact-summation float
@@ -164,39 +176,41 @@ fn vectorized_transform_equals_row_mode() {
 /// magnitudes, grouped and global.
 #[test]
 fn vectorized_float_aggregates_bit_identical() {
-    let schema = Schema::new(vec![
-        Column::new("GRP", ColumnType::Int),
-        Column::new("X", ColumnType::Float),
-    ]);
-    let mut rel = Relation::empty(schema);
-    let mut rng = nsql_testkit::Rng::from_seed(9);
-    for i in 0..4000i64 {
-        let x = match i % 7 {
-            0 => 1e12,
-            1 => -1e12,
-            2 => 0.1,
-            3 => -0.30000000000000004,
-            4 => 1e-9,
-            5 => 3.25,
-            _ => rng.gen_range(-1000..1000) as f64 / 8.0,
-        };
-        rel.push(Tuple::new(vec![Value::Int(i % 5), Value::Float(x)])).unwrap();
-    }
-    let mut db = Database::with_storage(64, 256);
-    db.catalog_mut().load_table("MEAS", &rel).expect("fresh catalog");
-    let w = Workload { db, spec: WorkloadSpec::small() };
-    for sql in [
-        "SELECT SUM(X), AVG(X) FROM MEAS",
-        "SELECT GRP, SUM(X), AVG(X) FROM MEAS GROUP BY GRP",
-    ] {
-        let base = QueryOptions::transformed();
-        assert!(check(&w, sql, "float-agg/tr", &base), "float-agg/tr: expected an answer");
-        // Nested iteration folds with the same exact summation: bit-equal
-        // to the transformed path, at either thread count.
-        let tr = w.db.query_with(sql, &base).unwrap();
-        let ni = check_ni_threads(&w, sql, "float-agg/ni").unwrap();
-        assert_bit_identical("float-agg/ni vs tr", &ni.relation, &tr.relation);
-    }
+    on_both_backends(|cfg| {
+        let schema = Schema::new(vec![
+            Column::new("GRP", ColumnType::Int),
+            Column::new("X", ColumnType::Float),
+        ]);
+        let mut rel = Relation::empty(schema);
+        let mut rng = nsql_testkit::Rng::from_seed(9);
+        for i in 0..4000i64 {
+            let x = match i % 7 {
+                0 => 1e12,
+                1 => -1e12,
+                2 => 0.1,
+                3 => -0.30000000000000004,
+                4 => 1e-9,
+                5 => 3.25,
+                _ => rng.gen_range(-1000..1000) as f64 / 8.0,
+            };
+            rel.push(Tuple::new(vec![Value::Int(i % 5), Value::Float(x)])).unwrap();
+        }
+        let mut db = cfg.database_with(64, 256);
+        db.catalog_mut().load_table("MEAS", &rel).expect("fresh catalog");
+        let w = Workload { db, spec: WorkloadSpec::small() };
+        for sql in [
+            "SELECT SUM(X), AVG(X) FROM MEAS",
+            "SELECT GRP, SUM(X), AVG(X) FROM MEAS GROUP BY GRP",
+        ] {
+            let base = QueryOptions::transformed();
+            assert!(check(&w, sql, "float-agg/tr", &base), "float-agg/tr: expected an answer");
+            // Nested iteration folds with the same exact summation: bit-equal
+            // to the transformed path, at either thread count.
+            let tr = w.db.query_with(sql, &base).unwrap();
+            let ni = check_ni_threads(&w, sql, "float-agg/ni").unwrap();
+            assert_bit_identical("float-agg/ni vs tr", &ni.relation, &tr.relation);
+        }
+    });
 }
 
 /// WHERE drops a binding at the first non-TRUE conjunct, so a conjunct that
@@ -211,55 +225,57 @@ fn vectorized_float_aggregates_bit_identical() {
 /// statements is pinned.
 #[test]
 fn type_mismatch_behind_a_sometimes_null_conjunct() {
-    let mut rng = nsql_testkit::Rng::from_seed(DEFAULT_SEED);
-    let schema = |t: &str| {
-        Schema::new(vec![
-            Column::qualified(t, "K", ColumnType::Int),
-            Column::qualified(t, "V", ColumnType::Int),
-            Column::qualified(t, "S", ColumnType::Str),
-        ])
-    };
-    let mut db = Database::with_storage(6, 256);
-    for (table, rows) in [("T", 90i64), ("U", 150)] {
-        let mut rel = Relation::empty(schema(table));
-        for i in 0..rows {
-            let v = if rng.gen_bool(0.3) { Value::Null } else { Value::Int(rng.gen_range(0..6)) };
-            rel.push(Tuple::new(vec![Value::Int(i % 30), v, Value::str(format!("s{}", i % 4))]))
-                .unwrap();
-        }
-        db.catalog_mut().load_table(table, &rel).expect("fresh catalog");
-    }
-    let w = Workload { db, spec: WorkloadSpec::small() };
-    let oracle = oracle_of(&w, &["T", "U"]);
-    let (mut answered, mut raised) = (0, 0);
-    for case in 0..40 {
-        let op = *rng.choose(&["=", "<", ">", "<>"]);
-        // 9 is outside V's range: `V = 9` is never TRUE, `V <> 9` never FALSE.
-        let bound = *rng.choose(&[0i64, 2, 5, 9]);
-        let mismatch = *rng.choose(&["S = 3", "K = 'x'", "S IN (1, 2)", "NOT (S < 3)"]);
-        let sql = if rng.gen_bool(0.5) {
-            format!("SELECT K FROM T WHERE V {op} {bound} AND {mismatch}")
-        } else {
-            let inner = mismatch.replace("S ", "U.S ").replace("K ", "U.K ");
-            format!(
-                "SELECT K FROM T WHERE V IN \
-                 (SELECT V FROM U WHERE U.K = T.K AND U.V {op} {bound} AND {inner})"
-            )
+    on_both_backends(|cfg| {
+        let mut rng = nsql_testkit::Rng::from_seed(DEFAULT_SEED);
+        let schema = |t: &str| {
+            Schema::new(vec![
+                Column::qualified(t, "K", ColumnType::Int),
+                Column::qualified(t, "V", ColumnType::Int),
+                Column::qualified(t, "S", ColumnType::Str),
+            ])
         };
-        let name = format!("guarded-mismatch/{case}: {sql}");
-        let reference = oracle.eval(&nsql_sql::parse_query(&sql).unwrap());
-        match check_ni_threads(&w, &sql, &name) {
-            Ok(got) => {
-                if let Ok(want) = reference {
-                    assert!(got.relation.same_bag(&want), "{name}: nested iteration != oracle");
-                }
-                answered += 1;
+        let mut db = cfg.database_with(6, 256);
+        for (table, rows) in [("T", 90i64), ("U", 150)] {
+            let mut rel = Relation::empty(schema(table));
+            for i in 0..rows {
+                let v = if rng.gen_bool(0.3) { Value::Null } else { Value::Int(rng.gen_range(0..6)) };
+                rel.push(Tuple::new(vec![Value::Int(i % 30), v, Value::str(format!("s{}", i % 4))]))
+                    .unwrap();
             }
-            Err(_) => {
-                assert!(reference.is_err(), "{name}: a row reached the mismatch");
-                raised += 1;
+            db.catalog_mut().load_table(table, &rel).expect("fresh catalog");
+        }
+        let w = Workload { db, spec: WorkloadSpec::small() };
+        let oracle = oracle_of(&w, &["T", "U"]);
+        let (mut answered, mut raised) = (0, 0);
+        for case in 0..40 {
+            let op = *rng.choose(&["=", "<", ">", "<>"]);
+            // 9 is outside V's range: `V = 9` is never TRUE, `V <> 9` never FALSE.
+            let bound = *rng.choose(&[0i64, 2, 5, 9]);
+            let mismatch = *rng.choose(&["S = 3", "K = 'x'", "S IN (1, 2)", "NOT (S < 3)"]);
+            let sql = if rng.gen_bool(0.5) {
+                format!("SELECT K FROM T WHERE V {op} {bound} AND {mismatch}")
+            } else {
+                let inner = mismatch.replace("S ", "U.S ").replace("K ", "U.K ");
+                format!(
+                    "SELECT K FROM T WHERE V IN \
+                     (SELECT V FROM U WHERE U.K = T.K AND U.V {op} {bound} AND {inner})"
+                )
+            };
+            let name = format!("guarded-mismatch/{case}: {sql}");
+            let reference = oracle.eval(&nsql_sql::parse_query(&sql).unwrap());
+            match check_ni_threads(&w, &sql, &name) {
+                Ok(got) => {
+                    if let Ok(want) = reference {
+                        assert!(got.relation.same_bag(&want), "{name}: nested iteration != oracle");
+                    }
+                    answered += 1;
+                }
+                Err(_) => {
+                    assert!(reference.is_err(), "{name}: a row reached the mismatch");
+                    raised += 1;
+                }
             }
         }
-    }
-    assert_eq!((answered, raised), (7, 33), "the pinned split of the seeded statements");
+        assert_eq!((answered, raised), (7, 33), "the pinned split of the seeded statements");
+    });
 }

@@ -91,7 +91,7 @@ fn column_distincts(tuples: &[nsql_types::Tuple], arity: usize) -> Vec<usize> {
 
 impl Catalog {
     /// Empty catalog over `storage`. The statistics registry is created
-    /// here (honouring `NSQL_STATS`) and shared outward via
+    /// here, collecting, and shared outward via
     /// [`Catalog::stats_registry`].
     pub fn new(storage: Storage) -> Catalog {
         Catalog {
@@ -102,7 +102,7 @@ impl Catalog {
             epoch: NEXT_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             result_cache: None,
             stats: BTreeMap::new(),
-            stats_registry: Arc::new(StatsRegistry::from_env()),
+            stats_registry: Arc::new(StatsRegistry::default()),
             counters: BTreeMap::new(),
             system_views: Mutex::new(BTreeMap::new()),
         }

@@ -3,7 +3,7 @@
 use crate::catalog::Catalog;
 
 use crate::explain::{ObsReport, TempStat};
-use crate::options::{Durability, QueryOptions, Strategy};
+use crate::options::{QueryOptions, Strategy};
 use crate::plan_exec::PlanExecutor;
 use crate::Result;
 use nsql_analyzer::{query_fingerprint, query_tree, validate_query, QueryTree};
@@ -14,8 +14,8 @@ use nsql_obs::{IoDelta, SpanNode, Tracer};
 use nsql_sql::{parse_statements, QueryBlock, Statement};
 use nsql_storage::{IoStats, RecoveryReport, Storage};
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,107 +53,33 @@ pub struct OpenReport {
     pub spans: Vec<SpanNode>,
 }
 
-/// Deletes a per-process data directory (created for `NSQL_DURABILITY=file`)
-/// when the owning [`Database`] goes away, so figure/table binaries leave no
-/// droppings behind.
-struct OwnedDataDir(PathBuf);
-
-impl Drop for OwnedDataDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Distinguishes data dirs created by this process across repeated
-/// `Database::new()` calls within it.
-static DATA_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
 /// An embedded single-session database over the simulated storage engine.
 pub struct Database {
     catalog: Catalog,
     cache: Arc<nsql_cache::QueryCache>,
     open_report: Option<OpenReport>,
-    _data_dir: Option<OwnedDataDir>,
 }
 
 impl Database {
-    /// Database over a default-sized storage (`B = 6` buffer pages,
-    /// 512-byte pages). Honors `NSQL_DURABILITY` (see
-    /// [`Durability::from_env`]): under `file`, the database sits on a
-    /// fresh file-backed store in a private directory that is removed when
-    /// the database drops — page-I/O counts are identical to the memory
-    /// backend by construction, so experiment output does not change.
+    /// In-memory database over a default-sized storage (`B = 6` buffer
+    /// pages, 512-byte pages). [`Database::open`] is the file-backed one;
+    /// page-I/O counts are identical on the two by construction.
     pub fn new() -> Database {
-        Self::from_env_durability(Storage::with_defaults, |dir| {
-            Storage::file_backed(
-                nsql_storage::DEFAULT_BUFFER_PAGES,
-                nsql_storage::DEFAULT_PAGE_SIZE,
-                dir,
-            )
-        })
+        Database::assemble(Catalog::new(Storage::with_defaults()), None)
     }
 
-    /// Database with an explicit buffer size and page size (same
-    /// `NSQL_DURABILITY` handling as [`Database::new`]).
+    /// In-memory database with an explicit buffer size and page size.
     pub fn with_storage(buffer_pages: usize, page_size: usize) -> Database {
-        Self::from_env_durability(
-            || Storage::new(buffer_pages, page_size),
-            |dir| Storage::file_backed(buffer_pages, page_size, dir),
-        )
-    }
-
-    fn from_env_durability(
-        memory: impl FnOnce() -> Storage,
-        file: impl FnOnce(&Path) -> std::result::Result<
-            (Storage, RecoveryReport),
-            nsql_storage::StorageError,
-        >,
-    ) -> Database {
-        match Durability::from_env() {
-            Durability::Memory => Database::assemble(Catalog::new(memory()), None, None),
-            Durability::File(base) => {
-                // Bare `NSQL_DURABILITY=file` means "same engine, durable
-                // backend": each Database gets a private subdirectory so
-                // concurrent instances never share a store, removed on drop.
-                let seq = DATA_DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-                let dir = if std::env::var("NSQL_DURABILITY")
-                    .map(|v| v.eq_ignore_ascii_case("file"))
-                    .unwrap_or(false)
-                {
-                    let unique =
-                        format!("nsql-data-{}-{}", std::process::id(), seq);
-                    (base.join(unique), true)
-                } else {
-                    (base, false)
-                };
-                let (path, owned) = dir;
-                let (storage, _report) = file(&path).unwrap_or_else(|e| {
-                    panic!(
-                        "NSQL_DURABILITY=file: cannot open store at {}: {e}",
-                        path.display()
-                    )
-                });
-                Database::assemble(
-                    Catalog::new(storage),
-                    None,
-                    owned.then_some(OwnedDataDir(path)),
-                )
-            }
-        }
+        Database::assemble(Catalog::new(Storage::new(buffer_pages, page_size)), None)
     }
 
     /// Assemble a database around `catalog`, attaching a fresh cross-query
     /// result cache (default byte budget) to both.
-    fn assemble(
-        catalog: Catalog,
-        open_report: Option<OpenReport>,
-        data_dir: Option<OwnedDataDir>,
-    ) -> Database {
+    fn assemble(catalog: Catalog, open_report: Option<OpenReport>) -> Database {
         let mut db = Database {
             catalog,
             cache: Arc::new(nsql_cache::QueryCache::with_defaults()),
             open_report,
-            _data_dir: data_dir,
         };
         db.catalog.set_result_cache(Arc::clone(&db.cache));
         db
@@ -209,7 +135,7 @@ impl Database {
             indexes: catalog.index_count(),
             spans: tracer.finish(),
         };
-        Ok(Database::assemble(catalog, Some(report), None))
+        Ok(Database::assemble(catalog, Some(report)))
     }
 
     /// The recovery/restore report, when this database came up via
@@ -354,7 +280,7 @@ impl Database {
             error: result.is_err(),
             refusals,
         });
-        if let Some(threshold_us) = opts.slow_query_threshold_us() {
+        if let Some(threshold_us) = opts.slow_query_ms.map(|ms| ms.saturating_mul(1000)) {
             if micros >= threshold_us {
                 let explain = match &result {
                     Ok(out) => out.explain.clone(),
@@ -405,15 +331,14 @@ impl Database {
         let cache_mode = opts.cache.resolve();
         let mut explain = Vec::new();
         let mut temps = Vec::new();
-        let relation = match opts.strategy.resolve() {
-            Strategy::Auto => unreachable!("Strategy::resolve never returns Auto"),
+        let relation = match opts.strategy {
             strategy @ (Strategy::NestedIteration | Strategy::Batched) => {
                 let (rel, lines) =
                     self.run_correlated(q, strategy, threads, cache_mode, tracer, exec_obs)?;
                 explain = lines;
                 rel
             }
-            Strategy::Transform => {
+            Strategy::Transform | Strategy::Auto => {
                 let vectorized = opts.exec_mode.vectorized();
                 let mut unnest = opts.unnest.clone();
                 unnest.preserve_duplicates |=
@@ -478,9 +403,7 @@ impl Database {
                     }
                 }
                 temps = pe.temp_stats();
-                if !opts.keep_temps {
-                    pe.drop_temps();
-                }
+                pe.drop_temps();
                 rel
             }
         };

@@ -217,7 +217,7 @@ impl ExplainReport {
         out
     }
 
-    /// Machine-readable form for `scripts/bench.sh` and the smoke check.
+    /// Machine-readable form (schema pinned by `tests/explain_parity.rs`).
     pub fn to_json(&self) -> Json {
         let io = match &self.io {
             Some(io) => Json::obj([
@@ -308,14 +308,13 @@ impl Database {
             // ANALYZE run would: strategy, exec mode, cache mode. The
             // correlated strategies run one row kernel whatever the exec
             // mode, so theirs is the strategy and the cache line.
-            let strategy = match opts.strategy.resolve() {
-                Strategy::Auto => unreachable!("Strategy::resolve never returns Auto"),
+            let strategy = match opts.strategy {
                 s @ (Strategy::NestedIteration | Strategy::Batched) => {
                     let mut lines = vec![correlated_header(s).to_string()];
                     lines.extend(mode_lines(opts, false));
                     lines
                 }
-                Strategy::Transform => {
+                Strategy::Transform | Strategy::Auto => {
                     let plan = nsql_core::transform_query(self.catalog(), q, &opts.unnest)?;
                     let mut lines = vec![format!(
                         "strategy: transform ({} temp table{}), join policy: {}",
@@ -335,11 +334,10 @@ impl Database {
             (strategy, Vec::new(), None, None, None)
         };
 
-        let chosen = match opts.strategy.resolve() {
-            Strategy::Auto => unreachable!("Strategy::resolve never returns Auto"),
+        let chosen = match opts.strategy {
             Strategy::NestedIteration => "nested iteration (System R baseline)".to_string(),
             Strategy::Batched => "batched correlated evaluation".to_string(),
-            Strategy::Transform => chosen_from_trace(&strategy),
+            Strategy::Transform | Strategy::Auto => chosen_from_trace(&strategy),
         };
 
         let params = if is_ja { self.ja2_params_for(q, &temps) } else { None };

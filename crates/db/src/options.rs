@@ -1,7 +1,6 @@
 //! Query-evaluation options.
 
 use nsql_core::UnnestOptions;
-use std::path::PathBuf;
 
 /// Physical join-method policy for transformed queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,41 +59,6 @@ impl IndexUse {
     }
 }
 
-/// Which storage backend a [`crate::Database`] sits on. Page I/O is counted
-/// above the backend seam, so figures and tables are byte-identical across
-/// the two modes (checked by `scripts/verify.sh`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum Durability {
-    /// Pages live in a process-local map; nothing survives the process.
-    /// The default — benchmarks model I/O, they do not need to perform it.
-    #[default]
-    Memory,
-    /// Pages live in a checksummed page file with a write-ahead log under
-    /// the given directory; commits survive crashes and restarts.
-    File(PathBuf),
-}
-
-impl Durability {
-    /// Resolve from `NSQL_DURABILITY`: unset/`memory` → [`Durability::Memory`];
-    /// `file` → a fresh per-process subdirectory under `NSQL_DATA_DIR` (or
-    /// the system temp dir); `file:<dir>` → exactly `<dir>`.
-    pub fn from_env() -> Durability {
-        match std::env::var("NSQL_DURABILITY") {
-            Ok(v) if v.eq_ignore_ascii_case("file") => {
-                let base = std::env::var_os("NSQL_DATA_DIR")
-                    .map(PathBuf::from)
-                    .unwrap_or_else(std::env::temp_dir);
-                Durability::File(base)
-            }
-            Ok(v) => match v.strip_prefix("file:") {
-                Some(dir) if !dir.is_empty() => Durability::File(PathBuf::from(dir)),
-                _ => Durability::Memory,
-            },
-            Err(_) => Durability::Memory,
-        }
-    }
-}
-
 /// What NEST-N-J's join expansion does to row multiplicity — the paper's
 /// Section 4 duplicates problem made an explicit, documented choice instead
 /// of a silent set-level test comparison.
@@ -135,8 +99,8 @@ pub enum ExecMode {
     Row,
     /// Columnar batch kernels with per-operator row-path fallback.
     Vector,
-    /// Resolve from `NSQL_EXEC_MODE` (`vector`/`vectorized` → vectorized;
-    /// anything else, or unset → row).
+    /// Let the engine decide. Today that is the constant row mode; the
+    /// planner fills this seam later.
     #[default]
     Auto,
 }
@@ -154,14 +118,8 @@ impl ExecMode {
     /// Whether this mode (after `Auto` resolution) runs vectorized.
     pub fn vectorized(self) -> bool {
         match self {
-            ExecMode::Row => false,
+            ExecMode::Row | ExecMode::Auto => false,
             ExecMode::Vector => true,
-            ExecMode::Auto => match std::env::var("NSQL_EXEC_MODE") {
-                Ok(v) => {
-                    v.eq_ignore_ascii_case("vector") || v.eq_ignore_ascii_case("vectorized")
-                }
-                Err(_) => false,
-            },
         }
     }
 }
@@ -172,7 +130,7 @@ impl ExecMode {
 /// `On` serves only *exact* hits: same normalized computation, same
 /// binding, same catalog generations. Exact hits recharge the recorded
 /// page-access sequence, so results **and** counted I/O are byte-identical
-/// with an uncached run (checked by `scripts/verify.sh`). `Rewrite`
+/// with an uncached run (checked by `figures_identity`). `Rewrite`
 /// additionally answers from materialized aggregate views when the
 /// Cohen-style soundness check proves the rewrite safe; derived answers
 /// rebuild the temp from cached tuples, so their I/O legitimately differs
@@ -185,8 +143,8 @@ pub enum CacheMode {
     On,
     /// Exact hits plus sound aggregate-view rewrites.
     Rewrite,
-    /// Resolve from `NSQL_CACHE` (`on`/`1` → [`CacheMode::On`],
-    /// `rewrite` → [`CacheMode::Rewrite`]; anything else, or unset → off).
+    /// Let the engine decide. Today that is the constant [`CacheMode::Off`];
+    /// the planner fills this seam later.
     #[default]
     Auto,
 }
@@ -202,14 +160,10 @@ impl CacheMode {
         }
     }
 
-    /// `Auto` resolved against the environment; other modes unchanged.
+    /// `Auto` resolved to the mode it stands for; other modes unchanged.
     pub fn resolve(self) -> CacheMode {
         match self {
-            CacheMode::Auto => match std::env::var("NSQL_CACHE") {
-                Ok(v) if v.eq_ignore_ascii_case("on") || v == "1" => CacheMode::On,
-                Ok(v) if v.eq_ignore_ascii_case("rewrite") => CacheMode::Rewrite,
-                _ => CacheMode::Off,
-            },
+            CacheMode::Auto => CacheMode::Off,
             other => other,
         }
     }
@@ -242,10 +196,8 @@ pub enum Strategy {
     /// Results and error semantics are identical to nested iteration; the
     /// inner block runs `D` times instead of `N` times.
     Batched,
-    /// Resolve from `NSQL_STRATEGY` (`nested-iteration`/`ni` → nested
-    /// iteration, `batched` → batched; anything else, or unset →
-    /// transform). The default, so the env knob steers default-option
-    /// runs while explicitly pinned options stay untouched.
+    /// Let the engine decide. Today that is the constant
+    /// [`Strategy::Transform`]; the planner fills this seam later.
     #[default]
     Auto,
 }
@@ -261,18 +213,11 @@ impl Strategy {
         }
     }
 
-    /// `Auto` resolved against the environment; other strategies unchanged.
+    /// `Auto` resolved to the strategy it stands for; other strategies
+    /// unchanged.
     pub fn resolve(self) -> Strategy {
         match self {
-            Strategy::Auto => match std::env::var("NSQL_STRATEGY") {
-                Ok(v) if v.eq_ignore_ascii_case("nested-iteration")
-                    || v.eq_ignore_ascii_case("ni") =>
-                {
-                    Strategy::NestedIteration
-                }
-                Ok(v) if v.eq_ignore_ascii_case("batched") => Strategy::Batched,
-                _ => Strategy::Transform,
-            },
+            Strategy::Auto => Strategy::Transform,
             other => other,
         }
     }
@@ -296,18 +241,9 @@ pub struct QueryOptions {
     /// Whether restriction predicates and back-joins may route through
     /// B+tree indexes (see [`IndexUse`]). Irrelevant when no index exists.
     pub index_use: IndexUse,
-    /// Storage backend the *harness* should put the database on when it
-    /// builds one for this run (see [`Durability`]). Per-query evaluation
-    /// ignores it — a live database already sits on its backend; the bench
-    /// workload and `Database::new` honor it (the latter via
-    /// `NSQL_DURABILITY`).
-    pub durability: Durability,
     /// Start from a cold buffer and zeroed I/O counters so the reported
     /// cost is comparable across runs (default true).
     pub cold_start: bool,
-    /// Keep the temporary tables after the query (for inspection in the
-    /// experiment binaries); they are dropped otherwise.
-    pub keep_temps: bool,
     /// Worker threads for morsel-parallel execution. `0` (the default)
     /// resolves from `NSQL_THREADS`, falling back to the machine's available
     /// parallelism; `1` takes the exact serial code path. Parallel runs
@@ -319,33 +255,19 @@ pub struct QueryOptions {
     /// the hit/miss split, or the result rows (property-tested).
     pub observe: bool,
     /// Row-at-a-time vs columnar batch execution (see [`ExecMode`]).
-    /// `Auto` (the default) resolves from `NSQL_EXEC_MODE`.
+    /// `Auto` (the default) is row mode.
     pub exec_mode: ExecMode,
     /// Cross-query result caching (see [`CacheMode`]). `Auto` (the
-    /// default) resolves from `NSQL_CACHE`.
+    /// default) is off.
     pub cache: CacheMode,
     /// Slow-query threshold in milliseconds: statements whose wall time
     /// reaches it are appended (with their rendered EXPLAIN) to the
     /// statistics registry's slow-query log. `Some(0)` logs everything;
-    /// `None` (the default) resolves from `NSQL_SLOW_QUERY_MS`, and when
-    /// that is unset too the log stays off.
+    /// `None` (the default) keeps the log off.
     pub slow_query_ms: Option<u64>,
 }
 
 impl QueryOptions {
-    /// The effective slow-query threshold in **microseconds** (the unit
-    /// statement timings are recorded in), after `NSQL_SLOW_QUERY_MS`
-    /// resolution; `None` disables the slow-query log.
-    pub fn slow_query_threshold_us(&self) -> Option<u64> {
-        let ms = match self.slow_query_ms {
-            Some(ms) => Some(ms),
-            None => std::env::var("NSQL_SLOW_QUERY_MS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok()),
-        };
-        ms.map(|ms| ms.saturating_mul(1000))
-    }
-
     /// The paper's baseline: nested iteration, cold buffer.
     pub fn nested_iteration() -> QueryOptions {
         QueryOptions {

@@ -224,3 +224,78 @@ fn batched_analyze_executes_and_matches_nested_iteration() {
         "batched ANALYZE must label its strategy"
     );
 }
+
+/// The JSON export of EXPLAIN ANALYZE keeps its schema for one query of
+/// each transformable nesting type: every top-level key, every
+/// per-operator key and the lifecycle spans survive a round trip through
+/// the in-tree parser, the decision names the algorithm the type calls for,
+/// and a type-JA report prices all four Section-7 join-method variants.
+#[test]
+fn analyze_json_keeps_its_schema_for_every_nesting_type() {
+    use nsql_obs::Json;
+    let db = mem_db();
+    let cases = [
+        (
+            "type-N",
+            "SELECT PNUM FROM PARTS WHERE QOH IN \
+             (SELECT QUAN FROM SUPPLY WHERE SHIPDATE < 1-1-80)",
+            "NEST-N-J",
+        ),
+        (
+            "type-J",
+            "SELECT PNUM FROM PARTS WHERE QOH IN \
+             (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)",
+            "NEST-N-J",
+        ),
+        ("type-JA", Q2, "NEST-JA2"),
+    ];
+    for (name, sql, algorithm) in cases {
+        let report = db.explain_query(sql, true, &QueryOptions::default()).unwrap();
+        let json = Json::parse(&report.to_json().to_string())
+            .unwrap_or_else(|e| panic!("[{name}] exporter emitted unparseable JSON: {e}"));
+        let require = |j: &Json, key: &str| {
+            j.get(key).unwrap_or_else(|| panic!("[{name}] JSON lost key `{key}`")).clone()
+        };
+        for key in
+            ["sql", "analyze", "chosen", "tree", "strategy", "predicted", "io", "rows", "obs"]
+        {
+            require(&json, key);
+        }
+        assert_eq!(require(&json, "analyze"), Json::Bool(true), "[{name}] analyze flag");
+        let chosen = require(&json, "chosen");
+        assert!(
+            chosen.as_str().is_some_and(|c| c.contains(algorithm)),
+            "[{name}] chose {chosen}, want {algorithm}"
+        );
+        let obs = require(&json, "obs");
+        let ops = require(&obs, "operators");
+        let ops = ops.as_arr().expect("operators is an array");
+        assert!(!ops.is_empty(), "[{name}] no per-operator metrics");
+        for op in ops {
+            for key in [
+                "label", "rows_in", "rows_out", "morsels_per_worker", "reads", "writes",
+                "hits", "misses", "build_ns", "probe_ns", "wall_ns",
+            ] {
+                require(op, key);
+            }
+        }
+        let spans = require(&obs, "spans");
+        assert!(
+            spans.as_arr().is_some_and(|s| !s.is_empty()),
+            "[{name}] no lifecycle spans recorded"
+        );
+        if name == "type-JA" {
+            let predicted = require(&json, "predicted");
+            let predicted = predicted.as_arr().expect("predicted is an array");
+            assert_eq!(predicted.len(), 4, "[{name}] want 4 Section-7 cost variants");
+            for p in predicted {
+                for key in [
+                    "temp_method", "final_method", "outer_projection", "temp_creation",
+                    "final_join", "total",
+                ] {
+                    require(p, key);
+                }
+            }
+        }
+    }
+}

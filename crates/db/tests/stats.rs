@@ -177,9 +177,69 @@ fn slow_query_log_captures_explain() {
         "rendered EXPLAIN captured: {:?}",
         entry.explain
     );
-    // Unset threshold (and no NSQL_SLOW_QUERY_MS): nothing further logged.
+    // Unset threshold: nothing further logged.
     db.run_query(&nsql_sql::parse_query(Q2).unwrap(), &QueryOptions::default()).unwrap();
     assert_eq!(db.stats().slow_queries().len(), 1);
+}
+
+/// The JSON snapshot export aggregates a mixed workload correctly — all
+/// three strategies, a failing statement and a slow-logged one — and
+/// round-trips through the in-tree parser: per-fingerprint calls and
+/// errors, consistent timings, per-table scan counters and the slow entry
+/// with its rendered EXPLAIN.
+#[test]
+fn json_export_aggregates_a_mixed_workload() {
+    use nsql_obs::Json;
+    let db = mem_db();
+    let q_in = "SELECT PNUM FROM PARTS WHERE QOH IN \
+        (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)";
+    let q_max = "SELECT PNUM FROM PARTS WHERE QOH = (SELECT MAX(QUAN) FROM SUPPLY)";
+    let bad = "SELECT NO_SUCH_COL FROM PARTS";
+    db.query_with(q_max, &QueryOptions::nested_iteration()).unwrap();
+    for _ in 0..3 {
+        db.query_with(q_in, &QueryOptions::transformed()).unwrap();
+    }
+    for _ in 0..2 {
+        db.query_with(Q2, &QueryOptions::batched()).unwrap();
+    }
+    assert!(db.query(bad).is_err());
+    let slow_sql = "SELECT PNUM FROM PARTS WHERE QOH > 0";
+    let slow = QueryOptions { slow_query_ms: Some(0), ..QueryOptions::nested_iteration() };
+    db.query_with(slow_sql, &slow).unwrap();
+
+    let json = Json::parse(&db.stats().snapshot().to_json().to_string())
+        .expect("stats export parses with the in-tree parser");
+    let num = |j: &Json, key: &str| {
+        j.get(key).and_then(Json::as_num).unwrap_or_else(|| panic!("no numeric `{key}` in {j}"))
+    };
+    let stmts = json.get("statements").and_then(Json::as_arr).expect("statements array");
+    for (sql, calls, errors) in
+        [(q_max, 1.0, 0.0), (q_in, 3.0, 0.0), (Q2, 2.0, 0.0), (slow_sql, 1.0, 0.0), (bad, 1.0, 1.0)]
+    {
+        let fp = nsql_analyzer::query_fingerprint(&nsql_sql::parse_query(sql).unwrap());
+        let s = stmts
+            .iter()
+            .find(|s| s.get("query").and_then(Json::as_str) == Some(fp.as_str()))
+            .unwrap_or_else(|| panic!("fingerprint missing from export: {fp}"));
+        assert_eq!(num(s, "calls"), calls, "calls mismatch for {sql}");
+        assert_eq!(num(s, "errors"), errors, "errors mismatch for {sql}");
+        assert!(num(s, "min_us") <= num(s, "max_us"), "inconsistent timings for {sql}");
+    }
+    let tables = json.get("tables").and_then(Json::as_arr).expect("tables array");
+    for name in ["PARTS", "SUPPLY"] {
+        let t = tables
+            .iter()
+            .find(|t| t.get("table").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("{name} missing from tables export"));
+        assert!(num(t, "scans") > 0.0, "{name} was scanned");
+        assert!(num(t, "tuples_read") > 0.0, "{name} yielded tuples");
+    }
+    let slow_log = json.get("slow_queries").and_then(Json::as_arr).expect("slow array");
+    assert_eq!(slow_log.len(), 1, "exactly one statement ran over threshold 0");
+    assert!(
+        slow_log[0].get("explain").and_then(Json::as_arr).is_some_and(|e| !e.is_empty()),
+        "slow entry carries its rendered EXPLAIN"
+    );
 }
 
 /// Index probes are attributed to the probed table in `nsql_stat_tables`.

@@ -1,9 +1,9 @@
 //! Minimal JSON value type with a writer and a parser.
 //!
 //! The workspace is zero-external-dependency, so the metrics exporters
-//! (`scripts/bench.sh`, the figure/table binaries) and their schema
-//! checks (`explain_smoke`) share this one in-tree implementation instead
-//! of hand-rolled `format!` strings that nothing can read back.
+//! (EXPLAIN, the statistics snapshot, `benchmark/`) and their schema
+//! checks share this one in-tree implementation instead of hand-rolled
+//! `format!` strings that nothing can read back.
 //!
 //! Numbers are `f64`; integers up to 2^53 round-trip exactly, which
 //! covers every counter this repo can produce in a bounded simulation.

@@ -437,8 +437,8 @@ impl StatsSnapshot {
     }
 }
 
-/// The cumulative statistics registry. One per database; always on unless
-/// `NSQL_STATS=off` (or a caller disables it), and cheap enough to leave
+/// The cumulative statistics registry. One per database; on until a caller
+/// disables it ([`StatsRegistry::set_enabled`]), and cheap enough to leave
 /// on: the disabled path is one atomic load, the enabled path is relaxed
 /// atomics plus short map-lock insertions off the per-page hot loop.
 #[derive(Debug)]
@@ -468,16 +468,6 @@ impl StatsRegistry {
             slow: Mutex::new(VecDeque::new()),
             slow_seq: AtomicU64::new(0),
         }
-    }
-
-    /// New registry honouring `NSQL_STATS` (`off` / `0` / `false`
-    /// disables; anything else, including unset, enables).
-    pub fn from_env() -> StatsRegistry {
-        let enabled = !matches!(
-            std::env::var("NSQL_STATS").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        );
-        StatsRegistry::new(enabled)
     }
 
     /// Whether collection is on.

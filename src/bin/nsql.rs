@@ -126,7 +126,7 @@ impl Shell {
             Some(".slow") => match line.split_whitespace().nth(1) {
                 Some("off") => {
                     self.opts.slow_query_ms = None;
-                    println!("ok (slow-query log follows NSQL_SLOW_QUERY_MS)");
+                    println!("ok (slow-query log off)");
                 }
                 Some(ms) => match ms.parse::<u64>() {
                     Ok(ms) => {
@@ -185,8 +185,8 @@ impl Shell {
         println!(
             "slow queries logged: {} (threshold: {})",
             snap.slow.len(),
-            match self.opts.slow_query_threshold_us() {
-                Some(us) => format!("{} ms", us / 1000),
+            match self.opts.slow_query_ms {
+                Some(ms) => format!("{ms} ms"),
                 None => "off".to_string(),
             }
         );

@@ -1,4 +1,4 @@
-//! Differential oracle harness (the "diffcheck" fuzzer).
+//! Differential oracle harness (driven by `tests/diff_prop.rs`).
 //!
 //! [`gen_case`] draws a random small database plus a random nested query
 //! from a *schema-aware* grammar (every column reference resolves, every
@@ -650,7 +650,7 @@ struct Pipeline {
 /// runs under every join policy, in parallel, and in the
 /// duplicate-collapsing `ForceDistinct` mode. Row pipelines pin
 /// `ExecMode::Row` (not `Auto`) so the sweep diffs both representations
-/// even when `NSQL_EXEC_MODE` is set; the `tr-vec-*` pipelines rerun the
+/// whatever `Auto` comes to mean; the `tr-vec-*` pipelines rerun the
 /// transformed shapes under the columnar batch kernels.
 fn pipelines() -> Vec<Pipeline> {
     let ni = |threads: usize| QueryOptions {
