@@ -7,6 +7,7 @@
 use nsql_bench::workload::{ja_workload, queries, WorkloadSpec, DEFAULT_SEED};
 use nsql_bench::{measure, Workload};
 use nsql_db::{Database, JoinPolicy, QueryOptions};
+use nsql_obs::ProfileNode;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
 
 /// Thread counts swept against the serial baseline.
@@ -119,17 +120,50 @@ fn float_aggregates_bit_identical_across_threads() {
     }
 }
 
+/// One measured quantity of a profile node.
+type Quantity = fn(&ProfileNode) -> u64;
+
+/// A node covers its children: summed over them, wall time and each of the
+/// four I/O counters come to no more than the node's own — all the way down.
+fn assert_additive(tag: &str, node: &ProfileNode) {
+    let parts: [(&str, Quantity); 5] = [
+        ("wall_ns", |n| n.wall_ns),
+        ("reads", |n| n.io.reads),
+        ("writes", |n| n.io.writes),
+        ("hits", |n| n.io.hits),
+        ("misses", |n| n.io.misses),
+    ];
+    for (what, of) in parts {
+        let children: u64 = node.children.iter().map(of).sum();
+        assert!(
+            children <= of(node),
+            "{tag}: the children of `{}` sum to {children} {what}, the node has {}\n{node:#?}",
+            node.name,
+            of(node)
+        );
+    }
+    for child in &node.children {
+        assert_additive(tag, child);
+    }
+}
+
 /// Observability is pure side-state: with `observe` on, the storage layer's
 /// full four-counter trace (reads/writes/hits/misses) and the result rows
 /// must be byte-identical to the unobserved run — at every thread count.
 /// This is the PR's hard invariant: metrics collection reads the counters,
-/// it never adds to them.
+/// it never adds to them. And what it collects adds up: no node of the
+/// profile is outweighed by its children, and the root nodes together
+/// account for exactly the page I/O the statement was charged.
 #[test]
 fn observe_leaves_io_trace_and_results_byte_identical() {
     let w = ja_workload(WorkloadSpec::small(), DEFAULT_SEED);
     for threads in [1usize, 4] {
         for (name, sql) in QUERIES {
-            for base in [QueryOptions::nested_iteration(), QueryOptions::transformed()] {
+            for base in [
+                QueryOptions::nested_iteration(),
+                QueryOptions::transformed(),
+                QueryOptions::batched(),
+            ] {
                 let base = QueryOptions { threads, cold_start: true, ..base };
                 let s0 = w.db.storage().io_snapshot();
                 let plain = w.db.query_with(sql, &base).unwrap();
@@ -139,7 +173,7 @@ fn observe_leaves_io_trace_and_results_byte_identical() {
                     .query_with(sql, &QueryOptions { observe: true, ..base.clone() })
                     .unwrap();
                 let s2 = w.db.storage().io_snapshot();
-                let tag = format!("obs/{name}/threads={threads}");
+                let tag = format!("obs/{name}/{}/threads={threads}", base.strategy.name());
                 assert_bit_identical(&tag, threads, &plain.relation, &observed.relation);
                 assert_eq!(
                     s1.since(&s0),
@@ -149,7 +183,16 @@ fn observe_leaves_io_trace_and_results_byte_identical() {
                 assert_eq!(plain.io, observed.io, "{tag}: reported totals diverged");
                 assert!(plain.obs.is_none());
                 let obs = observed.obs.expect("observe=true collects a report");
-                assert!(!obs.spans.is_empty(), "{tag}: no lifecycle spans");
+                assert!(!obs.profile.is_empty(), "{tag}: no lifecycle spans");
+                for root in &obs.profile {
+                    assert_additive(&tag, root);
+                }
+                let charged = |of: Quantity| obs.profile.iter().map(of).sum::<u64>();
+                assert_eq!(
+                    (charged(|n| n.io.reads), charged(|n| n.io.writes)),
+                    (observed.io.reads, observed.io.writes),
+                    "{tag}: the root nodes do not add up to the statement's page I/O"
+                );
             }
         }
     }

@@ -25,7 +25,7 @@ use crate::qualify::qualify_query;
 use crate::rewrites::rewrite_extended;
 use crate::Result;
 use nsql_analyzer::resolve::{predicate_column_refs, SchemaSource};
-use nsql_obs::Tracer;
+use nsql_obs::Profile;
 use nsql_sql::{
     ColumnRef, CompareOp, InRhs, Operand, Predicate, QueryBlock, ScalarExpr, SelectItem,
     TableRef,
@@ -73,18 +73,18 @@ pub fn transform_query<S: SchemaSource>(
     query: &QueryBlock,
     options: &UnnestOptions,
 ) -> Result<TransformPlan> {
-    transform_query_traced(catalog, query, options, &Tracer::disabled())
+    transform_query_traced(catalog, query, options, &Profile::default())
 }
 
-/// [`transform_query`] with a span tracer: each NEST-G recursion level and
+/// [`transform_query`] under a profile: each NEST-G recursion level and
 /// each algorithm dispatch (NEST-N-J merge, type-A temp, NEST-JA2 steps
-/// 1/2a/2b/3, Kim's NEST-JA) opens a nested span. With a disabled tracer
+/// 1/2a/2b/3, Kim's NEST-JA) opens a nested node. With a disabled profile
 /// this is exactly `transform_query`.
 pub fn transform_query_traced<S: SchemaSource>(
     catalog: &S,
     query: &QueryBlock,
     options: &UnnestOptions,
-    tracer: &Tracer,
+    profile: &Profile,
 ) -> Result<TransformPlan> {
     let mut q = query.clone();
     qualify_query(catalog, &mut q)?;
@@ -96,15 +96,15 @@ pub fn transform_query_traced<S: SchemaSource>(
         temps: Vec::new(),
         trace: Vec::new(),
         merged_in_membership: false,
-        tracer: tracer.clone(),
+        profile: profile.clone(),
     };
     ctx.nest_g(&mut q, &[])?;
     let Ctx { temps: mut out_temps, trace: mut out_trace, merged_in_membership, .. } = ctx;
     if options.logical_rules {
         let engine = crate::rules::RuleEngine::standard();
         for temp in &mut out_temps {
-            let (optimized, firings) = tracer
-                .scope("logical rules", || engine.optimize(temp.plan.clone()));
+            let (optimized, firings) =
+                profile.scope("logical rules", || engine.optimize(temp.plan.clone()));
             for f in &firings {
                 out_trace.push(format!("rule {} on {}: {}", f.rule, temp.name, f.detail));
             }
@@ -198,17 +198,17 @@ struct Ctx {
     temps: Vec<TempTable>,
     trace: Vec<String>,
     merged_in_membership: bool,
-    tracer: Tracer,
+    profile: Profile,
 }
 
 impl Ctx {
     /// The recursive procedure. `ancestors` runs nearest-first.
     fn nest_g(&mut self, block: &mut QueryBlock, ancestors: &[ScopeFrame]) -> Result<()> {
-        // Recursion-depth span; an error return leaves it open, and the
-        // tracer's finish() folds open spans in, so `?` stays safe.
-        let span = self.tracer.begin(&format!("NEST-G depth {}", ancestors.len()));
+        // Recursion-depth node; an error return below it leaves nodes open,
+        // and `end` closes open descendants first, so `?` stays safe.
+        let node = self.profile.begin_with(|| format!("NEST-G depth {}", ancestors.len()));
         let result = self.nest_g_inner(block, ancestors);
-        self.tracer.end(span);
+        self.profile.end(node);
         result
     }
 
@@ -316,9 +316,9 @@ impl Ctx {
                 // Type-A: one-row temporary, cross-joined.
                 self.trace.push("type-A nesting: inner block evaluates to a constant; \
                      materialized as a one-row temporary".to_string());
-                let span = self.tracer.begin("type-A temp");
+                let span = self.profile.begin("type-A temp");
                 let out = self.type_a_temp(inner);
-                self.tracer.end(span);
+                self.profile.end(span);
                 out?
             }
             crate::rules::BlockAction::NestJa2 => {
@@ -348,7 +348,7 @@ impl Ctx {
                         unreachable!("the rule catalog routes KimOriginal to NestJaKim")
                     }
                 };
-                let span = self.tracer.begin("NEST-JA2");
+                let span = self.profile.begin("NEST-JA2");
                 let out = apply_ja2(
                     &inner,
                     chain,
@@ -356,29 +356,29 @@ impl Ctx {
                     &mut self.temps,
                     &mut self.trace,
                     config,
-                    &self.tracer,
+                    &self.profile,
                 );
-                self.tracer.end(span);
+                self.profile.end(span);
                 out?
             }
             crate::rules::BlockAction::NestJaKim => {
                 self.trace
                     .push("type-JA nesting: applying Kim's NEST-JA (buggy baseline)".to_string());
-                let span = self.tracer.begin("NEST-JA (Kim)");
+                let span = self.profile.begin("NEST-JA (Kim)");
                 let out =
                     apply_ja_kim(&inner, &mut self.namer, &mut self.temps, &mut self.trace);
-                self.tracer.end(span);
+                self.profile.end(span);
                 out?
             }
         };
-        let merge_span = self.tracer.begin("NEST-N-J merge");
+        let merge_span = self.profile.begin("NEST-N-J merge");
         let outcome = merge_inner(
             block,
             Connecting { operand, op },
             inner_to_merge,
             &mut self.namer,
         );
-        self.tracer.end(merge_span);
+        self.profile.end(merge_span);
         let outcome = outcome?;
         for (old, new) in &outcome.renames {
             self.trace.push(format!("renamed inner table {old} to {new} to avoid collision"));

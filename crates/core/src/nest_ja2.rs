@@ -29,7 +29,7 @@ use crate::logical::{AggItem, JoinPred, LogicalJoinKind, LogicalPlan};
 use crate::pipeline::{TempNamer, TempTable};
 use crate::Result;
 use nsql_analyzer::resolve::predicate_column_refs;
-use nsql_obs::Tracer;
+use nsql_obs::Profile;
 use nsql_sql::{
     AggArg, AggFunc, ColumnRef, CompareOp, Operand, Predicate, QueryBlock, ScalarExpr,
     SelectItem, TableRef,
@@ -199,11 +199,11 @@ pub fn apply_ja2<S: OuterScope + ?Sized>(
     temps: &mut Vec<TempTable>,
     trace: &mut Vec<String>,
     config: Ja2Config,
-    tracer: &Tracer,
+    profile: &Profile,
 ) -> Result<QueryBlock> {
-    let analyze_span = tracer.begin("analyze type-JA block");
+    let analyze_span = profile.begin("analyze type-JA block");
     let ja = analyze_ja(inner);
-    tracer.end(analyze_span);
+    profile.end(analyze_span);
     let ja = ja?;
     let outer_base = scope.base_table(&ja.outer_name).ok_or_else(|| {
         TransformError::Internal(format!("outer relation {} not in scope", ja.outer_name))
@@ -211,7 +211,7 @@ pub fn apply_ja2<S: OuterScope + ?Sized>(
 
     // ---- Step 1: TEMP1 := DISTINCT projection of the outer join columns,
     //      restricted by the outer relation's simple predicates.
-    let step1_span = tracer.begin("NEST-JA2 step 1");
+    let step1_span = profile.begin("NEST-JA2 step 1");
     // One projected column per *distinct* outer column — two correlation
     // predicates may reference the same outer column (e.g. sibling
     // subqueries both correlated on A1.V), and `Vec::dedup` alone only
@@ -251,11 +251,11 @@ pub fn apply_ja2<S: OuterScope + ?Sized>(
         ja.outer_name
     ));
     temps.push(TempTable { name: temp1_name.clone(), plan: temp1_plan });
-    tracer.end(step1_span);
+    profile.end(step1_span);
 
     // ---- Step 2a: TEMP2 := restriction + projection of the inner
     //      relation(s) (the paper's Rt3).
-    let step2a_span = tracer.begin("NEST-JA2 step 2a");
+    let step2a_span = profile.begin("NEST-JA2 step 2a");
     let is_count = ja.func == AggFunc::Count;
     // Columns TEMP2 must carry: the inner correlation columns and the
     // aggregate argument. COUNT(*) counts the (first) inner join column
@@ -326,11 +326,11 @@ pub fn apply_ja2<S: OuterScope + ?Sized>(
         inner.from_names().join(", ")
     ));
     temps.push(TempTable { name: temp2_name.clone(), plan: temp2_plan });
-    tracer.end(step2a_span);
+    profile.end(step2a_span);
 
     // ---- Step 2b: TEMP3 := GROUP BY over TEMP1 ⋈ TEMP2 (outer join for
     //      COUNT), selecting the outer join columns and the aggregate.
-    let step2b_span = tracer.begin("NEST-JA2 step 2b");
+    let step2b_span = profile.begin("NEST-JA2 step 2b");
     let temp3_name = namer.fresh("TEMP");
     let alias_of = |col: &ColumnRef| -> String {
         let idx = inner_cols.iter().position(|c| c == col).expect("collected above");
@@ -383,11 +383,11 @@ pub fn apply_ja2<S: OuterScope + ?Sized>(
         if is_count { "LEFT OUTER JOIN" } else { "JOIN" }
     ));
     temps.push(TempTable { name: temp3_name.clone(), plan: temp3_plan });
-    tracer.end(step2b_span);
+    profile.end(step2b_span);
 
     // ---- Replacement inner block (Lemma 2 Q4 shape): type-J over TEMP3,
     //      join predicates changed to equality.
-    let step3_span = tracer.begin("NEST-JA2 step 3");
+    let step3_span = profile.begin("NEST-JA2 step 3");
     let mut where_parts: Vec<Predicate> = Vec::new();
     let mut seen_outer: Vec<&ColumnRef> = Vec::new();
     for c in &ja.correlations {
@@ -405,7 +405,7 @@ pub fn apply_ja2<S: OuterScope + ?Sized>(
         "NEST-JA2 step 3: inner block replaced by SELECT {temp3_name}.{agg_alias} FROM {temp3_name}; \
          original join predicate(s) changed to ="
     ));
-    tracer.end(step3_span);
+    profile.end(step3_span);
     Ok(QueryBlock {
         distinct: false,
         select: vec![SelectItem::column(ColumnRef::qualified(&temp3_name, &agg_alias))],
@@ -568,7 +568,7 @@ mod tests {
         let mut temps = Vec::new();
         let mut trace = Vec::new();
         let replacement =
-            apply_ja2(&inner, &Scope, &mut namer, &mut temps, &mut trace, Ja2Config::default(), &Tracer::disabled())
+            apply_ja2(&inner, &Scope, &mut namer, &mut temps, &mut trace, Ja2Config::default(), &Profile::default())
                 .unwrap();
         assert_eq!(temps.len(), 3);
         // TEMP3 is a left outer join (COUNT).
@@ -602,7 +602,7 @@ mod tests {
         let mut temps = Vec::new();
         let mut trace = Vec::new();
         let replacement =
-            apply_ja2(&inner, &Scope, &mut namer, &mut temps, &mut trace, Ja2Config::default(), &Tracer::disabled())
+            apply_ja2(&inner, &Scope, &mut namer, &mut temps, &mut trace, Ja2Config::default(), &Profile::default())
                 .unwrap();
         let LogicalPlan::Aggregate { input, .. } = &temps[2].plan else { panic!() };
         let LogicalPlan::Join { kind, on, .. } = input.as_ref() else { panic!() };
@@ -632,7 +632,7 @@ mod tests {
         let mut namer = TempNamer::new(vec![]);
         let mut temps = Vec::new();
         let mut trace = Vec::new();
-        let _ = apply_ja2(&inner, &Scope, &mut namer, &mut temps, &mut trace, Ja2Config::default(), &Tracer::disabled())
+        let _ = apply_ja2(&inner, &Scope, &mut namer, &mut temps, &mut trace, Ja2Config::default(), &Profile::default())
             .unwrap();
         let LogicalPlan::Aggregate { aggs, .. } = &temps[2].plan else { panic!() };
         // COUNT over TEMP2.PNUM, not COUNT(*).

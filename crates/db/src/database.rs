@@ -2,20 +2,20 @@
 
 use crate::catalog::Catalog;
 
-use crate::explain::{ObsReport, TempStat};
+use crate::explain::{header_lines, ObsReport, TempStat};
 use crate::options::{QueryOptions, Strategy};
-use crate::plan_exec::PlanExecutor;
+use crate::plan_exec::{observed, PlanExecutor};
 use crate::Result;
 use nsql_analyzer::{query_fingerprint, query_tree, validate_query, QueryTree};
 use nsql_core::{transform_query, transform_query_traced, TransformPlan};
-use nsql_engine::{Exec, ExecObs, NestedIter};
+use nsql_engine::{Exec, NestedIter};
 use nsql_obs::stats::{CacheCounters, SlowQuery, StatementSample, StatsRegistry};
-use nsql_obs::{IoDelta, SpanNode, Tracer};
+use nsql_obs::{IoDelta, Profile, ProfileNode};
 use nsql_sql::{parse_statements, QueryBlock, Statement};
 use nsql_storage::{IoStats, RecoveryReport, Storage};
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
+use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,14 +32,14 @@ pub struct QueryOutcome {
     /// Sizes of the materialized temporaries (transform strategy only) —
     /// the measured inputs to the Section-7 cost comparison.
     pub temps: Vec<TempStat>,
-    /// Spans, per-operator metrics, and events, when
+    /// The query's profile tree and diagnostic events, when
     /// [`QueryOptions::observe`] was set.
     pub obs: Option<ObsReport>,
 }
 
 /// What [`Database::open`] found and did while bringing a file-backed
 /// database back up: the storage layer's crash-recovery report, catalog
-/// shape, and the recovery lifecycle spans.
+/// shape, and the recovery lifecycle profile.
 #[derive(Debug, Clone)]
 pub struct OpenReport {
     /// WAL/page-file recovery outcome from the storage layer.
@@ -50,7 +50,7 @@ pub struct OpenReport {
     pub indexes: usize,
     /// Lifecycle spans: `"open"` with children `"open: recover store"` and
     /// `"open: restore catalog"`.
-    pub spans: Vec<SpanNode>,
+    pub spans: Vec<ProfileNode>,
 }
 
 /// An embedded single-session database over the simulated storage engine.
@@ -118,22 +118,23 @@ impl Database {
         page_size: usize,
         dir: &Path,
     ) -> Result<Database> {
-        let tracer = Tracer::enabled();
-        let outer = tracer.begin("open");
-        let span = tracer.begin("open: recover store");
+        // Wall time only: there is no store to probe until it is recovered.
+        let profile = Profile::with_probe(IoDelta::default);
+        let outer = profile.begin("open");
+        let span = profile.begin("open: recover store");
         let (storage, recovery) = Storage::file_backed(buffer_pages, page_size, dir)
             .map_err(|e| crate::error::DbError::Engine(e.into()))?;
-        tracer.end(span);
-        let span = tracer.begin("open: restore catalog");
+        profile.end(span);
+        let span = profile.begin("open: restore catalog");
         let snapshot = storage.durable().and_then(|s| s.committed_meta());
         let catalog = Catalog::restore(storage, snapshot.as_deref())?;
-        tracer.end(span);
-        tracer.end(outer);
+        profile.end(span);
+        profile.end(outer);
         let report = OpenReport {
             recovery,
             tables: catalog.table_names().len(),
             indexes: catalog.index_count(),
-            spans: tracer.finish(),
+            spans: profile.finish(),
         };
         Ok(Database::assemble(catalog, Some(report)))
     }
@@ -210,32 +211,30 @@ impl Database {
 
     /// Run one SELECT under explicit options, reporting I/O and EXPLAIN.
     pub fn query_with(&self, sql: &str, opts: &QueryOptions) -> Result<QueryOutcome> {
-        let (tracer, obs) = self.obs_handles(opts);
-        let span = tracer.begin("parse");
+        let profile = self.profile_for(opts);
+        let span = profile.begin("parse");
         let q = parse_one_select(sql)?;
-        tracer.end(span);
-        self.run_observed(&q, opts, tracer, obs)
+        profile.end(span);
+        self.run_observed(&q, opts, &profile)
     }
 
     /// Run a parsed query block under explicit options.
     pub fn run_query(&self, q: &QueryBlock, opts: &QueryOptions) -> Result<QueryOutcome> {
-        let (tracer, obs) = self.obs_handles(opts);
-        self.run_observed(q, opts, tracer, obs)
+        self.run_observed(q, opts, &self.profile_for(opts))
     }
 
-    /// Tracer + executor observability for one query, per
-    /// [`QueryOptions::observe`]. The tracer's I/O probe is a pure load of
-    /// the storage counters — observation never perturbs what it measures.
-    fn obs_handles(&self, opts: &QueryOptions) -> (Tracer, Option<ExecObs>) {
+    /// The profile of one query: disabled unless [`QueryOptions::observe`].
+    /// Its I/O probe is a pure load of the storage counters — observation
+    /// never perturbs what it measures.
+    fn profile_for(&self, opts: &QueryOptions) -> Profile {
         if !opts.observe {
-            return (Tracer::disabled(), None);
+            return Profile::default();
         }
         let storage = self.storage().clone();
-        let tracer = Tracer::with_probe(move || {
+        Profile::with_probe(move || {
             let s = storage.io_snapshot();
             IoDelta { reads: s.reads, writes: s.writes, hits: s.hits, misses: s.misses }
-        });
-        (tracer, Some(ExecObs::new()))
+        })
     }
 
     /// Statement-level wrapper around [`Database::run_strategy`]: refreshes
@@ -248,13 +247,12 @@ impl Database {
         &self,
         q: &QueryBlock,
         opts: &QueryOptions,
-        tracer: Tracer,
-        exec_obs: Option<ExecObs>,
+        profile: &Profile,
     ) -> Result<QueryOutcome> {
         let registry = self.catalog.stats_registry();
         if !registry.enabled() {
             let mut refusals = 0;
-            return self.run_strategy(q, opts, &tracer, &exec_obs, &mut refusals);
+            return self.run_strategy(q, opts, profile, &mut refusals);
         }
         // One snapshot per statement: every scan of a stat view inside this
         // statement (nested blocks included) sees the same materialization.
@@ -263,12 +261,12 @@ impl Database {
         let t0 = Instant::now();
         let io0 = self.catalog.storage().io_snapshot();
         let mut refusals = 0;
-        let result = self.run_strategy(q, opts, &tracer, &exec_obs, &mut refusals);
+        let result = self.run_strategy(q, opts, profile, &mut refusals);
         let micros = t0.elapsed().as_micros() as u64;
         let d = self.catalog.storage().io_snapshot().since(&io0);
         let strategy = opts.strategy.resolve().name().to_string();
-        let exec_mode =
-            if opts.exec_mode.vectorized() { "vector" } else { "row" }.to_string();
+        // The mode that ran, not the mode asked for.
+        let exec_mode = if opts.vectorized() { "vector" } else { "row" }.to_string();
         let fingerprint = query_fingerprint(q);
         registry.record_statement(&StatementSample {
             fingerprint: fingerprint.clone(),
@@ -286,7 +284,7 @@ impl Database {
                     Ok(out) => out.explain.clone(),
                     Err(e) => vec![format!("error: {e}")],
                 };
-                let seq = registry.record_slow(SlowQuery {
+                registry.record_slow(SlowQuery {
                     seq: 0,
                     sql: nsql_sql::print_query(q),
                     fingerprint,
@@ -296,11 +294,6 @@ impl Database {
                     writes: d.writes,
                     explain,
                 });
-                if let Some(obs) = &exec_obs {
-                    obs.registry.event(format!(
-                        "slow query #{seq}: {micros} us (threshold {threshold_us} us)"
-                    ));
-                }
             }
         }
         result
@@ -310,13 +303,12 @@ impl Database {
         &self,
         q: &QueryBlock,
         opts: &QueryOptions,
-        tracer: &Tracer,
-        exec_obs: &Option<ExecObs>,
+        profile: &Profile,
         refusals: &mut u64,
     ) -> Result<QueryOutcome> {
-        let span = tracer.begin("analyze");
+        let span = profile.begin("analyze");
         let analyzed = validate_query(&self.catalog, q);
-        tracer.end(span);
+        profile.end(span);
         analyzed?;
         let storage = self.catalog.storage();
         if opts.cold_start {
@@ -329,23 +321,18 @@ impl Database {
             opts.threads
         };
         let cache_mode = opts.cache.resolve();
-        let mut explain = Vec::new();
         let mut temps = Vec::new();
-        let relation = match opts.strategy {
-            strategy @ (Strategy::NestedIteration | Strategy::Batched) => {
-                let (rel, lines) =
-                    self.run_correlated(q, strategy, threads, cache_mode, tracer, exec_obs)?;
-                explain = lines;
-                rel
+        let (relation, explain) = match opts.strategy {
+            Strategy::NestedIteration | Strategy::Batched => {
+                self.run_correlated(q, opts, threads, profile)?
             }
             Strategy::Transform | Strategy::Auto => {
-                let vectorized = opts.exec_mode.vectorized();
                 let mut unnest = opts.unnest.clone();
                 unnest.preserve_duplicates |=
                     opts.duplicates == crate::options::DuplicateSemantics::ForceDistinct;
-                let span = tracer.begin("transform");
-                let plan = transform_query_traced(&self.catalog, q, &unnest, tracer);
-                tracer.end(span);
+                let span = profile.begin("transform");
+                let plan = transform_query_traced(&self.catalog, q, &unnest, profile);
+                profile.end(span);
                 // A transformation error is a *refusal*: the strategy
                 // declined the query shape. The fingerprint aggregates
                 // count it separately from ordinary errors.
@@ -353,29 +340,15 @@ impl Database {
                     *refusals += 1;
                     e
                 })?;
-                explain.push(format!(
-                    "strategy: transform ({} temp table{}), join policy: {}",
-                    plan.temp_count(),
-                    if plan.temp_count() == 1 { "" } else { "s" },
-                    opts.join_policy.name()
-                ));
-                if vectorized {
-                    explain.push(
-                        "exec mode: vectorized (batch kernels, per-operator row fallback)"
-                            .to_string(),
-                    );
-                }
+                let mut explain = header_lines(opts, plan.temp_count());
                 explain.extend(plan.trace.iter().cloned());
                 explain.push(format!("canonical: {}", nsql_sql::print_query(&plan.canonical)));
-                let mut exec =
-                    Exec::with_threads(storage.clone(), threads).with_vectorized(vectorized);
-                if let Some(obs) = &exec_obs {
-                    exec = exec.with_obs(obs.clone());
-                }
+                let exec = Exec::with_threads(storage.clone(), threads)
+                    .with_vectorized(opts.vectorized())
+                    .with_obs(profile.clone());
                 let mut pe = PlanExecutor::new(exec, &self.catalog, opts.join_policy);
                 pe.set_index_use(opts.index_use);
                 if cache_mode.enabled() {
-                    explain.push(format!("cache: mode {}", cache_mode.name()));
                     pe.set_cache(crate::result_cache::CacheCtx {
                         cache: Arc::clone(&self.cache),
                         fingerprint: format!(
@@ -389,25 +362,19 @@ impl Database {
                         rewrite: cache_mode.rewrite(),
                     });
                 }
-                let span = tracer.begin("execute plan");
+                let span = profile.begin("execute plan");
                 let rel =
                     pe.execute_transform_plan(&plan, plan.needs_distinct_for_semantics);
-                tracer.end(span);
+                profile.end(span);
                 let rel = rel?;
                 explain.extend(pe.log.iter().cloned());
-                if let Some(obs) = &exec_obs {
-                    // Physical decisions double as diagnostic events — the
-                    // stdout-free channel libraries report through.
-                    for line in &pe.log {
-                        obs.registry.event(line.clone());
-                    }
-                }
                 temps = pe.temp_stats();
                 pe.drop_temps();
-                rel
+                (rel, explain)
             }
         };
         let io = storage.io_stats().since(&before);
+        let mut events = Vec::new();
         if cache_mode.enabled() {
             // One source of truth for the lifetime cache counters: mirror
             // them into the statistics registry (which feeds the
@@ -424,15 +391,11 @@ impl Database {
                 bytes: s.bytes,
             };
             self.catalog.stats_registry().record_cache(counters);
-            if let Some(obs) = &exec_obs {
-                obs.registry.event(counters.render());
+            if opts.observe {
+                events.push(counters.render());
             }
         }
-        let obs = exec_obs.as_ref().map(|o| ObsReport {
-            spans: tracer.finish(),
-            ops: o.registry.snapshot(),
-            events: o.registry.events(),
-        });
+        let obs = opts.observe.then(|| ObsReport { profile: profile.finish(), events });
         Ok(QueryOutcome { relation, io, explain, temps, obs })
     }
 
@@ -444,58 +407,37 @@ impl Database {
     fn run_correlated(
         &self,
         q: &QueryBlock,
-        strategy: Strategy,
+        opts: &QueryOptions,
         threads: usize,
-        cache_mode: crate::options::CacheMode,
-        tracer: &Tracer,
-        exec_obs: &Option<ExecObs>,
+        profile: &Profile,
     ) -> Result<(Relation, Vec<String>)> {
-        let batched = strategy == Strategy::Batched;
-        let (label, span) = if batched {
-            ("batched evaluation", "execute: batched")
-        } else {
-            ("nested iteration", "execute: nested iteration")
-        };
-        let mut explain = vec![crate::explain::correlated_header(strategy).to_string()];
-        let storage = self.catalog.storage();
-        let mut evaluator = NestedIter::new(&self.catalog, storage.clone());
-        if cache_mode.enabled() {
+        let batched = opts.strategy == Strategy::Batched;
+        let mut explain = header_lines(opts, 0);
+        let cached = opts.cache.enabled();
+        let mut evaluator = NestedIter::new(&self.catalog, self.catalog.storage().clone())
+            .with_obs(profile.clone());
+        if cached {
             evaluator = evaluator.with_query_cache(Arc::clone(&self.cache));
         }
-        let op = exec_obs.as_ref().map(|obs| {
-            let op = obs.registry.op(label);
-            obs.set_current(Some(Arc::clone(&op)));
-            op
-        });
-        if let Some(obs) = exec_obs {
-            evaluator = evaluator.with_obs(obs.clone());
-        }
-        let span = tracer.begin(span);
-        let io0 = storage.io_snapshot();
-        let t0 = Instant::now();
-        let rel = if batched {
-            evaluator.eval_query_batched(q, threads)
-        } else {
-            evaluator.eval_query_threads(q, threads)
-        };
-        if let Some(op) = &op {
-            op.wall_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            let d = storage.io_snapshot().since(&io0);
-            op.reads.fetch_add(d.reads, Ordering::Relaxed);
-            op.writes.fetch_add(d.writes, Ordering::Relaxed);
-            op.hits.fetch_add(d.hits, Ordering::Relaxed);
-            op.misses.fetch_add(d.misses, Ordering::Relaxed);
-            if let Ok(rel) = &rel {
-                op.rows_out.add(0, rel.len() as u64);
-            }
-        }
-        tracer.end(span);
-        if cache_mode.enabled() {
+        let label = if batched { "execute: batched evaluation" } else { "execute: nested iteration" };
+        let rel = observed(
+            profile,
+            || label.to_string(),
+            0,
+            |rel: &Relation| rel.len() as u64,
+            || {
+                if batched {
+                    evaluator.eval_query_batched(q, threads)
+                } else {
+                    evaluator.eval_query_threads(q, threads)
+                }
+            },
+        );
+        if cached {
+            // The header's cache line, extended by what this run observed.
             let (h, m) = evaluator.cache_counts();
-            explain.push(format!(
-                "cache: mode {}, inner-block {h} hit(s), {m} miss(es)",
-                cache_mode.name()
-            ));
+            let line = explain.last_mut().expect("header ends with the cache line");
+            let _ = write!(line, ", inner-block {h} hit(s), {m} miss(es)");
         }
         Ok((rel?, explain))
     }
@@ -552,6 +494,18 @@ mod tests {
     const Q2: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
         (SELECT COUNT(SHIPDATE) FROM SUPPLY \
          WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)";
+
+    /// The operator nodes of a profile, wherever they nest, with their
+    /// counters.
+    fn operators(obs: &ObsReport) -> Vec<(&ProfileNode, &nsql_obs::OpStats)> {
+        let mut stack: Vec<&ProfileNode> = obs.profile.iter().collect();
+        let mut out = Vec::new();
+        while let Some(n) = stack.pop() {
+            out.extend(n.op.as_ref().map(|op| (n, op)));
+            stack.extend(&n.children);
+        }
+        out
+    }
 
     #[test]
     fn script_roundtrip() {
@@ -639,7 +593,8 @@ mod tests {
     #[test]
     fn explain_analyze_q2_shows_decision_costs_and_actuals() {
         let db = kiessling_db();
-        let report = db.explain_query(Q2, true, &QueryOptions::default()).unwrap();
+        let opts = QueryOptions { threads: 1, cold_start: true, ..Default::default() };
+        let report = db.explain_query(Q2, true, &opts).unwrap();
         // Transform decision: NEST-JA2 must fire on a type-JA query.
         assert!(report.chosen.contains("NEST-JA2"), "{}", report.chosen);
         // Predicted Section-7 cost for all four join-method variants.
@@ -648,15 +603,27 @@ mod tests {
             assert!(p.total() > 0.0, "{:#?}", p);
         }
         // Measured per-operator actuals from the same run.
-        let obs = report.obs.as_ref().expect("ANALYZE collects metrics");
-        assert!(obs.ops.iter().any(|o| o.label.contains("join")), "{:#?}", obs.ops);
-        assert!(obs.ops.iter().any(|o| o.rows_out > 0), "{:#?}", obs.ops);
-        assert!(
-            obs.ops.iter().any(|o| o.reads + o.hits + o.misses > 0),
-            "{:#?}",
-            obs.ops
+        let obs = report.obs.as_ref().expect("ANALYZE collects a profile");
+        let ops = operators(obs);
+        assert!(ops.iter().any(|(n, _)| n.name.contains("join")), "{ops:#?}");
+        assert!(ops.iter().any(|(_, op)| op.rows_out > 0), "{ops:#?}");
+        assert!(ops.iter().any(|(n, _)| n.io.reads + n.io.hits + n.io.misses > 0), "{ops:#?}");
+        // Section 7's terms are `execute plan`'s direct children — outer
+        // projection, the inner restriction, temp creation (the step-2b
+        // join and its group-by beneath it), final join — and their pages
+        // add up to the statement's.
+        let execute = obs.profile.iter().find(|n| n.name == "execute plan").expect("lifecycle");
+        let names: Vec<&str> = execute.children.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["materialize TEMP1", "materialize TEMP2", "materialize TEMP3", "nested-loop join (2 keys)"]
         );
-        assert!(!obs.spans.is_empty(), "lifecycle spans missing");
+        let beneath: Vec<&str> =
+            execute.children[2].children.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(beneath, ["nested-loop join (1 keys)", "group-by"]);
+        let pages = |f: fn(&ProfileNode) -> u64| execute.children.iter().map(f).sum::<u64>();
+        assert_eq!((pages(|n| n.io.reads), pages(|n| n.io.writes)), (7, 5));
+        assert_eq!(report.io.map(|io| (io.reads, io.writes)), Some((7, 5)));
         let text = report.render_lines().join("\n");
         assert!(text.contains("transform decision:"), "{text}");
         assert!(text.contains("predicted cost"), "{text}");
@@ -676,15 +643,15 @@ mod tests {
             parsed.get("predicted").and_then(|j| j.as_arr()).map(|a| a.len()),
             Some(4)
         );
-        let ops = parsed
+        let roots = parsed
             .get("obs")
-            .and_then(|o| o.get("operators"))
+            .and_then(|o| o.get("profile"))
             .and_then(|j| j.as_arr())
-            .expect("obs.operators present");
-        assert!(!ops.is_empty());
-        for op in ops {
-            for key in ["label", "rows_in", "rows_out", "reads", "writes", "wall_ns"] {
-                assert!(op.get(key).is_some(), "missing {key} in {op}");
+            .expect("obs.profile present");
+        assert!(!roots.is_empty());
+        for node in roots {
+            for key in ["name", "wall_ns", "io", "op", "children"] {
+                assert!(node.get(key).is_some(), "missing {key} in {node}");
             }
         }
     }
@@ -759,12 +726,9 @@ mod tests {
             ..QueryOptions::transformed()
         };
         let out = db.query_with(Q2, &opts).unwrap();
-        let obs = out.obs.expect("observe collects metrics");
-        assert!(
-            obs.ops.iter().any(|o| o.vectorized && o.batches > 0),
-            "{:#?}",
-            obs.ops
-        );
+        let obs = out.obs.expect("observe collects a profile");
+        let ops = operators(&obs);
+        assert!(ops.iter().any(|(_, op)| op.vectorized && op.batches > 0), "{ops:#?}");
     }
 
     #[test]

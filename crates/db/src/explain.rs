@@ -4,8 +4,9 @@
 //! algorithm fired and why, via the Figure-2 query tree and the NEST-G
 //! trace) next to the *Section-7 predicted costs* — all four NEST-JA2
 //! method combinations plus the nested-iteration baseline — and, under
-//! `ANALYZE`, the *measured* per-operator actuals (rows, pages, buffer
-//! hits, wall time, morsel distribution) and lifecycle spans.
+//! `ANALYZE`, the *measured* profile: one tree from the lifecycle phases
+//! down to the operators, each node with wall time and pages, operators
+//! with rows and morsel distribution.
 //!
 //! Predicted costs use measured temporary sizes when the query actually
 //! ran (`ANALYZE`); plain `EXPLAIN` falls back to crude upper bounds from
@@ -20,7 +21,7 @@ use nsql_core::cost::{
     batched_cost, ja2_cost, nested_iteration_cost_j, transformed_merge_join_cost,
     BatchedParams, Ja2Params, JoinMethod, StrategyCosts, StrategyKind,
 };
-use nsql_obs::{Json, OpSnapshot, SpanNode};
+use nsql_obs::{Json, ProfileNode};
 use nsql_sql::QueryBlock;
 use nsql_storage::IoStats;
 use nsql_types::Schema;
@@ -39,21 +40,21 @@ pub struct TempStat {
 /// Observability data collected during one observed query execution.
 #[derive(Debug, Clone, Default)]
 pub struct ObsReport {
-    /// Completed lifecycle spans (parse → analyze → transform → execute),
-    /// each with wall time and page-I/O delta.
-    pub spans: Vec<SpanNode>,
-    /// Per-operator metrics, in operator-creation order.
-    pub ops: Vec<OpSnapshot>,
-    /// Diagnostic events routed through the sink instead of stdout.
+    /// The query's profile: the lifecycle phases (parse → analyze →
+    /// transform → execute) as root nodes, each with wall time and page-I/O
+    /// delta, the physical operators nested under the phase that ran them.
+    pub profile: Vec<ProfileNode>,
+    /// Diagnostics that are no part of the plan (the cache's lifetime
+    /// counters), reported here instead of on stdout.
     pub events: Vec<String>,
 }
 
 impl ObsReport {
-    /// JSON form: `{spans: [..], operators: [..], events: [..]}`.
+    /// JSON form: `{profile: [node, ..], events: [..]}`, node as in
+    /// [`ProfileNode::to_json`].
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("spans", Json::Arr(self.spans.iter().map(SpanNode::to_json).collect())),
-            ("operators", Json::Arr(self.ops.iter().map(OpSnapshot::to_json).collect())),
+            ("profile", Json::Arr(self.profile.iter().map(ProfileNode::to_json).collect())),
             ("events", Json::Arr(self.events.iter().map(|e| Json::str(e)).collect())),
         ])
     }
@@ -136,7 +137,7 @@ pub struct ExplainReport {
     pub io: Option<IoStats>,
     /// Result cardinality (ANALYZE only).
     pub rows: Option<usize>,
-    /// Spans, per-operator metrics, and events (ANALYZE only).
+    /// The profile tree and events (ANALYZE only).
     pub obs: Option<ObsReport>,
 }
 
@@ -190,21 +191,8 @@ impl ExplainReport {
                 out.push(format!("  rows: {rows}, io: {io}"));
             }
             if let Some(obs) = &self.obs {
-                if !obs.ops.is_empty() {
-                    out.push("  operators:".to_string());
-                    for op in &obs.ops {
-                        out.push(format!("    {}", op.render()));
-                    }
-                }
-                if !obs.spans.is_empty() {
-                    out.push("  spans:".to_string());
-                    let mut lines = Vec::new();
-                    for s in &obs.spans {
-                        s.render_into(0, &mut lines);
-                    }
-                    for l in lines {
-                        out.push(format!("    {l}"));
-                    }
+                for node in &obs.profile {
+                    node.render_into(1, &mut out);
                 }
                 if !obs.events.is_empty() {
                     out.push("  events:".to_string());
@@ -304,25 +292,12 @@ impl Database {
             let out = self.run_query(q, &run_opts)?;
             (out.explain, out.temps, Some(out.io), Some(out.relation.len()), out.obs)
         } else {
-            // Plain EXPLAIN renders the same per-strategy header lines an
-            // ANALYZE run would: strategy, exec mode, cache mode. The
-            // correlated strategies run one row kernel whatever the exec
-            // mode, so theirs is the strategy and the cache line.
+            // Plain EXPLAIN opens with the header lines an ANALYZE run would.
             let strategy = match opts.strategy {
-                s @ (Strategy::NestedIteration | Strategy::Batched) => {
-                    let mut lines = vec![correlated_header(s).to_string()];
-                    lines.extend(mode_lines(opts, false));
-                    lines
-                }
+                Strategy::NestedIteration | Strategy::Batched => header_lines(opts, 0),
                 Strategy::Transform | Strategy::Auto => {
                     let plan = nsql_core::transform_query(self.catalog(), q, &opts.unnest)?;
-                    let mut lines = vec![format!(
-                        "strategy: transform ({} temp table{}), join policy: {}",
-                        plan.temp_count(),
-                        if plan.temp_count() == 1 { "" } else { "s" },
-                        opts.join_policy.name()
-                    )];
-                    lines.extend(mode_lines(opts, true));
+                    let mut lines = header_lines(opts, plan.temp_count());
                     lines.extend(plan.trace.clone());
                     lines.push(format!(
                         "canonical: {}",
@@ -505,23 +480,24 @@ impl Database {
     }
 }
 
-/// The EXPLAIN strategy line of the two correlated strategies (plain and
-/// ANALYZE print the same one).
-pub(crate) fn correlated_header(strategy: Strategy) -> &'static str {
-    match strategy {
+/// The decision lines every report opens with — strategy, exec mode, cache
+/// mode — built here for plain `EXPLAIN` and for the executing path alike,
+/// so the two cannot drift. `temps` is the transform plan's temporary
+/// count; the correlated strategies ignore it.
+pub(crate) fn header_lines(opts: &QueryOptions, temps: usize) -> Vec<String> {
+    let mut lines = vec![match opts.strategy {
+        Strategy::NestedIteration => "strategy: nested iteration (System R)".to_string(),
         Strategy::Batched => {
             "strategy: batched correlated evaluation (sort-deduplicated outer bindings)"
+                .to_string()
         }
-        _ => "strategy: nested iteration (System R)",
-    }
-}
-
-/// Execution-mode header lines of plain `EXPLAIN`: vectorization (for a
-/// strategy that has vectorized operators) and cache policy, after `Auto`
-/// resolution.
-fn mode_lines(opts: &QueryOptions, vectorizes: bool) -> Vec<String> {
-    let mut lines = Vec::new();
-    if vectorizes && opts.exec_mode.vectorized() {
+        Strategy::Transform | Strategy::Auto => format!(
+            "strategy: transform ({temps} temp table{}), join policy: {}",
+            if temps == 1 { "" } else { "s" },
+            opts.join_policy.name()
+        ),
+    }];
+    if opts.vectorized() {
         lines.push(
             "exec mode: vectorized (batch kernels, per-operator row fallback)".to_string(),
         );

@@ -21,6 +21,7 @@ use nsql_core::cost::{index_nested_join_cost, index_restrict_cost, sort_cost};
 use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
 use nsql_engine::{AggSpec, CExpr, CPred, Exec, JoinKind, Projector, TableProvider};
 use nsql_index::{BTreeIndex, KeyBound};
+use nsql_obs::Profile;
 use nsql_storage::sort::SortKey;
 use nsql_storage::HeapFile;
 use nsql_sql::{
@@ -28,36 +29,25 @@ use nsql_sql::{
 };
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Run `f` under a fresh per-operator metrics entry when the executor has
-/// observability attached; a plain call otherwise.
+/// Run `f` inside an operator node of `profile` named `label` (a plain
+/// call when the profile is disabled).
 ///
-/// The wrapper records wall time and the storage-snapshot page-I/O delta;
-/// engine internals (row counts, morsel claims, hash build/probe phases)
-/// record into the same operator through the executor's "current op" slot.
-/// `rows_in`/`rows` only apply when the engine recorded nothing itself, so
-/// nothing is double-counted.
-fn observed<R, E>(
-    exec: &Exec,
-    label: &str,
+/// Wall time and page I/O are the node's own; engine internals (row counts,
+/// morsel claims, hash build/probe phases) record into its counters while it
+/// is the innermost open node. `rows_in`/`rows` only apply when the engine
+/// recorded nothing itself, so nothing is double-counted.
+pub(crate) fn observed<R, E>(
+    profile: &Profile,
+    label: impl FnOnce() -> String,
     rows_in: u64,
     rows: impl FnOnce(&R) -> u64,
     f: impl FnOnce() -> std::result::Result<R, E>,
 ) -> std::result::Result<R, E> {
-    let Some(obs) = exec.obs().cloned() else { return f() };
-    let op = obs.registry.op(label);
-    let before = exec.storage().io_snapshot();
-    let t0 = Instant::now();
-    let out = obs.with_current(Arc::clone(&op), f);
-    op.wall_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    let d = exec.storage().io_snapshot().since(&before);
-    op.reads.fetch_add(d.reads, Ordering::Relaxed);
-    op.writes.fetch_add(d.writes, Ordering::Relaxed);
-    op.hits.fetch_add(d.hits, Ordering::Relaxed);
-    op.misses.fetch_add(d.misses, Ordering::Relaxed);
+    let node = profile.begin_op(label);
+    let Some(op) = profile.current_op() else { return f() };
+    let out = f();
     if op.rows_in.total() == 0 && rows_in > 0 {
         op.rows_in.add(0, rows_in);
     }
@@ -66,6 +56,7 @@ fn observed<R, E>(
             op.rows_out.add(0, rows(r));
         }
     }
+    profile.end(node);
     out
 }
 
@@ -225,8 +216,8 @@ impl<T: TableProvider> PlanExecutor<T> {
                 exec.storage().start_recording();
             }
             let out = observed(
-                &exec,
-                &format!("materialize {}", temp.name),
+                exec.obs(),
+                || format!("materialize {}", temp.name),
                 0,
                 |o: &PlanOutput| o.file.tuple_count() as u64,
                 || self.run_plan(&temp.plan),
@@ -351,8 +342,8 @@ impl<T: TableProvider> PlanExecutor<T> {
         for (temp, entry) in plan.temps.iter().zip(selected) {
             let exec = self.exec.clone();
             let file = observed(
-                &exec,
-                &format!("materialize {}", temp.name),
+                exec.obs(),
+                || format!("materialize {}", temp.name),
                 0,
                 |f: &HeapFile| f.tuple_count() as u64,
                 || -> Result<HeapFile> {
@@ -380,8 +371,8 @@ impl<T: TableProvider> PlanExecutor<T> {
         for (temp, entry) in plan.temps.iter().zip(selected) {
             let exec = self.exec.clone();
             let file = observed(
-                &exec,
-                &format!("materialize {}", temp.name),
+                exec.obs(),
+                || format!("materialize {}", temp.name),
                 0,
                 |f: &HeapFile| f.tuple_count() as u64,
                 || -> Result<HeapFile> {
@@ -570,8 +561,8 @@ impl<T: TableProvider> PlanExecutor<T> {
                 }
                 let rows_in = child.file.tuple_count() as u64;
                 let file = observed(
-                    &self.exec,
-                    "group-by",
+                    self.exec.obs(),
+                    || "group-by".to_string(),
                     rows_in,
                     |f: &HeapFile| f.tuple_count() as u64,
                     || {
@@ -721,11 +712,11 @@ impl<T: TableProvider> PlanExecutor<T> {
         };
         let rows_in = (l.file.tuple_count() + r.file.tuple_count()) as u64;
         if method == PhysicalJoin::Hash {
-            let label = format!("hash join ({} keys)", lkeys.len());
+            let label = || format!("hash join ({} keys)", lkeys.len());
             self.log.push(format!("hash join ({} keys) [modern extension]", lkeys.len()));
             return if materialize {
                 let file =
-                    observed(&self.exec, &label, rows_in, |f: &HeapFile| f.tuple_count() as u64, || {
+                    observed(self.exec.obs(), label, rows_in, |f: &HeapFile| f.tuple_count() as u64, || {
                         self.exec.hash_join(
                             &l.file,
                             &r.file,
@@ -743,7 +734,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                 }))
             } else {
                 let rel =
-                    observed(&self.exec, &label, rows_in, |rel: &Relation| rel.len() as u64, || {
+                    observed(self.exec.obs(), label, rows_in, |rel: &Relation| rel.len() as u64, || {
                         self.exec.hash_join_collect(
                             &l.file,
                             &r.file,
@@ -765,10 +756,10 @@ impl<T: TableProvider> PlanExecutor<T> {
                 if l_presorted { ", left pre-sorted" } else { "" },
                 if r_presorted { ", right pre-sorted" } else { "" },
             ));
-            let label = format!("merge join ({} keys)", lkeys.len());
+            let label = || format!("merge join ({} keys)", lkeys.len());
             if materialize {
                 let file =
-                    observed(&self.exec, &label, rows_in, |f: &HeapFile| f.tuple_count() as u64, || {
+                    observed(self.exec.obs(), label, rows_in, |f: &HeapFile| f.tuple_count() as u64, || {
                         self.exec.merge_join(
                             &l.file,
                             &r.file,
@@ -783,7 +774,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                 Ok(JoinResult::File(PlanOutput { file, sorted_by: lkeys, indexes: vec![] }))
             } else {
                 let rel =
-                    observed(&self.exec, &label, rows_in, |rel: &Relation| rel.len() as u64, || {
+                    observed(self.exec.obs(), label, rows_in, |rel: &Relation| rel.len() as u64, || {
                         self.exec.merge_join_collect(
                             &l.file,
                             &r.file,
@@ -816,10 +807,10 @@ impl<T: TableProvider> PlanExecutor<T> {
             }
             let on_pred =
                 if preds.is_empty() { CPred::always_true() } else { CPred::And(preds) };
-            let label = format!("nested-loop join ({} keys)", lkeys.len());
+            let label = || format!("nested-loop join ({} keys)", lkeys.len());
             if materialize {
                 let file =
-                    observed(&self.exec, &label, rows_in, |f: &HeapFile| f.tuple_count() as u64, || {
+                    observed(self.exec.obs(), label, rows_in, |f: &HeapFile| f.tuple_count() as u64, || {
                         self.exec.nl_join(&l.file, &r.file, &on_pred, jkind)
                     })?;
                 // NL join preserves the left input's order.
@@ -830,7 +821,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                 }))
             } else {
                 let rel =
-                    observed(&self.exec, &label, rows_in, |rel: &Relation| rel.len() as u64, || {
+                    observed(self.exec.obs(), label, rows_in, |rel: &Relation| rel.len() as u64, || {
                         self.exec.nl_join_collect(&l.file, &r.file, &on_pred, jkind)
                     })?;
                 Ok(JoinResult::Rows(rel))
@@ -981,7 +972,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             ix.name(),
             l.file.tuple_count()
         ));
-        let label = format!("index-nl join ({})", ix.name());
+        let label = || format!("index-nl join ({})", ix.name());
         let storage = self.exec.storage().clone();
         let probe_col = lkeys[ki];
         let rows_in = l.file.tuple_count() as u64;
@@ -1006,8 +997,8 @@ impl<T: TableProvider> PlanExecutor<T> {
         };
         if materialize {
             let file = observed(
-                &self.exec,
-                &label,
+                self.exec.obs(),
+                label,
                 rows_in,
                 |f: &HeapFile| f.tuple_count() as u64,
                 || {
@@ -1022,8 +1013,8 @@ impl<T: TableProvider> PlanExecutor<T> {
             }))
         } else {
             let rel = observed(
-                &self.exec,
-                &label,
+                self.exec.obs(),
+                label,
                 rows_in,
                 |rel: &Relation| rel.len() as u64,
                 || Relation::new(combined.clone(), gen_rows()?).map_err(DbError::from),
@@ -1076,8 +1067,8 @@ impl<T: TableProvider> PlanExecutor<T> {
             let out_schema = schema.clone();
             let key_col = ix.key_col();
             let file = observed(
-                &self.exec,
-                &format!("index scan {}", ix.name()),
+                self.exec.obs(),
+                || format!("index scan {}", ix.name()),
                 0,
                 |f: &HeapFile| f.tuple_count() as u64,
                 || -> Result<HeapFile> {
@@ -1340,8 +1331,8 @@ impl<T: TableProvider> PlanExecutor<T> {
             && acc.sorted_by.len() >= group_idx.len()
             && acc.sorted_by[..group_idx.len()] == group_idx[..];
         let grouped = observed(
-            &self.exec,
-            "group-by",
+            self.exec.obs(),
+            || "group-by".to_string(),
             working.tuple_count() as u64,
             |rel: &Relation| rel.len() as u64,
             || {

@@ -226,9 +226,9 @@ fn batched_analyze_executes_and_matches_nested_iteration() {
 }
 
 /// The JSON export of EXPLAIN ANALYZE keeps its schema for one query of
-/// each transformable nesting type: every top-level key, every
-/// per-operator key and the lifecycle spans survive a round trip through
-/// the in-tree parser, the decision names the algorithm the type calls for,
+/// each transformable nesting type: every top-level key, every node key of
+/// the profile tree and every per-operator key on its operator nodes
+/// survive a round trip through the in-tree parser, the decision names the algorithm the type calls for,
 /// and a type-JA report prices all four Section-7 join-method variants.
 #[test]
 fn analyze_json_keeps_its_schema_for_every_nesting_type() {
@@ -267,23 +267,33 @@ fn analyze_json_keeps_its_schema_for_every_nesting_type() {
             chosen.as_str().is_some_and(|c| c.contains(algorithm)),
             "[{name}] chose {chosen}, want {algorithm}"
         );
+        // One tree: every node keeps the span keys, and the operator nodes
+        // among them keep the per-operator keys.
         let obs = require(&json, "obs");
-        let ops = require(&obs, "operators");
-        let ops = ops.as_arr().expect("operators is an array");
-        assert!(!ops.is_empty(), "[{name}] no per-operator metrics");
-        for op in ops {
-            for key in [
-                "label", "rows_in", "rows_out", "morsels_per_worker", "reads", "writes",
-                "hits", "misses", "build_ns", "probe_ns", "wall_ns",
-            ] {
-                require(op, key);
+        let roots = require(&obs, "profile");
+        let mut stack: Vec<Json> = roots.as_arr().expect("profile is an array").to_vec();
+        assert!(!stack.is_empty(), "[{name}] no lifecycle spans recorded");
+        let mut operators = 0;
+        while let Some(node) = stack.pop() {
+            require(&node, "name");
+            require(&node, "wall_ns");
+            let io = require(&node, "io");
+            for key in ["reads", "writes", "hits", "misses"] {
+                require(&io, key);
             }
+            let op = require(&node, "op");
+            if op != Json::Null {
+                operators += 1;
+                for key in [
+                    "rows_in", "rows_out", "morsels_per_worker", "batches", "vectorized",
+                    "build_ns", "probe_ns",
+                ] {
+                    require(&op, key);
+                }
+            }
+            stack.extend(require(&node, "children").as_arr().expect("children is an array").to_vec());
         }
-        let spans = require(&obs, "spans");
-        assert!(
-            spans.as_arr().is_some_and(|s| !s.is_empty()),
-            "[{name}] no lifecycle spans recorded"
-        );
+        assert!(operators > 0, "[{name}] no per-operator metrics");
         if name == "type-JA" {
             let predicted = require(&json, "predicted");
             let predicted = predicted.as_arr().expect("predicted is an array");

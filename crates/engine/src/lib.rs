@@ -46,7 +46,7 @@ pub mod vec_exec;
 pub use error::EngineError;
 pub use expr::{CExpr, Joined, Projector, Row};
 pub use nested_iter::NestedIter;
-pub use ops::{AggSpec, Exec, ExecObs, JoinKind};
+pub use ops::{AggSpec, Exec, JoinKind};
 pub use pred::CPred;
 pub use provider::{MemoryProvider, OverlayProvider, TableProvider};
 

@@ -223,7 +223,7 @@ pub struct NestedIter<'a, T: TableProvider + ?Sized> {
     tables: &'a T,
     storage: Storage,
     shared: Arc<IterShared>,
-    obs: Option<crate::ops::ExecObs>,
+    profile: nsql_obs::Profile,
     query_cache: Option<Arc<QueryCache>>,
 }
 
@@ -242,16 +242,16 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 xq_hits: AtomicU64::new(0),
                 xq_misses: AtomicU64::new(0),
             }),
-            obs: None,
+            profile: nsql_obs::Profile::default(),
             query_cache: None,
         }
     }
 
-    /// Attach an observability sink. Morsel claims during parallel
-    /// evaluation land on the sink's current operator; side-state only,
-    /// never touching the trace/replay I/O accounting.
-    pub fn with_obs(mut self, obs: crate::ops::ExecObs) -> Self {
-        self.obs = Some(obs);
+    /// Attach the query's profile. Morsel claims during parallel
+    /// evaluation land on its innermost open operator node; side-state
+    /// only, never touching the trace/replay I/O accounting.
+    pub fn with_obs(mut self, profile: nsql_obs::Profile) -> Self {
+        self.profile = profile;
         self
     }
 
@@ -289,7 +289,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             tables: self.tables,
             storage,
             shared: Arc::clone(&self.shared),
-            obs: self.obs.clone(),
+            profile: self.profile.clone(),
             query_cache: self.query_cache.clone(),
         }
     }
@@ -395,7 +395,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let morsels = Morsels::new(pages.len(), 1);
         let slots: Vec<Mutex<Option<Slot>>> =
             (0..pages.len()).map(|_| Mutex::new(None)).collect();
-        let morsel_op = self.obs.as_ref().and_then(|o| o.current());
+        let morsel_op = self.profile.current_op();
         run_workers(threads.min(pages.len()), |w| {
             while let Some(range) = morsels.claim() {
                 if let Some(op) = &morsel_op {

@@ -187,7 +187,7 @@ impl Exec {
             // fallback matrix in DESIGN.md.)
             let op = self.current_op();
             if let Some(op) = &op {
-                op.vectorized.store(1, std::sync::atomic::Ordering::Relaxed);
+                op.vectorized.store(true, std::sync::atomic::Ordering::Relaxed);
             }
             let mut current_key: Option<Tuple> = None;
             let mut states: Vec<AggState> = Vec::new();

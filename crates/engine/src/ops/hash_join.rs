@@ -190,7 +190,7 @@ impl Exec {
         let op = self.current_op();
         let op_ref = op.as_deref();
         if let Some(op) = &op {
-            op.vectorized.store(1, std::sync::atomic::Ordering::Relaxed);
+            op.vectorized.store(true, std::sync::atomic::Ordering::Relaxed);
         }
         let build_start = op.as_ref().map(|_| std::time::Instant::now());
 
@@ -356,7 +356,7 @@ impl Exec {
 
     fn finish_probe(
         &self,
-        op: &Option<std::sync::Arc<nsql_obs::OpMetrics>>,
+        op: &Option<std::sync::Arc<nsql_obs::OpCounters>>,
         probe_start: Option<std::time::Instant>,
     ) {
         if let (Some(op), Some(t0)) = (op, probe_start) {

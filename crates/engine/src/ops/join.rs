@@ -562,19 +562,22 @@ mod tests {
 
     #[test]
     fn nl_join_reports_build_and_probe_time_to_the_attached_operator() {
-        use crate::ops::ExecObs;
-        let obs = ExecObs::new();
-        let e = exec().with_obs(obs.clone());
+        let profile = nsql_obs::Profile::with_probe(Default::default);
+        let e = exec().with_obs(profile.clone());
         let rows: Vec<Vec<i64>> = (0..300).map(|i| vec![i % 50]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
         let l = int_file(e.storage(), "L", &["A"], &refs);
         let r = int_file(e.storage(), "R", &["B"], &refs);
         let on = on_pred(&l, &r, "L.A = R.B");
-        let op = obs.registry.op("nested-loop join (1 keys)");
-        obs.with_current(op.clone(), || e.nl_join_collect(&l, &r, &on, JoinKind::Inner)).unwrap();
-        let snap = op.snapshot();
-        assert!(snap.build_ns > 0 && snap.probe_ns > 0, "{snap:?}");
-        assert!(snap.render().contains("(build "), "{}", snap.render());
+        let node = profile.begin_op(|| "nested-loop join (1 keys)".to_string());
+        e.nl_join_collect(&l, &r, &on, JoinKind::Inner).unwrap();
+        profile.end(node);
+        let node = &profile.finish()[0];
+        let op = node.op.as_ref().expect("an operator node");
+        assert!(op.build_ns > 0 && op.probe_ns > 0, "{node:?}");
+        let mut lines = Vec::new();
+        node.render_into(0, &mut lines);
+        assert!(lines[0].contains("(build "), "{lines:?}");
     }
 
     #[test]

@@ -32,13 +32,13 @@ use crate::par::par_map_pages;
 use crate::pred::CPred;
 use crate::vec_exec::{keep_lanes, vpred_from_cpred, VPred};
 use crate::Result;
-use nsql_obs::{MetricsRegistry, OpMetrics};
+use nsql_obs::{OpCounters, Profile};
 use nsql_storage::sort::SortKey;
 use nsql_storage::{external_sort_threads, HeapFile, Storage};
 use nsql_types::{Relation, Schema, Tuple};
 use nsql_vec::Batch;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Inner or left-outer join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,57 +50,12 @@ pub enum JoinKind {
     LeftOuter,
 }
 
-/// Observability state shared by an executor and its caller: the metrics
-/// registry plus a "current operator" slot the plan layer points at the
-/// operator it is about to run, so engine internals (morsel claims, hash
-/// build/probe timings, per-worker row counts) know where to record.
-///
-/// All recording is side-state: relaxed atomics and the registry's own
-/// locks, never the storage I/O counters — observation cannot perturb the
-/// byte-identical I/O accounting invariant.
-#[derive(Clone, Default)]
-pub struct ExecObs {
-    /// Per-operator metrics and the diagnostic event sink.
-    pub registry: MetricsRegistry,
-    current: Arc<Mutex<Option<Arc<OpMetrics>>>>,
-}
-
-impl ExecObs {
-    /// Fresh observability state with an empty registry.
-    pub fn new() -> ExecObs {
-        ExecObs::default()
-    }
-
-    /// Point engine internals at `op` (or detach with `None`).
-    pub fn set_current(&self, op: Option<Arc<OpMetrics>>) {
-        *self.current.lock().unwrap_or_else(PoisonError::into_inner) = op;
-    }
-
-    /// The operator currently being run, if any.
-    pub fn current(&self) -> Option<Arc<OpMetrics>> {
-        self.current.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
-    /// Run `f` with `op` installed as the current operator, restoring the
-    /// previous one after (operators can nest, e.g. a distinct projection's
-    /// internal sort).
-    pub fn with_current<R>(&self, op: Arc<OpMetrics>, f: impl FnOnce() -> R) -> R {
-        let prev = {
-            let mut cur = self.current.lock().unwrap_or_else(PoisonError::into_inner);
-            cur.replace(op)
-        };
-        let out = f();
-        self.set_current(prev);
-        out
-    }
-}
-
 /// Operator executor bound to a [`Storage`].
 #[derive(Clone)]
 pub struct Exec {
     storage: Storage,
     threads: usize,
-    obs: Option<ExecObs>,
+    profile: Profile,
     vectorized: bool,
 }
 
@@ -115,7 +70,7 @@ impl Exec {
     /// operators (scans, hash join, aggregation, sort run generation) fan
     /// out while reporting **identical** I/O statistics (see `engine::par`).
     pub fn with_threads(storage: Storage, threads: usize) -> Exec {
-        Exec { storage, threads: threads.max(1), obs: None, vectorized: false }
+        Exec { storage, threads: threads.max(1), profile: Profile::default(), vectorized: false }
     }
 
     /// Enable (or disable) the vectorized operator implementations. Results,
@@ -133,22 +88,24 @@ impl Exec {
         self.vectorized
     }
 
-    /// Attach observability state; operators record per-operator metrics
-    /// into its registry. Without this (the default), every collection
-    /// point reduces to one `Option` branch.
-    pub fn with_obs(mut self, obs: ExecObs) -> Exec {
-        self.obs = Some(obs);
+    /// Attach the query's profile; operators record into its innermost
+    /// open operator node. Without this (the default: a disabled profile),
+    /// every collection point reduces to one `Option` branch.
+    pub fn with_obs(mut self, profile: Profile) -> Exec {
+        self.profile = profile;
         self
     }
 
-    /// The attached observability state, if any.
-    pub fn obs(&self) -> Option<&ExecObs> {
-        self.obs.as_ref()
+    /// The attached profile (disabled unless [`Exec::with_obs`] set one).
+    pub fn obs(&self) -> &Profile {
+        &self.profile
     }
 
-    /// The operator metrics engine internals should record into right now.
-    pub(crate) fn current_op(&self) -> Option<Arc<OpMetrics>> {
-        self.obs.as_ref().and_then(ExecObs::current)
+    /// The operator counters engine internals should record into right
+    /// now: those of the innermost open node. Fetched by the coordinating
+    /// thread, before any fan-out.
+    pub(crate) fn current_op(&self) -> Option<Arc<OpCounters>> {
+        self.profile.current_op()
     }
 
     /// The underlying storage handle.
@@ -271,7 +228,7 @@ impl Exec {
     {
         let op = self.current_op();
         if let Some(op) = &op {
-            op.vectorized.store(1, Ordering::Relaxed);
+            op.vectorized.store(true, Ordering::Relaxed);
         }
         let filter_page = |page: &nsql_storage::Page| -> (Vec<Tuple>, Option<EngineError>, u64) {
             let tuples = page.tuples();

@@ -12,7 +12,7 @@
 //! (and therefore identical output page packing and write counts).
 
 use nsql_exec_par::{chunk_for, run_workers};
-use nsql_obs::OpMetrics;
+use nsql_obs::OpCounters;
 use nsql_storage::{Page, PageId, Storage};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -34,7 +34,7 @@ pub(crate) fn par_map_pages<R, F>(
     storage: &Storage,
     pages: &[PageId],
     threads: usize,
-    op: Option<&OpMetrics>,
+    op: Option<&OpCounters>,
     work: F,
 ) -> Vec<R>
 where

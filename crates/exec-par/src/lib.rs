@@ -15,17 +15,21 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Resolve the thread count from the environment: `NSQL_THREADS` if set
 /// (must parse as a positive integer), else `std::thread::available_parallelism`.
+/// Resolved once per process — every statement whose options leave the
+/// count open asks, and neither answer changes after start.
 pub fn threads_from_env() -> usize {
-    match std::env::var("NSQL_THREADS") {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| match std::env::var("NSQL_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
             _ => panic!("bad NSQL_THREADS: {v:?} (want a positive integer)"),
         },
         Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
+    })
 }
 
 /// Run `f(worker_index)` on `threads` workers and wait for all of them.

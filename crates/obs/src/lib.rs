@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
-//! Zero-dependency observability layer: spans, per-operator metrics, and a
-//! JSON exporter.
+//! Zero-dependency observability layer: one profile per query, the
+//! cumulative statistics it feeds, and a JSON exporter.
 //!
 //! The paper states every claim in counted page I/Os, so the one hard rule
 //! of this crate is that **observing a query must not change what is
@@ -11,27 +11,26 @@
 //! skips. `crates/bench/tests/par_prop.rs` proves the invariant end to end
 //! (obs on vs off, threads 1 and 4, byte-identical I/O and results).
 //!
-//! Three pieces:
-//!
-//! * [`span::Tracer`] — a nested span tracer for the query lifecycle
-//!   (parse → analyze → transform steps → plan → execute). Each span
-//!   carries wall time and, through an optional caller-supplied probe, the
-//!   page-I/O delta it covered.
-//! * [`metrics::MetricsRegistry`] — per-operator counters (rows in/out,
-//!   pages read/written, buffer hits/misses, build/probe timings, morsel
-//!   claims per worker) on sharded relaxed atomics, plus a diagnostic
-//!   event sink so library crates never print.
+//! * [`profile::Profile`] — the per-query recorder: one tree of nodes for
+//!   the query lifecycle (parse → analyze → transform steps → execute)
+//!   whose leaves are the physical operators. Every node carries wall time
+//!   and, through a caller-supplied probe, the page-I/O delta it covered;
+//!   operator nodes add rows in/out, morsel claims per worker, batches and
+//!   build/probe timings on sharded relaxed atomics. Children never sum to
+//!   more than their parent, so per-step page I/O can be read off the tree.
+//! * [`stats`] — the cumulative, engine-wide layer the statements feed
+//!   once they complete: per-table, per-fingerprint and cache counters,
+//!   latency histograms and the slow-query log behind the `nsql_stat_*`
+//!   views.
 //! * [`json`] — a minimal JSON value type with a writer *and* parser, so
 //!   exporters and their schema checks share one in-tree implementation.
 
 pub mod json;
-pub mod metrics;
-pub mod span;
+pub mod profile;
 pub mod stats;
 
 pub use json::Json;
-pub use metrics::{MetricsRegistry, OpMetrics, OpSnapshot, ShardedCounter, SHARDS};
-pub use span::{IoDelta, SpanNode, Tracer};
+pub use profile::{IoDelta, OpCounters, OpStats, Profile, ProfileNode, ShardedCounter, SHARDS};
 pub use stats::{
     thread_shard, CacheCounters, LatencyHistogram, SlowQuery, StatementSample,
     StatementSnapshot, StatementStats, StatsRegistry, StatsSnapshot, TableCounters,

@@ -1,7 +1,7 @@
 //! Engine-wide cumulative statistics registry.
 //!
-//! Unlike [`crate::metrics::MetricsRegistry`] — which lives for one
-//! observed query — a [`StatsRegistry`] lives for the whole database and
+//! Unlike a [`crate::profile::Profile`] — which lives for one observed
+//! query — a [`StatsRegistry`] lives for the whole database and
 //! aggregates *across* queries: per-table access counters, per-statement
 //! fingerprint aggregates with log-bucketed latency histograms, a mirror
 //! of the cache's lifetime counters, and a bounded slow-query log.
@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
-use crate::metrics::{ShardedCounter, SHARDS};
+use crate::profile::{ShardedCounter, SHARDS};
 
 /// Number of histogram buckets: bucket 0 holds exact zeros, bucket `i`
 /// (1..=64) holds values in `[2^(i-1), 2^i - 1]` — enough for any `u64`.

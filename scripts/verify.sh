@@ -40,9 +40,10 @@ NSQL_TEST_SEED=0x50a7ed cargo test -q --offline -p nsql-storage --test sort_prop
 NSQL_TEST_SEED=0x50a7ed cargo test -q --offline -p nsql-engine --test join_prop
 
 echo "==> query-processing library crates are stdout-silent"
-# Diagnostics in the processing crates route through the nsql-obs event
-# sink, so EXPLAIN ANALYZE and the JSON exporter see them. Harness crates
-# (testkit, bench) and binaries are exempt: stdout is their deliverable.
+# Diagnostics in the processing crates are returned as values
+# (QueryOutcome::explain, ObsReport), so EXPLAIN ANALYZE and the JSON
+# exporter see them. Harness crates (testkit, bench) and binaries are
+# exempt: stdout is their deliverable.
 if grep -rnE '(println|eprintln|print|eprint|dbg)!' \
     crates/types/src crates/obs/src crates/sql/src crates/storage/src \
     crates/index/src crates/exec-par/src crates/engine/src crates/vec/src \
@@ -66,6 +67,16 @@ if grep -rn 'env::var' crates/*/src src --include='*.rs' \
 fi
 if grep -rn 'set_var' crates src tests examples --include='*.rs'; then
     echo "FAIL: the process environment is written to"
+    exit 1
+fi
+
+echo "==> one recorder"
+# A query is observed by one nsql_obs::Profile (DESIGN.md "Observability").
+# The span tracer, the operator-metrics registry and the engine's
+# current-operator slot it replaced must not come back under their names.
+if grep -rnwE 'Tracer|SpanNode|SpanId|MetricsRegistry|OpMetrics|OpSnapshot|ExecObs' \
+    crates/*/src crates/*/tests src tests examples --include='*.rs'; then
+    echo "FAIL: a second per-query recorder"
     exit 1
 fi
 

@@ -6,7 +6,8 @@
 //!
 //! Type SQL terminated by `;` — including `EXPLAIN SELECT …` (transform
 //! decision and predicted Section-7 costs) and `EXPLAIN ANALYZE SELECT …`
-//! (adds measured per-operator metrics and lifecycle spans). Dot-commands:
+//! (adds the measured profile: one tree from the lifecycle phases down to
+//! the operators, with wall time, pages and rows). Dot-commands:
 //!
 //! ```text
 //! .help                 this text
@@ -234,7 +235,7 @@ fn print_help() {
     println!(
         "SQL (terminated by ';'): CREATE TABLE, INSERT INTO … VALUES, SELECT,\n\
          EXPLAIN SELECT … (transform decision + predicted Section-7 costs),\n\
-         EXPLAIN ANALYZE SELECT … (adds measured per-operator metrics + spans)\n\
+         EXPLAIN ANALYZE SELECT … (adds the measured profile: phases → operators, time/pages/rows)\n\
          .tables | .demo | .strategy ni|cost|merge|nl|hash|batched | .variant ja2|kim|noproj|late\n\
          .explain SELECT … | .tree SELECT … | .quit\n\
          .stats [json]   cumulative statistics (also queryable: SELECT … FROM nsql_stat_statements)\n\
