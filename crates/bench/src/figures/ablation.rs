@@ -38,21 +38,11 @@ pub fn ablation(cfg: &RunConfig) -> String {
             // Temps under `temp_policy` …
             for temp in &plan.temps {
                 let out = pe.run_plan(&temp.plan).expect("temp plan");
-                let schema = out.file.schema().requalify(&temp.name);
-                let file = out.file.with_schema(schema);
-                pe.register_temp(
-                    &temp.name,
-                    nsql_db::plan_exec::PlanOutput {
-                        file,
-                        sorted_by: out.sorted_by,
-                        indexes: vec![],
-                    },
-                );
+                pe.register_temp(&temp.name, out);
             }
             // … final canonical query under `final_policy`.
             pe.set_policy(final_policy);
             let rel = pe.execute_flat_query(&plan.canonical, false).expect("canonical");
-            pe.drop_temps();
             let io = storage.io_stats().since(&before);
             assert!(rel.same_bag(&ni.relation), "variant disagrees with reference");
             rows.push(vec![

@@ -74,7 +74,6 @@ fn run_with_temps(cfg: &RunConfig, out: &mut String, db: &Database, sql: &str, v
         let file = &pe.temp(&temp.name).expect("registered").file;
         outln!(out, "{}:\n{}\n", temp.name, db.storage().load_relation(file));
     }
-    pe.drop_temps();
     outln!(out, "final result:\n{rel}\n");
 }
 

@@ -369,7 +369,6 @@ impl Database {
                 let rel = rel?;
                 explain.extend(pe.log.iter().cloned());
                 temps = pe.temp_stats();
-                pe.drop_temps();
                 (rel, explain)
             }
         };

@@ -10,6 +10,10 @@
 //! column order; a merge join emits its result in key order, so the GROUP
 //! BY above it needs no sort; `Rt` leaves the GROUP BY in join-column order
 //! and meets the final merge join pre-sorted.
+//!
+//! Whatever a step materializes is owned by the [`PlanOutput`] it returns
+//! and freed when that value is dropped (DESIGN.md, "Execution model and
+//! the I/O-accounting invariant"): nothing here frees a page by hand.
 
 use crate::error::DbError;
 use crate::explain::TempStat;
@@ -22,8 +26,7 @@ use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
 use nsql_engine::{AggSpec, CExpr, CPred, Exec, JoinKind, Projector, TableProvider};
 use nsql_index::{BTreeIndex, KeyBound};
 use nsql_obs::Profile;
-use nsql_storage::sort::SortKey;
-use nsql_storage::HeapFile;
+use nsql_storage::{HeapFile, Storage, TempFile};
 use nsql_sql::{
     AggArg, AggFunc, ColumnRef, CompareOp, Operand, Predicate, QueryBlock, ScalarExpr, SortDir,
 };
@@ -61,7 +64,10 @@ pub(crate) fn observed<R, E>(
 }
 
 /// A heap file plus the (prefix) column indices it is sorted by.
-#[derive(Clone)]
+///
+/// An output either *views* a file someone else owns — a base table, a
+/// registered temporary — or *is* what a plan step materialized, and then
+/// dropping the output frees the file's pages.
 pub struct PlanOutput {
     /// The materialized data.
     pub file: HeapFile,
@@ -73,10 +79,31 @@ pub struct PlanOutput {
     /// positions, so the indexes survive it); every transforming operator
     /// clears it.
     pub indexes: Vec<Arc<BTreeIndex>>,
+    /// Owns `file`'s pages when a plan step materialized them; `None` on a
+    /// view. Only the pages matter: the guard's copy of the schema is not
+    /// read.
+    _owner: Option<TempFile>,
+}
+
+impl PlanOutput {
+    /// What a plan step just materialized: unindexed, freed with the value.
+    fn stored(storage: &Storage, file: HeapFile, sorted_by: Vec<usize>) -> PlanOutput {
+        let _owner = Some(TempFile::new(storage, file.clone()));
+        PlanOutput { file, sorted_by, indexes: vec![], _owner }
+    }
+
+    /// The same pages with their columns requalified by `name` — how a scan
+    /// sees a table under its alias, how a temporary goes by its name.
+    /// Order, indexes and ownership carry over.
+    fn requalified(self, name: &str) -> PlanOutput {
+        let schema = self.file.schema().requalify(name);
+        PlanOutput { file: self.file.with_schema(schema), ..self }
+    }
 }
 
 /// Executor for logical plans and canonical queries over a base provider
-/// plus an overlay of temporary tables.
+/// plus an overlay of temporary tables. Dropping the executor frees the
+/// temporaries still registered with it.
 pub struct PlanExecutor<T: TableProvider> {
     exec: Exec,
     base: T,
@@ -131,8 +158,10 @@ impl<T: TableProvider> PlanExecutor<T> {
         self.policy = policy;
     }
 
-    /// Register a temporary table.
+    /// Register `out` as the temporary table `name`, its columns
+    /// requalified by that name. The executor owns its pages from here on.
     pub fn register_temp(&mut self, name: &str, out: PlanOutput) {
+        let out = PlanOutput { indexes: vec![], ..out.requalified(name) };
         self.temps.insert(name.to_ascii_uppercase(), out);
     }
 
@@ -141,11 +170,10 @@ impl<T: TableProvider> PlanExecutor<T> {
         self.temps.get(&name.to_ascii_uppercase())
     }
 
-    /// Drop all temporary tables, freeing their pages.
+    /// Drop all temporary tables, freeing their pages (as dropping the
+    /// executor does).
     pub fn drop_temps(&mut self) {
-        for (_, out) in self.temps.drain() {
-            out.file.drop_pages(self.exec.storage());
-        }
+        self.temps.clear();
     }
 
     /// Sizes of the registered temporaries in name order — the measured
@@ -164,19 +192,18 @@ impl<T: TableProvider> PlanExecutor<T> {
         v
     }
 
-    fn lookup(&self, name: &str) -> Result<PlanOutput> {
+    /// A view of the registered temporary or base table `name`, with its
+    /// columns requalified by `seen_as`.
+    fn lookup(&self, name: &str, seen_as: &str) -> Result<PlanOutput> {
         let key = name.to_ascii_uppercase();
-        if let Some(t) = self.temps.get(&key) {
-            return Ok(t.clone());
-        }
-        match self.base.get_table(&key) {
-            Some(file) => Ok(PlanOutput {
-                file,
-                sorted_by: vec![],
-                indexes: self.base.get_indexes(&key),
-            }),
-            None => Err(DbError::Engine(nsql_engine::EngineError::UnknownTable(key))),
-        }
+        let (file, sorted_by, indexes) = if let Some(t) = self.temps.get(&key) {
+            (t.file.clone(), t.sorted_by.clone(), t.indexes.clone())
+        } else if let Some(file) = self.base.get_table(&key) {
+            (file, vec![], self.base.get_indexes(&key))
+        } else {
+            return Err(DbError::Engine(nsql_engine::EngineError::UnknownTable(key)));
+        };
+        Ok(PlanOutput { file, sorted_by, indexes, _owner: None }.requalified(seen_as))
     }
 
     // ----------------------------------------------------------- TransformPlan
@@ -219,14 +246,14 @@ impl<T: TableProvider> PlanExecutor<T> {
                 exec.obs(),
                 || format!("materialize {}", temp.name),
                 0,
-                |o: &PlanOutput| o.file.tuple_count() as u64,
+                stored_rows,
                 || self.run_plan(&temp.plan),
             );
             let trace = publish.is_some().then(|| exec.storage().take_recording());
-            let out = out?;
-            let schema = out.file.schema().requalify(&temp.name);
-            let file = out.file.with_schema(schema);
-            self.log_materialize(&temp.name, &file, &out.sorted_by);
+            self.register_temp(&temp.name, out?);
+            let name = temp.name.to_ascii_uppercase();
+            let PlanOutput { file, sorted_by, .. } = &self.temps[&name];
+            self.log.push(materialize_line(&temp.name, file, sorted_by));
             if let Some((ctx, keys)) = publish {
                 let key = &keys[i];
                 let output_pages = file
@@ -247,21 +274,17 @@ impl<T: TableProvider> PlanExecutor<T> {
                     schema: file.schema().clone(),
                     output_pages,
                     tuple_count: file.tuple_count(),
-                    sorted_by: out.sorted_by.clone(),
+                    sorted_by: sorted_by.clone(),
                     trace: trace.unwrap_or_default(),
                     deps,
                     view: key.view.clone(),
                 });
-                published.insert(temp.name.to_ascii_uppercase(), id);
+                published.insert(name, id);
                 self.log.push(format!(
                     "cache: miss {} (recorded and published)",
                     temp.name
                 ));
             }
-            self.register_temp(
-                &temp.name,
-                PlanOutput { file, sorted_by: out.sorted_by, indexes: vec![] },
-            );
         }
         Ok(())
     }
@@ -282,7 +305,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         // up. Either every temp replays or every temp runs and records.
         if let Some(selected) = self.select_entries(ctx, &keys, false) {
             ctx.cache.note_hits(keys.len() as u64);
-            return self.replay_selected(plan, &selected);
+            return self.serve_selected(plan, &selected, false);
         }
 
         if ctx.rewrite {
@@ -292,7 +315,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             // (counted writes only) instead of replaying.
             if let Some(selected) = self.select_entries(ctx, &keys, true) {
                 ctx.cache.note_hits(keys.len() as u64);
-                return self.rebuild_selected(plan, &selected);
+                return self.serve_selected(plan, &selected, true);
             }
             self.log_declines(ctx, &keys);
         }
@@ -333,11 +356,19 @@ impl<T: TableProvider> PlanExecutor<T> {
         Some(selected)
     }
 
-    /// Exact-hit path: recharge each temp's recorded page-event sequence
-    /// and register the rebuilt (replayed-page) file. `pid_map` spans the
-    /// whole plan so later temps' recorded reads of earlier temps land on
-    /// their replayed pages.
-    fn replay_selected(&mut self, plan: &TransformPlan, selected: &[Arc<TempEntry>]) -> Result<()> {
+    /// Serve every temp from its selected cache entry and register the
+    /// file. An exact hit recharges the entry's recorded page-event
+    /// sequence (`pid_map` spans the whole plan so later temps' recorded
+    /// reads of earlier temps land on their replayed pages); a `derived`
+    /// hit (rewrite mode) writes the cached tuples into a fresh heap file.
+    /// Stored tuple order is the recorded output order, so the entry's
+    /// sort metadata stays physically true either way.
+    fn serve_selected(
+        &mut self,
+        plan: &TransformPlan,
+        selected: &[Arc<TempEntry>],
+        derived: bool,
+    ) -> Result<()> {
         let mut pid_map: HashMap<nsql_storage::PageId, nsql_storage::PageId> = HashMap::new();
         for (temp, entry) in plan.temps.iter().zip(selected) {
             let exec = self.exec.clone();
@@ -347,52 +378,28 @@ impl<T: TableProvider> PlanExecutor<T> {
                 0,
                 |f: &HeapFile| f.tuple_count() as u64,
                 || -> Result<HeapFile> {
-                    Ok(replay_temp(exec.storage(), entry, &mut pid_map))
-                },
-            )?;
-            self.log_materialize(&temp.name, &file, &entry.sorted_by);
-            self.log.push(format!(
-                "cache: hit {} (exact; replayed {} page events)",
-                temp.name,
-                entry.trace.len()
-            ));
-            self.register_temp(
-                &temp.name,
-                PlanOutput { file, sorted_by: entry.sorted_by.clone(), indexes: vec![] },
-            );
-        }
-        Ok(())
-    }
-
-    /// Derived-hit path (rewrite mode): rewrite the cached tuples into a
-    /// fresh heap file. Stored tuple order is the recorded output order,
-    /// so the entry's sort metadata stays physically true.
-    fn rebuild_selected(&mut self, plan: &TransformPlan, selected: &[Arc<TempEntry>]) -> Result<()> {
-        for (temp, entry) in plan.temps.iter().zip(selected) {
-            let exec = self.exec.clone();
-            let file = observed(
-                exec.obs(),
-                || format!("materialize {}", temp.name),
-                0,
-                |f: &HeapFile| f.tuple_count() as u64,
-                || -> Result<HeapFile> {
-                    let tuples: Vec<Tuple> = entry
-                        .output_pages
-                        .iter()
-                        .flat_map(|(_, ts)| ts.iter().cloned())
-                        .collect();
+                    if !derived {
+                        return Ok(replay_temp(exec.storage(), entry, &mut pid_map));
+                    }
+                    let tuples = entry.output_pages.iter().flat_map(|(_, ts)| ts.iter().cloned());
                     Ok(HeapFile::from_tuples(exec.storage(), entry.schema.clone(), tuples))
                 },
             )?;
-            self.log_materialize(&temp.name, &file, &entry.sorted_by);
-            self.log.push(format!(
-                "cache: derived hit {} (rebuilt from cached aggregate view; I/O differs from a cold run)",
-                temp.name
-            ));
-            self.register_temp(
-                &temp.name,
-                PlanOutput { file, sorted_by: entry.sorted_by.clone(), indexes: vec![] },
-            );
+            self.log.push(materialize_line(&temp.name, &file, &entry.sorted_by));
+            self.log.push(if derived {
+                format!(
+                    "cache: derived hit {} (rebuilt from cached aggregate view; I/O differs from a cold run)",
+                    temp.name
+                )
+            } else {
+                format!(
+                    "cache: hit {} (exact; replayed {} page events)",
+                    temp.name,
+                    entry.trace.len()
+                )
+            });
+            let out = PlanOutput::stored(exec.storage(), file, entry.sorted_by.clone());
+            self.register_temp(&temp.name, out);
         }
         Ok(())
     }
@@ -426,30 +433,15 @@ impl<T: TableProvider> PlanExecutor<T> {
         }
     }
 
-    fn log_materialize(&mut self, name: &str, file: &HeapFile, sorted_by: &[usize]) {
-        self.log.push(format!(
-            "materialize {}: {} tuples, {} pages{}",
-            name,
-            file.tuple_count(),
-            file.page_count(),
-            if sorted_by.is_empty() { "" } else { " (sorted)" }
-        ));
-    }
-
     // ----------------------------------------------------------- LogicalPlan
 
-    /// Execute a logical plan to a materialized heap file.
+    /// Execute a logical plan to a materialized heap file. The children a
+    /// step materialized are freed when the step has read them for the
+    /// last time: where its arm ends.
     pub fn run_plan(&mut self, plan: &LogicalPlan) -> Result<PlanOutput> {
         match plan {
             LogicalPlan::Scan { table, alias } => {
-                let out = self.lookup(table)?;
-                let name = alias.as_deref().unwrap_or(table);
-                let schema = out.file.schema().requalify(name);
-                Ok(PlanOutput {
-                    file: out.file.with_schema(schema),
-                    sorted_by: out.sorted_by,
-                    indexes: out.indexes,
-                })
+                self.lookup(table, alias.as_deref().unwrap_or(table))
             }
             LogicalPlan::Filter { input, pred } => {
                 // Fuse a filter over an *inner* join into the join's
@@ -468,28 +460,21 @@ impl<T: TableProvider> PlanExecutor<T> {
                 }
                 let cpred = CPred::compile(child.file.schema(), pred)?;
                 let file = self.exec.filter(&child.file, &cpred)?;
-                let drop_input = matches!(input.as_ref(), LogicalPlan::Scan { .. });
-                if !drop_input {
-                    child.file.drop_pages(self.exec.storage());
-                }
-                Ok(PlanOutput { file, sorted_by: child.sorted_by, indexes: vec![] })
+                Ok(PlanOutput::stored(self.exec.storage(), file, child.sorted_by))
             }
             LogicalPlan::Project { input, items, distinct } => {
                 // Fuse Project(Filter(x)) into one restrict+project pass.
-                let (src_plan, pred) = match input.as_ref() {
+                let (src_plan, mut pred) = match input.as_ref() {
                     LogicalPlan::Filter { input: inner, pred } => (inner.as_ref(), Some(pred)),
                     other => (other, None),
                 };
                 let mut child = self.run_plan(src_plan)?;
-                let mut drop_child = !matches!(src_plan, LogicalPlan::Scan { .. });
-                let mut pred = pred;
                 if let Some(p) = pred {
                     // The fused filter may route through an index first; the
                     // index pass applies the whole predicate, so the
                     // projection then runs unfiltered.
                     if let Some(filtered) = self.try_index_restrict(&child, p)? {
                         child = filtered;
-                        drop_child = true;
                         pred = None;
                     }
                 }
@@ -505,84 +490,30 @@ impl<T: TableProvider> PlanExecutor<T> {
                     out_schema,
                     *distinct,
                 )?;
-                if drop_child {
-                    child.file.drop_pages(self.exec.storage());
-                }
                 let sorted_by = if *distinct {
                     // Distinct projection leaves the file whole-tuple sorted.
                     (0..file.schema().arity()).collect()
                 } else {
                     remap_sort(&child.sorted_by, &exprs)
                 };
-                Ok(PlanOutput { file, sorted_by, indexes: vec![] })
+                Ok(PlanOutput::stored(self.exec.storage(), file, sorted_by))
             }
             LogicalPlan::Join { left, right, kind, on } => {
                 self.run_join(left, right, *kind, on, None)
             }
             LogicalPlan::Aggregate { input, group_by, aggs } => {
                 let child = self.run_plan(input)?;
-                let schema = child.file.schema().clone();
-                let group_idx: Vec<usize> = group_by
-                    .iter()
-                    .map(|c| schema.resolve(c.table.as_deref(), &c.column))
-                    .collect::<std::result::Result<_, _>>()?;
-                let mut specs = Vec::with_capacity(aggs.len());
-                let mut out_cols: Vec<Column> = group_idx
-                    .iter()
-                    .map(|&i| {
-                        let c = &schema.columns()[i];
-                        Column::new(&c.name, c.ty)
-                    })
-                    .collect();
+                let mut step = GroupStep::new(child.file.schema(), &child.sorted_by, group_by)?;
                 for a in aggs {
-                    let (spec, ty) = match &a.arg {
-                        AggArg::Star => (AggSpec::count_star(), ColumnType::Int),
-                        AggArg::Column(c) => {
-                            let i = schema.resolve(c.table.as_deref(), &c.column)?;
-                            let ty = match a.func {
-                                AggFunc::Count => ColumnType::Int,
-                                AggFunc::Avg => ColumnType::Float,
-                                _ => schema.columns()[i].ty,
-                            };
-                            (AggSpec::on(a.func, i), ty)
-                        }
-                    };
-                    specs.push(spec);
-                    out_cols.push(Column::new(&a.alias, ty));
+                    step.push_agg(a.func, &a.arg, &a.alias)?;
                 }
-                let presorted = !group_idx.is_empty()
-                    && child.sorted_by.len() >= group_idx.len()
-                    && child.sorted_by[..group_idx.len()] == group_idx[..];
-                if !group_idx.is_empty() {
-                    self.log.push(format!(
-                        "group-by: {}",
-                        if presorted { "input pre-sorted, no sort pass" } else { "sorting input" }
-                    ));
+                if !step.group_idx.is_empty() {
+                    let how =
+                        if step.presorted { "input pre-sorted, no sort pass" } else { "sorting input" };
+                    self.log.push(format!("group-by: {how}"));
                 }
-                let rows_in = child.file.tuple_count() as u64;
-                let file = observed(
-                    self.exec.obs(),
-                    || "group-by".to_string(),
-                    rows_in,
-                    |f: &HeapFile| f.tuple_count() as u64,
-                    || {
-                        self.exec.group_aggregate(
-                            &child.file,
-                            &group_idx,
-                            &specs,
-                            Schema::new(out_cols),
-                            presorted,
-                        )
-                    },
-                )?;
-                if !matches!(input.as_ref(), LogicalPlan::Scan { .. }) {
-                    child.file.drop_pages(self.exec.storage());
-                }
-                Ok(PlanOutput {
-                    file,
-                    sorted_by: (0..group_idx.len()).collect(),
-                    indexes: vec![],
-                })
+                let sorted_by = (0..step.group_idx.len()).collect();
+                step.run(&self.exec, &child.file, stored_rows, |rel| store(&self.exec, rel, sorted_by))
             }
         }
     }
@@ -597,58 +528,30 @@ impl<T: TableProvider> PlanExecutor<T> {
     ) -> Result<PlanOutput> {
         let l = self.run_plan(left)?;
         let r = self.run_plan(right)?;
-        let out = self.join_outputs(&l, &r, kind, on, residual, true)?;
-        if !matches!(left, LogicalPlan::Scan { .. }) {
-            l.file.drop_pages(self.exec.storage());
-        }
-        if !matches!(right, LogicalPlan::Scan { .. }) {
-            r.file.drop_pages(self.exec.storage());
-        }
+        let out = self.join(&l, &r, kind, on, residual, stored_rows, store)?;
+        // Left before right, where the trace of record has them.
+        drop(l);
+        drop(r);
         Ok(out)
     }
 
-    /// Join two materialized inputs. With `materialize` false the result is
-    /// returned in memory instead (final join of a canonical query).
+    /// Join two inputs by the method [`choose_join`](Self::choose_join)
+    /// picks, inside one operator node, and hand the rows and the order
+    /// they lie in to `deliver` while that node is still open — so a sink
+    /// that stores them has its page writes counted on the join, and one
+    /// that keeps them in memory (the final join of a canonical query)
+    /// writes nothing. `rows` counts what `deliver` made, for the node.
     #[allow(clippy::too_many_arguments)]
-    fn join_outputs(
+    fn join<R>(
         &mut self,
         l: &PlanOutput,
         r: &PlanOutput,
         kind: LogicalJoinKind,
         on: &[JoinPred],
         residual: Option<&Predicate>,
-        materialize: bool,
-    ) -> Result<PlanOutput> {
-        let rel = self.join_to_rows(l, r, kind, on, residual, materialize)?;
-        match rel {
-            JoinResult::File(out) => Ok(out),
-            JoinResult::Rows(_) => unreachable!("materialize=true returns a file"),
-        }
-    }
-
-    fn join_collect(
-        &mut self,
-        l: &PlanOutput,
-        r: &PlanOutput,
-        kind: LogicalJoinKind,
-        on: &[JoinPred],
-        residual: Option<&Predicate>,
-    ) -> Result<Relation> {
-        match self.join_to_rows(l, r, kind, on, residual, false)? {
-            JoinResult::Rows(rel) => Ok(rel),
-            JoinResult::File(_) => unreachable!("materialize=false returns rows"),
-        }
-    }
-
-    fn join_to_rows(
-        &mut self,
-        l: &PlanOutput,
-        r: &PlanOutput,
-        kind: LogicalJoinKind,
-        on: &[JoinPred],
-        residual: Option<&Predicate>,
-        materialize: bool,
-    ) -> Result<JoinResult> {
+        rows: impl FnOnce(&R) -> u64,
+        deliver: impl FnOnce(&Exec, Relation, Vec<usize>) -> R,
+    ) -> Result<R> {
         let combined = l.file.schema().join(r.file.schema());
         let jkind = match kind {
             LogicalJoinKind::Inner => JoinKind::Inner,
@@ -681,176 +584,167 @@ impl<T: TableProvider> PlanExecutor<T> {
         if let Some(p) = residual {
             rest.push(p.clone());
         }
-        let residual_pred = if rest.is_empty() {
+        let residual = if rest.is_empty() {
             None
         } else {
             Some(CPred::compile(&combined, &Predicate::and(rest))?)
         };
 
-        // §7.3 extension: an inner equi-join whose probe side is an
-        // unmodified base table with a B+tree on the join key can run as an
-        // index nested-loop join — NEST-JA2's back-join without a full
-        // inner scan per outer tuple.
-        if jkind == JoinKind::Inner && !lkeys.is_empty() {
-            if let Some((ki, ix)) = self.pick_index_join(l, r, &lkeys, &rkeys) {
-                return self.index_nl_join(
-                    l,
-                    r,
-                    ix,
-                    ki,
-                    &lkeys,
-                    &rkeys,
-                    residual_pred,
-                    materialize,
-                );
+        let method = self.choose_join(l, r, jkind, &lkeys, &rkeys);
+                let probes = l.file.tuple_count();
+        self.log.push(method.explain(lkeys.len(), probes));
+        let (probe_key, rows_in) = match &method {
+            JoinMethod::IndexProbe { key, index } => {
+                note_index_probes(&self.base, index, probes as u64);
+                (Some(*key), probes)
             }
-        }
-        let method = if lkeys.is_empty() {
-            PhysicalJoin::NestedLoop
-        } else {
-            self.pick_method(l, r, &lkeys, &rkeys)
+            _ => (None, probes + r.file.tuple_count()),
         };
-        let rows_in = (l.file.tuple_count() + r.file.tuple_count()) as u64;
-        if method == PhysicalJoin::Hash {
-            let label = || format!("hash join ({} keys)", lkeys.len());
-            self.log.push(format!("hash join ({} keys) [modern extension]", lkeys.len()));
-            return if materialize {
-                let file =
-                    observed(self.exec.obs(), label, rows_in, |f: &HeapFile| f.tuple_count() as u64, || {
-                        self.exec.hash_join(
-                            &l.file,
-                            &r.file,
-                            &lkeys,
-                            &rkeys,
-                            residual_pred.as_ref(),
-                            jkind,
-                        )
-                    })?;
-                // Hash probe preserves the left input's order.
-                Ok(JoinResult::File(PlanOutput {
-                    file,
-                    sorted_by: l.sorted_by.clone(),
-                    indexes: vec![],
-                }))
-            } else {
-                let rel =
-                    observed(self.exec.obs(), label, rows_in, |rel: &Relation| rel.len() as u64, || {
-                        self.exec.hash_join_collect(
-                            &l.file,
-                            &r.file,
-                            &lkeys,
-                            &rkeys,
-                            residual_pred.as_ref(),
-                            jkind,
-                        )
-                    })?;
-                Ok(JoinResult::Rows(rel))
-            };
-        }
-        if method == PhysicalJoin::Merge {
-            let l_presorted = sorted_on(&l.sorted_by, &lkeys);
-            let r_presorted = sorted_on(&r.sorted_by, &rkeys);
-            self.log.push(format!(
-                "merge join ({} keys){}{}",
-                lkeys.len(),
-                if l_presorted { ", left pre-sorted" } else { "" },
-                if r_presorted { ", right pre-sorted" } else { "" },
-            ));
-            let label = || format!("merge join ({} keys)", lkeys.len());
-            if materialize {
-                let file =
-                    observed(self.exec.obs(), label, rows_in, |f: &HeapFile| f.tuple_count() as u64, || {
-                        self.exec.merge_join(
-                            &l.file,
-                            &r.file,
-                            &lkeys,
-                            &rkeys,
-                            residual_pred.as_ref(),
-                            jkind,
-                            l_presorted,
-                            r_presorted,
-                        )
-                    })?;
-                Ok(JoinResult::File(PlanOutput { file, sorted_by: lkeys, indexes: vec![] }))
-            } else {
-                let rel =
-                    observed(self.exec.obs(), label, rows_in, |rel: &Relation| rel.len() as u64, || {
-                        self.exec.merge_join_collect(
-                            &l.file,
-                            &r.file,
-                            &lkeys,
-                            &rkeys,
-                            residual_pred.as_ref(),
-                            jkind,
-                            l_presorted,
-                            r_presorted,
-                        )
-                    })?;
-                Ok(JoinResult::Rows(rel))
-            }
-        } else {
-            self.log.push(format!(
-                "nested-loop join ({} equality keys folded into predicate)",
-                lkeys.len()
-            ));
-            // Fold the keys back into the predicate.
-            let mut preds: Vec<CPred> = Vec::new();
-            for (li, ri) in lkeys.iter().zip(&rkeys) {
-                preds.push(CPred::Cmp {
-                    left: CExpr::Col(*li),
+        // What the methods without a key comparison of their own evaluate
+        // on a candidate pair: the equality keys (but the one an index
+        // probe has already matched) folded in front of the residual.
+        let folded = || {
+            let split = l.file.schema().arity();
+            let mut preds: Vec<CPred> = (0..lkeys.len())
+                .filter(|&j| Some(j) != probe_key)
+                .map(|j| CPred::Cmp {
+                    left: CExpr::Col(lkeys[j]),
                     op: CompareOp::Eq,
-                    right: CExpr::Col(l.file.schema().arity() + ri),
-                });
-            }
-            if let Some(p) = residual_pred {
-                preds.push(p);
-            }
-            let on_pred =
-                if preds.is_empty() { CPred::always_true() } else { CPred::And(preds) };
-            let label = || format!("nested-loop join ({} keys)", lkeys.len());
-            if materialize {
-                let file =
-                    observed(self.exec.obs(), label, rows_in, |f: &HeapFile| f.tuple_count() as u64, || {
-                        self.exec.nl_join(&l.file, &r.file, &on_pred, jkind)
-                    })?;
-                // NL join preserves the left input's order.
-                Ok(JoinResult::File(PlanOutput {
-                    file,
-                    sorted_by: l.sorted_by.clone(),
-                    indexes: vec![],
-                }))
-            } else {
-                let rel =
-                    observed(self.exec.obs(), label, rows_in, |rel: &Relation| rel.len() as u64, || {
-                        self.exec.nl_join_collect(&l.file, &r.file, &on_pred, jkind)
-                    })?;
-                Ok(JoinResult::Rows(rel))
-            }
-        }
+                    right: CExpr::Col(split + rkeys[j]),
+                })
+                .collect();
+            preds.extend(residual.clone());
+            if preds.is_empty() { CPred::always_true() } else { CPred::And(preds) }
+        };
+        let exec = &self.exec;
+        observed(exec.obs(), || method.label(lkeys.len()), rows_in as u64, rows, || {
+            let (lf, rf, residual) = (&l.file, &r.file, residual.as_ref());
+            let rel = match &method {
+                JoinMethod::Hash => {
+                    exec.hash_join_collect(lf, rf, &lkeys, &rkeys, residual, jkind)?
+                }
+                JoinMethod::Merge { left_presorted, right_presorted } => exec
+                    .merge_join_collect(
+                        lf,
+                        rf,
+                        &lkeys,
+                        &rkeys,
+                        residual,
+                        jkind,
+                        *left_presorted,
+                        *right_presorted,
+                    )?,
+                JoinMethod::NestedLoop => exec.nl_join_collect(lf, rf, &folded(), jkind)?,
+                JoinMethod::IndexProbe { key, index } => {
+                    let (storage, extra) = (exec.storage(), folded());
+                    let mut rows = Vec::new();
+                    for lt in lf.scan(storage) {
+                        let probe = lt.get(lkeys[*key]);
+                        if matches!(probe, Value::Null) {
+                            continue; // NULL never equals anything
+                        }
+                        for rt in index.probe_eq(storage, probe) {
+                            let mut vals = lt.values().to_vec();
+                            vals.extend(rt.values().iter().cloned());
+                            let t = Tuple::new(vals);
+                            if extra.accepts(&t)? {
+                                rows.push(t);
+                            }
+                        }
+                    }
+                    Relation::new(combined, rows)?
+                }
+            };
+            // A merge join emits in key order; the other methods keep the
+            // left input's.
+            let sorted_by = match method {
+                JoinMethod::Merge { .. } => lkeys.clone(),
+                _ => l.sorted_by.clone(),
+            };
+            Ok(deliver(exec, rel, sorted_by))
+        })
     }
 
-    /// Decide the physical method for an equi-join per the policy. The
-    /// cost-based choice considers only the paper's two methods; hash join
-    /// is a forced-only modern extension.
-    fn pick_method(
-        &self,
+    /// Decide how one join step runs. Without an equality key only the
+    /// nested loop applies. Otherwise: §7.3's extension first — an inner
+    /// equi-join whose right side is an unmodified base table with a B+tree
+    /// on a join key (of a comparable type class) can probe it once per
+    /// left tuple, NEST-JA2's back-join without a full inner scan, when the
+    /// index policy and the cost picture favour that — then the join
+    /// policy. The cost-based choice considers only the paper's two
+    /// methods; hash join is a forced-only modern extension.
+    fn choose_join(
+        &mut self,
         l: &PlanOutput,
         r: &PlanOutput,
+        kind: JoinKind,
         lkeys: &[usize],
         rkeys: &[usize],
-    ) -> PhysicalJoin {
-        match self.policy {
-            JoinPolicy::ForceNestedLoop => PhysicalJoin::NestedLoop,
-            JoinPolicy::ForceMergeJoin => PhysicalJoin::Merge,
-            JoinPolicy::ForceHashJoin => PhysicalJoin::Hash,
-            JoinPolicy::CostBased => {
-                let (nl, mj) = self.classic_join_costs(l, r, lkeys, rkeys);
-                if mj < nl {
-                    PhysicalJoin::Merge
-                } else {
-                    PhysicalJoin::NestedLoop
-                }
+    ) -> JoinMethod {
+        if lkeys.is_empty() {
+            return JoinMethod::NestedLoop;
+        }
+        let (nl, mj) = self.classic_join_costs(l, r, lkeys, rkeys);
+        let may_probe = kind == JoinKind::Inner
+            && match (self.index_use, self.policy) {
+                (IndexUse::Never, _) => false,
+                (IndexUse::Prefer, _) => true,
+                // Cost-based index use only composes with the cost-based join
+                // policy — forced classic policies stay forced.
+                (IndexUse::CostBased, policy) => policy == JoinPolicy::CostBased,
+            };
+        // The first join key the right side has an index on. Probe values
+        // must order identically in the index (total_cmp) and in predicate
+        // evaluation (sql_cmp); mixed incomparable classes would turn a type
+        // error into a silent empty result.
+        let candidate = rkeys
+            .iter()
+            .enumerate()
+            .find_map(|(key, &rk)| {
+                let index = r.indexes.iter().find(|ix| ix.key_col() == rk)?;
+                Some((key, Arc::clone(index)))
+            })
+            .filter(|(key, _)| {
+                let lty = l.file.schema().columns()[lkeys[*key]].ty;
+                let rty = r.file.schema().columns()[rkeys[*key]].ty;
+                may_probe && lty.same_class(rty)
+            });
+        if let Some((key, index)) = candidate {
+            let st = index.stats();
+            let leaves_per_probe = if st.distinct_keys == 0 {
+                1.0
+            } else {
+                (st.leaf_pages as f64 / st.distinct_keys as f64).ceil().max(1.0)
+            };
+            let icost = index_nested_join_cost(
+                l.file.page_count() as f64,
+                l.file.tuple_count() as f64,
+                st.height as f64,
+                leaves_per_probe,
+            );
+            let use_ix = self.index_use == IndexUse::Prefer || icost < nl.min(mj);
+            self.log.push(format!(
+                "index join candidate {}: cost {:.1} vs nl {:.1} / mj {:.1} ({})",
+                index.name(),
+                icost,
+                nl,
+                mj,
+                if use_ix { "chose index" } else { "rejected" }
+            ));
+            if use_ix {
+                return JoinMethod::IndexProbe { key, index };
             }
+        }
+        let merge = JoinMethod::Merge {
+            left_presorted: sorted_on(&l.sorted_by, lkeys),
+            right_presorted: sorted_on(&r.sorted_by, rkeys),
+        };
+        match self.policy {
+            JoinPolicy::ForceNestedLoop => JoinMethod::NestedLoop,
+            JoinPolicy::ForceMergeJoin => merge,
+            JoinPolicy::ForceHashJoin => JoinMethod::Hash,
+            JoinPolicy::CostBased if mj < nl => merge,
+            JoinPolicy::CostBased => JoinMethod::NestedLoop,
         }
     }
 
@@ -873,154 +767,6 @@ impl<T: TableProvider> PlanExecutor<T> {
         let l_sort = if sorted_on(&l.sorted_by, lkeys) { 0.0 } else { sort_cost(lp, b) };
         let r_sort = if sorted_on(&r.sorted_by, rkeys) { 0.0 } else { sort_cost(rp, b) };
         (nl, l_sort + r_sort + lp + rp)
-    }
-
-    /// Whether an index nested-loop join applies and wins on this join
-    /// step: the right side carries a B+tree whose key is one of the
-    /// equi-join keys (of a comparable type class), and the policy/cost
-    /// picture favors probing it. Returns the key position and index.
-    fn pick_index_join(
-        &mut self,
-        l: &PlanOutput,
-        r: &PlanOutput,
-        lkeys: &[usize],
-        rkeys: &[usize],
-    ) -> Option<(usize, Arc<BTreeIndex>)> {
-        if r.indexes.is_empty() {
-            return None;
-        }
-        match (self.index_use, self.policy) {
-            (IndexUse::Never, _) => return None,
-            (IndexUse::Prefer, _) => {}
-            // Cost-based index use only composes with the cost-based join
-            // policy — forced classic policies stay forced.
-            (IndexUse::CostBased, JoinPolicy::CostBased) => {}
-            (IndexUse::CostBased, _) => return None,
-        }
-        let (ki, ix) = rkeys.iter().enumerate().find_map(|(ki, &rk)| {
-            r.indexes
-                .iter()
-                .find(|ix| ix.key_col() == rk)
-                .map(|ix| (ki, Arc::clone(ix)))
-        })?;
-        // Probe values must order identically in the index (total_cmp) and
-        // in predicate evaluation (sql_cmp); mixed incomparable classes
-        // would turn a type error into a silent empty result.
-        let lty = l.file.schema().columns()[lkeys[ki]].ty;
-        let rty = r.file.schema().columns()[rkeys[ki]].ty;
-        if !lty.same_class(rty) {
-            return None;
-        }
-        let st = ix.stats();
-        let leaves_per_probe = if st.distinct_keys == 0 {
-            1.0
-        } else {
-            (st.leaf_pages as f64 / st.distinct_keys as f64).ceil().max(1.0)
-        };
-        let icost = index_nested_join_cost(
-            l.file.page_count() as f64,
-            l.file.tuple_count() as f64,
-            st.height as f64,
-            leaves_per_probe,
-        );
-        let (nl, mj) = self.classic_join_costs(l, r, lkeys, rkeys);
-        let use_ix = self.index_use == IndexUse::Prefer || icost < nl.min(mj);
-        self.log.push(format!(
-            "index join candidate {}: cost {:.1} vs nl {:.1} / mj {:.1} ({})",
-            ix.name(),
-            icost,
-            nl,
-            mj,
-            if use_ix { "chose index" } else { "rejected" }
-        ));
-        use_ix.then_some((ki, ix))
-    }
-
-    /// Inner join by probing the right side's B+tree once per left tuple.
-    /// Preserves the left input's order; join keys other than the probe
-    /// key and any residual are applied to each candidate pair.
-    #[allow(clippy::too_many_arguments)]
-    fn index_nl_join(
-        &mut self,
-        l: &PlanOutput,
-        r: &PlanOutput,
-        ix: Arc<BTreeIndex>,
-        ki: usize,
-        lkeys: &[usize],
-        rkeys: &[usize],
-        residual: Option<CPred>,
-        materialize: bool,
-    ) -> Result<JoinResult> {
-        let combined = l.file.schema().join(r.file.schema());
-        let mut preds: Vec<CPred> = Vec::new();
-        for (j, (li, ri)) in lkeys.iter().zip(rkeys).enumerate() {
-            if j == ki {
-                continue;
-            }
-            preds.push(CPred::Cmp {
-                left: CExpr::Col(*li),
-                op: CompareOp::Eq,
-                right: CExpr::Col(l.file.schema().arity() + ri),
-            });
-        }
-        if let Some(p) = residual {
-            preds.push(p);
-        }
-        let extra = if preds.is_empty() { CPred::always_true() } else { CPred::And(preds) };
-        self.log.push(format!(
-            "index nested-loop join via {} ({} probes)",
-            ix.name(),
-            l.file.tuple_count()
-        ));
-        let label = || format!("index-nl join ({})", ix.name());
-        let storage = self.exec.storage().clone();
-        let probe_col = lkeys[ki];
-        let rows_in = l.file.tuple_count() as u64;
-        note_index_probes(&self.base, &ix, rows_in);
-        let gen_rows = || -> Result<Vec<Tuple>> {
-            let mut rows = Vec::new();
-            for lt in l.file.scan(&storage) {
-                let key = lt.get(probe_col);
-                if matches!(key, Value::Null) {
-                    continue; // NULL never equals anything
-                }
-                for rt in ix.probe_eq(&storage, key) {
-                    let mut vals = lt.values().to_vec();
-                    vals.extend(rt.values().iter().cloned());
-                    let t = Tuple::new(vals);
-                    if extra.accepts(&t)? {
-                        rows.push(t);
-                    }
-                }
-            }
-            Ok(rows)
-        };
-        if materialize {
-            let file = observed(
-                self.exec.obs(),
-                label,
-                rows_in,
-                |f: &HeapFile| f.tuple_count() as u64,
-                || {
-                    let rows = gen_rows()?;
-                    Ok::<_, DbError>(HeapFile::from_tuples(&storage, combined, rows))
-                },
-            )?;
-            Ok(JoinResult::File(PlanOutput {
-                file,
-                sorted_by: l.sorted_by.clone(),
-                indexes: vec![],
-            }))
-        } else {
-            let rel = observed(
-                self.exec.obs(),
-                label,
-                rows_in,
-                |rel: &Relation| rel.len() as u64,
-                || Relation::new(combined.clone(), gen_rows()?).map_err(DbError::from),
-            )?;
-            Ok(JoinResult::Rows(rel))
-        }
     }
 
     /// Try to satisfy `pred` over `out` (a base-table scan with live
@@ -1081,11 +827,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                     Ok(HeapFile::from_tuples(&storage, out_schema, rows))
                 },
             )?;
-            return Ok(Some(PlanOutput {
-                file,
-                sorted_by: vec![key_col],
-                indexes: vec![],
-            }));
+            return Ok(Some(PlanOutput::stored(&storage, file, vec![key_col])));
         }
         Ok(None)
     }
@@ -1105,19 +847,13 @@ impl<T: TableProvider> PlanExecutor<T> {
                 "query with empty FROM".into(),
             )));
         }
-        // Resolve inputs.
+        // Resolve inputs. Whatever this statement materializes — an
+        // index-restricted input here, the join accumulator below — lives
+        // until the function returns, past the statement's last page read.
         let mut inputs: Vec<PlanOutput> = q
             .from
             .iter()
-            .map(|t| {
-                let out = self.lookup(&t.table)?;
-                let schema = out.file.schema().requalify(t.effective_name());
-                Ok(PlanOutput {
-                    file: out.file.with_schema(schema),
-                    sorted_by: out.sorted_by,
-                    indexes: out.indexes,
-                })
-            })
+            .map(|t| self.lookup(&t.table, t.effective_name()))
             .collect::<Result<_>>()?;
 
         // Partition conjuncts into per-step join keys and residuals.
@@ -1150,22 +886,24 @@ impl<T: TableProvider> PlanExecutor<T> {
                 }
                 if let Some(out) = self.try_index_restrict(inp, &Predicate::and(mine))? {
                     remaining.retain(|p| !only_mine(p));
-                    // Register the filtered scan as a temporary so its
-                    // pages are reclaimed with the others after the query.
-                    let temp_name = format!("IXR_{name}");
-                    self.register_temp(&temp_name, out.clone());
                     *inp = out;
                 }
             }
         }
 
         let grouped = !q.group_by.is_empty() || q.has_aggregate_select();
+        // Streaming projection needs plain column/literal select items.
+        let streamable = !grouped
+            && q.order_by.is_empty()
+            && !q.distinct
+            && !force_distinct
+            && q.select.iter().all(|s| !matches!(s.expr, ScalarExpr::Aggregate(..)));
 
-        let mut acc = inputs[0].clone();
+        // The join accumulator; the first input stands in until a step ran.
+        let mut acc: Option<PlanOutput> = None;
         let mut acc_names: Vec<String> = vec![q.from[0].effective_name().to_string()];
         for (step, next) in inputs.iter().enumerate().skip(1) {
             let next_name = q.from[step].effective_name().to_string();
-            let is_last = step + 1 == inputs.len();
             // Pull out the predicates usable at this step.
             let mut keys: Vec<JoinPred> = Vec::new();
             let mut residual: Vec<Predicate> = Vec::new();
@@ -1178,122 +916,56 @@ impl<T: TableProvider> PlanExecutor<T> {
                 }
             }
             remaining = rest;
-            let residual_pred =
+            let residual =
                 if residual.is_empty() { None } else { Some(Predicate::and(residual)) };
-            let out = if is_last && !grouped && q.order_by.is_empty() && !q.distinct
-                && !force_distinct && self.can_stream_final(q)
-            {
+            let left = acc.as_ref().unwrap_or(&inputs[0]);
+            let (kind, residual) = (LogicalJoinKind::Inner, residual.as_ref());
+            if streamable && step + 1 == inputs.len() {
                 // Stream the final join straight into the projection.
-                let rel = self.join_collect(
-                    &acc,
-                    next,
-                    LogicalJoinKind::Inner,
-                    &keys,
-                    residual_pred.as_ref(),
-                )?;
-                return self.project_relation(q, rel, force_distinct);
-            } else {
-                self.join_outputs(
-                    &acc,
-                    next,
-                    LogicalJoinKind::Inner,
-                    &keys,
-                    residual_pred.as_ref(),
-                    true,
-                )?
-            };
-            if step > 1 {
-                // Intermediate accumulators are temporary files.
-                acc.file.drop_pages(self.exec.storage());
+                let rows = |rel: &Relation| rel.len() as u64;
+                let rel = self.join(left, next, kind, &keys, residual, rows, |_, rel, _| rel)?;
+                return project_relation(q, &rel, force_distinct);
             }
-            acc = out;
+            // Replacing the accumulator frees the previous step's file.
+            acc = Some(self.join(left, next, kind, &keys, residual, stored_rows, store)?);
             acc_names.push(next_name);
         }
+        let acc = acc.as_ref().unwrap_or(&inputs[0]);
 
         // Single-table case or non-streamable tail: apply leftover
         // predicates, then the SELECT phase.
-        let leftover =
-            if remaining.is_empty() { None } else { Some(Predicate::and(remaining)) };
-        if grouped {
-            return self.finish_grouped(q, acc, leftover, force_distinct);
-        }
-        let rel = match leftover {
-            Some(p) => {
-                let cpred = CPred::compile(acc.file.schema(), &p)?;
-                let filtered = self.exec.filter(&acc.file, &cpred)?;
-                let rel = self.exec.collect(&filtered);
-                filtered.drop_pages(self.exec.storage());
-                rel
-            }
-            None => self.exec.collect(&acc.file),
+        let filtered = if remaining.is_empty() {
+            None
+        } else {
+            let cpred = CPred::compile(acc.file.schema(), &Predicate::and(remaining))?;
+            Some(TempFile::new(self.exec.storage(), self.exec.filter(&acc.file, &cpred)?))
         };
-        self.project_relation(q, rel, force_distinct)
-    }
-
-    fn can_stream_final(&self, q: &QueryBlock) -> bool {
-        // Streaming projection needs plain column/literal select items.
-        q.select.iter().all(|s| !matches!(s.expr, ScalarExpr::Aggregate(..)))
-    }
-
-    /// SELECT-phase over an in-memory join result (no aggregates).
-    fn project_relation(
-        &mut self,
-        q: &QueryBlock,
-        rel: Relation,
-        force_distinct: bool,
-    ) -> Result<Relation> {
-        let schema = rel.schema().clone();
-        let (exprs, out_schema) = compile_projection(&schema, &q.select)?;
-        let projector = Projector::new(&exprs);
-        let mut rows: Vec<Tuple> =
-            rel.tuples().iter().map(|t| projector.apply_ref(t)).collect();
-        if q.distinct || force_distinct {
-            rows.sort_by(Tuple::total_cmp);
-            rows.dedup();
+        let working = filtered.as_deref().unwrap_or(&acc.file);
+        if grouped {
+            return self.finish_grouped(q, working, &acc.sorted_by, force_distinct);
         }
-        let mut out = Relation::new(out_schema, rows)?;
-        if !q.order_by.is_empty() {
-            out = sort_relation(out, &q.order_by)?;
-        }
-        Ok(out)
+        project_relation(q, &self.exec.collect(working), force_distinct)
     }
 
-    /// SELECT-phase with aggregation / GROUP BY.
+    /// SELECT-phase with aggregation / GROUP BY over `working`, which lies
+    /// in `sorted_by` order.
     fn finish_grouped(
         &mut self,
         q: &QueryBlock,
-        acc: PlanOutput,
-        leftover: Option<Predicate>,
+        working: &HeapFile,
+        sorted_by: &[usize],
         force_distinct: bool,
     ) -> Result<Relation> {
-        let working = match leftover {
-            Some(p) => {
-                let cpred = CPred::compile(acc.file.schema(), &p)?;
-                self.exec.filter(&acc.file, &cpred)?
-            }
-            None => acc.file.clone(),
-        };
-        let schema = working.schema().clone();
-        let group_idx: Vec<usize> = q
-            .group_by
-            .iter()
-            .map(|c| schema.resolve(c.table.as_deref(), &c.column))
-            .collect::<std::result::Result<_, _>>()?;
-        // Aggregates in select order; group columns mapped by position.
-        let mut specs = Vec::new();
-        let mut out_cols = Vec::new();
-        // Layout: [group cols..., aggs in select order]; then reorder to
-        // select order.
-        for &i in &group_idx {
-            let c = &schema.columns()[i];
-            out_cols.push(Column::new(&c.name, c.ty));
-        }
-        let mut select_slots: Vec<usize> = Vec::new(); // output index per select item
+        let schema = working.schema();
+        let mut step = GroupStep::new(schema, sorted_by, &q.group_by)?;
+        // Output slot of each select item: a group column by its position,
+        // an aggregate behind them in select order.
+        let mut select_slots: Vec<usize> = Vec::new();
         for item in &q.select {
             match &item.expr {
                 ScalarExpr::Column(c) => {
                     let i = schema.resolve(c.table.as_deref(), &c.column)?;
-                    let pos = group_idx.iter().position(|&g| g == i).ok_or_else(|| {
+                    let pos = step.group_idx.iter().position(|&g| g == i).ok_or_else(|| {
                         DbError::Engine(nsql_engine::EngineError::Unsupported(format!(
                             "column {c} in SELECT is not in GROUP BY"
                         )))
@@ -1301,24 +973,8 @@ impl<T: TableProvider> PlanExecutor<T> {
                     select_slots.push(pos);
                 }
                 ScalarExpr::Aggregate(func, arg) => {
-                    let (spec, ty) = match arg {
-                        AggArg::Star => (AggSpec::count_star(), ColumnType::Int),
-                        AggArg::Column(c) => {
-                            let i = schema.resolve(c.table.as_deref(), &c.column)?;
-                            let ty = match func {
-                                AggFunc::Count => ColumnType::Int,
-                                AggFunc::Avg => ColumnType::Float,
-                                _ => schema.columns()[i].ty,
-                            };
-                            (AggSpec::on(*func, i), ty)
-                        }
-                    };
-                    select_slots.push(group_idx.len() + specs.len());
-                    specs.push(spec);
-                    out_cols.push(Column::new(
-                        item.alias.clone().unwrap_or_else(|| func.name().to_string()),
-                        ty,
-                    ));
+                    select_slots.push(step.out_cols.len());
+                    step.push_agg(*func, arg, item.alias.as_deref().unwrap_or(func.name()))?;
                 }
                 ScalarExpr::Literal(_) => {
                     return Err(DbError::Engine(nsql_engine::EngineError::Unsupported(
@@ -1327,58 +983,186 @@ impl<T: TableProvider> PlanExecutor<T> {
                 }
             }
         }
-        let presorted = !group_idx.is_empty()
-            && acc.sorted_by.len() >= group_idx.len()
-            && acc.sorted_by[..group_idx.len()] == group_idx[..];
-        let grouped = observed(
-            self.exec.obs(),
-            || "group-by".to_string(),
-            working.tuple_count() as u64,
-            |rel: &Relation| rel.len() as u64,
-            || {
-                self.exec.group_aggregate_collect(
-                    &working,
-                    &group_idx,
-                    &specs,
-                    Schema::new(out_cols.clone()),
-                    presorted,
-                )
-            },
-        )?;
+        let grouped = step.run(&self.exec, working, |rel: &Relation| rel.len() as u64, |rel| rel)?;
         // Reorder columns to select order and rename per aliases.
-        let mut final_cols = Vec::with_capacity(q.select.len());
-        for (item, &slot) in q.select.iter().zip(&select_slots) {
-            let base = &out_cols[slot];
-            let name = item.alias.clone().unwrap_or_else(|| base.name.clone());
-            final_cols.push(Column::new(name, base.ty));
-        }
+        let final_cols = q
+            .select
+            .iter()
+            .zip(&select_slots)
+            .map(|(item, &slot)| {
+                let base = &step.out_cols[slot];
+                Column::new(item.alias.clone().unwrap_or_else(|| base.name.clone()), base.ty)
+            })
+            .collect();
         let slot_exprs: Vec<CExpr> = select_slots.iter().map(|&s| CExpr::Col(s)).collect();
-        let projector = Projector::new(&slot_exprs);
-        let mut rows: Vec<Tuple> =
-            grouped.tuples().iter().map(|t| projector.apply_ref(t)).collect();
-        if q.distinct || force_distinct {
-            rows.sort_by(Tuple::total_cmp);
-            rows.dedup();
-        }
-        let mut out = Relation::new(Schema::new(final_cols), rows)?;
-        if !q.order_by.is_empty() {
-            out = sort_relation(out, &q.order_by)?;
-        }
-        Ok(out)
+        select_tail(q, force_distinct, grouped.tuples(), &slot_exprs, Schema::new(final_cols))
     }
 }
 
-enum JoinResult {
-    File(PlanOutput),
-    Rows(Relation),
+/// SELECT-phase over an in-memory join result (no aggregates).
+fn project_relation(q: &QueryBlock, rel: &Relation, force_distinct: bool) -> Result<Relation> {
+    let (exprs, out_schema) = compile_projection(rel.schema(), &q.select)?;
+    select_tail(q, force_distinct, rel.tuples(), &exprs, out_schema)
 }
 
-/// Physical join algorithm chosen for one join step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PhysicalJoin {
-    NestedLoop,
-    Merge,
+/// The end of every SELECT phase, in memory: `rows` projected through
+/// `exprs` onto `schema`, then DISTINCT, then ORDER BY.
+fn select_tail(
+    q: &QueryBlock,
+    force_distinct: bool,
+    rows: &[Tuple],
+    exprs: &[CExpr],
+    schema: Schema,
+) -> Result<Relation> {
+    let projector = Projector::new(exprs);
+    let mut rows: Vec<Tuple> = rows.iter().map(|t| projector.apply_ref(t)).collect();
+    if q.distinct || force_distinct {
+        rows.sort_by(Tuple::total_cmp);
+        rows.dedup();
+    }
+    let out = Relation::new(schema, rows)?;
+    if q.order_by.is_empty() {
+        Ok(out)
+    } else {
+        sort_relation(out, &q.order_by)
+    }
+}
+
+/// What one GROUP BY step hands `Exec::group_aggregate*`: the output layout
+/// is `[group columns..., aggregates...]`.
+struct GroupStep<'a> {
+    schema: &'a Schema,
+    group_idx: Vec<usize>,
+    specs: Vec<AggSpec>,
+    out_cols: Vec<Column>,
+    /// The input already lies in group-column order: no sort pass.
+    presorted: bool,
+}
+
+impl<'a> GroupStep<'a> {
+    /// Grouping by `group_by` over an input of `schema` lying in
+    /// `sorted_by` order; no aggregate yet.
+    fn new(
+        schema: &'a Schema,
+        sorted_by: &[usize],
+        group_by: &[ColumnRef],
+    ) -> Result<GroupStep<'a>> {
+        let group_idx: Vec<usize> = group_by
+            .iter()
+            .map(|c| schema.resolve(c.table.as_deref(), &c.column))
+            .collect::<std::result::Result<_, _>>()?;
+        let out_cols = group_idx
+            .iter()
+            .map(|&i| {
+                let c = &schema.columns()[i];
+                Column::new(&c.name, c.ty)
+            })
+            .collect();
+        let presorted = !group_idx.is_empty() && sorted_on(sorted_by, &group_idx);
+        Ok(GroupStep { schema, group_idx, specs: Vec::new(), out_cols, presorted })
+    }
+
+    /// Add `func(arg)` as the next output column, called `name`.
+    fn push_agg(&mut self, func: AggFunc, arg: &AggArg, name: &str) -> Result<()> {
+        let (spec, ty) = match arg {
+            AggArg::Star => (AggSpec::count_star(), ColumnType::Int),
+            AggArg::Column(c) => {
+                let i = self.schema.resolve(c.table.as_deref(), &c.column)?;
+                let ty = match func {
+                    AggFunc::Count => ColumnType::Int,
+                    AggFunc::Avg => ColumnType::Float,
+                    _ => self.schema.columns()[i].ty,
+                };
+                (AggSpec::on(func, i), ty)
+            }
+        };
+        self.specs.push(spec);
+        self.out_cols.push(Column::new(name, ty));
+        Ok(())
+    }
+
+    /// Run the step over `input` inside one operator node; `rows` and
+    /// `deliver` as for [`PlanExecutor::join`].
+    fn run<R>(
+        &self,
+        exec: &Exec,
+        input: &HeapFile,
+        rows: impl FnOnce(&R) -> u64,
+        deliver: impl FnOnce(Relation) -> R,
+    ) -> Result<R> {
+        observed(exec.obs(), || "group-by".to_string(), input.tuple_count() as u64, rows, || {
+            let schema = Schema::new(self.out_cols.clone());
+            let rel = exec
+                .group_aggregate_collect(input, &self.group_idx, &self.specs, schema, self.presorted)?;
+            Ok(deliver(rel))
+        })
+    }
+}
+
+/// The sink of a step whose rows become a stored intermediate lying in
+/// `sorted_by` order: one counted write per page.
+fn store(exec: &Exec, rel: Relation, sorted_by: Vec<usize>) -> PlanOutput {
+    let schema = rel.schema().clone();
+    let file = HeapFile::from_tuples(exec.storage(), schema, rel.into_tuples());
+    PlanOutput::stored(exec.storage(), file, sorted_by)
+}
+
+/// The rows of a stored intermediate, for its operator node.
+fn stored_rows(out: &PlanOutput) -> u64 {
+    out.file.tuple_count() as u64
+}
+
+/// How one join step runs, with what that method needs beyond the keys.
+enum JoinMethod {
+    /// Probe the right side's B+tree on equality key number `key` once per
+    /// left tuple (inner joins only).
+    IndexProbe { key: usize, index: Arc<BTreeIndex> },
     Hash,
+    /// Sort-merge; an input already in key order skips its sort.
+    Merge { left_presorted: bool, right_presorted: bool },
+    NestedLoop,
+}
+
+impl JoinMethod {
+    /// The EXPLAIN line of a step with `keys` equality keys and `probes`
+    /// left tuples.
+    fn explain(&self, keys: usize, probes: usize) -> String {
+        match self {
+            JoinMethod::IndexProbe { index, .. } => {
+                format!("index nested-loop join via {} ({probes} probes)", index.name())
+            }
+            JoinMethod::Hash => format!("hash join ({keys} keys) [modern extension]"),
+            JoinMethod::Merge { left_presorted, right_presorted } => format!(
+                "merge join ({keys} keys){}{}",
+                if *left_presorted { ", left pre-sorted" } else { "" },
+                if *right_presorted { ", right pre-sorted" } else { "" },
+            ),
+            JoinMethod::NestedLoop => {
+                format!("nested-loop join ({keys} equality keys folded into predicate)")
+            }
+        }
+    }
+
+    /// The step's operator label in the query profile.
+    fn label(&self, keys: usize) -> String {
+        match self {
+            JoinMethod::IndexProbe { index, .. } => format!("index-nl join ({})", index.name()),
+            JoinMethod::Hash => format!("hash join ({keys} keys)"),
+            JoinMethod::Merge { .. } => format!("merge join ({keys} keys)"),
+            JoinMethod::NestedLoop => format!("nested-loop join ({keys} keys)"),
+        }
+    }
+}
+
+/// The EXPLAIN line of a temporary that was just materialized.
+fn materialize_line(name: &str, file: &HeapFile, sorted_by: &[usize]) -> String {
+    format!(
+        "materialize {}: {} tuples, {} pages{}",
+        name,
+        file.tuple_count(),
+        file.page_count(),
+        if sorted_by.is_empty() { "" } else { " (sorted)" }
+    )
 }
 
 /// How one conjunct participates in a join step.
@@ -1547,11 +1331,6 @@ fn sort_relation(rel: Relation, keys: &[nsql_sql::OrderKey]) -> Result<Relation>
     Relation::new(schema, rows).map_err(DbError::from)
 }
 
-// SortKey is pulled in for potential external sorting of large final
-// results; the in-memory sort above suffices for result delivery.
-#[allow(unused_imports)]
-use SortKey as _SortKeyUnused;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1650,32 +1429,34 @@ mod tests {
         );
     }
 
+    fn scan(pe: &mut PlanExecutor<&Catalog>, alias: &str) -> PlanOutput {
+        pe.run_plan(&LogicalPlan::Scan { table: "T".into(), alias: Some(alias.into()) }).unwrap()
+    }
+
     #[test]
     fn cost_based_prefers_nl_when_inner_is_buffer_resident() {
         let cat = catalog(); // T is 1 page — far below B-1
         let mut pe = executor(&cat, JoinPolicy::CostBased);
-        let l = pe.run_plan(&LogicalPlan::Scan { table: "T".into(), alias: Some("A".into()) }).unwrap();
-        let r = pe.run_plan(&LogicalPlan::Scan { table: "T".into(), alias: Some("B".into()) }).unwrap();
-        let picked = pe.pick_method(&l, &r, &[0], &[0]);
-        assert_eq!(picked, PhysicalJoin::NestedLoop);
+        let (l, r) = (scan(&mut pe, "A"), scan(&mut pe, "B"));
+        let picked = pe.choose_join(&l, &r, JoinKind::Inner, &[0], &[0]);
+        assert!(matches!(picked, JoinMethod::NestedLoop), "{}", picked.label(1));
     }
 
     #[test]
     fn forced_policies_pick_their_method() {
         let cat = catalog();
-        let l_r = {
-            let mut pe = executor(&cat, JoinPolicy::ForceMergeJoin);
-            let l = pe.run_plan(&LogicalPlan::Scan { table: "T".into(), alias: Some("A".into()) }).unwrap();
-            let r = pe.run_plan(&LogicalPlan::Scan { table: "T".into(), alias: Some("B".into()) }).unwrap();
-            (l, r)
-        };
         for (policy, want) in [
-            (JoinPolicy::ForceNestedLoop, PhysicalJoin::NestedLoop),
-            (JoinPolicy::ForceMergeJoin, PhysicalJoin::Merge),
-            (JoinPolicy::ForceHashJoin, PhysicalJoin::Hash),
+            (JoinPolicy::ForceNestedLoop, "nested-loop join (1 keys)"),
+            (JoinPolicy::ForceMergeJoin, "merge join (1 keys)"),
+            (JoinPolicy::ForceHashJoin, "hash join (1 keys)"),
         ] {
-            let pe = executor(&cat, policy);
-            assert_eq!(pe.pick_method(&l_r.0, &l_r.1, &[0], &[0]), want, "{policy:?}");
+            let mut pe = executor(&cat, policy);
+            let (l, r) = (scan(&mut pe, "A"), scan(&mut pe, "B"));
+            let picked = pe.choose_join(&l, &r, JoinKind::Inner, &[0], &[0]);
+            assert_eq!(picked.label(1), want, "{policy:?}");
+            // Without an equality key every policy is left the nested loop.
+            let keyless = pe.choose_join(&l, &r, JoinKind::Inner, &[], &[]);
+            assert!(matches!(keyless, JoinMethod::NestedLoop), "{policy:?}");
         }
     }
 

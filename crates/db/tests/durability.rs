@@ -216,3 +216,52 @@ fn dml_after_reopen_keeps_committing() {
         .unwrap();
     assert_eq!(col0_sorted(&r.relation), vec!["0"]);
 }
+
+#[test]
+fn read_only_statements_leave_the_next_commit_nothing_to_write() {
+    // A SELECT's temporaries live on the same store as the tables. One that
+    // outlived its statement would be made durable by the next commit —
+    // pages on disk no catalog entry points at, written again at every
+    // checkpoint — so twenty SELECTs followed by a commit must cost what a
+    // commit alone costs, whether the statements answer or, having
+    // materialized their temporaries, fail.
+    use nsql_types::{Column, ColumnType, Schema, Tuple, Value};
+    let dir = TempDir::new("nsql-db-temps");
+    let mut db = Database::open(dir.path()).unwrap();
+    let schema = Schema::new(vec![
+        Column::new("K", ColumnType::Int),
+        Column::new("V", ColumnType::Int),
+        Column::new("S", ColumnType::Str),
+    ]);
+    let rows = (0..300i64)
+        .map(|i| Tuple::new(vec![Value::Int(i % 100), Value::Int(i), Value::str("s")]))
+        .collect();
+    let rel = Relation::new(schema, rows).unwrap();
+    db.catalog_mut().load_table("L", &rel).unwrap();
+    db.catalog_mut().load_table("R", &rel).unwrap();
+    let store = db.storage().durable().expect("file-backed").clone();
+    let ops = store.write_ops();
+    db.catalog().persist().unwrap();
+    let idle_commit = store.write_ops() - ops;
+
+    let statements = [
+        ("SELECT L.K, COUNT(R.V) FROM L, R WHERE L.K = R.K GROUP BY L.K", true),
+        // MIN(S) is a string: the canonical query fails comparing K with
+        // it, after the aggregate's temporary has been registered.
+        ("SELECT V FROM L WHERE K != (SELECT MIN(S) FROM R) AND K >= 3", false),
+    ];
+    for (sql, answers) in statements {
+        let pages = store.snapshot_pages().len();
+        let ops = store.write_ops();
+        for _ in 0..20 {
+            assert_eq!(db.query(sql).is_ok(), answers, "{sql}");
+        }
+        db.catalog().persist().unwrap();
+        assert_eq!(store.snapshot_pages().len(), pages, "pages made durable by: {sql}");
+        assert!(
+            store.write_ops() - ops <= idle_commit,
+            "{} write operations for a commit after 20 x `{sql}`; an idle commit takes {idle_commit}",
+            store.write_ops() - ops,
+        );
+    }
+}

@@ -6,7 +6,7 @@ use crate::error::EngineError;
 use crate::Result;
 use nsql_sql::AggFunc;
 use nsql_storage::sort::SortKey;
-use nsql_storage::HeapFile;
+use nsql_storage::{HeapFile, TempFile};
 use nsql_types::{Relation, Schema, Tuple, Value};
 use nsql_vec::{Batch, ValRef};
 
@@ -84,12 +84,13 @@ impl Exec {
                 aggs.len()
             )));
         }
-        let (file, is_temp) = if presorted || group.is_empty() {
-            (input.clone(), false)
-        } else {
+        // Freed when this function returns, by whichever path: after the
+        // fold's last page read, before the caller writes a result page.
+        let sorted = (!presorted && !group.is_empty()).then(|| {
             let keys: Vec<SortKey> = group.iter().map(|&i| SortKey::asc(i)).collect();
-            (self.sort(input, &keys, false), true)
-        };
+            TempFile::new(&self.storage, self.sort(input, &keys, false))
+        });
+        let file: &HeapFile = sorted.as_deref().unwrap_or(input);
 
         // A key's accumulated states; morsel folds produce ordered lists
         // of these ("runs") that touch only at morsel boundaries.
@@ -167,9 +168,6 @@ impl Exec {
                 }
             }
             if let Some(e) = first_err {
-                if is_temp {
-                    file.drop_pages(&self.storage);
-                }
                 return Err(e);
             }
             for (k, states) in merged {
@@ -271,9 +269,6 @@ impl Exec {
             let vals: Vec<Value> =
                 aggs.iter().map(|a| AggState::new(a.func).finish()).collect();
             out.push(Tuple::new(vals));
-        }
-        if is_temp {
-            file.drop_pages(&self.storage);
         }
         Ok(out)
     }
@@ -382,6 +377,38 @@ mod tests {
             .unwrap();
         // COUNT(*) = 2 but COUNT(V) = 1 — Section 5.2.1's distinction.
         assert_eq!(rows_of(&st, &out), vec![vec![Some(1), Some(2), Some(1)]]);
+    }
+
+    #[test]
+    fn overflowing_sum_frees_the_sorted_input() {
+        // Unsorted input, so the operator sorts it into a file of its own
+        // before folding, and that file may not outlive the error. Each
+        // group sums to twice `i64::MAX`, a hundredth at a time: the serial
+        // fold overflows mid-scan, and the parallel one — no morsel of at
+        // most 8 pages holds a hundred rows — only while merging the
+        // morsels' partial sums.
+        let rows: Vec<Vec<i64>> = (0..400).map(|i| vec![i % 2, i64::MAX / 100]).collect();
+        let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        for threads in [1, 4] {
+            let e = Exec::with_threads(Storage::new(6, 128), threads);
+            let f = int_file(e.storage(), "T", &["K", "V"], &refs);
+            let aggs = [AggSpec::on(AggFunc::Sum, 1)];
+            let live = e.storage().live_pages();
+            let stored = e
+                .group_aggregate(&f, &[0], &aggs, out_schema(1, 1), false)
+                .map(|f| f.tuple_count());
+            assert_eq!(e.storage().live_pages(), live, "threads={threads}: {stored:?}");
+            let collected = e
+                .group_aggregate_collect(&f, &[0], &aggs, out_schema(1, 1), false)
+                .map(|rel| rel.len());
+            assert_eq!(e.storage().live_pages(), live, "threads={threads}: {collected:?}");
+            let want = "Err(Overflow(\"SUM over i64\"))";
+            assert_eq!(
+                (format!("{stored:?}"), format!("{collected:?}")),
+                (want.into(), want.into()),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

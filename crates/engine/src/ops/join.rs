@@ -6,7 +6,7 @@ use crate::pred::CPred;
 use crate::Result;
 use nsql_sql::CompareOp;
 use nsql_storage::sort::SortKey;
-use nsql_storage::{HeapFile, Page, PageId, Storage};
+use nsql_storage::{HeapFile, Page, PageId, Storage, TempFile};
 use nsql_types::{ColumnType, FxHashMap, FxHasher, Relation, Schema, Tuple};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -385,19 +385,40 @@ impl Exec {
         right_presorted: bool,
     ) -> Result<Vec<Tuple>> {
         assert_eq!(left_keys.len(), right_keys.len(), "key lists must pair up");
-        let lsort: Vec<SortKey> = left_keys.iter().map(|&i| SortKey::asc(i)).collect();
-        let rsort: Vec<SortKey> = right_keys.iter().map(|&i| SortKey::asc(i)).collect();
-        let (lfile, l_temp) = if left_presorted {
-            (left.clone(), false)
-        } else {
-            (self.sort(left, &lsort, false), true)
+        let sorted = |file: &HeapFile, keys: &[usize], presorted: bool| {
+            (!presorted).then(|| {
+                let keys: Vec<SortKey> = keys.iter().map(|&i| SortKey::asc(i)).collect();
+                TempFile::new(&self.storage, self.sort(file, &keys, false))
+            })
         };
-        let (rfile, r_temp) = if right_presorted {
-            (right.clone(), false)
-        } else {
-            (self.sort(right, &rsort, false), true)
-        };
+        let lsorted = sorted(left, left_keys, left_presorted);
+        let rsorted = sorted(right, right_keys, right_presorted);
+        let out = self.merge_sorted(
+            lsorted.as_deref().unwrap_or(left),
+            rsorted.as_deref().unwrap_or(right),
+            left_keys,
+            right_keys,
+            residual,
+            kind,
+        );
+        // Whether the merge succeeded or not, the sorted copies go left
+        // then right, after its last page read and before any result page
+        // is written.
+        drop(lsorted);
+        drop(rsorted);
+        out
+    }
 
+    /// Merge two files that lie in key order.
+    fn merge_sorted(
+        &self,
+        lfile: &HeapFile,
+        rfile: &HeapFile,
+        left_keys: &[usize],
+        right_keys: &[usize],
+        residual: Option<&CPred>,
+        kind: JoinKind,
+    ) -> Result<Vec<Tuple>> {
         // Key columns are compared where the tuples lie on their buffered
         // pages; only group members (a reference-count bump each) and
         // emitted rows leave them.
@@ -409,10 +430,10 @@ impl Exec {
                 .find(|o| o.is_ne())
                 .unwrap_or(Ordering::Equal)
         };
-        let right_arity = right.schema().arity();
+        let right_arity = rfile.schema().arity();
         let mut out = Vec::new();
-        let mut lcur = PageCursor::new(&self.storage, &lfile);
-        let mut rcur = PageCursor::new(&self.storage, &rfile);
+        let mut lcur = PageCursor::new(&self.storage, lfile);
+        let mut rcur = PageCursor::new(&self.storage, rfile);
         // Current right group: consecutive right tuples sharing a key, and
         // the left tuple whose key gathered them (`None`: no group).
         let mut group: Vec<Tuple> = Vec::new();
@@ -455,13 +476,6 @@ impl Exec {
                 out.push(lt.join_nulls(right_arity));
             }
             lcur.advance();
-        }
-
-        if l_temp {
-            lfile.drop_pages(&self.storage);
-        }
-        if r_temp {
-            rfile.drop_pages(&self.storage);
         }
         Ok(out)
     }
@@ -638,6 +652,38 @@ mod tests {
             .merge_join(&l, &r, &[0], &[0], Some(&res), JoinKind::Inner, false, false)
             .unwrap();
         assert_eq!(rows_of(e.storage(), &out), vec![vec![Some(1), Some(5), Some(1), Some(5)]]);
+    }
+
+    #[test]
+    fn erroring_residual_frees_both_sorted_inputs() {
+        // The residual compares a number with a string on the first pair it
+        // sees: both inputs have been sorted into files of their own by
+        // then, and neither may outlive the error.
+        use nsql_types::{Column, ColumnType, Value};
+        let e = exec();
+        let st = e.storage().clone();
+        let file = |t: &str, v: Value| {
+            let schema = Schema::new(vec![
+                Column::qualified(t, "A", ColumnType::Int),
+                Column::qualified(t, "X", ColumnType::Int),
+            ]);
+            let rows = (0..40).map(|i| Tuple::new(vec![Value::Int(i % 7), v.clone()]));
+            HeapFile::from_tuples(&st, schema, rows)
+        };
+        let l = file("L", Value::Int(1));
+        let r = file("R", Value::str("k"));
+        let res = on_pred(&l, &r, "L.X < R.X");
+        let live = st.live_pages();
+        let stored = e
+            .merge_join(&l, &r, &[0], &[0], Some(&res), JoinKind::Inner, false, false)
+            .map(|f| f.tuple_count());
+        assert_eq!(st.live_pages(), live, "merge_join leaked on {stored:?}");
+        let collected = e
+            .merge_join_collect(&l, &r, &[0], &[0], Some(&res), JoinKind::LeftOuter, false, false)
+            .map(|rel| rel.len());
+        assert_eq!(st.live_pages(), live, "merge_join_collect leaked on {collected:?}");
+        let want = "Err(Type(Incomparable(\"int\", \"string\")))";
+        assert_eq!((format!("{stored:?}"), format!("{collected:?}")), (want.into(), want.into()));
     }
 
     #[test]

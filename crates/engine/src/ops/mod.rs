@@ -34,7 +34,7 @@ use crate::vec_exec::{keep_lanes, vpred_from_cpred, VPred};
 use crate::Result;
 use nsql_obs::{OpCounters, Profile};
 use nsql_storage::sort::SortKey;
-use nsql_storage::{external_sort_threads, HeapFile, Storage};
+use nsql_storage::{external_sort_threads, HeapFile, Storage, TempFile};
 use nsql_types::{Relation, Schema, Tuple};
 use nsql_vec::Batch;
 use std::sync::atomic::Ordering;
@@ -128,7 +128,7 @@ impl Exec {
     /// short-circuit, and in-flight morsels complete), but the **first**
     /// error in scan order is the one the caller sees — identical at every
     /// thread count, so fault behaviour is deterministic too.
-    fn stream_filter_map<F>(&self, input: &HeapFile, out_schema: Schema, f: F) -> Result<HeapFile>
+    fn stream_filter_map<F>(&self, input: &HeapFile, out_schema: Schema, f: F) -> Result<TempFile>
     where
         F: Fn(&Tuple) -> Result<Option<Tuple>> + Sync,
     {
@@ -222,7 +222,7 @@ impl Exec {
         out_schema: Schema,
         pred: &VPred,
         emit: G,
-    ) -> Result<HeapFile>
+    ) -> Result<TempFile>
     where
         G: Fn(&Tuple) -> Tuple + Sync,
     {
@@ -311,23 +311,23 @@ impl Exec {
     /// pool), so interleaving them with the input scan leaves counted I/O
     /// identical to the old collect-then-write form.
     pub fn filter(&self, input: &HeapFile, pred: &CPred) -> Result<HeapFile> {
-        if self.vectorized {
+        let file = if self.vectorized {
             let vp = vpred_from_cpred(pred);
-            return self.stream_filter_vec(input, input.schema().clone(), &vp, Tuple::clone);
-        }
-        self.stream_filter_map(input, input.schema().clone(), |t| {
-            Ok(if pred.accepts(t)? { Some(t.clone()) } else { None })
-        })
+            self.stream_filter_vec(input, input.schema().clone(), &vp, Tuple::clone)
+        } else {
+            self.stream_filter_map(input, input.schema().clone(), |t| {
+                Ok(if pred.accepts(t)? { Some(t.clone()) } else { None })
+            })
+        };
+        file.map(TempFile::keep)
     }
 
-    /// If the streaming closure hit an error, free the partial output and
-    /// surface it; otherwise hand the file through.
-    fn check_streamed(&self, file: HeapFile, err: Option<EngineError>) -> Result<HeapFile> {
+    /// The streamed output as a file of its own; if the streaming closure
+    /// hit an error, the partial output is freed and the error surfaces.
+    fn check_streamed(&self, file: HeapFile, err: Option<EngineError>) -> Result<TempFile> {
+        let file = TempFile::new(&self.storage, file);
         match err {
-            Some(e) => {
-                file.drop_pages(&self.storage);
-                Err(e)
-            }
+            Some(e) => Err(e),
             None => Ok(file),
         }
     }
@@ -352,12 +352,16 @@ impl Exec {
         }
         let proj = Projector::new(exprs);
         let file = self.stream_filter_map(input, out_schema, |t| Ok(Some(proj.apply_ref(t))))?;
+        Ok(self.deduplicated(file, distinct))
+    }
+
+    /// `file` as the operator's result, or — under `distinct` — its
+    /// duplicate-free sort, the unsorted file freed once that is written.
+    fn deduplicated(&self, file: TempFile, distinct: bool) -> HeapFile {
         if distinct {
-            let sorted = self.sort(&file, &[], true);
-            file.drop_pages(&self.storage);
-            Ok(sorted)
+            self.sort(&file, &[], true)
         } else {
-            Ok(file)
+            file.keep()
         }
     }
 
@@ -383,13 +387,7 @@ impl Exec {
                 Ok(if pred.accepts(t)? { Some(proj.apply_ref(t)) } else { None })
             })?
         };
-        if distinct {
-            let sorted = self.sort(&file, &[], true);
-            file.drop_pages(&self.storage);
-            Ok(sorted)
-        } else {
-            Ok(file)
-        }
+        Ok(self.deduplicated(file, distinct))
     }
 
     /// External sort (thin wrapper over [`external_sort`]; run generation

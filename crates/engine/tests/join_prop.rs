@@ -416,7 +416,11 @@ fn indexed_nl_join_is_indistinguishable_from_pair_scan() {
 /// by a `HeapScan`, the right one under `Peekable`, a projected key tuple
 /// per tuple on either side. This is the reference the kernel in
 /// `ops/join.rs` must be indistinguishable from — rows, order, error,
-/// counters, page-event sequence and residency.
+/// counters, page-event sequence and residency. One thing differs from the
+/// code as it was: the two `drop_pages` at the end run after an erroring
+/// residual too (the merge loop is a closure so that `?` leaves it, not the
+/// function). Leaving the sorted inputs behind was a defect, not reference
+/// behaviour.
 #[allow(clippy::too_many_arguments)]
 fn scan_clone_merge_oracle(
     e: &Exec,
@@ -458,6 +462,7 @@ fn scan_clone_merge_oracle(
     let mut group: Vec<Tuple> = Vec::new();
     let mut group_key: Option<Tuple> = None;
 
+    let merged = (|| -> Result<(), EngineError> {
     for lt in liter {
         // Advance the right side until its key >= left key, refreshing
         // the buffered group when we land on equality.
@@ -512,6 +517,8 @@ fn scan_clone_merge_oracle(
             out.push(lt.join_nulls(right_arity));
         }
     }
+    Ok(())
+    })();
 
     if l_temp {
         lfile.drop_pages(storage);
@@ -519,7 +526,7 @@ fn scan_clone_merge_oracle(
     if r_temp {
         rfile.drop_pages(storage);
     }
-    Ok(out)
+    merged.map(|()| out)
 }
 
 /// Key cells for the merge join: `NULL`s, the zeros, Int/Float twins, NaN

@@ -3,6 +3,7 @@
 use crate::disk::PageId;
 use crate::Storage;
 use nsql_types::{Schema, Tuple};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// An immutable paged file of tuples with a schema.
@@ -176,6 +177,57 @@ impl HeapFile {
     }
 }
 
+/// A heap file that frees its pages when the value is dropped.
+///
+/// Whatever an operator or a plan step materializes for its own use — a
+/// sorted join input, a pre-`DISTINCT` projection, a join accumulator, a
+/// registered temporary table — is held as a `TempFile`, so `?`, an early
+/// `return` and unwinding release it exactly as the success path does.
+/// *When* the value is dropped still matters: a free evicts the page from
+/// the buffer pool and is a recorded [`TraceEvent::Free`](crate::TraceEvent),
+/// so it belongs after the last page read that should still find the buffer
+/// as it was (DESIGN.md, "Execution model and the I/O-accounting invariant").
+pub struct TempFile {
+    /// `Some` until [`TempFile::keep`] hands the pages on.
+    file: Option<HeapFile>,
+    storage: Storage,
+}
+
+impl TempFile {
+    /// Take ownership of `file`'s pages; they are freed through `storage`.
+    ///
+    /// `storage` must be the handle whose buffer the pages were read
+    /// through: a file written under a [`Storage::trace_view`] and freed
+    /// through the view would evict from the view's buffer, not from the
+    /// counted one.
+    pub fn new(storage: &Storage, file: HeapFile) -> TempFile {
+        TempFile { file: Some(file), storage: storage.clone() }
+    }
+
+    /// Hand the pages on to an owner that outlives this guard (a caller
+    /// that registers the file, the result of an operator): nothing is
+    /// freed, and releasing the pages is the new owner's job.
+    pub fn keep(mut self) -> HeapFile {
+        self.file.take().expect("the file is present until `keep` consumes the guard")
+    }
+}
+
+impl Deref for TempFile {
+    type Target = HeapFile;
+
+    fn deref(&self) -> &HeapFile {
+        self.file.as_ref().expect("the file is present until `keep` consumes the guard")
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        if let Some(file) = &self.file {
+            file.drop_pages(&self.storage);
+        }
+    }
+}
+
 /// Streaming iterator created by [`HeapFile::scan_with`].
 pub struct ScanWith<F> {
     storage: Storage,
@@ -307,5 +359,28 @@ mod tests {
         // via a fresh write reusing nothing.
         let g = HeapFile::from_tuples(&st, schema(), tuples(1));
         assert_eq!(g.page_count(), 1);
+    }
+
+    #[test]
+    fn temp_file_frees_on_drop_and_early_return_but_not_after_keep() {
+        let st = Storage::with_defaults();
+        let live = st.live_pages();
+        let temp = TempFile::new(&st, HeapFile::from_tuples(&st, schema(), tuples(50)));
+        assert_eq!(temp.tuple_count(), 50, "reads through to the heap file");
+        assert!(st.live_pages() > live);
+        drop(temp);
+        assert_eq!(st.live_pages(), live);
+
+        let failing = || -> Result<(), ()> {
+            let _temp = TempFile::new(&st, HeapFile::from_tuples(&st, schema(), tuples(50)));
+            Err(())
+        };
+        assert!(failing().is_err());
+        assert_eq!(st.live_pages(), live, "an early return frees the file");
+
+        let kept = TempFile::new(&st, HeapFile::from_tuples(&st, schema(), tuples(50))).keep();
+        assert_eq!(st.live_pages(), live + kept.page_count(), "keep hands the pages on");
+        kept.drop_pages(&st);
+        assert_eq!(st.live_pages(), live);
     }
 }

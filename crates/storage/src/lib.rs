@@ -17,6 +17,9 @@
 //! * [`heap::HeapFile`] — an unordered paged file of tuples; relations and
 //!   temporary tables are heap files. Pages are packed by a byte budget so
 //!   page counts scale with schema width like a real system.
+//!   [`heap::TempFile`] is a heap file that frees its pages when dropped:
+//!   the one way operators and the plan executor release what they
+//!   materialize.
 //! * [`sort::external_sort`] — the (B−1)-way external merge sort used for
 //!   merge joins, `GROUP BY`, and duplicate elimination.
 //! * [`Storage`] — the facade tying disk + buffer together; cheaply
@@ -44,7 +47,7 @@ pub use buffer::BufferPool;
 pub use disk::{Disk, DiskManager, MemBackend, Page, PageId, SYSTEM_PAGE_BASE};
 pub use durable::{FaultPlan, FileStore, RecoveryReport};
 pub use error::StorageError;
-pub use heap::HeapFile;
+pub use heap::{HeapFile, TempFile};
 pub use sort::{external_sort, external_sort_threads};
 pub use stats::{IoSnapshot, IoStats};
 

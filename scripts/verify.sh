@@ -80,6 +80,32 @@ if grep -rnwE 'Tracer|SpanNode|SpanId|MetricsRegistry|OpMetrics|OpSnapshot|ExecO
     exit 1
 fi
 
+echo "==> temporaries are owned values"
+# What an operator or the plan executor materializes is freed by dropping
+# its nsql_storage::TempFile (DESIGN.md "Execution model and the
+# I/O-accounting invariant"). Outside tests, pages are freed by hand only in
+# the storage crate (the guard itself, the sort's run clean-up), where the
+# catalog replaces a table or an index, and in nested iteration, whose
+# once-only lists are written through trace views and so freed by `teardown`.
+# The flags and the pseudo-temporary that used to say who frees what must
+# not come back under their names.
+by_hand=$(grep -rlE '\.drop_pages\(' crates/*/src src --include='*.rs' | while read -r f; do
+    case "$f" in
+        crates/storage/src/*|crates/db/src/catalog.rs|crates/engine/src/nested_iter.rs) continue ;;
+    esac
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /\.drop_pages\(/ { print f ":" FNR ":" $0 }' "$f"
+done)
+if [ -n "$by_hand" ]; then
+    echo "$by_hand"
+    echo "FAIL: pages freed by hand outside the allow-list"
+    exit 1
+fi
+if grep -rnwE 'is_temp|l_temp|r_temp|drop_child|drop_input|JoinResult' crates/*/src --include='*.rs' \
+    || grep -rn 'IXR_' crates/*/src --include='*.rs'; then
+    echo "FAIL: an ownership flag or the IXR_ pseudo-temporary is back"
+    exit 1
+fi
+
 echo "==> differential oracle check (release, 200 random cases per pipeline)"
 NSQL_TEST_CASES=200 cargo test -q --release --offline --test diff_prop
 

@@ -7,8 +7,9 @@
 //! tuple-at-a-time oracle (`nsql-oracle`) and with every engine pipeline —
 //! nested iteration at 1 and 4 threads, batched correlated evaluation at 1
 //! and 4 threads (plus a cache-on variant), the NEST-G transformation under
-//! each join policy, and the duplicate-collapsing `ForceDistinct` variant —
-//! and compares results at exactly the strength the paper promises:
+//! each join policy, with the plan-rule fixpoint on, and the
+//! duplicate-collapsing `ForceDistinct` variant — and compares results at
+//! exactly the strength the paper promises:
 //!
 //! * nested iteration must be **bag-equal** to the oracle, always, at every
 //!   thread count; batched correlated evaluation is held to the same
@@ -23,7 +24,10 @@
 //! * a scalar-subquery cardinality error in the oracle must reproduce as
 //!   the *same* error in nested iteration (transforms are unlicensed);
 //! * a query outside the transformable class (`NOT IN`, `= ALL`, …) may be
-//!   refused by the transformation — refusal is not divergence.
+//!   refused by the transformation — refusal is not divergence;
+//! * whatever a pipeline returns, rows or a typed error, the statement must
+//!   leave `Storage::live_pages()` where it found it: everything a strategy
+//!   materializes is a temporary.
 //!
 //! Every case is replayable through the testkit seed machinery
 //! (`NSQL_TEST_SEED`) and shrinks greedily: table rows are removed first,
@@ -31,8 +35,9 @@
 
 use nsql_db::{
     CacheMode, Database, DuplicateSemantics, ExecMode, IndexUse, JoinPolicy, QueryOptions,
-    Strategy,
+    QueryOutcome, Strategy,
 };
+use nsql_core::UnnestOptions;
 use nsql_engine::EngineError;
 use nsql_oracle::{Notes, Oracle, OracleError};
 use nsql_sql::{
@@ -629,9 +634,10 @@ const COMPARED: bool = true;
 #[derive(Debug, Clone)]
 pub enum CaseOutcome {
     /// Every comparable pipeline agreed with the oracle. Each entry records
-    /// the pipeline name and whether it was compared (`true`) or skipped
-    /// under a divergence license / unsupported-class refusal (`false`).
-    Agree(Vec<(&'static str, bool)>),
+    /// the pipeline name, whether it was compared (`true`) or skipped under
+    /// a divergence license / unsupported-class refusal (`false`), and how
+    /// many plan-rule firings its EXPLAIN output logged.
+    Agree(Vec<(&'static str, bool, u64)>),
     /// A pipeline diverged from the oracle — the property failure.
     Diverge(String),
 }
@@ -745,6 +751,18 @@ fn pipelines() -> Vec<Pipeline> {
             transform: true,
             set_only: false,
         },
+        // The plan-rule fixpoint (predicate pushdown, projection pruning)
+        // over the temporary-table plans: off by default, so this is the
+        // one place it runs on whole queries.
+        Pipeline {
+            name: "tr-rules",
+            opts: QueryOptions {
+                unnest: UnnestOptions { logical_rules: true, ..Default::default() },
+                ..tr(JoinPolicy::CostBased, 1)
+            },
+            transform: true,
+            set_only: false,
+        },
         // Vectorized variants of the transformation: the same semantics
         // under the columnar batch kernels. Same license flags as their row
         // counterparts — vectorization must be semantically invisible.
@@ -767,6 +785,33 @@ fn pipelines() -> Vec<Pipeline> {
             set_only: false,
         },
     ]
+}
+
+/// Run the case's query on `db`, holding the statement — whether it answers
+/// or errs — to leaving as many live pages as it found: everything a
+/// strategy materializes is a temporary, freed before the statement returns.
+/// `Err` is the divergence to report.
+fn run_leak_checked(
+    db: &Database,
+    case: &DiffCase,
+    opts: &QueryOptions,
+    name: &str,
+) -> Result<nsql_db::Result<QueryOutcome>, CaseOutcome> {
+    let before = db.storage().live_pages();
+    let res = db.run_query(&case.query, opts);
+    let after = db.storage().live_pages();
+    if after == before {
+        return Ok(res);
+    }
+    Err(CaseOutcome::Diverge(format!(
+        "[{name}] the statement changed the live page count from {before} to {after} \
+         (it returned {})\n{}\ncase:\n{case:?}",
+        match &res {
+            Ok(out) => format!("{} rows", out.relation.len()),
+            Err(e) => format!("the error {e}"),
+        },
+        nsql_sql::print_query(&case.query),
+    )))
 }
 
 /// Evaluate `case` with the oracle and with every pipeline, applying the
@@ -810,21 +855,24 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
 
     let mut report = Vec::new();
     for p in pipelines() {
-        let res = db.run_query(&case.query, &p.opts);
+        let res = match run_leak_checked(&db, case, &p.opts, p.name) {
+            Ok(res) => res,
+            Err(leak) => return leak,
+        };
 
         // License (d): the oracle raised a cardinality error. Nested
         // iteration must raise the same one; transforms evaluate a join
         // where the reference errors, so they are not comparable.
         if let Some(n) = oracle_card {
             if p.transform {
-                report.push((p.name, SKIP));
+                report.push((p.name, SKIP, 0));
                 continue;
             }
             match res {
                 Err(nsql_db::DbError::Engine(EngineError::ScalarSubqueryCardinality(m)))
                     if m == n =>
                 {
-                    report.push((p.name, COMPARED));
+                    report.push((p.name, COMPARED, 0));
                 }
                 other => {
                     return CaseOutcome::Diverge(format!(
@@ -842,7 +890,7 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
             // License (a): ALL over an empty or NULL-containing set — the
             // MIN/MAX rewrite is not row-equivalent there.
             if notes.all_over_empty_or_null {
-                report.push((p.name, SKIP));
+                report.push((p.name, SKIP, 0));
                 continue;
             }
             // License (b): a NULL correlation key was read and the query
@@ -850,14 +898,14 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
             // subquery / non-=ANY quantifier): the outer-join grouping
             // family diverges.
             if notes.null_outer_ref && agg_or_exists {
-                report.push((p.name, SKIP));
+                report.push((p.name, SKIP, 0));
                 continue;
             }
             // License (c): an IN matched the same value in >1 inner row.
             // Join expansion changes multiplicities: compare as sets, or
             // skip outright when an aggregate would be inflated.
             if notes.dup_in_match && any_aggregate {
-                report.push((p.name, SKIP));
+                report.push((p.name, SKIP, 0));
                 continue;
             }
             let set_only = p.set_only || notes.dup_in_match;
@@ -866,7 +914,7 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
                 // in an operand position, …): a typed refusal is not
                 // divergence. An executor `Unsupported` is — the
                 // transformation let through a plan it cannot run.
-                Err(nsql_db::DbError::Transform(_)) => report.push((p.name, SKIP)),
+                Err(nsql_db::DbError::Transform(_)) => report.push((p.name, SKIP, 0)),
                 // Join-form evaluation is eager: a type-incompatible
                 // comparison that nested iteration short-circuits past
                 // (simple predicates filter the row first) still evaluates
@@ -874,7 +922,7 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
                 // by construction, so this arm only fires on shrink
                 // candidates whose select list was rewritten cross-class.
                 Err(nsql_db::DbError::Engine(EngineError::Type(_)))
-                | Err(nsql_db::DbError::Type(_)) => report.push((p.name, SKIP)),
+                | Err(nsql_db::DbError::Type(_)) => report.push((p.name, SKIP, 0)),
                 Err(other) => {
                     return CaseOutcome::Diverge(format!(
                         "[{}] oracle succeeded but the pipeline errored: {other}\n{sql}\n\
@@ -898,7 +946,8 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
                             out.explain,
                         ));
                     }
-                    report.push((p.name, COMPARED));
+                    let rules = out.explain.iter().filter(|l| l.starts_with("rule ")).count();
+                    report.push((p.name, COMPARED, rules as u64));
                 }
             }
         } else {
@@ -912,7 +961,7 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
                             p.name, out.relation,
                         ));
                     }
-                    report.push((p.name, COMPARED));
+                    report.push((p.name, COMPARED, 0));
                 }
                 Err(e) => {
                     return CaseOutcome::Diverge(format!(
@@ -1010,11 +1059,17 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
         for (name, opts, is_transform) in &variants {
             let off_opts = QueryOptions { cache: CacheMode::Off, ..opts.clone() };
             let on_opts = QueryOptions { cache: CacheMode::On, ..opts.clone() };
-            let off = db_off.run_query(&case.query, &off_opts);
+            let off = match run_leak_checked(&db_off, case, &off_opts, name) {
+                Ok(res) => res,
+                Err(leak) => return leak,
+            };
             // First cache-on run populates (miss), second one answers from
             // the cache (hit) — both must be indistinguishable from off.
             for label in ["populate", "hit"] {
-                let on = db_on.run_query(&case.query, &on_opts);
+                let on = match run_leak_checked(&db_on, case, &on_opts, name) {
+                    Ok(res) => res,
+                    Err(leak) => return leak,
+                };
                 match (&off, &on) {
                     (Ok(a), Ok(b)) => {
                         if !a.relation.same_bag(&b.relation) {
@@ -1049,14 +1104,14 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
             // policy (see `check_case`).
             if let Some(n) = oracle_card {
                 if *is_transform {
-                    report.push((*name, SKIP));
+                    report.push((*name, SKIP, 0));
                     continue;
                 }
                 match &off {
                     Err(nsql_db::DbError::Engine(EngineError::ScalarSubqueryCardinality(m)))
                         if *m == n =>
                     {
-                        report.push((*name, COMPARED));
+                        report.push((*name, COMPARED, 0));
                     }
                     other => {
                         return CaseOutcome::Diverge(format!(
@@ -1074,7 +1129,7 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
                     || (notes.null_outer_ref && agg_or_exists)
                     || (notes.dup_in_match && any_aggregate))
             {
-                report.push((*name, SKIP));
+                report.push((*name, SKIP, 0));
                 continue;
             }
             match &off {
@@ -1083,7 +1138,7 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
                 | Err(nsql_db::DbError::Type(_))
                     if *is_transform =>
                 {
-                    report.push((*name, SKIP))
+                    report.push((*name, SKIP, 0))
                 }
                 Err(e) => {
                     return CaseOutcome::Diverge(format!(
@@ -1105,7 +1160,7 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
                             out.relation,
                         ));
                     }
-                    report.push((*name, COMPARED));
+                    report.push((*name, COMPARED, 0));
                 }
             }
         }
@@ -1132,6 +1187,9 @@ pub struct PipelineStats {
     /// Cases skipped under a divergence license or unsupported-class
     /// refusal.
     pub skipped: u64,
+    /// Plan-rule firings (`rule …` lines) in the EXPLAIN output of the
+    /// compared cases; only a pipeline under `logical_rules` logs any.
+    pub rule_lines: u64,
 }
 
 /// Run `cases` random differential cases under the testkit property runner
@@ -1156,14 +1214,20 @@ fn run_property_with(
         match check(case) {
             CaseOutcome::Agree(report) => {
                 let mut stats = stats.borrow_mut();
-                for (pname, compared) in report {
+                for (pname, compared, rule_lines) in report {
                     let entry = match stats.iter_mut().find(|s| s.name == pname) {
                         Some(e) => e,
                         None => {
-                            stats.push(PipelineStats { name: pname, compared: 0, skipped: 0 });
+                            stats.push(PipelineStats {
+                                name: pname,
+                                compared: 0,
+                                skipped: 0,
+                                rule_lines: 0,
+                            });
                             stats.last_mut().expect("just pushed")
                         }
                     };
+                    entry.rule_lines += rule_lines;
                     if compared {
                         entry.compared += 1;
                     } else {

@@ -7,10 +7,14 @@
 //! policy (serial and parallel), the duplicate-collapsing `ForceDistinct`
 //! mode, and the index-backed variants (every generated table carries a
 //! B+tree on `K`; `tr-ix-prefer` forces index restriction and index
-//! back-joins on, `tr-ix-never` forces them off) — and compared at the
+//! back-joins on, `tr-ix-never` forces them off), and the plan-rule fixpoint
+//! over the temporary-table plans (`tr-rules`) — and compared at the
 //! strength the paper promises
 //! (bag equality, downgraded or skipped only under the documented
 //! divergence licenses; see DESIGN.md "Oracle semantics").
+//!
+//! Every pipeline is also held, after every statement and whether it
+//! answered or erred, to leaving `Storage::live_pages()` where it found it.
 //!
 //! Failures print a replayable `NSQL_TEST_SEED` and a greedily shrunk
 //! counterexample (rows removed first, then the query simplified). Override
@@ -69,6 +73,17 @@ fn every_pipeline_agrees_with_the_oracle() {
             stats.iter().any(|s| s.name == v && s.compared + s.skipped > 0),
             "vectorized pipeline {v} missing from the sweep"
         );
+    }
+    // The plan-rule pipeline must not pass vacuously: the fixpoint is off by
+    // default, so a sweep in which no rule ever fired compared nothing the
+    // cost-based pipeline had not.
+    let rules = stats
+        .iter()
+        .find(|s| s.name == "tr-rules")
+        .expect("plan-rule pipeline tr-rules missing from the sweep");
+    eprintln!("pipeline {:>14}: {} rule firings logged", rules.name, rules.rule_lines);
+    if rules.compared >= 100 {
+        assert!(rules.rule_lines > 0, "[tr-rules] no case logged a `rule …` trace line");
     }
     // The batched-evaluation pipelines must be in the sweep, and — like
     // nested iteration — are never licensed away: sort-deduplicating the
