@@ -716,18 +716,38 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_marks_vectorized_operators() {
-        use crate::options::ExecMode;
+    fn exec_mode_vector_batches_the_hash_joins_and_nothing_else() {
+        use crate::options::{ExecMode, JoinPolicy};
         let db = kiessling_db();
-        let opts = QueryOptions {
-            observe: true,
-            exec_mode: ExecMode::Vector,
-            ..QueryOptions::transformed()
-        };
-        let out = db.query_with(Q2, &opts).unwrap();
-        let obs = out.obs.expect("observe collects a profile");
-        let ops = operators(&obs);
-        assert!(ops.iter().any(|(_, op)| op.vectorized && op.batches > 0), "{ops:#?}");
+        let storage = db.catalog.storage();
+        for join_policy in [JoinPolicy::CostBased, JoinPolicy::ForceHashJoin] {
+            let run = |exec_mode| {
+                let before = storage.io_snapshot();
+                let opts = QueryOptions {
+                    observe: true,
+                    exec_mode,
+                    join_policy,
+                    ..QueryOptions::transformed()
+                };
+                let out = db.query_with(Q2, &opts).unwrap();
+                (out, storage.io_snapshot().since(&before))
+            };
+            let (row, row_io) = run(ExecMode::Row);
+            let (vec, vec_io) = run(ExecMode::Vector);
+            assert_eq!(row.relation, vec.relation, "{join_policy:?}");
+            assert_eq!(row_io, vec_io, "{join_policy:?}");
+
+            let obs = vec.obs.expect("observe collects a profile");
+            let ops = operators(&obs);
+            let hash_joins =
+                ops.iter().filter(|(n, _)| n.name.starts_with("hash join")).count();
+            assert_eq!(hash_joins > 0, join_policy == JoinPolicy::ForceHashJoin, "{ops:#?}");
+            for (node, op) in ops {
+                let batched = node.name.starts_with("hash join");
+                assert_eq!(op.vectorized, batched, "{join_policy:?}: {node:#?}");
+                assert_eq!(op.batches > 0, batched, "{join_policy:?}: {node:#?}");
+            }
+        }
     }
 
     #[test]

@@ -499,7 +499,9 @@ pub(crate) fn header_lines(opts: &QueryOptions, temps: usize) -> Vec<String> {
     }];
     if opts.vectorized() {
         lines.push(
-            "exec mode: vectorized (batch kernels, per-operator row fallback)".to_string(),
+            "exec mode: vectorized (hash joins build and probe on column batches; \
+             every other operator runs its row kernel)"
+                .to_string(),
         );
     }
     let cache = opts.cache.resolve();

@@ -85,19 +85,22 @@ pub enum DuplicateSemantics {
     ForceDistinct,
 }
 
-/// Which tuple-at-a-time representation the executor runs on.
+/// Which kernel the transformed path's hash joins run.
 ///
-/// Vectorized execution batches each page into column vectors and
-/// evaluates predicates, join probes, and aggregate folds with batch
-/// kernels; operators without a vectorized implementation (and blocks the
-/// predicate compiler declines) fall back to the row path per operator.
-/// Results, error values, page-I/O totals, and buffer hit/miss splits are
-/// byte-identical across modes — only CPU time changes (property-tested).
+/// Under `Vector`, hash joins build and probe on column batches (each page
+/// pivoted into typed column vectors, keys hashed straight off the lanes);
+/// every other operator runs its one row kernel whatever the mode — the
+/// batch filter, aggregate fold and nested-iteration kernels each measured
+/// slower than the row loop and were deleted (DESIGN.md "Vectorized
+/// execution"). Results, error values, page-I/O totals, and buffer
+/// hit/miss splits are byte-identical across modes — only CPU time changes
+/// (property-tested).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Tuple-at-a-time interpretation (the historical baseline).
     Row,
-    /// Columnar batch kernels with per-operator row-path fallback.
+    /// Hash joins build and probe on column batches; every other operator
+    /// runs its row kernel.
     Vector,
     /// Let the engine decide. Today that is the constant row mode; the
     /// planner fills this seam later.
@@ -257,7 +260,8 @@ pub struct QueryOptions {
     /// pure side-state — it never changes the reported page-I/O totals,
     /// the hit/miss split, or the result rows (property-tested).
     pub observe: bool,
-    /// Row-at-a-time vs columnar batch execution (see [`ExecMode`]).
+    /// Whether hash joins build and probe on column batches (see
+    /// [`ExecMode`]); every other operator runs its row kernel either way.
     /// `Auto` (the default) is row mode.
     pub exec_mode: ExecMode,
     /// Cross-query result caching (see [`CacheMode`]). `Auto` (the
@@ -271,8 +275,9 @@ pub struct QueryOptions {
 }
 
 impl QueryOptions {
-    /// Whether a statement under these options runs vectorized operators.
-    /// Only the transform strategy has any: nested iteration and batched
+    /// Whether a statement under these options runs its hash joins on
+    /// column batches — the one thing `ExecMode::Vector` changes, and only
+    /// the transform strategy has hash joins: nested iteration and batched
     /// evaluation run one row kernel whatever `exec_mode` says. EXPLAIN's
     /// exec-mode line and `nsql_stat_statements.EXEC_MODE` both report this.
     pub(crate) fn vectorized(&self) -> bool {

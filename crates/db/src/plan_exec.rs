@@ -118,13 +118,6 @@ pub struct PlanExecutor<T: TableProvider> {
 impl<T: TableProvider> PlanExecutor<T> {
     /// New executor over `base` with the given join policy.
     pub fn new(exec: Exec, base: T, policy: JoinPolicy) -> Self {
-        let mut log = Vec::new();
-        if exec.vectorized() {
-            log.push(
-                "exec mode: vectorized (batch kernels, per-operator row fallback)"
-                    .to_string(),
-            );
-        }
         PlanExecutor {
             exec,
             base,
@@ -132,7 +125,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             policy,
             index_use: IndexUse::default(),
             cache: None,
-            log,
+            log: Vec::new(),
         }
     }
 

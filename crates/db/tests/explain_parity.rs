@@ -14,7 +14,7 @@
 //! regardless of which strategy the options force. Only flat queries
 //! (no subquery, hence no strategy choice) omit the block.
 
-use nsql_db::{CacheMode, Database, ExecMode, QueryOptions, Strategy};
+use nsql_db::{CacheMode, Database, ExecMode, JoinPolicy, QueryOptions, Strategy};
 
 const SETUP: &str = "CREATE TABLE PARTS (PNUM INT, QOH INT);
      CREATE TABLE SUPPLY (PNUM INT, QUAN INT, SHIPDATE DATE);
@@ -121,6 +121,33 @@ fn plain_and_analyze_reports_agree_on_decision_lines() {
                     "[{name}] ANALYZE cache line {a:?} does not extend plain line {p:?}"
                 ),
                 (p, a) => panic!("[{name}] cache line presence drifted: {p:?} vs {a:?}"),
+            }
+        }
+    }
+}
+
+/// The exec-mode line has one source: a report that announces the mode
+/// does so on exactly one line, in its log and rendered, whatever the join
+/// policy; a report with nothing to announce has none.
+#[test]
+fn the_exec_mode_line_is_printed_once() {
+    let db = mem_db();
+    for join_policy in [JoinPolicy::CostBased, JoinPolicy::ForceHashJoin] {
+        for (name, strategy) in strategies() {
+            for exec_mode in [ExecMode::Row, ExecMode::Vector] {
+                let o =
+                    QueryOptions { exec_mode, join_policy, ..opts(&strategy, CacheMode::Off) };
+                let announces =
+                    exec_mode == ExecMode::Vector && strategy == Strategy::Transform;
+                for analyze in [false, true] {
+                    let report = db.explain_query(Q2, analyze, &o).unwrap();
+                    let count = |lines: &[String]| {
+                        lines.iter().filter(|l| l.contains("exec mode:")).count()
+                    };
+                    let what = format!("[{name}] {join_policy:?} analyze={analyze}");
+                    assert_eq!(count(&report.strategy), announces as usize, "{what}");
+                    assert_eq!(count(&report.render_lines()), announces as usize, "{what}");
+                }
             }
         }
     }

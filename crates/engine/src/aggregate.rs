@@ -191,44 +191,6 @@ impl AggState {
         self.count += 1;
     }
 
-    /// Typed fast path: exactly `accumulate(&Value::Int(i))` without
-    /// building the `Value`. Callers have already skipped NULLs (a cleared
-    /// validity bit on the vectorized path).
-    pub fn accumulate_int(&mut self, i: i64) -> Result<()> {
-        match self.func {
-            AggFunc::Count => {
-                self.count += 1;
-                Ok(())
-            }
-            AggFunc::Sum | AggFunc::Avg => {
-                self.count += 1;
-                self.int_sum = self.int_sum.checked_add(i).ok_or_else(|| {
-                    EngineError::Overflow(format!("{} over i64", self.func.name()))
-                })?;
-                Ok(())
-            }
-            AggFunc::Max | AggFunc::Min => self.accumulate(&Value::Int(i)),
-        }
-    }
-
-    /// Typed fast path: exactly `accumulate(&Value::Float(x))` without
-    /// building the `Value`.
-    pub fn accumulate_float(&mut self, x: f64) -> Result<()> {
-        match self.func {
-            AggFunc::Count => {
-                self.count += 1;
-                Ok(())
-            }
-            AggFunc::Sum | AggFunc::Avg => {
-                self.count += 1;
-                self.saw_float = true;
-                self.floats.add(x);
-                Ok(())
-            }
-            AggFunc::Max | AggFunc::Min => self.accumulate(&Value::Float(x)),
-        }
-    }
-
     /// Fold another accumulator over the same function into this one, as if
     /// `other`'s inputs had been accumulated here after this one's own.
     ///
@@ -431,39 +393,6 @@ mod tests {
             e.merge(&b).unwrap();
             assert_eq!(e.finish(), b.finish(), "{func:?}: empty absorbs other");
         }
-    }
-
-    #[test]
-    fn typed_accumulators_match_value_accumulation() {
-        let ints = [3i64, -2, 9, 0, i64::MAX / 2];
-        let floats = [0.1, 1e16, -0.30000000000000004, f64::NAN];
-        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Max, AggFunc::Min] {
-            let mut typed = AggState::new(func);
-            let mut boxed = AggState::new(func);
-            for &i in &ints {
-                typed.accumulate_int(i).unwrap();
-                boxed.accumulate(&Value::Int(i)).unwrap();
-            }
-            assert_eq!(typed.finish(), boxed.finish(), "{func:?} ints");
-
-            let mut typed = AggState::new(func);
-            let mut boxed = AggState::new(func);
-            for &x in &floats {
-                typed.accumulate_float(x).unwrap();
-                boxed.accumulate(&Value::Float(x)).unwrap();
-            }
-            let (t, b) = (typed.finish(), boxed.finish());
-            match (&t, &b) {
-                (Value::Float(a), Value::Float(c)) => {
-                    assert_eq!(a.to_bits(), c.to_bits(), "{func:?} floats")
-                }
-                _ => assert_eq!(t, b, "{func:?} floats"),
-            }
-        }
-        // Overflow surfaces identically.
-        let mut s = AggState::new(AggFunc::Sum);
-        s.accumulate_int(i64::MAX).unwrap();
-        assert!(matches!(s.accumulate_int(1), Err(EngineError::Overflow(_))));
     }
 
     #[test]

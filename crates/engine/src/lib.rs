@@ -41,14 +41,13 @@ pub mod ops;
 mod par;
 pub mod pred;
 pub mod provider;
-pub mod vec_exec;
 
 pub use error::EngineError;
 pub use expr::{CExpr, Joined, Projector, Row};
 pub use nested_iter::NestedIter;
 pub use ops::{AggSpec, Exec, JoinKind};
 pub use pred::CPred;
-pub use provider::{MemoryProvider, OverlayProvider, TableProvider};
+pub use provider::{MemoryProvider, TableProvider};
 
 /// Result alias for execution.
 pub type Result<T> = std::result::Result<T, EngineError>;

@@ -8,7 +8,6 @@ use nsql_sql::AggFunc;
 use nsql_storage::sort::SortKey;
 use nsql_storage::{HeapFile, TempFile};
 use nsql_types::{Relation, Schema, Tuple, Value};
-use nsql_vec::{Batch, ValRef};
 
 /// One aggregate to compute: function plus input field index (`None` for
 /// `COUNT(*)`).
@@ -173,70 +172,6 @@ impl Exec {
             for (k, states) in merged {
                 flush(&Some(k), &states, &mut out);
             }
-        } else if self.vectorized() {
-            // Vectorized serial fold: each page pivots into a batch once and
-            // the group boundary test runs on typed column lanes
-            // (`ValRef::total_eq`, the mirror of the row path's `Value`
-            // equality); Int/Float inputs accumulate through the typed
-            // `AggState` entry points without building a `Value` per row.
-            // Page reads, group contents, and every accumulated state are
-            // identical to the row fold — only the in-memory evaluation
-            // changes. (The parallel fold stays on the row path; see the
-            // fallback matrix in DESIGN.md.)
-            let op = self.current_op();
-            if let Some(op) = &op {
-                op.vectorized.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            let mut current_key: Option<Tuple> = None;
-            let mut states: Vec<AggState> = Vec::new();
-            let mut fold = || -> Result<()> {
-                for &pid in file.page_ids() {
-                    let page = self.storage.read_page(pid);
-                    let b = Batch::from_tuples(page.tuples());
-                    if let Some(op) = &op {
-                        op.batches.add(0, 1);
-                        op.rows_in.add(0, b.len() as u64);
-                    }
-                    for row in 0..b.len() {
-                        let same_group = if row > 0 {
-                            // Within a batch the current group's key is the
-                            // previous row's key.
-                            group
-                                .iter()
-                                .all(|&i| b.col(i).val_ref(row).total_eq(b.col(i).val_ref(row - 1)))
-                        } else {
-                            current_key.as_ref().is_some_and(|k| {
-                                group.iter().enumerate().all(|(j, &i)| {
-                                    ValRef::of(k.get(j)).total_eq(b.col(i).val_ref(row))
-                                })
-                            })
-                        };
-                        if !same_group {
-                            flush(&current_key, &states, &mut out);
-                            current_key = Some(Tuple::new(
-                                group.iter().map(|&i| b.value(i, row)).collect(),
-                            ));
-                            states = aggs.iter().map(|a| AggState::new(a.func)).collect();
-                        }
-                        for (state, spec) in states.iter_mut().zip(aggs) {
-                            match spec.arg {
-                                Some(i) => match b.col(i).val_ref(row) {
-                                    ValRef::Null => {}
-                                    ValRef::Int(x) => state.accumulate_int(x)?,
-                                    ValRef::Float(x) => state.accumulate_float(x)?,
-                                    v => state.accumulate(&v.to_value())?,
-                                },
-                                None => state.accumulate_row(),
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            };
-            // Error propagation mirrors the row fold's `try_for_each(..)?`:
-            // stop at the erroring row, before any later page is read.
-            fold()?;
-            flush(&current_key, &states, &mut out);
         } else {
             let mut current_key: Option<Tuple> = None;
             let mut states: Vec<AggState> = Vec::new();
@@ -450,101 +385,5 @@ mod tests {
         let mut rows = rows_of(&st, &out);
         rows.sort();
         assert_eq!(rows, vec![vec![None, Some(3)], vec![Some(1), Some(3)]]);
-    }
-
-    use nsql_types::{Tuple, Value};
-
-    #[test]
-    fn vectorized_fold_matches_row_fold_bit_for_bit() {
-        // Mixed-magnitude floats, NULLs, NULL group keys, duplicates: the
-        // vectorized serial fold must agree with the row fold on rows,
-        // order, float bits, and counted I/O.
-        let schema = Schema::new(vec![
-            Column::qualified("T", "K", ColumnType::Int),
-            Column::qualified("T", "V", ColumnType::Float),
-        ]);
-        let rows: Vec<Tuple> = (0..400)
-            .map(|i| {
-                let k = if i % 13 == 0 { Value::Null } else { Value::Int(i % 6) };
-                let v = match i % 5 {
-                    0 => Value::Null,
-                    1 => Value::Float(1e16),
-                    2 => Value::Float(0.1),
-                    3 => Value::Float(-1e16),
-                    _ => Value::Float(i as f64 * 1e-9),
-                };
-                Tuple::new(vec![k, v])
-            })
-            .collect();
-        let run = |vectorized: bool| {
-            let e = Exec::new(Storage::new(4, 128)).with_vectorized(vectorized);
-            let f = HeapFile::from_tuples(e.storage(), schema.clone(), rows.clone());
-            e.storage().clear_buffer();
-            e.storage().reset_stats();
-            let out = e
-                .group_aggregate(
-                    &f,
-                    &[0],
-                    &[
-                        AggSpec::on(AggFunc::Sum, 1),
-                        AggSpec::on(AggFunc::Avg, 1),
-                        AggSpec::on(AggFunc::Count, 1),
-                        AggSpec::on(AggFunc::Max, 1),
-                        AggSpec::count_star(),
-                    ],
-                    out_schema(1, 5),
-                    false,
-                )
-                .unwrap();
-            let tuples: Vec<Tuple> = out.scan(e.storage()).collect();
-            (tuples, e.storage().io_stats())
-        };
-        let (row_rows, row_io) = run(false);
-        let (vec_rows, vec_io) = run(true);
-        assert_eq!(row_rows.len(), vec_rows.len());
-        for (a, b) in row_rows.iter().zip(&vec_rows) {
-            for (x, y) in a.values().iter().zip(b.values()) {
-                match (x, y) {
-                    (Value::Float(p), Value::Float(q)) => assert_eq!(p.to_bits(), q.to_bits()),
-                    _ => assert_eq!(x, y),
-                }
-            }
-        }
-        assert_eq!(row_io, vec_io);
-    }
-
-    #[test]
-    fn vectorized_fold_handles_string_and_mixed_columns() {
-        // Min/Max over strings exercise the generic (to_value) lane.
-        let e = Exec::new(Storage::with_defaults()).with_vectorized(true);
-        let st = e.storage().clone();
-        let schema = Schema::new(vec![
-            Column::qualified("T", "K", ColumnType::Int),
-            Column::qualified("T", "S", ColumnType::Str),
-        ]);
-        let f = HeapFile::from_tuples(
-            &st,
-            schema,
-            vec![
-                Tuple::new(vec![Value::Int(1), Value::str("b")]),
-                Tuple::new(vec![Value::Int(1), Value::str("a")]),
-                Tuple::new(vec![Value::Int(2), Value::Null]),
-            ],
-        );
-        let out_schema = Schema::new(vec![
-            Column::new("K", ColumnType::Int),
-            Column::new("M", ColumnType::Str),
-        ]);
-        let out = e
-            .group_aggregate(&f, &[0], &[AggSpec::on(AggFunc::Min, 1)], out_schema, false)
-            .unwrap();
-        let rows: Vec<Tuple> = out.scan(&st).collect();
-        assert_eq!(
-            rows,
-            vec![
-                Tuple::new(vec![Value::Int(1), Value::str("a")]),
-                Tuple::new(vec![Value::Int(2), Value::Null]),
-            ]
-        );
     }
 }

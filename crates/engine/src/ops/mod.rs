@@ -19,6 +19,11 @@
 //! predicate only where the key can match. The rule all operators share —
 //! an index, memo or cache may skip CPU, never a page read — is stated in
 //! DESIGN.md's I/O-accounting section.
+//!
+//! Every operator has one in-memory kernel, over rows, with a serial and a
+//! morsel-parallel driver around it; predicates are evaluated by
+//! [`CPred`] alone. The exception is the hash join, which keeps a second
+//! kernel over column batches because it measured faster (`hash_join.rs`).
 
 mod agg;
 mod hash_join;
@@ -30,14 +35,11 @@ use crate::error::EngineError;
 use crate::expr::{CExpr, Projector};
 use crate::par::par_map_pages;
 use crate::pred::CPred;
-use crate::vec_exec::{keep_lanes, vpred_from_cpred, VPred};
 use crate::Result;
 use nsql_obs::{OpCounters, Profile};
 use nsql_storage::sort::SortKey;
 use nsql_storage::{external_sort_threads, HeapFile, Storage, TempFile};
 use nsql_types::{Relation, Schema, Tuple};
-use nsql_vec::Batch;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Inner or left-outer join.
@@ -73,19 +75,14 @@ impl Exec {
         Exec { storage, threads: threads.max(1), profile: Profile::default(), vectorized: false }
     }
 
-    /// Enable (or disable) the vectorized operator implementations. Results,
-    /// errors, and counted page I/O are identical either way — the switch
-    /// only changes how predicates and join keys are evaluated in memory.
-    /// Operators without a vectorized form (see DESIGN.md's fallback matrix)
-    /// silently keep their row implementation.
+    /// Choose the hash join's kernel: `true` builds and probes on column
+    /// batches (`nsql-vec`), `false` on rows. Results, errors and counted
+    /// page I/O are identical either way. Every other operator has one row
+    /// kernel and ignores the switch (see DESIGN.md "Vectorized
+    /// execution" for the measurements that decided which stayed).
     pub fn with_vectorized(mut self, vectorized: bool) -> Exec {
         self.vectorized = vectorized;
         self
-    }
-
-    /// Whether vectorized operator implementations are enabled.
-    pub fn vectorized(&self) -> bool {
-        self.vectorized
     }
 
     /// Attach the query's profile; operators record into its innermost
@@ -208,101 +205,6 @@ impl Exec {
         }
     }
 
-    /// Vectorized counterpart of [`stream_filter_map`](Exec::stream_filter_map)
-    /// for predicate-driven operators: each page is read through the counted
-    /// buffer pool (same `read_page` sequence as the serial row scan),
-    /// pivoted into a [`Batch`] *above* the storage seam, and filtered by
-    /// refining a selection vector; surviving rows are emitted via `emit`
-    /// from the original page tuples. Error policy matches the row path
-    /// exactly: the whole input is scanned, the first error in scan order
-    /// wins, and the partial output is dropped.
-    fn stream_filter_vec<G>(
-        &self,
-        input: &HeapFile,
-        out_schema: Schema,
-        pred: &VPred,
-        emit: G,
-    ) -> Result<TempFile>
-    where
-        G: Fn(&Tuple) -> Tuple + Sync,
-    {
-        let op = self.current_op();
-        if let Some(op) = &op {
-            op.vectorized.store(true, Ordering::Relaxed);
-        }
-        let filter_page = |page: &nsql_storage::Page| -> (Vec<Tuple>, Option<EngineError>, u64) {
-            let tuples = page.tuples();
-            let batch = Batch::from_tuples(tuples);
-            let (keep, err) = keep_lanes(pred, &batch, &batch.full_sel());
-            let kept: Vec<Tuple> =
-                keep.iter().map(|&i| emit(&tuples[i as usize])).collect();
-            (kept, err, tuples.len() as u64)
-        };
-        if self.threads > 1 && input.page_count() > 1 {
-            let op_ref = op.as_deref();
-            let results =
-                par_map_pages(&self.storage, input.page_ids(), self.threads, op_ref, |m, pages| {
-                    let mut kept = Vec::new();
-                    let mut err = None;
-                    let mut seen = 0u64;
-                    for page in pages {
-                        let (rows, e, n) = filter_page(page);
-                        kept.extend(rows);
-                        seen += n;
-                        if let Some(e) = e {
-                            if err.is_none() {
-                                err = Some(e);
-                            }
-                        }
-                        if let Some(op) = op_ref {
-                            op.batches.add(m, 1);
-                        }
-                    }
-                    if let Some(op) = op_ref {
-                        op.rows_in.add(m, seen);
-                        op.rows_out.add(m, kept.len() as u64);
-                    }
-                    (kept, err)
-                });
-            let mut err = None;
-            let file = HeapFile::from_tuples(
-                &self.storage,
-                out_schema,
-                results.into_iter().flat_map(|(kept, e)| {
-                    if let Some(e) = e {
-                        if err.is_none() {
-                            err = Some(e);
-                        }
-                    }
-                    kept
-                }),
-            );
-            self.check_streamed(file, err)
-        } else {
-            let mut err = None;
-            let file = HeapFile::from_tuples(
-                &self.storage,
-                out_schema,
-                input.page_ids().iter().flat_map(|&pid| {
-                    let page = self.storage.read_page(pid);
-                    let (kept, e, seen) = filter_page(&page);
-                    if let Some(e) = e {
-                        if err.is_none() {
-                            err = Some(e);
-                        }
-                    }
-                    if let Some(op) = &op {
-                        op.rows_in.add(0, seen);
-                        op.rows_out.add(0, kept.len() as u64);
-                        op.batches.add(0, 1);
-                    }
-                    kept
-                }),
-            );
-            self.check_streamed(file, err)
-        }
-    }
-
     /// σ — keep tuples the predicate accepts (is `TRUE` for).
     ///
     /// Streams page-resident tuples straight into the output file: rejected
@@ -311,15 +213,10 @@ impl Exec {
     /// pool), so interleaving them with the input scan leaves counted I/O
     /// identical to the old collect-then-write form.
     pub fn filter(&self, input: &HeapFile, pred: &CPred) -> Result<HeapFile> {
-        let file = if self.vectorized {
-            let vp = vpred_from_cpred(pred);
-            self.stream_filter_vec(input, input.schema().clone(), &vp, Tuple::clone)
-        } else {
-            self.stream_filter_map(input, input.schema().clone(), |t| {
-                Ok(if pred.accepts(t)? { Some(t.clone()) } else { None })
-            })
-        };
-        file.map(TempFile::keep)
+        self.stream_filter_map(input, input.schema().clone(), |t| {
+            Ok(if pred.accepts(t)? { Some(t.clone()) } else { None })
+        })
+        .map(TempFile::keep)
     }
 
     /// The streamed output as a file of its own; if the streaming closure
@@ -379,14 +276,9 @@ impl Exec {
         distinct: bool,
     ) -> Result<HeapFile> {
         let proj = Projector::new(exprs);
-        let file = if self.vectorized {
-            let vp = vpred_from_cpred(pred);
-            self.stream_filter_vec(input, out_schema, &vp, |t| proj.apply_ref(t))?
-        } else {
-            self.stream_filter_map(input, out_schema, |t| {
-                Ok(if pred.accepts(t)? { Some(proj.apply_ref(t)) } else { None })
-            })?
-        };
+        let file = self.stream_filter_map(input, out_schema, |t| {
+            Ok(if pred.accepts(t)? { Some(proj.apply_ref(t)) } else { None })
+        })?;
         Ok(self.deduplicated(file, distinct))
     }
 
@@ -552,74 +444,6 @@ mod tests {
         let out2 = e.restrict_project(&f, &p, &[CExpr::Col(0)], out_schema, true).unwrap();
         assert_eq!(out2.tuple_count(), 4);
         assert_eq!(e.storage().live_pages(), live_before + out2.page_count());
-    }
-
-    #[test]
-    fn vectorized_filter_matches_row_results_and_io() {
-        // Same storage geometry, same query, both modes, serial and
-        // parallel: identical rows in identical order, identical counted
-        // I/O totals and hit/miss split.
-        let rows: Vec<Vec<i64>> = (0..500).map(|i| vec![i % 7, i]).collect();
-        let row_refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
-        let run = |vectorized: bool, threads: usize| {
-            let e = Exec::with_threads(Storage::new(4, 128), threads)
-                .with_vectorized(vectorized);
-            let f = int_file(e.storage(), "T", &["A", "B"], &row_refs);
-            e.storage().clear_buffer();
-            e.storage().reset_stats();
-            let p = pred_on(&f, "A >= 3 AND B < 400");
-            let out = e.filter(&f, &p).unwrap();
-            (rows_of(e.storage(), &out), e.storage().io_stats(), e.storage().buffer_stats())
-        };
-        let (base_rows, base_io, base_buf) = run(false, 1);
-        for (vec, threads) in [(true, 1), (true, 4), (false, 4)] {
-            let (r, io, buf) = run(vec, threads);
-            assert_eq!(r, base_rows, "vec={vec} threads={threads}");
-            assert_eq!(io, base_io, "vec={vec} threads={threads}");
-            assert_eq!(buf, base_buf, "vec={vec} threads={threads}");
-        }
-    }
-
-    #[test]
-    fn vectorized_restrict_project_matches_row_path() {
-        let e = exec().with_vectorized(true);
-        let f = int_file(e.storage(), "T", &["A", "B"], &[&[1, 5], &[2, 6], &[3, 7]]);
-        let p = pred_on(&f, "A > 1");
-        let out_schema = Schema::new(vec![Column::qualified("O", "B", ColumnType::Int)]);
-        let out = e.restrict_project(&f, &p, &[CExpr::Col(1)], out_schema, false).unwrap();
-        assert_eq!(rows_of(e.storage(), &out), vec![vec![Some(6)], vec![Some(7)]]);
-    }
-
-    #[test]
-    fn vectorized_filter_error_behaviour_matches_row_path() {
-        // A type error mid-scan: both modes scan the whole input, report
-        // the same (first) error, and free the partial output.
-        use nsql_types::Value;
-        let mk = |vectorized: bool| {
-            let e = exec().with_vectorized(vectorized);
-            let st = e.storage().clone();
-            let schema = Schema::new(vec![Column::qualified("T", "A", ColumnType::Int)]);
-            let f = HeapFile::from_tuples(
-                &st,
-                schema,
-                (0..100).map(|i| {
-                    if i % 10 == 3 {
-                        Tuple::new(vec![Value::str(format!("s{i}"))])
-                    } else {
-                        Tuple::new(vec![Value::Int(i)])
-                    }
-                }),
-            );
-            let p = pred_on(&f, "A = 1");
-            let live = st.live_pages();
-            let err = match e.filter(&f, &p) {
-                Err(e) => e,
-                Ok(_) => panic!("expected a type error (vec={vectorized})"),
-            };
-            assert_eq!(st.live_pages(), live, "partial output freed (vec={vectorized})");
-            format!("{err:?}")
-        };
-        assert_eq!(mk(false), mk(true));
     }
 
     #[test]

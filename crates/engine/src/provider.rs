@@ -64,68 +64,6 @@ impl<T: TableProvider + ?Sized> TableProvider for &T {
     }
 }
 
-/// A provider backed by a `HashMap`, plus an optional fallback — used to
-/// overlay temporary tables on a base catalog during transformed-query
-/// execution.
-pub struct OverlayProvider<'a, T: TableProvider + ?Sized> {
-    base: &'a T,
-    overlay: std::collections::HashMap<String, HeapFile>,
-}
-
-impl<'a, T: TableProvider + ?Sized> OverlayProvider<'a, T> {
-    /// Overlay on top of `base`.
-    pub fn new(base: &'a T) -> Self {
-        OverlayProvider { base, overlay: std::collections::HashMap::new() }
-    }
-
-    /// Register a temporary table (replacing any previous overlay entry).
-    pub fn register(&mut self, name: impl Into<String>, file: HeapFile) {
-        self.overlay.insert(name.into().to_ascii_uppercase(), file);
-    }
-
-    /// The registered overlay tables (name, file).
-    pub fn overlay_tables(&self) -> impl Iterator<Item = (&String, &HeapFile)> {
-        self.overlay.iter()
-    }
-}
-
-impl<T: TableProvider + ?Sized> TableProvider for OverlayProvider<'_, T> {
-    fn get_table(&self, table: &str) -> Option<HeapFile> {
-        let key = table.to_ascii_uppercase();
-        self.overlay.get(&key).cloned().or_else(|| self.base.get_table(&key))
-    }
-
-    fn get_indexes(&self, table: &str) -> Vec<Arc<BTreeIndex>> {
-        let key = table.to_ascii_uppercase();
-        if self.overlay.contains_key(&key) {
-            // A temporary shadows the base table — its indexes with it.
-            Vec::new()
-        } else {
-            self.base.get_indexes(&key)
-        }
-    }
-
-    fn table_generation(&self, table: &str) -> Option<u64> {
-        let key = table.to_ascii_uppercase();
-        if self.overlay.contains_key(&key) {
-            // Per-query temporaries have no cross-query identity.
-            None
-        } else {
-            self.base.table_generation(&key)
-        }
-    }
-
-    fn cache_epoch(&self) -> u64 {
-        self.base.cache_epoch()
-    }
-
-    fn note_index_probes(&self, table: &str, probes: u64) {
-        // Shadowed temps expose no indexes, so probes can only concern
-        // base tables — forward unconditionally.
-        self.base.note_index_probes(table, probes)
-    }
-}
-
 /// A simple in-memory provider: a map from table name to heap file.
 /// The standalone provider used by tests, examples, and the benchmark
 /// harness; `nsql-db`'s catalog supersedes it for full databases.
@@ -149,44 +87,5 @@ impl MemoryProvider {
 impl TableProvider for MemoryProvider {
     fn get_table(&self, table: &str) -> Option<HeapFile> {
         self.tables.get(&table.to_ascii_uppercase()).cloned()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nsql_storage::{HeapFile, Storage};
-    use nsql_types::{Column, ColumnType, Schema, Tuple, Value};
-    use std::collections::HashMap;
-
-    pub struct MapProvider(pub HashMap<String, HeapFile>);
-
-    impl TableProvider for MapProvider {
-        fn get_table(&self, table: &str) -> Option<HeapFile> {
-            self.0.get(&table.to_ascii_uppercase()).cloned()
-        }
-    }
-
-    fn file(st: &Storage, n: i64) -> HeapFile {
-        HeapFile::from_tuples(
-            st,
-            Schema::new(vec![Column::qualified("T", "A", ColumnType::Int)]),
-            (0..n).map(|i| Tuple::new(vec![Value::Int(i)])),
-        )
-    }
-
-    #[test]
-    fn overlay_shadows_base() {
-        let st = Storage::with_defaults();
-        let base_file = file(&st, 3);
-        let temp_file = file(&st, 7);
-        let mut base = HashMap::new();
-        base.insert("T".to_string(), base_file);
-        let base = MapProvider(base);
-        let mut overlay = OverlayProvider::new(&base);
-        assert_eq!(overlay.get_table("t").unwrap().tuple_count(), 3);
-        overlay.register("T", temp_file);
-        assert_eq!(overlay.get_table("T").unwrap().tuple_count(), 7);
-        assert!(overlay.get_table("MISSING").is_none());
     }
 }

@@ -1,18 +1,13 @@
-//! Aligned column vectors plus selection vectors — the unit of vectorized
-//! execution.
+//! Aligned column vectors — what the batch hash join builds and probes on.
 //!
 //! A [`Batch`] holds the rows of one heap page pivoted into columns. Batch
 //! conversion happens *above* the storage seam (the page is read through
 //! the counted buffer pool first), so building a batch never performs or
-//! hides page I/O. Predicates refine a [`Sel`] selection vector over the
-//! batch instead of materializing intermediate rows; only rows that survive
-//! every conjunct are converted back to tuples.
+//! hides page I/O. Only rows that reach a join's residual or its output
+//! are converted back to tuples.
 
 use crate::column::ColumnVector;
 use nsql_types::{Tuple, Value};
-
-/// A selection vector: row indices into a batch, ascending.
-pub type Sel = Vec<u32>;
 
 /// A fixed number of rows pivoted into aligned [`ColumnVector`]s.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,16 +55,6 @@ impl Batch {
         &self.cols[i]
     }
 
-    /// A selection vector covering every row.
-    pub fn full_sel(&self) -> Sel {
-        (0..self.len as u32).collect()
-    }
-
-    /// Owned value at (`col`, `row`).
-    pub fn value(&self, col: usize, row: usize) -> Value {
-        self.cols[col].value(row)
-    }
-
     /// Rebuild the tuple at `row`.
     pub fn tuple(&self, row: usize) -> Tuple {
         Tuple::new(self.cols.iter().map(|c| c.value(row)).collect())
@@ -100,38 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_has_no_columns_and_full_sel_is_empty() {
+    fn empty_batch_has_no_columns() {
         let b = Batch::from_tuples(&[]);
         assert!(b.is_empty());
         assert_eq!(b.arity(), 0);
-        assert!(b.full_sel().is_empty());
-    }
-
-    /// Selection vectors are per-batch: indices survive refinement chains
-    /// and remain valid across the batch (page) boundary of the source rows
-    /// — each batch restarts at index 0.
-    #[test]
-    fn selection_vectors_stay_page_local_across_batch_boundaries() {
-        let page1: Vec<Tuple> = (0..5).map(|i| t(vec![Value::Int(i)])).collect();
-        let page2: Vec<Tuple> = (5..9).map(|i| t(vec![Value::Int(i)])).collect();
-        let (b1, b2) = (Batch::from_tuples(&page1), Batch::from_tuples(&page2));
-        // Refine "x >= 3" over both batches; indices are local to each.
-        let keep = |b: &Batch| -> Sel {
-            b.full_sel()
-                .into_iter()
-                .filter(|&i| matches!(b.value(0, i as usize), Value::Int(x) if x >= 3))
-                .collect()
-        };
-        assert_eq!(keep(&b1), vec![3, 4]);
-        assert_eq!(keep(&b2), vec![0, 1, 2, 3]);
-        // Gathering through the local selections yields the global rows.
-        let gathered: Vec<Tuple> = keep(&b1)
-            .iter()
-            .map(|&i| b1.tuple(i as usize))
-            .chain(keep(&b2).iter().map(|&i| b2.tuple(i as usize)))
-            .collect();
-        let expect: Vec<Tuple> = (3..9).map(|i| t(vec![Value::Int(i)])).collect();
-        assert_eq!(gathered, expect);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Validity bitmap: one bit per row, set = non-NULL.
 //!
-//! The bitmap is the 3VL carrier for columnar data: a cleared bit means the
-//! slot holds SQL `NULL` and every kernel must propagate *unknown* exactly
-//! as the row-at-a-time evaluator would (see DESIGN.md "Vectorized
-//! execution"). Payload lanes under a cleared bit hold an arbitrary
-//! placeholder and must never be interpreted.
+//! The bitmap is the NULL carrier for columnar data: a cleared bit means
+//! the slot holds SQL `NULL` (a key the hash join never matches). Payload
+//! lanes under a cleared bit hold an arbitrary placeholder and must never
+//! be interpreted.
 
 /// A fixed-length bitmap over `len` rows, one `u64` word per 64 rows.
 #[derive(Debug, Clone, PartialEq, Eq)]

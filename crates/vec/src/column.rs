@@ -7,16 +7,15 @@
 //! [`ColData::Vals`] catch-all and all kernels still apply through
 //! [`ValRef`].
 //!
-//! [`ValRef`] mirrors [`Value`]'s comparison/hash semantics *exactly* —
-//! including `NaN == NaN`, Int/Float cross-comparison through `f64`, and
-//! the `TypeError::Incomparable` type-name strings — but borrows string
-//! payloads instead of cloning them. The unit tests below cross-check every
-//! rule against the row-side implementation.
+//! [`ValRef`] mirrors [`Value`]'s grouping equality and hash stream
+//! *exactly* — including `NaN == NaN` and Int/Float cross-comparison
+//! through `f64` — but borrows string payloads instead of cloning them.
+//! The unit tests below cross-check both against the row-side
+//! implementation.
 
 use crate::bitmap::Bitmap;
 use nsql_types::value::float_hash_bits;
-use nsql_types::{Date, FxHashMap, TypeError, Value};
-use std::cmp::Ordering;
+use nsql_types::{Date, FxHashMap, Value};
 use std::hash::{Hash, Hasher};
 
 /// Distinct-string cap for dictionary encoding; a page whose string column
@@ -218,7 +217,7 @@ fn build_str_col(vals: &[Value]) -> StrCol {
     StrCol::Dict { dict, codes }
 }
 
-/// A borrowed view of one [`Value`]: comparison and hashing without
+/// A borrowed view of one [`Value`]: grouping equality and hashing without
 /// allocating, with semantics bit-for-bit equal to the owned type.
 #[derive(Debug, Clone, Copy)]
 pub enum ValRef<'a> {
@@ -268,48 +267,23 @@ impl<'a> ValRef<'a> {
         matches!(self, ValRef::Null)
     }
 
-    fn type_name(self) -> &'static str {
-        match self {
-            ValRef::Null => "null",
-            ValRef::Int(_) => "int",
-            ValRef::Float(_) => "float",
-            ValRef::Str(_) => "string",
-            ValRef::Date(_) => "date",
-            ValRef::Bool(_) => "bool",
-        }
-    }
-
-    /// SQL three-valued comparison; mirror of [`Value::sql_cmp`].
-    #[inline]
-    pub fn sql_cmp(self, other: ValRef<'_>) -> Result<Option<Ordering>, TypeError> {
-        use ValRef::*;
-        match (self, other) {
-            (Null, _) | (_, Null) => Ok(None),
-            (Int(a), Int(b)) => Ok(Some(a.cmp(&b))),
-            (Float(a), Float(b)) => Ok(Some(cmp_f64(a, b))),
-            (Int(a), Float(b)) => Ok(Some(cmp_f64(a as f64, b))),
-            (Float(a), Int(b)) => Ok(Some(cmp_f64(a, b as f64))),
-            (Str(a), Str(b)) => Ok(Some(a.cmp(b))),
-            (Date(a), Date(b)) => Ok(Some(a.cmp(&b))),
-            (Bool(a), Bool(b)) => Ok(Some(a.cmp(&b))),
-            (a, b) => Err(TypeError::Incomparable(
-                a.type_name().to_string(),
-                b.type_name().to_string(),
-            )),
-        }
-    }
-
     /// Equality under the *total* order (grouping/join-key semantics, the
     /// mirror of `Value::eq`): `NULL == NULL`, `NaN == NaN`, `3 == 3.0`,
-    /// cross-type non-numeric values unequal.
+    /// `-0.0 == 0.0`, cross-type non-numeric values unequal.
     #[inline]
     pub fn total_eq(self, other: ValRef<'_>) -> bool {
-        match (self.is_null(), other.is_null()) {
-            (true, true) => return true,
-            (true, false) | (false, true) => return false,
-            (false, false) => {}
+        use ValRef::*;
+        let float_eq = |a: f64, b: f64| a == b || (a.is_nan() && b.is_nan());
+        match (self, other) {
+            (Null, Null) => true,
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => float_eq(a, b),
+            (Int(a), Float(b)) | (Float(b), Int(a)) => float_eq(a as f64, b),
+            (Str(a), Str(b)) => a == b,
+            (Date(a), Date(b)) => a == b,
+            (Bool(a), Bool(b)) => a == b,
+            _ => false,
         }
-        matches!(self.sql_cmp(other), Ok(Some(Ordering::Equal)))
     }
 
     /// Feed this value into `state` with byte-for-byte the same stream as
@@ -340,17 +314,6 @@ impl<'a> ValRef<'a> {
             }
         }
     }
-}
-
-/// Mirror of the row side's float comparison: NaN sorts last, equals itself.
-#[inline]
-fn cmp_f64(a: f64, b: f64) -> Ordering {
-    a.partial_cmp(&b).unwrap_or_else(|| match (a.is_nan(), b.is_nan()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => unreachable!("partial_cmp only fails on NaN"),
-    })
 }
 
 #[cfg(test)]
@@ -442,16 +405,17 @@ mod tests {
         }
     }
 
-    /// Property: ValRef::sql_cmp agrees with Value::sql_cmp on every pair
-    /// drawn from a cross-type value zoo (including errors and their
-    /// rendered type names).
+    /// Property: ValRef::total_eq agrees with Value's equality on every
+    /// pair drawn from a cross-type value zoo.
     #[test]
-    fn sql_cmp_mirrors_value_semantics() {
+    fn total_eq_mirrors_value_equality() {
         let zoo = [
             Value::Null,
             Value::Int(-3),
             Value::Int(3),
+            Value::Int(0),
             Value::Float(3.0),
+            Value::Float(-0.0),
             Value::Float(f64::NAN),
             Value::str("a"),
             Value::str("b"),
@@ -461,11 +425,7 @@ mod tests {
         ];
         for a in &zoo {
             for b in &zoo {
-                let row = a.sql_cmp(b);
-                let col = ValRef::of(a).sql_cmp(ValRef::of(b));
-                assert_eq!(row, col, "sql_cmp({a:?}, {b:?})");
-                let row_eq = *a == *b;
-                assert_eq!(row_eq, ValRef::of(a).total_eq(ValRef::of(b)), "eq({a:?}, {b:?})");
+                assert_eq!(*a == *b, ValRef::of(a).total_eq(ValRef::of(b)), "eq({a:?}, {b:?})");
             }
         }
     }

@@ -1,29 +1,29 @@
-//! Columnar batch layer for vectorized execution.
+//! Columnar batch layer for the batch hash join.
 //!
 //! This crate is pure data representation: typed [`ColumnVector`]s with
-//! validity [`Bitmap`]s, [`Batch`]es of aligned columns with [`Sel`]
-//! selection vectors, and the zero-allocation [`ValRef`] value view whose
-//! comparison/hash semantics mirror `nsql_types::Value` bit for bit. The
-//! vectorized *operators* (filter, hash join, aggregation, the
-//! nested-iteration block kernel) live in `nsql-engine`, which composes
-//! these pieces; keeping the crate free of engine dependencies lets the
-//! storage and engine layers both convert at their own seams.
+//! validity [`Bitmap`]s, [`Batch`]es of aligned columns, and the
+//! zero-allocation [`ValRef`] value view whose grouping equality and hash
+//! stream mirror `nsql_types::Value` bit for bit. Its one user in
+//! `nsql-engine` is the hash join under `Exec::with_vectorized(true)`,
+//! which hashes join keys straight off typed column lanes. The filter,
+//! the aggregate fold and nested iteration once had batch kernels too;
+//! each measured slower than its row loop and was deleted (DESIGN.md
+//! "Vectorized execution"), and what only they used went with them.
 //!
-//! Invariants the kernels rely on (see DESIGN.md "Vectorized execution"):
+//! Invariants the join relies on:
 //!
-//! * batch conversion happens above the counted buffer pool — building or
-//!   caching a batch never performs page I/O;
+//! * batch conversion happens above the counted buffer pool — building a
+//!   batch never performs page I/O;
 //! * a cleared validity bit is the *only* NULL carrier; payload slots under
 //!   it are placeholders and must never be interpreted;
-//! * [`ValRef`] ordering, equality, and hashing agree exactly with the
-//!   row-side `Value` implementations (cross-checked by unit tests), so a
-//!   pipeline may switch representation mid-stream without changing
-//!   results.
+//! * [`ValRef`] equality and hashing agree exactly with the row-side
+//!   `Value` implementations (cross-checked by unit tests), so both join
+//!   kernels pair the same rows.
 
 pub mod batch;
 pub mod bitmap;
 pub mod column;
 
-pub use batch::{Batch, Sel};
+pub use batch::Batch;
 pub use bitmap::Bitmap;
 pub use column::{ColData, ColumnVector, StrCol, ValRef, DICT_MAX};

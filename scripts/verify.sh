@@ -80,6 +80,24 @@ if grep -rnwE 'Tracer|SpanNode|SpanId|MetricsRegistry|OpMetrics|OpSnapshot|ExecO
     exit 1
 fi
 
+echo "==> one row kernel for scans and folds"
+# Filters, projections and aggregate folds have one in-memory kernel, over
+# rows, and one compiled-predicate evaluator (CPred); the batch kernels
+# beside them measured slower on every workload and were deleted (DESIGN.md
+# "Vectorized execution"). Neither they, nor the typed accumulator entry
+# points only they called, nor the unused overlay provider may come back
+# under their names, and the one batch kernel left — the hash join — is the
+# only engine source that names the column-batch crate.
+if grep -rnwE 'vec_exec|VPred|VOperand|Lane3|keep_lanes|vpred_from_cpred|stream_filter_vec|accumulate_int|accumulate_float|OverlayProvider' \
+    crates/*/src crates/*/tests src tests examples --include='*.rs'; then
+    echo "FAIL: a second scan/fold kernel, or dead code deleted with it, is back"
+    exit 1
+fi
+if grep -rl 'nsql_vec' crates/engine/src --include='*.rs' | grep -vx 'crates/engine/src/ops/hash_join.rs'; then
+    echo "FAIL: column batches used in the engine outside the hash join"
+    exit 1
+fi
+
 echo "==> temporaries are owned values"
 # What an operator or the plan executor materializes is freed by dropping
 # its nsql_storage::TempFile (DESIGN.md "Execution model and the

@@ -656,8 +656,8 @@ struct Pipeline {
 /// runs under every join policy, in parallel, and in the
 /// duplicate-collapsing `ForceDistinct` mode. Row pipelines pin
 /// `ExecMode::Row` (not `Auto`) so the sweep diffs both representations
-/// whatever `Auto` comes to mean; the `tr-vec-*` pipelines rerun the
-/// transformed shapes under the columnar batch kernels.
+/// whatever `Auto` comes to mean; `tr-vec-hash` reruns the forced-hash-join
+/// shapes under the batch hash-join kernel.
 fn pipelines() -> Vec<Pipeline> {
     let ni = |threads: usize| QueryOptions {
         strategy: Strategy::NestedIteration,
@@ -763,18 +763,10 @@ fn pipelines() -> Vec<Pipeline> {
             transform: true,
             set_only: false,
         },
-        // Vectorized variants of the transformation: the same semantics
-        // under the columnar batch kernels. Same license flags as their row
-        // counterparts — vectorization must be semantically invisible.
-        Pipeline {
-            name: "tr-vec-cost",
-            opts: QueryOptions {
-                exec_mode: ExecMode::Vector,
-                ..tr(JoinPolicy::CostBased, 1)
-            },
-            transform: true,
-            set_only: false,
-        },
+        // The batch hash join: `tr-hash` again with joins built and probed
+        // on column batches. Same license flags — the kernel must be
+        // semantically invisible. (Vector mode changes nothing but hash
+        // joins, so it is not paired with any other join policy.)
         Pipeline {
             name: "tr-vec-hash",
             opts: QueryOptions {
