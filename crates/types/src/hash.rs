@@ -20,6 +20,16 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Each written word is folded in as `hash = (hash rotl 5 ^ word) * K` with
 /// a single odd multiplicative constant (derived from the golden ratio, as
 /// in rustc's `FxHasher`). Not cryptographic; do not use for untrusted keys.
+///
+/// A multiply only carries entropy *upwards*, and the engine's commonest
+/// key is a small integer hashed as the bits of an `f64`, whose low ~40
+/// bits are zero: after the rounds every such key agrees in its low bits,
+/// which is where `hashbrown` takes the bucket index from. So
+/// [`finish`](Hasher::finish) ends with a finalizer that folds the high
+/// half back down (xor-shift, multiply, xor-shift). A bare rotate or a
+/// single xor-shift is cheaper but leaves this key family with one control
+/// byte or a handful of buckets; the candidates are compared in
+/// EXPERIMENTS.md, "One row kernel for scans and folds", part (c).
 #[derive(Debug, Clone, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -37,7 +47,10 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        let mut h = self.hash;
+        h ^= h >> 32;
+        h = h.wrapping_mul(SEED);
+        h ^ (h >> 29)
     }
 
     #[inline]
@@ -138,6 +151,27 @@ mod tests {
         // hash equal under any hasher, including this one.
         assert_eq!(hash_of(&Value::Int(3)), hash_of(&Value::Float(3.0)));
         assert_eq!(hash_of(&Value::Null), hash_of(&Value::Null));
+    }
+
+    #[test]
+    fn small_integer_keys_spread_over_the_low_bits() {
+        // hashbrown takes the bucket index from a hash's low bits. A small
+        // integer is hashed as the bits of an f64, which has none there, and
+        // a multiply never moves entropy down: without the finalizer all
+        // 4096 keys share one value of the low 12 bits and every map keyed
+        // by them is a single probe chain.
+        let low_bits = |hashes: Vec<u64>| {
+            hashes.iter().map(|h| h & 0xfff).collect::<HashSet<u64>>().len()
+        };
+        let values = low_bits((0..4096).map(|i| hash_of(&Value::Int(i))).collect());
+        assert!(values >= 2048, "Value::Int(0..4096): {values} distinct low-12-bit values");
+        let tuples = low_bits(
+            (0..4096).map(|i| hash_of(&crate::Tuple::new(vec![Value::Int(i)]))).collect(),
+        );
+        assert!(tuples >= 2048, "Tuple[Int(0..4096)]: {tuples} distinct low-12-bit values");
+        // The finalizer is a function of the state, so equal values still
+        // hash alike.
+        assert_eq!(hash_of(&Value::Int(3)), hash_of(&Value::Float(3.0)));
     }
 
     #[test]
