@@ -89,12 +89,10 @@ pub enum DuplicateSemantics {
 ///
 /// Under `Vector`, hash joins build and probe on column batches (each page
 /// pivoted into typed column vectors, keys hashed straight off the lanes);
-/// every other operator runs its one row kernel whatever the mode — the
-/// batch filter, aggregate fold and nested-iteration kernels each measured
-/// slower than the row loop and were deleted (DESIGN.md "Vectorized
-/// execution"). Results, error values, page-I/O totals, and buffer
-/// hit/miss splits are byte-identical across modes — only CPU time changes
-/// (property-tested).
+/// every other operator runs its one row kernel whatever the mode (DESIGN.md
+/// "Vectorized execution" has the measurements behind that). Results, error
+/// values, page-I/O totals, and buffer hit/miss splits are byte-identical
+/// across modes — only CPU time changes (property-tested).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Tuple-at-a-time interpretation (the historical baseline).

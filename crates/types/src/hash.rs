@@ -160,14 +160,13 @@ mod tests {
         // a multiply never moves entropy down: without the finalizer all
         // 4096 keys share one value of the low 12 bits and every map keyed
         // by them is a single probe chain.
-        let low_bits = |hashes: Vec<u64>| {
-            hashes.iter().map(|h| h & 0xfff).collect::<HashSet<u64>>().len()
-        };
-        let values = low_bits((0..4096).map(|i| hash_of(&Value::Int(i))).collect());
+        fn low_bits(hashes: impl Iterator<Item = u64>) -> usize {
+            hashes.map(|h| h & 0xfff).collect::<HashSet<u64>>().len()
+        }
+        let values = low_bits((0..4096).map(|i| hash_of(&Value::Int(i))));
         assert!(values >= 2048, "Value::Int(0..4096): {values} distinct low-12-bit values");
-        let tuples = low_bits(
-            (0..4096).map(|i| hash_of(&crate::Tuple::new(vec![Value::Int(i)]))).collect(),
-        );
+        let tuples =
+            low_bits((0..4096).map(|i| hash_of(&crate::Tuple::new(vec![Value::Int(i)]))));
         assert!(tuples >= 2048, "Tuple[Int(0..4096)]: {tuples} distinct low-12-bit values");
         // The finalizer is a function of the state, so equal values still
         // hash alike.

@@ -5,10 +5,9 @@
 //! zero-allocation [`ValRef`] value view whose grouping equality and hash
 //! stream mirror `nsql_types::Value` bit for bit. Its one user in
 //! `nsql-engine` is the hash join under `Exec::with_vectorized(true)`,
-//! which hashes join keys straight off typed column lanes. The filter,
-//! the aggregate fold and nested iteration once had batch kernels too;
-//! each measured slower than its row loop and was deleted (DESIGN.md
-//! "Vectorized execution"), and what only they used went with them.
+//! which hashes join keys straight off typed column lanes; no other
+//! operator has a batch kernel (DESIGN.md "Vectorized execution" has the
+//! measurements behind that), so this crate holds what the join needs.
 //!
 //! Invariants the join relies on:
 //!
