@@ -4,7 +4,14 @@
 //! every DDL/DML statement ends by committing the open page batch together
 //! with a self-describing snapshot of the whole catalog (table schemas, page
 //! ids, tuple counts, encoded indexes). Recovery hands that snapshot back and
-//! [`Catalog::restore`] rebuilds the in-memory maps without any page I/O.
+//! [`Catalog::restore`] rebuilds the in-memory maps without any counted page
+//! I/O.
+//!
+//! Pages are immutable and every change is copy-on-write: `INSERT` writes
+//! the pages it changes again — the table's last page, one leaf per row of
+//! each index, a parent when a leaf splits — frees the ones they replace and
+//! shares the rest, so a statement's commit carries a handful of page
+//! images whatever the table's size.
 
 use crate::error::DbError;
 use crate::stat_views;
@@ -15,7 +22,7 @@ use nsql_index::BTreeIndex;
 use nsql_obs::stats::{thread_shard, StatsRegistry, TableCounters};
 use nsql_storage::durable::codec::{self, ByteReader, ByteWriter};
 use nsql_storage::{HeapFile, PageId, Storage, StorageError};
-use nsql_types::{Relation, Schema};
+use nsql_types::{Relation, Schema, Tuple, TypeError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -50,14 +57,17 @@ pub struct Catalog {
     /// mutated table's entries free their bytes immediately instead of
     /// lingering until eviction.
     result_cache: Option<Arc<nsql_cache::QueryCache>>,
-    /// Per-table, per-column distinct-value counts, gathered while the
-    /// rows pass through memory (load/insert) — the statistic the batched
-    /// strategy's cost formula needs for `d`. Persisted in the v2 catalog
-    /// snapshot, so the three-way cost comparison keeps its statistics
-    /// across restarts; a v1 snapshot (or a table never loaded through
-    /// memory) has no entry and cost estimation falls back to the tuple
-    /// count as a conservative upper bound.
-    stats: BTreeMap<String, Vec<usize>>,
+    /// Per-table, per-column distinct-value counts — the statistic the
+    /// batched strategy's cost formula needs for `d` — gathered while a
+    /// loaded relation passes through memory. An INSERT does not look at the
+    /// table, so it leaves `None`: counts that
+    /// [`Catalog::distinct_count`], their one reader, takes again from the
+    /// pages when next asked and keeps until the next INSERT. The v2 catalog
+    /// snapshot persists the counts it has, so the three-way cost
+    /// comparison keeps its statistics across restarts; a table restored
+    /// from a v1 snapshot has no entry at all and cost estimation falls
+    /// back to the tuple count as a conservative upper bound.
+    stats: Mutex<BTreeMap<String, Option<Vec<usize>>>>,
     /// The cumulative statistics registry shared with the owning
     /// `Database`. Per-table access counters are bumped here at the
     /// table-fetch and DML seams; the `nsql_stat_*` views render it.
@@ -77,7 +87,7 @@ pub struct Catalog {
 }
 
 /// Distinct values per column of an in-memory tuple set.
-fn column_distincts(tuples: &[nsql_types::Tuple], arity: usize) -> Vec<usize> {
+fn column_distincts(tuples: &[Tuple], arity: usize) -> Vec<usize> {
     (0..arity)
         .map(|i| {
             tuples
@@ -101,7 +111,7 @@ impl Catalog {
             generations: BTreeMap::new(),
             epoch: NEXT_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             result_cache: None,
-            stats: BTreeMap::new(),
+            stats: Mutex::new(BTreeMap::new()),
             stats_registry: Arc::new(StatsRegistry::default()),
             counters: BTreeMap::new(),
             system_views: Mutex::new(BTreeMap::new()),
@@ -152,11 +162,29 @@ impl Catalog {
         self.materialize_stat_view(key)
     }
 
-    /// Distinct values in `table`'s `col`-th column, when statistics were
-    /// gathered this incarnation. `None` after [`Catalog::restore`] —
-    /// callers fall back to the tuple count as an upper bound.
+    fn stats(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Option<Vec<usize>>>> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Distinct values in `table`'s `col`-th column. `None` when the table
+    /// came from a snapshot without statistics — callers fall back to the
+    /// tuple count as an upper bound. Counts an INSERT made stale are taken
+    /// again here, from the table's pages through the uncounted side channel
+    /// (no I/O counter or buffer frame moves), and kept.
     pub fn distinct_count(&self, table: &str, col: usize) -> Option<usize> {
-        self.stats.get(&table.to_ascii_uppercase())?.get(col).copied()
+        let key = table.to_ascii_uppercase();
+        let mut stats = self.stats();
+        let counts = stats.get_mut(&key)?;
+        if counts.is_none() {
+            let file = self.tables.get(&key)?;
+            let tuples: Vec<Tuple> = file
+                .page_ids()
+                .iter()
+                .flat_map(|&id| self.storage.read_page_tuples_uncounted(id))
+                .collect();
+            *counts = Some(column_distincts(&tuples, file.schema().arity()));
+        }
+        counts.as_ref()?.get(col).copied()
     }
 
     /// Attach the cross-query result cache to invalidate on DML.
@@ -199,7 +227,7 @@ impl Catalog {
             return Err(DbError::Catalog(format!("table {key} already exists")));
         }
         let schema = schema.requalify(&key);
-        self.stats.insert(key.clone(), vec![0; schema.arity()]);
+        self.stats().insert(key.clone(), Some(vec![0; schema.arity()]));
         self.counters.insert(key.clone(), self.stats_registry.table_entry(&key));
         let file = HeapFile::from_tuples(&self.storage, schema, Vec::new());
         self.tables.insert(key.clone(), file);
@@ -223,9 +251,9 @@ impl Catalog {
         }
         let requalified =
             Relation::new(rel.schema().requalify(&key), rel.tuples().to_vec())?;
-        self.stats.insert(
+        self.stats().insert(
             key.clone(),
-            column_distincts(requalified.tuples(), requalified.schema().arity()),
+            Some(column_distincts(requalified.tuples(), requalified.schema().arity())),
         );
         let file = self.storage.store_relation(&requalified);
         if let Some(old) = self.tables.insert(key.clone(), file) {
@@ -238,37 +266,60 @@ impl Catalog {
         self.persist()
     }
 
-    /// Append rows to a table (rewrites the heap file — the engine is
-    /// read-mostly and INSERT exists for building test databases).
-    pub fn insert(&mut self, name: &str, rows: Vec<nsql_types::Tuple>) -> Result<usize> {
+    /// Append rows to a table, at a cost that does not depend on its size:
+    /// the heap file's last page is written again with the rows
+    /// ([`HeapFile::append`]), every index takes them one leaf at a time
+    /// ([`BTreeIndex::insert`]), and the table's distinct counts are marked
+    /// stale instead of recounted. The table is not scanned and no index is
+    /// built.
+    ///
+    /// This is the one write path fed from outside the program, so the rows
+    /// are checked before anything is written: each must have the table's
+    /// arity, and each non-`NULL` value the comparison class of its column
+    /// (a string in an `INT` column would fail every later comparison
+    /// against it). An INSERT of no rows changes nothing and commits
+    /// nothing.
+    pub fn insert(&mut self, name: &str, rows: Vec<Tuple>) -> Result<usize> {
         let key = name.to_ascii_uppercase();
         let file = self
             .tables
             .get(&key)
-            .ok_or_else(|| DbError::Catalog(format!("unknown table {key}")))?
-            .clone();
-        let schema = file.schema().clone();
+            .ok_or_else(|| DbError::Catalog(format!("unknown table {key}")))?;
+        let schema = file.schema();
         for r in &rows {
             if r.arity() != schema.arity() {
-                return Err(DbError::Type(nsql_types::TypeError::ArityMismatch {
+                return Err(DbError::Type(TypeError::ArityMismatch {
                     schema: schema.arity(),
                     tuple: r.arity(),
                 }));
             }
+            for (column, v) in schema.columns().iter().zip(r.values()) {
+                if let Some(found) = v.column_type().filter(|_| !column.ty.admits(v)) {
+                    return Err(DbError::Type(TypeError::ColumnMismatch {
+                        column: column.qualified_name(),
+                        declared: column.ty,
+                        found,
+                    }));
+                }
+            }
         }
         let n = rows.len();
+        if n == 0 {
+            return Ok(0);
+        }
         if self.stats_registry.enabled() {
             if let Some(t) = self.counters.get(&key) {
                 t.tuples_written.add(thread_shard(), n as u64);
             }
         }
-        let all: Vec<nsql_types::Tuple> =
-            file.scan(&self.storage).chain(rows).collect();
-        self.stats.insert(key.clone(), column_distincts(&all, schema.arity()));
-        let new_file = HeapFile::from_tuples(&self.storage, schema, all);
-        file.drop_pages(&self.storage);
-        self.tables.insert(key.clone(), new_file);
-        self.rebuild_indexes(&key);
+        for slot in self.indexes.get_mut(&key).into_iter().flatten() {
+            *slot = Arc::new(slot.insert(&self.storage, &rows));
+        }
+        let grown = file.append(&self.storage, rows);
+        self.tables.insert(key.clone(), grown);
+        if let Some(counts) = self.stats().get_mut(&key) {
+            *counts = None;
+        }
         self.touch(&key);
         self.persist()?;
         Ok(n)
@@ -283,7 +334,7 @@ impl Catalog {
                 for ix in self.indexes.remove(&key).unwrap_or_default() {
                     ix.drop_pages(&self.storage);
                 }
-                self.stats.remove(&key);
+                self.stats().remove(&key);
                 // Keep the registry's entry (dropped tables stay in the
                 // history the views render); only the hot-path cache goes.
                 self.counters.remove(&key);
@@ -297,7 +348,7 @@ impl Catalog {
     /// Build a B+tree index on one column of `table` (resolved by
     /// unqualified column name, case-insensitively). Returns the generated
     /// index name. The index is a clustered copy of the table sorted by the
-    /// key; DML on the table rebuilds it.
+    /// key; an INSERT into the table adds its rows to it.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<String> {
         let key = table.to_ascii_uppercase();
         let file = self
@@ -339,19 +390,6 @@ impl Catalog {
     /// Total number of indexes across all tables.
     pub fn index_count(&self) -> usize {
         self.indexes.values().map(Vec::len).sum()
-    }
-
-    /// Re-derive every index on `key` from the table's current heap file
-    /// (DML rewrites the file, so indexes are rebuilt wholesale).
-    fn rebuild_indexes(&mut self, key: &str) {
-        let Some(file) = self.tables.get(key).cloned() else { return };
-        let Some(list) = self.indexes.get_mut(key) else { return };
-        for slot in list.iter_mut() {
-            let rebuilt =
-                BTreeIndex::build(&self.storage, slot.name(), slot.key_col(), &file);
-            let old = std::mem::replace(slot, Arc::new(rebuilt));
-            old.drop_pages(&self.storage);
-        }
     }
 
     /// Table names in sorted order.
@@ -397,9 +435,12 @@ impl Catalog {
             }
         }
         // v2 trailer: per-table per-column distinct counts, so the
-        // three-way cost comparison reopens with its statistics intact.
-        w.put_u32(self.stats.len() as u32);
-        for (key, counts) in &self.stats {
+        // three-way cost comparison reopens with its statistics intact. A
+        // table whose counts are stale has no entry.
+        let stats = self.stats();
+        let known = || stats.iter().filter_map(|(key, counts)| Some((key, counts.as_ref()?)));
+        w.put_u32(known().count() as u32);
+        for (key, counts) in known() {
             w.put_str(key);
             w.put_u32(counts.len() as u32);
             for &d in counts {
@@ -410,10 +451,13 @@ impl Catalog {
     }
 
     /// Rebuild a catalog from the snapshot handed back by crash recovery
-    /// (`None`/empty → a fresh, empty catalog). Pure metadata work: no page
-    /// I/O happens until the first query touches a table.
+    /// (`None`/empty → a fresh, empty catalog). Metadata work: no counted
+    /// page I/O happens until the first query touches a table (decoding an
+    /// index looks at its few internal pages through the uncounted side
+    /// channel, see [`BTreeIndex::decode`]).
     pub fn restore(storage: Storage, snapshot: Option<&[u8]>) -> Result<Catalog> {
         let mut cat = Catalog::new(storage);
+        let storage = &cat.storage;
         let Some(bytes) = snapshot.filter(|b| !b.is_empty()) else {
             return Ok(cat);
         };
@@ -437,7 +481,7 @@ impl Catalog {
             let n_ixs = r.get_u32().map_err(store_err)? as usize;
             let mut ixs = Vec::with_capacity(n_ixs);
             for _ in 0..n_ixs {
-                ixs.push(Arc::new(BTreeIndex::decode(&mut r).map_err(store_err)?));
+                ixs.push(Arc::new(BTreeIndex::decode(&mut r, storage).map_err(store_err)?));
             }
             cat.counters.insert(key.clone(), cat.stats_registry.table_entry(&key));
             cat.tables.insert(key.clone(), HeapFile::from_parts(schema, pages, tuple_count));
@@ -447,8 +491,11 @@ impl Catalog {
         }
         // v2 trailer: distinct-count statistics. A v1 snapshot ends here
         // and restores without stats (cost estimation falls back to tuple
-        // counts, as before).
+        // counts, as before); a table the trailer leaves out had stale
+        // counts when the snapshot was taken, and still has.
         if version >= 2 {
+            let mut stats: BTreeMap<String, Option<Vec<usize>>> =
+                cat.tables.keys().map(|key| (key.clone(), None)).collect();
             let n_stats = r.get_u32().map_err(store_err)?;
             for _ in 0..n_stats {
                 let key = r.get_str().map_err(store_err)?;
@@ -457,8 +504,9 @@ impl Catalog {
                 for _ in 0..arity {
                     counts.push(r.get_u64().map_err(store_err)? as usize);
                 }
-                cat.stats.insert(key, counts);
+                stats.insert(key, Some(counts));
             }
+            cat.stats = Mutex::new(stats);
         }
         Ok(cat)
     }
@@ -632,6 +680,107 @@ mod tests {
     }
 
     #[test]
+    fn distinct_counts_after_inserts_are_a_recount_across_snapshot_and_restore() {
+        let storage = Storage::with_defaults();
+        let mut cat = Catalog::new(storage.clone());
+        cat.create_table("T", schema()).unwrap();
+        let mut rows = Vec::new();
+        for batch in 0..6i64 {
+            let new: Vec<Tuple> = (0..40)
+                .map(|i| Tuple::new(vec![Value::Int((batch * 40 + i) % 70), Value::Int(i % 9)]))
+                .collect();
+            rows.extend(new.iter().cloned());
+            cat.insert("T", new).unwrap();
+        }
+        let recount = column_distincts(&rows, 2);
+        assert_eq!(recount, [70, 9]);
+
+        // Stale in the snapshot (no entry), recounted after restore.
+        assert!(cat_stats(&cat).is_empty(), "an INSERT leaves the counts stale");
+        let restored = Catalog::restore(storage.clone(), Some(&cat.snapshot())).unwrap();
+        assert_eq!(restored.distinct_count("T", 0), Some(70));
+        assert_eq!(restored.distinct_count("T", 1), Some(9));
+
+        // Recounted on demand without counted I/O, kept, and then persisted.
+        let before = storage.io_snapshot();
+        assert_eq!(cat.distinct_count("T", 0), Some(70));
+        assert_eq!(cat.distinct_count("T", 1), Some(9));
+        assert_eq!(cat.distinct_count("T", 2), None);
+        assert_eq!(storage.io_snapshot(), before, "the recount moves no counter");
+        assert_eq!(cat_stats(&cat)["T"], recount);
+        let restored = Catalog::restore(storage.clone(), Some(&cat.snapshot())).unwrap();
+        assert_eq!(cat_stats(&restored)["T"], recount);
+
+        // The next INSERT makes them stale again.
+        cat.insert("T", vec![Tuple::new(vec![Value::Int(500), Value::Int(0)])]).unwrap();
+        assert!(cat_stats(&cat).is_empty());
+        assert_eq!(cat.distinct_count("T", 0), Some(71));
+    }
+
+    #[test]
+    fn insert_rejects_a_value_of_the_wrong_class_before_writing() {
+        let mut cat = Catalog::new(Storage::with_defaults());
+        cat.create_table("T", schema()).unwrap();
+        cat.create_index("T", "A").unwrap();
+        let (generation, live) = (cat.generation("T"), cat.storage().live_pages());
+        let err = cat
+            .insert(
+                "T",
+                vec![
+                    Tuple::new(vec![Value::Int(1), Value::Int(2)]),
+                    Tuple::new(vec![Value::Int(3), Value::str("x")]),
+                ],
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DbError::Type(TypeError::ColumnMismatch {
+                column: "T.B".into(),
+                declared: nsql_types::ColumnType::Int,
+                found: nsql_types::ColumnType::Str,
+            })
+        );
+        assert_eq!(cat.table("T").unwrap().tuple_count(), 0, "the good row is not stored either");
+        assert_eq!((cat.generation("T"), cat.storage().live_pages()), (generation, live));
+        // NULL fits every column, a float an INT column (one comparison class).
+        cat.insert("T", vec![Tuple::new(vec![Value::Null, Value::Float(1.5)])]).unwrap();
+        // No rows: nothing changes, not even the generation.
+        let generation = cat.generation("T");
+        assert_eq!(cat.insert("T", Vec::new()).unwrap(), 0);
+        assert_eq!(cat.generation("T"), generation);
+    }
+
+    #[test]
+    fn insert_keeps_every_index_answering_like_a_filter() {
+        let mut cat = Catalog::new(Storage::new(6, 128));
+        cat.create_table("T", schema()).unwrap();
+        cat.create_index("T", "A").unwrap();
+        cat.create_index("T", "B").unwrap();
+        let mut rows = Vec::new();
+        for batch in 0..30i64 {
+            let new: Vec<Tuple> = (0..5)
+                .map(|i| Tuple::new(vec![Value::Int((batch * 7 + i) % 23), Value::Int(batch)]))
+                .collect();
+            rows.extend(new.iter().cloned());
+            cat.insert("T", new).unwrap();
+        }
+        let storage = cat.storage().clone();
+        for (ix, col) in cat.indexes("T").iter().zip([0usize, 1]) {
+            assert_eq!(ix.key_col(), col);
+            assert_eq!(ix.stats().tuples, rows.len());
+            for k in 0..30 {
+                let mut want: Vec<Tuple> =
+                    rows.iter().filter(|t| t.get(col) == &Value::Int(k)).cloned().collect();
+                want.sort_by(Tuple::total_cmp);
+                assert_eq!(ix.probe_eq(&storage, &Value::Int(k)), want, "column {col}, key {k}");
+            }
+        }
+        let pages = cat.table("T").unwrap().page_count()
+            + cat.indexes("T").iter().map(|ix| ix.page_count()).sum::<usize>();
+        assert_eq!(storage.live_pages(), pages, "replaced pages are freed");
+    }
+
+    #[test]
     fn v1_snapshots_still_restore_without_stats() {
         // Hand-build a v1 image: same layout, version 1, no stats trailer.
         let mut cat = Catalog::new(Storage::with_defaults());
@@ -644,8 +793,9 @@ mod tests {
         // minus the trailer this catalog wrote (one u32 count + one entry).
         let body_start = 4;
         let mut trailer = ByteWriter::new();
-        trailer.put_u32(cat_stats_len(&cat) as u32);
-        for (key, counts) in cat_stats(&cat) {
+        let stats = cat_stats(&cat);
+        trailer.put_u32(stats.len() as u32);
+        for (key, counts) in &stats {
             trailer.put_str(key);
             trailer.put_u32(counts.len() as u32);
             for &d in counts {
@@ -663,11 +813,8 @@ mod tests {
         assert!(Catalog::restore(Storage::with_defaults(), Some(&bad.into_bytes())).is_err());
     }
 
-    fn cat_stats(cat: &Catalog) -> &BTreeMap<String, Vec<usize>> {
-        &cat.stats
-    }
-
-    fn cat_stats_len(cat: &Catalog) -> usize {
-        cat.stats.len()
+    /// The counts the snapshot's trailer carries.
+    fn cat_stats(cat: &Catalog) -> BTreeMap<String, Vec<usize>> {
+        cat.stats().iter().filter_map(|(k, c)| Some((k.clone(), c.clone()?))).collect()
     }
 }

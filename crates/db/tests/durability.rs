@@ -56,69 +56,121 @@ fn kiessling_q2_survives_restart() {
     assert_eq!(col0_sorted(&r), vec!["10", "8"]);
 }
 
+/// [`SETUP`], then forty more shipments and a B+tree on `SUPPLY.PNUM` built
+/// over all forty-five: 22-byte rows, so the build packs the first 23 into a
+/// full leaf and one more row with a low part number splits it.
+fn sweep_database(dir: &std::path::Path) -> Database {
+    let mut db = Database::open(dir).unwrap();
+    db.execute_script(SETUP).unwrap();
+    let more: Vec<String> = (0..40).map(|i| format!("({}, {i}, 1-1-85)", 20 + i)).collect();
+    db.execute_script(&format!("INSERT INTO SUPPLY VALUES {}", more.join(", "))).unwrap();
+    db.catalog_mut().create_index("SUPPLY", "PNUM").unwrap();
+    db
+}
+
+/// Every row of `table` as text, sorted.
+fn rows_sorted(db: &Database, table: &str) -> Vec<String> {
+    let file = db.catalog().table(table).expect("table exists");
+    let mut rows: Vec<String> =
+        db.storage().load_relation(file).tuples().iter().map(|t| t.to_string()).collect();
+    rows.sort();
+    rows
+}
+
 #[test]
 fn crash_point_sweep_recovers_last_commit() {
-    // Kill the store at every write site of a follow-up INSERT's commit and
-    // check that reopening yields either exactly the pre-crash state or
-    // (when the crash site lies beyond the commit) exactly the post-state —
-    // never anything in between, and never an error. The range runs
-    // comfortably past the commit's last durable write, so both outcomes
-    // must occur.
+    // Kill the store at every write site of a follow-up INSERT's commit —
+    // and one past the last, where the fault never fires — with the fatal
+    // write lost and with it torn, and check that reopening yields either
+    // exactly the pre-crash state or exactly the post-state, never anything
+    // in between and never an error. The sites are enumerated from a clean
+    // run of the statement, so both outcomes must occur. Two statements: one
+    // into the table without an index, and one into the indexed table that
+    // splits a leaf, so its commit carries the heap's new last page, both
+    // halves of the leaf, the parent that gained an entry, and the frees of
+    // the three pages they replace.
     let q2 = nsql_sql::parse_query(Q2).unwrap();
-    let (mut survived, mut rolled_back) = (0, 0);
-    for crash_at in 0..16u64 {
-        let dir = TempDir::new("nsql-db-crash");
-        let baseline;
-        let insert_landed;
-        {
-            let mut db = Database::open(dir.path()).unwrap();
-            db.execute_script(SETUP).unwrap();
-            db.catalog_mut().create_index("SUPPLY", "PNUM").unwrap();
-            baseline = col0_sorted(&db.query("SELECT PNUM FROM PARTS").unwrap());
+    let statements = [
+        ("PARTS", "INSERT INTO PARTS VALUES (99, 99)", "(99, 99)", false),
+        ("SUPPLY", "INSERT INTO SUPPLY VALUES (3, 9, 2-2-84)", "(3, 9, 1984-02-02)", true),
+    ];
+    for (table, statement, new_row, splits_a_leaf) in statements {
+        let sites = {
+            let dir = TempDir::new("nsql-db-crash-clean");
+            let mut db = sweep_database(dir.path());
             let store = db.storage().durable().expect("file-backed").clone();
-            store.inject_fault(FaultPlan { crash_at_op: crash_at, torn_bytes: Some(3) });
-            // The fault model simulates process death: the doomed process
-            // does not observe an error, its writes just stop reaching disk.
-            db.execute_script("INSERT INTO PARTS VALUES (99, 99)").unwrap();
-            insert_landed = !store.crashed();
+            let leaves = |db: &Database| db.catalog().indexes("SUPPLY")[0].stats().leaf_pages;
+            let (ops, leaves_before) = (store.write_ops(), leaves(&db));
+            db.execute_script(statement).unwrap();
+            assert_eq!(leaves(&db) - leaves_before, usize::from(splits_a_leaf), "{statement}");
+            store.write_ops() - ops
+        };
+        assert!(sites < 16, "{statement}: {sites} durable writes — a commit is a handful of pages");
+
+        let (mut survived, mut rolled_back) = (0, 0);
+        for (crash_at, torn_bytes) in
+            (0..=sites).flat_map(|site| [None, Some(3)].map(|torn| (site, torn)))
+        {
+            let site =
+                format!("{statement}, crash site {crash_at} of {sites}, torn {torn_bytes:?}");
+            let dir = TempDir::new("nsql-db-crash");
+            let baseline;
+            let insert_landed;
+            {
+                let mut db = sweep_database(dir.path());
+                baseline = rows_sorted(&db, table);
+                let store = db.storage().durable().expect("file-backed").clone();
+                store.inject_fault(FaultPlan { crash_at_op: crash_at, torn_bytes });
+                // The fault model simulates process death: the doomed process
+                // does not observe an error, its writes just stop reaching disk.
+                db.execute_script(statement).unwrap();
+                insert_landed = !store.crashed();
+            }
+            let db = Database::open(dir.path())
+                .unwrap_or_else(|e| panic!("recovery failed: {site}: {e}"));
+            let rows = rows_sorted(&db, table);
+            if insert_landed {
+                let mut want = baseline.clone();
+                want.push(new_row.into());
+                want.sort();
+                assert_eq!(rows, want, "{site}: committed insert lost");
+                survived += 1;
+            } else {
+                assert_eq!(rows, baseline, "{site}: partial insert surfaced");
+                rolled_back += 1;
+            }
+            // The recovered index answers like a filter of the recovered heap.
+            let supply = db.storage().load_relation(db.catalog().table("SUPPLY").unwrap());
+            let ix = &db.catalog().indexes("SUPPLY")[0];
+            assert_eq!(ix.stats().tuples, supply.len(), "{site}");
+            for key in (0..62).map(nsql_types::Value::Int) {
+                let mut want: Vec<_> =
+                    supply.tuples().iter().filter(|t| t.get(0) == &key).cloned().collect();
+                want.sort_by(nsql_types::Tuple::total_cmp);
+                assert_eq!(ix.probe_eq(db.storage(), &key), want, "{site}: probe {key}");
+            }
+            // Oracle check on the recovered image: the naive interpreter reads
+            // the recovered heaps, and both strategies agree with it on Q2.
+            let mut oracle = Oracle::new();
+            for name in db.catalog().table_names() {
+                let file = db.catalog().table(name).expect("listed table exists");
+                oracle.load(name, db.storage().load_relation(file));
+            }
+            let want = oracle.eval(&q2).expect("oracle evaluates Q2");
+            for opts in [QueryOptions::nested_iteration(), QueryOptions::transformed()] {
+                let got = db.query_with(Q2, &opts).unwrap();
+                assert!(
+                    got.relation.same_bag(&want),
+                    "{site}: {} diverges from the oracle after recovery\n\
+                     oracle:\n{want}\ngot:\n{}",
+                    opts.strategy.name(),
+                    got.relation
+                );
+            }
         }
-        let db = Database::open(dir.path())
-            .unwrap_or_else(|e| panic!("recovery failed at crash site {crash_at}: {e}"));
-        let rows = col0_sorted(&db.query("SELECT PNUM FROM PARTS").unwrap());
-        if insert_landed {
-            let mut want = baseline.clone();
-            want.push("99".into());
-            want.sort();
-            assert_eq!(rows, want, "crash site {crash_at}: committed insert lost");
-        } else {
-            assert_eq!(rows, baseline, "crash site {crash_at}: partial insert surfaced");
-        }
-        if insert_landed {
-            survived += 1;
-        } else {
-            rolled_back += 1;
-        }
-        // Oracle check on the recovered image: the naive interpreter reads
-        // the recovered heaps, and both strategies agree with it on Q2.
-        let mut oracle = Oracle::new();
-        for name in db.catalog().table_names() {
-            let file = db.catalog().table(name).expect("listed table exists");
-            oracle.load(name, db.storage().load_relation(file));
-        }
-        let want = oracle.eval(&q2).expect("oracle evaluates Q2");
-        for opts in [QueryOptions::nested_iteration(), QueryOptions::transformed()] {
-            let got = db.query_with(Q2, &opts).unwrap();
-            assert!(
-                got.relation.same_bag(&want),
-                "crash site {crash_at}: {} diverges from the oracle after recovery\n\
-                 oracle:\n{want}\ngot:\n{}",
-                opts.strategy.name(),
-                got.relation
-            );
-        }
+        assert!(rolled_back > 0, "{statement}: no crash site rolled back");
+        assert_eq!(survived, 2, "{statement}: only the site past the last write keeps the insert");
     }
-    assert!(rolled_back > 0, "no crash site rolled back — the sweep starts too late");
-    assert!(survived > 0, "no crash site kept the insert — widen the sweep");
 }
 
 #[test]
@@ -142,6 +194,54 @@ fn memory_and_file_backends_count_identical_io() {
             "page I/O must be byte-identical across backends"
         );
     }
+}
+
+#[test]
+fn insert_cost_does_not_grow_with_the_table() {
+    // Two rows into an indexed table of 1 500 rows and of 6 000 (the
+    // benchmark's SUPPLY, and four times it): the last heap page, a descent
+    // and a leaf per row, a parent when a leaf splits. Rewriting the table
+    // and rebuilding the index took about 410 and 1 650 counted page I/Os
+    // and 430 and 1 700 durable writes.
+    use nsql_types::{Column, ColumnType, Schema, Tuple, Value};
+    let schema = Schema::new(
+        ["PNUM", "QUAN", "GRP", "TAG"].map(|c| Column::new(c, ColumnType::Int)).to_vec(),
+    );
+    let mut costs = Vec::new();
+    for n in [1_500i64, 6_000] {
+        let rows = (0..n)
+            .map(|i| [i * 7919 % (n * 5 / 4), i % 20, i % 100, i].map(Value::Int).to_vec())
+            .map(Tuple::new)
+            .collect();
+        let rel = Relation::new(schema.clone(), rows).unwrap();
+        let dir = TempDir::new("nsql-db-insert-cost");
+        let mut mem = Database::with_storage(6, 512);
+        let mut file = Database::open_with(6, 512, dir.path()).unwrap();
+        let store = file.storage().durable().expect("file-backed").clone();
+        let mut cost = Vec::new();
+        for db in [&mut mem, &mut file] {
+            db.catalog_mut().load_table("SUPPLY", &rel).unwrap();
+            db.catalog_mut().create_index("SUPPLY", "PNUM").unwrap();
+            let (io, ops) = (db.storage().io_snapshot(), store.write_ops());
+            db.execute_script("INSERT INTO SUPPLY VALUES (417, 3, 5, 1), (418, 4, 6, 2)").unwrap();
+            let io = db.storage().io_snapshot().since(&io);
+            cost.push((io.reads, io.writes, store.write_ops() - ops));
+            assert_eq!(db.catalog().table("SUPPLY").unwrap().tuple_count() as i64, n + 2);
+            let got = db.query("SELECT TAG FROM SUPPLY WHERE PNUM = 418 AND QUAN = 4").unwrap();
+            assert_eq!(col0_sorted(&got), vec!["2"]);
+        }
+        let (mem, file) = (cost[0], cost[1]);
+        assert_eq!((mem.0, mem.1), (file.0, file.1), "{n} rows: both backends count the same I/O");
+        assert_eq!(mem.2, 0, "the memory backend has no durable writes");
+        assert!(file.0 + file.1 <= 20, "{n} rows: {file:?} counted reads and writes");
+        assert!(file.2 <= 16, "{n} rows: {} durable write operations", file.2);
+        costs.push(file);
+    }
+    let total = |c: (u64, u64, u64)| c.0 + c.1 + c.2;
+    assert!(
+        total(costs[1]) <= total(costs[0]) + 4,
+        "four times the rows, about the same cost: {costs:?}"
+    );
 }
 
 #[test]

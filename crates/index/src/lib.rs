@@ -1,6 +1,7 @@
 #![warn(missing_docs)]
 
-//! Bulk-loaded B+tree indexes over the paged storage engine.
+//! B+tree indexes over the paged storage engine: bulk-loaded, then
+//! maintained row by row.
 //!
 //! The paper's cost model (Section 7) prices access paths in page I/Os;
 //! until now every path was a full scan. This crate adds the classic
@@ -12,21 +13,39 @@
 //! Design notes, in the spirit of the engine's "pages of decoded tuples"
 //! storage model:
 //!
-//! * The index is **immutable and bulk-loaded**, like heap files: base
-//!   tables are rebuilt on INSERT, and their indexes with them. Leaves are
-//!   pages of full tuples sorted by the key column (a clustered copy), so
-//!   an index scan needs no base-table lookups.
-//! * Internal nodes are pages of `(separator, child)` tuples where the
-//!   separator is the minimum key of the child subtree and the child is an
-//!   ordinal into the next level. Page ids per level are index metadata —
-//!   persisted with the catalog, never scanned.
+//! * **Pages are immutable; the tree is not.** [`BTreeIndex::build`] is the
+//!   bulk path of `CREATE INDEX`. [`BTreeIndex::insert`] adds rows by
+//!   *copy-on-write*: it descends, writes the target leaf again with the row
+//!   in place, frees the old page, and — only when a leaf overflows and
+//!   splits — writes again the parent node(s) that gain an entry, up to a
+//!   new root. A row therefore costs O(height) pages, never the table.
+//!   No page is ever updated in place, which is what lets the durable
+//!   store log full post-images and nothing else.
+//! * Leaves are pages of full tuples sorted by `(key, whole tuple)` (a
+//!   clustered copy), so an index scan needs no base-table lookups, and a
+//!   tree grown by inserts holds the same sequence a fresh build would.
+//! * Internal nodes are pages of `(separator, position)` tuples. The
+//!   separator is the minimum key of the child subtree when the entry was
+//!   written (on the leftmost spine a later, smaller key may undercut it,
+//!   which is harmless: that entry is the default branch). The **child is
+//!   the entry's position in its node**: node `j` of a level records, in
+//!   memory, the ordinal of its first child in the level below, and its
+//!   `i`-th entry points at child `first_child + i`. A split therefore
+//!   renumbers nothing on any page. The second column repeats the position
+//!   and is never read; it is kept so that an entry is as wide as it always
+//!   was and fan-out, height and every counted probe are unchanged. (Pages
+//!   written before inserts existed carry level-wide ordinals there and open
+//!   as they are.) Page ids per level are index metadata — persisted with
+//!   the catalog, never scanned; each node's `first_child` is re-derived
+//!   from the nodes' entry counts when the metadata is decoded.
 //! * Tuples whose key is NULL are **excluded**: no SQL comparison
 //!   predicate (`= < ≤ > ≥`) is ever true of NULL, so an index path over
 //!   `key ⟨op⟩ literal` predicates loses nothing. `IndexStats` records how
 //!   many rows were excluded so planners can reason about `IS NULL`.
 //! * [`IndexStats`] carries tuple/page/height/distinct-key counts and the
 //!   key range, so cost estimation is **zero-I/O** — mirroring how the
-//!   Section-7 formulas work from `Pk`/`Nk` alone.
+//!   Section-7 formulas work from `Pk`/`Nk` alone. Inserts keep every one
+//!   of them exact.
 
 use nsql_storage::durable::codec::{self, ByteReader, ByteWriter};
 use nsql_storage::{HeapFile, PageId, Storage, StorageError};
@@ -82,7 +101,79 @@ pub struct IndexStats {
     pub max_key: Option<Value>,
 }
 
-/// An immutable, bulk-loaded B+tree on one column of a stored relation.
+/// One internal node: its page, and where its children start.
+#[derive(Debug, Clone)]
+struct Node {
+    page: PageId,
+    /// Ordinal, in the level below, of the child its first entry points at.
+    first_child: usize,
+}
+
+/// Entry width of an internal node: `(separator, position)`.
+fn entry_width(sep: &Value) -> usize {
+    Tuple::new(vec![sep.clone(), Value::Int(0)]).storage_width()
+}
+
+/// The page of an internal node holding `seps`, in order.
+fn node_page(seps: Vec<Value>) -> Vec<Tuple> {
+    seps.into_iter()
+        .enumerate()
+        .map(|(i, sep)| Tuple::new(vec![sep, Value::Int(i as i64)]))
+        .collect()
+}
+
+/// Cut `items` into pages greedily, the way heap files pack: a page closes
+/// when the next item would take it past `budget`, but never before it holds
+/// `min` items (1 for leaves; 2 for internal nodes, so every level is
+/// shorter than the one below).
+fn pack<T>(items: Vec<T>, width: impl Fn(&T) -> usize, budget: usize, min: usize) -> Vec<Vec<T>> {
+    let mut pages = Vec::new();
+    let mut current = Vec::new();
+    let mut used = 0usize;
+    for item in items {
+        let w = width(&item);
+        if current.len() >= min && used + w > budget {
+            pages.push(std::mem::take(&mut current));
+            used = 0;
+        }
+        used += w;
+        current.push(item);
+    }
+    if !current.is_empty() {
+        pages.push(current);
+    }
+    pages
+}
+
+/// The pages a leaf or node is written as once an insert has grown it to
+/// `items`: one while they fit (or are too few to divide), else two halves
+/// of about equal bytes with at least `min` items each. Each half goes
+/// through [`pack`], so an item wider than half a page costs an extra page
+/// instead of an overfull one.
+fn split<T>(
+    mut items: Vec<T>,
+    width: impl Fn(&T) -> usize,
+    budget: usize,
+    min: usize,
+) -> Vec<Vec<T>> {
+    let total: usize = items.iter().map(&width).sum();
+    if total <= budget || items.len() < 2 * min {
+        return vec![items];
+    }
+    let mut at = 0usize;
+    let mut left = 0usize;
+    while at < items.len() - min && (at < min || left + width(&items[at]) <= total / 2) {
+        left += width(&items[at]);
+        at += 1;
+    }
+    let right = items.split_off(at);
+    let mut pages = pack(items, &width, budget, min);
+    pages.extend(pack(right, &width, budget, min));
+    pages
+}
+
+/// A B+tree on one column of a stored relation: bulk-loaded by
+/// [`BTreeIndex::build`], grown copy-on-write by [`BTreeIndex::insert`].
 #[derive(Clone)]
 pub struct BTreeIndex {
     name: String,
@@ -91,7 +182,7 @@ pub struct BTreeIndex {
     /// Leaf page ids in key order.
     leaves: Arc<Vec<PageId>>,
     /// Internal levels, root level last; `levels[0]` points at leaves.
-    levels: Arc<Vec<Vec<PageId>>>,
+    levels: Arc<Vec<Vec<Node>>>,
     stats: IndexStats,
 }
 
@@ -110,9 +201,7 @@ impl BTreeIndex {
                 entries.push(t);
             }
         }
-        entries.sort_by(|a, b| {
-            a.get(key_col).total_cmp(b.get(key_col)).then_with(|| a.total_cmp(b))
-        });
+        entries.sort_by(|a, b| Self::entry_cmp(key_col, a, b));
         let distinct_keys = entries
             .windows(2)
             .filter(|w| w[0].get(key_col).total_cmp(w[1].get(key_col)) != Ordering::Equal)
@@ -125,70 +214,175 @@ impl BTreeIndex {
         // Leaves: budget-packed pages of sorted tuples, exactly like a
         // heap file build.
         let budget = storage.page_size();
+        let mut seps = Vec::new();
         let mut leaves = Vec::new();
-        let mut first_keys: Vec<Value> = Vec::new();
-        let mut current: Vec<Tuple> = Vec::new();
-        let mut used = 0usize;
-        for t in entries {
-            let w = t.storage_width();
-            if !current.is_empty() && used + w > budget {
-                first_keys.push(current[0].get(key_col).clone());
-                leaves.push(storage.write_new_page(std::mem::take(&mut current)));
-                used = 0;
-            }
-            used += w;
-            current.push(t);
+        for page in pack(entries, Tuple::storage_width, budget, 1) {
+            seps.push(page[0].get(key_col).clone());
+            leaves.push(storage.write_new_page(page));
         }
-        if !current.is_empty() {
-            first_keys.push(current[0].get(key_col).clone());
-            leaves.push(storage.write_new_page(current));
-        }
-
-        // Internal levels: (separator = min key of child, child ordinal),
-        // built until one root page remains. Fanout is page-budget driven
-        // but at least 2, so each level strictly shrinks.
-        let mut levels: Vec<Vec<PageId>> = Vec::new();
-        let mut level_keys = first_keys;
-        while level_keys.len() > 1 {
-            let mut pages = Vec::new();
-            let mut next_keys = Vec::new();
-            let mut node: Vec<Tuple> = Vec::new();
-            let mut used = 0usize;
-            for (child, key) in level_keys.iter().enumerate() {
-                let t = Tuple::new(vec![key.clone(), Value::Int(child as i64)]);
-                let w = t.storage_width();
-                if node.len() >= 2 && used + w > budget {
-                    next_keys.push(node[0].get(0).clone());
-                    pages.push(storage.write_new_page(std::mem::take(&mut node)));
-                    used = 0;
-                }
-                used += w;
-                node.push(t);
-            }
-            if !node.is_empty() {
-                next_keys.push(node[0].get(0).clone());
-                pages.push(storage.write_new_page(node));
-            }
-            levels.push(pages);
-            level_keys = next_keys;
-        }
-
-        let stats = IndexStats {
-            tuples,
-            null_keys,
-            distinct_keys,
-            leaf_pages: leaves.len(),
-            height: levels.len(),
-            min_key,
-            max_key,
-        };
-        BTreeIndex {
+        let mut index = BTreeIndex {
             name: name.to_string(),
             key_col,
             schema: file.schema().clone(),
             leaves: Arc::new(leaves),
-            levels: Arc::new(levels),
-            stats,
+            levels: Arc::new(Vec::new()),
+            stats: IndexStats {
+                tuples,
+                null_keys,
+                distinct_keys,
+                leaf_pages: 0,
+                height: 0,
+                min_key,
+                max_key,
+            },
+        };
+        index.add_levels(storage, seps);
+        index.stats.leaf_pages = index.leaves.len();
+        index.stats.height = index.levels.len();
+        index
+    }
+
+    /// The order of leaf entries: by key, ties by the whole tuple.
+    fn entry_cmp(key_col: usize, a: &Tuple, b: &Tuple) -> Ordering {
+        a.get(key_col).total_cmp(b.get(key_col)).then_with(|| a.total_cmp(b))
+    }
+
+    /// Stack internal levels over a top level whose nodes have the minimum
+    /// keys `seps`, until one root page remains. Fanout is page-budget
+    /// driven but at least 2, so each level strictly shrinks.
+    fn add_levels(&mut self, storage: &Storage, mut seps: Vec<Value>) {
+        let levels = Arc::make_mut(&mut self.levels);
+        while seps.len() > 1 {
+            let mut level = Vec::new();
+            let mut next_seps = Vec::new();
+            let mut first_child = 0usize;
+            for node in pack(seps, entry_width, storage.page_size(), 2) {
+                next_seps.push(node[0].clone());
+                let children = node.len();
+                level.push(Node { page: storage.write_new_page(node_page(node)), first_child });
+                first_child += children;
+            }
+            levels.push(level);
+            seps = next_seps;
+        }
+    }
+
+    /// This index with `rows` added, copying only the pages that change
+    /// (see the crate docs). Per row: `height` counted reads to descend,
+    /// the target leaf read and written again (a run of equal keys that
+    /// spans several leaves is walked to the row's place in it), the old
+    /// leaf freed; a leaf that overflows splits in two and each ancestor
+    /// that gains an entry is read and written again, which may split it
+    /// in turn and ends, at most, in a new root. Rows with a NULL key are
+    /// counted and left out. Every statistic stays exact. `self` shares
+    /// the untouched pages with the result and must not be used, or have
+    /// its pages dropped, afterwards.
+    pub fn insert(&self, storage: &Storage, rows: &[Tuple]) -> BTreeIndex {
+        let mut grown = self.clone();
+        for row in rows {
+            grown.insert_row(storage, row);
+        }
+        grown
+    }
+
+    fn insert_row(&mut self, storage: &Storage, row: &Tuple) {
+        let key_col = self.key_col;
+        let key = row.get(key_col);
+        if key.is_null() {
+            self.stats.null_keys += 1;
+            return;
+        }
+        let before = |t: &Tuple| Self::entry_cmp(key_col, t, row) == Ordering::Less;
+
+        // The row's place: leaf `at`, position `pos`, before the entry `next`
+        // of the whole sequence. The descent lands on the first leaf that
+        // can hold the key, so no earlier leaf holds an equal one; the next
+        // leaf is entered only if it opens with an entry that sorts before
+        // the row (a run of the row's key goes on there).
+        let mut at = self.descend(storage, &KeyBound::Incl(key.clone()));
+        let (mut entries, pos, next) = loop {
+            let Some(&leaf) = self.leaves.get(at) else {
+                break (Vec::new(), 0, None); // an empty tree
+            };
+            let entries = storage.read_page(leaf).tuples().to_vec();
+            let pos = entries.partition_point(before);
+            let next = match entries.get(pos) {
+                Some(t) => Some(t.clone()),
+                None => {
+                    self.leaves.get(at + 1).map(|&id| storage.read_page(id).tuples()[0].clone())
+                }
+            };
+            if pos == entries.len() && next.as_ref().is_some_and(before) {
+                at += 1;
+            } else {
+                break (entries, pos, next);
+            }
+        };
+
+        let same_key =
+            |t: Option<&Tuple>| t.is_some_and(|t| t.get(key_col).total_cmp(key) == Ordering::Equal);
+        let prev = pos.checked_sub(1).map(|p| &entries[p]);
+        self.stats.distinct_keys += usize::from(!same_key(prev) && !same_key(next.as_ref()));
+        self.stats.tuples += 1;
+        if self.stats.min_key.as_ref().map_or(true, |m| key.total_cmp(m) == Ordering::Less) {
+            self.stats.min_key = Some(key.clone());
+        }
+        if self.stats.max_key.as_ref().map_or(true, |m| key.total_cmp(m) == Ordering::Greater) {
+            self.stats.max_key = Some(key.clone());
+        }
+
+        entries.insert(pos, row.clone());
+        let pages = split(entries, Tuple::storage_width, storage.page_size(), 1);
+        let seps: Vec<Value> = pages.iter().map(|p| p[0].get(key_col).clone()).collect();
+        let ids: Vec<PageId> = pages.into_iter().map(|p| storage.write_new_page(p)).collect();
+        let leaves = Arc::make_mut(&mut self.leaves);
+        // (An empty tree has no leaf at `at` to replace.)
+        for old in leaves.splice(at..(at + 1).min(leaves.len()), ids) {
+            storage.free_page(old);
+        }
+        if seps.len() > 1 {
+            self.replace_child(storage, 0, at, seps);
+        }
+        self.stats.leaf_pages = self.leaves.len();
+        self.stats.height = self.levels.len();
+    }
+
+    /// Child `child` of the level below `level` (a leaf when `level` is 0)
+    /// has been written again as `seps.len() > 1` nodes with those minimum
+    /// keys: give them their entries in the parent at `level`, splitting it
+    /// — and so on upwards — if they do not fit, and adding a root when the
+    /// child was the root.
+    fn replace_child(&mut self, storage: &Storage, level: usize, child: usize, seps: Vec<Value>) {
+        if level == self.levels.len() {
+            self.add_levels(storage, seps);
+            return;
+        }
+        let added = seps.len() - 1;
+        let nodes = &mut Arc::make_mut(&mut self.levels)[level];
+        let at = nodes.partition_point(|n| n.first_child <= child) - 1;
+        let old = nodes[at].clone();
+        let mut entries: Vec<Value> =
+            storage.read_page(old.page).tuples().iter().map(|e| e.get(0).clone()).collect();
+        let pos = child - old.first_child;
+        entries.splice(pos..=pos, seps);
+
+        let mut first_child = old.first_child;
+        let mut up = Vec::new();
+        let mut rewritten = Vec::new();
+        for node in split(entries, entry_width, storage.page_size(), 2) {
+            up.push(node[0].clone());
+            let children = node.len();
+            rewritten.push(Node { page: storage.write_new_page(node_page(node)), first_child });
+            first_child += children;
+        }
+        storage.free_page(old.page);
+        let after = at + rewritten.len();
+        nodes.splice(at..=at, rewritten);
+        for node in &mut nodes[after..] {
+            node.first_child += added;
+        }
+        if up.len() > 1 {
+            self.replace_child(storage, level + 1, at, up);
         }
     }
 
@@ -219,13 +413,9 @@ impl BTreeIndex {
 
     /// Free every index page.
     pub fn drop_pages(&self, storage: &Storage) {
-        for &id in self.leaves.iter() {
+        let nodes = self.levels.iter().flatten().map(|n| n.page);
+        for id in self.leaves.iter().copied().chain(nodes) {
             storage.free_page(id);
-        }
-        for level in self.levels.iter() {
-            for &id in level {
-                storage.free_page(id);
-            }
         }
     }
 
@@ -306,7 +496,8 @@ impl BTreeIndex {
     /// Descend from the root to the ordinal of the first leaf that can
     /// contain a key admitted by `lo`: at each internal node, follow the
     /// last child whose separator is strictly below the bound (duplicates
-    /// of the bound key may extend into the preceding leaf).
+    /// of the bound key may extend into the preceding leaf), or the first
+    /// child when none is.
     fn descend(&self, storage: &Storage, lo: &KeyBound) -> usize {
         let probe = match lo {
             KeyBound::Unbounded => return 0,
@@ -314,27 +505,14 @@ impl BTreeIndex {
         };
         let mut ordinal = 0usize;
         for level in self.levels.iter().rev() {
-            let page = storage.read_page(level[ordinal]);
-            let entries = page.tuples();
-            let mut chosen = 0usize;
-            for e in entries {
-                if e.get(0).total_cmp(probe) == Ordering::Less {
-                    chosen = match e.get(1) {
-                        Value::Int(c) => *c as usize,
-                        other => unreachable!("internal child pointer is Int, got {other:?}"),
-                    };
-                } else {
-                    break;
-                }
-            }
-            if chosen == 0 {
-                // Every separator ≥ probe: take the first child.
-                chosen = match entries[0].get(1) {
-                    Value::Int(c) => *c as usize,
-                    other => unreachable!("internal child pointer is Int, got {other:?}"),
-                };
-            }
-            ordinal = chosen;
+            let node = &level[ordinal];
+            let page = storage.read_page(node.page);
+            let below = page
+                .tuples()
+                .iter()
+                .take_while(|e| e.get(0).total_cmp(probe) == Ordering::Less)
+                .count();
+            ordinal = node.first_child + below.saturating_sub(1);
         }
         ordinal
     }
@@ -354,8 +532,8 @@ impl BTreeIndex {
         w.put_u64(self.levels.len() as u64);
         for level in self.levels.iter() {
             w.put_u64(level.len() as u64);
-            for id in level {
-                w.put_u64(id.0);
+            for node in level {
+                w.put_u64(node.page.0);
             }
         }
         w.put_u64(self.stats.tuples as u64);
@@ -365,8 +543,11 @@ impl BTreeIndex {
         codec::put_value(w, &self.stats.max_key.clone().unwrap_or(Value::Null));
     }
 
-    /// Reconstruct an index from [`BTreeIndex::encode`] output.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<BTreeIndex, StorageError> {
+    /// Reconstruct an index from [`BTreeIndex::encode`] output. The pages
+    /// are those of `storage`: each internal node is looked at, uncounted,
+    /// for its number of entries — where its children start in the level
+    /// below is the sum over the nodes before it.
+    pub fn decode(r: &mut ByteReader<'_>, storage: &Storage) -> Result<BTreeIndex, StorageError> {
         let name = r.get_str()?;
         let key_col = r.get_u64()? as usize;
         let schema = codec::get_schema(r)?;
@@ -376,12 +557,21 @@ impl BTreeIndex {
             leaves.push(PageId(r.get_u64()?));
         }
         let n_levels = r.get_u64()? as usize;
-        let mut levels = Vec::with_capacity(n_levels);
+        let mut levels: Vec<Vec<Node>> = Vec::with_capacity(n_levels);
         for _ in 0..n_levels {
             let n = r.get_u64()? as usize;
             let mut level = Vec::with_capacity(n);
+            let mut first_child = 0usize;
             for _ in 0..n {
-                level.push(PageId(r.get_u64()?));
+                let page = PageId(r.get_u64()?);
+                level.push(Node { page, first_child });
+                first_child += storage.read_page_tuples_uncounted(page).len();
+            }
+            let below = levels.last().map_or(leaves.len(), Vec::len);
+            if first_child != below {
+                return Err(StorageError::Corrupt(format!(
+                    "index {name}: a level's nodes hold {first_child} entries for the {below} nodes below"
+                )));
             }
             levels.push(level);
         }
@@ -610,13 +800,83 @@ mod tests {
         ix.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let back = BTreeIndex::decode(&mut r).unwrap();
+        let back = BTreeIndex::decode(&mut r, &st).unwrap();
         assert_eq!(back.stats(), ix.stats());
         assert_eq!(back.name(), "IX");
         assert_eq!(
             back.probe_eq(&st, &Value::Int(7)).len(),
             ix.probe_eq(&st, &Value::Int(7)).len()
         );
+    }
+
+    fn row(k: i64, v: i64) -> Tuple {
+        Tuple::new(vec![Value::Int(k), Value::Int(v)])
+    }
+
+    #[test]
+    fn insert_costs_a_descent_and_the_leaf_it_rewrites() {
+        let st = Storage::new(8, 128);
+        let rows: Vec<(i64, i64)> = (0..400).map(|i| (2 * i, i)).collect();
+        let (_f, ix) = build(&st, &rows);
+        let (height, pages, live) = (ix.stats().height, ix.page_count(), st.live_pages());
+        assert!(height >= 2);
+        st.clear_buffer();
+        st.reset_stats();
+        // Seven entries fill a 128-byte leaf or node, and a build packs them
+        // full. Key 785 belongs to the last full leaf, whose parent holds two
+        // entries: the leaf splits and the parent takes the new one.
+        let ix = ix.insert(&st, &[row(785, -1)]);
+        let io = st.io_stats();
+        assert_eq!((io.reads, io.writes), (height as u64 + 1, 3), "descent, leaf; halves, parent");
+        assert_eq!(ix.page_count(), pages + 1);
+        assert_eq!(st.live_pages(), live + 1, "the replaced leaf and parent are freed");
+        // A half-full leaf takes the next row of its range by itself.
+        st.reset_stats();
+        let ix = ix.insert(&st, &[row(787, -2)]);
+        assert_eq!(st.io_stats().writes, 1);
+        assert_eq!(ix.page_count(), pages + 1);
+        // Under ancestors that are full as well, every level splits, and
+        // the root (two entries) takes the last new entry: O(height) still.
+        st.reset_stats();
+        let ix = ix.insert(&st, &[row(401, -3)]);
+        assert_eq!(st.io_stats().writes, 2 * height as u64 + 1);
+        assert_eq!(ix.stats().height, height);
+        for (k, v) in [(785, -1), (787, -2), (401, -3)] {
+            assert_eq!(ix.probe_eq(&st, &Value::Int(k)), vec![row(k, v)]);
+        }
+        assert_eq!(ix.stats().tuples, 403);
+        assert_eq!(ix.stats().distinct_keys, 403);
+    }
+
+    #[test]
+    fn a_tree_grown_from_nothing_splits_nodes_and_adds_roots() {
+        let st = Storage::new(8, 128);
+        let (file, mut ix) = build(&st, &[]);
+        let mut rng = Rng::from_seed(0x5eed_1e55);
+        let mut rows: Vec<(i64, i64)> = (0..600).map(|i| (i % 150, i)).collect();
+        rng.shuffle(&mut rows);
+        let mut heights = vec![0];
+        for &(k, v) in &rows {
+            ix = ix.insert(&st, &[row(k, v)]);
+            if ix.stats().height != *heights.last().unwrap() {
+                heights.push(ix.stats().height);
+            }
+        }
+        // Leaves of 7, nodes of 7: 600 rows need three internal levels,
+        // each one a root added over a root that split.
+        assert_eq!(heights, [0, 1, 2, 3]);
+        let file = file.append(&st, rows.iter().map(|&(k, v)| row(k, v)));
+        let fresh = BTreeIndex::build(&st, "IX", 0, &file);
+        let all = |ix: &BTreeIndex| ix.range_scan(&st, &KeyBound::Unbounded, &KeyBound::Unbounded);
+        assert_eq!(all(&ix), all(&fresh));
+        assert_eq!(ix.stats().distinct_keys, 150);
+        assert_eq!(
+            (ix.stats().min_key.clone(), ix.stats().max_key.clone()),
+            (Some(Value::Int(0)), Some(Value::Int(149)))
+        );
+        for k in [0, 1, 74, 149, 150] {
+            assert_eq!(ix.probe_eq(&st, &Value::Int(k)), fresh.probe_eq(&st, &Value::Int(k)));
+        }
     }
 
     #[test]

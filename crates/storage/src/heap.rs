@@ -11,7 +11,8 @@ use std::sync::Arc;
 /// Heap files are built once (from a tuple stream) and then scanned; the
 /// engine materializes every intermediate relation — temporary tables, sort
 /// runs, join results — as a heap file, so all I/O flows through the counted
-/// disk.
+/// disk. A written page never changes: [`HeapFile::append`] grows a file by
+/// replacing its last page with new ones.
 #[derive(Clone)]
 pub struct HeapFile {
     schema: Schema,
@@ -68,6 +69,41 @@ impl HeapFile {
             pages.push(write(current));
         }
         HeapFile { schema, pages: Arc::new(pages), tuple_count }
+    }
+
+    /// This file with `rows` added at its end, copying only the page that
+    /// changes: the last page is read (one counted read), its tuples and
+    /// `rows` go through the packing rule of [`HeapFile::from_tuples`] into
+    /// fresh pages, and the old last page is freed. Every other page is
+    /// shared with `self`, which must not be used (or dropped page by page)
+    /// afterwards. Greedy packing never revisits a closed page, so the
+    /// result is page for page what `from_tuples` builds from all the rows.
+    pub fn append(&self, storage: &Storage, rows: impl IntoIterator<Item = Tuple>) -> HeapFile {
+        let mut rows = rows.into_iter().peekable();
+        if rows.peek().is_none() {
+            return self.clone();
+        }
+        let (kept, tail) = match self.pages.split_last() {
+            Some((&tail, kept)) => (kept, Some(tail)),
+            None => (&[][..], None),
+        };
+        let reopened = tail.map_or_else(Vec::new, |id| storage.read_page(id).tuples().to_vec());
+        let kept_tuples = self.tuple_count - reopened.len();
+        let packed = Self::pack(
+            self.schema.clone(),
+            reopened.into_iter().chain(rows),
+            storage.page_size(),
+            |ts| storage.write_new_page(ts),
+        );
+        if let Some(id) = tail {
+            storage.free_page(id);
+        }
+        let pages = kept.iter().chain(packed.pages.iter()).copied().collect();
+        HeapFile {
+            schema: packed.schema,
+            pages: Arc::new(pages),
+            tuple_count: kept_tuples + packed.tuple_count,
+        }
     }
 
     /// Reassemble a heap file from previously persisted metadata (schema,
@@ -359,6 +395,60 @@ mod tests {
         // via a fresh write reusing nothing.
         let g = HeapFile::from_tuples(&st, schema(), tuples(1));
         assert_eq!(g.page_count(), 1);
+    }
+
+    #[test]
+    fn appending_in_batches_builds_the_file_from_tuples_builds() {
+        let mut rng = nsql_testkit::Rng::from_seed(0xa99e_4d);
+        let schema =
+            Schema::new(vec![Column::new("A", ColumnType::Int), Column::new("S", ColumnType::Str)]);
+        for _ in 0..60 {
+            let page_size = *rng.choose(&[64usize, 128, 512]);
+            let st = Storage::new(4, page_size);
+            let mut file = HeapFile::from_tuples(&st, schema.clone(), Vec::new());
+            let mut all: Vec<Tuple> = Vec::new();
+            for _ in 0..rng.gen_range(1usize..12) {
+                // Rows from 12 bytes to wider than the smallest page; a
+                // batch may be empty.
+                let batch: Vec<Tuple> = (0..rng.gen_range(0usize..9))
+                    .map(|_| {
+                        let s = "x".repeat(rng.gen_range(0usize..80));
+                        Tuple::new(vec![Value::Int(all.len() as i64), Value::str(&s)])
+                    })
+                    .collect();
+                let (live, pages) = (st.live_pages(), file.page_count());
+                file = file.append(&st, batch.iter().cloned());
+                all.extend(batch);
+                assert_eq!(
+                    st.live_pages() as i64 - live as i64,
+                    file.page_count() as i64 - pages as i64,
+                    "append frees exactly the page it replaced"
+                );
+            }
+            let whole = HeapFile::from_tuples(&st, schema.clone(), all.iter().cloned());
+            assert_eq!(file.tuple_count(), whole.tuple_count());
+            assert_eq!(file.page_count(), whole.page_count(), "page size {page_size}");
+            for (a, b) in file.page_ids().iter().zip(whole.page_ids()) {
+                assert_eq!(st.read_page(*a).tuples(), st.read_page(*b).tuples());
+            }
+            file.drop_pages(&st);
+            whole.drop_pages(&st);
+            assert_eq!(st.live_pages(), 0);
+        }
+    }
+
+    #[test]
+    fn append_reads_one_page_and_writes_only_the_tail() {
+        let st = Storage::new(4, 100);
+        let file = HeapFile::from_tuples(&st, schema(), tuples(95));
+        st.clear_buffer();
+        st.reset_stats();
+        let grown = file.append(&st, tuples(7));
+        // 10 tuples a page: the half-full tenth page is reopened, filled
+        // and followed by one more.
+        assert_eq!((st.io_stats().reads, st.io_stats().writes), (1, 2));
+        assert_eq!(grown.page_count(), 11);
+        assert_eq!(grown.page_ids()[..9], file.page_ids()[..9], "the other pages are shared");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Error type for value- and schema-level failures.
 
+use crate::schema::ColumnType;
 use std::fmt;
 
 /// Errors arising from value coercion, schema lookup, or literal parsing.
@@ -22,6 +23,17 @@ pub enum TypeError {
         /// Fields in the offending tuple.
         tuple: usize,
     },
+    /// A value offered for a column is outside the column's comparison
+    /// class ([`ColumnType::admits`]): stored, it would fail every later
+    /// comparison against that column.
+    ColumnMismatch {
+        /// The column, qualified when its table is known.
+        column: String,
+        /// The column's declared type.
+        declared: ColumnType,
+        /// The type of the offending value.
+        found: ColumnType,
+    },
 }
 
 impl fmt::Display for TypeError {
@@ -36,6 +48,9 @@ impl fmt::Display for TypeError {
             TypeError::BadOperand(s) => write!(f, "bad operand: {s}"),
             TypeError::ArityMismatch { schema, tuple } => {
                 write!(f, "tuple arity {tuple} does not match schema arity {schema}")
+            }
+            TypeError::ColumnMismatch { column, declared, found } => {
+                write!(f, "column {column} is declared {declared}: it cannot hold a {found} value")
             }
         }
     }

@@ -124,6 +124,38 @@ if grep -rnwE 'is_temp|l_temp|r_temp|drop_child|drop_input|JoinResult' crates/*/
     exit 1
 fi
 
+echo "==> INSERT costs what it changes"
+# An INSERT writes again the pages it changes (HeapFile::append,
+# BTreeIndex::insert) and nothing else (DESIGN.md "Durability"). It must not
+# go back to scanning the table, recounting its distinct values or building
+# an index from it: outside tests an index is built in its own crate and by
+# CREATE INDEX only, and the whole-table rebuild must not come back under
+# its name.
+fn_body() { # the body of method $2 (four-space indent) in file $1
+    awk -v head="    pub fn $2(" 'index($0, head) == 1 { on = 1 } on { print } on && /^    }$/ { exit }' "$1"
+}
+if grep -rnw 'rebuild_indexes' crates/*/src --include='*.rs'; then
+    echo "FAIL: rebuild_indexes is back"
+    exit 1
+fi
+builds=$(grep -rl 'BTreeIndex::build(' crates/*/src src --include='*.rs' | while read -r f; do
+    case "$f" in crates/index/src/*) continue ;; esac
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /BTreeIndex::build\(/ { print f ":" FNR }' "$f"
+done || true)
+in_create_index=$(fn_body crates/db/src/catalog.rs create_index | grep -c 'BTreeIndex::build(' || true)
+if [ "$builds" != "$(echo "$builds" | grep '^crates/db/src/catalog.rs:')" ] \
+    || [ "$(echo "$builds" | grep -c .)" != "$in_create_index" ]; then
+    echo "$builds"
+    echo "FAIL: an index is built outside crates/index and Catalog::create_index"
+    exit 1
+fi
+insert_body=$(fn_body crates/db/src/catalog.rs insert)
+if [ -z "$insert_body" ] \
+    || echo "$insert_body" | grep -nE '\.scan\(|from_tuples|column_distincts|BTreeIndex::build'; then
+    echo "FAIL: Catalog::insert reads the whole table (or was not found)"
+    exit 1
+fi
+
 echo "==> differential oracle check (release, 200 random cases per pipeline)"
 NSQL_TEST_CASES=200 cargo test -q --release --offline --test diff_prop
 

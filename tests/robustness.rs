@@ -172,6 +172,19 @@ fn arity_and_type_errors_are_reported() {
     db.execute_script("INSERT INTO T VALUES (1, 'X');").unwrap();
     let e = db.query("SELECT A FROM T WHERE B = 1");
     assert!(e.is_err());
+    // A value of the wrong class for its column is refused at the INSERT —
+    // stored, it would fail every later comparison against the column — and
+    // the statement's good rows are not stored either.
+    let e = db.execute_script("INSERT INTO T VALUES (2, 'Y'), ('x', 'Z');");
+    let want = nsql_types::TypeError::ColumnMismatch {
+        column: "T.A".into(),
+        declared: nsql_types::ColumnType::Int,
+        found: nsql_types::ColumnType::Str,
+    };
+    assert_eq!(e, Err(DbError::Type(want)));
+    assert_eq!(db.query("SELECT A FROM T WHERE A < 3").unwrap().len(), 1);
+    // NULL fits any column.
+    db.execute_script("INSERT INTO T VALUES (NULL, NULL);").unwrap();
 }
 
 #[test]
