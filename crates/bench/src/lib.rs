@@ -119,8 +119,13 @@ impl RunConfig {
             0 => nsql_exec_par::threads_from_env(),
             n => n,
         };
-        Exec::with_threads(storage.clone(), threads)
-            .with_vectorized(self.base.exec_mode.vectorized())
+        // As `Database` does: a count nobody named is a budget.
+        let exec = if self.base.threads == 0 && !nsql_exec_par::threads_named() {
+            Exec::with_thread_budget(storage.clone(), threads)
+        } else {
+            Exec::with_threads(storage.clone(), threads)
+        };
+        exec.with_vectorized(self.base.exec_mode.vectorized())
     }
 }
 

@@ -343,9 +343,15 @@ impl Database {
                 let mut explain = header_lines(opts, plan.temp_count());
                 explain.extend(plan.trace.iter().cloned());
                 explain.push(format!("canonical: {}", nsql_sql::print_query(&plan.canonical)));
-                let exec = Exec::with_threads(storage.clone(), threads)
-                    .with_vectorized(opts.vectorized())
-                    .with_obs(profile.clone());
+                // A count nobody named — neither the options nor the
+                // environment — is what the operators may use, not what they
+                // must: each fans out by the size of its own input.
+                let exec = if opts.threads == 0 && !nsql_exec_par::threads_named() {
+                    Exec::with_thread_budget(storage.clone(), threads)
+                } else {
+                    Exec::with_threads(storage.clone(), threads)
+                };
+                let exec = exec.with_vectorized(opts.vectorized()).with_obs(profile.clone());
                 let mut pe = PlanExecutor::new(exec, &self.catalog, opts.join_policy);
                 pe.set_index_use(opts.index_use);
                 if cache_mode.enabled() {

@@ -249,8 +249,12 @@ pub struct QueryOptions {
     pub cold_start: bool,
     /// Worker threads for morsel-parallel execution. `0` (the default)
     /// resolves from `NSQL_THREADS`, falling back to the machine's available
-    /// parallelism; `1` takes the exact serial code path. Parallel runs
-    /// report the same per-query I/O totals as serial runs by construction.
+    /// parallelism; `1` takes the exact serial code path. A count named
+    /// here or by `NSQL_THREADS` is obeyed by every operator; the fallback
+    /// is a budget — each operator of a transformed plan fans out only over
+    /// an input large enough to repay the dispatch (DESIGN.md "Threading
+    /// model"). Parallel runs report the same per-query I/O totals as
+    /// serial runs by construction.
     pub threads: usize,
     /// Collect observability data: the query's profile tree — lifecycle
     /// spans down to per-operator counters — and diagnostic events

@@ -104,7 +104,8 @@ impl Exec {
                     out.push(Tuple::new(vals));
                 }
             };
-        if self.threads > 1 && file.page_count() > 1 {
+        let workers = self.workers_for(file);
+        if workers > 1 {
             // Parallel fold: each morsel folds its pages into an ordered run
             // list with exactly the serial contiguous-run logic; runs touch
             // only at morsel boundaries, where a key match merges the two
@@ -116,7 +117,7 @@ impl Exec {
                 crate::par::par_map_pages(
                     &self.storage,
                     file.page_ids(),
-                    self.threads,
+                    workers,
                     self.current_op().as_deref(),
                     |_m, pages| {
                     let mut runs: Vec<Run> = Vec::new();

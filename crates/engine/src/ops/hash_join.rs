@@ -86,8 +86,9 @@ impl Exec {
         // Parallel build: each morsel hashes its pages into a private map;
         // maps merge in morsel order, so every key's bucket lists its rows
         // in scan order — exactly the serial build.
-        let table: FxHashMap<Tuple, Vec<Tuple>> = if self.threads > 1 && right.page_count() > 1 {
-            let partials = par_map_pages(&self.storage, right.page_ids(), self.threads, op_ref, |_m, pages| {
+        let build_workers = self.workers_for(right);
+        let table: FxHashMap<Tuple, Vec<Tuple>> = if build_workers > 1 {
+            let partials = par_map_pages(&self.storage, right.page_ids(), build_workers, op_ref, |_m, pages| {
                 let mut t: FxHashMap<Tuple, Vec<Tuple>> = FxHashMap::default();
                 for page in pages {
                     for rt in page.tuples() {
@@ -146,14 +147,15 @@ impl Exec {
             }
             Ok(())
         };
-        if self.threads > 1 && left.page_count() > 1 {
+        let probe_workers = self.workers_for(left);
+        if probe_workers > 1 {
             // Per-morsel probe outputs concatenate in morsel order = serial
             // output order. On a residual error the serial probe stops
             // scanning; parallel morsels in flight still finish (their
             // results are discarded), which can only over-read on the error
             // path — totals on the success path are identical.
             let partials: Vec<Result<Vec<Tuple>>> =
-                par_map_pages(&self.storage, left.page_ids(), self.threads, op_ref, |_m, pages| {
+                par_map_pages(&self.storage, left.page_ids(), probe_workers, op_ref, |_m, pages| {
                     let mut out = Vec::new();
                     for page in pages {
                         for lt in page.tuples() {
@@ -230,13 +232,14 @@ impl Exec {
         // resident in its hash table too); buckets list rows in scan order.
         let mut batches: Vec<Batch> = Vec::with_capacity(right.page_count());
         let mut table: FxHashMap<u64, Vec<(u32, u32)>> = FxHashMap::default();
-        if self.threads > 1 && right.page_count() > 1 {
+        let build_workers = self.workers_for(right);
+        if build_workers > 1 {
             // Per-morsel private indexes merge in morsel order with the
             // batch offset applied, so bucket order equals scan order.
             let partials = par_map_pages(
                 &self.storage,
                 right.page_ids(),
-                self.threads,
+                build_workers,
                 op_ref,
                 |m, pages| {
                     let mut bs: Vec<Batch> = Vec::with_capacity(pages.len());
@@ -316,13 +319,14 @@ impl Exec {
             }
             Ok(())
         };
-        if self.threads > 1 && left.page_count() > 1 {
+        let probe_workers = self.workers_for(left);
+        if probe_workers > 1 {
             // Same error contract as the row probe: morsels in flight still
             // finish, the first morsel-order error is the one reported.
             let partials: Vec<Result<Vec<Tuple>>> = par_map_pages(
                 &self.storage,
                 left.page_ids(),
-                self.threads,
+                probe_workers,
                 op_ref,
                 |m, pages| {
                     let mut out = Vec::new();

@@ -52,11 +52,34 @@ pub enum JoinKind {
     LeftOuter,
 }
 
+/// Input size, in tuples, from which an operator call of an executor that
+/// was given a thread *budget* ([`Exec::with_thread_budget`]) fans out.
+///
+/// Fanning out costs one `run_workers` dispatch — 34 to 251 µs measured on
+/// the two-processor development host (`exec-par.dispatch_us`: spawn and
+/// join of the scoped threads, the per-morsel slots and locks) — and buys at
+/// most the serial time times `1 − 1/workers`. The row kernels spend about
+/// 50 ns a row (the filter: 1.0 ms over 20 000 rows), so two workers break
+/// even between 2 × 34 µs / 50 ns ≈ 1 400 rows and 2 × 251 µs / 50 ns ≈
+/// 10 000 rows, depending on what the dispatch happens to cost, and below
+/// that the fan-out only adds it: 1.2 to 1.8 times slower on every
+/// Kim-scale statement (≤ 1 580 rows an input). The constant is the next
+/// power of two above the upper end — fan out only where even the dearest
+/// dispatch measured is repaid — and a measured sweep of 0 / 1 024 / … /
+/// 32 768 / never (EXPERIMENTS.md, "INSERT costs what it changes", part d)
+/// found every value from 2 048 to 16 384 equal within noise on all
+/// workloads, this one reading best. Every Kim-scale input falls below it,
+/// the x20 base tables (20 000 and 30 000 rows) above.
+const PAR_MIN_ROWS: usize = 16_384;
+
 /// Operator executor bound to a [`Storage`].
 #[derive(Clone)]
 pub struct Exec {
     storage: Storage,
     threads: usize,
+    /// Whether `threads` is an upper bound ([`Exec::with_thread_budget`])
+    /// and not a count somebody named.
+    budget: bool,
     profile: Profile,
     vectorized: bool,
 }
@@ -72,7 +95,23 @@ impl Exec {
     /// operators (scans, hash join, aggregation, sort run generation) fan
     /// out while reporting **identical** I/O statistics (see `engine::par`).
     pub fn with_threads(storage: Storage, threads: usize) -> Exec {
-        Exec { storage, threads: threads.max(1), profile: Profile::default(), vectorized: false }
+        Exec {
+            storage,
+            threads: threads.max(1),
+            budget: false,
+            profile: Profile::default(),
+            vectorized: false,
+        }
+    }
+
+    /// Executor that may use up to `threads` workers — for a caller whose
+    /// count nobody named (the machine's parallelism, say). Each operator
+    /// call decides by its own input: it fans out from 16 384 tuples
+    /// (`PAR_MIN_ROWS`, derived where it is defined) and runs the serial path
+    /// below, where a dispatch costs more than it can save. Results, order and counted I/O are those of
+    /// [`Exec::with_threads`] at any count.
+    pub fn with_thread_budget(storage: Storage, threads: usize) -> Exec {
+        Exec { budget: true, ..Exec::with_threads(storage, threads) }
     }
 
     /// Choose the hash join's kernel: `true` builds and probes on column
@@ -110,9 +149,21 @@ impl Exec {
         &self.storage
     }
 
-    /// Worker-pool width this executor fans out to.
+    /// Worker-pool width this executor fans out to (at most, when it was
+    /// given as a budget).
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Workers for one operator call that scans `input`: 1 — the serial
+    /// path — for a single page, and for an input under [`PAR_MIN_ROWS`]
+    /// tuples when the thread count is a budget; else the pool's width.
+    pub(crate) fn workers_for(&self, input: &HeapFile) -> usize {
+        if input.page_count() <= 1 || (self.budget && input.tuple_count() < PAR_MIN_ROWS) {
+            1
+        } else {
+            self.threads
+        }
     }
 
     /// Filter-map `input` through `f`, streaming into a new heap file.
@@ -130,10 +181,11 @@ impl Exec {
         F: Fn(&Tuple) -> Result<Option<Tuple>> + Sync,
     {
         let op = self.current_op();
-        if self.threads > 1 && input.page_count() > 1 {
+        let workers = self.workers_for(input);
+        if workers > 1 {
             let op_ref = op.as_deref();
             let results =
-                par_map_pages(&self.storage, input.page_ids(), self.threads, op_ref, |m, pages| {
+                par_map_pages(&self.storage, input.page_ids(), workers, op_ref, |m, pages| {
                     let mut kept = Vec::new();
                     let mut err = None;
                     let mut seen = 0u64;
@@ -285,7 +337,7 @@ impl Exec {
     /// External sort (thin wrapper over [`external_sort`]; run generation
     /// fans out on this executor's worker pool).
     pub fn sort(&self, input: &HeapFile, keys: &[SortKey], unique: bool) -> HeapFile {
-        external_sort_threads(&self.storage, input, keys, unique, self.threads)
+        external_sort_threads(&self.storage, input, keys, unique, self.workers_for(input))
     }
 
     /// Load a heap file into memory (final-result delivery; reads only).
@@ -444,6 +496,84 @@ mod tests {
         let out2 = e.restrict_project(&f, &p, &[CExpr::Col(0)], out_schema, true).unwrap();
         assert_eq!(out2.tuple_count(), 4);
         assert_eq!(e.storage().live_pages(), live_before + out2.page_count());
+    }
+
+    #[test]
+    fn a_thread_budget_fans_out_by_input_size_and_a_named_count_always() {
+        use nsql_obs::IoDelta;
+        use nsql_sql::AggFunc;
+        use nsql_storage::IoSnapshot;
+        use nsql_types::Value;
+
+        // Filter, presorted fold, hash join (build and probe) and sort over
+        // `rows` rows: what each produced, the morsels each claimed (the
+        // sort's pass 0 records none: the worker count it was given), and
+        // the four I/O counters of the whole sequence.
+        type Run = (Vec<Vec<Tuple>>, Vec<u64>, IoSnapshot);
+        let run = |exec: fn(Storage, usize) -> Exec, rows: i64| -> Run {
+            let profile = Profile::with_probe(IoDelta::default);
+            // A budget of 4, not the machine's parallelism, so the test
+            // holds on a one-core host.
+            let e = exec(Storage::new(6, 512), 4).with_obs(profile.clone());
+            let st = e.storage().clone();
+            let data: Vec<Vec<i64>> = (0..rows).map(|i| vec![i / 3, i % 7]).collect();
+            let refs: Vec<&[i64]> = data.iter().map(Vec::as_slice).collect();
+            let t = int_file(&st, "T", &["K", "V"], &refs);
+            let u = int_file(&st, "U", &["K", "W"], &refs[..refs.len() / 2]);
+            st.clear_buffer();
+            st.reset_stats();
+            let pred = pred_on(&t, "V >= 2");
+            let out = Schema::new(vec![
+                Column::qualified("O", "K", ColumnType::Int),
+                Column::qualified("O", "N", ColumnType::Int),
+            ]);
+            let aggs = [AggSpec::on(AggFunc::Sum, 1)];
+            let ops: [(&str, &dyn Fn() -> HeapFile); 4] = [
+                ("filter", &|| e.filter(&t, &pred).unwrap()),
+                ("fold", &|| e.group_aggregate(&t, &[0], &aggs, out.clone(), true).unwrap()),
+                ("hash join", &|| {
+                    e.hash_join(&t, &u, &[0], &[0], None, JoinKind::LeftOuter).unwrap()
+                }),
+                ("sort", &|| e.sort(&t, &[SortKey::desc(1), SortKey::asc(0)], false)),
+            ];
+            let mut outputs = Vec::new();
+            let mut morsels = Vec::new();
+            for (name, op) in ops {
+                let node = profile.begin_op(|| name.to_string());
+                let counters = profile.current_op().expect("an operator node is open");
+                let file = TempFile::new(&st, op());
+                profile.end(node);
+                outputs.push(file.scan(&st).collect());
+                morsels.push(counters.morsels.total());
+            }
+            *morsels.last_mut().unwrap() = e.workers_for(&t) as u64 - 1;
+            (outputs, morsels, st.io_snapshot())
+        };
+        let serial = |st, _| Exec::new(st);
+
+        // Kim scale: 1 500 rows, the largest input of the paper's home cell.
+        let (rows, morsels, io) = run(Exec::with_thread_budget, 1_500);
+        assert_eq!(morsels, [0, 0, 0, 0], "a budget stays serial on small inputs");
+        let (named_rows, named_morsels, named_io) = run(Exec::with_threads, 1_500);
+        assert!(named_morsels.iter().all(|&m| m > 0), "a named count is obeyed: {named_morsels:?}");
+        let (serial_rows, serial_morsels, serial_io) = run(serial, 1_500);
+        assert_eq!(serial_morsels, [0, 0, 0, 0]);
+        assert_eq!((&rows, io), (&serial_rows, serial_io));
+        assert_eq!((&named_rows, named_io), (&serial_rows, serial_io));
+        assert_eq!(rows[0][0], Tuple::new(vec![Value::Int(0), Value::Int(2)]), "not vacuous");
+
+        // At the constant: every operator of the budgeted executor fans out.
+        let at = PAR_MIN_ROWS as i64;
+        let (rows, morsels, io) = run(Exec::with_thread_budget, at);
+        assert!(morsels.iter().all(|&m| m > 0), "a budget fans out on large inputs: {morsels:?}");
+        let (named_rows, named_morsels, named_io) = run(Exec::with_threads, at);
+        assert!(named_morsels.iter().all(|&m| m > 0), "{named_morsels:?}");
+        let (serial_rows, _, serial_io) = run(serial, at);
+        assert_eq!((&rows, io), (&serial_rows, serial_io));
+        assert_eq!((&named_rows, named_io), (&serial_rows, serial_io));
+        // One row short of it, the scans of T stay serial.
+        let (_, morsels, _) = run(Exec::with_thread_budget, at - 1);
+        assert_eq!(morsels, [0, 0, 0, 0]);
     }
 
     #[test]

@@ -17,19 +17,32 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Resolve the thread count from the environment: `NSQL_THREADS` if set
-/// (must parse as a positive integer), else `std::thread::available_parallelism`.
-/// Resolved once per process — every statement whose options leave the
-/// count open asks, and neither answer changes after start.
-pub fn threads_from_env() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
+/// The worker count and whether the environment named it, resolved once per
+/// process — every statement whose options leave the count open asks, and
+/// neither answer changes after start.
+fn resolved() -> (usize, bool) {
+    static THREADS: OnceLock<(usize, bool)> = OnceLock::new();
     *THREADS.get_or_init(|| match std::env::var("NSQL_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
+            Ok(n) if n >= 1 => (n, true),
             _ => panic!("bad NSQL_THREADS: {v:?} (want a positive integer)"),
         },
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        Err(_) => (std::thread::available_parallelism().map_or(1, |n| n.get()), false),
     })
+}
+
+/// Resolve the thread count from the environment: `NSQL_THREADS` if set
+/// (must parse as a positive integer), else `std::thread::available_parallelism`.
+pub fn threads_from_env() -> usize {
+    resolved().0
+}
+
+/// Whether [`threads_from_env`] answers with a count the environment named
+/// (`NSQL_THREADS` is set). A named count is an order; the machine's
+/// parallelism is only what is there to use, and a caller may treat it as a
+/// budget.
+pub fn threads_named() -> bool {
+    resolved().1
 }
 
 /// Run `f(worker_index)` on `threads` workers and wait for all of them.

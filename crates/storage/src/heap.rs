@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn appending_in_batches_builds_the_file_from_tuples_builds() {
-        let mut rng = nsql_testkit::Rng::from_seed(0xa99e_4d);
+        let mut rng = nsql_testkit::Rng::from_seed(0x00a9_9e4d);
         let schema =
             Schema::new(vec![Column::new("A", ColumnType::Int), Column::new("S", ColumnType::Str)]);
         for _ in 0..60 {
