@@ -324,10 +324,10 @@ impl BTreeIndex {
         let prev = pos.checked_sub(1).map(|p| &entries[p]);
         self.stats.distinct_keys += usize::from(!same_key(prev) && !same_key(next.as_ref()));
         self.stats.tuples += 1;
-        if self.stats.min_key.as_ref().map_or(true, |m| key.total_cmp(m) == Ordering::Less) {
+        if self.stats.min_key.as_ref().is_none_or(|m| key.total_cmp(m) == Ordering::Less) {
             self.stats.min_key = Some(key.clone());
         }
-        if self.stats.max_key.as_ref().map_or(true, |m| key.total_cmp(m) == Ordering::Greater) {
+        if self.stats.max_key.as_ref().is_none_or(|m| key.total_cmp(m) == Ordering::Greater) {
             self.stats.max_key = Some(key.clone());
         }
 
