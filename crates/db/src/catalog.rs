@@ -60,13 +60,13 @@ pub struct Catalog {
     /// Per-table, per-column distinct-value counts — the statistic the
     /// batched strategy's cost formula needs for `d` — gathered while a
     /// loaded relation passes through memory. An INSERT does not look at the
-    /// table, so it leaves `None`: counts that
-    /// [`Catalog::distinct_count`], their one reader, takes again from the
-    /// pages when next asked and keeps until the next INSERT. The v2 catalog
-    /// snapshot persists the counts it has, so the three-way cost
-    /// comparison keeps its statistics across restarts; a table restored
-    /// from a v1 snapshot has no entry at all and cost estimation falls
-    /// back to the tuple count as a conservative upper bound.
+    /// table, so it leaves `None` (stale): [`Catalog::distinct_count`], the
+    /// counts' one reader, recounts from the pages when next asked and keeps
+    /// the result until the next INSERT. The v2 catalog snapshot persists
+    /// the counts it has, so the three-way cost comparison keeps its
+    /// statistics across restarts; a table restored from a v1 snapshot has
+    /// no entry at all and cost estimation falls back to the tuple count as
+    /// a conservative upper bound.
     stats: Mutex<BTreeMap<String, Option<Vec<usize>>>>,
     /// The cumulative statistics registry shared with the owning
     /// `Database`. Per-table access counters are bumped here at the
@@ -494,8 +494,8 @@ impl Catalog {
         // counts, as before); a table the trailer leaves out had stale
         // counts when the snapshot was taken, and still has.
         if version >= 2 {
-            let mut stats: BTreeMap<String, Option<Vec<usize>>> =
-                cat.tables.keys().map(|key| (key.clone(), None)).collect();
+            let mut stats = cat.stats();
+            stats.extend(cat.tables.keys().map(|key| (key.clone(), None)));
             let n_stats = r.get_u32().map_err(store_err)?;
             for _ in 0..n_stats {
                 let key = r.get_str().map_err(store_err)?;
@@ -506,7 +506,6 @@ impl Catalog {
                 }
                 stats.insert(key, Some(counts));
             }
-            cat.stats = Mutex::new(stats);
         }
         Ok(cat)
     }
