@@ -232,7 +232,6 @@ fn insert_cost_does_not_grow_with_the_table() {
         }
         let (mem, file) = (cost[0], cost[1]);
         assert_eq!((mem.0, mem.1), (file.0, file.1), "{n} rows: both backends count the same I/O");
-        assert_eq!(mem.2, 0, "the memory backend has no durable writes");
         assert!(file.0 + file.1 <= 20, "{n} rows: {file:?} counted reads and writes");
         assert!(file.2 <= 16, "{n} rows: {} durable write operations", file.2);
         costs.push(file);

@@ -304,18 +304,18 @@ impl BTreeIndex {
             let Some(&leaf) = self.leaves.get(at) else {
                 break (Vec::new(), 0, None); // an empty tree
             };
-            let entries = storage.read_page(leaf).tuples().to_vec();
-            let pos = entries.partition_point(before);
-            let next = match entries.get(pos) {
+            let page = storage.read_page(leaf);
+            let pos = page.tuples().partition_point(before);
+            let next = match page.tuples().get(pos) {
                 Some(t) => Some(t.clone()),
                 None => {
                     self.leaves.get(at + 1).map(|&id| storage.read_page(id).tuples()[0].clone())
                 }
             };
-            if pos == entries.len() && next.as_ref().is_some_and(before) {
+            if pos == page.len() && next.as_ref().is_some_and(before) {
                 at += 1;
             } else {
-                break (entries, pos, next);
+                break (page.tuples().to_vec(), pos, next);
             }
         };
 
