@@ -9,6 +9,7 @@
 use crate::workload::{queries, WorkloadSpec};
 use crate::{measure, table, RunConfig};
 use nsql_db::plan_exec::PlanExecutor;
+use nsql_core::UnnestOptions;
 use nsql_db::{JoinPolicy, QueryOptions};
 
 /// E11: the four NEST-JA2 join-method variants measured, plus the
@@ -27,7 +28,7 @@ pub fn ablation(cfg: &RunConfig) -> String {
     // Reference result and baseline.
     let ni = measure(&w.db, sql, "nested iteration", &cfg.opts(QueryOptions::nested_iteration()));
 
-    let plan = w.db.plan(sql).expect("transformable");
+    let plan = w.db.plan(sql, &UnnestOptions::faithful()).expect("transformable");
     let storage = w.db.storage().clone();
     let mut rows = Vec::new();
     for temp_policy in [JoinPolicy::ForceNestedLoop, JoinPolicy::ForceMergeJoin] {
@@ -35,6 +36,7 @@ pub fn ablation(cfg: &RunConfig) -> String {
             storage.clear_buffer();
             let before = storage.io_stats();
             let mut pe = PlanExecutor::new(cfg.exec(&storage), w.db.catalog(), temp_policy);
+            pe.set_faithful(true);
             // Temps under `temp_policy` …
             for temp in &plan.temps {
                 let out = pe.run_plan(&temp.plan).expect("temp plan");

@@ -64,11 +64,11 @@ fn section_5_4_db(cfg: &RunConfig) -> Database {
 /// Run a transformation, print each temporary table and the final result.
 fn run_with_temps(cfg: &RunConfig, out: &mut String, db: &Database, sql: &str, variant: JaVariant) {
     let q = nsql_sql::parse_query(sql).expect("valid SQL");
-    let plan =
-        nsql_core::transform_query(db.catalog(), &q, &UnnestOptions { ja_variant: variant, ..Default::default() })
-            .expect("transformable");
+    let unnest = UnnestOptions { ja_variant: variant, ..UnnestOptions::faithful() };
+    let plan = nsql_core::transform_query(db.catalog(), &q, &unnest).expect("transformable");
     outln!(out, "{plan}\n");
     let mut pe = PlanExecutor::new(cfg.exec(db.storage()), db.catalog(), JoinPolicy::ForceMergeJoin);
+    pe.set_faithful(true);
     let rel = pe.execute_transform_plan(&plan, false).expect("executes");
     for temp in &plan.temps {
         let file = &pe.temp(&temp.name).expect("registered").file;

@@ -72,7 +72,7 @@ pub fn extensions(cfg: &RunConfig) -> String {
             .query_with(
                 sql,
                 &cfg.opts(QueryOptions {
-                    unnest: UnnestOptions { preserve_duplicates: true, ..Default::default() },
+                    unnest: UnnestOptions { preserve_duplicates: true, ..UnnestOptions::faithful() },
                     ..QueryOptions::transformed_merge()
                 }),
             )

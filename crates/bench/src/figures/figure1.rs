@@ -78,7 +78,7 @@ pub fn figure1(cfg: &RunConfig) -> String {
         let db = if *use_ja_workload { &w_ja.db } else { &w.db };
         let ni = measure(db, sql, "nested iteration", &cfg.opts(QueryOptions::nested_iteration()));
         let opts = cfg.opts(QueryOptions {
-            unnest: UnnestOptions { preserve_duplicates: true, ..Default::default() },
+            unnest: UnnestOptions { preserve_duplicates: true, ..UnnestOptions::faithful() },
             ..QueryOptions::transformed_merge()
         });
         let tr = measure(db, sql, "transformed", &opts);

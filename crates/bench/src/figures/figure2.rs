@@ -50,7 +50,7 @@ pub fn figure2(cfg: &RunConfig) -> String {
     outln!(out, "Figure 2 — the example query tree:\n{}", tree.render());
     outln!(out, "blocks: {}, max depth: {}\n", tree.block_count(), tree.depth());
 
-    let plan = db.plan(sql).expect("transformable");
+    let plan = db.plan(sql, &UnnestOptions::faithful()).expect("transformable");
     outln!(out, "Section 9.1 — the recursion unwinds (postorder):");
     for (i, line) in plan.trace.iter().enumerate() {
         outln!(out, "  {}. {line}", i + 1);
@@ -60,7 +60,7 @@ pub fn figure2(cfg: &RunConfig) -> String {
     // Verify against nested iteration.
     let ni = db.query_with(sql, &cfg.opts(QueryOptions::nested_iteration())).expect("reference runs");
     let opts = cfg.opts(QueryOptions {
-        unnest: UnnestOptions { preserve_duplicates: true, ..Default::default() },
+        unnest: UnnestOptions { preserve_duplicates: true, ..UnnestOptions::faithful() },
         ..QueryOptions::transformed()
     });
     let tr = db.query_with(sql, &opts).expect("transformed runs");

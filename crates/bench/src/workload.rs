@@ -248,7 +248,7 @@ mod tests {
             let opts = nsql_db::QueryOptions {
                 unnest: nsql_core::UnnestOptions {
                     preserve_duplicates: true,
-                    ..Default::default()
+                    ..nsql_core::UnnestOptions::faithful()
                 },
                 ..nsql_db::QueryOptions::transformed_merge()
             };

@@ -58,12 +58,25 @@ pub struct UnnestOptions {
     /// IN-merges (modern semijoin semantics; see the NEST-N-J duplicate
     /// caveat in DESIGN.md). The faithful default is off.
     pub preserve_duplicates: bool,
-    /// Run the plan-rule fixpoint engine ([`crate::rules`]) over the
-    /// temporary-table plans (predicate pushdown, projection pruning).
-    /// Off by default: the paper's literal temp shapes — including the
-    /// Section 5.2/5.4 demonstration variants whose *point* is a
-    /// suboptimal shape — are what the default pipeline pins.
-    pub logical_rules: bool,
+    /// Reproduce the paper's plans literally, here and in the executor
+    /// (`nsql-db` reads the same field): the temporaries keep the shapes
+    /// the algorithms emit — the Section 5.2/5.4 demonstration variants,
+    /// whose *point* is a shape an optimizer would repair, among them — the
+    /// canonical query joins whole base tables carrying every column, and
+    /// the join method is chosen on Section 7's page counts alone. Off by
+    /// default: the plan-rule fixpoint ([`crate::rules`]) runs over the
+    /// temporary-table plans and the executor restricts and projects each
+    /// join input first (DESIGN.md "Configuration").
+    pub faithful_1987: bool,
+}
+
+impl UnnestOptions {
+    /// The paper's literal plans, every other option at its default — what
+    /// the figures, the bug demonstrations and every pinned page count
+    /// start from.
+    pub fn faithful() -> UnnestOptions {
+        UnnestOptions { faithful_1987: true, ..UnnestOptions::default() }
+    }
 }
 
 /// Transform a nested query into a [`TransformPlan`]: temporary-table
@@ -100,7 +113,7 @@ pub fn transform_query_traced<S: SchemaSource>(
     };
     ctx.nest_g(&mut q, &[])?;
     let Ctx { temps: mut out_temps, trace: mut out_trace, merged_in_membership, .. } = ctx;
-    if options.logical_rules {
+    if !options.faithful_1987 {
         let engine = crate::rules::RuleEngine::standard();
         for temp in &mut out_temps {
             let (optimized, firings) =

@@ -28,12 +28,13 @@
 //!   some filter — so the loop terminates without relying on the iteration
 //!   budget, which is only a backstop against a future non-monotone rule.
 //!
-//! Plan rules are **opt-in** via
-//! [`UnnestOptions::logical_rules`](crate::UnnestOptions): the default
-//! pipeline keeps the paper's literal temp shapes (several demonstrations
-//! — Section 5.2's late restriction among them — deliberately preserve a
-//! shape a pushdown would "fix", and the I/O-shape tests pin the default
-//! plans page for page).
+//! Plan rules run by default. The one switch
+//! [`UnnestOptions::faithful_1987`](crate::UnnestOptions) turns them off
+//! together with the executor's own early restriction: the figures, the bug
+//! demonstrations and the I/O-shape tests keep the paper's literal temp
+//! shapes under it (several demonstrations — Section 5.2's late restriction
+//! among them — deliberately preserve a shape a pushdown would "fix", and
+//! those plans are pinned page for page).
 
 use crate::logical::{LogicalJoinKind, LogicalPlan};
 use crate::TransformError;

@@ -2,12 +2,12 @@
 
 use crate::catalog::Catalog;
 
-use crate::explain::{header_lines, ObsReport, TempStat};
+use crate::explain::{header_lines, plan_shapes, ObsReport, TempStat};
 use crate::options::{QueryOptions, Strategy};
 use crate::plan_exec::{observed, PlanExecutor};
 use crate::Result;
 use nsql_analyzer::{query_fingerprint, query_tree, validate_query, QueryTree};
-use nsql_core::{transform_query, transform_query_traced, TransformPlan};
+use nsql_core::{transform_query, transform_query_traced, TransformPlan, UnnestOptions};
 use nsql_engine::{Exec, NestedIter};
 use nsql_obs::stats::{CacheCounters, SlowQuery, StatementSample, StatsRegistry};
 use nsql_obs::{IoDelta, Profile, ProfileNode};
@@ -354,13 +354,15 @@ impl Database {
                 let exec = exec.with_vectorized(opts.vectorized()).with_obs(profile.clone());
                 let mut pe = PlanExecutor::new(exec, &self.catalog, opts.join_policy);
                 pe.set_index_use(opts.index_use);
+                pe.set_faithful(opts.unnest.faithful_1987);
                 if cache_mode.enabled() {
                     pe.set_cache(crate::result_cache::CacheCtx {
                         cache: Arc::clone(&self.cache),
                         fingerprint: format!(
-                            "policy={};index={};page={};buf={}",
+                            "policy={};index={};shapes={};page={};buf={}",
                             opts.join_policy.name(),
                             opts.index_use.name(),
+                            plan_shapes(opts),
                             storage.page_size(),
                             storage.buffer_pages()
                         ),
@@ -447,11 +449,11 @@ impl Database {
         Ok((rel?, explain))
     }
 
-    /// Transform a query without executing it (EXPLAIN-only).
-    pub fn plan(&self, sql: &str) -> Result<TransformPlan> {
+    /// Transform a query under `unnest` without executing it (EXPLAIN-only).
+    pub fn plan(&self, sql: &str, unnest: &UnnestOptions) -> Result<TransformPlan> {
         let q = parse_one_select(sql)?;
         validate_query(&self.catalog, &q)?;
-        Ok(transform_query(&self.catalog, &q, &Default::default())?)
+        Ok(transform_query(&self.catalog, &q, unnest)?)
     }
 
     /// The Figure-2 query tree of a SQL query.
@@ -564,9 +566,9 @@ mod tests {
         let db = kiessling_db();
         let opts = QueryOptions {
             strategy: Strategy::Transform,
-            unnest: nsql_core::UnnestOptions {
+            unnest: UnnestOptions {
                 ja_variant: nsql_core::JaVariant::KimOriginal,
-                ..Default::default()
+                ..UnnestOptions::faithful()
             },
             cold_start: true,
             ..Default::default()
@@ -598,7 +600,7 @@ mod tests {
     #[test]
     fn explain_analyze_q2_shows_decision_costs_and_actuals() {
         let db = kiessling_db();
-        let opts = QueryOptions { threads: 1, cold_start: true, ..Default::default() };
+        let opts = QueryOptions { threads: 1, ..QueryOptions::transformed() };
         let report = db.explain_query(Q2, true, &opts).unwrap();
         // Transform decision: NEST-JA2 must fire on a type-JA query.
         assert!(report.chosen.contains("NEST-JA2"), "{}", report.chosen);

@@ -480,8 +480,8 @@ impl Database {
     }
 }
 
-/// The decision lines every report opens with — strategy, exec mode, cache
-/// mode — built here for plain `EXPLAIN` and for the executing path alike,
+/// The decision lines every report opens with — strategy, plan shapes, exec
+/// mode, cache mode — built here for plain `EXPLAIN` and for the executing path alike,
 /// so the two cannot drift. `temps` is the transform plan's temporary
 /// count; the correlated strategies ignore it.
 pub(crate) fn header_lines(opts: &QueryOptions, temps: usize) -> Vec<String> {
@@ -497,6 +497,9 @@ pub(crate) fn header_lines(opts: &QueryOptions, temps: usize) -> Vec<String> {
             opts.join_policy.name()
         ),
     }];
+    if matches!(opts.strategy, Strategy::Transform | Strategy::Auto) {
+        lines.push(format!("plan shapes: {}", plan_shapes(opts)));
+    }
     if opts.vectorized() {
         lines.push(
             "exec mode: vectorized (hash joins build and probe on column batches; \
@@ -509,6 +512,16 @@ pub(crate) fn header_lines(opts: &QueryOptions, temps: usize) -> Vec<String> {
         lines.push(format!("cache: mode {}", cache.name()));
     }
     lines
+}
+
+/// What the one switch `unnest.faithful_1987` selects, as EXPLAIN and the
+/// result cache's fingerprint name it.
+pub(crate) fn plan_shapes(opts: &QueryOptions) -> &'static str {
+    if opts.unnest.faithful_1987 {
+        "literal (1987)"
+    } else {
+        "restricted inputs"
+    }
 }
 
 /// Name the algorithm that fired, from the NEST-G trace.

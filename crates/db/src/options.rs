@@ -229,7 +229,9 @@ impl Strategy {
 pub struct QueryOptions {
     /// Evaluation strategy.
     pub strategy: Strategy,
-    /// Transformation options (JA variant, duplicate preservation).
+    /// Transformation options (JA variant, duplicate preservation) and the
+    /// one switch between the paper's literal plans and the default ones
+    /// ([`UnnestOptions::faithful_1987`]), which the executor reads too.
     pub unnest: UnnestOptions,
     /// Row-multiplicity semantics for NEST-N-J's join expansion (see
     /// [`DuplicateSemantics`]). `ForceDistinct` maps onto
@@ -245,7 +247,9 @@ pub struct QueryOptions {
     /// Start from a cold buffer so the reported cost is comparable across
     /// runs. Default **false**: consecutive statements share warm buffers,
     /// which is what a session (and the benchmark's default path) sees; the
-    /// named constructors below, which reproduce the paper's numbers, set it.
+    /// named constructors below, which reproduce the paper's numbers, set it
+    /// — and `unnest.faithful_1987` with it, so they run the paper's literal
+    /// plans.
     pub cold_start: bool,
     /// Worker threads for morsel-parallel execution. `0` (the default)
     /// resolves from `NSQL_THREADS`, falling back to the machine's available
@@ -290,6 +294,7 @@ impl QueryOptions {
     pub fn nested_iteration() -> QueryOptions {
         QueryOptions {
             strategy: Strategy::NestedIteration,
+            unnest: UnnestOptions::faithful(),
             cold_start: true,
             ..QueryOptions::default()
         }
@@ -300,6 +305,7 @@ impl QueryOptions {
         QueryOptions {
             strategy: Strategy::Transform,
             join_policy: JoinPolicy::ForceMergeJoin,
+            unnest: UnnestOptions::faithful(),
             cold_start: true,
             ..QueryOptions::default()
         }
@@ -310,6 +316,7 @@ impl QueryOptions {
         QueryOptions {
             strategy: Strategy::Transform,
             join_policy: JoinPolicy::CostBased,
+            unnest: UnnestOptions::faithful(),
             cold_start: true,
             ..QueryOptions::default()
         }
@@ -319,6 +326,7 @@ impl QueryOptions {
     pub fn batched() -> QueryOptions {
         QueryOptions {
             strategy: Strategy::Batched,
+            unnest: UnnestOptions::faithful(),
             cold_start: true,
             ..QueryOptions::default()
         }
@@ -348,7 +356,8 @@ mod tests {
         } = QueryOptions::default();
         assert_eq!(strategy, Strategy::Auto);
         assert_eq!(unnest.ja_variant, nsql_core::JaVariant::Ja2);
-        assert!(!unnest.preserve_duplicates && !unnest.logical_rules);
+        assert!(!unnest.preserve_duplicates);
+        assert!(!unnest.faithful_1987, "the paper's literal plans are the switch, not the default");
         assert_eq!(duplicates, DuplicateSemantics::KimFaithful);
         assert_eq!(join_policy, JoinPolicy::CostBased);
         assert_eq!(index_use, IndexUse::CostBased);

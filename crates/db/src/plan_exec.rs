@@ -23,7 +23,9 @@ use crate::Result;
 use nsql_cache::{judge_rewrite, RewriteJudgement, TempEntry};
 use nsql_core::cost::{index_nested_join_cost, index_restrict_cost, sort_cost};
 use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
-use nsql_engine::{AggSpec, CExpr, CPred, Exec, JoinKind, Projector, TableProvider};
+use nsql_engine::{
+    AggSpec, CExpr, CPred, Exec, JoinEmit, JoinKind, Joined, Projector, TableProvider,
+};
 use nsql_index::{BTreeIndex, KeyBound};
 use nsql_obs::Profile;
 use nsql_storage::{HeapFile, Storage, TempFile};
@@ -110,6 +112,8 @@ pub struct PlanExecutor<T: TableProvider> {
     temps: HashMap<String, PlanOutput>,
     policy: JoinPolicy,
     index_use: IndexUse,
+    /// Run the paper's literal plans ([`PlanExecutor::set_faithful`]).
+    faithful: bool,
     cache: Option<CacheCtx>,
     /// EXPLAIN-style log of physical decisions.
     pub log: Vec<String>,
@@ -124,6 +128,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             temps: HashMap::new(),
             policy,
             index_use: IndexUse::default(),
+            faithful: false,
             cache: None,
             log: Vec::new(),
         }
@@ -132,6 +137,16 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// Change whether index paths may be taken (default: cost-based).
     pub fn set_index_use(&mut self, index_use: IndexUse) {
         self.index_use = index_use;
+    }
+
+    /// Run the paper's literal plans (`UnnestOptions::faithful_1987`): the
+    /// canonical query joins whole base tables, every stored join result
+    /// carries every column, and the join method is chosen on Section 7's
+    /// page counts alone. Default off: each FROM input with conjuncts of
+    /// its own is restricted and projected first, stored join results carry
+    /// the columns somebody reads, and the choice prices CPU as well.
+    pub fn set_faithful(&mut self, faithful: bool) {
+        self.faithful = faithful;
     }
 
     /// Attach the cross-query result cache for temp materializations.
@@ -448,7 +463,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                     return self.run_join(left, right, LogicalJoinKind::Inner, on, Some(pred));
                 }
                 let child = self.run_plan(input)?;
-                if let Some(out) = self.try_index_restrict(&child, pred)? {
+                if let Some(out) = self.try_index_restrict(&child, pred, None)? {
                     return Ok(out);
                 }
                 let cpred = CPred::compile(child.file.schema(), pred)?;
@@ -466,7 +481,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                     // The fused filter may route through an index first; the
                     // index pass applies the whole predicate, so the
                     // projection then runs unfiltered.
-                    if let Some(filtered) = self.try_index_restrict(&child, p)? {
+                    if let Some(filtered) = self.try_index_restrict(&child, p, None)? {
                         child = filtered;
                         pred = None;
                     }
@@ -487,7 +502,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                     // Distinct projection leaves the file whole-tuple sorted.
                     (0..file.schema().arity()).collect()
                 } else {
-                    remap_sort(&child.sorted_by, &exprs)
+                    remap_sort(&child.sorted_by, |src| projected_at(&exprs, src))
                 };
                 Ok(PlanOutput::stored(self.exec.storage(), file, sorted_by))
             }
@@ -521,7 +536,7 @@ impl<T: TableProvider> PlanExecutor<T> {
     ) -> Result<PlanOutput> {
         let l = self.run_plan(left)?;
         let r = self.run_plan(right)?;
-        let out = self.join(&l, &r, kind, on, residual, stored_rows, store)?;
+        let out = self.join(&l, &r, kind, on, residual, None, stored_rows, store)?;
         // Left before right, where the trace of record has them.
         drop(l);
         drop(r);
@@ -534,6 +549,10 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// that stores them has its page writes counted on the join, and one
     /// that keeps them in memory (the final join of a canonical query)
     /// writes nothing. `rows` counts what `deliver` made, for the node.
+    ///
+    /// `reads` lists the columns anything after this step reads: the rows
+    /// are built with those columns only, in the order of the concatenated
+    /// schema ([`JoinEmit`]). `None` emits every column.
     #[allow(clippy::too_many_arguments)]
     fn join<R>(
         &mut self,
@@ -542,10 +561,13 @@ impl<T: TableProvider> PlanExecutor<T> {
         kind: LogicalJoinKind,
         on: &[JoinPred],
         residual: Option<&Predicate>,
+        reads: Option<&[&ColumnRef]>,
         rows: impl FnOnce(&R) -> u64,
         deliver: impl FnOnce(&Exec, Relation, Vec<usize>) -> R,
     ) -> Result<R> {
         let combined = l.file.schema().join(r.file.schema());
+        let cols = reads.map(|reads| columns_read(&combined, reads));
+        let cols = cols.as_deref();
         let jkind = match kind {
             LogicalJoinKind::Inner => JoinKind::Inner,
             LogicalJoinKind::LeftOuter => JoinKind::LeftOuter,
@@ -584,7 +606,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         };
 
         let method = self.choose_join(l, r, jkind, &lkeys, &rkeys);
-                let probes = l.file.tuple_count();
+        let probes = l.file.tuple_count();
         self.log.push(method.explain(lkeys.len(), probes));
         let (probe_key, rows_in) = match &method {
             JoinMethod::IndexProbe { key, index } => {
@@ -614,22 +636,23 @@ impl<T: TableProvider> PlanExecutor<T> {
             let (lf, rf, residual) = (&l.file, &r.file, residual.as_ref());
             let rel = match &method {
                 JoinMethod::Hash => {
-                    exec.hash_join_collect(lf, rf, &lkeys, &rkeys, residual, jkind)?
+                    exec.hash_join_cols(lf, rf, &lkeys, &rkeys, residual, jkind, cols)?
                 }
-                JoinMethod::Merge { left_presorted, right_presorted } => exec
-                    .merge_join_collect(
-                        lf,
-                        rf,
-                        &lkeys,
-                        &rkeys,
-                        residual,
-                        jkind,
-                        *left_presorted,
-                        *right_presorted,
-                    )?,
-                JoinMethod::NestedLoop => exec.nl_join_collect(lf, rf, &folded(), jkind)?,
+                JoinMethod::Merge { left_presorted, right_presorted } => exec.merge_join_cols(
+                    lf,
+                    rf,
+                    &lkeys,
+                    &rkeys,
+                    residual,
+                    jkind,
+                    *left_presorted,
+                    *right_presorted,
+                    cols,
+                )?,
+                JoinMethod::NestedLoop => exec.nl_join_cols(lf, rf, &folded(), jkind, cols)?,
                 JoinMethod::IndexProbe { key, index } => {
                     let (storage, extra) = (exec.storage(), folded());
+                    let emit = JoinEmit::new(lf.schema(), rf.schema(), cols);
                     let mut rows = Vec::new();
                     for lt in lf.scan(storage) {
                         let probe = lt.get(lkeys[*key]);
@@ -637,22 +660,23 @@ impl<T: TableProvider> PlanExecutor<T> {
                             continue; // NULL never equals anything
                         }
                         for rt in index.probe_eq(storage, probe) {
-                            let mut vals = lt.values().to_vec();
-                            vals.extend(rt.values().iter().cloned());
-                            let t = Tuple::new(vals);
-                            if extra.accepts(&t)? {
-                                rows.push(t);
+                            if extra.accepts_row(&Joined::new(&lt, &rt))? {
+                                rows.push(emit.pair(&lt, &rt));
                             }
                         }
                     }
-                    Relation::new(combined, rows)?
+                    Relation::new(emit.schema(lf.schema(), rf.schema()), rows)?
                 }
             };
             // A merge join emits in key order; the other methods keep the
             // left input's.
             let sorted_by = match method {
-                JoinMethod::Merge { .. } => lkeys.clone(),
-                _ => l.sorted_by.clone(),
+                JoinMethod::Merge { .. } => &lkeys,
+                _ => &l.sorted_by,
+            };
+            let sorted_by = match cols {
+                Some(cols) => remap_sort(sorted_by, |src| cols.iter().position(|&c| c == src)),
+                None => sorted_by.clone(),
             };
             Ok(deliver(exec, rel, sorted_by))
         })
@@ -709,15 +733,18 @@ impl<T: TableProvider> PlanExecutor<T> {
             } else {
                 (st.leaf_pages as f64 / st.distinct_keys as f64).ceil().max(1.0)
             };
+            // Every page a probe touches is already a page in this formula,
+            // so it has no second term.
             let icost = index_nested_join_cost(
                 l.file.page_count() as f64,
                 l.file.tuple_count() as f64,
                 st.height as f64,
                 leaves_per_probe,
             );
-            let use_ix = self.index_use == IndexUse::Prefer || icost < nl.min(mj);
+            let use_ix =
+                self.index_use == IndexUse::Prefer || icost < nl.total().min(mj.total());
             self.log.push(format!(
-                "index join candidate {}: cost {:.1} vs nl {:.1} / mj {:.1} ({})",
+                "index join candidate {}: cost {:.1} vs nl {} / mj {} ({})",
                 index.name(),
                 icost,
                 nl,
@@ -728,6 +755,9 @@ impl<T: TableProvider> PlanExecutor<T> {
                 return JoinMethod::IndexProbe { key, index };
             }
         }
+        if !self.faithful && self.policy == JoinPolicy::CostBased {
+            self.log.push(format!("join choice: nl {nl} / mj {mj}"));
+        }
         let merge = JoinMethod::Merge {
             left_presorted: sorted_on(&l.sorted_by, lkeys),
             right_presorted: sorted_on(&r.sorted_by, rkeys),
@@ -736,40 +766,52 @@ impl<T: TableProvider> PlanExecutor<T> {
             JoinPolicy::ForceNestedLoop => JoinMethod::NestedLoop,
             JoinPolicy::ForceMergeJoin => merge,
             JoinPolicy::ForceHashJoin => JoinMethod::Hash,
-            JoinPolicy::CostBased if mj < nl => merge,
+            JoinPolicy::CostBased if mj.total() < nl.total() => merge,
             JoinPolicy::CostBased => JoinMethod::NestedLoop,
         }
     }
 
-    /// Section-7 page costs for the paper's two join methods on these
-    /// inputs: (nested loop, merge join).
+    /// What the paper's two join methods cost on these inputs: (nested
+    /// loop, merge join). The pages are Section 7's. Under the default
+    /// plans each method also carries the work it does in memory, which the
+    /// page count cannot see: the nested-loop kernel asks the pool for every
+    /// inner page once per outer tuple by design (an index may save CPU on
+    /// a page, never the page read), so an inner that fits `B − 1` pages
+    /// costs `Pl + Pr` reads and `Nl · Pr` buffer visits; the merge join
+    /// pushes every row of an unsorted input through the external sort.
     fn classic_join_costs(
         &self,
         l: &PlanOutput,
         r: &PlanOutput,
         lkeys: &[usize],
         rkeys: &[usize],
-    ) -> (f64, f64) {
+    ) -> (JoinCost, JoinCost) {
         let b = self.exec.storage().buffer_pages() as f64;
         let (lp, rp) = (l.file.page_count() as f64, r.file.page_count() as f64);
-        let nl = if rp <= b - 1.0 {
-            lp + rp
-        } else {
-            lp + l.file.tuple_count() as f64 * rp
-        };
-        let l_sort = if sorted_on(&l.sorted_by, lkeys) { 0.0 } else { sort_cost(lp, b) };
-        let r_sort = if sorted_on(&r.sorted_by, rkeys) { 0.0 } else { sort_cost(rp, b) };
-        (nl, l_sort + r_sort + lp + rp)
+        let (ln, rn) = (l.file.tuple_count() as f64, r.file.tuple_count() as f64);
+        let nl = if rp <= b - 1.0 { lp + rp } else { lp + ln * rp };
+        let (l_sorted, r_sorted) = (sorted_on(&l.sorted_by, lkeys), sorted_on(&r.sorted_by, rkeys));
+        let l_sort = if l_sorted { 0.0 } else { sort_cost(lp, b) };
+        let r_sort = if r_sorted { 0.0 } else { sort_cost(rp, b) };
+        let mj = l_sort + r_sort + lp + rp;
+        let sorted_rows = if l_sorted { 0.0 } else { ln } + if r_sorted { 0.0 } else { rn };
+        let cpu = |work: f64, unit, per_page_io| (!self.faithful).then_some((work, unit, per_page_io));
+        (
+            JoinCost { pages: nl, cpu: cpu(ln * rp, "visits", VISITS_PER_PAGE_IO) },
+            JoinCost { pages: mj, cpu: cpu(sorted_rows, "rows sorted", SORTED_ROWS_PER_PAGE_IO) },
+        )
     }
 
     /// Try to satisfy `pred` over `out` (a base-table scan with live
     /// indexes) through a B+tree range scan: find a sargable conjunct on an
     /// index key, cost the index path against the full scan, and — when
-    /// chosen — return the fully filtered, key-ordered materialization.
+    /// chosen — return the fully filtered, key-ordered materialization, of
+    /// the columns `keep` only when given.
     fn try_index_restrict(
         &mut self,
         out: &PlanOutput,
         pred: &Predicate,
+        keep: Option<&[usize]>,
     ) -> Result<Option<PlanOutput>> {
         if self.index_use == IndexUse::Never || out.indexes.is_empty() {
             return Ok(None);
@@ -803,8 +845,11 @@ impl<T: TableProvider> PlanExecutor<T> {
             // so the index only has to deliver a superset of the matches.
             let cpred = CPred::compile(schema, pred)?;
             let storage = self.exec.storage().clone();
-            let out_schema = schema.clone();
-            let key_col = ix.key_col();
+            let out_schema = keep.map_or_else(|| schema.clone(), |keep| schema.project(keep));
+            let sorted_by = match keep {
+                Some(keep) => keep.iter().position(|&c| c == ix.key_col()).into_iter().collect(),
+                None => vec![ix.key_col()],
+            };
             let file = observed(
                 self.exec.obs(),
                 || format!("index scan {}", ix.name()),
@@ -814,15 +859,47 @@ impl<T: TableProvider> PlanExecutor<T> {
                     let mut rows = Vec::new();
                     for t in ix.range_scan(&storage, &lo, &hi) {
                         if cpred.accepts(&t)? {
-                            rows.push(t);
+                            rows.push(keep.map_or(t.clone(), |keep| t.project(keep)));
                         }
                     }
                     Ok(HeapFile::from_tuples(&storage, out_schema, rows))
                 },
             )?;
-            return Ok(Some(PlanOutput::stored(&storage, file, vec![key_col])));
+            return Ok(Some(PlanOutput::stored(&storage, file, sorted_by)));
         }
         Ok(None)
+    }
+
+    /// One pass of the paper's own first step — "restriction and
+    /// projection" of a relation, priced `P + Pt` — over the join input
+    /// `name`: the rows `pred` accepts, their columns `keep`, stored as an
+    /// intermediate of this statement with an operator node and an EXPLAIN
+    /// line of its own.
+    fn restrict_project(
+        &mut self,
+        name: &str,
+        inp: &PlanOutput,
+        pred: &Predicate,
+        keep: &[usize],
+    ) -> Result<PlanOutput> {
+        let schema = inp.file.schema();
+        let cpred = CPred::compile(schema, pred)?;
+        let exprs: Vec<CExpr> = keep.iter().map(|&c| CExpr::Col(c)).collect();
+        let exec = &self.exec;
+        let file = observed(
+            exec.obs(),
+            || format!("restrict+project {name}"),
+            0,
+            |f: &HeapFile| f.tuple_count() as u64,
+            || exec.restrict_project(&inp.file, &cpred, &exprs, schema.project(keep), false),
+        )?;
+        self.log.push(format!(
+            "restrict+project {name}: {} tuples, {} pages",
+            file.tuple_count(),
+            file.page_count()
+        ));
+        let sorted_by = remap_sort(&inp.sorted_by, |src| projected_at(&exprs, src));
+        Ok(PlanOutput::stored(exec.storage(), file, sorted_by))
     }
 
     // ------------------------------------------------------ canonical query
@@ -840,9 +917,9 @@ impl<T: TableProvider> PlanExecutor<T> {
                 "query with empty FROM".into(),
             )));
         }
-        // Resolve inputs. Whatever this statement materializes — an
-        // index-restricted input here, the join accumulator below — lives
-        // until the function returns, past the statement's last page read.
+        // Resolve inputs. Whatever this statement materializes — a
+        // restricted input here, the join accumulator below — lives until
+        // the function returns, past the statement's last page read.
         let mut inputs: Vec<PlanOutput> = q
             .from
             .iter()
@@ -856,32 +933,61 @@ impl<T: TableProvider> PlanExecutor<T> {
             .map(|p| p.conjuncts().into_iter().cloned().collect())
             .unwrap_or_default();
 
-        // Push single-table restrictions down into an index range scan
-        // where one applies and wins (the §7 extension: NEST-JA2's
-        // outer-column restriction takes the index path instead of riding
-        // along as a join residual). Inner-join-only pipeline, so early
-        // restriction is semantics-preserving.
-        if self.index_use != IndexUse::Never {
-            for (i, inp) in inputs.iter_mut().enumerate() {
-                if inp.indexes.is_empty() {
-                    continue;
-                }
-                let name = q.from[i].effective_name();
-                let only_mine = |p: &Predicate| {
-                    let refs = nsql_analyzer::resolve::predicate_column_refs(p);
-                    !refs.is_empty()
-                        && refs.iter().all(|c| c.table.as_deref() == Some(name))
-                };
+        // What the SELECT phase reads of the join result; with the
+        // conjuncts still pending at a step, everything later steps read.
+        // `None` carries every column: the literal plans, and a statement
+        // with an unqualified reference (whose input cannot be told here).
+        let tail_reads = Some(select_phase_refs(q))
+            .filter(|reads| !self.faithful && reads.iter().all(|c| c.table.is_some()))
+            .filter(|_| remaining.iter().all(|p| refs_of(p).iter().all(|c| c.table.is_some())));
+
+        // Restrict before the join. Inner-join-only pipeline, so early
+        // restriction is semantics-preserving, and a projection that keeps
+        // duplicates keeps every multiplicity.
+        for (i, inp) in inputs.iter_mut().enumerate() {
+            let name = q.from[i].effective_name();
+            let only_mine = |p: &Predicate| {
+                let refs = refs_of(p);
+                !refs.is_empty() && refs.iter().all(|c| c.table.as_deref() == Some(name))
+            };
+            let Some(tail_reads) = &tail_reads else {
+                // The paper's shape, whole tables into the join, but for the
+                // §7 extension: a restriction an index range scan can take
+                // and wins on goes through it instead of riding along as a
+                // join residual.
                 let mine: Vec<Predicate> =
                     remaining.iter().filter(|p| only_mine(p)).cloned().collect();
                 if mine.is_empty() {
                     continue;
                 }
-                if let Some(out) = self.try_index_restrict(inp, &Predicate::and(mine))? {
+                if let Some(out) = self.try_index_restrict(inp, &Predicate::and(mine), None)? {
                     remaining.retain(|p| !only_mine(p));
                     *inp = out;
                 }
+                continue;
+            };
+            // A conjunct moves below the join only if it cannot raise there
+            // on a row the join would never have paired; one that can stays
+            // a residual. An input without a conjunct to take stays the
+            // base table, indexes intact: copying it costs more than its
+            // narrower rows save.
+            let pushable =
+                |p: &Predicate| only_mine(p) && never_raises(inp.file.schema(), p);
+            let pushed: Vec<Predicate> =
+                remaining.iter().filter(|p| pushable(p)).cloned().collect();
+            if pushed.is_empty() {
+                continue;
             }
+            let mut reads: Vec<&ColumnRef> = tail_reads.clone();
+            reads.extend(remaining.iter().filter(|p| !pushable(p)).flat_map(refs_of));
+            let keep = columns_read(inp.file.schema(), &reads);
+            let pred = Predicate::and(pushed);
+            let out = match self.try_index_restrict(inp, &pred, Some(&keep))? {
+                Some(out) => out,
+                None => self.restrict_project(name, inp, &pred, &keep)?,
+            };
+            remaining.retain(|p| !pushable(p));
+            *inp = out;
         }
 
         let grouped = !q.group_by.is_empty() || q.has_aggregate_select();
@@ -913,14 +1019,20 @@ impl<T: TableProvider> PlanExecutor<T> {
                 if residual.is_empty() { None } else { Some(Predicate::and(residual)) };
             let left = acc.as_ref().unwrap_or(&inputs[0]);
             let (kind, residual) = (LogicalJoinKind::Inner, residual.as_ref());
+            let reads: Option<Vec<&ColumnRef>> = tail_reads.as_ref().map(|tail| {
+                tail.iter().copied().chain(remaining.iter().flat_map(refs_of)).collect()
+            });
+            let reads = reads.as_deref();
             if streamable && step + 1 == inputs.len() {
                 // Stream the final join straight into the projection.
                 let rows = |rel: &Relation| rel.len() as u64;
-                let rel = self.join(left, next, kind, &keys, residual, rows, |_, rel, _| rel)?;
+                let rel =
+                    self.join(left, next, kind, &keys, residual, reads, rows, |_, rel, _| rel)?;
                 return project_relation(q, &rel, force_distinct);
             }
             // Replacing the accumulator frees the previous step's file.
-            acc = Some(self.join(left, next, kind, &keys, residual, stored_rows, store)?);
+            acc =
+                Some(self.join(left, next, kind, &keys, residual, reads, stored_rows, store)?);
             acc_names.push(next_name);
         }
         let acc = acc.as_ref().unwrap_or(&inputs[0]);
@@ -1105,6 +1217,52 @@ fn stored_rows(out: &PlanOutput) -> u64 {
     out.file.tuple_count() as u64
 }
 
+/// Buffer visits — page requests the pool answers, hit or miss — that take
+/// as long as one counted page I/O, and rows through the external sort that
+/// do: the two constants that turn a join method's in-memory work into the
+/// page I/Os it is compared in.
+///
+/// From the benchmark's kernel probes on the development host (x20 tables,
+/// 4 KiB pages; `benchmark/run.sh big-unnest`, traced run): one page I/O is
+/// `storage.scan_ms` over SUPPLY's pages, 0.775 ms / 250 = 3.1 µs; one
+/// sorted row is `storage.sort_ms` over SUPPLY's rows, 9.43 ms / 30 000 =
+/// 0.31 µs, so 10 rows to the page I/O; one visit is at most
+/// `engine.nl_join_ms` over outer rows × inner pages, 72.2 ms / (2 000 ×
+/// 250) = 0.14 µs — there every visit misses a 64-page pool and pays the
+/// read as well. The term decides only where the inner fits the pool and
+/// the page formula says `Pl + Pr`; there every visit after the first pass
+/// is a hit, measured at 0.03 µs (EXPERIMENTS.md "Restrict before you
+/// join", ablation 1: 499 975 hits, 14 ms), so about 100 to the page I/O.
+/// Rounded down to powers of two, which keeps the ratio at the 8 visits to
+/// a sorted row that held on all fourteen transformed shapes. To re-derive:
+/// run the traced benchmark, divide as above.
+const VISITS_PER_PAGE_IO: f64 = 64.0;
+const SORTED_ROWS_PER_PAGE_IO: f64 = 8.0;
+
+/// One join method's cost: Section 7's page I/Os and, under the default
+/// plans, its in-memory work as (count, unit, count per page I/O).
+#[derive(Clone, Copy)]
+struct JoinCost {
+    pages: f64,
+    cpu: Option<(f64, &'static str, f64)>,
+}
+
+impl JoinCost {
+    /// In page I/Os.
+    fn total(&self) -> f64 {
+        self.pages + self.cpu.map_or(0.0, |(work, _, per_page_io)| work / per_page_io)
+    }
+}
+
+impl std::fmt::Display for JoinCost {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.cpu {
+            Some((work, unit, _)) => write!(f, "{:.1} pages + {work:.0} {unit}", self.pages),
+            None => write!(f, "{:.1}", self.pages),
+        }
+    }
+}
+
 /// How one join step runs, with what that method needs beyond the keys.
 enum JoinMethod {
     /// Probe the right side's B+tree on equality key number `key` once per
@@ -1241,16 +1399,77 @@ fn compile_projection(
     Ok((exprs, Schema::new(cols)))
 }
 
-/// New sort-prefix after projecting through `exprs`.
-fn remap_sort(sorted_by: &[usize], exprs: &[CExpr]) -> Vec<usize> {
-    let mut out = Vec::new();
-    for &src in sorted_by {
-        match exprs.iter().position(|e| matches!(e, CExpr::Col(i) if *i == src)) {
-            Some(j) => out.push(j),
-            None => break, // prefix broken
+/// The column references of one predicate.
+fn refs_of(p: &Predicate) -> Vec<&ColumnRef> {
+    nsql_analyzer::resolve::predicate_column_refs(p)
+}
+
+/// What the SELECT phase of a flat query reads of its join result: select
+/// items and aggregate arguments, GROUP BY and ORDER BY keys.
+fn select_phase_refs(q: &QueryBlock) -> Vec<&ColumnRef> {
+    let items = q.select.iter().filter_map(|item| match &item.expr {
+        ScalarExpr::Column(c) | ScalarExpr::Aggregate(_, AggArg::Column(c)) => Some(c),
+        _ => None,
+    });
+    items.chain(&q.group_by).chain(q.order_by.iter().map(|k| &k.column)).collect()
+}
+
+/// Whether evaluating `p` over rows of `schema` cannot end in a type error:
+/// every comparison in it is between operands of one comparison class, by
+/// the columns' declared types (the test [`sargable_conjunct`] applies to
+/// an index bound; `NULL` compares with anything, to UNKNOWN).
+fn never_raises(schema: &Schema, p: &Predicate) -> bool {
+    // `Some(None)`: the `NULL` literal. `None`: not an operand of this input.
+    let class = |o: &Operand| match o {
+        Operand::Column(c) => schema
+            .try_resolve(c.table.as_deref(), &c.column)
+            .map(|i| Some(schema.columns()[i].ty)),
+        Operand::Literal(v) => Some(v.column_type()),
+        Operand::Subquery(_) => None,
+    };
+    let comparable = |a: Option<Option<ColumnType>>, b: Option<Option<ColumnType>>| match (a, b) {
+        (Some(a), Some(b)) => a.zip(b).is_none_or(|(a, b)| a.same_class(b)),
+        _ => false,
+    };
+    match p {
+        Predicate::And(ps) | Predicate::Or(ps) => ps.iter().all(|q| never_raises(schema, q)),
+        Predicate::Not(q) => never_raises(schema, q),
+        Predicate::Compare { left, right, .. } => comparable(class(left), class(right)),
+        Predicate::In { operand, rhs: nsql_sql::InRhs::List(list), .. } => {
+            list.iter().all(|v| comparable(class(operand), Some(v.column_type())))
         }
+        Predicate::IsNull { operand, .. } => class(operand).is_some(),
+        Predicate::In { .. } | Predicate::Exists { .. } | Predicate::Quantified { .. } => false,
     }
-    out
+}
+
+/// New sort-prefix after a projection that delivers input column `src` as
+/// output column `position(src)`: the prefix ends at the first sort column
+/// the projection drops.
+fn remap_sort(sorted_by: &[usize], position: impl Fn(usize) -> Option<usize>) -> Vec<usize> {
+    sorted_by.iter().map_while(|&src| position(src)).collect()
+}
+
+/// Position of input column `src` among the plain columns of `exprs`.
+fn projected_at(exprs: &[CExpr], src: usize) -> Option<usize> {
+    exprs.iter().position(|e| matches!(e, CExpr::Col(i) if *i == src))
+}
+
+/// The columns of `schema` that some reference in `reads` names, ascending.
+/// A reference to another input simply does not resolve here. Never empty:
+/// a result nobody reads a column of (`COUNT(*)` over a join) keeps its
+/// first, so that its rows still exist.
+fn columns_read(schema: &Schema, reads: &[&ColumnRef]) -> Vec<usize> {
+    let mut cols: Vec<usize> = reads
+        .iter()
+        .filter_map(|c| schema.try_resolve(c.table.as_deref(), &c.column))
+        .collect();
+    cols.sort_unstable();
+    cols.dedup();
+    if cols.is_empty() {
+        cols.push(0);
+    }
+    cols
 }
 
 fn sorted_on(sorted_by: &[usize], keys: &[usize]) -> bool {
@@ -1433,6 +1652,29 @@ mod tests {
         let (l, r) = (scan(&mut pe, "A"), scan(&mut pe, "B"));
         let picked = pe.choose_join(&l, &r, JoinKind::Inner, &[0], &[0]);
         assert!(matches!(picked, JoinMethod::NestedLoop), "{}", picked.label(1));
+    }
+
+    /// An inner of 40 pages in a 64-page pool under 2 000 outer rows: the
+    /// page formula says the nested loop costs `Pl + Pr` and takes it; the
+    /// default choice also counts its 80 000 buffer visits and sorts instead.
+    #[test]
+    fn a_resident_inner_of_many_pages_is_not_free() {
+        let mut cat = Catalog::new(Storage::new(64, 512));
+        let schema =
+            Schema::new(vec![Column::new("K", ColumnType::Int), Column::new("V", ColumnType::Int)]);
+        for (name, rows) in [("L", 2000i64), ("R", 1100)] {
+            let tuples = (0..rows).map(|i| Tuple::new(vec![Value::Int(i % 997), Value::Int(i)]));
+            cat.load_table(name, &Relation::new(schema.clone(), tuples.collect()).unwrap()).unwrap();
+        }
+        let inner_pages = cat.table("R").unwrap().page_count();
+        assert!((20..=63).contains(&inner_pages), "{inner_pages} pages: resident, and many");
+        for (faithful, want) in [(true, "nested-loop join (1 keys)"), (false, "merge join (1 keys)")] {
+            let mut pe = executor(&cat, JoinPolicy::CostBased);
+            pe.set_faithful(faithful);
+            let (l, r) = (pe.lookup("L", "L").unwrap(), pe.lookup("R", "R").unwrap());
+            let picked = pe.choose_join(&l, &r, JoinKind::Inner, &[0], &[0]);
+            assert_eq!(picked.label(1), want, "faithful = {faithful}: {:?}", pe.log);
+        }
     }
 
     #[test]

@@ -114,6 +114,41 @@ fn nested_iteration_caches_inner_blocks_across_queries() {
     assert_eq!((second.io.reads, second.io.writes), (first.io.reads, first.io.writes));
 }
 
+/// The plan shapes are part of an entry's fingerprint: a temporary recorded
+/// under the paper's literal plans is never an exact hit for the default
+/// plans, nor the reverse — their page-event traces differ — so against one
+/// cache each setting's first run is a miss, and every run counts the I/O of
+/// its own uncached run.
+#[test]
+fn literal_and_default_shapes_never_replay_each_other() {
+    let shapes = |faithful_1987| {
+        let unnest = UnnestOptions { faithful_1987, ..UnnestOptions::default() };
+        move |cache| QueryOptions { unnest: unnest.clone(), ..opts(&Strategy::Transform, cache) }
+    };
+    for first_literal in [false, true] {
+        let db = mem_db();
+        let mut rows = Vec::new();
+        for literal in [first_literal, !first_literal] {
+            let with = shapes(literal);
+            let want = mem_db().query_with(Q2, &with(CacheMode::Off)).unwrap();
+            let got = db.query_with(Q2, &with(CacheMode::On)).unwrap();
+            let log = got.explain.join("\n");
+            assert!(
+                log.contains("cache: miss") && !log.contains("cache: hit"),
+                "literal = {literal}: the other shape's entry answered:\n{log}"
+            );
+            assert_eq!((got.io.reads, got.io.writes), (want.io.reads, want.io.writes), "{log}");
+            // Its own second run is the exact hit, at the same counted I/O.
+            let again = db.query_with(Q2, &with(CacheMode::On)).unwrap();
+            assert!(again.explain.join("\n").contains("cache: hit"), "literal = {literal}");
+            assert_eq!((again.io.reads, again.io.writes), (want.io.reads, want.io.writes));
+            rows.push(col0_sorted(&got.relation));
+        }
+        assert_eq!(rows[0], rows[1]);
+        assert_eq!(rows[0], vec!["10", "8"]);
+    }
+}
+
 /// Satellite: an INSERT into the inner relation between two identical
 /// queries bumps that table's generation; the second query must miss and
 /// recompute against the new rows, on both strategies.
@@ -195,7 +230,7 @@ fn eviction_under_one_page_budget() {
 fn rewrite_declines_count_bug_sensitive_view() {
     let db = mem_db();
     let kim = QueryOptions {
-        unnest: UnnestOptions { ja_variant: JaVariant::KimOriginal, ..UnnestOptions::default() },
+        unnest: UnnestOptions { ja_variant: JaVariant::KimOriginal, ..UnnestOptions::faithful() },
         ..opts(&Strategy::Transform, CacheMode::On)
     };
     // Kim's answer is wrong (part 8 lost — the COUNT bug), but it does

@@ -28,6 +28,12 @@ const Q2: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
     (SELECT COUNT(SHIPDATE) FROM SUPPLY \
      WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)";
 
+/// Q2 with a simple predicate on the outer relation for the canonical query
+/// to restrict first.
+const Q_RESTRICTED: &str = "SELECT PNUM FROM PARTS WHERE PARTS.PNUM > 5 AND QOH = \
+    (SELECT COUNT(SHIPDATE) FROM SUPPLY \
+     WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)";
+
 /// An uncorrelated type-A query: still nested, so it still gets the
 /// three-way cost block (batched prices the evaluate-once plan, `d = 1`).
 const Q_TYPE_A: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
@@ -124,6 +130,47 @@ fn plain_and_analyze_reports_agree_on_decision_lines() {
             }
         }
     }
+}
+
+/// The plan-shapes line names the one switch's setting, identically in both
+/// reports, exactly where plans are built (the correlated strategies build
+/// none); and under the default shapes ANALYZE shows what they did — each
+/// restricted input on a line and as an operator node, both cost terms on
+/// the join-choice line — where the literal plans show neither.
+#[test]
+fn the_plan_shapes_line_names_what_ran() {
+    let db = mem_db();
+    let shapes = |r: &nsql_db::ExplainReport| {
+        r.strategy.iter().find(|l| l.starts_with("plan shapes:")).cloned()
+    };
+    for (name, strategy) in strategies() {
+        for (faithful_1987, line) in
+            [(false, "plan shapes: restricted inputs"), (true, "plan shapes: literal (1987)")]
+        {
+            let unnest = nsql_core::UnnestOptions { faithful_1987, ..Default::default() };
+            let o = QueryOptions { unnest, ..opts(&strategy, CacheMode::Off) };
+            let want = (strategy == Strategy::Transform).then(|| line.to_string());
+            let plain = db.explain_query(Q_RESTRICTED, false, &o).unwrap();
+            let analyzed = db.explain_query(Q_RESTRICTED, true, &o).unwrap();
+            assert_eq!(shapes(&plain), want, "[{name}] plain");
+            assert_eq!(shapes(&analyzed), want, "[{name}] ANALYZE");
+            if strategy != Strategy::Transform {
+                continue;
+            }
+            let text = analyzed.render_lines().join("\n");
+            let restricted = text.contains("restrict+project PARTS: 2 tuples, 1 pages");
+            let two_terms = text.contains(" pages + ") && text.contains(" visits / mj ");
+            assert_eq!(restricted, !faithful_1987, "{text}");
+            assert_eq!(two_terms, !faithful_1987, "{text}");
+            let obs = analyzed.obs.expect("ANALYZE collects a profile");
+            let node = obs.profile.iter().any(|root| has_node(root, "restrict+project PARTS"));
+            assert_eq!(node, !faithful_1987, "{:#?}", obs.profile);
+        }
+    }
+}
+
+fn has_node(node: &nsql_obs::ProfileNode, name: &str) -> bool {
+    node.name == name || node.children.iter().any(|c| has_node(c, name))
 }
 
 /// The exec-mode line has one source: a report that announces the mode

@@ -6,7 +6,7 @@
 //! merge join forced everywhere, serial and on two threads, on the memory
 //! and the file store.
 
-use nsql_db::{Database, JoinPolicy, QueryOptions, Strategy};
+use nsql_db::{Database, JoinPolicy, QueryOptions};
 use nsql_storage::IoSnapshot;
 use nsql_testkit::TempDir;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
@@ -75,13 +75,7 @@ struct Pinned {
 }
 
 fn run(db: &Database, sql: &str, policy: JoinPolicy, threads: usize) -> (Pinned, usize) {
-    let opts = QueryOptions {
-        strategy: Strategy::Transform,
-        join_policy: policy,
-        threads,
-        cold_start: true,
-        ..Default::default()
-    };
+    let opts = QueryOptions { join_policy: policy, threads, ..QueryOptions::transformed() };
     let before = db.storage().io_snapshot();
     let out = db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}"));
     let io = db.storage().io_snapshot().since(&before);

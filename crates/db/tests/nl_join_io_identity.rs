@@ -5,7 +5,7 @@
 //! policy (which picks the nested loop for NEST-JA2's small back-join) and
 //! with the nested loop forced everywhere, on the memory and the file store.
 
-use nsql_db::{Database, JoinPolicy, QueryOptions, Strategy};
+use nsql_db::{Database, JoinPolicy, QueryOptions};
 use nsql_storage::IoSnapshot;
 use nsql_testkit::TempDir;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
@@ -93,12 +93,7 @@ fn expected(sql: &str) -> Vec<i64> {
 /// Sorted `PNUM`s, the four-counter delta and the EXPLAIN lines of one
 /// cold-started transformed run.
 fn run(db: &Database, sql: &str, policy: JoinPolicy) -> (Vec<i64>, IoSnapshot, Vec<String>) {
-    let opts = QueryOptions {
-        strategy: Strategy::Transform,
-        join_policy: policy,
-        cold_start: true,
-        ..Default::default()
-    };
+    let opts = QueryOptions { join_policy: policy, ..QueryOptions::transformed() };
     let before = db.storage().io_snapshot();
     let out = db.query_with(sql, &opts).unwrap();
     let io = db.storage().io_snapshot().since(&before);

@@ -45,7 +45,7 @@ pub mod provider;
 pub use error::EngineError;
 pub use expr::{CExpr, Joined, Projector, Row};
 pub use nested_iter::NestedIter;
-pub use ops::{AggSpec, Exec, JoinKind};
+pub use ops::{AggSpec, Exec, JoinEmit, JoinKind};
 pub use pred::CPred;
 pub use provider::{MemoryProvider, TableProvider};
 

@@ -17,7 +17,7 @@
 //! (DESIGN.md "Vectorized execution"). Output order, errors and counted
 //! page I/O are identical between them.
 
-use super::{Exec, JoinKind};
+use super::{Exec, JoinEmit, JoinKind};
 use crate::expr::Joined;
 use crate::par::par_map_pages;
 use crate::pred::CPred;
@@ -43,7 +43,9 @@ impl Exec {
         kind: JoinKind,
     ) -> Result<HeapFile> {
         let schema = left.schema().join(right.schema());
-        let tuples = self.hash_join_tuples(left, right, left_keys, right_keys, residual, kind)?;
+        let emit = JoinEmit::new(left.schema(), right.schema(), None);
+        let tuples =
+            self.hash_join_tuples(left, right, left_keys, right_keys, residual, kind, emit)?;
         Ok(HeapFile::from_tuples(&self.storage, schema, tuples))
     }
 
@@ -58,11 +60,31 @@ impl Exec {
         residual: Option<&CPred>,
         kind: JoinKind,
     ) -> Result<Relation> {
-        let schema = left.schema().join(right.schema());
-        let tuples = self.hash_join_tuples(left, right, left_keys, right_keys, residual, kind)?;
-        Relation::new(schema, tuples).map_err(crate::EngineError::from)
+        self.hash_join_cols(left, right, left_keys, right_keys, residual, kind, None)
     }
 
+    /// [`hash_join_collect`](Exec::hash_join_collect) emitting only `cols`
+    /// of the concatenated row (every column when `None`; see
+    /// [`JoinEmit`]), on whichever kernel the executor runs.
+    #[allow(clippy::too_many_arguments)]
+    pub fn hash_join_cols(
+        &self,
+        left: &HeapFile,
+        right: &HeapFile,
+        left_keys: &[usize],
+        right_keys: &[usize],
+        residual: Option<&CPred>,
+        kind: JoinKind,
+        cols: Option<&[usize]>,
+    ) -> Result<Relation> {
+        let emit = JoinEmit::new(left.schema(), right.schema(), cols);
+        let tuples =
+            self.hash_join_tuples(left, right, left_keys, right_keys, residual, kind, emit)?;
+        Relation::new(emit.schema(left.schema(), right.schema()), tuples)
+            .map_err(crate::EngineError::from)
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn hash_join_tuples(
         &self,
         left: &HeapFile,
@@ -71,10 +93,12 @@ impl Exec {
         right_keys: &[usize],
         residual: Option<&CPred>,
         kind: JoinKind,
+        emit: JoinEmit<'_>,
     ) -> Result<Vec<Tuple>> {
         assert_eq!(left_keys.len(), right_keys.len(), "key lists must pair up");
         if self.vectorized {
-            return self.hash_join_tuples_vec(left, right, left_keys, right_keys, residual, kind);
+            return self
+                .hash_join_tuples_vec(left, right, left_keys, right_keys, residual, kind, emit);
         }
         // Observability: build/probe wall-clock lands on the current
         // operator. Instant is only sampled when an operator is attached,
@@ -125,7 +149,6 @@ impl Exec {
         let probe_start = op.as_ref().map(|_| std::time::Instant::now());
 
         // Probe with the left side.
-        let right_arity = right.schema().arity();
         let probe_one = |lt: &Tuple, out: &mut Vec<Tuple>| -> Result<()> {
             let mut matched = false;
             if !left_keys.iter().any(|&i| lt.get(i).is_null()) {
@@ -137,13 +160,13 @@ impl Exec {
                         };
                         if ok {
                             matched = true;
-                            out.push(lt.join(rt));
+                            out.push(emit.pair(lt, rt));
                         }
                     }
                 }
             }
             if !matched && kind == JoinKind::LeftOuter {
-                out.push(lt.join_nulls(right_arity));
+                out.push(emit.padded(lt));
             }
             Ok(())
         };
@@ -197,6 +220,7 @@ impl Exec {
         right_keys: &[usize],
         residual: Option<&CPred>,
         kind: JoinKind,
+        emit: JoinEmit<'_>,
     ) -> Result<Vec<Tuple>> {
         let op = self.current_op();
         let op_ref = op.as_deref();
@@ -283,7 +307,6 @@ impl Exec {
         }
         let probe_start = op.as_ref().map(|_| std::time::Instant::now());
 
-        let right_arity = right.schema().arity();
         // Probe one left batch row: verify hash candidates key-by-key, run
         // the residual on materialized tuples (same 3VL evaluation as the
         // row path), pad under LeftOuter.
@@ -309,13 +332,13 @@ impl Exec {
                         };
                         if ok {
                             matched = true;
-                            out.push(lt.join(&rt));
+                            out.push(emit.pair(lt, &rt));
                         }
                     }
                 }
             }
             if !matched && kind == JoinKind::LeftOuter {
-                out.push(lb.tuple(row).join_nulls(right_arity));
+                out.push(emit.padded(&lb.tuple(row)));
             }
             Ok(())
         };

@@ -1,6 +1,6 @@
 //! Join operators: nested-loop and sort-merge, inner and left outer.
 
-use super::{Exec, JoinKind};
+use super::{Exec, JoinEmit, JoinKind};
 use crate::expr::{CExpr, Joined};
 use crate::pred::CPred;
 use crate::Result;
@@ -212,7 +212,8 @@ impl Exec {
         kind: JoinKind,
     ) -> Result<HeapFile> {
         let schema = left.schema().join(right.schema());
-        let tuples = self.nl_join_tuples(left, right, on, kind)?;
+        let emit = JoinEmit::new(left.schema(), right.schema(), None);
+        let tuples = self.nl_join_tuples(left, right, on, kind, emit)?;
         Ok(HeapFile::from_tuples(&self.storage, schema, tuples))
     }
 
@@ -224,9 +225,24 @@ impl Exec {
         on: &CPred,
         kind: JoinKind,
     ) -> Result<Relation> {
-        let schema = left.schema().join(right.schema());
-        let tuples = self.nl_join_tuples(left, right, on, kind)?;
-        Relation::new(schema, tuples).map_err(crate::EngineError::from)
+        self.nl_join_cols(left, right, on, kind, None)
+    }
+
+    /// [`nl_join_collect`](Exec::nl_join_collect) emitting only `cols` of
+    /// the concatenated row (every column when `None`; see [`JoinEmit`]).
+    /// `on` is still a predicate over the whole concatenated schema.
+    pub fn nl_join_cols(
+        &self,
+        left: &HeapFile,
+        right: &HeapFile,
+        on: &CPred,
+        kind: JoinKind,
+        cols: Option<&[usize]>,
+    ) -> Result<Relation> {
+        let emit = JoinEmit::new(left.schema(), right.schema(), cols);
+        let tuples = self.nl_join_tuples(left, right, on, kind, emit)?;
+        Relation::new(emit.schema(left.schema(), right.schema()), tuples)
+            .map_err(crate::EngineError::from)
     }
 
     fn nl_join_tuples(
@@ -235,9 +251,9 @@ impl Exec {
         right: &HeapFile,
         on: &CPred,
         kind: JoinKind,
+        emit: JoinEmit<'_>,
     ) -> Result<Vec<Tuple>> {
         let keys = leading_keys(on, left.schema(), right.schema());
-        let right_arity = right.schema().arity();
         // Build/probe wall-clock lands on the current operator; Instant is
         // only sampled when one is attached.
         let op = self.current_op();
@@ -256,7 +272,7 @@ impl Exec {
             let mut try_pair = |rt: &Tuple| match on.accepts_row(&Joined::new(&lt, rt)) {
                 Ok(true) => {
                     matched = true;
-                    out.push(lt.join(rt));
+                    out.push(emit.pair(&lt, rt));
                 }
                 Ok(false) => {}
                 Err(e) => {
@@ -292,7 +308,7 @@ impl Exec {
                 return Err(e);
             }
             if !matched && kind == JoinKind::LeftOuter {
-                out.push(lt.join_nulls(right_arity));
+                out.push(emit.padded(&lt));
             }
             if let Some(ix) = building {
                 index = Some(ix);
@@ -341,6 +357,7 @@ impl Exec {
             kind,
             left_presorted,
             right_presorted,
+            JoinEmit::new(left.schema(), right.schema(), None),
         )?;
         Ok(HeapFile::from_tuples(&self.storage, schema, tuples))
     }
@@ -358,7 +375,37 @@ impl Exec {
         left_presorted: bool,
         right_presorted: bool,
     ) -> Result<Relation> {
-        let schema = left.schema().join(right.schema());
+        self.merge_join_cols(
+            left,
+            right,
+            left_keys,
+            right_keys,
+            residual,
+            kind,
+            left_presorted,
+            right_presorted,
+            None,
+        )
+    }
+
+    /// [`merge_join_collect`](Exec::merge_join_collect) emitting only
+    /// `cols` of the concatenated row (every column when `None`; see
+    /// [`JoinEmit`]). Keys index their own side and `residual` the whole
+    /// concatenated schema, as before.
+    #[allow(clippy::too_many_arguments)]
+    pub fn merge_join_cols(
+        &self,
+        left: &HeapFile,
+        right: &HeapFile,
+        left_keys: &[usize],
+        right_keys: &[usize],
+        residual: Option<&CPred>,
+        kind: JoinKind,
+        left_presorted: bool,
+        right_presorted: bool,
+        cols: Option<&[usize]>,
+    ) -> Result<Relation> {
+        let emit = JoinEmit::new(left.schema(), right.schema(), cols);
         let tuples = self.merge_join_tuples(
             left,
             right,
@@ -368,8 +415,10 @@ impl Exec {
             kind,
             left_presorted,
             right_presorted,
+            emit,
         )?;
-        Relation::new(schema, tuples).map_err(crate::EngineError::from)
+        Relation::new(emit.schema(left.schema(), right.schema()), tuples)
+            .map_err(crate::EngineError::from)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -383,6 +432,7 @@ impl Exec {
         kind: JoinKind,
         left_presorted: bool,
         right_presorted: bool,
+        emit: JoinEmit<'_>,
     ) -> Result<Vec<Tuple>> {
         assert_eq!(left_keys.len(), right_keys.len(), "key lists must pair up");
         let sorted = |file: &HeapFile, keys: &[usize], presorted: bool| {
@@ -400,6 +450,7 @@ impl Exec {
             right_keys,
             residual,
             kind,
+            emit,
         );
         // Whether the merge succeeded or not, the sorted copies go left
         // then right, after its last page read and before any result page
@@ -410,6 +461,7 @@ impl Exec {
     }
 
     /// Merge two files that lie in key order.
+    #[allow(clippy::too_many_arguments)]
     fn merge_sorted(
         &self,
         lfile: &HeapFile,
@@ -418,6 +470,7 @@ impl Exec {
         right_keys: &[usize],
         residual: Option<&CPred>,
         kind: JoinKind,
+        emit: JoinEmit<'_>,
     ) -> Result<Vec<Tuple>> {
         // Key columns are compared where the tuples lie on their buffered
         // pages; only group members (a reference-count bump each) and
@@ -430,7 +483,6 @@ impl Exec {
                 .find(|o| o.is_ne())
                 .unwrap_or(Ordering::Equal)
         };
-        let right_arity = rfile.schema().arity();
         let mut out = Vec::new();
         let mut lcur = PageCursor::new(&self.storage, lfile);
         let mut rcur = PageCursor::new(&self.storage, rfile);
@@ -468,12 +520,12 @@ impl Exec {
                     };
                     if ok {
                         matched = true;
-                        out.push(lt.join(rt));
+                        out.push(emit.pair(lt, rt));
                     }
                 }
             }
             if !matched && kind == JoinKind::LeftOuter {
-                out.push(lt.join_nulls(right_arity));
+                out.push(emit.padded(lt));
             }
             lcur.advance();
         }

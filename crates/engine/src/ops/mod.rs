@@ -39,7 +39,7 @@ use crate::Result;
 use nsql_obs::{OpCounters, Profile};
 use nsql_storage::sort::SortKey;
 use nsql_storage::{external_sort_threads, HeapFile, Storage, TempFile};
-use nsql_types::{Relation, Schema, Tuple};
+use nsql_types::{Relation, Schema, Tuple, Value};
 use std::sync::Arc;
 
 /// Inner or left-outer join.
@@ -50,6 +50,58 @@ pub enum JoinKind {
     /// Left outer join: unmatched left tuples appear once, padded with
     /// `NULL`s on the right (the paper's `^`).
     LeftOuter,
+}
+
+/// What a join emits for a pair that joined: the whole concatenated row
+/// `left ++ right`, or the listed columns of it. The one place every join
+/// kernel — nested loop, sort-merge, both hash kernels, and the plan
+/// layer's index probe — builds an output row, so a stored join result
+/// carries the columns somebody reads and no others are ever cloned.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinEmit<'a> {
+    cols: Option<&'a [usize]>,
+    split: usize,
+    right_arity: usize,
+}
+
+impl<'a> JoinEmit<'a> {
+    /// Emit `cols` — indices into the concatenated schema of `left` and
+    /// `right`, in output order — or every column when `None`.
+    pub fn new(left: &Schema, right: &Schema, cols: Option<&'a [usize]>) -> JoinEmit<'a> {
+        JoinEmit { cols, split: left.arity(), right_arity: right.arity() }
+    }
+
+    /// Schema of the emitted rows.
+    pub fn schema(&self, left: &Schema, right: &Schema) -> Schema {
+        let joined = left.join(right);
+        match self.cols {
+            Some(cols) => joined.project(cols),
+            None => joined,
+        }
+    }
+
+    /// The output row of the pair `lt`, `rt`.
+    pub fn pair(&self, lt: &Tuple, rt: &Tuple) -> Tuple {
+        match self.cols {
+            None => lt.join(rt),
+            Some(cols) => cols
+                .iter()
+                .map(|&c| if c < self.split { lt.get(c) } else { rt.get(c - self.split) }.clone())
+                .collect(),
+        }
+    }
+
+    /// The output row of a left tuple no right tuple joined: `NULL` in
+    /// every right column (the paper's `^`).
+    pub fn padded(&self, lt: &Tuple) -> Tuple {
+        match self.cols {
+            None => lt.join_nulls(self.right_arity),
+            Some(cols) => cols
+                .iter()
+                .map(|&c| if c < self.split { lt.get(c).clone() } else { Value::Null })
+                .collect(),
+        }
+    }
 }
 
 /// Input size, in tuples, from which an operator call of an executor that

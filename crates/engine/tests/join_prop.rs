@@ -122,6 +122,72 @@ fn all_join_algorithms_agree_with_residual_predicate() {
     );
 }
 
+/// A join that emits a column list builds exactly the rows its all-column
+/// form would, projected: every kernel (nested loop, sort-merge, row and
+/// batch hash), inner and left outer with its `NULL` padding, in the same
+/// order, under a residual that reads columns the list leaves out.
+#[test]
+fn emitted_columns_equal_the_projected_all_column_result() {
+    forall(
+        128,
+        "emitted_columns_equal_the_projected_all_column_result",
+        |rng| {
+            // A non-empty list of distinct columns of `L.K, L.V, R.K, R.V`,
+            // in any order.
+            let mut cols: Vec<usize> = (0..4).filter(|_| rng.gen_bool(0.5)).collect();
+            if cols.is_empty() {
+                cols.push(rng.gen_range(0usize..4));
+            }
+            if rng.gen_bool(0.3) {
+                cols.reverse();
+            }
+            (side(rng), side(rng), rng.gen_bool(0.5), cols)
+        },
+        |(left, right, outer, cols)| {
+            let st = Storage::with_defaults();
+            let l = file_of(&st, "L", left);
+            let r = file_of(&st, "R", right);
+            let kind = if *outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+            let on = compile_on(&l, &r, "L.K = R.K AND L.V < R.V");
+            let residual = compile_on(&l, &r, "L.V < R.V");
+            let (res, cols) = (Some(&residual), Some(cols.as_slice()));
+
+            let row = Exec::new(st.clone());
+            let batch = Exec::new(st.clone()).with_vectorized(true);
+            let kernels = [
+                (
+                    "nested loop",
+                    row.nl_join_cols(&l, &r, &on, kind, None),
+                    row.nl_join_cols(&l, &r, &on, kind, cols),
+                ),
+                (
+                    "merge",
+                    row.merge_join_cols(&l, &r, &[0], &[0], res, kind, false, false, None),
+                    row.merge_join_cols(&l, &r, &[0], &[0], res, kind, false, false, cols),
+                ),
+                (
+                    "hash",
+                    row.hash_join_cols(&l, &r, &[0], &[0], res, kind, None),
+                    row.hash_join_cols(&l, &r, &[0], &[0], res, kind, cols),
+                ),
+                (
+                    "batch hash",
+                    batch.hash_join_cols(&l, &r, &[0], &[0], res, kind, None),
+                    batch.hash_join_cols(&l, &r, &[0], &[0], res, kind, cols),
+                ),
+            ];
+            let cols = cols.unwrap();
+            for (kernel, all, listed) in kernels {
+                let (all, listed) = (all.unwrap(), listed.unwrap());
+                prop_assert_eq!(listed.schema(), &all.schema().project(cols), "{kernel} {kind:?}");
+                let projected: Vec<Tuple> = all.tuples().iter().map(|t| t.project(cols)).collect();
+                prop_assert_eq!(listed.tuples(), &projected[..], "{kernel} {kind:?} {cols:?}");
+            }
+            Ok(())
+        },
+    );
+}
+
 #[test]
 fn outer_join_covers_every_left_tuple_exactly_once_or_more() {
     forall(

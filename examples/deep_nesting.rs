@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. The recursive transformation, step by step.
-    let plan = db.plan(sql)?;
+    let plan = db.plan(sql, &UnnestOptions::faithful())?;
     println!("transformation trace (postorder nest_g):");
     for line in &plan.trace {
         println!("  · {line}");
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Execute both ways and compare.
     let ni = db.query_with(sql, &QueryOptions::nested_iteration())?;
     let opts = QueryOptions {
-        unnest: UnnestOptions { preserve_duplicates: true, ..Default::default() },
+        unnest: UnnestOptions { preserve_duplicates: true, ..UnnestOptions::faithful() },
         ..QueryOptions::transformed()
     };
     let tr = db.query_with(sql, &opts)?;

@@ -13,7 +13,7 @@ use nested_query_opt::db::{Database, QueryOptions, Strategy};
 fn kim() -> QueryOptions {
     QueryOptions {
         strategy: Strategy::Transform,
-        unnest: UnnestOptions { ja_variant: JaVariant::KimOriginal, ..Default::default() },
+        unnest: UnnestOptions { ja_variant: JaVariant::KimOriginal, ..UnnestOptions::faithful() },
         cold_start: true,
         ..Default::default()
     }
@@ -22,7 +22,7 @@ fn kim() -> QueryOptions {
 fn no_projection() -> QueryOptions {
     QueryOptions {
         strategy: Strategy::Transform,
-        unnest: UnnestOptions { ja_variant: JaVariant::Ja2NoProjection, ..Default::default() },
+        unnest: UnnestOptions { ja_variant: JaVariant::Ja2NoProjection, ..UnnestOptions::faithful() },
         cold_start: true,
         ..Default::default()
     }
@@ -99,6 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for line in &out.explain {
         println!("  {line}");
     }
-    println!("\nplan:\n{}", db.plan(q2)?);
+    println!("\nplan:\n{}", db.plan(q2, &UnnestOptions::faithful())?);
     Ok(())
 }

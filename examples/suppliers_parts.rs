@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let opts = QueryOptions {
             unnest: nested_query_opt::core::UnnestOptions {
                 preserve_duplicates: true,
-                ..Default::default()
+                ..nested_query_opt::core::UnnestOptions::faithful()
             },
             ..QueryOptions::transformed()
         };

@@ -70,29 +70,46 @@ if grep -rn 'set_var' crates src tests examples --include='*.rs'; then
     exit 1
 fi
 
-echo "==> one recorder"
-# A query is observed by one nsql_obs::Profile (DESIGN.md "Observability").
-# The span tracer, the operator-metrics registry and the engine's
-# current-operator slot it replaced must not come back under their names.
-if grep -rnwE 'Tracer|SpanNode|SpanId|MetricsRegistry|OpMetrics|OpSnapshot|ExecObs' \
-    crates/*/src crates/*/tests src tests examples --include='*.rs'; then
-    echo "FAIL: a second per-query recorder"
-    exit 1
-fi
+echo "==> deleted names stay deleted, and the 1987 switch stays off the default path"
+# One row per mechanism that was measured or reasoned away: the names it
+# went by (an extended regex), where they are looked for, the files that may
+# keep them (a regex on the path, `-` for none), and what finding one means.
+# A row that searches $non_test reads each file up to its `#[cfg(test)]`.
+# The last row is the same rule from the other side: `faithful_1987` restores
+# the paper's literal plans for the figures, the differential harness and
+# the examples that demonstrate them, so outside tests it is set only where
+# it is defined, by the named constructors, and by those three.
+everywhere='crates/*/src crates/*/tests src tests examples'
+non_test='crates/*/src src examples'
+while IFS='#' read -r names paths allowed meaning; do
+    # shellcheck disable=SC2086 # $paths is a list of globs
+    found=$(grep -rlE "$names" $paths --include='*.rs' | while read -r f; do
+        if echo "$f" | grep -qxE "$allowed"; then continue; fi
+        if [ "$paths" = "$non_test" ]; then
+            re="$names" awk -v f="$f" \
+                '/^#\[cfg\(test\)\]/ { exit } $0 ~ ENVIRON["re"] { print f ":" FNR ":" $0 }' "$f"
+        else
+            grep -nHE "$names" "$f"
+        fi
+    done || true)
+    if [ -n "$found" ]; then
+        echo "$found"
+        echo "FAIL: $meaning"
+        exit 1
+    fi
+done <<GATES
+\\b(Tracer|SpanNode|SpanId|MetricsRegistry|OpMetrics|OpSnapshot|ExecObs)\\b#$everywhere#-#a second per-query recorder beside nsql_obs::Profile (DESIGN.md "Observability")
+\\b(vec_exec|VPred|VOperand|Lane3|keep_lanes|vpred_from_cpred|stream_filter_vec|accumulate_int|accumulate_float|OverlayProvider)\\b#$everywhere#-#a second scan/fold kernel, or dead code deleted with it (DESIGN.md "Vectorized execution")
+\\b(is_temp|l_temp|r_temp|drop_child|drop_input|JoinResult)\\b|IXR_#crates/*/src#-#an ownership flag or the IXR_ pseudo-temporary; temporaries are owned TempFile values
+\\brebuild_indexes\\b#crates/*/src#-#the whole-table index rebuild; INSERT costs what it changes (DESIGN.md "Durability")
+\\blogical_rules\\b#$everywhere#-#the opt-in plan-rule switch; UnnestOptions::faithful_1987 replaced it (DESIGN.md "Configuration")
+faithful_1987 *[:=] *true|UnnestOptions::faithful\\(|set_faithful\\(true#$non_test#crates/core/src/nest_g\\.rs|crates/db/src/options\\.rs|crates/bench/src/.*|src/diff\\.rs|examples/.*#faithful_1987 is set on a path the default options reach
+GATES
 
-echo "==> one row kernel for scans and folds"
+echo "==> column batches stay inside the hash join"
 # Filters, projections and aggregate folds have one in-memory kernel, over
-# rows, and one compiled-predicate evaluator (CPred); the batch kernels
-# beside them measured slower on every workload and were deleted (DESIGN.md
-# "Vectorized execution"). Neither they, nor the typed accumulator entry
-# points only they called, nor the unused overlay provider may come back
-# under their names, and the one batch kernel left — the hash join — is the
-# only engine source that names the column-batch crate.
-if grep -rnwE 'vec_exec|VPred|VOperand|Lane3|keep_lanes|vpred_from_cpred|stream_filter_vec|accumulate_int|accumulate_float|OverlayProvider' \
-    crates/*/src crates/*/tests src tests examples --include='*.rs'; then
-    echo "FAIL: a second scan/fold kernel, or dead code deleted with it, is back"
-    exit 1
-fi
+# rows (DESIGN.md "Vectorized execution"); the one batch kernel left — the
+# hash join — is the only engine source that names the column-batch crate.
 if grep -rl 'nsql_vec' crates/engine/src --include='*.rs' | grep -vx 'crates/engine/src/ops/hash_join.rs'; then
     echo "FAIL: column batches used in the engine outside the hash join"
     exit 1
@@ -105,8 +122,6 @@ echo "==> temporaries are owned values"
 # the storage crate (the guard itself, the sort's run clean-up), where the
 # catalog replaces a table or an index, and in nested iteration, whose
 # once-only lists are written through trace views and so freed by `teardown`.
-# The flags and the pseudo-temporary that used to say who frees what must
-# not come back under their names.
 by_hand=$(grep -rlE '\.drop_pages\(' crates/*/src src --include='*.rs' | while read -r f; do
     case "$f" in
         crates/storage/src/*|crates/db/src/catalog.rs|crates/engine/src/nested_iter.rs) continue ;;
@@ -118,26 +133,16 @@ if [ -n "$by_hand" ]; then
     echo "FAIL: pages freed by hand outside the allow-list"
     exit 1
 fi
-if grep -rnwE 'is_temp|l_temp|r_temp|drop_child|drop_input|JoinResult' crates/*/src --include='*.rs' \
-    || grep -rn 'IXR_' crates/*/src --include='*.rs'; then
-    echo "FAIL: an ownership flag or the IXR_ pseudo-temporary is back"
-    exit 1
-fi
 
 echo "==> INSERT costs what it changes"
 # An INSERT writes again the pages it changes (HeapFile::append,
 # BTreeIndex::insert) and nothing else (DESIGN.md "Durability"). It must not
 # go back to scanning the table, recounting its distinct values or building
 # an index from it: outside tests an index is built in its own crate and by
-# CREATE INDEX only, and the whole-table rebuild must not come back under
-# its name.
+# CREATE INDEX only.
 fn_body() { # the body of method $2 (four-space indent) in file $1
     awk -v head="    pub fn $2(" 'index($0, head) == 1 { on = 1 } on { print } on && /^    }$/ { exit }' "$1"
 }
-if grep -rnw 'rebuild_indexes' crates/*/src --include='*.rs'; then
-    echo "FAIL: rebuild_indexes is back"
-    exit 1
-fi
 builds=$(grep -rl 'BTreeIndex::build(' crates/*/src src --include='*.rs' | while read -r f; do
     case "$f" in crates/index/src/*) continue ;; esac
     awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /BTreeIndex::build\(/ { print f ":" FNR }' "$f"

@@ -102,7 +102,7 @@ impl Shell {
             }
             Some(".explain") => {
                 let sql = line.trim_start_matches(".explain").trim();
-                match self.db.plan(sql) {
+                match self.db.plan(sql, &self.opts.unnest) {
                     Ok(plan) => {
                         for t in &plan.trace {
                             println!("  · {t}");

@@ -7,8 +7,10 @@
 //! tuple-at-a-time oracle (`nsql-oracle`) and with every engine pipeline —
 //! nested iteration at 1 and 4 threads, batched correlated evaluation at 1
 //! and 4 threads (plus a cache-on variant), the NEST-G transformation under
-//! each join policy, with the plan-rule fixpoint on, and the
-//! duplicate-collapsing `ForceDistinct` variant — and compares results at
+//! each join policy (every one with the plan rules on and its join inputs
+//! restricted first, as the default path runs), once more as the paper's
+//! literal plans, and the duplicate-collapsing `ForceDistinct` variant — and
+//! compares results at
 //! exactly the strength the paper promises:
 //!
 //! * nested iteration must be **bag-equal** to the oracle, always, at every
@@ -636,8 +638,9 @@ pub enum CaseOutcome {
     /// Every comparable pipeline agreed with the oracle. Each entry records
     /// the pipeline name, whether it was compared (`true`) or skipped under
     /// a divergence license / unsupported-class refusal (`false`), and how
-    /// many plan-rule firings its EXPLAIN output logged.
-    Agree(Vec<(&'static str, bool, u64)>),
+    /// many plan-rule firings and restricted join inputs its EXPLAIN output
+    /// logged.
+    Agree(Vec<(&'static str, bool, (u64, u64))>),
     /// A pipeline diverged from the oracle — the property failure.
     Diverge(String),
 }
@@ -751,13 +754,14 @@ fn pipelines() -> Vec<Pipeline> {
             transform: true,
             set_only: false,
         },
-        // The plan-rule fixpoint (predicate pushdown, projection pruning)
-        // over the temporary-table plans: off by default, so this is the
-        // one place it runs on whole queries.
+        // The paper's literal plans: no plan rules over the temporaries,
+        // whole-table join inputs, every column, pages-only join choice.
+        // Every other `tr-*` pipeline runs the default shapes, so this is
+        // the one place the figures' plans meet the oracle on whole queries.
         Pipeline {
-            name: "tr-rules",
+            name: "tr-literal",
             opts: QueryOptions {
-                unnest: UnnestOptions { logical_rules: true, ..Default::default() },
+                unnest: UnnestOptions { faithful_1987: true, ..Default::default() },
                 ..tr(JoinPolicy::CostBased, 1)
             },
             transform: true,
@@ -857,14 +861,14 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
         // where the reference errors, so they are not comparable.
         if let Some(n) = oracle_card {
             if p.transform {
-                report.push((p.name, SKIP, 0));
+                report.push((p.name, SKIP, (0, 0)));
                 continue;
             }
             match res {
                 Err(nsql_db::DbError::Engine(EngineError::ScalarSubqueryCardinality(m)))
                     if m == n =>
                 {
-                    report.push((p.name, COMPARED, 0));
+                    report.push((p.name, COMPARED, (0, 0)));
                 }
                 other => {
                     return CaseOutcome::Diverge(format!(
@@ -882,7 +886,7 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
             // License (a): ALL over an empty or NULL-containing set — the
             // MIN/MAX rewrite is not row-equivalent there.
             if notes.all_over_empty_or_null {
-                report.push((p.name, SKIP, 0));
+                report.push((p.name, SKIP, (0, 0)));
                 continue;
             }
             // License (b): a NULL correlation key was read and the query
@@ -890,14 +894,14 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
             // subquery / non-=ANY quantifier): the outer-join grouping
             // family diverges.
             if notes.null_outer_ref && agg_or_exists {
-                report.push((p.name, SKIP, 0));
+                report.push((p.name, SKIP, (0, 0)));
                 continue;
             }
             // License (c): an IN matched the same value in >1 inner row.
             // Join expansion changes multiplicities: compare as sets, or
             // skip outright when an aggregate would be inflated.
             if notes.dup_in_match && any_aggregate {
-                report.push((p.name, SKIP, 0));
+                report.push((p.name, SKIP, (0, 0)));
                 continue;
             }
             let set_only = p.set_only || notes.dup_in_match;
@@ -906,7 +910,7 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
                 // in an operand position, …): a typed refusal is not
                 // divergence. An executor `Unsupported` is — the
                 // transformation let through a plan it cannot run.
-                Err(nsql_db::DbError::Transform(_)) => report.push((p.name, SKIP, 0)),
+                Err(nsql_db::DbError::Transform(_)) => report.push((p.name, SKIP, (0, 0))),
                 // Join-form evaluation is eager: a type-incompatible
                 // comparison that nested iteration short-circuits past
                 // (simple predicates filter the row first) still evaluates
@@ -914,7 +918,7 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
                 // by construction, so this arm only fires on shrink
                 // candidates whose select list was rewritten cross-class.
                 Err(nsql_db::DbError::Engine(EngineError::Type(_)))
-                | Err(nsql_db::DbError::Type(_)) => report.push((p.name, SKIP, 0)),
+                | Err(nsql_db::DbError::Type(_)) => report.push((p.name, SKIP, (0, 0))),
                 Err(other) => {
                     return CaseOutcome::Diverge(format!(
                         "[{}] oracle succeeded but the pipeline errored: {other}\n{sql}\n\
@@ -938,8 +942,10 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
                             out.explain,
                         ));
                     }
-                    let rules = out.explain.iter().filter(|l| l.starts_with("rule ")).count();
-                    report.push((p.name, COMPARED, rules as u64));
+                    let lines = |prefix: &str| {
+                        out.explain.iter().filter(|l| l.starts_with(prefix)).count() as u64
+                    };
+                    report.push((p.name, COMPARED, (lines("rule "), lines("restrict+project "))));
                 }
             }
         } else {
@@ -953,7 +959,7 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
                             p.name, out.relation,
                         ));
                     }
-                    report.push((p.name, COMPARED, 0));
+                    report.push((p.name, COMPARED, (0, 0)));
                 }
                 Err(e) => {
                     return CaseOutcome::Diverge(format!(
@@ -1096,14 +1102,14 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
             // policy (see `check_case`).
             if let Some(n) = oracle_card {
                 if *is_transform {
-                    report.push((*name, SKIP, 0));
+                    report.push((*name, SKIP, (0, 0)));
                     continue;
                 }
                 match &off {
                     Err(nsql_db::DbError::Engine(EngineError::ScalarSubqueryCardinality(m)))
                         if *m == n =>
                     {
-                        report.push((*name, COMPARED, 0));
+                        report.push((*name, COMPARED, (0, 0)));
                     }
                     other => {
                         return CaseOutcome::Diverge(format!(
@@ -1121,7 +1127,7 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
                     || (notes.null_outer_ref && agg_or_exists)
                     || (notes.dup_in_match && any_aggregate))
             {
-                report.push((*name, SKIP, 0));
+                report.push((*name, SKIP, (0, 0)));
                 continue;
             }
             match &off {
@@ -1130,7 +1136,7 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
                 | Err(nsql_db::DbError::Type(_))
                     if *is_transform =>
                 {
-                    report.push((*name, SKIP, 0))
+                    report.push((*name, SKIP, (0, 0)))
                 }
                 Err(e) => {
                     return CaseOutcome::Diverge(format!(
@@ -1152,7 +1158,7 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
                             out.relation,
                         ));
                     }
-                    report.push((*name, COMPARED, 0));
+                    report.push((*name, COMPARED, (0, 0)));
                 }
             }
         }
@@ -1180,8 +1186,12 @@ pub struct PipelineStats {
     /// refusal.
     pub skipped: u64,
     /// Plan-rule firings (`rule …` lines) in the EXPLAIN output of the
-    /// compared cases; only a pipeline under `logical_rules` logs any.
+    /// compared cases; every transform pipeline but `tr-literal` logs some.
     pub rule_lines: u64,
+    /// Join inputs restricted and projected before the join
+    /// (`restrict+project …` lines) in the same output; again none under
+    /// `tr-literal`.
+    pub restricted_inputs: u64,
 }
 
 /// Run `cases` random differential cases under the testkit property runner
@@ -1206,7 +1216,7 @@ fn run_property_with(
         match check(case) {
             CaseOutcome::Agree(report) => {
                 let mut stats = stats.borrow_mut();
-                for (pname, compared, rule_lines) in report {
+                for (pname, compared, (rule_lines, restricted_inputs)) in report {
                     let entry = match stats.iter_mut().find(|s| s.name == pname) {
                         Some(e) => e,
                         None => {
@@ -1215,11 +1225,13 @@ fn run_property_with(
                                 compared: 0,
                                 skipped: 0,
                                 rule_lines: 0,
+                                restricted_inputs: 0,
                             });
                             stats.last_mut().expect("just pushed")
                         }
                     };
                     entry.rule_lines += rule_lines;
+                    entry.restricted_inputs += restricted_inputs;
                     if compared {
                         entry.compared += 1;
                     } else {

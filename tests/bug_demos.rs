@@ -77,7 +77,7 @@ fn ints(db: &Database, sql: &str, opts: &QueryOptions) -> Vec<i64> {
 fn kim_opts() -> QueryOptions {
     QueryOptions {
         strategy: Strategy::Transform,
-        unnest: UnnestOptions { ja_variant: JaVariant::KimOriginal, ..Default::default() },
+        unnest: UnnestOptions { ja_variant: JaVariant::KimOriginal, ..UnnestOptions::faithful() },
         cold_start: true,
         ..Default::default()
     }
@@ -86,7 +86,7 @@ fn kim_opts() -> QueryOptions {
 fn no_projection_opts() -> QueryOptions {
     QueryOptions {
         strategy: Strategy::Transform,
-        unnest: UnnestOptions { ja_variant: JaVariant::Ja2NoProjection, ..Default::default() },
+        unnest: UnnestOptions { ja_variant: JaVariant::Ja2NoProjection, ..UnnestOptions::faithful() },
         cold_start: true,
         ..Default::default()
     }
@@ -109,7 +109,7 @@ fn e3_count_bug_three_way() {
 fn e4_temp3_contents_match_section_5_2() {
     // The paper's TEMP3: {(3, 2), (10, 1), (8, 0)}.
     let db = kiessling_db();
-    let plan = db.plan(Q2).unwrap();
+    let plan = db.plan(Q2, &UnnestOptions::faithful()).unwrap();
     assert_eq!(plan.temps.len(), 3);
     let exec = nested_query_opt::engine::Exec::new(db.storage().clone());
     let mut pe = nested_query_opt::db::plan_exec::PlanExecutor::new(
@@ -170,7 +170,7 @@ fn e6_kim_temp5_contents() {
     let plan = nested_query_opt::core::transform_query(
         db.catalog(),
         &q,
-        &UnnestOptions { ja_variant: JaVariant::KimOriginal, ..Default::default() },
+        &UnnestOptions { ja_variant: JaVariant::KimOriginal, ..UnnestOptions::faithful() },
     )
     .unwrap();
     let exec = nested_query_opt::engine::Exec::new(db.storage().clone());
@@ -216,7 +216,7 @@ fn e7_inflated_temp_counts_without_projection() {
     let plan = nested_query_opt::core::transform_query(
         db.catalog(),
         &q,
-        &UnnestOptions { ja_variant: JaVariant::Ja2NoProjection, ..Default::default() },
+        &UnnestOptions { ja_variant: JaVariant::Ja2NoProjection, ..UnnestOptions::faithful() },
     )
     .unwrap();
     let exec = nested_query_opt::engine::Exec::new(db.storage().clone());
@@ -247,7 +247,7 @@ fn e8_nest_ja2_walkthrough_temp_tables() {
     // Section 6.1's three steps on the duplicates data:
     // TEMP1 = {3, 10, 8}; TEMP3 = {(3,2), (10,1), (8,0)}; result {3,10,8}.
     let db = section_5_4_db();
-    let plan = db.plan(Q2).unwrap();
+    let plan = db.plan(Q2, &UnnestOptions::faithful()).unwrap();
     let exec = nested_query_opt::engine::Exec::new(db.storage().clone());
     let mut pe = nested_query_opt::db::plan_exec::PlanExecutor::new(
         exec,
@@ -350,7 +350,7 @@ fn null_outer_join_key_survives_the_outer_join_but_not_the_back_join() {
     let ni = db.query_with(Q2, &QueryOptions::nested_iteration()).unwrap();
     assert_eq!(ni.relation.len(), 2, "{}", ni.relation);
 
-    let plan = db.plan(Q2).unwrap();
+    let plan = db.plan(Q2, &UnnestOptions::faithful()).unwrap();
     let exec = nested_query_opt::engine::Exec::new(db.storage().clone());
     let mut pe = nested_query_opt::db::plan_exec::PlanExecutor::new(
         exec,
@@ -423,7 +423,7 @@ fn restriction_after_join_kills_padded_rows_as_the_paper_warns() {
         strategy: Strategy::Transform,
         unnest: UnnestOptions {
             ja_variant: JaVariant::Ja2LateRestriction,
-            ..Default::default()
+            ..UnnestOptions::faithful()
         },
         cold_start: true,
         ..Default::default()

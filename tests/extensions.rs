@@ -98,7 +98,7 @@ fn any_all_rewrites_match_on_nonempty_inners() {
                 &QueryOptions {
                     unnest: nested_query_opt::core::UnnestOptions {
                         preserve_duplicates: true,
-                        ..Default::default()
+                        ..nested_query_opt::core::UnnestOptions::faithful()
                     },
                     ..QueryOptions::transformed_merge()
                 },

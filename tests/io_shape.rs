@@ -68,7 +68,7 @@ fn type_j_transformation_saves_at_least_80_percent() {
     let opts = QueryOptions {
         unnest: nested_query_opt::core::UnnestOptions {
             preserve_duplicates: true,
-            ..Default::default()
+            ..nested_query_opt::core::UnnestOptions::faithful()
         },
         ..QueryOptions::transformed_merge()
     };

@@ -36,7 +36,7 @@ fn check_set_equivalent(db: &Database, sql: &str) {
     let opts = QueryOptions {
         unnest: nested_query_opt::core::UnnestOptions {
             preserve_duplicates: true,
-            ..Default::default()
+            ..nested_query_opt::core::UnnestOptions::faithful()
         },
         ..QueryOptions::transformed_merge()
     };
@@ -137,7 +137,7 @@ fn depth_is_bounded_only_by_the_query() {
     let db = db();
     let sql = "SELECT SNO FROM S WHERE SNO IN (SELECT SNO FROM SP WHERE PNO IN \
                (SELECT PNO FROM P WHERE PNO IN (SELECT PNO FROM SP X WHERE QTY > 100)))";
-    let plan = db.plan(sql).unwrap();
+    let plan = db.plan(sql, &nested_query_opt::core::UnnestOptions::faithful()).unwrap();
     assert_eq!(plan.canonical.from.len(), 4);
     check_set_equivalent(&db, sql);
 }

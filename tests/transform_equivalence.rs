@@ -216,3 +216,76 @@ fn repeated_outer_correlation_column_resolves_in_ja2() {
         assert!(tr.same_bag(&ni), "policy {policy:?}\nNI:\n{ni}\nTR:\n{tr}");
     }
 }
+
+/// The rows and EXPLAIN lines of `sql` on the default path under `policy`.
+fn default_path(db: &Database, sql: &str, policy: JoinPolicy) -> (Vec<String>, String) {
+    let opts = QueryOptions {
+        strategy: Strategy::Transform,
+        join_policy: policy,
+        cold_start: true,
+        ..Default::default()
+    };
+    let out = db.query_with(sql, &opts).unwrap();
+    let mut rows: Vec<String> = out.relation.tuples().iter().map(|t| t.to_string()).collect();
+    rows.sort();
+    (rows, out.explain.join("\n"))
+}
+
+/// A restricted column holding NULLs on each side of NEST-JA2's outer join.
+/// `GRP = 0` is UNKNOWN on part 4 and `EPOCH < 50` on the only shipments of
+/// parts 2 and 5, so restricting early drops those rows exactly as the
+/// residual would have — and the outer join still pads part 2 (no shipment
+/// left) and part 3 (none at all) so that their COUNT reads 0.
+#[test]
+fn null_bearing_restricted_columns_keep_zero_counts() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE PARTS (PNUM INT, QOH INT, GRP INT);
+         CREATE TABLE SUPPLY (PNUM INT, QUAN INT, EPOCH INT);
+         INSERT INTO PARTS VALUES
+           (1, 2, 0), (2, 0, 0), (3, 0, 0), (4, 0, NULL), (5, 1, 0), (6, 0, 1);
+         INSERT INTO SUPPLY VALUES
+           (1, 7, 10), (1, 8, 20), (1, 9, 90), (2, 7, NULL), (5, 7, NULL), (5, 8, 30),
+           (6, 7, 99), (NULL, 7, 10);",
+    )
+    .unwrap();
+    let sql = "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH = \
+               (SELECT COUNT(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND EPOCH < 50)";
+    let ni = db.query_with(sql, &QueryOptions::nested_iteration()).unwrap().relation;
+    for policy in POLICIES {
+        let (rows, explain) = default_path(&db, sql, policy);
+        assert_eq!(rows, ["(1)", "(2)", "(3)", "(5)"], "policy {policy:?}\n{explain}");
+        assert_eq!(rows.len(), ni.len());
+        assert!(explain.contains("restrict+project PARTS: 4 tuples"), "{explain}");
+    }
+}
+
+/// Duplicate outer rows go through a restricted, projected input with their
+/// multiplicity: the projection below the join is not DISTINCT, so the two
+/// copies of part 1 each meet both of its shipments, flat and nested alike.
+#[test]
+fn duplicate_outer_rows_survive_a_restricted_projected_input() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE PARTS (PNUM INT, QOH INT, GRP INT);
+         CREATE TABLE SUPPLY (PNUM INT, QUAN INT, EPOCH INT);
+         INSERT INTO PARTS VALUES (1, 2, 0), (1, 2, 0), (2, 1, 0), (3, 2, 1);
+         INSERT INTO SUPPLY VALUES (1, 5, 10), (1, 6, 20), (2, 5, 10), (2, 6, 70), (3, 5, 10);",
+    )
+    .unwrap();
+    let flat = "SELECT PARTS.PNUM, SUPPLY.QUAN FROM PARTS, SUPPLY \
+                WHERE PARTS.GRP = 0 AND PARTS.PNUM = SUPPLY.PNUM AND SUPPLY.EPOCH < 50";
+    let nested = "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH = \
+                  (SELECT COUNT(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND EPOCH < 50)";
+    let want_flat = ["(1, 5)", "(1, 5)", "(1, 6)", "(1, 6)", "(2, 5)"];
+    let want_nested = ["(1)", "(1)", "(2)"];
+    for (sql, want) in [(flat, &want_flat[..]), (nested, &want_nested[..])] {
+        let ni = db.query_with(sql, &QueryOptions::nested_iteration()).unwrap().relation;
+        assert_eq!(ni.len(), want.len(), "{sql}");
+        for policy in POLICIES {
+            let (rows, explain) = default_path(&db, sql, policy);
+            assert_eq!(rows, want, "{sql}\npolicy {policy:?}\n{explain}");
+            assert!(explain.contains("restrict+project PARTS: 3 tuples"), "{explain}");
+        }
+    }
+}
