@@ -153,7 +153,7 @@ fn emitted_columns_equal_the_projected_all_column_result() {
             let (res, cols) = (Some(&residual), Some(cols.as_slice()));
 
             let row = Exec::new(st.clone());
-            let batch = Exec::new(st.clone()).with_vectorized(true);
+            let batch = Exec::new(st).with_vectorized(true);
             let kernels = [
                 (
                     "nested loop",
