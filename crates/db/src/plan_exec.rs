@@ -652,7 +652,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                 JoinMethod::NestedLoop => exec.nl_join_cols(lf, rf, &folded(), jkind, cols)?,
                 JoinMethod::IndexProbe { key, index } => {
                     let (storage, extra) = (exec.storage(), folded());
-                    let emit = JoinEmit::new(lf.schema(), rf.schema(), cols);
+                    let emit = JoinEmit::new(rf.schema(), cols);
                     let mut rows = Vec::new();
                     for lt in lf.scan(storage) {
                         let probe = lt.get(lkeys[*key]);
@@ -859,7 +859,10 @@ impl<T: TableProvider> PlanExecutor<T> {
                     let mut rows = Vec::new();
                     for t in ix.range_scan(&storage, &lo, &hi) {
                         if cpred.accepts(&t)? {
-                            rows.push(keep.map_or(t.clone(), |keep| t.project(keep)));
+                            rows.push(match keep {
+                                Some(keep) => t.project(keep),
+                                None => t,
+                            });
                         }
                     }
                     Ok(HeapFile::from_tuples(&storage, out_schema, rows))
@@ -937,9 +940,10 @@ impl<T: TableProvider> PlanExecutor<T> {
         // conjuncts still pending at a step, everything later steps read.
         // `None` carries every column: the literal plans, and a statement
         // with an unqualified reference (whose input cannot be told here).
-        let tail_reads = Some(select_phase_refs(q))
-            .filter(|reads| !self.faithful && reads.iter().all(|c| c.table.is_some()))
-            .filter(|_| remaining.iter().all(|p| refs_of(p).iter().all(|c| c.table.is_some())));
+        let qualified = |c: &&ColumnRef| c.table.is_some();
+        let tail_reads = (!self.faithful).then(|| select_phase_refs(q)).filter(|reads| {
+            reads.iter().all(qualified) && remaining.iter().flat_map(refs_of).all(|c| qualified(&c))
+        });
 
         // Restrict before the join. Inner-join-only pipeline, so early
         // restriction is semantics-preserving, and a projection that keeps
@@ -950,41 +954,33 @@ impl<T: TableProvider> PlanExecutor<T> {
                 let refs = refs_of(p);
                 !refs.is_empty() && refs.iter().all(|c| c.table.as_deref() == Some(name))
             };
-            let Some(tail_reads) = &tail_reads else {
-                // The paper's shape, whole tables into the join, but for the
-                // §7 extension: a restriction an index range scan can take
-                // and wins on goes through it instead of riding along as a
-                // join residual.
-                let mine: Vec<Predicate> =
-                    remaining.iter().filter(|p| only_mine(p)).cloned().collect();
-                if mine.is_empty() {
-                    continue;
-                }
-                if let Some(out) = self.try_index_restrict(inp, &Predicate::and(mine), None)? {
-                    remaining.retain(|p| !only_mine(p));
-                    *inp = out;
-                }
-                continue;
+            // Under the default plans a conjunct moves below the join only
+            // if it cannot raise there on a row the join would never have
+            // paired; one that can stays a residual.
+            let pushable = |p: &Predicate| {
+                only_mine(p) && (tail_reads.is_none() || never_raises(inp.file.schema(), p))
             };
-            // A conjunct moves below the join only if it cannot raise there
-            // on a row the join would never have paired; one that can stays
-            // a residual. An input without a conjunct to take stays the
-            // base table, indexes intact: copying it costs more than its
-            // narrower rows save.
-            let pushable =
-                |p: &Predicate| only_mine(p) && never_raises(inp.file.schema(), p);
             let pushed: Vec<Predicate> =
                 remaining.iter().filter(|p| pushable(p)).cloned().collect();
+            // An input without a conjunct to take stays the base table,
+            // indexes intact: copying it costs more than its narrower rows
+            // save.
             if pushed.is_empty() {
                 continue;
             }
-            let mut reads: Vec<&ColumnRef> = tail_reads.clone();
-            reads.extend(remaining.iter().filter(|p| !pushable(p)).flat_map(refs_of));
-            let keep = columns_read(inp.file.schema(), &reads);
+            let keep = tail_reads.as_ref().map(|tail| {
+                let later = remaining.iter().filter(|p| !pushable(p)).flat_map(refs_of);
+                let reads: Vec<&ColumnRef> = tail.iter().copied().chain(later).collect();
+                columns_read(inp.file.schema(), &reads)
+            });
             let pred = Predicate::and(pushed);
-            let out = match self.try_index_restrict(inp, &pred, Some(&keep))? {
-                Some(out) => out,
-                None => self.restrict_project(name, inp, &pred, &keep)?,
+            let out = match (self.try_index_restrict(inp, &pred, keep.as_deref())?, &keep) {
+                (Some(out), _) => out,
+                (None, Some(keep)) => self.restrict_project(name, inp, &pred, keep)?,
+                // The paper's shape: whole tables into the join but for the
+                // §7 extension, a restriction an index range scan takes and
+                // wins on; otherwise it rides along as a join residual.
+                (None, None) => continue,
             };
             remaining.retain(|p| !pushable(p));
             *inp = out;
@@ -1326,7 +1322,7 @@ enum ConjunctUse {
 /// Classify a conjunct relative to a join step combining `acc_names` (left)
 /// with `next_name` (right).
 fn classify_conjunct(p: &Predicate, acc_names: &[String], next_name: &str) -> ConjunctUse {
-    let refs = nsql_analyzer::resolve::predicate_column_refs(p);
+    let refs = refs_of(p);
     let available = |c: &ColumnRef| {
         c.table
             .as_deref()

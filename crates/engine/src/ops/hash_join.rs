@@ -43,7 +43,7 @@ impl Exec {
         kind: JoinKind,
     ) -> Result<HeapFile> {
         let schema = left.schema().join(right.schema());
-        let emit = JoinEmit::new(left.schema(), right.schema(), None);
+        let emit = JoinEmit::new(right.schema(), None);
         let tuples =
             self.hash_join_tuples(left, right, left_keys, right_keys, residual, kind, emit)?;
         Ok(HeapFile::from_tuples(&self.storage, schema, tuples))
@@ -77,7 +77,7 @@ impl Exec {
         kind: JoinKind,
         cols: Option<&[usize]>,
     ) -> Result<Relation> {
-        let emit = JoinEmit::new(left.schema(), right.schema(), cols);
+        let emit = JoinEmit::new(right.schema(), cols);
         let tuples =
             self.hash_join_tuples(left, right, left_keys, right_keys, residual, kind, emit)?;
         Relation::new(emit.schema(left.schema(), right.schema()), tuples)

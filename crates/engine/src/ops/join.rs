@@ -212,7 +212,7 @@ impl Exec {
         kind: JoinKind,
     ) -> Result<HeapFile> {
         let schema = left.schema().join(right.schema());
-        let emit = JoinEmit::new(left.schema(), right.schema(), None);
+        let emit = JoinEmit::new(right.schema(), None);
         let tuples = self.nl_join_tuples(left, right, on, kind, emit)?;
         Ok(HeapFile::from_tuples(&self.storage, schema, tuples))
     }
@@ -239,7 +239,7 @@ impl Exec {
         kind: JoinKind,
         cols: Option<&[usize]>,
     ) -> Result<Relation> {
-        let emit = JoinEmit::new(left.schema(), right.schema(), cols);
+        let emit = JoinEmit::new(right.schema(), cols);
         let tuples = self.nl_join_tuples(left, right, on, kind, emit)?;
         Relation::new(emit.schema(left.schema(), right.schema()), tuples)
             .map_err(crate::EngineError::from)
@@ -357,7 +357,7 @@ impl Exec {
             kind,
             left_presorted,
             right_presorted,
-            JoinEmit::new(left.schema(), right.schema(), None),
+            JoinEmit::new(right.schema(), None),
         )?;
         Ok(HeapFile::from_tuples(&self.storage, schema, tuples))
     }
@@ -405,7 +405,7 @@ impl Exec {
         right_presorted: bool,
         cols: Option<&[usize]>,
     ) -> Result<Relation> {
-        let emit = JoinEmit::new(left.schema(), right.schema(), cols);
+        let emit = JoinEmit::new(right.schema(), cols);
         let tuples = self.merge_join_tuples(
             left,
             right,

@@ -32,7 +32,7 @@ mod join;
 pub use agg::AggSpec;
 
 use crate::error::EngineError;
-use crate::expr::{CExpr, Projector};
+use crate::expr::{CExpr, Joined, Projector, Row};
 use crate::par::par_map_pages;
 use crate::pred::CPred;
 use crate::Result;
@@ -60,15 +60,14 @@ pub enum JoinKind {
 #[derive(Debug, Clone, Copy)]
 pub struct JoinEmit<'a> {
     cols: Option<&'a [usize]>,
-    split: usize,
     right_arity: usize,
 }
 
 impl<'a> JoinEmit<'a> {
-    /// Emit `cols` — indices into the concatenated schema of `left` and
-    /// `right`, in output order — or every column when `None`.
-    pub fn new(left: &Schema, right: &Schema, cols: Option<&'a [usize]>) -> JoinEmit<'a> {
-        JoinEmit { cols, split: left.arity(), right_arity: right.arity() }
+    /// Emit `cols` — indices into the concatenated schema of the left input
+    /// and `right`, in output order — or every column when `None`.
+    pub fn new(right: &Schema, cols: Option<&'a [usize]>) -> JoinEmit<'a> {
+        JoinEmit { cols, right_arity: right.arity() }
     }
 
     /// Schema of the emitted rows.
@@ -84,10 +83,10 @@ impl<'a> JoinEmit<'a> {
     pub fn pair(&self, lt: &Tuple, rt: &Tuple) -> Tuple {
         match self.cols {
             None => lt.join(rt),
-            Some(cols) => cols
-                .iter()
-                .map(|&c| if c < self.split { lt.get(c) } else { rt.get(c - self.split) }.clone())
-                .collect(),
+            Some(cols) => {
+                let row = Joined::new(lt, rt);
+                cols.iter().map(|&c| row.field(c).clone()).collect()
+            }
         }
     }
 
@@ -96,10 +95,9 @@ impl<'a> JoinEmit<'a> {
     pub fn padded(&self, lt: &Tuple) -> Tuple {
         match self.cols {
             None => lt.join_nulls(self.right_arity),
-            Some(cols) => cols
-                .iter()
-                .map(|&c| if c < self.split { lt.get(c).clone() } else { Value::Null })
-                .collect(),
+            Some(cols) => {
+                cols.iter().map(|&c| lt.values().get(c).cloned().unwrap_or(Value::Null)).collect()
+            }
         }
     }
 }
