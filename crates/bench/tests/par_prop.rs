@@ -6,7 +6,7 @@
 
 use nsql_bench::workload::{ja_workload, queries, WorkloadSpec, DEFAULT_SEED};
 use nsql_bench::{measure, Workload};
-use nsql_db::{Database, JoinPolicy, QueryOptions};
+use nsql_db::{Database, JoinPolicy, QueryOptions, Strategy};
 use nsql_obs::ProfileNode;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
 
@@ -89,6 +89,54 @@ fn nested_iteration_parallel_equals_serial_at_kim_scale() {
     check(&w, queries::TYPE_J, "ni/type-J/kim", &QueryOptions::nested_iteration());
 }
 
+/// The two refused shapes of the benchmark under the options its caller
+/// retries them with: the correlated block probes a tree bulk-loaded before
+/// the fan-out and spliced into the replay at its first probe (ISSUE 22), so
+/// rows, all four storage counters and the pages left in the pool are the
+/// serial run's at every thread count — nested iteration and batched.
+#[test]
+fn probing_blocks_parallel_equals_serial() {
+    const J_NOTIN: &str = "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH NOT IN \
+        (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)";
+    const JA_OR: &str = "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH = \
+        (SELECT COUNT(QUAN) FROM SUPPLY \
+        WHERE SUPPLY.PNUM = PARTS.PNUM OR SUPPLY.TAG = PARTS.SERIAL)";
+    for (spec, seed) in [(WorkloadSpec::small(), 7), (WorkloadSpec::kim_scale(), DEFAULT_SEED)] {
+        let w = ja_workload(spec, seed);
+        let storage = w.db.storage();
+        for strategy in [Strategy::NestedIteration, Strategy::Batched] {
+            for (name, sql) in [("j_notin", J_NOTIN), ("ja_or", JA_OR)] {
+                let run = |threads: usize| {
+                    let opts = QueryOptions {
+                        strategy,
+                        threads,
+                        cold_start: true,
+                        ..QueryOptions::default()
+                    };
+                    let before = storage.io_snapshot();
+                    let out = w.db.query_with(sql, &opts).unwrap();
+                    let probes = out.explain.iter().any(|l| l.contains(": probe temp index on "));
+                    assert!(probes, "{name}: {:#?}", out.explain);
+                    let resident: Vec<bool> = ["PARTS", "SUPPLY"]
+                        .iter()
+                        .flat_map(|t| w.db.catalog().table(t).unwrap().page_ids().to_vec())
+                        .map(|id| storage.page_resident(id))
+                        .collect();
+                    (out.relation, storage.io_snapshot().since(&before), resident)
+                };
+                let serial = run(1);
+                for t in SWEEP {
+                    let par = run(t);
+                    let tag = format!("{name}/{}/seed={seed}", strategy.name());
+                    assert_bit_identical(&tag, t, &serial.0, &par.0);
+                    assert_eq!(serial.1, par.1, "{tag}: counters diverged at {t} threads");
+                    assert_eq!(serial.2, par.2, "{tag}: the pool holds other pages at {t} threads");
+                }
+            }
+        }
+    }
+}
+
 /// Float `SUM`/`AVG` must be *bit-identical* across thread counts — no ULP
 /// tolerance. The table mixes magnitudes (1e12 against 0.1 against 1e-9) so
 /// any naive reassociation of the sum at a morsel boundary changes the
@@ -162,16 +210,20 @@ fn assert_additive(tag: &str, node: &ProfileNode) {
 #[test]
 fn observe_leaves_io_trace_and_results_byte_identical() {
     let w = ja_workload(WorkloadSpec::small(), DEFAULT_SEED);
+    let mut probing = 0;
     for threads in [1usize, 4] {
         for (name, sql) in QUERIES.into_iter().chain([("flat-join", FLAT_JOIN)]) {
             // The paper's plans under each strategy, then the default path:
             // an input it restricts first is an operator node of its own
-            // (type-J, flat-join), and the tree must still add up.
+            // (type-J, flat-join), as is the tree a probing block of nested
+            // iteration builds (the three correlated shapes), and the tree
+            // must still add up.
             for base in [
                 QueryOptions::nested_iteration(),
                 QueryOptions::transformed(),
                 QueryOptions::batched(),
                 QueryOptions::default(),
+                QueryOptions { strategy: Strategy::NestedIteration, ..QueryOptions::default() },
             ] {
                 let base = QueryOptions { threads, cold_start: true, ..base };
                 let s0 = w.db.storage().io_snapshot();
@@ -196,6 +248,11 @@ fn observe_leaves_io_trace_and_results_byte_identical() {
                 for root in &obs.profile {
                     assert_additive(&tag, root);
                 }
+                let probes = observed.explain.iter().any(|l| l.contains(": probe temp index"));
+                let built =
+                    obs.profile.iter().any(|r| r.find("build temp index on PNUM").is_some());
+                assert_eq!(built, probes, "{tag}: {:#?}", obs.profile);
+                probing += usize::from(probes);
                 let charged = |of: Quantity| obs.profile.iter().map(of).sum::<u64>();
                 assert_eq!(
                     (charged(|n| n.io.reads), charged(|n| n.io.writes)),
@@ -205,6 +262,7 @@ fn observe_leaves_io_trace_and_results_byte_identical() {
             }
         }
     }
+    assert_eq!(probing, 2 * 3, "type-J and both type-JA shapes probe by default, at either count");
 }
 
 #[test]

@@ -320,11 +320,15 @@ impl Database {
         } else {
             opts.threads
         };
+        // A count nobody named — neither the options nor the environment —
+        // is what the operators may use, not what they must: each fans out
+        // by the size of its own input.
+        let budget = opts.threads == 0 && !nsql_exec_par::threads_named();
         let cache_mode = opts.cache.resolve();
         let mut temps = Vec::new();
         let (relation, explain) = match opts.strategy {
             Strategy::NestedIteration | Strategy::Batched => {
-                self.run_correlated(q, opts, threads, profile)?
+                self.run_correlated(q, opts, threads, budget, profile)?
             }
             Strategy::Transform | Strategy::Auto => {
                 let mut unnest = opts.unnest.clone();
@@ -343,10 +347,7 @@ impl Database {
                 let mut explain = header_lines(opts, plan.temp_count());
                 explain.extend(plan.trace.iter().cloned());
                 explain.push(format!("canonical: {}", nsql_sql::print_query(&plan.canonical)));
-                // A count nobody named — neither the options nor the
-                // environment — is what the operators may use, not what they
-                // must: each fans out by the size of its own input.
-                let exec = if opts.threads == 0 && !nsql_exec_par::threads_named() {
+                let exec = if budget {
                     Exec::with_thread_budget(storage.clone(), threads)
                 } else {
                     Exec::with_threads(storage.clone(), threads)
@@ -410,22 +411,27 @@ impl Database {
     /// variant — on the one evaluator: same setup, same observation, one
     /// row kernel whatever the exec mode. They differ in the EXPLAIN line,
     /// the operator label and the entry point called. Returns the rows and
-    /// the EXPLAIN lines.
+    /// the EXPLAIN lines: the header, then each correlated block's access
+    /// path.
     fn run_correlated(
         &self,
         q: &QueryBlock,
         opts: &QueryOptions,
         threads: usize,
+        budget: bool,
         profile: &Profile,
     ) -> Result<(Relation, Vec<String>)> {
         let batched = opts.strategy == Strategy::Batched;
         let mut explain = header_lines(opts, 0);
         let cached = opts.cache.enabled();
         let mut evaluator = NestedIter::new(&self.catalog, self.catalog.storage().clone())
+            .with_faithful(opts.unnest.faithful_1987)
+            .with_thread_budget(budget)
             .with_obs(profile.clone());
         if cached {
             evaluator = evaluator.with_query_cache(Arc::clone(&self.cache));
         }
+        let access = evaluator.access_paths(q)?;
         let label = if batched { "execute: batched evaluation" } else { "execute: nested iteration" };
         let rel = observed(
             profile,
@@ -446,6 +452,7 @@ impl Database {
             let line = explain.last_mut().expect("header ends with the cache line");
             let _ = write!(line, ", inner-block {h} hit(s), {m} miss(es)");
         }
+        explain.extend(access.into_iter().map(|a| a.line));
         Ok((rel?, explain))
     }
 

@@ -14,17 +14,21 @@
 //! optimizer without statistics would assume.
 
 use crate::options::{QueryOptions, Strategy};
-use crate::{Database, Result};
+use crate::{Catalog, Database, Result};
 use nsql_analyzer::resolve::level_column_refs;
 use nsql_analyzer::{query_tree, NestingType};
 use nsql_core::cost::{
     batched_cost, ja2_cost, nested_iteration_cost_j, transformed_merge_join_cost,
     BatchedParams, Ja2Params, JoinMethod, StrategyCosts, StrategyKind,
 };
+use nsql_engine::nested_iter::BlockAccess;
+use nsql_engine::{NestedIter, TableProvider};
+use nsql_index::BTreeIndex;
 use nsql_obs::{Json, ProfileNode};
 use nsql_sql::QueryBlock;
-use nsql_storage::IoStats;
+use nsql_storage::{HeapFile, IoStats};
 use nsql_types::Schema;
+use std::sync::Arc;
 
 /// Size of one materialized temporary, reported by the plan executor.
 #[derive(Debug, Clone)]
@@ -294,7 +298,11 @@ impl Database {
         } else {
             // Plain EXPLAIN opens with the header lines an ANALYZE run would.
             let strategy = match opts.strategy {
-                Strategy::NestedIteration | Strategy::Batched => header_lines(opts, 0),
+                Strategy::NestedIteration | Strategy::Batched => {
+                    let mut lines = header_lines(opts, 0);
+                    lines.extend(self.access_paths(q, opts)?.into_iter().map(|a| a.line));
+                    lines
+                }
                 Strategy::Transform | Strategy::Auto => {
                     let plan = nsql_core::transform_query(self.catalog(), q, &opts.unnest)?;
                     let mut lines = header_lines(opts, plan.temp_count());
@@ -346,7 +354,7 @@ impl Database {
         // binding, pricing the evaluate-once plan). Flat queries have no
         // strategy choice and render no block.
         let strategy_costs = if first_subquery(q).is_some() {
-            self.strategy_costs_for(q, &temps, is_ja)
+            self.strategy_costs_for(q, &temps, is_ja, opts)
         } else {
             None
         };
@@ -364,6 +372,32 @@ impl Database {
             rows,
             obs,
         })
+    }
+
+    /// What nested iteration under `opts` would do with each correlated block
+    /// of `q`, asked of the evaluator itself — over a view of the catalog
+    /// that keeps no access statistics, since planning scans nothing.
+    fn access_paths<'q>(
+        &self,
+        q: &'q QueryBlock,
+        opts: &QueryOptions,
+    ) -> Result<Vec<BlockAccess<'q>>> {
+        struct Unobserved<'c>(&'c Catalog);
+        impl TableProvider for Unobserved<'_> {
+            fn get_table(&self, table: &str) -> Option<HeapFile> {
+                // (The statistics views are not catalog tables; they are
+                // served, uncounted themselves, by the counting seam.)
+                self.0.table(table).cloned().or_else(|| self.0.get_table(table))
+            }
+
+            fn get_indexes(&self, table: &str) -> Vec<Arc<BTreeIndex>> {
+                self.0.get_indexes(table)
+            }
+        }
+        let tables = Unobserved(self.catalog());
+        let evaluator = NestedIter::new(&tables, self.storage().clone())
+            .with_faithful(opts.unnest.faithful_1987);
+        Ok(evaluator.access_paths(q)?)
     }
 
     /// Section-7 parameters for the (first) nested block of `q`. Measured
@@ -407,9 +441,23 @@ impl Database {
         q: &QueryBlock,
         temps: &[TempStat],
         is_ja: bool,
+        opts: &QueryOptions,
     ) -> Option<StrategyCosts> {
         let p = self.ja2_params_for(q, temps)?;
-        let nested_iteration = nested_iteration_cost_j(p.pi, p.pj, p.b, p.fi_ni);
+        // What nested iteration would do to the block: the evaluator's own
+        // arithmetic (`nested_access_costs`) where it has a choice, the
+        // paper's worst case where it has none — a block that cannot probe,
+        // an uncorrelated one, any block under the 1987 switch.
+        let inner = first_subquery(q)?;
+        let access = self.access_paths(q, opts).ok()?;
+        let nested_iteration = access
+            .iter()
+            .find(|a| std::ptr::eq(a.block, inner))
+            .and_then(|a| a.costs)
+            .map_or_else(
+                || nested_iteration_cost_j(p.pi, p.pj, p.b, p.fi_ni),
+                |costs| p.pi + costs.chosen(),
+            );
         let transform = if is_ja {
             let methods = [JoinMethod::NestedLoop, JoinMethod::MergeJoin];
             let mut best = f64::INFINITY;

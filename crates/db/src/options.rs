@@ -34,7 +34,9 @@ impl JoinPolicy {
 /// Whether the executor may route restrictions and back-joins through
 /// B+tree indexes ([`crate::Catalog::create_index`]). Index paths change
 /// page-I/O counts, never results — the diff harness checks all three
-/// settings against the naive oracle.
+/// settings against the naive oracle. This governs the transformed path's
+/// plans; whether a correlated block of nested iteration probes an index is
+/// part of [`UnnestOptions::faithful_1987`]'s one switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexUse {
     /// Use an index path when the Section-7 extension says it is cheaper

@@ -23,6 +23,7 @@ use crate::Result;
 use nsql_cache::{judge_rewrite, RewriteJudgement, TempEntry};
 use nsql_core::cost::{index_nested_join_cost, index_restrict_cost, sort_cost};
 use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
+use nsql_engine::nested_iter::VISITS_PER_PAGE_IO;
 use nsql_engine::{
     AggSpec, CExpr, CPred, Exec, JoinEmit, JoinKind, Joined, Projector, TableProvider,
 };
@@ -1232,7 +1233,10 @@ fn stored_rows(out: &PlanOutput) -> u64 {
 /// Rounded down to powers of two, which keeps the ratio at the 8 visits to
 /// a sorted row that held on all fourteen transformed shapes. To re-derive:
 /// run the traced benchmark, divide as above.
-const VISITS_PER_PAGE_IO: f64 = 64.0;
+///
+/// The visits constant is `nsql_engine::nested_iter::VISITS_PER_PAGE_IO`:
+/// nested iteration prices the visits of its access paths at the same rate,
+/// and the engine cannot reach this crate.
 const SORTED_ROWS_PER_PAGE_IO: f64 = 8.0;
 
 /// One join method's cost: Section 7's page I/Os and, under the default

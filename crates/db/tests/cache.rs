@@ -101,7 +101,13 @@ fn transform_second_run_is_a_replayed_hit() {
 #[test]
 fn nested_iteration_caches_inner_blocks_across_queries() {
     let db = mem_db();
-    let on = opts(&Strategy::NestedIteration, CacheMode::On);
+    // Under the 1987 switch: a block that probes neither consults nor
+    // publishes (a hit would recharge a full scan it no longer reads), and
+    // whether this one probes is the planner's arithmetic, not this test's.
+    let on = QueryOptions {
+        unnest: UnnestOptions::faithful(),
+        ..opts(&Strategy::NestedIteration, CacheMode::On)
+    };
     let first = db.query_with(Q2, &on).unwrap();
     let log = first.explain.join("\n");
     assert!(log.contains("cache: mode on, inner-block"), "{log}");

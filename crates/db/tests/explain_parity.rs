@@ -169,6 +169,36 @@ fn the_plan_shapes_line_names_what_ran() {
     }
 }
 
+/// The correlated strategies say, per correlated block, where its tuples
+/// come from and why: the same line in both reports (the choice is made
+/// from counts before anything runs), none under the 1987 switch (nothing to
+/// choose) and none under the transformation (no block is iterated).
+#[test]
+fn access_path_lines_are_the_same_in_both_reports() {
+    let db = mem_db();
+    let blocks = |r: &nsql_db::ExplainReport| -> Vec<String> {
+        r.strategy.iter().filter(|l| l.starts_with("block ")).cloned().collect()
+    };
+    for (name, strategy) in strategies() {
+        for faithful_1987 in [false, true] {
+            let unnest = nsql_core::UnnestOptions { faithful_1987, ..Default::default() };
+            let o = QueryOptions { unnest, ..opts(&strategy, CacheMode::Off) };
+            let plain = blocks(&db.explain_query(Q2, false, &o).unwrap());
+            let analyzed = blocks(&db.explain_query(Q2, true, &o).unwrap());
+            assert_eq!(plain, analyzed, "[{name}] faithful_1987={faithful_1987}");
+            let want: &[&str] = if strategy == Strategy::Transform || faithful_1987 {
+                &[]
+            } else {
+                // Three parts, five shipments on one page, read once: nothing
+                // repays a build.
+                &["block SUPPLY: scan — est. 3 evaluations: scan 1 pages vs build 2 + probes 3 \
+                   (chose scan)"]
+            };
+            assert_eq!(plain, want, "[{name}] faithful_1987={faithful_1987}");
+        }
+    }
+}
+
 fn has_node(node: &nsql_obs::ProfileNode, name: &str) -> bool {
     node.name == name || node.children.iter().any(|c| has_node(c, name))
 }

@@ -6,6 +6,12 @@
 //! `Strategy::Batched`, at one and two threads, on the memory and the file
 //! store. An error raised inside the binding loop surfaces with the same
 //! value after the same counter delta.
+//!
+//! The constants are the paper's nested iteration — every page of the inner
+//! relation for every qualifying outer tuple — so every run is under the
+//! 1987 switch. What the default path does to the same statements, where a
+//! correlated block may probe a B+tree instead, is pinned in
+//! `default_path_io` and held to these rows by `ni_probe_prop`.
 
 use nsql_db::{Database, ExecMode, QueryOptions, Strategy};
 use nsql_storage::IoSnapshot;
@@ -166,6 +172,7 @@ fn configurations(strategy: Strategy) -> Vec<QueryOptions> {
                 strategy,
                 exec_mode,
                 threads,
+                unnest: nsql_core::UnnestOptions::faithful(),
                 cold_start: true,
                 ..Default::default()
             });

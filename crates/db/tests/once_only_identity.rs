@@ -5,7 +5,10 @@
 //! rows and all four storage counters of each to constants taken at the
 //! commit where the mark / recall / evaluate / store sequence was still
 //! written out per use site, serial and at two threads (where the blocks
-//! are pre-materialised under a trace and spliced in at first use).
+//! are pre-materialised under a trace and spliced in at first use). The
+//! constants are the paper's nested iteration, so the runs are under the
+//! 1987 switch: by default the correlated block of the last statement probes
+//! (`ni_probe_prop` holds that path to this one's rows).
 
 use nsql_db::{Database, QueryOptions, Strategy};
 use nsql_storage::IoSnapshot;
@@ -54,7 +57,8 @@ fn database() -> Database {
 }
 
 fn run(db: &Database, sql: &str, strategy: Strategy, threads: usize) -> (usize, IoSnapshot) {
-    let opts = QueryOptions { strategy, threads, cold_start: true, ..Default::default() };
+    let unnest = nsql_core::UnnestOptions::faithful();
+    let opts = QueryOptions { strategy, threads, unnest, cold_start: true, ..Default::default() };
     let before = db.storage().io_snapshot();
     let out = db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}"));
     (out.relation.len(), db.storage().io_snapshot().since(&before))

@@ -9,8 +9,11 @@
 //!   tuple of the outer relation which satisfies all simple predicates on
 //!   the outer relation" [SEL 79:33].
 //! * A *correlated* inner block is re-evaluated for every qualifying outer
-//!   tuple, re-scanning its relations through the buffer pool each time —
-//!   the repeated-retrieval cost the paper sets out to eliminate.
+//!   tuple. In the paper's model — and here under
+//!   [`NestedIter::with_faithful`] — each evaluation re-scans the block's
+//!   relations through the buffer pool: the repeated-retrieval cost
+//!   `Pi + fi·Ni·Pj` the paper sets out to eliminate. By default a block
+//!   takes its tuples by the cheaper access path (below).
 //! * An *uncorrelated* inner block (type-N/A) is evaluated once: a scalar
 //!   result is cached as a constant; a list result is materialized as a
 //!   temporary file and re-scanned per membership test, mirroring System
@@ -19,21 +22,68 @@
 //!   `MAX(∅)=NULL`, etc.; comparisons follow three-valued logic.
 //!
 //! Every correctness experiment in the paper compares a transformation
-//! against this evaluator's output, and every benchmark uses its measured
-//! page I/Os as the baseline.
+//! against this evaluator's output, and every figure uses the measured page
+//! I/Os of its faithful form as the baseline.
+//!
+//! # Two tuple sources
+//!
+//! System R's nested iteration probed an index on the correlation column
+//! where there was one [SEL 79]; the paper's cost model prices the case
+//! where there is none. Both are here. Before a query reads its first page,
+//! [`NestedIter::plan`] gives every correlated block an [`Access`]:
+//!
+//! * **Eligible** is a block over one FROM file whose simple conjuncts hold
+//!   a *key conjunct* — `column = outer reference` (either order), or an
+//!   `OR` of nothing but such equalities, over columns of one comparison
+//!   class — that only conjuncts statically unable to raise precede
+//!   (`Incomparable` is the one error a compiled conjunct has, so declared
+//!   column types decide; every evaluation checks the outer values it binds
+//!   against them as well).
+//! * **The tree** is the catalog's index on the key column, or a temporary
+//!   one: `BTreeIndex::bulk_load` — the counted external sort, then leaves
+//!   packed a page at a time — run at the block's first probe, kept in the
+//!   block's [`BlockInfo`] like an uncorrelated block's once-only list, and
+//!   freed by `teardown`.
+//! * **The choice** is arithmetic on counts ([`nested_access_costs`]): build
+//!   and probe when `build + N·(h + l) < N·Pj`, where `N` is the number of
+//!   evaluations System R's default selectivities predict. Nothing adapts at
+//!   run time, so the choice and every counted page are the same at every
+//!   thread count.
+//!
+//! A probing evaluation hands the binding loop `probe_eq(outer value)` in
+//! place of the file's pages — for an `OR`, the first key's matches, then
+//! those of the second the first equality is not TRUE of, and so on:
+//! disjoint by construction, so duplicates keep their multiplicity. **The
+//! predicate stays the arbiter**: every conjunct, the key conjunct
+//! included, runs on every candidate in WHERE order. The tree only leaves
+//! out tuples the key conjunct is certainly not TRUE of (NULL keys are not
+//! in it; a NULL outer value finds nothing), which no later conjunct sees
+//! under the scan either. Candidates arrive in key order, not file order;
+//! a correlated block's result is consumed as a scalar, a list or an
+//! aggregate (`SUM` and `AVG` are exact sums), so the order cannot show —
+//! except in *which* error is met first, so an evaluation that raises on
+//! the probe path is discarded and re-run by scan. A probing block neither
+//! consults nor publishes to the cross-query cache: a hit recharges a full
+//! scan, which is now the dearer thing.
+//!
+//! Everything else scans, as in 1987: the top-level block, a block over
+//! several files, one whose template declined, one whose key is off-class
+//! or follows a fallible conjunct, one the arithmetic says is evaluated too
+//! seldom to repay a build — EXPLAIN names which ([`NestedIter::access_paths`]).
 //!
 //! # One plan per block, one kernel per binding
 //!
 //! What the paper charges nested iteration for is the repeated page
-//! retrieval, and that is kept to the page: the one binding loop
-//! ([`NestedIter::bindings`]) calls `read_page` for every page of the
+//! retrieval, and on the scan path that is kept to the page: the one binding
+//! loop ([`NestedIter::bindings`]) calls `read_page` for every page of the
 //! block's outermost file, in file order, on every evaluation. Everything
 //! that does *not* depend on the binding is worked out once per block per
 //! query and kept in one value, the block's [`BlockInfo`]: its FROM files
 //! and scope schema, which WHERE conjuncts are simple and which nested, its
 //! free outer references (none ⇔ uncorrelated), its simple conjuncts
-//! compiled to a [`Template`], its cross-query cache signature and — for an
-//! uncorrelated block — its once-only result. What remains varies:
+//! compiled to a [`Template`], its cross-query cache signature, its access
+//! path with the trees it built and — for an uncorrelated block — its
+//! once-only result. What remains varies:
 //!
 //! * **per evaluation of the block** — each outer slot of the template is
 //!   looked up once in the scope chain ([`NestedIter::bind`]), giving one
@@ -60,9 +110,11 @@
 use crate::aggregate::AggState;
 use crate::error::EngineError;
 use crate::expr::CExpr;
-use crate::pred::{compare_values, not3, CPred, Template};
+use crate::ops::PAR_MIN_ROWS;
+use crate::pred::{compare_values, not3, CPred, TOperand, TPred, Template};
 use crate::provider::TableProvider;
 use crate::Result;
+use nsql_index::BTreeIndex;
 use nsql_analyzer::normalized_block_signature;
 use nsql_analyzer::resolve::{level_column_refs, predicate_column_refs};
 use nsql_sql::{
@@ -128,6 +180,10 @@ struct BlockInfo {
     signature: OnceLock<Option<Arc<BlockSig>>>,
     /// An uncorrelated block's result, evaluated at its first use.
     result: OnceLock<Cached>,
+    /// A correlated block's access path, set by [`NestedIter::plan`] before
+    /// the query's first page is read. Unset — the top-level block, an
+    /// uncorrelated one, every block under the 1987 switch — is a scan.
+    access: OnceLock<Access>,
 }
 
 impl BlockInfo {
@@ -144,6 +200,320 @@ impl BlockInfo {
             .flat_map(|p| p.conjuncts())
             .partition(|_| !*nested.next().expect("one flag per conjunct"))
     }
+}
+
+/// Where a correlated block's tuples come from: decided once per query, up
+/// front and from counts alone ([`NestedIter::plan`]), so the choice — and
+/// with it every counted page — is the same at every thread count.
+enum Access {
+    /// The block cannot probe, and why: every page of its FROM file(s) is
+    /// read on every evaluation, as in 1987.
+    Ineligible(&'static str),
+    /// It could, and the arithmetic says rescanning is cheaper.
+    Scan(AccessCosts),
+    /// `probe_eq` on the key conjunct's column(s).
+    Probe(ProbePlan),
+}
+
+/// How a block probes. Its *key conjunct* is the first simple conjunct of
+/// the form `column = outer reference` (either order), or an `OR` of such
+/// equalities, that only conjuncts unable to raise precede; the tuples it
+/// can be TRUE of come out of a B+tree per key column instead of a scan.
+struct ProbePlan {
+    /// The key conjunct's equalities in order (one, unless it is an `OR`).
+    keys: Vec<ProbeKey>,
+    /// The trees probed, one per distinct key column.
+    trees: Vec<KeyTree>,
+    /// Declared type of each outer slot of the block's template, where the
+    /// enclosing scopes resolve it. Heap files do not enforce their schema,
+    /// so each evaluation checks the values it binds against these.
+    outer_types: Vec<Option<ColumnType>>,
+    costs: AccessCosts,
+}
+
+/// One equality of a key conjunct: `trees[tree].col = outer slot`.
+struct ProbeKey {
+    tree: usize,
+    slot: usize,
+}
+
+struct KeyTree {
+    /// The key column, in the block's schema (one file, so the file's too).
+    col: usize,
+    /// The catalog's index on the column, or (`temporary`) one bulk-loaded
+    /// when the block first probes and freed by `teardown`. `None` inside:
+    /// the load met keys outside the column's class, and the block scans.
+    tree: OnceLock<Option<Arc<BTreeIndex>>>,
+    temporary: bool,
+}
+
+impl Access {
+    fn costs(&self) -> Option<AccessCosts> {
+        match self {
+            Access::Ineligible(_) => None,
+            Access::Scan(costs) => Some(*costs),
+            Access::Probe(plan) => Some(plan.costs),
+        }
+    }
+
+    /// The block's EXPLAIN line.
+    fn describe(&self, q: &QueryBlock, info: &BlockInfo) -> String {
+        let names: Vec<&str> = q.from.iter().map(|t| t.effective_name()).collect();
+        let block = names.join(", ");
+        match self {
+            Access::Ineligible(why) => format!("block {block}: scan ({why})"),
+            Access::Scan(costs) => format!("block {block}: scan — {costs} (chose scan)"),
+            Access::Probe(plan) => {
+                let trees: Vec<String> = plan
+                    .trees
+                    .iter()
+                    .map(|t| match t.tree.get() {
+                        Some(Some(ix)) if !t.temporary => ix.name().to_string(),
+                        _ => format!("temp index on {}", info.schema.columns()[t.col].name),
+                    })
+                    .collect();
+                let trees = trees.join(" and ");
+                format!("block {block}: probe {trees} — {} (chose probe)", plan.costs)
+            }
+        }
+    }
+}
+
+/// One correlated block's access path, as EXPLAIN reports it
+/// ([`NestedIter::access_paths`]).
+pub struct BlockAccess<'q> {
+    /// The block.
+    pub block: &'q QueryBlock,
+    /// `block SUPPLY: probe temp index on PNUM — est. … (chose probe)`, or
+    /// `… scan (<why it cannot probe>)`.
+    pub line: String,
+    /// The arithmetic behind the choice; `None` when the block cannot probe.
+    pub costs: Option<AccessCosts>,
+}
+
+/// What evaluating one correlated block costs by either path, in page-I/O
+/// equivalents ([`nested_access_costs`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AccessCosts {
+    /// Estimated evaluations of the block in the query (`fi·Ni`, multiplied
+    /// down the nesting chain).
+    pub evaluations: f64,
+    /// Rescanning the inner file on every evaluation.
+    pub scan: f64,
+    /// Building the trees that are not in the catalog (0 when all are).
+    pub build: f64,
+    /// Probing on every evaluation.
+    pub probes: f64,
+}
+
+impl AccessCosts {
+    /// Whether building and probing is the cheaper path.
+    pub fn probes_win(&self) -> bool {
+        self.build + self.probes < self.scan
+    }
+
+    /// Cost of the cheaper path.
+    pub fn chosen(&self) -> f64 {
+        (self.build + self.probes).min(self.scan)
+    }
+}
+
+impl std::fmt::Display for AccessCosts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "est. {:.0} evaluations: scan {:.0} pages vs ", self.evaluations, self.scan)?;
+        if self.build > 0.0 {
+            write!(f, "build {:.0} + ", self.build)?;
+        }
+        write!(f, "probes {:.0}", self.probes)
+    }
+}
+
+/// Buffer visits — page requests the pool answers, hit or miss — that take
+/// as long as one counted page I/O. Derived, with the sorted-rows rate, where
+/// the join choice uses both (`nsql-db`, `plan_exec.rs`); the access-path
+/// choice below prices its visits at the same rate, so it is defined once,
+/// here, where both crates reach it.
+pub const VISITS_PER_PAGE_IO: f64 = 64.0;
+
+/// The inner term of Section 7.4's nested-iteration cost `Pi + fi·Ni·Pj`
+/// ([KIM 82]; `nsql-core`'s `nested_iteration_cost_j`, which this crate
+/// cannot reach), by either access path: rescanning the `pj`-page inner file
+/// on each of `evaluations` evaluations, or paying `build` once and reading
+/// `pages_per_evaluation` index pages (`h + l` per key) on each — System R's
+/// `Pi + fi·Ni·(h + l)` [SEL 79]. `Pi` is left out: both paths read the
+/// outer relation once. As in the paper a file that fits `B − 1` pages is
+/// read once however often it is rescanned; every page either path asks the
+/// pool for is priced as a buffer visit on top, so that such a file is not
+/// free.
+pub fn nested_access_costs(
+    evaluations: f64,
+    pj: f64,
+    b: f64,
+    build: f64,
+    pages_per_evaluation: f64,
+) -> AccessCosts {
+    let rescanned = evaluations * pj;
+    let read = if pj <= b - 1.0 { pj.min(rescanned) } else { rescanned };
+    let probed = evaluations * pages_per_evaluation;
+    AccessCosts {
+        evaluations,
+        scan: read + rescanned / VISITS_PER_PAGE_IO,
+        build,
+        probes: probed + probed / VISITS_PER_PAGE_IO,
+    }
+}
+
+/// System R's selectivity factors for predicates it has no statistics on
+/// [SEL 79, Table 1]: `column = value` and `column1 = column2` 1/10, an
+/// open range (`<`, `<=`, `>`, `>=`) 1/3, `IN (list)` the list's length
+/// times the equality factor and at most 1/2; `AND` multiplies, `OR` is
+/// `F1 + F2 − F1·F2`, `NOT` (and so `!=`) is `1 − F`. A NULL test is not in
+/// the table; it is priced as an equality.
+const SEL_EQ: f64 = 1.0 / 10.0;
+const SEL_RANGE: f64 = 1.0 / 3.0;
+const SEL_IN_MAX: f64 = 1.0 / 2.0;
+
+/// Default selectivity of a simple predicate (see [`SEL_EQ`]).
+fn selectivity(p: &Predicate) -> f64 {
+    let not = |negated: bool, f: f64| if negated { 1.0 - f } else { f };
+    match p {
+        Predicate::And(ps) => ps.iter().map(selectivity).product(),
+        Predicate::Or(ps) => 1.0 - ps.iter().map(|q| 1.0 - selectivity(q)).product::<f64>(),
+        Predicate::Not(q) => 1.0 - selectivity(q),
+        Predicate::Compare { op: CompareOp::Eq, .. } => SEL_EQ,
+        Predicate::Compare { op: CompareOp::Ne, .. } => 1.0 - SEL_EQ,
+        Predicate::Compare { .. } => SEL_RANGE,
+        Predicate::In { negated, rhs: InRhs::List(list), .. } => {
+            not(*negated, (list.len() as f64 * SEL_EQ).min(SEL_IN_MAX))
+        }
+        Predicate::IsNull { negated, .. } => not(*negated, SEL_EQ),
+        // Nested conjuncts are not simple; nobody asks.
+        Predicate::In { rhs: InRhs::Subquery(_), .. }
+        | Predicate::Exists { .. }
+        | Predicate::Quantified { .. } => 1.0,
+    }
+}
+
+/// `2·P·log_{B−1}(P)`, the paper's price of the external sort [KIM 82:462]
+/// (`nsql-core`'s `sort_cost`; see [`nested_access_costs`]).
+fn sort_pages(pages: f64, b: f64) -> f64 {
+    if pages > 1.0 {
+        2.0 * pages * pages.log((b - 1.0).max(2.0))
+    } else {
+        0.0
+    }
+}
+
+/// What the arithmetic expects of a temporary tree on a `key`-typed column
+/// of a `pj`-page file, as (build, pages per probe). The tree is a clustered
+/// copy: `pj` leaves under levels of `page_size / entry width` fan-out
+/// (a string key is taken as 16 bytes). Building is
+/// `Pj + sort(Pj) + leaves + levels`: the sort, one read of the sorted file,
+/// one write per index page. A probe reads the levels and the leaves
+/// holding [`SEL_EQ`] of the tuples.
+fn temp_tree_estimate(pj: f64, key: ColumnType, page_size: usize, b: f64) -> (f64, f64) {
+    let key_width = match key {
+        ColumnType::Int | ColumnType::Float => 8,
+        ColumnType::Date => 4,
+        ColumnType::Bool => 1,
+        ColumnType::Str => 16,
+    };
+    // An entry is a `(separator, position)` tuple.
+    let fanout = (page_size / (2 + key_width + 8)).max(2) as f64;
+    let (mut level, mut nodes, mut height) = (pj, 0.0, 0.0);
+    while level > 1.0 {
+        level = (level / fanout).ceil();
+        nodes += level;
+        height += 1.0;
+    }
+    let build = pj + sort_pages(pj, b) + pj + nodes;
+    (build, height + (pj * SEL_EQ).ceil().max(1.0))
+}
+
+/// Whether every key in `tree` is of `ty`'s comparison class, from its
+/// statistics: classes are contiguous in the total order the leaves are in,
+/// so the smallest and the largest key speak for all. Heap files do not
+/// enforce their schema, and a key outside the class is one the scan's key
+/// comparison raises on where a probe would silently pass it by.
+fn keys_in_class(tree: &BTreeIndex, ty: ColumnType) -> bool {
+    let stats = tree.stats();
+    [&stats.min_key, &stats.max_key].into_iter().flatten().all(|k| ty.admits(k))
+}
+
+/// The `(column, outer slot)` pairs of a key conjunct: `Local = Outer` in
+/// either order, or an `OR` of nothing but those.
+fn key_equalities(c: &TPred) -> Option<Vec<(usize, usize)>> {
+    match c {
+        TPred::Cmp { left, op: CompareOp::Eq, right } => match (left, right) {
+            (TOperand::Local(col), TOperand::Outer(slot))
+            | (TOperand::Outer(slot), TOperand::Local(col)) => Some(vec![(*col, *slot)]),
+            _ => None,
+        },
+        TPred::Or(ds) if !ds.is_empty() => {
+            let pairs: Option<Vec<Vec<(usize, usize)>>> = ds
+                .iter()
+                .map(|d| key_equalities(d).filter(|_| matches!(d, TPred::Cmp { .. })))
+                .collect();
+            Some(pairs?.concat())
+        }
+        _ => None,
+    }
+}
+
+/// Whether evaluating `c` can raise. `Incomparable` — two non-NULL values
+/// of different classes meeting in a comparison — is the only error
+/// [`CPred::eval`] has, so a conjunct whose every comparison is between
+/// operands of one declared class (or with a NULL literal, which compares
+/// UNKNOWN with anything) cannot.
+fn infallible(c: &TPred, schema: &Schema, outer_types: &[Option<ColumnType>]) -> bool {
+    // `None`: a class nobody declared. `Some(None)`: the NULL literal.
+    let class = |o: &TOperand| match o {
+        TOperand::Local(i) => Some(Some(schema.columns()[*i].ty)),
+        TOperand::Outer(s) => outer_types[*s].map(Some),
+        TOperand::Lit(v) => Some(v.column_type()),
+    };
+    let comparable = |a: Option<Option<ColumnType>>, b: Option<Option<ColumnType>>| match (a, b) {
+        (Some(Some(a)), Some(Some(b))) => a.same_class(b),
+        (Some(None), Some(_)) | (Some(_), Some(None)) => true,
+        _ => false,
+    };
+    match c {
+        TPred::Const(_) | TPred::IsNull { .. } => true,
+        TPred::And(ps) | TPred::Or(ps) => ps.iter().all(|q| infallible(q, schema, outer_types)),
+        TPred::Not(q) => infallible(q, schema, outer_types),
+        TPred::Cmp { left, right, .. } => comparable(class(left), class(right)),
+        TPred::InList { expr, list, .. } => {
+            list.iter().all(|v| comparable(class(expr), Some(v.column_type())))
+        }
+    }
+}
+
+/// The declared type of outer reference `c` under the scope chain `scopes`
+/// (innermost first), by [`Env::lookup`]'s rule: the nearest scope that
+/// knows the name wins, an ambiguous one ends the search.
+fn declared_type(scopes: &[&Schema], c: &ColumnRef) -> Option<ColumnType> {
+    for schema in scopes {
+        match schema.resolve(c.table.as_deref(), &c.column) {
+            Ok(i) => return Some(schema.columns()[i].ty),
+            Err(nsql_types::TypeError::AmbiguousColumn(_)) => return None,
+            Err(_) => continue,
+        }
+    }
+    None
+}
+
+/// The tuples one run of the binding loop takes from the block's outermost
+/// file: those on the given pages, read now, or those a probe found.
+enum Tuples<'t> {
+    Pages(&'t [PageId]),
+    Found(Vec<Tuple>),
+}
+
+/// One evaluation's bind-once step ([`NestedIter::bind`]): the outer values
+/// by template slot, and the simple conjuncts with them in place.
+struct Bound {
+    outer: Vec<Value>,
+    conjuncts: Vec<CPred>,
 }
 
 /// The scope chain of the by-name interpreter, innermost first: borrowed
@@ -225,6 +595,11 @@ pub struct NestedIter<'a, T: TableProvider + ?Sized> {
     shared: Arc<IterShared>,
     profile: nsql_obs::Profile,
     query_cache: Option<Arc<QueryCache>>,
+    /// The paper's nested iteration to the page: no block probes.
+    faithful: bool,
+    /// Whether a thread count passed in is an upper bound and not a count
+    /// somebody named.
+    budget: bool,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -232,7 +607,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
-    /// Evaluator over `tables`, counting I/O against `storage`.
+    /// Evaluator over `tables`, counting I/O against `storage`. Correlated
+    /// blocks take the access path the arithmetic prefers (see the module
+    /// docs); [`with_faithful`](NestedIter::with_faithful) restores 1987.
     pub fn new(tables: &'a T, storage: Storage) -> Self {
         NestedIter {
             tables,
@@ -244,6 +621,39 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             }),
             profile: nsql_obs::Profile::default(),
             query_cache: None,
+            faithful: false,
+            budget: false,
+        }
+    }
+
+    /// With `true`, the paper's literal nested iteration: every evaluation
+    /// of every block reads every page of its FROM files, whatever indexes
+    /// exist or would repay building — the baseline of Section 7.4 and of
+    /// every figure, to the page.
+    pub fn with_faithful(mut self, faithful: bool) -> Self {
+        self.faithful = faithful;
+        self
+    }
+
+    /// With `true`, a thread count passed to
+    /// [`eval_query_threads`](NestedIter::eval_query_threads) or
+    /// [`eval_query_batched`](NestedIter::eval_query_batched) is what the
+    /// evaluator may use, not what it must — for a caller whose count nobody
+    /// named. The rule and the constant are [`Exec::with_thread_budget`]'s
+    /// (crate::Exec::with_thread_budget): an input under 16 384 tuples is
+    /// not fanned out over.
+    pub fn with_thread_budget(mut self, budget: bool) -> Self {
+        self.budget = budget;
+        self
+    }
+
+    /// Workers for a step over `rows` tuples when the caller offers
+    /// `threads`.
+    fn workers_for(&self, rows: usize, threads: usize) -> usize {
+        if self.budget && rows < PAR_MIN_ROWS {
+            1
+        } else {
+            threads
         }
     }
 
@@ -291,25 +701,262 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             shared: Arc::clone(&self.shared),
             profile: self.profile.clone(),
             query_cache: self.query_cache.clone(),
+            faithful: self.faithful,
+            budget: self.budget,
         }
     }
 
     /// Evaluate a top-level query.
     pub fn eval_query(&self, q: &QueryBlock) -> Result<Relation> {
-        let result = self.eval_block(q, &Env::default());
+        let result = self.plan(q).and_then(|()| self.eval_block(q, &Env::default()));
         self.teardown();
         result
     }
 
     /// Everything in the block map is per-query: its keys are AST addresses,
     /// stable only within one query's borrow, and the materialized lists of
-    /// uncorrelated blocks are temporaries — drop their pages.
+    /// uncorrelated blocks and the trees probing blocks built are
+    /// temporaries — drop their pages.
     fn teardown(&self) {
         for (_, info) in lock(&self.shared.blocks).drain() {
             if let Some(Cached::List(f)) = info.result.get() {
                 f.drop_pages(&self.storage);
             }
+            if let Some(Access::Probe(plan)) = info.access.get() {
+                for t in plan.trees.iter().filter(|t| t.temporary) {
+                    if let Some(Some(tree)) = t.tree.get() {
+                        tree.drop_pages(&self.storage);
+                    }
+                }
+            }
         }
+    }
+
+    // -------------------------------------------------------- access paths
+
+    /// Decide the access path of every correlated block under `q`, before
+    /// the first page is read and from counts alone: file sizes, `B`, the
+    /// catalog's indexes, and System R's default selectivities for how often
+    /// each block will be evaluated. Nothing here looks at a tuple, so the
+    /// choice does not depend on the thread count or on which worker gets
+    /// where first. A no-op under [`with_faithful`](NestedIter::with_faithful).
+    fn plan(&self, q: &QueryBlock) -> Result<()> {
+        if self.faithful {
+            return Ok(());
+        }
+        self.plan_children(q, &[], 1.0)
+    }
+
+    /// [`plan`](Self::plan) for the blocks nested in `q`, itself evaluated
+    /// an estimated `evaluations` times under the scopes `outer` (innermost
+    /// first).
+    fn plan_children(&self, q: &QueryBlock, outer: &[&Schema], evaluations: f64) -> Result<()> {
+        let info = self.block_info(q)?;
+        let scopes: Vec<&Schema> =
+            std::iter::once(&info.schema).chain(outer.iter().copied()).collect();
+        // A nested block is evaluated for every tuple of the FROM product
+        // that passes the simple conjuncts [SEL 79:33].
+        let (simple, _) = info.split(q);
+        let product: f64 = info.files.iter().map(|f| f.tuple_count() as f64).product();
+        let passing: f64 = simple.iter().map(|p| selectivity(p)).product();
+        let bindings = evaluations * product * passing;
+        for sub in q.child_blocks() {
+            let sub_info = self.block_info(sub)?;
+            if sub_info.free.is_empty() {
+                // Evaluated once, under the empty scope.
+                self.plan_children(sub, &[], 1.0)?;
+            } else {
+                sub_info
+                    .access
+                    .get_or_init(|| self.choose_access(sub, &sub_info, &scopes, bindings));
+                self.plan_children(sub, &scopes, bindings)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The access path of correlated block `q`, evaluated an estimated
+    /// `evaluations` times under `scopes`.
+    fn choose_access(
+        &self,
+        q: &QueryBlock,
+        info: &BlockInfo,
+        scopes: &[&Schema],
+        evaluations: f64,
+    ) -> Access {
+        let [file] = info.files.as_slice() else {
+            return Access::Ineligible("its FROM is not one file");
+        };
+        let Some(tpl) = &info.template else {
+            return Access::Ineligible("a simple conjunct holds an ambiguous reference");
+        };
+        let columns = info.schema.columns();
+        let outer_types: Vec<Option<ColumnType>> =
+            tpl.outer_refs.iter().map(|c| declared_type(scopes, c)).collect();
+        let key_at = tpl.conjuncts.iter().position(|c| key_equalities(c).is_some());
+        let fallible_at =
+            tpl.conjuncts.iter().position(|c| !infallible(c, &info.schema, &outer_types));
+        let pairs = match (key_at, fallible_at) {
+            (None, _) => {
+                return Access::Ineligible("no conjunct equates a column with an outer reference")
+            }
+            (Some(key), Some(before)) if before < key => {
+                return Access::Ineligible("key conjunct follows a fallible conjunct")
+            }
+            (Some(key), _) => key_equalities(&tpl.conjuncts[key]).expect("position just found it"),
+        };
+        let one_class = |&(col, slot): &(usize, usize)| {
+            outer_types[slot].is_some_and(|ty| ty.same_class(columns[col].ty))
+        };
+        if !pairs.iter().all(one_class) {
+            return Access::Ineligible("key column and outer reference differ in class");
+        }
+
+        let indexes = self.tables.get_indexes(&q.from[0].table);
+        let (pj, b) = (file.page_count() as f64, self.storage.buffer_pages() as f64);
+        let mut trees: Vec<KeyTree> = Vec::new();
+        let mut keys = Vec::new();
+        // Per tree, what a probe reads; and what the missing ones cost to build.
+        let mut probe_pages: Vec<f64> = Vec::new();
+        let mut build = 0.0;
+        for (col, slot) in pairs {
+            if let Some(tree) = trees.iter().position(|t| t.col == col) {
+                keys.push(ProbeKey { tree, slot });
+                continue;
+            }
+            let ty = columns[col].ty;
+            let (tree, temporary) = match indexes.iter().find(|ix| ix.key_col() == col) {
+                Some(ix) if !keys_in_class(ix, ty) => {
+                    return Access::Ineligible("the index holds keys outside the column's class")
+                }
+                Some(ix) => {
+                    let st = ix.stats();
+                    let leaves = st.leaf_pages.div_ceil(st.distinct_keys.max(1)).max(1);
+                    probe_pages.push((st.height + leaves) as f64);
+                    (OnceLock::from(Some(Arc::clone(ix))), false)
+                }
+                None => {
+                    let (cost, pages) = temp_tree_estimate(pj, ty, self.storage.page_size(), b);
+                    build += cost;
+                    probe_pages.push(pages);
+                    (OnceLock::new(), true)
+                }
+            };
+            keys.push(ProbeKey { tree: trees.len(), slot });
+            trees.push(KeyTree { col, tree, temporary });
+        }
+        let per_evaluation = keys.iter().map(|k| probe_pages[k.tree]).sum();
+        let costs = nested_access_costs(evaluations, pj, b, build, per_evaluation);
+        if costs.probes_win() {
+            Access::Probe(ProbePlan { keys, trees, outer_types, costs })
+        } else {
+            Access::Scan(costs)
+        }
+    }
+
+    /// The access path of every correlated block under `q`, outermost
+    /// first, for EXPLAIN: what [`eval_query`](NestedIter::eval_query) and
+    /// its siblings will do, worked out without reading a page. Empty under
+    /// [`with_faithful`](NestedIter::with_faithful), where there is nothing
+    /// to choose.
+    pub fn access_paths<'q>(&self, q: &'q QueryBlock) -> Result<Vec<BlockAccess<'q>>> {
+        self.plan(q)?;
+        let mut out = Vec::new();
+        self.collect_access(q, &mut out)?;
+        Ok(out)
+    }
+
+    fn collect_access<'q>(&self, q: &'q QueryBlock, out: &mut Vec<BlockAccess<'q>>) -> Result<()> {
+        for sub in q.child_blocks() {
+            let info = self.block_info(sub)?;
+            if let Some(access) = info.access.get() {
+                out.push(BlockAccess {
+                    block: sub,
+                    line: access.describe(sub, &info),
+                    costs: access.costs(),
+                });
+            }
+            self.collect_access(sub, out)?;
+        }
+        Ok(())
+    }
+
+    /// Have every tree of probing block `q` at hand, loading the temporary
+    /// ones at the block's first probe; `false` when a load met keys outside
+    /// their column's class (the block then scans, now and from here on).
+    /// The order of storage calls is the same at every probe: mark the
+    /// site, recall — or build and store.
+    fn ensure_trees(&self, q: &QueryBlock, info: &BlockInfo, plan: &ProbePlan) -> bool {
+        // In a trace view this marks where serial evaluation would (first)
+        // build; replay splices the captured build in at the first marker.
+        // No-op when counting.
+        self.storage.trace_marker(q as *const QueryBlock as usize);
+        plan.trees.iter().all(|t| t.tree.get_or_init(|| self.build_tree(info, t.col)).is_some())
+    }
+
+    /// Bulk-load a temporary tree on column `col` of the block's file: its
+    /// own operator node in the profile, under whichever node is evaluating.
+    fn build_tree(&self, info: &BlockInfo, col: usize) -> Option<Arc<BTreeIndex>> {
+        let (file, column) = (&info.files[0], &info.schema.columns()[col]);
+        let name = format!("temp index on {}", column.name);
+        let node = self.profile.begin_op(|| format!("build {name}"));
+        let tree = BTreeIndex::bulk_load(&self.storage, &name, col, file);
+        if let Some(op) = self.profile.current_op() {
+            op.rows_in.add(0, file.tuple_count() as u64);
+            op.rows_out.add(0, tree.stats().tuples as u64);
+        }
+        self.profile.end(node);
+        if keys_in_class(&tree, column.ty) {
+            Some(Arc::new(tree))
+        } else {
+            tree.drop_pages(&self.storage);
+            None
+        }
+    }
+
+    /// The tuples of probing block `q`'s file that its key conjunct can be
+    /// TRUE of under the outer values `outer`: per equality of the conjunct
+    /// `probe_eq(outer value)`, less what an earlier equality already found
+    /// — disjoint by construction, so a tuple of the file keeps its
+    /// multiplicity. A NULL outer value finds nothing (the comparison is
+    /// UNKNOWN of every tuple), as the tree leaves out NULL keys. `None`
+    /// sends this evaluation to the scan: the block does not probe, or an
+    /// outer value is outside its declared class — the comparison it meets
+    /// raises, and the scan says on which tuple.
+    fn candidates(&self, q: &QueryBlock, info: &BlockInfo, outer: &[Value]) -> Option<Vec<Tuple>> {
+        let Some(Access::Probe(plan)) = info.access.get() else { return None };
+        let declared = |(v, ty): (&Value, &Option<ColumnType>)| {
+            v.is_null() || ty.is_none_or(|ty| ty.admits(v))
+        };
+        if !outer.iter().zip(&plan.outer_types).all(declared) {
+            return None;
+        }
+        let mut found = Vec::new();
+        if plan.keys.iter().all(|k| outer[k.slot].is_null()) {
+            return Some(found);
+        }
+        if !self.ensure_trees(q, info, plan) {
+            return None;
+        }
+        for (i, key) in plan.keys.iter().enumerate() {
+            let (at, value) = (&plan.trees[key.tree], &outer[key.slot]);
+            let Some(Some(tree)) = at.tree.get() else { return None };
+            if value.is_null() {
+                continue;
+            }
+            if !at.temporary {
+                self.tables.note_index_probes(&q.from[0].table, 1);
+            }
+            let mut matches = tree.probe_eq(&self.storage, value);
+            let earlier = &plan.keys[..i];
+            matches.retain(|t| {
+                !earlier.iter().any(|e| {
+                    matches!(t.get(plan.trees[e.tree].col).sql_eq(&outer[e.slot]), Ok(Some(true)))
+                })
+            });
+            found.append(&mut matches);
+        }
+        Some(found)
     }
 
     // ----------------------------------------------------------- parallel
@@ -330,7 +977,13 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// use) are pre-materialized before the fan-out, each under its own
     /// trace; a [`TraceEvent::Marker`] logged at every cache-use site tells
     /// the replay where to splice that trace in — at the *first* marker in
-    /// replay order, mirroring lazy once-only evaluation.
+    /// replay order, mirroring lazy once-only evaluation. The temporary
+    /// trees of probing blocks (which serial evaluation builds at the
+    /// block's first probe) are built and spliced in the same way.
+    ///
+    /// Under [`with_thread_budget`](NestedIter::with_thread_budget) an
+    /// outermost relation too small to repay the fan-out is evaluated
+    /// serially, whatever `threads` says.
     pub fn eval_query_threads(&self, q: &QueryBlock, threads: usize) -> Result<Relation>
     where
         T: Sync,
@@ -338,7 +991,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         if threads <= 1 {
             return self.eval_query(q);
         }
-        let result = self.eval_parallel(q, threads);
+        let result = self.plan(q).and_then(|()| self.eval_parallel(q, threads));
         self.teardown();
         result
     }
@@ -349,37 +1002,50 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     {
         let info = self.block_info(q)?;
         let pages: Vec<PageId> = match info.files.first() {
-            Some(f) if f.page_ids().len() > 1 => f.page_ids().to_vec(),
-            // Nothing to partition — the serial path is already optimal.
+            Some(f) if f.page_ids().len() > 1 && self.workers_for(f.tuple_count(), threads) > 1 => {
+                f.page_ids().to_vec()
+            }
+            // Nothing to partition, or too little to repay a fan-out — the
+            // serial path is already optimal.
             _ => return self.eval_block(q, &Env::default()),
         };
 
-        // Pre-materialize every uncorrelated subquery block, children
-        // before parents so a parent's captured trace contains markers
-        // (not evaluations) for its cached children.
+        // Before the fan-out, each under its own trace: every uncorrelated
+        // subquery block is materialized and every probing block's
+        // temporary trees are built — children before parents, so a
+        // parent's captured trace contains markers (not evaluations or
+        // builds) for what lies below it.
         let mut uses = Vec::new();
         collect_cached_uses(q, &mut uses);
         let mut mat: FxHashMap<usize, Vec<TraceEvent>> = FxHashMap::default();
         for (sub, kind) in uses {
             let key = sub as *const QueryBlock as usize;
             let sub_info = self.block_info(sub)?;
-            if mat.contains_key(&key) || !sub_info.free.is_empty() {
+            if mat.contains_key(&key) {
                 continue;
             }
             let sink = Arc::new(Mutex::new(Vec::new()));
             let fork = self.fork(self.storage.trace_view(Arc::clone(&sink)));
-            match fork.materialize(sub, kind) {
-                Ok(c) => {
-                    sub_info.result.get_or_init(|| c);
-                    mat.insert(key, std::mem::take(&mut *lock(&sink)));
+            if let Some(Access::Probe(plan)) = sub_info.access.get() {
+                if !plan.trees.iter().any(|t| t.temporary) {
+                    continue;
                 }
-                Err(_) => {
-                    // Re-run serially so the reported error and its I/O
-                    // match the serial evaluation exactly.
-                    self.teardown();
-                    return self.eval_block(q, &Env::default());
-                }
+                fork.ensure_trees(sub, &sub_info, plan);
+            } else if !sub_info.free.is_empty() {
+                continue;
+            } else {
+                match fork.materialize(sub, kind) {
+                    Ok(c) => sub_info.result.get_or_init(|| c),
+                    Err(_) => {
+                        // Re-run serially so the reported error and its I/O
+                        // match the serial evaluation exactly.
+                        self.teardown();
+                        self.plan(q)?;
+                        return self.eval_block(q, &Env::default());
+                    }
+                };
             }
+            mat.insert(key, std::mem::take(&mut *lock(&sink)));
         }
 
         // Bound once for all morsels: the top level has no enclosing scope,
@@ -387,6 +1053,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let (simple, nested) = info.split(q);
         let env = Env::default();
         let bound = self.bind(&info, &env);
+        let bound = bound.as_ref().map(|b| b.conjuncts.as_slice());
 
         // One page per morsel: binding evaluation (the inner loops) is the
         // heavy part, so fine-grained claims balance best, and the trace
@@ -403,8 +1070,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 }
                 let sink = Arc::new(Mutex::new(Vec::new()));
                 let fork = self.fork(self.storage.trace_view(Arc::clone(&sink)));
-                let res =
-                    fork.bindings(&info, &pages[range.clone()], bound.as_deref(), &simple, &nested, &env);
+                let tuples = Tuples::Pages(&pages[range.clone()]);
+                let res = fork.bindings(&info, tuples, bound, &simple, &nested, &env);
                 let events = std::mem::take(&mut *lock(&sink));
                 *lock(&slots[range.start]) = Some((events, res));
             }
@@ -442,9 +1109,9 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 TraceEvent::Read(pid) => {
                     let _ = self.storage.read_page(pid);
                 }
-                TraceEvent::ReadDirect(pid) => {
-                    let _ = self.storage.read_page_direct(pid);
-                }
+                // Nothing but the count: a direct read touches no frame, and
+                // its page may be a sort run the traced build has freed.
+                TraceEvent::ReadDirect(_) => self.storage.charge_read(),
                 TraceEvent::Write(_) => self.storage.charge_write(),
                 TraceEvent::Free(pid) => {
                     // The physical free already happened (trace-mode frees
@@ -499,7 +1166,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// proven thread-invariant; everything else runs serially. Phase 1 is
     /// nested iteration's own binding loop, run without nested conjuncts.
     pub fn eval_query_batched(&self, q: &QueryBlock, threads: usize) -> Result<Relation> {
-        let result = self.eval_batched(q, threads);
+        let result = self.plan(q).and_then(|()| self.eval_batched(q, threads));
         self.teardown();
         result
     }
@@ -518,8 +1185,9 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         // enumeration order (the order nested iteration would visit them):
         // nested iteration's binding loop with no nested conjuncts to run.
         let bound = self.bind(&info, &env);
+        let bound = bound.as_ref().map(|b| b.conjuncts.as_slice());
         let candidates =
-            self.bindings(&info, info.outer_pages(), bound.as_deref(), &simple, &[], &env)?;
+            self.bindings(&info, Tuples::Pages(info.outer_pages()), bound, &simple, &[], &env)?;
 
         // Phase 2: one verdict memo per nested conjunct, keyed by the
         // candidate's projection onto the conjunct's free outer columns.
@@ -548,8 +1216,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                     candidates.iter().map(|t| t.project(&idx)),
                 );
                 let keys: Vec<SortKey> = (0..idx.len()).map(SortKey::asc).collect();
-                let sorted =
-                    external_sort_threads(&self.storage, &file, &keys, true, threads);
+                let workers = self.workers_for(file.tuple_count(), threads);
+                let sorted = external_sort_threads(&self.storage, &file, &keys, true, workers);
                 file.drop_pages(&self.storage);
                 let visit = |b: &Tuple| -> std::result::Result<(), std::convert::Infallible> {
                     let here = env.child(&proj_schema, b);
@@ -672,6 +1340,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             free,
             signature: OnceLock::new(),
             result: OnceLock::new(),
+            access: OnceLock::new(),
         });
         lock(&self.shared.blocks).insert(key, Arc::clone(&info));
         Ok(info)
@@ -705,9 +1374,23 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
 
         let (simple, nested) = info.split(q);
         let bound = self.bind(&info, env);
-        let survivors =
-            self.bindings(&info, info.outer_pages(), bound.as_deref(), &simple, &nested, env)?;
-        let rel = self.eval_select(q, &info.schema, survivors, env)?;
+        let evaluate = |tuples: Tuples<'_>| -> Result<Relation> {
+            let conjuncts = bound.as_ref().map(|b| b.conjuncts.as_slice());
+            let survivors = self.bindings(&info, tuples, conjuncts, &simple, &nested, env)?;
+            self.eval_select(q, &info.schema, survivors, env)
+        };
+        let scan = || Tuples::Pages(info.outer_pages());
+        let rel = match bound.as_ref().and_then(|b| self.candidates(q, &info, &b.outer)) {
+            // What the probe left out are tuples the key conjunct is not
+            // TRUE of, which no conjunct after it sees under the scan
+            // either, so the survivors are the scan's (in another order,
+            // which the consumer of a correlated block — a scalar, a list,
+            // an aggregate — cannot see). An error is the exception: which
+            // tuple raises first is a matter of order, so the evaluation is
+            // discarded and the scan reports its own.
+            Some(found) => evaluate(Tuples::Found(found)).or_else(|_| evaluate(scan()))?,
+            None => evaluate(scan())?,
+        };
 
         // Publish only successful evaluations, so an entry can never mask
         // an error a re-evaluation would raise.
@@ -739,28 +1422,31 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// reference does not resolve in the chain. The interpreter then raises
     /// that error where SQL's evaluation order puts it — on the first tuple
     /// that reaches the operand, and not at all if none does.
-    fn bind(&self, info: &BlockInfo, env: &Env<'_>) -> Option<Vec<CPred>> {
+    fn bind(&self, info: &BlockInfo, env: &Env<'_>) -> Option<Bound> {
         let tpl = info.template.as_ref()?;
         let outer: Vec<Value> =
             tpl.outer_refs.iter().map(|c| env.lookup(c).ok()).collect::<Option<_>>()?;
-        Some(tpl.conjuncts(&outer))
+        Some(Bound { conjuncts: tpl.conjuncts(&outer), outer })
     }
 
     /// The binding loop — the only one: `eval_block`, every parallel
-    /// morsel and phase 1 of batched evaluation run it. Walks `pids` (pages
-    /// of the block's outermost file) calling `read_page` for each, in
-    /// order; under every tuple enumerates the remaining FROM files by
-    /// nested iteration; applies the simple conjuncts in order, stopping at
-    /// the first non-TRUE one, then hands the binding — cloned off the page
-    /// only now — to the interpreter for the nested conjuncts under the
-    /// same rule. Returns the survivors in enumeration order.
+    /// morsel and phase 1 of batched evaluation run it. Takes the tuples of
+    /// the block's outermost file from `tuples` — pages, `read_page` called
+    /// for each in order, or what a probe found; under every tuple
+    /// enumerates the remaining FROM files by nested iteration; applies the
+    /// simple conjuncts in order, stopping at the first non-TRUE one, then
+    /// hands the binding — cloned off the page only now — to the
+    /// interpreter for the nested conjuncts under the same rule. The
+    /// predicate is the arbiter either way: a probe's tuples run every
+    /// conjunct, the key conjunct included. Returns the survivors in
+    /// enumeration order.
     ///
     /// Simple conjuncts run bound (by index, on the buffered tuple in
     /// place) unless `bound` declined.
     fn bindings(
         &self,
         info: &BlockInfo,
-        pids: &[PageId],
+        tuples: Tuples<'_>,
         bound: Option<&[CPred]>,
         simple: &[&Predicate],
         nested: &[&Predicate],
@@ -805,18 +1491,30 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             admit(Tuple::default())?;
         }
         let single = info.files.len() == 1;
-        for &pid in pids {
-            let page = self.storage.read_page(pid);
-            for t in page.tuples() {
-                if !single {
-                    self.enumerate(&info.files, 1, t.clone(), &mut |binding| {
-                        if passes(&binding)? {
-                            admit(binding)?;
+        match tuples {
+            Tuples::Pages(pids) => {
+                for &pid in pids {
+                    let page = self.storage.read_page(pid);
+                    for t in page.tuples() {
+                        if !single {
+                            self.enumerate(&info.files, 1, t.clone(), &mut |binding| {
+                                if passes(&binding)? {
+                                    admit(binding)?;
+                                }
+                                Ok(())
+                            })?;
+                        } else if passes(t)? {
+                            admit(t.clone())?;
                         }
-                        Ok(())
-                    })?;
-                } else if passes(t)? {
-                    admit(t.clone())?;
+                    }
+                }
+            }
+            // Only a block over one file probes.
+            Tuples::Found(found) => {
+                for t in found {
+                    if passes(&t)? {
+                        admit(t)?;
+                    }
                 }
             }
         }
@@ -828,6 +1526,11 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// no attached cache, non-simple block, generation-less provider,
     /// unresolvable free reference — declines caching for this call.
     fn xq_probe(&self, q: &QueryBlock, info: &BlockInfo, env: &Env<'_>) -> Option<XqProbe> {
+        // A hit recharges the full-scan read sequence, which a probing
+        // block no longer reads: recalling would cost more than evaluating.
+        if matches!(info.access.get(), Some(Access::Probe(_))) {
+            return None;
+        }
         let cache = self.query_cache.as_ref()?;
         let sig = self.block_signature(q, info)?;
         let generation = self.tables.table_generation(&sig.table)?;

@@ -120,7 +120,7 @@ impl<'a> JoinEmit<'a> {
 /// found every value from 2 048 to 16 384 equal within noise on all
 /// workloads, this one reading best. Every Kim-scale input falls below it,
 /// the x20 base tables (20 000 and 30 000 rows) above.
-const PAR_MIN_ROWS: usize = 16_384;
+pub(crate) const PAR_MIN_ROWS: usize = 16_384;
 
 /// Operator executor bound to a [`Storage`].
 #[derive(Clone)]

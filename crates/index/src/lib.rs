@@ -14,7 +14,9 @@
 //! storage model:
 //!
 //! * **Pages are immutable; the tree is not.** [`BTreeIndex::build`] is the
-//!   bulk path of `CREATE INDEX`. [`BTreeIndex::insert`] adds rows by
+//!   bulk path of `CREATE INDEX`; [`BTreeIndex::bulk_load`] builds the same
+//!   tree inside a query, sorting through the counted external sort instead
+//!   of in memory. [`BTreeIndex::insert`] adds rows by
 //!   *copy-on-write*: it descends, writes the target leaf again with the row
 //!   in place, frees the old page, and — only when a leaf overflows and
 //!   splits — writes again the parent node(s) that gain an entry, up to a
@@ -48,7 +50,8 @@
 //!   of them exact.
 
 use nsql_storage::durable::codec::{self, ByteReader, ByteWriter};
-use nsql_storage::{HeapFile, PageId, Storage, StorageError};
+use nsql_storage::sort::SortKey;
+use nsql_storage::{external_sort, HeapFile, PageId, Storage, StorageError, TempFile};
 use nsql_types::{Schema, Tuple, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -122,26 +125,38 @@ fn node_page(seps: Vec<Value>) -> Vec<Tuple> {
         .collect()
 }
 
-/// Cut `items` into pages greedily, the way heap files pack: a page closes
-/// when the next item would take it past `budget`, but never before it holds
-/// `min` items (1 for leaves; 2 for internal nodes, so every level is
-/// shorter than the one below).
-fn pack<T>(items: Vec<T>, width: impl Fn(&T) -> usize, budget: usize, min: usize) -> Vec<Vec<T>> {
-    let mut pages = Vec::new();
+/// Cut `items` into pages greedily, the way heap files pack, handing each
+/// page to `emit` as it closes: a page closes when the next item would take
+/// it past `budget`, but never before it holds `min` items (1 for leaves; 2
+/// for internal nodes, so every level is shorter than the one below). One
+/// page of items is held at a time.
+fn pack_each<T>(
+    items: impl IntoIterator<Item = T>,
+    width: impl Fn(&T) -> usize,
+    budget: usize,
+    min: usize,
+    mut emit: impl FnMut(Vec<T>),
+) {
     let mut current = Vec::new();
     let mut used = 0usize;
     for item in items {
         let w = width(&item);
         if current.len() >= min && used + w > budget {
-            pages.push(std::mem::take(&mut current));
+            emit(std::mem::take(&mut current));
             used = 0;
         }
         used += w;
         current.push(item);
     }
     if !current.is_empty() {
-        pages.push(current);
+        emit(current);
     }
+}
+
+/// [`pack_each`] collected: all the pages of `items`.
+fn pack<T>(items: Vec<T>, width: impl Fn(&T) -> usize, budget: usize, min: usize) -> Vec<Vec<T>> {
+    let mut pages = Vec::new();
+    pack_each(items, width, budget, min, |page| pages.push(page));
     pages
 }
 
@@ -189,52 +204,84 @@ pub struct BTreeIndex {
 impl BTreeIndex {
     /// Build an index named `name` on column `key_col` of `file`,
     /// bulk-loading bottom-up. Costs one page read per base page and one
-    /// write per index page.
+    /// write per index page; the whole relation is sorted in memory, which
+    /// is for DDL — a query builds through [`BTreeIndex::bulk_load`].
     pub fn build(storage: &Storage, name: &str, key_col: usize, file: &HeapFile) -> BTreeIndex {
-        assert!(key_col < file.schema().arity(), "key column out of range");
         let mut entries: Vec<Tuple> = Vec::with_capacity(file.tuple_count());
-        let mut null_keys = 0usize;
-        for t in file.scan(storage) {
-            if t.get(key_col).is_null() {
-                null_keys += 1;
-            } else {
-                entries.push(t);
-            }
-        }
+        entries.extend(file.scan(storage));
         entries.sort_by(|a, b| Self::entry_cmp(key_col, a, b));
-        let distinct_keys = entries
-            .windows(2)
-            .filter(|w| w[0].get(key_col).total_cmp(w[1].get(key_col)) != Ordering::Equal)
-            .count()
-            + usize::from(!entries.is_empty());
-        let min_key = entries.first().map(|t| t.get(key_col).clone());
-        let max_key = entries.last().map(|t| t.get(key_col).clone());
-        let tuples = entries.len();
+        Self::from_sorted(storage, name, key_col, file.schema(), entries)
+    }
 
+    /// [`build`](BTreeIndex::build) within the `B` pages a query has: `file`
+    /// goes through the counted external sort on the key, the sorted file
+    /// is read back once (directly, as the sort's own passes read) while
+    /// its tuples are packed into leaves a page at a time, and the levels
+    /// go on top. Costs the sort, one read per sorted page and one write
+    /// per index page; the sorted file is freed.
+    ///
+    /// Rows of one key keep the order `file` has them in (the sort is
+    /// stable) where `build` orders them by the whole tuple, which on a
+    /// duplicate-heavy key is most of the sort's comparisons (0.31 against
+    /// 0.50 ms for 1 500 rows of 8 keys). Statistics, page counts and what
+    /// a probe or a range scan returns, as a bag, are `build`'s; a tree
+    /// that is to take inserts and still be the sequence a fresh build
+    /// would make wants `build`.
+    pub fn bulk_load(storage: &Storage, name: &str, key_col: usize, file: &HeapFile) -> BTreeIndex {
+        let by_key = [SortKey::asc(key_col)];
+        let sorted = TempFile::new(storage, external_sort(storage, file, &by_key, false));
+        Self::from_sorted(storage, name, key_col, file.schema(), sorted.scan_direct(storage))
+    }
+
+    /// The tree over `sorted`, a relation's tuples in key order, read
+    /// once: rows with a NULL key are counted and left out, the rest packed
+    /// into leaves as they arrive, the statistics taken on the way.
+    fn from_sorted(
+        storage: &Storage,
+        name: &str,
+        key_col: usize,
+        schema: &Schema,
+        sorted: impl IntoIterator<Item = Tuple>,
+    ) -> BTreeIndex {
+        assert!(key_col < schema.arity(), "key column out of range");
+        let mut stats = IndexStats {
+            tuples: 0,
+            null_keys: 0,
+            distinct_keys: 0,
+            leaf_pages: 0,
+            height: 0,
+            min_key: None,
+            max_key: None,
+        };
+        let entries = sorted.into_iter().filter(|t| {
+            let key = t.get(key_col);
+            if key.is_null() {
+                stats.null_keys += 1;
+                return false;
+            }
+            if stats.max_key.as_ref().is_none_or(|k| k.total_cmp(key) != Ordering::Equal) {
+                stats.distinct_keys += 1;
+                stats.min_key.get_or_insert_with(|| key.clone());
+                stats.max_key = Some(key.clone());
+            }
+            stats.tuples += 1;
+            true
+        });
         // Leaves: budget-packed pages of sorted tuples, exactly like a
         // heap file build.
-        let budget = storage.page_size();
         let mut seps = Vec::new();
         let mut leaves = Vec::new();
-        for page in pack(entries, Tuple::storage_width, budget, 1) {
+        pack_each(entries, Tuple::storage_width, storage.page_size(), 1, |page| {
             seps.push(page[0].get(key_col).clone());
             leaves.push(storage.write_new_page(page));
-        }
+        });
         let mut index = BTreeIndex {
             name: name.to_string(),
             key_col,
-            schema: file.schema().clone(),
+            schema: schema.clone(),
             leaves: Arc::new(leaves),
             levels: Arc::new(Vec::new()),
-            stats: IndexStats {
-                tuples,
-                null_keys,
-                distinct_keys,
-                leaf_pages: 0,
-                height: 0,
-                min_key,
-                max_key,
-            },
+            stats,
         };
         index.add_levels(storage, seps);
         index.stats.leaf_pages = index.leaves.len();
@@ -484,13 +531,26 @@ impl BTreeIndex {
     }
 
     /// All tuples whose key equals `key` (none for NULL, by SQL
-    /// comparison semantics).
+    /// comparison semantics): [`range_scan`](BTreeIndex::range_scan) from
+    /// `key` to `key`, page for page, at one comparison a tuple.
     pub fn probe_eq(&self, storage: &Storage, key: &Value) -> Vec<Tuple> {
+        let mut out = Vec::new();
         if key.is_null() {
-            return Vec::new();
+            return out;
         }
-        let b = KeyBound::Incl(key.clone());
-        self.range_scan(storage, &b, &b)
+        let mut leaf = self.descend(storage, &KeyBound::Incl(key.clone()));
+        while let Some(&id) = self.leaves.get(leaf) {
+            let page = storage.read_page(id);
+            for t in page.tuples() {
+                match t.get(self.key_col).total_cmp(key) {
+                    Ordering::Less => {}
+                    Ordering::Equal => out.push(t.clone()),
+                    Ordering::Greater => return out,
+                }
+            }
+            leaf += 1;
+        }
+        out
     }
 
     /// Descend from the root to the ordinal of the first leaf that can
@@ -715,6 +775,56 @@ mod tests {
         assert_eq!(ix.stats().null_keys, 2);
         assert_eq!(ix.probe_eq(&st, &Value::Null).len(), 0);
         assert_eq!(ix.probe_eq(&st, &Value::Int(1)).len(), 2);
+    }
+
+    #[test]
+    fn bulk_load_makes_the_tree_build_makes_through_the_counted_sort() {
+        let st = Storage::new(6, 128);
+        let schema = Schema::new(vec![
+            Column::qualified("T", "K", ColumnType::Int),
+            Column::qualified("T", "V", ColumnType::Int),
+        ]);
+        let mut rng = Rng::from_seed(0xb01c_10ad);
+        let tuples: Vec<Tuple> = (0..700)
+            .map(|i| {
+                let k = if i % 23 == 0 { Value::Null } else { Value::Int(rng.gen_range(0i64..40)) };
+                Tuple::new(vec![k, Value::Int(i % 5)])
+            })
+            .collect();
+        let file = st.store_relation(&Relation::new(schema, tuples).unwrap());
+        let built = BTreeIndex::build(&st, "IX", 0, &file);
+        let live = st.live_pages();
+        st.reset_stats();
+        let loaded = BTreeIndex::bulk_load(&st, "IX", 0, &file);
+        let io = st.io_stats();
+
+        assert_eq!(loaded.stats(), built.stats());
+        assert_eq!(loaded.page_count(), built.page_count());
+        // Key order either way; rows of one key in file order here, in
+        // tuple order there.
+        let sorted = |mut rows: Vec<Tuple>| {
+            rows.sort_by(Tuple::total_cmp);
+            rows
+        };
+        let all = |ix: &BTreeIndex| ix.range_scan(&st, &KeyBound::Unbounded, &KeyBound::Unbounded);
+        let keys = |rows: &[Tuple]| rows.iter().map(|t| t.get(0).clone()).collect::<Vec<_>>();
+        assert_eq!(keys(&all(&loaded)), keys(&all(&built)));
+        assert_eq!(sorted(all(&loaded)), all(&built));
+        for k in [-1, 0, 17, 39, 40] {
+            let key = Value::Int(k);
+            assert_eq!(sorted(loaded.probe_eq(&st, &key)), built.probe_eq(&st, &key), "key {k}");
+            let b = KeyBound::Incl(key.clone());
+            assert_eq!(built.probe_eq(&st, &key), built.range_scan(&st, &b, &b), "key {k}");
+        }
+        // Only the index is left of the load, and it was paid for in pages:
+        // the sort's passes over the file, one read of the sorted file, one
+        // write per index page.
+        assert_eq!(st.live_pages(), live + loaded.page_count(), "the sorted file is freed");
+        let p = file.page_count() as u64;
+        assert!(io.reads >= 3 * p, "two sort passes and the sorted file: {io:?} over {p} pages");
+        assert!(io.writes >= 2 * p + loaded.page_count() as u64, "{io:?} over {p} pages");
+        loaded.drop_pages(&st);
+        assert_eq!(st.live_pages(), live);
     }
 
     #[test]

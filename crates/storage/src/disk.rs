@@ -219,6 +219,13 @@ impl Disk {
         self.counter.count_write();
     }
 
+    /// Charge one page read to the counter without touching any page
+    /// (trace replay of a direct read: it happened uncounted, and the page
+    /// may have been freed since).
+    pub fn charge_read(&self) {
+        self.counter.count_read();
+    }
+
     /// Allocate a system page id (no I/O; ids count up from
     /// [`SYSTEM_PAGE_BASE`]).
     pub fn alloc_system(&self) -> PageId {

@@ -247,6 +247,14 @@ impl Storage {
         self.inner.disk.charge_write();
     }
 
+    /// Charge one page read to the counter without reading anything: the
+    /// replay of a traced [`read_page_direct`](Storage::read_page_direct),
+    /// which touched no buffer frame — and whose page (a sort run, say) the
+    /// traced evaluation may have freed since.
+    pub fn charge_read(&self) {
+        self.inner.disk.charge_read();
+    }
+
     /// Start mirroring every counted I/O on this handle into an internal
     /// event sink (see [`Storage::take_recording`]). Recording is a pure
     /// side channel: it never touches the I/O counters or the buffer.

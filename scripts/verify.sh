@@ -138,8 +138,8 @@ echo "==> INSERT costs what it changes"
 # An INSERT writes again the pages it changes (HeapFile::append,
 # BTreeIndex::insert) and nothing else (DESIGN.md "Durability"). It must not
 # go back to scanning the table, recounting its distinct values or building
-# an index from it: outside tests an index is built in its own crate and by
-# CREATE INDEX only.
+# an index from it: outside tests BTreeIndex::build — the whole relation
+# sorted in memory — is called in its own crate and by CREATE INDEX only.
 fn_body() { # the body of method $2 (four-space indent) in file $1
     awk -v head="    pub fn $2(" 'index($0, head) == 1 { on = 1 } on { print } on && /^    }$/ { exit }' "$1"
 }
@@ -152,6 +152,18 @@ if [ "$builds" != "$(echo "$builds" | grep '^crates/db/src/catalog.rs:')" ] \
     || [ "$(echo "$builds" | grep -c .)" != "$in_create_index" ]; then
     echo "$builds"
     echo "FAIL: an index is built outside crates/index and Catalog::create_index"
+    exit 1
+fi
+# The other half: a query builds through BTreeIndex::bulk_load, which sorts
+# in the B pages the query has, and only nested iteration does (DESIGN.md
+# "Execution model and the I/O-accounting invariant").
+loads=$(grep -rl 'BTreeIndex::bulk_load(' crates/*/src src --include='*.rs' | while read -r f; do
+    case "$f" in crates/index/src/*|crates/engine/src/nested_iter.rs) continue ;; esac
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /BTreeIndex::bulk_load\(/ { print f ":" FNR }' "$f"
+done || true)
+if [ -n "$loads" ] || ! grep -q 'BTreeIndex::bulk_load(' crates/engine/src/nested_iter.rs; then
+    echo "$loads"
+    echo "FAIL: the query-time index build is called outside nested_iter.rs (or not from it)"
     exit 1
 fi
 insert_body=$(fn_body crates/db/src/catalog.rs insert)
@@ -172,6 +184,9 @@ NSQL_TEST_SEED=0x9e4a100 NSQL_TEST_CASES=20 cargo test -q --offline --test diff_
 
 echo "==> batched_prop smoke (thread/backend I/O invariance + metamorphic mutations)"
 NSQL_TEST_SEED=0xba7c4ed0 NSQL_TEST_CASES=60 cargo test -q --offline --test batched_prop
+
+echo "==> ni_probe_prop at a second seed (probing blocks against the 1987 scan, the oracle and four threads)"
+NSQL_TEST_SEED=0x9a0be5 NSQL_TEST_CASES=60 cargo test -q --offline -p nsql-db --test ni_probe_prop
 
 echo "==> stats_prop smoke (stats-on/off rows + four-counter I/O invariance)"
 NSQL_TEST_SEED=0x57a75b10 NSQL_TEST_CASES=40 cargo test -q --offline --test stats_prop
