@@ -65,6 +65,12 @@ fn check(w: &Workload, sql: &str, name: &str, base: &QueryOptions) {
 const FLAT_JOIN: &str = "SELECT PARTS.GRP, COUNT(SUPPLY.QUAN) FROM PARTS, SUPPLY \
     WHERE PARTS.PNUM = SUPPLY.PNUM AND SUPPLY.EPOCH < 50 GROUP BY PARTS.GRP";
 
+/// `benchmark/README.md` finding 3: a type-N block inside a type-JA block, so
+/// NEST-JA2's `TEMP2` ranges over SUPPLY and `P2`.
+const N_IN_JA: &str = "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH = \
+    (SELECT COUNT(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SUPPLY.TAG IN \
+    (SELECT SERIAL FROM PARTS P2 WHERE P2.GRP = 1))";
+
 const QUERIES: [(&str, &str); 4] = [
     ("type-N", queries::TYPE_N),
     ("type-J", queries::TYPE_J),
@@ -212,12 +218,14 @@ fn observe_leaves_io_trace_and_results_byte_identical() {
     let w = ja_workload(WorkloadSpec::small(), DEFAULT_SEED);
     let mut probing = 0;
     for threads in [1usize, 4] {
-        for (name, sql) in QUERIES.into_iter().chain([("flat-join", FLAT_JOIN)]) {
+        let extra = [("flat-join", FLAT_JOIN), ("type-N in type-JA", N_IN_JA)];
+        for (name, sql) in QUERIES.into_iter().chain(extra) {
             // The paper's plans under each strategy, then the default path:
             // an input it restricts first is an operator node of its own
-            // (type-J, flat-join), as is the tree a probing block of nested
-            // iteration builds (the three correlated shapes), and the tree
-            // must still add up.
+            // (type-J, flat-join; inside a temporary over two relations,
+            // under its `materialize` node, for the last shape), as is the
+            // tree a probing block of nested iteration builds (the four
+            // correlated shapes), and the tree must still add up.
             for base in [
                 QueryOptions::nested_iteration(),
                 QueryOptions::transformed(),
@@ -248,6 +256,14 @@ fn observe_leaves_io_trace_and_results_byte_identical() {
                 for root in &obs.profile {
                     assert_additive(&tag, root);
                 }
+                assert!(obs.profile.iter().all(|r| r.find("logical rules").is_none()), "{tag}");
+                if sql == N_IN_JA && base.strategy == Strategy::Auto {
+                    let temp2 = obs.profile.iter().find_map(|r| r.find("materialize TEMP2"));
+                    let temp2 = temp2.unwrap_or_else(|| panic!("{tag}: {:#?}", obs.profile));
+                    let planned = temp2.find("restrict+project P2").is_some()
+                        && temp2.children.iter().any(|c| c.name.contains("join (1 keys)"));
+                    assert!(planned, "{tag}: {temp2:#?}");
+                }
                 let probes = observed.explain.iter().any(|l| l.contains(": probe temp index"));
                 let built =
                     obs.profile.iter().any(|r| r.find("build temp index on PNUM").is_some());
@@ -262,7 +278,7 @@ fn observe_leaves_io_trace_and_results_byte_identical() {
             }
         }
     }
-    assert_eq!(probing, 2 * 3, "type-J and both type-JA shapes probe by default, at either count");
+    assert_eq!(probing, 2 * 4, "type-J and the three type-JA shapes probe by default, at either count");
 }
 
 #[test]

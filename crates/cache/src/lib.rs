@@ -23,12 +23,6 @@
 //! entries can never match) *and* proactively drops entries that read the
 //! table (so the budget is returned immediately and the invalidation is
 //! observable in [`CacheStats`]).
-//!
-//! The Cohen–Nutt-style rewrite check ([`judge_rewrite`]) decides whether a
-//! cached `COUNT`/`SUM`/`AVG` view could soundly answer a structurally
-//! different aggregate request — most importantly *declining* the COUNT-bug
-//! sensitive cases, where the candidate view lost empty groups that the
-//! requested view must preserve.
 
 use nsql_storage::{PageId, TraceEvent};
 use nsql_types::{Relation, Schema, Tuple};
@@ -54,14 +48,10 @@ pub fn approx_relation_bytes(rel: &Relation) -> usize {
 /// Snapshot of the cache's counters and occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Entries served (exact temp-set hits, derived rewrite hits, and
-    /// block hits).
+    /// Entries served (exact temp-set hits and block hits).
     pub hits: u64,
     /// Lookups that found nothing usable.
     pub misses: u64,
-    /// Rewrite candidates rejected by the soundness check (with reasons
-    /// rendered into EXPLAIN at the decline site).
-    pub declines: u64,
     /// Entries dropped by the byte-budget LRU.
     pub evictions: u64,
     /// Entries dropped by DML/reopen invalidation.
@@ -70,84 +60,6 @@ pub struct CacheStats {
     pub entries: u64,
     /// Estimated retained bytes.
     pub bytes: u64,
-}
-
-/// Semantic descriptor of an aggregate view (`TEMP(G, agg)`), deliberately
-/// looser than the structural cache key: group columns and the aggregate
-/// argument are reduced to unqualified names and filters to normalized
-/// predicate text, and the base-table set is *not* part of the descriptor.
-/// That way Kim's NEST-JA view and the NEST-JA2 view of the same query
-/// become comparable — which is exactly what lets the rewrite check fire
-/// (and decline) on the COUNT-bug cases.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggViewDescriptor {
-    /// Unqualified GROUP BY column names, sorted.
-    pub group_cols: Vec<String>,
-    /// Aggregate function name (`COUNT`, `SUM`, …).
-    pub agg_func: String,
-    /// Unqualified aggregate argument column name, or `*`.
-    pub agg_arg: String,
-    /// Normalized restriction predicate texts, sorted.
-    pub filters: Vec<String>,
-    /// Whether the view preserves groups with no matching inner tuples
-    /// (NEST-JA2's LEFT OUTER join does; Kim's NEST-JA does not).
-    pub preserves_empty_groups: bool,
-}
-
-/// Verdict of the Cohen–Nutt-style rewrite check for answering `requested`
-/// from a cached `candidate` view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RewriteJudgement {
-    /// The views are not about the same grouping/restriction — no reuse,
-    /// no decline to report.
-    NotComparable,
-    /// The candidate could soundly answer the request.
-    Sound,
-    /// The views match semantically but the rewrite is unsound; the reason
-    /// is rendered into EXPLAIN.
-    Decline(String),
-}
-
-/// Judge whether `candidate` can soundly answer `requested`.
-///
-/// Comparability requires the same grouping columns and the same restriction
-/// filters. Given that, the check declines:
-///
-/// * **COUNT-bug sensitivity** — the request needs empty groups preserved
-///   (it feeds a COUNT whose empty-group value is 0, materialized via a
-///   LEFT OUTER join) but the candidate dropped them (Kim's NEST-JA shape).
-///   Answering from the candidate would silently lose the zero-count
-///   groups: the paper's Section 3 bug, reintroduced through the cache.
-/// * **AVG from SUM/COUNT** — deriving AVG by dividing cached SUM by cached
-///   COUNT is rejected under the exact-float policy (the engine's AVG is
-///   a single-pass computation; a derived division can differ in the last
-///   ulp and break bit-identical accounting).
-/// * Any other aggregate mismatch (a SUM view cannot answer MAX, etc.).
-pub fn judge_rewrite(
-    requested: &AggViewDescriptor,
-    candidate: &AggViewDescriptor,
-) -> RewriteJudgement {
-    if requested.group_cols != candidate.group_cols || requested.filters != candidate.filters {
-        return RewriteJudgement::NotComparable;
-    }
-    if requested.preserves_empty_groups && !candidate.preserves_empty_groups {
-        return RewriteJudgement::Decline(format!(
-            "count-bug risk: cached {}({}) view dropped empty groups the request must preserve",
-            candidate.agg_func, candidate.agg_arg
-        ));
-    }
-    if requested.agg_func == "AVG"
-        && (candidate.agg_func == "SUM" || candidate.agg_func == "COUNT")
-    {
-        return RewriteJudgement::Decline(format!(
-            "AVG({}) from cached {}({}) rejected: exact-float policy forbids derived division",
-            requested.agg_arg, candidate.agg_func, candidate.agg_arg
-        ));
-    }
-    if requested.agg_func != candidate.agg_func || requested.agg_arg != candidate.agg_arg {
-        return RewriteJudgement::NotComparable;
-    }
-    RewriteJudgement::Sound
 }
 
 /// A cached transform-phase temporary table.
@@ -177,9 +89,6 @@ pub struct TempEntry {
     /// a hit is sound only if those exact entries also hit this query (the
     /// replay pid map then covers every cross-temp page reference).
     pub deps: Vec<(String, u64)>,
-    /// Aggregate-view descriptor, when the temp is an aggregate
-    /// materialization (enables the rewrite check).
-    pub view: Option<AggViewDescriptor>,
 }
 
 impl TempEntry {
@@ -252,7 +161,6 @@ pub struct QueryCache {
     budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    declines: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
 }
@@ -265,7 +173,6 @@ impl QueryCache {
             budget,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            declines: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
@@ -313,49 +220,6 @@ impl QueryCache {
             }
         }
         None
-    }
-
-    /// Find a temp entry matching everything but the options fingerprint —
-    /// the cross-policy "derived hit" the rewrite mode allows (contents are
-    /// policy-independent even though the recorded I/O is not).
-    pub fn find_temp_any_fingerprint(
-        &self,
-        text: &str,
-        exclude_fingerprint: &str,
-        bases: &[(String, u64)],
-        epoch: u64,
-    ) -> Option<(u64, Arc<TempEntry>)> {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        for slot in inner.slots.iter_mut() {
-            if let EntryKind::Temp(e) = &slot.kind {
-                if e.epoch == epoch
-                    && e.text == text
-                    && e.fingerprint != exclude_fingerprint
-                    && e.bases == bases
-                {
-                    slot.last_used = tick;
-                    return Some((slot.id, Arc::clone(e)));
-                }
-            }
-        }
-        None
-    }
-
-    /// All live aggregate-view entries for `epoch` (rewrite-check
-    /// candidates).
-    pub fn agg_views(&self, epoch: u64) -> Vec<Arc<TempEntry>> {
-        self.lock()
-            .slots
-            .iter()
-            .filter_map(|s| match &s.kind {
-                EntryKind::Temp(e) if e.epoch == epoch && e.view.is_some() => {
-                    Some(Arc::clone(e))
-                }
-                _ => None,
-            })
-            .collect()
     }
 
     /// Publish a temp entry, evicting LRU-first down to the byte budget.
@@ -469,18 +333,12 @@ impl QueryCache {
         self.misses.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Report one declined rewrite.
-    pub fn note_decline(&self) {
-        self.declines.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counter + occupancy snapshot.
     pub fn stats(&self) -> CacheStats {
         let inner = self.lock();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            declines: self.declines.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             entries: inner.slots.len() as u64,
@@ -494,16 +352,6 @@ mod tests {
     use super::*;
     use nsql_types::{Column, ColumnType, Schema, Value};
 
-    fn view(preserves: bool, func: &str) -> AggViewDescriptor {
-        AggViewDescriptor {
-            group_cols: vec!["PNUM".into()],
-            agg_func: func.into(),
-            agg_arg: "SHIPDATE".into(),
-            filters: vec!["SHIPDATE < DATE '1980-01-01'".into()],
-            preserves_empty_groups: preserves,
-        }
-    }
-
     fn temp_entry(text: &str, fp: &str, gen: u64) -> TempEntry {
         TempEntry {
             text: text.into(),
@@ -516,36 +364,7 @@ mod tests {
             sorted_by: vec![],
             trace: vec![TraceEvent::Write(PageId(7))],
             deps: vec![],
-            view: None,
         }
-    }
-
-    #[test]
-    fn rewrite_check_declines_count_bug() {
-        let requested = view(true, "COUNT");
-        let kim = view(false, "COUNT");
-        match judge_rewrite(&requested, &kim) {
-            RewriteJudgement::Decline(r) => assert!(r.contains("count-bug"), "{r}"),
-            other => panic!("expected decline, got {other:?}"),
-        }
-        // Same shape with empty groups preserved is sound.
-        assert_eq!(judge_rewrite(&requested, &view(true, "COUNT")), RewriteJudgement::Sound);
-    }
-
-    #[test]
-    fn rewrite_check_declines_avg_from_sum() {
-        let requested = view(false, "AVG");
-        match judge_rewrite(&requested, &view(false, "SUM")) {
-            RewriteJudgement::Decline(r) => assert!(r.contains("exact-float"), "{r}"),
-            other => panic!("expected decline, got {other:?}"),
-        }
-        // Different grouping is simply not comparable.
-        let mut other_group = view(false, "AVG");
-        other_group.group_cols = vec!["QOH".into()];
-        assert_eq!(
-            judge_rewrite(&requested, &other_group),
-            RewriteJudgement::NotComparable
-        );
     }
 
     #[test]

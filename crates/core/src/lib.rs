@@ -56,7 +56,7 @@ pub use logical::{AggItem, JoinPred, LogicalJoinKind, LogicalPlan};
 pub use nest_g::{transform_query, transform_query_traced, JaVariant, UnnestOptions};
 pub use nest_ja2::Ja2Config;
 pub use pipeline::{TempTable, TransformPlan};
-pub use rules::{BlockRule, NestedShape, PlanRule, RuleEngine, RuleFiring};
+pub use rules::{BlockRule, NestedShape};
 
 /// Result alias for transformation.
 pub type Result<T> = std::result::Result<T, TransformError>;

@@ -54,9 +54,26 @@ pub enum JaVariant {
 pub struct UnnestOptions {
     /// Type-JA algorithm choice.
     pub ja_variant: JaVariant,
-    /// When set, the executor is asked to deduplicate the final result of
-    /// IN-merges (modern semijoin semantics; see the NEST-N-J duplicate
-    /// caveat in DESIGN.md). The faithful default is off.
+    /// What NEST-N-J's join expansion does to row multiplicity — the paper's
+    /// Section 4 duplicates problem made an explicit, documented choice.
+    ///
+    /// Nested iteration (the semantic ground truth) emits each outer tuple at
+    /// most once per `IN` test, however many inner rows match. Kim's NEST-N-J
+    /// replaces the membership test with a join, so an outer tuple appears
+    /// once *per match*. The two agree as bags only when the merged inner
+    /// column is key-valued (at most one match per outer tuple); otherwise a
+    /// choice must be made, and both available choices are deviations.
+    ///
+    /// Off (the default) is Kim's join form verbatim, the faithful historical
+    /// reading: output multiplicity is join multiplicity, bag-equal to nested
+    /// iteration for key-valued inner columns and over-counting matches
+    /// otherwise (only set-level agreement is promised —
+    /// `Relation::same_set`). On is the modern semijoin-style fix: the
+    /// executor deduplicates the final result of an IN-merged query
+    /// ([`TransformPlan::needs_distinct_for_semantics`]). The output then has
+    /// DISTINCT (set) semantics — join-expansion duplicates disappear, but so
+    /// do *legitimate* duplicate outer tuples, so this too matches nested
+    /// iteration only up to sets. Nested iteration ignores the field.
     pub preserve_duplicates: bool,
     /// Reproduce the paper's plans literally, here and in the executor
     /// (`nsql-db` reads the same field): the temporaries keep the shapes
@@ -64,9 +81,9 @@ pub struct UnnestOptions {
     /// whose *point* is a shape an optimizer would repair, among them — the
     /// canonical query joins whole base tables carrying every column, and
     /// the join method is chosen on Section 7's page counts alone. Off by
-    /// default: the plan-rule fixpoint ([`crate::rules`]) runs over the
-    /// temporary-table plans and the executor restricts and projects each
-    /// join input first (DESIGN.md "Configuration").
+    /// default: the executor restricts and projects each join input first,
+    /// in the canonical query and in a temporary over several relations
+    /// alike (DESIGN.md "Configuration").
     pub faithful_1987: bool,
 }
 
@@ -112,22 +129,11 @@ pub fn transform_query_traced<S: SchemaSource>(
         profile: profile.clone(),
     };
     ctx.nest_g(&mut q, &[])?;
-    let Ctx { temps: mut out_temps, trace: mut out_trace, merged_in_membership, .. } = ctx;
-    if !options.faithful_1987 {
-        let engine = crate::rules::RuleEngine::standard();
-        for temp in &mut out_temps {
-            let (optimized, firings) =
-                profile.scope("logical rules", || engine.optimize(temp.plan.clone()));
-            for f in &firings {
-                out_trace.push(format!("rule {} on {}: {}", f.rule, temp.name, f.detail));
-            }
-            temp.plan = optimized;
-        }
-    }
+    let Ctx { temps, trace, merged_in_membership, .. } = ctx;
     Ok(TransformPlan {
-        temps: out_temps,
+        temps,
         canonical: q,
-        trace: out_trace,
+        trace,
         needs_distinct_for_semantics: options.preserve_duplicates && merged_in_membership,
     })
 }

@@ -331,11 +331,8 @@ impl Database {
                 self.run_correlated(q, opts, threads, budget, profile)?
             }
             Strategy::Transform | Strategy::Auto => {
-                let mut unnest = opts.unnest.clone();
-                unnest.preserve_duplicates |=
-                    opts.duplicates == crate::options::DuplicateSemantics::ForceDistinct;
                 let span = profile.begin("transform");
-                let plan = transform_query_traced(&self.catalog, q, &unnest, profile);
+                let plan = transform_query_traced(&self.catalog, q, &opts.unnest, profile);
                 profile.end(span);
                 // A transformation error is a *refusal*: the strategy
                 // declined the query shape. The fingerprint aggregates
@@ -368,7 +365,6 @@ impl Database {
                             storage.buffer_pages()
                         ),
                         epoch: self.catalog.epoch(),
-                        rewrite: cache_mode.rewrite(),
                     });
                 }
                 let span = profile.begin("execute plan");
@@ -392,7 +388,6 @@ impl Database {
             let counters = CacheCounters {
                 hits: s.hits,
                 misses: s.misses,
-                declines: s.declines,
                 evictions: s.evictions,
                 invalidations: s.invalidations,
                 entries: s.entries,

@@ -323,8 +323,12 @@ impl Database {
             Strategy::Transform | Strategy::Auto => chosen_from_trace(&strategy),
         };
 
-        let params = if is_ja { self.ja2_params_for(q, &temps) } else { None };
+        // The first nested block and its Section-7 parameters, derived once
+        // for the three renderings below.
+        let inner = first_subquery(q);
+        let params = inner.and_then(|inner| self.ja2_params_for(q, inner, &temps));
         let predicted = params
+            .filter(|_| is_ja)
             .map(|p| {
                 let methods = [JoinMethod::NestedLoop, JoinMethod::MergeJoin];
                 let mut v = Vec::with_capacity(4);
@@ -343,21 +347,16 @@ impl Database {
                 v
             })
             .unwrap_or_default();
-        let predicted_nested_iteration = if correlated {
-            self.ja2_params_for(q, &temps)
-                .map(|p| nested_iteration_cost_j(p.pi, p.pj, p.b, p.fi_ni))
-        } else {
-            None
-        };
+        let predicted_nested_iteration = params
+            .filter(|_| correlated)
+            .map(|p| nested_iteration_cost_j(p.pi, p.pj, p.b, p.fi_ni));
         // Every nested query gets the three-way comparison — uncorrelated
         // blocks too (there batched's binding set collapses to one empty
         // binding, pricing the evaluate-once plan). Flat queries have no
         // strategy choice and render no block.
-        let strategy_costs = if first_subquery(q).is_some() {
-            self.strategy_costs_for(q, &temps, is_ja, opts)
-        } else {
-            None
-        };
+        let strategy_costs = inner
+            .zip(params)
+            .and_then(|(inner, p)| self.strategy_costs_for(q, inner, &p, is_ja, opts));
 
         Ok(ExplainReport {
             sql: nsql_sql::print_query(q),
@@ -400,12 +399,17 @@ impl Database {
         Ok(evaluator.access_paths(q)?)
     }
 
-    /// Section-7 parameters for the (first) nested block of `q`. Measured
-    /// temporary sizes are used when available (`ANALYZE`); otherwise the
-    /// crude statistics-free upper bounds `Pt2 ≤ Pi`, `Pt3 ≤ Pj`.
-    fn ja2_params_for(&self, q: &QueryBlock, temps: &[TempStat]) -> Option<Ja2Params> {
+    /// Section-7 parameters for `inner_block`, the (first) nested block of
+    /// `q`. Measured temporary sizes are used when available (`ANALYZE`);
+    /// otherwise the crude statistics-free upper bounds `Pt2 ≤ Pi`,
+    /// `Pt3 ≤ Pj`.
+    fn ja2_params_for(
+        &self,
+        q: &QueryBlock,
+        inner_block: &QueryBlock,
+        temps: &[TempStat],
+    ) -> Option<Ja2Params> {
         let outer = self.catalog().table(&q.from.first()?.table)?;
-        let inner_block = first_subquery(q)?;
         let inner = self.catalog().table(&inner_block.from.first()?.table)?;
         let pi = outer.page_count() as f64;
         let pj = inner.page_count() as f64;
@@ -429,30 +433,29 @@ impl Database {
         Some(Ja2Params { pi, pj, pt2, nt2, pt3, pt4, pt, b, fi_ni, ri_sorted: false })
     }
 
-    /// Predicted cost of all three executable strategies on `q`'s (first)
-    /// correlated block. Transform is the cheapest NEST-JA2 method
-    /// combination for type-JA shapes and the canonical merge join
-    /// otherwise; batched uses the catalog's distinct-count statistics for
-    /// `d` (falling back to the qualifying-tuple count — i.e. "no better
-    /// than nested iteration's rescans" — when the catalog was restored
-    /// without statistics).
+    /// Predicted cost of all three executable strategies on `inner_block`,
+    /// `q`'s (first) nested block, with Section-7 parameters `p`. Transform
+    /// is the cheapest NEST-JA2 method combination for type-JA shapes and
+    /// the canonical merge join otherwise; batched uses the catalog's
+    /// distinct-count statistics for `d` (falling back to the
+    /// qualifying-tuple count — i.e. "no better than nested iteration's
+    /// rescans" — when the catalog was restored without statistics).
     fn strategy_costs_for(
         &self,
         q: &QueryBlock,
-        temps: &[TempStat],
+        inner_block: &QueryBlock,
+        p: &Ja2Params,
         is_ja: bool,
         opts: &QueryOptions,
     ) -> Option<StrategyCosts> {
-        let p = self.ja2_params_for(q, temps)?;
         // What nested iteration would do to the block: the evaluator's own
         // arithmetic (`nested_access_costs`) where it has a choice, the
         // paper's worst case where it has none — a block that cannot probe,
         // an uncorrelated one, any block under the 1987 switch.
-        let inner = first_subquery(q)?;
         let access = self.access_paths(q, opts).ok()?;
         let nested_iteration = access
             .iter()
-            .find(|a| std::ptr::eq(a.block, inner))
+            .find(|a| std::ptr::eq(a.block, inner_block))
             .and_then(|a| a.costs)
             .map_or_else(
                 || nested_iteration_cost_j(p.pi, p.pj, p.b, p.fi_ni),
@@ -463,7 +466,7 @@ impl Database {
             let mut best = f64::INFINITY;
             for m_temp in methods {
                 for m_final in methods {
-                    best = best.min(ja2_cost(&p, m_temp, m_final).total());
+                    best = best.min(ja2_cost(p, m_temp, m_final).total());
                 }
             }
             best
@@ -477,7 +480,6 @@ impl Database {
         // correlations, capped by the qualifying-tuple count).
         let outer_ref = q.from.first()?;
         let outer = self.catalog().table(&outer_ref.table)?;
-        let inner_block = first_subquery(q)?;
         let mut inner_local = Schema::default();
         for tref in &inner_block.from {
             if let Some(f) = self.catalog().table(&tref.table) {

@@ -38,7 +38,7 @@ pub use error::DbError;
 pub use explain::{ExplainReport, ObsReport, PredictedCost, TempStat};
 pub use nsql_cache::{CacheStats, QueryCache};
 pub use options::{
-    CacheMode, DuplicateSemantics, ExecMode, IndexUse, JoinPolicy, QueryOptions,
+    CacheMode, ExecMode, IndexUse, JoinPolicy, QueryOptions,
     Strategy,
 };
 

@@ -61,32 +61,6 @@ impl IndexUse {
     }
 }
 
-/// What NEST-N-J's join expansion does to row multiplicity — the paper's
-/// Section 4 duplicates problem made an explicit, documented choice instead
-/// of a silent set-level test comparison.
-///
-/// Nested iteration (the semantic ground truth) emits each outer tuple at
-/// most once per `IN` test, however many inner rows match. Kim's NEST-N-J
-/// replaces the membership test with a join, so an outer tuple appears once
-/// *per match*. The two agree as bags only when the merged inner column is
-/// key-valued (at most one match per outer tuple); otherwise a choice must
-/// be made, and both available choices are deviations:
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DuplicateSemantics {
-    /// Kim's join form verbatim (the faithful historical reading): output
-    /// multiplicity is join multiplicity. Bag-equal to nested iteration for
-    /// key-valued inner columns; over-counts matches otherwise (only
-    /// set-level agreement is promised — `Relation::same_set`).
-    #[default]
-    KimFaithful,
-    /// The modern semijoin-style fix: deduplicate the final result of
-    /// IN-merged queries (`TransformPlan::needs_distinct_for_semantics`).
-    /// The output has DISTINCT (set) semantics — join-expansion duplicates
-    /// disappear, but so do *legitimate* duplicate outer tuples, so this
-    /// too matches nested iteration only up to sets.
-    ForceDistinct,
-}
-
 /// Which kernel the transformed path's hash joins run.
 ///
 /// Under `Vector`, hash joins build and probe on column batches (each page
@@ -133,19 +107,13 @@ impl ExecMode {
 /// `On` serves only *exact* hits: same normalized computation, same
 /// binding, same catalog generations. Exact hits recharge the recorded
 /// page-access sequence, so results **and** counted I/O are byte-identical
-/// with an uncached run (checked by `figures_identity`). `Rewrite`
-/// additionally answers from materialized aggregate views when the
-/// Cohen-style soundness check proves the rewrite safe; derived answers
-/// rebuild the temp from cached tuples, so their I/O legitimately differs
-/// from a cold run (results never do).
+/// with an uncached run (checked by `figures_identity`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
     /// Never consult or populate the cache.
     Off,
     /// Exact hits only — I/O-transparent.
     On,
-    /// Exact hits plus sound aggregate-view rewrites.
-    Rewrite,
     /// Let the engine decide. Today that is the constant [`CacheMode::Off`];
     /// the planner fills this seam later.
     #[default]
@@ -158,7 +126,6 @@ impl CacheMode {
         match self {
             CacheMode::Off => "off",
             CacheMode::On => "on",
-            CacheMode::Rewrite => "rewrite",
             CacheMode::Auto => "auto",
         }
     }
@@ -174,12 +141,6 @@ impl CacheMode {
     /// Whether this mode (after `Auto` resolution) consults the cache.
     pub fn enabled(self) -> bool {
         !matches!(self.resolve(), CacheMode::Off)
-    }
-
-    /// Whether this mode (after `Auto` resolution) may answer via
-    /// aggregate-view rewrite.
-    pub fn rewrite(self) -> bool {
-        matches!(self.resolve(), CacheMode::Rewrite)
     }
 }
 
@@ -235,12 +196,6 @@ pub struct QueryOptions {
     /// one switch between the paper's literal plans and the default ones
     /// ([`UnnestOptions::faithful_1987`]), which the executor reads too.
     pub unnest: UnnestOptions,
-    /// Row-multiplicity semantics for NEST-N-J's join expansion (see
-    /// [`DuplicateSemantics`]). `ForceDistinct` maps onto
-    /// `unnest.preserve_duplicates` when the query is transformed; nested
-    /// iteration ignores it (its multiplicities are already the ground
-    /// truth).
-    pub duplicates: DuplicateSemantics,
     /// Join-method policy for the transformed path.
     pub join_policy: JoinPolicy,
     /// Whether restriction predicates and back-joins may route through
@@ -340,13 +295,12 @@ mod tests {
     use super::*;
 
     /// The documented defaults, field by field (exhaustively destructured,
-    /// so a twelfth field cannot join unpinned).
+    /// so an eleventh field cannot join unpinned).
     #[test]
     fn default_options_are_the_documented_ones() {
         let QueryOptions {
             strategy,
             unnest,
-            duplicates,
             join_policy,
             index_use,
             cold_start,
@@ -360,7 +314,6 @@ mod tests {
         assert_eq!(unnest.ja_variant, nsql_core::JaVariant::Ja2);
         assert!(!unnest.preserve_duplicates);
         assert!(!unnest.faithful_1987, "the paper's literal plans are the switch, not the default");
-        assert_eq!(duplicates, DuplicateSemantics::KimFaithful);
         assert_eq!(join_policy, JoinPolicy::CostBased);
         assert_eq!(index_use, IndexUse::CostBased);
         assert!(!cold_start, "statements share warm buffers unless asked otherwise");

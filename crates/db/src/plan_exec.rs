@@ -20,7 +20,7 @@ use crate::explain::TempStat;
 use crate::options::{IndexUse, JoinPolicy};
 use crate::result_cache::{replay_temp, temp_keys, CacheCtx, TempKey};
 use crate::Result;
-use nsql_cache::{judge_rewrite, RewriteJudgement, TempEntry};
+use nsql_cache::TempEntry;
 use nsql_core::cost::{index_nested_join_cost, index_restrict_cost, sort_cost};
 use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
 use nsql_engine::nested_iter::VISITS_PER_PAGE_IO;
@@ -286,7 +286,6 @@ impl<T: TableProvider> PlanExecutor<T> {
                     sorted_by: sorted_by.clone(),
                     trace: trace.unwrap_or_default(),
                     deps,
-                    view: key.view.clone(),
                 });
                 published.insert(name, id);
                 self.log.push(format!(
@@ -298,9 +297,8 @@ impl<T: TableProvider> PlanExecutor<T> {
         Ok(())
     }
 
-    /// The cache consult: exact hit on all temps → replay; otherwise
-    /// (rewrite mode) derived hit on all temps → rebuild; otherwise report
-    /// any sound-rewrite declines and fall through to record + publish.
+    /// The cache consult: exact hit on all temps → replay; otherwise fall
+    /// through to record + publish.
     fn materialize_temps_cached(&mut self, ctx: &CacheCtx, plan: &TransformPlan) -> Result<()> {
         let Some(keys) = temp_keys(&plan.temps, |t| self.base.table_generation(t)) else {
             // A base table without a generation stamp can't be invalidated
@@ -312,23 +310,10 @@ impl<T: TableProvider> PlanExecutor<T> {
         // materialization saw, so mixing one temp's replay with another's
         // live run would charge reads against pages that no longer line
         // up. Either every temp replays or every temp runs and records.
-        if let Some(selected) = self.select_entries(ctx, &keys, false) {
+        if let Some(selected) = self.select_entries(ctx, &keys) {
             ctx.cache.note_hits(keys.len() as u64);
-            return self.serve_selected(plan, &selected, false);
+            return self.serve_selected(plan, &selected);
         }
-
-        if ctx.rewrite {
-            // Same computation recorded under a different options
-            // fingerprint: contents are fingerprint-independent, the
-            // recorded I/O is not — rebuild from the cached tuples
-            // (counted writes only) instead of replaying.
-            if let Some(selected) = self.select_entries(ctx, &keys, true) {
-                ctx.cache.note_hits(keys.len() as u64);
-                return self.serve_selected(plan, &selected, true);
-            }
-            self.log_declines(ctx, &keys);
-        }
-
         ctx.cache.note_misses(keys.len() as u64);
         self.materialize_temps(plan, Some((ctx, &keys)))
     }
@@ -337,25 +322,12 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// recorded dependencies must name exactly the entries selected for
     /// the earlier temps; any mismatch (or any missing temp) fails the
     /// whole consult.
-    fn select_entries(
-        &self,
-        ctx: &CacheCtx,
-        keys: &[TempKey],
-        any_fingerprint: bool,
-    ) -> Option<Vec<Arc<TempEntry>>> {
+    fn select_entries(&self, ctx: &CacheCtx, keys: &[TempKey]) -> Option<Vec<Arc<TempEntry>>> {
         let mut chosen: HashMap<String, u64> = HashMap::new();
         let mut selected = Vec::with_capacity(keys.len());
         for key in keys {
-            let (id, entry) = if any_fingerprint {
-                ctx.cache.find_temp_any_fingerprint(
-                    &key.text,
-                    &ctx.fingerprint,
-                    &key.bases,
-                    ctx.epoch,
-                )?
-            } else {
-                ctx.cache.find_temp(&key.text, &ctx.fingerprint, &key.bases, ctx.epoch)?
-            };
+            let (id, entry) =
+                ctx.cache.find_temp(&key.text, &ctx.fingerprint, &key.bases, ctx.epoch)?;
             if !entry.deps.iter().all(|(n, did)| chosen.get(n) == Some(did)) {
                 return None;
             }
@@ -366,18 +338,12 @@ impl<T: TableProvider> PlanExecutor<T> {
     }
 
     /// Serve every temp from its selected cache entry and register the
-    /// file. An exact hit recharges the entry's recorded page-event
-    /// sequence (`pid_map` spans the whole plan so later temps' recorded
-    /// reads of earlier temps land on their replayed pages); a `derived`
-    /// hit (rewrite mode) writes the cached tuples into a fresh heap file.
-    /// Stored tuple order is the recorded output order, so the entry's
-    /// sort metadata stays physically true either way.
-    fn serve_selected(
-        &mut self,
-        plan: &TransformPlan,
-        selected: &[Arc<TempEntry>],
-        derived: bool,
-    ) -> Result<()> {
+    /// file: the entry's recorded page-event sequence is recharged
+    /// (`pid_map` spans the whole plan so later temps' recorded reads of
+    /// earlier temps land on their replayed pages). Stored tuple order is
+    /// the recorded output order, so the entry's sort metadata stays
+    /// physically true.
+    fn serve_selected(&mut self, plan: &TransformPlan, selected: &[Arc<TempEntry>]) -> Result<()> {
         let mut pid_map: HashMap<nsql_storage::PageId, nsql_storage::PageId> = HashMap::new();
         for (temp, entry) in plan.temps.iter().zip(selected) {
             let exec = self.exec.clone();
@@ -386,60 +352,18 @@ impl<T: TableProvider> PlanExecutor<T> {
                 || format!("materialize {}", temp.name),
                 0,
                 |f: &HeapFile| f.tuple_count() as u64,
-                || -> Result<HeapFile> {
-                    if !derived {
-                        return Ok(replay_temp(exec.storage(), entry, &mut pid_map));
-                    }
-                    let tuples = entry.output_pages.iter().flat_map(|(_, ts)| ts.iter().cloned());
-                    Ok(HeapFile::from_tuples(exec.storage(), entry.schema.clone(), tuples))
-                },
+                || -> Result<HeapFile> { Ok(replay_temp(exec.storage(), entry, &mut pid_map)) },
             )?;
             self.log.push(materialize_line(&temp.name, &file, &entry.sorted_by));
-            self.log.push(if derived {
-                format!(
-                    "cache: derived hit {} (rebuilt from cached aggregate view; I/O differs from a cold run)",
-                    temp.name
-                )
-            } else {
-                format!(
-                    "cache: hit {} (exact; replayed {} page events)",
-                    temp.name,
-                    entry.trace.len()
-                )
-            });
+            self.log.push(format!(
+                "cache: hit {} (exact; replayed {} page events)",
+                temp.name,
+                entry.trace.len()
+            ));
             let out = PlanOutput::stored(exec.storage(), file, entry.sorted_by.clone());
             self.register_temp(&temp.name, out);
         }
         Ok(())
-    }
-
-    /// Report why cached aggregate views could *not* answer this plan's
-    /// aggregate temps — the Cohen-style soundness check in the negative.
-    /// Declines are always sound: nothing is served here.
-    fn log_declines(&mut self, ctx: &CacheCtx, keys: &[TempKey]) {
-        for key in keys {
-            let Some(requested) = &key.view else { continue };
-            for cand in ctx.cache.agg_views(ctx.epoch) {
-                let Some(view) = &cand.view else { continue };
-                match judge_rewrite(requested, view) {
-                    RewriteJudgement::Decline(reason) => {
-                        ctx.cache.note_decline();
-                        self.log.push(format!("cache: decline {}: {reason}", key.name));
-                        break;
-                    }
-                    RewriteJudgement::Sound if cand.text != key.text => {
-                        ctx.cache.note_decline();
-                        self.log.push(format!(
-                            "cache: decline {}: view shape matches a cached aggregate, \
-                             but the plan texts differ; exact-text policy declines the rewrite",
-                            key.name
-                        ));
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-        }
     }
 
     // ----------------------------------------------------------- LogicalPlan
@@ -453,8 +377,11 @@ impl<T: TableProvider> PlanExecutor<T> {
                 self.lookup(table, alias.as_deref().unwrap_or(table))
             }
             LogicalPlan::Filter { input, pred } => {
-                // Fuse a filter over an *inner* join into the join's
-                // residual. Not valid for outer joins: a residual that
+                if let Some(out) = self.run_joined(plan, None)? {
+                    return Ok(out);
+                }
+                // The literal shape of a filter over an *inner* join: the
+                // join's residual. Not valid for outer joins: a residual that
                 // fails pads the left tuple, whereas a filter above the
                 // join drops the padded row — exactly the distinction
                 // behind the paper's §5.2 restriction-ordering warning.
@@ -472,12 +399,20 @@ impl<T: TableProvider> PlanExecutor<T> {
                 Ok(PlanOutput::stored(self.exec.storage(), file, child.sorted_by))
             }
             LogicalPlan::Project { input, items, distinct } => {
-                // Fuse Project(Filter(x)) into one restrict+project pass.
-                let (src_plan, mut pred) = match input.as_ref() {
-                    LogicalPlan::Filter { input: inner, pred } => (inner.as_ref(), Some(pred)),
-                    other => (other, None),
+                let reads = items.iter().filter_map(|item| match &item.expr {
+                    ScalarExpr::Column(c) => Some(c),
+                    _ => None,
+                });
+                let joined = self.run_joined(input, Some(reads.collect()))?;
+                // Over one relation, Project(Filter(x)) is one
+                // restrict+project pass.
+                let (mut child, mut pred) = match (joined, input.as_ref()) {
+                    (Some(joined), _) => (joined, None),
+                    (None, LogicalPlan::Filter { input: inner, pred }) => {
+                        (self.run_plan(inner)?, Some(pred))
+                    }
+                    (None, other) => (self.run_plan(other)?, None),
                 };
-                let mut child = self.run_plan(src_plan)?;
                 if let Some(p) = pred {
                     // The fused filter may route through an index first; the
                     // index pass applies the whole predicate, so the
@@ -507,11 +442,20 @@ impl<T: TableProvider> PlanExecutor<T> {
                 };
                 Ok(PlanOutput::stored(self.exec.storage(), file, sorted_by))
             }
-            LogicalPlan::Join { left, right, kind, on } => {
-                self.run_join(left, right, *kind, on, None)
-            }
+            LogicalPlan::Join { left, right, kind, on } => match self.run_joined(plan, None)? {
+                Some(out) => Ok(out),
+                None => self.run_join(left, right, *kind, on, None),
+            },
             LogicalPlan::Aggregate { input, group_by, aggs } => {
-                let child = self.run_plan(input)?;
+                let args = aggs.iter().filter_map(|a| match &a.arg {
+                    AggArg::Column(c) => Some(c),
+                    AggArg::Star => None,
+                });
+                let reads = group_by.iter().chain(args).collect();
+                let child = match self.run_joined(input, Some(reads))? {
+                    Some(joined) => joined,
+                    None => self.run_plan(input)?,
+                };
                 let mut step = GroupStep::new(child.file.schema(), &child.sorted_by, group_by)?;
                 for a in aggs {
                     step.push_agg(a.func, &a.arg, &a.alias)?;
@@ -525,6 +469,39 @@ impl<T: TableProvider> PlanExecutor<T> {
                 step.run(&self.exec, &child.file, stored_rows, |rel| store(&self.exec, rel, sorted_by))
             }
         }
+    }
+
+    /// The default plans' way through a temporary over several relations.
+    /// When the maximal subtree of filters and inner joins rooted at `plan`
+    /// joins two inputs or more under a filter — an inner block other blocks
+    /// were merged into arrives as one filter over a key-less join tree
+    /// (Section 9) — its leaves are executed and handed, with every conjunct
+    /// of its filters and `on` lists, to the join pipeline of the canonical
+    /// query ([`join_inputs`](Self::join_inputs)); `reads` is what the node
+    /// above reads of the result, `None` for every column. A left outer
+    /// join or an aggregate is a leaf of such a subtree, executed whole
+    /// before any conjunct above it is looked at: the barrier Section 5.2
+    /// asks for, by construction. `None` when there is nothing to decide —
+    /// one input, or joins whose `on` lists are all there is (NEST-JA2's
+    /// `TEMP1 ⋈ TEMP2`) — and under the literal plans, which run the tree
+    /// node by node.
+    fn run_joined(
+        &mut self,
+        plan: &LogicalPlan,
+        reads: Option<Vec<&ColumnRef>>,
+    ) -> Result<Option<PlanOutput>> {
+        if self.faithful {
+            return Ok(None);
+        }
+        let (mut leaves, mut conjuncts, mut filters) = (Vec::new(), Vec::new(), Vec::new());
+        flatten(plan, &mut leaves, &mut conjuncts, &mut filters);
+        if leaves.len() < 2 || filters.is_empty() {
+            return Ok(None);
+        }
+        conjuncts.append(&mut filters);
+        let mut inputs: Vec<PlanOutput> =
+            leaves.into_iter().map(|leaf| self.run_plan(leaf)).collect::<Result<_>>()?;
+        self.join_inputs(&mut inputs, &mut conjuncts, reads, stored_rows, store)
     }
 
     fn run_join(
@@ -906,54 +883,53 @@ impl<T: TableProvider> PlanExecutor<T> {
         Ok(PlanOutput::stored(exec.storage(), file, sorted_by))
     }
 
-    // ------------------------------------------------------ canonical query
+    // -------------------------------------------------------- join pipeline
 
-    /// Execute a flat (subquery-free) query block: left-deep joins in FROM
-    /// order with extracted equi-keys, residual predicates inline, final
-    /// projection / aggregation / DISTINCT / ORDER BY in memory.
-    pub fn execute_flat_query(
+    /// Join `inputs` left-deep in the order given under the conjuncts
+    /// `remaining`, and hand the last join's rows to `deliver` (`rows` and
+    /// `deliver` as for [`join`](Self::join)): the FROM list of the
+    /// canonical query, and the relations of a temporary's inner block. The
+    /// one place that decides where a conjunct is applied, which conjuncts
+    /// are join keys and which columns a stored join result carries.
+    ///
+    /// An input goes by the qualifiers of its columns. One with conjuncts of
+    /// its own is first replaced, in `inputs`, by its restriction (and, under
+    /// the default plans, projection onto the columns read later); each join
+    /// step then takes the equalities between its two sides as keys and
+    /// whatever else has become evaluable as residual; the last step takes
+    /// all that is left. `reads` lists the columns the caller reads of the
+    /// result. `None` when there is one input and so no join: `remaining`
+    /// then holds the conjuncts that were not applied.
+    fn join_inputs<R>(
         &mut self,
-        q: &QueryBlock,
-        force_distinct: bool,
-    ) -> Result<Relation> {
-        if q.from.is_empty() {
-            return Err(DbError::Engine(nsql_engine::EngineError::Unsupported(
-                "query with empty FROM".into(),
-            )));
-        }
-        // Resolve inputs. Whatever this statement materializes — a
-        // restricted input here, the join accumulator below — lives until
-        // the function returns, past the statement's last page read.
-        let mut inputs: Vec<PlanOutput> = q
-            .from
-            .iter()
-            .map(|t| self.lookup(&t.table, t.effective_name()))
-            .collect::<Result<_>>()?;
+        inputs: &mut [PlanOutput],
+        remaining: &mut Vec<Predicate>,
+        reads: Option<Vec<&ColumnRef>>,
+        rows: impl FnOnce(&R) -> u64,
+        deliver: impl FnOnce(&Exec, Relation, Vec<usize>) -> R,
+    ) -> Result<Option<R>> {
+        let names: Vec<Vec<String>> =
+            inputs.iter().map(|inp| qualifiers(inp.file.schema())).collect();
 
-        // Partition conjuncts into per-step join keys and residuals.
-        let mut remaining: Vec<Predicate> = q
-            .where_clause
-            .as_ref()
-            .map(|p| p.conjuncts().into_iter().cloned().collect())
-            .unwrap_or_default();
-
-        // What the SELECT phase reads of the join result; with the
-        // conjuncts still pending at a step, everything later steps read.
-        // `None` carries every column: the literal plans, and a statement
-        // with an unqualified reference (whose input cannot be told here).
+        // What the caller reads of the join result; with the conjuncts
+        // still pending at a step, everything later steps read. `None`
+        // carries every column: the literal plans, and a statement with an
+        // unqualified reference (whose input cannot be told here).
         let qualified = |c: &&ColumnRef| c.table.is_some();
-        let tail_reads = (!self.faithful).then(|| select_phase_refs(q)).filter(|reads| {
-            reads.iter().all(qualified) && remaining.iter().flat_map(refs_of).all(|c| qualified(&c))
+        let tail_reads = reads.filter(|reads| {
+            !self.faithful
+                && reads.iter().all(qualified)
+                && remaining.iter().flat_map(refs_of).all(|c| qualified(&c))
         });
 
         // Restrict before the join. Inner-join-only pipeline, so early
         // restriction is semantics-preserving, and a projection that keeps
         // duplicates keeps every multiplicity.
-        for (i, inp) in inputs.iter_mut().enumerate() {
-            let name = q.from[i].effective_name();
+        for (inp, names) in inputs.iter_mut().zip(&names) {
             let only_mine = |p: &Predicate| {
                 let refs = refs_of(p);
-                !refs.is_empty() && refs.iter().all(|c| c.table.as_deref() == Some(name))
+                !refs.is_empty()
+                    && refs.iter().all(|c| c.table.as_ref().is_some_and(|t| names.contains(t)))
             };
             // Under the default plans a conjunct moves below the join only
             // if it cannot raise there on a row the join would never have
@@ -977,7 +953,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             let pred = Predicate::and(pushed);
             let out = match (self.try_index_restrict(inp, &pred, keep.as_deref())?, &keep) {
                 (Some(out), _) => out,
-                (None, Some(keep)) => self.restrict_project(name, inp, &pred, keep)?,
+                (None, Some(keep)) => self.restrict_project(&names.join("+"), inp, &pred, keep)?,
                 // The paper's shape: whole tables into the join but for the
                 // §7 extension, a restriction an index range scan takes and
                 // wins on; otherwise it rides along as a join residual.
@@ -987,31 +963,24 @@ impl<T: TableProvider> PlanExecutor<T> {
             *inp = out;
         }
 
-        let grouped = !q.group_by.is_empty() || q.has_aggregate_select();
-        // Streaming projection needs plain column/literal select items.
-        let streamable = !grouped
-            && q.order_by.is_empty()
-            && !q.distinct
-            && !force_distinct
-            && q.select.iter().all(|s| !matches!(s.expr, ScalarExpr::Aggregate(..)));
-
         // The join accumulator; the first input stands in until a step ran.
         let mut acc: Option<PlanOutput> = None;
-        let mut acc_names: Vec<String> = vec![q.from[0].effective_name().to_string()];
+        let mut acc_names: Vec<String> = names[0].clone();
+        let last = inputs.len() - 1;
+        let mut sink = Some((rows, deliver));
         for (step, next) in inputs.iter().enumerate().skip(1) {
-            let next_name = q.from[step].effective_name().to_string();
             // Pull out the predicates usable at this step.
             let mut keys: Vec<JoinPred> = Vec::new();
             let mut residual: Vec<Predicate> = Vec::new();
             let mut rest: Vec<Predicate> = Vec::new();
             for p in remaining.drain(..) {
-                match classify_conjunct(&p, &acc_names, &next_name) {
+                match classify_conjunct(&p, &acc_names, &names[step]) {
                     ConjunctUse::JoinKey(jp) => keys.push(jp),
-                    ConjunctUse::Residual => residual.push(p),
-                    ConjunctUse::Later => rest.push(p),
+                    ConjunctUse::Later if step < last => rest.push(p),
+                    ConjunctUse::Residual | ConjunctUse::Later => residual.push(p),
                 }
             }
-            remaining = rest;
+            *remaining = rest;
             let residual =
                 if residual.is_empty() { None } else { Some(Predicate::and(residual)) };
             let left = acc.as_ref().unwrap_or(&inputs[0]);
@@ -1020,22 +989,70 @@ impl<T: TableProvider> PlanExecutor<T> {
                 tail.iter().copied().chain(remaining.iter().flat_map(refs_of)).collect()
             });
             let reads = reads.as_deref();
-            if streamable && step + 1 == inputs.len() {
-                // Stream the final join straight into the projection.
-                let rows = |rel: &Relation| rel.len() as u64;
-                let rel =
-                    self.join(left, next, kind, &keys, residual, reads, rows, |_, rel, _| rel)?;
-                return project_relation(q, &rel, force_distinct);
+            if step == last {
+                let (rows, deliver) = sink.take().expect("one last step");
+                return self.join(left, next, kind, &keys, residual, reads, rows, deliver).map(Some);
             }
             // Replacing the accumulator frees the previous step's file.
             acc =
                 Some(self.join(left, next, kind, &keys, residual, reads, stored_rows, store)?);
-            acc_names.push(next_name);
+            acc_names.extend_from_slice(&names[step]);
         }
-        let acc = acc.as_ref().unwrap_or(&inputs[0]);
+        Ok(None)
+    }
 
-        // Single-table case or non-streamable tail: apply leftover
-        // predicates, then the SELECT phase.
+    // ------------------------------------------------------ canonical query
+
+    /// Execute a flat (subquery-free) query block: its FROM list through the
+    /// join pipeline, then the final projection / aggregation / DISTINCT /
+    /// ORDER BY in memory.
+    pub fn execute_flat_query(
+        &mut self,
+        q: &QueryBlock,
+        force_distinct: bool,
+    ) -> Result<Relation> {
+        if q.from.is_empty() {
+            return Err(DbError::Engine(nsql_engine::EngineError::Unsupported(
+                "query with empty FROM".into(),
+            )));
+        }
+        // Resolve inputs. Whatever this statement materializes — a
+        // restricted input, the last join's result — lives until the
+        // function returns, past the statement's last page read.
+        let mut inputs: Vec<PlanOutput> = q
+            .from
+            .iter()
+            .map(|t| self.lookup(&t.table, t.effective_name()))
+            .collect::<Result<_>>()?;
+        let mut remaining: Vec<Predicate> = q
+            .where_clause
+            .as_ref()
+            .map(|p| p.conjuncts().into_iter().cloned().collect())
+            .unwrap_or_default();
+        let reads = Some(select_phase_refs(q));
+
+        let grouped = !q.group_by.is_empty() || q.has_aggregate_select();
+        // Streaming projection needs plain column/literal select items.
+        let streamable = !grouped
+            && q.order_by.is_empty()
+            && !q.distinct
+            && !force_distinct
+            && q.select.iter().all(|s| !matches!(s.expr, ScalarExpr::Aggregate(..)));
+        let joined = if streamable {
+            // Stream the final join straight into the projection.
+            let rows = |rel: &Relation| rel.len() as u64;
+            let keep = |_: &Exec, rel, _| rel;
+            if let Some(rel) = self.join_inputs(&mut inputs, &mut remaining, reads, rows, keep)? {
+                return project_relation(q, &rel, force_distinct);
+            }
+            None
+        } else {
+            self.join_inputs(&mut inputs, &mut remaining, reads, stored_rows, store)?
+        };
+        let acc = joined.as_ref().unwrap_or(&inputs[0]);
+
+        // Single-table case: apply leftover predicates. Then the SELECT
+        // phase.
         let filtered = if remaining.is_empty() {
             None
         } else {
@@ -1323,45 +1340,65 @@ enum ConjunctUse {
     Later,
 }
 
-/// Classify a conjunct relative to a join step combining `acc_names` (left)
-/// with `next_name` (right).
-fn classify_conjunct(p: &Predicate, acc_names: &[String], next_name: &str) -> ConjunctUse {
-    let refs = refs_of(p);
-    let available = |c: &ColumnRef| {
-        c.table
-            .as_deref()
-            .is_some_and(|t| t == next_name || acc_names.iter().any(|n| n == t))
-    };
-    if !refs.iter().all(|c| available(c)) {
+/// Classify a conjunct relative to a join step combining the inputs that go
+/// by `acc_names` (left) with the one that goes by `next_names` (right).
+fn classify_conjunct(p: &Predicate, acc_names: &[String], next_names: &[String]) -> ConjunctUse {
+    let among =
+        |c: &ColumnRef, names: &[String]| c.table.as_ref().is_some_and(|t| names.contains(t));
+    if !refs_of(p).iter().all(|c| among(c, acc_names) || among(c, next_names)) {
         return ConjunctUse::Later;
     }
     // Equality column-column across the two sides becomes a join key.
     if let Predicate::Compare {
         left: Operand::Column(a),
-        op,
+        op: op @ CompareOp::Eq,
         right: Operand::Column(b),
     } = p
     {
-        let a_left = a.table.as_deref().is_some_and(|t| acc_names.iter().any(|n| n == t));
-        let b_left = b.table.as_deref().is_some_and(|t| acc_names.iter().any(|n| n == t));
-        if *op == CompareOp::Eq {
-            if a_left && b.table.as_deref() == Some(next_name) {
-                return ConjunctUse::JoinKey(JoinPred {
-                    left: a.clone(),
-                    op: *op,
-                    right: b.clone(),
-                });
-            }
-            if b_left && a.table.as_deref() == Some(next_name) {
-                return ConjunctUse::JoinKey(JoinPred {
-                    left: b.clone(),
-                    op: op.flip(),
-                    right: a.clone(),
-                });
-            }
+        if among(a, acc_names) && among(b, next_names) {
+            return ConjunctUse::JoinKey(JoinPred { left: a.clone(), op: *op, right: b.clone() });
+        }
+        if among(b, acc_names) && among(a, next_names) {
+            let (left, right) = (b.clone(), a.clone());
+            return ConjunctUse::JoinKey(JoinPred { left, op: op.flip(), right });
         }
     }
     ConjunctUse::Residual
+}
+
+/// The inputs and conjuncts of the maximal subtree of filters and inner
+/// joins rooted at `plan`, bottom-up: its leaves left to right, the `on`
+/// predicates of its joins, the conjuncts of its filters.
+fn flatten<'p>(
+    plan: &'p LogicalPlan,
+    leaves: &mut Vec<&'p LogicalPlan>,
+    on: &mut Vec<Predicate>,
+    filters: &mut Vec<Predicate>,
+) {
+    match plan {
+        LogicalPlan::Filter { input, pred } => {
+            flatten(input, leaves, on, filters);
+            filters.extend(pred.conjuncts().into_iter().cloned());
+        }
+        LogicalPlan::Join { left, right, kind: LogicalJoinKind::Inner, on: preds } => {
+            flatten(left, leaves, on, filters);
+            flatten(right, leaves, on, filters);
+            let compare = |p: &JoinPred| Predicate::col_cmp(p.left.clone(), p.op, p.right.clone());
+            on.extend(preds.iter().map(compare));
+        }
+        leaf => leaves.push(leaf),
+    }
+}
+
+/// The names the columns of `schema` are qualified by, in column order.
+fn qualifiers(schema: &Schema) -> Vec<String> {
+    let mut names: Vec<String> = Vec::new();
+    for t in schema.columns().iter().filter_map(|c| c.table.as_ref()) {
+        if !names.contains(t) {
+            names.push(t.clone());
+        }
+    }
+    names
 }
 
 /// Compile a projection list to expressions and an output schema.
@@ -1576,6 +1613,18 @@ mod tests {
         PlanExecutor::new(Exec::new(cat.storage().clone()), cat, policy)
     }
 
+    fn aliased(alias: &str) -> Box<LogicalPlan> {
+        Box::new(LogicalPlan::Scan { table: "T".into(), alias: Some(alias.into()) })
+    }
+
+    fn on_k(l: &str, r: &str) -> Vec<JoinPred> {
+        vec![JoinPred {
+            left: ColumnRef::qualified(l, "K"),
+            op: CompareOp::Eq,
+            right: ColumnRef::qualified(r, "K"),
+        }]
+    }
+
     #[test]
     fn distinct_projection_reports_full_sort_order() {
         let cat = catalog();
@@ -1595,14 +1644,10 @@ mod tests {
         let cat = catalog();
         let mut pe = executor(&cat, JoinPolicy::ForceMergeJoin);
         let plan = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::Scan { table: "T".into(), alias: Some("A".into()) }),
-            right: Box::new(LogicalPlan::Scan { table: "T".into(), alias: Some("B".into()) }),
+            left: aliased("A"),
+            right: aliased("B"),
             kind: LogicalJoinKind::Inner,
-            on: vec![JoinPred {
-                left: ColumnRef::qualified("A", "K"),
-                op: CompareOp::Eq,
-                right: ColumnRef::qualified("B", "K"),
-            }],
+            on: on_k("A", "B"),
         };
         let out = pe.run_plan(&plan).unwrap();
         assert_eq!(out.sorted_by, vec![0]);
@@ -1616,14 +1661,10 @@ mod tests {
         let mut pe = executor(&cat, JoinPolicy::ForceMergeJoin);
         let plan = LogicalPlan::Aggregate {
             input: Box::new(LogicalPlan::Join {
-                left: Box::new(LogicalPlan::Scan { table: "T".into(), alias: Some("A".into()) }),
-                right: Box::new(LogicalPlan::Scan { table: "T".into(), alias: Some("B".into()) }),
+                left: aliased("A"),
+                right: aliased("B"),
                 kind: LogicalJoinKind::Inner,
-                on: vec![JoinPred {
-                    left: ColumnRef::qualified("A", "K"),
-                    op: CompareOp::Eq,
-                    right: ColumnRef::qualified("B", "K"),
-                }],
+                on: on_k("A", "B"),
             }),
             group_by: vec![ColumnRef::qualified("A", "K")],
             aggs: vec![AggItem {
@@ -1642,7 +1683,7 @@ mod tests {
     }
 
     fn scan(pe: &mut PlanExecutor<&Catalog>, alias: &str) -> PlanOutput {
-        pe.run_plan(&LogicalPlan::Scan { table: "T".into(), alias: Some(alias.into()) }).unwrap()
+        pe.run_plan(&aliased(alias)).unwrap()
     }
 
     #[test]
@@ -1695,6 +1736,50 @@ mod tests {
         }
     }
 
+    fn filtered(input: LogicalPlan, conjuncts: &str) -> LogicalPlan {
+        let q = parse_query(&format!("SELECT A.K FROM A WHERE {conjuncts}")).unwrap();
+        LogicalPlan::Filter { input: Box::new(input), pred: q.where_clause.unwrap() }
+    }
+
+    fn project_a_k(input: LogicalPlan) -> LogicalPlan {
+        LogicalPlan::Project {
+            input: Box::new(input),
+            items: vec![nsql_sql::SelectItem::column(ColumnRef::qualified("A", "K"))],
+            distinct: false,
+        }
+    }
+
+    /// A temporary over two relations as NEST-G emits it — one filter over a
+    /// key-less join — run both ways: the literal plan stores the cross
+    /// product and filters it; the default one restricts and projects each
+    /// input and joins on the equality. Same rows.
+    #[test]
+    fn a_filter_over_a_keyless_join_goes_through_the_join_pipeline() {
+        let cat = catalog();
+        let cross = LogicalPlan::Join {
+            left: aliased("A"),
+            right: aliased("B"),
+            kind: LogicalJoinKind::Inner,
+            on: vec![],
+        };
+        let plan = project_a_k(filtered(cross, "B.V > 10 AND A.K = B.K AND A.V < 30"));
+        let mut rows = Vec::new();
+        for (faithful, keys) in [(true, "(0 equality keys"), (false, "(1 equality keys")] {
+            let mut pe = executor(&cat, JoinPolicy::CostBased);
+            pe.set_faithful(faithful);
+            let out = pe.run_plan(&plan).unwrap();
+            let log = pe.log.join("\n");
+            assert!(log.contains(keys), "faithful = {faithful}:\n{log}");
+            assert_eq!(log.contains("restrict+project B: 3 tuples"), !faithful, "{log}");
+            let mut got = pe.exec().collect(&out.file).into_tuples();
+            got.sort_by(Tuple::total_cmp);
+            rows.push(got);
+        }
+        // A.K = 1 twice (V 10 and 11) meets B.K = 1 once (V 11), A.K = 2 once.
+        assert_eq!(rows[0].len(), 3);
+        assert_eq!(rows[0], rows[1]);
+    }
+
     #[test]
     fn filter_over_outer_join_is_not_fused() {
         // The §5.2 distinction: a filter above a LEFT OUTER join must run
@@ -1702,26 +1787,54 @@ mod tests {
         let cat = catalog();
         let mut pe = executor(&cat, JoinPolicy::ForceMergeJoin);
         let join = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::Scan { table: "T".into(), alias: Some("A".into()) }),
-            right: Box::new(LogicalPlan::Scan { table: "T".into(), alias: Some("B".into()) }),
+            left: aliased("A"),
+            right: aliased("B"),
             kind: LogicalJoinKind::LeftOuter,
-            on: vec![JoinPred {
-                left: ColumnRef::qualified("A", "K"),
-                op: CompareOp::Eq,
-                right: ColumnRef::qualified("B", "K"),
-            }],
+            on: on_k("A", "B"),
         };
         // Predicate on the right side: padded rows (NULL B.V) must be
         // dropped by the filter — which only happens if it is NOT fused.
-        let q = parse_query("SELECT A.K FROM A, B WHERE B.V > 100").unwrap();
-        let plan = LogicalPlan::Filter {
-            input: Box::new(join),
-            pred: q.where_clause.unwrap(),
-        };
+        let plan = filtered(join, "B.V > 100");
         let out = pe.run_plan(&plan).unwrap();
         // No B.V exceeds 100, so the result must be empty — if the filter
         // were fused as an outer-join residual, every left row would
         // survive padded.
         assert_eq!(out.file.tuple_count(), 0);
+    }
+
+    /// The COUNT-bug barrier where the join pipeline could cross it: a
+    /// conjunct over the NULL-extended side of NEST-JA2's outer join sits
+    /// above it, inside a subtree of filters and inner joins the default
+    /// path hands to the pipeline. The outer join is a leaf of that subtree
+    /// — executed whole, padding included — so the conjunct restricts its
+    /// *output*: no `B.V` exceeds 100 and a padded one is NULL, nothing is
+    /// left. Applied to `B` below the outer join it would have emptied `B`,
+    /// padded all four rows of `A`, and let six rows through the join with
+    /// `C`.
+    #[test]
+    fn a_conjunct_over_the_padded_side_is_applied_above_the_outer_join() {
+        let cat = catalog();
+        let outer = LogicalPlan::Join {
+            left: aliased("A"),
+            right: aliased("B"),
+            kind: LogicalJoinKind::LeftOuter,
+            on: on_k("A", "B"),
+        };
+        let with_c = LogicalPlan::Join {
+            left: Box::new(outer),
+            right: aliased("C"),
+            kind: LogicalJoinKind::Inner,
+            on: on_k("A", "C"),
+        };
+        let plan = project_a_k(filtered(with_c, "B.V > 100"));
+        for faithful in [false, true] {
+            let mut pe = executor(&cat, JoinPolicy::CostBased);
+            pe.set_faithful(faithful);
+            let out = pe.run_plan(&plan).unwrap();
+            let log = pe.log.join("\n");
+            assert_eq!(out.file.tuple_count(), 0, "faithful = {faithful}:\n{log}");
+            // The default path did restrict early: the outer join's output.
+            assert_eq!(log.contains("restrict+project A+B: 0 tuples"), !faithful, "{log}");
+        }
     }
 }

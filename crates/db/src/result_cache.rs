@@ -2,7 +2,7 @@
 //!
 //! The cacheable unit on the transform path is one materialized temporary
 //! (NEST-JA2's `TEMP1..TEMP3`, Kim's aggregate temp, NEST-N-J's projected
-//! lists). Three concerns live here:
+//! lists). Two concerns live here:
 //!
 //! * **Keys** — a temp is identified by its *deep* plan text (its
 //!   [`LogicalPlan::explain`] rendering with every referenced temp's
@@ -10,21 +10,14 @@
 //!   `(base table, generation)` pairs it transitively reads, and the
 //!   catalog epoch. Two queries that produce structurally identical temps
 //!   over unchanged bases share entries, whatever their SQL spelling.
-//! * **Aggregate-view descriptors** — an `Aggregate`-rooted temp also
-//!   carries a shape summary ([`AggViewDescriptor`]) that deliberately
-//!   omits the plan text, so a structurally *different* query can be
-//!   judged for sound reuse (and, critically, *declined* when the cached
-//!   view dropped the empty groups the request must preserve — the
-//!   COUNT-bug guard).
 //! * **Replay** — an exact hit does not skip I/O, it *recharges* it: the
 //!   recorded page-event sequence is re-issued against the live buffer
 //!   pool with fresh page ids, so reads, writes, the hit/miss split, and
 //!   the final buffer state are identical to re-running the
 //!   materialization (see DESIGN.md "Result caching").
 
-use nsql_cache::{AggViewDescriptor, QueryCache, TempEntry};
+use nsql_cache::{QueryCache, TempEntry};
 use nsql_core::LogicalPlan;
-use nsql_sql::{AggArg, ColumnRef};
 use nsql_storage::{HeapFile, PageId, Storage, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -41,9 +34,6 @@ pub struct CacheCtx {
     pub fingerprint: String,
     /// Catalog incarnation stamp (see `Catalog::epoch`).
     pub epoch: u64,
-    /// Whether sound aggregate-view rewrites may answer
-    /// (`CacheMode::Rewrite`).
-    pub rewrite: bool,
 }
 
 /// Everything needed to probe, publish, and explain one temp's cache
@@ -58,8 +48,6 @@ pub struct TempKey {
     /// Earlier temps this plan scans (uppercased), for the entry-identity
     /// dependency check.
     pub dep_names: Vec<String>,
-    /// Aggregate-view shape, when the temp is `Aggregate`-rooted.
-    pub view: Option<AggViewDescriptor>,
 }
 
 /// Tables scanned directly by `plan`, uppercased.
@@ -88,7 +76,6 @@ pub fn temp_keys(
 ) -> Option<Vec<TempKey>> {
     let mut deep_texts: BTreeMap<String, String> = BTreeMap::new();
     let mut deep_bases: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut defs: BTreeMap<String, LogicalPlan> = BTreeMap::new();
     let mut keys = Vec::with_capacity(temps.len());
     for temp in temps {
         let upper = temp.name.to_ascii_uppercase();
@@ -113,79 +100,11 @@ pub fn temp_keys(
         for b in &bases_set {
             bases.push((b.clone(), generation_of(b)?));
         }
-        let view = agg_view_descriptor(&temp.plan, &defs);
         deep_texts.insert(upper.clone(), text.clone());
-        deep_bases.insert(upper.clone(), bases_set);
-        defs.insert(upper, temp.plan.clone());
-        keys.push(TempKey { name: temp.name.clone(), text, bases, dep_names, view });
+        deep_bases.insert(upper, bases_set);
+        keys.push(TempKey { name: temp.name.clone(), text, bases, dep_names });
     }
     Some(keys)
-}
-
-/// Shape summary of an `Aggregate`-rooted temp, with referenced temp
-/// definitions traversed so NEST-JA2's `TEMP3` (aggregate over
-/// `TEMP1 ⋈ TEMP2`) and Kim's single aggregate temp describe themselves in
-/// comparable terms: unqualified group columns, the one aggregate, the
-/// restriction predicates applied anywhere below, and whether an outer
-/// join preserved empty groups.
-pub fn agg_view_descriptor(
-    plan: &LogicalPlan,
-    defs: &BTreeMap<String, LogicalPlan>,
-) -> Option<AggViewDescriptor> {
-    let LogicalPlan::Aggregate { input, group_by, aggs } = plan else {
-        return None;
-    };
-    if aggs.len() != 1 {
-        return None;
-    }
-    let mut filters = Vec::new();
-    let mut outer = false;
-    collect_shape(input, defs, &mut filters, &mut outer);
-    filters.sort();
-    filters.dedup();
-    let unq = |c: &ColumnRef| c.column.to_ascii_uppercase();
-    let mut group_cols: Vec<String> = group_by.iter().map(unq).collect();
-    group_cols.sort();
-    let a = &aggs[0];
-    Some(AggViewDescriptor {
-        group_cols,
-        agg_func: a.func.name().to_string(),
-        agg_arg: match &a.arg {
-            AggArg::Star => "*".to_string(),
-            AggArg::Column(c) => c.column.to_ascii_uppercase(),
-        },
-        filters,
-        preserves_empty_groups: outer,
-    })
-}
-
-fn collect_shape(
-    plan: &LogicalPlan,
-    defs: &BTreeMap<String, LogicalPlan>,
-    filters: &mut Vec<String>,
-    outer: &mut bool,
-) {
-    match plan {
-        LogicalPlan::Scan { table, .. } => {
-            if let Some(def) = defs.get(&table.to_ascii_uppercase()) {
-                collect_shape(def, defs, filters, outer);
-            }
-        }
-        LogicalPlan::Filter { input, pred } => {
-            filters.push(nsql_sql::print_predicate(pred));
-            collect_shape(input, defs, filters, outer);
-        }
-        LogicalPlan::Project { input, .. } | LogicalPlan::Aggregate { input, .. } => {
-            collect_shape(input, defs, filters, outer)
-        }
-        LogicalPlan::Join { left, right, kind, .. } => {
-            if *kind == nsql_core::LogicalJoinKind::LeftOuter {
-                *outer = true;
-            }
-            collect_shape(left, defs, filters, outer);
-            collect_shape(right, defs, filters, outer);
-        }
-    }
 }
 
 /// Re-issue a cached temp's recorded page-event sequence against live
@@ -238,8 +157,8 @@ pub fn replay_temp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsql_core::{AggItem, LogicalJoinKind, LogicalPlan, TempTable};
-    use nsql_sql::{parse_query, AggFunc, Predicate};
+    use nsql_core::{LogicalPlan, TempTable};
+    use nsql_sql::{parse_query, Predicate};
 
     fn scan(t: &str) -> LogicalPlan {
         LogicalPlan::Scan { table: t.to_string(), alias: None }
@@ -250,28 +169,6 @@ mod tests {
             .unwrap()
             .where_clause
             .unwrap()
-    }
-
-    fn agg_over(input: LogicalPlan, outer_join: bool) -> LogicalPlan {
-        let input = if outer_join {
-            LogicalPlan::Join {
-                left: Box::new(input),
-                right: Box::new(scan("U")),
-                kind: LogicalJoinKind::LeftOuter,
-                on: vec![],
-            }
-        } else {
-            input
-        };
-        LogicalPlan::Aggregate {
-            input: Box::new(input),
-            group_by: vec![ColumnRef { table: Some("T".into()), column: "K".into() }],
-            aggs: vec![AggItem {
-                func: AggFunc::Count,
-                arg: AggArg::Star,
-                alias: "CNT".into(),
-            }],
-        }
     }
 
     #[test]
@@ -297,16 +194,5 @@ mod tests {
     fn missing_generation_disables_caching() {
         let temps = vec![TempTable { name: "TEMP1".into(), plan: scan("BASE") }];
         assert!(temp_keys(&temps, |_| None).is_none());
-    }
-
-    #[test]
-    fn outer_join_shape_reports_preserved_groups() {
-        let defs = BTreeMap::new();
-        let plain = agg_view_descriptor(&agg_over(scan("T"), false), &defs).unwrap();
-        let padded = agg_view_descriptor(&agg_over(scan("T"), true), &defs).unwrap();
-        assert!(!plain.preserves_empty_groups);
-        assert!(padded.preserves_empty_groups);
-        assert_eq!(plain.agg_func, "COUNT");
-        assert_eq!(plain.group_cols, vec!["K".to_string()]);
     }
 }

@@ -87,7 +87,6 @@ pub fn stat_view_schema(name: &str) -> Option<Schema> {
             &[
                 ("HITS", ColumnType::Int),
                 ("MISSES", ColumnType::Int),
-                ("DECLINES", ColumnType::Int),
                 ("EVICTIONS", ColumnType::Int),
                 ("INVALIDATIONS", ColumnType::Int),
                 ("ENTRIES", ColumnType::Int),
@@ -158,7 +157,6 @@ pub fn stat_view_relation(
             vec![Tuple::new(vec![
                 int(c.hits),
                 int(c.misses),
-                int(c.declines),
                 int(c.evictions),
                 int(c.invalidations),
                 int(c.entries),

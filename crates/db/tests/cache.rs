@@ -1,8 +1,7 @@
 //! End-to-end behavior of the cross-query result cache: exact hits are
 //! invisible (results *and* counted I/O identical to cache-off), DML and
-//! reopen invalidate precisely, a tiny byte budget evicts, and the
-//! Rewrite mode's soundness check declines the COUNT-bug and exact-float
-//! hazards with a stated reason.
+//! reopen invalidate precisely, a tiny byte budget evicts, and an entry
+//! answers only the computation that published it.
 
 use nsql_core::{JaVariant, UnnestOptions};
 use nsql_db::{CacheMode, Database, QueryCache, QueryOptions, Strategy};
@@ -20,18 +19,6 @@ const SETUP: &str = "CREATE TABLE PARTS (PNUM INT, QOH INT);
 /// Kiessling's Q2 — the COUNT-bug query.
 const Q2: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
     (SELECT COUNT(SHIPDATE) FROM SUPPLY \
-     WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)";
-
-/// Same shape with SUM — a type-JA query whose NEST-JA2 plan takes the
-/// regular (inner) join, so its aggregate view does not preserve empty
-/// groups.
-const Q_SUM: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
-    (SELECT SUM(QUAN) FROM SUPPLY \
-     WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)";
-
-/// Same shape with AVG — the exact-float rewrite hazard.
-const Q_AVG: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
-    (SELECT AVG(QUAN) FROM SUPPLY \
      WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)";
 
 fn mem_db() -> Database {
@@ -228,61 +215,29 @@ fn eviction_under_one_page_budget() {
     assert!(stats.bytes <= 512, "budget exceeded: {stats:?}");
 }
 
-/// The COUNT-bug guard: a view materialized by Kim's buggy NEST-JA drops
-/// empty groups. A later NEST-JA2 COUNT query (which must preserve them)
-/// may not be answered from it — the rewrite check declines with the
-/// count-bug reason and the query recomputes correctly.
+/// The COUNT-bug guard, by construction: a temporary materialized by Kim's
+/// buggy NEST-JA drops empty groups, and it is keyed on its plan text. A
+/// later NEST-JA2 COUNT query (which must preserve them) over the same
+/// grouping and restriction misses and recomputes correctly.
 #[test]
-fn rewrite_declines_count_bug_sensitive_view() {
+fn a_temporary_kim_published_never_answers_nest_ja2() {
     let db = mem_db();
     let kim = QueryOptions {
         unnest: UnnestOptions { ja_variant: JaVariant::KimOriginal, ..UnnestOptions::faithful() },
         ..opts(&Strategy::Transform, CacheMode::On)
     };
-    // Kim's answer is wrong (part 8 lost — the COUNT bug), but it does
-    // publish an aggregate view over the same group/filter shape.
+    // Kim's answer is wrong (part 8 lost — the COUNT bug), and its
+    // aggregate temporary is now in the cache.
     let buggy = db.query_with(Q2, &kim).unwrap();
     assert_eq!(col0_sorted(&buggy.relation), vec!["10"]);
-    let rewrite = opts(&Strategy::Transform, CacheMode::Rewrite);
-    let got = db.query_with(Q2, &rewrite).unwrap();
+    let ja2 = QueryOptions {
+        unnest: UnnestOptions::faithful(),
+        ..opts(&Strategy::Transform, CacheMode::On)
+    };
+    let got = db.query_with(Q2, &ja2).unwrap();
     let log = got.explain.join("\n");
-    assert!(
-        log.contains("count-bug"),
-        "expected a count-bug decline in explain:\n{log}"
-    );
-    assert_eq!(col0_sorted(&got.relation), vec!["10", "8"], "declined query must recompute");
-    assert!(db.result_cache().stats().declines > 0);
-}
-
-/// The exact-float guard: AVG is never derived from a cached SUM view.
-#[test]
-fn rewrite_declines_avg_from_cached_sum() {
-    let db = mem_db();
-    let on = opts(&Strategy::Transform, CacheMode::On);
-    let _ = db.query_with(Q_SUM, &on).unwrap();
-    let rewrite = opts(&Strategy::Transform, CacheMode::Rewrite);
-    let off = opts(&Strategy::Transform, CacheMode::Off);
-    let got = db.query_with(Q_AVG, &rewrite).unwrap();
-    let want = db.query_with(Q_AVG, &off).unwrap();
-    let log = got.explain.join("\n");
-    assert!(
-        log.contains("exact-float"),
-        "expected the exact-float decline in explain:\n{log}"
-    );
-    assert!(got.relation.same_bag(&want.relation));
-}
-
-/// An identical re-run under Rewrite mode is still served as an *exact*
-/// replayed hit (rewrite subsumes exact), with identical I/O.
-#[test]
-fn rewrite_mode_still_serves_exact_hits() {
-    let db = mem_db();
-    let rw = opts(&Strategy::Transform, CacheMode::Rewrite);
-    let first = db.query_with(Q2, &rw).unwrap();
-    let second = db.query_with(Q2, &rw).unwrap();
-    assert!(second.explain.join("\n").contains("cache: hit"));
-    assert!(second.relation.same_bag(&first.relation));
-    assert_eq!((second.io.reads, second.io.writes), (first.io.reads, first.io.writes));
+    assert!(log.contains("cache: miss") && !log.contains("cache: hit"), "{log}");
+    assert_eq!(col0_sorted(&got.relation), vec!["10", "8"]);
 }
 
 /// EXPLAIN ANALYZE under an enabled cache carries the lifetime cache

@@ -1,16 +1,18 @@
 //! The paper's Section 4 duplicates problem, demonstrated end-to-end and
-//! resolved as an explicit [`DuplicateSemantics`] choice rather than a
-//! silent set-level comparison.
+//! resolved as an explicit choice (`UnnestOptions::preserve_duplicates`)
+//! rather than a silent set-level comparison.
 //!
 //! Nested iteration evaluates `IN` as a membership *test*: each outer tuple
 //! appears at most once per occurrence, however many inner rows match.
 //! Kim's NEST-N-J replaces the test with a join, so the outer tuple is
 //! repeated once per match. With duplicate outer tuples in play, no single
-//! transformed plan reproduces the nested bag: `KimFaithful` over-counts
-//! matches, `ForceDistinct` collapses legitimate outer duplicates. These
-//! tests pin down exactly which equality each choice delivers.
+//! transformed plan reproduces the nested bag: Kim's join form (the option
+//! off, the default) over-counts matches, the forced DISTINCT (the option on)
+//! collapses legitimate outer duplicates. These tests pin down exactly which
+//! equality each choice delivers.
 
-use nsql_db::{Database, DuplicateSemantics, QueryOptions, Strategy};
+use nsql_core::UnnestOptions;
+use nsql_db::{Database, QueryOptions, Strategy};
 use nsql_types::Value;
 
 /// PARTS holds part 3 **twice** (a legitimate duplicate outer tuple) and
@@ -58,7 +60,7 @@ fn kim_faithful_join_expansion_over_counts_matches() {
     let db = duplicates_db();
     let opts = QueryOptions {
         strategy: Strategy::Transform,
-        duplicates: DuplicateSemantics::KimFaithful,
+        unnest: UnnestOptions { preserve_duplicates: false, ..Default::default() },
         cold_start: true,
         ..Default::default()
     };
@@ -78,7 +80,7 @@ fn force_distinct_collapses_to_set_semantics() {
     let db = duplicates_db();
     let opts = QueryOptions {
         strategy: Strategy::Transform,
-        duplicates: DuplicateSemantics::ForceDistinct,
+        unnest: UnnestOptions { preserve_duplicates: true, ..Default::default() },
         cold_start: true,
         ..Default::default()
     };

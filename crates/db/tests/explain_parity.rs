@@ -34,6 +34,13 @@ const Q_RESTRICTED: &str = "SELECT PNUM FROM PARTS WHERE PARTS.PNUM > 5 AND QOH 
     (SELECT COUNT(SHIPDATE) FROM SUPPLY \
      WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)";
 
+/// Q2 with a type-N block inside the aggregate block: NEST-N-J merges `P2`
+/// into it, so NEST-JA2's `TEMP2` ranges over two relations.
+const Q_MERGED: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
+    (SELECT COUNT(SHIPDATE) FROM SUPPLY \
+     WHERE SUPPLY.PNUM = PARTS.PNUM AND SUPPLY.QUAN IN \
+       (SELECT QOH FROM PARTS P2 WHERE P2.PNUM > 5))";
+
 /// An uncorrelated type-A query: still nested, so it still gets the
 /// three-way cost block (batched prices the evaluate-once plan, `d = 1`).
 const Q_TYPE_A: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
@@ -196,6 +203,36 @@ fn access_path_lines_are_the_same_in_both_reports() {
             };
             assert_eq!(plain, want, "[{name}] faithful_1987={faithful_1987}");
         }
+    }
+}
+
+/// A temporary over several relations is planned where it runs: nothing
+/// rewrites its plan in the transform phase (no `rule …` trace line, no
+/// `logical rules` profile node), and under the default shapes the restricted
+/// input and the keyed join are operator nodes under the temporary's
+/// `materialize` node — where the literal plans have the key-less join.
+#[test]
+fn a_temporary_over_two_relations_is_planned_under_its_materialize_node() {
+    let db = mem_db();
+    for (faithful_1987, join, restricted) in
+        [(false, "nested-loop join (1 keys)", true), (true, "nested-loop join (0 keys)", false)]
+    {
+        let unnest = nsql_core::UnnestOptions { faithful_1987, ..Default::default() };
+        let o = QueryOptions { unnest, ..opts(&Strategy::Transform, CacheMode::Off) };
+        let plain = db.explain_query(Q_MERGED, false, &o).unwrap();
+        let analyzed = db.explain_query(Q_MERGED, true, &o).unwrap();
+        for report in [&plain, &analyzed] {
+            assert!(!report.strategy.iter().any(|l| l.starts_with("rule ")), "{:#?}", report.strategy);
+        }
+        let obs = analyzed.obs.expect("ANALYZE collects a profile");
+        assert!(!obs.profile.iter().any(|root| has_node(root, "logical rules")));
+        let temp2 = obs
+            .profile
+            .iter()
+            .find_map(|root| root.find("materialize TEMP2"))
+            .unwrap_or_else(|| panic!("{:#?}", obs.profile));
+        assert!(has_node(temp2, join), "faithful_1987 = {faithful_1987}: {temp2:#?}");
+        assert_eq!(has_node(temp2, "restrict+project P2"), restricted, "{temp2:#?}");
     }
 }
 

@@ -239,8 +239,6 @@ pub struct CacheCounters {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Rewrite opportunities declined by the soundness judge.
-    pub declines: u64,
     /// Entries evicted by the byte-budget LRU.
     pub evictions: u64,
     /// Entries dropped by generation/epoch invalidation.
@@ -256,13 +254,12 @@ impl CacheCounters {
     /// the query-end obs event and by `.stats`.
     pub fn render(&self) -> String {
         format!(
-            "cache: {} entries, {} bytes; lifetime hits {}, misses {}, declines {}, \
-             evictions {}, invalidations {}",
+            "cache: {} entries, {} bytes; lifetime hits {}, misses {}, evictions {}, \
+             invalidations {}",
             self.entries,
             self.bytes,
             self.hits,
             self.misses,
-            self.declines,
             self.evictions,
             self.invalidations
         )
@@ -403,7 +400,6 @@ impl StatsSnapshot {
                 Json::obj([
                     ("hits", Json::num(self.cache.hits as f64)),
                     ("misses", Json::num(self.cache.misses as f64)),
-                    ("declines", Json::num(self.cache.declines as f64)),
                     ("evictions", Json::num(self.cache.evictions as f64)),
                     ("invalidations", Json::num(self.cache.invalidations as f64)),
                     ("entries", Json::num(self.cache.entries as f64)),
@@ -820,7 +816,6 @@ mod tests {
         let c = CacheCounters {
             hits: 1,
             misses: 2,
-            declines: 3,
             evictions: 4,
             invalidations: 5,
             entries: 6,
@@ -828,8 +823,8 @@ mod tests {
         };
         assert_eq!(
             c.render(),
-            "cache: 6 entries, 7 bytes; lifetime hits 1, misses 2, declines 3, \
-             evictions 4, invalidations 5"
+            "cache: 6 entries, 7 bytes; lifetime hits 1, misses 2, evictions 4, \
+             invalidations 5"
         );
     }
 }

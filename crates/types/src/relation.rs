@@ -93,7 +93,7 @@ impl Relation {
     /// tuple once per inner match, so bag equality with nested iteration
     /// holds only for key-valued inner columns. The choice of join-form
     /// multiplicity is an explicit per-query option
-    /// (`nsql_db::DuplicateSemantics`, demonstrated end-to-end in
+    /// (`UnnestOptions::preserve_duplicates`, demonstrated end-to-end in
     /// `crates/db/tests/duplicate_semantics.rs`), not a silent comparison
     /// weakening; see DESIGN.md "Oracle semantics" for which equality each
     /// pipeline promises.

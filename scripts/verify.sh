@@ -103,8 +103,26 @@ done <<GATES
 \\b(is_temp|l_temp|r_temp|drop_child|drop_input|JoinResult)\\b|IXR_#crates/*/src#-#an ownership flag or the IXR_ pseudo-temporary; temporaries are owned TempFile values
 \\brebuild_indexes\\b#crates/*/src#-#the whole-table index rebuild; INSERT costs what it changes (DESIGN.md "Durability")
 \\blogical_rules\\b#$everywhere#-#the opt-in plan-rule switch; UnnestOptions::faithful_1987 replaced it (DESIGN.md "Configuration")
+\\b(PlanRule|PredicatePushdown|ProjectionPruning|RuleEngine|RuleFiring)\\b#$everywhere#-#a second restriction/projection planner beside the executor's join pipeline (DESIGN.md "Rule-based optimization")
+\\b(judge_rewrite|RewriteJudgement|AggViewDescriptor|DuplicateSemantics)\\b|CacheMode::Rewrite#$everywhere#-#the aggregate-view judge that licensed nothing, or the alias of UnnestOptions::preserve_duplicates (DESIGN.md "Result caching", "Configuration")
 faithful_1987 *[:=] *true|UnnestOptions::faithful\\(|set_faithful\\(true#$non_test#crates/core/src/nest_g\\.rs|crates/db/src/options\\.rs|crates/bench/src/.*|src/diff\\.rs|examples/.*#faithful_1987 is set on a path the default options reach
 GATES
+
+echo "==> one planner for flat blocks"
+# Where a conjunct is applied, which conjuncts are join keys and which columns
+# a stored join result carries is decided by PlanExecutor::join_inputs, for
+# the canonical query's FROM list and for a temporary over several relations
+# alike (DESIGN.md "Rule-based optimization"): outside tests the conjunct
+# classifier has that one caller.
+callers=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    match($0, /fn [a-z_0-9]+/) { current = substr($0, RSTART + 3, RLENGTH - 3) }
+    /classify_conjunct\(/ && !/fn classify_conjunct\(/ { print current }' \
+    crates/db/src/plan_exec.rs | sort -u)
+if [ "$callers" != "join_inputs" ]; then
+    echo "callers of classify_conjunct: ${callers:-none}"
+    echo "FAIL: join conjuncts are classified outside PlanExecutor::join_inputs (or nowhere)"
+    exit 1
+fi
 
 echo "==> column batches stay inside the hash join"
 # Filters, projections and aggregate folds have one in-memory kernel, over
@@ -195,8 +213,8 @@ echo "==> testkit is warnings-clean across all targets"
 RUSTFLAGS="-D warnings" cargo check -p nsql-testkit --all-targets --offline
 
 echo "==> hot-path crates carry no redundant clones (clippy)"
-# nsql-core is included for the rule engine and cost model: rule firings
-# clone plan fragments, and a redundant clone there multiplies per query.
+# nsql-core is included for the transformation and the cost model: NEST-G
+# clones query blocks, and a redundant clone there multiplies per query.
 # nsql-sql is included for the child-block walker every crate calls.
 cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec -p nsql-cache \
     -p nsql-core -p nsql-types -p nsql-sql \

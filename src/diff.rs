@@ -7,9 +7,10 @@
 //! tuple-at-a-time oracle (`nsql-oracle`) and with every engine pipeline —
 //! nested iteration at 1 and 4 threads, batched correlated evaluation at 1
 //! and 4 threads (plus a cache-on variant), the NEST-G transformation under
-//! each join policy (every one with the plan rules on and its join inputs
-//! restricted first, as the default path runs), once more as the paper's
-//! literal plans, and the duplicate-collapsing `ForceDistinct` variant — and
+//! each join policy (every one with its join inputs restricted first, in the
+//! canonical query and in a temporary over several relations, as the default
+//! path runs), once more as the paper's literal plans, and the
+//! duplicate-collapsing `preserve_duplicates` variant — and
 //! compares results at
 //! exactly the strength the paper promises:
 //!
@@ -36,10 +37,10 @@
 //! then the query is structurally simplified.
 
 use nsql_db::{
-    CacheMode, Database, DuplicateSemantics, ExecMode, IndexUse, JoinPolicy, QueryOptions,
+    CacheMode, Database, ExecMode, IndexUse, JoinPolicy, QueryOptions,
     QueryOutcome, Strategy,
 };
-use nsql_core::UnnestOptions;
+use nsql_core::{LogicalPlan, UnnestOptions};
 use nsql_engine::EngineError;
 use nsql_oracle::{Notes, Oracle, OracleError};
 use nsql_sql::{
@@ -638,7 +639,8 @@ pub enum CaseOutcome {
     /// Every comparable pipeline agreed with the oracle. Each entry records
     /// the pipeline name, whether it was compared (`true`) or skipped under
     /// a divergence license / unsupported-class refusal (`false`), and how
-    /// many plan-rule firings and restricted join inputs its EXPLAIN output
+    /// many temporaries over several relations it materialized through a
+    /// keyed join and how many restricted join inputs its EXPLAIN output
     /// logged.
     Agree(Vec<(&'static str, bool, (u64, u64))>),
     /// A pipeline diverged from the oracle — the property failure.
@@ -657,7 +659,7 @@ struct Pipeline {
 /// cache-on variant (held to nested iteration's full-strength contract:
 /// bag-equal always, cardinality errors reproduced); the transformation
 /// runs under every join policy, in parallel, and in the
-/// duplicate-collapsing `ForceDistinct` mode. Row pipelines pin
+/// duplicate-collapsing `preserve_duplicates` mode. Row pipelines pin
 /// `ExecMode::Row` (not `Auto`) so the sweep diffs both representations
 /// whatever `Auto` comes to mean; `tr-vec-hash` reruns the forced-hash-join
 /// shapes under the batch hash-join kernel.
@@ -733,7 +735,7 @@ fn pipelines() -> Vec<Pipeline> {
         Pipeline {
             name: "tr-distinct",
             opts: QueryOptions {
-                duplicates: DuplicateSemantics::ForceDistinct,
+                unnest: UnnestOptions { preserve_duplicates: true, ..Default::default() },
                 ..tr(JoinPolicy::CostBased, 1)
             },
             transform: true,
@@ -754,7 +756,7 @@ fn pipelines() -> Vec<Pipeline> {
             transform: true,
             set_only: false,
         },
-        // The paper's literal plans: no plan rules over the temporaries,
+        // The paper's literal plans: temporaries executed node by node,
         // whole-table join inputs, every column, pages-only join choice.
         // Every other `tr-*` pipeline runs the default shapes, so this is
         // the one place the figures' plans meet the oracle on whole queries.
@@ -945,7 +947,8 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
                     let lines = |prefix: &str| {
                         out.explain.iter().filter(|l| l.starts_with(prefix)).count() as u64
                     };
-                    report.push((p.name, COMPARED, (lines("rule "), lines("restrict+project "))));
+                    let keyed = keyed_multi_relation_temps(&db, case, &p.opts, &out.explain);
+                    report.push((p.name, COMPARED, (keyed, lines("restrict+project "))));
                 }
             }
         } else {
@@ -972,6 +975,45 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
         }
     }
     CaseOutcome::Agree(report)
+}
+
+/// How many temporaries over several relations — their logical plan joins
+/// without a key, as an inner block other blocks were merged into arrives —
+/// the pipeline materialized through a keyed join: a join line with an
+/// equality key (or an index probe) between the temporary's first log line
+/// and its `materialize` line.
+fn keyed_multi_relation_temps(
+    db: &Database,
+    case: &DiffCase,
+    opts: &QueryOptions,
+    explain: &[String],
+) -> u64 {
+    fn joins_without_key(plan: &LogicalPlan) -> bool {
+        match plan {
+            LogicalPlan::Scan { .. } => false,
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. } => joins_without_key(input),
+            LogicalPlan::Join { left, right, on, .. } => {
+                on.is_empty() || joins_without_key(left) || joins_without_key(right)
+            }
+        }
+    }
+    let Ok(plan) = nsql_core::transform_query(db.catalog(), &case.query, &opts.unnest) else {
+        return 0;
+    };
+    let keyed = |l: &str| {
+        (l.contains(" join (") && !l.contains(" join (0 ")) || l.starts_with("index nested-loop join")
+    };
+    // The executor's log follows the canonical query: one run of lines per
+    // temporary, each closed by its `materialize` line.
+    let log: Vec<&String> =
+        explain.iter().skip_while(|l| !l.starts_with("canonical: ")).skip(1).collect();
+    let per_temp = log.split(|l| l.starts_with("materialize "));
+    let through_keys = plan.temps.iter().zip(per_temp).filter(|(temp, lines)| {
+        joins_without_key(&temp.plan) && lines.iter().any(|l| keyed(l))
+    });
+    through_keys.count() as u64
 }
 
 // ------------------------------------------- the cache-transparency checker
@@ -1185,9 +1227,11 @@ pub struct PipelineStats {
     /// Cases skipped under a divergence license or unsupported-class
     /// refusal.
     pub skipped: u64,
-    /// Plan-rule firings (`rule …` lines) in the EXPLAIN output of the
-    /// compared cases; every transform pipeline but `tr-literal` logs some.
-    pub rule_lines: u64,
+    /// Temporaries over several relations materialized through a keyed join
+    /// in the compared cases ([`check_case`] reads them off the plan and the
+    /// EXPLAIN output); none under `tr-literal`, which runs the key-less
+    /// join tree the algorithm emits.
+    pub keyed_temp_joins: u64,
     /// Join inputs restricted and projected before the join
     /// (`restrict+project …` lines) in the same output; again none under
     /// `tr-literal`.
@@ -1216,7 +1260,7 @@ fn run_property_with(
         match check(case) {
             CaseOutcome::Agree(report) => {
                 let mut stats = stats.borrow_mut();
-                for (pname, compared, (rule_lines, restricted_inputs)) in report {
+                for (pname, compared, (keyed_temp_joins, restricted_inputs)) in report {
                     let entry = match stats.iter_mut().find(|s| s.name == pname) {
                         Some(e) => e,
                         None => {
@@ -1224,13 +1268,13 @@ fn run_property_with(
                                 name: pname,
                                 compared: 0,
                                 skipped: 0,
-                                rule_lines: 0,
+                                keyed_temp_joins: 0,
                                 restricted_inputs: 0,
                             });
                             stats.last_mut().expect("just pushed")
                         }
                     };
-                    entry.rule_lines += rule_lines;
+                    entry.keyed_temp_joins += keyed_temp_joins;
                     entry.restricted_inputs += restricted_inputs;
                     if compared {
                         entry.compared += 1;

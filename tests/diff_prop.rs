@@ -4,12 +4,13 @@
 //! naive `nsql-oracle` interpreter and by every engine pipeline — nested
 //! iteration (threads 1 and 4), batched correlated evaluation (threads 1
 //! and 4, plus a cache-on variant), the NEST-G transformation under every join
-//! policy (serial and parallel), the duplicate-collapsing `ForceDistinct`
-//! mode, and the index-backed variants (every generated table carries a
+//! policy (serial and parallel), the duplicate-collapsing
+//! `preserve_duplicates` mode, and the index-backed variants (every generated table carries a
 //! B+tree on `K`; `tr-ix-prefer` forces index restriction and index
 //! back-joins on, `tr-ix-never` forces them off) — every one of these on the
-//! default plans: plan rules over the temporaries, join inputs restricted
-//! and projected first — and once more as the paper's literal plans
+//! default plans: join inputs restricted and projected first, in the
+//! canonical query and in a temporary over several relations alike — and
+//! once more as the paper's literal plans
 //! (`tr-literal`), and compared at the strength the paper promises
 //! (bag equality, downgraded or skipped only under the documented
 //! divergence licenses; see DESIGN.md "Oracle semantics").
@@ -73,28 +74,33 @@ fn every_pipeline_agrees_with_the_oracle() {
         stats.iter().any(|s| s.name == "tr-vec-hash" && s.compared + s.skipped > 0),
         "vectorized pipeline tr-vec-hash missing from the sweep"
     );
-    // The two plan shapes must not pass vacuously: a sweep in which no rule
-    // ever fired and no join input was ever restricted compared the literal
-    // plans sixteen times over, and one in which `tr-literal` did either
-    // did not compare them at all.
+    // The two plan shapes must not pass vacuously: a sweep in which no
+    // temporary over several relations was ever joined on a key and no join
+    // input was ever restricted compared the literal plans sixteen times
+    // over, and one in which `tr-literal` did either did not compare them at
+    // all.
     let shapes = |name: &str| {
         let s = stats
             .iter()
             .find(|s| s.name == name)
             .unwrap_or_else(|| panic!("pipeline {name} missing from the sweep"));
         eprintln!(
-            "pipeline {:>14}: {} rule firings, {} restricted inputs logged",
-            s.name, s.rule_lines, s.restricted_inputs
+            "pipeline {:>14}: {} multi-relation temporaries joined on a key, {} restricted \
+             inputs logged",
+            s.name, s.keyed_temp_joins, s.restricted_inputs
         );
-        (s.compared, s.rule_lines, s.restricted_inputs)
+        (s.compared, s.keyed_temp_joins, s.restricted_inputs)
     };
-    let (compared, rules, restricted) = shapes("tr-cost-serial");
+    let (compared, keyed, restricted) = shapes("tr-cost-serial");
     if compared >= 100 {
-        assert!(rules > 0, "[tr-cost-serial] no case logged a `rule …` trace line");
+        assert!(
+            keyed > 0,
+            "[tr-cost-serial] no case materialized a multi-relation temporary through a keyed join"
+        );
         assert!(restricted > 0, "[tr-cost-serial] no case logged a `restrict+project …` line");
     }
-    let (_, rules, restricted) = shapes("tr-literal");
-    assert_eq!((rules, restricted), (0, 0), "[tr-literal] ran something other than the paper's plans");
+    let (_, keyed, restricted) = shapes("tr-literal");
+    assert_eq!((keyed, restricted), (0, 0), "[tr-literal] ran something other than the paper's plans");
     // The batched-evaluation pipelines must be in the sweep, and — like
     // nested iteration — are never licensed away: sort-deduplicating the
     // outer bindings and replaying memoized verdicts must be bag-equal to

@@ -289,3 +289,102 @@ fn duplicate_outer_rows_survive_a_restricted_projected_input() {
         }
     }
 }
+
+/// `sql` under every join policy on the default path and as the paper's
+/// literal plans: both must return nested iteration's rows as a bag. Returns
+/// the EXPLAIN lines of the two cost-based runs, (default, literal).
+fn default_literal_and_nested_agree(db: &Database, sql: &str) -> (String, String) {
+    let ni = db.query_with(sql, &QueryOptions::nested_iteration()).unwrap().relation;
+    assert!(!ni.is_empty(), "{sql}: the statement must select something");
+    let mut explains = (String::new(), String::new());
+    for policy in POLICIES {
+        for faithful_1987 in [false, true] {
+            let opts = QueryOptions {
+                strategy: Strategy::Transform,
+                join_policy: policy,
+                unnest: UnnestOptions { faithful_1987, ..Default::default() },
+                cold_start: true,
+                ..Default::default()
+            };
+            let out = db.query_with(sql, &opts).unwrap();
+            let explain = out.explain.join("\n");
+            assert!(
+                out.relation.same_bag(&ni),
+                "{sql}\npolicy {policy:?}, faithful_1987 {faithful_1987}\nNI:\n{ni}\nTR:\n{}\n{explain}",
+                out.relation
+            );
+            if policy == JoinPolicy::CostBased {
+                *(if faithful_1987 { &mut explains.1 } else { &mut explains.0 }) = explain;
+            }
+        }
+    }
+    explains
+}
+
+/// The restricted-column case one level down: a type-N block merged into the
+/// aggregate block, so NEST-JA2's `TEMP2` ranges over SUPPLY and LOT. NULLs
+/// sit in the merged relation's restricted column (`LOT.GRP`), on both sides
+/// of the key the merge introduces (`SUPPLY.TAG = LOT.SERIAL`) and in the
+/// correlation column. The default path restricts and projects LOT first and
+/// joins on the key; the literal plan filters the stored cross product; part
+/// 3 (no shipment) and part 2 (none with a lot of group 1) still count 0.
+#[test]
+fn null_bearing_columns_in_a_temporary_over_two_relations() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE PARTS (PNUM INT, QOH INT, GRP INT);
+         CREATE TABLE SUPPLY (PNUM INT, QUAN INT, TAG INT);
+         CREATE TABLE LOT (SERIAL INT, GRP INT);
+         INSERT INTO PARTS VALUES
+           (1, 2, 0), (2, 0, 0), (3, 0, 0), (4, 0, NULL), (5, 1, 0), (6, 1, 1);
+         INSERT INTO SUPPLY VALUES
+           (1, 7, 10), (1, 8, 11), (1, 9, 12), (1, 9, NULL), (2, 7, 13), (2, 7, 14),
+           (5, 7, 10), (5, 8, NULL), (6, 7, 10), (NULL, 7, 10);
+         INSERT INTO LOT VALUES (10, 1), (11, 1), (12, 0), (13, NULL), (NULL, 1), (15, 1);",
+    )
+    .unwrap();
+    let sql = "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH = \
+               (SELECT COUNT(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND \
+                SUPPLY.TAG IN (SELECT SERIAL FROM LOT WHERE LOT.GRP = 1))";
+    let (default, literal) = default_literal_and_nested_agree(&db, sql);
+    assert!(default.contains("restrict+project LOT: 4 tuples"), "{default}");
+    assert!(!default.contains("(0 equality keys"), "{default}");
+    assert!(literal.contains("(0 equality keys"), "{literal}");
+    let (rows, _) = default_path(&db, sql, JoinPolicy::CostBased);
+    assert_eq!(rows, ["(1)", "(2)", "(3)", "(5)"]);
+}
+
+/// Duplicate rows through a temporary over two relations: both copies of
+/// part 1 and both copies of its shipment of 6 keep their multiplicity
+/// through the restricted, projected LOT and the keyed join — under a
+/// correlated MAX (NEST-JA2's inner join), a correlated COUNT (its outer
+/// join) and an uncorrelated COUNT (the type-A temporary, an aggregate
+/// straight over the two relations).
+#[test]
+fn duplicate_rows_survive_a_temporary_over_two_relations() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE PARTS (PNUM INT, QOH INT, GRP INT);
+         CREATE TABLE SUPPLY (PNUM INT, QUAN INT, TAG INT);
+         CREATE TABLE LOT (SERIAL INT, GRP INT);
+         INSERT INTO PARTS VALUES (1, 6, 0), (1, 6, 0), (2, 5, 0), (3, 4, 0), (4, 3, 1);
+         INSERT INTO SUPPLY VALUES
+           (1, 6, 10), (1, 6, 10), (1, 9, 12), (2, 5, 11), (2, 8, 12), (3, 1, 10), (4, 3, 10);
+         INSERT INTO LOT VALUES (10, 1), (11, 1), (12, 0);",
+    )
+    .unwrap();
+    let lots = "SUPPLY.TAG IN (SELECT SERIAL FROM LOT WHERE LOT.GRP = 1)";
+    for (head, want) in [
+        ("QOH = (SELECT MAX(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND", 3),
+        ("QOH > (SELECT COUNT(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND", 4),
+        ("QOH < (SELECT COUNT(QUAN) FROM SUPPLY WHERE", 1),
+    ] {
+        let sql = format!("SELECT PNUM FROM PARTS WHERE GRP = 0 AND {head} {lots})");
+        let (default, _) = default_literal_and_nested_agree(&db, &sql);
+        // The temporary's own lines: from LOT's restriction to `materialize`.
+        let (_, temp) = default.split_once("restrict+project LOT: 2 tuples").expect(&default);
+        let (temp, _) = temp.split_once("materialize ").expect(&default);
+        assert!(temp.contains("(1 equality keys") && !temp.contains("(0 equality keys"), "{default}");
+        assert_eq!(default_path(&db, &sql, JoinPolicy::CostBased).0.len(), want, "{sql}");
+    }
+}
