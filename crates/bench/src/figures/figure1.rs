@@ -23,7 +23,7 @@
 
 use crate::workload::{queries, WorkloadSpec};
 use crate::{measure, savings, table, RunConfig};
-use nsql_core::cost::{nested_iteration_cost_j, nested_iteration_cost_n};
+use nsql_engine::cost::{nested_iteration_cost_j, nested_iteration_cost_n};
 use nsql_core::UnnestOptions;
 use nsql_db::QueryOptions;
 

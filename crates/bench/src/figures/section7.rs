@@ -14,7 +14,7 @@
 
 use crate::workload::{queries, WorkloadSpec};
 use crate::{measure, table, RunConfig};
-use nsql_core::cost::{ja2_cost, nested_iteration_cost_j, Ja2Params, JoinMethod};
+use nsql_engine::cost::{ja2_cost, nested_iteration_cost_j, Ja2Params, JoinMethod};
 use nsql_db::QueryOptions;
 
 /// The Section-7.4 worked example: the cost formulas, then the measured

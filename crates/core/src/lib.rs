@@ -1,7 +1,8 @@
 #![warn(missing_docs)]
 
-//! The paper's contribution: nested-query transformation algorithms and the
-//! Section-7 cost model.
+//! The paper's contribution: the nested-query transformation algorithms.
+//! (Its Section-7 cost model is `nsql_engine::cost`, beside the evaluators
+//! whose choices it prices.)
 //!
 //! # Algorithms
 //!
@@ -31,15 +32,7 @@
 //! blocks cannot express) plus a *canonical* flat `QueryBlock`
 //! (from `nsql_sql`) that a conventional single-level optimizer — ours
 //! lives in `nsql-db` — can execute with its choice of join methods.
-//!
-//! # Cost model
-//!
-//! [`cost`] implements the paper's page-I/O formulas (Section 7 plus the
-//! Kim-style baselines), using the continuous `log_{B-1}` the paper's
-//! arithmetic implies; the Section-7.4 worked example reproduces to ≈475
-//! page I/Os against 3050 for nested iteration.
 
-pub mod cost;
 pub mod error;
 pub mod logical;
 pub mod nest_g;
@@ -49,14 +42,12 @@ pub mod nest_n_j;
 pub mod pipeline;
 pub mod qualify;
 pub mod rewrites;
-pub mod rules;
 
 pub use error::TransformError;
 pub use logical::{AggItem, JoinPred, LogicalJoinKind, LogicalPlan};
 pub use nest_g::{transform_query, transform_query_traced, JaVariant, UnnestOptions};
 pub use nest_ja2::Ja2Config;
 pub use pipeline::{TempTable, TransformPlan};
-pub use rules::{BlockRule, NestedShape};
 
 /// Result alias for transformation.
 pub type Result<T> = std::result::Result<T, TransformError>;

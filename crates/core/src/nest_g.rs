@@ -17,9 +17,9 @@
 
 use crate::error::TransformError;
 use crate::logical::{AggItem, LogicalPlan};
-use crate::nest_ja2::{apply_ja2, inner_from_plan, Ja2Config, OuterScope};
+use crate::nest_ja2::{analyze_ja, apply_ja2, inner_from_plan, Ja2Config, OuterScope};
 use crate::nest_ja_kim::apply_ja_kim;
-use crate::nest_n_j::{merge_inner, Connecting};
+use crate::nest_n_j::{merge_inner, merge_precondition, Connecting};
 use crate::pipeline::{TempNamer, TempTable, TransformPlan};
 use crate::qualify::qualify_query;
 use crate::rewrites::rewrite_extended;
@@ -307,21 +307,14 @@ impl Ctx {
         // Postorder: flatten the inner block first.
         self.nest_g(&mut inner, chain)?;
 
-        // Classify and dispatch through the block-rule catalog: the rule's
-        // precondition runs before its rewrite, surfacing the same error
-        // the rewrite itself would raise.
-        let shape = crate::rules::NestedShape {
-            correlated: block_is_correlated(&inner),
-            aggregate: inner.has_aggregate_select(),
-        };
-        let rule = crate::rules::select_block_rule(
-            shape,
-            self.options.ja_variant == JaVariant::KimOriginal,
-        );
-        rule.precondition(&inner)?;
-        let inner_to_merge = match rule.action {
-            crate::rules::BlockAction::MergeNJ => {
-                let ty = if shape.correlated { 'J' } else { 'N' };
+        // Classify by Section 2's (correlated, aggregate) pair and dispatch.
+        // Each arm runs its rewrite's own applicability check first, so a
+        // refusal is raised before anything is traced or materialized.
+        let correlated = block_is_correlated(&inner);
+        let inner_to_merge = match (correlated, inner.has_aggregate_select()) {
+            (_, false) => {
+                merge_precondition(&inner)?;
+                let ty = if correlated { 'J' } else { 'N' };
                 self.trace.push(format!(
                     "type-{ty} nesting: NEST-N-J merges [{}] into the outer block",
                     inner.from_names().join(", ")
@@ -331,8 +324,9 @@ impl Ctx {
                 }
                 inner
             }
-            crate::rules::BlockAction::TypeAConstant => {
+            (false, true) => {
                 // Type-A: one-row temporary, cross-joined.
+                check_type_a(&inner)?;
                 self.trace.push("type-A nesting: inner block evaluates to a constant; \
                      materialized as a one-row temporary".to_string());
                 let span = self.profile.begin("type-A temp");
@@ -340,52 +334,44 @@ impl Ctx {
                 self.profile.end(span);
                 out?
             }
-            crate::rules::BlockAction::NestJa2 => {
-                // Type-JA: reduce to type-J first.
-                let config = match self.options.ja_variant {
-                    JaVariant::Ja2 => {
-                        self.trace.push("type-JA nesting: applying NEST-JA2".to_string());
-                        Ja2Config::default()
-                    }
-                    JaVariant::Ja2NoProjection => {
-                        self.trace.push(
-                            "type-JA nesting: applying NEST-JA2 WITHOUT the outer projection \
-                             (Section 5.4 demonstration variant)"
-                                .to_string(),
-                        );
-                        Ja2Config { project_outer: false, ..Ja2Config::default() }
-                    }
-                    JaVariant::Ja2LateRestriction => {
-                        self.trace.push(
-                            "type-JA nesting: applying NEST-JA2 with the restriction AFTER \
-                             the join (Section 5.2 demonstration variant)"
-                                .to_string(),
-                        );
-                        Ja2Config { restrict_before_join: false, ..Ja2Config::default() }
-                    }
+            // Type-JA: reduce to type-J first.
+            (true, true) => {
+                analyze_ja(&inner)?;
+                let ja2 = "NEST-JA2";
+                let (line, span, config) = match self.options.ja_variant {
+                    JaVariant::Ja2 => ("applying NEST-JA2", ja2, Some(Ja2Config::default())),
+                    JaVariant::Ja2NoProjection => (
+                        "applying NEST-JA2 WITHOUT the outer projection \
+                         (Section 5.4 demonstration variant)",
+                        ja2,
+                        Some(Ja2Config { project_outer: false, ..Ja2Config::default() }),
+                    ),
+                    JaVariant::Ja2LateRestriction => (
+                        "applying NEST-JA2 with the restriction AFTER \
+                         the join (Section 5.2 demonstration variant)",
+                        ja2,
+                        Some(Ja2Config { restrict_before_join: false, ..Ja2Config::default() }),
+                    ),
                     JaVariant::KimOriginal => {
-                        unreachable!("the rule catalog routes KimOriginal to NestJaKim")
+                        ("applying Kim's NEST-JA (buggy baseline)", "NEST-JA (Kim)", None)
                     }
                 };
-                let span = self.profile.begin("NEST-JA2");
-                let out = apply_ja2(
-                    &inner,
-                    chain,
-                    &mut self.namer,
-                    &mut self.temps,
-                    &mut self.trace,
-                    config,
-                    &self.profile,
-                );
-                self.profile.end(span);
-                out?
-            }
-            crate::rules::BlockAction::NestJaKim => {
-                self.trace
-                    .push("type-JA nesting: applying Kim's NEST-JA (buggy baseline)".to_string());
-                let span = self.profile.begin("NEST-JA (Kim)");
-                let out =
-                    apply_ja_kim(&inner, &mut self.namer, &mut self.temps, &mut self.trace);
+                self.trace.push(format!("type-JA nesting: {line}"));
+                let span = self.profile.begin(span);
+                let out = match config {
+                    Some(config) => apply_ja2(
+                        &inner,
+                        chain,
+                        &mut self.namer,
+                        &mut self.temps,
+                        &mut self.trace,
+                        config,
+                        &self.profile,
+                    ),
+                    None => {
+                        apply_ja_kim(&inner, &mut self.namer, &mut self.temps, &mut self.trace)
+                    }
+                };
                 self.profile.end(span);
                 out?
             }
@@ -406,9 +392,9 @@ impl Ctx {
     }
 
     /// Type-A: materialize the (uncorrelated, flat) aggregate block as a
-    /// one-row temporary and return a block selecting its value.
+    /// one-row temporary and return a block selecting its value. `inner`
+    /// has passed [`check_type_a`].
     fn type_a_temp(&mut self, inner: QueryBlock) -> Result<QueryBlock> {
-        check_type_a(&inner)?;
         let ScalarExpr::Aggregate(func, arg) = inner.select[0].expr.clone() else {
             return Err(TransformError::Internal("type-A without aggregate".into()));
         };
@@ -434,10 +420,9 @@ impl Ctx {
     }
 }
 
-/// Type-A's applicability check, shared between [`Ctx::type_a_temp`] and
-/// the rule catalog's precondition step ([`crate::rules`]): the inner
-/// block must select exactly one item and it must be an aggregate.
-pub fn check_type_a(inner: &QueryBlock) -> Result<()> {
+/// Type-A's applicability check: the inner block must select exactly one
+/// item and it must be an aggregate.
+fn check_type_a(inner: &QueryBlock) -> Result<()> {
     if inner.select.len() != 1 {
         return Err(TransformError::Unsupported(
             "type-A inner block must select exactly one aggregate".into(),
@@ -503,6 +488,57 @@ mod tests {
 
     fn transform(src: &str) -> TransformPlan {
         transform_query(&Cat, &parse_query(src).unwrap(), &UnnestOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn each_nesting_shape_reaches_its_transform() {
+        // (correlated, aggregate) × Kim: one inner block per corner of the
+        // classification square, named by the trace line of the arm it takes.
+        let shapes = [
+            (false, false, "SELECT SNO FROM SP WHERE PNO IS IN (SELECT PNO FROM P)"),
+            (
+                true,
+                false,
+                "SELECT SNO FROM SP WHERE PNO IS IN (SELECT PNO FROM P WHERE P.CITY = SP.ORIGIN)",
+            ),
+            (false, true, "SELECT SNO FROM SP WHERE QTY = (SELECT MAX(WEIGHT) FROM P)"),
+            (
+                true,
+                true,
+                "SELECT SNO FROM SP WHERE QTY = \
+                 (SELECT MAX(WEIGHT) FROM P WHERE P.PNO = SP.PNO)",
+            ),
+        ];
+        for (correlated, aggregate, src) in shapes {
+            for kim in [false, true] {
+                let variant = if kim { JaVariant::KimOriginal } else { JaVariant::Ja2 };
+                let options = UnnestOptions { ja_variant: variant, ..Default::default() };
+                let plan = transform_query(&Cat, &parse_query(src).unwrap(), &options).unwrap();
+                let want = match (correlated, aggregate, kim) {
+                    (false, false, _) => "type-N nesting: NEST-N-J merges",
+                    (true, false, _) => "type-J nesting: NEST-N-J merges",
+                    (false, true, _) => "type-A nesting:",
+                    (true, true, false) => "type-JA nesting: applying NEST-JA2",
+                    (true, true, true) => "type-JA nesting: applying Kim's NEST-JA",
+                };
+                let nesting: Vec<&String> =
+                    plan.trace.iter().filter(|l| l.contains(" nesting: ")).collect();
+                assert_eq!(nesting.len(), 1, "{src} kim={kim}: {:?}", plan.trace);
+                assert!(nesting[0].starts_with(want), "{src} kim={kim}: {}", nesting[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_two_column_inner_select_is_refused() {
+        let q =
+            parse_query("SELECT SNO FROM SP WHERE PNO IS IN (SELECT PNO, CITY FROM P)").unwrap();
+        match transform_query(&Cat, &q, &UnnestOptions::default()) {
+            Err(TransformError::Unsupported(why)) => {
+                assert!(why.contains("exactly one column"), "{why}")
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -50,8 +50,8 @@ impl MergeOutcome {
     }
 }
 
-/// NEST-N-J's applicability check, shared between [`merge_inner`] and the
-/// rule catalog's precondition step ([`crate::rules`]): the inner block
+/// NEST-N-J's applicability check, run by [`merge_inner`] and, before it
+/// traces anything, by the NEST-G driver ([`crate::nest_g`]): the inner block
 /// must select exactly one column, carry no GROUP BY, and be flat (no
 /// subqueries left below — the recursive driver transforms children
 /// first).

@@ -17,9 +17,9 @@ use crate::options::{QueryOptions, Strategy};
 use crate::{Catalog, Database, Result};
 use nsql_analyzer::resolve::level_column_refs;
 use nsql_analyzer::{query_tree, NestingType};
-use nsql_core::cost::{
-    batched_cost, ja2_cost, nested_iteration_cost_j, transformed_merge_join_cost,
-    BatchedParams, Ja2Params, JoinMethod, StrategyCosts, StrategyKind,
+use nsql_engine::cost::{
+    batched_cost, ja2_costs, nested_iteration_cost_j, transformed_merge_join_cost,
+    BatchedParams, Ja2Cost, Ja2Params, JoinMethod, StrategyCosts, StrategyKind,
 };
 use nsql_engine::nested_iter::BlockAccess;
 use nsql_engine::{NestedIter, TableProvider};
@@ -71,18 +71,14 @@ pub struct PredictedCost {
     pub temp_method: JoinMethod,
     /// Join method at the final join (step 3).
     pub final_method: JoinMethod,
-    /// Step 1 cost (outer projection into `Rt2`).
-    pub outer_projection: f64,
-    /// Step 2 cost (`Rt3`, join, GROUP BY into `Rt`).
-    pub temp_creation: f64,
-    /// Step 3 cost (final join of `Rt` with `Ri`).
-    pub final_join: f64,
+    /// Page I/Os of the three steps.
+    pub cost: Ja2Cost,
 }
 
 impl PredictedCost {
     /// Total predicted page I/Os.
     pub fn total(&self) -> f64 {
-        self.outer_projection + self.temp_creation + self.final_join
+        self.cost.total()
     }
 
     /// One-line rendering for EXPLAIN output.
@@ -91,9 +87,9 @@ impl PredictedCost {
             "NEST-JA2 [temp={}, final={}]: {:.1} + {:.1} + {:.1} = {:.1}",
             self.temp_method.name(),
             self.final_method.name(),
-            self.outer_projection,
-            self.temp_creation,
-            self.final_join,
+            self.cost.outer_projection,
+            self.cost.temp_creation,
+            self.cost.final_join,
             self.total()
         )
     }
@@ -103,9 +99,9 @@ impl PredictedCost {
         Json::obj([
             ("temp_method", Json::str(self.temp_method.name())),
             ("final_method", Json::str(self.final_method.name())),
-            ("outer_projection", Json::num(self.outer_projection)),
-            ("temp_creation", Json::num(self.temp_creation)),
-            ("final_join", Json::num(self.final_join)),
+            ("outer_projection", Json::num(self.cost.outer_projection)),
+            ("temp_creation", Json::num(self.cost.temp_creation)),
+            ("final_join", Json::num(self.cost.final_join)),
             ("total", Json::num(self.total())),
         ])
     }
@@ -329,24 +325,15 @@ impl Database {
         let params = inner.and_then(|inner| self.ja2_params_for(q, inner, &temps));
         let predicted = params
             .filter(|_| is_ja)
-            .map(|p| {
-                let methods = [JoinMethod::NestedLoop, JoinMethod::MergeJoin];
-                let mut v = Vec::with_capacity(4);
-                for temp_method in methods {
-                    for final_method in methods {
-                        let c = ja2_cost(&p, temp_method, final_method);
-                        v.push(PredictedCost {
-                            temp_method,
-                            final_method,
-                            outer_projection: c.outer_projection,
-                            temp_creation: c.temp_creation,
-                            final_join: c.final_join,
-                        });
-                    }
-                }
-                v
+            .map(|p| ja2_costs(&p))
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(temp_method, final_method, cost)| PredictedCost {
+                temp_method,
+                final_method,
+                cost,
             })
-            .unwrap_or_default();
+            .collect();
         let predicted_nested_iteration = params
             .filter(|_| correlated)
             .map(|p| nested_iteration_cost_j(p.pi, p.pj, p.b, p.fi_ni));
@@ -462,14 +449,7 @@ impl Database {
                 |costs| p.pi + costs.chosen(),
             );
         let transform = if is_ja {
-            let methods = [JoinMethod::NestedLoop, JoinMethod::MergeJoin];
-            let mut best = f64::INFINITY;
-            for m_temp in methods {
-                for m_final in methods {
-                    best = best.min(ja2_cost(p, m_temp, m_final).total());
-                }
-            }
-            best
+            ja2_costs(p).iter().map(|(_, _, c)| c.total()).fold(f64::INFINITY, f64::min)
         } else {
             transformed_merge_join_cost(p.pi, p.pj, p.b)
         };

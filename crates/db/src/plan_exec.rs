@@ -21,9 +21,11 @@ use crate::options::{IndexUse, JoinPolicy};
 use crate::result_cache::{replay_temp, temp_keys, CacheCtx, TempKey};
 use crate::Result;
 use nsql_cache::TempEntry;
-use nsql_core::cost::{index_nested_join_cost, index_restrict_cost, sort_cost};
 use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
-use nsql_engine::nested_iter::VISITS_PER_PAGE_IO;
+use nsql_engine::cost::{
+    classic_join_costs, index_nested_join_cost, index_restrict_cost, JoinInput,
+};
+use nsql_engine::pred::cannot_raise;
 use nsql_engine::{
     AggSpec, CExpr, CPred, Exec, JoinEmit, JoinKind, Joined, Projector, TableProvider,
 };
@@ -679,7 +681,17 @@ impl<T: TableProvider> PlanExecutor<T> {
         if lkeys.is_empty() {
             return JoinMethod::NestedLoop;
         }
-        let (nl, mj) = self.classic_join_costs(l, r, lkeys, rkeys);
+        let (l_sorted, r_sorted) = (sorted_on(&l.sorted_by, lkeys), sorted_on(&r.sorted_by, rkeys));
+        let input = |side: &PlanOutput, sorted| JoinInput {
+            pages: side.file.page_count() as f64,
+            rows: side.file.tuple_count() as f64,
+            sorted,
+        };
+        // Under the default plans each method also carries the work it does
+        // in memory, which the page count cannot see.
+        let (outer, inner) = (input(l, l_sorted), input(r, r_sorted));
+        let b = self.exec.storage().buffer_pages() as f64;
+        let (nl, mj) = classic_join_costs(outer, inner, b, !self.faithful);
         let may_probe = kind == JoinKind::Inner
             && match (self.index_use, self.policy) {
                 (IndexUse::Never, _) => false,
@@ -706,19 +718,10 @@ impl<T: TableProvider> PlanExecutor<T> {
             });
         if let Some((key, index)) = candidate {
             let st = index.stats();
-            let leaves_per_probe = if st.distinct_keys == 0 {
-                1.0
-            } else {
-                (st.leaf_pages as f64 / st.distinct_keys as f64).ceil().max(1.0)
-            };
             // Every page a probe touches is already a page in this formula,
             // so it has no second term.
-            let icost = index_nested_join_cost(
-                l.file.page_count() as f64,
-                l.file.tuple_count() as f64,
-                st.height as f64,
-                leaves_per_probe,
-            );
+            let (height, leaves) = (st.height as f64, st.leaves_per_probe() as f64);
+            let icost = index_nested_join_cost(outer.pages, outer.rows, height, leaves);
             let use_ix =
                 self.index_use == IndexUse::Prefer || icost < nl.total().min(mj.total());
             self.log.push(format!(
@@ -736,10 +739,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         if !self.faithful && self.policy == JoinPolicy::CostBased {
             self.log.push(format!("join choice: nl {nl} / mj {mj}"));
         }
-        let merge = JoinMethod::Merge {
-            left_presorted: sorted_on(&l.sorted_by, lkeys),
-            right_presorted: sorted_on(&r.sorted_by, rkeys),
-        };
+        let merge = JoinMethod::Merge { left_presorted: l_sorted, right_presorted: r_sorted };
         match self.policy {
             JoinPolicy::ForceNestedLoop => JoinMethod::NestedLoop,
             JoinPolicy::ForceMergeJoin => merge,
@@ -747,37 +747,6 @@ impl<T: TableProvider> PlanExecutor<T> {
             JoinPolicy::CostBased if mj.total() < nl.total() => merge,
             JoinPolicy::CostBased => JoinMethod::NestedLoop,
         }
-    }
-
-    /// What the paper's two join methods cost on these inputs: (nested
-    /// loop, merge join). The pages are Section 7's. Under the default
-    /// plans each method also carries the work it does in memory, which the
-    /// page count cannot see: the nested-loop kernel asks the pool for every
-    /// inner page once per outer tuple by design (an index may save CPU on
-    /// a page, never the page read), so an inner that fits `B − 1` pages
-    /// costs `Pl + Pr` reads and `Nl · Pr` buffer visits; the merge join
-    /// pushes every row of an unsorted input through the external sort.
-    fn classic_join_costs(
-        &self,
-        l: &PlanOutput,
-        r: &PlanOutput,
-        lkeys: &[usize],
-        rkeys: &[usize],
-    ) -> (JoinCost, JoinCost) {
-        let b = self.exec.storage().buffer_pages() as f64;
-        let (lp, rp) = (l.file.page_count() as f64, r.file.page_count() as f64);
-        let (ln, rn) = (l.file.tuple_count() as f64, r.file.tuple_count() as f64);
-        let nl = if rp <= b - 1.0 { lp + rp } else { lp + ln * rp };
-        let (l_sorted, r_sorted) = (sorted_on(&l.sorted_by, lkeys), sorted_on(&r.sorted_by, rkeys));
-        let l_sort = if l_sorted { 0.0 } else { sort_cost(lp, b) };
-        let r_sort = if r_sorted { 0.0 } else { sort_cost(rp, b) };
-        let mj = l_sort + r_sort + lp + rp;
-        let sorted_rows = if l_sorted { 0.0 } else { ln } + if r_sorted { 0.0 } else { rn };
-        let cpu = |work: f64, unit, per_page_io| (!self.faithful).then_some((work, unit, per_page_io));
-        (
-            JoinCost { pages: nl, cpu: cpu(ln * rp, "visits", VISITS_PER_PAGE_IO) },
-            JoinCost { pages: mj, cpu: cpu(sorted_rows, "rows sorted", SORTED_ROWS_PER_PAGE_IO) },
-        )
     }
 
     /// Try to satisfy `pred` over `out` (a base-table scan with live
@@ -934,8 +903,12 @@ impl<T: TableProvider> PlanExecutor<T> {
             // Under the default plans a conjunct moves below the join only
             // if it cannot raise there on a row the join would never have
             // paired; one that can stays a residual.
+            let schema = inp.file.schema();
+            let declared = |c: &ColumnRef| {
+                schema.try_resolve(c.table.as_deref(), &c.column).map(|i| schema.columns()[i].ty)
+            };
             let pushable = |p: &Predicate| {
-                only_mine(p) && (tail_reads.is_none() || never_raises(inp.file.schema(), p))
+                only_mine(p) && (tail_reads.is_none() || cannot_raise(p, &declared))
             };
             let pushed: Vec<Predicate> =
                 remaining.iter().filter(|p| pushable(p)).cloned().collect();
@@ -1231,55 +1204,6 @@ fn stored_rows(out: &PlanOutput) -> u64 {
     out.file.tuple_count() as u64
 }
 
-/// Buffer visits — page requests the pool answers, hit or miss — that take
-/// as long as one counted page I/O, and rows through the external sort that
-/// do: the two constants that turn a join method's in-memory work into the
-/// page I/Os it is compared in.
-///
-/// From the benchmark's kernel probes on the development host (x20 tables,
-/// 4 KiB pages; `benchmark/run.sh big-unnest`, traced run): one page I/O is
-/// `storage.scan_ms` over SUPPLY's pages, 0.775 ms / 250 = 3.1 µs; one
-/// sorted row is `storage.sort_ms` over SUPPLY's rows, 9.43 ms / 30 000 =
-/// 0.31 µs, so 10 rows to the page I/O; one visit is at most
-/// `engine.nl_join_ms` over outer rows × inner pages, 72.2 ms / (2 000 ×
-/// 250) = 0.14 µs — there every visit misses a 64-page pool and pays the
-/// read as well. The term decides only where the inner fits the pool and
-/// the page formula says `Pl + Pr`; there every visit after the first pass
-/// is a hit, measured at 0.03 µs (EXPERIMENTS.md "Restrict before you
-/// join", ablation 1: 499 975 hits, 14 ms), so about 100 to the page I/O.
-/// Rounded down to powers of two, which keeps the ratio at the 8 visits to
-/// a sorted row that held on all fourteen transformed shapes. To re-derive:
-/// run the traced benchmark, divide as above.
-///
-/// The visits constant is `nsql_engine::nested_iter::VISITS_PER_PAGE_IO`:
-/// nested iteration prices the visits of its access paths at the same rate,
-/// and the engine cannot reach this crate.
-const SORTED_ROWS_PER_PAGE_IO: f64 = 8.0;
-
-/// One join method's cost: Section 7's page I/Os and, under the default
-/// plans, its in-memory work as (count, unit, count per page I/O).
-#[derive(Clone, Copy)]
-struct JoinCost {
-    pages: f64,
-    cpu: Option<(f64, &'static str, f64)>,
-}
-
-impl JoinCost {
-    /// In page I/Os.
-    fn total(&self) -> f64 {
-        self.pages + self.cpu.map_or(0.0, |(work, _, per_page_io)| work / per_page_io)
-    }
-}
-
-impl std::fmt::Display for JoinCost {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.cpu {
-            Some((work, unit, _)) => write!(f, "{:.1} pages + {work:.0} {unit}", self.pages),
-            None => write!(f, "{:.1}", self.pages),
-        }
-    }
-}
-
 /// How one join step runs, with what that method needs beyond the keys.
 enum JoinMethod {
     /// Probe the right side's B+tree on equality key number `key` once per
@@ -1449,35 +1373,6 @@ fn select_phase_refs(q: &QueryBlock) -> Vec<&ColumnRef> {
         _ => None,
     });
     items.chain(&q.group_by).chain(q.order_by.iter().map(|k| &k.column)).collect()
-}
-
-/// Whether evaluating `p` over rows of `schema` cannot end in a type error:
-/// every comparison in it is between operands of one comparison class, by
-/// the columns' declared types (the test [`sargable_conjunct`] applies to
-/// an index bound; `NULL` compares with anything, to UNKNOWN).
-fn never_raises(schema: &Schema, p: &Predicate) -> bool {
-    // `Some(None)`: the `NULL` literal. `None`: not an operand of this input.
-    let class = |o: &Operand| match o {
-        Operand::Column(c) => schema
-            .try_resolve(c.table.as_deref(), &c.column)
-            .map(|i| Some(schema.columns()[i].ty)),
-        Operand::Literal(v) => Some(v.column_type()),
-        Operand::Subquery(_) => None,
-    };
-    let comparable = |a: Option<Option<ColumnType>>, b: Option<Option<ColumnType>>| match (a, b) {
-        (Some(a), Some(b)) => a.zip(b).is_none_or(|(a, b)| a.same_class(b)),
-        _ => false,
-    };
-    match p {
-        Predicate::And(ps) | Predicate::Or(ps) => ps.iter().all(|q| never_raises(schema, q)),
-        Predicate::Not(q) => never_raises(schema, q),
-        Predicate::Compare { left, right, .. } => comparable(class(left), class(right)),
-        Predicate::In { operand, rhs: nsql_sql::InRhs::List(list), .. } => {
-            list.iter().all(|v| comparable(class(operand), Some(v.column_type())))
-        }
-        Predicate::IsNull { operand, .. } => class(operand).is_some(),
-        Predicate::In { .. } | Predicate::Exists { .. } | Predicate::Quantified { .. } => false,
-    }
 }
 
 /// New sort-prefix after a projection that delivers input column `src` as

@@ -283,9 +283,9 @@ fn correlated_queries_render_three_way_costs_under_every_strategy() {
                 panic!("[{name}, analyze={analyze}] correlated query lost its strategy costs")
             });
             for kind in [
-                nsql_core::cost::StrategyKind::NestedIteration,
-                nsql_core::cost::StrategyKind::Transform,
-                nsql_core::cost::StrategyKind::Batched,
+                nsql_engine::cost::StrategyKind::NestedIteration,
+                nsql_engine::cost::StrategyKind::Transform,
+                nsql_engine::cost::StrategyKind::Batched,
             ] {
                 assert!(
                     sc.of(kind).is_finite() && sc.of(kind) >= 0.0,
@@ -302,7 +302,7 @@ fn correlated_queries_render_three_way_costs_under_every_strategy() {
                 rendered.contains(&format!("planner pick: {}", sc.pick().name())),
                 "[{name}] rendered report lost the planner pick"
             );
-            seen.push((sc.of(nsql_core::cost::StrategyKind::Batched), sc.pick()));
+            seen.push((sc.of(nsql_engine::cost::StrategyKind::Batched), sc.pick()));
         }
     }
     // The cost block is a property of the query and catalog, not of the
@@ -328,9 +328,9 @@ fn uncorrelated_nested_queries_render_costs_flat_queries_do_not() {
                 panic!("[{name}, analyze={analyze}] uncorrelated nested query lost its cost block")
             });
             for kind in [
-                nsql_core::cost::StrategyKind::NestedIteration,
-                nsql_core::cost::StrategyKind::Transform,
-                nsql_core::cost::StrategyKind::Batched,
+                nsql_engine::cost::StrategyKind::NestedIteration,
+                nsql_engine::cost::StrategyKind::Transform,
+                nsql_engine::cost::StrategyKind::Batched,
             ] {
                 assert!(
                     sc.of(kind).is_finite() && sc.of(kind) >= 0.0,

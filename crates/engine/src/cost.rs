@@ -1,5 +1,9 @@
-//! The paper's analytical page-I/O cost model (Section 7), plus the
-//! Kim-style baselines it compares against.
+//! The cost model: the paper's analytical page-I/O formulas (Section 7), the
+//! Kim-style baselines they are compared against, and the two choices the
+//! engine makes by them at plan time — a join step's method
+//! ([`classic_join_costs`]) and a correlated block's access path
+//! ([`nested_access_costs`]). Every page or CPU price in the workspace is
+//! computed here; the callers only gather the counts.
 //!
 //! Notation follows [KIM 82:462] as the paper restates it: `Ri` is the
 //! outer relation, `Rj` the inner, `Rt` the aggregate temporary; `Pk` is
@@ -13,6 +17,9 @@
 //! the paper's "about 475" figure with real-valued logs — with ceiling the
 //! total is 558. See `EXPERIMENTS.md` (E2).
 
+use nsql_sql::{CompareOp, InRhs, Predicate};
+use nsql_types::ColumnType;
+
 /// Sort cost: `2·P·log_{B-1}(P)`, 0 for relations of at most one page.
 ///
 /// The `pages <= 1` guard is written as `!(pages > 1.0)` so a NaN page
@@ -24,6 +31,18 @@ pub fn sort_cost(pages: f64, buffer: f64) -> f64 {
     }
     let base = (buffer - 1.0).max(2.0);
     2.0 * pages * pages.log(base)
+}
+
+/// Pages read of a `pages`-page inner relation that is scanned `times` times
+/// through a `b`-page buffer: once if it fits `B − 1` pages (one page is the
+/// outer's), every time if it does not. The cliff every nested-loop formula
+/// of Section 7 has.
+fn rescanned_pages(pages: f64, b: f64, times: f64) -> f64 {
+    if pages <= b - 1.0 {
+        pages
+    } else {
+        times * pages
+    }
 }
 
 /// `a / b` with degenerate denominators guarded: a zero-row or zero-page
@@ -142,13 +161,9 @@ pub fn ja2_cost(p: &Ja2Params, m_temp: JoinMethod, m_final: JoinMethod) -> Ja2Co
     // BY into Rt.
     let temp_creation = match m_temp {
         JoinMethod::NestedLoop => {
-            let join = if p.pt3 <= p.b - 1.0 {
-                // Rt3 cached: read Rt2 once, write Rt4.
-                p.pj + p.pt3 + p.pt2 + p.pt3 + p.pt4
-            } else {
-                // Rt3 re-read once per Rt2 tuple.
-                p.pj + p.pt3 + p.pt2 + p.nt2 * p.pt3 + p.pt4
-            };
+            // Read Rt2 once and Rt3 once per Rt2 tuple (once if cached),
+            // write Rt4.
+            let join = p.pj + p.pt3 + p.pt2 + rescanned_pages(p.pt3, p.b, p.nt2) + p.pt4;
             // Rt4 from nested loops is unsorted: sort it for GROUP BY,
             // then read it and write Rt.
             join + sort_cost(p.pt4, p.b) + p.pt4 + p.pt
@@ -167,26 +182,23 @@ pub fn ja2_cost(p: &Ja2Params, m_temp: JoinMethod, m_final: JoinMethod) -> Ja2Co
             let sort_ri = if p.ri_sorted { 0.0 } else { sort_cost(p.pi, p.b) };
             sort_ri + p.pi + p.pt
         }
-        JoinMethod::NestedLoop => {
-            if p.pt <= p.b - 1.0 {
-                p.pi + p.pt
-            } else {
-                p.pi + p.fi_ni * p.pt
-            }
-        }
+        JoinMethod::NestedLoop => p.pi + rescanned_pages(p.pt, p.b, p.fi_ni),
     };
     Ja2Cost { outer_projection, temp_creation, final_join }
+}
+
+/// The "four possible total costs" of Section 7.4: every (temporary-creation,
+/// final) pair of join methods with [`ja2_cost`] under it, nested loops first.
+pub fn ja2_costs(p: &Ja2Params) -> Vec<(JoinMethod, JoinMethod, Ja2Cost)> {
+    let methods = [JoinMethod::NestedLoop, JoinMethod::MergeJoin];
+    methods.iter().flat_map(|&t| methods.map(|f| (t, f, ja2_cost(p, t, f)))).collect()
 }
 
 /// Worst-case nested-iteration cost of a type-J / type-JA query
 /// (Section 7.4 / [KIM 82]): read `Ri` once and `Rj` once per qualifying
 /// outer tuple. When `Rj` fits in the buffer the rescans are free.
 pub fn nested_iteration_cost_j(pi: f64, pj: f64, b: f64, fi_ni: f64) -> f64 {
-    if pj <= b - 1.0 {
-        pi + pj
-    } else {
-        pi + fi_ni * pj
-    }
+    pi + rescanned_pages(pj, b, fi_ni)
 }
 
 /// System R cost of a type-N query: evaluate the inner block once into a
@@ -194,8 +206,7 @@ pub fn nested_iteration_cost_j(pi: f64, pj: f64, b: f64, fi_ni: f64) -> f64 {
 /// membership against `X` — rescanning `X` per outer tuple when it exceeds
 /// the buffer.
 pub fn nested_iteration_cost_n(pi: f64, pj: f64, px: f64, b: f64, ni: f64) -> f64 {
-    let membership = if px <= b - 1.0 { px } else { ni * px };
-    pj + px + pi + membership
+    pj + px + pi + rescanned_pages(px, b, ni)
 }
 
 /// Cost of the canonical (transformed) two-relation query evaluated with a
@@ -231,7 +242,7 @@ pub struct BatchedParams {
 /// with `d` in place of `fi·Ni`. On duplicate-heavy outers `d ≪ fi·Ni`
 /// and the sort pays for itself.
 pub fn batched_cost(p: &BatchedParams) -> f64 {
-    let inner = if p.pj <= p.b - 1.0 { p.pj } else { p.d * p.pj };
+    let inner = rescanned_pages(p.pj, p.b, p.d);
     sanitize_cost(p.pi + 2.0 * p.p_bind + sort_cost(p.p_bind, p.b) + inner)
 }
 
@@ -335,6 +346,221 @@ pub fn index_nested_join_cost(
     leaves_per_probe: f64,
 ) -> f64 {
     p_outer + n_outer * (height + leaves_per_probe.max(1.0))
+}
+
+// ----------------------------------------------------------- in-memory work
+
+/// Buffer visits — page requests the pool answers, hit or miss — that take
+/// as long as one counted page I/O, and ([`SORTED_ROWS_PER_PAGE_IO`]) rows
+/// through the external sort that do.
+///
+/// From the benchmark's kernel probes on the development host (x20 tables,
+/// 4 KiB pages; `benchmark/run.sh big-unnest`, traced run): one page I/O is
+/// `storage.scan_ms` over SUPPLY's pages, 0.775 ms / 250 = 3.1 µs; one
+/// sorted row is `storage.sort_ms` over SUPPLY's rows, 9.43 ms / 30 000 =
+/// 0.31 µs, so 10 rows to the page I/O; one visit is at most
+/// `engine.nl_join_ms` over outer rows × inner pages, 72.2 ms / (2 000 ×
+/// 250) = 0.14 µs — there every visit misses a 64-page pool and pays the
+/// read as well. The term decides only where the inner fits the pool and
+/// the page formula says `Pl + Pr`; there every visit after the first pass
+/// is a hit, measured at 0.03 µs (EXPERIMENTS.md "Restrict before you
+/// join", ablation 1: 499 975 hits, 14 ms), so about 100 to the page I/O.
+/// Rounded down to powers of two, which keeps the ratio at the 8 visits to
+/// a sorted row that held on all fourteen transformed shapes. To re-derive:
+/// run the traced benchmark, divide as above.
+const VISITS_PER_PAGE_IO: f64 = 64.0;
+/// Rows through the external sort that take as long as one counted page I/O
+/// (derived with [`VISITS_PER_PAGE_IO`]).
+const SORTED_ROWS_PER_PAGE_IO: f64 = 8.0;
+
+// ---------------------------------------------------------- the join choice
+
+/// One input of a join step, as the join choice sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinInput {
+    /// Pages.
+    pub pages: f64,
+    /// Tuples.
+    pub rows: f64,
+    /// Whether it arrives in join-key order (a merge join skips its sort).
+    pub sorted: bool,
+}
+
+/// One join method's cost: Section 7's page I/Os and, when priced, its
+/// in-memory work as (count, unit, count per page I/O).
+#[derive(Debug, Clone, Copy)]
+pub struct JoinCost {
+    pages: f64,
+    cpu: Option<(f64, &'static str, f64)>,
+}
+
+impl JoinCost {
+    /// In page I/Os.
+    pub fn total(&self) -> f64 {
+        self.pages + self.cpu.map_or(0.0, |(work, _, per_page_io)| work / per_page_io)
+    }
+}
+
+impl std::fmt::Display for JoinCost {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.cpu {
+            Some((work, unit, _)) => write!(f, "{:.1} pages + {work:.0} {unit}", self.pages),
+            None => write!(f, "{:.1}", self.pages),
+        }
+    }
+}
+
+/// What the paper's two join methods cost on inputs `l` (outer) and `r`
+/// (inner): (nested loop, merge join). The pages are Section 7's —
+/// [`nested_iteration_cost_j`] with every outer tuple qualifying, and
+/// [`transformed_merge_join_cost`] less the sort of a side that arrives
+/// sorted. With `price_cpu` each method also carries the work it does in
+/// memory: the nested-loop kernel asks the pool for every inner page once
+/// per outer tuple by design (an index may save CPU on a page, never the
+/// page read), so an inner that fits `B − 1` pages costs `Pl + Pr` reads and
+/// `Nl · Pr` buffer visits; the merge join pushes every row of an unsorted
+/// input through the external sort.
+pub fn classic_join_costs(
+    l: JoinInput,
+    r: JoinInput,
+    b: f64,
+    price_cpu: bool,
+) -> (JoinCost, JoinCost) {
+    let nl = nested_iteration_cost_j(l.pages, r.pages, b, l.rows);
+    let sort = |side: JoinInput| if side.sorted { 0.0 } else { sort_cost(side.pages, b) };
+    let mj = sort(l) + sort(r) + l.pages + r.pages;
+    let sorted_rows = |side: JoinInput| if side.sorted { 0.0 } else { side.rows };
+    let cpu = |work: f64, unit, per_page_io| price_cpu.then_some((work, unit, per_page_io));
+    (
+        JoinCost { pages: nl, cpu: cpu(l.rows * r.pages, "visits", VISITS_PER_PAGE_IO) },
+        JoinCost {
+            pages: mj,
+            cpu: cpu(sorted_rows(l) + sorted_rows(r), "rows sorted", SORTED_ROWS_PER_PAGE_IO),
+        },
+    )
+}
+
+// -------------------------------------------- nested iteration's access path
+
+/// What evaluating one correlated block costs by either path, in page-I/O
+/// equivalents ([`nested_access_costs`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AccessCosts {
+    /// Estimated evaluations of the block in the query (`fi·Ni`, multiplied
+    /// down the nesting chain).
+    pub evaluations: f64,
+    /// Rescanning the inner file on every evaluation.
+    pub scan: f64,
+    /// Building the trees that are not in the catalog (0 when all are).
+    pub build: f64,
+    /// Probing on every evaluation.
+    pub probes: f64,
+}
+
+impl AccessCosts {
+    /// Whether building and probing is the cheaper path.
+    pub fn probes_win(&self) -> bool {
+        self.build + self.probes < self.scan
+    }
+
+    /// Cost of the cheaper path.
+    pub fn chosen(&self) -> f64 {
+        (self.build + self.probes).min(self.scan)
+    }
+}
+
+impl std::fmt::Display for AccessCosts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "est. {:.0} evaluations: scan {:.0} pages vs ", self.evaluations, self.scan)?;
+        if self.build > 0.0 {
+            write!(f, "build {:.0} + ", self.build)?;
+        }
+        write!(f, "probes {:.0}", self.probes)
+    }
+}
+
+/// The inner term of [`nested_iteration_cost_j`]'s `Pi + fi·Ni·Pj` by either
+/// access path: rescanning the `pj`-page inner file on each of `evaluations`
+/// evaluations, or paying `build` once and reading `pages_per_evaluation`
+/// index pages (`h + l` per key) on each — System R's `Pi + fi·Ni·(h + l)`
+/// [SEL 79]. `Pi` is left out: both paths read the outer relation once. As
+/// in the paper a file that fits `B − 1` pages is read once however often it
+/// is rescanned (and not at all when it is never evaluated); every page
+/// either path asks the pool for is priced as a buffer visit on top, so that
+/// such a file is not free.
+pub fn nested_access_costs(
+    evaluations: f64,
+    pj: f64,
+    b: f64,
+    build: f64,
+    pages_per_evaluation: f64,
+) -> AccessCosts {
+    let rescanned = evaluations * pj;
+    let read = rescanned_pages(pj, b, evaluations).min(rescanned);
+    let probed = evaluations * pages_per_evaluation;
+    AccessCosts {
+        evaluations,
+        scan: read + rescanned / VISITS_PER_PAGE_IO,
+        build,
+        probes: probed + probed / VISITS_PER_PAGE_IO,
+    }
+}
+
+/// System R's selectivity factors for predicates it has no statistics on
+/// [SEL 79, Table 1]: `column = value` and `column1 = column2` 1/10, an
+/// open range (`<`, `<=`, `>`, `>=`) 1/3, `IN (list)` the list's length
+/// times the equality factor and at most 1/2; `AND` multiplies, `OR` is
+/// `F1 + F2 − F1·F2`, `NOT` (and so `!=`) is `1 − F`. A NULL test is not in
+/// the table; it is priced as an equality.
+const SEL_EQ: f64 = 1.0 / 10.0;
+const SEL_RANGE: f64 = 1.0 / 3.0;
+const SEL_IN_MAX: f64 = 1.0 / 2.0;
+
+/// Default selectivity of a simple predicate (see [`SEL_EQ`]).
+pub fn selectivity(p: &Predicate) -> f64 {
+    let not = |negated: bool, f: f64| if negated { 1.0 - f } else { f };
+    match p {
+        Predicate::And(ps) => ps.iter().map(selectivity).product(),
+        Predicate::Or(ps) => 1.0 - ps.iter().map(|q| 1.0 - selectivity(q)).product::<f64>(),
+        Predicate::Not(q) => 1.0 - selectivity(q),
+        Predicate::Compare { op: CompareOp::Eq, .. } => SEL_EQ,
+        Predicate::Compare { op: CompareOp::Ne, .. } => 1.0 - SEL_EQ,
+        Predicate::Compare { .. } => SEL_RANGE,
+        Predicate::In { negated, rhs: InRhs::List(list), .. } => {
+            not(*negated, (list.len() as f64 * SEL_EQ).min(SEL_IN_MAX))
+        }
+        Predicate::IsNull { negated, .. } => not(*negated, SEL_EQ),
+        // Nested conjuncts are not simple; nobody asks.
+        Predicate::In { rhs: InRhs::Subquery(_), .. }
+        | Predicate::Exists { .. }
+        | Predicate::Quantified { .. } => 1.0,
+    }
+}
+
+/// What the arithmetic expects of a temporary tree on a `key`-typed column
+/// of a `pj`-page file, as (build, pages per probe). The tree is a clustered
+/// copy: `pj` leaves under levels of `page_size / entry width` fan-out
+/// (a string key is taken as 16 bytes). Building is
+/// `Pj + sort(Pj) + leaves + levels`: the sort, one read of the sorted file,
+/// one write per index page. A probe reads the levels and the leaves
+/// holding [`SEL_EQ`] of the tuples.
+pub fn temp_tree_estimate(pj: f64, key: ColumnType, page_size: usize, b: f64) -> (f64, f64) {
+    let key_width = match key {
+        ColumnType::Int | ColumnType::Float => 8,
+        ColumnType::Date => 4,
+        ColumnType::Bool => 1,
+        ColumnType::Str => 16,
+    };
+    // An entry is a `(separator, position)` tuple.
+    let fanout = (page_size / (2 + key_width + 8)).max(2) as f64;
+    let (mut level, mut nodes, mut height) = (pj, 0.0, 0.0);
+    while level > 1.0 {
+        level = (level / fanout).ceil();
+        nodes += level;
+        height += 1.0;
+    }
+    let build = pj + sort_cost(pj, b) + pj + nodes;
+    (build, height + (pj * SEL_EQ).ceil().max(1.0))
 }
 
 #[cfg(test)]
@@ -530,5 +756,75 @@ mod tests {
         let tr = transformed_merge_join_cost(100.0, 100.0, 6.0);
         let savings = 1.0 - tr / ni;
         assert!(savings > 0.80, "savings {savings:.2} below the paper's 80% band");
+    }
+
+    #[test]
+    fn every_nested_loop_formula_has_its_cliff_at_b_minus_1() {
+        // The inner relation of P pages is read once while P ≤ B − 1 and
+        // once per outer tuple from P = B on — in each formula that has one.
+        let (b, n) = (6.0, 100.0);
+        for (p, fits) in [(b - 2.0, true), (b - 1.0, true), (b, false)] {
+            let inner = if fits { p } else { n * p };
+            assert_eq!(nested_iteration_cost_j(50.0, p, b, n), 50.0 + inner, "J, P={p}");
+            assert_eq!(nested_iteration_cost_n(50.0, 30.0, p, b, n), 30.0 + p + 50.0 + inner);
+            let bp = BatchedParams { pi: 50.0, p_bind: 1.0, d: n, pj: p, b };
+            assert_eq!(batched_cost(&bp), 50.0 + 2.0 + inner, "batched, P={p}");
+
+            let ja = Ja2Params { pt3: p, nt2: n, ..Ja2Params::paper_example() };
+            let temp = ja2_cost(&ja, JoinMethod::NestedLoop, JoinMethod::MergeJoin).temp_creation;
+            let join = ja.pj + p + ja.pt2 + inner + ja.pt4;
+            assert_eq!(temp, join + sort_cost(ja.pt4, b) + ja.pt4 + ja.pt, "JA2 temp, P={p}");
+            let ja = Ja2Params { pt: p, fi_ni: n, ..Ja2Params::paper_example() };
+            let last = ja2_cost(&ja, JoinMethod::MergeJoin, JoinMethod::NestedLoop).final_join;
+            assert_eq!(last, ja.pi + inner, "JA2 final, P={p}");
+
+            let side = |pages, rows| JoinInput { pages, rows, sorted: false };
+            let (nl, _) = classic_join_costs(side(50.0, n), side(p, 40.0), b, false);
+            assert_eq!(nl.pages, 50.0 + inner, "join choice, P={p}");
+            let access = nested_access_costs(n, p, b, 0.0, 2.0);
+            assert_eq!(access.scan, inner + n * p / VISITS_PER_PAGE_IO, "access path, P={p}");
+        }
+    }
+
+    #[test]
+    fn a_scanning_block_costs_nested_iteration_plus_its_visits() {
+        for (n, pj, b) in [(1.0, 3.0, 6.0), (7.0, 5.0, 6.0), (7.0, 6.0, 6.0), (1000.0, 30.0, 6.0)] {
+            for pages_per_evaluation in [1.0, 4.0] {
+                let scan = nested_access_costs(n, pj, b, 0.0, pages_per_evaluation).scan;
+                let visits = n * pj / VISITS_PER_PAGE_IO;
+                assert_eq!(scan, nested_iteration_cost_j(0.0, pj, b, n) + visits, "{n} × {pj}");
+            }
+        }
+        // Never evaluated, never read.
+        assert_eq!(nested_access_costs(0.0, 3.0, 6.0, 0.0, 1.0).scan, 0.0);
+    }
+
+    #[test]
+    fn the_join_choice_prices_pages_by_the_papers_formulas() {
+        let (lp, ln, rp, rn, b) = (50.0, 1000.0, 30.0, 600.0, 6.0);
+        let side = |pages, rows, sorted| JoinInput { pages, rows, sorted };
+        let unsorted = transformed_merge_join_cost(lp, rp, b);
+        for price_cpu in [false, true] {
+            let (nl, mj) =
+                classic_join_costs(side(lp, ln, false), side(rp, rn, false), b, price_cpu);
+            assert_eq!(nl.pages, nested_iteration_cost_j(lp, rp, b, ln));
+            assert_eq!(mj.pages, unsorted);
+            // A side that arrives sorted saves its sort, and nothing else.
+            let (_, l_sorted) =
+                classic_join_costs(side(lp, ln, true), side(rp, rn, false), b, price_cpu);
+            assert_eq!(l_sorted.pages, sort_cost(rp, b) + lp + rp);
+            let (_, r_sorted) =
+                classic_join_costs(side(lp, ln, false), side(rp, rn, true), b, price_cpu);
+            assert_eq!(r_sorted.pages, sort_cost(lp, b) + lp + rp);
+            let (_, both) =
+                classic_join_costs(side(lp, ln, true), side(rp, rn, true), b, price_cpu);
+            assert_eq!(both.pages, lp + rp);
+            // The in-memory work rides on top, only when priced.
+            let cpu = |priced: f64| if price_cpu { priced } else { 0.0 };
+            assert_eq!(nl.total(), nl.pages + cpu(ln * rp / VISITS_PER_PAGE_IO));
+            assert_eq!(mj.total(), mj.pages + cpu((ln + rn) / SORTED_ROWS_PER_PAGE_IO));
+            assert_eq!(l_sorted.total(), l_sorted.pages + cpu(rn / SORTED_ROWS_PER_PAGE_IO));
+            assert_eq!(both.total(), both.pages);
+        }
     }
 }

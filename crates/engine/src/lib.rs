@@ -21,6 +21,14 @@
 //! Predicate evaluation implements SQL three-valued logic throughout; see
 //! [`pred`].
 //!
+//! # Cost model
+//!
+//! [`cost`] holds the paper's page-I/O formulas (Section 7 plus the
+//! Kim-style baselines; the Section-7.4 worked example reproduces to ≈475
+//! page I/Os against 3050 for nested iteration) and prices the two plan-time
+//! choices made by them: nested iteration's access path (here) and a join
+//! step's method (`nsql-db`).
+//!
 //! # Panic policy
 //!
 //! Every failure reachable from user input — parser-accepted but
@@ -33,6 +41,7 @@
 //! `Some`) plus static fixture construction in [`fixtures`].
 
 pub mod aggregate;
+pub mod cost;
 pub mod error;
 pub mod expr;
 pub mod fixtures;

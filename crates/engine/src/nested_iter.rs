@@ -108,10 +108,11 @@
 //! error surfaces lazily, if and only if a tuple reaches that operand.
 
 use crate::aggregate::AggState;
+use crate::cost::{nested_access_costs, selectivity, temp_tree_estimate, AccessCosts};
 use crate::error::EngineError;
 use crate::expr::CExpr;
 use crate::ops::PAR_MIN_ROWS;
-use crate::pred::{compare_values, not3, CPred, TOperand, TPred, Template};
+use crate::pred::{cannot_raise, compare_values, not3, CPred, TOperand, TPred, Template};
 use crate::provider::TableProvider;
 use crate::Result;
 use nsql_index::BTreeIndex;
@@ -291,145 +292,6 @@ pub struct BlockAccess<'q> {
     pub costs: Option<AccessCosts>,
 }
 
-/// What evaluating one correlated block costs by either path, in page-I/O
-/// equivalents ([`nested_access_costs`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AccessCosts {
-    /// Estimated evaluations of the block in the query (`fi·Ni`, multiplied
-    /// down the nesting chain).
-    pub evaluations: f64,
-    /// Rescanning the inner file on every evaluation.
-    pub scan: f64,
-    /// Building the trees that are not in the catalog (0 when all are).
-    pub build: f64,
-    /// Probing on every evaluation.
-    pub probes: f64,
-}
-
-impl AccessCosts {
-    /// Whether building and probing is the cheaper path.
-    pub fn probes_win(&self) -> bool {
-        self.build + self.probes < self.scan
-    }
-
-    /// Cost of the cheaper path.
-    pub fn chosen(&self) -> f64 {
-        (self.build + self.probes).min(self.scan)
-    }
-}
-
-impl std::fmt::Display for AccessCosts {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "est. {:.0} evaluations: scan {:.0} pages vs ", self.evaluations, self.scan)?;
-        if self.build > 0.0 {
-            write!(f, "build {:.0} + ", self.build)?;
-        }
-        write!(f, "probes {:.0}", self.probes)
-    }
-}
-
-/// Buffer visits — page requests the pool answers, hit or miss — that take
-/// as long as one counted page I/O. Derived, with the sorted-rows rate, where
-/// the join choice uses both (`nsql-db`, `plan_exec.rs`); the access-path
-/// choice below prices its visits at the same rate, so it is defined once,
-/// here, where both crates reach it.
-pub const VISITS_PER_PAGE_IO: f64 = 64.0;
-
-/// The inner term of Section 7.4's nested-iteration cost `Pi + fi·Ni·Pj`
-/// ([KIM 82]; `nsql-core`'s `nested_iteration_cost_j`, which this crate
-/// cannot reach), by either access path: rescanning the `pj`-page inner file
-/// on each of `evaluations` evaluations, or paying `build` once and reading
-/// `pages_per_evaluation` index pages (`h + l` per key) on each — System R's
-/// `Pi + fi·Ni·(h + l)` [SEL 79]. `Pi` is left out: both paths read the
-/// outer relation once. As in the paper a file that fits `B − 1` pages is
-/// read once however often it is rescanned; every page either path asks the
-/// pool for is priced as a buffer visit on top, so that such a file is not
-/// free.
-pub fn nested_access_costs(
-    evaluations: f64,
-    pj: f64,
-    b: f64,
-    build: f64,
-    pages_per_evaluation: f64,
-) -> AccessCosts {
-    let rescanned = evaluations * pj;
-    let read = if pj <= b - 1.0 { pj.min(rescanned) } else { rescanned };
-    let probed = evaluations * pages_per_evaluation;
-    AccessCosts {
-        evaluations,
-        scan: read + rescanned / VISITS_PER_PAGE_IO,
-        build,
-        probes: probed + probed / VISITS_PER_PAGE_IO,
-    }
-}
-
-/// System R's selectivity factors for predicates it has no statistics on
-/// [SEL 79, Table 1]: `column = value` and `column1 = column2` 1/10, an
-/// open range (`<`, `<=`, `>`, `>=`) 1/3, `IN (list)` the list's length
-/// times the equality factor and at most 1/2; `AND` multiplies, `OR` is
-/// `F1 + F2 − F1·F2`, `NOT` (and so `!=`) is `1 − F`. A NULL test is not in
-/// the table; it is priced as an equality.
-const SEL_EQ: f64 = 1.0 / 10.0;
-const SEL_RANGE: f64 = 1.0 / 3.0;
-const SEL_IN_MAX: f64 = 1.0 / 2.0;
-
-/// Default selectivity of a simple predicate (see [`SEL_EQ`]).
-fn selectivity(p: &Predicate) -> f64 {
-    let not = |negated: bool, f: f64| if negated { 1.0 - f } else { f };
-    match p {
-        Predicate::And(ps) => ps.iter().map(selectivity).product(),
-        Predicate::Or(ps) => 1.0 - ps.iter().map(|q| 1.0 - selectivity(q)).product::<f64>(),
-        Predicate::Not(q) => 1.0 - selectivity(q),
-        Predicate::Compare { op: CompareOp::Eq, .. } => SEL_EQ,
-        Predicate::Compare { op: CompareOp::Ne, .. } => 1.0 - SEL_EQ,
-        Predicate::Compare { .. } => SEL_RANGE,
-        Predicate::In { negated, rhs: InRhs::List(list), .. } => {
-            not(*negated, (list.len() as f64 * SEL_EQ).min(SEL_IN_MAX))
-        }
-        Predicate::IsNull { negated, .. } => not(*negated, SEL_EQ),
-        // Nested conjuncts are not simple; nobody asks.
-        Predicate::In { rhs: InRhs::Subquery(_), .. }
-        | Predicate::Exists { .. }
-        | Predicate::Quantified { .. } => 1.0,
-    }
-}
-
-/// `2·P·log_{B−1}(P)`, the paper's price of the external sort [KIM 82:462]
-/// (`nsql-core`'s `sort_cost`; see [`nested_access_costs`]).
-fn sort_pages(pages: f64, b: f64) -> f64 {
-    if pages > 1.0 {
-        2.0 * pages * pages.log((b - 1.0).max(2.0))
-    } else {
-        0.0
-    }
-}
-
-/// What the arithmetic expects of a temporary tree on a `key`-typed column
-/// of a `pj`-page file, as (build, pages per probe). The tree is a clustered
-/// copy: `pj` leaves under levels of `page_size / entry width` fan-out
-/// (a string key is taken as 16 bytes). Building is
-/// `Pj + sort(Pj) + leaves + levels`: the sort, one read of the sorted file,
-/// one write per index page. A probe reads the levels and the leaves
-/// holding [`SEL_EQ`] of the tuples.
-fn temp_tree_estimate(pj: f64, key: ColumnType, page_size: usize, b: f64) -> (f64, f64) {
-    let key_width = match key {
-        ColumnType::Int | ColumnType::Float => 8,
-        ColumnType::Date => 4,
-        ColumnType::Bool => 1,
-        ColumnType::Str => 16,
-    };
-    // An entry is a `(separator, position)` tuple.
-    let fanout = (page_size / (2 + key_width + 8)).max(2) as f64;
-    let (mut level, mut nodes, mut height) = (pj, 0.0, 0.0);
-    while level > 1.0 {
-        level = (level / fanout).ceil();
-        nodes += level;
-        height += 1.0;
-    }
-    let build = pj + sort_pages(pj, b) + pj + nodes;
-    (build, height + (pj * SEL_EQ).ceil().max(1.0))
-}
-
 /// Whether every key in `tree` is of `ty`'s comparison class, from its
 /// statistics: classes are contiguous in the total order the leaves are in,
 /// so the smallest and the largest key speak for all. Heap files do not
@@ -457,34 +319,6 @@ fn key_equalities(c: &TPred) -> Option<Vec<(usize, usize)>> {
             Some(pairs?.concat())
         }
         _ => None,
-    }
-}
-
-/// Whether evaluating `c` can raise. `Incomparable` — two non-NULL values
-/// of different classes meeting in a comparison — is the only error
-/// [`CPred::eval`] has, so a conjunct whose every comparison is between
-/// operands of one declared class (or with a NULL literal, which compares
-/// UNKNOWN with anything) cannot.
-fn infallible(c: &TPred, schema: &Schema, outer_types: &[Option<ColumnType>]) -> bool {
-    // `None`: a class nobody declared. `Some(None)`: the NULL literal.
-    let class = |o: &TOperand| match o {
-        TOperand::Local(i) => Some(Some(schema.columns()[*i].ty)),
-        TOperand::Outer(s) => outer_types[*s].map(Some),
-        TOperand::Lit(v) => Some(v.column_type()),
-    };
-    let comparable = |a: Option<Option<ColumnType>>, b: Option<Option<ColumnType>>| match (a, b) {
-        (Some(Some(a)), Some(Some(b))) => a.same_class(b),
-        (Some(None), Some(_)) | (Some(_), Some(None)) => true,
-        _ => false,
-    };
-    match c {
-        TPred::Const(_) | TPred::IsNull { .. } => true,
-        TPred::And(ps) | TPred::Or(ps) => ps.iter().all(|q| infallible(q, schema, outer_types)),
-        TPred::Not(q) => infallible(q, schema, outer_types),
-        TPred::Cmp { left, right, .. } => comparable(class(left), class(right)),
-        TPred::InList { expr, list, .. } => {
-            list.iter().all(|v| comparable(class(expr), Some(v.column_type())))
-        }
     }
 }
 
@@ -794,8 +628,11 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let outer_types: Vec<Option<ColumnType>> =
             tpl.outer_refs.iter().map(|c| declared_type(scopes, c)).collect();
         let key_at = tpl.conjuncts.iter().position(|c| key_equalities(c).is_some());
-        let fallible_at =
-            tpl.conjuncts.iter().position(|c| !infallible(c, &info.schema, &outer_types));
+        // The template's conjuncts are the simple ones, in WHERE order.
+        let chain: Vec<&Schema> =
+            std::iter::once(&info.schema).chain(scopes.iter().copied()).collect();
+        let declared = |c: &ColumnRef| declared_type(&chain, c);
+        let fallible_at = info.split(q).0.iter().position(|p| !cannot_raise(p, &declared));
         let pairs = match (key_at, fallible_at) {
             (None, _) => {
                 return Access::Ineligible("no conjunct equates a column with an outer reference")
@@ -831,8 +668,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 }
                 Some(ix) => {
                     let st = ix.stats();
-                    let leaves = st.leaf_pages.div_ceil(st.distinct_keys.max(1)).max(1);
-                    probe_pages.push((st.height + leaves) as f64);
+                    probe_pages.push((st.height + st.leaves_per_probe()) as f64);
                     (OnceLock::from(Some(Arc::clone(ix))), false)
                 }
                 None => {

@@ -16,7 +16,7 @@ use crate::error::EngineError;
 use crate::expr::{CExpr, Row};
 use crate::Result;
 use nsql_sql::{ColumnRef, CompareOp, InRhs, Operand, Predicate};
-use nsql_types::{Schema, Tuple, Value};
+use nsql_types::{ColumnType, Schema, Tuple, Value};
 
 /// Three-valued AND over an iterator of truth values.
 pub fn and3(values: impl IntoIterator<Item = Option<bool>>) -> Option<bool> {
@@ -230,6 +230,37 @@ pub fn in_list(v: &Value, list: &[Value]) -> Result<Option<bool>> {
     Ok(if unknown { None } else { Some(false) })
 }
 
+/// Whether evaluating `p` cannot raise, when `declared` gives the declared
+/// type of the columns it reads (`None`: a column nobody declared).
+/// `Incomparable` — two non-NULL values of different classes meeting in a
+/// comparison — is the only error [`CPred::eval`] has, so a predicate whose
+/// every comparison is between operands of one declared class, or with a
+/// NULL literal (which compares UNKNOWN with anything), cannot. A NULL test
+/// compares nothing. A predicate holding a query block is not a compiled
+/// one, and is never said to be safe.
+pub fn cannot_raise(p: &Predicate, declared: &impl Fn(&ColumnRef) -> Option<ColumnType>) -> bool {
+    // `None`: a class nobody declared. `Some(None)`: the NULL literal.
+    let class = |o: &Operand| match o {
+        Operand::Column(c) => declared(c).map(Some),
+        Operand::Literal(v) => Some(v.column_type()),
+        Operand::Subquery(_) => None,
+    };
+    let comparable = |a: Option<Option<ColumnType>>, b: Option<Option<ColumnType>>| match (a, b) {
+        (Some(a), Some(b)) => a.zip(b).is_none_or(|(a, b)| a.same_class(b)),
+        _ => false,
+    };
+    match p {
+        Predicate::And(ps) | Predicate::Or(ps) => ps.iter().all(|q| cannot_raise(q, declared)),
+        Predicate::Not(q) => cannot_raise(q, declared),
+        Predicate::Compare { left, right, .. } => comparable(class(left), class(right)),
+        Predicate::In { operand, rhs: InRhs::List(list), .. } => {
+            list.iter().all(|v| comparable(class(operand), Some(v.column_type())))
+        }
+        Predicate::IsNull { operand, .. } => operand.as_subquery().is_none(),
+        Predicate::In { .. } | Predicate::Exists { .. } | Predicate::Quantified { .. } => false,
+    }
+}
+
 /// A template operand: local column, outer (correlated) reference by slot,
 /// or literal.
 #[derive(Debug, Clone, PartialEq)]
@@ -421,7 +452,7 @@ fn instantiate_tpred(p: &TPred, outer_vals: &[Value]) -> CPred {
 mod tests {
     use super::*;
     use nsql_sql::parse_query;
-    use nsql_types::{Column, ColumnType};
+    use nsql_types::Column;
 
     fn schema() -> Schema {
         Schema::new(vec![

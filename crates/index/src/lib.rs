@@ -104,6 +104,16 @@ pub struct IndexStats {
     pub max_key: Option<Value>,
 }
 
+impl IndexStats {
+    /// Leaf pages an equality probe reads: the leaves over the distinct
+    /// keys, rounded up, and never fewer than one — the leaf the descent
+    /// ends at, which a tree without keys does not have and is charged
+    /// anyway.
+    pub fn leaves_per_probe(&self) -> usize {
+        self.leaf_pages.div_ceil(self.distinct_keys.max(1)).max(1)
+    }
+}
+
 /// One internal node: its page, and where its children start.
 #[derive(Debug, Clone)]
 struct Node {
@@ -987,6 +997,26 @@ mod tests {
         for k in [0, 1, 74, 149, 150] {
             assert_eq!(ix.probe_eq(&st, &Value::Int(k)), fresh.probe_eq(&st, &Value::Int(k)));
         }
+    }
+
+    #[test]
+    fn leaves_per_probe_on_the_empty_the_one_key_and_the_unique_tree() {
+        let st = Storage::new(8, 128);
+        // No keys, no leaves: a probe is still charged the one page it asks for.
+        let (_f, empty) = build(&st, &[]);
+        assert_eq!((empty.stats().leaf_pages, empty.stats().distinct_keys), (0, 0));
+        assert_eq!(empty.stats().leaves_per_probe(), 1);
+        // One key: every leaf holds matches.
+        let (_f, one) = build(&st, &(0..100).map(|i| (7, i)).collect::<Vec<_>>());
+        assert!(one.stats().leaf_pages > 1);
+        assert_eq!(one.stats().leaves_per_probe(), one.stats().leaf_pages);
+        // Unique keys: one leaf, however many there are.
+        let (_f, unique) = build(&st, &(0..100).map(|i| (i, i)).collect::<Vec<_>>());
+        assert_eq!(unique.stats().leaves_per_probe(), 1);
+        // In between, rounded up.
+        let (_f, some) = build(&st, &(0..200).map(|i| (i % 3, i)).collect::<Vec<_>>());
+        let (per_probe, leaves) = (some.stats().leaves_per_probe(), some.stats().leaf_pages);
+        assert!(3 * per_probe >= leaves && 3 * (per_probe - 1) < leaves, "{per_probe} of {leaves}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Exploring the Section-7 cost model: the four NEST-JA2 variants across
+//! Exploring the Section-7 cost model (`nsql_engine::cost`, here
+//! `nested_query_opt::engine::cost`): the four NEST-JA2 variants across
 //! buffer sizes and temporary-table sizes, plus the nested-iteration
 //! baseline — the paper's "each of which may be estimated by the
 //! optimizer" rendered as tables.
@@ -7,7 +8,7 @@
 //! cargo run --example cost_model
 //! ```
 
-use nested_query_opt::core::cost::{
+use nested_query_opt::engine::cost::{
     ja2_cost, nested_iteration_cost_j, sort_cost, Ja2Params, JoinMethod,
 };
 

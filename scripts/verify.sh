@@ -103,8 +103,10 @@ done <<GATES
 \\b(is_temp|l_temp|r_temp|drop_child|drop_input|JoinResult)\\b|IXR_#crates/*/src#-#an ownership flag or the IXR_ pseudo-temporary; temporaries are owned TempFile values
 \\brebuild_indexes\\b#crates/*/src#-#the whole-table index rebuild; INSERT costs what it changes (DESIGN.md "Durability")
 \\blogical_rules\\b#$everywhere#-#the opt-in plan-rule switch; UnnestOptions::faithful_1987 replaced it (DESIGN.md "Configuration")
-\\b(PlanRule|PredicatePushdown|ProjectionPruning|RuleEngine|RuleFiring)\\b#$everywhere#-#a second restriction/projection planner beside the executor's join pipeline (DESIGN.md "Rule-based optimization")
+\\b(PlanRule|PredicatePushdown|ProjectionPruning|RuleEngine|RuleFiring)\\b#$everywhere#-#a second restriction/projection planner beside the executor's join pipeline (DESIGN.md "One planner for flat blocks")
 \\b(judge_rewrite|RewriteJudgement|AggViewDescriptor|DuplicateSemantics)\\b|CacheMode::Rewrite#$everywhere#-#the aggregate-view judge that licensed nothing, or the alias of UnnestOptions::preserve_duplicates (DESIGN.md "Result caching", "Configuration")
+\\b(sort_pages|never_raises)\\b|\\binfallible\\(#$everywhere#-#a copy of cost::sort_cost, or a second cannot-raise truth table beside nsql_engine::pred::cannot_raise (DESIGN.md "Join choice")
+\\b(select_block_rule|BLOCK_RULES|BlockRule|BlockAction|NestedShape)\\b#$everywhere#-#the block-rule catalog; nest_g::transform_nested matches on the nesting shape itself (DESIGN.md "One planner for flat blocks", Dispatch)
 faithful_1987 *[:=] *true|UnnestOptions::faithful\\(|set_faithful\\(true#$non_test#crates/core/src/nest_g\\.rs|crates/db/src/options\\.rs|crates/bench/src/.*|src/diff\\.rs|examples/.*#faithful_1987 is set on a path the default options reach
 GATES
 
@@ -112,7 +114,7 @@ echo "==> one planner for flat blocks"
 # Where a conjunct is applied, which conjuncts are join keys and which columns
 # a stored join result carries is decided by PlanExecutor::join_inputs, for
 # the canonical query's FROM list and for a temporary over several relations
-# alike (DESIGN.md "Rule-based optimization"): outside tests the conjunct
+# alike (DESIGN.md "One planner for flat blocks"): outside tests the conjunct
 # classifier has that one caller.
 callers=$(awk '/^#\[cfg\(test\)\]/ { exit }
     match($0, /fn [a-z_0-9]+/) { current = substr($0, RSTART + 3, RLENGTH - 3) }
@@ -121,6 +123,33 @@ callers=$(awk '/^#\[cfg\(test\)\]/ { exit }
 if [ "$callers" != "join_inputs" ]; then
     echo "callers of classify_conjunct: ${callers:-none}"
     echo "FAIL: join conjuncts are classified outside PlanExecutor::join_inputs (or nowhere)"
+    exit 1
+fi
+
+echo "==> one cost model"
+# Every page or CPU price is computed in nsql_engine::cost (DESIGN.md "Join
+# choice"): outside tests no other source compares a page count with B - 1
+# (the cliff of every nested-loop formula of Section 7) or defines a constant
+# that turns in-memory work into page I/Os, and nsql-core — which the engine
+# must not come to depend on — holds neither the model nor a rule catalog.
+cliff='[<>]=? *[a-z_.()]*(\bb|buffer|buffer_pages\(\))( as f64)? *- *1(\.0)?([^0-9]|$)'
+priced=$(for f in $(find crates/*/src src -name '*.rs'); do
+    [ "$f" = crates/engine/src/cost.rs ] && continue
+    sed '/^#\[cfg(test)\]/q' "$f" \
+        | grep -nE "$cliff|const (VISITS|SORTED_ROWS)_PER_PAGE_IO" | sed "s|^|$f:|" || true
+done)
+if [ -n "$priced" ]; then
+    echo "$priced"
+    echo "FAIL: a page or CPU price is computed outside crates/engine/src/cost.rs"
+    exit 1
+fi
+if [ "$(sed '/^#\[cfg(test)\]/q' crates/engine/src/cost.rs | grep -cE "$cliff")" != 1 ]; then
+    echo "FAIL: the B - 1 cliff is written out more than once (or not at all) in cost.rs"
+    exit 1
+fi
+if [ -e crates/core/src/cost.rs ] || [ -e crates/core/src/rules.rs ] \
+    || grep -q 'nsql-core' crates/engine/Cargo.toml; then
+    echo "FAIL: nsql-core holds cost.rs or rules.rs again, or nsql-engine depends on nsql-core"
     exit 1
 fi
 
@@ -213,7 +242,7 @@ echo "==> testkit is warnings-clean across all targets"
 RUSTFLAGS="-D warnings" cargo check -p nsql-testkit --all-targets --offline
 
 echo "==> hot-path crates carry no redundant clones (clippy)"
-# nsql-core is included for the transformation and the cost model: NEST-G
+# nsql-core is included for the transformation: NEST-G
 # clones query blocks, and a redundant clone there multiplies per query.
 # nsql-sql is included for the child-block walker every crate calls.
 cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec -p nsql-cache \
