@@ -115,17 +115,8 @@ impl RunConfig {
     /// An operator executor for the figures that drive a plan by hand, at
     /// the base options' thread count and exec mode.
     pub fn exec(&self, storage: &Storage) -> Exec {
-        let threads = match self.base.threads {
-            0 => nsql_exec_par::threads_from_env(),
-            n => n,
-        };
-        // As `Database` does: a count nobody named is a budget.
-        let exec = if self.base.threads == 0 && !nsql_exec_par::threads_named() {
-            Exec::with_thread_budget(storage.clone(), threads)
-        } else {
-            Exec::with_threads(storage.clone(), threads)
-        };
-        exec.with_vectorized(self.base.exec_mode.vectorized())
+        Exec::with_requested_threads(storage.clone(), self.base.threads)
+            .with_vectorized(self.base.exec_mode.vectorized())
     }
 }
 

@@ -96,10 +96,10 @@ fn nested_iteration_parallel_equals_serial_at_kim_scale() {
 }
 
 /// The two refused shapes of the benchmark under the options its caller
-/// retries them with: the correlated block probes a tree bulk-loaded before
-/// the fan-out and spliced into the replay at its first probe (ISSUE 22), so
-/// rows, all four storage counters and the pages left in the pool are the
-/// serial run's at every thread count — nested iteration and batched.
+/// retries them with: the correlated block probes a tree bulk-loaded at its
+/// first probe (ISSUE 22), and rows, all four storage counters and the pages
+/// left in the pool are the serial run's at every thread count — nested
+/// iteration and batched.
 #[test]
 fn probing_blocks_parallel_equals_serial() {
     const J_NOTIN: &str = "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH NOT IN \
@@ -279,6 +279,27 @@ fn observe_leaves_io_trace_and_results_byte_identical() {
         }
     }
     assert_eq!(probing, 2 * 4, "type-J and the three type-JA shapes probe by default, at either count");
+}
+
+/// Nested iteration and batched evaluation are serial whatever the count: a
+/// named `threads: 4` hands out no morsel on their `execute:` node, over an
+/// outer relation of many pages.
+#[test]
+fn correlated_strategies_claim_no_morsels() {
+    let w = ja_workload(WorkloadSpec::small(), DEFAULT_SEED);
+    assert!(w.db.catalog().table("PARTS").unwrap().page_count() > 1);
+    for (strategy, node) in [
+        (Strategy::NestedIteration, "execute: nested iteration"),
+        (Strategy::Batched, "execute: batched evaluation"),
+    ] {
+        for sql in [queries::TYPE_J, queries::TYPE_JA_COUNT] {
+            let opts = QueryOptions { strategy, threads: 4, observe: true, ..QueryOptions::default() };
+            let obs = w.db.query_with(sql, &opts).unwrap().obs.expect("observe=true collects");
+            let op = obs.profile.iter().find_map(|r| r.find(node)).and_then(|n| n.op.clone());
+            let op = op.unwrap_or_else(|| panic!("no {node} operator: {:#?}", obs.profile));
+            assert!(op.morsels_per_worker.is_empty(), "{node} claimed morsels: {op:?}\n{sql}");
+        }
+    }
 }
 
 #[test]

@@ -218,7 +218,7 @@ fn vectorized_float_aggregates_bit_identical() {
 /// UNKNOWN*. Generated statements put a type-mismatched conjunct behind a
 /// comparison on a sometimes-NULL column, at top level and inside a
 /// correlated inner block: where no row gets past the guard nested
-/// iteration answers, where one does it raises — serial and parallel alike,
+/// iteration answers, where one does it raises — at every thread count,
 /// after the same I/O. The oracle's `AND` evaluates past UNKNOWN, so it
 /// raises at least as often: it must raise wherever nested iteration does
 /// and agree on the rows wherever it answers. The split of the 40 seeded

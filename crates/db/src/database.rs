@@ -315,21 +315,10 @@ impl Database {
             storage.clear_buffer();
         }
         let before = storage.io_stats();
-        let threads = if opts.threads == 0 {
-            nsql_exec_par::threads_from_env()
-        } else {
-            opts.threads
-        };
-        // A count nobody named — neither the options nor the environment —
-        // is what the operators may use, not what they must: each fans out
-        // by the size of its own input.
-        let budget = opts.threads == 0 && !nsql_exec_par::threads_named();
         let cache_mode = opts.cache.resolve();
         let mut temps = Vec::new();
         let (relation, explain) = match opts.strategy {
-            Strategy::NestedIteration | Strategy::Batched => {
-                self.run_correlated(q, opts, threads, budget, profile)?
-            }
+            Strategy::NestedIteration | Strategy::Batched => self.run_correlated(q, opts, profile)?,
             Strategy::Transform | Strategy::Auto => {
                 let span = profile.begin("transform");
                 let plan = transform_query_traced(&self.catalog, q, &opts.unnest, profile);
@@ -344,12 +333,9 @@ impl Database {
                 let mut explain = header_lines(opts, plan.temp_count());
                 explain.extend(plan.trace.iter().cloned());
                 explain.push(format!("canonical: {}", nsql_sql::print_query(&plan.canonical)));
-                let exec = if budget {
-                    Exec::with_thread_budget(storage.clone(), threads)
-                } else {
-                    Exec::with_threads(storage.clone(), threads)
-                };
-                let exec = exec.with_vectorized(opts.vectorized()).with_obs(profile.clone());
+                let exec = Exec::with_requested_threads(storage.clone(), opts.threads)
+                    .with_vectorized(opts.vectorized())
+                    .with_obs(profile.clone());
                 let mut pe = PlanExecutor::new(exec, &self.catalog, opts.join_policy);
                 pe.set_index_use(opts.index_use);
                 pe.set_faithful(opts.unnest.faithful_1987);
@@ -404,16 +390,14 @@ impl Database {
 
     /// The two correlated strategies — nested iteration and its batched
     /// variant — on the one evaluator: same setup, same observation, one
-    /// row kernel whatever the exec mode. They differ in the EXPLAIN line,
-    /// the operator label and the entry point called. Returns the rows and
-    /// the EXPLAIN lines: the header, then each correlated block's access
-    /// path.
+    /// row kernel whatever the exec mode, serial whatever the thread count.
+    /// They differ in the EXPLAIN line, the operator label and the entry
+    /// point called. Returns the rows and the EXPLAIN lines: the header,
+    /// then each correlated block's access path.
     fn run_correlated(
         &self,
         q: &QueryBlock,
         opts: &QueryOptions,
-        threads: usize,
-        budget: bool,
         profile: &Profile,
     ) -> Result<(Relation, Vec<String>)> {
         let batched = opts.strategy == Strategy::Batched;
@@ -421,7 +405,6 @@ impl Database {
         let cached = opts.cache.enabled();
         let mut evaluator = NestedIter::new(&self.catalog, self.catalog.storage().clone())
             .with_faithful(opts.unnest.faithful_1987)
-            .with_thread_budget(budget)
             .with_obs(profile.clone());
         if cached {
             evaluator = evaluator.with_query_cache(Arc::clone(&self.cache));
@@ -435,9 +418,9 @@ impl Database {
             |rel: &Relation| rel.len() as u64,
             || {
                 if batched {
-                    evaluator.eval_query_batched(q, threads)
+                    evaluator.eval_query_batched(q, 1)
                 } else {
-                    evaluator.eval_query_threads(q, threads)
+                    evaluator.eval_query(q)
                 }
             },
         );

@@ -208,11 +208,12 @@ pub struct QueryOptions {
     /// — and `unnest.faithful_1987` with it, so they run the paper's literal
     /// plans.
     pub cold_start: bool,
-    /// Worker threads for morsel-parallel execution. `0` (the default)
-    /// resolves from `NSQL_THREADS`, falling back to the machine's available
-    /// parallelism; `1` takes the exact serial code path. A count named
-    /// here or by `NSQL_THREADS` is obeyed by every operator; the fallback
-    /// is a budget — each operator of a transformed plan fans out only over
+    /// Worker threads for morsel-parallel execution of the transformed
+    /// plan's operators; nested iteration and batched evaluation are serial.
+    /// `0` (the default) resolves from `NSQL_THREADS`, falling back to the
+    /// machine's available parallelism; `1` takes the exact serial code
+    /// path. A count named here or by `NSQL_THREADS` is obeyed by every
+    /// operator; the fallback is a budget — each operator fans out only over
     /// an input large enough to repay the dispatch (DESIGN.md "Threading
     /// model"). Parallel runs report the same per-query I/O totals as
     /// serial runs by construction.

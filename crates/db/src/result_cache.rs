@@ -146,7 +146,6 @@ pub fn replay_temp(
                     storage.free_page(*live);
                 }
             }
-            TraceEvent::Marker(_) => {}
         }
     }
     let pages: Vec<PageId> =

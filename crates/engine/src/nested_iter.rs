@@ -47,8 +47,7 @@
 //! * **The choice** is arithmetic on counts ([`nested_access_costs`]): build
 //!   and probe when `build + N·(h + l) < N·Pj`, where `N` is the number of
 //!   evaluations System R's default selectivities predict. Nothing adapts at
-//!   run time, so the choice and every counted page are the same at every
-//!   thread count.
+//!   run time.
 //!
 //! A probing evaluation hands the binding loop `probe_eq(outer value)` in
 //! place of the file's pages — for an `OR`, the first key's matches, then
@@ -106,12 +105,19 @@
 //! conjunct holds a locally ambiguous reference, or an outer reference the
 //! scope chain does not resolve, the block is interpreted per tuple, so the
 //! error surfaces lazily, if and only if a tuple reaches that operand.
+//!
+//! # Serial
+//!
+//! Nested iteration runs on the calling thread, as System R's did. A thread
+//! count handed to [`NestedIter::eval_query_threads`] or
+//! [`NestedIter::eval_query_batched`] is ignored: fanning the per-tuple loop
+//! out over page morsels never paid at Kim scale and is gone (EXPERIMENTS.md,
+//! "Nested iteration is serial").
 
 use crate::aggregate::AggState;
 use crate::cost::{nested_access_costs, selectivity, temp_tree_estimate, AccessCosts};
 use crate::error::EngineError;
 use crate::expr::CExpr;
-use crate::ops::PAR_MIN_ROWS;
 use crate::pred::{cannot_raise, compare_values, not3, CPred, TOperand, TPred, Template};
 use crate::provider::TableProvider;
 use crate::Result;
@@ -123,20 +129,19 @@ use nsql_sql::{
     ScalarExpr, SortDir,
 };
 use nsql_cache::{BlockEntry, QueryCache};
-use nsql_exec_par::{run_workers, Morsels};
 use nsql_storage::sort::SortKey;
-use nsql_storage::{external_sort_threads, HeapFile, PageId, Storage, TraceEvent};
+use nsql_storage::{external_sort, HeapFile, PageId, Storage, TempFile};
 use nsql_types::{Column, ColumnType, FxHashMap, Relation, Schema, Tuple, Value};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::rc::Rc;
+use std::sync::Arc;
 
-/// Cached result of an uncorrelated inner block. Cloning is cheap: a
-/// value or a page-id-list handle, never page data.
-#[derive(Clone)]
+/// Cached result of an uncorrelated inner block: a value, or the
+/// materialized list, whose pages go when the query's block map does.
 enum Cached {
     Scalar(Value),
-    List(HeapFile),
+    List(TempFile),
 }
 
 /// How a use site consumes an uncorrelated subquery's cached result:
@@ -178,13 +183,13 @@ struct BlockInfo {
     template: Option<Template>,
     /// Normalized cross-query cache signature, derived on the first probe
     /// (`None` inside: the block declines normalization).
-    signature: OnceLock<Option<Arc<BlockSig>>>,
+    signature: OnceCell<Option<Rc<BlockSig>>>,
     /// An uncorrelated block's result, evaluated at its first use.
-    result: OnceLock<Cached>,
+    result: OnceCell<Cached>,
     /// A correlated block's access path, set by [`NestedIter::plan`] before
     /// the query's first page is read. Unset — the top-level block, an
     /// uncorrelated one, every block under the 1987 switch — is a scan.
-    access: OnceLock<Access>,
+    access: OnceCell<Access>,
 }
 
 impl BlockInfo {
@@ -204,8 +209,7 @@ impl BlockInfo {
 }
 
 /// Where a correlated block's tuples come from: decided once per query, up
-/// front and from counts alone ([`NestedIter::plan`]), so the choice — and
-/// with it every counted page — is the same at every thread count.
+/// front and from counts alone ([`NestedIter::plan`]).
 enum Access {
     /// The block cannot probe, and why: every page of its FROM file(s) is
     /// read on every evaluation, as in 1987.
@@ -244,7 +248,7 @@ struct KeyTree {
     /// The catalog's index on the column, or (`temporary`) one bulk-loaded
     /// when the block first probes and freed by `teardown`. `None` inside:
     /// the load met keys outside the column's class, and the block scans.
-    tree: OnceLock<Option<Arc<BTreeIndex>>>,
+    tree: OnceCell<Option<Arc<BTreeIndex>>>,
     temporary: bool,
 }
 
@@ -390,19 +394,6 @@ impl<'e> Env<'e> {
     }
 }
 
-/// State shared between the main evaluator and its worker forks: one map
-/// from block address to what the query knows about that block. Addresses
-/// are stable while the AST is borrowed, i.e. for one query; teardown
-/// clears the map. The mutex is held only to copy an `Arc` out or in.
-struct IterShared {
-    blocks: Mutex<FxHashMap<usize, Arc<BlockInfo>>>,
-    /// Cross-query cache consults this query: hits and misses, for the
-    /// EXPLAIN line. Shared with worker forks so the parallel path counts
-    /// identically.
-    xq_hits: AtomicU64,
-    xq_misses: AtomicU64,
-}
-
 /// A block's normalized cross-query cache identity: canonical text, the
 /// free (outer) references whose values form the binding key, and the
 /// single FROM table whose generation stamps the entry.
@@ -416,7 +407,7 @@ struct BlockSig {
 /// on a miss, publish under.
 struct XqProbe {
     cache: Arc<QueryCache>,
-    sig: Arc<BlockSig>,
+    sig: Rc<BlockSig>,
     binding: Tuple,
     generation: u64,
     epoch: u64,
@@ -426,18 +417,18 @@ struct XqProbe {
 pub struct NestedIter<'a, T: TableProvider + ?Sized> {
     tables: &'a T,
     storage: Storage,
-    shared: Arc<IterShared>,
+    /// What the query knows about each block, by block address. Addresses
+    /// are stable while the AST is borrowed, i.e. for one query; teardown
+    /// clears the map.
+    blocks: RefCell<FxHashMap<usize, Rc<BlockInfo>>>,
+    /// Cross-query cache consults this query: hits and misses, for the
+    /// EXPLAIN line.
+    xq_hits: Cell<u64>,
+    xq_misses: Cell<u64>,
     profile: nsql_obs::Profile,
     query_cache: Option<Arc<QueryCache>>,
     /// The paper's nested iteration to the page: no block probes.
     faithful: bool,
-    /// Whether a thread count passed in is an upper bound and not a count
-    /// somebody named.
-    budget: bool,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
@@ -448,15 +439,12 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         NestedIter {
             tables,
             storage,
-            shared: Arc::new(IterShared {
-                blocks: Mutex::new(FxHashMap::default()),
-                xq_hits: AtomicU64::new(0),
-                xq_misses: AtomicU64::new(0),
-            }),
+            blocks: RefCell::default(),
+            xq_hits: Cell::new(0),
+            xq_misses: Cell::new(0),
             profile: nsql_obs::Profile::default(),
             query_cache: None,
             faithful: false,
-            budget: false,
         }
     }
 
@@ -469,31 +457,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         self
     }
 
-    /// With `true`, a thread count passed to
-    /// [`eval_query_threads`](NestedIter::eval_query_threads) or
-    /// [`eval_query_batched`](NestedIter::eval_query_batched) is what the
-    /// evaluator may use, not what it must — for a caller whose count nobody
-    /// named. The rule and the constant are [`Exec::with_thread_budget`]'s
-    /// (crate::Exec::with_thread_budget): an input under 16 384 tuples is
-    /// not fanned out over.
-    pub fn with_thread_budget(mut self, budget: bool) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Workers for a step over `rows` tuples when the caller offers
-    /// `threads`.
-    fn workers_for(&self, rows: usize, threads: usize) -> usize {
-        if self.budget && rows < PAR_MIN_ROWS {
-            1
-        } else {
-            threads
-        }
-    }
-
-    /// Attach the query's profile. Morsel claims during parallel
-    /// evaluation land on its innermost open operator node; side-state
-    /// only, never touching the trace/replay I/O accounting.
+    /// Attach the query's profile: the build of a temporary tree is an
+    /// operator node of its own, under whichever node is open.
     pub fn with_obs(mut self, profile: nsql_obs::Profile) -> Self {
         self.profile = profile;
         self
@@ -520,24 +485,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// Cross-query cache consults so far: `(hits, misses)`. Zero/zero when
     /// no cache is attached.
     pub fn cache_counts(&self) -> (u64, u64) {
-        (
-            self.shared.xq_hits.load(Ordering::Relaxed),
-            self.shared.xq_misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// A worker's view of this evaluator: same tables, block map and cache,
-    /// different storage handle (a trace view during parallel evaluation).
-    fn fork(&self, storage: Storage) -> NestedIter<'a, T> {
-        NestedIter {
-            tables: self.tables,
-            storage,
-            shared: Arc::clone(&self.shared),
-            profile: self.profile.clone(),
-            query_cache: self.query_cache.clone(),
-            faithful: self.faithful,
-            budget: self.budget,
-        }
+        (self.xq_hits.get(), self.xq_misses.get())
     }
 
     /// Evaluate a top-level query.
@@ -547,15 +495,20 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         result
     }
 
+    /// [`eval_query`](NestedIter::eval_query). The thread count is ignored:
+    /// nested iteration is serial (see the module docs). The method survives
+    /// only because `benchmark/` calls it, and benchmark/README.md requires
+    /// a benchmark change before a listed symbol goes; that change deletes it.
+    pub fn eval_query_threads(&self, q: &QueryBlock, _threads: usize) -> Result<Relation> {
+        self.eval_query(q)
+    }
+
     /// Everything in the block map is per-query: its keys are AST addresses,
     /// stable only within one query's borrow, and the materialized lists of
     /// uncorrelated blocks and the trees probing blocks built are
-    /// temporaries — drop their pages.
+    /// temporaries — drop their pages (a list goes with its block's entry).
     fn teardown(&self) {
-        for (_, info) in lock(&self.shared.blocks).drain() {
-            if let Some(Cached::List(f)) = info.result.get() {
-                f.drop_pages(&self.storage);
-            }
+        for (_, info) in self.blocks.take() {
             if let Some(Access::Probe(plan)) = info.access.get() {
                 for t in plan.trees.iter().filter(|t| t.temporary) {
                     if let Some(Some(tree)) = t.tree.get() {
@@ -571,9 +524,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// Decide the access path of every correlated block under `q`, before
     /// the first page is read and from counts alone: file sizes, `B`, the
     /// catalog's indexes, and System R's default selectivities for how often
-    /// each block will be evaluated. Nothing here looks at a tuple, so the
-    /// choice does not depend on the thread count or on which worker gets
-    /// where first. A no-op under [`with_faithful`](NestedIter::with_faithful).
+    /// each block will be evaluated. Nothing here looks at a tuple. A no-op
+    /// under [`with_faithful`](NestedIter::with_faithful).
     fn plan(&self, q: &QueryBlock) -> Result<()> {
         if self.faithful {
             return Ok(());
@@ -669,13 +621,13 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 Some(ix) => {
                     let st = ix.stats();
                     probe_pages.push((st.height + st.leaves_per_probe()) as f64);
-                    (OnceLock::from(Some(Arc::clone(ix))), false)
+                    (OnceCell::from(Some(Arc::clone(ix))), false)
                 }
                 None => {
                     let (cost, pages) = temp_tree_estimate(pj, ty, self.storage.page_size(), b);
                     build += cost;
                     probe_pages.push(pages);
-                    (OnceLock::new(), true)
+                    (OnceCell::new(), true)
                 }
             };
             keys.push(ProbeKey { tree: trees.len(), slot });
@@ -717,16 +669,10 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         Ok(())
     }
 
-    /// Have every tree of probing block `q` at hand, loading the temporary
+    /// Have every tree of a probing block at hand, loading the temporary
     /// ones at the block's first probe; `false` when a load met keys outside
     /// their column's class (the block then scans, now and from here on).
-    /// The order of storage calls is the same at every probe: mark the
-    /// site, recall — or build and store.
-    fn ensure_trees(&self, q: &QueryBlock, info: &BlockInfo, plan: &ProbePlan) -> bool {
-        // In a trace view this marks where serial evaluation would (first)
-        // build; replay splices the captured build in at the first marker.
-        // No-op when counting.
-        self.storage.trace_marker(q as *const QueryBlock as usize);
+    fn ensure_trees(&self, info: &BlockInfo, plan: &ProbePlan) -> bool {
         plan.trees.iter().all(|t| t.tree.get_or_init(|| self.build_tree(info, t.col)).is_some())
     }
 
@@ -771,7 +717,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         if plan.keys.iter().all(|k| outer[k.slot].is_null()) {
             return Some(found);
         }
-        if !self.ensure_trees(q, info, plan) {
+        if !self.ensure_trees(info, plan) {
             return None;
         }
         for (i, key) in plan.keys.iter().enumerate() {
@@ -795,176 +741,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         Some(found)
     }
 
-    // ----------------------------------------------------------- parallel
-
-    /// Evaluate a top-level query on `threads` workers. `threads <= 1` is
-    /// exactly [`eval_query`](NestedIter::eval_query).
-    ///
-    /// The parallel path partitions the outermost FROM relation into page
-    /// morsels, evaluates each morsel's bindings on a worker holding a
-    /// *trace view* of storage (physical reads, no counting), then replays
-    /// the per-morsel traces in morsel order through the real buffered
-    /// storage. Because serial nested iteration fetches outer page *i+1*
-    /// only after finishing page *i*'s bindings, the concatenated traces
-    /// equal the serial page-access sequence — so the replay reproduces the
-    /// serial I/O totals, hit/miss split, and final buffer state exactly.
-    ///
-    /// Uncorrelated inner blocks (which serial evaluation caches on first
-    /// use) are pre-materialized before the fan-out, each under its own
-    /// trace; a [`TraceEvent::Marker`] logged at every cache-use site tells
-    /// the replay where to splice that trace in — at the *first* marker in
-    /// replay order, mirroring lazy once-only evaluation. The temporary
-    /// trees of probing blocks (which serial evaluation builds at the
-    /// block's first probe) are built and spliced in the same way.
-    ///
-    /// Under [`with_thread_budget`](NestedIter::with_thread_budget) an
-    /// outermost relation too small to repay the fan-out is evaluated
-    /// serially, whatever `threads` says.
-    pub fn eval_query_threads(&self, q: &QueryBlock, threads: usize) -> Result<Relation>
-    where
-        T: Sync,
-    {
-        if threads <= 1 {
-            return self.eval_query(q);
-        }
-        let result = self.plan(q).and_then(|()| self.eval_parallel(q, threads));
-        self.teardown();
-        result
-    }
-
-    fn eval_parallel(&self, q: &QueryBlock, threads: usize) -> Result<Relation>
-    where
-        T: Sync,
-    {
-        let info = self.block_info(q)?;
-        let pages: Vec<PageId> = match info.files.first() {
-            Some(f) if f.page_ids().len() > 1 && self.workers_for(f.tuple_count(), threads) > 1 => {
-                f.page_ids().to_vec()
-            }
-            // Nothing to partition, or too little to repay a fan-out — the
-            // serial path is already optimal.
-            _ => return self.eval_block(q, &Env::default()),
-        };
-
-        // Before the fan-out, each under its own trace: every uncorrelated
-        // subquery block is materialized and every probing block's
-        // temporary trees are built — children before parents, so a
-        // parent's captured trace contains markers (not evaluations or
-        // builds) for what lies below it.
-        let mut uses = Vec::new();
-        collect_cached_uses(q, &mut uses);
-        let mut mat: FxHashMap<usize, Vec<TraceEvent>> = FxHashMap::default();
-        for (sub, kind) in uses {
-            let key = sub as *const QueryBlock as usize;
-            let sub_info = self.block_info(sub)?;
-            if mat.contains_key(&key) {
-                continue;
-            }
-            let sink = Arc::new(Mutex::new(Vec::new()));
-            let fork = self.fork(self.storage.trace_view(Arc::clone(&sink)));
-            if let Some(Access::Probe(plan)) = sub_info.access.get() {
-                if !plan.trees.iter().any(|t| t.temporary) {
-                    continue;
-                }
-                fork.ensure_trees(sub, &sub_info, plan);
-            } else if !sub_info.free.is_empty() {
-                continue;
-            } else {
-                match fork.materialize(sub, kind) {
-                    Ok(c) => sub_info.result.get_or_init(|| c),
-                    Err(_) => {
-                        // Re-run serially so the reported error and its I/O
-                        // match the serial evaluation exactly.
-                        self.teardown();
-                        self.plan(q)?;
-                        return self.eval_block(q, &Env::default());
-                    }
-                };
-            }
-            mat.insert(key, std::mem::take(&mut *lock(&sink)));
-        }
-
-        // Bound once for all morsels: the top level has no enclosing scope,
-        // so its simple conjuncts either close over the block or decline.
-        let (simple, nested) = info.split(q);
-        let env = Env::default();
-        let bound = self.bind(&info, &env);
-        let bound = bound.as_ref().map(|b| b.conjuncts.as_slice());
-
-        // One page per morsel: binding evaluation (the inner loops) is the
-        // heavy part, so fine-grained claims balance best, and the trace
-        // slots stitch back together in page order regardless.
-        type Slot = (Vec<TraceEvent>, Result<Vec<Tuple>>);
-        let morsels = Morsels::new(pages.len(), 1);
-        let slots: Vec<Mutex<Option<Slot>>> =
-            (0..pages.len()).map(|_| Mutex::new(None)).collect();
-        let morsel_op = self.profile.current_op();
-        run_workers(threads.min(pages.len()), |w| {
-            while let Some(range) = morsels.claim() {
-                if let Some(op) = &morsel_op {
-                    op.morsels.add(w, 1);
-                }
-                let sink = Arc::new(Mutex::new(Vec::new()));
-                let fork = self.fork(self.storage.trace_view(Arc::clone(&sink)));
-                let tuples = Tuples::Pages(&pages[range.clone()]);
-                let res = fork.bindings(&info, tuples, bound, &simple, &nested, &env);
-                let events = std::mem::take(&mut *lock(&sink));
-                *lock(&slots[range.start]) = Some((events, res));
-            }
-        });
-
-        // Serial stitch: replay each morsel's trace through the real
-        // storage, in page order, splicing pre-materialization traces at
-        // first use. On a morsel error, replay up to and including that
-        // morsel's partial trace — the serial evaluation would have stopped
-        // there too.
-        let mut survivors: Vec<Tuple> = Vec::new();
-        let mut done: HashSet<usize> = HashSet::new();
-        for slot in &slots {
-            let (events, res) = lock(slot).take().expect("morsel left unevaluated");
-            self.replay(&events, &mat, &mut done);
-            survivors.append(&mut res?);
-        }
-        self.eval_select(q, &info.schema, survivors, &env)
-    }
-
-    /// Charge a captured trace against the real (counted, buffered)
-    /// storage. `Read` goes through the buffer pool — hit/miss resolution
-    /// happens here, against the same access sequence serial evaluation
-    /// would have produced. The first `Marker(key)` splices in that block's
-    /// pre-materialization trace (recursively: an uncorrelated block's
-    /// trace may itself mark a cached child).
-    fn replay(
-        &self,
-        events: &[TraceEvent],
-        mat: &FxHashMap<usize, Vec<TraceEvent>>,
-        done: &mut HashSet<usize>,
-    ) {
-        for ev in events {
-            match *ev {
-                TraceEvent::Read(pid) => {
-                    let _ = self.storage.read_page(pid);
-                }
-                // Nothing but the count: a direct read touches no frame, and
-                // its page may be a sort run the traced build has freed.
-                TraceEvent::ReadDirect(_) => self.storage.charge_read(),
-                TraceEvent::Write(_) => self.storage.charge_write(),
-                TraceEvent::Free(pid) => {
-                    // The physical free already happened (trace-mode frees
-                    // are physical); reproduce the buffer-frame release.
-                    let _ = self.storage.evict_page(pid);
-                }
-                TraceEvent::Marker(key) => {
-                    if done.insert(key) {
-                        if let Some(sub) = mat.get(&key) {
-                            self.replay(sub, mat, done);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     // ------------------------------------------------------------ batched
 
     /// Evaluate a top-level query with **batched correlated evaluation**
@@ -983,9 +759,9 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// 2. **Deduplicate** — per nested conjunct, find its free outer columns
     ///    ([`conjunct_outer_cols`](Self::conjunct_outer_cols)); materialize
     ///    the candidates' projection onto those columns as a temporary
-    ///    file, `external_sort_threads(..., unique, threads)` it, and
-    ///    evaluate the conjunct once per surviving distinct binding into a
-    ///    verdict memo. Errors are memoized too — not raised here.
+    ///    file, `external_sort(..., unique)` it, and evaluate the conjunct
+    ///    once per surviving distinct binding into a verdict memo. Errors
+    ///    are memoized too — not raised here.
     /// 3. **Replay** — walk the candidates in original order, consulting
     ///    each conjunct's memo with the candidate's projected key and
     ///    short-circuiting on the first non-true verdict, exactly like
@@ -997,17 +773,19 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// would evaluate, in the same order, so the first error it raises is
     /// the one nested iteration would raise (errors batched eagerly but
     /// never consulted are swallowed — as nested iteration never evaluates
-    /// them at all). Counted I/O is thread-invariant by construction: the
-    /// only parallel step is the external sort, whose counted I/O is
-    /// proven thread-invariant; everything else runs serially. Phase 1 is
-    /// nested iteration's own binding loop, run without nested conjuncts.
-    pub fn eval_query_batched(&self, q: &QueryBlock, threads: usize) -> Result<Relation> {
-        let result = self.plan(q).and_then(|()| self.eval_batched(q, threads));
+    /// them at all). Phase 1 is nested iteration's own binding loop, run
+    /// without nested conjuncts.
+    ///
+    /// The thread count is ignored, as by
+    /// [`eval_query_threads`](NestedIter::eval_query_threads), and for the
+    /// same reason: `benchmark/` calls this signature.
+    pub fn eval_query_batched(&self, q: &QueryBlock, _threads: usize) -> Result<Relation> {
+        let result = self.plan(q).and_then(|()| self.eval_batched(q));
         self.teardown();
         result
     }
 
-    fn eval_batched(&self, q: &QueryBlock, threads: usize) -> Result<Relation> {
+    fn eval_batched(&self, q: &QueryBlock) -> Result<Relation> {
         let info = self.block_info(q)?;
         let scope_schema = &info.schema;
         let (simple, nested) = info.split(q);
@@ -1046,15 +824,20 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 memo.insert(Tuple::default(), self.eval_pred(p, &env));
             } else {
                 let proj_schema = scope_schema.project(&idx);
-                let file = HeapFile::from_tuples(
-                    &self.storage,
-                    proj_schema.clone(),
-                    candidates.iter().map(|t| t.project(&idx)),
-                );
                 let keys: Vec<SortKey> = (0..idx.len()).map(SortKey::asc).collect();
-                let workers = self.workers_for(file.tuple_count(), threads);
-                let sorted = external_sort_threads(&self.storage, &file, &keys, true, workers);
-                file.drop_pages(&self.storage);
+                // The projection is freed once sorted, before the sorted
+                // bindings are read; those go after the last one is visited.
+                let sorted = {
+                    let file = TempFile::new(
+                        &self.storage,
+                        HeapFile::from_tuples(
+                            &self.storage,
+                            proj_schema.clone(),
+                            candidates.iter().map(|t| t.project(&idx)),
+                        ),
+                    );
+                    TempFile::new(&self.storage, external_sort(&self.storage, &file, &keys, true))
+                };
                 let visit = |b: &Tuple| -> std::result::Result<(), std::convert::Infallible> {
                     let here = env.child(&proj_schema, b);
                     memo.insert(b.clone(), self.eval_pred(p, &here));
@@ -1063,7 +846,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 match sorted.try_for_each(&self.storage, visit) {
                     Ok(()) => {}
                 }
-                sorted.drop_pages(&self.storage);
             }
             plans.push(Verdicts::Memo(idx, memo));
         }
@@ -1105,7 +887,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         p: &Predicate,
         scope_schema: &Schema,
     ) -> Result<Option<Vec<usize>>> {
-        let subs: Vec<Arc<BlockInfo>> =
+        let subs: Vec<Rc<BlockInfo>> =
             p.child_blocks().into_iter().map(|sub| self.block_info(sub)).collect::<Result<_>>()?;
         let refs = predicate_column_refs(p).into_iter().chain(subs.iter().flat_map(|i| &i.free));
         let mut idx: Vec<usize> = Vec::new();
@@ -1128,10 +910,10 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// holds for `q` across all its evaluations. Child blocks are resolved
     /// on the way (their free references are part of this block's), so an
     /// unknown table anywhere below `q` is reported here, before any I/O.
-    fn block_info(&self, q: &QueryBlock) -> Result<Arc<BlockInfo>> {
+    fn block_info(&self, q: &QueryBlock) -> Result<Rc<BlockInfo>> {
         let key = q as *const QueryBlock as usize;
-        if let Some(info) = lock(&self.shared.blocks).get(&key) {
-            return Ok(Arc::clone(info));
+        if let Some(info) = self.blocks.borrow().get(&key) {
+            return Ok(Rc::clone(info));
         }
         let mut files: Vec<HeapFile> = Vec::new();
         let mut schema = Schema::default();
@@ -1168,17 +950,17 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let nested: Vec<bool> = conjuncts.iter().map(|p| p.contains_subquery()).collect();
         let simple: Vec<&Predicate> =
             conjuncts.into_iter().zip(&nested).filter(|(_, n)| !**n).map(|(p, _)| p).collect();
-        let info = Arc::new(BlockInfo {
+        let info = Rc::new(BlockInfo {
             template: Template::compile(&schema, &simple),
             files,
             schema,
             nested,
             free,
-            signature: OnceLock::new(),
-            result: OnceLock::new(),
-            access: OnceLock::new(),
+            signature: OnceCell::new(),
+            result: OnceCell::new(),
+            access: OnceCell::new(),
         });
-        lock(&self.shared.blocks).insert(key, Arc::clone(&info));
+        self.blocks.borrow_mut().insert(key, Rc::clone(&info));
         Ok(info)
     }
 
@@ -1201,11 +983,11 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             if let Some(rel) =
                 p.cache.find_block(&p.sig.text, &p.binding, &p.sig.table, p.generation, p.epoch)
             {
-                self.shared.xq_hits.fetch_add(1, Ordering::Relaxed);
+                self.xq_hits.set(self.xq_hits.get() + 1);
                 self.charge_scan(&info);
                 return Ok(rel.rel.clone());
             }
-            self.shared.xq_misses.fetch_add(1, Ordering::Relaxed);
+            self.xq_misses.set(self.xq_misses.get() + 1);
         }
 
         let (simple, nested) = info.split(q);
@@ -1265,9 +1047,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         Some(Bound { conjuncts: tpl.conjuncts(&outer), outer })
     }
 
-    /// The binding loop — the only one: `eval_block`, every parallel
-    /// morsel and phase 1 of batched evaluation run it. Takes the tuples of
-    /// the block's outermost file from `tuples` — pages, `read_page` called
+    /// The binding loop — the only one: `eval_block` and phase 1 of batched
+    /// evaluation run it. Takes the tuples of the block's outermost file from `tuples` — pages, `read_page` called
     /// for each in order, or what a probe found; under every tuple
     /// enumerates the remaining FROM files by nested iteration; applies the
     /// simple conjuncts in order, stopping at the first non-TRUE one, then
@@ -1386,7 +1167,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// The block's [`normalized_block_signature`], derived at the first
     /// probe: references are classified against the block's own scope
     /// schema (resolvable = local, ambiguous = bail, unknown = free).
-    fn block_signature(&self, q: &QueryBlock, info: &BlockInfo) -> Option<Arc<BlockSig>> {
+    fn block_signature(&self, q: &QueryBlock, info: &BlockInfo) -> Option<Rc<BlockSig>> {
         let derive = || {
             let classify =
                 |c: &ColumnRef| match info.schema.resolve(c.table.as_deref(), &c.column) {
@@ -1395,7 +1176,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                     Err(_) => Some(false),
                 };
             normalized_block_signature(q, &classify).map(|(text, free)| {
-                Arc::new(BlockSig { text, free, table: q.from[0].table.to_ascii_uppercase() })
+                Rc::new(BlockSig { text, free, table: q.from[0].table.to_ascii_uppercase() })
             })
         };
         info.signature.get_or_init(derive).clone()
@@ -1647,26 +1428,19 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         }
     }
 
-    /// The result of an uncorrelated inner block, evaluated once per query
-    /// at its first use (`None`: the block is correlated). The order of
-    /// storage calls is the same at every use site: mark the site, recall —
-    /// or evaluate under the empty scope and store.
-    fn once_only(&self, q: &QueryBlock, kind: UseKind) -> Result<Option<Cached>> {
+    /// An uncorrelated inner block, its result evaluated under the empty
+    /// scope at its first use and kept for the query (`None`: the block is
+    /// correlated).
+    fn once_only(&self, q: &QueryBlock, kind: UseKind) -> Result<Option<Rc<BlockInfo>>> {
         let info = self.block_info(q)?;
         if !info.free.is_empty() {
             return Ok(None);
         }
-        // In a trace view this marks where serial evaluation would (first)
-        // evaluate the block; replay splices the captured evaluation trace
-        // at the first marker. No-op when counting.
-        self.storage.trace_marker(q as *const QueryBlock as usize);
-        if let Some(cached) = info.result.get() {
-            // A value or a page-id-list handle: workers clone it out rather
-            // than hold anything across a file scan.
-            return Ok(Some(cached.clone()));
+        if info.result.get().is_none() {
+            let cached = self.materialize(q, kind)?;
+            info.result.get_or_init(|| cached);
         }
-        let cached = self.materialize(q, kind)?;
-        Ok(Some(info.result.get_or_init(|| cached).clone()))
+        Ok(Some(info))
     }
 
     /// Evaluate an uncorrelated block into the form its use site consumes.
@@ -1674,25 +1448,29 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let rel = self.eval_block(q, &Env::default())?;
         Ok(match kind {
             UseKind::Scalar => Cached::Scalar(self.scalar_from_relation(rel)?),
-            UseKind::List => Cached::List(self.storage.store_relation(&rel)),
+            UseKind::List => {
+                Cached::List(TempFile::new(&self.storage, self.storage.store_relation(&rel)))
+            }
         })
     }
 
     /// The materialized list of an uncorrelated `IN` / `EXISTS` / quantified
     /// block (`None`: the block is correlated).
     fn once_only_list(&self, q: &QueryBlock) -> Result<Option<HeapFile>> {
-        match self.once_only(q, UseKind::List)? {
-            Some(Cached::List(file)) => Ok(Some(file)),
-            Some(Cached::Scalar(_)) => Err(EngineError::Internal("list cache corrupted".into())),
-            None => Ok(None),
+        let Some(info) = self.once_only(q, UseKind::List)? else { return Ok(None) };
+        match info.result.get() {
+            Some(Cached::List(file)) => Ok(Some(HeapFile::clone(file))),
+            _ => Err(EngineError::Internal("list cache corrupted".into())),
         }
     }
 
     /// Scalar subquery: at most one row, one column; empty ⇒ NULL.
     fn eval_scalar_subquery(&self, q: &QueryBlock, env: &Env<'_>) -> Result<Value> {
         match self.once_only(q, UseKind::Scalar)? {
-            Some(Cached::Scalar(v)) => Ok(v),
-            Some(Cached::List(_)) => Err(EngineError::Internal("scalar cache corrupted".into())),
+            Some(info) => match info.result.get() {
+                Some(Cached::Scalar(v)) => Ok(v.clone()),
+                _ => Err(EngineError::Internal("scalar cache corrupted".into())),
+            },
             None => {
                 let rel = self.eval_block(q, env)?;
                 self.scalar_from_relation(rel)
@@ -1823,16 +1601,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             cols.push(Column::new(name, ty));
         }
         Ok(Schema::new(cols))
-    }
-}
-
-/// Every subquery block in `q`'s subtree paired with how its use site
-/// consumes it, in postorder (children before parents) — the order
-/// pre-materialization wants.
-fn collect_cached_uses<'q>(q: &'q QueryBlock, out: &mut Vec<(&'q QueryBlock, UseKind)>) {
-    for (sub, scalar) in q.where_clause.iter().flat_map(|p| p.child_block_uses()) {
-        collect_cached_uses(sub, out);
-        out.push((sub, if scalar { UseKind::Scalar } else { UseKind::List }));
     }
 }
 

@@ -120,7 +120,7 @@ impl<'a> JoinEmit<'a> {
 /// found every value from 2 048 to 16 384 equal within noise on all
 /// workloads, this one reading best. Every Kim-scale input falls below it,
 /// the x20 base tables (20 000 and 30 000 rows) above.
-pub(crate) const PAR_MIN_ROWS: usize = 16_384;
+const PAR_MIN_ROWS: usize = 16_384;
 
 /// Operator executor bound to a [`Storage`].
 #[derive(Clone)]
@@ -160,8 +160,24 @@ impl Exec {
     /// (`PAR_MIN_ROWS`, derived where it is defined) and runs the serial path
     /// below, where a dispatch costs more than it can save. Results, order and counted I/O are those of
     /// [`Exec::with_threads`] at any count.
-    pub fn with_thread_budget(storage: Storage, threads: usize) -> Exec {
+    fn with_thread_budget(storage: Storage, threads: usize) -> Exec {
         Exec { budget: true, ..Exec::with_threads(storage, threads) }
+    }
+
+    /// Executor for a thread count as a statement requested it
+    /// (`QueryOptions::threads`): a count `n ≥ 1` is obeyed; `0` takes
+    /// [`threads_from_env`](nsql_exec_par::threads_from_env), which is
+    /// obeyed when `NSQL_THREADS` named it and is otherwise the machine's
+    /// parallelism, used as a budget: an operator call fans out only over an
+    /// input of `PAR_MIN_ROWS` = 16 384 tuples or more.
+    pub fn with_requested_threads(storage: Storage, requested: usize) -> Exec {
+        match requested {
+            0 if !nsql_exec_par::threads_named() => {
+                Exec::with_thread_budget(storage, nsql_exec_par::threads_from_env())
+            }
+            0 => Exec::with_threads(storage, nsql_exec_par::threads_from_env()),
+            n => Exec::with_threads(storage, n),
+        }
     }
 
     /// Choose the hash join's kernel: `true` builds and probes on column

@@ -1,11 +1,11 @@
-//! Nested iteration's one kernel against the oracle, serial and parallel.
+//! Nested iteration's one kernel against the oracle, at one thread and four.
 //!
 //! These statements used to cross-check the row kernel against a lane
 //! kernel over column batches (hence the file name). The lane kernel is
 //! gone; every statement stays, now held to `nsql-oracle` for its rows and
-//! to the serial run for everything the morsel-parallel path must not
-//! move: result relations, error values, I/O totals and buffer hit/miss
-//! splits.
+//! to the one-thread run for everything a thread count must not move —
+//! nested iteration is serial and ignores it: result relations, error
+//! values, I/O totals and buffer hit/miss splits.
 
 use nsql_engine::fixtures::{suppliers_parts, Fixture};
 use nsql_engine::provider::MemoryProvider;
@@ -139,8 +139,8 @@ fn nested_iteration_matches_the_oracle_serial_and_parallel() {
 
 #[test]
 fn errors_are_identical_serial_and_parallel() {
-    // GRP = 0 admits bindings whose QOH comparison then type-errors; the
-    // parallel path must report the same error after the same I/O.
+    // GRP = 0 admits bindings whose QOH comparison then type-errors; four
+    // threads must report the same error after the same I/O.
     let bad = "SELECT PNUM FROM PARTS WHERE QOH IN \
                (SELECT QUAN FROM SUPPLY WHERE SUPPLY.QUAN > PARTS.PNUM AND SUPPLY.PNUM = 1-1-80)";
     let res = assert_threads_agree(bad, |t| run(bad, t));

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// First page id of the reserved *system* range. Pages at or above this id
 /// hold engine-internal state (materialized `nsql_stat_*` views); they live
 /// in a memory-only side store, are never counted, never buffered, never
-/// traced or recorded, and never reach the durable backend — so turning
+/// recorded, and never reach the durable backend — so turning
 /// statistics on cannot move a published I/O counter or grow the WAL.
 /// Ordinary allocation counts up from 0 and can never collide with the
 /// range (2^62 pages is far beyond any run).
@@ -186,8 +186,8 @@ impl Disk {
         self.read_uncounted(id)
     }
 
-    /// Read a page without counting (trace-mode evaluation; replay charges
-    /// the read later at its serial position).
+    /// Read a page without counting: the side channel of
+    /// [`Storage::read_page_tuples_uncounted`](crate::Storage::read_page_tuples_uncounted).
     pub fn read_uncounted(&self, id: PageId) -> Arc<Page> {
         self.backend.read(id)
     }
@@ -195,11 +195,6 @@ impl Disk {
     /// Write a page. Counts one page write.
     pub fn write(&self, id: PageId, page: Page) {
         self.counter.count_write();
-        self.write_uncounted(id, page);
-    }
-
-    /// Write a page without counting (trace-mode evaluation).
-    pub fn write_uncounted(&self, id: PageId, page: Page) {
         self.backend.write(id, page);
     }
 
@@ -211,19 +206,6 @@ impl Disk {
     /// Number of live pages (for leak checks in tests).
     pub fn live_pages(&self) -> usize {
         self.backend.live_pages()
-    }
-
-    /// Charge one page write to the counter without touching any page
-    /// (trace replay: the physical write already happened uncounted).
-    pub fn charge_write(&self) {
-        self.counter.count_write();
-    }
-
-    /// Charge one page read to the counter without touching any page
-    /// (trace replay of a direct read: it happened uncounted, and the page
-    /// may have been freed since).
-    pub fn charge_read(&self) {
-        self.counter.count_read();
     }
 
     /// Allocate a system page id (no I/O; ids count up from
@@ -331,7 +313,8 @@ mod tests {
     fn uncounted_access_leaves_stats_alone() {
         let d = Disk::new();
         let id = d.alloc();
-        d.write_uncounted(id, Page::new(vec![tup(7)]));
+        d.write(id, Page::new(vec![tup(7)]));
+        d.reset_stats();
         assert_eq!(d.read_uncounted(id).len(), 1);
         assert_eq!(d.stats().total(), 0);
     }

@@ -231,11 +231,6 @@ pub struct TempFile {
 
 impl TempFile {
     /// Take ownership of `file`'s pages; they are freed through `storage`.
-    ///
-    /// `storage` must be the handle whose buffer the pages were read
-    /// through: a file written under a [`Storage::trace_view`] and freed
-    /// through the view would evict from the view's buffer, not from the
-    /// counted one.
     pub fn new(storage: &Storage, file: HeapFile) -> TempFile {
         TempFile { file: Some(file), storage: storage.clone() }
     }

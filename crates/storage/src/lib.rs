@@ -62,9 +62,9 @@ pub const DEFAULT_PAGE_SIZE: usize = 512;
 /// Default buffer size in pages; the Section-7.4 example uses `B = 6`.
 pub const DEFAULT_BUFFER_PAGES: usize = 6;
 
-/// One event in an uncounted trace-mode evaluation (see
-/// [`Storage::trace_view`]). Replaying the events through a counted
-/// `Storage` reproduces the serial buffer evolution and I/O totals.
+/// One counted page access, as [`Storage::start_recording`] captures it.
+/// Re-issuing the events through a `Storage` reproduces the recorded buffer
+/// evolution and I/O totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A buffered page read (`read_page`).
@@ -73,33 +73,18 @@ pub enum TraceEvent {
     /// the same as [`TraceEvent::Read`] but replay must not populate the
     /// buffer, so the two are distinguished in the event stream.
     ReadDirect(PageId),
-    /// A page write (`write_new_page`) of the given fresh page. Trace-mode
-    /// replay charges the counter only — the page itself was already written
-    /// physically during tracing. Result-cache replay allocates a *new*
-    /// page per event and maps old→new ids.
+    /// A page write (`write_new_page`) of the given fresh page. The result
+    /// cache's replay allocates a *new* page per event and maps old→new ids.
     Write(PageId),
     /// A page free (`free_page`). Freeing counts no I/O, but it evicts the
     /// page from the buffer, so a faithful replay must reproduce it.
     Free(PageId),
-    /// A marker (e.g. "first use of cached subquery `key`"); replay hooks
-    /// splice in a captured sub-trace at the first occurrence.
-    Marker(usize),
-}
-
-/// How a `Storage` handle accounts its I/O.
-enum IoMode {
-    /// Normal operation: reads go through the buffer, everything counts.
-    Counted,
-    /// Trace mode: reads bypass the buffer, nothing counts, every access is
-    /// appended to the shared sink for later replay.
-    Trace(Arc<Mutex<Vec<TraceEvent>>>),
 }
 
 struct StorageInner {
     disk: Arc<Disk>,
     buffer: Mutex<BufferPool>,
     page_size: usize,
-    mode: IoMode,
     /// Present when the backend is the durable file store (commit,
     /// checkpoint, and fault-injection APIs hang off it).
     durable: Option<Arc<FileStore>>,
@@ -135,7 +120,6 @@ impl Storage {
                 disk,
                 buffer,
                 page_size,
-                mode: IoMode::Counted,
                 durable: None,
                 recording: std::sync::atomic::AtomicBool::new(false),
                 record_sink: Mutex::new(Vec::new()),
@@ -173,7 +157,6 @@ impl Storage {
                 disk,
                 buffer,
                 page_size,
-                mode: IoMode::Counted,
                 durable: Some(store),
                 recording: std::sync::atomic::AtomicBool::new(false),
                 record_sink: Mutex::new(Vec::new()),
@@ -200,59 +183,6 @@ impl Storage {
             Some(store) => store.commit(meta),
             None => Ok(()),
         }
-    }
-
-    /// A trace-mode view of this storage: same disk (pages written by either
-    /// view are visible to both), fresh untouched buffer, and **uncounted**
-    /// I/O — every page access is appended to `sink` instead. Parallel
-    /// nested iteration evaluates morsels under trace views and then replays
-    /// the per-morsel traces, in serial order, through the counted parent.
-    pub fn trace_view(&self, sink: Arc<Mutex<Vec<TraceEvent>>>) -> Storage {
-        let disk = Arc::clone(&self.inner.disk);
-        let buffer = Mutex::new(BufferPool::new(Arc::clone(&disk), self.buffer_pages()));
-        Storage {
-            inner: Arc::new(StorageInner {
-                disk,
-                buffer,
-                page_size: self.inner.page_size,
-                mode: IoMode::Trace(sink),
-                durable: self.inner.durable.clone(),
-                recording: std::sync::atomic::AtomicBool::new(false),
-                record_sink: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// Whether this handle is a trace-mode view.
-    pub fn is_trace(&self) -> bool {
-        matches!(self.inner.mode, IoMode::Trace(_))
-    }
-
-    fn trace(&self, ev: TraceEvent) {
-        if let IoMode::Trace(sink) = &self.inner.mode {
-            sink.lock().unwrap_or_else(PoisonError::into_inner).push(ev);
-        }
-    }
-
-    /// Append a [`TraceEvent::Marker`] to the trace sink. No-op on a
-    /// counted handle.
-    pub fn trace_marker(&self, key: usize) {
-        self.trace(TraceEvent::Marker(key));
-    }
-
-    /// Charge one page write to the counter without writing anything.
-    /// Used when replaying a trace: the physical write already happened
-    /// uncounted during tracing.
-    pub fn charge_write(&self) {
-        self.inner.disk.charge_write();
-    }
-
-    /// Charge one page read to the counter without reading anything: the
-    /// replay of a traced [`read_page_direct`](Storage::read_page_direct),
-    /// which touched no buffer frame — and whose page (a sort run, say) the
-    /// traced evaluation may have freed since.
-    pub fn charge_read(&self) {
-        self.inner.disk.charge_read();
     }
 
     /// Start mirroring every counted I/O on this handle into an internal
@@ -331,23 +261,15 @@ impl Storage {
     /// Read a page through the buffer pool.
     ///
     /// System pages (ids ≥ [`disk::SYSTEM_PAGE_BASE`]) take a side path:
-    /// uncounted, unbuffered, untraced, unrecorded. The check is one
-    /// integer compare on the id, and ordinary pages can never alias the
-    /// range, so the hot path is unchanged for real relations.
+    /// uncounted, unbuffered, unrecorded. The check is one integer compare
+    /// on the id, and ordinary pages can never alias the range, so the hot
+    /// path is unchanged for real relations.
     pub fn read_page(&self, id: PageId) -> Arc<Page> {
         if id.is_system() {
             return self.inner.disk.read_system(id);
         }
-        match &self.inner.mode {
-            IoMode::Counted => {
-                self.record(TraceEvent::Read(id));
-                self.buffer().get(id)
-            }
-            IoMode::Trace(_) => {
-                self.trace(TraceEvent::Read(id));
-                self.inner.disk.read_uncounted(id)
-            }
-        }
+        self.record(TraceEvent::Read(id));
+        self.buffer().get(id)
     }
 
     /// Read a page directly from disk, bypassing (and not populating) the
@@ -357,16 +279,8 @@ impl Storage {
         if id.is_system() {
             return self.inner.disk.read_system(id);
         }
-        match &self.inner.mode {
-            IoMode::Counted => {
-                self.record(TraceEvent::ReadDirect(id));
-                self.inner.disk.read(id)
-            }
-            IoMode::Trace(_) => {
-                self.trace(TraceEvent::ReadDirect(id));
-                self.inner.disk.read_uncounted(id)
-            }
-        }
+        self.record(TraceEvent::ReadDirect(id));
+        self.inner.disk.read(id)
     }
 
     /// Read a page's tuples without counting, without touching the buffer,
@@ -384,18 +298,8 @@ impl Storage {
     /// freshly written pages are not cached).
     pub fn write_new_page(&self, tuples: Vec<Tuple>) -> PageId {
         let id = self.inner.disk.alloc();
-        match &self.inner.mode {
-            IoMode::Counted => {
-                self.record(TraceEvent::Write(id));
-                self.inner.disk.write(id, Page::new(tuples))
-            }
-            IoMode::Trace(_) => {
-                // Physical write so later scans can see the page; the I/O
-                // charge happens at replay via `charge_write`.
-                self.inner.disk.write_uncounted(id, Page::new(tuples));
-                self.trace(TraceEvent::Write(id));
-            }
-        }
+        self.record(TraceEvent::Write(id));
+        self.inner.disk.write(id, Page::new(tuples));
         id
     }
 
@@ -428,18 +332,15 @@ impl Storage {
     }
 
     /// Free a page (drops it from the buffer too). Freeing counts no I/O,
-    /// but it is recorded/traced: dropping a page from the buffer frees a
-    /// frame, so a faithful replay must reproduce it.
+    /// but it is recorded: dropping a page from the buffer frees a frame, so
+    /// a faithful replay must reproduce it.
     pub fn free_page(&self, id: PageId) {
         if id.is_system() {
-            // System pages never enter the buffer and are never traced.
+            // System pages never enter the buffer and are never recorded.
             self.inner.disk.free_system(id);
             return;
         }
-        match &self.inner.mode {
-            IoMode::Counted => self.record(TraceEvent::Free(id)),
-            IoMode::Trace(_) => self.trace(TraceEvent::Free(id)),
-        }
+        self.record(TraceEvent::Free(id));
         self.buffer().evict(id);
         self.inner.disk.free(id);
     }
@@ -611,79 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_view_logs_without_counting() {
-        let st = Storage::with_defaults();
-        let file = st.store_relation(&int_relation(20));
-        st.reset_stats();
-
-        let sink = Arc::new(Mutex::new(Vec::new()));
-        let tv = st.trace_view(Arc::clone(&sink));
-        assert!(tv.is_trace() && !st.is_trace());
-        for &id in file.page_ids() {
-            let _ = tv.read_page(id);
-        }
-        let new_id = tv.write_new_page(vec![Tuple::new(vec![Value::Int(1)])]);
-        tv.trace_marker(7);
-        assert_eq!(st.io_stats().total(), 0, "trace mode must not count");
-
-        let events = sink.lock().unwrap().clone();
-        let mut expect: Vec<TraceEvent> =
-            file.page_ids().iter().map(|&id| TraceEvent::Read(id)).collect();
-        expect.push(TraceEvent::Write(new_id));
-        expect.push(TraceEvent::Marker(7));
-        assert_eq!(events, expect);
-
-        // The traced write is physically visible to the counted view.
-        assert_eq!(st.read_page(new_id).len(), 1);
-        st.free_page(new_id);
-    }
-
-    #[test]
-    fn replaying_a_trace_reproduces_serial_io() {
-        // Serial run.
-        let serial = Storage::new(3, 512);
-        let rel = int_relation(120);
-        let f = serial.store_relation(&rel);
-        serial.clear_buffer();
-        serial.reset_stats();
-        for _ in 0..2 {
-            for &id in f.page_ids() {
-                let _ = serial.read_page(id);
-            }
-        }
-        let want = serial.io_stats();
-
-        // Traced run on a second storage with identical layout, then replay.
-        let st = Storage::new(3, 512);
-        let f2 = st.store_relation(&rel);
-        st.clear_buffer();
-        st.reset_stats();
-        let sink = Arc::new(Mutex::new(Vec::new()));
-        let tv = st.trace_view(Arc::clone(&sink));
-        for _ in 0..2 {
-            for &id in f2.page_ids() {
-                let _ = tv.read_page(id);
-            }
-        }
-        for ev in sink.lock().unwrap().iter() {
-            match ev {
-                TraceEvent::Read(id) => {
-                    let _ = st.read_page(*id);
-                }
-                TraceEvent::ReadDirect(id) => {
-                    let _ = st.read_page_direct(*id);
-                }
-                TraceEvent::Write(_) => st.charge_write(),
-                TraceEvent::Free(id) => {
-                    let _ = st.evict_page(*id);
-                }
-                TraceEvent::Marker(_) => {}
-            }
-        }
-        assert_eq!(st.io_stats(), want);
-    }
-
-    #[test]
     fn counted_recording_mirrors_io_without_perturbing_it() {
         let st = Storage::new(3, 512);
         let rel = int_relation(60);
@@ -728,10 +556,8 @@ mod tests {
         let rel = int_relation(80);
         st.reset_stats();
         st.start_recording();
-        let sink = Arc::new(Mutex::new(Vec::new()));
-        let tv = st.trace_view(Arc::clone(&sink));
 
-        // Materialize, scan (buffered + direct + via trace view), free.
+        // Materialize, scan (buffered + direct), free.
         let f = st.store_relation_system(&rel);
         assert!(f.page_count() > 1);
         assert!(f.page_ids().iter().all(|id| id.is_system()));
@@ -739,20 +565,18 @@ mod tests {
         assert!(back.same_bag(&rel));
         for &id in f.page_ids() {
             let _ = st.read_page_direct(id);
-            let _ = tv.read_page(id);
             assert_eq!(st.read_page_tuples_uncounted(id).len(), st.read_page(id).len());
         }
         assert_eq!(st.system_pages(), f.page_count());
         f.drop_pages(&st);
         assert_eq!(st.system_pages(), 0);
 
-        // Not one counter, recorded event, trace event, buffered frame, or
-        // ordinary live page moved.
+        // Not one counter, recorded event, buffered frame, or ordinary live
+        // page moved.
         assert_eq!(st.io_stats().total(), 0);
         let snap = st.io_snapshot();
         assert_eq!((snap.hits, snap.misses), (0, 0));
         assert!(st.take_recording().is_empty());
-        assert!(sink.lock().unwrap().is_empty());
         assert_eq!(st.resident_pages(), 0);
         assert_eq!(st.live_pages(), 0);
     }

@@ -107,6 +107,7 @@ done <<GATES
 \\b(judge_rewrite|RewriteJudgement|AggViewDescriptor|DuplicateSemantics)\\b|CacheMode::Rewrite#$everywhere#-#the aggregate-view judge that licensed nothing, or the alias of UnnestOptions::preserve_duplicates (DESIGN.md "Result caching", "Configuration")
 \\b(sort_pages|never_raises)\\b|\\binfallible\\(#$everywhere#-#a copy of cost::sort_cost, or a second cannot-raise truth table beside nsql_engine::pred::cannot_raise (DESIGN.md "Join choice")
 \\b(select_block_rule|BLOCK_RULES|BlockRule|BlockAction|NestedShape)\\b#$everywhere#-#the block-rule catalog; nest_g::transform_nested matches on the nesting shape itself (DESIGN.md "One planner for flat blocks", Dispatch)
+\\b(trace_view|trace_marker|is_trace|charge_read|charge_write|write_uncounted|eval_parallel|IoMode)\\b|TraceEvent::Marker#$everywhere#-#storage's trace mode or the trace-and-replay parallel nested iteration it served; nested iteration is serial (DESIGN.md "Threading model")
 faithful_1987 *[:=] *true|UnnestOptions::faithful\\(|set_faithful\\(true#$non_test#crates/core/src/nest_g\\.rs|crates/db/src/options\\.rs|crates/bench/src/.*|src/diff\\.rs|examples/.*#faithful_1987 is set on a path the default options reach
 GATES
 
@@ -153,6 +154,16 @@ if [ -e crates/core/src/cost.rs ] || [ -e crates/core/src/rules.rs ] \
     exit 1
 fi
 
+echo "==> nested iteration is serial"
+# Correlated evaluation runs on the calling thread (DESIGN.md "Threading
+# model"): the evaluator names no worker pool, morsel dispatcher, parallel
+# sort or thread budget.
+if grep -nE '\b(nsql_exec_par|run_workers|Morsels|PAR_MIN_ROWS|external_sort_threads|with_thread_budget)\b' \
+    crates/engine/src/nested_iter.rs; then
+    echo "FAIL: nested_iter.rs reaches for threads"
+    exit 1
+fi
+
 echo "==> column batches stay inside the hash join"
 # Filters, projections and aggregate folds have one in-memory kernel, over
 # rows (DESIGN.md "Vectorized execution"); the one batch kernel left — the
@@ -168,7 +179,7 @@ echo "==> temporaries are owned values"
 # I/O-accounting invariant"). Outside tests, pages are freed by hand only in
 # the storage crate (the guard itself, the sort's run clean-up), where the
 # catalog replaces a table or an index, and in nested iteration, whose
-# once-only lists are written through trace views and so freed by `teardown`.
+# temporary B+trees (not heap files, so no TempFile) are freed by `teardown`.
 by_hand=$(grep -rlE '\.drop_pages\(' crates/*/src src --include='*.rs' | while read -r f; do
     case "$f" in
         crates/storage/src/*|crates/db/src/catalog.rs|crates/engine/src/nested_iter.rs) continue ;;

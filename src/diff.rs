@@ -5,8 +5,8 @@
 //! comparison is type-compatible, NULLs and duplicate rows are injected
 //! deliberately); [`check_case`] evaluates the query with the naive
 //! tuple-at-a-time oracle (`nsql-oracle`) and with every engine pipeline —
-//! nested iteration at 1 and 4 threads, batched correlated evaluation at 1
-//! and 4 threads (plus a cache-on variant), the NEST-G transformation under
+//! nested iteration, batched correlated evaluation (plus a cache-on
+//! variant), the NEST-G transformation under
 //! each join policy (every one with its join inputs restricted first, in the
 //! canonical query and in a temporary over several relations, as the default
 //! path runs), once more as the paper's literal plans, and the
@@ -14,8 +14,8 @@
 //! compares results at
 //! exactly the strength the paper promises:
 //!
-//! * nested iteration must be **bag-equal** to the oracle, always, at every
-//!   thread count; batched correlated evaluation is held to the same
+//! * nested iteration must be **bag-equal** to the oracle, always; batched
+//!   correlated evaluation is held to the same
 //!   full-strength contract (its replay phase consults exactly the
 //!   conjunct/binding pairs nested iteration would, in the same order);
 //! * transformed plans must be bag-equal except where a documented
@@ -654,9 +654,9 @@ struct Pipeline {
     set_only: bool,
 }
 
-/// The pipelines under differential test. Nested iteration runs at 1 and 4
-/// threads; batched correlated evaluation runs at 1 and 4 threads plus a
-/// cache-on variant (held to nested iteration's full-strength contract:
+/// The pipelines under differential test. Nested iteration runs once (it is
+/// serial at every thread count); batched correlated evaluation runs plain
+/// and with the cache on (held to nested iteration's full-strength contract:
 /// bag-equal always, cardinality errors reproduced); the transformation
 /// runs under every join policy, in parallel, and in the
 /// duplicate-collapsing `preserve_duplicates` mode. Row pipelines pin
@@ -664,20 +664,13 @@ struct Pipeline {
 /// whatever `Auto` comes to mean; `tr-vec-hash` reruns the forced-hash-join
 /// shapes under the batch hash-join kernel.
 fn pipelines() -> Vec<Pipeline> {
-    let ni = |threads: usize| QueryOptions {
-        strategy: Strategy::NestedIteration,
+    let correlated = |strategy: Strategy| QueryOptions {
+        strategy,
         cold_start: true,
-        threads,
         exec_mode: ExecMode::Row,
         ..Default::default()
     };
-    let ba = |threads: usize| QueryOptions {
-        strategy: Strategy::Batched,
-        cold_start: true,
-        threads,
-        exec_mode: ExecMode::Row,
-        ..Default::default()
-    };
+    let (ni, ba) = (correlated(Strategy::NestedIteration), correlated(Strategy::Batched));
     let tr = |policy: JoinPolicy, threads: usize| QueryOptions {
         strategy: Strategy::Transform,
         join_policy: policy,
@@ -687,18 +680,15 @@ fn pipelines() -> Vec<Pipeline> {
         ..Default::default()
     };
     vec![
-        Pipeline { name: "ni-serial", opts: ni(1), transform: false, set_only: false },
-        Pipeline { name: "ni-par4", opts: ni(4), transform: false, set_only: false },
+        Pipeline { name: "ni-serial", opts: ni, transform: false, set_only: false },
         // Batched correlated evaluation: same per-row semantics as nested
         // iteration (replay consults exactly the conjunct/binding pairs
         // nested iteration would evaluate, in the same order), so it takes
-        // the unlicensed arm of the checker. The `threads` knob only
-        // parallelizes the binding sort.
-        Pipeline { name: "ba-serial", opts: ba(1), transform: false, set_only: false },
-        Pipeline { name: "ba-par4", opts: ba(4), transform: false, set_only: false },
+        // the unlicensed arm of the checker.
+        Pipeline { name: "ba-serial", opts: ba.clone(), transform: false, set_only: false },
         Pipeline {
             name: "ba-cache",
-            opts: QueryOptions { cache: CacheMode::On, ..ba(1) },
+            opts: QueryOptions { cache: CacheMode::On, ..ba },
             transform: false,
             set_only: false,
         },

@@ -5,12 +5,10 @@
 //! claims the sweep cannot express:
 //!
 //! * **determinism across knobs** — rows *and* counted page I/O from a
-//!   batched run are byte-identical across sort thread counts (1 vs 4) and
-//!   across storage backends (in-memory vs the durable page store), on
-//!   NULL- and duplicate-heavy generated databases. Only the binding sort
-//!   is parallel, and it is built from `external_sort_threads`, whose
-//!   counted I/O is thread-invariant by construction — this test keeps
-//!   that invariant load-bearing. Errors must reproduce identically too.
+//!   batched run are byte-identical across thread counts (1 vs 4), which
+//!   it ignores (it is serial), and across storage backends (in-memory vs
+//!   the durable page store), on NULL- and duplicate-heavy generated
+//!   databases. Errors must reproduce identically too.
 //!
 //! * **set-theoretic outer-block mutations** — metamorphic variants of the
 //!   outer block that are semantically neutral for nested iteration must

@@ -12,9 +12,10 @@
 //! inner block's own scope, and an outer reference that resolves nowhere.
 //!
 //! Per case: the serial run agrees with the oracle (rows as bags, error
-//! presence), and the 4-thread run agrees with the serial one on rows in
-//! order, the error value, and the four storage counters. (There is one
-//! kernel: the lane kernel this suite also used to cross-check is gone.)
+//! presence), and a run offered four threads — which nested iteration
+//! ignores — agrees with the serial one on rows in order, the error value,
+//! and the four storage counters. (There is one kernel: the lane kernel this
+//! suite also used to cross-check is gone.)
 //!
 //! Replays and shrinks through the usual testkit machinery
 //! (`NSQL_TEST_SEED`, `NSQL_TEST_CASES`).
@@ -262,7 +263,7 @@ fn bound_blocks_agree_with_the_oracle_and_across_threads() {
 
         let mut oracle = Oracle::new();
         // Four tuples to a page and a four-page pool: every table spans
-        // pages, and the parallel path has morsels to hand out.
+        // pages.
         let storage = Storage::new(4, 128);
         let mut provider = MemoryProvider::new();
         for (name, rel) in case.relations() {

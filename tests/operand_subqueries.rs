@@ -76,8 +76,7 @@ fn demo() -> Vec<(&'static str, Relation)> {
     ]
 }
 
-/// Twelve parts over several 128-byte pages (so two threads have morsels to
-/// share); parts 9 to 11 have no shipment, part 4's only shipment has a
+/// Twelve parts over several 128-byte pages; parts 9 to 11 have no shipment, part 4's only shipment has a
 /// NULL quantity.
 fn paged() -> Vec<(&'static str, Relation)> {
     let parts = (0..12).map(|p| vec![Some(p), Some(p % 6)]).collect();
