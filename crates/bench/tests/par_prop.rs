@@ -98,8 +98,7 @@ fn nested_iteration_parallel_equals_serial_at_kim_scale() {
 /// The two refused shapes of the benchmark under the options its caller
 /// retries them with: the correlated block probes a tree bulk-loaded at its
 /// first probe (ISSUE 22), and rows, all four storage counters and the pages
-/// left in the pool are the serial run's at every thread count — nested
-/// iteration and batched.
+/// left in the pool are the serial run's at every thread count.
 #[test]
 fn probing_blocks_parallel_equals_serial() {
     const J_NOTIN: &str = "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH NOT IN \
@@ -110,34 +109,32 @@ fn probing_blocks_parallel_equals_serial() {
     for (spec, seed) in [(WorkloadSpec::small(), 7), (WorkloadSpec::kim_scale(), DEFAULT_SEED)] {
         let w = ja_workload(spec, seed);
         let storage = w.db.storage();
-        for strategy in [Strategy::NestedIteration, Strategy::Batched] {
-            for (name, sql) in [("j_notin", J_NOTIN), ("ja_or", JA_OR)] {
-                let run = |threads: usize| {
-                    let opts = QueryOptions {
-                        strategy,
-                        threads,
-                        cold_start: true,
-                        ..QueryOptions::default()
-                    };
-                    let before = storage.io_snapshot();
-                    let out = w.db.query_with(sql, &opts).unwrap();
-                    let probes = out.explain.iter().any(|l| l.contains(": probe temp index on "));
-                    assert!(probes, "{name}: {:#?}", out.explain);
-                    let resident: Vec<bool> = ["PARTS", "SUPPLY"]
-                        .iter()
-                        .flat_map(|t| w.db.catalog().table(t).unwrap().page_ids().to_vec())
-                        .map(|id| storage.page_resident(id))
-                        .collect();
-                    (out.relation, storage.io_snapshot().since(&before), resident)
+        for (name, sql) in [("j_notin", J_NOTIN), ("ja_or", JA_OR)] {
+            let run = |threads: usize| {
+                let opts = QueryOptions {
+                    strategy: Strategy::NestedIteration,
+                    threads,
+                    cold_start: true,
+                    ..QueryOptions::default()
                 };
-                let serial = run(1);
-                for t in SWEEP {
-                    let par = run(t);
-                    let tag = format!("{name}/{}/seed={seed}", strategy.name());
-                    assert_bit_identical(&tag, t, &serial.0, &par.0);
-                    assert_eq!(serial.1, par.1, "{tag}: counters diverged at {t} threads");
-                    assert_eq!(serial.2, par.2, "{tag}: the pool holds other pages at {t} threads");
-                }
+                let before = storage.io_snapshot();
+                let out = w.db.query_with(sql, &opts).unwrap();
+                let probes = out.explain.iter().any(|l| l.contains(": probe temp index on "));
+                assert!(probes, "{name}: {:#?}", out.explain);
+                let resident: Vec<bool> = ["PARTS", "SUPPLY"]
+                    .iter()
+                    .flat_map(|t| w.db.catalog().table(t).unwrap().page_ids().to_vec())
+                    .map(|id| storage.page_resident(id))
+                    .collect();
+                (out.relation, storage.io_snapshot().since(&before), resident)
+            };
+            let serial = run(1);
+            for t in SWEEP {
+                let par = run(t);
+                let tag = format!("{name}/seed={seed}");
+                assert_bit_identical(&tag, t, &serial.0, &par.0);
+                assert_eq!(serial.1, par.1, "{tag}: counters diverged at {t} threads");
+                assert_eq!(serial.2, par.2, "{tag}: the pool holds other pages at {t} threads");
             }
         }
     }
@@ -229,7 +226,6 @@ fn observe_leaves_io_trace_and_results_byte_identical() {
             for base in [
                 QueryOptions::nested_iteration(),
                 QueryOptions::transformed(),
-                QueryOptions::batched(),
                 QueryOptions::default(),
                 QueryOptions { strategy: Strategy::NestedIteration, ..QueryOptions::default() },
             ] {
@@ -281,24 +277,19 @@ fn observe_leaves_io_trace_and_results_byte_identical() {
     assert_eq!(probing, 2 * 4, "type-J and the three type-JA shapes probe by default, at either count");
 }
 
-/// Nested iteration and batched evaluation are serial whatever the count: a
-/// named `threads: 4` hands out no morsel on their `execute:` node, over an
-/// outer relation of many pages.
+/// Nested iteration is serial whatever the count: a named `threads: 4` hands
+/// out no morsel on its `execute:` node, over an outer relation of many pages.
 #[test]
 fn correlated_strategies_claim_no_morsels() {
     let w = ja_workload(WorkloadSpec::small(), DEFAULT_SEED);
     assert!(w.db.catalog().table("PARTS").unwrap().page_count() > 1);
-    for (strategy, node) in [
-        (Strategy::NestedIteration, "execute: nested iteration"),
-        (Strategy::Batched, "execute: batched evaluation"),
-    ] {
-        for sql in [queries::TYPE_J, queries::TYPE_JA_COUNT] {
-            let opts = QueryOptions { strategy, threads: 4, observe: true, ..QueryOptions::default() };
-            let obs = w.db.query_with(sql, &opts).unwrap().obs.expect("observe=true collects");
-            let op = obs.profile.iter().find_map(|r| r.find(node)).and_then(|n| n.op.clone());
-            let op = op.unwrap_or_else(|| panic!("no {node} operator: {:#?}", obs.profile));
-            assert!(op.morsels_per_worker.is_empty(), "{node} claimed morsels: {op:?}\n{sql}");
-        }
+    let (strategy, node) = (Strategy::NestedIteration, "execute: nested iteration");
+    for sql in [queries::TYPE_J, queries::TYPE_JA_COUNT] {
+        let opts = QueryOptions { strategy, threads: 4, observe: true, ..QueryOptions::default() };
+        let obs = w.db.query_with(sql, &opts).unwrap().obs.expect("observe=true collects");
+        let op = obs.profile.iter().find_map(|r| r.find(node)).and_then(|n| n.op.clone());
+        let op = op.unwrap_or_else(|| panic!("no {node} operator: {:#?}", obs.profile));
+        assert!(op.morsels_per_worker.is_empty(), "{node} claimed morsels: {op:?}\n{sql}");
     }
 }
 

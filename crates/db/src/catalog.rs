@@ -28,8 +28,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// Version tag leading every catalog snapshot (room to evolve the layout).
 /// v1: tables + indexes. v2: adds per-table per-column distinct counts, so
-/// the three-way cost comparison keeps its statistics across restarts;
-/// v1 snapshots still restore (without stats).
+/// the statistics survive restarts; v1 snapshots still restore (without
+/// stats).
 const SNAPSHOT_VERSION: u32 = 2;
 
 fn store_err(e: StorageError) -> DbError {
@@ -57,15 +57,16 @@ pub struct Catalog {
     /// mutated table's entries free their bytes immediately instead of
     /// lingering until eviction.
     result_cache: Option<Arc<nsql_cache::QueryCache>>,
-    /// Per-table, per-column distinct-value counts — the statistic the
-    /// batched strategy's cost formula needs for `d` — gathered while a
-    /// loaded relation passes through memory. An INSERT does not look at the
-    /// table, so it leaves `None` (stale): [`Catalog::distinct_count`], the
-    /// counts' one reader, recounts from the pages when next asked and keeps
-    /// the result until the next INSERT. The v2 catalog snapshot persists
-    /// the counts it has, so the three-way cost comparison keeps its
-    /// statistics across restarts; a table restored from a v1 snapshot has
-    /// no entry at all and cost estimation falls back to the tuple count as
+    /// Per-table, per-column distinct-value counts, gathered while a loaded
+    /// relation passes through memory. Their consumer is the cardinality
+    /// estimator of ROADMAP item 7 (how many distinct bindings, so how many
+    /// evaluations, a correlated block will see); today only tests read
+    /// them. An INSERT does not look at the table, so it leaves `None`
+    /// (stale): [`Catalog::distinct_count`], the counts' one reader, recounts
+    /// from the pages when next asked and keeps the result until the next
+    /// INSERT. The v2 catalog snapshot persists the counts it has, so the
+    /// statistics survive restarts; a table restored from a v1 snapshot has
+    /// no entry at all, and an estimate must fall back to the tuple count as
     /// a conservative upper bound.
     stats: Mutex<BTreeMap<String, Option<Vec<usize>>>>,
     /// The cumulative statistics registry shared with the owning
@@ -434,9 +435,9 @@ impl Catalog {
                 ix.encode(&mut w);
             }
         }
-        // v2 trailer: per-table per-column distinct counts, so the
-        // three-way cost comparison reopens with its statistics intact. A
-        // table whose counts are stale has no entry.
+        // v2 trailer: per-table per-column distinct counts, so a reopened
+        // catalog has its statistics intact. A table whose counts are stale
+        // has no entry.
         let stats = self.stats();
         let known = || stats.iter().filter_map(|(key, counts)| Some((key, counts.as_ref()?)));
         w.put_u32(known().count() as u32);

@@ -318,7 +318,7 @@ impl Database {
         let cache_mode = opts.cache.resolve();
         let mut temps = Vec::new();
         let (relation, explain) = match opts.strategy {
-            Strategy::NestedIteration | Strategy::Batched => self.run_correlated(q, opts, profile)?,
+            Strategy::NestedIteration => self.run_correlated(q, opts, profile)?,
             Strategy::Transform | Strategy::Auto => {
                 let span = profile.begin("transform");
                 let plan = transform_query_traced(&self.catalog, q, &opts.unnest, profile);
@@ -388,19 +388,15 @@ impl Database {
         Ok(QueryOutcome { relation, io, explain, temps, obs })
     }
 
-    /// The two correlated strategies — nested iteration and its batched
-    /// variant — on the one evaluator: same setup, same observation, one
-    /// row kernel whatever the exec mode, serial whatever the thread count.
-    /// They differ in the EXPLAIN line, the operator label and the entry
-    /// point called. Returns the rows and the EXPLAIN lines: the header,
-    /// then each correlated block's access path.
+    /// Nested iteration: one row kernel whatever the exec mode, serial
+    /// whatever the thread count. Returns the rows and the EXPLAIN lines:
+    /// the header, then each correlated block's access path.
     fn run_correlated(
         &self,
         q: &QueryBlock,
         opts: &QueryOptions,
         profile: &Profile,
     ) -> Result<(Relation, Vec<String>)> {
-        let batched = opts.strategy == Strategy::Batched;
         let mut explain = header_lines(opts, 0);
         let cached = opts.cache.enabled();
         let mut evaluator = NestedIter::new(&self.catalog, self.catalog.storage().clone())
@@ -410,19 +406,12 @@ impl Database {
             evaluator = evaluator.with_query_cache(Arc::clone(&self.cache));
         }
         let access = evaluator.access_paths(q)?;
-        let label = if batched { "execute: batched evaluation" } else { "execute: nested iteration" };
         let rel = observed(
             profile,
-            || label.to_string(),
+            || "execute: nested iteration".to_string(),
             0,
             |rel: &Relation| rel.len() as u64,
-            || {
-                if batched {
-                    evaluator.eval_query_batched(q, 1)
-                } else {
-                    evaluator.eval_query(q)
-                }
-            },
+            || evaluator.eval_query(q),
         );
         if cached {
             // The header's cache line, extended by what this run observed.
@@ -687,10 +676,9 @@ mod tests {
         use crate::options::ExecMode;
         let db = kiessling_db();
         // Only the transform strategy has vectorized operators to announce;
-        // the correlated strategies run one row kernel in either mode.
+        // nested iteration runs one row kernel in either mode.
         for (base, announces) in [
             (QueryOptions::nested_iteration(), false),
-            (QueryOptions::batched(), false),
             (QueryOptions::transformed(), true),
         ] {
             let row = db

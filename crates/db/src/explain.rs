@@ -15,11 +15,10 @@
 
 use crate::options::{QueryOptions, Strategy};
 use crate::{Catalog, Database, Result};
-use nsql_analyzer::resolve::level_column_refs;
 use nsql_analyzer::{query_tree, NestingType};
 use nsql_engine::cost::{
-    batched_cost, ja2_costs, nested_iteration_cost_j, transformed_merge_join_cost,
-    BatchedParams, Ja2Cost, Ja2Params, JoinMethod, StrategyCosts, StrategyKind,
+    ja2_costs, nested_iteration_cost_j, transformed_merge_join_cost, Ja2Cost, Ja2Params,
+    JoinMethod, StrategyCosts, StrategyKind,
 };
 use nsql_engine::nested_iter::BlockAccess;
 use nsql_engine::{NestedIter, TableProvider};
@@ -27,7 +26,6 @@ use nsql_index::BTreeIndex;
 use nsql_obs::{Json, ProfileNode};
 use nsql_sql::QueryBlock;
 use nsql_storage::{HeapFile, IoStats};
-use nsql_types::Schema;
 use std::sync::Arc;
 
 /// Size of one materialized temporary, reported by the plan executor.
@@ -127,8 +125,8 @@ pub struct ExplainReport {
     /// Worst-case nested-iteration cost of the same query (the paper's
     /// baseline), when the tree has a correlated (J/JA) block.
     pub predicted_nested_iteration: Option<f64>,
-    /// Predicted cost of each executable strategy — nested iteration,
-    /// transform, batched — plus the planner's pick, for every nested
+    /// Predicted cost of each executable strategy — nested iteration and
+    /// transform — plus the planner's pick, for every nested
     /// query (correlated or not; `None` only for flat queries, which have
     /// no strategy choice). Rendered whatever strategy the options pin,
     /// so EXPLAIN always shows what the cost model *would* choose.
@@ -175,11 +173,9 @@ impl ExplainReport {
             }
         }
         if let Some(sc) = &self.strategy_costs {
-            out.push("strategy costs (three-way, page I/Os):".to_string());
+            out.push("strategy costs (two-way, page I/Os):".to_string());
             let pick = sc.pick();
-            for kind in
-                [StrategyKind::NestedIteration, StrategyKind::Transform, StrategyKind::Batched]
-            {
+            for kind in [StrategyKind::NestedIteration, StrategyKind::Transform] {
                 let marker = if kind == pick { "  * " } else { "    " };
                 out.push(format!("{marker}{}: {:.1}", kind.name(), sc.of(kind)));
             }
@@ -242,7 +238,6 @@ impl ExplainReport {
                     Some(sc) => Json::obj([
                         ("nested_iteration", Json::num(sc.of(StrategyKind::NestedIteration))),
                         ("transform", Json::num(sc.of(StrategyKind::Transform))),
-                        ("batched", Json::num(sc.of(StrategyKind::Batched))),
                         ("pick", Json::str(sc.pick().name())),
                     ]),
                     None => Json::Null,
@@ -294,7 +289,7 @@ impl Database {
         } else {
             // Plain EXPLAIN opens with the header lines an ANALYZE run would.
             let strategy = match opts.strategy {
-                Strategy::NestedIteration | Strategy::Batched => {
+                Strategy::NestedIteration => {
                     let mut lines = header_lines(opts, 0);
                     lines.extend(self.access_paths(q, opts)?.into_iter().map(|a| a.line));
                     lines
@@ -315,7 +310,6 @@ impl Database {
 
         let chosen = match opts.strategy {
             Strategy::NestedIteration => "nested iteration (System R baseline)".to_string(),
-            Strategy::Batched => "batched correlated evaluation".to_string(),
             Strategy::Transform | Strategy::Auto => chosen_from_trace(&strategy),
         };
 
@@ -337,10 +331,9 @@ impl Database {
         let predicted_nested_iteration = params
             .filter(|_| correlated)
             .map(|p| nested_iteration_cost_j(p.pi, p.pj, p.b, p.fi_ni));
-        // Every nested query gets the three-way comparison — uncorrelated
-        // blocks too (there batched's binding set collapses to one empty
-        // binding, pricing the evaluate-once plan). Flat queries have no
-        // strategy choice and render no block.
+        // Every nested query gets the two-way comparison, uncorrelated
+        // blocks too. Flat queries have no strategy choice and render no
+        // block.
         let strategy_costs = inner
             .zip(params)
             .and_then(|(inner, p)| self.strategy_costs_for(q, inner, &p, is_ja, opts));
@@ -420,13 +413,10 @@ impl Database {
         Some(Ja2Params { pi, pj, pt2, nt2, pt3, pt4, pt, b, fi_ni, ri_sorted: false })
     }
 
-    /// Predicted cost of all three executable strategies on `inner_block`,
-    /// `q`'s (first) nested block, with Section-7 parameters `p`. Transform
-    /// is the cheapest NEST-JA2 method combination for type-JA shapes and
-    /// the canonical merge join otherwise; batched uses the catalog's
-    /// distinct-count statistics for `d` (falling back to the
-    /// qualifying-tuple count — i.e. "no better than nested iteration's
-    /// rescans" — when the catalog was restored without statistics).
+    /// Predicted cost of both executable strategies on `inner_block`, `q`'s
+    /// (first) nested block, with Section-7 parameters `p`. Transform is the
+    /// cheapest NEST-JA2 method combination for type-JA shapes and the
+    /// canonical merge join otherwise.
     fn strategy_costs_for(
         &self,
         q: &QueryBlock,
@@ -453,60 +443,7 @@ impl Database {
         } else {
             transformed_merge_join_cost(p.pi, p.pj, p.b)
         };
-
-        // Batched parameters: the correlation columns are the inner
-        // block's free references; their catalog distinct counts bound the
-        // number of inner evaluations `d` (a product for multi-column
-        // correlations, capped by the qualifying-tuple count).
-        let outer_ref = q.from.first()?;
-        let outer = self.catalog().table(&outer_ref.table)?;
-        let mut inner_local = Schema::default();
-        for tref in &inner_block.from {
-            if let Some(f) = self.catalog().table(&tref.table) {
-                inner_local = inner_local.join(&f.schema().requalify(tref.effective_name()));
-            }
-        }
-        let mut corr_cols: Vec<usize> = Vec::new();
-        let mut free_refs = false;
-        for c in level_column_refs(inner_block) {
-            if inner_local.try_resolve(c.table.as_deref(), &c.column).is_some() {
-                continue; // bound by the inner block's own FROM
-            }
-            free_refs = true;
-            let idx = outer
-                .schema()
-                .try_resolve(c.table.as_deref(), &c.column)
-                .or_else(|| outer.schema().try_resolve(None, &c.column));
-            if let Some(i) = idx {
-                if !corr_cols.contains(&i) {
-                    corr_cols.push(i);
-                }
-            }
-        }
-        let (d, p_bind) = if !free_refs {
-            // Uncorrelated inner block: every outer row shares the single
-            // empty binding, so batched evaluates the inner exactly once
-            // and the binding temporary is one page of nothing.
-            (1.0, 1.0)
-        } else {
-            let mut d = 1.0;
-            let mut have_stats = !corr_cols.is_empty();
-            for &i in &corr_cols {
-                match self.catalog().distinct_count(&outer_ref.table, i) {
-                    Some(n) => d *= n.max(1) as f64,
-                    None => have_stats = false,
-                }
-            }
-            let d = if have_stats { d.min(p.fi_ni) } else { p.fi_ni };
-            // The binding temporary is the correlation columns of the
-            // qualifying outer tuples — the outer's pages scaled to the
-            // narrower rows, never below one page.
-            let width = corr_cols.len().max(1) as f64;
-            let arity = outer.schema().arity().max(1) as f64;
-            (d, (p.pi * width / arity).ceil().max(1.0))
-        };
-        let batched = batched_cost(&BatchedParams { pi: p.pi, p_bind, d, pj: p.pj, b: p.b });
-        Some(StrategyCosts { nested_iteration, transform, batched })
+        Some(StrategyCosts { nested_iteration, transform })
     }
 }
 
@@ -517,10 +454,6 @@ impl Database {
 pub(crate) fn header_lines(opts: &QueryOptions, temps: usize) -> Vec<String> {
     let mut lines = vec![match opts.strategy {
         Strategy::NestedIteration => "strategy: nested iteration (System R)".to_string(),
-        Strategy::Batched => {
-            "strategy: batched correlated evaluation (sort-deduplicated outer bindings)"
-                .to_string()
-        }
         Strategy::Transform | Strategy::Auto => format!(
             "strategy: transform ({temps} temp table{}), join policy: {}",
             if temps == 1 { "" } else { "s" },

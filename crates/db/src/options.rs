@@ -148,18 +148,14 @@ impl CacheMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
     /// System R semantics: direct nested iteration (the paper's baseline
-    /// and the semantic ground truth).
+    /// and the semantic ground truth). By default a correlated block may
+    /// probe a B+tree, and a nested conjunct is evaluated once per distinct
+    /// binding; under [`UnnestOptions::faithful_1987`] it is the paper's,
+    /// page for page.
     NestedIteration,
     /// Transform to canonical form first (NEST-G driving NEST-N-J and
     /// NEST-JA2 / Kim's NEST-JA), then execute the flat query.
     Transform,
-    /// Batched correlated evaluation (Guravannavar & Sudarshan): sort and
-    /// deduplicate the outer correlation bindings with the external sort,
-    /// evaluate the inner block once per *distinct* binding, then replay
-    /// the memoized answers over the outer rows in their original order.
-    /// Results and error semantics are identical to nested iteration; the
-    /// inner block runs `D` times instead of `N` times.
-    Batched,
     /// Let the engine decide. Today that is the constant
     /// [`Strategy::Transform`]; the planner fills this seam later.
     #[default]
@@ -172,7 +168,6 @@ impl Strategy {
         match self {
             Strategy::NestedIteration => "nested-iteration",
             Strategy::Transform => "transform",
-            Strategy::Batched => "batched",
             Strategy::Auto => "auto",
         }
     }
@@ -209,7 +204,7 @@ pub struct QueryOptions {
     /// plans.
     pub cold_start: bool,
     /// Worker threads for morsel-parallel execution of the transformed
-    /// plan's operators; nested iteration and batched evaluation are serial.
+    /// plan's operators; nested iteration is serial.
     /// `0` (the default) resolves from `NSQL_THREADS`, falling back to the
     /// machine's available parallelism; `1` takes the exact serial code
     /// path. A count named here or by `NSQL_THREADS` is obeyed by every
@@ -241,9 +236,9 @@ pub struct QueryOptions {
 impl QueryOptions {
     /// Whether a statement under these options runs its hash joins on
     /// column batches — the one thing `ExecMode::Vector` changes, and only
-    /// the transform strategy has hash joins: nested iteration and batched
-    /// evaluation run one row kernel whatever `exec_mode` says. EXPLAIN's
-    /// exec-mode line and `nsql_stat_statements.EXEC_MODE` both report this.
+    /// the transform strategy has hash joins: nested iteration runs one row
+    /// kernel whatever `exec_mode` says. EXPLAIN's exec-mode line and
+    /// `nsql_stat_statements.EXEC_MODE` both report this.
     pub(crate) fn vectorized(&self) -> bool {
         self.exec_mode.vectorized() && self.strategy.resolve() == Strategy::Transform
     }
@@ -274,16 +269,6 @@ impl QueryOptions {
         QueryOptions {
             strategy: Strategy::Transform,
             join_policy: JoinPolicy::CostBased,
-            unnest: UnnestOptions::faithful(),
-            cold_start: true,
-            ..QueryOptions::default()
-        }
-    }
-
-    /// Batched correlated evaluation, cold buffer.
-    pub fn batched() -> QueryOptions {
-        QueryOptions {
-            strategy: Strategy::Batched,
             unnest: UnnestOptions::faithful(),
             cold_start: true,
             ..QueryOptions::default()

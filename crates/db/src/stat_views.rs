@@ -237,7 +237,7 @@ mod tests {
             micros: 90,
             reads: 3,
             writes: 1,
-            strategy: "batched".into(),
+            strategy: "nested-iteration".into(),
             exec_mode: "row".into(),
             error: false,
             refusals: 0,

@@ -1,20 +1,20 @@
 //! Plain `EXPLAIN` and `EXPLAIN ANALYZE` must tell the same story.
 //!
-//! The plain report predicts; the ANALYZE report executes. For every
-//! executable strategy — nested iteration, the NEST-* transformation, and
-//! batched correlated evaluation — the two reports must agree on the
-//! decision-shaped lines: the strategy header, whether an exec-mode line
+//! The plain report predicts; the ANALYZE report executes. For both
+//! executable strategies — nested iteration and the NEST-* transformation —
+//! the two reports must agree on the decision-shaped lines: the strategy header, whether an exec-mode line
 //! is present, and the cache-mode prefix (ANALYZE appends hit/miss counts
 //! to the same line). A drift here means EXPLAIN is describing a plan the
 //! executor does not run.
 //!
-//! The three-way strategy-cost block is also pinned: every nested query —
-//! correlated or not — must render predicted costs for all three
-//! strategies plus the planner's pick, identically in both reports and
+//! The two-way strategy-cost block is also pinned: every nested query —
+//! correlated or not — must render predicted costs for both strategies
+//! plus the planner's pick, identically in both reports and
 //! regardless of which strategy the options force. Only flat queries
 //! (no subquery, hence no strategy choice) omit the block.
 
 use nsql_db::{CacheMode, Database, ExecMode, JoinPolicy, QueryOptions, Strategy};
+use nsql_engine::cost::StrategyKind;
 
 const SETUP: &str = "CREATE TABLE PARTS (PNUM INT, QOH INT);
      CREATE TABLE SUPPLY (PNUM INT, QUAN INT, SHIPDATE DATE);
@@ -42,7 +42,7 @@ const Q_MERGED: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
        (SELECT QOH FROM PARTS P2 WHERE P2.PNUM > 5))";
 
 /// An uncorrelated type-A query: still nested, so it still gets the
-/// three-way cost block (batched prices the evaluate-once plan, `d = 1`).
+/// two-way cost block.
 const Q_TYPE_A: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
     (SELECT MAX(QUAN) FROM SUPPLY)";
 
@@ -55,12 +55,8 @@ fn mem_db() -> Database {
     db
 }
 
-fn strategies() -> [(&'static str, Strategy); 3] {
-    [
-        ("nested-iteration", Strategy::NestedIteration),
-        ("transform", Strategy::Transform),
-        ("batched", Strategy::Batched),
-    ]
+fn strategies() -> [(&'static str, Strategy); 2] {
+    [("nested-iteration", Strategy::NestedIteration), ("transform", Strategy::Transform)]
 }
 
 fn opts(strategy: &Strategy, cache: CacheMode) -> QueryOptions {
@@ -109,9 +105,8 @@ fn plain_and_analyze_reports_agree_on_decision_lines() {
             );
 
             // Exec-mode line: in both reports exactly when something will
-            // run vectorized. Nested iteration and batched evaluation run
-            // one row kernel in either mode and must not advertise a
-            // vectorized mode they never run.
+            // run vectorized. Nested iteration runs one row kernel in either
+            // mode and must not advertise a vectorized mode it never runs.
             let exec = |r: &nsql_db::ExplainReport| {
                 r.strategy.iter().any(|l| l.starts_with("exec mode:"))
             };
@@ -267,12 +262,12 @@ fn the_exec_mode_line_is_printed_once() {
     }
 }
 
-/// A correlated query renders the three-way cost block — all three
-/// strategies finite, a pick marked — in both reports, for every pinned
-/// strategy, and the numbers are identical everywhere (the cost model
-/// consults the catalog, not the executor).
+/// A correlated query renders the two-way cost block — both strategies
+/// finite, a pick marked — in both reports, for every pinned strategy, and
+/// the numbers are identical everywhere (the cost model consults the
+/// catalog, not the executor).
 #[test]
-fn correlated_queries_render_three_way_costs_under_every_strategy() {
+fn correlated_queries_render_two_way_costs_under_every_strategy() {
     let db = mem_db();
     let mut seen = Vec::new();
     for (name, strategy) in strategies() {
@@ -282,11 +277,7 @@ fn correlated_queries_render_three_way_costs_under_every_strategy() {
             let sc = report.strategy_costs.unwrap_or_else(|| {
                 panic!("[{name}, analyze={analyze}] correlated query lost its strategy costs")
             });
-            for kind in [
-                nsql_engine::cost::StrategyKind::NestedIteration,
-                nsql_engine::cost::StrategyKind::Transform,
-                nsql_engine::cost::StrategyKind::Batched,
-            ] {
+            for kind in [StrategyKind::NestedIteration, StrategyKind::Transform] {
                 assert!(
                     sc.of(kind).is_finite() && sc.of(kind) >= 0.0,
                     "[{name}] {} cost must be a finite non-negative page count",
@@ -295,28 +286,26 @@ fn correlated_queries_render_three_way_costs_under_every_strategy() {
             }
             let rendered = report.render_lines().join("\n");
             assert!(
-                rendered.contains("strategy costs (three-way, page I/Os):"),
+                rendered.contains("strategy costs (two-way, page I/Os):"),
                 "[{name}] rendered report lost the cost block"
             );
             assert!(
                 rendered.contains(&format!("planner pick: {}", sc.pick().name())),
                 "[{name}] rendered report lost the planner pick"
             );
-            seen.push((sc.of(nsql_engine::cost::StrategyKind::Batched), sc.pick()));
+            seen.push((sc.of(StrategyKind::NestedIteration), sc.pick()));
         }
     }
     // The cost block is a property of the query and catalog, not of the
     // pinned strategy or of whether the query ran.
     assert!(
         seen.windows(2).all(|w| w[0] == w[1]),
-        "three-way costs drifted across strategies/analyze: {seen:?}"
+        "two-way costs drifted across strategies/analyze: {seen:?}"
     );
 }
 
 /// An uncorrelated (type-A) query is still nested, so it still renders the
-/// three-way block — with batched priced as a single inner evaluation
-/// (`d = 1`), which can never beat evaluating the inner once via the
-/// transform but must be finite and present. A flat query renders none.
+/// two-way block, finite and present. A flat query renders none.
 #[test]
 fn uncorrelated_nested_queries_render_costs_flat_queries_do_not() {
     let db = mem_db();
@@ -327,11 +316,7 @@ fn uncorrelated_nested_queries_render_costs_flat_queries_do_not() {
             let sc = report.strategy_costs.unwrap_or_else(|| {
                 panic!("[{name}, analyze={analyze}] uncorrelated nested query lost its cost block")
             });
-            for kind in [
-                nsql_engine::cost::StrategyKind::NestedIteration,
-                nsql_engine::cost::StrategyKind::Transform,
-                nsql_engine::cost::StrategyKind::Batched,
-            ] {
+            for kind in [StrategyKind::NestedIteration, StrategyKind::Transform] {
                 assert!(
                     sc.of(kind).is_finite() && sc.of(kind) >= 0.0,
                     "[{name}] {} cost must be a finite non-negative page count",
@@ -348,29 +333,13 @@ fn uncorrelated_nested_queries_render_costs_flat_queries_do_not() {
     }
 }
 
-/// EXPLAIN ANALYZE under the batched strategy actually executes: it
-/// reports rows and I/O, and the rows match nested iteration's.
-#[test]
-fn batched_analyze_executes_and_matches_nested_iteration() {
-    let db = mem_db();
-    let ba = db.explain_query(Q2, true, &opts(&Strategy::Batched, CacheMode::Off)).unwrap();
-    let ni = db
-        .explain_query(Q2, true, &opts(&Strategy::NestedIteration, CacheMode::Off))
-        .unwrap();
-    assert_eq!(ba.rows, ni.rows, "batched ANALYZE returned a different cardinality");
-    let io = ba.io.expect("ANALYZE reports I/O");
-    assert!(io.total() > 0, "batched execution must be accounted");
-    assert!(
-        strategy_line(&ba.strategy).contains("batched"),
-        "batched ANALYZE must label its strategy"
-    );
-}
-
 /// The JSON export of EXPLAIN ANALYZE keeps its schema for one query of
 /// each transformable nesting type: every top-level key, every node key of
 /// the profile tree and every per-operator key on its operator nodes
-/// survive a round trip through the in-tree parser, the decision names the algorithm the type calls for,
-/// and a type-JA report prices all four Section-7 join-method variants.
+/// survive a round trip through the in-tree parser, the decision names the
+/// algorithm the type calls for, the strategy costs name both strategies and
+/// the pick, and a type-JA report prices all four Section-7 join-method
+/// variants.
 #[test]
 fn analyze_json_keeps_its_schema_for_every_nesting_type() {
     use nsql_obs::Json;
@@ -397,11 +366,17 @@ fn analyze_json_keeps_its_schema_for_every_nesting_type() {
         let require = |j: &Json, key: &str| {
             j.get(key).unwrap_or_else(|| panic!("[{name}] JSON lost key `{key}`")).clone()
         };
-        for key in
-            ["sql", "analyze", "chosen", "tree", "strategy", "predicted", "io", "rows", "obs"]
-        {
+        for key in [
+            "sql", "analyze", "chosen", "tree", "strategy", "predicted", "strategy_costs", "io",
+            "rows", "obs",
+        ] {
             require(&json, key);
         }
+        let costs = require(&json, "strategy_costs");
+        for key in ["nested_iteration", "transform", "pick"] {
+            require(&costs, key);
+        }
+        assert!(costs.get("batched").is_none(), "[{name}] {costs}");
         assert_eq!(require(&json, "analyze"), Json::Bool(true), "[{name}] analyze flag");
         let chosen = require(&json, "chosen");
         assert!(

@@ -2,9 +2,8 @@
 //! counters (page reads, page writes, buffer hits, buffer misses) of every
 //! statement shape nested iteration serves equal constants pinned from the
 //! commit *before* name resolution left the per-tuple loop — under
-//! `Strategy::NestedIteration` (row and vector kernels) and
-//! `Strategy::Batched`, at one and two threads, on the memory and the file
-//! store. An error raised inside the binding loop surfaces with the same
+//! `Strategy::NestedIteration` (row and vector kernels), at one and two
+//! threads, on the memory and the file store. An error raised inside the binding loop surfaces with the same
 //! value after the same counter delta.
 //!
 //! The constants are the paper's nested iteration — every page of the inner
@@ -159,17 +158,13 @@ fn backends() -> Vec<(&'static str, Database, Option<TempDir>)> {
 }
 
 /// Every configuration that must be indistinguishable from serial row-mode
-/// nested iteration, per strategy.
-fn configurations(strategy: Strategy) -> Vec<QueryOptions> {
-    let modes: &[ExecMode] = match strategy {
-        Strategy::NestedIteration => &[ExecMode::Row, ExecMode::Vector],
-        _ => &[ExecMode::Row],
-    };
+/// nested iteration.
+fn configurations() -> Vec<QueryOptions> {
     let mut out = Vec::new();
-    for &exec_mode in modes {
+    for exec_mode in [ExecMode::Row, ExecMode::Vector] {
         for threads in [1, 2] {
             out.push(QueryOptions {
-                strategy,
+                strategy: Strategy::NestedIteration,
                 exec_mode,
                 threads,
                 unnest: nsql_core::UnnestOptions::faithful(),
@@ -220,86 +215,70 @@ fn run(
 
 #[test]
 fn nested_iteration_statements_keep_rows_and_all_four_counters() {
-    // (statement, rows digest, counters under nested iteration, counters
-    // under batched evaluation), all taken at the parent commit.
-    type Case = (&'static str, String, (usize, u64), IoSnapshot, IoSnapshot);
+    // (statement, rows digest, counters under nested iteration), all taken
+    // at the parent commit.
+    type Case = (&'static str, String, (usize, u64), IoSnapshot);
     let cases: Vec<Case> = vec![
         (
             "j_notin",
             J_NOTIN.into(),
             (16, 10062686680816546509),
             snap(514, 0, 0, 514),
-            snap(516, 2, 0, 515),
         ),
         (
             "ja_or",
             JA_OR.into(),
             (4, 4454498671549598223),
             snap(514, 0, 0, 514),
-            snap(518, 4, 0, 516),
         ),
         (
             "j_notin_dup",
             dup(J_NOTIN),
             (2, 6027445620735132295),
             snap(514, 0, 0, 514),
-            snap(441, 2, 0, 440),
         ),
         (
             "ja_or_dup",
             dup(JA_OR),
             (3, 2864121895118047564),
             snap(514, 0, 0, 514),
-            snap(518, 4, 0, 516),
         ),
         (
             "type_n",
             TYPE_N.into(),
             (51, 17298091154068782242),
             snap(42, 3, 523, 42),
-            snap(50, 11, 523, 46),
         ),
         (
             "ml3",
             ML3.into(),
             (39, 17762528104417956957),
             snap(12079, 0, 435, 12079),
-            snap(12103, 24, 435, 12087),
         ),
         (
             "two_table_inner",
             TWO_TABLE_INNER.into(),
             (8, 4505590272617856876),
             snap(1016, 0, 23998, 1016),
-            snap(1022, 6, 23998, 1019),
         ),
         (
             "grouped_inner",
             GROUPED_INNER.into(),
             (12, 16468734278807593167),
             snap(1514, 0, 0, 1514),
-            snap(1520, 6, 0, 1517),
         ),
     ];
     let mut diffs: Vec<String> = Vec::new();
     for (backend, db, _dir) in backends() {
-        for (name, sql, rows_at_parent, ni_at_parent, batched_at_parent) in &cases {
-            for (strategy, io_at_parent) in [
-                (Strategy::NestedIteration, ni_at_parent),
-                (Strategy::Batched, batched_at_parent),
-            ] {
-                for opts in configurations(strategy) {
-                    let (rows, io) = run(&db, sql, &opts);
-                    let at = format!(
-                        "{name} {strategy:?} {:?} threads={} on {backend}",
-                        opts.exec_mode, opts.threads
-                    );
-                    if rows != Ok(*rows_at_parent) {
-                        diffs.push(format!("{at}: rows {rows:?}, parent {rows_at_parent:?}"));
-                    }
-                    if io != *io_at_parent {
-                        diffs.push(format!("{at}: {io:?}, parent {io_at_parent:?}"));
-                    }
+        for (name, sql, rows_at_parent, io_at_parent) in &cases {
+            for opts in configurations() {
+                let (rows, io) = run(&db, sql, &opts);
+                let at = format!("{name} {:?} threads={} on {backend}", opts.exec_mode, opts.threads);
+                if rows != Ok(*rows_at_parent) {
+                    diffs.push(format!("{at}: rows {rows:?}, parent {rows_at_parent:?}"));
+                }
+                if io != *io_at_parent {
+                    diffs.push(format!("{at}: {io:?}, parent {io_at_parent:?}"));
                 }
             }
         }
@@ -334,7 +313,7 @@ fn error_in_the_binding_loop_surfaces_after_the_same_page_reads() {
             [2],
             "the poisoned row must sit on BAD's third page"
         );
-        for opts in configurations(Strategy::NestedIteration) {
+        for opts in configurations() {
             let (rows, io) = run(&db, ERROR_ON_THIRD_PAGE, &opts);
             let at = format!("{:?} threads={} on {backend}", opts.exec_mode, opts.threads);
             assert_eq!(rows, Err(error_at_parent.to_string()), "{at}");

@@ -56,8 +56,9 @@ fn database() -> Database {
     db
 }
 
-fn run(db: &Database, sql: &str, strategy: Strategy, threads: usize) -> (usize, IoSnapshot) {
+fn run(db: &Database, sql: &str, threads: usize) -> (usize, IoSnapshot) {
     let unnest = nsql_core::UnnestOptions::faithful();
+    let strategy = Strategy::NestedIteration;
     let opts = QueryOptions { strategy, threads, unnest, cold_start: true, ..Default::default() };
     let before = db.storage().io_snapshot();
     let out = db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}"));
@@ -74,20 +75,18 @@ fn every_use_site_materialises_its_uncorrelated_block_once_per_query() {
     let pages = |t: &str| db.catalog().table(t).unwrap().page_ids().len() as u64;
     let (parts, supply) = (pages("PARTS"), pages("SUPPLY"));
 
-    // (statement, rows, nested-iteration delta, batched delta)
+    // (statement, rows, nested-iteration delta)
     let pinned = [
-        ("scalar", SCALAR, 31, snap(27, 0, 0, 27), snap(32, 5, 0, 28)),
-        ("in", IN_LIST, 128, snap(28, 1, 199, 28), snap(33, 6, 7, 29)),
-        ("exists", EXISTS, 20, snap(28, 1, 19, 28), snap(28, 1, 0, 28)),
-        ("any", ANY, 169, snap(28, 1, 199, 28), snap(33, 6, 7, 29)),
-        ("inside-correlated", INSIDE_CORRELATED, 1, snap(343, 0, 4, 343), snap(344, 2, 5, 343)),
+        ("scalar", SCALAR, 31, snap(27, 0, 0, 27)),
+        ("in", IN_LIST, 128, snap(28, 1, 199, 28)),
+        ("exists", EXISTS, 20, snap(28, 1, 19, 28)),
+        ("any", ANY, 169, snap(28, 1, 199, 28)),
+        ("inside-correlated", INSIDE_CORRELATED, 1, snap(343, 0, 4, 343)),
     ];
-    for (name, sql, rows, ni, batched) in pinned {
-        for (strategy, want) in [(Strategy::NestedIteration, ni), (Strategy::Batched, batched)] {
-            for threads in [1, 2] {
-                let got = run(&db, sql, strategy, threads);
-                assert_eq!(got, (rows, want), "{name} under {strategy:?}, threads={threads}");
-            }
+    for (name, sql, rows, want) in pinned {
+        for threads in [1, 2] {
+            let got = run(&db, sql, threads);
+            assert_eq!(got, (rows, want), "{name}, threads={threads}");
         }
     }
 
@@ -95,8 +94,8 @@ fn every_use_site_materialises_its_uncorrelated_block_once_per_query() {
     // its table on top of the outer scan, and nothing per outer tuple;
     // inside a correlated block evaluated 20 times, the uncorrelated scan
     // is still paid once.
-    let (_, scalar) = run(&db, SCALAR, Strategy::NestedIteration, 1);
+    let (_, scalar) = run(&db, SCALAR, 1);
     assert_eq!(scalar.hits + scalar.misses, parts + supply);
-    let (_, nested) = run(&db, INSIDE_CORRELATED, Strategy::NestedIteration, 1);
+    let (_, nested) = run(&db, INSIDE_CORRELATED, 1);
     assert_eq!(nested.hits + nested.misses, parts + 20 * supply + supply);
 }

@@ -75,7 +75,7 @@ fn stat_views_work_as_nested_inner_blocks() {
     // often as the busiest statement was called.
     let nested = "SELECT TABLE_NAME FROM NSQL_STAT_TABLES \
         WHERE SCANS >= (SELECT MAX(CALLS) FROM NSQL_STAT_STATEMENTS)";
-    for strategy in [Strategy::NestedIteration, Strategy::Transform, Strategy::Batched] {
+    for strategy in [Strategy::NestedIteration, Strategy::Transform] {
         let opts = QueryOptions { strategy, cold_start: true, ..Default::default() };
         let out = db.run_query(&nsql_sql::parse_query(nested).unwrap(), &opts).unwrap();
         let names: Vec<String> =
@@ -159,15 +159,14 @@ fn errors_and_refusals_are_counted() {
 }
 
 /// `EXEC_MODE` is the mode that ran, not the mode asked for: only the
-/// transform strategy has vectorized operators; nested iteration and
-/// batched evaluation run one row kernel whatever `exec_mode` says (and
-/// EXPLAIN prints no exec-mode line for them).
+/// transform strategy has vectorized operators; nested iteration runs one
+/// row kernel whatever `exec_mode` says (and EXPLAIN prints no exec-mode
+/// line for it).
 #[test]
 fn exec_mode_column_records_the_mode_that_ran() {
     let fp = nsql_analyzer::query_fingerprint(&nsql_sql::parse_query(Q2).unwrap());
     for (base, ran) in [
         (QueryOptions::nested_iteration(), "row"),
-        (QueryOptions::batched(), "row"),
         (QueryOptions::transformed(), "vector"),
     ] {
         let db = mem_db();
@@ -202,8 +201,8 @@ fn slow_query_log_captures_explain() {
     assert_eq!(db.stats().slow_queries().len(), 1);
 }
 
-/// The JSON snapshot export aggregates a mixed workload correctly — all
-/// three strategies, a failing statement and a slow-logged one — and
+/// The JSON snapshot export aggregates a mixed workload correctly — both
+/// strategies, a failing statement and a slow-logged one — and
 /// round-trips through the in-tree parser: per-fingerprint calls and
 /// errors, consistent timings, per-table scan counters and the slow entry
 /// with its rendered EXPLAIN.
@@ -220,7 +219,7 @@ fn json_export_aggregates_a_mixed_workload() {
         db.query_with(q_in, &QueryOptions::transformed()).unwrap();
     }
     for _ in 0..2 {
-        db.query_with(Q2, &QueryOptions::batched()).unwrap();
+        db.query_with(Q2, &QueryOptions::nested_iteration()).unwrap();
     }
     assert!(db.query(bad).is_err());
     let slow_sql = "SELECT PNUM FROM PARTS WHERE QOH > 0";

@@ -215,46 +215,15 @@ pub fn transformed_merge_join_cost(pi: f64, pj: f64, b: f64) -> f64 {
     sort_cost(pi, b) + sort_cost(pj, b) + pi + pj
 }
 
-// --------------------------------------------- batched correlated evaluation
+// ------------------------------------------------------ the strategy choice
 
-/// Parameters for the batched-evaluation cost formula
-/// ([`batched_cost`]) — the Guravannavar-style third strategy.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchedParams {
-    /// Pages of the outer relation `Ri`.
-    pub pi: f64,
-    /// Pages of the materialized binding temporary (the correlation
-    /// columns of the qualifying outer tuples, before dedup).
-    pub p_bind: f64,
-    /// Distinct correlation bindings `d` (≤ `fi·Ni`).
-    pub d: f64,
-    /// Pages of the inner relation `Rj`.
-    pub pj: f64,
-    /// Buffer pages `B`.
-    pub b: f64,
-}
-
-/// Page-I/O cost of batched correlated evaluation: scan `Ri` once, write
-/// the binding temporary, sort/dedup it with the (B−1)-way external sort,
-/// read the sorted bindings back, then evaluate the inner block once per
-/// *distinct* binding — `Rj` is rescanned per binding unless it fits in
-/// the buffer, exactly the cliff [`nested_iteration_cost_j`] models, but
-/// with `d` in place of `fi·Ni`. On duplicate-heavy outers `d ≪ fi·Ni`
-/// and the sort pays for itself.
-pub fn batched_cost(p: &BatchedParams) -> f64 {
-    let inner = rescanned_pages(p.pj, p.b, p.d);
-    sanitize_cost(p.pi + 2.0 * p.p_bind + sort_cost(p.p_bind, p.b) + inner)
-}
-
-/// The three executable strategies the planner compares.
+/// The two executable strategies EXPLAIN compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
     /// System R nested iteration.
     NestedIteration,
     /// Full decorrelation (NEST-G transformation, then the flat plan).
     Transform,
-    /// Batched correlated evaluation over sorted/deduped bindings.
-    Batched,
 }
 
 impl StrategyKind {
@@ -263,42 +232,32 @@ impl StrategyKind {
         match self {
             StrategyKind::NestedIteration => "nested-iteration",
             StrategyKind::Transform => "transform",
-            StrategyKind::Batched => "batched",
         }
     }
 }
 
-/// Predicted page-I/O cost of each executable strategy on one correlated
-/// query, all three [`sanitize_cost`]-guarded so NaN can never mis-rank.
+/// Predicted page-I/O cost of each executable strategy on one nested
+/// query, both [`sanitize_cost`]-guarded so NaN can never mis-rank.
 #[derive(Debug, Clone, Copy)]
 pub struct StrategyCosts {
-    /// Worst-case nested iteration ([`nested_iteration_cost_j`]).
+    /// Nested iteration ([`nested_iteration_cost_j`], or the access path
+    /// the evaluator would take, [`nested_access_costs`]).
     pub nested_iteration: f64,
     /// Cheapest NEST-JA2 method combination ([`ja2_cost`]), or the
     /// merge-join canonical cost for non-JA shapes.
     pub transform: f64,
-    /// Batched correlated evaluation ([`batched_cost`]).
-    pub batched: f64,
 }
 
 impl StrategyCosts {
-    /// The planner's pick: strict argmin over the sanitized costs. Ties
-    /// break in a pinned order — **transform ≺ batched ≺ nested
-    /// iteration** — so equal predictions keep the paper's headline
-    /// strategy and plans stay deterministic across platforms.
+    /// The planner's pick: the cheaper of the sanitized costs. A tie goes to
+    /// the transformation, the paper's headline strategy, so equal
+    /// predictions keep plans deterministic across platforms.
     pub fn pick(&self) -> StrategyKind {
-        let ranked = [
-            (StrategyKind::Transform, sanitize_cost(self.transform)),
-            (StrategyKind::Batched, sanitize_cost(self.batched)),
-            (StrategyKind::NestedIteration, sanitize_cost(self.nested_iteration)),
-        ];
-        let mut best = ranked[0];
-        for cand in &ranked[1..] {
-            if cand.1 < best.1 {
-                best = *cand;
-            }
+        if self.of(StrategyKind::NestedIteration) < self.of(StrategyKind::Transform) {
+            StrategyKind::NestedIteration
+        } else {
+            StrategyKind::Transform
         }
-        best.0
     }
 
     /// Cost of one strategy, sanitized.
@@ -306,7 +265,6 @@ impl StrategyCosts {
         sanitize_cost(match kind {
             StrategyKind::NestedIteration => self.nested_iteration,
             StrategyKind::Transform => self.transform,
-            StrategyKind::Batched => self.batched,
         })
     }
 }
@@ -694,8 +652,6 @@ mod tests {
             }
         }
         assert!(nested_iteration_cost_j(0.0, 0.0, 6.0, 0.0).is_finite());
-        let empty = BatchedParams { pi: 0.0, p_bind: 0.0, d: 0.0, pj: 0.0, b: 6.0 };
-        assert_eq!(batched_cost(&empty), 0.0);
     }
 
     #[test]
@@ -704,49 +660,23 @@ mod tests {
         assert_eq!(sanitize_cost(-3.0), f64::INFINITY);
         assert_eq!(sanitize_cost(7.5), 7.5);
         // A NaN entry must lose to any finite cost, whatever its position.
-        let c = StrategyCosts { nested_iteration: f64::NAN, transform: f64::NAN, batched: 9.0 };
-        assert_eq!(c.pick(), StrategyKind::Batched);
-        let c = StrategyCosts { nested_iteration: 4.0, transform: f64::NAN, batched: f64::NAN };
+        let c = StrategyCosts { nested_iteration: f64::NAN, transform: 9.0 };
+        assert_eq!(c.pick(), StrategyKind::Transform);
+        let c = StrategyCosts { nested_iteration: 4.0, transform: f64::NAN };
         assert_eq!(c.pick(), StrategyKind::NestedIteration);
-        // All-NaN degenerates to the tie-break head, not to an arbitrary
+        // All-NaN degenerates to the tie-break, not to an arbitrary
         // NaN-comparison artifact.
-        let c = StrategyCosts {
-            nested_iteration: f64::NAN,
-            transform: f64::NAN,
-            batched: f64::NAN,
-        };
+        let c = StrategyCosts { nested_iteration: f64::NAN, transform: f64::NAN };
         assert_eq!(c.pick(), StrategyKind::Transform);
     }
 
     #[test]
     fn equal_costs_tie_break_in_pinned_order() {
-        // transform ≺ batched ≺ nested iteration, pairwise and three-way.
-        let c = StrategyCosts { nested_iteration: 10.0, transform: 10.0, batched: 10.0 };
+        let c = StrategyCosts { nested_iteration: 10.0, transform: 10.0 };
         assert_eq!(c.pick(), StrategyKind::Transform);
-        let c = StrategyCosts { nested_iteration: 10.0, transform: 20.0, batched: 10.0 };
-        assert_eq!(c.pick(), StrategyKind::Batched);
-        let c = StrategyCosts { nested_iteration: 10.0, transform: 10.0, batched: 20.0 };
-        assert_eq!(c.pick(), StrategyKind::Transform);
-        // Strict improvement still wins over the tie-break order.
-        let c = StrategyCosts { nested_iteration: 5.0, transform: 10.0, batched: 7.0 };
+        // Strict improvement still wins over the tie-break.
+        let c = StrategyCosts { nested_iteration: 5.0, transform: 10.0 };
         assert_eq!(c.pick(), StrategyKind::NestedIteration);
-    }
-
-    #[test]
-    fn batched_wins_on_duplicate_heavy_outers() {
-        // Paper-example scale, but the outer's correlation column has only
-        // 4 distinct values among 100 qualifying tuples: batched pays one
-        // small sort and 4 inner scans where nested iteration pays 100 and
-        // NEST-JA2 pays its temp-building joins.
-        let p = Ja2Params::paper_example();
-        let ni = nested_iteration_cost_j(p.pi, p.pj, p.b, p.fi_ni);
-        let tr = ja2_cost(&p, JoinMethod::MergeJoin, JoinMethod::MergeJoin).total();
-        let bp = BatchedParams { pi: p.pi, p_bind: 2.0, d: 4.0, pj: p.pj, b: p.b };
-        let batched = batched_cost(&bp);
-        let costs =
-            StrategyCosts { nested_iteration: ni, transform: tr, batched };
-        assert!(batched < tr && batched < ni, "batched {batched:.0} vs tr {tr:.0} / ni {ni:.0}");
-        assert_eq!(costs.pick(), StrategyKind::Batched);
     }
 
     #[test]
@@ -767,8 +697,6 @@ mod tests {
             let inner = if fits { p } else { n * p };
             assert_eq!(nested_iteration_cost_j(50.0, p, b, n), 50.0 + inner, "J, P={p}");
             assert_eq!(nested_iteration_cost_n(50.0, 30.0, p, b, n), 30.0 + p + 50.0 + inner);
-            let bp = BatchedParams { pi: 50.0, p_bind: 1.0, d: n, pj: p, b };
-            assert_eq!(batched_cost(&bp), 50.0 + 2.0 + inner, "batched, P={p}");
 
             let ja = Ja2Params { pt3: p, nt2: n, ..Ja2Params::paper_example() };
             let temp = ja2_cost(&ja, JoinMethod::NestedLoop, JoinMethod::MergeJoin).temp_creation;

@@ -78,8 +78,9 @@
 //! block's outermost file, in file order, on every evaluation. Everything
 //! that does *not* depend on the binding is worked out once per block per
 //! query and kept in one value, the block's [`BlockInfo`]: its FROM files
-//! and scope schema, which WHERE conjuncts are simple and which nested, its
-//! free outer references (none ⇔ uncorrelated), its simple conjuncts
+//! and scope schema, which WHERE conjuncts are simple and which nested (and
+//! each nested one's memo key, below), its free outer references (none ⇔
+//! uncorrelated), its simple conjuncts
 //! compiled to a [`Template`], its cross-query cache signature, its access
 //! path with the trees it built and — for an uncorrelated block — its
 //! once-only result. What remains varies:
@@ -95,16 +96,44 @@
 //! That row loop is the only kernel: once the conjuncts are bound, running
 //! them as lanes over a page's column batch costs more than it saves (the
 //! batch conversion is paid per page, the loop stops at a tuple's first
-//! non-TRUE conjunct anyway), and a per-binding result memo buys nothing
-//! the cross-query cache does not — EXPERIMENTS.md, "One block plan, one
+//! non-TRUE conjunct anyway) — EXPERIMENTS.md, "One block plan, one
 //! kernel", has the six measured pairs.
 //!
 //! The by-name tree interpreter ([`NestedIter::eval_pred`] over an [`Env`])
-//! is still what evaluates *nested* conjuncts — once per binding that
-//! survives the simple ones — and it is the decline path: when a simple
-//! conjunct holds a locally ambiguous reference, or an outer reference the
-//! scope chain does not resolve, the block is interpreted per tuple, so the
-//! error surfaces lazily, if and only if a tuple reaches that operand.
+//! is still what evaluates *nested* conjuncts — once per distinct binding
+//! that survives the simple ones (below) — and it is the decline path: when
+//! a simple conjunct holds a locally ambiguous reference, or an outer
+//! reference the scope chain does not resolve, the block is interpreted per
+//! tuple, so the error surfaces lazily, if and only if a tuple reaches that
+//! operand.
+//!
+//! # One evaluation per distinct binding
+//!
+//! A nested conjunct's verdict depends on few of the binding's columns, and
+//! on duplicate-heavy tables many bindings agree on them. So the binding
+//! loop keeps, for one evaluation of the block, one memo per nested
+//! conjunct from *key* to verdict, and evaluates the conjunct — its inner
+//! blocks with it — once per distinct key (Guravannavar's "evaluate the
+//! inner block once per distinct parameter", PAPERS.md).
+//!
+//! * **The key** is the binding projected onto the columns of the block's
+//!   own scope the conjunct reads: its own references and its blocks' free
+//!   references, those the block's schema resolves ([`BlockInfo`] holds the
+//!   column list, worked out once per query). A reference the schema does
+//!   not know is an outer value, fixed for the evaluation, so no part of the
+//!   key. One the schema finds twice is an error the interpreter must raise
+//!   where SQL puts it: the conjunct runs per row, unmemoized. Keys are
+//!   equal as GROUP BY's are, by the values' total order.
+//! * **Order and errors stay nested iteration's.** The loop still visits
+//!   the bindings in enumeration order and runs the conjuncts in WHERE
+//!   order, stopping at the first non-TRUE one; a repeated key is answered
+//!   with the verdict its first evaluation gave, which evaluating it again
+//!   would give too. Only `Ok` verdicts are kept, so the first error raises
+//!   on the binding where it raised before, and a probing evaluation that
+//!   is re-run by scan starts with an empty memo.
+//! * **Off under [`NestedIter::with_faithful`]**, with probing: the paper's
+//!   nested iteration evaluates the inner block for every qualifying outer
+//!   tuple, and its figures count those pages.
 //!
 //! # Serial
 //!
@@ -129,10 +158,10 @@ use nsql_sql::{
     ScalarExpr, SortDir,
 };
 use nsql_cache::{BlockEntry, QueryCache};
-use nsql_storage::sort::SortKey;
-use nsql_storage::{external_sort, HeapFile, PageId, Storage, TempFile};
+use nsql_storage::{HeapFile, PageId, Storage, TempFile};
 use nsql_types::{Column, ColumnType, FxHashMap, Relation, Schema, Tuple, Value};
 use std::cell::{Cell, OnceCell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -153,16 +182,6 @@ enum UseKind {
     List,
 }
 
-/// How batched evaluation handles one nested conjunct: a verdict memo
-/// keyed by the candidate's projection onto the conjunct's free outer
-/// columns, or per-row fallback when those columns cannot be determined.
-/// Verdicts memoize errors too ([`EngineError`] is `Clone`), deferred to
-/// the replay phase so surfaced errors match nested iteration.
-enum Verdicts {
-    PerRow,
-    Memo(Vec<usize>, FxHashMap<Tuple, Result<Option<bool>>>),
-}
-
 /// Everything known about a block for the whole query, resolved once: a
 /// correlated inner block is *evaluated* per outer tuple, but none of this
 /// changes between evaluations.
@@ -173,6 +192,11 @@ struct BlockInfo {
     /// Per top-level WHERE conjunct, in order: does it hold a query block?
     /// System R applies the others (the simple ones) first.
     nested: Vec<bool>,
+    /// Per nested conjunct, in WHERE order: the columns of `schema` its
+    /// verdict depends on, which key its memo in the binding loop. `None`:
+    /// a reference is ambiguous in `schema` (or the 1987 switch is on), and
+    /// the conjunct runs on every binding.
+    memo_keys: Vec<Option<Vec<usize>>>,
     /// References in the block's subtree that no scope of the subtree
     /// resolves — its outer references (deduplicated, first-occurrence
     /// order). Empty exactly when the block is uncorrelated.
@@ -503,6 +527,17 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         self.eval_query(q)
     }
 
+    /// [`eval_query`](NestedIter::eval_query). Batched evaluation's one
+    /// useful idea, evaluating a nested conjunct once per distinct binding,
+    /// is the binding loop's own (see the module docs), and the thread count
+    /// is ignored as by [`eval_query_threads`](NestedIter::eval_query_threads).
+    /// The method survives only because `benchmark/src/probes.rs` calls it
+    /// for `engine.batched_ms`; the benchmark change that drops the probe
+    /// deletes it.
+    pub fn eval_query_batched(&self, q: &QueryBlock, _threads: usize) -> Result<Relation> {
+        self.eval_query(q)
+    }
+
     /// Everything in the block map is per-query: its keys are AST addresses,
     /// stable only within one query's borrow, and the materialized lists of
     /// uncorrelated blocks and the trees probing blocks built are
@@ -741,169 +776,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         Some(found)
     }
 
-    // ------------------------------------------------------------ batched
-
-    /// Evaluate a top-level query with **batched correlated evaluation**
-    /// (Guravannavar & Sudarshan): instead of re-evaluating a correlated
-    /// conjunct once per qualifying outer tuple, project the outer bindings
-    /// onto the columns the conjunct actually depends on, sort-deduplicate
-    /// them with the counted external sort, evaluate the conjunct once per
-    /// *distinct* binding, and replay the memoized verdicts over the outer
-    /// rows in their original order.
-    ///
-    /// Three phases:
-    ///
-    /// 1. **Collect** — enumerate the FROM product and apply the simple
-    ///    (subquery-free) conjuncts, keeping candidates in enumeration
-    ///    order.
-    /// 2. **Deduplicate** — per nested conjunct, find its free outer columns
-    ///    ([`conjunct_outer_cols`](Self::conjunct_outer_cols)); materialize
-    ///    the candidates' projection onto those columns as a temporary
-    ///    file, `external_sort(..., unique)` it, and evaluate the conjunct
-    ///    once per surviving distinct binding into a verdict memo. Errors
-    ///    are memoized too — not raised here.
-    /// 3. **Replay** — walk the candidates in original order, consulting
-    ///    each conjunct's memo with the candidate's projected key and
-    ///    short-circuiting on the first non-true verdict, exactly like
-    ///    nested iteration. The SELECT phase is shared with the other
-    ///    strategies.
-    ///
-    /// Results and surfaced errors match nested iteration: the replay
-    /// consults exactly the `(conjunct, binding)` pairs nested iteration
-    /// would evaluate, in the same order, so the first error it raises is
-    /// the one nested iteration would raise (errors batched eagerly but
-    /// never consulted are swallowed — as nested iteration never evaluates
-    /// them at all). Phase 1 is nested iteration's own binding loop, run
-    /// without nested conjuncts.
-    ///
-    /// The thread count is ignored, as by
-    /// [`eval_query_threads`](NestedIter::eval_query_threads), and for the
-    /// same reason: `benchmark/` calls this signature.
-    pub fn eval_query_batched(&self, q: &QueryBlock, _threads: usize) -> Result<Relation> {
-        let result = self.plan(q).and_then(|()| self.eval_batched(q));
-        self.teardown();
-        result
-    }
-
-    fn eval_batched(&self, q: &QueryBlock) -> Result<Relation> {
-        let info = self.block_info(q)?;
-        let scope_schema = &info.schema;
-        let (simple, nested) = info.split(q);
-        if nested.is_empty() {
-            // Nothing to batch — the block is flat; evaluate it directly.
-            return self.eval_block(q, &Env::default());
-        }
-        let env = Env::default();
-
-        // Phase 1: candidates surviving the simple conjuncts, in
-        // enumeration order (the order nested iteration would visit them):
-        // nested iteration's binding loop with no nested conjuncts to run.
-        let bound = self.bind(&info, &env);
-        let bound = bound.as_ref().map(|b| b.conjuncts.as_slice());
-        let candidates =
-            self.bindings(&info, Tuples::Pages(info.outer_pages()), bound, &simple, &[], &env)?;
-
-        // Phase 2: one verdict memo per nested conjunct, keyed by the
-        // candidate's projection onto the conjunct's free outer columns.
-        let mut plans: Vec<Verdicts> = Vec::with_capacity(nested.len());
-        for p in &nested {
-            let Some(idx) = self.conjunct_outer_cols(p, scope_schema)? else {
-                // A free reference resolves past this block (deeper
-                // nesting) or ambiguously — evaluate this conjunct per
-                // row, where nested iteration's scope chain applies.
-                plans.push(Verdicts::PerRow);
-                continue;
-            };
-            let mut memo: FxHashMap<Tuple, Result<Option<bool>>> = FxHashMap::default();
-            if candidates.is_empty() {
-                // No candidate will ever consult the memo; skip the work.
-            } else if idx.is_empty() {
-                // The conjunct is closed over this block's scope: one
-                // evaluation covers every candidate (`project(&[])` maps
-                // each candidate to the empty key).
-                memo.insert(Tuple::default(), self.eval_pred(p, &env));
-            } else {
-                let proj_schema = scope_schema.project(&idx);
-                let keys: Vec<SortKey> = (0..idx.len()).map(SortKey::asc).collect();
-                // The projection is freed once sorted, before the sorted
-                // bindings are read; those go after the last one is visited.
-                let sorted = {
-                    let file = TempFile::new(
-                        &self.storage,
-                        HeapFile::from_tuples(
-                            &self.storage,
-                            proj_schema.clone(),
-                            candidates.iter().map(|t| t.project(&idx)),
-                        ),
-                    );
-                    TempFile::new(&self.storage, external_sort(&self.storage, &file, &keys, true))
-                };
-                let visit = |b: &Tuple| -> std::result::Result<(), std::convert::Infallible> {
-                    let here = env.child(&proj_schema, b);
-                    memo.insert(b.clone(), self.eval_pred(p, &here));
-                    Ok(())
-                };
-                match sorted.try_for_each(&self.storage, visit) {
-                    Ok(()) => {}
-                }
-            }
-            plans.push(Verdicts::Memo(idx, memo));
-        }
-
-        // Phase 3: replay in original order with nested iteration's
-        // conjunct order and short-circuiting.
-        let mut survivors: Vec<Tuple> = Vec::new();
-        'cand: for binding in candidates {
-            for (p, plan) in nested.iter().zip(&plans) {
-                let verdict = match plan {
-                    Verdicts::PerRow => {
-                        let here = env.child(scope_schema, &binding);
-                        self.eval_pred(p, &here)?
-                    }
-                    Verdicts::Memo(idx, memo) => memo
-                        .get(&binding.project(idx))
-                        .cloned()
-                        .expect("batched memo covers every candidate binding")?,
-                };
-                if verdict != Some(true) {
-                    continue 'cand;
-                }
-            }
-            survivors.push(binding);
-        }
-        self.eval_select(q, scope_schema, survivors, &env)
-    }
-
-    /// The outer-scope columns a nested conjunct depends on: every free
-    /// column reference — at the conjunct's own level or free within its
-    /// subquery blocks — resolved to an index in `scope_schema`
-    /// (deduplicated, first-occurrence order). `Ok(None)` means some free
-    /// reference does not resolve (or resolves ambiguously) against this
-    /// block's scope — e.g. it belongs to a still-outer scope when this
-    /// block is itself nested — and the caller must fall back to per-row
-    /// evaluation for that conjunct.
-    fn conjunct_outer_cols(
-        &self,
-        p: &Predicate,
-        scope_schema: &Schema,
-    ) -> Result<Option<Vec<usize>>> {
-        let subs: Vec<Rc<BlockInfo>> =
-            p.child_blocks().into_iter().map(|sub| self.block_info(sub)).collect::<Result<_>>()?;
-        let refs = predicate_column_refs(p).into_iter().chain(subs.iter().flat_map(|i| &i.free));
-        let mut idx: Vec<usize> = Vec::new();
-        for c in refs {
-            match scope_schema.try_resolve(c.table.as_deref(), &c.column) {
-                Some(i) => {
-                    if !idx.contains(&i) {
-                        idx.push(i);
-                    }
-                }
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(idx))
-    }
-
     // ------------------------------------------------------------- blocks
 
     /// Recall — or, the first time a query meets the block, work out — what
@@ -948,13 +820,19 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         }
         let conjuncts = q.where_clause.as_ref().map(|p| p.conjuncts()).unwrap_or_default();
         let nested: Vec<bool> = conjuncts.iter().map(|p| p.contains_subquery()).collect();
-        let simple: Vec<&Predicate> =
-            conjuncts.into_iter().zip(&nested).filter(|(_, n)| !**n).map(|(p, _)| p).collect();
+        let (with_blocks, simple): (Vec<&Predicate>, Vec<&Predicate>) =
+            conjuncts.into_iter().partition(|p| p.contains_subquery());
+        let memo_keys = if self.faithful {
+            vec![None; with_blocks.len()]
+        } else {
+            with_blocks.iter().map(|p| self.memo_key(p, &schema)).collect::<Result<_>>()?
+        };
         let info = Rc::new(BlockInfo {
             template: Template::compile(&schema, &simple),
             files,
             schema,
             nested,
+            memo_keys,
             free,
             signature: OnceCell::new(),
             result: OnceCell::new(),
@@ -962,6 +840,29 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         });
         self.blocks.borrow_mut().insert(key, Rc::clone(&info));
         Ok(info)
+    }
+
+    /// The memo key of nested conjunct `p` in a block whose scope is
+    /// `schema`: the columns its verdict can depend on — its own references
+    /// and the free references of the blocks it holds — that `schema`
+    /// resolves, deduplicated in first-occurrence order. A reference the
+    /// schema does not know is an outer value, fixed for one evaluation of
+    /// the block, and no part of the key. `None`: a reference is ambiguous
+    /// in `schema`, and the conjunct must run per row to raise that error
+    /// where nested iteration does.
+    fn memo_key(&self, p: &Predicate, schema: &Schema) -> Result<Option<Vec<usize>>> {
+        let subs: Vec<Rc<BlockInfo>> =
+            p.child_blocks().into_iter().map(|sub| self.block_info(sub)).collect::<Result<_>>()?;
+        let refs = predicate_column_refs(p).into_iter().chain(subs.iter().flat_map(|i| &i.free));
+        let mut key: Vec<usize> = Vec::new();
+        for c in refs {
+            match schema.resolve(c.table.as_deref(), &c.column) {
+                Ok(i) if !key.contains(&i) => key.push(i),
+                Err(nsql_types::TypeError::AmbiguousColumn(_)) => return Ok(None),
+                _ => {}
+            }
+        }
+        Ok(Some(key))
     }
 
     /// Evaluate one block under `env`, the scope chain of the enclosing
@@ -1047,13 +948,14 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         Some(Bound { conjuncts: tpl.conjuncts(&outer), outer })
     }
 
-    /// The binding loop — the only one: `eval_block` and phase 1 of batched
-    /// evaluation run it. Takes the tuples of the block's outermost file from `tuples` — pages, `read_page` called
-    /// for each in order, or what a probe found; under every tuple
-    /// enumerates the remaining FROM files by nested iteration; applies the
-    /// simple conjuncts in order, stopping at the first non-TRUE one, then
-    /// hands the binding — cloned off the page only now — to the
-    /// interpreter for the nested conjuncts under the same rule. The
+    /// The binding loop — the only one, run by `eval_block`. Takes the
+    /// tuples of the block's outermost file from `tuples` — pages,
+    /// `read_page` called for each in order, or what a probe found; under
+    /// every tuple enumerates the remaining FROM files by nested iteration;
+    /// applies the simple conjuncts in order, stopping at the first non-TRUE
+    /// one, then hands the binding — cloned off the page only now — to the
+    /// interpreter for the nested conjuncts under the same rule, each
+    /// evaluated once per distinct memo key (see the module docs). The
     /// predicate is the arbiter either way: a probe's tuples run every
     /// conjunct, the key conjunct included. Returns the survivors in
     /// enumeration order.
@@ -1091,11 +993,22 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             Ok(true)
         };
         let mut survivors: Vec<Tuple> = Vec::new();
+        // Per nested conjunct, its verdicts by key for this evaluation only:
+        // outer values are fixed while it lasts. Errors are not kept.
+        let mut memos: Vec<FxHashMap<Tuple, Option<bool>>> =
+            vec![FxHashMap::default(); nested.len()];
         let mut admit = |binding: Tuple| -> Result<()> {
             if !nested.is_empty() {
                 let here = env.child(schema, &binding);
-                for p in nested {
-                    if self.eval_pred(p, &here)? != Some(true) {
+                for ((p, key), memo) in nested.iter().zip(&info.memo_keys).zip(&mut memos) {
+                    let verdict = match key {
+                        Some(cols) => match memo.entry(binding.project(cols)) {
+                            Entry::Occupied(seen) => *seen.get(),
+                            Entry::Vacant(slot) => *slot.insert(self.eval_pred(p, &here)?),
+                        },
+                        None => self.eval_pred(p, &here)?,
+                    };
+                    if verdict != Some(true) {
                         return Ok(());
                     }
                 }

@@ -220,7 +220,7 @@ pub struct StatementSample {
     pub reads: u64,
     /// Counted pages written by the call.
     pub writes: u64,
-    /// Strategy that ran (`"nested-iteration"`, `"transform"`, `"batched"`).
+    /// Strategy that ran (`"nested-iteration"` or `"transform"`).
     pub strategy: String,
     /// Exec mode that ran (`"row"` / `"vector"`).
     pub exec_mode: String,

@@ -108,6 +108,7 @@ done <<GATES
 \\b(sort_pages|never_raises)\\b|\\binfallible\\(#$everywhere#-#a copy of cost::sort_cost, or a second cannot-raise truth table beside nsql_engine::pred::cannot_raise (DESIGN.md "Join choice")
 \\b(select_block_rule|BLOCK_RULES|BlockRule|BlockAction|NestedShape)\\b#$everywhere#-#the block-rule catalog; nest_g::transform_nested matches on the nesting shape itself (DESIGN.md "One planner for flat blocks", Dispatch)
 \\b(trace_view|trace_marker|is_trace|charge_read|charge_write|write_uncounted|eval_parallel|IoMode)\\b|TraceEvent::Marker#$everywhere#-#storage's trace mode or the trace-and-replay parallel nested iteration it served; nested iteration is serial (DESIGN.md "Threading model")
+\\b(eval_batched|Verdicts|BatchedParams|batched_cost)\\b|Strategy::Batched|StrategyKind::Batched|QueryOptions::batched\\b#$everywhere#-#batched correlated evaluation, a second correlated evaluator; nested iteration evaluates each distinct binding once (DESIGN.md "One correlated evaluator"). The eval_query_batched stub stays for benchmark/
 faithful_1987 *[:=] *true|UnnestOptions::faithful\\(|set_faithful\\(true#$non_test#crates/core/src/nest_g\\.rs|crates/db/src/options\\.rs|crates/bench/src/.*|src/diff\\.rs|examples/.*#faithful_1987 is set on a path the default options reach
 GATES
 
@@ -240,8 +241,8 @@ NSQL_TEST_SEED=0xd1ffc4ec NSQL_TEST_CASES=60 cargo test -q --offline --test diff
 # blocks deep (src/diff.rs pins that the seed still generates one).
 NSQL_TEST_SEED=0x9e4a100 NSQL_TEST_CASES=20 cargo test -q --offline --test diff_prop
 
-echo "==> batched_prop smoke (thread/backend I/O invariance + metamorphic mutations)"
-NSQL_TEST_SEED=0xba7c4ed0 NSQL_TEST_CASES=60 cargo test -q --offline --test batched_prop
+echo "==> ni_memo_prop smoke (thread/backend I/O invariance + metamorphic mutations against 1987)"
+NSQL_TEST_SEED=0xba7c4ed0 NSQL_TEST_CASES=60 cargo test -q --offline --test ni_memo_prop
 
 echo "==> ni_probe_prop at a second seed (probing blocks against the 1987 scan, the oracle and four threads)"
 NSQL_TEST_SEED=0x9a0be5 NSQL_TEST_CASES=60 cargo test -q --offline -p nsql-db --test ni_probe_prop

@@ -12,7 +12,7 @@
 //! ```text
 //! .help                 this text
 //! .tables               list tables
-//! .strategy ni|cost|merge|nl|hash|batched
+//! .strategy ni|cost|merge|nl|hash
 //!                       evaluation strategy for subsequent SELECTs
 //! .variant ja2|kim|noproj|late
 //!                       type-JA algorithm (kim/noproj/late are the paper's
@@ -77,10 +77,7 @@ impl Shell {
                         self.opts.strategy = Strategy::Transform;
                         self.opts.join_policy = JoinPolicy::ForceHashJoin;
                     }
-                    Some("batched") => {
-                        self.opts.strategy = Strategy::Batched;
-                    }
-                    _ => println!("usage: .strategy ni|cost|merge|nl|hash|batched"),
+                    _ => println!("usage: .strategy ni|cost|merge|nl|hash"),
                 }
                 println!("ok");
             }
@@ -236,7 +233,7 @@ fn print_help() {
         "SQL (terminated by ';'): CREATE TABLE, INSERT INTO … VALUES, SELECT,\n\
          EXPLAIN SELECT … (transform decision + predicted Section-7 costs),\n\
          EXPLAIN ANALYZE SELECT … (adds the measured profile: phases → operators, time/pages/rows)\n\
-         .tables | .demo | .strategy ni|cost|merge|nl|hash|batched | .variant ja2|kim|noproj|late\n\
+         .tables | .demo | .strategy ni|cost|merge|nl|hash | .variant ja2|kim|noproj|late\n\
          .explain SELECT … | .tree SELECT … | .quit\n\
          .stats [json]   cumulative statistics (also queryable: SELECT … FROM nsql_stat_statements)\n\
          .slow [<ms>|off]  show the slow-query log / set the threshold"

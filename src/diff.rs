@@ -5,8 +5,7 @@
 //! comparison is type-compatible, NULLs and duplicate rows are injected
 //! deliberately); [`check_case`] evaluates the query with the naive
 //! tuple-at-a-time oracle (`nsql-oracle`) and with every engine pipeline —
-//! nested iteration, batched correlated evaluation (plus a cache-on
-//! variant), the NEST-G transformation under
+//! nested iteration, the NEST-G transformation under
 //! each join policy (every one with its join inputs restricted first, in the
 //! canonical query and in a temporary over several relations, as the default
 //! path runs), once more as the paper's literal plans, and the
@@ -14,10 +13,9 @@
 //! compares results at
 //! exactly the strength the paper promises:
 //!
-//! * nested iteration must be **bag-equal** to the oracle, always; batched
-//!   correlated evaluation is held to the same
-//!   full-strength contract (its replay phase consults exactly the
-//!   conjunct/binding pairs nested iteration would, in the same order);
+//! * nested iteration must be **bag-equal** to the oracle, always — with
+//!   its memo of one verdict per distinct binding on (the `ni-serial`
+//!   pipeline runs the default options);
 //! * transformed plans must be bag-equal except where a documented
 //!   divergence license applies (tracked by [`nsql_oracle::Notes`], written
 //!   up in DESIGN.md "Oracle semantics"): the `ALL`-over-empty-or-NULL
@@ -655,22 +653,19 @@ struct Pipeline {
 }
 
 /// The pipelines under differential test. Nested iteration runs once (it is
-/// serial at every thread count); batched correlated evaluation runs plain
-/// and with the cache on (held to nested iteration's full-strength contract:
-/// bag-equal always, cardinality errors reproduced); the transformation
-/// runs under every join policy, in parallel, and in the
-/// duplicate-collapsing `preserve_duplicates` mode. Row pipelines pin
+/// serial at every thread count); the transformation runs under every join
+/// policy, in parallel, and in the duplicate-collapsing
+/// `preserve_duplicates` mode. Row pipelines pin
 /// `ExecMode::Row` (not `Auto`) so the sweep diffs both representations
 /// whatever `Auto` comes to mean; `tr-vec-hash` reruns the forced-hash-join
 /// shapes under the batch hash-join kernel.
 fn pipelines() -> Vec<Pipeline> {
-    let correlated = |strategy: Strategy| QueryOptions {
-        strategy,
+    let ni = QueryOptions {
+        strategy: Strategy::NestedIteration,
         cold_start: true,
         exec_mode: ExecMode::Row,
         ..Default::default()
     };
-    let (ni, ba) = (correlated(Strategy::NestedIteration), correlated(Strategy::Batched));
     let tr = |policy: JoinPolicy, threads: usize| QueryOptions {
         strategy: Strategy::Transform,
         join_policy: policy,
@@ -681,17 +676,6 @@ fn pipelines() -> Vec<Pipeline> {
     };
     vec![
         Pipeline { name: "ni-serial", opts: ni, transform: false, set_only: false },
-        // Batched correlated evaluation: same per-row semantics as nested
-        // iteration (replay consults exactly the conjunct/binding pairs
-        // nested iteration would evaluate, in the same order), so it takes
-        // the unlicensed arm of the checker.
-        Pipeline { name: "ba-serial", opts: ba.clone(), transform: false, set_only: false },
-        Pipeline {
-            name: "ba-cache",
-            opts: QueryOptions { cache: CacheMode::On, ..ba },
-            transform: false,
-            set_only: false,
-        },
         Pipeline {
             name: "tr-cost-serial",
             opts: tr(JoinPolicy::CostBased, 1),

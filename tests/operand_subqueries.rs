@@ -11,9 +11,8 @@
 //!
 //! Here every form runs correlated at depth 1 and through an otherwise
 //! uncorrelated middle block at depth 2, under nested iteration (1 and 2
-//! threads), batched evaluation and the default path with the caller's
-//! retry protocol (on `DbError::Transform`, rerun by nested iteration),
-//! against `nsql-oracle`.
+//! threads) and the default path with the caller's retry protocol (on
+//! `DbError::Transform`, rerun by nested iteration), against `nsql-oracle`.
 
 use nsql_db::{Database, DbError, QueryOptions, Strategy};
 use nsql_oracle::Oracle;
@@ -126,8 +125,6 @@ fn assert_agrees(db: &Database, oracle: &Oracle, label: &str, sql: &str) {
     let runs = [
         ("ni", db.query_with(sql, &pinned(Strategy::NestedIteration, 1)).map(|o| o.relation)),
         ("ni-2", db.query_with(sql, &pinned(Strategy::NestedIteration, 2)).map(|o| o.relation)),
-        ("batched", db.query_with(sql, &pinned(Strategy::Batched, 1)).map(|o| o.relation)),
-        ("batched-2", db.query_with(sql, &pinned(Strategy::Batched, 2)).map(|o| o.relation)),
         ("default+retry", default_with_retry(db, sql)),
     ];
     for (pipeline, got) in runs {
@@ -170,7 +167,6 @@ fn unresolved_column_in_an_operand_block_is_an_analyzer_error() {
     ] {
         for opts in [
             QueryOptions::nested_iteration(),
-            QueryOptions::batched(),
             QueryOptions::transformed(),
         ] {
             let e = db.query_with(sql, &opts).unwrap_err();
