@@ -32,8 +32,8 @@ static NEXT_DATABASE: AtomicU64 = AtomicU64::new(0);
 /// under the other engine configurations and expects the same bytes.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// The options every query of the run starts from: worker threads,
-    /// exec mode, cache mode and so on. A figure pins what it measures on
+    /// The options every query of the run starts from: exec mode, cache
+    /// mode and so on. A figure pins what it measures on
     /// top of these through [`RunConfig::opts`].
     pub base: QueryOptions,
     /// Where the run's databases live: each one a file-backed store in a
@@ -47,11 +47,11 @@ pub struct RunConfig {
 }
 
 impl Default for RunConfig {
-    /// The configuration of record: serial, in memory, statistics on, seed
-    /// 42, every other option at its default.
+    /// The configuration of record: in memory, statistics on, seed 42,
+    /// every option at its default.
     fn default() -> Self {
         RunConfig {
-            base: QueryOptions { threads: 1, ..QueryOptions::default() },
+            base: QueryOptions::default(),
             data_dir: None,
             stats: true,
             seed: workload::DEFAULT_SEED,
@@ -112,11 +112,10 @@ impl RunConfig {
         }
     }
 
-    /// An operator executor for the figures that drive a plan by hand, at
-    /// the base options' thread count and exec mode.
+    /// An operator executor for the figures that drive a plan by hand, in
+    /// the base options' exec mode.
     pub fn exec(&self, storage: &Storage) -> Exec {
-        Exec::with_requested_threads(storage.clone(), self.base.threads)
-            .with_vectorized(self.base.exec_mode.vectorized())
+        Exec::new(storage.clone()).with_vectorized(self.base.exec_mode.vectorized())
     }
 }
 

@@ -2,10 +2,10 @@
 //! configuration.
 //!
 //! The paper's record is counted page I/O, and nothing the engine has grown
-//! since — worker threads, the file-backed store, vectorized kernels, the
-//! result cache, the statistics registry — may move one digit of it. Each
-//! of the seven figures is rendered in process under the configuration of
-//! record and under each of those five, and the strings are compared.
+//! since — the file-backed store, vectorized kernels, the result cache, the
+//! statistics registry — may move one digit of it. Each of the seven figures
+//! is rendered in process under the configuration of record and under each
+//! of those four, and the strings are compared.
 //!
 //! Two cells are exempt, both for the same stated reason: `bugs` prints
 //! EXPLAIN output, which under `ExecMode::Vector` gains an "exec mode:
@@ -46,7 +46,6 @@ fn figures_are_byte_identical_under_every_configuration() {
         cfg
     };
     let configurations = [
-        ("threads = 4", vary(&|c| c.base.threads = 4)),
         ("file store", vary(&|c| c.data_dir = Some(dir.path().to_path_buf()))),
         ("exec_mode = vector", vary(&|c| c.base.exec_mode = ExecMode::Vector)),
         ("cache = on", vary(&|c| c.base.cache = CacheMode::On)),
@@ -69,5 +68,5 @@ fn figures_are_byte_identical_under_every_configuration() {
             compared += 1;
         }
     }
-    assert_eq!(compared, 7 * 5 - 2, "7 figures x 5 configurations, less the two `bugs` cells");
+    assert_eq!(compared, 7 * 4 - 2, "7 figures x 4 configurations, less the two `bugs` cells");
 }

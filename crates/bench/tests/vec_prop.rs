@@ -1,15 +1,15 @@
 //! Vectorized-equivalence property: on seeded benchmark workloads, the
 //! transformed path run under `ExecMode::Vector` returns bit-identical rows
 //! AND leaves a byte-identical four-counter page-I/O trace
-//! (reads/writes/hits/misses) compared to `ExecMode::Row` — at 1 and 4
-//! threads, end-to-end through the `Database` facade. The whole vectorized
+//! (reads/writes/hits/misses) compared to `ExecMode::Row`, end-to-end
+//! through the `Database` facade. The whole vectorized
 //! subsystem (batch kernels, batched join/agg) must be invisible to
 //! everything except wall-clock time.
 //!
 //! Nested iteration has one kernel, so there is no second mode to compare
 //! it with: the statements this suite used to run under both of its
-//! kernels stay, held to `nsql-oracle` (rows), to the transformed path
-//! (float bits) and to the serial run (four-counter trace at 4 threads).
+//! kernels stay, held to `nsql-oracle` (rows) and to the transformed path
+//! (float bits).
 //!
 //! Every test runs on both storage backends ([`on_both_backends`]).
 
@@ -17,7 +17,6 @@ use nsql_bench::workload::{queries, WorkloadSpec, DEFAULT_SEED};
 use nsql_bench::{RunConfig, Workload};
 use nsql_db::{DbError, ExecMode, JoinPolicy, QueryOptions, QueryOutcome};
 use nsql_oracle::Oracle;
-use nsql_storage::IoSnapshot;
 use nsql_testkit::TempDir;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
 
@@ -98,36 +97,9 @@ fn oracle_of(w: &Workload, tables: &[&str]) -> Oracle {
     oracle
 }
 
-/// One nested-iteration run and the four-counter trace around it.
-fn run_ni(w: &Workload, sql: &str, threads: usize) -> (Result<QueryOutcome, DbError>, IoSnapshot) {
-    let opts = QueryOptions { threads, ..QueryOptions::nested_iteration() };
-    let before = w.db.storage().io_snapshot();
-    let out = w.db.query_with(sql, &opts);
-    (out, w.db.storage().io_snapshot().since(&before))
-}
-
-/// Nested iteration at 1 and 4 threads: same rows (or the same error), the
-/// same reported I/O and the same four-counter trace. Returns the serial
-/// outcome.
-fn check_ni_threads(w: &Workload, sql: &str, name: &str) -> Result<QueryOutcome, DbError> {
-    let (serial, trace) = run_ni(w, sql, 1);
-    let (par, par_trace) = run_ni(w, sql, 4);
-    match (&serial, &par) {
-        (Ok(a), Ok(b)) => {
-            assert_bit_identical(name, &a.relation, &b.relation);
-            assert_eq!(a.io, b.io, "{name}: reported I/O totals diverged at 4 threads");
-        }
-        (Err(a), Err(b)) => {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{name}: errors diverged at 4 threads")
-        }
-        (a, b) => panic!(
-            "{name}: one thread count failed: serial {:?}, 4 threads {:?}",
-            a.as_ref().map(|o| o.relation.len()),
-            b.as_ref().map(|o| o.relation.len())
-        ),
-    }
-    assert_eq!(trace, par_trace, "{name}: 4 threads changed the reads/writes/hits/misses trace");
-    serial
+/// One nested-iteration run.
+fn run_ni(w: &Workload, sql: &str) -> Result<QueryOutcome, DbError> {
+    w.db.query_with(sql, &QueryOptions::nested_iteration())
 }
 
 #[test]
@@ -138,8 +110,7 @@ fn nested_iteration_equals_the_oracle() {
             let oracle = oracle_of(&w, &["PARTS", "SUPPLY"]);
             for (name, sql) in QUERIES {
                 let name = format!("ni/{name}/seed={seed}");
-                let got =
-                    check_ni_threads(&w, sql, &name).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let got = run_ni(&w, sql).unwrap_or_else(|e| panic!("{name}: {e}"));
                 let want = oracle.eval(&nsql_sql::parse_query(sql).unwrap()).unwrap();
                 assert!(got.relation.same_bag(&want), "{name}: nested iteration != oracle");
             }
@@ -156,16 +127,10 @@ fn vectorized_transform_equals_row_mode() {
             (JoinPolicy::ForceHashJoin, "hash"),
             (JoinPolicy::CostBased, "cost"),
         ] {
-            for threads in [1usize, 4] {
-                let base = QueryOptions {
-                    join_policy: policy,
-                    threads,
-                    ..QueryOptions::transformed()
-                };
-                for (name, sql) in QUERIES {
-                    let name = format!("tr/{pname}/{name}/threads={threads}");
-                    assert!(check(&w, sql, &name, &base), "{name}: expected an answer");
-                }
+            let base = QueryOptions { join_policy: policy, ..QueryOptions::transformed() };
+            for (name, sql) in QUERIES {
+                let name = format!("tr/{pname}/{name}");
+                assert!(check(&w, sql, &name, &base), "{name}: expected an answer");
             }
         }
     });
@@ -205,9 +170,9 @@ fn vectorized_float_aggregates_bit_identical() {
             let base = QueryOptions::transformed();
             assert!(check(&w, sql, "float-agg/tr", &base), "float-agg/tr: expected an answer");
             // Nested iteration folds with the same exact summation: bit-equal
-            // to the transformed path, at either thread count.
+            // to the transformed path.
             let tr = w.db.query_with(sql, &base).unwrap();
-            let ni = check_ni_threads(&w, sql, "float-agg/ni").unwrap();
+            let ni = run_ni(&w, sql).unwrap();
             assert_bit_identical("float-agg/ni vs tr", &ni.relation, &tr.relation);
         }
     });
@@ -218,8 +183,7 @@ fn vectorized_float_aggregates_bit_identical() {
 /// UNKNOWN*. Generated statements put a type-mismatched conjunct behind a
 /// comparison on a sometimes-NULL column, at top level and inside a
 /// correlated inner block: where no row gets past the guard nested
-/// iteration answers, where one does it raises — at every thread count,
-/// after the same I/O. The oracle's `AND` evaluates past UNKNOWN, so it
+/// iteration answers, where one does it raises. The oracle's `AND` evaluates past UNKNOWN, so it
 /// raises at least as often: it must raise wherever nested iteration does
 /// and agree on the rows wherever it answers. The split of the 40 seeded
 /// statements is pinned.
@@ -263,7 +227,7 @@ fn type_mismatch_behind_a_sometimes_null_conjunct() {
             };
             let name = format!("guarded-mismatch/{case}: {sql}");
             let reference = oracle.eval(&nsql_sql::parse_query(&sql).unwrap());
-            match check_ni_threads(&w, &sql, &name) {
+            match run_ni(&w, &sql) {
                 Ok(got) => {
                     if let Ok(want) = reference {
                         assert!(got.relation.same_bag(&want), "{name}: nested iteration != oracle");

@@ -333,7 +333,7 @@ impl Database {
                 let mut explain = header_lines(opts, plan.temp_count());
                 explain.extend(plan.trace.iter().cloned());
                 explain.push(format!("canonical: {}", nsql_sql::print_query(&plan.canonical)));
-                let exec = Exec::with_requested_threads(storage.clone(), opts.threads)
+                let exec = Exec::new(storage.clone())
                     .with_vectorized(opts.vectorized())
                     .with_obs(profile.clone());
                 let mut pe = PlanExecutor::new(exec, &self.catalog, opts.join_policy);
@@ -574,7 +574,7 @@ mod tests {
     #[test]
     fn explain_analyze_q2_shows_decision_costs_and_actuals() {
         let db = kiessling_db();
-        let opts = QueryOptions { threads: 1, ..QueryOptions::transformed() };
+        let opts = QueryOptions::transformed();
         let report = db.explain_query(Q2, true, &opts).unwrap();
         // Transform decision: NEST-JA2 must fire on a type-JA query.
         assert!(report.chosen.contains("NEST-JA2"), "{}", report.chosen);

@@ -6,7 +6,7 @@
 //! method combinations plus the nested-iteration baseline — and, under
 //! `ANALYZE`, the *measured* profile: one tree from the lifecycle phases
 //! down to the operators, each node with wall time and pages, operators
-//! with rows and morsel distribution.
+//! with rows.
 //!
 //! Predicted costs use measured temporary sizes when the query actually
 //! ran (`ANALYZE`); plain `EXPLAIN` falls back to crude upper bounds from

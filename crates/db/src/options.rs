@@ -182,7 +182,9 @@ impl Strategy {
     }
 }
 
-/// Full option set for [`crate::Database::query_with`].
+/// Full option set for [`crate::Database::query_with`]. There is no thread
+/// count: every statement runs serially on the calling thread (DESIGN.md
+/// "Execution is serial").
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Evaluation strategy.
@@ -203,16 +205,6 @@ pub struct QueryOptions {
     /// — and `unnest.faithful_1987` with it, so they run the paper's literal
     /// plans.
     pub cold_start: bool,
-    /// Worker threads for morsel-parallel execution of the transformed
-    /// plan's operators; nested iteration is serial.
-    /// `0` (the default) resolves from `NSQL_THREADS`, falling back to the
-    /// machine's available parallelism; `1` takes the exact serial code
-    /// path. A count named here or by `NSQL_THREADS` is obeyed by every
-    /// operator; the fallback is a budget — each operator fans out only over
-    /// an input large enough to repay the dispatch (DESIGN.md "Threading
-    /// model"). Parallel runs report the same per-query I/O totals as
-    /// serial runs by construction.
-    pub threads: usize,
     /// Collect observability data: the query's profile tree — lifecycle
     /// spans down to per-operator counters — and diagnostic events
     /// ([`crate::QueryOutcome::obs`]). Collection is
@@ -281,7 +273,7 @@ mod tests {
     use super::*;
 
     /// The documented defaults, field by field (exhaustively destructured,
-    /// so an eleventh field cannot join unpinned).
+    /// so a tenth field cannot join unpinned).
     #[test]
     fn default_options_are_the_documented_ones() {
         let QueryOptions {
@@ -290,7 +282,6 @@ mod tests {
             join_policy,
             index_use,
             cold_start,
-            threads,
             observe,
             exec_mode,
             cache,
@@ -303,7 +294,6 @@ mod tests {
         assert_eq!(join_policy, JoinPolicy::CostBased);
         assert_eq!(index_use, IndexUse::CostBased);
         assert!(!cold_start, "statements share warm buffers unless asked otherwise");
-        assert_eq!(threads, 0, "0 = NSQL_THREADS, else the machine's parallelism");
         assert!(!observe);
         assert_eq!(exec_mode, ExecMode::Auto);
         assert_eq!(cache, CacheMode::Auto);

@@ -43,7 +43,7 @@ use std::sync::Arc;
 /// call when the profile is disabled).
 ///
 /// Wall time and page I/O are the node's own; engine internals (row counts,
-/// morsel claims, hash build/probe phases) record into its counters while it
+/// hash build/probe phases) record into its counters while it
 /// is the innermost open node. `rows_in`/`rows` only apply when the engine
 /// recorded nothing itself, so nothing is double-counted.
 pub(crate) fn observed<R, E>(

@@ -32,7 +32,6 @@ fn opts(strategy: &Strategy, cache: CacheMode) -> QueryOptions {
         strategy: strategy.clone(),
         cache,
         cold_start: true,
-        threads: 1,
         ..QueryOptions::default()
     }
 }

@@ -2,8 +2,8 @@
 //! statement texts, pinned so that the next movement shows: rows equal to
 //! nested iteration's; the four storage counters of every statement as
 //! constants recorded when the default path began restricting its join
-//! inputs (ISSUE 21), the same on the memory and the file store and at one
-//! and four threads; total counted I/O below the paper's literal plans'; and
+//! inputs (ISSUE 21), the same on the memory and the file store; total
+//! counted I/O below the paper's literal plans'; and
 //! — the deterministic stand-in for the CPU term of the join choice — every
 //! statement within 2× of the better of the paper's two join methods forced,
 //! in page-I/O equivalents (counted I/O plus buffer visits at the executor's
@@ -168,43 +168,41 @@ fn check(g: &Geometry, pinned: [IoSnapshot; 8]) {
         .map(|(_, sql, _)| run(&mem, sql, &QueryOptions::nested_iteration()).0)
         .collect();
     for (backend, db) in [("memory", &mem), ("file", &file)] {
-        for threads in [1, 4] {
-            let at = format!("{} on {backend}, threads {threads}", g.what);
-            let default = QueryOptions { threads, ..QueryOptions::default() };
-            let mut counters = Vec::new();
-            let (mut default_io, mut literal_io) = (0, 0);
-            for ((name, sql, as_set), want) in STATEMENTS.iter().zip(&reference) {
-                let (got, io) = run(db, sql, &default);
-                let same = if *as_set { got.same_set(want) } else { got.same_bag(want) };
-                assert!(same, "{name}, {at}\nnested iteration:\n{want}\ndefault:\n{got}");
-                assert!(!want.is_empty(), "{name}: the statement must select something");
+        let at = format!("{} on {backend}", g.what);
+        let default = QueryOptions::default();
+        let mut counters = Vec::new();
+        let (mut default_io, mut literal_io) = (0, 0);
+        for ((name, sql, as_set), want) in STATEMENTS.iter().zip(&reference) {
+            let (got, io) = run(db, sql, &default);
+            let same = if *as_set { got.same_set(want) } else { got.same_bag(want) };
+            assert!(same, "{name}, {at}\nnested iteration:\n{want}\ndefault:\n{got}");
+            assert!(!want.is_empty(), "{name}: the statement must select something");
 
-                let literal = QueryOptions { threads, ..QueryOptions::transformed() };
-                default_io += io.total();
-                literal_io += run(db, sql, &literal).1.total();
+            let literal = QueryOptions::transformed();
+            default_io += io.total();
+            literal_io += run(db, sql, &literal).1.total();
 
-                // Hash join is left out: its build side ignores `B`, so it is
-                // not a choice the cost-based policy has.
-                let best_forced = [JoinPolicy::ForceNestedLoop, JoinPolicy::ForceMergeJoin]
-                    .map(|join_policy| QueryOptions { join_policy, ..default.clone() })
-                    .iter()
-                    .map(|forced| work(run(db, sql, forced).1))
-                    .min()
-                    .unwrap();
-                assert!(
-                    work(io) <= 2 * best_forced,
-                    "{name}, {at}: {} page-I/O equivalents, {best_forced} under the best forced \
-                     join policy",
-                    work(io)
-                );
-                counters.push(io);
-            }
-            assert_eq!(counters, pinned, "{at}");
+            // Hash join is left out: its build side ignores `B`, so it is
+            // not a choice the cost-based policy has.
+            let best_forced = [JoinPolicy::ForceNestedLoop, JoinPolicy::ForceMergeJoin]
+                .map(|join_policy| QueryOptions { join_policy, ..default.clone() })
+                .iter()
+                .map(|forced| work(run(db, sql, forced).1))
+                .min()
+                .unwrap();
             assert!(
-                default_io < literal_io,
-                "{at}: {default_io} page I/Os by default, {literal_io} as the paper's literal plans"
+                work(io) <= 2 * best_forced,
+                "{name}, {at}: {} page-I/O equivalents, {best_forced} under the best forced \
+                 join policy",
+                work(io)
             );
+            counters.push(io);
         }
+        assert_eq!(counters, pinned, "{at}");
+        assert!(
+            default_io < literal_io,
+            "{at}: {default_io} page I/Os by default, {literal_io} as the paper's literal plans"
+        );
     }
 }
 
@@ -294,9 +292,9 @@ fn load_dup(db: &mut Database, g: &Geometry) {
 
 /// The caller's retry after a refusal (`benchmark/src/run.rs::select`), and
 /// the same call under the 1987 switch.
-fn retry(threads: usize, faithful_1987: bool) -> QueryOptions {
+fn retry(faithful_1987: bool) -> QueryOptions {
     let unnest = nsql_core::UnnestOptions { faithful_1987, ..Default::default() };
-    QueryOptions { strategy: Strategy::NestedIteration, threads, unnest, ..QueryOptions::default() }
+    QueryOptions { strategy: Strategy::NestedIteration, unnest, ..QueryOptions::default() }
 }
 
 #[test]
@@ -330,15 +328,13 @@ fn refused_statements_probe_a_tree_they_build() {
             // The default path refuses the shape; its caller retries.
             let refused = db.query_with(sql, &QueryOptions::default());
             assert!(matches!(refused, Err(nsql_db::DbError::Transform(_))), "{name} is not refused");
-            let (want, paper) = run(db, sql, &retry(1, true));
+            let (want, paper) = run(db, sql, &retry(true));
             assert!(!want.is_empty(), "{name}: the statement must select something");
-            for threads in [1, 4] {
-                let at = format!("{name} on {backend}, threads {threads}");
-                let (got, io) = run(db, sql, &retry(threads, false));
-                assert!(got.same_bag(&want), "{at}\n1987:\n{want}\ndefault:\n{got}");
-                assert_eq!(io, *pinned, "{at}");
-                assert!(io.total() * 2 < paper.total(), "{at}: {io:?} against {paper:?}");
-            }
+            let at = format!("{name} on {backend}");
+            let (got, io) = run(db, sql, &retry(false));
+            assert!(got.same_bag(&want), "{at}\n1987:\n{want}\ndefault:\n{got}");
+            assert_eq!(io, *pinned, "{at}");
+            assert!(io.total() * 2 < paper.total(), "{at}: {io:?} against {paper:?}");
             assert_eq!(db.storage().live_pages(), live, "{name} on {backend}: the trees are freed");
         }
     }
@@ -369,13 +365,11 @@ fn a_block_that_does_not_probe_reads_what_it_read_in_1987() {
         ),
     ];
     for (sql, line) in statements {
-        let (want, paper) = run(&db, sql, &retry(1, true));
-        for threads in [1, 4] {
-            let (got, io) = run(&db, sql, &retry(threads, false));
-            assert!(got.same_bag(&want), "{sql}");
-            assert_eq!(io, paper, "{sql}, threads {threads}");
-        }
-        let explain = db.query_with(sql, &retry(1, false)).unwrap().explain;
+        let (want, paper) = run(&db, sql, &retry(true));
+        let (got, io) = run(&db, sql, &retry(false));
+        assert!(got.same_bag(&want), "{sql}");
+        assert_eq!(io, paper, "{sql}");
+        let explain = db.query_with(sql, &retry(false)).unwrap().explain;
         assert!(explain.iter().any(|l| l.starts_with(line)), "{sql}\n{explain:#?}");
     }
 }
@@ -406,18 +400,15 @@ fn a_temporary_over_two_relations_is_joined_on_its_key() {
     let mut db = Database::with_storage(g.buffer_pages, 512);
     load(&mut db, &g);
     let (want, paper) = run(&db, N_IN_JA, &QueryOptions::nested_iteration());
-    let (_, probing) = run(&db, N_IN_JA, &retry(1, false));
+    let (_, probing) = run(&db, N_IN_JA, &retry(false));
     assert!(!want.is_empty(), "the statement must select something");
-    for threads in [1, 4] {
-        let default = QueryOptions { threads, ..QueryOptions::default() };
-        let (got, io) = run(&db, N_IN_JA, &default);
-        assert!(got.same_bag(&want), "threads {threads}\nnested iteration:\n{want}\ndefault:\n{got}");
-        assert_eq!(io, snap(324, 23, 3691, 322), "threads {threads}");
-        assert!(
-            io.total() < probing.total() && probing.total() < paper.total(),
-            "threads {threads}: {io:?} against {probing:?} probing and {paper:?} rescanning"
-        );
-    }
+    let (got, io) = run(&db, N_IN_JA, &QueryOptions::default());
+    assert!(got.same_bag(&want), "nested iteration:\n{want}\ndefault:\n{got}");
+    assert_eq!(io, snap(324, 23, 3691, 322));
+    assert!(
+        io.total() < probing.total() && probing.total() < paper.total(),
+        "{io:?} against {probing:?} probing and {paper:?} rescanning"
+    );
     let explain = db.query_with(N_IN_JA, &QueryOptions::default()).unwrap().explain;
     let has = |what: &str| explain.iter().any(|l| l.contains(what));
     assert!(!has("(0 equality keys"), "{explain:#?}");

@@ -64,7 +64,6 @@ fn opts(strategy: &Strategy, cache: CacheMode) -> QueryOptions {
         strategy: strategy.clone(),
         cache,
         cold_start: true,
-        threads: 1,
         ..QueryOptions::default()
     }
 }
@@ -400,12 +399,10 @@ fn analyze_json_keeps_its_schema_for_every_nesting_type() {
             let op = require(&node, "op");
             if op != Json::Null {
                 operators += 1;
-                for key in [
-                    "rows_in", "rows_out", "morsels_per_worker", "batches", "vectorized",
-                    "build_ns", "probe_ns",
-                ] {
+                for key in ["rows_in", "rows_out", "batches", "vectorized", "build_ns", "probe_ns"] {
                     require(&op, key);
                 }
+                assert!(op.get("morsels_per_worker").is_none(), "[{name}] {op}");
             }
             stack.extend(require(&node, "children").as_arr().expect("children is an array").to_vec());
         }

@@ -3,8 +3,7 @@
 //! page writes, buffer hits, buffer misses) of every statement shape whose
 //! plan sorts and merge-joins equal constants pinned from the commit
 //! *before* rows were shared — under the cost-based policy and with the
-//! merge join forced everywhere, serial and on two threads, on the memory
-//! and the file store.
+//! merge join forced everywhere, on the memory and the file store.
 
 use nsql_db::{Database, JoinPolicy, QueryOptions};
 use nsql_storage::IoSnapshot;
@@ -74,8 +73,8 @@ struct Pinned {
     io: IoSnapshot,
 }
 
-fn run(db: &Database, sql: &str, policy: JoinPolicy, threads: usize) -> (Pinned, usize) {
-    let opts = QueryOptions { join_policy: policy, threads, ..QueryOptions::transformed() };
+fn run(db: &Database, sql: &str, policy: JoinPolicy) -> (Pinned, usize) {
+    let opts = QueryOptions { join_policy: policy, ..QueryOptions::transformed() };
     let before = db.storage().io_snapshot();
     let out = db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}"));
     let io = db.storage().io_snapshot().since(&before);
@@ -120,14 +119,9 @@ fn sort_merge_statements_keep_rows_order_and_all_four_counters() {
     let mut wrong = Vec::new();
     for (backend, db, _dir) in backends() {
         for (name, sql, policy, merge_joins, at_parent) in &cases {
-            for threads in [1, 2] {
-                let (got, joins) = run(&db, sql, *policy, threads);
-                if (&got, joins) != (at_parent, *merge_joins) {
-                    wrong.push(format!(
-                        "{name} {policy:?} threads={threads} on {backend}: \
-                         {joins} merge joins, {got:?}"
-                    ));
-                }
+            let (got, joins) = run(&db, sql, *policy);
+            if (&got, joins) != (at_parent, *merge_joins) {
+                wrong.push(format!("{name} {policy:?} on {backend}: {joins} merge joins, {got:?}"));
             }
         }
     }

@@ -2,9 +2,9 @@
 //! counters (page reads, page writes, buffer hits, buffer misses) of every
 //! statement shape nested iteration serves equal constants pinned from the
 //! commit *before* name resolution left the per-tuple loop — under
-//! `Strategy::NestedIteration` (row and vector kernels), at one and two
-//! threads, on the memory and the file store. An error raised inside the binding loop surfaces with the same
-//! value after the same counter delta.
+//! `Strategy::NestedIteration` (row and vector kernels), on the memory and
+//! the file store. An error raised inside the binding loop surfaces with the
+//! same value after the same counter delta.
 //!
 //! The constants are the paper's nested iteration — every page of the inner
 //! relation for every qualifying outer tuple — so every run is under the
@@ -157,23 +157,18 @@ fn backends() -> Vec<(&'static str, Database, Option<TempDir>)> {
     vec![("memory", mem, None), ("file", file, Some(dir))]
 }
 
-/// Every configuration that must be indistinguishable from serial row-mode
-/// nested iteration.
+/// Every configuration that must be indistinguishable from row-mode nested
+/// iteration.
 fn configurations() -> Vec<QueryOptions> {
-    let mut out = Vec::new();
-    for exec_mode in [ExecMode::Row, ExecMode::Vector] {
-        for threads in [1, 2] {
-            out.push(QueryOptions {
-                strategy: Strategy::NestedIteration,
-                exec_mode,
-                threads,
-                unnest: nsql_core::UnnestOptions::faithful(),
-                cold_start: true,
-                ..Default::default()
-            });
-        }
-    }
-    out
+    [ExecMode::Row, ExecMode::Vector]
+        .map(|exec_mode| QueryOptions {
+            strategy: Strategy::NestedIteration,
+            exec_mode,
+            unnest: nsql_core::UnnestOptions::faithful(),
+            cold_start: true,
+            ..Default::default()
+        })
+        .to_vec()
 }
 
 fn snap(reads: u64, writes: u64, hits: u64, misses: u64) -> IoSnapshot {
@@ -273,7 +268,7 @@ fn nested_iteration_statements_keep_rows_and_all_four_counters() {
         for (name, sql, rows_at_parent, io_at_parent) in &cases {
             for opts in configurations() {
                 let (rows, io) = run(&db, sql, &opts);
-                let at = format!("{name} {:?} threads={} on {backend}", opts.exec_mode, opts.threads);
+                let at = format!("{name} {:?} on {backend}", opts.exec_mode);
                 if rows != Ok(*rows_at_parent) {
                     diffs.push(format!("{at}: rows {rows:?}, parent {rows_at_parent:?}"));
                 }
@@ -315,7 +310,7 @@ fn error_in_the_binding_loop_surfaces_after_the_same_page_reads() {
         );
         for opts in configurations() {
             let (rows, io) = run(&db, ERROR_ON_THIRD_PAGE, &opts);
-            let at = format!("{:?} threads={} on {backend}", opts.exec_mode, opts.threads);
+            let at = format!("{:?} on {backend}", opts.exec_mode);
             assert_eq!(rows, Err(error_at_parent.to_string()), "{at}");
             assert_eq!(io, io_at_parent, "{at}");
         }

@@ -23,7 +23,6 @@
 //!   call under `faithful_1987`, which in turn agrees with `nsql-oracle`
 //!   wherever both answer (so the oracle sees the probing path, which the
 //!   one-page tables of `diff_prop` never choose);
-//! * at four threads it returns the serial run's rows and four counters;
 //! * `live_pages()` is where it was: the temporary trees are freed;
 //! * a run none of whose blocks probes reads no more pages than the
 //!   faithful run, and writes as many: the default run evaluates a nested
@@ -334,10 +333,9 @@ struct Seen {
     profile: Vec<ProfileNode>,
 }
 
-fn run(db: &Database, sql: &str, threads: usize, faithful_1987: bool) -> Seen {
+fn run(db: &Database, sql: &str, faithful_1987: bool) -> Seen {
     let opts = QueryOptions {
         strategy: Strategy::NestedIteration,
-        threads,
         cold_start: true,
         observe: true,
         unnest: UnnestOptions { faithful_1987, ..UnnestOptions::default() },
@@ -395,8 +393,8 @@ fn probing_returns_what_scanning_returns() {
         let live = db.storage().live_pages();
 
         let at = |what: &str| format!("{what}\n{sql}");
-        let paper = run(&db, &sql, 1, true);
-        let default = run(&db, &sql, 1, false);
+        let paper = run(&db, &sql, true);
+        let default = run(&db, &sql, false);
         if bits_or_err(&default.outcome) != bits_or_err(&paper.outcome) {
             return Err(format!(
                 "{}\n1987: {:?}\ndefault: {:?}\n{:#?}",
@@ -416,19 +414,6 @@ fn probing_returns_what_scanning_returns() {
                 let at = at("oracle disagreement");
                 return Err(format!("{at}\noracle:\n{want}\nengine:\n{got}"));
             }
-        }
-
-        let wide = run(&db, &sql, 4, false);
-        let same_rows = bits_or_err(&wide.outcome) == bits_or_err(&default.outcome);
-        if !same_rows || wide.io != default.io {
-            return Err(format!(
-                "{}\nserial: {:?} {:?}\nfour: {:?} {:?}",
-                at("four threads diverged from one"),
-                default.outcome,
-                default.io,
-                wide.outcome,
-                wide.io
-            ));
         }
 
         let Ok(_) = &default.outcome else {

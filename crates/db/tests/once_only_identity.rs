@@ -4,9 +4,7 @@
 //! a correlated block. The four use sites share one helper; this pins the
 //! rows and all four storage counters of each to constants taken at the
 //! commit where the mark / recall / evaluate / store sequence was still
-//! written out per use site, serial and at two threads (where the blocks
-//! are pre-materialised under a trace and spliced in at first use). The
-//! constants are the paper's nested iteration, so the runs are under the
+//! written out per use site. The constants are the paper's nested iteration, so the runs are under the
 //! 1987 switch: by default the correlated block of the last statement probes
 //! (`ni_probe_prop` holds that path to this one's rows).
 
@@ -56,10 +54,10 @@ fn database() -> Database {
     db
 }
 
-fn run(db: &Database, sql: &str, threads: usize) -> (usize, IoSnapshot) {
+fn run(db: &Database, sql: &str) -> (usize, IoSnapshot) {
     let unnest = nsql_core::UnnestOptions::faithful();
     let strategy = Strategy::NestedIteration;
-    let opts = QueryOptions { strategy, threads, unnest, cold_start: true, ..Default::default() };
+    let opts = QueryOptions { strategy, unnest, cold_start: true, ..Default::default() };
     let before = db.storage().io_snapshot();
     let out = db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{sql}: {e}"));
     (out.relation.len(), db.storage().io_snapshot().since(&before))
@@ -84,18 +82,15 @@ fn every_use_site_materialises_its_uncorrelated_block_once_per_query() {
         ("inside-correlated", INSIDE_CORRELATED, 1, snap(343, 0, 4, 343)),
     ];
     for (name, sql, rows, want) in pinned {
-        for threads in [1, 2] {
-            let got = run(&db, sql, threads);
-            assert_eq!(got, (rows, want), "{name}, threads={threads}");
-        }
+        assert_eq!(run(&db, sql), (rows, want), "{name}");
     }
 
     // What "once" means in page accesses: a scalar block costs one scan of
     // its table on top of the outer scan, and nothing per outer tuple;
     // inside a correlated block evaluated 20 times, the uncorrelated scan
     // is still paid once.
-    let (_, scalar) = run(&db, SCALAR, 1);
+    let (_, scalar) = run(&db, SCALAR);
     assert_eq!(scalar.hits + scalar.misses, parts + supply);
-    let (_, nested) = run(&db, INSIDE_CORRELATED, 1);
+    let (_, nested) = run(&db, INSIDE_CORRELATED);
     assert_eq!(nested.hits + nested.misses, parts + 20 * supply + supply);
 }

@@ -5,8 +5,8 @@
 //! * Over the empty set, `COUNT` yields `0` and everything else yields
 //!   `NULL` — the asymmetry at the heart of the paper's COUNT bug.
 //! * `SUM`/`AVG` stay integral over integer inputs (`AVG` divides as float).
-//! * Float `SUM`/`AVG` is the *correctly rounded* exact sum ([`ExactSum`]),
-//!   so serial folds and parallel merges agree bit-for-bit at any split.
+//! * Float `SUM`/`AVG` is the *correctly rounded* exact sum ([`ExactSum`]):
+//!   the result does not depend on the order the rows arrive in.
 
 use crate::error::EngineError;
 use crate::Result;
@@ -18,8 +18,7 @@ use nsql_types::Value;
 /// grow-expansion, the algorithm behind CPython's `math.fsum`). The
 /// partials together represent the *exact* real-number sum of everything
 /// added, so [`ExactSum::value`] — the nearest double to that exact sum —
-/// is independent of insertion order and of how the input was split across
-/// accumulators before [`ExactSum::absorb`].
+/// is independent of insertion order.
 #[derive(Debug, Clone, Default)]
 pub struct ExactSum {
     partials: Vec<f64>,
@@ -60,19 +59,6 @@ impl ExactSum {
         let lo = (v & 0xFFFF_FFFF) as f64; // exact: < 2^32
         self.add(hi);
         self.add(lo);
-    }
-
-    /// Fold another accumulator in. Because each side's partials are an
-    /// exact representation of its inputs, the combined exact sum — and
-    /// therefore [`ExactSum::value`] — equals the single-accumulator result
-    /// no matter where the input was split.
-    pub fn absorb(&mut self, other: &ExactSum) {
-        if let Some(nf) = other.non_finite {
-            self.non_finite = Some(self.non_finite.unwrap_or(0.0) + nf);
-        }
-        for &p in &other.partials {
-            self.add(p);
-        }
     }
 
     /// The correctly rounded double value of the exact sum, with the fsum
@@ -191,47 +177,6 @@ impl AggState {
         self.count += 1;
     }
 
-    /// Fold another accumulator over the same function into this one, as if
-    /// `other`'s inputs had been accumulated here after this one's own.
-    ///
-    /// This is what parallel aggregation uses to join the two halves of a
-    /// group split across a morsel boundary. Every aggregate is exact:
-    /// integer sums are checked i64 arithmetic, and float sums keep an
-    /// [`ExactSum`] expansion, so the merged result is bit-identical to the
-    /// serial fold wherever the boundary falls.
-    pub fn merge(&mut self, other: &AggState) -> Result<()> {
-        debug_assert_eq!(self.func, other.func, "merging mismatched aggregates");
-        if other.count == 0 {
-            return Ok(());
-        }
-        match self.func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => {
-                self.int_sum = self.int_sum.checked_add(other.int_sum).ok_or_else(|| {
-                    EngineError::Overflow(format!("{} over i64", self.func.name()))
-                })?;
-                self.floats.absorb(&other.floats);
-                self.saw_float |= other.saw_float;
-            }
-            AggFunc::Max => {
-                if self.extremum.is_null()
-                    || other.extremum.sql_cmp(&self.extremum)? == Some(std::cmp::Ordering::Greater)
-                {
-                    self.extremum = other.extremum.clone();
-                }
-            }
-            AggFunc::Min => {
-                if self.extremum.is_null()
-                    || other.extremum.sql_cmp(&self.extremum)? == Some(std::cmp::Ordering::Less)
-                {
-                    self.extremum = other.extremum.clone();
-                }
-            }
-        }
-        self.count += other.count;
-        Ok(())
-    }
-
     /// Correctly rounded total of the float partials plus the (exact)
     /// integer side.
     fn exact_total(&self) -> f64 {
@@ -333,69 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential_accumulation() {
-        // Splitting any input at any point and merging must match the
-        // one-pass fold (exactly, for integer inputs).
-        let vals: Vec<Value> = vec![
-            Value::Int(5),
-            Value::Null,
-            Value::Int(-2),
-            Value::Int(9),
-            Value::Int(9),
-            Value::Null,
-            Value::Int(0),
-        ];
-        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Max, AggFunc::Min] {
-            for split in 0..=vals.len() {
-                let mut a = AggState::new(func);
-                for v in &vals[..split] {
-                    a.accumulate(v).unwrap();
-                }
-                let mut b = AggState::new(func);
-                for v in &vals[split..] {
-                    b.accumulate(v).unwrap();
-                }
-                a.merge(&b).unwrap();
-                assert_eq!(a.finish(), run(func, &vals), "{func:?} split at {split}");
-            }
-        }
-    }
-
-    #[test]
-    fn merge_promotes_mixed_int_float_sums() {
-        let mut a = AggState::new(AggFunc::Sum);
-        a.accumulate(&Value::Int(1)).unwrap();
-        let mut b = AggState::new(AggFunc::Sum);
-        b.accumulate(&Value::Float(0.5)).unwrap();
-        a.merge(&b).unwrap();
-        assert_eq!(a.finish(), Value::Float(1.5));
-
-        let mut c = AggState::new(AggFunc::Sum);
-        c.accumulate(&Value::Float(2.5)).unwrap();
-        let mut d = AggState::new(AggFunc::Sum);
-        d.accumulate(&Value::Int(4)).unwrap();
-        c.merge(&d).unwrap();
-        assert_eq!(c.finish(), Value::Float(6.5));
-    }
-
-    #[test]
-    fn merge_with_empty_side_is_identity() {
-        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Max] {
-            let mut a = AggState::new(func);
-            a.accumulate(&Value::Int(3)).unwrap();
-            let before = a.finish();
-            a.merge(&AggState::new(func)).unwrap();
-            assert_eq!(a.finish(), before, "{func:?}: merging empty changes nothing");
-
-            let mut e = AggState::new(func);
-            let mut b = AggState::new(func);
-            b.accumulate(&Value::Int(3)).unwrap();
-            e.merge(&b).unwrap();
-            assert_eq!(e.finish(), b.finish(), "{func:?}: empty absorbs other");
-        }
-    }
-
-    #[test]
     fn sum_of_string_errors() {
         let mut s = AggState::new(AggFunc::Sum);
         assert!(s.accumulate(&Value::str("x")).is_err());
@@ -409,12 +291,6 @@ mod tests {
             Err(EngineError::Overflow(_)) => {}
             other => panic!("expected Overflow, got {other:?}"),
         }
-        // … and the same through merge.
-        let mut a = AggState::new(AggFunc::Sum);
-        a.accumulate(&Value::Int(i64::MAX)).unwrap();
-        let mut b = AggState::new(AggFunc::Sum);
-        b.accumulate(&Value::Int(1)).unwrap();
-        assert!(matches!(a.merge(&b), Err(EngineError::Overflow(_))));
     }
 
     /// Floats chosen so naive left-to-right and right-to-left summation give
@@ -422,33 +298,7 @@ mod tests {
     const TRICKY: [f64; 8] = [1e16, 0.1, -1e16, 0.1, 3.25, 1e-9, -0.30000000000000004, 2.5e-15];
 
     #[test]
-    fn float_merge_is_bit_identical_at_every_split() {
-        let vals: Vec<Value> = TRICKY.iter().copied().map(Value::Float).collect();
-        for func in [AggFunc::Sum, AggFunc::Avg] {
-            let serial = run(func, &vals);
-            let Value::Float(serial) = serial else { panic!("float expected") };
-            for split in 0..=vals.len() {
-                let mut a = AggState::new(func);
-                for v in &vals[..split] {
-                    a.accumulate(v).unwrap();
-                }
-                let mut b = AggState::new(func);
-                for v in &vals[split..] {
-                    b.accumulate(v).unwrap();
-                }
-                a.merge(&b).unwrap();
-                let Value::Float(merged) = a.finish() else { panic!("float expected") };
-                assert_eq!(
-                    merged.to_bits(),
-                    serial.to_bits(),
-                    "{func:?} split at {split}: {merged:?} != {serial:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_int_float_merge_is_bit_identical_and_correctly_rounded() {
+    fn mixed_int_float_sum_is_correctly_rounded() {
         let vals = [
             Value::Float(0.1),
             Value::Int(1_000_000_007),
@@ -456,29 +306,15 @@ mod tests {
             Value::Int(-3),
             Value::Float(-0.25),
         ];
-        let Value::Float(serial) = run(AggFunc::Sum, &vals) else { panic!() };
-        for split in 0..=vals.len() {
-            let mut a = AggState::new(AggFunc::Sum);
-            for v in &vals[..split] {
-                a.accumulate(v).unwrap();
-            }
-            let mut b = AggState::new(AggFunc::Sum);
-            for v in &vals[split..] {
-                b.accumulate(v).unwrap();
-            }
-            a.merge(&b).unwrap();
-            let Value::Float(merged) = a.finish() else { panic!() };
-            assert_eq!(merged.to_bits(), serial.to_bits(), "split at {split}");
-        }
-        // Spot-check correct rounding: the exact sum of the inputs is
-        // 1000000004 + (0.1 + 0.2 - 0.25 exactly), and the nearest double
-        // to it is unique.
+        let Value::Float(sum) = run(AggFunc::Sum, &vals) else { panic!() };
+        // The exact sum of the inputs is 1000000004 + (0.1 + 0.2 - 0.25
+        // exactly), and the nearest double to it is unique.
         let mut exact = ExactSum::default();
         for x in [0.1, 0.2, -0.25] {
             exact.add(x);
         }
         exact.add_i64(1_000_000_004);
-        assert_eq!(serial.to_bits(), exact.value().to_bits());
+        assert_eq!(sum.to_bits(), exact.value().to_bits());
     }
 
     #[test]
@@ -487,10 +323,8 @@ mod tests {
         s.add(f64::INFINITY);
         s.add(1.0);
         assert_eq!(s.value(), f64::INFINITY);
-        let mut t = ExactSum::default();
-        t.add(f64::NEG_INFINITY);
-        s.absorb(&t);
-        assert!(s.value().is_nan(), "∞ + -∞ is NaN regardless of split");
+        s.add(f64::NEG_INFINITY);
+        assert!(s.value().is_nan(), "∞ + -∞ is NaN");
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!    (canonical) queries produced by `nsql-core` execute on these, with all
 //!    I/O flowing through the counted buffer pool.
 //!
+//! Both paths run serially on the calling thread, as System R did.
+//!
 //! Predicate evaluation implements SQL three-valued logic throughout; see
 //! [`pred`].
 //!
@@ -36,8 +38,7 @@
 //! subqueries, aggregate overflow, injected storage faults — surfaces as a
 //! typed [`EngineError`], never a panic. The handful of `expect`/`panic!`
 //! sites in non-test code are local invariants whose messages name the
-//! invariant (a morsel slot the scheduler has necessarily filled, an
-//! element pushed on the preceding line, an iterator that just `peek`ed
+//! invariant (an element pushed on the preceding line, an iterator that just `peek`ed
 //! `Some`) plus static fixture construction in [`fixtures`].
 
 pub mod aggregate;
@@ -47,7 +48,6 @@ pub mod expr;
 pub mod fixtures;
 pub mod nested_iter;
 pub mod ops;
-mod par;
 pub mod pred;
 pub mod provider;
 

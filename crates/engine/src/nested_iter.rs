@@ -137,11 +137,10 @@
 //!
 //! # Serial
 //!
-//! Nested iteration runs on the calling thread, as System R's did. A thread
-//! count handed to [`NestedIter::eval_query_threads`] or
-//! [`NestedIter::eval_query_batched`] is ignored: fanning the per-tuple loop
-//! out over page morsels never paid at Kim scale and is gone (EXPERIMENTS.md,
-//! "Nested iteration is serial").
+//! Nested iteration runs on the calling thread, as System R's did, like
+//! every operator (DESIGN.md "Execution is serial"). A thread count handed to
+//! [`NestedIter::eval_query_threads`] or [`NestedIter::eval_query_batched`]
+//! is ignored.
 
 use crate::aggregate::AggState;
 use crate::cost::{nested_access_costs, selectivity, temp_tree_estimate, AccessCosts};

@@ -91,114 +91,38 @@ impl Exec {
         });
         let file: &HeapFile = sorted.as_deref().unwrap_or(input);
 
-        // A key's accumulated states; morsel folds produce ordered lists
-        // of these ("runs") that touch only at morsel boundaries.
-        type Run = (Tuple, Vec<AggState>);
-
         let mut out = Vec::new();
-        let flush =
-            |key: &Option<Tuple>, states: &[AggState], out: &mut Vec<Tuple>| {
-                if let Some(k) = key {
-                    let mut vals: Vec<Value> = k.values().to_vec();
-                    vals.extend(states.iter().map(AggState::finish));
-                    out.push(Tuple::new(vals));
-                }
-            };
-        let workers = self.workers_for(file);
-        if workers > 1 {
-            // Parallel fold: each morsel folds its pages into an ordered run
-            // list with exactly the serial contiguous-run logic; runs touch
-            // only at morsel boundaries, where a key match merges the two
-            // accumulator halves via `AggState::merge`. Works for any input
-            // order and reproduces the serial output bit-for-bit: every
-            // accumulator (including float SUM/AVG, which keeps an exact
-            // partials expansion) merges exactly.
-            let partials: Vec<Result<Vec<Run>>> =
-                crate::par::par_map_pages(
-                    &self.storage,
-                    file.page_ids(),
-                    workers,
-                    self.current_op().as_deref(),
-                    |_m, pages| {
-                    let mut runs: Vec<Run> = Vec::new();
-                    for page in pages {
-                        for t in page.tuples() {
-                            let same_group = runs.last().is_some_and(|(k, _)| {
-                                group.iter().enumerate().all(|(j, &i)| k.get(j) == t.get(i))
-                            });
-                            if !same_group {
-                                runs.push((
-                                    t.project(group),
-                                    aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                                ));
-                            }
-                            let states = &mut runs.last_mut().expect("just pushed").1;
-                            for (state, spec) in states.iter_mut().zip(aggs) {
-                                match spec.arg {
-                                    Some(i) => state.accumulate(t.get(i))?,
-                                    None => state.accumulate_row(),
-                                }
-                            }
-                        }
-                    }
-                        Ok(runs)
-                    },
-                );
-            let mut merged: Vec<Run> = Vec::new();
-            let mut first_err = None;
-            for partial in partials {
-                match partial {
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                    Ok(runs) => {
-                        for (k, states) in runs {
-                            match merged.last_mut() {
-                                Some((lk, lstates)) if *lk == k => {
-                                    for (a, b) in lstates.iter_mut().zip(&states) {
-                                        a.merge(b)?;
-                                    }
-                                }
-                                _ => merged.push((k, states)),
-                            }
-                        }
-                    }
+        let flush = |key: &Option<Tuple>, states: &[AggState], out: &mut Vec<Tuple>| {
+            if let Some(k) = key {
+                let mut vals: Vec<Value> = k.values().to_vec();
+                vals.extend(states.iter().map(AggState::finish));
+                out.push(Tuple::new(vals));
+            }
+        };
+        let mut current_key: Option<Tuple> = None;
+        let mut states: Vec<AggState> = Vec::new();
+        // Fold tuples in place on their buffered pages: the group key is
+        // compared field-by-field against the current key and only
+        // projected out when the group actually changes, so steady-state
+        // rows cost no allocation at all.
+        file.try_for_each(&self.storage, |t: &Tuple| -> Result<()> {
+            let same_group = current_key
+                .as_ref()
+                .is_some_and(|k| group.iter().enumerate().all(|(j, &i)| k.get(j) == t.get(i)));
+            if !same_group {
+                flush(&current_key, &states, &mut out);
+                current_key = Some(t.project(group));
+                states = aggs.iter().map(|a| AggState::new(a.func)).collect();
+            }
+            for (state, spec) in states.iter_mut().zip(aggs) {
+                match spec.arg {
+                    Some(i) => state.accumulate(t.get(i))?,
+                    None => state.accumulate_row(),
                 }
             }
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-            for (k, states) in merged {
-                flush(&Some(k), &states, &mut out);
-            }
-        } else {
-            let mut current_key: Option<Tuple> = None;
-            let mut states: Vec<AggState> = Vec::new();
-            // Fold tuples in place on their buffered pages: the group key is
-            // compared field-by-field against the current key and only
-            // projected out when the group actually changes, so steady-state
-            // rows cost no allocation at all.
-            file.try_for_each(&self.storage, |t: &Tuple| -> Result<()> {
-                let same_group = current_key
-                    .as_ref()
-                    .is_some_and(|k| group.iter().enumerate().all(|(j, &i)| k.get(j) == t.get(i)));
-                if !same_group {
-                    flush(&current_key, &states, &mut out);
-                    current_key = Some(t.project(group));
-                    states = aggs.iter().map(|a| AggState::new(a.func)).collect();
-                }
-                for (state, spec) in states.iter_mut().zip(aggs) {
-                    match spec.arg {
-                        Some(i) => state.accumulate(t.get(i))?,
-                        None => state.accumulate_row(),
-                    }
-                }
-                Ok(())
-            })?;
-            flush(&current_key, &states, &mut out);
-        }
+            Ok(())
+        })?;
+        flush(&current_key, &states, &mut out);
 
         // Global aggregate over an empty input still yields one row.
         if group.is_empty() && out.is_empty() {
@@ -319,32 +243,23 @@ mod tests {
     fn overflowing_sum_frees_the_sorted_input() {
         // Unsorted input, so the operator sorts it into a file of its own
         // before folding, and that file may not outlive the error. Each
-        // group sums to twice `i64::MAX`, a hundredth at a time: the serial
-        // fold overflows mid-scan, and the parallel one — no morsel of at
-        // most 8 pages holds a hundred rows — only while merging the
-        // morsels' partial sums.
+        // group sums to twice `i64::MAX`, a hundredth at a time, so the
+        // fold overflows mid-scan.
         let rows: Vec<Vec<i64>> = (0..400).map(|i| vec![i % 2, i64::MAX / 100]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
-        for threads in [1, 4] {
-            let e = Exec::with_threads(Storage::new(6, 128), threads);
-            let f = int_file(e.storage(), "T", &["K", "V"], &refs);
-            let aggs = [AggSpec::on(AggFunc::Sum, 1)];
-            let live = e.storage().live_pages();
-            let stored = e
-                .group_aggregate(&f, &[0], &aggs, out_schema(1, 1), false)
-                .map(|f| f.tuple_count());
-            assert_eq!(e.storage().live_pages(), live, "threads={threads}: {stored:?}");
-            let collected = e
-                .group_aggregate_collect(&f, &[0], &aggs, out_schema(1, 1), false)
-                .map(|rel| rel.len());
-            assert_eq!(e.storage().live_pages(), live, "threads={threads}: {collected:?}");
-            let want = "Err(Overflow(\"SUM over i64\"))";
-            assert_eq!(
-                (format!("{stored:?}"), format!("{collected:?}")),
-                (want.into(), want.into()),
-                "threads={threads}"
-            );
-        }
+        let e = Exec::new(Storage::new(6, 128));
+        let f = int_file(e.storage(), "T", &["K", "V"], &refs);
+        let aggs = [AggSpec::on(AggFunc::Sum, 1)];
+        let live = e.storage().live_pages();
+        let stored =
+            e.group_aggregate(&f, &[0], &aggs, out_schema(1, 1), false).map(|f| f.tuple_count());
+        assert_eq!(e.storage().live_pages(), live, "{stored:?}");
+        let collected = e
+            .group_aggregate_collect(&f, &[0], &aggs, out_schema(1, 1), false)
+            .map(|rel| rel.len());
+        assert_eq!(e.storage().live_pages(), live, "{collected:?}");
+        let want = "Err(Overflow(\"SUM over i64\"))";
+        assert_eq!((format!("{stored:?}"), format!("{collected:?}")), (want.into(), want.into()));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 use super::{Exec, JoinEmit, JoinKind};
 use crate::expr::Joined;
-use crate::par::par_map_pages;
 use crate::pred::CPred;
 use crate::Result;
 use nsql_storage::HeapFile;
@@ -104,43 +103,15 @@ impl Exec {
         // operator. Instant is only sampled when an operator is attached,
         // so the disabled path stays branch-only.
         let op = self.current_op();
-        let op_ref = op.as_deref();
         let build_start = op.as_ref().map(|_| std::time::Instant::now());
         // Build on the right side, under the deterministic fast hasher.
-        // Parallel build: each morsel hashes its pages into a private map;
-        // maps merge in morsel order, so every key's bucket lists its rows
-        // in scan order — exactly the serial build.
-        let build_workers = self.workers_for(right);
-        let table: FxHashMap<Tuple, Vec<Tuple>> = if build_workers > 1 {
-            let partials = par_map_pages(&self.storage, right.page_ids(), build_workers, op_ref, |_m, pages| {
-                let mut t: FxHashMap<Tuple, Vec<Tuple>> = FxHashMap::default();
-                for page in pages {
-                    for rt in page.tuples() {
-                        if right_keys.iter().any(|&i| rt.get(i).is_null()) {
-                            continue; // NULL keys never join
-                        }
-                        t.entry(rt.project(right_keys)).or_default().push(rt.clone());
-                    }
-                }
-                t
-            });
-            let mut table: FxHashMap<Tuple, Vec<Tuple>> = FxHashMap::default();
-            for partial in partials {
-                for (k, rows) in partial {
-                    table.entry(k).or_default().extend(rows);
-                }
+        let mut table: FxHashMap<Tuple, Vec<Tuple>> = FxHashMap::default();
+        for rt in right.scan(&self.storage) {
+            if right_keys.iter().any(|&i| rt.get(i).is_null()) {
+                continue; // NULL keys never join
             }
-            table
-        } else {
-            let mut table: FxHashMap<Tuple, Vec<Tuple>> = FxHashMap::default();
-            for rt in right.scan(&self.storage) {
-                if right_keys.iter().any(|&i| rt.get(i).is_null()) {
-                    continue; // NULL keys never join
-                }
-                table.entry(rt.project(right_keys)).or_default().push(rt);
-            }
-            table
-        };
+            table.entry(rt.project(right_keys)).or_default().push(rt);
+        }
 
         if let (Some(op), Some(t0)) = (&op, build_start) {
             op.build_ns
@@ -149,58 +120,29 @@ impl Exec {
         let probe_start = op.as_ref().map(|_| std::time::Instant::now());
 
         // Probe with the left side.
-        let probe_one = |lt: &Tuple, out: &mut Vec<Tuple>| -> Result<()> {
+        let mut out = Vec::new();
+        for lt in left.scan(&self.storage) {
             let mut matched = false;
             if !left_keys.iter().any(|&i| lt.get(i).is_null()) {
                 if let Some(group) = table.get(&lt.project(left_keys)) {
                     for rt in group {
                         let ok = match residual {
-                            Some(p) => p.accepts_row(&Joined::new(lt, rt))?,
+                            Some(p) => p.accepts_row(&Joined::new(&lt, rt))?,
                             None => true,
                         };
                         if ok {
                             matched = true;
-                            out.push(emit.pair(lt, rt));
+                            out.push(emit.pair(&lt, rt));
                         }
                     }
                 }
             }
             if !matched && kind == JoinKind::LeftOuter {
-                out.push(emit.padded(lt));
+                out.push(emit.padded(&lt));
             }
-            Ok(())
-        };
-        let probe_workers = self.workers_for(left);
-        if probe_workers > 1 {
-            // Per-morsel probe outputs concatenate in morsel order = serial
-            // output order. On a residual error the serial probe stops
-            // scanning; parallel morsels in flight still finish (their
-            // results are discarded), which can only over-read on the error
-            // path — totals on the success path are identical.
-            let partials: Vec<Result<Vec<Tuple>>> =
-                par_map_pages(&self.storage, left.page_ids(), probe_workers, op_ref, |_m, pages| {
-                    let mut out = Vec::new();
-                    for page in pages {
-                        for lt in page.tuples() {
-                            probe_one(lt, &mut out)?;
-                        }
-                    }
-                    Ok(out)
-                });
-            let mut out = Vec::new();
-            for partial in partials {
-                out.extend(partial?);
-            }
-            self.finish_probe(&op, probe_start);
-            Ok(out)
-        } else {
-            let mut out = Vec::new();
-            for lt in left.scan(&self.storage) {
-                probe_one(&lt, &mut out)?;
-            }
-            self.finish_probe(&op, probe_start);
-            Ok(out)
         }
+        self.finish_probe(&op, probe_start);
+        Ok(out)
     }
 
     /// Vectorized build/probe. Same contract as the row implementation —
@@ -223,7 +165,6 @@ impl Exec {
         emit: JoinEmit<'_>,
     ) -> Result<Vec<Tuple>> {
         let op = self.current_op();
-        let op_ref = op.as_deref();
         if let Some(op) = &op {
             op.vectorized.store(true, std::sync::atomic::Ordering::Relaxed);
         }
@@ -238,66 +179,25 @@ impl Exec {
             }
             h.finish()
         };
-        // Index one right batch into `table` as (batch, row) pairs.
-        let index_batch =
-            |b: &Batch, bi: u32, table: &mut FxHashMap<u64, Vec<(u32, u32)>>| {
-                for row in 0..b.len() {
-                    if right_keys.iter().any(|&k| b.col(k).val_ref(row).is_null()) {
-                        continue; // NULL keys never join
-                    }
-                    table
-                        .entry(key_hash(b, right_keys, row))
-                        .or_default()
-                        .push((bi, row as u32));
-                }
-            };
 
         // Build: batches stay resident (the row build keeps the right side
-        // resident in its hash table too); buckets list rows in scan order.
+        // resident in its hash table too); the table maps a key hash to
+        // (batch, row) pairs, each bucket in scan order.
         let mut batches: Vec<Batch> = Vec::with_capacity(right.page_count());
         let mut table: FxHashMap<u64, Vec<(u32, u32)>> = FxHashMap::default();
-        let build_workers = self.workers_for(right);
-        if build_workers > 1 {
-            // Per-morsel private indexes merge in morsel order with the
-            // batch offset applied, so bucket order equals scan order.
-            let partials = par_map_pages(
-                &self.storage,
-                right.page_ids(),
-                build_workers,
-                op_ref,
-                |m, pages| {
-                    let mut bs: Vec<Batch> = Vec::with_capacity(pages.len());
-                    let mut t: FxHashMap<u64, Vec<(u32, u32)>> = FxHashMap::default();
-                    for page in pages {
-                        let b = Batch::from_tuples(page.tuples());
-                        index_batch(&b, bs.len() as u32, &mut t);
-                        bs.push(b);
-                        if let Some(op) = op_ref {
-                            op.batches.add(m, 1);
-                        }
-                    }
-                    (bs, t)
-                },
-            );
-            for (bs, partial) in partials {
-                let off = batches.len() as u32;
-                for (h, rows) in partial {
-                    table
-                        .entry(h)
-                        .or_default()
-                        .extend(rows.into_iter().map(|(bi, r)| (bi + off, r)));
+        for &pid in right.page_ids() {
+            let page = self.storage.read_page(pid);
+            let b = Batch::from_tuples(page.tuples());
+            for row in 0..b.len() {
+                if right_keys.iter().any(|&k| b.col(k).val_ref(row).is_null()) {
+                    continue; // NULL keys never join
                 }
-                batches.extend(bs);
+                let at = (batches.len() as u32, row as u32);
+                table.entry(key_hash(&b, right_keys, row)).or_default().push(at);
             }
-        } else {
-            for &pid in right.page_ids() {
-                let page = self.storage.read_page(pid);
-                let b = Batch::from_tuples(page.tuples());
-                index_batch(&b, batches.len() as u32, &mut table);
-                batches.push(b);
-                if let Some(op) = &op {
-                    op.batches.add(0, 1);
-                }
+            batches.push(b);
+            if let Some(op) = &op {
+                op.batches.add(0, 1);
             }
         }
 
@@ -307,87 +207,52 @@ impl Exec {
         }
         let probe_start = op.as_ref().map(|_| std::time::Instant::now());
 
-        // Probe one left batch row: verify hash candidates key-by-key, run
-        // the residual on materialized tuples (same 3VL evaluation as the
-        // row path), pad under LeftOuter.
-        let probe_lane = |lb: &Batch, row: usize, out: &mut Vec<Tuple>| -> Result<()> {
-            let mut matched = false;
-            if !left_keys.iter().any(|&k| lb.col(k).val_ref(row).is_null()) {
-                if let Some(cands) = table.get(&key_hash(lb, left_keys, row)) {
-                    let mut lt: Option<Tuple> = None;
-                    for &(bi, r) in cands {
-                        let rb = &batches[bi as usize];
-                        let r = r as usize;
-                        let keys_match = left_keys.iter().zip(right_keys).all(|(&lk, &rk)| {
-                            lb.col(lk).val_ref(row).total_eq(rb.col(rk).val_ref(r))
-                        });
-                        if !keys_match {
-                            continue; // u64 hash collision of a different key
-                        }
-                        let lt = lt.get_or_insert_with(|| lb.tuple(row));
-                        let rt = rb.tuple(r);
-                        let ok = match residual {
-                            Some(p) => p.accepts_row(&Joined::new(lt, &rt))?,
-                            None => true,
-                        };
-                        if ok {
-                            matched = true;
-                            out.push(emit.pair(lt, &rt));
-                        }
-                    }
-                }
+        // Probe a left batch row at a time: verify hash candidates
+        // key-by-key, run the residual on materialized tuples (same 3VL
+        // evaluation as the row path), pad under LeftOuter. The probe stops
+        // at the first error, before reading further pages — exactly like
+        // the row path's streaming scan.
+        let mut out = Vec::new();
+        for &pid in left.page_ids() {
+            let page = self.storage.read_page(pid);
+            let lb = Batch::from_tuples(page.tuples());
+            if let Some(op) = &op {
+                op.batches.add(0, 1);
             }
-            if !matched && kind == JoinKind::LeftOuter {
-                out.push(emit.padded(&lb.tuple(row)));
-            }
-            Ok(())
-        };
-        let probe_workers = self.workers_for(left);
-        if probe_workers > 1 {
-            // Same error contract as the row probe: morsels in flight still
-            // finish, the first morsel-order error is the one reported.
-            let partials: Vec<Result<Vec<Tuple>>> = par_map_pages(
-                &self.storage,
-                left.page_ids(),
-                probe_workers,
-                op_ref,
-                |m, pages| {
-                    let mut out = Vec::new();
-                    for page in pages {
-                        let lb = Batch::from_tuples(page.tuples());
-                        if let Some(op) = op_ref {
-                            op.batches.add(m, 1);
-                        }
-                        for row in 0..lb.len() {
-                            probe_lane(&lb, row, &mut out)?;
+            for row in 0..lb.len() {
+                let mut matched = false;
+                if !left_keys.iter().any(|&k| lb.col(k).val_ref(row).is_null()) {
+                    if let Some(cands) = table.get(&key_hash(&lb, left_keys, row)) {
+                        let mut lt: Option<Tuple> = None;
+                        for &(bi, r) in cands {
+                            let rb = &batches[bi as usize];
+                            let r = r as usize;
+                            let keys_match = left_keys.iter().zip(right_keys).all(|(&lk, &rk)| {
+                                lb.col(lk).val_ref(row).total_eq(rb.col(rk).val_ref(r))
+                            });
+                            if !keys_match {
+                                continue; // u64 hash collision of a different key
+                            }
+                            let lt = lt.get_or_insert_with(|| lb.tuple(row));
+                            let rt = rb.tuple(r);
+                            let ok = match residual {
+                                Some(p) => p.accepts_row(&Joined::new(lt, &rt))?,
+                                None => true,
+                            };
+                            if ok {
+                                matched = true;
+                                out.push(emit.pair(lt, &rt));
+                            }
                         }
                     }
-                    Ok(out)
-                },
-            );
-            let mut out = Vec::new();
-            for partial in partials {
-                out.extend(partial?);
-            }
-            self.finish_probe(&op, probe_start);
-            Ok(out)
-        } else {
-            // Serial probe stops at the first error, before reading further
-            // pages — exactly like the row path's streaming scan.
-            let mut out = Vec::new();
-            for &pid in left.page_ids() {
-                let page = self.storage.read_page(pid);
-                let lb = Batch::from_tuples(page.tuples());
-                if let Some(op) = &op {
-                    op.batches.add(0, 1);
                 }
-                for row in 0..lb.len() {
-                    probe_lane(&lb, row, &mut out)?;
+                if !matched && kind == JoinKind::LeftOuter {
+                    out.push(emit.padded(&lb.tuple(row)));
                 }
             }
-            self.finish_probe(&op, probe_start);
-            Ok(out)
         }
+        self.finish_probe(&op, probe_start);
+        Ok(out)
     }
 
     fn finish_probe(
@@ -474,8 +339,8 @@ mod tests {
 
     #[test]
     fn vectorized_hash_join_matches_row_join_exactly() {
-        // Rows, order, and counted I/O identical across modes and thread
-        // counts, including NULL keys, residuals, and LeftOuter padding.
+        // Rows, order, and counted I/O identical across modes, including
+        // NULL keys, residuals, and LeftOuter padding.
         let build = |st: &Storage| {
             let schema = nsql_types::Schema::new(vec![
                 nsql_types::Column::qualified("L", "A", nsql_types::ColumnType::Int),
@@ -494,8 +359,8 @@ mod tests {
             let r = int_file(st, "R", &["B", "Y"], &(0..120).map(|i| vec![i % 50, i]).collect::<Vec<_>>().iter().map(|v| v.as_slice()).collect::<Vec<_>>());
             (l, r)
         };
-        let run = |vectorized: bool, threads: usize, kind: JoinKind, with_residual: bool| {
-            let e = Exec::with_threads(Storage::new(8, 256), threads).with_vectorized(vectorized);
+        let run = |vectorized: bool, kind: JoinKind, with_residual: bool| {
+            let e = Exec::new(Storage::new(8, 256)).with_vectorized(vectorized);
             let (l, r) = build(e.storage());
             let res = on_pred(&l, &r, "L.X < R.Y");
             e.storage().clear_buffer();
@@ -507,13 +372,9 @@ mod tests {
         };
         for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
             for with_residual in [false, true] {
-                let (rows, io, buf) = run(false, 1, kind, with_residual);
-                for (vec, threads) in [(true, 1), (true, 4)] {
-                    let (r2, io2, buf2) = run(vec, threads, kind, with_residual);
-                    assert_eq!(r2, rows, "{kind:?} residual={with_residual} t={threads}");
-                    assert_eq!(io2, io, "{kind:?} residual={with_residual} t={threads}");
-                    assert_eq!(buf2, buf, "{kind:?} residual={with_residual} t={threads}");
-                }
+                let row = run(false, kind, with_residual);
+                let vec = run(true, kind, with_residual);
+                assert_eq!(vec, row, "{kind:?} residual={with_residual}");
             }
         }
     }

@@ -1,16 +1,16 @@
 //! Fault injection: a tuple evaluation failing mid-operator must surface as
-//! a typed `Err` — never a panic, never a silently dropped morsel, never a
-//! wrong answer — and the error must be *deterministic*: the first error in
-//! serial scan order, identical at every thread count. Partial output pages
-//! must be freed on the error path.
+//! a typed `Err` — never a panic, never a wrong answer — and the error must
+//! be *deterministic*: the first error in scan order, after a pinned number
+//! of counted page reads and writes. Partial output pages must be freed on
+//! the error path.
 //!
 //! Storage reads are infallible by construction (`Arc<Page>`), so faults are
 //! injected at the data level: a value of the wrong type planted on a chosen
 //! page makes exactly that tuple's evaluation fail with a `TypeError`.
 
-use nsql_engine::{AggSpec, CPred, EngineError, Exec};
+use nsql_engine::{AggSpec, CExpr, CPred, EngineError, Exec, JoinKind};
 use nsql_sql::{parse_query, AggFunc};
-use nsql_storage::{HeapFile, Storage};
+use nsql_storage::{HeapFile, IoSnapshot, Storage};
 use nsql_types::{Column, ColumnType, Schema, Tuple, Value};
 
 const ROWS: i64 = 600;
@@ -49,49 +49,47 @@ fn filter_pred(f: &HeapFile) -> CPred {
     CPred::compile(f.schema(), q.where_clause.as_ref().unwrap()).unwrap()
 }
 
-/// Run `op` at threads 1 and 4 over identically-built poisoned storage;
-/// both must fail with the *same* typed error, and the storage must hold
-/// exactly the input pages afterwards (no leaked partial output).
-fn check_fails_identically<F>(label: &str, poison: &[(i64, Value)], op: F) -> EngineError
+/// Run `op` on a cold six-page pool over a poisoned `T` (and a clean `U`
+/// for the joins): it must fail with a typed error after exactly `io` page
+/// reads and writes, and the storage must hold exactly the input pages
+/// afterwards (no leaked partial output).
+fn check_fails<F>(label: &str, poison: &[(i64, Value)], io: (u64, u64), op: F) -> EngineError
 where
-    F: Fn(&Exec, &HeapFile) -> Result<(), EngineError>,
+    F: Fn(&Exec, &HeapFile, &HeapFile) -> Result<(), EngineError>,
 {
-    let mut errs = Vec::new();
-    for threads in [1, 4] {
-        let e = Exec::with_threads(Storage::new(6, 256), threads);
-        let f = poisoned_file(e.storage(), poison);
-        let live_before = e.storage().live_pages();
-        let err = op(&e, &f).expect_err(&format!("{label}: poisoned run must fail"));
-        assert_eq!(
-            e.storage().live_pages(),
-            live_before,
-            "{label}: error path leaked output pages at {threads} threads"
-        );
-        errs.push(err);
-    }
-    assert_eq!(errs[0], errs[1], "{label}: error diverged between 1 and 4 threads");
-    errs.pop().unwrap()
+    let e = Exec::new(Storage::new(6, 256));
+    let t = poisoned_file(e.storage(), poison);
+    let u = poisoned_file_named(e.storage(), "U", &[]);
+    e.storage().clear_buffer();
+    let live_before = e.storage().live_pages();
+    let before = e.storage().io_snapshot();
+    let err = op(&e, &t, &u).expect_err(&format!("{label}: poisoned run must fail"));
+    let IoSnapshot { reads, writes, .. } = e.storage().io_snapshot().since(&before);
+    assert_eq!((reads, writes), io, "{label}: page reads and writes of the error path");
+    assert_eq!(e.storage().live_pages(), live_before, "{label}: error path leaked output pages");
+    err
 }
 
 #[test]
 fn filter_surfaces_poisoned_page_as_error() {
-    let err = check_fails_identically(
-        "filter",
-        &[(300, Value::str("rot"))],
-        |e, f| e.filter(f, &filter_pred(f)).map(|_| ()),
-    );
+    // The scan does not stop at the fault: all 43 pages of T are read, and
+    // the 23 output pages written before the error surfaces are freed.
+    let err = check_fails("filter", &[(300, Value::str("rot"))], (43, 23), |e, t, _| {
+        e.filter(t, &filter_pred(t)).map(|_| ())
+    });
     assert!(matches!(err, EngineError::Type(_)), "want TypeError, got {err:?}");
 }
 
 #[test]
 fn first_error_in_scan_order_wins() {
     // Two incompatible poisons on different pages: a STR at row 150 and a
-    // DATE at row 450. Whatever order morsels complete in, the caller must
-    // see the STR comparison failure — the first in serial scan order.
-    let err = check_fails_identically(
+    // DATE at row 450. The caller must see the STR comparison failure — the
+    // first in scan order.
+    let err = check_fails(
         "filter/two-faults",
         &[(450, Value::date("1-1-80").unwrap()), (150, Value::str("rot"))],
-        |e, f| e.filter(f, &filter_pred(f)).map(|_| ()),
+        (43, 23),
+        |e, t, _| e.filter(t, &filter_pred(t)).map(|_| ()),
     );
     let msg = err.to_string();
     assert!(
@@ -103,66 +101,50 @@ fn first_error_in_scan_order_wins() {
 #[test]
 fn aggregation_surfaces_poisoned_page_as_error() {
     let out_schema = Schema::new(vec![Column::new("S", ColumnType::Int)]);
-    let err = check_fails_identically(
-        "group_aggregate",
-        &[(300, Value::str("rot"))],
-        |e, f| {
-            e.group_aggregate(f, &[], &[AggSpec::on(AggFunc::Sum, 1)], out_schema.clone(), false)
-                .map(|_| ())
-        },
-    );
+    // The fold stops at the fault: T's pages up to row 300's, the 22nd.
+    let err = check_fails("group_aggregate", &[(300, Value::str("rot"))], (22, 0), |e, t, _| {
+        e.group_aggregate(t, &[], &[AggSpec::on(AggFunc::Sum, 1)], out_schema.clone(), false)
+            .map(|_| ())
+    });
     assert!(matches!(err, EngineError::Type(_)), "want TypeError, got {err:?}");
 }
 
 #[test]
 fn restrict_project_surfaces_poisoned_page_as_error() {
     let out_schema = Schema::new(vec![Column::qualified("O", "A", ColumnType::Int)]);
-    let err = check_fails_identically(
-        "restrict_project",
-        &[(300, Value::str("rot"))],
-        |e, f| {
-            e.restrict_project(
-                f,
-                &filter_pred(f),
-                &[nsql_engine::CExpr::Col(0)],
-                out_schema.clone(),
-                false,
-            )
+    // Like the filter, with one-column output rows: 13 pages written.
+    let err = check_fails("restrict_project", &[(300, Value::str("rot"))], (43, 13), |e, t, _| {
+        e.restrict_project(t, &filter_pred(t), &[CExpr::Col(0)], out_schema.clone(), false)
             .map(|_| ())
-        },
-    );
+    });
     assert!(matches!(err, EngineError::Type(_)), "want TypeError, got {err:?}");
 }
 
 #[test]
 fn hash_join_residual_fault_surfaces_as_error() {
-    // The poison sits in the probe side's residual-predicate column.
-    let mut errs = Vec::new();
-    for threads in [1, 4] {
-        let e = Exec::with_threads(Storage::new(6, 256), threads);
-        let l = poisoned_file(e.storage(), &[(300, Value::str("rot"))]);
-        let r = poisoned_file_named(e.storage(), "U", &[]);
-        let combined = l.schema().join(r.schema());
-        let q = parse_query("SELECT T.A FROM T, U WHERE T.B < 50").unwrap();
-        let res = CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap();
-        let live_before = e.storage().live_pages();
-        let err = e
-            .hash_join(&l, &r, &[0], &[0], Some(&res), nsql_engine::JoinKind::Inner)
-            .map(|_| ())
-            .expect_err("poisoned residual must fail");
-        assert_eq!(e.storage().live_pages(), live_before, "leaked pages at {threads} threads");
-        errs.push(err);
+    // The poison sits in the probe side's residual-predicate column. Both
+    // kernels build on all 43 pages of U, then stop probing at row 300, on
+    // T's 22nd page; the result is collected before it is written.
+    for vectorized in [false, true] {
+        let label = format!("hash join, vectorized = {vectorized}");
+        let err = check_fails(&label, &[(300, Value::str("rot"))], (65, 0), |e, t, u| {
+            let combined = t.schema().join(u.schema());
+            let q = parse_query("SELECT T.A FROM T, U WHERE T.B < 50").unwrap();
+            let res = CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap();
+            e.clone()
+                .with_vectorized(vectorized)
+                .hash_join(t, u, &[0], &[0], Some(&res), JoinKind::Inner)
+                .map(|_| ())
+        });
+        assert!(matches!(err, EngineError::Type(_)), "{label}: want TypeError, got {err:?}");
     }
-    assert_eq!(errs[0], errs[1], "hash join error diverged between thread counts");
 }
 
 /// Sanity: a *clean* run of the same shapes succeeds — the harness fails
 /// because of the fault, not the setup.
 #[test]
 fn unpoisoned_runs_succeed() {
-    for threads in [1, 4] {
-        let e = Exec::with_threads(Storage::new(6, 256), threads);
-        let f = poisoned_file(e.storage(), &[]);
-        assert!(e.filter(&f, &filter_pred(&f)).is_ok());
-    }
+    let e = Exec::new(Storage::new(6, 256));
+    let f = poisoned_file(e.storage(), &[]);
+    assert!(e.filter(&f, &filter_pred(&f)).is_ok());
 }

@@ -1,18 +1,15 @@
-//! Nested iteration's one kernel against the oracle, at one thread and four.
+//! Nested iteration's one kernel against the oracle.
 //!
 //! These statements used to cross-check the row kernel against a lane
 //! kernel over column batches (hence the file name). The lane kernel is
-//! gone; every statement stays, now held to `nsql-oracle` for its rows and
-//! to the one-thread run for everything a thread count must not move —
-//! nested iteration is serial and ignores it: result relations, error
-//! values, I/O totals and buffer hit/miss splits.
+//! gone; every statement stays, now held to `nsql-oracle` for its rows.
 
-use nsql_engine::fixtures::{suppliers_parts, Fixture};
+use nsql_engine::fixtures::suppliers_parts;
 use nsql_engine::provider::MemoryProvider;
 use nsql_engine::NestedIter;
 use nsql_oracle::Oracle;
 use nsql_sql::parse_query;
-use nsql_storage::{IoStats, Storage};
+use nsql_storage::Storage;
 use nsql_types::{ColumnType, Relation, Schema, Tuple, Value};
 
 /// Multi-page PARTS/SUPPLY with NULLs in both the membership column and
@@ -64,36 +61,15 @@ fn setup() -> (Storage, MemoryProvider, Oracle) {
     (storage, provider, oracle)
 }
 
-type RunOutcome = (Result<Relation, String>, IoStats, (u64, u64));
-
-fn eval(storage: &Storage, provider: &MemoryProvider, sql: &str, threads: usize) -> RunOutcome {
+fn eval(storage: &Storage, provider: &MemoryProvider, sql: &str) -> Result<Relation, String> {
     storage.clear_buffer();
-    storage.reset_stats();
     let q = parse_query(sql).unwrap();
-    let ni = NestedIter::new(provider, storage.clone());
-    let res = ni.eval_query_threads(&q, threads).map_err(|e| format!("{e:?}"));
-    (res, storage.io_stats(), storage.buffer_stats())
+    NestedIter::new(provider, storage.clone()).eval_query(&q).map_err(|e| format!("{e:?}"))
 }
 
-fn run(sql: &str, threads: usize) -> RunOutcome {
+fn run(sql: &str) -> Result<Relation, String> {
     let (storage, provider, _) = setup();
-    eval(&storage, &provider, sql, threads)
-}
-
-fn run_fixture(make: fn() -> Fixture, sql: &str, threads: usize) -> RunOutcome {
-    let f = make();
-    eval(&f.storage, &f.provider, sql, threads)
-}
-
-/// The 4-thread run is indistinguishable from the serial one; returns the
-/// serial result.
-fn assert_threads_agree<F: Fn(usize) -> RunOutcome>(label: &str, go: F) -> Result<Relation, String> {
-    let base = go(1);
-    let par = go(4);
-    assert_eq!(base.0, par.0, "{label} threads=4: results diverged");
-    assert_eq!(base.1, par.1, "{label} threads=4: I/O diverged");
-    assert_eq!(base.2, par.2, "{label} threads=4: buffer hit/miss diverged");
-    base.0
+    eval(&storage, &provider, sql)
 }
 
 fn assert_matches_oracle(oracle: &Oracle, sql: &str, got: &Relation) {
@@ -129,21 +105,19 @@ const QUERIES: &[&str] = &[
 ];
 
 #[test]
-fn nested_iteration_matches_the_oracle_serial_and_parallel() {
+fn nested_iteration_matches_the_oracle() {
     let (_, _, oracle) = setup();
     for sql in QUERIES {
-        let rows = assert_threads_agree(sql, |t| run(sql, t)).unwrap();
+        let rows = run(sql).unwrap();
         assert_matches_oracle(&oracle, sql, &rows);
     }
 }
 
 #[test]
-fn errors_are_identical_serial_and_parallel() {
-    // GRP = 0 admits bindings whose QOH comparison then type-errors; four
-    // threads must report the same error after the same I/O.
+fn a_type_mismatch_is_an_error() {
     let bad = "SELECT PNUM FROM PARTS WHERE QOH IN \
                (SELECT QUAN FROM SUPPLY WHERE SUPPLY.QUAN > PARTS.PNUM AND SUPPLY.PNUM = 1-1-80)";
-    let res = assert_threads_agree(bad, |t| run(bad, t));
+    let res = run(bad);
     assert!(res.is_err(), "expected a type error from Int-vs-Date comparison");
 }
 
@@ -160,12 +134,11 @@ fn unknown_conjunct_hides_later_error() {
          (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM \
           AND SUPPLY.QUAN = 100 AND SUPPLY.PNUM = 'x')",
     ] {
-        let res = assert_threads_agree(sql, |t| run(sql, t));
-        assert_eq!(res.map(|r| r.len()), Ok(0), "{sql}");
+        assert_eq!(run(sql).map(|r| r.len()), Ok(0), "{sql}");
     }
     // The error is still raised where a row reaches it.
     let reached = "SELECT PNUM FROM PARTS WHERE QOH IS NULL AND PNUM = 'x'";
-    assert!(assert_threads_agree(reached, |t| run(reached, t)).is_err());
+    assert!(run(reached).is_err());
 }
 
 #[test]
@@ -182,7 +155,7 @@ fn paper_fixture_matches_the_oracle() {
          (SELECT SNO FROM SP WHERE QTY > 100 AND SP.ORIGIN = S.CITY)",
         "SELECT SNO, PNO FROM SP WHERE PNO IS IN (SELECT PNO FROM P WHERE WEIGHT > 15)",
     ] {
-        let rows = assert_threads_agree(sql, |t| run_fixture(suppliers_parts, sql, t)).unwrap();
+        let rows = eval(&f.storage, &f.provider, sql).unwrap();
         assert_matches_oracle(&oracle, sql, &rows);
     }
 }

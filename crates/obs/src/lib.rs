@@ -8,15 +8,15 @@
 //! observed**: collection only ever *loads* the engine's I/O counters
 //! (never mutates them), all of its own counters live on the side, and
 //! every collection point is behind a single branch that disabled-mode
-//! skips. `crates/bench/tests/par_prop.rs` proves the invariant end to end
-//! (obs on vs off, threads 1 and 4, byte-identical I/O and results).
+//! skips. `crates/bench/tests/obs_prop.rs` proves the invariant end to end
+//! (obs on vs off, byte-identical I/O and results).
 //!
 //! * [`profile::Profile`] — the per-query recorder: one tree of nodes for
 //!   the query lifecycle (parse → analyze → transform steps → execute)
 //!   whose leaves are the physical operators. Every node carries wall time
 //!   and, through a caller-supplied probe, the page-I/O delta it covered;
-//!   operator nodes add rows in/out, morsel claims per worker, batches and
-//!   build/probe timings on sharded relaxed atomics. Children never sum to
+//!   operator nodes add rows in/out, batches and build/probe timings on
+//!   sharded relaxed atomics. Children never sum to
 //!   more than their parent, so per-step page I/O can be read off the tree.
 //! * [`stats`] — the cumulative, engine-wide layer the statements feed
 //!   once they complete: per-table, per-fingerprint and cache counters,

@@ -77,16 +77,6 @@ impl ShardedCounter {
     pub fn total(&self) -> u64 {
         self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
     }
-
-    /// Per-shard values, trailing zero shards trimmed — used to report
-    /// morsel claims per worker.
-    pub fn per_shard(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).collect();
-        while v.last() == Some(&0) {
-            v.pop();
-        }
-        v
-    }
 }
 
 impl std::fmt::Debug for ShardedCounter {
@@ -96,14 +86,12 @@ impl std::fmt::Debug for ShardedCounter {
 }
 
 /// Live counters of an open operator node, field for field the [`OpStats`]
-/// it ends as. Workers write the sharded ones concurrently (`morsels` by
-/// worker id); the coordinating thread writes the rest.
+/// it ends as.
 #[derive(Default, Debug)]
 #[allow(missing_docs)]
 pub struct OpCounters {
     pub rows_in: ShardedCounter,
     pub rows_out: ShardedCounter,
-    pub morsels: ShardedCounter,
     pub batches: ShardedCounter,
     pub vectorized: AtomicBool,
     pub build_ns: AtomicU64,
@@ -117,8 +105,6 @@ pub struct OpStats {
     pub rows_in: u64,
     /// Tuples produced.
     pub rows_out: u64,
-    /// Morsel claims per worker (empty when the operator ran serially).
-    pub morsels_per_worker: Vec<u64>,
     /// Column batches processed (vectorized execution; 0 on the row path).
     pub batches: u64,
     /// Whether the operator ran its vectorized implementation.
@@ -164,9 +150,6 @@ impl ProfileNode {
                 let _ =
                     write!(line, " (build {:.3} ms, probe {:.3} ms)", ms(op.build_ns), ms(op.probe_ns));
             }
-            if !op.morsels_per_worker.is_empty() {
-                let _ = write!(line, " morsels/worker {:?}", op.morsels_per_worker);
-            }
             if op.vectorized {
                 let _ = write!(line, ", {} batches [vectorized]", op.batches);
             }
@@ -185,8 +168,8 @@ impl ProfileNode {
     }
 
     /// JSON form: `{name, wall_ns, io: {reads, writes, hits, misses},
-    /// op: null | {rows_in, rows_out, morsels_per_worker, batches,
-    /// vectorized, build_ns, probe_ns}, children: [..]}`.
+    /// op: null | {rows_in, rows_out, batches, vectorized, build_ns,
+    /// probe_ns}, children: [..]}`.
     pub fn to_json(&self) -> Json {
         let num = |n: u64| Json::num(n as f64);
         let io = &self.io;
@@ -195,10 +178,6 @@ impl ProfileNode {
             Json::obj([
                 ("rows_in", num(op.rows_in)),
                 ("rows_out", num(op.rows_out)),
-                (
-                    "morsels_per_worker",
-                    Json::Arr(op.morsels_per_worker.iter().map(|&m| num(m)).collect()),
-                ),
                 ("batches", num(op.batches)),
                 ("vectorized", Json::Bool(op.vectorized)),
                 ("build_ns", num(op.build_ns)),
@@ -250,7 +229,6 @@ impl Recorder {
             node.op = open.op.map(|c| OpStats {
                 rows_in: c.rows_in.total(),
                 rows_out: c.rows_out.total(),
-                morsels_per_worker: c.morsels.per_shard(),
                 batches: c.batches.total(),
                 vectorized: c.vectorized.load(Ordering::Relaxed),
                 build_ns: c.build_ns.load(Ordering::Relaxed),
@@ -311,9 +289,7 @@ impl Profile {
     }
 
     /// The counters of the innermost open node, when it is an operator:
-    /// where engine internals record rows, morsel claims, batches and
-    /// build/probe time. The coordinating thread fetches it before fanning
-    /// out, so workers never touch the profile lock.
+    /// where engine internals record rows, batches and build/probe time.
     pub fn current_op(&self) -> Option<Arc<OpCounters>> {
         self.inner.as_ref()?.lock().expect("profile lock").open.last()?.op.clone()
     }
@@ -407,10 +383,7 @@ mod tests {
         std::thread::scope(|s| {
             for w in 0..8 {
                 let op = &op;
-                s.spawn(move || {
-                    (0..1000).for_each(|_| op.rows_in.add(w, 1));
-                    op.morsels.add(w, 1 - w as u64 % 2);
-                });
+                s.spawn(move || (0..1000).for_each(|_| op.rows_in.add(w, 1)));
             }
         });
         op.build_ns.store(2_000_000, Ordering::Relaxed);
@@ -426,13 +399,11 @@ mod tests {
         let join = &outer.children[0];
         let op = join.op.as_ref().expect("operator node keeps its counters");
         assert_eq!((op.rows_in, join.io.reads, outer.io.reads), (8000, 2, 2));
-        assert_eq!(op.morsels_per_worker, [1, 0, 1, 0, 1, 0, 1], "trailing zero shards trimmed");
         let mut lines = Vec::new();
         outer.render_into(0, &mut lines);
         assert!(lines[0].starts_with("materialize TEMP3  ["), "{lines:?}");
         assert!(lines[1].starts_with("  nested-loop join (1 keys)  ["), "{lines:?}");
-        assert!(lines[1].contains("] rows 8000 -> 0 (build 2.000 ms, probe 3.000 ms)"), "{lines:?}");
-        assert!(lines[1].ends_with(" morsels/worker [1, 0, 1, 0, 1, 0, 1]"), "{lines:?}");
+        assert!(lines[1].ends_with("] rows 8000 -> 0 (build 2.000 ms, probe 3.000 ms)"), "{lines:?}");
 
         // The JSON export survives the in-tree parser with every key.
         let json = Json::parse(&outer.to_json().to_string()).expect("exporter emits valid JSON");
@@ -440,9 +411,7 @@ mod tests {
         let children = json.get("children").and_then(Json::as_arr).expect("children");
         assert_eq!(children[1].get("op"), Some(&Json::Null));
         let op = children[0].get("op").expect("operator node exports its counters");
-        for key in
-            ["rows_in", "rows_out", "morsels_per_worker", "batches", "vectorized", "build_ns", "probe_ns"]
-        {
+        for key in ["rows_in", "rows_out", "batches", "vectorized", "build_ns", "probe_ns"] {
             assert!(op.get(key).is_some(), "missing {key} in {op}");
         }
     }

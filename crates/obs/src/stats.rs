@@ -149,8 +149,8 @@ impl std::fmt::Debug for LatencyHistogram {
     }
 }
 
-/// Live per-table access counters. All sharded: table scans can run on
-/// every morsel worker at once.
+/// Live per-table access counters. All sharded: statements on several
+/// threads may scan one table at once.
 #[derive(Default, Debug)]
 pub struct TableCounters {
     /// Full-scan starts (one per scan of the heap file, not per page).

@@ -48,7 +48,7 @@ pub use disk::{Disk, DiskManager, MemBackend, Page, PageId, SYSTEM_PAGE_BASE};
 pub use durable::{FaultPlan, FileStore, RecoveryReport};
 pub use error::StorageError;
 pub use heap::{HeapFile, TempFile};
-pub use sort::{external_sort, external_sort_threads};
+pub use sort::external_sort;
 pub use stats::{IoSnapshot, IoStats};
 
 use nsql_types::{Relation, Schema, Tuple};

@@ -14,10 +14,9 @@
 use crate::disk::{Page, PageId};
 use crate::heap::HeapFile;
 use crate::Storage;
-use nsql_exec_par::{run_workers, Morsels};
 use nsql_types::{Tuple, Value};
 use std::cmp::Ordering;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// One sort key: tuple field index plus direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,27 +72,6 @@ pub fn external_sort(
     keys: &[SortKey],
     unique: bool,
 ) -> HeapFile {
-    external_sort_threads(storage, input, keys, unique, 1)
-}
-
-/// [`external_sort`] with parallel run generation.
-///
-/// With `threads > 1`, pass 0 reads and sorts its `B`-page chunks on a
-/// worker pool: chunk boundaries are identical to the serial pass, chunk
-/// reads go directly to disk (bypassing the buffer, so read *totals* are
-/// order-insensitive), and the sorted runs are then written serially in
-/// chunk order — run page ids and run order are deterministic, which
-/// matters because merge tie-breaking favours the lower run index. Merge
-/// passes stay serial (they are a small fraction of sort time and their
-/// I/O pattern is inherently sequential). `threads <= 1` is the exact
-/// serial code path.
-pub fn external_sort_threads(
-    storage: &Storage,
-    input: &HeapFile,
-    keys: &[SortKey],
-    unique: bool,
-    threads: usize,
-) -> HeapFile {
     debug_assert!(
         !unique || keys.iter().enumerate().all(|(i, k)| *k == SortKey::asc(i)),
         "a unique sort orders by the whole tuple ascending; {keys:?} would be ignored"
@@ -101,43 +79,24 @@ pub fn external_sort_threads(
     let b = storage.buffer_pages().max(2);
     let cmp = |x: &Tuple, y: &Tuple| if unique { x.total_cmp(y) } else { compare(x, y, keys) };
 
-    // Pass 0: one sorted run per chunk of up to `b` pages. Reading and
-    // sorting a chunk is `sorted_chunk`; a chunk without tuples leaves no run.
-    let chunks: Vec<&[PageId]> = input.page_ids().chunks(b).collect();
     // A unique sort's first key is field 0 ascending, if the tuples have one.
     let first = if unique { Some(SortKey::asc(0)) } else { keys.first().copied() };
-    let sorted_chunk = |span: &[PageId]| -> Vec<Tuple> {
-        let pages: Vec<Arc<Page>> = span.iter().map(|&id| storage.read_page_direct(id)).collect();
-        let mut rows = sort_rows(&pages, first, cmp);
-        if unique {
-            rows.dedup();
-        }
-        rows
-    };
-    let write_run = |rows: Vec<Tuple>| {
-        (!rows.is_empty()).then(|| HeapFile::from_tuples(storage, input.schema().clone(), rows))
-    };
-    let mut runs: Vec<HeapFile> = if threads > 1 && chunks.len() > 1 {
-        // Read + sort chunks in parallel, then write the runs serially in
-        // chunk order: deterministic run page ids and run order, identical
-        // to the serial pass.
-        let sorted: Vec<Mutex<Vec<Tuple>>> = chunks.iter().map(|_| Mutex::default()).collect();
-        let morsels = Morsels::new(chunks.len(), 1);
-        run_workers(threads.min(chunks.len()), |_w| {
-            while let Some(range) = morsels.claim() {
-                for c in range {
-                    *sorted[c].lock().unwrap_or_else(PoisonError::into_inner) =
-                        sorted_chunk(chunks[c]);
-                }
+    // Pass 0: one sorted run per chunk of up to `b` pages; a chunk without
+    // tuples leaves no run.
+    let mut runs: Vec<HeapFile> = input
+        .page_ids()
+        .chunks(b)
+        .filter_map(|span| {
+            let pages: Vec<Arc<Page>> =
+                span.iter().map(|&id| storage.read_page_direct(id)).collect();
+            let mut rows = sort_rows(&pages, first, cmp);
+            if unique {
+                rows.dedup();
             }
-        });
-        sorted
-            .into_iter()
-            .filter_map(|slot| write_run(slot.into_inner().unwrap_or_else(PoisonError::into_inner)))
-            .collect()
-    } else {
-        chunks.iter().filter_map(|span| write_run(sorted_chunk(span))).collect()
-    };
+            (!rows.is_empty())
+                .then(|| HeapFile::from_tuples(storage, input.schema().clone(), rows))
+        })
+        .collect();
 
     if runs.is_empty() {
         return HeapFile::from_tuples(storage, input.schema().clone(), Vec::new());
@@ -403,34 +362,6 @@ mod tests {
         let s = external_sort(&st, &f, &[SortKey::asc(0)], false);
         assert_eq!(s.tuple_count(), 0);
         assert_eq!(s.page_count(), 0);
-    }
-
-    #[test]
-    fn parallel_run_generation_matches_serial_exactly() {
-        // Same rows sorted on two identically-shaped storages: the parallel
-        // sort must produce the same output order AND the same I/O totals.
-        let rows: Vec<(i64, i64)> = (0..800).map(|i| ((i * 6151) % 811, i)).collect();
-        for &(unique, desc) in &[(false, false), (false, true), (true, false)] {
-            let keys =
-                if desc { vec![SortKey::desc(0), SortKey::asc(1)] } else { vec![SortKey::asc(0)] };
-
-            let serial = Storage::new(4, 64);
-            let fs = file_of(&serial, &rows);
-            serial.reset_stats();
-            let ss = external_sort_threads(&serial, &fs, &keys, unique, 1);
-            let serial_io = serial.io_stats();
-
-            let par = Storage::new(4, 64);
-            let fp = file_of(&par, &rows);
-            par.reset_stats();
-            let sp = external_sort_threads(&par, &fp, &keys, unique, 4);
-            let par_io = par.io_stats();
-
-            let a: Vec<Tuple> = ss.scan_direct(&serial).collect();
-            let b: Vec<Tuple> = sp.scan_direct(&par).collect();
-            assert_eq!(a, b, "unique={unique} desc={desc}");
-            assert_eq!(serial_io, par_io, "unique={unique} desc={desc}");
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the decorate–sort–undecorate one it replaced, stable, and copies no row.
 
 use nsql_storage::sort::{compare, SortKey};
-use nsql_storage::{external_sort, external_sort_threads, HeapFile, IoSnapshot, Storage, TraceEvent};
+use nsql_storage::{external_sort, HeapFile, IoSnapshot, Storage, TraceEvent};
 use nsql_testkit::{forall, prop_assert, prop_assert_eq, Rng};
 use nsql_types::{Column, ColumnType, Date, Schema, Tuple, Value};
 
@@ -123,12 +123,10 @@ fn sort_io_within_model_envelope() {
 /// merges. The kernel in `sort.rs` must be indistinguishable from it —
 /// tuples per output page, counters, page-event sequence, residency.
 mod decorated {
-    use nsql_exec_par::{run_workers, Morsels};
     use nsql_storage::sort::SortKey;
     use nsql_storage::{HeapFile, Storage};
     use nsql_types::Tuple;
     use std::cmp::Ordering;
-    use std::sync::{Mutex, PoisonError};
 
     /// Compare two already-extracted key tuples, position `j` reversed when
     /// `desc[j]`. The decorated counterpart of `compare`.
@@ -143,23 +141,12 @@ mod decorated {
         Ordering::Equal
     }
 
-    /// `external_sort` with parallel run generation.
-    ///
-    /// With `threads > 1`, pass 0 reads and sorts its `B`-page chunks on a
-    /// worker pool: chunk boundaries are identical to the serial pass, chunk
-    /// reads go directly to disk (bypassing the buffer, so read *totals* are
-    /// order-insensitive), and the sorted runs are then written serially in
-    /// chunk order — run page ids and run order are deterministic, which
-    /// matters because merge tie-breaking favours the lower run index. Merge
-    /// passes stay serial (they are a small fraction of sort time and their
-    /// I/O pattern is inherently sequential). `threads <= 1` is the exact
-    /// serial code path.
-    pub fn external_sort_threads(
+    /// `external_sort` as it was.
+    pub fn external_sort(
         storage: &Storage,
         input: &HeapFile,
         keys: &[SortKey],
         unique: bool,
-        threads: usize,
     ) -> HeapFile {
         let b = storage.buffer_pages().max(2);
         // Decorate–sort–undecorate: each tuple's key fields are extracted into a
@@ -188,61 +175,29 @@ mod decorated {
 
         // Pass 0: produce sorted runs of up to `b` pages each.
         let page_ids = input.page_ids();
-        let n_chunks = page_ids.len().div_ceil(b);
         let mut runs: Vec<HeapFile> = Vec::new();
-        if threads > 1 && n_chunks > 1 {
-            // Read + sort chunks in parallel; chunk boundaries match serial.
-            let sorted: Vec<Mutex<Option<Vec<Tuple>>>> =
-                (0..n_chunks).map(|_| Mutex::new(None)).collect();
-            let morsels = Morsels::new(n_chunks, 1);
-            run_workers(threads.min(n_chunks), |_w| {
-                while let Some(range) = morsels.claim() {
-                    for c in range {
-                        let span = &page_ids[c * b..((c + 1) * b).min(page_ids.len())];
-                        let mut chunk: Vec<Tuple> = Vec::new();
-                        for &pid in span {
-                            chunk.extend(storage.read_page_direct(pid).tuples().iter().cloned());
-                        }
-                        let out = sort_chunk(chunk);
-                        *sorted[c].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-                    }
-                }
-            });
-            // Write runs serially, in chunk order: deterministic run page ids
-            // and run order, identical to the serial pass.
-            for slot in sorted {
-                let tuples = slot
-                    .into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every chunk was claimed by a worker");
-                if !tuples.is_empty() {
-                    runs.push(HeapFile::from_tuples(storage, input.schema().clone(), tuples));
-                }
+        let mut chunk: Vec<Tuple> = Vec::new();
+        let mut pages_in_chunk = 0usize;
+        let flush = |chunk: &mut Vec<Tuple>, runs: &mut Vec<HeapFile>| {
+            if chunk.is_empty() {
+                return;
             }
-        } else {
-            let mut chunk: Vec<Tuple> = Vec::new();
-            let mut pages_in_chunk = 0usize;
-            let flush = |chunk: &mut Vec<Tuple>, runs: &mut Vec<HeapFile>| {
-                if chunk.is_empty() {
-                    return;
-                }
-                runs.push(HeapFile::from_tuples(
-                    storage,
-                    input.schema().clone(),
-                    sort_chunk(std::mem::take(chunk)),
-                ));
-            };
-            for &page_id in page_ids {
-                let page = storage.read_page_direct(page_id);
-                chunk.extend(page.tuples().iter().cloned());
-                pages_in_chunk += 1;
-                if pages_in_chunk == b {
-                    flush(&mut chunk, &mut runs);
-                    pages_in_chunk = 0;
-                }
+            runs.push(HeapFile::from_tuples(
+                storage,
+                input.schema().clone(),
+                sort_chunk(std::mem::take(chunk)),
+            ));
+        };
+        for &page_id in page_ids {
+            let page = storage.read_page_direct(page_id);
+            chunk.extend(page.tuples().iter().cloned());
+            pages_in_chunk += 1;
+            if pages_in_chunk == b {
+                flush(&mut chunk, &mut runs);
+                pages_in_chunk = 0;
             }
-            flush(&mut chunk, &mut runs);
         }
+        flush(&mut chunk, &mut runs);
 
         if runs.is_empty() {
             return HeapFile::from_tuples(storage, input.schema().clone(), Vec::new());
@@ -415,8 +370,8 @@ fn date(code: u8) -> Date {
 
 type RowCodes = (u8, u8, u8);
 
-/// `(profiles, rows, keys as (column, desc), unique, B, page size, threads)`.
-type SortCase = (RowCodes, Vec<RowCodes>, Vec<(u8, bool)>, bool, usize, usize, usize);
+/// `(profiles, rows, keys as (column, desc), unique, B, page size)`.
+type SortCase = (RowCodes, Vec<RowCodes>, Vec<(u8, bool)>, bool, usize, usize);
 
 fn sort_case(rng: &mut Rng) -> SortCase {
     let code = |rng: &mut Rng| rng.gen_range(0u8..48);
@@ -441,7 +396,6 @@ fn sort_case(rng: &mut Rng) -> SortCase {
         unique,
         *rng.choose(&[2usize, 3, 6, 64]),
         *rng.choose(&[64usize, 512, 4096]),
-        *rng.choose(&[1usize, 2, 4]),
     )
 }
 
@@ -473,7 +427,7 @@ struct Observed {
 }
 
 fn observe(case: &SortCase, reference: bool) -> Observed {
-    let (profiles, rows, keys, unique, b, page_size, threads) = case;
+    let (profiles, rows, keys, unique, b, page_size) = case;
     let st = Storage::new(*b, *page_size);
     let f = mixed_file(&st, *profiles, rows);
     let keys: Vec<SortKey> =
@@ -483,22 +437,12 @@ fn observe(case: &SortCase, reference: bool) -> Observed {
     let before = st.io_snapshot();
     st.start_recording();
     let sorted = if reference {
-        decorated::external_sort_threads(&st, &f, &keys, *unique, *threads)
+        decorated::external_sort(&st, &f, &keys, *unique)
     } else {
-        external_sort_threads(&st, &f, &keys, *unique, *threads)
+        external_sort(&st, &f, &keys, *unique)
     };
-    let mut events = st.take_recording();
+    let events = st.take_recording();
     let io = st.io_snapshot().since(&before);
-    if *threads > 1 {
-        // Parallel run generation reads its chunks in whatever order the
-        // workers claim them (and only then writes the first run): that
-        // leading block of reads is a set, everything after it a sequence.
-        let reads = events.iter().take_while(|e| matches!(e, TraceEvent::ReadDirect(_))).count();
-        events[..reads].sort_by_key(|e| match e {
-            TraceEvent::ReadDirect(id) => id.0,
-            _ => unreachable!("only direct reads were counted"),
-        });
-    }
     let pages = sorted
         .page_ids()
         .iter()
@@ -536,14 +480,14 @@ fn sort_is_stable() {
             let keys: Vec<i64> = (0..n).map(|_| rng.gen_range(0i64..5)).collect();
             // B = 64 makes chunks of 128 tuples: long enough that an
             // unstable sort would not fall back to (stable) insertion.
-            (keys, rng.gen_bool(0.5), *rng.choose(&[2usize, 6, 64]), *rng.choose(&[1usize, 4]))
+            (keys, rng.gen_bool(0.5), *rng.choose(&[2usize, 6, 64]))
         },
-        |(keys, desc, buffer, threads)| {
+        |(keys, desc, buffer)| {
             let st = Storage::new(*buffer, 64);
             let rows: Vec<(i64, i64)> = keys.iter().copied().zip(0..).collect();
             let f = file_of(&st, &rows);
             let key = SortKey { index: 0, desc: *desc };
-            let sorted = external_sort_threads(&st, &f, &[key], false, *threads);
+            let sorted = external_sort(&st, &f, &[key], false);
             let got: Vec<Tuple> = sorted.scan(&st).collect();
             prop_assert_eq!(got.len(), rows.len());
             for w in got.windows(2) {

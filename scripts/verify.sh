@@ -23,14 +23,10 @@ cargo test -q --offline
 
 echo "==> cargo test -q --workspace"
 # Includes crates/bench/tests/figures_identity.rs: all seven figures and
-# tables rendered in process under threads = 4, the file store, vectorized
-# execution, the result cache and statistics off, each held to the bytes of
-# the configuration of record.
+# tables rendered in process under the file store, vectorized execution, the
+# result cache and statistics off, each held to the bytes of the
+# configuration of record.
 cargo test -q --workspace --offline
-
-echo "==> cargo test -q --workspace under NSQL_THREADS=1 and =4"
-NSQL_THREADS=1 cargo test -q --workspace --offline >/dev/null
-NSQL_THREADS=4 cargo test -q --workspace --offline >/dev/null
 
 echo "==> sort / merge-join kernels against the code they replaced, at a second seed"
 # The kernels are compared with the code they replaced (kept verbatim in the
@@ -57,9 +53,9 @@ fi
 
 echo "==> non-test source is environment-blind"
 # Every choice is a QueryOptions value (DESIGN.md "Configuration"). The
-# environment supplies the worker count (NSQL_THREADS) and the test runner's
-# seed, case count and scratch directory — nothing else, and nothing writes
-# to it.
+# environment supplies the test runner's seed, case count and scratch
+# directory, and NSQL_THREADS to the benchmark's probes through exec-par —
+# nothing else, and nothing writes to it.
 if grep -rn 'env::var' crates/*/src src --include='*.rs' \
     | grep -vE '^crates/(exec-par/src/lib|testkit/src/(prop|tempdir))\.rs:'; then
     echo "FAIL: environment read outside exec-par and testkit"
@@ -107,7 +103,8 @@ done <<GATES
 \\b(judge_rewrite|RewriteJudgement|AggViewDescriptor|DuplicateSemantics)\\b|CacheMode::Rewrite#$everywhere#-#the aggregate-view judge that licensed nothing, or the alias of UnnestOptions::preserve_duplicates (DESIGN.md "Result caching", "Configuration")
 \\b(sort_pages|never_raises)\\b|\\binfallible\\(#$everywhere#-#a copy of cost::sort_cost, or a second cannot-raise truth table beside nsql_engine::pred::cannot_raise (DESIGN.md "Join choice")
 \\b(select_block_rule|BLOCK_RULES|BlockRule|BlockAction|NestedShape)\\b#$everywhere#-#the block-rule catalog; nest_g::transform_nested matches on the nesting shape itself (DESIGN.md "One planner for flat blocks", Dispatch)
-\\b(trace_view|trace_marker|is_trace|charge_read|charge_write|write_uncounted|eval_parallel|IoMode)\\b|TraceEvent::Marker#$everywhere#-#storage's trace mode or the trace-and-replay parallel nested iteration it served; nested iteration is serial (DESIGN.md "Threading model")
+\\b(trace_view|trace_marker|is_trace|charge_read|charge_write|write_uncounted|eval_parallel|IoMode)\\b|TraceEvent::Marker#$everywhere#-#storage's trace mode or the trace-and-replay parallel nested iteration it served; nested iteration is serial (DESIGN.md "Execution is serial")
+\\b(par_map_pages|workers_for|PAR_MIN_ROWS|with_thread_budget|with_requested_threads|external_sort_threads|Morsels|chunk_for|threads_named|morsels_per_worker|absorb)\\b|AggState::merge|\\.morsels\\.#$everywhere#crates/db/tests/explain_parity\\.rs#morsel-parallel operator execution, its thread budget or its per-worker counters; every operator is serial (DESIGN.md "Execution is serial"). explain_parity asserts the JSON key is gone
 \\b(eval_batched|Verdicts|BatchedParams|batched_cost)\\b|Strategy::Batched|StrategyKind::Batched|QueryOptions::batched\\b#$everywhere#-#batched correlated evaluation, a second correlated evaluator; nested iteration evaluates each distinct binding once (DESIGN.md "One correlated evaluator"). The eval_query_batched stub stays for benchmark/
 faithful_1987 *[:=] *true|UnnestOptions::faithful\\(|set_faithful\\(true#$non_test#crates/core/src/nest_g\\.rs|crates/db/src/options\\.rs|crates/bench/src/.*|src/diff\\.rs|examples/.*#faithful_1987 is set on a path the default options reach
 GATES
@@ -155,13 +152,13 @@ if [ -e crates/core/src/cost.rs ] || [ -e crates/core/src/rules.rs ] \
     exit 1
 fi
 
-echo "==> nested iteration is serial"
-# Correlated evaluation runs on the calling thread (DESIGN.md "Threading
-# model"): the evaluator names no worker pool, morsel dispatcher, parallel
-# sort or thread budget.
-if grep -nE '\b(nsql_exec_par|run_workers|Morsels|PAR_MIN_ROWS|external_sort_threads|with_thread_budget)\b' \
-    crates/engine/src/nested_iter.rs; then
-    echo "FAIL: nested_iter.rs reaches for threads"
+echo "==> execution is serial"
+# Every operator and nested iteration run on the calling thread (DESIGN.md
+# "Execution is serial"): outside the exec-par crate, which survives only for
+# the benchmark's probes, no source names its worker pool.
+if grep -rnE '\b(nsql_exec_par|run_workers)\b' crates/*/src src --include='*.rs' \
+    | grep -v '^crates/exec-par/'; then
+    echo "FAIL: a crate reaches for the worker pool"
     exit 1
 fi
 
@@ -241,10 +238,10 @@ NSQL_TEST_SEED=0xd1ffc4ec NSQL_TEST_CASES=60 cargo test -q --offline --test diff
 # blocks deep (src/diff.rs pins that the seed still generates one).
 NSQL_TEST_SEED=0x9e4a100 NSQL_TEST_CASES=20 cargo test -q --offline --test diff_prop
 
-echo "==> ni_memo_prop smoke (thread/backend I/O invariance + metamorphic mutations against 1987)"
+echo "==> ni_memo_prop smoke (backend I/O invariance + metamorphic mutations against 1987)"
 NSQL_TEST_SEED=0xba7c4ed0 NSQL_TEST_CASES=60 cargo test -q --offline --test ni_memo_prop
 
-echo "==> ni_probe_prop at a second seed (probing blocks against the 1987 scan, the oracle and four threads)"
+echo "==> ni_probe_prop at a second seed (probing blocks against the 1987 scan and the oracle)"
 NSQL_TEST_SEED=0x9a0be5 NSQL_TEST_CASES=60 cargo test -q --offline -p nsql-db --test ni_probe_prop
 
 echo "==> stats_prop smoke (stats-on/off rows + four-counter I/O invariance)"

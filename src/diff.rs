@@ -652,9 +652,8 @@ struct Pipeline {
     set_only: bool,
 }
 
-/// The pipelines under differential test. Nested iteration runs once (it is
-/// serial at every thread count); the transformation runs under every join
-/// policy, in parallel, and in the duplicate-collapsing
+/// The pipelines under differential test. Nested iteration runs once; the
+/// transformation runs under every join policy and in the duplicate-collapsing
 /// `preserve_duplicates` mode. Row pipelines pin
 /// `ExecMode::Row` (not `Auto`) so the sweep diffs both representations
 /// whatever `Auto` comes to mean; `tr-vec-hash` reruns the forced-hash-join
@@ -666,11 +665,10 @@ fn pipelines() -> Vec<Pipeline> {
         exec_mode: ExecMode::Row,
         ..Default::default()
     };
-    let tr = |policy: JoinPolicy, threads: usize| QueryOptions {
+    let tr = |policy: JoinPolicy| QueryOptions {
         strategy: Strategy::Transform,
         join_policy: policy,
         cold_start: true,
-        threads,
         exec_mode: ExecMode::Row,
         ..Default::default()
     };
@@ -678,31 +676,25 @@ fn pipelines() -> Vec<Pipeline> {
         Pipeline { name: "ni-serial", opts: ni, transform: false, set_only: false },
         Pipeline {
             name: "tr-cost-serial",
-            opts: tr(JoinPolicy::CostBased, 1),
-            transform: true,
-            set_only: false,
-        },
-        Pipeline {
-            name: "tr-cost-par4",
-            opts: tr(JoinPolicy::CostBased, 4),
+            opts: tr(JoinPolicy::CostBased),
             transform: true,
             set_only: false,
         },
         Pipeline {
             name: "tr-nestedloop",
-            opts: tr(JoinPolicy::ForceNestedLoop, 1),
+            opts: tr(JoinPolicy::ForceNestedLoop),
             transform: true,
             set_only: false,
         },
         Pipeline {
             name: "tr-merge",
-            opts: tr(JoinPolicy::ForceMergeJoin, 1),
+            opts: tr(JoinPolicy::ForceMergeJoin),
             transform: true,
             set_only: false,
         },
         Pipeline {
             name: "tr-hash",
-            opts: tr(JoinPolicy::ForceHashJoin, 1),
+            opts: tr(JoinPolicy::ForceHashJoin),
             transform: true,
             set_only: false,
         },
@@ -710,7 +702,7 @@ fn pipelines() -> Vec<Pipeline> {
             name: "tr-distinct",
             opts: QueryOptions {
                 unnest: UnnestOptions { preserve_duplicates: true, ..Default::default() },
-                ..tr(JoinPolicy::CostBased, 1)
+                ..tr(JoinPolicy::CostBased)
             },
             transform: true,
             set_only: true,
@@ -720,13 +712,13 @@ fn pipelines() -> Vec<Pipeline> {
         // diffs index-scan plans against full-scan plans against the oracle.
         Pipeline {
             name: "tr-ix-prefer",
-            opts: QueryOptions { index_use: IndexUse::Prefer, ..tr(JoinPolicy::CostBased, 1) },
+            opts: QueryOptions { index_use: IndexUse::Prefer, ..tr(JoinPolicy::CostBased) },
             transform: true,
             set_only: false,
         },
         Pipeline {
             name: "tr-ix-never",
-            opts: QueryOptions { index_use: IndexUse::Never, ..tr(JoinPolicy::CostBased, 1) },
+            opts: QueryOptions { index_use: IndexUse::Never, ..tr(JoinPolicy::CostBased) },
             transform: true,
             set_only: false,
         },
@@ -738,7 +730,7 @@ fn pipelines() -> Vec<Pipeline> {
             name: "tr-literal",
             opts: QueryOptions {
                 unnest: UnnestOptions { faithful_1987: true, ..Default::default() },
-                ..tr(JoinPolicy::CostBased, 1)
+                ..tr(JoinPolicy::CostBased)
             },
             transform: true,
             set_only: false,
@@ -751,7 +743,7 @@ fn pipelines() -> Vec<Pipeline> {
             name: "tr-vec-hash",
             opts: QueryOptions {
                 exec_mode: ExecMode::Vector,
-                ..tr(JoinPolicy::ForceHashJoin, 1)
+                ..tr(JoinPolicy::ForceHashJoin)
             },
             transform: true,
             set_only: false,
@@ -1030,7 +1022,6 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
     let base = |strategy: Strategy| QueryOptions {
         strategy,
         cold_start: true,
-        threads: 1,
         exec_mode: ExecMode::Row,
         ..Default::default()
     };

@@ -11,11 +11,9 @@
 //! interpreter to raise its error: a reference that is ambiguous in the
 //! inner block's own scope, and an outer reference that resolves nowhere.
 //!
-//! Per case: the serial run agrees with the oracle (rows as bags, error
-//! presence), and a run offered four threads — which nested iteration
-//! ignores — agrees with the serial one on rows in order, the error value,
-//! and the four storage counters. (There is one kernel: the lane kernel this
-//! suite also used to cross-check is gone.)
+//! Per case: the run agrees with the oracle (rows as bags, error presence).
+//! (There is one kernel: the lane kernel this suite also used to
+//! cross-check is gone.)
 //!
 //! Replays and shrinks through the usual testkit machinery
 //! (`NSQL_TEST_SEED`, `NSQL_TEST_CASES`).
@@ -24,7 +22,7 @@ use nsql_engine::provider::MemoryProvider;
 use nsql_engine::{EngineError, NestedIter};
 use nsql_oracle::Oracle;
 use nsql_sql::parse_query;
-use nsql_storage::{IoSnapshot, Storage};
+use nsql_storage::Storage;
 use nsql_testkit::{Rng, Shrink};
 use nsql_types::{ColumnType, Relation, Schema, Tuple, TypeError, Value};
 
@@ -253,10 +251,8 @@ fn gen_case(rng: &mut Rng) -> Case {
     }
 }
 
-type Outcome = (Result<Relation, EngineError>, IoSnapshot);
-
 #[test]
-fn bound_blocks_agree_with_the_oracle_and_across_threads() {
+fn bound_blocks_agree_with_the_oracle() {
     nsql_testkit::forall(250, "bind_once_vs_oracle", gen_case, |case| {
         let sql = case.sql();
         let q = parse_query(&sql).map_err(|e| format!("generated SQL must parse: {e}\n{sql}"))?;
@@ -270,23 +266,7 @@ fn bound_blocks_agree_with_the_oracle_and_across_threads() {
             provider.register(name, storage.store_relation(&rel));
             oracle.load(name, rel);
         }
-        let run = |threads: usize| -> Outcome {
-            storage.clear_buffer();
-            storage.reset_stats();
-            let before = storage.io_snapshot();
-            let ni = NestedIter::new(&provider, storage.clone());
-            let res = ni.eval_query_threads(&q, threads);
-            (res, storage.io_snapshot().since(&before))
-        };
-
-        let base = run(1);
-        let par = run(4);
-        if par != base {
-            return Err(format!(
-                "4 threads diverged from the serial run\nsql: {sql}\nserial: {base:?}\n\
-                 parallel: {par:?}"
-            ));
-        }
+        let got = NestedIter::new(&provider, storage.clone()).eval_query(&q);
 
         // The planted faults decline binding; what surfaces is the
         // interpreter's error, by name.
@@ -295,14 +275,14 @@ fn bound_blocks_agree_with_the_oracle_and_across_threads() {
                 Fault::Ambiguous => TypeError::AmbiguousColumn("V".into()),
                 Fault::Unresolved => TypeError::UnknownColumn("Z.K".into()),
             };
-            if base.0 != Err(EngineError::Type(want.clone())) {
-                return Err(format!("expected {want:?}, got {:?}\nsql: {sql}", base.0));
+            if got != Err(EngineError::Type(want.clone())) {
+                return Err(format!("expected {want:?}, got {got:?}\nsql: {sql}"));
             }
         }
         if matches!(case.fault, Some((_, false))) {
             return Ok(()); // raised or not depends on evaluation order
         }
-        match (oracle.eval(&q), &base.0) {
+        match (oracle.eval(&q), &got) {
             (Ok(want), Ok(got)) if got.same_bag(&want) => Ok(()),
             (Err(_), Err(_)) => Ok(()),
             (want, got) => Err(format!(

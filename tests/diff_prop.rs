@@ -3,7 +3,7 @@
 //! Random nested queries over random biased databases are evaluated by the
 //! naive `nsql-oracle` interpreter and by every engine pipeline — nested
 //! iteration, the NEST-G transformation under every join
-//! policy (serial and parallel), the duplicate-collapsing
+//! policy, the duplicate-collapsing
 //! `preserve_duplicates` mode, and the index-backed variants (every generated table carries a
 //! B+tree on `K`; `tr-ix-prefer` forces index restriction and index
 //! back-joins on, `tr-ix-never` forces them off) — every one of these on the

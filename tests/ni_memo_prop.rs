@@ -7,11 +7,10 @@
 //! pipeline, which runs the memo, to the oracle's full-strength contract;
 //! this suite pins down what the sweep cannot express:
 //!
-//! * **determinism across knobs** — rows *and* counted page I/O of a default
-//!   nested-iteration run are byte-identical across thread counts (1 vs 4),
-//!   which it ignores (it is serial), and across storage backends (in-memory
-//!   vs the durable page store), on NULL- and duplicate-heavy generated
-//!   databases. Errors must reproduce identically too.
+//! * **determinism across backends** — rows *and* counted page I/O of a
+//!   default nested-iteration run are byte-identical across storage backends
+//!   (in-memory vs the durable page store), on NULL- and duplicate-heavy
+//!   generated databases. Errors must reproduce identically too.
 //!
 //! * **set-theoretic outer-block mutations** — metamorphic variants of the
 //!   outer block that are semantically neutral for nested iteration must be
@@ -37,11 +36,10 @@ use nsql_sql::Predicate;
 use nsql_testkit::TempDir;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
 
-fn opts(threads: usize, faithful_1987: bool) -> QueryOptions {
+fn opts(faithful_1987: bool) -> QueryOptions {
     QueryOptions {
         strategy: Strategy::NestedIteration,
         cold_start: true,
-        threads,
         exec_mode: ExecMode::Row,
         unnest: UnnestOptions { faithful_1987, ..UnnestOptions::default() },
         ..Default::default()
@@ -78,10 +76,9 @@ fn observe(db: &Database, case: &DiffCase, o: &QueryOptions) -> Observed {
 }
 
 /// Default nested-iteration runs are byte-identical — rows, row *order*,
-/// page reads, page writes, and error text — across thread counts and
-/// storage backends.
+/// page reads, page writes, and error text — across storage backends.
 #[test]
-fn ni_io_is_byte_identical_across_threads_and_backends() {
+fn ni_io_is_byte_identical_across_backends() {
     nsql_testkit::forall(150, "ni_io_thread_backend_invariance", gen_case, |case| {
         // Shrink candidates may drop a FROM entry whose alias is still
         // referenced; such queries run nowhere, so there is nothing to pin.
@@ -91,24 +88,14 @@ fn ni_io_is_byte_identical_across_threads_and_backends() {
                 return Ok(());
             }
         }
-        let mut runs: Vec<(String, Observed)> = Vec::new();
-        for threads in [1usize, 4] {
-            let db = mem_db(&case.tables);
-            runs.push((format!("mem/t{threads}"), observe(&db, case, &opts(threads, false))));
-            let dir = TempDir::new("nsql-ni-memo-prop");
-            let db = file_db(&case.tables, &dir);
-            runs.push((format!("file/t{threads}"), observe(&db, case, &opts(threads, false))));
-        }
-        let (base_name, base) = &runs[0];
-        for (name, run) in &runs[1..] {
-            if run != base {
-                return Err(format!(
-                    "nested iteration diverged between configs\n\
-                     {base_name}: {base:?}\n{name}: {run:?}\n\
-                     sql: {}",
-                    nsql_sql::print_query(&case.query)
-                ));
-            }
+        let mem = observe(&mem_db(&case.tables), case, &opts(false));
+        let dir = TempDir::new("nsql-ni-memo-prop");
+        let file = observe(&file_db(&case.tables, &dir), case, &opts(false));
+        if file != mem {
+            return Err(format!(
+                "nested iteration diverged between backends\nmem: {mem:?}\nfile: {file:?}\nsql: {}",
+                nsql_sql::print_query(&case.query)
+            ));
         }
         Ok(())
     });
@@ -164,8 +151,8 @@ fn memo_matches_faithful_nested_iteration_under_outer_block_mutations() {
             if nsql_analyzer::validate_query(db.catalog(), &variant.query).is_err() {
                 continue;
             }
-            let paper = db.run_query(&variant.query, &opts(1, true));
-            let memo = db.run_query(&variant.query, &opts(1, false));
+            let paper = db.run_query(&variant.query, &opts(true));
+            let memo = db.run_query(&variant.query, &opts(false));
             match (paper, memo) {
                 (Ok(p), Ok(m)) => {
                     if !m.relation.same_bag(&p.relation) {
@@ -218,7 +205,7 @@ fn doubled_outer_rows_add_only_their_own_pages_to_a_block_that_cannot_probe() {
         db.catalog_mut().load_table("A", a).unwrap();
         db.catalog_mut().load_table("B", &b).unwrap();
         assert!(db.catalog().table("B").unwrap().page_count() > 6, "B must not fit the pool");
-        let out = db.query_with(SQL, &opts(1, faithful_1987)).unwrap();
+        let out = db.query_with(SQL, &opts(faithful_1987)).unwrap();
         let scans = out.explain.iter().any(|l| l.starts_with("block B: scan (no conjunct equates"));
         assert_eq!(scans, !faithful_1987, "{:#?}", out.explain);
         (db.catalog().table("A").unwrap().page_count() as u64, out.io.reads, out.relation)

@@ -10,8 +10,8 @@
 //! "simple" for the plan executor to fail on with an untyped `Unsupported`.
 //!
 //! Here every form runs correlated at depth 1 and through an otherwise
-//! uncorrelated middle block at depth 2, under nested iteration (1 and 2
-//! threads) and the default path with the caller's retry protocol (on
+//! uncorrelated middle block at depth 2, under nested iteration and the
+//! default path with the caller's retry protocol (on
 //! `DbError::Transform`, rerun by nested iteration), against `nsql-oracle`.
 
 use nsql_db::{Database, DbError, QueryOptions, Strategy};
@@ -116,15 +116,13 @@ fn default_with_retry(db: &Database, sql: &str) -> Result<Relation, DbError> {
 /// Every pipeline answers `sql` as the oracle does (as bags).
 fn assert_agrees(db: &Database, oracle: &Oracle, label: &str, sql: &str) {
     let want = oracle.eval(&parse_query(sql).unwrap()).unwrap_or_else(|e| panic!("{label}: {e}"));
-    let pinned = |strategy, threads| QueryOptions {
-        strategy,
-        threads,
+    let ni = QueryOptions {
+        strategy: Strategy::NestedIteration,
         cold_start: true,
         ..Default::default()
     };
     let runs = [
-        ("ni", db.query_with(sql, &pinned(Strategy::NestedIteration, 1)).map(|o| o.relation)),
-        ("ni-2", db.query_with(sql, &pinned(Strategy::NestedIteration, 2)).map(|o| o.relation)),
+        ("ni", db.query_with(sql, &ni).map(|o| o.relation)),
         ("default+retry", default_with_retry(db, sql)),
     ];
     for (pipeline, got) in runs {

@@ -11,8 +11,8 @@
 //!   misses — not just the reads+writes headline), and
 //! * the error rendering when the query fails,
 //!
-//! across worker thread counts (1 vs 4), both evaluation strategies
-//! (nested iteration and transform), and both storage backends (in-memory
+//! across both evaluation strategies (nested iteration and transform) and
+//! both storage backends (in-memory
 //! and the durable page store). The stats side additionally queries a
 //! system view after the workload, proving that *reading* statistics
 //! moves no counter either (system views live on uncounted system pages).
@@ -26,11 +26,10 @@ use nsql_storage::IoSnapshot;
 use nsql_testkit::TempDir;
 use nsql_types::Relation;
 
-fn opts(strategy: Strategy, threads: usize) -> QueryOptions {
+fn opts(strategy: Strategy) -> QueryOptions {
     QueryOptions {
         strategy,
         cold_start: true,
-        threads,
         exec_mode: ExecMode::Row,
         ..Default::default()
     }
@@ -77,8 +76,7 @@ fn observe(db: &Database, case: &DiffCase, o: &QueryOptions, stats_on: bool) -> 
 }
 
 /// Rows and the four-counter I/O trace are byte-identical with statistics
-/// collection on vs off, for both strategies, thread counts 1 and 4, and
-/// both storage backends.
+/// collection on vs off, for both strategies and both storage backends.
 #[test]
 fn stats_collection_is_invisible_in_rows_and_io() {
     nsql_testkit::forall(80, "stats_on_off_invariance", gen_case, |case| {
@@ -91,22 +89,20 @@ fn stats_collection_is_invisible_in_rows_and_io() {
             }
         }
         for strategy in [Strategy::NestedIteration, Strategy::Transform] {
-            for threads in [1usize, 4] {
-                let o = opts(strategy, threads);
-                // In-memory backend.
-                let off = observe(&mem_db(&case.tables), case, &o, false);
-                let on = observe(&mem_db(&case.tables), case, &o, true);
-                if on != off {
-                    return Err(diverged("mem", strategy, threads, case, &off, &on));
-                }
-                // Durable page-store backend.
-                let dir = TempDir::new("nsql-stats-prop-off");
-                let off = observe(&file_db(&case.tables, &dir), case, &o, false);
-                let dir = TempDir::new("nsql-stats-prop-on");
-                let on = observe(&file_db(&case.tables, &dir), case, &o, true);
-                if on != off {
-                    return Err(diverged("file", strategy, threads, case, &off, &on));
-                }
+            let o = opts(strategy);
+            // In-memory backend.
+            let off = observe(&mem_db(&case.tables), case, &o, false);
+            let on = observe(&mem_db(&case.tables), case, &o, true);
+            if on != off {
+                return Err(diverged("mem", strategy, case, &off, &on));
+            }
+            // Durable page-store backend.
+            let dir = TempDir::new("nsql-stats-prop-off");
+            let off = observe(&file_db(&case.tables, &dir), case, &o, false);
+            let dir = TempDir::new("nsql-stats-prop-on");
+            let on = observe(&file_db(&case.tables, &dir), case, &o, true);
+            if on != off {
+                return Err(diverged("file", strategy, case, &off, &on));
             }
         }
         Ok(())
@@ -116,13 +112,12 @@ fn stats_collection_is_invisible_in_rows_and_io() {
 fn diverged(
     backend: &str,
     strategy: Strategy,
-    threads: usize,
     case: &DiffCase,
     off: &Observed,
     on: &Observed,
 ) -> String {
     format!(
-        "stats collection perturbed the run ({backend}, {}, {threads} thread(s))\n\
+        "stats collection perturbed the run ({backend}, {})\n\
          off: {off:?}\non:  {on:?}\nsql: {}",
         strategy.name(),
         nsql_sql::print_query(&case.query)
@@ -141,7 +136,7 @@ fn stats_on_actually_collects() {
             return Ok(());
         }
         db.stats().set_enabled(true);
-        let o = opts(Strategy::NestedIteration, 1);
+        let o = opts(Strategy::NestedIteration);
         let _ = db.run_query(&case.query, &o);
         let _ = db.run_query(&case.query, &o);
         let fp = nsql_analyzer::query_fingerprint(&case.query);
