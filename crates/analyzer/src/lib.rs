@@ -27,7 +27,7 @@ pub mod tree;
 
 pub use classify::{classify_inner, NestingType};
 pub use error::AnalyzeError;
-pub use normalize::{normalized_block_signature, query_fingerprint};
+pub use normalize::query_fingerprint;
 pub use resolve::{block_schema, outer_column_refs, validate_query, Resolver, SchemaSource};
 pub use tree::{query_tree, QueryTree};
 

@@ -1,37 +1,11 @@
-//! Canonical block signatures for cross-query result caching.
-//!
-//! Two textually different inner blocks can denote the same parametrized
-//! computation: aliases differ, local columns are written qualified in one
-//! and bare in the other, and the outer (correlated) references are just
-//! parameters whose *values* arrive from the binding. The cache therefore
-//! keys entries on a normalized rendering where
-//!
-//! * the single FROM table keeps its name but loses its alias,
-//! * every locally-resolved column is rewritten to `@.COL`, and
-//! * every free (outer) reference is replaced by an ordinal placeholder
-//!   `?k`, numbered in first-occurrence order — the same order the binding
-//!   tuple's values are collected in.
-//!
-//! Only *fully simple* blocks are normalized: a single FROM table and a
-//! subquery-free WHERE clause. For that class, evaluation reads exactly one
-//! full scan of the FROM file regardless of predicate outcomes, which is
-//! what makes a cache hit's recharged read sequence sound (see
-//! DESIGN.md "Result caching").
+//! Statement fingerprints for cumulative statistics.
 
-use nsql_sql::{
-    print_query, print_query_masked, AggArg, ColumnRef, InRhs, Operand, Predicate, QueryBlock,
-    ScalarExpr,
-};
+use nsql_sql::{print_query_masked, QueryBlock};
 
 /// The statement *fingerprint* used by cumulative statistics
 /// (`nsql_stat_statements`): the whole query — nested blocks included —
-/// rendered with every literal masked to `?`.
-///
-/// This is the whole-statement counterpart of
-/// [`normalized_block_signature`]: the block signature parametrizes one
-/// fully simple inner block for cache keying (aliases canonicalized, free
-/// refs ordinalized), while the fingerprint keeps structure, names, and
-/// aliases but forgets constants, so repeated executions of the same
+/// rendered with every literal masked to `?`. It keeps structure, names,
+/// and aliases but forgets constants, so repeated executions of the same
 /// query shape aggregate under one key no matter which values they probe.
 /// Structurally different statements never collide: everything except
 /// literal values survives into the rendering.
@@ -39,150 +13,10 @@ pub fn query_fingerprint(q: &QueryBlock) -> String {
     print_query_masked(q)
 }
 
-/// How the caller resolves one column reference against the block's local
-/// scope: `Some(true)` = local, `Some(false)` = free (outer), `None` =
-/// unresolvable or ambiguous (normalization bails out).
-pub type RefClassifier<'a> = dyn Fn(&ColumnRef) -> Option<bool> + 'a;
-
-/// Normalize a fully simple block into a canonical signature.
-///
-/// Returns the canonical text plus the free references in placeholder
-/// order (deduplicated; the binding tuple is built by looking these up in
-/// the outer environment). Returns `None` when the block is not fully
-/// simple (multiple FROM tables, any subquery in WHERE) or when `classify`
-/// cannot resolve a reference.
-pub fn normalized_block_signature(
-    q: &QueryBlock,
-    classify: &RefClassifier<'_>,
-) -> Option<(String, Vec<ColumnRef>)> {
-    if q.from.len() != 1 {
-        return None;
-    }
-    if q.where_clause.as_ref().is_some_and(Predicate::contains_subquery) {
-        return None;
-    }
-    let mut norm = q.clone();
-    norm.from[0].alias = None;
-    let mut free: Vec<ColumnRef> = Vec::new();
-    let mut rewrite = |c: &mut ColumnRef| -> Option<()> {
-        if classify(c)? {
-            c.table = Some("@".to_string());
-        } else {
-            let k = match free.iter().position(|f| f == c) {
-                Some(k) => k,
-                None => {
-                    free.push(c.clone());
-                    free.len() - 1
-                }
-            };
-            *c = ColumnRef { table: None, column: format!("?{k}") };
-        }
-        Some(())
-    };
-    for item in &mut norm.select {
-        match &mut item.expr {
-            ScalarExpr::Column(c) => rewrite(c)?,
-            ScalarExpr::Aggregate(_, AggArg::Column(c)) => rewrite(c)?,
-            ScalarExpr::Aggregate(_, AggArg::Star) | ScalarExpr::Literal(_) => {}
-        }
-    }
-    if let Some(w) = &mut norm.where_clause {
-        rewrite_pred(w, &mut rewrite)?;
-    }
-    for c in &mut norm.group_by {
-        rewrite(c)?;
-    }
-    for k in &mut norm.order_by {
-        rewrite(&mut k.column)?;
-    }
-    Some((print_query(&norm), free))
-}
-
-fn rewrite_pred(
-    p: &mut Predicate,
-    rewrite: &mut impl FnMut(&mut ColumnRef) -> Option<()>,
-) -> Option<()> {
-    match p {
-        Predicate::And(ps) | Predicate::Or(ps) => {
-            for sub in ps {
-                rewrite_pred(sub, rewrite)?;
-            }
-        }
-        Predicate::Not(inner) => rewrite_pred(inner, rewrite)?,
-        Predicate::Compare { left, op: _, right } => {
-            rewrite_operand(left, rewrite)?;
-            rewrite_operand(right, rewrite)?;
-        }
-        Predicate::In { operand, rhs, .. } => {
-            rewrite_operand(operand, rewrite)?;
-            match rhs {
-                InRhs::List(_) => {}
-                // Guarded by the contains_subquery check above.
-                InRhs::Subquery(_) => return None,
-            }
-        }
-        Predicate::IsNull { operand, .. } => rewrite_operand(operand, rewrite)?,
-        // Guarded by the contains_subquery check above.
-        Predicate::Exists { .. } | Predicate::Quantified { .. } => return None,
-    }
-    Some(())
-}
-
-fn rewrite_operand(
-    o: &mut Operand,
-    rewrite: &mut impl FnMut(&mut ColumnRef) -> Option<()>,
-) -> Option<()> {
-    match o {
-        Operand::Column(c) => rewrite(c),
-        Operand::Literal(_) => Some(()),
-        Operand::Subquery(_) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nsql_sql::parse_query;
-
-    /// Treat refs qualified by the FROM table's effective name (or bare
-    /// refs) as local, everything else as free.
-    fn classifier(q: &QueryBlock) -> impl Fn(&ColumnRef) -> Option<bool> + '_ {
-        let local = q.from[0].effective_name().to_string();
-        move |c: &ColumnRef| match &c.table {
-            None => Some(true),
-            Some(t) => Some(*t == local),
-        }
-    }
-
-    #[test]
-    fn alias_and_qualification_are_canonicalized() {
-        let a = parse_query(
-            "SELECT PNUM FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80",
-        )
-        .unwrap();
-        let b = parse_query(
-            "SELECT S.PNUM FROM SUPPLY S WHERE PNUM = PARTS.PNUM AND S.SHIPDATE < 1-1-80",
-        )
-        .unwrap();
-        let (ta, fa) = normalized_block_signature(&a, &classifier(&a)).unwrap();
-        let (tb, fb) = normalized_block_signature(&b, &classifier(&b)).unwrap();
-        assert_eq!(ta, tb, "alias/qualification noise must normalize away");
-        assert_eq!(fa, fb);
-        assert_eq!(fa.len(), 1, "one free (outer) reference: {fa:?}");
-        assert!(ta.contains("?0"), "{ta}");
-        assert!(ta.contains("@.PNUM"), "{ta}");
-    }
-
-    #[test]
-    fn distinct_free_refs_get_distinct_placeholders() {
-        let q = parse_query(
-            "SELECT QTY FROM SP WHERE SP.PNO = P.PNO AND QTY > S.THRESHOLD AND SNO = P.PNO",
-        )
-        .unwrap();
-        let (text, free) = normalized_block_signature(&q, &classifier(&q)).unwrap();
-        assert_eq!(free.len(), 2, "P.PNO deduplicates: {free:?}");
-        assert!(text.contains("?0") && text.contains("?1"), "{text}");
-    }
 
     #[test]
     fn fingerprint_collides_on_literals_only() {
@@ -239,16 +73,5 @@ mod tests {
         assert_eq!(q.referenced_tables(), vec!["S", "SP", "OLDSP", "P"]);
         let dup = parse_query("SELECT A FROM T WHERE B IN (SELECT B FROM T)").unwrap();
         assert_eq!(dup.referenced_tables(), vec!["T"]);
-    }
-
-    #[test]
-    fn non_simple_blocks_are_refused() {
-        let two_tables = parse_query("SELECT A FROM T, U WHERE T.K = U.K").unwrap();
-        assert!(normalized_block_signature(&two_tables, &classifier(&two_tables)).is_none());
-        let nested =
-            parse_query("SELECT A FROM T WHERE B IN (SELECT C FROM U)").unwrap();
-        assert!(normalized_block_signature(&nested, &classifier(&nested)).is_none());
-        let q = parse_query("SELECT A FROM T WHERE B = 1").unwrap();
-        assert!(normalized_block_signature(&q, &|_| None).is_none(), "ambiguity bails");
     }
 }

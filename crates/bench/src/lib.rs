@@ -32,8 +32,8 @@ static NEXT_DATABASE: AtomicU64 = AtomicU64::new(0);
 /// under the other engine configurations and expects the same bytes.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// The options every query of the run starts from: exec mode, cache
-    /// mode and so on. A figure pins what it measures on
+    /// The options every query of the run starts from: exec mode and so
+    /// on. A figure pins what it measures on
     /// top of these through [`RunConfig::opts`].
     pub base: QueryOptions,
     /// Where the run's databases live: each one a file-backed store in a
@@ -131,22 +131,10 @@ pub struct Measurement {
 }
 
 /// Run `sql` under `opts` and collect the measurement.
-///
-/// Under a caching mode the statement runs twice and the second run, whose
-/// every cacheable piece is an exact hit, is the one reported: a hit
-/// recharges the page events of the evaluation it stands for, so its
-/// counted I/O must be that of the uncached run. A single run would only
-/// ever populate the cache — the figures run each statement once per
-/// database, mostly over unique bindings.
 pub fn measure(db: &Database, sql: &str, label: &str, opts: &QueryOptions) -> Measurement {
-    let run = || {
-        db.query_with(sql, opts)
-            .unwrap_or_else(|e| panic!("query failed under {label}: {e}\n{sql}"))
-    };
-    if opts.cache.enabled() {
-        run();
-    }
-    let out = run();
+    let out = db
+        .query_with(sql, opts)
+        .unwrap_or_else(|e| panic!("query failed under {label}: {e}\n{sql}"));
     Measurement { label: label.to_string(), io: out.io, relation: out.relation }
 }
 

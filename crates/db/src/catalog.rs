@@ -36,27 +36,11 @@ fn store_err(e: StorageError) -> DbError {
     DbError::Engine(nsql_engine::EngineError::Storage(e))
 }
 
-/// Source of process-unique cache epochs: every catalog incarnation gets
-/// its own, so cross-query cache entries published against one catalog can
-/// never match another (in particular a database reopened after a crash).
-static NEXT_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
 /// Catalog of base tables bound to one [`Storage`].
 pub struct Catalog {
     storage: Storage,
     tables: BTreeMap<String, HeapFile>,
     indexes: BTreeMap<String, Vec<Arc<BTreeIndex>>>,
-    /// Per-table DML generation stamps: bumped on every mutation of the
-    /// table (create/load/insert/drop/index change). Cache keys embed the
-    /// stamp, so stale entries silently stop matching even without the
-    /// proactive invalidation below.
-    generations: BTreeMap<String, u64>,
-    /// This incarnation's cache epoch (see [`NEXT_EPOCH`]).
-    epoch: u64,
-    /// Cross-query result cache to invalidate proactively on DML, so a
-    /// mutated table's entries free their bytes immediately instead of
-    /// lingering until eviction.
-    result_cache: Option<Arc<nsql_cache::QueryCache>>,
     /// Per-table, per-column distinct-value counts, gathered while a loaded
     /// relation passes through memory. Their consumer is the cardinality
     /// estimator of ROADMAP item 7 (how many distinct bindings, so how many
@@ -109,9 +93,6 @@ impl Catalog {
             storage,
             tables: BTreeMap::new(),
             indexes: BTreeMap::new(),
-            generations: BTreeMap::new(),
-            epoch: NEXT_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            result_cache: None,
             stats: Mutex::new(BTreeMap::new()),
             stats_registry: Arc::new(StatsRegistry::default()),
             counters: BTreeMap::new(),
@@ -188,30 +169,6 @@ impl Catalog {
         counts.as_ref()?.get(col).copied()
     }
 
-    /// Attach the cross-query result cache to invalidate on DML.
-    pub fn set_result_cache(&mut self, cache: Arc<nsql_cache::QueryCache>) {
-        self.result_cache = Some(cache);
-    }
-
-    /// The DML generation stamp of `table` (0 before any tracked change).
-    pub fn generation(&self, table: &str) -> u64 {
-        self.generations.get(&table.to_ascii_uppercase()).copied().unwrap_or(0)
-    }
-
-    /// This catalog incarnation's cache epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Record a mutation of `key` (already uppercased): bump its
-    /// generation and drop any cache entries built over it.
-    fn touch(&mut self, key: &str) {
-        *self.generations.entry(key.to_string()).or_insert(0) += 1;
-        if let Some(cache) = &self.result_cache {
-            cache.invalidate_table(key);
-        }
-    }
-
     /// The storage handle.
     pub fn storage(&self) -> &Storage {
         &self.storage
@@ -232,7 +189,6 @@ impl Catalog {
         self.counters.insert(key.clone(), self.stats_registry.table_entry(&key));
         let file = HeapFile::from_tuples(&self.storage, schema, Vec::new());
         self.tables.insert(key.clone(), file);
-        self.touch(&key);
         self.persist()
     }
 
@@ -263,7 +219,6 @@ impl Catalog {
         for ix in self.indexes.remove(&key).unwrap_or_default() {
             ix.drop_pages(&self.storage);
         }
-        self.touch(&key);
         self.persist()
     }
 
@@ -321,7 +276,6 @@ impl Catalog {
         if let Some(counts) = self.stats().get_mut(&key) {
             *counts = None;
         }
-        self.touch(&key);
         self.persist()?;
         Ok(n)
     }
@@ -339,7 +293,6 @@ impl Catalog {
                 // Keep the registry's entry (dropped tables stay in the
                 // history the views render); only the hot-path cache goes.
                 self.counters.remove(&key);
-                self.touch(&key);
                 self.persist()
             }
             None => Err(DbError::Catalog(format!("unknown table {key}"))),
@@ -375,7 +328,6 @@ impl Catalog {
         let ix_name = format!("IX_{key}_{}", column.to_ascii_uppercase());
         let ix = BTreeIndex::build(&self.storage, &ix_name, col, &file);
         existing.push(Arc::new(ix));
-        self.touch(&key);
         self.persist()?;
         Ok(ix_name)
     }
@@ -555,15 +507,6 @@ impl TableProvider for Catalog {
         self.indexes(table).to_vec()
     }
 
-    fn table_generation(&self, table: &str) -> Option<u64> {
-        let key = table.to_ascii_uppercase();
-        self.tables.contains_key(&key).then(|| self.generation(&key))
-    }
-
-    fn cache_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     fn note_index_probes(&self, table: &str, probes: u64) {
         if self.stats_registry.enabled() {
             if let Some(t) = self.counters.get(&table.to_ascii_uppercase()) {
@@ -633,7 +576,7 @@ mod tests {
         let mut cat = Catalog::new(Storage::with_defaults());
         assert!(cat.create_table("nsql_stat_tables", schema()).is_err());
         let rel = Relation::empty(schema());
-        assert!(cat.load_table("NSQL_STAT_CACHE", &rel).is_err());
+        assert!(cat.load_table("NSQL_STAT_STORAGE", &rel).is_err());
     }
 
     #[test]
@@ -650,10 +593,8 @@ mod tests {
         assert_eq!(rows[0].get(0), &Value::Str("T".into()));
         assert_eq!(rows[0].get(1), &Value::Int(2), "two scans of T");
         assert_eq!(rows[0].get(4), &Value::Int(1), "one tuple written");
-        // Views have a schema but no generation (uncacheable) and are
-        // absent from the base-table list.
+        // Views have a schema and are absent from the base-table list.
         assert!(cat.table_schema("NSQL_STAT_TABLES").is_some());
-        assert!(cat.table_generation("NSQL_STAT_TABLES").is_none());
         assert!(!cat.table_names().contains(&"NSQL_STAT_TABLES"));
     }
 
@@ -722,7 +663,7 @@ mod tests {
         let mut cat = Catalog::new(Storage::with_defaults());
         cat.create_table("T", schema()).unwrap();
         cat.create_index("T", "A").unwrap();
-        let (generation, live) = (cat.generation("T"), cat.storage().live_pages());
+        let (snapshot, live) = (cat.snapshot(), cat.storage().live_pages());
         let err = cat
             .insert(
                 "T",
@@ -741,13 +682,13 @@ mod tests {
             })
         );
         assert_eq!(cat.table("T").unwrap().tuple_count(), 0, "the good row is not stored either");
-        assert_eq!((cat.generation("T"), cat.storage().live_pages()), (generation, live));
+        assert_eq!((cat.snapshot(), cat.storage().live_pages()), (snapshot, live));
         // NULL fits every column, a float an INT column (one comparison class).
         cat.insert("T", vec![Tuple::new(vec![Value::Null, Value::Float(1.5)])]).unwrap();
-        // No rows: nothing changes, not even the generation.
-        let generation = cat.generation("T");
+        // No rows: nothing changes, not even the distinct counts.
+        let snapshot = cat.snapshot();
         assert_eq!(cat.insert("T", Vec::new()).unwrap(), 0);
-        assert_eq!(cat.generation("T"), generation);
+        assert_eq!(cat.snapshot(), snapshot);
     }
 
     #[test]

@@ -2,19 +2,18 @@
 
 use crate::catalog::Catalog;
 
-use crate::explain::{header_lines, plan_shapes, ObsReport, TempStat};
+use crate::explain::{header_lines, ObsReport, TempStat};
 use crate::options::{QueryOptions, Strategy};
 use crate::plan_exec::{observed, PlanExecutor};
 use crate::Result;
 use nsql_analyzer::{query_fingerprint, query_tree, validate_query, QueryTree};
 use nsql_core::{transform_query, transform_query_traced, TransformPlan, UnnestOptions};
 use nsql_engine::{Exec, NestedIter};
-use nsql_obs::stats::{CacheCounters, SlowQuery, StatementSample, StatsRegistry};
+use nsql_obs::stats::{SlowQuery, StatementSample, StatsRegistry};
 use nsql_obs::{IoDelta, Profile, ProfileNode};
 use nsql_sql::{parse_statements, QueryBlock, Statement};
 use nsql_storage::{IoStats, RecoveryReport, Storage};
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
-use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,8 +31,7 @@ pub struct QueryOutcome {
     /// Sizes of the materialized temporaries (transform strategy only) —
     /// the measured inputs to the Section-7 cost comparison.
     pub temps: Vec<TempStat>,
-    /// The query's profile tree and diagnostic events, when
-    /// [`QueryOptions::observe`] was set.
+    /// The query's profile tree, when [`QueryOptions::observe`] was set.
     pub obs: Option<ObsReport>,
 }
 
@@ -56,7 +54,6 @@ pub struct OpenReport {
 /// An embedded single-session database over the simulated storage engine.
 pub struct Database {
     catalog: Catalog,
-    cache: Arc<nsql_cache::QueryCache>,
     open_report: Option<OpenReport>,
 }
 
@@ -65,37 +62,12 @@ impl Database {
     /// pages, 512-byte pages). [`Database::open`] is the file-backed one;
     /// page-I/O counts are identical on the two by construction.
     pub fn new() -> Database {
-        Database::assemble(Catalog::new(Storage::with_defaults()), None)
+        Database { catalog: Catalog::new(Storage::with_defaults()), open_report: None }
     }
 
     /// In-memory database with an explicit buffer size and page size.
     pub fn with_storage(buffer_pages: usize, page_size: usize) -> Database {
-        Database::assemble(Catalog::new(Storage::new(buffer_pages, page_size)), None)
-    }
-
-    /// Assemble a database around `catalog`, attaching a fresh cross-query
-    /// result cache (default byte budget) to both.
-    fn assemble(catalog: Catalog, open_report: Option<OpenReport>) -> Database {
-        let mut db = Database {
-            catalog,
-            cache: Arc::new(nsql_cache::QueryCache::with_defaults()),
-            open_report,
-        };
-        db.catalog.set_result_cache(Arc::clone(&db.cache));
-        db
-    }
-
-    /// Replace the cross-query result cache — tests and multi-database
-    /// setups share one cache (and its byte budget) across instances;
-    /// epoch stamps keep entries from crossing catalog incarnations.
-    pub fn set_result_cache(&mut self, cache: Arc<nsql_cache::QueryCache>) {
-        self.cache = Arc::clone(&cache);
-        self.catalog.set_result_cache(cache);
-    }
-
-    /// The cross-query result cache.
-    pub fn result_cache(&self) -> &Arc<nsql_cache::QueryCache> {
-        &self.cache
+        Database { catalog: Catalog::new(Storage::new(buffer_pages, page_size)), open_report: None }
     }
 
     /// Open (or create) a file-backed database rooted at `dir` with default
@@ -136,7 +108,7 @@ impl Database {
             indexes: catalog.index_count(),
             spans: profile.finish(),
         };
-        Ok(Database::assemble(catalog, Some(report)))
+        Ok(Database { catalog, open_report: Some(report) })
     }
 
     /// The recovery/restore report, when this database came up via
@@ -315,7 +287,6 @@ impl Database {
             storage.clear_buffer();
         }
         let before = storage.io_stats();
-        let cache_mode = opts.cache.resolve();
         let mut temps = Vec::new();
         let (relation, explain) = match opts.strategy {
             Strategy::NestedIteration => self.run_correlated(q, opts, profile)?,
@@ -339,20 +310,6 @@ impl Database {
                 let mut pe = PlanExecutor::new(exec, &self.catalog, opts.join_policy);
                 pe.set_index_use(opts.index_use);
                 pe.set_faithful(opts.unnest.faithful_1987);
-                if cache_mode.enabled() {
-                    pe.set_cache(crate::result_cache::CacheCtx {
-                        cache: Arc::clone(&self.cache),
-                        fingerprint: format!(
-                            "policy={};index={};shapes={};page={};buf={}",
-                            opts.join_policy.name(),
-                            opts.index_use.name(),
-                            plan_shapes(opts),
-                            storage.page_size(),
-                            storage.buffer_pages()
-                        ),
-                        epoch: self.catalog.epoch(),
-                    });
-                }
                 let span = profile.begin("execute plan");
                 let rel =
                     pe.execute_transform_plan(&plan, plan.needs_distinct_for_semantics);
@@ -364,27 +321,7 @@ impl Database {
             }
         };
         let io = storage.io_stats().since(&before);
-        let mut events = Vec::new();
-        if cache_mode.enabled() {
-            // One source of truth for the lifetime cache counters: mirror
-            // them into the statistics registry (which feeds the
-            // `nsql_stat_cache` view), and render the obs event from that
-            // same mirrored value.
-            let s = self.cache.stats();
-            let counters = CacheCounters {
-                hits: s.hits,
-                misses: s.misses,
-                evictions: s.evictions,
-                invalidations: s.invalidations,
-                entries: s.entries,
-                bytes: s.bytes,
-            };
-            self.catalog.stats_registry().record_cache(counters);
-            if opts.observe {
-                events.push(counters.render());
-            }
-        }
-        let obs = opts.observe.then(|| ObsReport { profile: profile.finish(), events });
+        let obs = opts.observe.then(|| ObsReport { profile: profile.finish() });
         Ok(QueryOutcome { relation, io, explain, temps, obs })
     }
 
@@ -398,13 +335,9 @@ impl Database {
         profile: &Profile,
     ) -> Result<(Relation, Vec<String>)> {
         let mut explain = header_lines(opts, 0);
-        let cached = opts.cache.enabled();
-        let mut evaluator = NestedIter::new(&self.catalog, self.catalog.storage().clone())
+        let evaluator = NestedIter::new(&self.catalog, self.catalog.storage().clone())
             .with_faithful(opts.unnest.faithful_1987)
             .with_obs(profile.clone());
-        if cached {
-            evaluator = evaluator.with_query_cache(Arc::clone(&self.cache));
-        }
         let access = evaluator.access_paths(q)?;
         let rel = observed(
             profile,
@@ -413,12 +346,6 @@ impl Database {
             |rel: &Relation| rel.len() as u64,
             || evaluator.eval_query(q),
         );
-        if cached {
-            // The header's cache line, extended by what this run observed.
-            let (h, m) = evaluator.cache_counts();
-            let line = explain.last_mut().expect("header ends with the cache line");
-            let _ = write!(line, ", inner-block {h} hit(s), {m} miss(es)");
-        }
         explain.extend(access.into_iter().map(|a| a.line));
         Ok((rel?, explain))
     }

@@ -46,19 +46,16 @@ pub struct ObsReport {
     /// transform → execute) as root nodes, each with wall time and page-I/O
     /// delta, the physical operators nested under the phase that ran them.
     pub profile: Vec<ProfileNode>,
-    /// Diagnostics that are no part of the plan (the cache's lifetime
-    /// counters), reported here instead of on stdout.
-    pub events: Vec<String>,
 }
 
 impl ObsReport {
-    /// JSON form: `{profile: [node, ..], events: [..]}`, node as in
+    /// JSON form: `{profile: [node, ..]}`, node as in
     /// [`ProfileNode::to_json`].
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("profile", Json::Arr(self.profile.iter().map(ProfileNode::to_json).collect())),
-            ("events", Json::Arr(self.events.iter().map(|e| Json::str(e)).collect())),
-        ])
+        Json::obj([(
+            "profile",
+            Json::Arr(self.profile.iter().map(ProfileNode::to_json).collect()),
+        )])
     }
 }
 
@@ -135,7 +132,7 @@ pub struct ExplainReport {
     pub io: Option<IoStats>,
     /// Result cardinality (ANALYZE only).
     pub rows: Option<usize>,
-    /// The profile tree and events (ANALYZE only).
+    /// The profile tree (ANALYZE only).
     pub obs: Option<ObsReport>,
 }
 
@@ -189,12 +186,6 @@ impl ExplainReport {
             if let Some(obs) = &self.obs {
                 for node in &obs.profile {
                     node.render_into(1, &mut out);
-                }
-                if !obs.events.is_empty() {
-                    out.push("  events:".to_string());
-                    for e in &obs.events {
-                        out.push(format!("    {e}"));
-                    }
                 }
             }
         }
@@ -448,7 +439,7 @@ impl Database {
 }
 
 /// The decision lines every report opens with — strategy, plan shapes, exec
-/// mode, cache mode — built here for plain `EXPLAIN` and for the executing path alike,
+/// mode — built here for plain `EXPLAIN` and for the executing path alike,
 /// so the two cannot drift. `temps` is the transform plan's temporary
 /// count; the correlated strategies ignore it.
 pub(crate) fn header_lines(opts: &QueryOptions, temps: usize) -> Vec<String> {
@@ -470,16 +461,11 @@ pub(crate) fn header_lines(opts: &QueryOptions, temps: usize) -> Vec<String> {
                 .to_string(),
         );
     }
-    let cache = opts.cache.resolve();
-    if cache.enabled() {
-        lines.push(format!("cache: mode {}", cache.name()));
-    }
     lines
 }
 
-/// What the one switch `unnest.faithful_1987` selects, as EXPLAIN and the
-/// result cache's fingerprint name it.
-pub(crate) fn plan_shapes(opts: &QueryOptions) -> &'static str {
+/// What the one switch `unnest.faithful_1987` selects, as EXPLAIN names it.
+fn plan_shapes(opts: &QueryOptions) -> &'static str {
     if opts.unnest.faithful_1987 {
         "literal (1987)"
     } else {

@@ -29,14 +29,12 @@ pub mod error;
 pub mod explain;
 pub mod options;
 pub mod plan_exec;
-pub mod result_cache;
 pub mod stat_views;
 
 pub use catalog::Catalog;
 pub use database::{Database, OpenReport, QueryOutcome};
 pub use error::DbError;
 pub use explain::{ExplainReport, ObsReport, PredictedCost, TempStat};
-pub use nsql_cache::{CacheStats, QueryCache};
 pub use options::{
     CacheMode, ExecMode, IndexUse, JoinPolicy, QueryOptions,
     Strategy,

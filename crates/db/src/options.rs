@@ -101,46 +101,26 @@ impl ExecMode {
     }
 }
 
-/// Cross-query result caching policy (see `nsql-cache` and DESIGN.md
-/// "Result caching").
-///
-/// `On` serves only *exact* hits: same normalized computation, same
-/// binding, same catalog generations. Exact hits recharge the recorded
-/// page-access sequence, so results **and** counted I/O are byte-identical
-/// with an uncached run (checked by `figures_identity`).
+/// A stub: there is no cross-query result cache, and every mode runs as
+/// `Off` (DESIGN.md "No result cache"). The type and
+/// [`QueryOptions::cache`] survive only because `benchmark/src/probes.rs`
+/// and `benchmark/src/main.rs` name them, and benchmark/README.md requires
+/// a benchmark change before a listed symbol goes; that change deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
-    /// Never consult or populate the cache.
+    /// No cache.
     Off,
-    /// Exact hits only — I/O-transparent.
+    /// No cache either.
     On,
-    /// Let the engine decide. Today that is the constant [`CacheMode::Off`];
-    /// the planner fills this seam later.
+    /// No cache.
     #[default]
     Auto,
 }
 
 impl CacheMode {
-    /// Display name used in experiment output.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheMode::Off => "off",
-            CacheMode::On => "on",
-            CacheMode::Auto => "auto",
-        }
-    }
-
-    /// `Auto` resolved to the mode it stands for; other modes unchanged.
+    /// The mode every value stands for: [`CacheMode::Off`].
     pub fn resolve(self) -> CacheMode {
-        match self {
-            CacheMode::Auto => CacheMode::Off,
-            other => other,
-        }
-    }
-
-    /// Whether this mode (after `Auto` resolution) consults the cache.
-    pub fn enabled(self) -> bool {
-        !matches!(self.resolve(), CacheMode::Off)
+        CacheMode::Off
     }
 }
 
@@ -206,8 +186,7 @@ pub struct QueryOptions {
     /// plans.
     pub cold_start: bool,
     /// Collect observability data: the query's profile tree — lifecycle
-    /// spans down to per-operator counters — and diagnostic events
-    /// ([`crate::QueryOutcome::obs`]). Collection is
+    /// spans down to per-operator counters ([`crate::QueryOutcome::obs`]). Collection is
     /// pure side-state — it never changes the reported page-I/O totals,
     /// the hit/miss split, or the result rows (property-tested).
     pub observe: bool,
@@ -215,8 +194,7 @@ pub struct QueryOptions {
     /// [`ExecMode`]); every other operator runs its row kernel either way.
     /// `Auto` (the default) is row mode.
     pub exec_mode: ExecMode,
-    /// Cross-query result caching (see [`CacheMode`]). `Auto` (the
-    /// default) is off.
+    /// Ignored: there is no result cache (see [`CacheMode`]).
     pub cache: CacheMode,
     /// Slow-query threshold in milliseconds: statements whose wall time
     /// reaches it are appended (with their rendered EXPLAIN) to the
@@ -300,6 +278,7 @@ mod tests {
         assert_eq!(slow_query_ms, None);
         // What the `Auto`s stand for today.
         assert_eq!(strategy.resolve(), Strategy::Transform);
-        assert!(!exec_mode.vectorized() && !cache.enabled());
+        assert!(!exec_mode.vectorized());
+        assert_eq!(cache.resolve(), CacheMode::Off);
     }
 }

@@ -18,9 +18,7 @@
 use crate::error::DbError;
 use crate::explain::TempStat;
 use crate::options::{IndexUse, JoinPolicy};
-use crate::result_cache::{replay_temp, temp_keys, CacheCtx, TempKey};
 use crate::Result;
-use nsql_cache::TempEntry;
 use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
 use nsql_engine::cost::{
     classic_join_costs, index_nested_join_cost, index_restrict_cost, JoinInput,
@@ -117,7 +115,6 @@ pub struct PlanExecutor<T: TableProvider> {
     index_use: IndexUse,
     /// Run the paper's literal plans ([`PlanExecutor::set_faithful`]).
     faithful: bool,
-    cache: Option<CacheCtx>,
     /// EXPLAIN-style log of physical decisions.
     pub log: Vec<String>,
 }
@@ -132,7 +129,6 @@ impl<T: TableProvider> PlanExecutor<T> {
             policy,
             index_use: IndexUse::default(),
             faithful: false,
-            cache: None,
             log: Vec::new(),
         }
     }
@@ -150,11 +146,6 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// the columns somebody reads, and the choice prices CPU as well.
     pub fn set_faithful(&mut self, faithful: bool) {
         self.faithful = faithful;
-    }
-
-    /// Attach the cross-query result cache for temp materializations.
-    pub fn set_cache(&mut self, ctx: CacheCtx) {
-        self.cache = Some(ctx);
     }
 
     /// The underlying operator executor.
@@ -227,32 +218,8 @@ impl<T: TableProvider> PlanExecutor<T> {
         plan: &TransformPlan,
         force_distinct: bool,
     ) -> Result<Relation> {
-        match self.cache.clone() {
-            Some(ctx) if !plan.temps.is_empty() => {
-                self.materialize_temps_cached(&ctx, plan)?
-            }
-            _ => self.materialize_temps(plan, None)?,
-        }
-        self.execute_flat_query(&plan.canonical, force_distinct)
-    }
-
-    /// Cold materialization of every temp, optionally recording each
-    /// one's page-event trace and publishing it afterwards (the cache-miss
-    /// path). Recording piggybacks on the unchanged execution — a miss is
-    /// byte-identical to running with the cache off by construction.
-    fn materialize_temps(
-        &mut self,
-        plan: &TransformPlan,
-        publish: Option<(&CacheCtx, &[TempKey])>,
-    ) -> Result<()> {
-        // Published entry ids by uppercased temp name, recorded into
-        // dependents' `deps` so a later hit only accepts this exact set.
-        let mut published: HashMap<String, u64> = HashMap::new();
-        for (i, temp) in plan.temps.iter().enumerate() {
+        for temp in &plan.temps {
             let exec = self.exec.clone();
-            if publish.is_some() {
-                exec.storage().start_recording();
-            }
             let out = observed(
                 exec.obs(),
                 || format!("materialize {}", temp.name),
@@ -260,112 +227,11 @@ impl<T: TableProvider> PlanExecutor<T> {
                 stored_rows,
                 || self.run_plan(&temp.plan),
             );
-            let trace = publish.is_some().then(|| exec.storage().take_recording());
             self.register_temp(&temp.name, out?);
-            let name = temp.name.to_ascii_uppercase();
-            let PlanOutput { file, sorted_by, .. } = &self.temps[&name];
+            let PlanOutput { file, sorted_by, .. } = &self.temps[&temp.name.to_ascii_uppercase()];
             self.log.push(materialize_line(&temp.name, file, sorted_by));
-            if let Some((ctx, keys)) = publish {
-                let key = &keys[i];
-                let output_pages = file
-                    .page_ids()
-                    .iter()
-                    .map(|&pid| (pid, exec.storage().read_page_tuples_uncounted(pid)))
-                    .collect();
-                let deps = key
-                    .dep_names
-                    .iter()
-                    .map(|n| (n.clone(), published[n]))
-                    .collect();
-                let id = ctx.cache.publish_temp(TempEntry {
-                    text: key.text.clone(),
-                    fingerprint: ctx.fingerprint.clone(),
-                    bases: key.bases.clone(),
-                    epoch: ctx.epoch,
-                    schema: file.schema().clone(),
-                    output_pages,
-                    tuple_count: file.tuple_count(),
-                    sorted_by: sorted_by.clone(),
-                    trace: trace.unwrap_or_default(),
-                    deps,
-                });
-                published.insert(name, id);
-                self.log.push(format!(
-                    "cache: miss {} (recorded and published)",
-                    temp.name
-                ));
-            }
         }
-        Ok(())
-    }
-
-    /// The cache consult: exact hit on all temps → replay; otherwise fall
-    /// through to record + publish.
-    fn materialize_temps_cached(&mut self, ctx: &CacheCtx, plan: &TransformPlan) -> Result<()> {
-        let Some(keys) = temp_keys(&plan.temps, |t| self.base.table_generation(t)) else {
-            // A base table without a generation stamp can't be invalidated
-            // soundly; run uncached.
-            return self.materialize_temps(plan, None);
-        };
-
-        // All-or-nothing: a recorded trace references the page ids its
-        // materialization saw, so mixing one temp's replay with another's
-        // live run would charge reads against pages that no longer line
-        // up. Either every temp replays or every temp runs and records.
-        if let Some(selected) = self.select_entries(ctx, &keys) {
-            ctx.cache.note_hits(keys.len() as u64);
-            return self.serve_selected(plan, &selected);
-        }
-        ctx.cache.note_misses(keys.len() as u64);
-        self.materialize_temps(plan, Some((ctx, &keys)))
-    }
-
-    /// Pick a consistent entry per temp, in creation order. Each entry's
-    /// recorded dependencies must name exactly the entries selected for
-    /// the earlier temps; any mismatch (or any missing temp) fails the
-    /// whole consult.
-    fn select_entries(&self, ctx: &CacheCtx, keys: &[TempKey]) -> Option<Vec<Arc<TempEntry>>> {
-        let mut chosen: HashMap<String, u64> = HashMap::new();
-        let mut selected = Vec::with_capacity(keys.len());
-        for key in keys {
-            let (id, entry) =
-                ctx.cache.find_temp(&key.text, &ctx.fingerprint, &key.bases, ctx.epoch)?;
-            if !entry.deps.iter().all(|(n, did)| chosen.get(n) == Some(did)) {
-                return None;
-            }
-            chosen.insert(key.name.to_ascii_uppercase(), id);
-            selected.push(entry);
-        }
-        Some(selected)
-    }
-
-    /// Serve every temp from its selected cache entry and register the
-    /// file: the entry's recorded page-event sequence is recharged
-    /// (`pid_map` spans the whole plan so later temps' recorded reads of
-    /// earlier temps land on their replayed pages). Stored tuple order is
-    /// the recorded output order, so the entry's sort metadata stays
-    /// physically true.
-    fn serve_selected(&mut self, plan: &TransformPlan, selected: &[Arc<TempEntry>]) -> Result<()> {
-        let mut pid_map: HashMap<nsql_storage::PageId, nsql_storage::PageId> = HashMap::new();
-        for (temp, entry) in plan.temps.iter().zip(selected) {
-            let exec = self.exec.clone();
-            let file = observed(
-                exec.obs(),
-                || format!("materialize {}", temp.name),
-                0,
-                |f: &HeapFile| f.tuple_count() as u64,
-                || -> Result<HeapFile> { Ok(replay_temp(exec.storage(), entry, &mut pid_map)) },
-            )?;
-            self.log.push(materialize_line(&temp.name, &file, &entry.sorted_by));
-            self.log.push(format!(
-                "cache: hit {} (exact; replayed {} page events)",
-                temp.name,
-                entry.trace.len()
-            ));
-            let out = PlanOutput::stored(exec.storage(), file, entry.sorted_by.clone());
-            self.register_temp(&temp.name, out);
-        }
-        Ok(())
+        self.execute_flat_query(&plan.canonical, force_distinct)
     }
 
     // ----------------------------------------------------------- LogicalPlan

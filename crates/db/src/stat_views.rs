@@ -1,6 +1,6 @@
 //! The queryable `nsql_stat_*` system views.
 //!
-//! Four virtual tables expose the cumulative [`StatsRegistry`] through the
+//! Three virtual tables expose the cumulative [`StatsRegistry`] through the
 //! ordinary query path — plain SELECTs, nested blocks, EXPLAIN, every
 //! strategy — by materializing registry snapshots as heap files on
 //! *system pages* (uncounted, unbuffered, memory-only; see
@@ -12,7 +12,6 @@
 //! |------------------------|-------------|--------------------------------|
 //! | `nsql_stat_tables`     | base table  | scans, index probes, tuples    |
 //! | `nsql_stat_statements` | fingerprint | calls, wall time, percentiles  |
-//! | `nsql_stat_cache`      | database    | lifetime result-cache counters |
 //! | `nsql_stat_storage`    | database    | page I/O, buffer, WAL, commits |
 //!
 //! Views are refreshed once per statement for exactly the views the
@@ -27,13 +26,11 @@ use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
 pub const STAT_TABLES: &str = "NSQL_STAT_TABLES";
 /// `nsql_stat_statements` — per-fingerprint aggregates.
 pub const STAT_STATEMENTS: &str = "NSQL_STAT_STATEMENTS";
-/// `nsql_stat_cache` — lifetime result-cache counters.
-pub const STAT_CACHE: &str = "NSQL_STAT_CACHE";
 /// `nsql_stat_storage` — storage-layer counters.
 pub const STAT_STORAGE: &str = "NSQL_STAT_STORAGE";
 
 /// All system view names (uppercase, the catalog's key form).
-pub const STAT_VIEWS: [&str; 4] = [STAT_TABLES, STAT_STATEMENTS, STAT_CACHE, STAT_STORAGE];
+pub const STAT_VIEWS: [&str; 3] = [STAT_TABLES, STAT_STATEMENTS, STAT_STORAGE];
 
 /// Whether `name` (any case) names a system view.
 pub fn is_stat_view(name: &str) -> bool {
@@ -80,17 +77,6 @@ pub fn stat_view_schema(name: &str) -> Option<Schema> {
                 ("WRITES", ColumnType::Int),
                 ("STRATEGY", ColumnType::Str),
                 ("EXEC_MODE", ColumnType::Str),
-            ],
-        ),
-        STAT_CACHE => cols(
-            &key,
-            &[
-                ("HITS", ColumnType::Int),
-                ("MISSES", ColumnType::Int),
-                ("EVICTIONS", ColumnType::Int),
-                ("INVALIDATIONS", ColumnType::Int),
-                ("ENTRIES", ColumnType::Int),
-                ("BYTES", ColumnType::Int),
             ],
         ),
         STAT_STORAGE => cols(
@@ -152,17 +138,6 @@ pub fn stat_view_relation(
                 ])
             })
             .collect(),
-        STAT_CACHE => {
-            let c = snap.cache;
-            vec![Tuple::new(vec![
-                int(c.hits),
-                int(c.misses),
-                int(c.evictions),
-                int(c.invalidations),
-                int(c.entries),
-                int(c.bytes),
-            ])]
-        }
         STAT_STORAGE => {
             let io = storage.io_snapshot();
             let durable = storage.durable();
@@ -224,7 +199,7 @@ mod tests {
         assert!(is_stat_view("nsql_stat_statements"));
         assert!(is_stat_view("NSQL_STAT_TABLES"));
         assert!(!is_stat_view("PARTS"));
-        assert!(stat_view_schema("nsql_stat_cache").is_some());
+        assert!(stat_view_schema("nsql_stat_storage").is_some());
         assert!(stat_view_schema("SUPPLY").is_none());
     }
 

@@ -2,10 +2,9 @@
 //!
 //! The plain report predicts; the ANALYZE report executes. For both
 //! executable strategies — nested iteration and the NEST-* transformation —
-//! the two reports must agree on the decision-shaped lines: the strategy header, whether an exec-mode line
-//! is present, and the cache-mode prefix (ANALYZE appends hit/miss counts
-//! to the same line). A drift here means EXPLAIN is describing a plan the
-//! executor does not run.
+//! the two reports must agree on the decision-shaped lines: the strategy
+//! header and whether an exec-mode line is present. A drift here means
+//! EXPLAIN is describing a plan the executor does not run.
 //!
 //! The two-way strategy-cost block is also pinned: every nested query —
 //! correlated or not — must render predicted costs for both strategies
@@ -13,7 +12,7 @@
 //! regardless of which strategy the options force. Only flat queries
 //! (no subquery, hence no strategy choice) omit the block.
 
-use nsql_db::{CacheMode, Database, ExecMode, JoinPolicy, QueryOptions, Strategy};
+use nsql_db::{Database, ExecMode, JoinPolicy, QueryOptions, Strategy};
 use nsql_engine::cost::StrategyKind;
 
 const SETUP: &str = "CREATE TABLE PARTS (PNUM INT, QOH INT);
@@ -59,10 +58,9 @@ fn strategies() -> [(&'static str, Strategy); 2] {
     [("nested-iteration", Strategy::NestedIteration), ("transform", Strategy::Transform)]
 }
 
-fn opts(strategy: &Strategy, cache: CacheMode) -> QueryOptions {
+fn opts(strategy: &Strategy) -> QueryOptions {
     QueryOptions {
         strategy: strategy.clone(),
-        cache,
         cold_start: true,
         ..QueryOptions::default()
     }
@@ -76,20 +74,14 @@ fn strategy_line(lines: &[String]) -> &String {
         .expect("every report logs a strategy line")
 }
 
-/// Plain EXPLAIN and EXPLAIN ANALYZE agree on the strategy header, the
-/// presence of an exec-mode line, and the cache-mode prefix, under every
-/// strategy, in either exec mode and with the cache on or off.
+/// Plain EXPLAIN and EXPLAIN ANALYZE agree on the strategy header and the
+/// presence of an exec-mode line, under every strategy, in either exec mode.
 #[test]
 fn plain_and_analyze_reports_agree_on_decision_lines() {
     let db = mem_db();
     for (name, strategy) in strategies() {
-        for (cache, exec_mode) in [
-            (CacheMode::Off, ExecMode::Row),
-            (CacheMode::On, ExecMode::Row),
-            (CacheMode::Off, ExecMode::Vector),
-            (CacheMode::On, ExecMode::Vector),
-        ] {
-            let o = QueryOptions { exec_mode, ..opts(&strategy, cache) };
+        for exec_mode in [ExecMode::Row, ExecMode::Vector] {
+            let o = QueryOptions { exec_mode, ..opts(&strategy) };
             let plain = db.explain_query(Q2, false, &o).unwrap();
             let analyzed = db.explain_query(Q2, true, &o).unwrap();
 
@@ -112,23 +104,6 @@ fn plain_and_analyze_reports_agree_on_decision_lines() {
             let announces = exec_mode == ExecMode::Vector && strategy == Strategy::Transform;
             assert_eq!(exec(&plain), announces, "[{name}] plain exec-mode line");
             assert_eq!(exec(&analyzed), announces, "[{name}] ANALYZE exec-mode line");
-
-            // Cache line: ANALYZE appends observed hit/miss counts to the
-            // same prefix plain EXPLAIN prints.
-            let cache_line = |r: &nsql_db::ExplainReport| {
-                r.strategy.iter().find(|l| l.starts_with("cache: mode")).cloned()
-            };
-            match (cache_line(&plain), cache_line(&analyzed)) {
-                (None, None) => assert!(
-                    !cache.enabled(),
-                    "[{name}] cache enabled but neither report mentions it"
-                ),
-                (Some(p), Some(a)) => assert!(
-                    a.starts_with(&p),
-                    "[{name}] ANALYZE cache line {a:?} does not extend plain line {p:?}"
-                ),
-                (p, a) => panic!("[{name}] cache line presence drifted: {p:?} vs {a:?}"),
-            }
         }
     }
 }
@@ -149,7 +124,7 @@ fn the_plan_shapes_line_names_what_ran() {
             [(false, "plan shapes: restricted inputs"), (true, "plan shapes: literal (1987)")]
         {
             let unnest = nsql_core::UnnestOptions { faithful_1987, ..Default::default() };
-            let o = QueryOptions { unnest, ..opts(&strategy, CacheMode::Off) };
+            let o = QueryOptions { unnest, ..opts(&strategy) };
             let want = (strategy == Strategy::Transform).then(|| line.to_string());
             let plain = db.explain_query(Q_RESTRICTED, false, &o).unwrap();
             let analyzed = db.explain_query(Q_RESTRICTED, true, &o).unwrap();
@@ -183,7 +158,7 @@ fn access_path_lines_are_the_same_in_both_reports() {
     for (name, strategy) in strategies() {
         for faithful_1987 in [false, true] {
             let unnest = nsql_core::UnnestOptions { faithful_1987, ..Default::default() };
-            let o = QueryOptions { unnest, ..opts(&strategy, CacheMode::Off) };
+            let o = QueryOptions { unnest, ..opts(&strategy) };
             let plain = blocks(&db.explain_query(Q2, false, &o).unwrap());
             let analyzed = blocks(&db.explain_query(Q2, true, &o).unwrap());
             assert_eq!(plain, analyzed, "[{name}] faithful_1987={faithful_1987}");
@@ -212,7 +187,7 @@ fn a_temporary_over_two_relations_is_planned_under_its_materialize_node() {
         [(false, "nested-loop join (1 keys)", true), (true, "nested-loop join (0 keys)", false)]
     {
         let unnest = nsql_core::UnnestOptions { faithful_1987, ..Default::default() };
-        let o = QueryOptions { unnest, ..opts(&Strategy::Transform, CacheMode::Off) };
+        let o = QueryOptions { unnest, ..opts(&Strategy::Transform) };
         let plain = db.explain_query(Q_MERGED, false, &o).unwrap();
         let analyzed = db.explain_query(Q_MERGED, true, &o).unwrap();
         for report in [&plain, &analyzed] {
@@ -244,7 +219,7 @@ fn the_exec_mode_line_is_printed_once() {
         for (name, strategy) in strategies() {
             for exec_mode in [ExecMode::Row, ExecMode::Vector] {
                 let o =
-                    QueryOptions { exec_mode, join_policy, ..opts(&strategy, CacheMode::Off) };
+                    QueryOptions { exec_mode, join_policy, ..opts(&strategy) };
                 let announces =
                     exec_mode == ExecMode::Vector && strategy == Strategy::Transform;
                 for analyze in [false, true] {
@@ -270,7 +245,7 @@ fn correlated_queries_render_two_way_costs_under_every_strategy() {
     let db = mem_db();
     let mut seen = Vec::new();
     for (name, strategy) in strategies() {
-        let o = opts(&strategy, CacheMode::Off);
+        let o = opts(&strategy);
         for analyze in [false, true] {
             let report = db.explain_query(Q2, analyze, &o).unwrap();
             let sc = report.strategy_costs.unwrap_or_else(|| {
@@ -309,7 +284,7 @@ fn correlated_queries_render_two_way_costs_under_every_strategy() {
 fn uncorrelated_nested_queries_render_costs_flat_queries_do_not() {
     let db = mem_db();
     for (name, strategy) in strategies() {
-        let o = opts(&strategy, CacheMode::Off);
+        let o = opts(&strategy);
         for analyze in [false, true] {
             let report = db.explain_query(Q_TYPE_A, analyze, &o).unwrap();
             let sc = report.strategy_costs.unwrap_or_else(|| {

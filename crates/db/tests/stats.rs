@@ -3,10 +3,9 @@
 //! strategies, fingerprint aggregation counts calls/errors/refusals with
 //! percentiles that match an exact-sort oracle, the slow-query log captures
 //! offenders with their rendered EXPLAIN, index probes are attributed to
-//! their table, the lifetime cache counters have one source of truth, and
-//! per-column distinct-count statistics survive a durable reopen.
+//! their table, and per-column distinct-count statistics survive a durable reopen.
 
-use nsql_db::{CacheMode, Database, ExecMode, IndexUse, QueryOptions, Strategy};
+use nsql_db::{Database, ExecMode, IndexUse, QueryOptions, Strategy};
 use nsql_obs::stats::{LatencyHistogram, StatementSample};
 use nsql_testkit::TempDir;
 use nsql_types::Value;
@@ -286,32 +285,6 @@ fn index_probes_are_attributed() {
         .unwrap();
     let after = ints(&rel, 0)[0] as u64;
     assert!(after > before, "index path under Prefer must record probes ({before} -> {after})");
-}
-
-/// One source of truth for cache counters: the `nsql_stat_cache` view, the
-/// registry mirror, and `QueryCache::stats()` agree after a hit-serving
-/// workload.
-#[test]
-fn cache_counters_have_one_source_of_truth() {
-    let db = mem_db();
-    let opts = QueryOptions { cache: CacheMode::On, cold_start: true, ..Default::default() };
-    let q = nsql_sql::parse_query(Q2).unwrap();
-    db.run_query(&q, &opts).unwrap(); // cold: misses populate
-    db.run_query(&q, &opts).unwrap(); // warm: hits serve
-    let truth = db.result_cache().stats();
-    assert!(truth.hits > 0, "warm run must hit: {truth:?}");
-    let mirrored = db.stats().cache();
-    assert_eq!(
-        (mirrored.hits, mirrored.misses, mirrored.entries),
-        (truth.hits, truth.misses, truth.entries),
-        "registry mirror diverged from QueryCache::stats()"
-    );
-    let rel = db.query("SELECT HITS, MISSES, ENTRIES FROM NSQL_STAT_CACHE").unwrap();
-    assert_eq!(rel.len(), 1);
-    let row = ints(&rel, 0)[0] as u64;
-    // The view was refreshed at *this* statement's start, after the warm
-    // run's record_cache — it must serve the same lifetime hits.
-    assert_eq!(row, truth.hits, "view diverged from QueryCache::stats()");
 }
 
 /// `nsql_stat_storage` reports live storage counters, including WAL

@@ -61,9 +61,7 @@
 //! a correlated block's result is consumed as a scalar, a list or an
 //! aggregate (`SUM` and `AVG` are exact sums), so the order cannot show —
 //! except in *which* error is met first, so an evaluation that raises on
-//! the probe path is discarded and re-run by scan. A probing block neither
-//! consults nor publishes to the cross-query cache: a hit recharges a full
-//! scan, which is now the dearer thing.
+//! the probe path is discarded and re-run by scan.
 //!
 //! Everything else scans, as in 1987: the top-level block, a block over
 //! several files, one whose template declined, one whose key is off-class
@@ -81,9 +79,9 @@
 //! and scope schema, which WHERE conjuncts are simple and which nested (and
 //! each nested one's memo key, below), its free outer references (none ⇔
 //! uncorrelated), its simple conjuncts
-//! compiled to a [`Template`], its cross-query cache signature, its access
-//! path with the trees it built and — for an uncorrelated block — its
-//! once-only result. What remains varies:
+//! compiled to a [`Template`], its access path with the trees it built
+//! and — for an uncorrelated block — its once-only result. What remains
+//! varies:
 //!
 //! * **per evaluation of the block** — each outer slot of the template is
 //!   looked up once in the scope chain ([`NestedIter::bind`]), giving one
@@ -150,16 +148,14 @@ use crate::pred::{cannot_raise, compare_values, not3, CPred, TOperand, TPred, Te
 use crate::provider::TableProvider;
 use crate::Result;
 use nsql_index::BTreeIndex;
-use nsql_analyzer::normalized_block_signature;
 use nsql_analyzer::resolve::{level_column_refs, predicate_column_refs};
 use nsql_sql::{
     AggArg, AggFunc, ColumnRef, CompareOp, InRhs, Operand, Predicate, Quantifier, QueryBlock,
     ScalarExpr, SortDir,
 };
-use nsql_cache::{BlockEntry, QueryCache};
 use nsql_storage::{HeapFile, PageId, Storage, TempFile};
 use nsql_types::{Column, ColumnType, FxHashMap, Relation, Schema, Tuple, Value};
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{OnceCell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::rc::Rc;
@@ -204,9 +200,6 @@ struct BlockInfo {
     /// they decline compilation (e.g. a locally ambiguous reference, whose
     /// error the interpreter raises lazily).
     template: Option<Template>,
-    /// Normalized cross-query cache signature, derived on the first probe
-    /// (`None` inside: the block declines normalization).
-    signature: OnceCell<Option<Rc<BlockSig>>>,
     /// An uncorrelated block's result, evaluated at its first use.
     result: OnceCell<Cached>,
     /// A correlated block's access path, set by [`NestedIter::plan`] before
@@ -417,25 +410,6 @@ impl<'e> Env<'e> {
     }
 }
 
-/// A block's normalized cross-query cache identity: canonical text, the
-/// free (outer) references whose values form the binding key, and the
-/// single FROM table whose generation stamps the entry.
-struct BlockSig {
-    text: String,
-    free: Vec<ColumnRef>,
-    table: String,
-}
-
-/// One consult of the cross-query cache: the identity to probe with and,
-/// on a miss, publish under.
-struct XqProbe {
-    cache: Arc<QueryCache>,
-    sig: Rc<BlockSig>,
-    binding: Tuple,
-    generation: u64,
-    epoch: u64,
-}
-
 /// The nested-iteration evaluator.
 pub struct NestedIter<'a, T: TableProvider + ?Sized> {
     tables: &'a T,
@@ -444,12 +418,7 @@ pub struct NestedIter<'a, T: TableProvider + ?Sized> {
     /// are stable while the AST is borrowed, i.e. for one query; teardown
     /// clears the map.
     blocks: RefCell<FxHashMap<usize, Rc<BlockInfo>>>,
-    /// Cross-query cache consults this query: hits and misses, for the
-    /// EXPLAIN line.
-    xq_hits: Cell<u64>,
-    xq_misses: Cell<u64>,
     profile: nsql_obs::Profile,
-    query_cache: Option<Arc<QueryCache>>,
     /// The paper's nested iteration to the page: no block probes.
     faithful: bool,
 }
@@ -463,10 +432,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             tables,
             storage,
             blocks: RefCell::default(),
-            xq_hits: Cell::new(0),
-            xq_misses: Cell::new(0),
             profile: nsql_obs::Profile::default(),
-            query_cache: None,
             faithful: false,
         }
     }
@@ -493,22 +459,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// change before a listed symbol goes; that change deletes both.
     pub fn with_vectorized(self, _vectorized: bool) -> Self {
         self
-    }
-
-    /// Attach a cross-query result cache. Fully-simple inner blocks
-    /// (single FROM table, subquery-free WHERE) consult it per distinct
-    /// binding before evaluating and publish their results after; a hit
-    /// recharges the block's full-scan read sequence, so counted I/O is
-    /// byte-identical with an uncached evaluation.
-    pub fn with_query_cache(mut self, cache: Arc<QueryCache>) -> Self {
-        self.query_cache = Some(cache);
-        self
-    }
-
-    /// Cross-query cache consults so far: `(hits, misses)`. Zero/zero when
-    /// no cache is attached.
-    pub fn cache_counts(&self) -> (u64, u64) {
-        (self.xq_hits.get(), self.xq_misses.get())
     }
 
     /// Evaluate a top-level query.
@@ -833,7 +783,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             nested,
             memo_keys,
             free,
-            signature: OnceCell::new(),
             result: OnceCell::new(),
             access: OnceCell::new(),
         });
@@ -869,27 +818,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// run the binding loop, then the SELECT phase.
     fn eval_block(&self, q: &QueryBlock, env: &Env<'_>) -> Result<Relation> {
         let info = self.block_info(q)?;
-
-        // Cross-query result cache: fully-simple blocks only. Such a block
-        // reads exactly one full scan of its FROM file regardless of
-        // predicate outcomes, so a hit can recharge the identical read
-        // sequence and return the stored result — counted I/O and the
-        // answer are byte-identical with re-evaluation. The probe is
-        // `None` (and evaluation proceeds untouched) when no cache is
-        // attached, the block doesn't normalize, the provider tracks no
-        // generation for the table, or a free reference fails to resolve.
-        let probe = self.xq_probe(q, &info, env);
-        if let Some(p) = &probe {
-            if let Some(rel) =
-                p.cache.find_block(&p.sig.text, &p.binding, &p.sig.table, p.generation, p.epoch)
-            {
-                self.xq_hits.set(self.xq_hits.get() + 1);
-                self.charge_scan(&info);
-                return Ok(rel.rel.clone());
-            }
-            self.xq_misses.set(self.xq_misses.get() + 1);
-        }
-
         let (simple, nested) = info.split(q);
         let bound = self.bind(&info, env);
         let evaluate = |tuples: Tuples<'_>| -> Result<Relation> {
@@ -898,7 +826,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             self.eval_select(q, &info.schema, survivors, env)
         };
         let scan = || Tuples::Pages(info.outer_pages());
-        let rel = match bound.as_ref().and_then(|b| self.candidates(q, &info, &b.outer)) {
+        match bound.as_ref().and_then(|b| self.candidates(q, &info, &b.outer)) {
             // What the probe left out are tuples the key conjunct is not
             // TRUE of, which no conjunct after it sees under the scan
             // either, so the survivors are the scan's (in another order,
@@ -906,30 +834,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             // an aggregate — cannot see). An error is the exception: which
             // tuple raises first is a matter of order, so the evaluation is
             // discarded and the scan reports its own.
-            Some(found) => evaluate(Tuples::Found(found)).or_else(|_| evaluate(scan()))?,
-            None => evaluate(scan())?,
-        };
-
-        // Publish only successful evaluations, so an entry can never mask
-        // an error a re-evaluation would raise.
-        if let Some(p) = probe {
-            p.cache.publish_block(BlockEntry {
-                signature: p.sig.text.clone(),
-                binding: p.binding,
-                table: p.sig.table.clone(),
-                generation: p.generation,
-                epoch: p.epoch,
-                rel: rel.clone(),
-            });
-        }
-        Ok(rel)
-    }
-
-    /// Charge the page reads of one evaluation of a single-file block whose
-    /// answer was recalled instead of recomputed.
-    fn charge_scan(&self, info: &BlockInfo) {
-        for &pid in info.outer_pages() {
-            let _ = self.storage.read_page(pid);
+            Some(found) => evaluate(Tuples::Found(found)).or_else(|_| evaluate(scan())),
+            None => evaluate(scan()),
         }
     }
 
@@ -1048,50 +954,6 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             }
         }
         Ok(survivors)
-    }
-
-    /// Take the block's normalized signature and bind its free references
-    /// against the current environment. Any failure —
-    /// no attached cache, non-simple block, generation-less provider,
-    /// unresolvable free reference — declines caching for this call.
-    fn xq_probe(&self, q: &QueryBlock, info: &BlockInfo, env: &Env<'_>) -> Option<XqProbe> {
-        // A hit recharges the full-scan read sequence, which a probing
-        // block no longer reads: recalling would cost more than evaluating.
-        if matches!(info.access.get(), Some(Access::Probe(_))) {
-            return None;
-        }
-        let cache = self.query_cache.as_ref()?;
-        let sig = self.block_signature(q, info)?;
-        let generation = self.tables.table_generation(&sig.table)?;
-        let mut vals = Vec::with_capacity(sig.free.len());
-        for c in &sig.free {
-            vals.push(env.lookup(c).ok()?);
-        }
-        Some(XqProbe {
-            cache: Arc::clone(cache),
-            sig,
-            binding: Tuple::new(vals),
-            generation,
-            epoch: self.tables.cache_epoch(),
-        })
-    }
-
-    /// The block's [`normalized_block_signature`], derived at the first
-    /// probe: references are classified against the block's own scope
-    /// schema (resolvable = local, ambiguous = bail, unknown = free).
-    fn block_signature(&self, q: &QueryBlock, info: &BlockInfo) -> Option<Rc<BlockSig>> {
-        let derive = || {
-            let classify =
-                |c: &ColumnRef| match info.schema.resolve(c.table.as_deref(), &c.column) {
-                    Ok(_) => Some(true),
-                    Err(nsql_types::TypeError::AmbiguousColumn(_)) => None,
-                    Err(_) => Some(false),
-                };
-            normalized_block_signature(q, &classify).map(|(text, free)| {
-                Rc::new(BlockSig { text, free, table: q.from[0].table.to_ascii_uppercase() })
-            })
-        };
-        info.signature.get_or_init(derive).clone()
     }
 
     /// Depth-first enumeration of the FROM product: rescans inner files per

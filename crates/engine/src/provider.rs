@@ -19,22 +19,6 @@ pub trait TableProvider {
         Vec::new()
     }
 
-    /// The DML generation stamp of `table`, when the provider tracks one
-    /// (the catalog bumps it on every INSERT/load/index change). `None`
-    /// means "unknown" and disables cross-query result caching for blocks
-    /// over this table — lightweight test providers stay uncacheable
-    /// rather than unsound.
-    fn table_generation(&self, _table: &str) -> Option<u64> {
-        None
-    }
-
-    /// The provider's cache epoch: a process-unique stamp per catalog
-    /// instance, so entries published against one catalog (or one
-    /// incarnation of a reopened database) can never match another.
-    fn cache_epoch(&self) -> u64 {
-        0
-    }
-
     /// Tell the provider the executor took an index path on `table`
     /// (`probes` key lookups or one range scan). Defaulted to a no-op;
     /// the catalog folds it into its cumulative statistics. Pure
@@ -49,14 +33,6 @@ impl<T: TableProvider + ?Sized> TableProvider for &T {
 
     fn get_indexes(&self, table: &str) -> Vec<Arc<BTreeIndex>> {
         (**self).get_indexes(table)
-    }
-
-    fn table_generation(&self, table: &str) -> Option<u64> {
-        (**self).table_generation(table)
-    }
-
-    fn cache_epoch(&self) -> u64 {
-        (**self).cache_epoch()
     }
 
     fn note_index_probes(&self, table: &str, probes: u64) {

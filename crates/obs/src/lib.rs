@@ -19,7 +19,7 @@
 //!   sharded relaxed atomics. Children never sum to
 //!   more than their parent, so per-step page I/O can be read off the tree.
 //! * [`stats`] — the cumulative, engine-wide layer the statements feed
-//!   once they complete: per-table, per-fingerprint and cache counters,
+//!   once they complete: per-table and per-fingerprint counters,
 //!   latency histograms and the slow-query log behind the `nsql_stat_*`
 //!   views.
 //! * [`json`] — a minimal JSON value type with a writer *and* parser, so
@@ -32,7 +32,7 @@ pub mod stats;
 pub use json::Json;
 pub use profile::{IoDelta, OpCounters, OpStats, Profile, ProfileNode, ShardedCounter, SHARDS};
 pub use stats::{
-    thread_shard, CacheCounters, LatencyHistogram, SlowQuery, StatementSample,
+    thread_shard, LatencyHistogram, SlowQuery, StatementSample,
     StatementSnapshot, StatementStats, StatsRegistry, StatsSnapshot, TableCounters,
     TableSnapshot, SLOW_LOG_CAP,
 };

@@ -3,8 +3,8 @@
 //! Unlike a [`crate::profile::Profile`] — which lives for one observed
 //! query — a [`StatsRegistry`] lives for the whole database and
 //! aggregates *across* queries: per-table access counters, per-statement
-//! fingerprint aggregates with log-bucketed latency histograms, a mirror
-//! of the cache's lifetime counters, and a bounded slow-query log.
+//! fingerprint aggregates with log-bucketed latency histograms, and a
+//! bounded slow-query log.
 //!
 //! The crate-level invariant applies unchanged: recording into the
 //! registry only ever touches side-state (sharded relaxed atomics and
@@ -230,42 +230,6 @@ pub struct StatementSample {
     pub refusals: u64,
 }
 
-/// Lifetime cache counters mirrored from `nsql-cache` — the registry is
-/// the single source of truth for *rendering* them (the obs event line
-/// and the `nsql_stat_cache` view both come from here).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Exact result-cache hits.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries evicted by the byte-budget LRU.
-    pub evictions: u64,
-    /// Entries dropped by generation/epoch invalidation.
-    pub invalidations: u64,
-    /// Entries currently resident.
-    pub entries: u64,
-    /// Bytes currently resident.
-    pub bytes: u64,
-}
-
-impl CacheCounters {
-    /// The one rendering of the lifetime cache counters, used verbatim by
-    /// the query-end obs event and by `.stats`.
-    pub fn render(&self) -> String {
-        format!(
-            "cache: {} entries, {} bytes; lifetime hits {}, misses {}, evictions {}, \
-             invalidations {}",
-            self.entries,
-            self.bytes,
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.invalidations
-        )
-    }
-}
-
 /// One slow-query log entry.
 #[derive(Debug, Clone)]
 pub struct SlowQuery {
@@ -342,8 +306,6 @@ pub struct StatsSnapshot {
     pub tables: Vec<TableSnapshot>,
     /// Per-fingerprint aggregates, fingerprint order.
     pub statements: Vec<StatementSnapshot>,
-    /// Cache counters as last mirrored.
-    pub cache: CacheCounters,
     /// Slow-query log, oldest first.
     pub slow: Vec<SlowQuery>,
 }
@@ -396,17 +358,6 @@ impl StatsSnapshot {
                 ),
             ),
             (
-                "cache",
-                Json::obj([
-                    ("hits", Json::num(self.cache.hits as f64)),
-                    ("misses", Json::num(self.cache.misses as f64)),
-                    ("evictions", Json::num(self.cache.evictions as f64)),
-                    ("invalidations", Json::num(self.cache.invalidations as f64)),
-                    ("entries", Json::num(self.cache.entries as f64)),
-                    ("bytes", Json::num(self.cache.bytes as f64)),
-                ]),
-            ),
-            (
                 "slow_queries",
                 Json::Arr(
                     self.slow
@@ -442,7 +393,6 @@ pub struct StatsRegistry {
     enabled: AtomicBool,
     tables: Mutex<BTreeMap<String, Arc<TableCounters>>>,
     statements: Mutex<BTreeMap<String, Arc<StatementStats>>>,
-    cache: Mutex<CacheCounters>,
     slow: Mutex<VecDeque<SlowQuery>>,
     slow_seq: AtomicU64,
 }
@@ -460,7 +410,6 @@ impl StatsRegistry {
             enabled: AtomicBool::new(enabled),
             tables: Mutex::new(BTreeMap::new()),
             statements: Mutex::new(BTreeMap::new()),
-            cache: Mutex::new(CacheCounters::default()),
             slow: Mutex::new(VecDeque::new()),
             slow_seq: AtomicU64::new(0),
         }
@@ -517,20 +466,6 @@ impl StatsRegistry {
         entry.hist.record(sample.micros);
         *entry.last_strategy.lock().expect("strategy lock") = sample.strategy.clone();
         *entry.last_exec_mode.lock().expect("exec mode lock") = sample.exec_mode.clone();
-    }
-
-    /// Mirror the cache's lifetime counters (call with
-    /// `QueryCache::stats()` whenever they may have moved).
-    pub fn record_cache(&self, counters: CacheCounters) {
-        if !self.enabled() {
-            return;
-        }
-        *self.cache.lock().expect("stats cache lock") = counters;
-    }
-
-    /// The cache counters as last mirrored.
-    pub fn cache(&self) -> CacheCounters {
-        *self.cache.lock().expect("stats cache lock")
     }
 
     /// Append to the slow-query log (ring of [`SLOW_LOG_CAP`]); assigns
@@ -593,12 +528,7 @@ impl StatsRegistry {
                 }
             })
             .collect();
-        StatsSnapshot {
-            tables,
-            statements,
-            cache: self.cache(),
-            slow: self.slow_queries(),
-        }
+        StatsSnapshot { tables, statements, slow: self.slow_queries() }
     }
 }
 
@@ -744,11 +674,9 @@ mod tests {
             error: false,
             refusals: 0,
         });
-        r.record_cache(CacheCounters { hits: 9, ..CacheCounters::default() });
         let snap = r.snapshot();
         assert!(snap.tables.is_empty());
         assert!(snap.statements.is_empty());
-        assert_eq!(snap.cache, CacheCounters::default());
         // Re-enable: collection resumes on the same registry.
         r.set_enabled(true);
         assert!(r.table("PARTS").is_some());
@@ -809,22 +737,5 @@ mod tests {
         let b = thread_shard();
         assert_eq!(a, b);
         assert!(a < SHARDS);
-    }
-
-    #[test]
-    fn cache_render_is_single_source_of_truth() {
-        let c = CacheCounters {
-            hits: 1,
-            misses: 2,
-            evictions: 4,
-            invalidations: 5,
-            entries: 6,
-            bytes: 7,
-        };
-        assert_eq!(
-            c.render(),
-            "cache: 6 entries, 7 bytes; lifetime hits 1, misses 2, evictions 4, \
-             invalidations 5"
-        );
     }
 }

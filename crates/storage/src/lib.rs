@@ -62,22 +62,21 @@ pub const DEFAULT_PAGE_SIZE: usize = 512;
 /// Default buffer size in pages; the Section-7.4 example uses `B = 6`.
 pub const DEFAULT_BUFFER_PAGES: usize = 6;
 
-/// One counted page access, as [`Storage::start_recording`] captures it.
-/// Re-issuing the events through a `Storage` reproduces the recorded buffer
-/// evolution and I/O totals.
+/// One counted page access, or a page free, as [`Storage::start_recording`]
+/// captures it: together they determine the buffer's evolution and the I/O
+/// totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A buffered page read (`read_page`).
     Read(PageId),
     /// A direct (buffer-bypassing) page read (`read_page_direct`). Counted
-    /// the same as [`TraceEvent::Read`] but replay must not populate the
+    /// the same as [`TraceEvent::Read`] but it does not populate the
     /// buffer, so the two are distinguished in the event stream.
     ReadDirect(PageId),
-    /// A page write (`write_new_page`) of the given fresh page. The result
-    /// cache's replay allocates a *new* page per event and maps old→new ids.
+    /// A page write (`write_new_page`) of the given fresh page.
     Write(PageId),
     /// A page free (`free_page`). Freeing counts no I/O, but it evicts the
-    /// page from the buffer, so a faithful replay must reproduce it.
+    /// page from the buffer.
     Free(PageId),
 }
 
@@ -89,11 +88,9 @@ struct StorageInner {
     /// checkpoint, and fault-injection APIs hang off it).
     durable: Option<Arc<FileStore>>,
     /// When set, every *counted* I/O on this handle (and its clones) is
-    /// also appended to `record_sink`. The result cache uses this to
-    /// capture the exact page-access sequence of a temp materialization;
-    /// a later cache hit replays the sequence so the counted I/O and
-    /// buffer evolution are identical to a re-execution. One relaxed
-    /// atomic load per I/O when off.
+    /// also appended to `record_sink`. Only tests turn it on: `join_prop`
+    /// and `sort_prop` hold a kernel to the exact page-access sequence of
+    /// the code it replaced. One atomic load per I/O when off.
     recording: std::sync::atomic::AtomicBool,
     record_sink: Mutex<Vec<TraceEvent>>,
 }
@@ -284,9 +281,8 @@ impl Storage {
     }
 
     /// Read a page's tuples without counting, without touching the buffer,
-    /// and without recording. This is a side channel for observability and
-    /// result-cache publication (capturing a freshly materialized temp's
-    /// contents); it must never be used on a query-execution path.
+    /// and without recording. This is a side channel for metadata,
+    /// statistics and tests; it must never be used on a query-execution path.
     pub fn read_page_tuples_uncounted(&self, id: PageId) -> Vec<Tuple> {
         if id.is_system() {
             return self.inner.disk.read_system(id).tuples().to_vec();

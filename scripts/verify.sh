@@ -23,9 +23,8 @@ cargo test -q --offline
 
 echo "==> cargo test -q --workspace"
 # Includes crates/bench/tests/figures_identity.rs: all seven figures and
-# tables rendered in process under the file store, vectorized execution, the
-# result cache and statistics off, each held to the bytes of the
-# configuration of record.
+# tables rendered in process under the file store, vectorized execution and
+# statistics off, each held to the bytes of the configuration of record.
 cargo test -q --workspace --offline
 
 echo "==> sort / merge-join kernels against the code they replaced, at a second seed"
@@ -106,6 +105,8 @@ done <<GATES
 \\b(trace_view|trace_marker|is_trace|charge_read|charge_write|write_uncounted|eval_parallel|IoMode)\\b|TraceEvent::Marker#$everywhere#-#storage's trace mode or the trace-and-replay parallel nested iteration it served; nested iteration is serial (DESIGN.md "Execution is serial")
 \\b(par_map_pages|workers_for|PAR_MIN_ROWS|with_thread_budget|with_requested_threads|external_sort_threads|Morsels|chunk_for|threads_named|morsels_per_worker|absorb)\\b|AggState::merge|\\.morsels\\.#$everywhere#crates/db/tests/explain_parity\\.rs#morsel-parallel operator execution, its thread budget or its per-worker counters; every operator is serial (DESIGN.md "Execution is serial"). explain_parity asserts the JSON key is gone
 \\b(eval_batched|Verdicts|BatchedParams|batched_cost)\\b|Strategy::Batched|StrategyKind::Batched|QueryOptions::batched\\b#$everywhere#-#batched correlated evaluation, a second correlated evaluator; nested iteration evaluates each distinct binding once (DESIGN.md "One correlated evaluator"). The eval_query_batched stub stays for benchmark/
+\\b(QueryCache|BlockEntry|TempEntry|CacheStats|CacheCounters|CacheCtx|TempKey|replay_temp|temp_keys|result_cache|set_result_cache|record_cache|with_query_cache|cache_counts|normalized_block_signature|table_generation|cache_epoch|STAT_CACHE|nsql_cache|CacheMode)\\b|nsql_stat_cache|NSQL_STAT_CACHE#$everywhere#crates/cache/src/lib\\.rs|crates/db/src/(options|lib)\\.rs#the cross-query result cache, its generation and epoch stamps or its counters; no statement consults a cache (DESIGN.md "No result cache"). CacheMode and nsql-cache stay as stubs for benchmark/
+(start|take)_recording\\(#$non_test#crates/storage/src/lib\\.rs#a query path records page events; the recorder is left for join_prop and sort_prop only (DESIGN.md "No result cache")
 faithful_1987 *[:=] *true|UnnestOptions::faithful\\(|set_faithful\\(true#$non_test#crates/core/src/nest_g\\.rs|crates/db/src/options\\.rs|crates/bench/src/.*|src/diff\\.rs|examples/.*#faithful_1987 is set on a path the default options reach
 GATES
 
@@ -254,7 +255,7 @@ echo "==> hot-path crates carry no redundant clones (clippy)"
 # nsql-core is included for the transformation: NEST-G
 # clones query blocks, and a redundant clone there multiplies per query.
 # nsql-sql is included for the child-block walker every crate calls.
-cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec -p nsql-cache \
+cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec \
     -p nsql-core -p nsql-types -p nsql-sql \
     --all-targets --offline -- -D clippy::redundant_clone
 

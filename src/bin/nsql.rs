@@ -20,7 +20,7 @@
 //! .explain SELECT …     show the transformation pipeline without running
 //! .tree SELECT …        show the Figure-2 query tree
 //! .demo                 load Kiessling's PARTS/SUPPLY example data
-//! .stats [json]         cumulative statistics (tables, statements, cache);
+//! .stats [json]         cumulative statistics (tables, statements);
 //!                       also queryable as the nsql_stat_* system views
 //! .slow [<ms>|off]      show the slow-query log / set the threshold
 //! .quit
@@ -179,7 +179,6 @@ impl Shell {
                 s.calls, s.p50_us, s.p99_us, s.reads, s.writes, s.strategy, s.query
             );
         }
-        println!("{}", snap.cache.render());
         println!(
             "slow queries logged: {} (threshold: {})",
             snap.slow.len(),

@@ -30,12 +30,15 @@
 //!   leave `Storage::live_pages()` where it found it: everything a strategy
 //!   materializes is a temporary.
 //!
+//! [`check_insert_case`] holds the two default-path pipelines to the same
+//! policy once more after random INSERTs into every table.
+//!
 //! Every case is replayable through the testkit seed machinery
 //! (`NSQL_TEST_SEED`) and shrinks greedily: table rows are removed first,
 //! then the query is structurally simplified.
 
 use nsql_db::{
-    CacheMode, Database, ExecMode, IndexUse, JoinPolicy, QueryOptions,
+    Database, ExecMode, IndexUse, JoinPolicy, QueryOptions,
     QueryOutcome, Strategy,
 };
 use nsql_core::{LogicalPlan, UnnestOptions};
@@ -782,6 +785,23 @@ fn run_leak_checked(
 /// license policy from the module docs. Returns [`CaseOutcome::Diverge`]
 /// with a full report on the first disagreement.
 pub fn check_case(case: &DiffCase) -> CaseOutcome {
+    check_on(&database_of(case), case, &pipelines())
+}
+
+/// A fresh database holding the case's tables, each with a B+tree on its
+/// Int `K` column, so the `tr-ix-*` pipelines exercise index restriction
+/// and back-joins.
+fn database_of(case: &DiffCase) -> Database {
+    let mut db = Database::with_storage(8, 256);
+    for (name, rel) in &case.tables {
+        db.catalog_mut().load_table(name, rel).expect("unique generated table names");
+        db.catalog_mut().create_index(name, "K").expect("K column exists");
+    }
+    db
+}
+
+/// [`check_case`] on `db`, which holds `case.tables`, for `pipelines` only.
+fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutcome {
     let mut oracle = Oracle::new();
     for (name, rel) in &case.tables {
         oracle.load(name.clone(), rel.clone());
@@ -802,13 +822,6 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
     let agg_or_exists = has_agg_or_exists_subquery(&case.query);
     let any_aggregate = has_any_aggregate(&case.query);
 
-    let mut db = Database::with_storage(8, 256);
-    for (name, rel) in &case.tables {
-        db.catalog_mut().load_table(name, rel).expect("unique generated table names");
-        // Every generated table has an Int `K` column; index it so the
-        // `tr-ix-*` pipelines exercise index restriction and back-joins.
-        db.catalog_mut().create_index(name, "K").expect("K column exists");
-    }
     // The analyzer is (deliberately) stricter than the oracle in places —
     // e.g. ambiguity rules. A query it refuses runs on no pipeline, so
     // there is nothing to compare; generated queries always validate
@@ -818,8 +831,8 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
     }
 
     let mut report = Vec::new();
-    for p in pipelines() {
-        let res = match run_leak_checked(&db, case, &p.opts, p.name) {
+    for p in pipelines {
+        let res = match run_leak_checked(db, case, &p.opts, p.name) {
             Ok(res) => res,
             Err(leak) => return leak,
         };
@@ -913,7 +926,7 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
                     let lines = |prefix: &str| {
                         out.explain.iter().filter(|l| l.starts_with(prefix)).count() as u64
                     };
-                    let keyed = keyed_multi_relation_temps(&db, case, &p.opts, &out.explain);
+                    let keyed = keyed_multi_relation_temps(db, case, &p.opts, &out.explain);
                     report.push((p.name, COMPARED, (keyed, lines("restrict+project "))));
                 }
             }
@@ -982,202 +995,56 @@ fn keyed_multi_relation_temps(
     through_keys.count() as u64
 }
 
-// ------------------------------------------- the cache-transparency checker
+// ------------------------------------------------ the interleaved INSERTs
 
-/// Cache transparency under interleaved DML: every generated query runs on
-/// a cache-off database and (twice — once to populate, once to hit) on a
-/// cache-on database, with deterministic random INSERTs into every table
-/// between rounds. The cache-on runs must be **bit-identical** to the
-/// cache-off run in both rows and counted page I/O, and the cache-off run
-/// must agree with the oracle under the standard license policy — so a
-/// stale cache entry surviving the inserts shows up as a three-way
-/// divergence, not a silent wrong answer.
-pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
-    let sql = nsql_sql::print_query(&case.query);
-    let mut tables: Vec<(String, Relation)> = case.tables.clone();
-
-    let mut db_off = Database::with_storage(8, 256);
-    let mut db_on = Database::with_storage(8, 256);
-    for (name, rel) in &tables {
-        for db in [&mut db_off, &mut db_on] {
-            db.catalog_mut().load_table(name, rel).expect("unique generated table names");
-            db.catalog_mut().create_index(name, "K").expect("K column exists");
-        }
-    }
-    if nsql_analyzer::validate_query(db_off.catalog(), &case.query).is_err() {
-        return CaseOutcome::Agree(Vec::new());
-    }
-    let agg_or_exists = has_agg_or_exists_subquery(&case.query);
-    let any_aggregate = has_any_aggregate(&case.query);
-
-    // The DML stream is seeded from the query text (FNV-1a), so a replayed
-    // or shrunk case interleaves exactly the same inserts.
+/// The case before and after INSERTs: the two default-path pipelines
+/// (`ni-serial`, `tr-cost-serial`) are checked on the loaded database,
+/// then again after one or two random rows went into every table through
+/// `Catalog::insert` — which writes the heap file's last page and each
+/// index's leaves again and leaves the distinct counts stale — against the
+/// oracle over the grown tables.
+pub fn check_insert_case(case: &DiffCase) -> CaseOutcome {
+    let mut db = database_of(case);
+    let default_path: Vec<Pipeline> = pipelines()
+        .into_iter()
+        .filter(|p| matches!(p.name, "ni-serial" | "tr-cost-serial"))
+        .collect();
+    let mut report = match check_on(&db, case, &default_path) {
+        CaseOutcome::Agree(report) => report,
+        diverge => return diverge,
+    };
+    // Seeded from the query text (FNV-1a), so a replayed or shrunk case
+    // inserts exactly the same rows.
     let mut seed = 0xcbf29ce484222325u64;
-    for b in sql.bytes() {
+    for b in nsql_sql::print_query(&case.query).bytes() {
         seed ^= u64::from(b);
         seed = seed.wrapping_mul(0x100000001b3);
     }
     let mut rng = Rng::from_seed(seed);
-
-    let base = |strategy: Strategy| QueryOptions {
-        strategy,
-        cold_start: true,
-        exec_mode: ExecMode::Row,
-        ..Default::default()
-    };
-    let variants = [
-        ("ni-cache", base(Strategy::NestedIteration), false),
-        ("tr-cache", base(Strategy::Transform), true),
-    ];
-
-    let mut report = Vec::new();
-    for round in 0..2 {
-        if round > 0 {
-            // Interleaved DML: one or two fresh rows into every table, the
-            // same rows on both databases and in the oracle's image. Every
-            // cache entry touching these tables must now miss.
-            for (name, rel) in &mut tables {
-                let n = rng.gen_range(1usize..3);
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push(Tuple::new(
-                        rel.schema().columns().iter().map(|c| gen_value(&mut rng, c.ty)).collect(),
-                    ));
-                }
-                db_off.catalog_mut().insert(name, rows.clone()).expect("insert into off db");
-                db_on.catalog_mut().insert(name, rows.clone()).expect("insert into on db");
-                let mut tuples = rel.tuples().to_vec();
-                tuples.extend(rows);
-                *rel = Relation::new(rel.schema().clone(), tuples).expect("same schema");
-            }
-        }
-        let mut oracle = Oracle::new();
-        for (name, rel) in &tables {
-            oracle.load(name.clone(), rel.clone());
-        }
-        let (oracle_rel, notes, oracle_card) = match oracle.eval_noted(&case.query) {
-            Ok((rel, notes)) => (Some(rel), notes, None),
-            Err(OracleError::ScalarSubqueryCardinality(n)) => (None, Notes::default(), Some(n)),
-            Err(_) => return CaseOutcome::Agree(Vec::new()),
-        };
-
-        for (name, opts, is_transform) in &variants {
-            let off_opts = QueryOptions { cache: CacheMode::Off, ..opts.clone() };
-            let on_opts = QueryOptions { cache: CacheMode::On, ..opts.clone() };
-            let off = match run_leak_checked(&db_off, case, &off_opts, name) {
-                Ok(res) => res,
-                Err(leak) => return leak,
-            };
-            // First cache-on run populates (miss), second one answers from
-            // the cache (hit) — both must be indistinguishable from off.
-            for label in ["populate", "hit"] {
-                let on = match run_leak_checked(&db_on, case, &on_opts, name) {
-                    Ok(res) => res,
-                    Err(leak) => return leak,
-                };
-                match (&off, &on) {
-                    (Ok(a), Ok(b)) => {
-                        if !a.relation.same_bag(&b.relation) {
-                            return CaseOutcome::Diverge(format!(
-                                "[{name}] round {round} ({label}): cache-on rows diverge \
-                                 from cache-off\n{sql}\noff:\n{}\non:\n{}\nexplain: {:#?}\n\
-                                 case:\n{case:?}",
-                                a.relation, b.relation, b.explain,
-                            ));
-                        }
-                        if (a.io.reads, a.io.writes) != (b.io.reads, b.io.writes) {
-                            return CaseOutcome::Diverge(format!(
-                                "[{name}] round {round} ({label}): cache-on I/O {:?} diverges \
-                                 from cache-off {:?}\n{sql}\nexplain: {:#?}\ncase:\n{case:?}",
-                                (b.io.reads, b.io.writes),
-                                (a.io.reads, a.io.writes),
-                                b.explain,
-                            ));
-                        }
-                    }
-                    (Err(a), Err(b)) if a.to_string() == b.to_string() => {}
-                    (a, b) => {
-                        return CaseOutcome::Diverge(format!(
-                            "[{name}] round {round} ({label}): cache-off returned {a:?} but \
-                             cache-on returned {b:?}\n{sql}\ncase:\n{case:?}",
-                        ));
-                    }
-                }
-            }
-
-            // Oracle gate on the cache-off run, under the standard license
-            // policy (see `check_case`).
-            if let Some(n) = oracle_card {
-                if *is_transform {
-                    report.push((*name, SKIP, (0, 0)));
-                    continue;
-                }
-                match &off {
-                    Err(nsql_db::DbError::Engine(EngineError::ScalarSubqueryCardinality(m)))
-                        if *m == n =>
-                    {
-                        report.push((*name, COMPARED, (0, 0)));
-                    }
-                    other => {
-                        return CaseOutcome::Diverge(format!(
-                            "[{name}] round {round}: oracle raised \
-                             ScalarSubqueryCardinality({n}) but the pipeline returned \
-                             {other:?}\n{sql}\ncase:\n{case:?}",
-                        ))
-                    }
-                }
-                continue;
-            }
-            let oracle_rel = oracle_rel.as_ref().expect("no cardinality error");
-            if *is_transform
-                && (notes.all_over_empty_or_null
-                    || (notes.null_outer_ref && agg_or_exists)
-                    || (notes.dup_in_match && any_aggregate))
-            {
-                report.push((*name, SKIP, (0, 0)));
-                continue;
-            }
-            match &off {
-                Err(nsql_db::DbError::Transform(_))
-                | Err(nsql_db::DbError::Engine(EngineError::Type(_)))
-                | Err(nsql_db::DbError::Type(_))
-                    if *is_transform =>
-                {
-                    report.push((*name, SKIP, (0, 0)))
-                }
-                Err(e) => {
-                    return CaseOutcome::Diverge(format!(
-                        "[{name}] round {round}: oracle succeeded but the pipeline errored: \
-                         {e}\n{sql}\noracle:\n{oracle_rel}\ncase:\n{case:?}",
-                    ))
-                }
-                Ok(out) => {
-                    let agree = if *is_transform && notes.dup_in_match {
-                        out.relation.same_set(oracle_rel)
-                    } else {
-                        out.relation.same_bag(oracle_rel)
-                    };
-                    if !agree {
-                        return CaseOutcome::Diverge(format!(
-                            "[{name}] round {round}: disagreement with the oracle\n{sql}\n\
-                             oracle:\n{oracle_rel}\npipeline:\n{}\nnotes: {notes:?}\n\
-                             case:\n{case:?}",
-                            out.relation,
-                        ));
-                    }
-                    report.push((*name, COMPARED, (0, 0)));
-                }
-            }
-        }
+    let mut grown = case.clone();
+    for (name, rel) in &mut grown.tables {
+        let rows: Vec<Tuple> = (0..rng.gen_range(1usize..3))
+            .map(|_| {
+                Tuple::new(rel.schema().columns().iter().map(|c| gen_value(&mut rng, c.ty)).collect())
+            })
+            .collect();
+        db.catalog_mut().insert(name, rows.clone()).expect("generated rows fit their table");
+        let tuples = rel.tuples().iter().cloned().chain(rows).collect();
+        *rel = Relation::new(rel.schema().clone(), tuples).expect("same schema");
     }
-    CaseOutcome::Agree(report)
+    match check_on(&db, &grown, &default_path) {
+        CaseOutcome::Agree(after) => {
+            report.extend(after);
+            CaseOutcome::Agree(report)
+        }
+        CaseOutcome::Diverge(msg) => CaseOutcome::Diverge(format!("after the INSERTs: {msg}")),
+    }
 }
 
-/// Run `cases` random DML-interleaved cache-transparency cases (see
-/// [`check_cache_dml_case`]) under the property runner. Returns
-/// per-pipeline comparison totals.
-pub fn run_cache_dml_property(name: &str, cases: u32) -> Vec<PipelineStats> {
-    run_property_with(name, cases, check_cache_dml_case)
+/// Run `cases` random cases of [`check_insert_case`] under the property
+/// runner. Returns per-pipeline comparison totals.
+pub fn run_insert_property(name: &str, cases: u32) -> Vec<PipelineStats> {
+    run_property_with(name, cases, check_insert_case)
 }
 
 // ------------------------------------------------------------- the runner
@@ -1211,7 +1078,7 @@ pub fn run_diff_property(name: &str, cases: u32) -> Vec<PipelineStats> {
 }
 
 /// Shared property-runner plumbing for [`run_diff_property`] and
-/// [`run_cache_dml_property`]: generate, check, aggregate per-pipeline
+/// [`run_insert_property`]: generate, check, aggregate per-pipeline
 /// totals, panic with the shrunk counterexample on divergence.
 fn run_property_with(
     name: &str,

@@ -21,7 +21,7 @@
 //! counterexample (rows removed first, then the query simplified). Override
 //! the case count with `NSQL_TEST_CASES`.
 
-use nested_query_opt::diff::{run_cache_dml_property, run_diff_property};
+use nested_query_opt::diff::{run_diff_property, run_insert_property};
 
 /// The headline property: ≥600 generated query/database pairs, every
 /// pipeline, zero divergences. Nested iteration is never skipped; the
@@ -110,21 +110,20 @@ fn every_pipeline_agrees_with_the_oracle() {
     assert_eq!(ni.skipped, 0, "[ni-serial] nested iteration has no divergence licenses");
 }
 
-/// Cache transparency under interleaved DML: every generated query runs
-/// cache-off once and cache-on twice (populate, then hit) on both
-/// strategies, with random INSERTs into every table between rounds. The
-/// cache-on runs must be bit-identical to cache-off in rows *and* counted
-/// page I/O, and cache-off must agree with the oracle — a stale entry
-/// surviving the inserts fails three ways at once.
+/// Answers after INSERTs: every generated query runs on the two default-path
+/// pipelines, then again after random rows went into every table through
+/// `Catalog::insert`, and must agree with the oracle over the grown tables
+/// both times — an index or heap file the INSERT left behind the rows shows
+/// up as a divergence.
 #[test]
-fn cache_is_transparent_under_interleaved_dml() {
-    let stats = run_cache_dml_property("cache_is_transparent_under_interleaved_dml", 600);
+fn answers_agree_with_the_oracle_after_inserts() {
+    let stats = run_insert_property("answers_agree_with_the_oracle_after_inserts", 600);
     assert!(!stats.is_empty(), "sweep must have produced comparisons");
-    for v in ["ni-cache", "tr-cache"] {
+    for v in ["ni-serial", "tr-cost-serial"] {
         let s = stats
             .iter()
             .find(|s| s.name == v)
-            .unwrap_or_else(|| panic!("cache pipeline {v} missing from the sweep"));
+            .unwrap_or_else(|| panic!("pipeline {v} missing from the sweep"));
         let total = s.compared + s.skipped;
         eprintln!("pipeline {:>14}: {} compared, {} skipped ({} pairs)", s.name, s.compared, s.skipped, total);
         if total >= 100 {
