@@ -10,11 +10,16 @@ pub enum JoinPolicy {
     /// Merge join wherever an equi-key exists, nested loops otherwise.
     ForceMergeJoin,
     /// Hash join wherever an equi-key exists, nested loops otherwise.
-    /// A **modern extension** — System R and the paper had no hash join;
-    /// kept for the E13 ablation.
+    /// A **modern extension** — System R and the paper had no hash join.
+    /// It builds on the input with fewer pages and Grace-partitions a
+    /// build side over `B − 2` pages, as the cost-based choice prices it;
+    /// forcing it is the E13 ablation.
     ForceHashJoin,
-    /// Pick the cheaper method per join from actual page counts and the
-    /// Section-7 cost formulas.
+    /// Pick the cheapest method per join from actual page counts: the
+    /// Section-7 cost formulas, `cost::hash_join_cost` for the hash join,
+    /// and each method's in-memory work. Under
+    /// `UnnestOptions::faithful_1987` only the paper's two methods compete,
+    /// by pages alone.
     #[default]
     CostBased,
 }

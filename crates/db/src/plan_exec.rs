@@ -21,7 +21,8 @@ use crate::options::{IndexUse, JoinPolicy};
 use crate::Result;
 use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
 use nsql_engine::cost::{
-    classic_join_costs, index_nested_join_cost, index_restrict_cost, JoinInput,
+    classic_join_costs, hash_join_cost, index_nested_join_cost, index_restrict_cost, HashShape,
+    JoinInput,
 };
 use nsql_engine::pred::cannot_raise;
 use nsql_engine::{
@@ -481,7 +482,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         observed(exec.obs(), || method.label(lkeys.len()), rows_in as u64, rows, || {
             let (lf, rf, residual) = (&l.file, &r.file, residual.as_ref());
             let rel = match &method {
-                JoinMethod::Hash => {
+                JoinMethod::Hash(_) => {
                     exec.hash_join_cols(lf, rf, &lkeys, &rkeys, residual, jkind, cols)?
                 }
                 JoinMethod::Merge { left_presorted, right_presorted } => exec.merge_join_cols(
@@ -514,10 +515,12 @@ impl<T: TableProvider> PlanExecutor<T> {
                     Relation::new(emit.schema(lf.schema(), rf.schema()), rows)?
                 }
             };
-            // A merge join emits in key order; the other methods keep the
+            // A merge join emits in key order; a hash join that built on the
+            // left or partitioned in no order; the other methods keep the
             // left input's.
             let sorted_by = match method {
                 JoinMethod::Merge { .. } => &lkeys,
+                JoinMethod::Hash(shape) if !shape.keeps_left_order() => &Vec::new(),
                 _ => &l.sorted_by,
             };
             let sorted_by = match cols {
@@ -534,8 +537,9 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// on a join key (of a comparable type class) can probe it once per
     /// left tuple, NEST-JA2's back-join without a full inner scan, when the
     /// index policy and the cost picture favour that — then the join
-    /// policy. The cost-based choice considers only the paper's two
-    /// methods; hash join is a forced-only modern extension.
+    /// policy. The cost-based choice takes the cheapest of the nested loop,
+    /// the merge join and the hash join (ties in that order); under the
+    /// literal plans (`faithful_1987`) only the paper's two methods compete.
     fn choose_join(
         &mut self,
         l: &PlanOutput,
@@ -558,6 +562,8 @@ impl<T: TableProvider> PlanExecutor<T> {
         let (outer, inner) = (input(l, l_sorted), input(r, r_sorted));
         let b = self.exec.storage().buffer_pages() as f64;
         let (nl, mj) = classic_join_costs(outer, inner, b, !self.faithful);
+        let left_outer = kind == JoinKind::LeftOuter;
+        let hj = hash_join_cost(outer, inner, left_outer, b, !self.faithful);
         let may_probe = kind == JoinKind::Inner
             && match (self.index_use, self.policy) {
                 (IndexUse::Never, _) => false,
@@ -603,15 +609,24 @@ impl<T: TableProvider> PlanExecutor<T> {
             }
         }
         if !self.faithful && self.policy == JoinPolicy::CostBased {
-            self.log.push(format!("join choice: nl {nl} / mj {mj}"));
+            self.log.push(format!("join choice: nl {nl} / mj {mj} / hj {hj}"));
         }
         let merge = JoinMethod::Merge { left_presorted: l_sorted, right_presorted: r_sorted };
+        let hash = JoinMethod::Hash(HashShape::of(outer.pages, inner.pages, left_outer, b));
         match self.policy {
             JoinPolicy::ForceNestedLoop => JoinMethod::NestedLoop,
             JoinPolicy::ForceMergeJoin => merge,
-            JoinPolicy::ForceHashJoin => JoinMethod::Hash,
-            JoinPolicy::CostBased if mj.total() < nl.total() => merge,
-            JoinPolicy::CostBased => JoinMethod::NestedLoop,
+            JoinPolicy::ForceHashJoin => hash,
+            JoinPolicy::CostBased => {
+                let hash_wins = !self.faithful && hj.total() < nl.total().min(mj.total());
+                if hash_wins {
+                    hash
+                } else if mj.total() < nl.total() {
+                    merge
+                } else {
+                    JoinMethod::NestedLoop
+                }
+            }
         }
     }
 
@@ -1075,7 +1090,9 @@ enum JoinMethod {
     /// Probe the right side's B+tree on equality key number `key` once per
     /// left tuple (inner joins only).
     IndexProbe { key: usize, index: Arc<BTreeIndex> },
-    Hash,
+    /// Which input the table holds, and how many partitions the first
+    /// Grace pass makes.
+    Hash(HashShape),
     /// Sort-merge; an input already in key order skips its sort.
     Merge { left_presorted: bool, right_presorted: bool },
     NestedLoop,
@@ -1089,7 +1106,11 @@ impl JoinMethod {
             JoinMethod::IndexProbe { index, .. } => {
                 format!("index nested-loop join via {} ({probes} probes)", index.name())
             }
-            JoinMethod::Hash => format!("hash join ({keys} keys) [modern extension]"),
+            JoinMethod::Hash(HashShape { build_left, partitions }) => format!(
+                "hash join ({keys} keys), build {}{}",
+                if *build_left { "left" } else { "right" },
+                if *partitions > 0 { format!(", {partitions} partitions") } else { String::new() },
+            ),
             JoinMethod::Merge { left_presorted, right_presorted } => format!(
                 "merge join ({keys} keys){}{}",
                 if *left_presorted { ", left pre-sorted" } else { "" },
@@ -1105,7 +1126,7 @@ impl JoinMethod {
     fn label(&self, keys: usize) -> String {
         match self {
             JoinMethod::IndexProbe { index, .. } => format!("index-nl join ({})", index.name()),
-            JoinMethod::Hash => format!("hash join ({keys} keys)"),
+            JoinMethod::Hash(_) => format!("hash join ({keys} keys)"),
             JoinMethod::Merge { .. } => format!("merge join ({keys} keys)"),
             JoinMethod::NestedLoop => format!("nested-loop join ({keys} keys)"),
         }
@@ -1458,7 +1479,10 @@ mod tests {
 
     /// An inner of 40 pages in a 64-page pool under 2 000 outer rows: the
     /// page formula says the nested loop costs `Pl + Pr` and takes it; the
-    /// default choice also counts its 80 000 buffer visits and sorts instead.
+    /// default choice also counts its 80 000 buffer visits, and of the two
+    /// methods that read each input once without them — the merge join,
+    /// which sorts both, and the hash join, which builds its table on the
+    /// 40 pages in memory — takes the hash join.
     #[test]
     fn a_resident_inner_of_many_pages_is_not_free() {
         let mut cat = Catalog::new(Storage::new(64, 512));
@@ -1470,13 +1494,24 @@ mod tests {
         }
         let inner_pages = cat.table("R").unwrap().page_count();
         assert!((20..=63).contains(&inner_pages), "{inner_pages} pages: resident, and many");
-        for (faithful, want) in [(true, "nested-loop join (1 keys)"), (false, "merge join (1 keys)")] {
+        let picks = [(true, "nested-loop join (1 keys)"), (false, "hash join (1 keys)")];
+        for (faithful, want) in picks {
             let mut pe = executor(&cat, JoinPolicy::CostBased);
             pe.set_faithful(faithful);
             let (l, r) = (pe.lookup("L", "L").unwrap(), pe.lookup("R", "R").unwrap());
             let picked = pe.choose_join(&l, &r, JoinKind::Inner, &[0], &[0]);
             assert_eq!(picked.label(1), want, "faithful = {faithful}: {:?}", pe.log);
+            let built_right = picked.explain(1, 0).starts_with("hash join (1 keys), build right");
+            assert_eq!(built_right, !faithful);
         }
+        let mut pe = executor(&cat, JoinPolicy::CostBased);
+        let (l, r) = (pe.lookup("L", "L").unwrap(), pe.lookup("R", "R").unwrap());
+        pe.choose_join(&l, &r, JoinKind::Inner, &[0], &[0]);
+        assert_eq!(
+            pe.log,
+            ["join choice: nl 112.0 pages + 80000 visits / mj 331.9 pages + 3100 rows sorted \
+              / hj 112.0 pages + 3100 rows hashed"]
+        );
     }
 
     #[test]
@@ -1597,5 +1632,123 @@ mod tests {
             // The default path did restrict early: the outer join's output.
             assert_eq!(log.contains("restrict+project A+B: 0 tuples"), !faithful, "{log}");
         }
+    }
+
+    /// An integer table: name, columns, rows.
+    type IntTable<'a> = (&'a str, &'a [&'a str], Vec<Vec<i64>>);
+
+    /// A catalog on a `pool`-page pool of `page`-byte pages holding
+    /// `tables`, and the oracle holding the same.
+    fn loaded(pool: usize, page: usize, tables: &[IntTable]) -> (Catalog, nsql_oracle::Oracle) {
+        let mut cat = Catalog::new(Storage::new(pool, page));
+        let mut oracle = nsql_oracle::Oracle::new();
+        for (name, cols, rows) in tables {
+            let cols = cols.iter().map(|c| Column::new(*c, ColumnType::Int)).collect();
+            let schema = Schema::new(cols);
+            let tuples = rows.iter().map(|r| r.iter().map(|&v| Value::Int(v)).collect()).collect();
+            let rel = Relation::new(schema, tuples).unwrap();
+            cat.load_table(name, &rel).unwrap();
+            oracle.load(*name, rel);
+        }
+        (cat, oracle)
+    }
+
+    /// `SELECT DISTINCT AK FROM A`: sorted on `AK`, which it leaves
+    /// unqualified.
+    fn distinct_ak() -> Box<LogicalPlan> {
+        Box::new(LogicalPlan::Project {
+            input: Box::new(LogicalPlan::scan("A")),
+            items: vec![nsql_sql::SelectItem::column(ColumnRef::qualified("A", "AK"))],
+            distinct: true,
+        })
+    }
+
+    fn on(left: ColumnRef, right: ColumnRef) -> Vec<JoinPred> {
+        vec![JoinPred { left, op: CompareOp::Eq, right }]
+    }
+
+    /// A hash join that builds on its left input emits in the right
+    /// input's order, not the left's: over a left sorted on the group
+    /// column, the GROUP BY above it must still sort. Taking the left's
+    /// order on trust splits every group into one per run of its key.
+    #[test]
+    fn a_hash_join_built_on_the_left_feeds_a_group_by_that_sorts() {
+        let b_rows = (0..200).map(|i| vec![i % 10, i]).collect();
+        let (cat, oracle) = loaded(
+            64,
+            256,
+            &[("A", &["AK"], (0..10).map(|k| vec![k]).collect()), ("B", &["BK", "BV"], b_rows)],
+        );
+        let mut pe = executor(&cat, JoinPolicy::ForceHashJoin);
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(LogicalPlan::Join {
+                left: distinct_ak(),
+                right: Box::new(LogicalPlan::scan("B")),
+                kind: LogicalJoinKind::Inner,
+                on: on(ColumnRef::bare("AK"), ColumnRef::qualified("B", "BK")),
+            }),
+            group_by: vec![ColumnRef::bare("AK")],
+            aggs: vec![AggItem {
+                func: AggFunc::Count,
+                arg: AggArg::Column(ColumnRef::qualified("B", "BV")),
+                alias: "CT".into(),
+            }],
+        };
+        let out = pe.run_plan(&plan).unwrap();
+        let log = pe.log.join("\n");
+        assert!(log.contains("hash join (1 keys), build left\n"), "{log}");
+        assert!(log.contains("group-by: sorting input"), "{log}");
+        let q = parse_query("SELECT A.AK, COUNT(B.BV) FROM A, B WHERE A.AK = B.BK GROUP BY A.AK");
+        let want = oracle.eval(&q.unwrap()).unwrap();
+        let got = pe.exec().collect(&out.file);
+        assert!(got.same_bag(&want), "got:\n{got}\noracle:\n{want}");
+    }
+
+    /// A Grace-partitioned hash join emits partition after partition: over
+    /// a left sorted on the join key, a merge join on that key above it
+    /// must still sort its left input. Taking the left's order on trust
+    /// merges two sorted runs as one, and loses every match of the second.
+    #[test]
+    fn a_grace_partitioned_hash_join_feeds_a_merge_join_that_sorts() {
+        let b_rows = (0..24).map(|i| vec![i % 12, i]).collect();
+        let c_rows = (0..30).map(|i| vec![i % 15, 100 + i]).collect();
+        let (cat, oracle) = loaded(
+            3,
+            64,
+            &[
+                ("A", &["AK"], (0..60).map(|k| vec![k]).collect()),
+                ("B", &["BK", "BV"], b_rows),
+                ("C", &["CK", "CV"], c_rows),
+            ],
+        );
+        let mut pe = executor(&cat, JoinPolicy::ForceHashJoin);
+        let joined = pe
+            .run_plan(&LogicalPlan::Join {
+                left: distinct_ak(),
+                right: Box::new(LogicalPlan::scan("B")),
+                kind: LogicalJoinKind::Inner,
+                on: on(ColumnRef::bare("AK"), ColumnRef::qualified("B", "BK")),
+            })
+            .unwrap();
+        let partitioned = pe.log[0].starts_with("hash join (1 keys), build right, 2 partitions");
+        assert!(partitioned, "{:?}", pe.log);
+        assert!(joined.sorted_by.is_empty());
+        pe.register_temp("J", joined);
+        pe.set_policy(JoinPolicy::ForceMergeJoin);
+        let out = pe
+            .run_plan(&LogicalPlan::Join {
+                left: Box::new(LogicalPlan::scan("J")),
+                right: Box::new(LogicalPlan::scan("C")),
+                kind: LogicalJoinKind::Inner,
+                on: on(ColumnRef::qualified("J", "AK"), ColumnRef::qualified("C", "CK")),
+            })
+            .unwrap();
+        assert_eq!(pe.log[1], "merge join (1 keys)", "{:?}", pe.log);
+        let q = "SELECT A.AK, B.BK, B.BV, C.CK, C.CV FROM A, B, C \
+                 WHERE A.AK = B.BK AND A.AK = C.CK";
+        let q = parse_query(q);
+        let want = oracle.eval(&q.unwrap()).unwrap();
+        let got = pe.exec().collect(&out.file);
+        assert!(!want.is_empty() && got.same_bag(&want), "got:\n{got}\noracle:\n{want}");
     }
 }

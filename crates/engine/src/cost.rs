@@ -1,9 +1,10 @@
 //! The cost model: the paper's analytical page-I/O formulas (Section 7), the
 //! Kim-style baselines they are compared against, and the two choices the
 //! engine makes by them at plan time — a join step's method
-//! ([`classic_join_costs`]) and a correlated block's access path
-//! ([`nested_access_costs`]). Every page or CPU price in the workspace is
-//! computed here; the callers only gather the counts.
+//! ([`classic_join_costs`], and [`hash_join_cost`] for the post-paper hash
+//! join) and a correlated block's access path ([`nested_access_costs`]).
+//! Every page or CPU price in the workspace is computed here; the callers
+//! only gather the counts.
 //!
 //! Notation follows [KIM 82:462] as the paper restates it: `Ri` is the
 //! outer relation, `Rj` the inner, `Rt` the aggregate temporary; `Pk` is
@@ -330,6 +331,16 @@ const VISITS_PER_PAGE_IO: f64 = 64.0;
 /// Rows through the external sort that take as long as one counted page I/O
 /// (derived with [`VISITS_PER_PAGE_IO`]).
 const SORTED_ROWS_PER_PAGE_IO: f64 = 8.0;
+/// Rows hashed — into a Grace partition, into the in-memory table, or
+/// against it — that take as long as one counted page I/O (see
+/// [`hash_join_cost`]). From the same traced run as [`VISITS_PER_PAGE_IO`]:
+/// `engine.hash_join_ms` joins PARTS (167 pages) with SUPPLY (250) through
+/// the 64-page pool, building on PARTS in three partitions, one level: 1 251
+/// page I/Os and (20 000 + 30 000) · 2 rows hashed in 38.4 ms, beside one
+/// page I/O of `storage.scan_ms` 0.84 ms / 250 = 3.4 µs. 38.4 ms / 100 000
+/// = 0.38 µs a row hashed, so 8.8 to the page I/O; rounded down to a power
+/// of two.
+const HASHED_ROWS_PER_PAGE_IO: f64 = 8.0;
 
 // ---------------------------------------------------------- the join choice
 
@@ -396,6 +407,108 @@ pub fn classic_join_costs(
             cpu: cpu(sorted_rows(l) + sorted_rows(r), "rows sorted", SORTED_ROWS_PER_PAGE_IO),
         },
     )
+}
+
+// ----------------------------------------------------------- the hash join
+
+/// Partitioning passes a hash join makes at most before it builds in memory
+/// whatever it holds. Below the cap a build side is split until it fits
+/// `B − 2` pages; at the cap it is built whole, which is what the all-one-key
+/// build side (no hash splits it) comes to.
+pub const GRACE_MAX_DEPTH: u32 = 4;
+
+/// How a hash join on inputs of `l_pages` and `r_pages` pages starts — the
+/// one place that decides it, for the kernel, its price and the plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HashShape {
+    /// The table is built on the left input: only an inner join, and only
+    /// when the left has fewer pages (a tie builds right). A left outer join
+    /// builds right, so that its probe sees every left tuple.
+    pub build_left: bool,
+    /// Partitions of the first Grace pass (`clamp(⌈build/(B−2)⌉, 2, B−1)`);
+    /// 0 when the build side fits `B − 2` pages.
+    pub partitions: usize,
+}
+
+impl HashShape {
+    /// The shape under a `b`-page pool; `left_outer` for a left outer join.
+    pub fn of(l_pages: f64, r_pages: f64, left_outer: bool, b: f64) -> HashShape {
+        let build_left = !left_outer && l_pages < r_pages;
+        let build = if build_left { l_pages } else { r_pages };
+        let partitions = if hash_build_fits(build, b) { 0 } else { grace_fanout(build, b) };
+        HashShape { build_left, partitions }
+    }
+
+    /// Whether the join emits its rows in the left input's order: it built
+    /// on the right and did not partition, so the left streamed past the
+    /// table in file order.
+    pub fn keeps_left_order(&self) -> bool {
+        !self.build_left && self.partitions == 0
+    }
+}
+
+/// The buffer pages a hash join may fill with its table: `B − 2`, one page
+/// being the probe side's and one the output's (and never fewer than one).
+fn hash_table_pages(b: f64) -> f64 {
+    (b - 2.0).max(1.0)
+}
+
+/// Whether a `pages`-page build side is hashed in memory as it is, rather
+/// than partitioned first.
+pub(crate) fn hash_build_fits(pages: f64, b: f64) -> bool {
+    pages <= hash_table_pages(b)
+}
+
+/// How many partitions one Grace pass splits a `pages`-page build side
+/// into: enough for each to fit [`hash_build_fits`] if the keys spread
+/// evenly, at least two and at most `B − 1` (one page is the input's, one
+/// each partition's output buffer).
+pub(crate) fn grace_fanout(pages: f64, b: f64) -> usize {
+    let most = hash_table_pages(b) + 1.0;
+    (pages / hash_table_pages(b)).ceil().clamp(2.0, most.max(2.0)) as usize
+}
+
+/// Partitioning passes a `pages`-page build side needs if every pass splits
+/// it evenly as many ways as [`HashShape::partitions`] says, up to
+/// [`GRACE_MAX_DEPTH`].
+pub fn grace_levels(pages: f64, b: f64) -> u32 {
+    let (mut pages, mut levels) = (pages, 0);
+    while !hash_build_fits(pages, b) && levels < GRACE_MAX_DEPTH {
+        pages /= grace_fanout(pages, b) as f64;
+        levels += 1;
+    }
+    levels
+}
+
+/// What the hash join costs on inputs `l` and `r` (left outer when
+/// `left_outer`). It builds on the side [`HashShape`] names. A build
+/// side that fits `B − 2` pages is hashed in memory while the other side
+/// streams past it: `Pl + Pr`. A larger one is Grace-partitioned first: both
+/// inputs are read, written into partitions by a hash of the key and read
+/// back, once per level of [`grace_levels`], so the pages are
+/// `(Pl + Pr)·(1 + 2·levels)` — a partition's partly filled last page, and
+/// a partition the keys do not split evenly, are what the estimate leaves
+/// out. With `price_cpu` it also carries its in-memory work: every row is
+/// hashed once per partitioning level and once into or against the table,
+/// `(Nl + Nr)·(1 + levels)` rows hashed.
+pub fn hash_join_cost(
+    l: JoinInput,
+    r: JoinInput,
+    left_outer: bool,
+    b: f64,
+    price_cpu: bool,
+) -> JoinCost {
+    let shape = HashShape::of(l.pages, r.pages, left_outer, b);
+    let build = if shape.build_left { l.pages } else { r.pages };
+    let levels = f64::from(grace_levels(build, b));
+    JoinCost {
+        pages: (l.pages + r.pages) * (1.0 + 2.0 * levels),
+        cpu: price_cpu.then_some((
+            (l.rows + r.rows) * (1.0 + levels),
+            "rows hashed",
+            HASHED_ROWS_PER_PAGE_IO,
+        )),
+    }
 }
 
 // -------------------------------------------- nested iteration's access path
@@ -754,5 +867,52 @@ mod tests {
             assert_eq!(l_sorted.total(), l_sorted.pages + cpu(rn / SORTED_ROWS_PER_PAGE_IO));
             assert_eq!(both.total(), both.pages);
         }
+    }
+
+    #[test]
+    fn grace_partitions_until_the_build_side_fits_b_minus_2() {
+        // B = 6: four pages of table, at most five partitions a pass.
+        for (pages, levels) in
+            [(0.0, 0), (4.0, 0), (5.0, 1), (20.0, 1), (21.0, 2), (100.0, 2), (101.0, 3)]
+        {
+            assert_eq!(grace_levels(pages, 6.0), levels, "{pages} pages");
+        }
+        let fanouts = [5.0, 20.0, 1e6].map(|pages| grace_fanout(pages, 6.0));
+        assert_eq!(fanouts, [2, 5, 5]);
+        // B = 3: one page of table, two partitions a pass; the cap holds.
+        assert_eq!([1.0, 2.0, 9.0].map(|pages| grace_levels(pages, 3.0)), [0, 1, 4]);
+        assert_eq!(grace_levels(1e9, 3.0), GRACE_MAX_DEPTH);
+        // A pool too small for the model still partitions two ways.
+        assert_eq!(grace_fanout(10.0, 1.0), 2);
+    }
+
+    #[test]
+    fn the_hash_join_reads_each_input_once_per_level_and_builds_on_the_smaller() {
+        let side = |pages, rows| JoinInput { pages, rows, sorted: false };
+        let b = 6.0;
+        for (lp, rp, left_outer, build) in [
+            (3.0, 30.0, false, 3.0),   // the left is smaller: built
+            (30.0, 3.0, false, 3.0),   // the right is smaller: built
+            (21.0, 21.0, false, 21.0), // a tie builds right
+            (3.0, 30.0, true, 30.0),   // a left outer join builds right
+        ] {
+            let shape = HashShape::of(lp, rp, left_outer, b);
+            assert_eq!(shape.build_left, lp == build && lp != rp);
+            assert_eq!(shape.partitions, if build > 4.0 { grace_fanout(build, b) } else { 0 });
+            assert_eq!(shape.keeps_left_order(), !shape.build_left && build <= 4.0);
+            let levels = f64::from(grace_levels(build, b));
+            for price_cpu in [false, true] {
+                let hj = hash_join_cost(side(lp, 100.0), side(rp, 40.0), left_outer, b, price_cpu);
+                assert_eq!(hj.pages, (lp + rp) * (1.0 + 2.0 * levels), "{lp} ⋈ {rp}");
+                let hashed = 140.0 * (1.0 + levels);
+                let cpu = if price_cpu { hashed / HASHED_ROWS_PER_PAGE_IO } else { 0.0 };
+                assert_eq!(hj.total(), hj.pages + cpu);
+            }
+        }
+        // In memory, the hash join reads what a merge join of sorted inputs
+        // does, and less than an unsorted one.
+        let (_, mj) = classic_join_costs(side(3.0, 100.0), side(30.0, 40.0), b, false);
+        assert_eq!(hash_join_cost(side(3.0, 100.0), side(30.0, 40.0), false, b, false).pages, 33.0);
+        assert!(mj.pages > 33.0);
     }
 }

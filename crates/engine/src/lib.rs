@@ -13,8 +13,8 @@
 //!    materialized, as System R did for type-N/A nesting [SEL 79:33].
 //!
 //! 2. Physical operators ([`ops`]) — scans, filters, projections, duplicate
-//!    elimination, nested-loop and sort-merge joins (inner and **left
-//!    outer**), and sort-based grouped aggregation. The transformed
+//!    elimination, nested-loop and sort-merge joins and a Grace hash join
+//!    (inner and **left outer**), and sort-based grouped aggregation. The transformed
 //!    (canonical) queries produced by `nsql-core` execute on these, with all
 //!    I/O flowing through the counted buffer pool.
 //!

@@ -1,30 +1,49 @@
-//! Hash join — a **modern extension**, not part of the paper.
+//! Hash join — a **modern extension**, not part of the paper, run under
+//! the paper's memory model.
 //!
 //! System R (and hence the paper) offered only nested-loop and sort-merge
-//! joins; hash joins entered mainstream optimizers later. This operator
-//! exists as an ablation point: experiment E13 asks how much of NEST-JA2's
-//! advantage survives when the competition gets a better join. The build
-//! side is held in memory (no Grace partitioning) — the simulated I/O is
-//! one read of each input plus the output write, the best case a real
-//! hash join approaches when the build side fits.
+//! joins; hash joins entered mainstream optimizers later. This one keeps to
+//! Section 7's terms: `B` buffer pages are all the memory it has, and every
+//! page it spills is a counted temporary. It builds its table on the input
+//! with fewer pages ([`HashShape`]: an inner join; a left outer join builds
+//! on the right, and a tie goes right). A build side that fits `B − 2`
+//! pages (one page is the probe side's, one the output's) is hashed in
+//! memory while the other input streams past it: `Pl + Pr` reads. A larger
+//! one is **Grace-partitioned**: both inputs are split, by a hash of the key
+//! salted per level, into `clamp(⌈build/(B−2)⌉, 2, B−1)` counted temporary
+//! files, each page written as it fills, and every pair of partitions is
+//! joined the same way — partitioned again while its build side does not
+//! fit, up to [`GRACE_MAX_DEPTH`] levels, where whatever is left is built
+//! whole (the all-one-key build side).
+//! [`hash_join_cost`](crate::cost::hash_join_cost) prices exactly this.
+//! Partitions are private to the join and read once, so they are read past
+//! the buffer pool, as the sort's runs are; the inputs go through it.
+//!
+//! A join that built on the right and did not partition emits its rows in
+//! the left input's order; any other emits them in an order nothing may
+//! rely on. A tuple whose key holds a `NULL` joins nothing; under
+//! [`JoinKind::LeftOuter`] a left one is padded where it is met.
 //!
 //! This is the one operator with two in-memory kernels: the row build and
 //! probe, and — under [`Exec::with_vectorized`] — a build and probe on
 //! column batches (`nsql-vec`), which hashes keys off typed lanes without
-//! allocating a key tuple per row. It is kept because it measured faster:
-//! 0.4× to 0.9× of the row kernel's time on whole statements under
-//! `ForceHashJoin`, except where the build side is a handful of rows
-//! (DESIGN.md "Vectorized execution"). Output order, errors and counted
-//! page I/O are identical between them.
+//! allocating a key tuple per row. Partitioning is one driver for both;
+//! only the in-memory pass differs, and rows, their order, errors and
+//! counted page I/O are identical between the kernels.
 
 use super::{Exec, JoinEmit, JoinKind};
+use crate::cost::{grace_fanout, hash_build_fits, HashShape, GRACE_MAX_DEPTH};
 use crate::expr::Joined;
 use crate::pred::CPred;
 use crate::Result;
-use nsql_storage::HeapFile;
+use nsql_obs::OpCounters;
+use nsql_storage::{HeapFile, HeapWriter, Page, PageId, TempFile};
 use nsql_types::{FxHashMap, FxHasher, Relation, Tuple};
 use nsql_vec::Batch;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 impl Exec {
     /// Hash equi-join on positionally-paired keys, with optional residual.
@@ -95,83 +114,176 @@ impl Exec {
         emit: JoinEmit<'_>,
     ) -> Result<Vec<Tuple>> {
         assert_eq!(left_keys.len(), right_keys.len(), "key lists must pair up");
-        if self.vectorized {
-            return self
-                .hash_join_tuples_vec(left, right, left_keys, right_keys, residual, kind, emit);
-        }
-        // Observability: build/probe wall-clock lands on the current
-        // operator. Instant is only sampled when an operator is attached,
-        // so the disabled path stays branch-only.
+        let outer = kind == JoinKind::LeftOuter;
+        let b = self.storage.buffer_pages() as f64;
+        let shape = HashShape::of(left.page_count() as f64, right.page_count() as f64, outer, b);
+        let build_left = shape.build_left;
+        let (build, probe, build_keys, probe_keys) = if build_left {
+            (left, right, left_keys, right_keys)
+        } else {
+            (right, left, right_keys, left_keys)
+        };
         let op = self.current_op();
-        let build_start = op.as_ref().map(|_| std::time::Instant::now());
-        // Build on the right side, under the deterministic fast hasher.
-        let mut table: FxHashMap<Tuple, Vec<Tuple>> = FxHashMap::default();
-        for rt in right.scan(&self.storage) {
-            if right_keys.iter().any(|&i| rt.get(i).is_null()) {
-                continue; // NULL keys never join
-            }
-            table.entry(rt.project(right_keys)).or_default().push(rt);
+        if let (Some(op), true) = (&op, self.vectorized) {
+            op.vectorized.store(true, Ordering::Relaxed);
         }
-
-        if let (Some(op), Some(t0)) = (&op, build_start) {
-            op.build_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, std::sync::atomic::Ordering::Relaxed);
-        }
-        let probe_start = op.as_ref().map(|_| std::time::Instant::now());
-
-        // Probe with the left side.
+        let join = HashJoin {
+            exec: self,
+            build_keys,
+            probe_keys,
+            build_left,
+            residual,
+            pad: outer,
+            emit,
+            b,
+            op,
+        };
         let mut out = Vec::new();
-        for lt in left.scan(&self.storage) {
-            let mut matched = false;
-            if !left_keys.iter().any(|&i| lt.get(i).is_null()) {
-                if let Some(group) = table.get(&lt.project(left_keys)) {
-                    for rt in group {
-                        let ok = match residual {
-                            Some(p) => p.accepts_row(&Joined::new(&lt, rt))?,
-                            None => true,
-                        };
-                        if ok {
-                            matched = true;
-                            out.push(emit.pair(&lt, rt));
+        join.run(build, probe, 0, &mut out)?;
+        Ok(out)
+    }
+}
+
+/// One hash join: what its partitioning passes and in-memory passes share.
+struct HashJoin<'a> {
+    exec: &'a Exec,
+    build_keys: &'a [usize],
+    probe_keys: &'a [usize],
+    /// The table holds left tuples and the right input probes it.
+    build_left: bool,
+    residual: Option<&'a CPred>,
+    /// Pad probe tuples nothing joined: a left outer join (which builds
+    /// right, so its probe tuples are the left ones).
+    pad: bool,
+    emit: JoinEmit<'a>,
+    /// Buffer pages `B`.
+    b: f64,
+    /// Observability: build (partitioning included) and probe wall-clock
+    /// land on the current operator. `Instant` is only sampled when one is
+    /// attached, so the disabled path stays branch-only.
+    op: Option<Arc<OpCounters>>,
+}
+
+impl HashJoin<'_> {
+    /// Join `build` with `probe` into `out`. At `depth` 0 they are the
+    /// operator's inputs; below it, partitions of a pass at `depth − 1`.
+    fn run(
+        &self,
+        build: &HeapFile,
+        probe: &HeapFile,
+        depth: u32,
+        out: &mut Vec<Tuple>,
+    ) -> Result<()> {
+        let pages = build.page_count() as f64;
+        if depth == GRACE_MAX_DEPTH || hash_build_fits(pages, self.b) {
+            return if self.exec.vectorized {
+                self.in_memory_batches(build, probe, depth, out)
+            } else {
+                self.in_memory_rows(build, probe, depth, out)
+            };
+        }
+        let t0 = self.clock();
+        let fanout = grace_fanout(pages, self.b);
+        let builds = self.partition(build, self.build_keys, depth, fanout, false, out);
+        let probes = self.partition(probe, self.probe_keys, depth, fanout, self.pad, out);
+        self.charge(t0, |op| &op.build_ns);
+        // Each pair is freed once it is joined.
+        for (build, probe) in builds.into_iter().zip(probes) {
+            self.run(&build, &probe, depth + 1, out)?;
+        }
+        Ok(())
+    }
+
+    /// Split `file` `fanout` ways by the hash of its `keys` salted with
+    /// `depth`, each partition a file whose pages are written as they fill.
+    /// A tuple with a `NULL` key joins nothing: padded into `out` when `pad`,
+    /// dropped otherwise.
+    fn partition(
+        &self,
+        file: &HeapFile,
+        keys: &[usize],
+        depth: u32,
+        fanout: usize,
+        pad: bool,
+        out: &mut Vec<Tuple>,
+    ) -> Vec<TempFile> {
+        let storage = self.exec.storage();
+        let mut parts: Vec<HeapWriter> =
+            (0..fanout).map(|_| HeapWriter::new(storage, file.schema().clone())).collect();
+        for &pid in file.page_ids() {
+            for t in self.page(pid, depth).tuples() {
+                if null_key(t, keys) {
+                    if pad {
+                        out.push(self.emit.padded(t));
+                    }
+                    continue;
+                }
+                parts[partition_of(t, keys, depth, fanout)].push(storage, t.clone());
+            }
+        }
+        parts.into_iter().map(|p| TempFile::new(storage, p.finish(storage))).collect()
+    }
+
+    /// Build a table of row tuples, then probe it a tuple at a time.
+    fn in_memory_rows(
+        &self,
+        build: &HeapFile,
+        probe: &HeapFile,
+        depth: u32,
+        out: &mut Vec<Tuple>,
+    ) -> Result<()> {
+        let t0 = self.clock();
+        let mut table: FxHashMap<Tuple, Vec<Tuple>> = FxHashMap::default();
+        let mut held = 0;
+        for &pid in build.page_ids() {
+            for bt in self.page(pid, depth).tuples() {
+                if null_key(bt, self.build_keys) {
+                    continue;
+                }
+                held += bt.storage_width();
+                table.entry(bt.project(self.build_keys)).or_default().push(bt.clone());
+            }
+        }
+        self.check_held(held, depth);
+        self.charge(t0, |op| &op.build_ns);
+
+        let t0 = self.clock();
+        for &pid in probe.page_ids() {
+            for pt in self.page(pid, depth).tuples() {
+                let mut matched = false;
+                if !null_key(pt, self.probe_keys) {
+                    if let Some(group) = table.get(&pt.project(self.probe_keys)) {
+                        for bt in group {
+                            matched |= self.emit_if(bt, pt, out)?;
                         }
                     }
                 }
-            }
-            if !matched && kind == JoinKind::LeftOuter {
-                out.push(emit.padded(&lt));
+                if !matched && self.pad {
+                    out.push(self.emit.padded(pt));
+                }
             }
         }
-        self.finish_probe(&op, probe_start);
-        Ok(out)
+        self.charge(t0, |op| &op.probe_ns);
+        Ok(())
     }
 
-    /// Vectorized build/probe. Same contract as the row implementation —
-    /// output order, error behaviour, and counted page I/O are identical —
-    /// but both phases work on column batches: join keys hash straight from
-    /// typed column lanes into a `u64`-keyed index table (no per-row key
-    /// tuple allocation), candidates verify via `ValRef::total_eq` (the
-    /// mirror of the row path's `Tuple` key equality, including `NULL` and
-    /// `NaN` grouping and Int/Float cross-matching), and tuples materialize
-    /// only for rows that reach the residual or the output.
-    #[allow(clippy::too_many_arguments)]
-    fn hash_join_tuples_vec(
+    /// Build and probe on column batches: join keys hash straight from typed
+    /// column lanes into a `u64`-keyed index table (no per-row key tuple
+    /// allocation), candidates verify via `ValRef::total_eq` (the mirror of
+    /// the row kernel's `Tuple` key equality, including `NULL` and `NaN`
+    /// grouping and Int/Float cross-matching), and tuples materialize only
+    /// for rows that reach the residual or the output. The probe stops at
+    /// the first error, before reading further pages, as the row kernel's
+    /// does.
+    fn in_memory_batches(
         &self,
-        left: &HeapFile,
-        right: &HeapFile,
-        left_keys: &[usize],
-        right_keys: &[usize],
-        residual: Option<&CPred>,
-        kind: JoinKind,
-        emit: JoinEmit<'_>,
-    ) -> Result<Vec<Tuple>> {
-        let op = self.current_op();
-        if let Some(op) = &op {
-            op.vectorized.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
-        let build_start = op.as_ref().map(|_| std::time::Instant::now());
-
-        // Hash the key columns of one batch row. Internal to this join (both
-        // sides use it), built on the same ValRef hash stream as Value.
+        build: &HeapFile,
+        probe: &HeapFile,
+        depth: u32,
+        out: &mut Vec<Tuple>,
+    ) -> Result<()> {
+        // Hash the key columns of one batch row, on the same ValRef hash
+        // stream as Value.
         let key_hash = |b: &Batch, keys: &[usize], row: usize| -> u64 {
             let mut h = FxHasher::default();
             for &k in keys {
@@ -179,92 +291,129 @@ impl Exec {
             }
             h.finish()
         };
-
-        // Build: batches stay resident (the row build keeps the right side
-        // resident in its hash table too); the table maps a key hash to
-        // (batch, row) pairs, each bucket in scan order.
-        let mut batches: Vec<Batch> = Vec::with_capacity(right.page_count());
+        let t0 = self.clock();
+        // The batches stay resident as the row kernel's table does; the
+        // table maps a key hash to (batch, row) pairs, each bucket in scan
+        // order.
+        let mut batches: Vec<Batch> = Vec::with_capacity(build.page_count());
         let mut table: FxHashMap<u64, Vec<(u32, u32)>> = FxHashMap::default();
-        for &pid in right.page_ids() {
-            let page = self.storage.read_page(pid);
+        let mut held = 0;
+        for &pid in build.page_ids() {
+            let page = self.page(pid, depth);
             let b = Batch::from_tuples(page.tuples());
-            for row in 0..b.len() {
-                if right_keys.iter().any(|&k| b.col(k).val_ref(row).is_null()) {
-                    continue; // NULL keys never join
+            for (row, bt) in page.tuples().iter().enumerate() {
+                if null_key(bt, self.build_keys) {
+                    continue;
                 }
+                held += bt.storage_width();
                 let at = (batches.len() as u32, row as u32);
-                table.entry(key_hash(&b, right_keys, row)).or_default().push(at);
+                table.entry(key_hash(&b, self.build_keys, row)).or_default().push(at);
             }
             batches.push(b);
-            if let Some(op) = &op {
-                op.batches.add(0, 1);
-            }
+            self.count_batch();
         }
+        self.check_held(held, depth);
+        self.charge(t0, |op| &op.build_ns);
 
-        if let (Some(op), Some(t0)) = (&op, build_start) {
-            op.build_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, std::sync::atomic::Ordering::Relaxed);
-        }
-        let probe_start = op.as_ref().map(|_| std::time::Instant::now());
-
-        // Probe a left batch row at a time: verify hash candidates
-        // key-by-key, run the residual on materialized tuples (same 3VL
-        // evaluation as the row path), pad under LeftOuter. The probe stops
-        // at the first error, before reading further pages — exactly like
-        // the row path's streaming scan.
-        let mut out = Vec::new();
-        for &pid in left.page_ids() {
-            let page = self.storage.read_page(pid);
-            let lb = Batch::from_tuples(page.tuples());
-            if let Some(op) = &op {
-                op.batches.add(0, 1);
-            }
-            for row in 0..lb.len() {
+        let t0 = self.clock();
+        for &pid in probe.page_ids() {
+            let page = self.page(pid, depth);
+            let pb = Batch::from_tuples(page.tuples());
+            self.count_batch();
+            for (row, pt) in page.tuples().iter().enumerate() {
                 let mut matched = false;
-                if !left_keys.iter().any(|&k| lb.col(k).val_ref(row).is_null()) {
-                    if let Some(cands) = table.get(&key_hash(&lb, left_keys, row)) {
-                        let mut lt: Option<Tuple> = None;
-                        for &(bi, r) in cands {
-                            let rb = &batches[bi as usize];
-                            let r = r as usize;
-                            let keys_match = left_keys.iter().zip(right_keys).all(|(&lk, &rk)| {
-                                lb.col(lk).val_ref(row).total_eq(rb.col(rk).val_ref(r))
-                            });
-                            if !keys_match {
-                                continue; // u64 hash collision of a different key
-                            }
-                            let lt = lt.get_or_insert_with(|| lb.tuple(row));
-                            let rt = rb.tuple(r);
-                            let ok = match residual {
-                                Some(p) => p.accepts_row(&Joined::new(lt, &rt))?,
-                                None => true,
-                            };
-                            if ok {
-                                matched = true;
-                                out.push(emit.pair(lt, &rt));
-                            }
+                if !null_key(pt, self.probe_keys) {
+                    let cands = table.get(&key_hash(&pb, self.probe_keys, row));
+                    for &(bi, r) in cands.into_iter().flatten() {
+                        let bb = &batches[bi as usize];
+                        let r = r as usize;
+                        let keys_match = self.probe_keys.iter().zip(self.build_keys).all(
+                            |(&pk, &bk)| pb.col(pk).val_ref(row).total_eq(bb.col(bk).val_ref(r)),
+                        );
+                        // A u64 hash collision of a different key fails here.
+                        if keys_match {
+                            matched |= self.emit_if(&bb.tuple(r), pt, out)?;
                         }
                     }
                 }
-                if !matched && kind == JoinKind::LeftOuter {
-                    out.push(emit.padded(&lb.tuple(row)));
+                if !matched && self.pad {
+                    out.push(self.emit.padded(pt));
                 }
             }
         }
-        self.finish_probe(&op, probe_start);
-        Ok(out)
+        self.charge(t0, |op| &op.probe_ns);
+        Ok(())
     }
 
-    fn finish_probe(
-        &self,
-        op: &Option<std::sync::Arc<nsql_obs::OpCounters>>,
-        probe_start: Option<std::time::Instant>,
-    ) {
-        if let (Some(op), Some(t0)) = (op, probe_start) {
-            op.probe_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, std::sync::atomic::Ordering::Relaxed);
+    /// Emit the pair of build tuple `bt` and probe tuple `pt` if the
+    /// residual accepts it; whether it did.
+    fn emit_if(&self, bt: &Tuple, pt: &Tuple, out: &mut Vec<Tuple>) -> Result<bool> {
+        let (lt, rt) = if self.build_left { (bt, pt) } else { (pt, bt) };
+        let ok = match self.residual {
+            Some(p) => p.accepts_row(&Joined::new(lt, rt))?,
+            None => true,
+        };
+        if ok {
+            out.push(self.emit.pair(lt, rt));
+        }
+        Ok(ok)
+    }
+
+    /// A page of a file at `depth`: an input through the buffer pool, a
+    /// partition past it.
+    fn page(&self, pid: PageId, depth: u32) -> Arc<Page> {
+        let storage = self.exec.storage();
+        if depth == 0 {
+            storage.read_page(pid)
+        } else {
+            storage.read_page_direct(pid)
         }
     }
+
+    /// Below the depth cap an in-memory pass holds at most `B − 2` pages of
+    /// build tuples (`held` bytes of them).
+    fn check_held(&self, held: usize, depth: u32) {
+        let pages = held as f64 / self.exec.storage().page_size() as f64;
+        debug_assert!(
+            depth == GRACE_MAX_DEPTH || hash_build_fits(pages, self.b),
+            "an in-memory pass at depth {depth} holds {pages:.2} pages of build tuples, B = {}",
+            self.b
+        );
+    }
+
+    fn clock(&self) -> Option<Instant> {
+        self.op.as_ref().map(|_| Instant::now())
+    }
+
+    fn charge(&self, t0: Option<Instant>, phase: impl Fn(&OpCounters) -> &AtomicU64) {
+        if let (Some(op), Some(t0)) = (&self.op, t0) {
+            phase(op).fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+    }
+
+    fn count_batch(&self) {
+        if let Some(op) = &self.op {
+            op.batches.add(0, 1);
+        }
+    }
+}
+
+/// Whether a key column of `t` is `NULL` (the tuple then joins nothing).
+fn null_key(t: &Tuple, keys: &[usize]) -> bool {
+    keys.iter().any(|&k| t.get(k).is_null())
+}
+
+/// The partition of `fanout` a tuple with these `keys` goes to at `depth`.
+/// The hash is salted with the depth, so that a pass splits what the pass
+/// above it put in one partition; it is `Value`'s hash, which is equal for
+/// keys that join (3 and 3.0, -0.0 and 0).
+fn partition_of(t: &Tuple, keys: &[usize], depth: u32, fanout: usize) -> usize {
+    let mut h = FxHasher::default();
+    h.write_u32(depth + 1);
+    for &k in keys {
+        t.get(k).hash(&mut h);
+    }
+    ((u128::from(h.finish()) * fanout as u128) >> 64) as usize
 }
 
 #[cfg(test)]
@@ -340,7 +489,9 @@ mod tests {
     #[test]
     fn vectorized_hash_join_matches_row_join_exactly() {
         // Rows, order, and counted I/O identical across modes, including
-        // NULL keys, residuals, and LeftOuter padding.
+        // NULL keys, residuals, and LeftOuter padding. R's 9 pages exceed
+        // the 6 an 8-page pool leaves the table, so both kernels run under
+        // the one partitioning driver.
         let build = |st: &Storage| {
             let schema = nsql_types::Schema::new(vec![
                 nsql_types::Column::qualified("L", "A", nsql_types::ColumnType::Int),
@@ -476,5 +627,28 @@ mod tests {
             "hash join reads each input exactly once"
         );
         assert_eq!(used.writes, out.page_count() as u64);
+    }
+
+    #[test]
+    fn each_level_splits_what_the_level_above_put_together() {
+        // The salt: of the keys one pass sends to a partition, the next
+        // pass sends about as many to each of its partitions, however many.
+        let keys: Vec<Tuple> = (0..4000).map(|k| Tuple::new(vec![Value::Int(k)])).collect();
+        for depth in 0..GRACE_MAX_DEPTH - 1 {
+            for fanout in [2, 5] {
+                let together = keys.iter().filter(|t| partition_of(t, &[0], depth, fanout) == 0);
+                let mut next = vec![0; fanout];
+                for t in together {
+                    next[partition_of(t, &[0], depth + 1, fanout)] += 1;
+                }
+                let even = next.iter().sum::<usize>() / fanout;
+                assert!(next.iter().all(|&n| n * 10 > even * 8), "depth {depth}: {next:?}");
+            }
+        }
+        // And the hash is `Value`'s: keys that join share a partition.
+        for pair in [[Value::Int(3), Value::Float(3.0)], [Value::Int(0), Value::Float(-0.0)]] {
+            let [a, b] = pair.map(|v| Tuple::new(vec![v]));
+            assert_eq!(partition_of(&a, &[0], 1, 5), partition_of(&b, &[0], 1, 5));
+        }
     }
 }

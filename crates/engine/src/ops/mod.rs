@@ -7,9 +7,12 @@
 //! `*_collect` variant to stream into an in-memory [`Relation`] (the paper
 //! likewise never charges for delivering the final result).
 //!
-//! Join methods are exactly the two System R offered and the paper analyses:
-//! nested-loop ([`Exec::nl_join`]) and sort-merge ([`Exec::merge_join`]),
-//! each in inner and **left outer** flavours — the outer join being the
+//! Join methods are the two System R offered and the paper analyses —
+//! nested-loop ([`Exec::nl_join`]) and sort-merge ([`Exec::merge_join`]) —
+//! and a hash join ([`Exec::hash_join`]), a post-paper extension run under
+//! the same memory model: it holds at most `B − 2` pages of its table and
+//! Grace-partitions a larger build side into counted temporaries. Each
+//! comes in inner and **left outer** flavours — the outer join being the
 //! paper's key device for fixing the COUNT bug (Section 5.2).
 //!
 //! The nested loop reads every inner page once per outer tuple, as the
@@ -23,8 +26,8 @@
 //! Every operator has one in-memory kernel, over rows, and one driver: it
 //! runs serially on the calling thread (DESIGN.md "Execution is serial").
 //! Predicates are evaluated by [`CPred`] alone. The exception is the hash
-//! join, which keeps a second kernel over column batches because it
-//! measured faster (`hash_join.rs`).
+//! join, whose in-memory pass has a second kernel over column batches
+//! under the one partitioning driver (`hash_join.rs`).
 
 mod agg;
 mod hash_join;
@@ -125,9 +128,10 @@ impl Exec {
         Exec::new(storage)
     }
 
-    /// Choose the hash join's kernel: `true` builds and probes on column
-    /// batches (`nsql-vec`), `false` on rows. Results, errors and counted
-    /// page I/O are identical either way. Every other operator has one row
+    /// Choose the hash join's in-memory kernel: `true` builds and probes on
+    /// column batches (`nsql-vec`), `false` on rows; partitioning is the
+    /// same for both. Results, their order, errors and counted page I/O are
+    /// identical either way. Every other operator has one row
     /// kernel and ignores the switch (see DESIGN.md "Vectorized
     /// execution" for the measurements that decided which stayed).
     pub fn with_vectorized(mut self, vectorized: bool) -> Exec {

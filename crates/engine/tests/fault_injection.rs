@@ -122,12 +122,18 @@ fn restrict_project_surfaces_poisoned_page_as_error() {
 
 #[test]
 fn hash_join_residual_fault_surfaces_as_error() {
-    // The poison sits in the probe side's residual-predicate column. Both
-    // kernels build on all 43 pages of U, then stop probing at row 300, on
-    // T's 22nd page; the result is collected before it is written.
+    // The poison sits in the probe side's residual-predicate column. T and
+    // U are 43 pages each, so the join builds on U (a tie goes right), and
+    // 43 pages do not fit the B − 2 = 4 a six-page pool leaves: both inputs
+    // are read and partitioned five ways. Pair after pair, the build side
+    // still exceeds four pages, so the pair is partitioned three ways again
+    // and its sub-pairs joined, each partition read once. Both kernels stop
+    // in the sub-pair that holds row 300, 132 partition pages written by
+    // then. The result is collected before it is written, and every
+    // partition is freed.
     for vectorized in [false, true] {
         let label = format!("hash join, vectorized = {vectorized}");
-        let err = check_fails(&label, &[(300, Value::str("rot"))], (65, 0), |e, t, u| {
+        let err = check_fails(&label, &[(300, Value::str("rot"))], (151, 132), |e, t, u| {
             let combined = t.schema().join(u.schema());
             let q = parse_query("SELECT T.A FROM T, U WHERE T.B < 50").unwrap();
             let res = CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap();

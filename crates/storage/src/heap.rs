@@ -50,25 +50,11 @@ impl HeapFile {
         budget: usize,
         mut write: impl FnMut(Vec<Tuple>) -> PageId,
     ) -> HeapFile {
-        let mut pages = Vec::new();
-        let mut current: Vec<Tuple> = Vec::new();
-        let mut used = 0usize;
-        let mut tuple_count = 0usize;
+        let mut writer = HeapWriter::packing(schema, budget);
         for t in tuples {
-            debug_assert_eq!(t.arity(), schema.arity(), "tuple arity must match heap schema");
-            let w = t.storage_width();
-            if !current.is_empty() && used + w > budget {
-                pages.push(write(std::mem::take(&mut current)));
-                used = 0;
-            }
-            used += w;
-            tuple_count += 1;
-            current.push(t);
+            writer.push_with(t, &mut write);
         }
-        if !current.is_empty() {
-            pages.push(write(current));
-        }
-        HeapFile { schema, pages: Arc::new(pages), tuple_count }
+        writer.finish_with(write)
     }
 
     /// This file with `rows` added at its end, copying only the page that
@@ -210,6 +196,67 @@ impl HeapFile {
             current: None,
             f,
         }
+    }
+}
+
+/// A heap file written a page at a time: tuples are packed by the rule of
+/// [`HeapFile::from_tuples`], and each page is written (one counted write)
+/// as soon as the next tuple would not fit on it, so the writer never holds
+/// more than one page of tuples. What Grace partitioning writes its
+/// partitions with.
+pub struct HeapWriter {
+    schema: Schema,
+    budget: usize,
+    pages: Vec<PageId>,
+    current: Vec<Tuple>,
+    used: usize,
+    tuple_count: usize,
+}
+
+impl HeapWriter {
+    /// An empty file of `schema` on `storage`'s pages.
+    pub fn new(storage: &Storage, schema: Schema) -> HeapWriter {
+        HeapWriter::packing(schema, storage.page_size())
+    }
+
+    fn packing(schema: Schema, budget: usize) -> HeapWriter {
+        HeapWriter {
+            schema,
+            budget,
+            pages: Vec::new(),
+            current: Vec::new(),
+            used: 0,
+            tuple_count: 0,
+        }
+    }
+
+    /// Add `t`, writing the current page first if `t` does not fit on it.
+    pub fn push(&mut self, storage: &Storage, t: Tuple) {
+        self.push_with(t, |ts| storage.write_new_page(ts));
+    }
+
+    /// The file: the last page written, nothing held.
+    pub fn finish(self, storage: &Storage) -> HeapFile {
+        self.finish_with(|ts| storage.write_new_page(ts))
+    }
+
+    fn push_with(&mut self, t: Tuple, write: impl FnOnce(Vec<Tuple>) -> PageId) {
+        debug_assert_eq!(t.arity(), self.schema.arity(), "tuple arity must match heap schema");
+        let w = t.storage_width();
+        if !self.current.is_empty() && self.used + w > self.budget {
+            self.pages.push(write(std::mem::take(&mut self.current)));
+            self.used = 0;
+        }
+        self.used += w;
+        self.tuple_count += 1;
+        self.current.push(t);
+    }
+
+    fn finish_with(mut self, write: impl FnOnce(Vec<Tuple>) -> PageId) -> HeapFile {
+        if !self.current.is_empty() {
+            self.pages.push(write(self.current));
+        }
+        HeapFile { schema: self.schema, pages: Arc::new(self.pages), tuple_count: self.tuple_count }
     }
 }
 

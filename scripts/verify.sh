@@ -136,7 +136,7 @@ cliff='[<>]=? *[a-z_.()]*(\bb|buffer|buffer_pages\(\))( as f64)? *- *1(\.0)?([^0
 priced=$(for f in $(find crates/*/src src -name '*.rs'); do
     [ "$f" = crates/engine/src/cost.rs ] && continue
     sed '/^#\[cfg(test)\]/q' "$f" \
-        | grep -nE "$cliff|const (VISITS|SORTED_ROWS)_PER_PAGE_IO" | sed "s|^|$f:|" || true
+        | grep -nE "$cliff|const [A-Z_]+_PER_PAGE_IO" | sed "s|^|$f:|" || true
 done)
 if [ -n "$priced" ]; then
     echo "$priced"

@@ -8,8 +8,9 @@
 //! nested iteration, the NEST-G transformation under
 //! each join policy (every one with its join inputs restricted first, in the
 //! canonical query and in a temporary over several relations, as the default
-//! path runs), once more as the paper's literal plans, and the
-//! duplicate-collapsing `preserve_duplicates` variant — and
+//! path runs), once more as the paper's literal plans, the forced hash join
+//! once more on a three-page pool of tiny pages where it Grace-partitions,
+//! and the duplicate-collapsing `preserve_duplicates` variant — and
 //! compares results at
 //! exactly the strength the paper promises:
 //!
@@ -639,13 +640,24 @@ const COMPARED: bool = true;
 pub enum CaseOutcome {
     /// Every comparable pipeline agreed with the oracle. Each entry records
     /// the pipeline name, whether it was compared (`true`) or skipped under
-    /// a divergence license / unsupported-class refusal (`false`), and how
-    /// many temporaries over several relations it materialized through a
-    /// keyed join and how many restricted join inputs its EXPLAIN output
-    /// logged.
-    Agree(Vec<(&'static str, bool, (u64, u64))>),
+    /// a divergence license / unsupported-class refusal (`false`), and what
+    /// its EXPLAIN output shows of the plan shapes it ran.
+    Agree(Vec<(&'static str, bool, PlanCounts)>),
     /// A pipeline diverged from the oracle — the property failure.
     Diverge(String),
+}
+
+/// What one compared statement's EXPLAIN output shows of its plan shapes
+/// (all zero for a skipped one).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PlanCounts {
+    /// Temporaries over several relations materialized through a keyed join.
+    pub keyed_temp_joins: u64,
+    /// `restrict+project …` lines: join inputs restricted before the join.
+    pub restricted_inputs: u64,
+    /// Hash joins whose build side did not fit `B − 2` pages and was
+    /// Grace-partitioned first.
+    pub partitioned_joins: u64,
 }
 
 struct Pipeline {
@@ -655,12 +667,25 @@ struct Pipeline {
     set_only: bool,
 }
 
+/// The buffer pool and page size of the database a case's tables are
+/// loaded into.
+const POOL_PAGES: usize = 8;
+const PAGE_SIZE: usize = 256;
+/// The pool of the second database `tr-hash-grace` runs on: three pages,
+/// one of them hash table, so every build side over one page is
+/// partitioned; and pages of a row or two (a generated table holds fewer
+/// than eight), so that build sides are over one page.
+const GRACE_POOL_PAGES: usize = 3;
+const GRACE_PAGE_SIZE: usize = 32;
+
 /// The pipelines under differential test. Nested iteration runs once; the
 /// transformation runs under every join policy and in the duplicate-collapsing
 /// `preserve_duplicates` mode. Row pipelines pin
 /// `ExecMode::Row` (not `Auto`) so the sweep diffs both representations
 /// whatever `Auto` comes to mean; `tr-vec-hash` reruns the forced-hash-join
-/// shapes under the batch hash-join kernel.
+/// shapes under the batch hash-join kernel. `tr-hash-grace` ([`check_case`]
+/// runs it on a database of its own) forces the hash join through a
+/// three-page pool.
 fn pipelines() -> Vec<Pipeline> {
     let ni = QueryOptions {
         strategy: Strategy::NestedIteration,
@@ -751,6 +776,14 @@ fn pipelines() -> Vec<Pipeline> {
             transform: true,
             set_only: false,
         },
+        // `tr-hash` again where its build sides do not fit: on the
+        // three-page pool, Grace partitioning.
+        Pipeline {
+            name: "tr-hash-grace",
+            opts: tr(JoinPolicy::ForceHashJoin),
+            transform: true,
+            set_only: false,
+        },
     ]
 }
 
@@ -785,14 +818,24 @@ fn run_leak_checked(
 /// license policy from the module docs. Returns [`CaseOutcome::Diverge`]
 /// with a full report on the first disagreement.
 pub fn check_case(case: &DiffCase) -> CaseOutcome {
-    check_on(&database_of(case), case, &pipelines())
+    let (grace, rest): (Vec<Pipeline>, Vec<Pipeline>) =
+        pipelines().into_iter().partition(|p| p.name == "tr-hash-grace");
+    let mut report = match check_on(&database_of(case, POOL_PAGES, PAGE_SIZE), case, &rest) {
+        CaseOutcome::Agree(report) => report,
+        diverge => return diverge,
+    };
+    match check_on(&database_of(case, GRACE_POOL_PAGES, GRACE_PAGE_SIZE), case, &grace) {
+        CaseOutcome::Agree(more) => report.extend(more),
+        diverge => return diverge,
+    }
+    CaseOutcome::Agree(report)
 }
 
-/// A fresh database holding the case's tables, each with a B+tree on its
-/// Int `K` column, so the `tr-ix-*` pipelines exercise index restriction
-/// and back-joins.
-fn database_of(case: &DiffCase) -> Database {
-    let mut db = Database::with_storage(8, 256);
+/// A fresh database of `pool_pages` buffer pages of `page_size` bytes
+/// holding the case's tables, each with a B+tree on its Int `K` column, so
+/// the `tr-ix-*` pipelines exercise index restriction and back-joins.
+fn database_of(case: &DiffCase, pool_pages: usize, page_size: usize) -> Database {
+    let mut db = Database::with_storage(pool_pages, page_size);
     for (name, rel) in &case.tables {
         db.catalog_mut().load_table(name, rel).expect("unique generated table names");
         db.catalog_mut().create_index(name, "K").expect("K column exists");
@@ -842,14 +885,14 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
         // where the reference errors, so they are not comparable.
         if let Some(n) = oracle_card {
             if p.transform {
-                report.push((p.name, SKIP, (0, 0)));
+                report.push((p.name, SKIP, PlanCounts::default()));
                 continue;
             }
             match res {
                 Err(nsql_db::DbError::Engine(EngineError::ScalarSubqueryCardinality(m)))
                     if m == n =>
                 {
-                    report.push((p.name, COMPARED, (0, 0)));
+                    report.push((p.name, COMPARED, PlanCounts::default()));
                 }
                 other => {
                     return CaseOutcome::Diverge(format!(
@@ -867,7 +910,7 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
             // License (a): ALL over an empty or NULL-containing set — the
             // MIN/MAX rewrite is not row-equivalent there.
             if notes.all_over_empty_or_null {
-                report.push((p.name, SKIP, (0, 0)));
+                report.push((p.name, SKIP, PlanCounts::default()));
                 continue;
             }
             // License (b): a NULL correlation key was read and the query
@@ -875,14 +918,14 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
             // subquery / non-=ANY quantifier): the outer-join grouping
             // family diverges.
             if notes.null_outer_ref && agg_or_exists {
-                report.push((p.name, SKIP, (0, 0)));
+                report.push((p.name, SKIP, PlanCounts::default()));
                 continue;
             }
             // License (c): an IN matched the same value in >1 inner row.
             // Join expansion changes multiplicities: compare as sets, or
             // skip outright when an aggregate would be inflated.
             if notes.dup_in_match && any_aggregate {
-                report.push((p.name, SKIP, (0, 0)));
+                report.push((p.name, SKIP, PlanCounts::default()));
                 continue;
             }
             let set_only = p.set_only || notes.dup_in_match;
@@ -891,7 +934,9 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
                 // in an operand position, …): a typed refusal is not
                 // divergence. An executor `Unsupported` is — the
                 // transformation let through a plan it cannot run.
-                Err(nsql_db::DbError::Transform(_)) => report.push((p.name, SKIP, (0, 0))),
+                Err(nsql_db::DbError::Transform(_)) => {
+                    report.push((p.name, SKIP, PlanCounts::default()))
+                }
                 // Join-form evaluation is eager: a type-incompatible
                 // comparison that nested iteration short-circuits past
                 // (simple predicates filter the row first) still evaluates
@@ -899,7 +944,9 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
                 // by construction, so this arm only fires on shrink
                 // candidates whose select list was rewritten cross-class.
                 Err(nsql_db::DbError::Engine(EngineError::Type(_)))
-                | Err(nsql_db::DbError::Type(_)) => report.push((p.name, SKIP, (0, 0))),
+                | Err(nsql_db::DbError::Type(_)) => {
+                    report.push((p.name, SKIP, PlanCounts::default()))
+                }
                 Err(other) => {
                     return CaseOutcome::Diverge(format!(
                         "[{}] oracle succeeded but the pipeline errored: {other}\n{sql}\n\
@@ -926,8 +973,18 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
                     let lines = |prefix: &str| {
                         out.explain.iter().filter(|l| l.starts_with(prefix)).count() as u64
                     };
-                    let keyed = keyed_multi_relation_temps(db, case, &p.opts, &out.explain);
-                    report.push((p.name, COMPARED, (keyed, lines("restrict+project "))));
+                    let keyed_temp_joins =
+                        keyed_multi_relation_temps(db, case, &p.opts, &out.explain);
+                    let counts = PlanCounts {
+                        keyed_temp_joins,
+                        restricted_inputs: lines("restrict+project "),
+                        partitioned_joins: out
+                            .explain
+                            .iter()
+                            .filter(|l| l.starts_with("hash join") && l.ends_with(" partitions"))
+                            .count() as u64,
+                    };
+                    report.push((p.name, COMPARED, counts));
                 }
             }
         } else {
@@ -941,7 +998,7 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
                             p.name, out.relation,
                         ));
                     }
-                    report.push((p.name, COMPARED, (0, 0)));
+                    report.push((p.name, COMPARED, PlanCounts::default()));
                 }
                 Err(e) => {
                     return CaseOutcome::Diverge(format!(
@@ -1004,7 +1061,7 @@ fn keyed_multi_relation_temps(
 /// index's leaves again and leaves the distinct counts stale — against the
 /// oracle over the grown tables.
 pub fn check_insert_case(case: &DiffCase) -> CaseOutcome {
-    let mut db = database_of(case);
+    let mut db = database_of(case, POOL_PAGES, PAGE_SIZE);
     let default_path: Vec<Pipeline> = pipelines()
         .into_iter()
         .filter(|p| matches!(p.name, "ni-serial" | "tr-cost-serial"))
@@ -1068,6 +1125,8 @@ pub struct PipelineStats {
     /// (`restrict+project …` lines) in the same output; again none under
     /// `tr-literal`.
     pub restricted_inputs: u64,
+    /// Grace-partitioned hash joins in the same output.
+    pub partitioned_joins: u64,
 }
 
 /// Run `cases` random differential cases under the testkit property runner
@@ -1092,7 +1151,7 @@ fn run_property_with(
         match check(case) {
             CaseOutcome::Agree(report) => {
                 let mut stats = stats.borrow_mut();
-                for (pname, compared, (keyed_temp_joins, restricted_inputs)) in report {
+                for (pname, compared, counts) in report {
                     let entry = match stats.iter_mut().find(|s| s.name == pname) {
                         Some(e) => e,
                         None => {
@@ -1102,12 +1161,14 @@ fn run_property_with(
                                 skipped: 0,
                                 keyed_temp_joins: 0,
                                 restricted_inputs: 0,
+                                partitioned_joins: 0,
                             });
                             stats.last_mut().expect("just pushed")
                         }
                     };
-                    entry.keyed_temp_joins += keyed_temp_joins;
-                    entry.restricted_inputs += restricted_inputs;
+                    entry.keyed_temp_joins += counts.keyed_temp_joins;
+                    entry.restricted_inputs += counts.restricted_inputs;
+                    entry.partitioned_joins += counts.partitioned_joins;
                     if compared {
                         entry.compared += 1;
                     } else {

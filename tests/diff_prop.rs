@@ -3,7 +3,8 @@
 //! Random nested queries over random biased databases are evaluated by the
 //! naive `nsql-oracle` interpreter and by every engine pipeline — nested
 //! iteration, the NEST-G transformation under every join
-//! policy, the duplicate-collapsing
+//! policy (the hash join once more through a three-page pool, where it
+//! Grace-partitions: `tr-hash-grace`), the duplicate-collapsing
 //! `preserve_duplicates` mode, and the index-backed variants (every generated table carries a
 //! B+tree on `K`; `tr-ix-prefer` forces index restriction and index
 //! back-joins on, `tr-ix-never` forces them off) — every one of these on the
@@ -100,6 +101,17 @@ fn every_pipeline_agrees_with_the_oracle() {
     }
     let (_, keyed, restricted) = shapes("tr-literal");
     assert_eq!((keyed, restricted), (0, 0), "[tr-literal] ran something other than the paper's plans");
+    // Grace partitioning must meet the oracle too: on the three-page pool
+    // the forced hash join partitions every build side over one page, and
+    // a sweep in which none was partitioned compared the in-memory join
+    // again.
+    for s in stats.iter().filter(|s| s.name.starts_with("tr-hash")) {
+        eprintln!("pipeline {:>14}: {} partitioned hash joins", s.name, s.partitioned_joins);
+    }
+    let grace = stats.iter().find(|s| s.name == "tr-hash-grace").expect("tr-hash-grace swept");
+    if grace.compared >= 100 {
+        assert!(grace.partitioned_joins > 0, "[tr-hash-grace] no hash join was partitioned");
+    }
     // Nested iteration is never licensed away: evaluating each nested
     // conjunct once per distinct binding must be bag-equal to the oracle on
     // every case and must surface the same scalar-cardinality errors.
