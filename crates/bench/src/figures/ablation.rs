@@ -11,6 +11,7 @@ use crate::{measure, table, RunConfig};
 use nsql_db::plan_exec::PlanExecutor;
 use nsql_core::UnnestOptions;
 use nsql_db::{JoinPolicy, QueryOptions};
+use nsql_engine::Exec;
 
 /// E11: the four NEST-JA2 join-method variants measured, plus the
 /// cost-based pick and the hash-join extension.
@@ -35,7 +36,7 @@ pub fn ablation(cfg: &RunConfig) -> String {
         for final_policy in [JoinPolicy::ForceNestedLoop, JoinPolicy::ForceMergeJoin] {
             storage.clear_buffer();
             let before = storage.io_stats();
-            let mut pe = PlanExecutor::new(cfg.exec(&storage), w.db.catalog(), temp_policy);
+            let mut pe = PlanExecutor::new(Exec::new(storage.clone()), w.db.catalog(), temp_policy);
             pe.set_faithful(true);
             // Temps under `temp_policy` …
             for temp in &plan.temps {

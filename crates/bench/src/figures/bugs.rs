@@ -12,6 +12,7 @@ use crate::RunConfig;
 use nsql_core::{JaVariant, UnnestOptions};
 use nsql_db::plan_exec::PlanExecutor;
 use nsql_db::{Database, JoinPolicy, QueryOptions};
+use nsql_engine::Exec;
 
 const Q2: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
     (SELECT COUNT(SHIPDATE) FROM SUPPLY \
@@ -62,12 +63,12 @@ fn section_5_4_db(cfg: &RunConfig) -> Database {
 }
 
 /// Run a transformation, print each temporary table and the final result.
-fn run_with_temps(cfg: &RunConfig, out: &mut String, db: &Database, sql: &str, variant: JaVariant) {
+fn run_with_temps(out: &mut String, db: &Database, sql: &str, variant: JaVariant) {
     let q = nsql_sql::parse_query(sql).expect("valid SQL");
     let unnest = UnnestOptions { ja_variant: variant, ..UnnestOptions::faithful() };
     let plan = nsql_core::transform_query(db.catalog(), &q, &unnest).expect("transformable");
     outln!(out, "{plan}\n");
-    let mut pe = PlanExecutor::new(cfg.exec(db.storage()), db.catalog(), JoinPolicy::ForceMergeJoin);
+    let mut pe = PlanExecutor::new(Exec::new(db.storage().clone()), db.catalog(), JoinPolicy::ForceMergeJoin);
     pe.set_faithful(true);
     let rel = pe.execute_transform_plan(&plan, false).expect("executes");
     for temp in &plan.temps {
@@ -84,7 +85,7 @@ fn demo_count(cfg: &RunConfig, out: &mut String) {
     let ni = db.query_with(Q2, &cfg.opts(QueryOptions::nested_iteration())).unwrap();
     outln!(out, "nested iteration (ground truth):\n{}\n", ni.relation);
     outln!(out, "Kim's NEST-JA transformation:");
-    run_with_temps(cfg, out, &db, Q2, JaVariant::KimOriginal);
+    run_with_temps(out, &db, Q2, JaVariant::KimOriginal);
     outln!(out,
         "→ TEMP's CT column can never be 0, so part 8 (QOH = 0) is lost.\n"
     );
@@ -94,7 +95,7 @@ fn demo_count_fix(cfg: &RunConfig, out: &mut String) {
     outln!(out, "════ E4 — the outer-join fix (Section 5.2) ════\n");
     let db = kiessling_db(cfg);
     outln!(out, "NEST-JA2 on query Q2:");
-    run_with_temps(cfg, out, &db, Q2, JaVariant::Ja2);
+    run_with_temps(out, &db, Q2, JaVariant::Ja2);
     outln!(out, "→ the LEFT OUTER JOIN manufactures the zero counts; {{10, 8}} as in the paper.\n");
 }
 
@@ -104,7 +105,7 @@ fn demo_count_star(cfg: &RunConfig, out: &mut String) {
     let q2_star = Q2.replace("COUNT(SHIPDATE)", "COUNT(*)");
     outln!(out, "Q2 with COUNT(*): the temporary must count the *join column*, or the\n\
               NULL-padded rows of the outer join would each count as 1.\n");
-    run_with_temps(cfg, out, &db, &q2_star, JaVariant::Ja2);
+    run_with_temps(out, &db, &q2_star, JaVariant::Ja2);
     let ni = db.query_with(&q2_star, &cfg.opts(QueryOptions::nested_iteration())).unwrap();
     outln!(out, "nested iteration agrees:\n{}\n", ni.relation);
 }
@@ -116,9 +117,9 @@ fn demo_non_eq(cfg: &RunConfig, out: &mut String) {
     let ni = db.query_with(Q5, &cfg.opts(QueryOptions::nested_iteration())).unwrap();
     outln!(out, "nested iteration (ground truth, MAX(∅) = NULL):\n{}\n", ni.relation);
     outln!(out, "Kim's NEST-JA (aggregates per join-column *value*):");
-    run_with_temps(cfg, out, &db, Q5, JaVariant::KimOriginal);
+    run_with_temps(out, &db, Q5, JaVariant::KimOriginal);
     outln!(out, "NEST-JA2 (aggregates over the join-column *range*):");
-    run_with_temps(cfg, out, &db, Q5, JaVariant::Ja2);
+    run_with_temps(out, &db, Q5, JaVariant::Ja2);
 }
 
 fn demo_duplicates(cfg: &RunConfig, out: &mut String) {
@@ -127,9 +128,9 @@ fn demo_duplicates(cfg: &RunConfig, out: &mut String) {
     let ni = db.query_with(Q2, &cfg.opts(QueryOptions::nested_iteration())).unwrap();
     outln!(out, "PARTS has duplicate PNUMs. nested iteration:\n{}\n", ni.relation);
     outln!(out, "outer-join fix WITHOUT the projection step (counts inflated):");
-    run_with_temps(cfg, out, &db, Q2, JaVariant::Ja2NoProjection);
+    run_with_temps(out, &db, Q2, JaVariant::Ja2NoProjection);
     outln!(out, "full NEST-JA2 (DISTINCT projection of the outer join column first):");
-    run_with_temps(cfg, out, &db, Q2, JaVariant::Ja2);
+    run_with_temps(out, &db, Q2, JaVariant::Ja2);
 }
 
 fn demo_late_restriction(cfg: &RunConfig, out: &mut String) {
@@ -142,11 +143,11 @@ fn demo_late_restriction(cfg: &RunConfig, out: &mut String) {
          would be incorrect.\"\n"
     );
     outln!(out, "restriction applied AFTER the outer join (broken ordering):");
-    run_with_temps(cfg, out, &db, Q2, JaVariant::Ja2LateRestriction);
+    run_with_temps(out, &db, Q2, JaVariant::Ja2LateRestriction);
     outln!(out, "→ part 8's padded row is filtered away (NULL SHIPDATE), so its zero\n\
               count is lost — the same wrong answer as Kim's NEST-JA.\n");
     outln!(out, "restriction applied BEFORE the join (NEST-JA2 proper):");
-    run_with_temps(cfg, out, &db, Q2, JaVariant::Ja2);
+    run_with_temps(out, &db, Q2, JaVariant::Ja2);
 }
 
 fn demo_ja2_trace(cfg: &RunConfig, out: &mut String) {
@@ -157,7 +158,7 @@ fn demo_ja2_trace(cfg: &RunConfig, out: &mut String) {
         outln!(out, "  {line}");
     }
     outln!(out);
-    run_with_temps(cfg, out, &db, Q2, JaVariant::Ja2);
+    run_with_temps(out, &db, Q2, JaVariant::Ja2);
 }
 
 /// The demonstrations by command-line name, in printing order.

@@ -17,8 +17,7 @@ pub mod workload;
 pub use workload::{ja_workload, Workload, WorkloadSpec};
 
 use nsql_db::{Database, QueryOptions};
-use nsql_engine::Exec;
-use nsql_storage::{IoStats, Storage};
+use nsql_storage::IoStats;
 use nsql_types::Relation;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,9 +31,8 @@ static NEXT_DATABASE: AtomicU64 = AtomicU64::new(0);
 /// under the other engine configurations and expects the same bytes.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// The options every query of the run starts from: exec mode and so
-    /// on. A figure pins what it measures on
-    /// top of these through [`RunConfig::opts`].
+    /// The options every query of the run starts from. A figure pins what
+    /// it measures on top of these through [`RunConfig::opts`].
     pub base: QueryOptions,
     /// Where the run's databases live: each one a file-backed store in a
     /// subdirectory of its own under this directory (the caller removes
@@ -110,12 +108,6 @@ impl RunConfig {
             cold_start: pinned.cold_start,
             ..self.base.clone()
         }
-    }
-
-    /// An operator executor for the figures that drive a plan by hand, in
-    /// the base options' exec mode.
-    pub fn exec(&self, storage: &Storage) -> Exec {
-        Exec::new(storage.clone()).with_vectorized(self.base.exec_mode.vectorized())
     }
 }
 

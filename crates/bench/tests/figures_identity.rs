@@ -2,18 +2,13 @@
 //! configuration.
 //!
 //! The paper's record is counted page I/O, and nothing the engine has grown
-//! since — the file-backed store, vectorized kernels, the statistics
-//! registry — may move one digit of it. Each of the seven figures is
-//! rendered in process under the configuration of record and under each of
-//! those three, and the strings are compared.
-//!
-//! One cell is exempt: `bugs` prints EXPLAIN output, which under
-//! `ExecMode::Vector` gains an "exec mode: vectorized" line. That line is the
-//! configuration announcing itself, not a number moving.
+//! since — the file-backed store, the statistics registry — may move one
+//! digit of it. Each of the seven figures is rendered in process under the
+//! configuration of record and under each of those two, and the strings are
+//! compared.
 
 use nsql_bench::figures::ALL;
 use nsql_bench::RunConfig;
-use nsql_db::ExecMode;
 use nsql_testkit::TempDir;
 
 /// The first line at which two renderings part, for the failure report.
@@ -46,7 +41,6 @@ fn figures_are_byte_identical_under_every_configuration() {
     };
     let configurations = [
         ("file store", vary(&|c| c.data_dir = Some(dir.path().to_path_buf()))),
-        ("exec_mode = vector", vary(&|c| c.base.exec_mode = ExecMode::Vector)),
         ("stats off", vary(&|c| c.stats = false)),
     ];
     let mut compared = 0;
@@ -54,9 +48,6 @@ fn figures_are_byte_identical_under_every_configuration() {
         let want = render(&baseline);
         assert!(!want.is_empty(), "figure {figure} rendered nothing");
         for (configuration, cfg) in &configurations {
-            if figure == "bugs" && *configuration == "exec_mode = vector" {
-                continue;
-            }
             let got = render(cfg);
             assert!(
                 got == want,
@@ -66,5 +57,5 @@ fn figures_are_byte_identical_under_every_configuration() {
             compared += 1;
         }
     }
-    assert_eq!(compared, 7 * 3 - 1, "7 figures x 3 configurations, less the `bugs` cell");
+    assert_eq!(compared, 7 * 2, "7 figures x 2 configurations");
 }

@@ -1,21 +1,14 @@
-//! Vectorized-equivalence property: on seeded benchmark workloads, the
-//! transformed path run under `ExecMode::Vector` returns bit-identical rows
-//! AND leaves a byte-identical four-counter page-I/O trace
-//! (reads/writes/hits/misses) compared to `ExecMode::Row`, end-to-end
-//! through the `Database` facade. The whole vectorized
-//! subsystem (batch kernels, batched join/agg) must be invisible to
-//! everything except wall-clock time.
-//!
-//! Nested iteration has one kernel, so there is no second mode to compare
-//! it with: the statements this suite used to run under both of its
-//! kernels stay, held to `nsql-oracle` (rows) and to the transformed path
-//! (float bits).
+//! Statements over the benchmark's generated workloads, held to
+//! `nsql-oracle` (rows) and to each other (float bits): nested iteration
+//! against the oracle on the Kim-scale tables, exact float aggregation on
+//! both strategies, and nested iteration's short-circuit over a
+//! sometimes-`NULL` conjunct.
 //!
 //! Every test runs on both storage backends ([`on_both_backends`]).
 
 use nsql_bench::workload::{queries, WorkloadSpec, DEFAULT_SEED};
 use nsql_bench::{RunConfig, Workload};
-use nsql_db::{DbError, ExecMode, JoinPolicy, QueryOptions, QueryOutcome};
+use nsql_db::{DbError, QueryOptions, QueryOutcome};
 use nsql_oracle::Oracle;
 use nsql_testkit::TempDir;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
@@ -23,19 +16,19 @@ use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
 /// Run `body` with databases in memory, then with file-backed ones.
 fn on_both_backends(body: impl Fn(&RunConfig)) {
     body(&RunConfig::default());
-    let dir = TempDir::new("nsql-vec-prop");
+    let dir = TempDir::new("nsql-workload-oracle");
     body(&RunConfig { data_dir: Some(dir.path().to_path_buf()), ..RunConfig::default() });
 }
 
 /// Canonically sorted bitwise row comparison — floats via `to_bits`, so a
-/// one-ULP kernel divergence (or an Int/Float type flip) fails loudly.
-fn assert_bit_identical(name: &str, row: &Relation, vec: &Relation) {
+/// one-ULP divergence (or an Int/Float type flip) fails loudly.
+fn assert_bit_identical(name: &str, a: &Relation, b: &Relation) {
     let canon = |r: &Relation| {
         let mut rows: Vec<Tuple> = r.tuples().to_vec();
         rows.sort_by(Tuple::total_cmp);
         rows
     };
-    let (a, b) = (canon(row), canon(vec));
+    let (a, b) = (canon(a), canon(b));
     assert_eq!(a.len(), b.len(), "{name}: row counts diverged");
     for (x, y) in a.iter().zip(&b) {
         for (u, v) in x.values().iter().zip(y.values()) {
@@ -46,38 +39,6 @@ fn assert_bit_identical(name: &str, row: &Relation, vec: &Relation) {
             assert!(same, "{name}: bitwise divergence: {u:?} vs {v:?}");
         }
     }
-}
-
-/// Run `sql` under Row then Vector, asserting identical rows (or the same
-/// error), identical reported I/O, and an identical four-counter storage
-/// trace. Returns whether the statement answered (rather than raised).
-fn check(w: &Workload, sql: &str, name: &str, base: &QueryOptions) -> bool {
-    let s0 = w.db.storage().io_snapshot();
-    let row = w.db.query_with(sql, &QueryOptions { exec_mode: ExecMode::Row, ..base.clone() });
-    let s1 = w.db.storage().io_snapshot();
-    let vec = w.db.query_with(sql, &QueryOptions { exec_mode: ExecMode::Vector, ..base.clone() });
-    let s2 = w.db.storage().io_snapshot();
-    let answered = row.is_ok();
-    match (row, vec) {
-        (Ok(row), Ok(vec)) => {
-            assert_bit_identical(name, &row.relation, &vec.relation);
-            assert_eq!(row.io, vec.io, "{name}: reported I/O totals diverged");
-        }
-        (Err(row), Err(vec)) => {
-            assert_eq!(format!("{row:?}"), format!("{vec:?}"), "{name}: errors diverged")
-        }
-        (row, vec) => panic!(
-            "{name}: one mode failed: row {:?}, vector {:?}",
-            row.map(|o| o.relation.len()),
-            vec.map(|o| o.relation.len())
-        ),
-    }
-    assert_eq!(
-        s1.since(&s0),
-        s2.since(&s1),
-        "{name}: vector mode changed the reads/writes/hits/misses trace"
-    );
-    answered
 }
 
 const QUERIES: [(&str, &str); 4] = [
@@ -118,29 +79,10 @@ fn nested_iteration_equals_the_oracle() {
     });
 }
 
+/// Nested iteration and the transformed path fold `SUM`/`AVG` with the same
+/// exact summation: bit-identical over mixed magnitudes, grouped and global.
 #[test]
-fn vectorized_transform_equals_row_mode() {
-    on_both_backends(|cfg| {
-        let w = cfg.workload(WorkloadSpec::small());
-        for (policy, pname) in [
-            (JoinPolicy::ForceMergeJoin, "merge"),
-            (JoinPolicy::ForceHashJoin, "hash"),
-            (JoinPolicy::CostBased, "cost"),
-        ] {
-            let base = QueryOptions { join_policy: policy, ..QueryOptions::transformed() };
-            for (name, sql) in QUERIES {
-                let name = format!("tr/{pname}/{name}");
-                assert!(check(&w, sql, &name, &base), "{name}: expected an answer");
-            }
-        }
-    });
-}
-
-/// The vectorized aggregation fold must preserve the exact-summation float
-/// invariant: `SUM`/`AVG` bit-identical to the row fold over mixed
-/// magnitudes, grouped and global.
-#[test]
-fn vectorized_float_aggregates_bit_identical() {
+fn float_aggregates_are_bit_identical_across_strategies() {
     on_both_backends(|cfg| {
         let schema = Schema::new(vec![
             Column::new("GRP", ColumnType::Int),
@@ -167,11 +109,7 @@ fn vectorized_float_aggregates_bit_identical() {
             "SELECT SUM(X), AVG(X) FROM MEAS",
             "SELECT GRP, SUM(X), AVG(X) FROM MEAS GROUP BY GRP",
         ] {
-            let base = QueryOptions::transformed();
-            assert!(check(&w, sql, "float-agg/tr", &base), "float-agg/tr: expected an answer");
-            // Nested iteration folds with the same exact summation: bit-equal
-            // to the transformed path.
-            let tr = w.db.query_with(sql, &base).unwrap();
+            let tr = w.db.query_with(sql, &QueryOptions::transformed()).unwrap();
             let ni = run_ni(&w, sql).unwrap();
             assert_bit_identical("float-agg/ni vs tr", &ni.relation, &tr.relation);
         }

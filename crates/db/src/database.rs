@@ -237,8 +237,6 @@ impl Database {
         let micros = t0.elapsed().as_micros() as u64;
         let d = self.catalog.storage().io_snapshot().since(&io0);
         let strategy = opts.strategy.resolve().name().to_string();
-        // The mode that ran, not the mode asked for.
-        let exec_mode = if opts.vectorized() { "vector" } else { "row" }.to_string();
         let fingerprint = query_fingerprint(q);
         registry.record_statement(&StatementSample {
             fingerprint: fingerprint.clone(),
@@ -246,9 +244,9 @@ impl Database {
             reads: d.reads,
             writes: d.writes,
             strategy: strategy.clone(),
-            exec_mode,
             error: result.is_err(),
             refusals,
+            ..StatementSample::default()
         });
         if let Some(threshold_us) = opts.slow_query_ms.map(|ms| ms.saturating_mul(1000)) {
             if micros >= threshold_us {
@@ -304,9 +302,7 @@ impl Database {
                 let mut explain = header_lines(opts, plan.temp_count());
                 explain.extend(plan.trace.iter().cloned());
                 explain.push(format!("canonical: {}", nsql_sql::print_query(&plan.canonical)));
-                let exec = Exec::new(storage.clone())
-                    .with_vectorized(opts.vectorized())
-                    .with_obs(profile.clone());
+                let exec = Exec::new(storage.clone()).with_obs(profile.clone());
                 let mut pe = PlanExecutor::new(exec, &self.catalog, opts.join_policy);
                 pe.set_index_use(opts.index_use);
                 pe.set_faithful(opts.unnest.faithful_1987);
@@ -325,9 +321,8 @@ impl Database {
         Ok(QueryOutcome { relation, io, explain, temps, obs })
     }
 
-    /// Nested iteration: one row kernel whatever the exec mode, serial
-    /// whatever the thread count. Returns the rows and the EXPLAIN lines:
-    /// the header, then each correlated block's access path.
+    /// Nested iteration: one row kernel, serial. Returns the rows and the
+    /// EXPLAIN lines: the header, then each correlated block's access path.
     fn run_correlated(
         &self,
         q: &QueryBlock,
@@ -596,66 +591,6 @@ mod tests {
         assert_eq!(s1.since(&s0), s2.since(&s1));
         assert!(plain.obs.is_none());
         assert!(observed.obs.is_some());
-    }
-
-    #[test]
-    fn exec_mode_vector_is_invisible_except_in_explain() {
-        use crate::options::ExecMode;
-        let db = kiessling_db();
-        // Only the transform strategy has vectorized operators to announce;
-        // nested iteration runs one row kernel in either mode.
-        for (base, announces) in [
-            (QueryOptions::nested_iteration(), false),
-            (QueryOptions::transformed(), true),
-        ] {
-            let row = db
-                .query_with(Q2, &QueryOptions { exec_mode: ExecMode::Row, ..base.clone() })
-                .unwrap();
-            let vec = db
-                .query_with(Q2, &QueryOptions { exec_mode: ExecMode::Vector, ..base.clone() })
-                .unwrap();
-            assert_eq!(row.relation, vec.relation, "{base:?}");
-            assert_eq!(row.io, vec.io, "{base:?}");
-            let row_text = row.explain.join("\n");
-            let vec_text = vec.explain.join("\n");
-            assert!(!row_text.contains("vectorized"), "{row_text}");
-            assert_eq!(vec_text.contains("exec mode: vectorized"), announces, "{vec_text}");
-        }
-    }
-
-    #[test]
-    fn exec_mode_vector_batches_the_hash_joins_and_nothing_else() {
-        use crate::options::{ExecMode, JoinPolicy};
-        let db = kiessling_db();
-        let storage = db.catalog.storage();
-        for join_policy in [JoinPolicy::CostBased, JoinPolicy::ForceHashJoin] {
-            let run = |exec_mode| {
-                let before = storage.io_snapshot();
-                let opts = QueryOptions {
-                    observe: true,
-                    exec_mode,
-                    join_policy,
-                    ..QueryOptions::transformed()
-                };
-                let out = db.query_with(Q2, &opts).unwrap();
-                (out, storage.io_snapshot().since(&before))
-            };
-            let (row, row_io) = run(ExecMode::Row);
-            let (vec, vec_io) = run(ExecMode::Vector);
-            assert_eq!(row.relation, vec.relation, "{join_policy:?}");
-            assert_eq!(row_io, vec_io, "{join_policy:?}");
-
-            let obs = vec.obs.expect("observe collects a profile");
-            let ops = operators(&obs);
-            let hash_joins =
-                ops.iter().filter(|(n, _)| n.name.starts_with("hash join")).count();
-            assert_eq!(hash_joins > 0, join_policy == JoinPolicy::ForceHashJoin, "{ops:#?}");
-            for (node, op) in ops {
-                let batched = node.name.starts_with("hash join");
-                assert_eq!(op.vectorized, batched, "{join_policy:?}: {node:#?}");
-                assert_eq!(op.batches > 0, batched, "{join_policy:?}: {node:#?}");
-            }
-        }
     }
 
     #[test]

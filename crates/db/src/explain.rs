@@ -454,13 +454,6 @@ pub(crate) fn header_lines(opts: &QueryOptions, temps: usize) -> Vec<String> {
     if matches!(opts.strategy, Strategy::Transform | Strategy::Auto) {
         lines.push(format!("plan shapes: {}", plan_shapes(opts)));
     }
-    if opts.vectorized() {
-        lines.push(
-            "exec mode: vectorized (hash joins build and probe on column batches; \
-             every other operator runs its row kernel)"
-                .to_string(),
-        );
-    }
     lines
 }
 

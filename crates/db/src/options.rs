@@ -66,43 +66,22 @@ impl IndexUse {
     }
 }
 
-/// Which kernel the transformed path's hash joins run.
-///
-/// Under `Vector`, hash joins build and probe on column batches (each page
-/// pivoted into typed column vectors, keys hashed straight off the lanes);
-/// every other operator runs its one row kernel whatever the mode (DESIGN.md
-/// "Vectorized execution" has the measurements behind that). Results, error
-/// values, page-I/O totals, and buffer hit/miss splits are byte-identical
-/// across modes — only CPU time changes (property-tested).
+/// A stub: there is one execution mode, and every hash join runs the one
+/// kernel (DESIGN.md "One hash-join kernel"). The type survives only
+/// because `benchmark/src/main.rs` names it, and benchmark/README.md
+/// requires a benchmark change before a listed symbol goes; that change
+/// deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Tuple-at-a-time interpretation (the historical baseline).
-    Row,
-    /// Hash joins build and probe on column batches; every other operator
-    /// runs its row kernel.
-    Vector,
-    /// Let the engine decide. Today that is the constant row mode; the
-    /// planner fills this seam later.
+    /// The one mode.
     #[default]
     Auto,
 }
 
 impl ExecMode {
-    /// Display name used in experiment output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Row => "row",
-            ExecMode::Vector => "vector",
-            ExecMode::Auto => "auto",
-        }
-    }
-
-    /// Whether this mode (after `Auto` resolution) runs vectorized.
+    /// `false`: no value runs a second kernel.
     pub fn vectorized(self) -> bool {
-        match self {
-            ExecMode::Row | ExecMode::Auto => false,
-            ExecMode::Vector => true,
-        }
+        false
     }
 }
 
@@ -195,10 +174,6 @@ pub struct QueryOptions {
     /// pure side-state — it never changes the reported page-I/O totals,
     /// the hit/miss split, or the result rows (property-tested).
     pub observe: bool,
-    /// Whether hash joins build and probe on column batches (see
-    /// [`ExecMode`]); every other operator runs its row kernel either way.
-    /// `Auto` (the default) is row mode.
-    pub exec_mode: ExecMode,
     /// Ignored: there is no result cache (see [`CacheMode`]).
     pub cache: CacheMode,
     /// Slow-query threshold in milliseconds: statements whose wall time
@@ -209,15 +184,6 @@ pub struct QueryOptions {
 }
 
 impl QueryOptions {
-    /// Whether a statement under these options runs its hash joins on
-    /// column batches — the one thing `ExecMode::Vector` changes, and only
-    /// the transform strategy has hash joins: nested iteration runs one row
-    /// kernel whatever `exec_mode` says. EXPLAIN's exec-mode line and
-    /// `nsql_stat_statements.EXEC_MODE` both report this.
-    pub(crate) fn vectorized(&self) -> bool {
-        self.exec_mode.vectorized() && self.strategy.resolve() == Strategy::Transform
-    }
-
     /// The paper's baseline: nested iteration, cold buffer.
     pub fn nested_iteration() -> QueryOptions {
         QueryOptions {
@@ -256,7 +222,7 @@ mod tests {
     use super::*;
 
     /// The documented defaults, field by field (exhaustively destructured,
-    /// so a tenth field cannot join unpinned).
+    /// so a ninth field cannot join unpinned).
     #[test]
     fn default_options_are_the_documented_ones() {
         let QueryOptions {
@@ -266,7 +232,6 @@ mod tests {
             index_use,
             cold_start,
             observe,
-            exec_mode,
             cache,
             slow_query_ms,
         } = QueryOptions::default();
@@ -278,12 +243,10 @@ mod tests {
         assert_eq!(index_use, IndexUse::CostBased);
         assert!(!cold_start, "statements share warm buffers unless asked otherwise");
         assert!(!observe);
-        assert_eq!(exec_mode, ExecMode::Auto);
         assert_eq!(cache, CacheMode::Auto);
         assert_eq!(slow_query_ms, None);
         // What the `Auto`s stand for today.
         assert_eq!(strategy.resolve(), Strategy::Transform);
-        assert!(!exec_mode.vectorized());
         assert_eq!(cache.resolve(), CacheMode::Off);
     }
 }

@@ -76,7 +76,6 @@ pub fn stat_view_schema(name: &str) -> Option<Schema> {
                 ("READS", ColumnType::Int),
                 ("WRITES", ColumnType::Int),
                 ("STRATEGY", ColumnType::Str),
-                ("EXEC_MODE", ColumnType::Str),
             ],
         ),
         STAT_STORAGE => cols(
@@ -134,7 +133,6 @@ pub fn stat_view_relation(
                     int(s.reads),
                     int(s.writes),
                     Value::Str(s.strategy.clone()),
-                    Value::Str(s.exec_mode.clone()),
                 ])
             })
             .collect(),
@@ -213,9 +211,9 @@ mod tests {
             reads: 3,
             writes: 1,
             strategy: "nested-iteration".into(),
-            exec_mode: "row".into(),
             error: false,
             refusals: 0,
+            ..Default::default()
         });
         let rel = stat_view_relation(STAT_STATEMENTS, &reg, &[], &st).unwrap();
         assert_eq!(rel.tuples().len(), 1);

@@ -3,8 +3,8 @@
 //! The plain report predicts; the ANALYZE report executes. For both
 //! executable strategies — nested iteration and the NEST-* transformation —
 //! the two reports must agree on the decision-shaped lines: the strategy
-//! header and whether an exec-mode line is present. A drift here means
-//! EXPLAIN is describing a plan the executor does not run.
+//! header and the chosen algorithm. A drift here means EXPLAIN is
+//! describing a plan the executor does not run.
 //!
 //! The two-way strategy-cost block is also pinned: every nested query —
 //! correlated or not — must render predicted costs for both strategies
@@ -12,7 +12,7 @@
 //! regardless of which strategy the options force. Only flat queries
 //! (no subquery, hence no strategy choice) omit the block.
 
-use nsql_db::{Database, ExecMode, JoinPolicy, QueryOptions, Strategy};
+use nsql_db::{Database, QueryOptions, Strategy};
 use nsql_engine::cost::StrategyKind;
 
 const SETUP: &str = "CREATE TABLE PARTS (PNUM INT, QOH INT);
@@ -75,36 +75,24 @@ fn strategy_line(lines: &[String]) -> &String {
 }
 
 /// Plain EXPLAIN and EXPLAIN ANALYZE agree on the strategy header and the
-/// presence of an exec-mode line, under every strategy, in either exec mode.
+/// chosen algorithm, under every strategy.
 #[test]
 fn plain_and_analyze_reports_agree_on_decision_lines() {
     let db = mem_db();
     for (name, strategy) in strategies() {
-        for exec_mode in [ExecMode::Row, ExecMode::Vector] {
-            let o = QueryOptions { exec_mode, ..opts(&strategy) };
-            let plain = db.explain_query(Q2, false, &o).unwrap();
-            let analyzed = db.explain_query(Q2, true, &o).unwrap();
+        let o = opts(&strategy);
+        let plain = db.explain_query(Q2, false, &o).unwrap();
+        let analyzed = db.explain_query(Q2, true, &o).unwrap();
 
-            assert_eq!(
-                strategy_line(&plain.strategy),
-                strategy_line(&analyzed.strategy),
-                "[{name}] strategy header drifted between EXPLAIN and ANALYZE"
-            );
-            assert_eq!(
-                plain.chosen, analyzed.chosen,
-                "[{name}] chosen algorithm drifted between EXPLAIN and ANALYZE"
-            );
-
-            // Exec-mode line: in both reports exactly when something will
-            // run vectorized. Nested iteration runs one row kernel in either
-            // mode and must not advertise a vectorized mode it never runs.
-            let exec = |r: &nsql_db::ExplainReport| {
-                r.strategy.iter().any(|l| l.starts_with("exec mode:"))
-            };
-            let announces = exec_mode == ExecMode::Vector && strategy == Strategy::Transform;
-            assert_eq!(exec(&plain), announces, "[{name}] plain exec-mode line");
-            assert_eq!(exec(&analyzed), announces, "[{name}] ANALYZE exec-mode line");
-        }
+        assert_eq!(
+            strategy_line(&plain.strategy),
+            strategy_line(&analyzed.strategy),
+            "[{name}] strategy header drifted between EXPLAIN and ANALYZE"
+        );
+        assert_eq!(
+            plain.chosen, analyzed.chosen,
+            "[{name}] chosen algorithm drifted between EXPLAIN and ANALYZE"
+        );
     }
 }
 
@@ -207,33 +195,6 @@ fn a_temporary_over_two_relations_is_planned_under_its_materialize_node() {
 
 fn has_node(node: &nsql_obs::ProfileNode, name: &str) -> bool {
     node.name == name || node.children.iter().any(|c| has_node(c, name))
-}
-
-/// The exec-mode line has one source: a report that announces the mode
-/// does so on exactly one line, in its log and rendered, whatever the join
-/// policy; a report with nothing to announce has none.
-#[test]
-fn the_exec_mode_line_is_printed_once() {
-    let db = mem_db();
-    for join_policy in [JoinPolicy::CostBased, JoinPolicy::ForceHashJoin] {
-        for (name, strategy) in strategies() {
-            for exec_mode in [ExecMode::Row, ExecMode::Vector] {
-                let o =
-                    QueryOptions { exec_mode, join_policy, ..opts(&strategy) };
-                let announces =
-                    exec_mode == ExecMode::Vector && strategy == Strategy::Transform;
-                for analyze in [false, true] {
-                    let report = db.explain_query(Q2, analyze, &o).unwrap();
-                    let count = |lines: &[String]| {
-                        lines.iter().filter(|l| l.contains("exec mode:")).count()
-                    };
-                    let what = format!("[{name}] {join_policy:?} analyze={analyze}");
-                    assert_eq!(count(&report.strategy), announces as usize, "{what}");
-                    assert_eq!(count(&report.render_lines()), announces as usize, "{what}");
-                }
-            }
-        }
-    }
 }
 
 /// A correlated query renders the two-way cost block — both strategies
@@ -374,7 +335,7 @@ fn analyze_json_keeps_its_schema_for_every_nesting_type() {
             let op = require(&node, "op");
             if op != Json::Null {
                 operators += 1;
-                for key in ["rows_in", "rows_out", "batches", "vectorized", "build_ns", "probe_ns"] {
+                for key in ["rows_in", "rows_out", "build_ns", "probe_ns"] {
                     require(&op, key);
                 }
                 assert!(op.get("morsels_per_worker").is_none(), "[{name}] {op}");

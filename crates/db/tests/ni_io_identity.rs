@@ -2,7 +2,7 @@
 //! counters (page reads, page writes, buffer hits, buffer misses) of every
 //! statement shape nested iteration serves equal constants pinned from the
 //! commit *before* name resolution left the per-tuple loop — under
-//! `Strategy::NestedIteration` (row and vector kernels), on the memory and
+//! `Strategy::NestedIteration`, on the memory and
 //! the file store. An error raised inside the binding loop surfaces with the
 //! same value after the same counter delta.
 //!
@@ -12,7 +12,7 @@
 //! correlated block may probe a B+tree instead, is pinned in
 //! `default_path_io` and held to these rows by `ni_probe_prop`.
 
-use nsql_db::{Database, ExecMode, QueryOptions, Strategy};
+use nsql_db::{Database, QueryOptions, Strategy};
 use nsql_storage::IoSnapshot;
 use nsql_testkit::TempDir;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
@@ -157,18 +157,14 @@ fn backends() -> Vec<(&'static str, Database, Option<TempDir>)> {
     vec![("memory", mem, None), ("file", file, Some(dir))]
 }
 
-/// Every configuration that must be indistinguishable from row-mode nested
-/// iteration.
-fn configurations() -> Vec<QueryOptions> {
-    [ExecMode::Row, ExecMode::Vector]
-        .map(|exec_mode| QueryOptions {
-            strategy: Strategy::NestedIteration,
-            exec_mode,
-            unnest: nsql_core::UnnestOptions::faithful(),
-            cold_start: true,
-            ..Default::default()
-        })
-        .to_vec()
+/// The paper's nested iteration, from a cold buffer.
+fn options() -> QueryOptions {
+    QueryOptions {
+        strategy: Strategy::NestedIteration,
+        unnest: nsql_core::UnnestOptions::faithful(),
+        cold_start: true,
+        ..Default::default()
+    }
 }
 
 fn snap(reads: u64, writes: u64, hits: u64, misses: u64) -> IoSnapshot {
@@ -266,15 +262,13 @@ fn nested_iteration_statements_keep_rows_and_all_four_counters() {
     let mut diffs: Vec<String> = Vec::new();
     for (backend, db, _dir) in backends() {
         for (name, sql, rows_at_parent, io_at_parent) in &cases {
-            for opts in configurations() {
-                let (rows, io) = run(&db, sql, &opts);
-                let at = format!("{name} {:?} on {backend}", opts.exec_mode);
-                if rows != Ok(*rows_at_parent) {
-                    diffs.push(format!("{at}: rows {rows:?}, parent {rows_at_parent:?}"));
-                }
-                if io != *io_at_parent {
-                    diffs.push(format!("{at}: {io:?}, parent {io_at_parent:?}"));
-                }
+            let (rows, io) = run(&db, sql, &options());
+            let at = format!("{name} on {backend}");
+            if rows != Ok(*rows_at_parent) {
+                diffs.push(format!("{at}: rows {rows:?}, parent {rows_at_parent:?}"));
+            }
+            if io != *io_at_parent {
+                diffs.push(format!("{at}: {io:?}, parent {io_at_parent:?}"));
             }
         }
     }
@@ -308,11 +302,8 @@ fn error_in_the_binding_loop_surfaces_after_the_same_page_reads() {
             [2],
             "the poisoned row must sit on BAD's third page"
         );
-        for opts in configurations() {
-            let (rows, io) = run(&db, ERROR_ON_THIRD_PAGE, &opts);
-            let at = format!("{:?} on {backend}", opts.exec_mode);
-            assert_eq!(rows, Err(error_at_parent.to_string()), "{at}");
-            assert_eq!(io, io_at_parent, "{at}");
-        }
+        let (rows, io) = run(&db, ERROR_ON_THIRD_PAGE, &options());
+        assert_eq!(rows, Err(error_at_parent.to_string()), "{backend}");
+        assert_eq!(io, io_at_parent, "{backend}");
     }
 }

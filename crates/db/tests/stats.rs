@@ -5,7 +5,7 @@
 //! offenders with their rendered EXPLAIN, index probes are attributed to
 //! their table, and per-column distinct-count statistics survive a durable reopen.
 
-use nsql_db::{Database, ExecMode, IndexUse, QueryOptions, Strategy};
+use nsql_db::{Database, IndexUse, QueryOptions, Strategy};
 use nsql_obs::stats::{LatencyHistogram, StatementSample};
 use nsql_testkit::TempDir;
 use nsql_types::Value;
@@ -99,9 +99,9 @@ fn percentiles_match_exact_sort_oracle_end_to_end() {
             reads: 0,
             writes: 0,
             strategy: "transform".into(),
-            exec_mode: "row".into(),
             error: false,
             refusals: 0,
+            ..StatementSample::default()
         });
     }
     let rel = db
@@ -154,25 +154,6 @@ fn errors_and_refusals_are_counted() {
         assert_eq!(s.calls, 1);
         assert_eq!(s.errors, 1, "refusal is also an error: {s:?}");
         assert_eq!(s.refusals, 1, "transform refusal must be counted: {s:?}");
-    }
-}
-
-/// `EXEC_MODE` is the mode that ran, not the mode asked for: only the
-/// transform strategy has vectorized operators; nested iteration runs one
-/// row kernel whatever `exec_mode` says (and EXPLAIN prints no exec-mode
-/// line for it).
-#[test]
-fn exec_mode_column_records_the_mode_that_ran() {
-    let fp = nsql_analyzer::query_fingerprint(&nsql_sql::parse_query(Q2).unwrap());
-    for (base, ran) in [
-        (QueryOptions::nested_iteration(), "row"),
-        (QueryOptions::transformed(), "vector"),
-    ] {
-        let db = mem_db();
-        db.query_with(Q2, &QueryOptions { exec_mode: ExecMode::Vector, ..base.clone() }).unwrap();
-        let snap = db.stats().snapshot();
-        let s = snap.statements.iter().find(|s| s.query == fp).expect("statement recorded");
-        assert_eq!(s.exec_mode, ran, "{:?} asked for vector", base.strategy);
     }
 }
 

@@ -24,12 +24,16 @@
 //! rely on. A tuple whose key holds a `NULL` joins nothing; under
 //! [`JoinKind::LeftOuter`] a left one is padded where it is met.
 //!
-//! This is the one operator with two in-memory kernels: the row build and
-//! probe, and — under [`Exec::with_vectorized`] — a build and probe on
-//! column batches (`nsql-vec`), which hashes keys off typed lanes without
-//! allocating a key tuple per row. Partitioning is one driver for both;
-//! only the in-memory pass differs, and rows, their order, errors and
-//! counted page I/O are identical between the kernels.
+//! The in-memory pass keeps no key tuples. Its table maps the `Value` hash
+//! of a build tuple's key columns — the hash partitioning uses, unsalted —
+//! to the build tuples that have it, in scan order, and a probe tuple
+//! checks every candidate in its bucket column by column with `Value`
+//! equality before the residual runs. Keying the table on a key tuple
+//! instead would be wrong: `Value` equality is not transitive beyond 2^53
+//! (`Float(2^53)` equals both `Int(2^53)` and `Int(2^53 + 1)`, which differ),
+//! so a map of key tuples holds those two ints in two entries and a probe
+//! finds one. Their hashes are equal, so one bucket holds both, and the
+//! check pairs the float with each, as the nested loop does.
 
 use super::{Exec, JoinEmit, JoinKind};
 use crate::cost::{grace_fanout, hash_build_fits, HashShape, GRACE_MAX_DEPTH};
@@ -39,7 +43,6 @@ use crate::Result;
 use nsql_obs::OpCounters;
 use nsql_storage::{HeapFile, HeapWriter, Page, PageId, TempFile};
 use nsql_types::{FxHashMap, FxHasher, Relation, Tuple};
-use nsql_vec::Batch;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -124,9 +127,6 @@ impl Exec {
             (right, left, right_keys, left_keys)
         };
         let op = self.current_op();
-        if let (Some(op), true) = (&op, self.vectorized) {
-            op.vectorized.store(true, Ordering::Relaxed);
-        }
         let join = HashJoin {
             exec: self,
             build_keys,
@@ -176,11 +176,7 @@ impl HashJoin<'_> {
     ) -> Result<()> {
         let pages = build.page_count() as f64;
         if depth == GRACE_MAX_DEPTH || hash_build_fits(pages, self.b) {
-            return if self.exec.vectorized {
-                self.in_memory_batches(build, probe, depth, out)
-            } else {
-                self.in_memory_rows(build, probe, depth, out)
-            };
+            return self.in_memory(build, probe, depth, out);
         }
         let t0 = self.clock();
         let fanout = grace_fanout(pages, self.b);
@@ -224,8 +220,9 @@ impl HashJoin<'_> {
         parts.into_iter().map(|p| TempFile::new(storage, p.finish(storage))).collect()
     }
 
-    /// Build a table of row tuples, then probe it a tuple at a time.
-    fn in_memory_rows(
+    /// Build a table of the build tuples bucketed by key hash, then probe
+    /// it a tuple at a time, checking each candidate's key.
+    fn in_memory(
         &self,
         build: &HeapFile,
         probe: &HeapFile,
@@ -233,7 +230,7 @@ impl HashJoin<'_> {
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
         let t0 = self.clock();
-        let mut table: FxHashMap<Tuple, Vec<Tuple>> = FxHashMap::default();
+        let mut table: FxHashMap<u64, Vec<Tuple>> = FxHashMap::default();
         let mut held = 0;
         for &pid in build.page_ids() {
             for bt in self.page(pid, depth).tuples() {
@@ -241,7 +238,8 @@ impl HashJoin<'_> {
                     continue;
                 }
                 held += bt.storage_width();
-                table.entry(bt.project(self.build_keys)).or_default().push(bt.clone());
+                let hash = key_hash(FxHasher::default(), bt, self.build_keys);
+                table.entry(hash).or_default().push(bt.clone());
             }
         }
         self.check_held(held, depth);
@@ -252,87 +250,16 @@ impl HashJoin<'_> {
             for pt in self.page(pid, depth).tuples() {
                 let mut matched = false;
                 if !null_key(pt, self.probe_keys) {
-                    if let Some(group) = table.get(&pt.project(self.probe_keys)) {
-                        for bt in group {
+                    let bucket = table.get(&key_hash(FxHasher::default(), pt, self.probe_keys));
+                    for bt in bucket.into_iter().flatten() {
+                        // A different key with the same hash fails here.
+                        let same_key = self
+                            .probe_keys
+                            .iter()
+                            .zip(self.build_keys)
+                            .all(|(&pk, &bk)| pt.get(pk) == bt.get(bk));
+                        if same_key {
                             matched |= self.emit_if(bt, pt, out)?;
-                        }
-                    }
-                }
-                if !matched && self.pad {
-                    out.push(self.emit.padded(pt));
-                }
-            }
-        }
-        self.charge(t0, |op| &op.probe_ns);
-        Ok(())
-    }
-
-    /// Build and probe on column batches: join keys hash straight from typed
-    /// column lanes into a `u64`-keyed index table (no per-row key tuple
-    /// allocation), candidates verify via `ValRef::total_eq` (the mirror of
-    /// the row kernel's `Tuple` key equality, including `NULL` and `NaN`
-    /// grouping and Int/Float cross-matching), and tuples materialize only
-    /// for rows that reach the residual or the output. The probe stops at
-    /// the first error, before reading further pages, as the row kernel's
-    /// does.
-    fn in_memory_batches(
-        &self,
-        build: &HeapFile,
-        probe: &HeapFile,
-        depth: u32,
-        out: &mut Vec<Tuple>,
-    ) -> Result<()> {
-        // Hash the key columns of one batch row, on the same ValRef hash
-        // stream as Value.
-        let key_hash = |b: &Batch, keys: &[usize], row: usize| -> u64 {
-            let mut h = FxHasher::default();
-            for &k in keys {
-                b.col(k).val_ref(row).hash_value(&mut h);
-            }
-            h.finish()
-        };
-        let t0 = self.clock();
-        // The batches stay resident as the row kernel's table does; the
-        // table maps a key hash to (batch, row) pairs, each bucket in scan
-        // order.
-        let mut batches: Vec<Batch> = Vec::with_capacity(build.page_count());
-        let mut table: FxHashMap<u64, Vec<(u32, u32)>> = FxHashMap::default();
-        let mut held = 0;
-        for &pid in build.page_ids() {
-            let page = self.page(pid, depth);
-            let b = Batch::from_tuples(page.tuples());
-            for (row, bt) in page.tuples().iter().enumerate() {
-                if null_key(bt, self.build_keys) {
-                    continue;
-                }
-                held += bt.storage_width();
-                let at = (batches.len() as u32, row as u32);
-                table.entry(key_hash(&b, self.build_keys, row)).or_default().push(at);
-            }
-            batches.push(b);
-            self.count_batch();
-        }
-        self.check_held(held, depth);
-        self.charge(t0, |op| &op.build_ns);
-
-        let t0 = self.clock();
-        for &pid in probe.page_ids() {
-            let page = self.page(pid, depth);
-            let pb = Batch::from_tuples(page.tuples());
-            self.count_batch();
-            for (row, pt) in page.tuples().iter().enumerate() {
-                let mut matched = false;
-                if !null_key(pt, self.probe_keys) {
-                    let cands = table.get(&key_hash(&pb, self.probe_keys, row));
-                    for &(bi, r) in cands.into_iter().flatten() {
-                        let bb = &batches[bi as usize];
-                        let r = r as usize;
-                        let keys_match = self.probe_keys.iter().zip(self.build_keys).all(
-                            |(&pk, &bk)| pb.col(pk).val_ref(row).total_eq(bb.col(bk).val_ref(r)),
-                        );
-                        // A u64 hash collision of a different key fails here.
-                        if keys_match {
-                            matched |= self.emit_if(&bb.tuple(r), pt, out)?;
                         }
                     }
                 }
@@ -390,12 +317,6 @@ impl HashJoin<'_> {
             phase(op).fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
-
-    fn count_batch(&self) {
-        if let Some(op) = &self.op {
-            op.batches.add(0, 1);
-        }
-    }
 }
 
 /// Whether a key column of `t` is `NULL` (the tuple then joins nothing).
@@ -403,17 +324,23 @@ fn null_key(t: &Tuple, keys: &[usize]) -> bool {
     keys.iter().any(|&k| t.get(k).is_null())
 }
 
-/// The partition of `fanout` a tuple with these `keys` goes to at `depth`.
-/// The hash is salted with the depth, so that a pass splits what the pass
-/// above it put in one partition; it is `Value`'s hash, which is equal for
-/// keys that join (3 and 3.0, -0.0 and 0).
-fn partition_of(t: &Tuple, keys: &[usize], depth: u32, fanout: usize) -> usize {
-    let mut h = FxHasher::default();
-    h.write_u32(depth + 1);
+/// The hash of `t`'s `keys`, fed into `h` after whatever it already holds.
+/// It is `Value`'s hash, which is equal for keys that join (3 and 3.0,
+/// -0.0 and 0, and also 2^53 and 2^53 + 1, which do not join each other).
+fn key_hash(mut h: FxHasher, t: &Tuple, keys: &[usize]) -> u64 {
     for &k in keys {
         t.get(k).hash(&mut h);
     }
-    ((u128::from(h.finish()) * fanout as u128) >> 64) as usize
+    h.finish()
+}
+
+/// The partition of `fanout` a tuple with these `keys` goes to at `depth`.
+/// The key hash is salted with the depth, so that a pass splits what the
+/// pass above it put in one partition.
+fn partition_of(t: &Tuple, keys: &[usize], depth: u32, fanout: usize) -> usize {
+    let mut h = FxHasher::default();
+    h.write_u32(depth + 1);
+    ((u128::from(key_hash(h, t, keys)) * fanout as u128) >> 64) as usize
 }
 
 #[cfg(test)]
@@ -486,128 +413,109 @@ mod tests {
         );
     }
 
-    #[test]
-    fn vectorized_hash_join_matches_row_join_exactly() {
-        // Rows, order, and counted I/O identical across modes, including
-        // NULL keys, residuals, and LeftOuter padding. R's 9 pages exceed
-        // the 6 an 8-page pool leaves the table, so both kernels run under
-        // the one partitioning driver.
-        let build = |st: &Storage| {
-            let schema = nsql_types::Schema::new(vec![
-                nsql_types::Column::qualified("L", "A", nsql_types::ColumnType::Int),
-                nsql_types::Column::qualified("L", "X", nsql_types::ColumnType::Int),
-            ]);
-            let l = HeapFile::from_tuples(
-                st,
-                schema,
-                (0..300).map(|i| {
-                    Tuple::new(vec![
-                        if i % 11 == 0 { Value::Null } else { Value::Int(i % 40) },
-                        Value::Int(i),
-                    ])
-                }),
-            );
-            let r = int_file(st, "R", &["B", "Y"], &(0..120).map(|i| vec![i % 50, i]).collect::<Vec<_>>().iter().map(|v| v.as_slice()).collect::<Vec<_>>());
-            (l, r)
-        };
-        let run = |vectorized: bool, kind: JoinKind, with_residual: bool| {
-            let e = Exec::new(Storage::new(8, 256)).with_vectorized(vectorized);
-            let (l, r) = build(e.storage());
-            let res = on_pred(&l, &r, "L.X < R.Y");
-            e.storage().clear_buffer();
-            e.storage().reset_stats();
-            let out = e
-                .hash_join(&l, &r, &[0], &[0], with_residual.then_some(&res), kind)
-                .unwrap();
-            (rows_of(e.storage(), &out), e.storage().io_stats(), e.storage().buffer_stats())
-        };
-        for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
-            for with_residual in [false, true] {
-                let row = run(false, kind, with_residual);
-                let vec = run(true, kind, with_residual);
-                assert_eq!(vec, row, "{kind:?} residual={with_residual}");
-            }
+    /// A one-column file of `vals` under `table`.`col`, typed `ty`.
+    fn value_file(
+        st: &Storage,
+        table: &str,
+        col: &str,
+        ty: nsql_types::ColumnType,
+        vals: &[Value],
+    ) -> HeapFile {
+        let schema = nsql_types::Schema::new(vec![nsql_types::Column::qualified(table, col, ty)]);
+        HeapFile::from_tuples(st, schema, vals.iter().map(|v| Tuple::new(vec![v.clone()])))
+    }
+
+    /// The hash join of `l` and `r` on their first columns, as a bag equal
+    /// to the nested loop's and, with `merge`, to the merge join's; its row
+    /// count.
+    fn hash_join_agrees(e: &Exec, l: &HeapFile, r: &HeapFile, kind: JoinKind, merge: bool) -> usize {
+        let on = on_pred(l, r, "L.A = R.B");
+        let nl = e.collect(&e.nl_join(l, r, &on, kind).unwrap());
+        let hj = e.collect(&e.hash_join(l, r, &[0], &[0], None, kind).unwrap());
+        assert!(hj.same_bag(&nl), "{kind:?}:\nNL:\n{nl}\nHJ:\n{hj}");
+        if merge {
+            let mj = e.merge_join(l, r, &[0], &[0], None, kind, false, false).unwrap();
+            let mj = e.collect(&mj);
+            assert!(hj.same_bag(&mj), "{kind:?}:\nMJ:\n{mj}\nHJ:\n{hj}");
         }
+        hj.len()
     }
 
     #[test]
-    fn vectorized_hash_join_groups_int_and_float_keys_like_row_path() {
-        // 3 and 3.0 share a bucket on the row path (Value total equality);
-        // the vectorized hash/verify pair must reproduce that.
-        let run = |vectorized: bool| {
-            let e = exec().with_vectorized(vectorized);
-            let st = e.storage().clone();
-            let ls = nsql_types::Schema::new(vec![nsql_types::Column::qualified(
-                "L",
-                "A",
-                nsql_types::ColumnType::Float,
-            )]);
-            let l = HeapFile::from_tuples(
-                &st,
-                ls,
-                vec![
-                    Tuple::new(vec![Value::Float(3.0)]),
-                    Tuple::new(vec![Value::Int(3)]),
-                    Tuple::new(vec![Value::Float(f64::NAN)]),
-                ],
-            );
-            let rs = nsql_types::Schema::new(vec![nsql_types::Column::qualified(
-                "R",
-                "B",
-                nsql_types::ColumnType::Int,
-            )]);
-            let r = HeapFile::from_tuples(
-                &st,
-                rs,
-                vec![Tuple::new(vec![Value::Int(3)]), Tuple::new(vec![Value::Float(f64::NAN)])],
-            );
-            let out = e.hash_join(&l, &r, &[0], &[0], None, JoinKind::Inner).unwrap();
-            e.collect(&out)
-        };
-        let row = run(false);
-        let vec = run(true);
-        assert!(row.same_bag(&vec), "row:\n{row}\nvec:\n{vec}");
-        assert_eq!(row.len(), 3, "3.0~3, 3~3, NaN~NaN");
+    fn hash_join_groups_int_and_float_keys_like_nested_loop() {
+        // 3 and 3.0 join, as do NaN and NaN (Value total equality).
+        use nsql_types::ColumnType::{Float, Int};
+        let e = exec();
+        let st = e.storage().clone();
+        let l = [Value::Float(3.0), Value::Int(3), Value::Float(f64::NAN)];
+        let l = value_file(&st, "L", "A", Float, &l);
+        let r = value_file(&st, "R", "B", Int, &[Value::Int(3), Value::Float(f64::NAN)]);
+        assert_eq!(hash_join_agrees(&e, &l, &r, JoinKind::Inner, true), 3, "3.0~3, 3~3, NaN~NaN");
     }
 
     #[test]
     fn hash_join_matches_negative_zero() {
         // -0.0 = 0.0 = 0 under sql_cmp, so nested-loop and merge join pair
-        // them; the hashers used to split them by sign bit. Both hash-join
-        // implementations must now find all six pairs.
-        for vectorized in [false, true] {
-            let e = exec().with_vectorized(vectorized);
-            let st = e.storage().clone();
-            let col = |t: &str, c: &str| {
-                nsql_types::Schema::new(vec![nsql_types::Column::qualified(
-                    t,
-                    c,
-                    nsql_types::ColumnType::Float,
-                )])
-            };
-            let l = HeapFile::from_tuples(
-                &st,
-                col("L", "A"),
-                vec![Tuple::new(vec![Value::Float(-0.0)]), Tuple::new(vec![Value::Float(0.0)])],
-            );
-            let r = HeapFile::from_tuples(
-                &st,
-                col("R", "B"),
-                vec![
-                    Tuple::new(vec![Value::Int(0)]),
-                    Tuple::new(vec![Value::Float(0.0)]),
-                    Tuple::new(vec![Value::Float(-0.0)]),
-                ],
-            );
-            let on = on_pred(&l, &r, "L.A = R.B");
-            let nl = e.collect(&e.nl_join(&l, &r, &on, JoinKind::Inner).unwrap());
-            let mj = e
-                .merge_join(&l, &r, &[0], &[0], None, JoinKind::Inner, false, false)
-                .unwrap();
-            let hj = e.hash_join(&l, &r, &[0], &[0], None, JoinKind::Inner).unwrap();
-            assert_eq!(nl.len(), 6, "vectorized={vectorized}");
-            assert_eq!(e.collect(&mj).len(), 6, "vectorized={vectorized}");
-            assert_eq!(hj.tuple_count(), 6, "vectorized={vectorized}");
+        // them; the hash join must find all six pairs too.
+        use nsql_types::ColumnType::Float;
+        let e = exec();
+        let st = e.storage().clone();
+        let l = value_file(&st, "L", "A", Float, &[Value::Float(-0.0), Value::Float(0.0)]);
+        let r = [Value::Int(0), Value::Float(0.0), Value::Float(-0.0)];
+        let r = value_file(&st, "R", "B", Float, &r);
+        assert_eq!(hash_join_agrees(&e, &l, &r, JoinKind::Inner, true), 6);
+    }
+
+    #[test]
+    fn a_float_beyond_2_53_joins_every_int_it_equals() {
+        // Float(2^53) equals Int(2^53) and Int(2^53 + 1), which differ from
+        // each other: the two ints must land in one bucket and each be paired
+        // with the float, whichever side the table is built on. The merge
+        // join agrees only with the float on the left: with the ints on the
+        // left it pairs the float with the first of them alone.
+        use nsql_types::ColumnType::{Float, Int};
+        const P: i64 = 1 << 53;
+        let e = Exec::new(Storage::new(16, 64));
+        let st = e.storage().clone();
+        let ints = |t, c| value_file(&st, t, c, Int, &[Value::Int(P), Value::Int(P + 1)]);
+        let floats = |t, c, filler: i64| {
+            let vals: Vec<Value> = std::iter::once(Value::Float(P as f64))
+                .chain((0..filler).map(|i| Value::Float(i as f64)))
+                .collect();
+            value_file(&st, t, c, Float, &vals)
+        };
+        // (left, right, whether an inner join builds on the left, whether
+        // the merge join agrees)
+        let cases = [
+            (floats("L", "A", 0), ints("R", "B"), false, true),
+            (ints("L", "A"), floats("R", "B", 0), false, false),
+            (ints("L", "A"), floats("R", "B", 40), true, false),
+        ];
+        for (l, r, build_left, merge) in &cases {
+            let shape =
+                HashShape::of(l.page_count() as f64, r.page_count() as f64, false, 16.0);
+            assert_eq!(shape.build_left, *build_left);
+            for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
+                let rows = hash_join_agrees(&e, l, r, kind, *merge);
+                assert_eq!(rows, 2, "{kind:?}, build left {build_left}");
+            }
+        }
+    }
+
+    #[test]
+    fn keys_that_share_a_hash_are_told_apart() {
+        // 2^53 and 2^53 + 1 have one `Value` hash and are different keys: the
+        // probe's check, not the table, separates them.
+        let e = exec();
+        let st = e.storage().clone();
+        const P: i64 = 1 << 53;
+        let l = int_file(&st, "L", &["A"], &[&[P], &[P + 1]]);
+        let r = int_file(&st, "R", &["B"], &[&[P + 1]]);
+        let h = |v: i64| key_hash(FxHasher::default(), &Tuple::new(vec![Value::Int(v)]), &[0]);
+        assert_eq!(h(P), h(P + 1));
+        for (l, r) in [(&l, &r), (&r, &l)] {
+            let hj = e.hash_join(l, r, &[0], &[0], None, JoinKind::Inner).unwrap();
+            assert_eq!(rows_of(&st, &hj), vec![vec![Some(P + 1), Some(P + 1)]]);
         }
     }
 

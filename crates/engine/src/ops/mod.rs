@@ -25,9 +25,7 @@
 //!
 //! Every operator has one in-memory kernel, over rows, and one driver: it
 //! runs serially on the calling thread (DESIGN.md "Execution is serial").
-//! Predicates are evaluated by [`CPred`] alone. The exception is the hash
-//! join, whose in-memory pass has a second kernel over column batches
-//! under the one partitioning driver (`hash_join.rs`).
+//! Predicates are evaluated by [`CPred`] alone.
 
 mod agg;
 mod hash_join;
@@ -57,9 +55,9 @@ pub enum JoinKind {
 
 /// What a join emits for a pair that joined: the whole concatenated row
 /// `left ++ right`, or the listed columns of it. The one place every join
-/// kernel — nested loop, sort-merge, both hash kernels, and the plan
-/// layer's index probe — builds an output row, so a stored join result
-/// carries the columns somebody reads and no others are ever cloned.
+/// kernel — nested loop, sort-merge, hash, and the plan layer's index
+/// probe — builds an output row, so a stored join result carries the
+/// columns somebody reads and no others are ever cloned.
 #[derive(Debug, Clone, Copy)]
 pub struct JoinEmit<'a> {
     cols: Option<&'a [usize]>,
@@ -111,13 +109,12 @@ impl<'a> JoinEmit<'a> {
 pub struct Exec {
     storage: Storage,
     profile: Profile,
-    vectorized: bool,
 }
 
 impl Exec {
     /// Executor over `storage`.
     pub fn new(storage: Storage) -> Exec {
-        Exec { storage, profile: Profile::default(), vectorized: false }
+        Exec { storage, profile: Profile::default() }
     }
 
     /// [`Exec::new`]. The count is ignored: every operator is serial. The
@@ -128,14 +125,10 @@ impl Exec {
         Exec::new(storage)
     }
 
-    /// Choose the hash join's in-memory kernel: `true` builds and probes on
-    /// column batches (`nsql-vec`), `false` on rows; partitioning is the
-    /// same for both. Results, their order, errors and counted page I/O are
-    /// identical either way. Every other operator has one row
-    /// kernel and ignores the switch (see DESIGN.md "Vectorized
-    /// execution" for the measurements that decided which stayed).
-    pub fn with_vectorized(mut self, vectorized: bool) -> Exec {
-        self.vectorized = vectorized;
+    /// `self`. The switch is ignored: every operator has one kernel. The
+    /// method survives only because `benchmark/` calls it, as
+    /// [`Exec::with_threads`] does.
+    pub fn with_vectorized(self, _vectorized: bool) -> Exec {
         self
     }
 

@@ -127,23 +127,17 @@ fn hash_join_residual_fault_surfaces_as_error() {
     // 43 pages do not fit the B − 2 = 4 a six-page pool leaves: both inputs
     // are read and partitioned five ways. Pair after pair, the build side
     // still exceeds four pages, so the pair is partitioned three ways again
-    // and its sub-pairs joined, each partition read once. Both kernels stop
+    // and its sub-pairs joined, each partition read once. The join stops
     // in the sub-pair that holds row 300, 132 partition pages written by
     // then. The result is collected before it is written, and every
     // partition is freed.
-    for vectorized in [false, true] {
-        let label = format!("hash join, vectorized = {vectorized}");
-        let err = check_fails(&label, &[(300, Value::str("rot"))], (151, 132), |e, t, u| {
-            let combined = t.schema().join(u.schema());
-            let q = parse_query("SELECT T.A FROM T, U WHERE T.B < 50").unwrap();
-            let res = CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap();
-            e.clone()
-                .with_vectorized(vectorized)
-                .hash_join(t, u, &[0], &[0], Some(&res), JoinKind::Inner)
-                .map(|_| ())
-        });
-        assert!(matches!(err, EngineError::Type(_)), "{label}: want TypeError, got {err:?}");
-    }
+    let err = check_fails("hash join", &[(300, Value::str("rot"))], (151, 132), |e, t, u| {
+        let combined = t.schema().join(u.schema());
+        let q = parse_query("SELECT T.A FROM T, U WHERE T.B < 50").unwrap();
+        let res = CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap();
+        e.hash_join(t, u, &[0], &[0], Some(&res), JoinKind::Inner).map(|_| ())
+    });
+    assert!(matches!(err, EngineError::Type(_)), "want TypeError, got {err:?}");
 }
 
 /// Sanity: a *clean* run of the same shapes succeeds — the harness fails

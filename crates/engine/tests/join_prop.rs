@@ -123,8 +123,8 @@ fn all_join_algorithms_agree_with_residual_predicate() {
 }
 
 /// A join that emits a column list builds exactly the rows its all-column
-/// form would, projected: every kernel (nested loop, sort-merge, row and
-/// batch hash), inner and left outer with its `NULL` padding, in the same
+/// form would, projected: every kernel (nested loop, sort-merge, hash),
+/// inner and left outer with its `NULL` padding, in the same
 /// order, under a residual that reads columns the list leaves out.
 #[test]
 fn emitted_columns_equal_the_projected_all_column_result() {
@@ -152,8 +152,7 @@ fn emitted_columns_equal_the_projected_all_column_result() {
             let residual = compile_on(&l, &r, "L.V < R.V");
             let (res, cols) = (Some(&residual), Some(cols.as_slice()));
 
-            let row = Exec::new(st.clone());
-            let batch = Exec::new(st).with_vectorized(true);
+            let row = Exec::new(st);
             let kernels = [
                 (
                     "nested loop",
@@ -169,11 +168,6 @@ fn emitted_columns_equal_the_projected_all_column_result() {
                     "hash",
                     row.hash_join_cols(&l, &r, &[0], &[0], res, kind, None),
                     row.hash_join_cols(&l, &r, &[0], &[0], res, kind, cols),
-                ),
-                (
-                    "batch hash",
-                    batch.hash_join_cols(&l, &r, &[0], &[0], res, kind, None),
-                    batch.hash_join_cols(&l, &r, &[0], &[0], res, kind, cols),
                 ),
             ];
             let cols = cols.unwrap();

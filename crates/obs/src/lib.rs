@@ -15,7 +15,7 @@
 //!   the query lifecycle (parse → analyze → transform steps → execute)
 //!   whose leaves are the physical operators. Every node carries wall time
 //!   and, through a caller-supplied probe, the page-I/O delta it covered;
-//!   operator nodes add rows in/out, batches and build/probe timings on
+//!   operator nodes add rows in/out and build/probe timings on
 //!   sharded relaxed atomics. Children never sum to
 //!   more than their parent, so per-step page I/O can be read off the tree.
 //! * [`stats`] — the cumulative, engine-wide layer the statements feed

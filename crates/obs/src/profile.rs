@@ -16,7 +16,7 @@
 //! atomics on the side: observing a query cannot change what it is charged.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -92,8 +92,6 @@ impl std::fmt::Debug for ShardedCounter {
 pub struct OpCounters {
     pub rows_in: ShardedCounter,
     pub rows_out: ShardedCounter,
-    pub batches: ShardedCounter,
-    pub vectorized: AtomicBool,
     pub build_ns: AtomicU64,
     pub probe_ns: AtomicU64,
 }
@@ -105,10 +103,6 @@ pub struct OpStats {
     pub rows_in: u64,
     /// Tuples produced.
     pub rows_out: u64,
-    /// Column batches processed (vectorized execution; 0 on the row path).
-    pub batches: u64,
-    /// Whether the operator ran its vectorized implementation.
-    pub vectorized: bool,
     /// Join build phase, nanoseconds: hash join's table build, nested-loop
     /// join's first inner pass (0 for every other operator).
     pub build_ns: u64,
@@ -150,9 +144,6 @@ impl ProfileNode {
                 let _ =
                     write!(line, " (build {:.3} ms, probe {:.3} ms)", ms(op.build_ns), ms(op.probe_ns));
             }
-            if op.vectorized {
-                let _ = write!(line, ", {} batches [vectorized]", op.batches);
-            }
         }
         out.push(line);
         for child in &self.children {
@@ -168,8 +159,7 @@ impl ProfileNode {
     }
 
     /// JSON form: `{name, wall_ns, io: {reads, writes, hits, misses},
-    /// op: null | {rows_in, rows_out, batches, vectorized, build_ns,
-    /// probe_ns}, children: [..]}`.
+    /// op: null | {rows_in, rows_out, build_ns, probe_ns}, children: [..]}`.
     pub fn to_json(&self) -> Json {
         let num = |n: u64| Json::num(n as f64);
         let io = &self.io;
@@ -178,8 +168,6 @@ impl ProfileNode {
             Json::obj([
                 ("rows_in", num(op.rows_in)),
                 ("rows_out", num(op.rows_out)),
-                ("batches", num(op.batches)),
-                ("vectorized", Json::Bool(op.vectorized)),
                 ("build_ns", num(op.build_ns)),
                 ("probe_ns", num(op.probe_ns)),
             ])
@@ -229,8 +217,6 @@ impl Recorder {
             node.op = open.op.map(|c| OpStats {
                 rows_in: c.rows_in.total(),
                 rows_out: c.rows_out.total(),
-                batches: c.batches.total(),
-                vectorized: c.vectorized.load(Ordering::Relaxed),
                 build_ns: c.build_ns.load(Ordering::Relaxed),
                 probe_ns: c.probe_ns.load(Ordering::Relaxed),
             });
@@ -289,7 +275,7 @@ impl Profile {
     }
 
     /// The counters of the innermost open node, when it is an operator:
-    /// where engine internals record rows, batches and build/probe time.
+    /// where engine internals record rows and build/probe time.
     pub fn current_op(&self) -> Option<Arc<OpCounters>> {
         self.inner.as_ref()?.lock().expect("profile lock").open.last()?.op.clone()
     }
@@ -411,7 +397,7 @@ mod tests {
         let children = json.get("children").and_then(Json::as_arr).expect("children");
         assert_eq!(children[1].get("op"), Some(&Json::Null));
         let op = children[0].get("op").expect("operator node exports its counters");
-        for key in ["rows_in", "rows_out", "batches", "vectorized", "build_ns", "probe_ns"] {
+        for key in ["rows_in", "rows_out", "build_ns", "probe_ns"] {
             assert!(op.get(key).is_some(), "missing {key} in {op}");
         }
     }

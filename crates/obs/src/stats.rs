@@ -187,8 +187,6 @@ pub struct StatementStats {
     pub hist: LatencyHistogram,
     /// Strategy chosen on the most recent call (e.g. `"transform"`).
     pub last_strategy: Mutex<String>,
-    /// Exec mode on the most recent call (`"row"` / `"vector"`).
-    pub last_exec_mode: Mutex<String>,
 }
 
 impl Default for StatementStats {
@@ -204,13 +202,12 @@ impl Default for StatementStats {
             writes: AtomicU64::new(0),
             hist: LatencyHistogram::new(),
             last_strategy: Mutex::new(String::new()),
-            last_exec_mode: Mutex::new(String::new()),
         }
     }
 }
 
 /// One completed call, ready to fold into a [`StatementStats`] entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StatementSample {
     /// Normalized statement fingerprint (literals replaced by `?`).
     pub fingerprint: String,
@@ -222,7 +219,8 @@ pub struct StatementSample {
     pub writes: u64,
     /// Strategy that ran (`"nested-iteration"` or `"transform"`).
     pub strategy: String,
-    /// Exec mode that ran (`"row"` / `"vector"`).
+    /// Ignored: there is one execution mode. The field survives only
+    /// because `benchmark/` fills it in.
     pub exec_mode: String,
     /// Whether the call returned an error.
     pub error: bool,
@@ -295,8 +293,6 @@ pub struct StatementSnapshot {
     pub writes: u64,
     /// Strategy on the most recent call.
     pub strategy: String,
-    /// Exec mode on the most recent call.
-    pub exec_mode: String,
 }
 
 /// Frozen registry state.
@@ -351,7 +347,6 @@ impl StatsSnapshot {
                                 ("reads", Json::num(s.reads as f64)),
                                 ("writes", Json::num(s.writes as f64)),
                                 ("strategy", Json::str(&s.strategy)),
-                                ("exec_mode", Json::str(&s.exec_mode)),
                             ])
                         })
                         .collect(),
@@ -465,7 +460,6 @@ impl StatsRegistry {
         entry.writes.fetch_add(sample.writes, Ordering::Relaxed);
         entry.hist.record(sample.micros);
         *entry.last_strategy.lock().expect("strategy lock") = sample.strategy.clone();
-        *entry.last_exec_mode.lock().expect("exec mode lock") = sample.exec_mode.clone();
     }
 
     /// Append to the slow-query log (ring of [`SLOW_LOG_CAP`]); assigns
@@ -524,7 +518,6 @@ impl StatsRegistry {
                     reads: s.reads.load(Ordering::Relaxed),
                     writes: s.writes.load(Ordering::Relaxed),
                     strategy: s.last_strategy.lock().expect("strategy lock").clone(),
-                    exec_mode: s.last_exec_mode.lock().expect("exec mode lock").clone(),
                 }
             })
             .collect();
@@ -641,9 +634,9 @@ mod tests {
                 reads: 2,
                 writes: 1,
                 strategy: "transform".into(),
-                exec_mode: "row".into(),
                 error: err,
                 refusals: 0,
+                ..StatementSample::default()
             });
         }
         let snap = r.snapshot();
@@ -670,9 +663,9 @@ mod tests {
             reads: 0,
             writes: 0,
             strategy: "ni".into(),
-            exec_mode: "row".into(),
             error: false,
             refusals: 0,
+            ..StatementSample::default()
         });
         let snap = r.snapshot();
         assert!(snap.tables.is_empty());
@@ -715,9 +708,9 @@ mod tests {
             reads: 4,
             writes: 0,
             strategy: "nested-iteration".into(),
-            exec_mode: "row".into(),
             error: false,
             refusals: 1,
+            ..StatementSample::default()
         });
         let text = r.snapshot().to_json().to_string();
         let parsed = Json::parse(&text).expect("parse");

@@ -174,8 +174,7 @@ fn cmp_f64(a: f64, b: f64) -> Ordering {
 
 /// The bits a numeric value contributes to a hash: floats that compare equal
 /// (`NaN` with `NaN`, `-0.0` with `0.0` and hence with `Int(0)`) get one
-/// representative. `nsql-vec`'s column hasher feeds the same bits, so the
-/// row and vector hash streams cannot drift apart.
+/// representative.
 pub fn float_hash_bits(f: f64) -> u64 {
     let canonical = if f.is_nan() {
         f64::NAN

@@ -1,10 +1,7 @@
-//! Aligned column vectors — what the batch hash join builds and probes on.
+//! Aligned column vectors.
 //!
-//! A [`Batch`] holds the rows of one heap page pivoted into columns. Batch
-//! conversion happens *above* the storage seam (the page is read through
-//! the counted buffer pool first), so building a batch never performs or
-//! hides page I/O. Only rows that reach a join's residual or its output
-//! are converted back to tuples.
+//! A [`Batch`] holds the rows of one heap page pivoted into columns.
+//! Building one performs no page I/O: its rows are already in memory.
 
 use crate::column::ColumnVector;
 use nsql_types::{Tuple, Value};
@@ -54,11 +51,6 @@ impl Batch {
     pub fn col(&self, i: usize) -> &ColumnVector {
         &self.cols[i]
     }
-
-    /// Rebuild the tuple at `row`.
-    pub fn tuple(&self, row: usize) -> Tuple {
-        Tuple::new(self.cols.iter().map(|c| c.value(row)).collect())
-    }
 }
 
 #[cfg(test)]
@@ -70,7 +62,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrips_rows_through_columns() {
+    fn pivots_rows_into_columns() {
         let rows = vec![
             t(vec![Value::Int(1), Value::str("a"), Value::Null]),
             t(vec![Value::Int(2), Value::Null, Value::Float(0.5)]),
@@ -79,8 +71,9 @@ mod tests {
         let b = Batch::from_tuples(&rows);
         assert_eq!(b.len(), 3);
         assert_eq!(b.arity(), 3);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(&b.tuple(i), row);
+        for c in 0..3 {
+            let col: Vec<Value> = rows.iter().map(|r| r.values()[c].clone()).collect();
+            assert_eq!(b.col(c), &ColumnVector::from_values(&col));
         }
     }
 
@@ -89,15 +82,5 @@ mod tests {
         let b = Batch::from_tuples(&[]);
         assert!(b.is_empty());
         assert_eq!(b.arity(), 0);
-    }
-
-    #[test]
-    fn null_only_rows_convert_both_ways() {
-        let rows = vec![t(vec![Value::Null, Value::Null]); 4];
-        let b = Batch::from_tuples(&rows);
-        assert_eq!(b.arity(), 2);
-        for i in 0..4 {
-            assert_eq!(b.tuple(i), rows[i]);
-        }
     }
 }

@@ -1,9 +1,8 @@
 //! Validity bitmap: one bit per row, set = non-NULL.
 //!
 //! The bitmap is the NULL carrier for columnar data: a cleared bit means
-//! the slot holds SQL `NULL` (a key the hash join never matches). Payload
-//! lanes under a cleared bit hold an arbitrary placeholder and must never
-//! be interpreted.
+//! the slot holds SQL `NULL`. Payload lanes under a cleared bit hold an
+//! arbitrary placeholder and must never be interpreted.
 
 /// A fixed-length bitmap over `len` rows, one `u64` word per 64 rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,11 +22,6 @@ impl Bitmap {
             }
         }
         Bitmap { words, len }
-    }
-
-    /// A bitmap of `len` bits, all cleared (every row NULL).
-    pub fn all_null(len: usize) -> Bitmap {
-        Bitmap { words: vec![0; len.div_ceil(64)], len }
     }
 
     /// Number of rows covered.
@@ -58,64 +52,42 @@ impl Bitmap {
             self.words[i / 64] &= !mask;
         }
     }
-
-    /// Number of set bits (non-NULL rows).
-    pub fn count_valid(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether every bit is clear — a NULL-only column.
-    pub fn none_valid(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Whether every bit is set.
-    pub fn all_set(&self) -> bool {
-        self.count_valid() == self.len
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn set_bits(b: &Bitmap) -> Vec<usize> {
+        (0..b.len()).filter(|&i| b.get(i)).collect()
+    }
+
     #[test]
     fn all_valid_sets_exactly_len_bits() {
         for len in [0usize, 1, 63, 64, 65, 130] {
             let b = Bitmap::all_valid(len);
             assert_eq!(b.len(), len);
-            assert_eq!(b.count_valid(), len, "len {len}");
-            assert!(b.all_set());
+            assert_eq!(set_bits(&b), (0..len).collect::<Vec<_>>(), "len {len}");
+            assert_eq!(b.words.iter().map(|w| w.count_ones() as usize).sum::<usize>(), len);
         }
-    }
-
-    #[test]
-    fn all_null_has_no_valid_bits() {
-        let b = Bitmap::all_null(100);
-        assert_eq!(b.count_valid(), 0);
-        assert!(b.none_valid());
-        assert!(!b.get(0));
-        assert!(!b.get(99));
     }
 
     #[test]
     fn set_and_get_roundtrip_across_word_boundaries() {
-        let mut b = Bitmap::all_null(130);
+        let mut b = Bitmap::all_valid(130);
+        for i in 0..130 {
+            b.set(i, false);
+        }
         for i in [0usize, 63, 64, 65, 127, 128, 129] {
             b.set(i, true);
             assert!(b.get(i));
         }
-        assert_eq!(b.count_valid(), 7);
         b.set(64, false);
-        assert!(!b.get(64));
-        assert_eq!(b.count_valid(), 6);
+        assert_eq!(set_bits(&b), [0, 63, 65, 127, 128, 129]);
     }
 
     #[test]
     fn empty_bitmap_is_empty() {
-        let b = Bitmap::all_valid(0);
-        assert!(b.is_empty());
-        assert_eq!(b.count_valid(), 0);
-        assert!(b.none_valid() && b.all_set());
+        assert!(Bitmap::all_valid(0).is_empty());
     }
 }

@@ -1,22 +1,13 @@
-//! Typed column vectors and the zero-allocation value view.
+//! Typed column vectors.
 //!
 //! A [`ColumnVector`] is one column of a [`crate::Batch`]: a typed payload
 //! array plus a validity [`Bitmap`]. Columns are built by sniffing the
 //! values of one heap page, so a column that mixes non-NULL types (legal in
 //! this engine — e.g. a projected literal union) falls back to the
-//! [`ColData::Vals`] catch-all and all kernels still apply through
-//! [`ValRef`].
-//!
-//! [`ValRef`] mirrors [`Value`]'s grouping equality and hash stream
-//! *exactly* — including `NaN == NaN` and Int/Float cross-comparison
-//! through `f64` — but borrows string payloads instead of cloning them.
-//! The unit tests below cross-check both against the row-side
-//! implementation.
+//! [`ColData::Vals`] catch-all.
 
 use crate::bitmap::Bitmap;
-use nsql_types::value::float_hash_bits;
 use nsql_types::{Date, FxHashMap, Value};
-use std::hash::{Hash, Hasher};
 
 /// Distinct-string cap for dictionary encoding; a page whose string column
 /// exceeds this many distinct values falls back to plain storage.
@@ -36,22 +27,6 @@ pub enum StrCol {
     },
     /// One owned string per row (placeholder empty strings under NULLs).
     Plain(Vec<String>),
-}
-
-impl StrCol {
-    /// The string at row `i` (caller must have checked validity).
-    #[inline]
-    pub fn get(&self, i: usize) -> &str {
-        match self {
-            StrCol::Dict { dict, codes } => &dict[codes[i] as usize],
-            StrCol::Plain(v) => &v[i],
-        }
-    }
-
-    /// Whether this column is dictionary-encoded.
-    pub fn is_dict(&self) -> bool {
-        matches!(self, StrCol::Dict { .. })
-    }
 }
 
 /// Typed payload of one column.
@@ -116,8 +91,7 @@ impl ColumnVector {
             }
         }
         let data = match ty {
-            // NULL-only (or empty) column: an Int lane whose payload is
-            // never read keeps the kernels branch-free.
+            // NULL-only (or empty) column: an Int lane of placeholders.
             None => ColData::Int(vec![0; vals.len()]),
             Some("i") => ColData::Int(
                 vals.iter()
@@ -146,37 +120,6 @@ impl ColumnVector {
             Some(_) => unreachable!("sniff tags are fixed"),
         };
         ColumnVector { data, validity }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.validity.len()
-    }
-
-    /// Whether the column covers zero rows.
-    pub fn is_empty(&self) -> bool {
-        self.validity.is_empty()
-    }
-
-    /// Borrowed view of row `i`.
-    #[inline]
-    pub fn val_ref(&self, i: usize) -> ValRef<'_> {
-        if !self.validity.get(i) {
-            return ValRef::Null;
-        }
-        match &self.data {
-            ColData::Int(v) => ValRef::Int(v[i]),
-            ColData::Float(v) => ValRef::Float(v[i]),
-            ColData::Bool(v) => ValRef::Bool(v[i]),
-            ColData::Str(s) => ValRef::Str(s.get(i)),
-            ColData::Date(v) => ValRef::Date(v[i]),
-            ColData::Vals(v) => ValRef::of(&v[i]),
-        }
-    }
-
-    /// Owned [`Value`] of row `i` (clones string payloads).
-    pub fn value(&self, i: usize) -> Value {
-        self.val_ref(i).to_value()
     }
 }
 
@@ -217,250 +160,68 @@ fn build_str_col(vals: &[Value]) -> StrCol {
     StrCol::Dict { dict, codes }
 }
 
-/// A borrowed view of one [`Value`]: grouping equality and hashing without
-/// allocating, with semantics bit-for-bit equal to the owned type.
-#[derive(Debug, Clone, Copy)]
-pub enum ValRef<'a> {
-    /// SQL NULL.
-    Null,
-    /// 64-bit integer.
-    Int(i64),
-    /// 64-bit float.
-    Float(f64),
-    /// Borrowed string.
-    Str(&'a str),
-    /// Calendar date.
-    Date(Date),
-    /// Boolean.
-    Bool(bool),
-}
-
-impl<'a> ValRef<'a> {
-    /// View an owned value.
-    #[inline]
-    pub fn of(v: &'a Value) -> ValRef<'a> {
-        match v {
-            Value::Null => ValRef::Null,
-            Value::Int(i) => ValRef::Int(*i),
-            Value::Float(f) => ValRef::Float(*f),
-            Value::Str(s) => ValRef::Str(s),
-            Value::Date(d) => ValRef::Date(*d),
-            Value::Bool(b) => ValRef::Bool(*b),
-        }
-    }
-
-    /// Convert back to an owned value (clones string payloads).
-    pub fn to_value(self) -> Value {
-        match self {
-            ValRef::Null => Value::Null,
-            ValRef::Int(i) => Value::Int(i),
-            ValRef::Float(f) => Value::Float(f),
-            ValRef::Str(s) => Value::Str(s.to_string()),
-            ValRef::Date(d) => Value::Date(d),
-            ValRef::Bool(b) => Value::Bool(b),
-        }
-    }
-
-    /// Whether this view is NULL.
-    #[inline]
-    pub fn is_null(self) -> bool {
-        matches!(self, ValRef::Null)
-    }
-
-    /// Equality under the *total* order (grouping/join-key semantics, the
-    /// mirror of `Value::eq`): `NULL == NULL`, `NaN == NaN`, `3 == 3.0`,
-    /// `-0.0 == 0.0`, cross-type non-numeric values unequal.
-    #[inline]
-    pub fn total_eq(self, other: ValRef<'_>) -> bool {
-        use ValRef::*;
-        let float_eq = |a: f64, b: f64| a == b || (a.is_nan() && b.is_nan());
-        match (self, other) {
-            (Null, Null) => true,
-            (Int(a), Int(b)) => a == b,
-            (Float(a), Float(b)) => float_eq(a, b),
-            (Int(a), Float(b)) | (Float(b), Int(a)) => float_eq(a as f64, b),
-            (Str(a), Str(b)) => a == b,
-            (Date(a), Date(b)) => a == b,
-            (Bool(a), Bool(b)) => a == b,
-            _ => false,
-        }
-    }
-
-    /// Feed this value into `state` with byte-for-byte the same stream as
-    /// `Value::hash`, so `total_eq` values always collide.
-    #[inline]
-    pub fn hash_value<H: Hasher>(self, state: &mut H) {
-        match self {
-            ValRef::Null => 0u8.hash(state),
-            ValRef::Bool(b) => {
-                1u8.hash(state);
-                b.hash(state);
-            }
-            ValRef::Int(i) => {
-                2u8.hash(state);
-                (i as f64).to_bits().hash(state);
-            }
-            ValRef::Float(f) => {
-                2u8.hash(state);
-                float_hash_bits(f).hash(state);
-            }
-            ValRef::Date(d) => {
-                3u8.hash(state);
-                d.hash(state);
-            }
-            ValRef::Str(s) => {
-                4u8.hash(state);
-                s.hash(state);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsql_types::FxHasher;
 
     fn vals(vs: &[Value]) -> ColumnVector {
         ColumnVector::from_values(vs)
     }
 
+    fn valid(c: &ColumnVector) -> Vec<bool> {
+        (0..c.validity.len()).map(|i| c.validity.get(i)).collect()
+    }
+
     #[test]
     fn sniffs_typed_lanes() {
         let c = vals(&[Value::Int(1), Value::Null, Value::Int(3)]);
-        assert!(matches!(c.data, ColData::Int(_)));
-        assert_eq!(c.validity.count_valid(), 2);
-        assert_eq!(c.value(0), Value::Int(1));
-        assert_eq!(c.value(1), Value::Null);
+        assert_eq!(c.data, ColData::Int(vec![1, 0, 3]));
+        assert_eq!(valid(&c), [true, false, true]);
         let c = vals(&[Value::Float(0.5), Value::Float(-1.0)]);
-        assert!(matches!(c.data, ColData::Float(_)));
+        assert_eq!(c.data, ColData::Float(vec![0.5, -1.0]));
         let c = vals(&[Value::Bool(true), Value::Null]);
-        assert!(matches!(c.data, ColData::Bool(_)));
+        assert_eq!(c.data, ColData::Bool(vec![true, false]));
     }
 
     #[test]
     fn mixed_types_demote_to_vals() {
-        let c = vals(&[Value::Int(1), Value::str("x")]);
-        assert!(matches!(c.data, ColData::Vals(_)));
-        assert_eq!(c.value(0), Value::Int(1));
-        assert_eq!(c.value(1), Value::str("x"));
+        let vs = [Value::Int(1), Value::str("x")];
+        assert_eq!(vals(&vs).data, ColData::Vals(vs.to_vec()));
     }
 
     #[test]
-    fn null_only_column_roundtrips() {
+    fn null_only_column_is_an_invalid_int_lane() {
         let c = vals(&[Value::Null, Value::Null, Value::Null]);
-        assert!(c.validity.none_valid());
-        for i in 0..3 {
-            assert!(c.val_ref(i).is_null());
-            assert_eq!(c.value(i), Value::Null);
-        }
+        assert_eq!(c.data, ColData::Int(vec![0; 3]));
+        assert_eq!(valid(&c), [false; 3]);
     }
 
     #[test]
     fn empty_column_is_empty() {
-        let c = vals(&[]);
-        assert!(c.is_empty());
-        assert_eq!(c.len(), 0);
+        assert!(vals(&[]).validity.is_empty());
     }
 
     #[test]
     fn string_columns_dictionary_encode() {
-        let vs: Vec<Value> =
-            (0..100).map(|i| Value::str(["a", "b", "c"][i % 3])).collect();
-        let c = vals(&vs);
-        match &c.data {
-            ColData::Str(s) => assert!(s.is_dict(), "3 distinct strings must dict-encode"),
-            other => panic!("expected Str column, got {other:?}"),
-        }
-        for (i, v) in vs.iter().enumerate() {
-            assert_eq!(&c.value(i), v);
-        }
+        let vs: Vec<Value> = (0..100).map(|i| Value::str(["a", "b", "c"][i % 3])).collect();
+        let codes = (0..100).map(|i| i as u32 % 3).collect();
+        let dict = ["a", "b", "c"].map(String::from).to_vec();
+        assert_eq!(vals(&vs).data, ColData::Str(StrCol::Dict { dict, codes }));
     }
 
     #[test]
     fn dictionary_overflow_falls_back_to_plain() {
-        let vs: Vec<Value> = (0..DICT_MAX + 10).map(|i| Value::str(format!("s{i}"))).collect();
-        let c = vals(&vs);
-        match &c.data {
-            ColData::Str(s) => assert!(!s.is_dict(), "distinct overflow must go plain"),
-            other => panic!("expected Str column, got {other:?}"),
-        }
-        for (i, v) in vs.iter().enumerate() {
-            assert_eq!(&c.value(i), v);
-        }
+        let strs: Vec<String> = (0..DICT_MAX + 10).map(|i| format!("s{i}")).collect();
+        let vs: Vec<Value> = strs.iter().map(|s| Value::str(s.as_str())).collect();
+        assert_eq!(vals(&vs).data, ColData::Str(StrCol::Plain(strs)));
     }
 
     #[test]
     fn dict_with_interleaved_nulls_keeps_row_alignment() {
-        let vs = vec![
-            Value::str("x"),
-            Value::Null,
-            Value::str("y"),
-            Value::str("x"),
-            Value::Null,
-        ];
+        let vs = [Value::str("x"), Value::Null, Value::str("y"), Value::str("x"), Value::Null];
         let c = vals(&vs);
-        for (i, v) in vs.iter().enumerate() {
-            assert_eq!(&c.value(i), v);
-        }
-    }
-
-    /// Property: ValRef::total_eq agrees with Value's equality on every
-    /// pair drawn from a cross-type value zoo.
-    #[test]
-    fn total_eq_mirrors_value_equality() {
-        let zoo = [
-            Value::Null,
-            Value::Int(-3),
-            Value::Int(3),
-            Value::Int(0),
-            Value::Float(3.0),
-            Value::Float(-0.0),
-            Value::Float(f64::NAN),
-            Value::str("a"),
-            Value::str("b"),
-            Value::Bool(false),
-            Value::Bool(true),
-            Value::date("7-3-79").unwrap(),
-        ];
-        for a in &zoo {
-            for b in &zoo {
-                assert_eq!(*a == *b, ValRef::of(a).total_eq(ValRef::of(b)), "eq({a:?}, {b:?})");
-            }
-        }
-    }
-
-    /// Property: hash_value produces the same stream as Value::hash, so
-    /// values that compare equal across the row/vector divide hash alike.
-    #[test]
-    fn hash_value_matches_value_hash() {
-        use std::hash::Hash;
-        let zoo = [
-            Value::Null,
-            Value::Int(7),
-            Value::Float(7.0),
-            Value::Float(f64::NAN),
-            Value::Float(-0.0),
-            Value::Float(0.0),
-            Value::Int(0),
-            Value::str("hello"),
-            Value::Bool(true),
-            Value::date("1-1-80").unwrap(),
-        ];
-        for v in &zoo {
-            let mut h1 = FxHasher::default();
-            v.hash(&mut h1);
-            let mut h2 = FxHasher::default();
-            ValRef::of(v).hash_value(&mut h2);
-            assert_eq!(h1.finish(), h2.finish(), "hash divergence on {v:?}");
-        }
-        // -0.0, 0.0 and Int(0) are `total_eq`, so they must share a hash.
-        let h = |v: &Value| {
-            let mut s = FxHasher::default();
-            ValRef::of(v).hash_value(&mut s);
-            s.finish()
-        };
-        assert_eq!(h(&Value::Float(-0.0)), h(&Value::Float(0.0)));
-        assert_eq!(h(&Value::Float(-0.0)), h(&Value::Int(0)));
+        let dict = vec!["x".to_string(), "y".to_string()];
+        assert_eq!(c.data, ColData::Str(StrCol::Dict { dict, codes: vec![0, 0, 1, 0, 0] }));
+        assert_eq!(valid(&c), [true, false, true, true, false]);
     }
 }

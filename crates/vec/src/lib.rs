@@ -1,23 +1,10 @@
-//! Columnar batch layer for the batch hash join.
+//! Columnar batches: one heap page's rows pivoted into typed column
+//! vectors with validity bitmaps.
 //!
-//! This crate is pure data representation: typed [`ColumnVector`]s with
-//! validity [`Bitmap`]s, [`Batch`]es of aligned columns, and the
-//! zero-allocation [`ValRef`] value view whose grouping equality and hash
-//! stream mirror `nsql_types::Value` bit for bit. Its one user in
-//! `nsql-engine` is the hash join under `Exec::with_vectorized(true)`,
-//! which hashes join keys straight off typed column lanes; no other
-//! operator has a batch kernel (DESIGN.md "Vectorized execution" has the
-//! measurements behind that), so this crate holds what the join needs.
-//!
-//! Invariants the join relies on:
-//!
-//! * batch conversion happens above the counted buffer pool — building a
-//!   batch never performs page I/O;
-//! * a cleared validity bit is the *only* NULL carrier; payload slots under
-//!   it are placeholders and must never be interpreted;
-//! * [`ValRef`] equality and hashing agree exactly with the row-side
-//!   `Value` implementations (cross-checked by unit tests), so both join
-//!   kernels pair the same rows.
+//! No query path uses this crate (DESIGN.md "One hash-join kernel"). It
+//! survives only because `benchmark/src/probes.rs` times
+//! [`Batch::from_tuples`], and benchmark/README.md requires a benchmark
+//! change before a listed symbol goes; that change deletes the crate.
 
 pub mod batch;
 pub mod bitmap;
@@ -25,4 +12,4 @@ pub mod column;
 
 pub use batch::Batch;
 pub use bitmap::Bitmap;
-pub use column::{ColData, ColumnVector, StrCol, ValRef, DICT_MAX};
+pub use column::{ColData, ColumnVector, StrCol, DICT_MAX};

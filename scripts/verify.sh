@@ -23,8 +23,8 @@ cargo test -q --offline
 
 echo "==> cargo test -q --workspace"
 # Includes crates/bench/tests/figures_identity.rs: all seven figures and
-# tables rendered in process under the file store, vectorized execution and
-# statistics off, each held to the bytes of the configuration of record.
+# tables rendered in process under the file store and statistics off, each
+# held to the bytes of the configuration of record.
 cargo test -q --workspace --offline
 
 echo "==> sort / merge-join kernels against the code they replaced, at a second seed"
@@ -94,7 +94,9 @@ while IFS='#' read -r names paths allowed meaning; do
     fi
 done <<GATES
 \\b(Tracer|SpanNode|SpanId|MetricsRegistry|OpMetrics|OpSnapshot|ExecObs)\\b#$everywhere#-#a second per-query recorder beside nsql_obs::Profile (DESIGN.md "Observability")
-\\b(vec_exec|VPred|VOperand|Lane3|keep_lanes|vpred_from_cpred|stream_filter_vec|accumulate_int|accumulate_float|OverlayProvider)\\b#$everywhere#-#a second scan/fold kernel, or dead code deleted with it (DESIGN.md "Vectorized execution")
+\\b(in_memory_batches|count_batch|last_exec_mode|EXEC_MODE|ValRef)\\b|tr-vec-hash|exec mode: vectorized#$everywhere#-#the column-batch hash-join kernel, its exec-mode knob or its reports; the hash join has one kernel (DESIGN.md "One hash-join kernel")
+\\bexec_mode\\b|ExecMode::(Row|Vector)#$everywhere#crates/obs/src/stats\\.rs#the exec-mode option or a mode to choose; ExecMode and StatementSample::exec_mode stay as stubs for benchmark/
+\\b(vec_exec|VPred|VOperand|Lane3|keep_lanes|vpred_from_cpred|stream_filter_vec|accumulate_int|accumulate_float|OverlayProvider)\\b#$everywhere#-#a second scan/fold kernel, or dead code deleted with it (DESIGN.md "One hash-join kernel")
 \\b(is_temp|l_temp|r_temp|drop_child|drop_input|JoinResult)\\b|IXR_#crates/*/src#-#an ownership flag or the IXR_ pseudo-temporary; temporaries are owned TempFile values
 \\brebuild_indexes\\b#crates/*/src#-#the whole-table index rebuild; INSERT costs what it changes (DESIGN.md "Durability")
 \\blogical_rules\\b#$everywhere#-#the opt-in plan-rule switch; UnnestOptions::faithful_1987 replaced it (DESIGN.md "Configuration")
@@ -163,12 +165,13 @@ if grep -rnE '\b(nsql_exec_par|run_workers)\b' crates/*/src src --include='*.rs'
     exit 1
 fi
 
-echo "==> column batches stay inside the hash join"
-# Filters, projections and aggregate folds have one in-memory kernel, over
-# rows (DESIGN.md "Vectorized execution"); the one batch kernel left — the
-# hash join — is the only engine source that names the column-batch crate.
-if grep -rl 'nsql_vec' crates/engine/src --include='*.rs' | grep -vx 'crates/engine/src/ops/hash_join.rs'; then
-    echo "FAIL: column batches used in the engine outside the hash join"
+echo "==> no source outside crates/vec names nsql_vec"
+# Every operator has one in-memory kernel, over rows (DESIGN.md "One
+# hash-join kernel"); the column-batch crate survives only for the
+# benchmark's vec.batch_build_us probe.
+if grep -rn 'nsql_vec' crates/*/src crates/*/tests src tests examples --include='*.rs' \
+    | grep -v '^crates/vec/'; then
+    echo "FAIL: a source outside crates/vec uses the column-batch crate"
     exit 1
 fi
 

@@ -38,10 +38,7 @@
 //! (`NSQL_TEST_SEED`) and shrinks greedily: table rows are removed first,
 //! then the query is structurally simplified.
 
-use nsql_db::{
-    Database, ExecMode, IndexUse, JoinPolicy, QueryOptions,
-    QueryOutcome, Strategy,
-};
+use nsql_db::{Database, IndexUse, JoinPolicy, QueryOptions, QueryOutcome, Strategy};
 use nsql_core::{LogicalPlan, UnnestOptions};
 use nsql_engine::EngineError;
 use nsql_oracle::{Notes, Oracle, OracleError};
@@ -680,24 +677,18 @@ const GRACE_PAGE_SIZE: usize = 32;
 
 /// The pipelines under differential test. Nested iteration runs once; the
 /// transformation runs under every join policy and in the duplicate-collapsing
-/// `preserve_duplicates` mode. Row pipelines pin
-/// `ExecMode::Row` (not `Auto`) so the sweep diffs both representations
-/// whatever `Auto` comes to mean; `tr-vec-hash` reruns the forced-hash-join
-/// shapes under the batch hash-join kernel. `tr-hash-grace` ([`check_case`]
-/// runs it on a database of its own) forces the hash join through a
-/// three-page pool.
+/// `preserve_duplicates` mode. `tr-hash-grace` ([`check_case`] runs it on
+/// a database of its own) forces the hash join through a three-page pool.
 fn pipelines() -> Vec<Pipeline> {
     let ni = QueryOptions {
         strategy: Strategy::NestedIteration,
         cold_start: true,
-        exec_mode: ExecMode::Row,
         ..Default::default()
     };
     let tr = |policy: JoinPolicy| QueryOptions {
         strategy: Strategy::Transform,
         join_policy: policy,
         cold_start: true,
-        exec_mode: ExecMode::Row,
         ..Default::default()
     };
     vec![
@@ -759,19 +750,6 @@ fn pipelines() -> Vec<Pipeline> {
             opts: QueryOptions {
                 unnest: UnnestOptions { faithful_1987: true, ..Default::default() },
                 ..tr(JoinPolicy::CostBased)
-            },
-            transform: true,
-            set_only: false,
-        },
-        // The batch hash join: `tr-hash` again with joins built and probed
-        // on column batches. Same license flags — the kernel must be
-        // semantically invisible. (Vector mode changes nothing but hash
-        // joins, so it is not paired with any other join policy.)
-        Pipeline {
-            name: "tr-vec-hash",
-            opts: QueryOptions {
-                exec_mode: ExecMode::Vector,
-                ..tr(JoinPolicy::ForceHashJoin)
             },
             transform: true,
             set_only: false,

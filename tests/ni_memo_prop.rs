@@ -31,7 +31,7 @@
 
 use nested_query_opt::diff::{gen_case, DiffCase};
 use nsql_core::UnnestOptions;
-use nsql_db::{Database, ExecMode, QueryOptions, Strategy};
+use nsql_db::{Database, QueryOptions, Strategy};
 use nsql_sql::Predicate;
 use nsql_testkit::TempDir;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
@@ -40,7 +40,6 @@ fn opts(faithful_1987: bool) -> QueryOptions {
     QueryOptions {
         strategy: Strategy::NestedIteration,
         cold_start: true,
-        exec_mode: ExecMode::Row,
         unnest: UnnestOptions { faithful_1987, ..UnnestOptions::default() },
         ..Default::default()
     }

@@ -21,7 +21,7 @@
 //! (`NSQL_TEST_SEED`, `NSQL_TEST_CASES`).
 
 use nested_query_opt::diff::{gen_case, DiffCase};
-use nsql_db::{Database, ExecMode, QueryOptions, Strategy};
+use nsql_db::{Database, QueryOptions, Strategy};
 use nsql_storage::IoSnapshot;
 use nsql_testkit::TempDir;
 use nsql_types::Relation;
@@ -30,7 +30,6 @@ fn opts(strategy: Strategy) -> QueryOptions {
     QueryOptions {
         strategy,
         cold_start: true,
-        exec_mode: ExecMode::Row,
         ..Default::default()
     }
 }
