@@ -21,7 +21,7 @@ use crate::options::{IndexUse, JoinPolicy};
 use crate::Result;
 use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
 use nsql_engine::cost::{
-    classic_join_costs, hash_join_cost, index_nested_join_cost, index_restrict_cost, HashShape,
+    classic_join_costs, hash_join_cost, index_join_cost, index_restrict_cost, HashShape,
     JoinInput,
 };
 use nsql_engine::pred::cannot_raise;
@@ -538,8 +538,10 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// left tuple, NEST-JA2's back-join without a full inner scan, when the
     /// index policy and the cost picture favour that — then the join
     /// policy. The cost-based choice takes the cheapest of the nested loop,
-    /// the merge join and the hash join (ties in that order); under the
-    /// literal plans (`faithful_1987`) only the paper's two methods compete.
+    /// the merge join and the hash join (ties in that order), each priced
+    /// whole at `cost::PRICES`, and the probe must be cheaper than all three;
+    /// under the literal plans (`faithful_1987`) only the paper's two methods
+    /// compete, by their page I/Os.
     fn choose_join(
         &mut self,
         l: &PlanOutput,
@@ -557,13 +559,17 @@ impl<T: TableProvider> PlanExecutor<T> {
             rows: side.file.tuple_count() as f64,
             sorted,
         };
-        // Under the default plans each method also carries the work it does
-        // in memory, which the page count cannot see.
+        // Under the default plans each method is priced whole, in
+        // microseconds; under the literal ones by its page I/Os alone.
         let (outer, inner) = (input(l, l_sorted), input(r, r_sorted));
         let b = self.exec.storage().buffer_pages() as f64;
-        let (nl, mj) = classic_join_costs(outer, inner, b, !self.faithful);
+        let priced = !self.faithful;
+        let (nl, mj) = classic_join_costs(outer, inner, b, priced);
         let left_outer = kind == JoinKind::LeftOuter;
-        let hj = hash_join_cost(outer, inner, left_outer, b, !self.faithful);
+        let hj = hash_join_cost(outer, inner, left_outer, b, priced);
+        // What the cheapest method the cost-based choice may take costs.
+        let classic = nl.total().min(mj.total());
+        let best = if priced { classic.min(hj.total()) } else { classic };
         let may_probe = kind == JoinKind::Inner
             && match (self.index_use, self.policy) {
                 (IndexUse::Never, _) => false,
@@ -590,25 +596,20 @@ impl<T: TableProvider> PlanExecutor<T> {
             });
         if let Some((key, index)) = candidate {
             let st = index.stats();
-            // Every page a probe touches is already a page in this formula,
-            // so it has no second term.
             let (height, leaves) = (st.height as f64, st.leaves_per_probe() as f64);
-            let icost = index_nested_join_cost(outer.pages, outer.rows, height, leaves);
-            let use_ix =
-                self.index_use == IndexUse::Prefer || icost < nl.total().min(mj.total());
+            let ix = index_join_cost(outer, height, leaves, priced);
+            let use_ix = self.index_use == IndexUse::Prefer || ix.total() < best;
+            let and_hj = if priced { format!(" / hj {hj}") } else { String::new() };
             self.log.push(format!(
-                "index join candidate {}: cost {:.1} vs nl {} / mj {} ({})",
+                "index join candidate {}: cost {ix} vs nl {nl} / mj {mj}{and_hj} ({})",
                 index.name(),
-                icost,
-                nl,
-                mj,
                 if use_ix { "chose index" } else { "rejected" }
             ));
             if use_ix {
                 return JoinMethod::IndexProbe { key, index };
             }
         }
-        if !self.faithful && self.policy == JoinPolicy::CostBased {
+        if priced {
             self.log.push(format!("join choice: nl {nl} / mj {mj} / hj {hj}"));
         }
         let merge = JoinMethod::Merge { left_presorted: l_sorted, right_presorted: r_sorted };
@@ -618,7 +619,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             JoinPolicy::ForceMergeJoin => merge,
             JoinPolicy::ForceHashJoin => hash,
             JoinPolicy::CostBased => {
-                let hash_wins = !self.faithful && hj.total() < nl.total().min(mj.total());
+                let hash_wins = priced && hj.total() < classic;
                 if hash_wins {
                     hash
                 } else if mj.total() < nl.total() {
@@ -1468,13 +1469,65 @@ mod tests {
         pe.run_plan(&aliased(alias)).unwrap()
     }
 
+    /// An inner of one page, far below `B − 1`: by the paper's pages the
+    /// nested loop ties the others and takes it; priced, the hash join does
+    /// what the nested loop's key index does without a visit to the inner
+    /// page per outer tuple, and takes it.
     #[test]
-    fn cost_based_prefers_nl_when_inner_is_buffer_resident() {
-        let cat = catalog(); // T is 1 page — far below B-1
+    fn a_buffer_resident_inner_goes_to_the_nested_loop_by_pages_alone() {
+        let cat = catalog();
+        let picks = [(true, "nested-loop join (1 keys)"), (false, "hash join (1 keys)")];
+        for (faithful, want) in picks {
+            let mut pe = executor(&cat, JoinPolicy::CostBased);
+            pe.set_faithful(faithful);
+            let (l, r) = (scan(&mut pe, "A"), scan(&mut pe, "B"));
+            let picked = pe.choose_join(&l, &r, JoinKind::Inner, &[0], &[0]);
+            assert_eq!(picked.label(1), want, "{:?}", pe.log);
+        }
+    }
+
+    /// 800 outer rows against an indexed inner of 4 000 in a 64-page pool of
+    /// 512-byte pages. Priced, 800 probes beat the nested loop, which
+    /// rereads the inner per outer row, and the merge join, which sorts both
+    /// sides — the two methods they were once weighed against — and lose to
+    /// the hash join, which holds the outer in memory and streams the inner
+    /// past it once. By the paper's pages the merge join beats the probes.
+    #[test]
+    fn the_index_probe_is_priced_against_all_three_methods() {
+        let mut cat = Catalog::new(Storage::new(64, 512));
+        let schema =
+            Schema::new(vec![Column::new("K", ColumnType::Int), Column::new("V", ColumnType::Int)]);
+        for (name, rows) in [("L", 800i64), ("R", 4000)] {
+            let row = |i| Tuple::new(vec![Value::Int(i * 7 % 3000), Value::Int(i)]);
+            let tuples = (0..rows).map(row);
+            let rel = Relation::new(schema.clone(), tuples.collect()).unwrap();
+            cat.load_table(name, &rel).unwrap();
+        }
+        cat.create_index("R", "K").unwrap();
+        for (faithful, want) in [(true, "merge join (1 keys)"), (false, "hash join (1 keys)")] {
+            let mut pe = executor(&cat, JoinPolicy::CostBased);
+            pe.set_faithful(faithful);
+            let (l, r) = (pe.lookup("L", "L").unwrap(), pe.lookup("R", "R").unwrap());
+            let picked = pe.choose_join(&l, &r, JoinKind::Inner, &[0], &[0]);
+            assert_eq!(picked.label(1), want, "faithful = {faithful}: {:?}", pe.log);
+            let line = &pe.log[0];
+            assert!(line.starts_with("index join candidate IX_R_K: cost "), "{line}");
+            assert_eq!(line.contains(" / hj "), !faithful, "{line}");
+            assert!(line.ends_with("(rejected)"), "{line}");
+        }
+        // The probes' price lies between the hash join's and the other two.
         let mut pe = executor(&cat, JoinPolicy::CostBased);
-        let (l, r) = (scan(&mut pe, "A"), scan(&mut pe, "B"));
-        let picked = pe.choose_join(&l, &r, JoinKind::Inner, &[0], &[0]);
-        assert!(matches!(picked, JoinMethod::NestedLoop), "{}", picked.label(1));
+        let (l, r) = (pe.lookup("L", "L").unwrap(), pe.lookup("R", "R").unwrap());
+        pe.choose_join(&l, &r, JoinKind::Inner, &[0], &[0]);
+        let micros = |method: &str| -> f64 {
+            let at = pe.log[0].find(method).unwrap_or_else(|| panic!("{method}: {:?}", pe.log));
+            let rest = &pe.log[0][at..];
+            let total = &rest[rest.find(" = ").unwrap() + 3..rest.find(" µs").unwrap()];
+            total.parse().unwrap()
+        };
+        let (ix, hj) = (micros("cost "), micros("/ hj "));
+        let (nl, mj) = (micros("vs nl "), micros("/ mj "));
+        assert!(hj < ix && ix < nl.min(mj), "ix {ix} nl {nl} mj {mj} hj {hj}");
     }
 
     /// An inner of 40 pages in a 64-page pool under 2 000 outer rows: the
@@ -1507,10 +1560,15 @@ mod tests {
         let mut pe = executor(&cat, JoinPolicy::CostBased);
         let (l, r) = (pe.lookup("L", "L").unwrap(), pe.lookup("R", "R").unwrap());
         pe.choose_join(&l, &r, JoinKind::Inner, &[0], &[0]);
+        // The work is pinned; its price follows `cost::PRICES`.
+        let unpriced: Vec<String> = pe.log[0]
+            .split(" µs")
+            .map(|part| part.rsplit_once(" = ").map_or(part, |(work, _)| work).to_string())
+            .collect();
         assert_eq!(
-            pe.log,
-            ["join choice: nl 112.0 pages + 80000 visits / mj 331.9 pages + 3100 rows sorted \
-              / hj 112.0 pages + 3100 rows hashed"]
+            unpriced.join(""),
+            "join choice: nl 112.0 pages + 80000 visits + 3100 rows hashed / mj 331.9 pages + \
+             5100 rows sorted / hj 112.0 pages + 3100 rows hashed"
         );
     }
 
@@ -1560,12 +1618,14 @@ mod tests {
         };
         let plan = project_a_k(filtered(cross, "B.V > 10 AND A.K = B.K AND A.V < 30"));
         let mut rows = Vec::new();
-        for (faithful, keys) in [(true, "(0 equality keys"), (false, "(1 equality keys")] {
+        for faithful in [true, false] {
             let mut pe = executor(&cat, JoinPolicy::CostBased);
             pe.set_faithful(faithful);
             let out = pe.run_plan(&plan).unwrap();
             let log = pe.log.join("\n");
-            assert!(log.contains(keys), "faithful = {faithful}:\n{log}");
+            // Only a keyed join step has methods to choose between.
+            assert_eq!(log.contains("(0 equality keys"), faithful, "{log}");
+            assert_eq!(log.contains("join choice: "), !faithful, "{log}");
             assert_eq!(log.contains("restrict+project B: 3 tuples"), !faithful, "{log}");
             let mut got = pe.exec().collect(&out.file).into_tuples();
             got.sort_by(Tuple::total_cmp);
@@ -1730,7 +1790,8 @@ mod tests {
                 on: on(ColumnRef::bare("AK"), ColumnRef::qualified("B", "BK")),
             })
             .unwrap();
-        let partitioned = pe.log[0].starts_with("hash join (1 keys), build right, 2 partitions");
+        let partitioned =
+            pe.log.iter().any(|l| l.starts_with("hash join (1 keys), build right, 2 partitions"));
         assert!(partitioned, "{:?}", pe.log);
         assert!(joined.sorted_by.is_empty());
         pe.register_temp("J", joined);
@@ -1743,7 +1804,7 @@ mod tests {
                 on: on(ColumnRef::qualified("J", "AK"), ColumnRef::qualified("C", "CK")),
             })
             .unwrap();
-        assert_eq!(pe.log[1], "merge join (1 keys)", "{:?}", pe.log);
+        assert_eq!(pe.log.last().unwrap(), "merge join (1 keys)", "{:?}", pe.log);
         let q = "SELECT A.AK, B.BK, B.BV, C.CK, C.CV FROM A, B, C \
                  WHERE A.AK = B.BK AND A.AK = C.CK";
         let q = parse_query(q);

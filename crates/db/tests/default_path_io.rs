@@ -3,16 +3,15 @@
 //! nested iteration's; the four storage counters of every statement as
 //! constants recorded when the default path began restricting its join
 //! inputs (ISSUE 21) and moved where the join choice came to take the hash
-//! join, the same on the memory and the file store; total counted I/O below
-//! the paper's literal plans'; and — the deterministic stand-in for the CPU
-//! term of the join choice — every statement within 2× of the best join
-//! method forced (the hash join included), in page-I/O equivalents (counted
-//! I/O plus buffer visits at the executor's exchange rate). Buffer visits
-//! alone cannot be the measure: `static_n`'s
-//! nested loop over a one-page inner makes thirteen times the merge join's
-//! visits and a quarter of its page I/O, and is the faster plan. That the
-//! term flips a choice the page formula gets wrong is pinned where it is
-//! made (`plan_exec.rs`, `a_resident_inner_of_many_pages_is_not_free`).
+//! join and to price every method in fitted time (`cost::PRICES`), the same
+//! on the memory and the file store; the method of every join step at
+//! Kim's scale; total counted I/O below the paper's literal plans'; and —
+//! the deterministic stand-in for the priced choice — every statement
+//! within 2× of the best join method forced (the hash join included), in
+//! page-I/O equivalents (counted I/O plus buffer visits at the prices'
+//! exchange rate). That pricing flips a choice the page formula gets wrong
+//! is pinned where it is made (`plan_exec.rs`,
+//! `a_resident_inner_of_many_pages_is_not_free`).
 //!
 //! Two geometries at 512-byte pages: Kim's (`B = 6`, 400 parts), and the
 //! benchmark's Kim-scale tables in a roomier pool with the read/write
@@ -28,6 +27,7 @@
 //! probe, reads to the page what the paper's does, and EXPLAIN says why.
 
 use nsql_db::{Database, JoinPolicy, QueryOptions, Strategy};
+use nsql_engine::cost::PRICES;
 use nsql_storage::IoSnapshot;
 use nsql_testkit::TempDir;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
@@ -209,11 +209,12 @@ fn check(g: &Geometry, pinned: [IoSnapshot; 8]) {
     }
 }
 
-/// Counted page I/Os plus buffer visits at the executor's own exchange rate
-/// (`VISITS_PER_PAGE_IO` in `plan_exec.rs`): what the storage counters can
-/// show of the work the join choice prices.
+/// Counted page I/Os plus buffer visits at the join choice's own exchange
+/// rate (`cost::PRICES`): what the storage counters can show of the work
+/// the choice prices, in page I/Os.
 fn work(io: IoSnapshot) -> u64 {
-    io.total() + (io.hits + io.misses) / 64
+    let visits_per_page_io = PRICES.page / PRICES.visit;
+    io.total() + ((io.hits + io.misses) as f64 / visits_per_page_io) as u64
 }
 
 #[test]
@@ -222,14 +223,14 @@ fn kim_geometry() {
     check(
         &g,
         [
-            snap(72, 5, 1995, 72),   // n
+            snap(106, 39, 0, 72),    // n: hash join, partitioned
             snap(69, 2, 0, 69),      // j: hash join, built in memory
-            snap(138, 44, 78, 113),  // ja_count
-            snap(115, 21, 39, 112),  // ja_max: hash join, then the nested loop
-            snap(371, 264, 0, 137),  // ml3
-            snap(193, 126, 0, 91),   // flat_join
-            snap(32, 1, 399, 32),    // static_n
-            snap(35, 4, 1596, 33),   // static_join
+            snap(139, 45, 0, 113),   // ja_count: two hash joins
+            snap(115, 21, 0, 112),   // ja_max: two hash joins
+            snap(330, 223, 0, 137),  // ml3
+            snap(171, 104, 0, 91),   // flat_join
+            snap(32, 1, 0, 32),      // static_n
+            snap(35, 4, 0, 33),      // static_join
         ],
     );
 }
@@ -247,16 +248,87 @@ fn restricted_inner_fits_the_pool() {
     check(
         &g,
         [
-            snap(178, 11, 10989, 178), // n
-            snap(173, 4, 220, 173),    // j: 100 probes of the index
-            snap(335, 102, 396, 277),  // ja_count
-            snap(282, 48, 198, 275),   // ja_max: hash join, then the nested loop
-            snap(673, 406, 0, 339),    // ml3: merge join, then a hash join
-            snap(469, 302, 0, 223),    // flat_join
-            snap(72, 1, 999, 72),      // static_n
-            snap(75, 4, 3996, 73),     // static_join
+            snap(178, 11, 0, 178),  // n
+            snap(173, 4, 220, 173), // j: 100 probes of the index
+            snap(317, 83, 0, 278),  // ja_count: two hash joins
+            snap(282, 48, 0, 275),  // ja_max: two hash joins
+            snap(511, 244, 0, 339), // ml3
+            snap(374, 207, 0, 223), // flat_join
+            snap(72, 1, 0, 72),     // static_n
+            snap(75, 4, 0, 73),     // static_join
         ],
     );
+}
+
+/// The method of every join step the default path takes, per statement, at
+/// Kim's scale: `B = 6` in memory, and `B = 6` on the file store with the
+/// B+tree on `SUPPLY.PNUM` — the geometries of the benchmark's `kim-unnest`
+/// and `kim-readwrite-file`. The choice moves when the prices move; this
+/// table says where.
+#[test]
+fn the_join_methods_are_pinned() {
+    let kim = |indexed| Geometry {
+        what: if indexed { "B = 6, file store, IX_SUPPLY_PNUM" } else { "B = 6" },
+        parts: 1000,
+        supply: 1500,
+        buffer_pages: 6,
+        indexed,
+        unique_serial: false,
+    };
+    const HASH_RIGHT: &str = "hash join (1 keys), build right";
+    const ON_TEMP3: &[&str] =
+        &["merge join (1 keys), left pre-sorted", "hash join (2 keys), build right"];
+    // (statement, in memory, on the indexed file store)
+    let pins: [(&str, &[&str], &[&str]); 8] = [
+        ("n", &["hash join (1 keys), build right, 3 partitions"], &[
+            "hash join (1 keys), build right, 3 partitions",
+        ]),
+        ("j", &["hash join (2 keys), build left"], &[
+            "index nested-loop join via IX_SUPPLY_PNUM (100 probes)",
+        ]),
+        ("ja_count", ON_TEMP3, ON_TEMP3),
+        ("ja_max", &["hash join (1 keys), build left", "hash join (2 keys), build right"], &[
+            "hash join (1 keys), build left",
+            "hash join (2 keys), build right",
+        ]),
+        (
+            "ml3",
+            &[
+                "hash join (2 keys), build left, 5 partitions",
+                "hash join (2 keys), build left, 5 partitions",
+            ],
+            &[
+                "index nested-loop join via IX_SUPPLY_PNUM (1000 probes)",
+                "hash join (2 keys), build left, 5 partitions",
+            ],
+        ),
+        ("flat_join", &["hash join (1 keys), build right, 5 partitions"], &[
+            "hash join (1 keys), build right, 5 partitions",
+        ]),
+        ("static_n", &[HASH_RIGHT], &[HASH_RIGHT]),
+        ("static_join", &[HASH_RIGHT], &[HASH_RIGHT]),
+    ];
+    let dir = TempDir::new("default-path-methods");
+    let mut mem = Database::with_storage(6, 512);
+    let mut file = Database::open_with(6, 512, dir.path()).unwrap();
+    load(&mut mem, &kim(false));
+    load(&mut file, &kim(true));
+    let methods = |db: &Database, sql: &str| -> Vec<String> {
+        let explain = db.query_with(sql, &QueryOptions::default()).unwrap().explain;
+        let step = ["nested-loop join", "merge join", "hash join", "index nested-loop join"];
+        explain.into_iter().filter(|l| step.iter().any(|m| l.starts_with(m))).collect()
+    };
+    let mut moved = Vec::new();
+    for ((name, sql, _), (pinned, in_memory, on_file)) in STATEMENTS.iter().zip(pins) {
+        assert_eq!(*name, pinned);
+        for (db, want, indexed) in [(&mem, in_memory, false), (&file, on_file, true)] {
+            let got = methods(db, sql);
+            if got != want {
+                moved.push(format!("{name}, {}: {got:?}, pinned {want:?}", kim(indexed).what));
+            }
+        }
+    }
+    assert!(moved.is_empty(), "{moved:#?}");
 }
 
 const J_NOTIN: &str = "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH NOT IN \
@@ -407,7 +479,7 @@ fn a_temporary_over_two_relations_is_joined_on_its_key() {
     assert!(!want.is_empty(), "the statement must select something");
     let (got, io) = run(&db, N_IN_JA, &QueryOptions::default());
     assert!(got.same_bag(&want), "nested iteration:\n{want}\ndefault:\n{got}");
-    assert_eq!(io, snap(324, 23, 3691, 322));
+    assert_eq!(io, snap(327, 26, 0, 322));
     assert!(
         io.total() < probing.total() && probing.total() < paper.total(),
         "{io:?} against {probing:?} probing and {paper:?} rescanning"

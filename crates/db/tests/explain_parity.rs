@@ -99,8 +99,9 @@ fn plain_and_analyze_reports_agree_on_decision_lines() {
 /// The plan-shapes line names the one switch's setting, identically in both
 /// reports, exactly where plans are built (the correlated strategies build
 /// none); and under the default shapes ANALYZE shows what they did — each
-/// restricted input on a line and as an operator node, both cost terms on
-/// the join-choice line — where the literal plans show neither.
+/// restricted input on a line and as an operator node, the pages and the
+/// priced total on the join-choice line — where the literal plans show
+/// neither.
 #[test]
 fn the_plan_shapes_line_names_what_ran() {
     let db = mem_db();
@@ -123,7 +124,7 @@ fn the_plan_shapes_line_names_what_ran() {
             }
             let text = analyzed.render_lines().join("\n");
             let restricted = text.contains("restrict+project PARTS: 2 tuples, 1 pages");
-            let two_terms = text.contains(" pages + ") && text.contains(" visits / mj ");
+            let two_terms = text.contains(" pages + ") && text.contains(" µs / mj ");
             assert_eq!(restricted, !faithful_1987, "{text}");
             assert_eq!(two_terms, !faithful_1987, "{text}");
             let obs = analyzed.obs.expect("ANALYZE collects a profile");
@@ -155,8 +156,8 @@ fn access_path_lines_are_the_same_in_both_reports() {
             } else {
                 // Three parts, five shipments on one page, read once: nothing
                 // repays a build.
-                &["block SUPPLY: scan — est. 3 evaluations: scan 1 pages vs build 2 + probes 3 \
-                   (chose scan)"]
+                &["block SUPPLY: scan — est. 3 evaluations: scan 0.3 µs vs build 0.2 + probes \
+                   0.5 µs (chose scan)"]
             };
             assert_eq!(plain, want, "[{name}] faithful_1987={faithful_1987}");
         }
@@ -171,8 +172,10 @@ fn access_path_lines_are_the_same_in_both_reports() {
 #[test]
 fn a_temporary_over_two_relations_is_planned_under_its_materialize_node() {
     let db = mem_db();
+    // (the join's node, whether P2 is restricted first): the default plans
+    // key the join, and price the hash join cheapest on these few rows.
     for (faithful_1987, join, restricted) in
-        [(false, "nested-loop join (1 keys)", true), (true, "nested-loop join (0 keys)", false)]
+        [(false, "hash join (1 keys)", true), (true, "nested-loop join (0 keys)", false)]
     {
         let unnest = nsql_core::UnnestOptions { faithful_1987, ..Default::default() };
         let o = QueryOptions { unnest, ..opts(&Strategy::Transform) };

@@ -307,40 +307,92 @@ pub fn index_nested_join_cost(
     p_outer + n_outer * (height + leaves_per_probe.max(1.0))
 }
 
-// ----------------------------------------------------------- in-memory work
+// --------------------------------------------------------------- the prices
 
-/// Buffer visits — page requests the pool answers, hit or miss — that take
-/// as long as one counted page I/O, and ([`SORTED_ROWS_PER_PAGE_IO`]) rows
-/// through the external sort that do.
-///
-/// From the benchmark's kernel probes on the development host (x20 tables,
-/// 4 KiB pages; `benchmark/run.sh big-unnest`, traced run): one page I/O is
-/// `storage.scan_ms` over SUPPLY's pages, 0.775 ms / 250 = 3.1 µs; one
-/// sorted row is `storage.sort_ms` over SUPPLY's rows, 9.43 ms / 30 000 =
-/// 0.31 µs, so 10 rows to the page I/O; one visit is at most
-/// `engine.nl_join_ms` over outer rows × inner pages, 72.2 ms / (2 000 ×
-/// 250) = 0.14 µs — there every visit misses a 64-page pool and pays the
-/// read as well. The term decides only where the inner fits the pool and
-/// the page formula says `Pl + Pr`; there every visit after the first pass
-/// is a hit, measured at 0.03 µs (EXPERIMENTS.md "Restrict before you
-/// join", ablation 1: 499 975 hits, 14 ms), so about 100 to the page I/O.
-/// Rounded down to powers of two, which keeps the ratio at the 8 visits to
-/// a sorted row that held on all fourteen transformed shapes. To re-derive:
-/// run the traced benchmark, divide as above.
-const VISITS_PER_PAGE_IO: f64 = 64.0;
-/// Rows through the external sort that take as long as one counted page I/O
-/// (derived with [`VISITS_PER_PAGE_IO`]).
-const SORTED_ROWS_PER_PAGE_IO: f64 = 8.0;
-/// Rows hashed — into a Grace partition, into the in-memory table, or
-/// against it — that take as long as one counted page I/O (see
-/// [`hash_join_cost`]). From the same traced run as [`VISITS_PER_PAGE_IO`]:
-/// `engine.hash_join_ms` joins PARTS (167 pages) with SUPPLY (250) through
-/// the 64-page pool, building on PARTS in three partitions, one level: 1 251
-/// page I/Os and (20 000 + 30 000) · 2 rows hashed in 38.4 ms, beside one
-/// page I/O of `storage.scan_ms` 0.84 ms / 250 = 3.4 µs. 38.4 ms / 100 000
-/// = 0.38 µs a row hashed, so 8.8 to the page I/O; rounded down to a power
-/// of two.
-const HASHED_ROWS_PER_PAGE_IO: f64 = 8.0;
+/// What one join method, index probe or access path does: the page I/Os of
+/// Section 7's formulas and the in-memory work they cannot see, each in the
+/// unit [`PRICES`] has a price for.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Work {
+    /// Counted page I/Os.
+    pub pages: f64,
+    /// Buffer visits: page requests the pool answers, hit or miss, beyond
+    /// the page I/Os a formula counts.
+    pub visits: f64,
+    /// Rows through the external sort, once per pass: the pass that forms
+    /// the runs and each merge pass.
+    pub sorted: f64,
+    /// Rows hashed into a table or against it.
+    pub hashed: f64,
+    /// Rows hashed into a Grace partition, once per partitioning level.
+    pub partitioned: f64,
+}
+
+impl Work {
+    /// Priced by [`PRICES`], in microseconds.
+    pub fn micros(&self) -> f64 {
+        PRICES.micros(self)
+    }
+}
+
+impl std::fmt::Display for Work {
+    /// The pages, every other nonzero term, then the priced total.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.1} pages", self.pages)?;
+        let terms = [
+            (self.visits, "visits"),
+            (self.sorted, "rows sorted"),
+            (self.hashed, "rows hashed"),
+            (self.partitioned, "rows partitioned"),
+        ];
+        for (n, unit) in terms.iter().filter(|(n, _)| *n > 0.0) {
+            write!(f, " + {n:.0} {unit}")?;
+        }
+        write!(f, " = {:.1} µs", self.micros())
+    }
+}
+
+/// Nanoseconds per unit of each [`Work`] term: one price list for every
+/// choice the default path makes — a join step's method, an index probe
+/// against the three methods, a correlated block's access path. Each price
+/// is per page or per row, the same at 512-byte and at 4 KiB pages: a page
+/// I/O moves a shared page, not its tuples, and a price per tuple on the
+/// page fits to zero (EXPERIMENTS.md, "Fitted prices").
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Prices {
+    /// A page I/O, read or written.
+    pub page: f64,
+    /// A buffer visit.
+    pub visit: f64,
+    /// A row through one pass of the external sort.
+    pub sorted_row: f64,
+    /// A row hashed into a table or against it.
+    pub hashed_row: f64,
+    /// A row hashed into a partition.
+    pub partitioned_row: f64,
+}
+
+impl Prices {
+    /// `work` priced, in microseconds.
+    pub fn micros(&self, w: &Work) -> f64 {
+        let ns = w.pages * self.page
+            + w.visits * self.visit
+            + w.sorted * self.sorted_row
+            + w.hashed * self.hashed_row
+            + w.partitioned * self.partitioned_row;
+        ns / 1e3
+    }
+}
+
+/// The fitted price list: least squares of the relative error of every join
+/// node's wall time on the work of the method that ran (the `calibrate`
+/// binary of `nsql-bench`), over the benchmark's fourteen transformed
+/// statements at `B = 6` × 512 bytes and `B = 64` × 4 KiB under the
+/// cost-based and the three forced join policies; each price is the mean of
+/// two fits, rounded (EXPERIMENTS.md, "Fitted prices"). To refit:
+/// `cargo run --release -p nsql-bench --bin calibrate`.
+pub const PRICES: Prices =
+    Prices { page: 100.0, visit: 53.0, sorted_row: 104.0, hashed_row: 48.0, partitioned_row: 86.0 };
 
 // ---------------------------------------------------------- the join choice
 
@@ -355,58 +407,103 @@ pub struct JoinInput {
     pub sorted: bool,
 }
 
-/// One join method's cost: Section 7's page I/Os and, when priced, its
-/// in-memory work as (count, unit, count per page I/O).
+/// One join method's cost: Section 7's page I/Os alone, or with `priced`
+/// its whole [`Work`] at [`PRICES`].
 #[derive(Debug, Clone, Copy)]
 pub struct JoinCost {
-    pages: f64,
-    cpu: Option<(f64, &'static str, f64)>,
+    work: Work,
+    priced: bool,
 }
 
 impl JoinCost {
-    /// In page I/Os.
+    /// Page I/Os, or microseconds when priced: what the choice compares.
     pub fn total(&self) -> f64 {
-        self.pages + self.cpu.map_or(0.0, |(work, _, per_page_io)| work / per_page_io)
+        if self.priced {
+            self.work.micros()
+        } else {
+            self.work.pages
+        }
     }
 }
 
 impl std::fmt::Display for JoinCost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.cpu {
-            Some((work, unit, _)) => write!(f, "{:.1} pages + {work:.0} {unit}", self.pages),
-            None => write!(f, "{:.1}", self.pages),
+        if self.priced {
+            write!(f, "{}", self.work)
+        } else {
+            write!(f, "{:.1}", self.work.pages)
         }
     }
+}
+
+/// Merge passes the external sort makes over a `pages`-page input through
+/// a `b`-page pool: pass 0 leaves `⌈P/B⌉` sorted runs, and each merge pass
+/// merges up to `B − 1` of them. The sort's pages stay the paper's
+/// [`sort_cost`], `2·P·log_{B−1}(P)` with a continuous logarithm: they are
+/// Section 7's figure, which `faithful_1987` compares and the figures
+/// print. Its rows have no figure in the paper, so they count the kernel's
+/// discrete passes, which is what a small sort takes: priced at the
+/// continuous logarithm, `ml3`'s merge join at Kim's scale was fitted at
+/// 0.6× its time (EXPERIMENTS.md, "Fitted prices").
+fn merge_passes(pages: f64, b: f64) -> u32 {
+    let (b, mut passes) = (b.max(2.0), 0);
+    let mut runs = (pages / b).ceil();
+    while runs > 1.0 {
+        runs = (runs / (b - 1.0).max(2.0)).ceil();
+        passes += 1;
+    }
+    passes
 }
 
 /// What the paper's two join methods cost on inputs `l` (outer) and `r`
 /// (inner): (nested loop, merge join). The pages are Section 7's —
 /// [`nested_iteration_cost_j`] with every outer tuple qualifying, and
 /// [`transformed_merge_join_cost`] less the sort of a side that arrives
-/// sorted. With `price_cpu` each method also carries the work it does in
-/// memory: the nested-loop kernel asks the pool for every inner page once
-/// per outer tuple by design (an index may save CPU on a page, never the
-/// page read), so an inner that fits `B − 1` pages costs `Pl + Pr` reads and
-/// `Nl · Pr` buffer visits; the merge join pushes every row of an unsorted
-/// input through the external sort.
+/// sorted. With `priced` each also carries the work it does in memory. The
+/// nested-loop kernel asks the pool for every inner page once per outer
+/// tuple by design (an index may save CPU on a page, never the page read),
+/// so an inner that fits `B − 1` pages costs `Pl + Pr` reads and `Nl · Pr`
+/// buffer visits; on its first pass it hashes every inner tuple into a key
+/// index, and each outer tuple's key is hashed against it. The merge join
+/// pushes every row of an unsorted input through each pass of the external
+/// sort ([`merge_passes`]).
 pub fn classic_join_costs(
     l: JoinInput,
     r: JoinInput,
     b: f64,
-    price_cpu: bool,
+    priced: bool,
 ) -> (JoinCost, JoinCost) {
     let nl = nested_iteration_cost_j(l.pages, r.pages, b, l.rows);
     let sort = |side: JoinInput| if side.sorted { 0.0 } else { sort_cost(side.pages, b) };
     let mj = sort(l) + sort(r) + l.pages + r.pages;
-    let sorted_rows = |side: JoinInput| if side.sorted { 0.0 } else { side.rows };
-    let cpu = |work: f64, unit, per_page_io| price_cpu.then_some((work, unit, per_page_io));
+    let sorted_rows = |side: JoinInput| match side.sorted {
+        false => side.rows * f64::from(1 + merge_passes(side.pages, b)),
+        true => 0.0,
+    };
     (
-        JoinCost { pages: nl, cpu: cpu(l.rows * r.pages, "visits", VISITS_PER_PAGE_IO) },
         JoinCost {
-            pages: mj,
-            cpu: cpu(sorted_rows(l) + sorted_rows(r), "rows sorted", SORTED_ROWS_PER_PAGE_IO),
+            work: Work {
+                pages: nl,
+                visits: l.rows * r.pages,
+                hashed: l.rows + r.rows,
+                ..Work::default()
+            },
+            priced,
+        },
+        JoinCost {
+            work: Work { pages: mj, sorted: sorted_rows(l) + sorted_rows(r), ..Work::default() },
+            priced,
         },
     )
+}
+
+/// What probing the inner's B+tree once per tuple of the outer `l` costs:
+/// the pages of [`index_nested_join_cost`] and, with `priced`, a visit for
+/// each page a probe asks for — the descent's binary searches happen on
+/// those pages.
+pub fn index_join_cost(l: JoinInput, height: f64, leaves_per_probe: f64, priced: bool) -> JoinCost {
+    let pages = index_nested_join_cost(l.pages, l.rows, height, leaves_per_probe);
+    JoinCost { work: Work { pages, visits: pages - l.pages, ..Work::default() }, priced }
 }
 
 // ----------------------------------------------------------- the hash join
@@ -488,77 +585,82 @@ pub fn grace_levels(pages: f64, b: f64) -> u32 {
 /// back, once per level of [`grace_levels`], so the pages are
 /// `(Pl + Pr)·(1 + 2·levels)` — a partition's partly filled last page, and
 /// a partition the keys do not split evenly, are what the estimate leaves
-/// out. With `price_cpu` it also carries its in-memory work: every row is
-/// hashed once per partitioning level and once into or against the table,
-/// `(Nl + Nr)·(1 + levels)` rows hashed.
+/// out. With `priced` it also carries its in-memory work: every row is
+/// hashed into a partition once per level, `(Nl + Nr)·levels` rows, and
+/// once into or against the table, `Nl + Nr` rows.
 pub fn hash_join_cost(
     l: JoinInput,
     r: JoinInput,
     left_outer: bool,
     b: f64,
-    price_cpu: bool,
+    priced: bool,
 ) -> JoinCost {
     let shape = HashShape::of(l.pages, r.pages, left_outer, b);
     let build = if shape.build_left { l.pages } else { r.pages };
     let levels = f64::from(grace_levels(build, b));
-    JoinCost {
+    let work = Work {
         pages: (l.pages + r.pages) * (1.0 + 2.0 * levels),
-        cpu: price_cpu.then_some((
-            (l.rows + r.rows) * (1.0 + levels),
-            "rows hashed",
-            HASHED_ROWS_PER_PAGE_IO,
-        )),
-    }
+        hashed: l.rows + r.rows,
+        partitioned: (l.rows + r.rows) * levels,
+        ..Work::default()
+    };
+    JoinCost { work, priced }
 }
 
 // -------------------------------------------- nested iteration's access path
 
-/// What evaluating one correlated block costs by either path, in page-I/O
-/// equivalents ([`nested_access_costs`]).
+/// What evaluating one correlated block costs by either path
+/// ([`nested_access_costs`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessCosts {
     /// Estimated evaluations of the block in the query (`fi·Ni`, multiplied
     /// down the nesting chain).
     pub evaluations: f64,
     /// Rescanning the inner file on every evaluation.
-    pub scan: f64,
-    /// Building the trees that are not in the catalog (0 when all are).
-    pub build: f64,
+    pub scan: Work,
+    /// Building the trees that are not in the catalog (no work when all are).
+    pub build: Work,
     /// Probing on every evaluation.
-    pub probes: f64,
+    pub probes: Work,
 }
 
 impl AccessCosts {
-    /// Whether building and probing is the cheaper path.
+    /// Whether building and probing is the cheaper path, at [`PRICES`].
     pub fn probes_win(&self) -> bool {
-        self.build + self.probes < self.scan
+        self.build.micros() + self.probes.micros() < self.scan.micros()
     }
 
-    /// Cost of the cheaper path.
+    /// Page I/Os of the cheaper path: what the strategy estimate, which
+    /// counts pages, adds for the block.
     pub fn chosen(&self) -> f64 {
-        (self.build + self.probes).min(self.scan)
+        if self.probes_win() {
+            self.build.pages + self.probes.pages
+        } else {
+            self.scan.pages
+        }
     }
 }
 
 impl std::fmt::Display for AccessCosts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "est. {:.0} evaluations: scan {:.0} pages vs ", self.evaluations, self.scan)?;
-        if self.build > 0.0 {
-            write!(f, "build {:.0} + ", self.build)?;
+        let us = |w: &Work| w.micros();
+        write!(f, "est. {:.0} evaluations: scan {:.1} µs vs ", self.evaluations, us(&self.scan))?;
+        if self.build.pages > 0.0 {
+            write!(f, "build {:.1} + ", us(&self.build))?;
         }
-        write!(f, "probes {:.0}", self.probes)
+        write!(f, "probes {:.1} µs", us(&self.probes))
     }
 }
 
 /// The inner term of [`nested_iteration_cost_j`]'s `Pi + fi·Ni·Pj` by either
 /// access path: rescanning the `pj`-page inner file on each of `evaluations`
-/// evaluations, or paying `build` once and reading `pages_per_evaluation`
-/// index pages (`h + l` per key) on each — System R's `Pi + fi·Ni·(h + l)`
-/// [SEL 79]. `Pi` is left out: both paths read the outer relation once. As
-/// in the paper a file that fits `B − 1` pages is read once however often it
-/// is rescanned (and not at all when it is never evaluated); every page
-/// either path asks the pool for is priced as a buffer visit on top, so that
-/// such a file is not free.
+/// evaluations, or paying `build` page I/Os once and reading
+/// `pages_per_evaluation` index pages (`h + l` per key) on each — System R's
+/// `Pi + fi·Ni·(h + l)` [SEL 79]. `Pi` is left out: both paths read the
+/// outer relation once. As in the paper a file that fits `B − 1` pages is
+/// read once however often it is rescanned (and not at all when it is never
+/// evaluated); every page either path asks the pool for is a buffer visit
+/// on top, so that such a file is not free.
 pub fn nested_access_costs(
     evaluations: f64,
     pj: f64,
@@ -569,11 +671,12 @@ pub fn nested_access_costs(
     let rescanned = evaluations * pj;
     let read = rescanned_pages(pj, b, evaluations).min(rescanned);
     let probed = evaluations * pages_per_evaluation;
+    let work = |pages, visits| Work { pages, visits, ..Work::default() };
     AccessCosts {
         evaluations,
-        scan: read + rescanned / VISITS_PER_PAGE_IO,
-        build,
-        probes: probed + probed / VISITS_PER_PAGE_IO,
+        scan: work(read, rescanned),
+        build: work(build, 0.0),
+        probes: work(probed, probed),
     }
 }
 
@@ -821,9 +924,9 @@ mod tests {
 
             let side = |pages, rows| JoinInput { pages, rows, sorted: false };
             let (nl, _) = classic_join_costs(side(50.0, n), side(p, 40.0), b, false);
-            assert_eq!(nl.pages, 50.0 + inner, "join choice, P={p}");
+            assert_eq!(nl.work.pages, 50.0 + inner, "join choice, P={p}");
             let access = nested_access_costs(n, p, b, 0.0, 2.0);
-            assert_eq!(access.scan, inner + n * p / VISITS_PER_PAGE_IO, "access path, P={p}");
+            assert_eq!(access.scan.pages, inner, "access path, P={p}");
         }
     }
 
@@ -831,13 +934,26 @@ mod tests {
     fn a_scanning_block_costs_nested_iteration_plus_its_visits() {
         for (n, pj, b) in [(1.0, 3.0, 6.0), (7.0, 5.0, 6.0), (7.0, 6.0, 6.0), (1000.0, 30.0, 6.0)] {
             for pages_per_evaluation in [1.0, 4.0] {
-                let scan = nested_access_costs(n, pj, b, 0.0, pages_per_evaluation).scan;
-                let visits = n * pj / VISITS_PER_PAGE_IO;
-                assert_eq!(scan, nested_iteration_cost_j(0.0, pj, b, n) + visits, "{n} × {pj}");
+                let c = nested_access_costs(n, pj, b, 0.0, pages_per_evaluation);
+                assert_eq!(c.scan.pages, nested_iteration_cost_j(0.0, pj, b, n), "{n} × {pj}");
+                assert_eq!(c.scan.visits, n * pj, "{n} × {pj}");
+                let probed = n * pages_per_evaluation;
+                assert_eq!((c.probes.pages, c.probes.visits), (probed, probed));
+                let priced = |pages: f64, visits: f64| {
+                    (pages * PRICES.page + visits * PRICES.visit) / 1e3
+                };
+                assert_eq!(c.scan.micros(), priced(c.scan.pages, n * pj));
+                assert_eq!(c.probes_win(), c.probes.micros() < c.scan.micros());
+                // The strategy estimate still counts pages.
+                let pages = if c.probes_win() { probed } else { c.scan.pages };
+                assert_eq!(c.chosen(), pages);
             }
         }
         // Never evaluated, never read.
-        assert_eq!(nested_access_costs(0.0, 3.0, 6.0, 0.0, 1.0).scan, 0.0);
+        assert_eq!(nested_access_costs(0.0, 3.0, 6.0, 0.0, 1.0).scan.micros(), 0.0);
+        // A build is paid once, at the page price.
+        let c = nested_access_costs(100.0, 100.0, 6.0, 777.0, 12.0);
+        assert!(c.probes_win() && c.build.micros() == 777.0 * PRICES.page / 1e3, "{c}");
     }
 
     #[test]
@@ -845,27 +961,77 @@ mod tests {
         let (lp, ln, rp, rn, b) = (50.0, 1000.0, 30.0, 600.0, 6.0);
         let side = |pages, rows, sorted| JoinInput { pages, rows, sorted };
         let unsorted = transformed_merge_join_cost(lp, rp, b);
-        for price_cpu in [false, true] {
-            let (nl, mj) =
-                classic_join_costs(side(lp, ln, false), side(rp, rn, false), b, price_cpu);
-            assert_eq!(nl.pages, nested_iteration_cost_j(lp, rp, b, ln));
-            assert_eq!(mj.pages, unsorted);
+        for priced in [false, true] {
+            let (nl, mj) = classic_join_costs(side(lp, ln, false), side(rp, rn, false), b, priced);
+            assert_eq!(nl.work.pages, nested_iteration_cost_j(lp, rp, b, ln));
+            assert_eq!(mj.work.pages, unsorted);
             // A side that arrives sorted saves its sort, and nothing else.
             let (_, l_sorted) =
-                classic_join_costs(side(lp, ln, true), side(rp, rn, false), b, price_cpu);
-            assert_eq!(l_sorted.pages, sort_cost(rp, b) + lp + rp);
+                classic_join_costs(side(lp, ln, true), side(rp, rn, false), b, priced);
+            assert_eq!(l_sorted.work.pages, sort_cost(rp, b) + lp + rp);
             let (_, r_sorted) =
-                classic_join_costs(side(lp, ln, false), side(rp, rn, true), b, price_cpu);
-            assert_eq!(r_sorted.pages, sort_cost(lp, b) + lp + rp);
-            let (_, both) =
-                classic_join_costs(side(lp, ln, true), side(rp, rn, true), b, price_cpu);
-            assert_eq!(both.pages, lp + rp);
-            // The in-memory work rides on top, only when priced.
-            let cpu = |priced: f64| if price_cpu { priced } else { 0.0 };
-            assert_eq!(nl.total(), nl.pages + cpu(ln * rp / VISITS_PER_PAGE_IO));
-            assert_eq!(mj.total(), mj.pages + cpu((ln + rn) / SORTED_ROWS_PER_PAGE_IO));
-            assert_eq!(l_sorted.total(), l_sorted.pages + cpu(rn / SORTED_ROWS_PER_PAGE_IO));
-            assert_eq!(both.total(), both.pages);
+                classic_join_costs(side(lp, ln, false), side(rp, rn, true), b, priced);
+            assert_eq!(r_sorted.work.pages, sort_cost(lp, b) + lp + rp);
+            let (_, both) = classic_join_costs(side(lp, ln, true), side(rp, rn, true), b, priced);
+            assert_eq!(both.work.pages, lp + rp);
+            // Unpriced, the choice compares pages; priced, microseconds.
+            for c in [nl, mj, l_sorted, both] {
+                let want = if priced { c.work.micros() } else { c.work.pages };
+                assert_eq!(c.total(), want);
+            }
+        }
+        // The work of each method, beside its pages.
+        let (nl, mj) = classic_join_costs(side(lp, ln, false), side(rp, rn, false), b, true);
+        let (w, m) = (&nl.work, &mj.work);
+        assert_eq!((w.visits, w.hashed, w.sorted), (ln * rp, ln + rn, 0.0));
+        // 50 pages in a 6-page pool: 9 runs, merged in two passes; 30 pages:
+        // 5 runs, one pass.
+        assert_eq!((m.visits, m.hashed, m.sorted), (0.0, 0.0, 3.0 * ln + 2.0 * rn));
+        let (_, both) = classic_join_costs(side(lp, ln, true), side(rp, rn, true), b, true);
+        assert_eq!(both.work.sorted, 0.0);
+    }
+
+    #[test]
+    fn the_sort_merges_b_minus_1_runs_a_pass() {
+        // Pass 0 leaves ⌈P/B⌉ runs.
+        for (pages, b, passes) in
+            [(0.0, 6.0, 0), (6.0, 6.0, 0), (7.0, 6.0, 1), (30.0, 6.0, 1), (31.0, 6.0, 2)]
+        {
+            assert_eq!(merge_passes(pages, b), passes, "{pages} pages, B = {b}");
+        }
+        assert_eq!([64.0, 250.0, 4032.0, 4033.0].map(|p| merge_passes(p, 64.0)), [0, 1, 1, 2]);
+    }
+
+    #[test]
+    fn the_prices_add_up() {
+        let w = Work { pages: 10.0, visits: 3.0, sorted: 5.0, hashed: 13.0, partitioned: 17.0 };
+        let p = PRICES;
+        let ns = 10.0 * p.page
+            + 3.0 * p.visit
+            + 5.0 * p.sorted_row
+            + 13.0 * p.hashed_row
+            + 17.0 * p.partitioned_row;
+        assert!((w.micros() - ns / 1e3).abs() < 1e-9);
+        let want = format!(
+            "10.0 pages + 3 visits + 5 rows sorted + 13 rows hashed + 17 rows partitioned = \
+             {:.1} µs",
+            w.micros()
+        );
+        assert_eq!(w.to_string(), want);
+        // Terms without work are left out.
+        let pages = Work { pages: 2.0, ..Work::default() };
+        assert_eq!(pages.to_string(), format!("2.0 pages = {:.1} µs", pages.micros()));
+    }
+
+    #[test]
+    fn the_index_probe_is_priced_with_a_visit_per_page_it_asks_for() {
+        let side = JoinInput { pages: 7.0, rows: 100.0, sorted: false };
+        for priced in [false, true] {
+            let ix = index_join_cost(side, 2.0, 1.0, priced);
+            assert_eq!(ix.work.pages, index_nested_join_cost(7.0, 100.0, 2.0, 1.0));
+            assert_eq!(ix.work.visits, 300.0);
+            let want = if priced { ix.work.micros() } else { ix.work.pages };
+            assert_eq!(ix.total(), want);
         }
     }
 
@@ -901,18 +1067,19 @@ mod tests {
             assert_eq!(shape.partitions, if build > 4.0 { grace_fanout(build, b) } else { 0 });
             assert_eq!(shape.keeps_left_order(), !shape.build_left && build <= 4.0);
             let levels = f64::from(grace_levels(build, b));
-            for price_cpu in [false, true] {
-                let hj = hash_join_cost(side(lp, 100.0), side(rp, 40.0), left_outer, b, price_cpu);
-                assert_eq!(hj.pages, (lp + rp) * (1.0 + 2.0 * levels), "{lp} ⋈ {rp}");
-                let hashed = 140.0 * (1.0 + levels);
-                let cpu = if price_cpu { hashed / HASHED_ROWS_PER_PAGE_IO } else { 0.0 };
-                assert_eq!(hj.total(), hj.pages + cpu);
+            for priced in [false, true] {
+                let hj = hash_join_cost(side(lp, 100.0), side(rp, 40.0), left_outer, b, priced);
+                assert_eq!(hj.work.pages, (lp + rp) * (1.0 + 2.0 * levels), "{lp} ⋈ {rp}");
+                let w = &hj.work;
+                assert_eq!((w.hashed, w.partitioned), (140.0, 140.0 * levels), "{lp} ⋈ {rp}");
+                assert_eq!(hj.total(), if priced { hj.work.micros() } else { hj.work.pages });
             }
         }
         // In memory, the hash join reads what a merge join of sorted inputs
         // does, and less than an unsorted one.
         let (_, mj) = classic_join_costs(side(3.0, 100.0), side(30.0, 40.0), b, false);
-        assert_eq!(hash_join_cost(side(3.0, 100.0), side(30.0, 40.0), false, b, false).pages, 33.0);
-        assert!(mj.pages > 33.0);
+        let hj = hash_join_cost(side(3.0, 100.0), side(30.0, 40.0), false, b, false);
+        assert_eq!(hj.work.pages, 33.0);
+        assert!(mj.work.pages > 33.0);
     }
 }

@@ -496,13 +496,21 @@ impl Exec {
                 .as_ref()
                 .is_some_and(|g| key_order(g, left_keys, lt, left_keys).is_eq());
             if !same_group {
+                // Beyond 2^53 an Int equals a Float that the Int before it
+                // equals too (`Int(2^53 + 1)` and `Int(2^53)` both equal
+                // `Float(2^53)`): the tail of the previous group may match
+                // this key as well, and the right cursor has passed it.
+                let vs_left = |rt: &Tuple| key_order(rt, right_keys, lt, left_keys);
+                if group.last().is_some_and(|rt| vs_left(rt).is_eq()) {
+                    group.retain(|rt| vs_left(rt).is_eq());
+                } else {
+                    group.clear();
+                }
                 // Advance the right side until its key >= left key, then
                 // gather the tuples that land on equality.
-                let vs_left = |rt: &Tuple| key_order(rt, right_keys, lt, left_keys);
                 while rcur.peek().is_some_and(|rt| vs_left(rt).is_lt()) {
                     rcur.advance();
                 }
-                group.clear();
                 while let Some(rt) = rcur.peek().filter(|rt| vs_left(rt).is_eq()) {
                     group.push(rt.clone());
                     rcur.advance();

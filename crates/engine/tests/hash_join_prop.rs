@@ -21,7 +21,7 @@
 //! * on keys across the Int/Float boundary — a Float key on one side
 //!   (integral values, `-0.0`, `NaN`) and keys at 2^53 ± 1, where `Value`
 //!   equality stops being transitive — the rows are the nested loop's, value
-//!   for value.
+//!   for value, and so are the merge join's.
 //!
 //! The debug assertion in the kernel — no in-memory pass below the depth cap
 //! holds more than `B − 2` pages of build tuples — runs on every case too.
@@ -419,22 +419,28 @@ fn keys_across_the_int_float_boundary_join_as_the_nested_loop_joins_them() {
         },
         |(left, right, float_left, pool, outer, residual)| {
             let kind = if *outer { JoinKind::LeftOuter } else { JoinKind::Inner };
-            let join = |b: usize, hash: bool| {
+            let join = |b: usize, method: &str| {
                 let st = Storage::new(b, PAGE_SIZE);
                 let e = Exec::new(st.clone());
                 let l = numeric_file(&st, "L", *float_left, left);
                 let r = numeric_file(&st, "R", !*float_left, right);
-                let out = if hash {
-                    let res = pred(&l, &r, "L.V < R.V");
-                    e.hash_join(&l, &r, &[0], &[0], residual.then_some(&res), kind)
-                } else {
-                    let on = if *residual { "L.K = R.K AND L.V < R.V" } else { "L.K = R.K" };
-                    e.nl_join(&l, &r, &pred(&l, &r, on), kind)
+                let res = pred(&l, &r, "L.V < R.V");
+                let res = residual.then_some(&res);
+                let out = match method {
+                    "hash" => e.hash_join(&l, &r, &[0], &[0], res, kind),
+                    "merge" => e.merge_join(&l, &r, &[0], &[0], res, kind, false, false),
+                    _ => {
+                        let on = if *residual { "L.K = R.K AND L.V < R.V" } else { "L.K = R.K" };
+                        e.nl_join(&l, &r, &pred(&l, &r, on), kind)
+                    }
                 };
                 exact_bag(&e.collect(&out.unwrap()))
             };
-            let (got, want) = (join(POOLS[*pool], true), join(64, false));
-            prop_assert_eq!(got, want, "B = {}, {kind:?}", POOLS[*pool]);
+            let want = join(64, "nested loop");
+            for method in ["hash", "merge"] {
+                let got = join(POOLS[*pool], method);
+                prop_assert_eq!(got, want.clone(), "{method}, B = {}, {kind:?}", POOLS[*pool]);
+            }
             Ok(())
         },
     );

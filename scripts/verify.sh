@@ -103,6 +103,7 @@ done <<GATES
 \\b(PlanRule|PredicatePushdown|ProjectionPruning|RuleEngine|RuleFiring)\\b#$everywhere#-#a second restriction/projection planner beside the executor's join pipeline (DESIGN.md "One planner for flat blocks")
 \\b(judge_rewrite|RewriteJudgement|AggViewDescriptor|DuplicateSemantics)\\b|CacheMode::Rewrite#$everywhere#-#the aggregate-view judge that licensed nothing, or the alias of UnnestOptions::preserve_duplicates (DESIGN.md "Result caching", "Configuration")
 \\b(sort_pages|never_raises)\\b|\\binfallible\\(#$everywhere#-#a copy of cost::sort_cost, or a second cannot-raise truth table beside nsql_engine::pred::cannot_raise (DESIGN.md "Join choice")
+\\b(VISITS_PER_PAGE_IO|SORTED_ROWS_PER_PAGE_IO|HASHED_ROWS_PER_PAGE_IO|price_cpu)\\b#$everywhere#-#the hand-derived CPU constants or their switch; every default-path choice is priced in fitted time by cost::PRICES (DESIGN.md "Join choice")
 \\b(select_block_rule|BLOCK_RULES|BlockRule|BlockAction|NestedShape)\\b#$everywhere#-#the block-rule catalog; nest_g::transform_nested matches on the nesting shape itself (DESIGN.md "One planner for flat blocks", Dispatch)
 \\b(trace_view|trace_marker|is_trace|charge_read|charge_write|write_uncounted|eval_parallel|IoMode)\\b|TraceEvent::Marker#$everywhere#-#storage's trace mode or the trace-and-replay parallel nested iteration it served; nested iteration is serial (DESIGN.md "Execution is serial")
 \\b(par_map_pages|workers_for|PAR_MIN_ROWS|with_thread_budget|with_requested_threads|external_sort_threads|Morsels|chunk_for|threads_named|morsels_per_worker|absorb)\\b|AggState::merge|\\.morsels\\.#$everywhere#crates/db/tests/explain_parity\\.rs#morsel-parallel operator execution, its thread budget or its per-worker counters; every operator is serial (DESIGN.md "Execution is serial"). explain_parity asserts the JSON key is gone
@@ -131,14 +132,20 @@ fi
 echo "==> one cost model"
 # Every page or CPU price is computed in nsql_engine::cost (DESIGN.md "Join
 # choice"): outside tests no other source compares a page count with B - 1
-# (the cliff of every nested-loop formula of Section 7) or defines a constant
-# that turns in-memory work into page I/Os, and nsql-core — which the engine
-# must not come to depend on — holds neither the model nor a rule catalog.
+# (the cliff of every nested-loop formula of Section 7), names a rate of
+# in-memory work per page I/O (`*_PER_PAGE_IO`), or defines a price: a
+# `Prices` list (but the one the calibrate program fits and prints) or a
+# per-unit time constant (`*_NS`, `*_NANOS`, `*_PRICE`). nsql-core — which
+# the engine must not come to depend on — holds neither the model nor a rule
+# catalog.
 cliff='[<>]=? *[a-z_.()]*(\bb|buffer|buffer_pages\(\))( as f64)? *- *1(\.0)?([^0-9]|$)'
+price='[A-Z_]+_PER_PAGE_IO|const [A-Z_]+_(NS|NANOS|PRICE) *:'
 priced=$(for f in $(find crates/*/src src -name '*.rs'); do
     [ "$f" = crates/engine/src/cost.rs ] && continue
-    sed '/^#\[cfg(test)\]/q' "$f" \
-        | grep -nE "$cliff|const [A-Z_]+_PER_PAGE_IO" | sed "s|^|$f:|" || true
+    # The calibrate program builds the list it fits; nothing else builds one.
+    pattern="$cliff|$price"
+    [ "$f" = crates/bench/src/bin/calibrate.rs ] || pattern="$pattern|([=(,{] *|^ *)Prices *\{"
+    sed '/^#\[cfg(test)\]/q' "$f" | grep -nE "$pattern" | sed "s|^|$f:|" || true
 done)
 if [ -n "$priced" ]; then
     echo "$priced"
