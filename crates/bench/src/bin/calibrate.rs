@@ -8,7 +8,9 @@
 //!
 //! A join node's work is what the join choice priced it at: the terms of
 //! its method on EXPLAIN's `join choice:` (or `index join candidate`) line,
-//! computed from the exact sizes of the inputs. The solver is least squares
+//! computed from the exact sizes of the inputs. A groupjoin node (NEST-JA2's
+//! `TEMP3` folded in one hash pass) is fitted on the hash terms its own
+//! `groupjoin` line priced it at. The solver is least squares
 //! on the relative error (every node counts alike, a 10 µs join as much as
 //! a 10 ms one) with the prices kept nonnegative: a term whose price comes
 //! out negative is dropped and the rest refitted.
@@ -164,12 +166,17 @@ fn parse_work(text: &str) -> Option<Work> {
 
 /// The work of every keyed join a statement ran, in order, from its
 /// EXPLAIN lines: the method on each step's own line, its price on the
-/// choice line before it.
+/// choice line before it; a groupjoin's on its own line.
 fn priced_joins(explain: &[String]) -> Vec<Work> {
     let mut out = Vec::new();
     let mut choice: Option<&str> = None;
     for line in explain {
-        if let Some(rest) = line.strip_prefix("index join candidate ") {
+        if let Some(rest) = line.strip_prefix("groupjoin (") {
+            if line.ends_with("(chose groupjoin)") {
+                let cost = rest.split_once(": ").and_then(|(_, c)| c.split(" vs join ").next());
+                out.extend(cost.and_then(parse_work));
+            }
+        } else if let Some(rest) = line.strip_prefix("index join candidate ") {
             if line.ends_with("(chose index)") {
                 let cost = rest.split_once(": cost ").and_then(|(_, c)| c.split(" vs nl ").next());
                 out.extend(cost.and_then(parse_work));
@@ -198,7 +205,7 @@ fn priced_joins(explain: &[String]) -> Vec<Work> {
 fn join_nodes<'a>(nodes: &'a [ProfileNode], out: &mut Vec<&'a ProfileNode>) {
     for n in nodes {
         let keyed = n.name.starts_with("index-nl join")
-            || ["hash join (", "merge join (", "nested-loop join ("]
+            || ["hash join (", "merge join (", "nested-loop join (", "groupjoin ("]
                 .iter()
                 .any(|m| n.name.starts_with(m) && !n.name.ends_with("(0 keys)"));
         if keyed && n.op.is_some() {
@@ -417,11 +424,14 @@ mod tests {
         let w = Work { pages, visits, sorted, hashed, partitioned };
         assert_eq!(parse_work(&w.to_string()), Some(w));
         let hj = Work { pages: 7.0, ..w };
+        let gj = Work { pages: 5.0, ..w };
         let lines = [
+            format!("groupjoin (1 keys): {gj} vs join 1.0 µs (chose join)"),
             format!("join choice: nl {w} / mj {w} / hj {hj}"),
             "hash join (1 keys), build right".to_string(),
+            format!("groupjoin (1 keys), 3 partitions: {gj} vs join 9.0 µs (chose groupjoin)"),
         ];
-        assert_eq!(priced_joins(&lines), [hj]);
+        assert_eq!(priced_joins(&lines), [hj, gj]);
     }
 
     #[test]

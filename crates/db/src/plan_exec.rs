@@ -9,7 +9,9 @@
 //! can harvest the savings Section 7.4 enumerates: `Rt2` is created in join
 //! column order; a merge join emits its result in key order, so the GROUP
 //! BY above it needs no sort; `Rt` leaves the GROUP BY in join-column order
-//! and meets the final merge join pre-sorted.
+//! and meets the final merge join pre-sorted. On the default path that GROUP
+//! BY and the join under it may be one groupjoin instead
+//! ([`Exec::hash_groupjoin`]), which keeps `Rt2`'s order.
 //!
 //! Whatever a step materializes is owned by the [`PlanOutput`] it returns
 //! and freed when that value is dropped (DESIGN.md, "Execution model and
@@ -19,10 +21,10 @@ use crate::error::DbError;
 use crate::explain::TempStat;
 use crate::options::{IndexUse, JoinPolicy};
 use crate::Result;
-use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
+use nsql_core::{AggItem, JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
 use nsql_engine::cost::{
-    classic_join_costs, hash_join_cost, index_join_cost, index_restrict_cost, HashShape,
-    JoinInput,
+    classic_join_costs, groupjoin_cost, groupjoin_table_pages, hash_join_cost, hash_partitions,
+    index_join_cost, index_restrict_cost, HashShape, JoinInput,
 };
 use nsql_engine::pred::cannot_raise;
 use nsql_engine::{
@@ -78,6 +80,10 @@ pub struct PlanOutput {
     /// Output column indices forming the current sort-order prefix
     /// (empty = unknown order).
     pub sorted_by: Vec<usize>,
+    /// No two rows are equal: set by a DISTINCT projection and by the
+    /// groupjoin, whose rows are those of a duplicate-free input. Unknown
+    /// (`false`) anywhere else.
+    pub duplicate_free: bool,
     /// B+tree indexes still valid for this output. Non-empty only for
     /// unmodified base-table scans (requalifying by an alias keeps column
     /// positions, so the indexes survive it); every transforming operator
@@ -93,7 +99,7 @@ impl PlanOutput {
     /// What a plan step just materialized: unindexed, freed with the value.
     fn stored(storage: &Storage, file: HeapFile, sorted_by: Vec<usize>) -> PlanOutput {
         let _owner = Some(TempFile::new(storage, file.clone()));
-        PlanOutput { file, sorted_by, indexes: vec![], _owner }
+        PlanOutput { file, sorted_by, duplicate_free: false, indexes: vec![], _owner }
     }
 
     /// The same pages with their columns requalified by `name` — how a scan
@@ -199,14 +205,15 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// columns requalified by `seen_as`.
     fn lookup(&self, name: &str, seen_as: &str) -> Result<PlanOutput> {
         let key = name.to_ascii_uppercase();
-        let (file, sorted_by, indexes) = if let Some(t) = self.temps.get(&key) {
-            (t.file.clone(), t.sorted_by.clone(), t.indexes.clone())
+        let (file, sorted_by, duplicate_free, indexes) = if let Some(t) = self.temps.get(&key) {
+            (t.file.clone(), t.sorted_by.clone(), t.duplicate_free, t.indexes.clone())
         } else if let Some(file) = self.base.get_table(&key) {
-            (file, vec![], self.base.get_indexes(&key))
+            (file, vec![], false, self.base.get_indexes(&key))
         } else {
             return Err(DbError::Engine(nsql_engine::EngineError::UnknownTable(key)));
         };
-        Ok(PlanOutput { file, sorted_by, indexes, _owner: None }.requalified(seen_as))
+        let out = PlanOutput { file, sorted_by, duplicate_free, indexes, _owner: None };
+        Ok(out.requalified(seen_as))
     }
 
     // ----------------------------------------------------------- TransformPlan
@@ -309,7 +316,8 @@ impl<T: TableProvider> PlanExecutor<T> {
                 } else {
                     remap_sort(&child.sorted_by, |src| projected_at(&exprs, src))
                 };
-                Ok(PlanOutput::stored(self.exec.storage(), file, sorted_by))
+                let out = PlanOutput::stored(self.exec.storage(), file, sorted_by);
+                Ok(PlanOutput { duplicate_free: *distinct, ..out })
             }
             LogicalPlan::Join { left, right, kind, on } => match self.run_joined(plan, None)? {
                 Some(out) => Ok(out),
@@ -321,9 +329,22 @@ impl<T: TableProvider> PlanExecutor<T> {
                     AggArg::Star => None,
                 });
                 let reads = group_by.iter().chain(args).collect();
-                let child = match self.run_joined(input, Some(reads))? {
-                    Some(joined) => joined,
-                    None => self.run_plan(input)?,
+                let child = match (self.run_joined(input, Some(reads))?, input.as_ref()) {
+                    (Some(joined), _) => joined,
+                    (None, LogicalPlan::Join { left, right, kind, on }) => {
+                        let l = self.run_plan(left)?;
+                        let r = self.run_plan(right)?;
+                        let groupjoin = self.choose_groupjoin(&l, &r, *kind, on, group_by, aggs)?;
+                        if let Some(gj) = groupjoin {
+                            return self.groupjoin(&l, &r, gj);
+                        }
+                        let joined = self.join(&l, &r, *kind, on, None, None, stored_rows, store)?;
+                        // Left before right, as `run_join` frees them.
+                        drop(l);
+                        drop(r);
+                        joined
+                    }
+                    (None, _) => self.run_plan(input)?,
                 };
                 let mut step = GroupStep::new(child.file.schema(), &child.sorted_by, group_by)?;
                 for a in aggs {
@@ -415,42 +436,8 @@ impl<T: TableProvider> PlanExecutor<T> {
         let combined = l.file.schema().join(r.file.schema());
         let cols = reads.map(|reads| columns_read(&combined, reads));
         let cols = cols.as_deref();
-        let jkind = match kind {
-            LogicalJoinKind::Inner => JoinKind::Inner,
-            LogicalJoinKind::LeftOuter => JoinKind::LeftOuter,
-        };
-        // Split `on` into merge-able equality keys and the rest.
-        let mut lkeys = Vec::new();
-        let mut rkeys = Vec::new();
-        let mut rest: Vec<Predicate> = Vec::new();
-        for p in on {
-            let li = l.file.schema().try_resolve(p.left.table.as_deref(), &p.left.column);
-            let ri = r.file.schema().try_resolve(p.right.table.as_deref(), &p.right.column);
-            match (li, ri, p.op) {
-                (Some(li), Some(ri), CompareOp::Eq) => {
-                    lkeys.push(li);
-                    rkeys.push(ri);
-                }
-                (Some(_), Some(_), _) => rest.push(Predicate::Compare {
-                    left: Operand::Column(p.left.clone()),
-                    op: p.op,
-                    right: Operand::Column(p.right.clone()),
-                }),
-                _ => {
-                    return Err(DbError::Engine(nsql_engine::EngineError::Internal(format!(
-                        "join predicate {p} does not resolve against the join inputs"
-                    ))))
-                }
-            }
-        }
-        if let Some(p) = residual {
-            rest.push(p.clone());
-        }
-        let residual = if rest.is_empty() {
-            None
-        } else {
-            Some(CPred::compile(&combined, &Predicate::and(rest))?)
-        };
+        let jkind = join_kind(kind);
+        let JoinKeys { lkeys, rkeys, residual } = join_keys(l, r, on, residual)?;
 
         let method = self.choose_join(l, r, jkind, &lkeys, &rkeys);
         let probes = l.file.tuple_count();
@@ -550,8 +537,25 @@ impl<T: TableProvider> PlanExecutor<T> {
         lkeys: &[usize],
         rkeys: &[usize],
     ) -> JoinMethod {
+        let choice = self.price_join(l, r, kind, lkeys, rkeys);
+        self.log.extend(choice.explain);
+        choice.method
+    }
+
+    /// [`choose_join`](Self::choose_join)'s decision, what the method it
+    /// takes costs (in the unit the choice compares) and the EXPLAIN lines
+    /// that say why, without logging them.
+    fn price_join(
+        &self,
+        l: &PlanOutput,
+        r: &PlanOutput,
+        kind: JoinKind,
+        lkeys: &[usize],
+        rkeys: &[usize],
+    ) -> JoinChoice {
+        let mut explain = Vec::new();
         if lkeys.is_empty() {
-            return JoinMethod::NestedLoop;
+            return JoinChoice { method: JoinMethod::NestedLoop, cost: f64::INFINITY, explain };
         }
         let (l_sorted, r_sorted) = (sorted_on(&l.sorted_by, lkeys), sorted_on(&r.sorted_by, rkeys));
         let input = |side: &PlanOutput, sorted| JoinInput {
@@ -600,35 +604,123 @@ impl<T: TableProvider> PlanExecutor<T> {
             let ix = index_join_cost(outer, height, leaves, priced);
             let use_ix = self.index_use == IndexUse::Prefer || ix.total() < best;
             let and_hj = if priced { format!(" / hj {hj}") } else { String::new() };
-            self.log.push(format!(
+            explain.push(format!(
                 "index join candidate {}: cost {ix} vs nl {nl} / mj {mj}{and_hj} ({})",
                 index.name(),
                 if use_ix { "chose index" } else { "rejected" }
             ));
             if use_ix {
-                return JoinMethod::IndexProbe { key, index };
+                let method = JoinMethod::IndexProbe { key, index };
+                return JoinChoice { method, cost: ix.total(), explain };
             }
         }
         if priced {
-            self.log.push(format!("join choice: nl {nl} / mj {mj} / hj {hj}"));
+            explain.push(format!("join choice: nl {nl} / mj {mj} / hj {hj}"));
         }
         let merge = JoinMethod::Merge { left_presorted: l_sorted, right_presorted: r_sorted };
         let hash = JoinMethod::Hash(HashShape::of(outer.pages, inner.pages, left_outer, b));
-        match self.policy {
-            JoinPolicy::ForceNestedLoop => JoinMethod::NestedLoop,
-            JoinPolicy::ForceMergeJoin => merge,
-            JoinPolicy::ForceHashJoin => hash,
+        let (method, cost) = match self.policy {
+            JoinPolicy::ForceNestedLoop => (JoinMethod::NestedLoop, nl),
+            JoinPolicy::ForceMergeJoin => (merge, mj),
+            JoinPolicy::ForceHashJoin => (hash, hj),
             JoinPolicy::CostBased => {
                 let hash_wins = priced && hj.total() < classic;
                 if hash_wins {
-                    hash
+                    (hash, hj)
                 } else if mj.total() < nl.total() {
-                    merge
+                    (merge, mj)
                 } else {
-                    JoinMethod::NestedLoop
+                    (JoinMethod::NestedLoop, nl)
                 }
             }
+        };
+        JoinChoice { method, cost: cost.total(), explain }
+    }
+
+    /// Whether the aggregate step over the join of `l` and `r` is done as
+    /// one groupjoin ([`Exec::hash_groupjoin`]) rather than the join and a
+    /// GROUP BY: NEST-JA2's `TEMP3`, a GROUP BY over `TEMP1 [LEFT OUTER]
+    /// JOIN TEMP2` where `TEMP1` is a DISTINCT projection. It may when the
+    /// join has an equality key, `l` is duplicate-free (so every left row is
+    /// a group of its own), the GROUP BY is exactly `l`'s columns, every
+    /// aggregate argument is a column of `r`, and the join policy is the
+    /// cost-based one of the default plans; it does when it costs at most
+    /// what the join method the choice would take costs, as the join and
+    /// GROUP BY together cost at least that. The EXPLAIN line says both.
+    fn choose_groupjoin(
+        &mut self,
+        l: &PlanOutput,
+        r: &PlanOutput,
+        kind: LogicalJoinKind,
+        on: &[JoinPred],
+        group_by: &[ColumnRef],
+        aggs: &[AggItem],
+    ) -> Result<Option<Groupjoin>> {
+        if self.faithful || self.policy != JoinPolicy::CostBased || !l.duplicate_free {
+            return Ok(None);
         }
+        let JoinKeys { lkeys, rkeys, residual } = join_keys(l, r, on, None)?;
+        if lkeys.is_empty() {
+            return Ok(None);
+        }
+        let combined = l.file.schema().join(r.file.schema());
+        let mut step = GroupStep::new(&combined, &[], group_by)?;
+        for a in aggs {
+            step.push_agg(a.func, &a.arg, &a.alias)?;
+        }
+        let split = l.file.schema().arity();
+        let on_the_left = step.group_idx.iter().copied().eq(0..split);
+        if !on_the_left || step.specs.iter().any(|s| s.arg.is_some_and(|i| i < split)) {
+            return Ok(None);
+        }
+        let kind = join_kind(kind);
+        let join = self.price_join(l, r, kind, &lkeys, &rkeys).cost;
+        let input = |side: &PlanOutput| JoinInput {
+            pages: side.file.page_count() as f64,
+            rows: side.file.tuple_count() as f64,
+            sorted: false,
+        };
+        let (groups, rows) = (input(l), input(r));
+        let storage = self.exec.storage();
+        let (b, page_size) = (storage.buffer_pages() as f64, storage.page_size());
+        let table = groupjoin_table_pages(groups.pages, groups.rows, aggs.len(), page_size);
+        let cost = groupjoin_cost(groups, rows, table, b);
+        let chosen = cost.total() <= join;
+        let partitions = hash_partitions(table, b);
+        self.log.push(format!(
+            "groupjoin ({} keys){}: {cost} vs join {join:.1} µs (chose {})",
+            lkeys.len(),
+            if partitions > 0 { format!(", {partitions} partitions") } else { String::new() },
+            if chosen { "groupjoin" } else { "join" },
+        ));
+        let aggs = step.specs.iter().map(|s| AggSpec { arg: s.arg.map(|i| i - split), ..*s });
+        Ok(chosen.then(|| Groupjoin {
+            lkeys,
+            rkeys,
+            residual,
+            kind,
+            aggs: aggs.collect(),
+            schema: Schema::new(step.out_cols),
+            partitions,
+        }))
+    }
+
+    /// Run the groupjoin [`choose_groupjoin`](Self::choose_groupjoin) took,
+    /// in an operator node of its own: one row per row of `l`, stored. In
+    /// memory it keeps `l`'s order — NEST-JA2's `TEMP3` meets the final join
+    /// pre-sorted, as the GROUP BY's output does — and partitioned none.
+    fn groupjoin(&self, l: &PlanOutput, r: &PlanOutput, gj: Groupjoin) -> Result<PlanOutput> {
+        let exec = &self.exec;
+        let rows_in = (l.file.tuple_count() + r.file.tuple_count()) as u64;
+        let label = || format!("groupjoin ({} keys)", gj.lkeys.len());
+        observed(exec.obs(), label, rows_in, stored_rows, || {
+            let (lkeys, rkeys, residual) = (&gj.lkeys, &gj.rkeys, gj.residual.as_ref());
+            let (lf, rf) = (&l.file, &r.file);
+            let rel =
+                exec.hash_groupjoin(lf, rf, lkeys, rkeys, residual, gj.kind, &gj.aggs, gj.schema)?;
+            let sorted_by = if gj.partitions == 0 { l.sorted_by.clone() } else { Vec::new() };
+            Ok(PlanOutput { duplicate_free: true, ..store(exec, rel, sorted_by) })
+        })
     }
 
     /// Try to satisfy `pred` over `out` (a base-table scan with live
@@ -1086,6 +1178,86 @@ fn stored_rows(out: &PlanOutput) -> u64 {
     out.file.tuple_count() as u64
 }
 
+/// A join's `on` list against its two inputs: the equality keys, paired
+/// positionally, and the rest (with any residual of the caller's) as one
+/// predicate over the concatenated row.
+struct JoinKeys {
+    lkeys: Vec<usize>,
+    rkeys: Vec<usize>,
+    residual: Option<CPred>,
+}
+
+/// Split `on` into merge-able equality keys and the rest, `residual` added.
+fn join_keys(
+    l: &PlanOutput,
+    r: &PlanOutput,
+    on: &[JoinPred],
+    residual: Option<&Predicate>,
+) -> Result<JoinKeys> {
+    let mut lkeys = Vec::new();
+    let mut rkeys = Vec::new();
+    let mut rest: Vec<Predicate> = Vec::new();
+    for p in on {
+        let li = l.file.schema().try_resolve(p.left.table.as_deref(), &p.left.column);
+        let ri = r.file.schema().try_resolve(p.right.table.as_deref(), &p.right.column);
+        match (li, ri, p.op) {
+            (Some(li), Some(ri), CompareOp::Eq) => {
+                lkeys.push(li);
+                rkeys.push(ri);
+            }
+            (Some(_), Some(_), _) => rest.push(Predicate::Compare {
+                left: Operand::Column(p.left.clone()),
+                op: p.op,
+                right: Operand::Column(p.right.clone()),
+            }),
+            _ => {
+                return Err(DbError::Engine(nsql_engine::EngineError::Internal(format!(
+                    "join predicate {p} does not resolve against the join inputs"
+                ))))
+            }
+        }
+    }
+    if let Some(p) = residual {
+        rest.push(p.clone());
+    }
+    let residual = if rest.is_empty() {
+        None
+    } else {
+        let combined = l.file.schema().join(r.file.schema());
+        Some(CPred::compile(&combined, &Predicate::and(rest))?)
+    };
+    Ok(JoinKeys { lkeys, rkeys, residual })
+}
+
+fn join_kind(kind: LogicalJoinKind) -> JoinKind {
+    match kind {
+        LogicalJoinKind::Inner => JoinKind::Inner,
+        LogicalJoinKind::LeftOuter => JoinKind::LeftOuter,
+    }
+}
+
+/// What [`PlanExecutor::price_join`] decided.
+struct JoinChoice {
+    method: JoinMethod,
+    /// The method's cost, in the unit the choice compares.
+    cost: f64,
+    /// The EXPLAIN lines of the decision.
+    explain: Vec<String>,
+}
+
+/// The groupjoin an aggregate step takes: the join's keys and residual, the
+/// aggregates over the right input's columns, the output schema (the left's
+/// columns, then the aggregates) and the partitions of its first Grace pass.
+struct Groupjoin {
+    lkeys: Vec<usize>,
+    rkeys: Vec<usize>,
+    residual: Option<CPred>,
+    kind: JoinKind,
+    aggs: Vec<AggSpec>,
+    schema: Schema,
+    partitions: usize,
+}
+
 /// How one join step runs, with what that method needs beyond the keys.
 enum JoinMethod {
     /// Probe the right side's B+tree on equality key number `key` once per
@@ -1459,6 +1631,8 @@ mod tests {
         let out = pe.run_plan(&plan).unwrap();
         assert_eq!(out.file.tuple_count(), 3);
         let log = pe.log.join("\n");
+        // A base table may hold duplicates: no groupjoin is considered.
+        assert!(!log.contains("groupjoin"), "{log}");
         assert!(
             log.contains("input pre-sorted, no sort pass"),
             "GROUP BY over merge-join output must skip its sort:\n{log}"
@@ -1756,12 +1930,54 @@ mod tests {
         };
         let out = pe.run_plan(&plan).unwrap();
         let log = pe.log.join("\n");
+        // A forced join policy keeps the join and the GROUP BY, though the
+        // left is a DISTINCT projection a groupjoin could fold into.
+        assert!(!log.contains("groupjoin"), "{log}");
         assert!(log.contains("hash join (1 keys), build left\n"), "{log}");
         assert!(log.contains("group-by: sorting input"), "{log}");
         let q = parse_query("SELECT A.AK, COUNT(B.BV) FROM A, B WHERE A.AK = B.BK GROUP BY A.AK");
         let want = oracle.eval(&q.unwrap()).unwrap();
         let got = pe.exec().collect(&out.file);
         assert!(got.same_bag(&want), "got:\n{got}\noracle:\n{want}");
+    }
+
+    /// NEST-JA2's `TEMP3` on the default path: `TEMP2` is folded into a
+    /// table of `TEMP1`'s rows — a DISTINCT projection, so each is a group
+    /// of its own — and their counts, with no join rows and no GROUP BY. The
+    /// groupjoin keeps `TEMP1`'s order, so `TEMP3` meets the final join
+    /// pre-sorted, as the GROUP BY's output did; the answer is the oracle's.
+    #[test]
+    fn temp3_keeps_temp1s_order_into_the_final_join() {
+        let a_rows = (0..40).map(|i| vec![(i * 5) % 13, i]).collect();
+        let b_rows = (0..120).map(|i| vec![i * 7 % 17, i]).collect();
+        let (cat, oracle) =
+            loaded(6, 256, &[("A", &["AK", "AV"], a_rows), ("B", &["BK", "BV"], b_rows)]);
+        let sql = "SELECT A.AV FROM A WHERE A.AV > (SELECT COUNT(B.BV) FROM B WHERE B.BK = A.AK)";
+        let q = parse_query(sql).unwrap();
+        let plan = nsql_core::transform_query(&cat, &q, &nsql_core::UnnestOptions::default());
+        let plan = plan.unwrap();
+        let mut pe = executor(&cat, JoinPolicy::CostBased);
+        for temp in &plan.temps {
+            let out = pe.run_plan(&temp.plan).unwrap();
+            pe.register_temp(&temp.name, out);
+        }
+        let groupjoins: Vec<&String> =
+            pe.log.iter().filter(|l| l.starts_with("groupjoin (1 keys): ")).collect();
+        let took = groupjoins.len() == 1 && groupjoins[0].ends_with("(chose groupjoin)");
+        assert!(took, "{:?}", pe.log);
+        assert!(!pe.log.iter().any(|l| l.starts_with("group-by")), "{:?}", pe.log);
+        let temp3 = pe.temp("TEMP3").unwrap();
+        assert_eq!((temp3.sorted_by.as_slice(), temp3.duplicate_free), (&[0][..], true));
+        let rows = pe.exec().collect(&temp3.file);
+        let keys: Vec<&Value> = rows.tuples().iter().map(|t| t.get(0)).collect();
+        let want: Vec<Value> = (0..13).map(Value::Int).collect();
+        assert!(keys.iter().copied().eq(&want), "every TEMP1 row, in order: {keys:?}");
+        // A merge join into the final join sorts only the outer relation.
+        pe.set_policy(JoinPolicy::ForceMergeJoin);
+        let got = pe.execute_flat_query(&plan.canonical, false).unwrap();
+        assert_eq!(pe.log.last().unwrap(), "merge join (1 keys), right pre-sorted", "{:?}", pe.log);
+        let want = oracle.eval(&q).unwrap();
+        assert!(!want.is_empty() && got.same_bag(&want), "got:\n{got}\noracle:\n{want}");
     }
 
     /// A Grace-partitioned hash join emits partition after partition: over

@@ -532,8 +532,7 @@ impl HashShape {
     pub fn of(l_pages: f64, r_pages: f64, left_outer: bool, b: f64) -> HashShape {
         let build_left = !left_outer && l_pages < r_pages;
         let build = if build_left { l_pages } else { r_pages };
-        let partitions = if hash_build_fits(build, b) { 0 } else { grace_fanout(build, b) };
-        HashShape { build_left, partitions }
+        HashShape { build_left, partitions: hash_partitions(build, b) }
     }
 
     /// Whether the join emits its rows in the left input's order: it built
@@ -563,6 +562,16 @@ pub(crate) fn hash_build_fits(pages: f64, b: f64) -> bool {
 pub(crate) fn grace_fanout(pages: f64, b: f64) -> usize {
     let most = hash_table_pages(b) + 1.0;
     (pages / hash_table_pages(b)).ceil().clamp(2.0, most.max(2.0)) as usize
+}
+
+/// Partitions of the first Grace pass over a `pages`-page table: 0 when it
+/// fits `B − 2` pages, else [`grace_fanout`].
+pub fn hash_partitions(pages: f64, b: f64) -> usize {
+    if hash_build_fits(pages, b) {
+        0
+    } else {
+        grace_fanout(pages, b)
+    }
 }
 
 /// Partitioning passes a `pages`-page build side needs if every pass splits
@@ -597,14 +606,44 @@ pub fn hash_join_cost(
 ) -> JoinCost {
     let shape = HashShape::of(l.pages, r.pages, left_outer, b);
     let build = if shape.build_left { l.pages } else { r.pages };
-    let levels = f64::from(grace_levels(build, b));
-    let work = Work {
+    JoinCost { work: hash_work(l, r, build, b), priced }
+}
+
+/// The work of a hash pass over `l` and `r` whose table fills `table`
+/// pages: both inputs read, and written and read back once per level of
+/// [`grace_levels`]; every row hashed into or against the table once, and
+/// into a partition once per level.
+fn hash_work(l: JoinInput, r: JoinInput, table: f64, b: f64) -> Work {
+    let levels = f64::from(grace_levels(table, b));
+    Work {
         pages: (l.pages + r.pages) * (1.0 + 2.0 * levels),
         hashed: l.rows + r.rows,
         partitioned: (l.rows + r.rows) * levels,
         ..Work::default()
-    };
-    JoinCost { work, priced }
+    }
+}
+
+// ------------------------------------------------------------ the groupjoin
+
+/// Bytes a groupjoin's table charges a left row for each of its aggregates:
+/// a number's width. The result of a `MIN` or `MAX` over strings is wider;
+/// the charge does not know its length before the right input is read.
+const AGG_SLOT_BYTES: f64 = 8.0;
+
+/// Pages a groupjoin's table fills over a left input of `pages` pages and
+/// `rows` rows computing `aggs` aggregates: the rows it will emit, each left
+/// row widened by one value per aggregate, on `page_size`-byte pages. The
+/// kernel partitions by it, and its price counts the levels it needs.
+pub fn groupjoin_table_pages(pages: f64, rows: f64, aggs: usize, page_size: usize) -> f64 {
+    pages + rows * aggs as f64 * AGG_SLOT_BYTES / page_size as f64
+}
+
+/// What the groupjoin costs on the groups `l` and the rows `r` folded into
+/// them, its table `table` pages ([`groupjoin_table_pages`]): what the hash
+/// join built on `l` costs, whichever input is smaller, and with no rows
+/// emitted. Priced: it runs on the default path only.
+pub fn groupjoin_cost(l: JoinInput, r: JoinInput, table: f64, b: f64) -> JoinCost {
+    JoinCost { work: hash_work(l, r, table, b), priced: true }
 }
 
 // -------------------------------------------- nested iteration's access path
@@ -1081,5 +1120,25 @@ mod tests {
         let hj = hash_join_cost(side(3.0, 100.0), side(30.0, 40.0), false, b, false);
         assert_eq!(hj.work.pages, 33.0);
         assert!(mj.work.pages > 33.0);
+    }
+
+    #[test]
+    fn the_groupjoin_costs_the_hash_join_built_on_its_left() {
+        let side = |pages, rows| JoinInput { pages, rows, sorted: false };
+        let (small, big, b) = (side(3.0, 100.0), side(30.0, 400.0), 6.0);
+        // Its table is the left's rows widened by 8 bytes an aggregate.
+        let table = groupjoin_table_pages(3.0, 100.0, 2, 512);
+        assert_eq!(table, 3.0 + 100.0 * 16.0 / 512.0);
+        // Over a left that fits as it is, the inner hash join that builds
+        // on that left too.
+        let hj = hash_join_cost(small, big, false, b, true);
+        assert_eq!(groupjoin_cost(small, big, 3.0, b).work, hj.work);
+        // Built on the left whatever the sizes say: 30 pages, two levels.
+        let gj = groupjoin_cost(big, small, 30.0, b);
+        assert_eq!((gj.work.pages, gj.work.partitioned), (33.0 * 5.0, 500.0 * 2.0));
+        // Widened past `B − 2` pages, it partitions once.
+        assert_eq!(hash_partitions(table, b), 2);
+        let gj = groupjoin_cost(small, big, table, b);
+        assert_eq!((gj.work.pages, gj.total()), (33.0 * 3.0, gj.work.micros()));
     }
 }

@@ -34,15 +34,34 @@
 //! so a map of key tuples holds those two ints in two entries and a probe
 //! finds one. Their hashes are equal, so one bucket holds both, and the
 //! check pairs the float with each, as the nested loop does.
+//!
+//! The **groupjoin** ([`Exec::hash_groupjoin`]; Moerkotte & Neumann, VLDB
+//! 2011) is the same driver with a second in-memory sink. It is a join of a
+//! duplicate-free left input followed by a GROUP BY on the left's columns
+//! of aggregates over right columns, done as one pass: the table is built
+//! on the left, one aggregate state per aggregate per left row, and each
+//! right tuple is folded into the states of every left tuple whose key it
+//! equals (under `Value` equality, so `Float(2^53)` feeds both ints) and
+//! the residual accepts. No joined row is built. It emits one row per left
+//! tuple, the tuple and its aggregates, in the left input's order when it
+//! did not partition. It charges its table at the width of those rows
+//! ([`groupjoin_table_pages`]) and partitions a larger one as the join
+//! partitions its build side. Under [`JoinKind::LeftOuter`] a left tuple
+//! nothing joined aggregates one all-`NULL` row — `COUNT(col)` 0,
+//! `COUNT(*)` 1, anything else `NULL`, as the GROUP BY over the padded
+//! join row gives; under [`JoinKind::Inner`] it is dropped.
 
-use super::{Exec, JoinEmit, JoinKind};
-use crate::cost::{grace_fanout, hash_build_fits, HashShape, GRACE_MAX_DEPTH};
+use super::{AggSpec, Exec, JoinEmit, JoinKind};
+use crate::aggregate::AggState;
+use crate::cost::{
+    grace_fanout, groupjoin_table_pages, hash_build_fits, HashShape, GRACE_MAX_DEPTH,
+};
 use crate::expr::Joined;
 use crate::pred::CPred;
 use crate::Result;
 use nsql_obs::OpCounters;
 use nsql_storage::{HeapFile, HeapWriter, Page, PageId, TempFile};
-use nsql_types::{FxHashMap, FxHasher, Relation, Tuple};
+use nsql_types::{FxHashMap, FxHasher, Relation, Schema, Tuple};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -134,7 +153,7 @@ impl Exec {
             build_left,
             residual,
             pad: outer,
-            emit,
+            sink: Sink::Pairs(emit),
             b,
             op,
         };
@@ -142,6 +161,60 @@ impl Exec {
         join.run(build, probe, 0, &mut out)?;
         Ok(out)
     }
+
+    /// Groupjoin: the join of `left` and `right` on the paired keys (with
+    /// the optional residual) grouped by every column of `left`, computing
+    /// `aggs` — whose arguments are columns of `right` — in one hash pass
+    /// built on `left`, delivered in memory as `out_schema` (the left's
+    /// columns, then one per aggregate). Equal to [`Exec::hash_join`]
+    /// followed by a GROUP BY on the left's columns when `left` holds no
+    /// duplicate row; a duplicated left tuple is a group of its own here.
+    /// See the module doc for the memory charge, the order and `kind`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn hash_groupjoin(
+        &self,
+        left: &HeapFile,
+        right: &HeapFile,
+        left_keys: &[usize],
+        right_keys: &[usize],
+        residual: Option<&CPred>,
+        kind: JoinKind,
+        aggs: &[AggSpec],
+        out_schema: Schema,
+    ) -> Result<Relation> {
+        assert_eq!(left_keys.len(), right_keys.len(), "key lists must pair up");
+        let join = HashJoin {
+            exec: self,
+            build_keys: left_keys,
+            probe_keys: right_keys,
+            build_left: true,
+            residual,
+            pad: kind == JoinKind::LeftOuter,
+            sink: Sink::Groups(aggs),
+            b: self.storage.buffer_pages() as f64,
+            op: self.current_op(),
+        };
+        let mut out = Vec::new();
+        join.run(left, right, 0, &mut out)?;
+        Relation::new(out_schema, out).map_err(crate::EngineError::from)
+    }
+}
+
+/// What a hash pass makes of the pairs it finds.
+#[derive(Clone, Copy)]
+enum Sink<'a> {
+    /// A joined row per pair (the hash join).
+    Pairs(JoinEmit<'a>),
+    /// A row per left tuple, its aggregates over the right tuples it joined
+    /// (the groupjoin, built on the left).
+    Groups(&'a [AggSpec]),
+}
+
+/// One left tuple of a groupjoin's table and what it has aggregated.
+struct Group {
+    row: Tuple,
+    states: Vec<AggState>,
+    matched: bool,
 }
 
 /// One hash join: what its partitioning passes and in-memory passes share.
@@ -152,10 +225,11 @@ struct HashJoin<'a> {
     /// The table holds left tuples and the right input probes it.
     build_left: bool,
     residual: Option<&'a CPred>,
-    /// Pad probe tuples nothing joined: a left outer join (which builds
-    /// right, so its probe tuples are the left ones).
+    /// Keep left tuples nothing joined: a left outer join. The hash join
+    /// builds right then, so they are probe tuples, padded; the groupjoin
+    /// builds left, and aggregates one all-`NULL` row for them.
     pad: bool,
-    emit: JoinEmit<'a>,
+    sink: Sink<'a>,
     /// Buffer pages `B`.
     b: f64,
     /// Observability: build (partitioning included) and probe wall-clock
@@ -174,14 +248,17 @@ impl HashJoin<'_> {
         depth: u32,
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
-        let pages = build.page_count() as f64;
+        let pages = self.table_pages(build);
         if depth == GRACE_MAX_DEPTH || hash_build_fits(pages, self.b) {
-            return self.in_memory(build, probe, depth, out);
+            return match self.sink {
+                Sink::Pairs(emit) => self.in_memory(emit, build, probe, depth, out),
+                Sink::Groups(aggs) => self.fold(aggs, build, probe, depth, out),
+            };
         }
         let t0 = self.clock();
         let fanout = grace_fanout(pages, self.b);
-        let builds = self.partition(build, self.build_keys, depth, fanout, false, out);
-        let probes = self.partition(probe, self.probe_keys, depth, fanout, self.pad, out);
+        let builds = self.partition(build, self.build_keys, depth, fanout, self.build_left, out);
+        let probes = self.partition(probe, self.probe_keys, depth, fanout, !self.build_left, out);
         self.charge(t0, |op| &op.build_ns);
         // Each pair is freed once it is joined.
         for (build, probe) in builds.into_iter().zip(probes) {
@@ -190,17 +267,31 @@ impl HashJoin<'_> {
         Ok(())
     }
 
+    /// Pages the table over `build` fills: the build side's own, or, for
+    /// the groupjoin, its rows widened by their aggregates.
+    fn table_pages(&self, build: &HeapFile) -> f64 {
+        let pages = build.page_count() as f64;
+        match self.sink {
+            Sink::Pairs(_) => pages,
+            Sink::Groups(aggs) => {
+                let rows = build.tuple_count() as f64;
+                groupjoin_table_pages(pages, rows, aggs.len(), self.exec.storage().page_size())
+            }
+        }
+    }
+
     /// Split `file` `fanout` ways by the hash of its `keys` salted with
     /// `depth`, each partition a file whose pages are written as they fill.
-    /// A tuple with a `NULL` key joins nothing: padded into `out` when `pad`,
-    /// dropped otherwise.
+    /// A tuple with a `NULL` key joins nothing: when it is a left tuple
+    /// (`left`) of a left outer join its row goes to `out` at once, and
+    /// otherwise it is dropped.
     fn partition(
         &self,
         file: &HeapFile,
         keys: &[usize],
         depth: u32,
         fanout: usize,
-        pad: bool,
+        left: bool,
         out: &mut Vec<Tuple>,
     ) -> Vec<TempFile> {
         let storage = self.exec.storage();
@@ -209,8 +300,8 @@ impl HashJoin<'_> {
         for &pid in file.page_ids() {
             for t in self.page(pid, depth).tuples() {
                 if null_key(t, keys) {
-                    if pad {
-                        out.push(self.emit.padded(t));
+                    if left && self.pad {
+                        out.push(self.unmatched(t));
                     }
                     continue;
                 }
@@ -224,6 +315,7 @@ impl HashJoin<'_> {
     /// it a tuple at a time, checking each candidate's key.
     fn in_memory(
         &self,
+        emit: JoinEmit<'_>,
         build: &HeapFile,
         probe: &HeapFile,
         depth: u32,
@@ -242,7 +334,7 @@ impl HashJoin<'_> {
                 table.entry(hash).or_default().push(bt.clone());
             }
         }
-        self.check_held(held, depth);
+        self.check_held(held as f64 / self.exec.storage().page_size() as f64, depth);
         self.charge(t0, |op| &op.build_ns);
 
         let t0 = self.clock();
@@ -259,13 +351,93 @@ impl HashJoin<'_> {
                             .zip(self.build_keys)
                             .all(|(&pk, &bk)| pt.get(pk) == bt.get(bk));
                         if same_key {
-                            matched |= self.emit_if(bt, pt, out)?;
+                            matched |= self.emit_if(emit, bt, pt, out)?;
                         }
                     }
                 }
                 if !matched && self.pad {
-                    out.push(self.emit.padded(pt));
+                    out.push(emit.padded(pt));
                 }
+            }
+        }
+        self.charge(t0, |op| &op.probe_ns);
+        Ok(())
+    }
+
+    /// The groupjoin's in-memory pass: a table of the left tuples (`build`)
+    /// and their aggregate states, bucketed by key hash, which the right
+    /// tuples (`probe`) are folded into one at a time; then a row per left
+    /// tuple, in scan order.
+    fn fold(
+        &self,
+        aggs: &[AggSpec],
+        build: &HeapFile,
+        probe: &HeapFile,
+        depth: u32,
+        out: &mut Vec<Tuple>,
+    ) -> Result<()> {
+        let t0 = self.clock();
+        // Every left tuple that may be emitted, in scan order; the table
+        // holds the positions of those with a key.
+        let mut groups: Vec<Group> = Vec::new();
+        let mut table: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
+        let mut held = 0;
+        for &pid in build.page_ids() {
+            for lt in self.page(pid, depth).tuples() {
+                let keyed = !null_key(lt, self.build_keys);
+                if !keyed && !self.pad {
+                    continue;
+                }
+                held += lt.storage_width();
+                if keyed {
+                    let hash = key_hash(FxHasher::default(), lt, self.build_keys);
+                    table.entry(hash).or_default().push(groups.len());
+                }
+                let states = aggs.iter().map(|a| AggState::new(a.func)).collect();
+                groups.push(Group { row: lt.clone(), states, matched: false });
+            }
+        }
+        let page_size = self.exec.storage().page_size();
+        let pages = held as f64 / page_size as f64;
+        let rows = groups.len() as f64;
+        self.check_held(groupjoin_table_pages(pages, rows, aggs.len(), page_size), depth);
+        self.charge(t0, |op| &op.build_ns);
+
+        let t0 = self.clock();
+        for &pid in probe.page_ids() {
+            for rt in self.page(pid, depth).tuples() {
+                if null_key(rt, self.probe_keys) {
+                    continue;
+                }
+                let bucket = table.get(&key_hash(FxHasher::default(), rt, self.probe_keys));
+                for &g in bucket.into_iter().flatten() {
+                    let group = &mut groups[g];
+                    let lt = &group.row;
+                    // A different key with the same hash fails here.
+                    let same_key = self
+                        .probe_keys
+                        .iter()
+                        .zip(self.build_keys)
+                        .all(|(&rk, &lk)| rt.get(rk) == lt.get(lk));
+                    if !same_key || !self.accepts(lt, rt)? {
+                        continue;
+                    }
+                    group.matched = true;
+                    for (state, spec) in group.states.iter_mut().zip(aggs) {
+                        match spec.arg {
+                            Some(i) => state.accumulate(rt.get(i))?,
+                            None => state.accumulate_row(),
+                        }
+                    }
+                }
+            }
+        }
+        for group in groups {
+            if group.matched {
+                let aggregates = group.states.iter().map(AggState::finish);
+                out.push(group.row.values().iter().cloned().chain(aggregates).collect());
+            } else if self.pad {
+                out.push(self.unmatched(&group.row));
             }
         }
         self.charge(t0, |op| &op.probe_ns);
@@ -274,16 +446,47 @@ impl HashJoin<'_> {
 
     /// Emit the pair of build tuple `bt` and probe tuple `pt` if the
     /// residual accepts it; whether it did.
-    fn emit_if(&self, bt: &Tuple, pt: &Tuple, out: &mut Vec<Tuple>) -> Result<bool> {
+    fn emit_if(
+        &self,
+        emit: JoinEmit<'_>,
+        bt: &Tuple,
+        pt: &Tuple,
+        out: &mut Vec<Tuple>,
+    ) -> Result<bool> {
         let (lt, rt) = if self.build_left { (bt, pt) } else { (pt, bt) };
-        let ok = match self.residual {
-            Some(p) => p.accepts_row(&Joined::new(lt, rt))?,
-            None => true,
-        };
+        let ok = self.accepts(lt, rt)?;
         if ok {
-            out.push(self.emit.pair(lt, rt));
+            out.push(emit.pair(lt, rt));
         }
         Ok(ok)
+    }
+
+    /// Whether the residual accepts the pair of left tuple `lt` and right
+    /// tuple `rt` (there is no residual: it does).
+    fn accepts(&self, lt: &Tuple, rt: &Tuple) -> Result<bool> {
+        match self.residual {
+            Some(p) => p.accepts_row(&Joined::new(lt, rt)),
+            None => Ok(true),
+        }
+    }
+
+    /// The row of a left tuple `lt` nothing joined, under a left outer
+    /// join: padded with `NULL`s, or with the aggregates of one all-`NULL`
+    /// row.
+    fn unmatched(&self, lt: &Tuple) -> Tuple {
+        match self.sink {
+            Sink::Pairs(emit) => emit.padded(lt),
+            Sink::Groups(aggs) => {
+                let nulls = aggs.iter().map(|a| {
+                    let mut state = AggState::new(a.func);
+                    if a.arg.is_none() {
+                        state.accumulate_row();
+                    }
+                    state.finish()
+                });
+                lt.values().iter().cloned().chain(nulls).collect()
+            }
+        }
     }
 
     /// A page of a file at `depth`: an input through the buffer pool, a
@@ -298,12 +501,11 @@ impl HashJoin<'_> {
     }
 
     /// Below the depth cap an in-memory pass holds at most `B − 2` pages of
-    /// build tuples (`held` bytes of them).
-    fn check_held(&self, held: usize, depth: u32) {
-        let pages = held as f64 / self.exec.storage().page_size() as f64;
+    /// table (`pages` of it).
+    fn check_held(&self, pages: f64, depth: u32) {
         debug_assert!(
             depth == GRACE_MAX_DEPTH || hash_build_fits(pages, self.b),
-            "an in-memory pass at depth {depth} holds {pages:.2} pages of build tuples, B = {}",
+            "an in-memory pass at depth {depth} holds {pages:.2} pages of table, B = {}",
             self.b
         );
     }

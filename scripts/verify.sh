@@ -33,6 +33,8 @@ echo "==> sort / merge-join kernels against the code they replaced, at a second 
 # workspace pass.
 NSQL_TEST_SEED=0x50a7ed cargo test -q --offline -p nsql-storage --test sort_prop
 NSQL_TEST_SEED=0x50a7ed cargo test -q --offline -p nsql-engine --test join_prop
+# The groupjoin against the hash join and GROUP BY it replaces, likewise.
+NSQL_TEST_SEED=0x50a7ed cargo test -q --offline -p nsql-engine --test groupjoin_prop
 
 echo "==> query-processing library crates are stdout-silent"
 # Diagnostics in the processing crates are returned as values
@@ -126,6 +128,27 @@ callers=$(awk '/^#\[cfg\(test\)\]/ { exit }
 if [ "$callers" != "join_inputs" ]; then
     echo "callers of classify_conjunct: ${callers:-none}"
     echo "FAIL: join conjuncts are classified outside PlanExecutor::join_inputs (or nowhere)"
+    exit 1
+fi
+
+echo "==> one groupjoin caller"
+# The groupjoin stands in for a join and a GROUP BY only where the plan
+# executor's aggregate step has checked that they are the same (DESIGN.md
+# "Groupjoin"): outside tests, Exec::hash_groupjoin is called by
+# PlanExecutor::groupjoin alone, and that by run_plan's aggregate arm alone.
+calls() { # "file:function" for every non-test, non-comment call matching $1
+    grep -rlE "$1" crates/*/src src --include='*.rs' | while read -r f; do
+        re="$1" awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            match($0, /fn [a-z_0-9]+/) { current = substr($0, RSTART + 3, RLENGTH - 3) }
+            $0 ~ ENVIRON["re"] && !/^ *\/\// { print f ":" current }' "$f"
+    done | sort -u
+}
+kernel=$(calls '[.]hash_groupjoin[(]')
+step=$(calls 'self[.]groupjoin[(]')
+if [ "$kernel" != "crates/db/src/plan_exec.rs:groupjoin" ] \
+    || [ "$step" != "crates/db/src/plan_exec.rs:run_plan" ]; then
+    echo "callers of hash_groupjoin: ${kernel:-none}; of PlanExecutor::groupjoin: ${step:-none}"
+    echo "FAIL: the groupjoin runs outside the plan executor's aggregate step (or nowhere)"
     exit 1
 fi
 
