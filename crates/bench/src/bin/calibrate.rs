@@ -14,10 +14,16 @@
 //! on the relative error (every node counts alike, a 10 µs join as much as
 //! a 10 ms one) with the prices kept nonnegative: a term whose price comes
 //! out negative is dropped and the rest refitted.
+//!
+//! It then runs the two statements `kim-refused` retries by nested
+//! iteration on Kim's tables and reads every `build temp index on …` node:
+//! its counted pages and the rows its sort passes (the estimate's term),
+//! priced at the committed `PRICES` beside the measured time. These nodes
+//! are not fitted.
 
 use nsql_bench::workload::{self, WorkloadSpec};
-use nsql_db::{Database, JoinPolicy, QueryOptions};
-use nsql_engine::cost::{Prices, Work};
+use nsql_db::{Database, JoinPolicy, QueryOptions, Strategy};
+use nsql_engine::cost::{temp_tree_estimate, Prices, Work, PRICES};
 use nsql_obs::ProfileNode;
 use nsql_testkit::Rng;
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
@@ -62,6 +68,24 @@ const STATEMENTS: [(&str, &str); 8] = [
         "static_join",
         "SELECT VENDOR.CITY, COUNT(PARTS.PNUM) FROM PARTS, VENDOR \
             WHERE PARTS.PNUM = VENDOR.VNUM GROUP BY VENDOR.CITY",
+    ),
+];
+
+/// The statements the transformation refuses and `kim-refused` retries by
+/// nested iteration, as `benchmark/src/workloads.rs` words them: the
+/// correlated block probes one tree it builds on `SUPPLY.PNUM`, or two
+/// under the `OR`.
+const REFUSED: [(&str, &str); 2] = [
+    (
+        "j_notin",
+        "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH NOT IN \
+            (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)",
+    ),
+    (
+        "ja_or",
+        "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH = \
+            (SELECT COUNT(QUAN) FROM SUPPLY \
+            WHERE SUPPLY.PNUM = PARTS.PNUM OR SUPPLY.TAG = PARTS.SERIAL)",
     ),
 ];
 
@@ -290,6 +314,61 @@ fn collect(seed: u64, reps: usize, dir: &Path) -> (Vec<Sample>, Vec<(String, [f6
     (samples, timings)
 }
 
+/// The profile's temporary tree builds, in the order they ran.
+fn build_nodes<'a>(nodes: &'a [ProfileNode], out: &mut Vec<&'a ProfileNode>) {
+    for n in nodes {
+        if n.name.starts_with("build temp index on ") {
+            out.push(n);
+        }
+        build_nodes(&n.children, out);
+    }
+}
+
+/// Run the [`REFUSED`] statements on Kim's tables, observed, `reps` times
+/// each, and read every tree build: `kim-refused statement #k`, its
+/// counted pages and the rows its sort passes (what the access-path choice
+/// priced it at, from the inner's sizes), at its fastest.
+fn collect_builds(seed: u64, reps: usize) -> Vec<Sample> {
+    let spec = WorkloadSpec::kim_scale();
+    let db = Database::with_storage(spec.buffer_pages, spec.page_size);
+    let db = workload::load(db, spec, seed).db;
+    let supply = db.catalog().table("SUPPLY").expect("the workload loads SUPPLY");
+    let (pj, nj) = (supply.page_count() as f64, supply.tuple_count() as f64);
+    let b = spec.buffer_pages as f64;
+    let sorted = temp_tree_estimate(pj, nj, ColumnType::Int, spec.page_size, b).0.sorted;
+    let strategy = Strategy::NestedIteration;
+    let opts = QueryOptions { strategy, observe: true, ..QueryOptions::default() };
+    let mut samples = Vec::new();
+    for (shape, sql) in REFUSED {
+        let mut best: Vec<Sample> = Vec::new();
+        for rep in 0..=reps {
+            let out = db.query_with(sql, &opts).unwrap_or_else(|e| panic!("{shape}: {e}"));
+            let profile = out.obs.expect("observed").profile;
+            let mut nodes = Vec::new();
+            build_nodes(&profile, &mut nodes);
+            if rep == 0 {
+                // The warming run names the nodes; its time is not kept.
+                let sample = |(k, n): (usize, &&ProfileNode)| {
+                    let pages = (n.io.reads + n.io.writes) as f64;
+                    Sample {
+                        at: format!("kim-refused {shape} #{k}"),
+                        method: n.name.clone(),
+                        work: Work { pages, sorted, ..Work::default() },
+                        ns: f64::INFINITY,
+                    }
+                };
+                best = nodes.iter().enumerate().map(sample).collect();
+                continue;
+            }
+            for (s, n) in best.iter_mut().zip(nodes) {
+                s.ns = s.ns.min(n.wall_ns as f64);
+            }
+        }
+        samples.extend(best);
+    }
+    samples
+}
+
 /// The terms of a sample, in [`Prices`] field order.
 fn terms(w: &Work) -> [f64; TERMS] {
     [w.pages, w.visits, w.sorted, w.hashed, w.partitioned]
@@ -400,6 +479,13 @@ fn main() {
         q(0.75),
         q(1.0)
     );
+    println!("\ntree build (not fitted) | node: work | measured µs | at PRICES µs | ratio");
+    for s in collect_builds(seed, reps) {
+        let priced = PRICES.micros(&s.work);
+        let ratio = priced * 1e3 / s.ns;
+        let (at, method, us) = (&s.at, &s.method, s.ns / 1e3);
+        println!("{at} | {method}: {} | {us:.1} | {priced:.1} | {ratio:.2}", s.work);
+    }
     println!("\nstatement | default | nl | mj | hj | default / fastest forced (ms)");
     for (at, ms) in timings {
         let forced = ms[1..].iter().copied().fold(f64::INFINITY, f64::min);

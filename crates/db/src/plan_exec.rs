@@ -32,6 +32,7 @@ use nsql_engine::{
 };
 use nsql_index::{BTreeIndex, KeyBound};
 use nsql_obs::Profile;
+use nsql_storage::sort::SortKey;
 use nsql_storage::{HeapFile, Storage, TempFile};
 use nsql_sql::{
     AggArg, AggFunc, ColumnRef, CompareOp, Operand, Predicate, QueryBlock, ScalarExpr, SortDir,
@@ -356,7 +357,9 @@ impl<T: TableProvider> PlanExecutor<T> {
                     self.log.push(format!("group-by: {how}"));
                 }
                 let sorted_by = (0..step.group_idx.len()).collect();
-                step.run(&self.exec, &child.file, stored_rows, |rel| store(&self.exec, rel, sorted_by))
+                step.run(&self.exec, &child.file, self.faithful, stored_rows, |rel| {
+                    store(&self.exec, rel, sorted_by)
+                })
             }
         }
     }
@@ -1049,7 +1052,8 @@ impl<T: TableProvider> PlanExecutor<T> {
                 }
             }
         }
-        let grouped = step.run(&self.exec, working, |rel: &Relation| rel.len() as u64, |rel| rel)?;
+        let rows = |rel: &Relation| rel.len() as u64;
+        let grouped = step.run(&self.exec, working, self.faithful, rows, |rel| rel)?;
         // Reorder columns to select order and rename per aliases.
         let final_cols = q
             .select
@@ -1148,18 +1152,32 @@ impl<'a> GroupStep<'a> {
     }
 
     /// Run the step over `input` inside one operator node; `rows` and
-    /// `deliver` as for [`PlanExecutor::join`].
+    /// `deliver` as for [`PlanExecutor::join`]. The aggregate folds the
+    /// sort's last merge pass as it is merged; under the paper's literal
+    /// plans (`faithful`) the sort writes its file and the fold reads it
+    /// back, the pages Section 7 counts.
     fn run<R>(
         &self,
         exec: &Exec,
         input: &HeapFile,
+        faithful: bool,
         rows: impl FnOnce(&R) -> u64,
         deliver: impl FnOnce(Relation) -> R,
     ) -> Result<R> {
         observed(exec.obs(), || "group-by".to_string(), input.tuple_count() as u64, rows, || {
             let schema = Schema::new(self.out_cols.clone());
-            let rel = exec
-                .group_aggregate_collect(input, &self.group_idx, &self.specs, schema, self.presorted)?;
+            let sorted = (faithful && !self.presorted && !self.group_idx.is_empty()).then(|| {
+                let keys: Vec<SortKey> = self.group_idx.iter().map(|&i| SortKey::asc(i)).collect();
+                TempFile::new(exec.storage(), exec.sort(input, &keys, false))
+            });
+            let (input, presorted) = match &sorted {
+                Some(file) => (&**file, true),
+                None => (input, self.presorted),
+            };
+            let (group, specs) = (&self.group_idx, &self.specs);
+            let rel = exec.group_aggregate_collect(input, group, specs, schema, presorted)?;
+            // Freed after the fold's last page read, before a result page is written.
+            drop(sorted);
             Ok(deliver(rel))
         })
     }

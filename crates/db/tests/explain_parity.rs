@@ -156,7 +156,7 @@ fn access_path_lines_are_the_same_in_both_reports() {
             } else {
                 // Three parts, five shipments on one page, read once: nothing
                 // repays a build.
-                &["block SUPPLY: scan — est. 3 evaluations: scan 0.3 µs vs build 0.2 + probes \
+                &["block SUPPLY: scan — est. 3 evaluations: scan 0.3 µs vs build 0.7 + probes \
                    0.5 µs (chose scan)"]
             };
             assert_eq!(plain, want, "[{name}] faithful_1987={faithful_1987}");

@@ -693,30 +693,26 @@ impl std::fmt::Display for AccessCosts {
 
 /// The inner term of [`nested_iteration_cost_j`]'s `Pi + fi·Ni·Pj` by either
 /// access path: rescanning the `pj`-page inner file on each of `evaluations`
-/// evaluations, or paying `build` page I/Os once and reading
-/// `pages_per_evaluation` index pages (`h + l` per key) on each — System R's
-/// `Pi + fi·Ni·(h + l)` [SEL 79]. `Pi` is left out: both paths read the
-/// outer relation once. As in the paper a file that fits `B − 1` pages is
-/// read once however often it is rescanned (and not at all when it is never
-/// evaluated); every page either path asks the pool for is a buffer visit
-/// on top, so that such a file is not free.
+/// evaluations, or doing the `build` work once ([`temp_tree_estimate`]; no
+/// work when the trees are the catalog's) and reading `pages_per_evaluation`
+/// index pages (`h + l` per key) on each — System R's `Pi + fi·Ni·(h + l)`
+/// [SEL 79]. `Pi` is left out: both paths read the outer relation once. As
+/// in the paper a file that fits `B − 1` pages is read once however often
+/// it is rescanned (and not at all when it is never evaluated); every page
+/// either path asks the pool for is a buffer visit on top, so that such a
+/// file is not free. The paths are compared in microseconds at [`PRICES`].
 pub fn nested_access_costs(
     evaluations: f64,
     pj: f64,
     b: f64,
-    build: f64,
+    build: Work,
     pages_per_evaluation: f64,
 ) -> AccessCosts {
     let rescanned = evaluations * pj;
     let read = rescanned_pages(pj, b, evaluations).min(rescanned);
     let probed = evaluations * pages_per_evaluation;
     let work = |pages, visits| Work { pages, visits, ..Work::default() };
-    AccessCosts {
-        evaluations,
-        scan: work(read, rescanned),
-        build: work(build, 0.0),
-        probes: work(probed, probed),
-    }
+    AccessCosts { evaluations, scan: work(read, rescanned), build, probes: work(probed, probed) }
 }
 
 /// System R's selectivity factors for predicates it has no statistics on
@@ -751,13 +747,22 @@ pub fn selectivity(p: &Predicate) -> f64 {
 }
 
 /// What the arithmetic expects of a temporary tree on a `key`-typed column
-/// of a `pj`-page file, as (build, pages per probe). The tree is a clustered
-/// copy: `pj` leaves under levels of `page_size / entry width` fan-out
-/// (a string key is taken as 16 bytes). Building is
-/// `Pj + sort(Pj) + leaves + levels`: the sort, one read of the sorted file,
-/// one write per index page. A probe reads the levels and the leaves
+/// of a `pj`-page, `nj`-row file, as (build, pages per probe). The tree is a
+/// clustered copy: `pj` leaves under levels of `page_size / entry width`
+/// fan-out (a string key is taken as 16 bytes). The build is priced as
+/// `BTreeIndex::bulk_load` runs it: the sort's pages, [`sort_cost`]`(Pj)`,
+/// less the write of a last pass that goes to the leaf packer as it is
+/// merged (and never below one read of the file), plus one write per index
+/// page; and the sort's rows, `Nj` per pass as the merge join's are
+/// counted ([`merge_passes`]). A probe reads the levels and the leaves
 /// holding [`SEL_EQ`] of the tuples.
-pub fn temp_tree_estimate(pj: f64, key: ColumnType, page_size: usize, b: f64) -> (f64, f64) {
+pub fn temp_tree_estimate(
+    pj: f64,
+    nj: f64,
+    key: ColumnType,
+    page_size: usize,
+    b: f64,
+) -> (Work, f64) {
     let key_width = match key {
         ColumnType::Int | ColumnType::Float => 8,
         ColumnType::Date => 4,
@@ -772,7 +777,12 @@ pub fn temp_tree_estimate(pj: f64, key: ColumnType, page_size: usize, b: f64) ->
         nodes += level;
         height += 1.0;
     }
-    let build = pj + sort_cost(pj, b) + pj + nodes;
+    let sorting = (sort_cost(pj, b) - pj).max(pj);
+    let build = Work {
+        pages: sorting + pj + nodes,
+        sorted: nj * f64::from(1 + merge_passes(pj, b)),
+        ..Work::default()
+    };
     (build, height + (pj * SEL_EQ).ceil().max(1.0))
 }
 
@@ -964,7 +974,7 @@ mod tests {
             let side = |pages, rows| JoinInput { pages, rows, sorted: false };
             let (nl, _) = classic_join_costs(side(50.0, n), side(p, 40.0), b, false);
             assert_eq!(nl.work.pages, 50.0 + inner, "join choice, P={p}");
-            let access = nested_access_costs(n, p, b, 0.0, 2.0);
+            let access = nested_access_costs(n, p, b, Work::default(), 2.0);
             assert_eq!(access.scan.pages, inner, "access path, P={p}");
         }
     }
@@ -973,7 +983,7 @@ mod tests {
     fn a_scanning_block_costs_nested_iteration_plus_its_visits() {
         for (n, pj, b) in [(1.0, 3.0, 6.0), (7.0, 5.0, 6.0), (7.0, 6.0, 6.0), (1000.0, 30.0, 6.0)] {
             for pages_per_evaluation in [1.0, 4.0] {
-                let c = nested_access_costs(n, pj, b, 0.0, pages_per_evaluation);
+                let c = nested_access_costs(n, pj, b, Work::default(), pages_per_evaluation);
                 assert_eq!(c.scan.pages, nested_iteration_cost_j(0.0, pj, b, n), "{n} × {pj}");
                 assert_eq!(c.scan.visits, n * pj, "{n} × {pj}");
                 let probed = n * pages_per_evaluation;
@@ -989,10 +999,12 @@ mod tests {
             }
         }
         // Never evaluated, never read.
-        assert_eq!(nested_access_costs(0.0, 3.0, 6.0, 0.0, 1.0).scan.micros(), 0.0);
-        // A build is paid once, at the page price.
-        let c = nested_access_costs(100.0, 100.0, 6.0, 777.0, 12.0);
-        assert!(c.probes_win() && c.build.micros() == 777.0 * PRICES.page / 1e3, "{c}");
+        assert_eq!(nested_access_costs(0.0, 3.0, 6.0, Work::default(), 1.0).scan.micros(), 0.0);
+        // A build is paid once, at its own prices.
+        let build = Work { pages: 605.0, sorted: 4500.0, ..Work::default() };
+        let c = nested_access_costs(100.0, 100.0, 6.0, build, 12.0);
+        let priced = (605.0 * PRICES.page + 4500.0 * PRICES.sorted_row) / 1e3;
+        assert!(c.probes_win() && c.build.micros() == priced, "{c}");
     }
 
     #[test]

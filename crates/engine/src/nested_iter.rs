@@ -40,14 +40,17 @@
 //!   column types decide; every evaluation checks the outer values it binds
 //!   against them as well).
 //! * **The tree** is the catalog's index on the key column, or a temporary
-//!   one: `BTreeIndex::bulk_load` — the counted external sort, then leaves
-//!   packed a page at a time — run at the block's first probe, kept in the
+//!   one: `BTreeIndex::bulk_load` — the counted external sort, whose last
+//!   merge pass is packed into leaves a page at a time as it is merged (no
+//!   sorted file is written) — run at the block's first probe, kept in the
 //!   block's [`BlockInfo`] like an uncorrelated block's once-only list, and
 //!   freed by `teardown`.
-//! * **The choice** is arithmetic on counts ([`nested_access_costs`]): build
-//!   and probe when `build + N·(h + l) < N·Pj`, where `N` is the number of
-//!   evaluations System R's default selectivities predict. Nothing adapts at
-//!   run time.
+//! * **The choice** is arithmetic on counts ([`nested_access_costs`]), in
+//!   microseconds at `cost::PRICES`: build and probe when
+//!   `build + N·(h + l) < N·Pj`, where `N` is the number of evaluations
+//!   System R's default selectivities predict and the build is priced as it
+//!   runs, its pages and the rows its sort passes ([`temp_tree_estimate`]).
+//!   Nothing adapts at run time.
 //!
 //! A probing evaluation hands the binding loop `probe_eq(outer value)` in
 //! place of the file's pages — for an `OR`, the first key's matches, then
@@ -141,7 +144,7 @@
 //! is ignored.
 
 use crate::aggregate::AggState;
-use crate::cost::{nested_access_costs, selectivity, temp_tree_estimate, AccessCosts};
+use crate::cost::{nested_access_costs, selectivity, temp_tree_estimate, AccessCosts, Work};
 use crate::error::EngineError;
 use crate::expr::CExpr;
 use crate::pred::{cannot_raise, compare_values, not3, CPred, TOperand, TPred, Template};
@@ -586,12 +589,13 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         }
 
         let indexes = self.tables.get_indexes(&q.from[0].table);
-        let (pj, b) = (file.page_count() as f64, self.storage.buffer_pages() as f64);
+        let (pj, nj) = (file.page_count() as f64, file.tuple_count() as f64);
+        let b = self.storage.buffer_pages() as f64;
         let mut trees: Vec<KeyTree> = Vec::new();
         let mut keys = Vec::new();
         // Per tree, what a probe reads; and what the missing ones cost to build.
         let mut probe_pages: Vec<f64> = Vec::new();
-        let mut build = 0.0;
+        let mut build = Work::default();
         for (col, slot) in pairs {
             if let Some(tree) = trees.iter().position(|t| t.col == col) {
                 keys.push(ProbeKey { tree, slot });
@@ -608,8 +612,10 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                     (OnceCell::from(Some(Arc::clone(ix))), false)
                 }
                 None => {
-                    let (cost, pages) = temp_tree_estimate(pj, ty, self.storage.page_size(), b);
-                    build += cost;
+                    let (work, pages) =
+                        temp_tree_estimate(pj, nj, ty, self.storage.page_size(), b);
+                    build.pages += work.pages;
+                    build.sorted += work.sorted;
                     probe_pages.push(pages);
                     (OnceCell::new(), true)
                 }

@@ -6,7 +6,7 @@ use crate::error::EngineError;
 use crate::Result;
 use nsql_sql::AggFunc;
 use nsql_storage::sort::SortKey;
-use nsql_storage::{HeapFile, TempFile};
+use nsql_storage::{sorted_with, HeapFile};
 use nsql_types::{Relation, Schema, Tuple, Value};
 
 /// One aggregate to compute: function plus input field index (`None` for
@@ -37,7 +37,11 @@ impl Exec {
     ///
     /// Sort-based: the input is externally sorted on the group columns
     /// unless `presorted` — NEST-JA2 exploits this by creating `Rt4` "in
-    /// GROUP BY column order, so it does not have to be sorted" (§7.4).
+    /// GROUP BY column order, so it does not have to be sorted" (§7.4). The
+    /// sort's last merge pass is folded into groups as it is merged
+    /// ([`sorted_with`]), so no sorted file is written or read back; a
+    /// caller that must count those pages (the paper's literal plans) sorts
+    /// to a file itself and passes `presorted`.
     ///
     /// With an empty `group` list this is a global aggregate and produces
     /// exactly one row even on empty input (`COUNT` → 0, others → `NULL`) —
@@ -83,46 +87,18 @@ impl Exec {
                 aggs.len()
             )));
         }
-        // Freed when this function returns, by whichever path: after the
-        // fold's last page read, before the caller writes a result page.
-        let sorted = (!presorted && !group.is_empty()).then(|| {
+        let mut fold = Fold { group, aggs, key: None, states: Vec::new(), out: Vec::new() };
+        if presorted || group.is_empty() {
+            input.try_for_each(&self.storage, |t| fold.push(t))?;
+        } else {
+            // The sort's last merge pass is folded as it is merged; its runs
+            // are freed before the caller writes a result page.
             let keys: Vec<SortKey> = group.iter().map(|&i| SortKey::asc(i)).collect();
-            TempFile::new(&self.storage, self.sort(input, &keys, false))
-        });
-        let file: &HeapFile = sorted.as_deref().unwrap_or(input);
-
-        let mut out = Vec::new();
-        let flush = |key: &Option<Tuple>, states: &[AggState], out: &mut Vec<Tuple>| {
-            if let Some(k) = key {
-                let mut vals: Vec<Value> = k.values().to_vec();
-                vals.extend(states.iter().map(AggState::finish));
-                out.push(Tuple::new(vals));
-            }
-        };
-        let mut current_key: Option<Tuple> = None;
-        let mut states: Vec<AggState> = Vec::new();
-        // Fold tuples in place on their buffered pages: the group key is
-        // compared field-by-field against the current key and only
-        // projected out when the group actually changes, so steady-state
-        // rows cost no allocation at all.
-        file.try_for_each(&self.storage, |t: &Tuple| -> Result<()> {
-            let same_group = current_key
-                .as_ref()
-                .is_some_and(|k| group.iter().enumerate().all(|(j, &i)| k.get(j) == t.get(i)));
-            if !same_group {
-                flush(&current_key, &states, &mut out);
-                current_key = Some(t.project(group));
-                states = aggs.iter().map(|a| AggState::new(a.func)).collect();
-            }
-            for (state, spec) in states.iter_mut().zip(aggs) {
-                match spec.arg {
-                    Some(i) => state.accumulate(t.get(i))?,
-                    None => state.accumulate_row(),
-                }
-            }
-            Ok(())
-        })?;
-        flush(&current_key, &states, &mut out);
+            sorted_with(&self.storage, input, &keys, false, |mut rows| {
+                rows.try_for_each(|t| fold.push(&t))
+            })?;
+        }
+        let mut out = fold.finish();
 
         // Global aggregate over an empty input still yields one row.
         if group.is_empty() && out.is_empty() {
@@ -131,6 +107,55 @@ impl Exec {
             out.push(Tuple::new(vals));
         }
         Ok(out)
+    }
+}
+
+/// A GROUP BY over rows in group-column order, one group at a time: the
+/// key is compared field by field against the current group's and only
+/// projected out when the group changes, so steady-state rows cost no
+/// allocation at all.
+struct Fold<'a> {
+    group: &'a [usize],
+    aggs: &'a [AggSpec],
+    /// The current group's key; `None` before the first row.
+    key: Option<Tuple>,
+    states: Vec<AggState>,
+    out: Vec<Tuple>,
+}
+
+impl Fold<'_> {
+    fn push(&mut self, t: &Tuple) -> Result<()> {
+        let group = self.group;
+        let same_group = self
+            .key
+            .as_ref()
+            .is_some_and(|k| group.iter().enumerate().all(|(j, &i)| k.get(j) == t.get(i)));
+        if !same_group {
+            self.flush();
+            self.key = Some(t.project(group));
+            self.states = self.aggs.iter().map(|a| AggState::new(a.func)).collect();
+        }
+        for (state, spec) in self.states.iter_mut().zip(self.aggs) {
+            match spec.arg {
+                Some(i) => state.accumulate(t.get(i))?,
+                None => state.accumulate_row(),
+            }
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) {
+        if let Some(k) = self.key.take() {
+            let mut vals: Vec<Value> = k.values().to_vec();
+            vals.extend(self.states.iter().map(AggState::finish));
+            self.out.push(Tuple::new(vals));
+        }
+    }
+
+    /// One row per group, in the order the groups came.
+    fn finish(mut self) -> Vec<Tuple> {
+        self.flush();
+        self.out
     }
 }
 

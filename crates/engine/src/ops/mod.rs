@@ -5,7 +5,14 @@
 //! intermediate — `Rt2`, `Rt3`, `Rt4`, `Rt` are all stored temporaries.
 //! The one exception is the final operator of a plan, which uses a
 //! `*_collect` variant to stream into an in-memory [`Relation`] (the paper
-//! likewise never charges for delivering the final result).
+//! likewise never charges for delivering the final result). What an
+//! operator *consumes* sorted is another matter: the sort-based GROUP BY
+//! folds the external sort's last merge pass as it is merged
+//! (`nsql_storage::sorted_with`), as nested iteration's bulk-loaded trees
+//! pack their leaves, so no sorted file is written and read back for it —
+//! except under the paper's literal plans, whose executor sorts to a file
+//! and hands the aggregate a presorted input. The merge join's sorts are
+//! written: its two inputs would have to share the `B − 1` run pages.
 //!
 //! Join methods are the two System R offered and the paper analyses —
 //! nested-loop ([`Exec::nl_join`]) and sort-merge ([`Exec::merge_join`]) —

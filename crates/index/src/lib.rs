@@ -16,11 +16,12 @@
 //! * **Pages are immutable; the tree is not.** [`BTreeIndex::build`] is the
 //!   bulk path of `CREATE INDEX`; [`BTreeIndex::bulk_load`] builds the same
 //!   tree inside a query, sorting through the counted external sort instead
-//!   of in memory. [`BTreeIndex::insert`] adds rows by
-//!   *copy-on-write*: it descends, writes the target leaf again with the row
-//!   in place, frees the old page, and — only when a leaf overflows and
-//!   splits — writes again the parent node(s) that gain an entry, up to a
-//!   new root. A row therefore costs O(height) pages, never the table.
+//!   of in memory and packing the leaves from the sort's last merge pass as
+//!   it runs, with no sorted file between them. [`BTreeIndex::insert`] adds
+//!   rows by *copy-on-write*: it descends, writes the target leaf again with
+//!   the row in place, frees the old page, and — only when a leaf overflows
+//!   and splits — writes again the parent node(s) that gain an entry, up to
+//!   a new root. A row therefore costs O(height) pages, never the table.
 //!   No page is ever updated in place, which is what lets the durable
 //!   store log full post-images and nothing else.
 //! * Leaves are pages of full tuples sorted by `(key, whole tuple)` (a
@@ -51,7 +52,7 @@
 
 use nsql_storage::durable::codec::{self, ByteReader, ByteWriter};
 use nsql_storage::sort::SortKey;
-use nsql_storage::{external_sort, HeapFile, PageId, Storage, StorageError, TempFile};
+use nsql_storage::{sorted_with, HeapFile, PageId, Storage, StorageError};
 use nsql_types::{Schema, Tuple, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -224,11 +225,12 @@ impl BTreeIndex {
     }
 
     /// [`build`](BTreeIndex::build) within the `B` pages a query has: `file`
-    /// goes through the counted external sort on the key, the sorted file
-    /// is read back once (directly, as the sort's own passes read) while
-    /// its tuples are packed into leaves a page at a time, and the levels
-    /// go on top. Costs the sort, one read per sorted page and one write
-    /// per index page; the sorted file is freed.
+    /// goes through the counted external sort on the key, and the sort's
+    /// last merge pass is packed into leaves a page at a time as it is
+    /// merged ([`sorted_with`]); the levels go on top. Costs the sort less
+    /// its last pass's writes, and one write per index page: no sorted file
+    /// is written or read back. Besides the index, `B − 1` run pages and
+    /// the leaf being packed are held.
     ///
     /// Rows of one key keep the order `file` has them in (the sort is
     /// stable) where `build` orders them by the whole tuple, which on a
@@ -239,8 +241,9 @@ impl BTreeIndex {
     /// would make wants `build`.
     pub fn bulk_load(storage: &Storage, name: &str, key_col: usize, file: &HeapFile) -> BTreeIndex {
         let by_key = [SortKey::asc(key_col)];
-        let sorted = TempFile::new(storage, external_sort(storage, file, &by_key, false));
-        Self::from_sorted(storage, name, key_col, file.schema(), sorted.scan_direct(storage))
+        sorted_with(storage, file, &by_key, false, |sorted| {
+            Self::from_sorted(storage, name, key_col, file.schema(), sorted)
+        })
     }
 
     /// The tree over `sorted`, a relation's tuples in key order, read
@@ -679,6 +682,7 @@ impl BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsql_storage::{external_sort, TempFile};
     use nsql_testkit::Rng;
     use nsql_types::{Column, ColumnType, Relation};
 
@@ -827,12 +831,38 @@ mod tests {
             assert_eq!(built.probe_eq(&st, &key), built.range_scan(&st, &b, &b), "key {k}");
         }
         // Only the index is left of the load, and it was paid for in pages:
-        // the sort's passes over the file, one read of the sorted file, one
-        // write per index page.
-        assert_eq!(st.live_pages(), live + loaded.page_count(), "the sorted file is freed");
+        // the sort's passes over the file, less the last pass's writes, and
+        // one write per index page.
+        assert_eq!(st.live_pages(), live + loaded.page_count(), "the runs are freed");
         let p = file.page_count() as u64;
-        assert!(io.reads >= 3 * p, "two sort passes and the sorted file: {io:?} over {p} pages");
-        assert!(io.writes >= 2 * p + loaded.page_count() as u64, "{io:?} over {p} pages");
+        assert_eq!((p, loaded.page_count()), (100, 113));
+        // 100 pages through a six-page pool: pass 0 writes 17 runs, one merge
+        // pass leaves 4, and the last pass goes to the leaves.
+        assert_eq!((io.reads, io.writes), (3 * p, 2 * p + 113));
+
+        // The load as it was: the sort wrote its last pass to a file, and
+        // the leaves were packed from the file read back. The same tree,
+        // for two pages fewer per page of that file.
+        st.reset_stats();
+        let by_key = [SortKey::asc(0)];
+        let sorted = TempFile::new(&st, external_sort(&st, &file, &by_key, false));
+        let written = BTreeIndex::from_sorted(&st, "IX", 0, file.schema(), sorted.scan_direct(&st));
+        let was = st.io_stats();
+        let s = sorted.page_count() as u64;
+        drop(sorted);
+        assert_eq!((s, was.reads, was.writes), (99, 399, 412));
+        assert_eq!((io.reads, io.writes), (was.reads - s, was.writes - s));
+        let pages = |ids: &[PageId]| -> Vec<Vec<Tuple>> {
+            ids.iter().map(|&id| st.read_page_tuples_uncounted(id)).collect()
+        };
+        assert_eq!(pages(&loaded.leaves), pages(&written.leaves));
+        let levels = |ix: &BTreeIndex| -> Vec<Vec<(Vec<Tuple>, usize)>> {
+            let node = |n: &Node| (st.read_page_tuples_uncounted(n.page), n.first_child);
+            ix.levels.iter().map(|level| level.iter().map(node).collect()).collect()
+        };
+        assert_eq!(levels(&loaded), levels(&written));
+        assert_eq!(loaded.stats(), written.stats());
+        written.drop_pages(&st);
         loaded.drop_pages(&st);
         assert_eq!(st.live_pages(), live);
     }

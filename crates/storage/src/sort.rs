@@ -6,13 +6,22 @@
 //! to `B−1` runs. All reads bypass the buffer pool (the sort owns the
 //! buffer while it runs, as in System R), so measured I/O matches the model.
 //!
+//! The last pass goes to the caller ([`sorted_with`]): once at most `B − 1`
+//! runs remain, their merge is handed over as an iterator, so an operator
+//! that wants its input sorted once — a bulk-loaded B+tree, a sort-based
+//! GROUP BY — consumes it as it is merged instead of reading back a sorted
+//! file the sort wrote (Graefe, *Query Evaluation Techniques for Large
+//! Databases*, 1993, §2.2). An input of at most `B` pages is sorted in
+//! memory and handed over with no run written. [`external_sort`] is the
+//! consumer that writes the file.
+//!
 //! Rows are shared ([`Tuple`] is a reference-counted slice), so the sort
 //! never copies one: pass 0 sorts *references* to the tuples where they lie
 //! on the chunk's pages, the merge compares the heads of its runs in place
 //! on theirs, and what either writes out is a reference-count bump per row.
 
 use crate::disk::{Page, PageId};
-use crate::heap::HeapFile;
+use crate::heap::{HeapFile, TempFile};
 use crate::Storage;
 use nsql_types::{Tuple, Value};
 use std::cmp::Ordering;
@@ -51,7 +60,34 @@ pub fn compare(a: &Tuple, b: &Tuple, keys: &[SortKey]) -> Ordering {
     Ordering::Equal
 }
 
-/// Sort `input` into a new heap file using an external (B−1)-way merge sort.
+/// Sort `input` into a new heap file using an external (B−1)-way merge sort:
+/// [`sorted_with`] whose consumer writes the rows it is handed, page by
+/// page. The row sequence, and the I/O sequence down to the recorded page
+/// events, are those of a sort whose last pass writes its own file.
+///
+/// The input file is left intact; callers that no longer need it should
+/// [`HeapFile::drop_pages`] it.
+pub fn external_sort(
+    storage: &Storage,
+    input: &HeapFile,
+    keys: &[SortKey],
+    unique: bool,
+) -> HeapFile {
+    sorted_with(storage, input, keys, unique, |rows| {
+        HeapFile::from_tuples(storage, input.schema().clone(), rows)
+    })
+}
+
+/// Sort `input` and hand the sorted rows to `consume`, returning what it
+/// returns.
+///
+/// An input of at most `B` pages is read once, sorted in memory and handed
+/// over: no run is written. A larger one is cut into runs of `B` pages
+/// (pass 0) that are merged `B − 1` at a time, pass by pass, until at most
+/// `B − 1` remain; their merge is the iterator `consume` gets, reading each
+/// run page directly as its head moves onto it. The runs are freed after
+/// `consume` returns. Against a sort that writes its last pass and reads it
+/// back, this saves one write and one read per output page.
 ///
 /// With `unique`, exact-duplicate tuples (whole-tuple comparison in the
 /// total order) are eliminated during run generation and merging — this is
@@ -63,59 +99,77 @@ pub fn compare(a: &Tuple, b: &Tuple, keys: &[SortKey]) -> Ordering {
 ///
 /// Without `unique` the sort is stable: tuples with equal keys keep their
 /// order in `input`.
-///
-/// The input file is left intact; callers that no longer need it should
-/// [`HeapFile::drop_pages`] it.
-pub fn external_sort(
+pub fn sorted_with<R>(
     storage: &Storage,
     input: &HeapFile,
     keys: &[SortKey],
     unique: bool,
-) -> HeapFile {
+    consume: impl FnOnce(Sorted<'_>) -> R,
+) -> R {
     debug_assert!(
         !unique || keys.iter().enumerate().all(|(i, k)| *k == SortKey::asc(i)),
         "a unique sort orders by the whole tuple ascending; {keys:?} would be ignored"
     );
     let b = storage.buffer_pages().max(2);
-    let cmp = |x: &Tuple, y: &Tuple| if unique { x.total_cmp(y) } else { compare(x, y, keys) };
-
+    let order = Order { keys, unique };
     // A unique sort's first key is field 0 ascending, if the tuples have one.
     let first = if unique { Some(SortKey::asc(0)) } else { keys.first().copied() };
-    // Pass 0: one sorted run per chunk of up to `b` pages; a chunk without
-    // tuples leaves no run.
-    let mut runs: Vec<HeapFile> = input
+    // Pass 0 over up to `b` pages: their tuples, sorted.
+    let chunk = |span: &[PageId]| {
+        let pages: Vec<Arc<Page>> = span.iter().map(|&id| storage.read_page_direct(id)).collect();
+        let mut rows = sort_rows(&pages, first, |x, y| order.cmp(x, y));
+        if unique {
+            rows.dedup();
+        }
+        rows
+    };
+    if input.page_count() <= b {
+        return consume(Sorted(Source::Memory(chunk(input.page_ids()).into_iter())));
+    }
+
+    // One run per chunk; a chunk without tuples leaves none.
+    let write = |rows: Sorted| {
+        TempFile::new(storage, HeapFile::from_tuples(storage, input.schema().clone(), rows))
+    };
+    let mut runs: Vec<TempFile> = input
         .page_ids()
         .chunks(b)
-        .filter_map(|span| {
-            let pages: Vec<Arc<Page>> =
-                span.iter().map(|&id| storage.read_page_direct(id)).collect();
-            let mut rows = sort_rows(&pages, first, cmp);
-            if unique {
-                rows.dedup();
-            }
-            (!rows.is_empty())
-                .then(|| HeapFile::from_tuples(storage, input.schema().clone(), rows))
-        })
+        .map(chunk)
+        .filter(|rows| !rows.is_empty())
+        .map(|rows| write(Sorted(Source::Memory(rows.into_iter()))))
         .collect();
-
-    if runs.is_empty() {
-        return HeapFile::from_tuples(storage, input.schema().clone(), Vec::new());
-    }
-
-    // Merge passes: (B−1)-way.
+    // Merge passes, (B−1)-way, each group's runs freed once their merge is
+    // written, until the last pass's runs are left.
     let fan_in = (b - 1).max(2);
-    while runs.len() > 1 {
-        let mut next: Vec<HeapFile> = Vec::new();
-        for group in runs.chunks(fan_in) {
-            let merged = merge_runs(storage, group, input, unique, cmp);
-            for r in group {
-                r.drop_pages(storage);
-            }
-            next.push(merged);
+    while runs.len() > fan_in {
+        let mut groups = runs.into_iter().peekable();
+        runs = Vec::new();
+        while groups.peek().is_some() {
+            let group: Vec<TempFile> = groups.by_ref().take(fan_in).collect();
+            runs.push(write(Sorted(Source::Merge(Merge::new(storage, &group, order)))));
         }
-        runs = next;
     }
-    runs.pop().expect("at least one run")
+    let out = consume(Sorted(Source::Merge(Merge::new(storage, &runs, order))));
+    drop(runs);
+    out
+}
+
+/// The order a sort puts its rows in: the key list, or under `unique` the
+/// whole tuple ascending.
+#[derive(Clone, Copy)]
+struct Order<'k> {
+    keys: &'k [SortKey],
+    unique: bool,
+}
+
+impl Order<'_> {
+    fn cmp(&self, x: &Tuple, y: &Tuple) -> Ordering {
+        if self.unique {
+            x.total_cmp(y)
+        } else {
+            compare(x, y, self.keys)
+        }
+    }
 }
 
 /// Order-preserving fixed-width image of a first-key value: `(rank, n)`
@@ -208,48 +262,83 @@ impl<'a> RunCursor<'a> {
     }
 }
 
-/// Merge sorted runs under `cmp`, the lower run winning ties; with `unique`,
-/// exact duplicates are dropped.
+/// The sorted rows [`sorted_with`] hands its consumer: an input sorted in
+/// memory, or the merge of the last pass's runs.
+pub struct Sorted<'a>(Source<'a>);
+
+enum Source<'a> {
+    Memory(std::vec::IntoIter<Tuple>),
+    Merge(Merge<'a>),
+}
+
+impl Iterator for Sorted<'_> {
+    type Item = Tuple;
+
+    #[inline]
+    fn next(&mut self) -> Option<Tuple> {
+        match &mut self.0 {
+            Source::Memory(rows) => rows.next(),
+            Source::Merge(merge) => merge.next(),
+        }
+    }
+}
+
+/// The merge of sorted runs, the lower run winning ties; under `unique`,
+/// exact duplicates are dropped. Opening it reads the first page of every
+/// run. Every merge pass, the last one included, is this iterator.
 ///
 /// Dedup is a one-element delay line: the previous winner is *held back*,
 /// each new winner is compared against it, and only on inequality is the
 /// held tuple released downstream. (The delay is observable — a run page is
 /// read before the output page its held tuple closes is written — so it is
 /// part of the sort's recorded I/O sequence.)
-fn merge_runs(
-    storage: &Storage,
-    runs: &[HeapFile],
-    input: &HeapFile,
-    unique: bool,
-    cmp: impl Fn(&Tuple, &Tuple) -> Ordering,
-) -> HeapFile {
-    let mut cursors: Vec<RunCursor> = runs.iter().map(|r| RunCursor::open(storage, r)).collect();
-    let mut pending: Option<Tuple> = None;
-    let merged = std::iter::from_fn(|| loop {
-        let mut best: Option<(usize, &Tuple)> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            let Some(t) = c.head() else { continue };
-            if best.is_none_or(|(_, b)| cmp(t, b) == Ordering::Less) {
-                best = Some((i, t));
+struct Merge<'a> {
+    cursors: Vec<RunCursor<'a>>,
+    order: Order<'a>,
+    /// The held winner, under `unique`.
+    pending: Option<Tuple>,
+}
+
+impl<'a> Merge<'a> {
+    fn new(storage: &'a Storage, runs: &'a [TempFile], order: Order<'a>) -> Merge<'a> {
+        let cursors = runs.iter().map(|r| RunCursor::open(storage, r)).collect();
+        Merge { cursors, order, pending: None }
+    }
+}
+
+impl Iterator for Merge<'_> {
+    type Item = Tuple;
+
+    // Inlined into the loop that consumes it, as the closure it replaced
+    // was: out of line, a call per row made a 100-page sort through a
+    // six-page pool about 7 % slower (EXPERIMENTS.md "Streamed last pass").
+    #[inline]
+    fn next(&mut self) -> Option<Tuple> {
+        loop {
+            let mut best: Option<(usize, &Tuple)> = None;
+            for (i, c) in self.cursors.iter().enumerate() {
+                let Some(t) = c.head() else { continue };
+                if best.is_none_or(|(_, b)| self.order.cmp(t, b) == Ordering::Less) {
+                    best = Some((i, t));
+                }
+            }
+            let Some((i, t)) = best else {
+                return self.pending.take(); // release the final held tuple
+            };
+            let w = t.clone();
+            self.cursors[i].advance();
+            if !self.order.unique {
+                return Some(w);
+            }
+            if self.pending.as_ref() == Some(&w) {
+                continue; // duplicate of the held tuple
+            }
+            // The first winner is only held; later ones release their predecessor.
+            if let Some(out) = self.pending.replace(w) {
+                return Some(out);
             }
         }
-        let Some((i, t)) = best else {
-            return pending.take(); // release the final held tuple
-        };
-        let w = t.clone();
-        cursors[i].advance();
-        if !unique {
-            return Some(w);
-        }
-        if pending.as_ref() == Some(&w) {
-            continue; // duplicate of the held tuple
-        }
-        // The first winner is only held; later ones release their predecessor.
-        if let Some(out) = pending.replace(w) {
-            return Some(out);
-        }
-    });
-    HeapFile::from_tuples(storage, input.schema().clone(), merged)
+    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,14 @@
 //! Property tests for the external (B−1)-way merge sort: output is a
 //! sorted permutation of the input, duplicate elimination matches the
 //! in-memory reference, I/O stays within the model envelope across random
-//! buffer sizes, and the reference-sorting kernel is indistinguishable from
-//! the decorate–sort–undecorate one it replaced, stable, and copies no row.
+//! buffer sizes, the reference-sorting kernel is indistinguishable from
+//! the decorate–sort–undecorate one it replaced, stable, and copies no row,
+//! and a sort whose last pass goes to its caller hands over what the sort
+//! writes, for one write and one read less per page written.
 
 use nsql_storage::sort::{compare, SortKey};
-use nsql_storage::{external_sort, HeapFile, IoSnapshot, Storage, TraceEvent};
+use nsql_storage::{external_sort, sorted_with, HeapFile, IoSnapshot, Storage, TraceEvent};
+use std::cell::Cell;
 use nsql_testkit::{forall, prop_assert, prop_assert_eq, Rng};
 use nsql_types::{Column, ColumnType, Date, Schema, Tuple, Value};
 
@@ -534,4 +537,69 @@ fn sorted_rows_are_shared_not_copied() {
             Ok(())
         },
     );
+}
+
+/// `sorted_with` against `external_sort`, the consumer that writes: the
+/// same rows in the same order, the same counted reads — the last pass's
+/// runs are read as they are merged either way — and the writes less the
+/// output file's pages; no page left behind. Over empty inputs, inputs of
+/// at most `B` pages (sorted in memory, no run written) and inputs that
+/// need merge passes before the last.
+#[test]
+fn the_last_pass_hands_over_what_external_sort_writes() {
+    let (empty, in_memory, merged) = (Cell::new(0), Cell::new(0), Cell::new(0));
+    forall(
+        200,
+        "the_last_pass_hands_over_what_external_sort_writes",
+        |rng| {
+            let n = match rng.gen_range(0u8..4) {
+                0 => 0,
+                1 => rng.gen_range(1usize..12),
+                _ => rng.gen_range(12usize..900),
+            };
+            let rows: Vec<(i64, i64)> =
+                (0..n).map(|_| (rng.gen_range(0i64..40), rng.gen_range(0i64..4))).collect();
+            (rows, rng.gen_bool(0.4), rng.gen_range(3usize..10), *rng.choose(&[64usize, 128, 512]))
+        },
+        |(rows, unique, b, page_size)| {
+            let st = Storage::new(*b, *page_size);
+            let f = file_of(&st, rows);
+            let keys = if *unique { vec![] } else { vec![SortKey::asc(0), SortKey::desc(1)] };
+            let live = st.live_pages();
+
+            let before = st.io_snapshot();
+            let written = external_sort(&st, &f, &keys, *unique);
+            let writing = st.io_snapshot().since(&before);
+            let page = |&id| st.read_page_tuples_uncounted(id);
+            let want: Vec<Tuple> = written.page_ids().iter().flat_map(page).collect();
+            let out_pages = written.page_count() as u64;
+            written.drop_pages(&st);
+            prop_assert_eq!(st.live_pages(), live);
+
+            let before = st.io_snapshot();
+            let got: Vec<Tuple> = sorted_with(&st, &f, &keys, *unique, |rows| rows.collect());
+            let streaming = st.io_snapshot().since(&before);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(streaming.reads, writing.reads);
+            prop_assert_eq!(streaming.writes, writing.writes - out_pages);
+            prop_assert_eq!((streaming.hits, streaming.misses), (writing.hits, writing.misses));
+            prop_assert_eq!(st.live_pages(), live, "the runs are freed");
+
+            let (p, b) = (f.page_count(), st.buffer_pages().max(2));
+            let counter = match p {
+                0 => &empty,
+                p if p <= b => &in_memory,
+                // Pass 0 leaves more runs than the last pass merges.
+                p if p.div_ceil(b) > b - 1 => &merged,
+                _ => return Ok(()),
+            };
+            counter.set(counter.get() + 1);
+            Ok(())
+        },
+    );
+    let scaled = ["NSQL_TEST_CASES", "NSQL_TEST_SEED"].iter().any(|v| std::env::var_os(v).is_some());
+    if !scaled {
+        let kinds = [&empty, &in_memory, &merged].map(Cell::get);
+        assert!(kinds.iter().all(|&n| n > 0), "empty, in memory, merged: {kinds:?}");
+    }
 }

@@ -111,6 +111,7 @@ done <<GATES
 \\b(par_map_pages|workers_for|PAR_MIN_ROWS|with_thread_budget|with_requested_threads|external_sort_threads|Morsels|chunk_for|threads_named|morsels_per_worker|absorb)\\b|AggState::merge|\\.morsels\\.#$everywhere#crates/db/tests/explain_parity\\.rs#morsel-parallel operator execution, its thread budget or its per-worker counters; every operator is serial (DESIGN.md "Execution is serial"). explain_parity asserts the JSON key is gone
 \\b(eval_batched|Verdicts|BatchedParams|batched_cost)\\b|Strategy::Batched|StrategyKind::Batched|QueryOptions::batched\\b#$everywhere#-#batched correlated evaluation, a second correlated evaluator; nested iteration evaluates each distinct binding once (DESIGN.md "One correlated evaluator"). The eval_query_batched stub stays for benchmark/
 \\b(QueryCache|BlockEntry|TempEntry|CacheStats|CacheCounters|CacheCtx|TempKey|replay_temp|temp_keys|result_cache|set_result_cache|record_cache|with_query_cache|cache_counts|normalized_block_signature|table_generation|cache_epoch|STAT_CACHE|nsql_cache|CacheMode)\\b|nsql_stat_cache|NSQL_STAT_CACHE#$everywhere#crates/cache/src/lib\\.rs|crates/db/src/(options|lib)\\.rs#the cross-query result cache, its generation and epoch stamps or its counters; no statement consults a cache (DESIGN.md "No result cache"). CacheMode and nsql-cache stay as stubs for benchmark/
+\\bmerge_runs\\b#$everywhere#crates/storage/tests/sort_prop\\.rs#a second merge loop beside the sort's one merge iterator, which runs every pass and hands the last to its consumer (DESIGN.md "Execution model and the I/O-accounting invariant"); sort_prop keeps the old kernel verbatim as its reference
 (start|take)_recording\\(#$non_test#crates/storage/src/lib\\.rs#a query path records page events; the recorder is left for join_prop and sort_prop only (DESIGN.md "No result cache")
 faithful_1987 *[:=] *true|UnnestOptions::faithful\\(|set_faithful\\(true#$non_test#crates/core/src/nest_g\\.rs|crates/db/src/options\\.rs|crates/bench/src/.*|src/diff\\.rs|examples/.*#faithful_1987 is set on a path the default options reach
 GATES
@@ -149,6 +150,23 @@ if [ "$kernel" != "crates/db/src/plan_exec.rs:groupjoin" ] \
     || [ "$step" != "crates/db/src/plan_exec.rs:run_plan" ]; then
     echo "callers of hash_groupjoin: ${kernel:-none}; of PlanExecutor::groupjoin: ${step:-none}"
     echo "FAIL: the groupjoin runs outside the plan executor's aggregate step (or nowhere)"
+    exit 1
+fi
+
+echo "==> the sort's last pass goes to three consumers"
+# nsql_storage::sorted_with hands its last merge pass to the operator that
+# wants the rows sorted once, in place of a sorted file it would write and
+# read back (DESIGN.md "Execution model and the I/O-accounting invariant").
+# Outside tests it is called by external_sort, which writes the file, by
+# BTreeIndex::bulk_load, which packs the leaves, and by the GROUP BY fold.
+# The merge join's sorts stay written: its two inputs would share the run
+# pages.
+consumers=$(calls 'sorted_with[(]' | tr '\n' ' ')
+want="crates/engine/src/ops/agg.rs:group_aggregate_tuples crates/index/src/lib.rs:bulk_load \
+crates/storage/src/sort.rs:external_sort "
+if [ "$consumers" != "$want" ]; then
+    echo "callers of sorted_with: ${consumers:-none}"
+    echo "FAIL: the sort's last pass is handed to a consumer other than the three"
     exit 1
 fi
 
