@@ -52,11 +52,6 @@ impl Resolver {
         Resolver { scopes }
     }
 
-    /// Resolver for a single block with no enclosing scopes.
-    pub fn for_block<S: SchemaSource>(catalog: &S, block: &QueryBlock) -> Result<Resolver> {
-        Ok(Resolver::new(vec![block_schema(catalog, block)?]))
-    }
-
     /// Push an inner scope (returns a new resolver for a child block).
     pub fn child(&self, inner: Schema) -> Resolver {
         let mut scopes = Vec::with_capacity(self.scopes.len() + 1);
@@ -79,11 +74,6 @@ impl Resolver {
             }
         }
         Err(AnalyzeError::UnresolvedColumn(col.to_string()))
-    }
-
-    /// Whether `col` resolves in the local (depth-0) scope.
-    pub fn is_local(&self, col: &ColumnRef) -> Result<bool> {
-        Ok(self.binding_depth(col)? == 0)
     }
 }
 

@@ -65,7 +65,8 @@ pub struct JaAnalysis {
 /// Decompose a (flat, fully-qualified) aggregate inner block into the parts
 /// the JA algorithms work with. Errors if the block is outside the class
 /// the paper's algorithms handle (disjunctive correlation, multiple outer
-/// relations, non-column correlation operands, …).
+/// relations, non-column correlation operands, an aggregate over an outer
+/// reference, …).
 pub fn analyze_ja(inner: &QueryBlock) -> Result<JaAnalysis> {
     if inner.select.len() != 1 {
         return Err(TransformError::Unsupported(
@@ -88,6 +89,15 @@ pub fn analyze_ja(inner: &QueryBlock) -> Result<JaAnalysis> {
     let inner_names: Vec<&str> = inner.from_names();
     let is_local_ref =
         |c: &ColumnRef| c.table.as_deref().is_some_and(|t| inner_names.contains(&t));
+    // The temporaries aggregate columns of the inner FROM only: an outer
+    // reference is a constant per evaluation, which no temporary carries.
+    if let AggArg::Column(c) = &arg {
+        if !is_local_ref(c) {
+            return Err(TransformError::Unsupported(format!(
+                "aggregate argument {c} is not a column of the inner block's FROM"
+            )));
+        }
+    }
 
     let mut local = Vec::new();
     let mut correlations = Vec::new();

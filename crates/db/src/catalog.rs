@@ -19,7 +19,7 @@ use crate::Result;
 use nsql_analyzer::resolve::SchemaSource;
 use nsql_engine::TableProvider;
 use nsql_index::BTreeIndex;
-use nsql_obs::stats::{thread_shard, StatsRegistry, TableCounters};
+use nsql_obs::stats::{StatsRegistry, TableCounters};
 use nsql_storage::durable::codec::{self, ByteReader, ByteWriter};
 use nsql_storage::{HeapFile, PageId, Storage, StorageError};
 use nsql_types::{Relation, Schema, Tuple, TypeError};
@@ -204,7 +204,7 @@ impl Catalog {
             .entry(key.clone())
             .or_insert_with(|| self.stats_registry.table_entry(&key));
         if self.stats_registry.enabled() {
-            counters.tuples_written.add(thread_shard(), rel.tuples().len() as u64);
+            counters.tuples_written.add(rel.tuples().len() as u64);
         }
         let requalified =
             Relation::new(rel.schema().requalify(&key), rel.tuples().to_vec())?;
@@ -265,7 +265,7 @@ impl Catalog {
         }
         if self.stats_registry.enabled() {
             if let Some(t) = self.counters.get(&key) {
-                t.tuples_written.add(thread_shard(), n as u64);
+                t.tuples_written.add(n as u64);
             }
         }
         for slot in self.indexes.get_mut(&key).into_iter().flatten() {
@@ -494,9 +494,8 @@ impl TableProvider for Catalog {
             // move.
             if self.stats_registry.enabled() {
                 if let Some(t) = self.counters.get(&key) {
-                    let shard = thread_shard();
-                    t.scans.add(shard, 1);
-                    t.tuples_read.add(shard, f.tuple_count() as u64);
+                    t.scans.add(1);
+                    t.tuples_read.add(f.tuple_count() as u64);
                 }
             }
         }
@@ -510,7 +509,7 @@ impl TableProvider for Catalog {
     fn note_index_probes(&self, table: &str, probes: u64) {
         if self.stats_registry.enabled() {
             if let Some(t) = self.counters.get(&table.to_ascii_uppercase()) {
-                t.index_probes.add(thread_shard(), probes);
+                t.index_probes.add(probes);
             }
         }
     }

@@ -28,16 +28,16 @@ use nsql_engine::cost::{
 };
 use nsql_engine::pred::cannot_raise;
 use nsql_engine::{
-    AggSpec, CExpr, CPred, Exec, JoinEmit, JoinKind, Joined, Projector, TableProvider,
+    AggSpec, CExpr, CPred, Exec, JoinEmit, JoinKind, Joined, SelectList, TableProvider,
 };
 use nsql_index::{BTreeIndex, KeyBound};
 use nsql_obs::Profile;
 use nsql_storage::sort::SortKey;
 use nsql_storage::{HeapFile, Storage, TempFile};
 use nsql_sql::{
-    AggArg, AggFunc, ColumnRef, CompareOp, Operand, Predicate, QueryBlock, ScalarExpr, SortDir,
+    AggArg, ColumnRef, CompareOp, Operand, Predicate, QueryBlock, ScalarExpr, SelectItem,
 };
-use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
+use nsql_types::{Relation, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -59,11 +59,11 @@ pub(crate) fn observed<R, E>(
     let Some(op) = profile.current_op() else { return f() };
     let out = f();
     if op.rows_in.total() == 0 && rows_in > 0 {
-        op.rows_in.add(0, rows_in);
+        op.rows_in.add(rows_in);
     }
     if let Ok(r) = &out {
         if op.rows_out.total() == 0 {
-            op.rows_out.add(0, rows(r));
+            op.rows_out.add(rows(r));
         }
     }
     profile.end(node);
@@ -299,18 +299,15 @@ impl<T: TableProvider> PlanExecutor<T> {
                         pred = None;
                     }
                 }
-                let (exprs, out_schema) = compile_projection(child.file.schema(), items)?;
+                let list = SelectList::compile(child.file.schema(), items, &[], &[], false)?;
+                let exprs = list.projection()?;
                 let cpred = match pred {
                     Some(p) => CPred::compile(child.file.schema(), p)?,
                     None => CPred::always_true(),
                 };
-                let file = self.exec.restrict_project(
-                    &child.file,
-                    &cpred,
-                    &exprs,
-                    out_schema,
-                    *distinct,
-                )?;
+                let schema = list.schema().clone();
+                let file =
+                    self.exec.restrict_project(&child.file, &cpred, &exprs, schema, *distinct)?;
                 let sorted_by = if *distinct {
                     // Distinct projection leaves the file whole-tuple sorted.
                     (0..file.schema().arity()).collect()
@@ -347,10 +344,8 @@ impl<T: TableProvider> PlanExecutor<T> {
                     }
                     (None, _) => self.run_plan(input)?,
                 };
-                let mut step = GroupStep::new(child.file.schema(), &child.sorted_by, group_by)?;
-                for a in aggs {
-                    step.push_agg(a.func, &a.arg, &a.alias)?;
-                }
+                let list = aggregate_list(child.file.schema(), group_by, aggs)?;
+                let step = GroupStep::new(&list, &child.sorted_by)?;
                 if !step.group_idx.is_empty() {
                     let how =
                         if step.presorted { "input pre-sorted, no sort pass" } else { "sorting input" };
@@ -667,10 +662,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             return Ok(None);
         }
         let combined = l.file.schema().join(r.file.schema());
-        let mut step = GroupStep::new(&combined, &[], group_by)?;
-        for a in aggs {
-            step.push_agg(a.func, &a.arg, &a.alias)?;
-        }
+        let step = GroupStep::new(&aggregate_list(&combined, group_by, aggs)?, &[])?;
         let split = l.file.schema().arity();
         let on_the_left = step.group_idx.iter().copied().eq(0..split);
         if !on_the_left || step.specs.iter().any(|s| s.arg.is_some_and(|i| i < split)) {
@@ -703,7 +695,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             residual,
             kind,
             aggs: aggs.collect(),
-            schema: Schema::new(step.out_cols),
+            schema: step.schema,
             partitions,
         }))
     }
@@ -982,18 +974,17 @@ impl<T: TableProvider> PlanExecutor<T> {
         let reads = Some(select_phase_refs(q));
 
         let grouped = !q.group_by.is_empty() || q.has_aggregate_select();
-        // Streaming projection needs plain column/literal select items.
-        let streamable = !grouped
-            && q.order_by.is_empty()
-            && !q.distinct
-            && !force_distinct
-            && q.select.iter().all(|s| !matches!(s.expr, ScalarExpr::Aggregate(..)));
+        let select = |scope: &Schema| {
+            SelectList::compile(scope, &q.select, &q.group_by, &q.order_by, q.distinct)
+        };
+        // Streaming projection needs a plain select list, unsorted.
+        let streamable = !grouped && q.order_by.is_empty() && !q.distinct && !force_distinct;
         let joined = if streamable {
             // Stream the final join straight into the projection.
             let rows = |rel: &Relation| rel.len() as u64;
             let keep = |_: &Exec, rel, _| rel;
             if let Some(rel) = self.join_inputs(&mut inputs, &mut remaining, reads, rows, keep)? {
-                return project_relation(q, &rel, force_distinct);
+                return Ok(select(rel.schema())?.finish(rel.tuples(), force_distinct)?);
             }
             None
         } else {
@@ -1010,145 +1001,47 @@ impl<T: TableProvider> PlanExecutor<T> {
             Some(TempFile::new(self.exec.storage(), self.exec.filter(&acc.file, &cpred)?))
         };
         let working = filtered.as_deref().unwrap_or(&acc.file);
-        if grouped {
-            return self.finish_grouped(q, working, &acc.sorted_by, force_distinct);
+        let list = select(working.schema())?;
+        if !list.grouped() {
+            return Ok(list.finish(self.exec.collect(working).tuples(), force_distinct)?);
         }
-        project_relation(q, &self.exec.collect(working), force_distinct)
-    }
-
-    /// SELECT-phase with aggregation / GROUP BY over `working`, which lies
-    /// in `sorted_by` order.
-    fn finish_grouped(
-        &mut self,
-        q: &QueryBlock,
-        working: &HeapFile,
-        sorted_by: &[usize],
-        force_distinct: bool,
-    ) -> Result<Relation> {
-        let schema = working.schema();
-        let mut step = GroupStep::new(schema, sorted_by, &q.group_by)?;
-        // Output slot of each select item: a group column by its position,
-        // an aggregate behind them in select order.
-        let mut select_slots: Vec<usize> = Vec::new();
-        for item in &q.select {
-            match &item.expr {
-                ScalarExpr::Column(c) => {
-                    let i = schema.resolve(c.table.as_deref(), &c.column)?;
-                    let pos = step.group_idx.iter().position(|&g| g == i).ok_or_else(|| {
-                        DbError::Engine(nsql_engine::EngineError::Unsupported(format!(
-                            "column {c} in SELECT is not in GROUP BY"
-                        )))
-                    })?;
-                    select_slots.push(pos);
-                }
-                ScalarExpr::Aggregate(func, arg) => {
-                    select_slots.push(step.out_cols.len());
-                    step.push_agg(*func, arg, item.alias.as_deref().unwrap_or(func.name()))?;
-                }
-                ScalarExpr::Literal(_) => {
-                    return Err(DbError::Engine(nsql_engine::EngineError::Unsupported(
-                        "literal select items in grouped queries".into(),
-                    )))
-                }
-            }
-        }
+        let step = GroupStep::new(&list, &acc.sorted_by)?;
         let rows = |rel: &Relation| rel.len() as u64;
-        let grouped = step.run(&self.exec, working, self.faithful, rows, |rel| rel)?;
-        // Reorder columns to select order and rename per aliases.
-        let final_cols = q
-            .select
-            .iter()
-            .zip(&select_slots)
-            .map(|(item, &slot)| {
-                let base = &step.out_cols[slot];
-                Column::new(item.alias.clone().unwrap_or_else(|| base.name.clone()), base.ty)
-            })
-            .collect();
-        let slot_exprs: Vec<CExpr> = select_slots.iter().map(|&s| CExpr::Col(s)).collect();
-        select_tail(q, force_distinct, grouped.tuples(), &slot_exprs, Schema::new(final_cols))
+        let groups = step.run(&self.exec, working, self.faithful, rows, |rel| rel)?;
+        Ok(list.finish(groups.tuples(), force_distinct)?)
     }
 }
 
-/// SELECT-phase over an in-memory join result (no aggregates).
-fn project_relation(q: &QueryBlock, rel: &Relation, force_distinct: bool) -> Result<Relation> {
-    let (exprs, out_schema) = compile_projection(rel.schema(), &q.select)?;
-    select_tail(q, force_distinct, rel.tuples(), &exprs, out_schema)
+/// The select list of an aggregate step: its GROUP BY columns, then its
+/// aggregates under their aliases — the layout of the step's output.
+fn aggregate_list(scope: &Schema, group_by: &[ColumnRef], aggs: &[AggItem]) -> Result<SelectList> {
+    let keys = group_by.iter().map(|c| SelectItem::column(c.clone()));
+    let aggs = aggs.iter().map(|a| SelectItem {
+        expr: ScalarExpr::Aggregate(a.func, a.arg.clone()),
+        alias: Some(a.alias.clone()),
+    });
+    let items: Vec<SelectItem> = keys.chain(aggs).collect();
+    Ok(SelectList::compile(scope, &items, group_by, &[], false)?)
 }
 
-/// The end of every SELECT phase, in memory: `rows` projected through
-/// `exprs` onto `schema`, then DISTINCT, then ORDER BY.
-fn select_tail(
-    q: &QueryBlock,
-    force_distinct: bool,
-    rows: &[Tuple],
-    exprs: &[CExpr],
-    schema: Schema,
-) -> Result<Relation> {
-    let projector = Projector::new(exprs);
-    let mut rows: Vec<Tuple> = rows.iter().map(|t| projector.apply_ref(t)).collect();
-    if q.distinct || force_distinct {
-        rows.sort_by(Tuple::total_cmp);
-        rows.dedup();
-    }
-    let out = Relation::new(schema, rows)?;
-    if q.order_by.is_empty() {
-        Ok(out)
-    } else {
-        sort_relation(out, &q.order_by)
-    }
-}
-
-/// What one GROUP BY step hands `Exec::group_aggregate*`: the output layout
-/// is `[group columns..., aggregates...]`.
-struct GroupStep<'a> {
-    schema: &'a Schema,
+/// What one GROUP BY step hands `Exec::group_aggregate*`, taken from a
+/// [`SelectList`]: the key columns, the aggregates and the group-row
+/// schema `[keys…, aggregates…]`.
+struct GroupStep {
     group_idx: Vec<usize>,
     specs: Vec<AggSpec>,
-    out_cols: Vec<Column>,
+    schema: Schema,
     /// The input already lies in group-column order: no sort pass.
     presorted: bool,
 }
 
-impl<'a> GroupStep<'a> {
-    /// Grouping by `group_by` over an input of `schema` lying in
-    /// `sorted_by` order; no aggregate yet.
-    fn new(
-        schema: &'a Schema,
-        sorted_by: &[usize],
-        group_by: &[ColumnRef],
-    ) -> Result<GroupStep<'a>> {
-        let group_idx: Vec<usize> = group_by
-            .iter()
-            .map(|c| schema.resolve(c.table.as_deref(), &c.column))
-            .collect::<std::result::Result<_, _>>()?;
-        let out_cols = group_idx
-            .iter()
-            .map(|&i| {
-                let c = &schema.columns()[i];
-                Column::new(&c.name, c.ty)
-            })
-            .collect();
+impl GroupStep {
+    /// Grouping as `list` does over an input lying in `sorted_by` order.
+    fn new(list: &SelectList, sorted_by: &[usize]) -> Result<GroupStep> {
+        let group_idx = list.group_by().to_vec();
         let presorted = !group_idx.is_empty() && sorted_on(sorted_by, &group_idx);
-        Ok(GroupStep { schema, group_idx, specs: Vec::new(), out_cols, presorted })
-    }
-
-    /// Add `func(arg)` as the next output column, called `name`.
-    fn push_agg(&mut self, func: AggFunc, arg: &AggArg, name: &str) -> Result<()> {
-        let (spec, ty) = match arg {
-            AggArg::Star => (AggSpec::count_star(), ColumnType::Int),
-            AggArg::Column(c) => {
-                let i = self.schema.resolve(c.table.as_deref(), &c.column)?;
-                let ty = match func {
-                    AggFunc::Count => ColumnType::Int,
-                    AggFunc::Avg => ColumnType::Float,
-                    _ => self.schema.columns()[i].ty,
-                };
-                (AggSpec::on(func, i), ty)
-            }
-        };
-        self.specs.push(spec);
-        self.out_cols.push(Column::new(name, ty));
-        Ok(())
+        let (specs, schema) = (list.agg_specs()?, list.group_schema().clone());
+        Ok(GroupStep { group_idx, specs, schema, presorted })
     }
 
     /// Run the step over `input` inside one operator node; `rows` and
@@ -1165,7 +1058,7 @@ impl<'a> GroupStep<'a> {
         deliver: impl FnOnce(Relation) -> R,
     ) -> Result<R> {
         observed(exec.obs(), || "group-by".to_string(), input.tuple_count() as u64, rows, || {
-            let schema = Schema::new(self.out_cols.clone());
+            let schema = self.schema.clone();
             let sorted = (faithful && !self.presorted && !self.group_idx.is_empty()).then(|| {
                 let keys: Vec<SortKey> = self.group_idx.iter().map(|&i| SortKey::asc(i)).collect();
                 TempFile::new(exec.storage(), exec.sort(input, &keys, false))
@@ -1403,41 +1296,6 @@ fn qualifiers(schema: &Schema) -> Vec<String> {
     names
 }
 
-/// Compile a projection list to expressions and an output schema.
-fn compile_projection(
-    schema: &Schema,
-    items: &[nsql_sql::SelectItem],
-) -> Result<(Vec<CExpr>, Schema)> {
-    let mut exprs = Vec::with_capacity(items.len());
-    let mut cols = Vec::with_capacity(items.len());
-    for item in items {
-        match &item.expr {
-            ScalarExpr::Column(c) => {
-                let i = schema.resolve(c.table.as_deref(), &c.column)?;
-                let base = &schema.columns()[i];
-                exprs.push(CExpr::Col(i));
-                cols.push(Column::new(
-                    item.alias.clone().unwrap_or_else(|| base.name.clone()),
-                    base.ty,
-                ));
-            }
-            ScalarExpr::Literal(v) => {
-                exprs.push(CExpr::Lit(v.clone()));
-                cols.push(Column::new(
-                    item.alias.clone().unwrap_or_else(|| "LITERAL".into()),
-                    v.column_type().unwrap_or(ColumnType::Int),
-                ));
-            }
-            ScalarExpr::Aggregate(..) => {
-                return Err(DbError::Engine(nsql_engine::EngineError::Unsupported(
-                    "aggregate in plain projection".into(),
-                )))
-            }
-        }
-    }
-    Ok((exprs, Schema::new(cols)))
-}
-
 /// The column references of one predicate.
 fn refs_of(p: &Predicate) -> Vec<&ColumnRef> {
     nsql_analyzer::resolve::predicate_column_refs(p)
@@ -1526,41 +1384,14 @@ fn bounds_for(op: CompareOp, v: Value) -> (KeyBound, KeyBound) {
     }
 }
 
-/// In-memory ORDER BY against the output schema.
-fn sort_relation(rel: Relation, keys: &[nsql_sql::OrderKey]) -> Result<Relation> {
-    let schema = rel.schema().clone();
-    let mut idx: Vec<(usize, SortDir)> = Vec::new();
-    for k in keys {
-        let i = schema
-            .try_resolve(None, &k.column.column)
-            .or_else(|| schema.try_resolve(k.column.table.as_deref(), &k.column.column))
-            .ok_or_else(|| {
-                DbError::Type(nsql_types::TypeError::UnknownColumn(k.column.to_string()))
-            })?;
-        idx.push((i, k.dir));
-    }
-    let mut rows = rel.into_tuples();
-    rows.sort_by(|a, b| {
-        for &(i, dir) in &idx {
-            let o = a.get(i).total_cmp(b.get(i));
-            let o = if dir == SortDir::Desc { o.reverse() } else { o };
-            if o != std::cmp::Ordering::Equal {
-                return o;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    Relation::new(schema, rows).map_err(DbError::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use nsql_core::AggItem;
     use nsql_storage::Storage;
-    use nsql_sql::parse_query;
-    use nsql_types::Value;
+    use nsql_sql::{parse_query, AggFunc};
+    use nsql_types::{Column, ColumnType, Tuple, Value};
 
     fn catalog() -> Catalog {
         let storage = Storage::with_defaults();

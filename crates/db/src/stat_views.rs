@@ -228,7 +228,7 @@ mod tests {
     fn tables_view_includes_untouched_base_tables() {
         let st = Storage::with_defaults();
         let reg = StatsRegistry::new(true);
-        reg.table("OLD").unwrap().scans.add(0, 4);
+        reg.table("OLD").unwrap().scans.add(4);
         let rel = stat_view_relation(
             STAT_TABLES,
             &reg,

@@ -3,7 +3,7 @@
 
 use crate::error::EngineError;
 use crate::Result;
-use nsql_sql::{ColumnRef, Operand, ScalarExpr};
+use nsql_sql::{ColumnRef, Operand};
 use nsql_types::{Schema, Tuple, Value};
 
 /// A compiled scalar expression.
@@ -84,17 +84,6 @@ impl CExpr {
             Operand::Literal(v) => Ok(CExpr::Lit(v.clone())),
             Operand::Subquery(_) => Err(EngineError::Unsupported(
                 "subquery operand in physical expression (transform it away first)".into(),
-            )),
-        }
-    }
-
-    /// Compile a SELECT-list scalar (no aggregates at this layer).
-    pub fn compile_scalar(schema: &Schema, e: &ScalarExpr) -> Result<CExpr> {
-        match e {
-            ScalarExpr::Column(c) => CExpr::compile_column(schema, c),
-            ScalarExpr::Literal(v) => Ok(CExpr::Lit(v.clone())),
-            ScalarExpr::Aggregate(..) => Err(EngineError::Unsupported(
-                "aggregate in scalar position (use the aggregate operator)".into(),
             )),
         }
     }

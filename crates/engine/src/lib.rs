@@ -18,7 +18,10 @@
 //!    (canonical) queries produced by `nsql-core` execute on these, with all
 //!    I/O flowing through the counted buffer pool.
 //!
-//! Both paths run serially on the calling thread, as System R did.
+//! Both paths run serially on the calling thread, as System R did, and
+//! both end a block with the one SELECT phase of [`select`]: the select
+//! list compiled once per block into the output schema, each item's slot,
+//! the aggregates and the ORDER BY keys.
 //!
 //! Predicate evaluation implements SQL three-valued logic throughout; see
 //! [`pred`].
@@ -50,6 +53,7 @@ pub mod nested_iter;
 pub mod ops;
 pub mod pred;
 pub mod provider;
+pub mod select;
 
 pub use error::EngineError;
 pub use expr::{CExpr, Joined, Projector, Row};
@@ -57,6 +61,7 @@ pub use nested_iter::NestedIter;
 pub use ops::{AggSpec, Exec, JoinEmit, JoinKind};
 pub use pred::CPred;
 pub use provider::{MemoryProvider, TableProvider};
+pub use select::SelectList;
 
 /// Result alias for execution.
 pub type Result<T> = std::result::Result<T, EngineError>;

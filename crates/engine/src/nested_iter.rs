@@ -92,7 +92,10 @@
 //! * **per tuple** — the bound conjuncts run on the buffered tuple in
 //!   place, one conjunct at a time, stopping at the first non-TRUE one;
 //!   only survivors are cloned. SELECT items, GROUP BY keys and aggregate
-//!   arguments that resolve in the block's own scope project by index.
+//!   arguments that resolve in the block's own scope project by index,
+//!   through the block's [`SelectList`], compiled with the rest of its
+//!   [`BlockInfo`]; an aggregate argument that does not (an outer
+//!   reference) is looked up in the scope chain per member of its group.
 //!
 //! That row loop is the only kernel: once the conjuncts are bound, running
 //! them as lanes over a page's column batch costs more than it saves (the
@@ -146,18 +149,15 @@
 use crate::aggregate::AggState;
 use crate::cost::{nested_access_costs, selectivity, temp_tree_estimate, AccessCosts, Work};
 use crate::error::EngineError;
-use crate::expr::CExpr;
 use crate::pred::{cannot_raise, compare_values, not3, CPred, TOperand, TPred, Template};
 use crate::provider::TableProvider;
+use crate::select::{AggInput, SelectAgg, SelectList};
 use crate::Result;
 use nsql_index::BTreeIndex;
 use nsql_analyzer::resolve::{level_column_refs, predicate_column_refs};
-use nsql_sql::{
-    AggArg, AggFunc, ColumnRef, CompareOp, InRhs, Operand, Predicate, Quantifier, QueryBlock,
-    ScalarExpr, SortDir,
-};
+use nsql_sql::{ColumnRef, CompareOp, InRhs, Operand, Predicate, Quantifier, QueryBlock};
 use nsql_storage::{HeapFile, PageId, Storage, TempFile};
-use nsql_types::{Column, ColumnType, FxHashMap, Relation, Schema, Tuple, Value};
+use nsql_types::{ColumnType, FxHashMap, Relation, Schema, Tuple, Value};
 use std::cell::{OnceCell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
@@ -203,6 +203,9 @@ struct BlockInfo {
     /// they decline compilation (e.g. a locally ambiguous reference, whose
     /// error the interpreter raises lazily).
     template: Option<Template>,
+    /// The SELECT phase compiled against `schema`, or the error compiling
+    /// it met, raised where the phase runs: after the binding loop.
+    select: Result<SelectList>,
     /// An uncorrelated block's result, evaluated at its first use.
     result: OnceCell<Cached>,
     /// A correlated block's access path, set by [`NestedIter::plan`] before
@@ -674,8 +677,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let node = self.profile.begin_op(|| format!("build {name}"));
         let tree = BTreeIndex::bulk_load(&self.storage, &name, col, file);
         if let Some(op) = self.profile.current_op() {
-            op.rows_in.add(0, file.tuple_count() as u64);
-            op.rows_out.add(0, tree.stats().tuples as u64);
+            op.rows_in.add(file.tuple_count() as u64);
+            op.rows_out.add(tree.stats().tuples as u64);
         }
         self.profile.end(node);
         if keys_in_class(&tree, column.ty) {
@@ -784,6 +787,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         };
         let info = Rc::new(BlockInfo {
             template: Template::compile(&schema, &simple),
+            select: SelectList::compile(&schema, &q.select, &q.group_by, &q.order_by, q.distinct),
             files,
             schema,
             nested,
@@ -829,7 +833,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let evaluate = |tuples: Tuples<'_>| -> Result<Relation> {
             let conjuncts = bound.as_ref().map(|b| b.conjuncts.as_slice());
             let survivors = self.bindings(&info, tuples, conjuncts, &simple, &nested, env)?;
-            self.eval_select(q, &info.schema, survivors, env)
+            self.eval_select(&info, &survivors, env)
         };
         let scan = || Tuples::Pages(info.outer_pages());
         match bound.as_ref().and_then(|b| self.candidates(q, &info, &b.outer)) {
@@ -984,162 +988,64 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
 
     // ------------------------------------------------------------- select
 
-    fn eval_select(
-        &self,
-        q: &QueryBlock,
-        scope_schema: &Schema,
-        survivors: Vec<Tuple>,
-        env: &Env<'_>,
-    ) -> Result<Relation> {
-        let grouped = !q.group_by.is_empty();
-        let has_agg = q.has_aggregate_select();
-        let out_schema = self.output_schema(q, scope_schema)?;
-
-        let mut rows: Vec<Tuple> = if grouped {
-            self.eval_grouped(q, scope_schema, &survivors, env)?
-        } else if has_agg {
-            // Global aggregate: one row, even over zero survivors.
-            let members: Vec<&Tuple> = survivors.iter().collect();
-            vec![self.eval_aggregate_row(q, scope_schema, &members, env)?]
-        } else {
-            // `output_schema` just resolved every SELECT column in the
-            // block's own scope, so the items project by index.
-            let items: Vec<CExpr> = q
-                .select
-                .iter()
-                .map(|item| CExpr::compile_scalar(scope_schema, &item.expr))
-                .collect::<Result<_>>()?;
-            survivors.iter().map(|s| items.iter().map(|e| e.eval(s).clone()).collect()).collect()
-        };
-
-        if q.distinct {
-            rows.sort_by(Tuple::total_cmp);
-            rows.dedup();
+    /// The SELECT phase over the block's survivors: a plain block maps them
+    /// through its [`SelectList`]; an aggregating one first groups them by
+    /// hash, in first-encounter order — one group of all of them, even of
+    /// none, without GROUP BY — into `[keys…, aggregates…]` rows.
+    fn eval_select(&self, info: &BlockInfo, survivors: &[Tuple], env: &Env<'_>) -> Result<Relation> {
+        let list = info.select.as_ref().map_err(Clone::clone)?;
+        if !list.grouped() {
+            return list.finish(survivors, false);
         }
-        if !q.order_by.is_empty() {
-            let mut keys = Vec::new();
-            for k in &q.order_by {
-                let idx = resolve_output_column(&out_schema, q, &k.column)?;
-                keys.push((idx, k.dir));
-            }
-            rows.sort_by(|a, b| {
-                for &(i, dir) in &keys {
-                    let o = a.get(i).total_cmp(b.get(i));
-                    let o = if dir == SortDir::Desc { o.reverse() } else { o };
-                    if o != std::cmp::Ordering::Equal {
-                        return o;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        Relation::new(out_schema, rows).map_err(EngineError::from)
-    }
-
-    fn eval_grouped(
-        &self,
-        q: &QueryBlock,
-        scope_schema: &Schema,
-        survivors: &[Tuple],
-        env: &Env<'_>,
-    ) -> Result<Vec<Tuple>> {
-        // Validate select items: group columns or aggregates only.
-        let group_indices: Vec<usize> = q
-            .group_by
-            .iter()
-            .map(|c| scope_schema.resolve(c.table.as_deref(), &c.column))
-            .collect::<std::result::Result<_, _>>()?;
+        let keys = list.group_by();
         let mut groups: Vec<(Tuple, Vec<&Tuple>)> = Vec::new();
-        let mut index: FxHashMap<Tuple, usize> = FxHashMap::default();
-        for s in survivors {
-            let key = s.project(&group_indices);
-            match index.get(&key) {
-                Some(&i) => groups[i].1.push(s),
-                None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push((key, vec![s]));
+        if keys.is_empty() {
+            groups.push((Tuple::default(), survivors.iter().collect()));
+        } else {
+            let mut index: FxHashMap<Tuple, usize> = FxHashMap::default();
+            for s in survivors {
+                match index.entry(s.project(keys)) {
+                    Entry::Occupied(at) => groups[*at.get()].1.push(s),
+                    Entry::Vacant(at) => {
+                        groups.push((at.key().clone(), vec![s]));
+                        at.insert(groups.len() - 1);
+                    }
                 }
             }
         }
         let mut rows = Vec::with_capacity(groups.len());
-        for (_, members) in &groups {
-            let mut vals = Vec::with_capacity(q.select.len());
-            for item in &q.select {
-                match &item.expr {
-                    ScalarExpr::Aggregate(func, arg) => {
-                        vals.push(self.aggregate_over(*func, arg, members, scope_schema, env)?)
-                    }
-                    ScalarExpr::Column(c) => {
-                        // Must be (functionally determined by) a group key.
-                        let idx = scope_schema.resolve(c.table.as_deref(), &c.column)?;
-                        if !group_indices.contains(&idx) {
-                            return Err(EngineError::Unsupported(format!(
-                                "column {c} in SELECT is not in GROUP BY"
-                            )));
-                        }
-                        vals.push(members[0].get(idx).clone());
-                    }
-                    ScalarExpr::Literal(v) => vals.push(v.clone()),
-                }
+        for (key, members) in &groups {
+            let mut row = key.values().to_vec();
+            for agg in list.aggs() {
+                row.push(self.aggregate_over(agg, members, &info.schema, env)?);
             }
-            rows.push(Tuple::new(vals));
+            rows.push(Tuple::new(row));
         }
-        Ok(rows)
-    }
-
-    fn eval_aggregate_row(
-        &self,
-        q: &QueryBlock,
-        scope_schema: &Schema,
-        survivors: &[&Tuple],
-        env: &Env<'_>,
-    ) -> Result<Tuple> {
-        let mut vals = Vec::with_capacity(q.select.len());
-        for item in &q.select {
-            match &item.expr {
-                ScalarExpr::Aggregate(func, arg) => {
-                    vals.push(self.aggregate_over(*func, arg, survivors, scope_schema, env)?)
-                }
-                ScalarExpr::Literal(v) => vals.push(v.clone()),
-                ScalarExpr::Column(c) => {
-                    return Err(EngineError::Unsupported(format!(
-                        "bare column {c} in aggregate SELECT without GROUP BY"
-                    )))
-                }
-            }
-        }
-        Ok(Tuple::new(vals))
+        list.finish(&rows, false)
     }
 
     fn aggregate_over(
         &self,
-        func: AggFunc,
-        arg: &AggArg,
+        agg: &SelectAgg,
         members: &[&Tuple],
         scope_schema: &Schema,
         env: &Env<'_>,
     ) -> Result<Value> {
-        let mut state = AggState::new(func);
-        match arg {
-            AggArg::Star => {
-                for _ in members {
-                    state.accumulate_row();
+        let mut state = AggState::new(agg.func);
+        match &agg.input {
+            AggInput::Star => members.iter().for_each(|_| state.accumulate_row()),
+            AggInput::Column(i) => {
+                for m in members {
+                    state.accumulate(m.get(*i))?;
                 }
             }
-            AggArg::Column(c) => match scope_schema.resolve(c.table.as_deref(), &c.column) {
-                Ok(i) => {
-                    for m in members {
-                        state.accumulate(m.get(i))?;
-                    }
+            // An outer or locally ambiguous argument: the scope chain
+            // decides, per member, so the error stays lazy.
+            AggInput::Unresolved(c) => {
+                for m in members {
+                    state.accumulate(&env.child(scope_schema, m).lookup(c)?)?;
                 }
-                // An outer or locally ambiguous argument: the scope chain
-                // decides, per member, so the error stays lazy.
-                Err(_) => {
-                    for m in members {
-                        state.accumulate(&env.child(scope_schema, m).lookup(c)?)?;
-                    }
-                }
-            },
+            }
         }
         Ok(state.finish())
     }
@@ -1349,59 +1255,4 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             Some(quant == Quantifier::All)
         })
     }
-
-    // ------------------------------------------------------- output schema
-
-    fn output_schema(&self, q: &QueryBlock, scope_schema: &Schema) -> Result<Schema> {
-        let mut cols = Vec::with_capacity(q.select.len());
-        for item in &q.select {
-            let (name, ty) = match &item.expr {
-                ScalarExpr::Column(c) => {
-                    let idx = scope_schema.resolve(c.table.as_deref(), &c.column)?;
-                    let col = &scope_schema.columns()[idx];
-                    (col.name.clone(), col.ty)
-                }
-                ScalarExpr::Literal(v) => {
-                    ("LITERAL".to_string(), v.column_type().unwrap_or(ColumnType::Int))
-                }
-                ScalarExpr::Aggregate(f, arg) => {
-                    let ty = match (f, arg) {
-                        (AggFunc::Count, _) => ColumnType::Int,
-                        (AggFunc::Avg, _) => ColumnType::Float,
-                        (_, AggArg::Column(c)) => {
-                            let idx = scope_schema.resolve(c.table.as_deref(), &c.column)?;
-                            scope_schema.columns()[idx].ty
-                        }
-                        (_, AggArg::Star) => ColumnType::Int,
-                    };
-                    (f.name().to_string(), ty)
-                }
-            };
-            let name = item.alias.clone().unwrap_or(name);
-            cols.push(Column::new(name, ty));
-        }
-        Ok(Schema::new(cols))
-    }
-}
-
-fn resolve_output_column(
-    out_schema: &Schema,
-    q: &QueryBlock,
-    c: &ColumnRef,
-) -> Result<usize> {
-    // ORDER BY resolves against the output columns (by alias or name).
-    if let Some(i) = out_schema.try_resolve(None, &c.column) {
-        return Ok(i);
-    }
-    // Fall back to positional match against select-list column refs.
-    for (i, item) in q.select.iter().enumerate() {
-        if let ScalarExpr::Column(sc) = &item.expr {
-            if sc.column == c.column
-                && (c.table.is_none() || sc.table == c.table)
-            {
-                return Ok(i);
-            }
-        }
-    }
-    Err(EngineError::Type(nsql_types::TypeError::UnknownColumn(c.to_string())))
 }

@@ -195,8 +195,8 @@ impl Exec {
             }),
         );
         if let Some(op) = &op {
-            op.rows_in.add(0, rows_in);
-            op.rows_out.add(0, rows_out);
+            op.rows_in.add(rows_in);
+            op.rows_out.add(rows_out);
         }
         self.check_streamed(file, err)
     }

@@ -16,7 +16,7 @@
 //!   whose leaves are the physical operators. Every node carries wall time
 //!   and, through a caller-supplied probe, the page-I/O delta it covered;
 //!   operator nodes add rows in/out and build/probe timings on
-//!   sharded relaxed atomics. Children never sum to
+//!   relaxed atomics. Children never sum to
 //!   more than their parent, so per-step page I/O can be read off the tree.
 //! * [`stats`] — the cumulative, engine-wide layer the statements feed
 //!   once they complete: per-table and per-fingerprint counters,
@@ -30,9 +30,9 @@ pub mod profile;
 pub mod stats;
 
 pub use json::Json;
-pub use profile::{IoDelta, OpCounters, OpStats, Profile, ProfileNode, ShardedCounter, SHARDS};
+pub use profile::{Counter, IoDelta, OpCounters, OpStats, Profile, ProfileNode};
 pub use stats::{
-    thread_shard, LatencyHistogram, SlowQuery, StatementSample,
+    LatencyHistogram, SlowQuery, StatementSample,
     StatementSnapshot, StatementStats, StatsRegistry, StatsSnapshot, TableCounters,
     TableSnapshot, SLOW_LOG_CAP,
 };

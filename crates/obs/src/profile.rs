@@ -49,39 +49,29 @@ impl IoDelta {
     }
 }
 
-/// Number of shards in a [`ShardedCounter`]: 16 covers any plausible core
-/// count here while keeping the per-counter footprint at one KiB.
-pub const SHARDS: usize = 16;
-
-/// One cache line per shard so concurrent workers never contend.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// A u64 counter sharded across [`SHARDS`] cache-line-padded slots.
+/// A u64 counter: one relaxed atomic.
 ///
-/// All operations are `Relaxed`: these are statistics, not
-/// synchronization, and totals are only read after the workers join.
+/// Every operation is `Relaxed`: these are statistics, not
+/// synchronization. Execution is serial, so one slot is all a counter
+/// needs; a total read while a writer runs sees some prefix of its adds.
 #[derive(Default)]
-pub struct ShardedCounter {
-    shards: [PaddedU64; SHARDS],
-}
+pub struct Counter(AtomicU64);
 
-impl ShardedCounter {
-    /// Add `n` on the shard for `worker` (`worker % SHARDS`).
-    pub fn add(&self, worker: usize, n: u64) {
-        self.shards[worker % SHARDS].0.fetch_add(n, Ordering::Relaxed);
+impl Counter {
+    /// Add `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Sum across shards.
+    /// The sum of every add so far.
     pub fn total(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-impl std::fmt::Debug for ShardedCounter {
+impl std::fmt::Debug for Counter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ShardedCounter({})", self.total())
+        write!(f, "Counter({})", self.total())
     }
 }
 
@@ -90,8 +80,8 @@ impl std::fmt::Debug for ShardedCounter {
 #[derive(Default, Debug)]
 #[allow(missing_docs)]
 pub struct OpCounters {
-    pub rows_in: ShardedCounter,
-    pub rows_out: ShardedCounter,
+    pub rows_in: Counter,
+    pub rows_out: Counter,
     pub build_ns: AtomicU64,
     pub probe_ns: AtomicU64,
 }
@@ -361,15 +351,15 @@ mod tests {
     fn an_operator_opened_inside_another_nests_under_it_and_takes_over_recording() {
         let (counter, p) = counted();
         let outer = p.begin_op(|| "materialize TEMP3".to_string());
-        p.current_op().expect("operator node").rows_out.add(0, 3);
+        p.current_op().expect("operator node").rows_out.add(3);
         let join = p.begin_op(|| "nested-loop join (1 keys)".to_string());
         counter.fetch_add(2, Ordering::Relaxed);
         // Workers record through the handle fetched before fan-out.
         let op = p.current_op().expect("innermost operator");
         std::thread::scope(|s| {
-            for w in 0..8 {
+            for _ in 0..8 {
                 let op = &op;
-                s.spawn(move || (0..1000).for_each(|_| op.rows_in.add(w, 1)));
+                s.spawn(move || (0..1000).for_each(|_| op.rows_in.add(1)));
             }
         });
         op.build_ns.store(2_000_000, Ordering::Relaxed);

@@ -7,7 +7,7 @@
 //! bounded slow-query log.
 //!
 //! The crate-level invariant applies unchanged: recording into the
-//! registry only ever touches side-state (sharded relaxed atomics and
+//! registry only ever touches side-state (relaxed atomics and
 //! short mutex-guarded map insertions), never the engine's counted I/O,
 //! so enabling statistics cannot move a published page count. The
 //! disabled path is a single [`AtomicBool`] load.
@@ -17,11 +17,11 @@
 //! are deterministic across platforms.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
-use crate::profile::{ShardedCounter, SHARDS};
+use crate::profile::Counter;
 
 /// Number of histogram buckets: bucket 0 holds exact zeros, bucket `i`
 /// (1..=64) holds values in `[2^(i-1), 2^i - 1]` — enough for any `u64`.
@@ -29,28 +29,6 @@ pub const HIST_BUCKETS: usize = 65;
 
 /// Capacity of the slow-query ring buffer.
 pub const SLOW_LOG_CAP: usize = 32;
-
-/// A stable per-thread shard index for [`ShardedCounter`] writes from
-/// call sites that have no worker id in scope (catalog lookups, DML).
-///
-/// Threads are assigned round-robin on first use; the id is cached in a
-/// thread-local so the steady-state cost is one TLS read.
-pub fn thread_shard() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    }
-    SHARD.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            v
-        } else {
-            let v = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            s.set(v);
-            v
-        }
-    })
-}
 
 /// A log2-bucketed latency histogram over `u64` microsecond samples.
 ///
@@ -149,18 +127,17 @@ impl std::fmt::Debug for LatencyHistogram {
     }
 }
 
-/// Live per-table access counters. All sharded: statements on several
-/// threads may scan one table at once.
+/// Live per-table access counters.
 #[derive(Default, Debug)]
 pub struct TableCounters {
     /// Full-scan starts (one per scan of the heap file, not per page).
-    pub scans: ShardedCounter,
+    pub scans: Counter,
     /// Index probes (restrictions or back-joins served by a B+tree).
-    pub index_probes: ShardedCounter,
+    pub index_probes: Counter,
     /// Tuples read out of the table by scans.
-    pub tuples_read: ShardedCounter,
+    pub tuples_read: Counter,
     /// Tuples appended by INSERT / load.
-    pub tuples_written: ShardedCounter,
+    pub tuples_written: Counter,
 }
 
 /// Live per-fingerprint statement aggregates.
@@ -700,8 +677,8 @@ mod tests {
     fn snapshot_json_round_trips_through_in_tree_parser() {
         let r = StatsRegistry::new(true);
         let t = r.table("PARTS").unwrap();
-        t.scans.add(0, 2);
-        t.tuples_read.add(1, 30);
+        t.scans.add(2);
+        t.tuples_read.add(30);
         r.record_statement(&StatementSample {
             fingerprint: "SELECT PNUM FROM PARTS WHERE QOH = ?".into(),
             micros: 120,
@@ -722,13 +699,5 @@ mod tests {
         );
         let tables = parsed.get("tables").and_then(Json::as_arr).expect("tables");
         assert_eq!(tables[0].get("table").and_then(Json::as_str), Some("PARTS"));
-    }
-
-    #[test]
-    fn thread_shard_is_stable_within_a_thread() {
-        let a = thread_shard();
-        let b = thread_shard();
-        assert_eq!(a, b);
-        assert!(a < SHARDS);
     }
 }

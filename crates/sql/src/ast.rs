@@ -220,14 +220,6 @@ pub enum Operand {
 }
 
 impl Operand {
-    /// The column reference, if this operand is one.
-    pub fn as_column(&self) -> Option<&ColumnRef> {
-        match self {
-            Operand::Column(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// The subquery, if this operand is one.
     pub fn as_subquery(&self) -> Option<&QueryBlock> {
         match self {

@@ -24,9 +24,9 @@
 //! randomized traces against that naive model and demands identical
 //! hit/miss/resident evolution.
 //!
-//! Frames can be [`pin`](BufferPool::pin)ned to exempt them from eviction
-//! (e.g. a page an operator is mid-iteration over). Eviction walks from the
-//! tail past pinned frames; with no frames pinned this is a single step.
+//! Nothing is pinned. A page is an immutable `Arc<Page>`: a reader holds
+//! its own reference, so evicting the frame never invalidates what it
+//! reads, and a miss always evicts the tail frame, in one step.
 
 use crate::disk::{Disk, Page, PageId};
 use std::collections::HashMap;
@@ -70,7 +70,6 @@ struct Frame {
     prev: usize,
     /// Slot index of the next less-recently-used frame (`NIL` at the tail).
     next: usize,
-    pins: u32,
 }
 
 /// LRU page cache with a fixed number of frames and O(1) get/evict.
@@ -133,71 +132,19 @@ impl BufferPool {
         }
         self.misses += 1;
         let page = self.disk.read(id);
-        // Evict back below capacity. Normally one step; the loop matters
-        // only after a period of heavy pinning forced the pool to grow past
-        // capacity — it reclaims the excess as pins are released. If every
-        // frame is pinned no progress is possible and the pool grows.
-        while self.map.len() >= self.capacity {
-            let before = self.map.len();
-            self.evict_lru();
-            if self.map.len() == before {
-                break;
-            }
+        if self.map.len() >= self.capacity {
+            let tail = self.tail;
+            self.remove_slot(self.slots[tail].id, tail);
         }
-        let slot = self.alloc_slot(Frame {
-            id,
-            page: Arc::clone(&page),
-            prev: NIL,
-            next: NIL,
-            pins: 0,
-        });
+        let slot = self.alloc_slot(Frame { id, page: Arc::clone(&page), prev: NIL, next: NIL });
         self.link_front(slot);
         self.map.insert(id, slot);
         page
     }
 
-    /// Exempt a resident page from eviction. Returns `false` if the page is
-    /// not resident. Pins nest; each `pin` needs a matching
-    /// [`unpin`](BufferPool::unpin).
-    pub fn pin(&mut self, id: PageId) -> bool {
-        match self.map.get(&id) {
-            Some(&slot) => {
-                self.slots[slot].pins += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Release one pin on a resident page. Returns `false` if the page is
-    /// not resident or not pinned.
-    pub fn unpin(&mut self, id: PageId) -> bool {
-        match self.map.get(&id) {
-            Some(&slot) if self.slots[slot].pins > 0 => {
-                self.slots[slot].pins -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Whether a page is currently cached (does not touch recency).
     pub fn contains(&self, id: PageId) -> bool {
         self.map.contains_key(&id)
-    }
-
-    /// Evict the least-recently-used unpinned frame. If every resident frame
-    /// is pinned the pool temporarily grows past capacity rather than
-    /// invalidating a pinned page.
-    fn evict_lru(&mut self) {
-        let mut slot = self.tail;
-        while slot != NIL && self.slots[slot].pins > 0 {
-            slot = self.slots[slot].prev;
-        }
-        if slot != NIL {
-            let id = self.slots[slot].id;
-            self.remove_slot(id, slot);
-        }
     }
 
     /// Drop a specific page from the cache (used when a page is freed).
@@ -207,22 +154,7 @@ impl BufferPool {
         }
     }
 
-    /// Drop a specific page from the cache unless it is pinned. Returns
-    /// `true` if the page is no longer resident. Unlike [`evict`](Self::evict)
-    /// this respects pins, so concurrent callers can never invalidate a
-    /// frame another worker is using.
-    pub fn evict_if_unpinned(&mut self, id: PageId) -> bool {
-        match self.map.get(&id) {
-            Some(&slot) if self.slots[slot].pins > 0 => false,
-            Some(&slot) => {
-                self.remove_slot(id, slot);
-                true
-            }
-            None => true,
-        }
-    }
-
-    /// Drop everything, including pinned frames.
+    /// Drop every frame.
     pub fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
@@ -237,8 +169,7 @@ impl BufferPool {
         self.misses = 0;
     }
 
-    /// Number of cached pages (≤ capacity while nothing is pinned; for
-    /// invariant tests).
+    /// Number of cached pages (≤ capacity; for invariant tests).
     pub fn resident(&self) -> usize {
         self.map.len()
     }
@@ -387,34 +318,6 @@ mod tests {
         pool.get(ids[2]);
         pool.get(ids[0]); // re-touch
         assert_eq!(pool.resident_pages(), vec![ids[0], ids[2], ids[1]]);
-    }
-
-    #[test]
-    fn pinned_pages_survive_eviction_pressure() {
-        let (disk, ids) = disk_with_pages(4);
-        let mut pool = BufferPool::new(Arc::clone(&disk), 2);
-        pool.get(ids[0]);
-        assert!(pool.pin(ids[0]));
-        pool.get(ids[1]);
-        pool.get(ids[2]); // would evict ids[0] (LRU), but it is pinned → ids[1] goes
-        assert!(pool.contains(ids[0]));
-        assert!(!pool.contains(ids[1]));
-        assert!(pool.unpin(ids[0]));
-        pool.get(ids[3]); // now ids[0] is evictable again
-        assert!(!pool.contains(ids[0]));
-    }
-
-    #[test]
-    fn all_pinned_grows_past_capacity_instead_of_invalidating() {
-        let (disk, ids) = disk_with_pages(3);
-        let mut pool = BufferPool::new(disk, 2);
-        pool.get(ids[0]);
-        pool.get(ids[1]);
-        assert!(pool.pin(ids[0]) && pool.pin(ids[1]));
-        pool.get(ids[2]);
-        assert_eq!(pool.resident(), 3, "pinned frames are never dropped");
-        assert!(pool.unpin(ids[0]) && pool.unpin(ids[1]));
-        assert!(!pool.unpin(ids[2]), "unpinned page reports false");
     }
 
     #[test]

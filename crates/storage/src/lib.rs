@@ -299,17 +299,6 @@ impl Storage {
         id
     }
 
-    /// Pin a resident page against eviction (nests; see
-    /// [`BufferPool::pin`]). Returns `false` if the page is not resident.
-    pub fn pin_page(&self, id: PageId) -> bool {
-        self.buffer().pin(id)
-    }
-
-    /// Release one pin. Returns `false` if not resident or not pinned.
-    pub fn unpin_page(&self, id: PageId) -> bool {
-        self.buffer().unpin(id)
-    }
-
     /// Whether a page is currently cached (does not touch recency).
     pub fn page_resident(&self, id: PageId) -> bool {
         self.buffer().contains(id)
@@ -318,13 +307,6 @@ impl Storage {
     /// Number of cached pages.
     pub fn resident_pages(&self) -> usize {
         self.buffer().resident()
-    }
-
-    /// Drop a page from the buffer without freeing it on disk (the next
-    /// read becomes a miss). Skips pinned frames; returns `true` if the
-    /// page is no longer resident.
-    pub fn evict_page(&self, id: PageId) -> bool {
-        self.buffer().evict_if_unpinned(id)
     }
 
     /// Free a page (drops it from the buffer too). Freeing counts no I/O,

@@ -41,11 +41,6 @@ impl Rng {
         result
     }
 
-    /// Derive an independent child generator (e.g. one per test case).
-    pub fn fork(&mut self) -> Rng {
-        Rng::from_seed(self.next_u64())
-    }
-
     /// Uniform in `[0, n)`; unbiased via rejection sampling. Panics if `n == 0`.
     pub fn next_below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "next_below(0)");

@@ -135,18 +135,6 @@ impl Value {
         }
     }
 
-    /// Numeric view for arithmetic aggregates (`SUM`, `AVG`).
-    pub fn as_f64(&self) -> Result<f64, TypeError> {
-        match self {
-            Value::Int(i) => Ok(*i as f64),
-            Value::Float(f) => Ok(*f),
-            v => Err(TypeError::BadOperand(format!(
-                "expected numeric value, got {}",
-                v.type_name()
-            ))),
-        }
-    }
-
     /// Approximate on-disk width in bytes; drives tuples-per-page in the
     /// storage simulator so that relation page counts behave realistically.
     pub fn storage_width(&self) -> usize {

@@ -113,6 +113,11 @@ done <<GATES
 \\b(QueryCache|BlockEntry|TempEntry|CacheStats|CacheCounters|CacheCtx|TempKey|replay_temp|temp_keys|result_cache|set_result_cache|record_cache|with_query_cache|cache_counts|normalized_block_signature|table_generation|cache_epoch|STAT_CACHE|nsql_cache|CacheMode)\\b|nsql_stat_cache|NSQL_STAT_CACHE#$everywhere#crates/cache/src/lib\\.rs|crates/db/src/(options|lib)\\.rs#the cross-query result cache, its generation and epoch stamps or its counters; no statement consults a cache (DESIGN.md "No result cache"). CacheMode and nsql-cache stay as stubs for benchmark/
 \\bmerge_runs\\b#$everywhere#crates/storage/tests/sort_prop\\.rs#a second merge loop beside the sort's one merge iterator, which runs every pass and hands the last to its consumer (DESIGN.md "Execution model and the I/O-accounting invariant"); sort_prop keeps the old kernel verbatim as its reference
 (start|take)_recording\\(#$non_test#crates/storage/src/lib\\.rs#a query path records page events; the recorder is left for join_prop and sort_prop only (DESIGN.md "No result cache")
+\\b(eval_grouped|eval_aggregate_row|finish_grouped|project_relation|select_tail|sort_relation|compile_projection|compile_scalar|resolve_output_column|output_schema)\\b#$everywhere#crates/oracle/src/lib\\.rs#a second SELECT phase beside nsql_engine::select; only the oracle keeps its own, as the reference (DESIGN.md "One SELECT phase")
+\\b(ShardedCounter|PaddedU64|thread_shard)\\b#$everywhere#-#a sharded counter or its shard picker; execution is serial and a counter is one relaxed atomic (DESIGN.md "Observability")
+\\bSHARDS\\b#$everywhere#crates/storage/src/disk\\.rs#a counter shard count; only the disk's page map is sharded
+\\b(evict_if_unpinned|evict_lru|pin_page|unpin_page|evict_page)\\b|\\.(un)?pin\\(|\\.pins\\b|pins: u32#$everywhere#-#a buffer-pool pin; pages are immutable Arc<Page>s, so an eviction never invalidates a reader (crates/storage/src/buffer.rs)
+\\b(for_block|is_local|as_f64)\\b|\\bfn (as_column|fork)\\b|\\.(as_column|fork)\\(#$everywhere#-#dead code deleted with no caller: Resolver::for_block / is_local, Operand::as_column, Rng::fork, Value::as_f64
 faithful_1987 *[:=] *true|UnnestOptions::faithful\\(|set_faithful\\(true#$non_test#crates/core/src/nest_g\\.rs|crates/db/src/options\\.rs|crates/bench/src/.*|src/diff\\.rs|examples/.*#faithful_1987 is set on a path the default options reach
 GATES
 
@@ -150,6 +155,23 @@ if [ "$kernel" != "crates/db/src/plan_exec.rs:groupjoin" ] \
     || [ "$step" != "crates/db/src/plan_exec.rs:run_plan" ]; then
     echo "callers of hash_groupjoin: ${kernel:-none}; of PlanExecutor::groupjoin: ${step:-none}"
     echo "FAIL: the groupjoin runs outside the plan executor's aggregate step (or nowhere)"
+    exit 1
+fi
+
+echo "==> one SELECT phase"
+# Nested iteration and the plan executor end a block with the one select list
+# of nsql_engine::select (DESIGN.md "One SELECT phase"): outside tests it is
+# compiled in nested_iter.rs and plan_exec.rs only, and no other SELECT
+# phase is written out — but the oracle's, the reference.
+compilers=$(calls 'SelectList::compile[(]' | cut -d: -f1 | sort -u | tr '\n' ' ')
+if [ "$compilers" != "crates/db/src/plan_exec.rs crates/engine/src/nested_iter.rs " ]; then
+    echo "files compiling a select list: ${compilers:-none}"
+    echo "FAIL: the select list is compiled outside nested iteration and the plan executor (or nowhere)"
+    exit 1
+fi
+if grep -rnE 'fn (sort_relation|select_tail|resolve_output_column|compile_projection|output_schema)\b' \
+    crates/*/src src --include='*.rs' | grep -v '^crates/oracle/'; then
+    echo "FAIL: a second SELECT phase outside nsql-oracle"
     exit 1
 fi
 

@@ -17,6 +17,9 @@
 //! * nested iteration must be **bag-equal** to the oracle, always — with
 //!   its memo of one verdict per distinct binding on (the `ni-serial`
 //!   pipeline runs the default options);
+//! * a top block with ORDER BY (over its column items, some of them
+//!   aliased, beside literal items) must also list its rows in the oracle's
+//!   order of the sort columns, on every pipeline compared as a bag;
 //! * transformed plans must be bag-equal except where a documented
 //!   divergence license applies (tracked by [`nsql_oracle::Notes`], written
 //!   up in DESIGN.md "Oracle semantics"): the `ALL`-over-empty-or-NULL
@@ -43,8 +46,8 @@ use nsql_core::{LogicalPlan, UnnestOptions};
 use nsql_engine::EngineError;
 use nsql_oracle::{Notes, Oracle, OracleError};
 use nsql_sql::{
-    AggArg, AggFunc, ColumnRef, CompareOp, InRhs, Operand, Predicate, Quantifier, QueryBlock,
-    ScalarExpr, SelectItem, TableRef,
+    AggArg, AggFunc, ColumnRef, CompareOp, InRhs, Operand, OrderKey, Predicate, Quantifier,
+    QueryBlock, ScalarExpr, SelectItem, SortDir, TableRef,
 };
 use nsql_testkit::{Rng, Shrink};
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
@@ -522,7 +525,7 @@ impl<'a> QueryGen<'a> {
         // SELECT (+ GROUP BY / DISTINCT at the top level only).
         let mut distinct = false;
         let mut group_by = Vec::new();
-        let select = match mode {
+        let mut select = match mode {
             BlockMode::OneCol(class) => {
                 vec![SelectItem::column(self.pick_col(rng, &locals, Some(class)).cref())]
             }
@@ -552,7 +555,51 @@ impl<'a> QueryGen<'a> {
             }
         };
 
-        QueryBlock { distinct, select, from, where_clause, group_by, order_by: Vec::new() }
+        let order_by = match mode {
+            BlockMode::Top => self.dress_top(rng, &locals, &mut select),
+            _ => Vec::new(),
+        };
+        QueryBlock { distinct, select, from, where_clause, group_by, order_by }
+    }
+
+    /// The top block's SELECT phase dressed, after everything else is
+    /// drawn: now and then a literal item (in a plain, a grouped or a
+    /// global-aggregate list alike), aliases — fresh, or a column's name —
+    /// and an ORDER BY over its column items, qualified or bare (when the
+    /// name is unique in the scope), ASC or DESC.
+    fn dress_top(
+        &self,
+        rng: &mut Rng,
+        locals: &[ScopeCol],
+        select: &mut Vec<SelectItem>,
+    ) -> Vec<OrderKey> {
+        if rng.gen_bool(0.2) {
+            let class = if rng.gen_bool(0.3) { Class::Str } else { Class::Num };
+            let at = rng.gen_range(0..select.len() + 1);
+            select.insert(at, SelectItem::new(ScalarExpr::Literal(self.lit(rng, class))));
+        }
+        for (i, item) in select.iter_mut().enumerate() {
+            if rng.gen_bool(0.15) {
+                let name = if rng.gen_bool(0.3) { "K".to_string() } else { format!("X{i}") };
+                item.alias = Some(name);
+            }
+        }
+        let mut order_by = Vec::new();
+        if rng.gen_bool(0.3) {
+            for item in select.iter() {
+                let ScalarExpr::Column(c) = &item.expr else { continue };
+                if rng.gen_bool(0.3) {
+                    continue;
+                }
+                let unique = locals.iter().filter(|l| l.name == c.column).count() == 1;
+                let column =
+                    if unique && rng.gen_bool(0.4) { ColumnRef::bare(&c.column) } else { c.clone() };
+                let dir = if rng.gen_bool(0.5) { SortDir::Asc } else { SortDir::Desc };
+                order_by.push(OrderKey { column, dir });
+            }
+            rng.shuffle(&mut order_by);
+        }
+        order_by
     }
 }
 
@@ -623,6 +670,41 @@ fn has_any_aggregate(q: &QueryBlock) -> bool {
     let mut blocks = Vec::new();
     walk_blocks(q, &mut blocks);
     blocks.iter().any(|b| b.has_aggregate_select() || !b.group_by.is_empty())
+}
+
+/// The output columns the top block's ORDER BY sorts on, by the oracle's
+/// rule: the one output column of the key's name (output columns are
+/// unqualified, so a qualified match adds nothing), else the first select
+/// item referencing the same column. `None`: a key names no column.
+fn order_columns(q: &QueryBlock) -> Option<Vec<usize>> {
+    let name = |item: &SelectItem| match (&item.alias, &item.expr) {
+        (Some(alias), _) => alias.clone(),
+        (None, ScalarExpr::Column(c)) => c.column.clone(),
+        (None, ScalarExpr::Literal(_)) => "LITERAL".to_string(),
+        (None, ScalarExpr::Aggregate(f, _)) => f.name().to_string(),
+    };
+    let names: Vec<String> = q.select.iter().map(name).collect();
+    let column = |k: &OrderKey| {
+        let c = &k.column;
+        let named: Vec<usize> =
+            (0..names.len()).filter(|&i| names[i].eq_ignore_ascii_case(&c.column)).collect();
+        if let [i] = named[..] {
+            return Some(i);
+        }
+        q.select.iter().position(|item| match &item.expr {
+            ScalarExpr::Column(s) => s.column == c.column && (c.table.is_none() || s.table == c.table),
+            _ => false,
+        })
+    };
+    q.order_by.iter().map(column).collect()
+}
+
+/// Whether `got` lies in another order than `want` on the top block's
+/// ORDER BY columns (rows bag-equal already; ties may lie either way).
+fn out_of_order(q: &QueryBlock, got: &Relation, want: &Relation) -> bool {
+    let Some(cols) = order_columns(q).filter(|cols| !cols.is_empty()) else { return false };
+    let keys = |r: &Relation| r.tuples().iter().map(|t| t.project(&cols)).collect::<Vec<_>>();
+    keys(got) != keys(want)
 }
 
 // -------------------------------------------------------------- the checker
@@ -938,12 +1020,17 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
                     } else {
                         out.relation.same_bag(oracle_rel)
                     };
-                    if !agree {
+                    let ordered = set_only || !out_of_order(&case.query, &out.relation, oracle_rel);
+                    if !agree || !ordered {
                         return CaseOutcome::Diverge(format!(
                             "[{}] {} disagreement\n{sql}\noracle:\n{oracle_rel}\npipeline:\n{}\n\
                              explain: {:#?}\nnotes: {notes:?}\ncase:\n{case:?}",
                             p.name,
-                            if set_only { "set" } else { "bag" },
+                            match (agree, set_only) {
+                                (false, true) => "set",
+                                (false, false) => "bag",
+                                (true, _) => "ORDER BY",
+                            },
                             out.relation,
                             out.explain,
                         ));
@@ -969,9 +1056,11 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
             // Nested iteration: bag-equal to the oracle, always.
             match res {
                 Ok(out) => {
-                    if !out.relation.same_bag(oracle_rel) {
+                    if !out.relation.same_bag(oracle_rel)
+                        || out_of_order(&case.query, &out.relation, oracle_rel)
+                    {
                         return CaseOutcome::Diverge(format!(
-                            "[{}] bag disagreement\n{sql}\noracle:\n{oracle_rel}\npipeline:\n{}\n\
+                            "[{}] bag or ORDER BY disagreement\n{sql}\noracle:\n{oracle_rel}\npipeline:\n{}\n\
                              case:\n{case:?}",
                             p.name, out.relation,
                         ));
@@ -1216,6 +1305,9 @@ mod tests {
     fn generator_reaches_the_interesting_regions() {
         let mut rng = Rng::from_seed(11);
         let (mut nested, mut nulls, mut dups, mut grouped, mut operand) = (0, 0, 0, 0, 0);
+        let (mut aliased, mut ordered, mut bare_keys) = (0, 0, 0);
+        // Literal items in a plain, a grouped and a global-aggregate list.
+        let mut literals = [0; 3];
         for _ in 0..300 {
             let case = gen_case(&mut rng);
             let mut blocks = Vec::new();
@@ -1226,8 +1318,20 @@ mod tests {
             if has_operand_position_subquery(&case.query) {
                 operand += 1;
             }
-            if !case.query.group_by.is_empty() {
+            let q = &case.query;
+            if !q.group_by.is_empty() {
                 grouped += 1;
+            }
+            aliased += q.select.iter().any(|item| item.alias.is_some()) as usize;
+            ordered += !q.order_by.is_empty() as usize;
+            bare_keys += q.order_by.iter().any(|k| k.column.table.is_none()) as usize;
+            if q.select.iter().any(|item| matches!(item.expr, ScalarExpr::Literal(_))) {
+                let shape = match (q.group_by.is_empty(), q.has_aggregate_select()) {
+                    (true, false) => 0,
+                    (false, _) => 1,
+                    (true, true) => 2,
+                };
+                literals[shape] += 1;
             }
             for (_, rel) in &case.tables {
                 if rel.tuples().iter().any(|t| t.values().iter().any(Value::is_null)) {
@@ -1244,6 +1348,9 @@ mod tests {
         assert!(dups > 100, "duplicate-row biasing must bite: {dups}");
         assert!(grouped > 20, "GROUP BY outer blocks must occur: {grouped}");
         assert!(operand > 5, "operand-position subqueries must occur: {operand}");
+        assert!(aliased > 20, "select aliases must occur: {aliased}");
+        assert!(ordered > 40 && bare_keys > 5, "ORDER BY must occur: {ordered}, {bare_keys} bare");
+        assert!(literals.iter().all(|&n| n > 3), "literal items in every list: {literals:?}");
     }
 
     #[test]
