@@ -361,3 +361,53 @@ fn analyze_json_keeps_its_schema_for_every_nesting_type() {
         }
     }
 }
+
+/// Under the default shapes every intermediate's line says where its rows
+/// went — written, or held for the consumer that holds them anyway — and a
+/// hash join that partitions names the bytes of the narrowed rows it
+/// spills on its operator line. The literal plans write every temporary
+/// and their lines say only what they hold.
+#[test]
+fn every_intermediate_says_where_its_rows_went() {
+    let db = mem_db();
+    let intermediate = |l: &&String| {
+        let named = ["restrict+project ", "materialize ", "join "].iter().any(|p| l.starts_with(p));
+        named && l.contains(" tuples, ")
+    };
+    for q in [Q_RESTRICTED, Q_MERGED] {
+        for faithful_1987 in [false, true] {
+            let unnest = nsql_core::UnnestOptions { faithful_1987, ..Default::default() };
+            let o = QueryOptions { unnest, ..opts(&Strategy::Transform) };
+            let report = db.explain_query(q, true, &o).unwrap();
+            let lines: Vec<&String> = report.strategy.iter().filter(intermediate).collect();
+            assert!(!lines.is_empty(), "{:#?}", report.strategy);
+            for l in lines {
+                let says = [", written", ", held for "].iter().any(|end| l.contains(end));
+                assert_eq!(says, !faithful_1987, "{l}");
+            }
+        }
+    }
+
+    // Thirty 34-byte rows a side on 128-byte pages: ten pages each against
+    // a 4-page pool, so the forced hash join partitions, spilling `A.K, A.X`
+    // (2 + 16 bytes) and `B.K` (2 + 8).
+    let mut db = Database::with_storage(4, 128);
+    let rows = |n: i64| {
+        let rows: Vec<String> = (0..n).map(|i| format!("({}, {i}, {i}, {i})", i % 7)).collect();
+        rows.join(", ")
+    };
+    let script = format!(
+        "CREATE TABLE A (K INT, X INT, Y INT, Z INT); CREATE TABLE B (K INT, X INT, Y INT, Z INT);
+         INSERT INTO A VALUES {}; INSERT INTO B VALUES {};",
+        rows(30),
+        rows(30)
+    );
+    db.execute_script(&script).unwrap();
+    let join_policy = nsql_db::JoinPolicy::ForceHashJoin;
+    let o = QueryOptions { join_policy, ..opts(&Strategy::Transform) };
+    let report = db.explain_query("SELECT A.X FROM A, B WHERE A.K = B.K", true, &o).unwrap();
+    assert!(report.strategy.iter().any(|l| l.contains(" partitions")), "{:#?}", report.strategy);
+    let obs = report.obs.expect("ANALYZE collects a profile");
+    let node = "hash join (1 keys), partition rows 18 + 10 bytes";
+    assert!(obs.profile.iter().any(|root| has_node(root, node)), "{:#?}", obs.profile);
+}

@@ -19,7 +19,7 @@
 //! total is 558. See `EXPERIMENTS.md` (E2).
 
 use nsql_sql::{CompareOp, InRhs, Predicate};
-use nsql_types::ColumnType;
+use nsql_types::{ColumnType, Schema};
 
 /// Sort cost: `2·P·log_{B-1}(P)`, 0 for relations of at most one page.
 ///
@@ -405,6 +405,10 @@ pub struct JoinInput {
     pub rows: f64,
     /// Whether it arrives in join-key order (a merge join skips its sort).
     pub sorted: bool,
+    /// Pages of its rows narrowed to the columns the join reads
+    /// ([`narrowed_pages`]): what a Grace partition or a sort run of it
+    /// fills. `pages` when the join reads every column.
+    pub spill: f64,
 }
 
 /// One join method's cost: Section 7's page I/Os alone, or with `priced`
@@ -459,8 +463,9 @@ fn merge_passes(pages: f64, b: f64) -> u32 {
 /// (inner): (nested loop, merge join). The pages are Section 7's —
 /// [`nested_iteration_cost_j`] with every outer tuple qualifying, and
 /// [`transformed_merge_join_cost`] less the sort of a side that arrives
-/// sorted. With `priced` each also carries the work it does in memory. The
-/// nested-loop kernel asks the pool for every inner page once per outer
+/// sorted, a side's sort priced at its narrowed `spill` pages. With
+/// `priced` each also carries the work it does in memory. The nested-loop
+/// kernel asks the pool for every inner page once per outer
 /// tuple by design (an index may save CPU on a page, never the page read),
 /// so an inner that fits `B − 1` pages costs `Pl + Pr` reads and `Nl · Pr`
 /// buffer visits; on its first pass it hashes every inner tuple into a key
@@ -474,7 +479,10 @@ pub fn classic_join_costs(
     priced: bool,
 ) -> (JoinCost, JoinCost) {
     let nl = nested_iteration_cost_j(l.pages, r.pages, b, l.rows);
-    let sort = |side: JoinInput| if side.sorted { 0.0 } else { sort_cost(side.pages, b) };
+    // An unsorted side is read whole and sorted narrowed to the columns the
+    // join reads: its runs and the sorted file it is merged from are its
+    // `spill` pages, so the sort's own read is `P` where Section 7 has `S`.
+    let sort = |side: JoinInput| if side.sorted { 0.0 } else { sort_cost(side.spill, b) };
     let mj = sort(l) + sort(r) + l.pages + r.pages;
     let sorted_rows = |side: JoinInput| match side.sorted {
         false => side.rows * f64::from(1 + merge_passes(side.pages, b)),
@@ -578,7 +586,17 @@ pub fn hash_partitions(pages: f64, b: f64) -> usize {
 /// it evenly as many ways as [`HashShape::partitions`] says, up to
 /// [`GRACE_MAX_DEPTH`].
 pub fn grace_levels(pages: f64, b: f64) -> u32 {
-    let (mut pages, mut levels) = (pages, 0);
+    spilled_levels(pages, pages, b)
+}
+
+/// [`grace_levels`] of a `table`-page build side whose partitions carry
+/// only the columns the join reads, `spill` pages of it: the first pass
+/// splits by the table's own size, the passes below it by the partitions'.
+fn spilled_levels(table: f64, spill: f64, b: f64) -> u32 {
+    if hash_build_fits(table, b) {
+        return 0;
+    }
+    let (mut pages, mut levels) = (spill / grace_fanout(table, b) as f64, 1);
     while !hash_build_fits(pages, b) && levels < GRACE_MAX_DEPTH {
         pages /= grace_fanout(pages, b) as f64;
         levels += 1;
@@ -590,12 +608,13 @@ pub fn grace_levels(pages: f64, b: f64) -> u32 {
 /// `left_outer`). It builds on the side [`HashShape`] names. A build
 /// side that fits `B − 2` pages is hashed in memory while the other side
 /// streams past it: `Pl + Pr`. A larger one is Grace-partitioned first: both
-/// inputs are read, written into partitions by a hash of the key and read
-/// back, once per level of [`grace_levels`], so the pages are
-/// `(Pl + Pr)·(1 + 2·levels)` — a partition's partly filled last page, and
-/// a partition the keys do not split evenly, are what the estimate leaves
-/// out. With `priced` it also carries its in-memory work: every row is
-/// hashed into a partition once per level, `(Nl + Nr)·levels` rows, and
+/// inputs are read, and their rows, narrowed to the columns the join reads
+/// (each side's `spill` pages), are written into partitions by a hash of the
+/// key and read back, once per level of [`grace_levels`], so the pages are
+/// `Pl + Pr + 2·levels·(Sl + Sr)` — a partition's partly filled last page,
+/// and a partition the keys do not split evenly, are what the estimate
+/// leaves out. With `priced` it also carries its in-memory work: every row
+/// is hashed into a partition once per level, `(Nl + Nr)·levels` rows, and
 /// once into or against the table, `Nl + Nr` rows.
 pub fn hash_join_cost(
     l: JoinInput,
@@ -605,22 +624,69 @@ pub fn hash_join_cost(
     priced: bool,
 ) -> JoinCost {
     let shape = HashShape::of(l.pages, r.pages, left_outer, b);
-    let build = if shape.build_left { l.pages } else { r.pages };
-    JoinCost { work: hash_work(l, r, build, b), priced }
+    let build = if shape.build_left { l } else { r };
+    JoinCost { work: hash_work(l, r, build.pages, build.spill, b), priced }
 }
 
 /// The work of a hash pass over `l` and `r` whose table fills `table`
-/// pages: both inputs read, and written and read back once per level of
-/// [`grace_levels`]; every row hashed into or against the table once, and
-/// into a partition once per level.
-fn hash_work(l: JoinInput, r: JoinInput, table: f64, b: f64) -> Work {
-    let levels = f64::from(grace_levels(table, b));
+/// pages, `spill` pages of it partitioned: both inputs read, and their
+/// narrowed rows written and read back once per level of
+/// [`spilled_levels`]; every row hashed into or against the table once,
+/// and into a partition once per level.
+fn hash_work(l: JoinInput, r: JoinInput, table: f64, spill: f64, b: f64) -> Work {
+    let levels = f64::from(spilled_levels(table, spill, b));
     Work {
-        pages: (l.pages + r.pages) * (1.0 + 2.0 * levels),
+        pages: l.pages + r.pages + 2.0 * levels * (l.spill + r.spill),
         hashed: l.rows + r.rows,
         partitioned: (l.rows + r.rows) * levels,
         ..Work::default()
     }
+}
+
+/// Pages a file of `pages` pages and `rows` rows fills when its rows are
+/// narrowed to the columns `keep` of `schema`, on `page_size`-byte pages:
+/// each row's two bytes of overhead and its kept values, a number's eight
+/// bytes (a date's four, a boolean's one), and for a string its share of
+/// what the file's pages hold beyond its fixed-width columns. `pages` when
+/// every column is kept.
+pub fn narrowed_pages(
+    schema: &Schema,
+    keep: &[usize],
+    pages: f64,
+    rows: f64,
+    page_size: usize,
+) -> f64 {
+    if keep.len() >= schema.arity() || rows <= 0.0 {
+        return pages;
+    }
+    let width = narrowed_width(schema, keep, pages, rows, page_size);
+    let per_page = (page_size as f64 / width).floor().max(1.0);
+    (rows / per_page).ceil().min(pages)
+}
+
+/// The bytes a row of [`narrowed_pages`] takes.
+pub fn narrowed_width(
+    schema: &Schema,
+    keep: &[usize],
+    pages: f64,
+    rows: f64,
+    page_size: usize,
+) -> f64 {
+    let fixed = |ty: ColumnType| match ty {
+        ColumnType::Int | ColumnType::Float => Some(8.0),
+        ColumnType::Date => Some(4.0),
+        ColumnType::Bool => Some(1.0),
+        ColumnType::Str => None,
+    };
+    let types: Vec<ColumnType> = schema.columns().iter().map(|c| c.ty).collect();
+    let strings = types.iter().filter(|&&ty| fixed(ty).is_none()).count() as f64;
+    let fixed_width: f64 = types.iter().filter_map(|&ty| fixed(ty)).sum();
+    let per_row = pages * page_size as f64 / rows.max(1.0);
+    let string = match strings > 0.0 {
+        true => ((per_row - 2.0 - fixed_width) / strings).max(2.0),
+        false => 0.0,
+    };
+    2.0 + keep.iter().map(|&c| fixed(types[c]).unwrap_or(string)).sum::<f64>()
 }
 
 // ------------------------------------------------------------ the groupjoin
@@ -643,7 +709,7 @@ pub fn groupjoin_table_pages(pages: f64, rows: f64, aggs: usize, page_size: usiz
 /// join built on `l` costs, whichever input is smaller, and with no rows
 /// emitted. Priced: it runs on the default path only.
 pub fn groupjoin_cost(l: JoinInput, r: JoinInput, table: f64, b: f64) -> JoinCost {
-    JoinCost { work: hash_work(l, r, table, b), priced: true }
+    JoinCost { work: hash_work(l, r, table, table, b), priced: true }
 }
 
 // -------------------------------------------- nested iteration's access path
@@ -971,7 +1037,7 @@ mod tests {
             let last = ja2_cost(&ja, JoinMethod::MergeJoin, JoinMethod::NestedLoop).final_join;
             assert_eq!(last, ja.pi + inner, "JA2 final, P={p}");
 
-            let side = |pages, rows| JoinInput { pages, rows, sorted: false };
+            let side = |pages, rows| JoinInput { pages, rows, sorted: false, spill: pages };
             let (nl, _) = classic_join_costs(side(50.0, n), side(p, 40.0), b, false);
             assert_eq!(nl.work.pages, 50.0 + inner, "join choice, P={p}");
             let access = nested_access_costs(n, p, b, Work::default(), 2.0);
@@ -1010,7 +1076,7 @@ mod tests {
     #[test]
     fn the_join_choice_prices_pages_by_the_papers_formulas() {
         let (lp, ln, rp, rn, b) = (50.0, 1000.0, 30.0, 600.0, 6.0);
-        let side = |pages, rows, sorted| JoinInput { pages, rows, sorted };
+        let side = |pages, rows, sorted| JoinInput { pages, rows, sorted, spill: pages };
         let unsorted = transformed_merge_join_cost(lp, rp, b);
         for priced in [false, true] {
             let (nl, mj) = classic_join_costs(side(lp, ln, false), side(rp, rn, false), b, priced);
@@ -1076,7 +1142,7 @@ mod tests {
 
     #[test]
     fn the_index_probe_is_priced_with_a_visit_per_page_it_asks_for() {
-        let side = JoinInput { pages: 7.0, rows: 100.0, sorted: false };
+        let side = JoinInput { pages: 7.0, rows: 100.0, sorted: false, spill: 7.0 };
         for priced in [false, true] {
             let ix = index_join_cost(side, 2.0, 1.0, priced);
             assert_eq!(ix.work.pages, index_nested_join_cost(7.0, 100.0, 2.0, 1.0));
@@ -1105,7 +1171,7 @@ mod tests {
 
     #[test]
     fn the_hash_join_reads_each_input_once_per_level_and_builds_on_the_smaller() {
-        let side = |pages, rows| JoinInput { pages, rows, sorted: false };
+        let side = |pages, rows| JoinInput { pages, rows, sorted: false, spill: pages };
         let b = 6.0;
         for (lp, rp, left_outer, build) in [
             (3.0, 30.0, false, 3.0),   // the left is smaller: built
@@ -1136,7 +1202,7 @@ mod tests {
 
     #[test]
     fn the_groupjoin_costs_the_hash_join_built_on_its_left() {
-        let side = |pages, rows| JoinInput { pages, rows, sorted: false };
+        let side = |pages, rows| JoinInput { pages, rows, sorted: false, spill: pages };
         let (small, big, b) = (side(3.0, 100.0), side(30.0, 400.0), 6.0);
         // Its table is the left's rows widened by 8 bytes an aggregate.
         let table = groupjoin_table_pages(3.0, 100.0, 2, 512);

@@ -5,8 +5,8 @@ use crate::aggregate::AggState;
 use crate::error::EngineError;
 use crate::Result;
 use nsql_sql::AggFunc;
-use nsql_storage::sort::SortKey;
-use nsql_storage::{sorted_with, HeapFile};
+use nsql_storage::sort::{sort_held, SortKey};
+use nsql_storage::{sorted_with, HeapFile, RowsRef};
 use nsql_types::{Relation, Schema, Tuple, Value};
 
 /// One aggregate to compute: function plus input field index (`None` for
@@ -54,26 +54,30 @@ impl Exec {
         out_schema: Schema,
         presorted: bool,
     ) -> Result<HeapFile> {
-        let tuples = self.group_aggregate_tuples(input, group, aggs, &out_schema, presorted)?;
+        let tuples =
+            self.group_aggregate_tuples(input.into(), group, aggs, &out_schema, presorted)?;
         Ok(HeapFile::from_tuples(&self.storage, out_schema, tuples))
     }
 
-    /// Grouped aggregation delivered in memory (final operator).
-    pub fn group_aggregate_collect(
+    /// Grouped aggregation delivered in memory (final operator). The input
+    /// may be rows held in memory that fit the pool, which are sorted where
+    /// they lie, as the external sort does such an input.
+    pub fn group_aggregate_collect<'a>(
         &self,
-        input: &HeapFile,
+        input: impl Into<RowsRef<'a>>,
         group: &[usize],
         aggs: &[AggSpec],
         out_schema: Schema,
         presorted: bool,
     ) -> Result<Relation> {
-        let tuples = self.group_aggregate_tuples(input, group, aggs, &out_schema, presorted)?;
+        let tuples =
+            self.group_aggregate_tuples(input.into(), group, aggs, &out_schema, presorted)?;
         Relation::new(out_schema, tuples).map_err(EngineError::from)
     }
 
     fn group_aggregate_tuples(
         &self,
-        input: &HeapFile,
+        input: RowsRef<'_>,
         group: &[usize],
         aggs: &[AggSpec],
         out_schema: &Schema,
@@ -88,15 +92,29 @@ impl Exec {
             )));
         }
         let mut fold = Fold { group, aggs, key: None, states: Vec::new(), out: Vec::new() };
-        if presorted || group.is_empty() {
-            input.try_for_each(&self.storage, |t| fold.push(t))?;
-        } else {
+        let keys: Vec<SortKey> = group.iter().map(|&i| SortKey::asc(i)).collect();
+        match input {
+            RowsRef::File(file) if presorted || group.is_empty() => {
+                file.try_for_each(&self.storage, |t| fold.push(t))?;
+            }
             // The sort's last merge pass is folded as it is merged; its runs
             // are freed before the caller writes a result page.
-            let keys: Vec<SortKey> = group.iter().map(|&i| SortKey::asc(i)).collect();
-            sorted_with(&self.storage, input, &keys, false, |mut rows| {
+            RowsRef::File(file) => sorted_with(&self.storage, file, &keys, false, |mut rows| {
                 rows.try_for_each(|t| fold.push(&t))
-            })?;
+            })?,
+            RowsRef::Held(held) => {
+                debug_assert!(
+                    held.page_count() <= self.storage.buffer_pages(),
+                    "a GROUP BY holds {} pages of input in a {}-page pool",
+                    held.page_count(),
+                    self.storage.buffer_pages()
+                );
+                if presorted {
+                    held.rows().iter().try_for_each(|t| fold.push(t))?;
+                } else {
+                    sort_held(held.rows(), &keys, false).into_iter().try_for_each(|t| fold.push(t))?;
+                }
+            }
         }
         let mut out = fold.finish();
 

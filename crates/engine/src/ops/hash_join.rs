@@ -17,7 +17,12 @@
 //! whole (the all-one-key build side).
 //! [`hash_join_cost`](crate::cost::hash_join_cost) prices exactly this.
 //! Partitions are private to the join and read once, so they are read past
-//! the buffer pool, as the sort's runs are; the inputs go through it.
+//! the buffer pool, as the sort's runs are; the inputs go through it. A
+//! partition's rows carry only the columns the join reads — its keys, its
+//! residual's columns and what it emits ([`join_reads`]) — and the passes
+//! below the first run on them with keys, residual and output list
+//! remapped. A build side that fits may be rows held in memory
+//! ([`RowsRef::Held`]), read where they lie.
 //!
 //! A join that built on the right and did not partition emits its rows in
 //! the left input's order; any other emits them in an order nothing may
@@ -26,7 +31,8 @@
 //!
 //! The in-memory pass keeps no key tuples. Its table maps the `Value` hash
 //! of a build tuple's key columns — the hash partitioning uses, unsalted —
-//! to the build tuples that have it, in scan order, and a probe tuple
+//! to the build tuples that have it, in scan order (chained through one
+//! array, so a key costs no allocation of its own), and a probe tuple
 //! checks every candidate in its bucket column by column with `Value`
 //! equality before the residual runs. Keying the table on a key tuple
 //! instead would be wrong: `Value` equality is not transitive beyond 2^53
@@ -51,7 +57,7 @@
 //! `COUNT(*)` 1, anything else `NULL`, as the GROUP BY over the padded
 //! join row gives; under [`JoinKind::Inner`] it is dropped.
 
-use super::{AggSpec, Exec, JoinEmit, JoinKind};
+use super::{join_reads, AggSpec, Exec, JoinEmit, JoinKind, Narrowed};
 use crate::aggregate::AggState;
 use crate::cost::{
     grace_fanout, groupjoin_table_pages, hash_build_fits, HashShape, GRACE_MAX_DEPTH,
@@ -60,8 +66,9 @@ use crate::expr::Joined;
 use crate::pred::CPred;
 use crate::Result;
 use nsql_obs::OpCounters;
-use nsql_storage::{HeapFile, HeapWriter, Page, PageId, TempFile};
+use nsql_storage::{HeapFile, HeapWriter, Page, PageId, RowsRef, TempFile};
 use nsql_types::{FxHashMap, FxHasher, Relation, Schema, Tuple};
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -82,11 +89,9 @@ impl Exec {
         residual: Option<&CPred>,
         kind: JoinKind,
     ) -> Result<HeapFile> {
-        let schema = left.schema().join(right.schema());
-        let emit = JoinEmit::new(right.schema(), None);
-        let tuples =
-            self.hash_join_tuples(left, right, left_keys, right_keys, residual, kind, emit)?;
-        Ok(HeapFile::from_tuples(&self.storage, schema, tuples))
+        let rel = self.hash_join_cols(left, right, left_keys, right_keys, residual, kind, None)?;
+        let schema = rel.schema().clone();
+        Ok(HeapFile::from_tuples(&self.storage, schema, rel.into_tuples()))
     }
 
     /// Hash join delivering the result in memory (final operator).
@@ -105,47 +110,31 @@ impl Exec {
 
     /// [`hash_join_collect`](Exec::hash_join_collect) emitting only `cols`
     /// of the concatenated row (every column when `None`; see
-    /// [`JoinEmit`]), on whichever kernel the executor runs.
+    /// [`JoinEmit`]). Either input may be rows held in memory; one that is
+    /// must be the side the table is built on, and fit `B − 2` pages.
     #[allow(clippy::too_many_arguments)]
-    pub fn hash_join_cols(
+    pub fn hash_join_cols<'a>(
         &self,
-        left: &HeapFile,
-        right: &HeapFile,
+        left: impl Into<RowsRef<'a>>,
+        right: impl Into<RowsRef<'a>>,
         left_keys: &[usize],
         right_keys: &[usize],
         residual: Option<&CPred>,
         kind: JoinKind,
         cols: Option<&[usize]>,
     ) -> Result<Relation> {
-        let emit = JoinEmit::new(right.schema(), cols);
-        let tuples =
-            self.hash_join_tuples(left, right, left_keys, right_keys, residual, kind, emit)?;
-        Relation::new(emit.schema(left.schema(), right.schema()), tuples)
-            .map_err(crate::EngineError::from)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn hash_join_tuples(
-        &self,
-        left: &HeapFile,
-        right: &HeapFile,
-        left_keys: &[usize],
-        right_keys: &[usize],
-        residual: Option<&CPred>,
-        kind: JoinKind,
-        emit: JoinEmit<'_>,
-    ) -> Result<Vec<Tuple>> {
+        let (left, right) = (left.into(), right.into());
         assert_eq!(left_keys.len(), right_keys.len(), "key lists must pair up");
+        let emit = JoinEmit::new(right.schema(), cols);
         let outer = kind == JoinKind::LeftOuter;
         let b = self.storage.buffer_pages() as f64;
-        let shape = HashShape::of(left.page_count() as f64, right.page_count() as f64, outer, b);
-        let build_left = shape.build_left;
+        let (lp, rp) = (left.page_count() as f64, right.page_count() as f64);
+        let build_left = HashShape::of(lp, rp, outer, b).build_left;
         let (build, probe, build_keys, probe_keys) = if build_left {
             (left, right, left_keys, right_keys)
         } else {
             (right, left, right_keys, left_keys)
         };
-        let op = self.current_op();
         let join = HashJoin {
             exec: self,
             build_keys,
@@ -155,11 +144,12 @@ impl Exec {
             pad: outer,
             sink: Sink::Pairs(emit),
             b,
-            op,
+            op: self.current_op(),
         };
         let mut out = Vec::new();
         join.run(build, probe, 0, &mut out)?;
-        Ok(out)
+        Relation::new(emit.schema(left.schema(), right.schema()), out)
+            .map_err(crate::EngineError::from)
     }
 
     /// Groupjoin: the join of `left` and `right` on the paired keys (with
@@ -169,12 +159,13 @@ impl Exec {
     /// columns, then one per aggregate). Equal to [`Exec::hash_join`]
     /// followed by a GROUP BY on the left's columns when `left` holds no
     /// duplicate row; a duplicated left tuple is a group of its own here.
+    /// `left` may be rows held in memory whose table fits `B − 2` pages.
     /// See the module doc for the memory charge, the order and `kind`.
     #[allow(clippy::too_many_arguments)]
-    pub fn hash_groupjoin(
+    pub fn hash_groupjoin<'a>(
         &self,
-        left: &HeapFile,
-        right: &HeapFile,
+        left: impl Into<RowsRef<'a>>,
+        right: impl Into<RowsRef<'a>>,
         left_keys: &[usize],
         right_keys: &[usize],
         residual: Option<&CPred>,
@@ -195,7 +186,7 @@ impl Exec {
             op: self.current_op(),
         };
         let mut out = Vec::new();
-        join.run(left, right, 0, &mut out)?;
+        join.run(left.into(), right.into(), 0, &mut out)?;
         Relation::new(out_schema, out).map_err(crate::EngineError::from)
     }
 }
@@ -240,16 +231,20 @@ struct HashJoin<'a> {
 
 impl HashJoin<'_> {
     /// Join `build` with `probe` into `out`. At `depth` 0 they are the
-    /// operator's inputs; below it, partitions of a pass at `depth − 1`.
+    /// operator's inputs; below it, partitions of a pass at `depth − 1`,
+    /// whose rows carry only the columns the join reads.
     fn run(
         &self,
-        build: &HeapFile,
-        probe: &HeapFile,
+        build: RowsRef<'_>,
+        probe: RowsRef<'_>,
         depth: u32,
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
         let pages = self.table_pages(build);
-        if depth == GRACE_MAX_DEPTH || hash_build_fits(pages, self.b) {
+        let in_memory = depth == GRACE_MAX_DEPTH || hash_build_fits(pages, self.b);
+        check_hand_off(build, in_memory, pages, self.b);
+        check_hand_off(probe, false, 0.0, self.b);
+        if in_memory {
             return match self.sink {
                 Sink::Pairs(emit) => self.in_memory(emit, build, probe, depth, out),
                 Sink::Groups(aggs) => self.fold(aggs, build, probe, depth, out),
@@ -257,19 +252,81 @@ impl HashJoin<'_> {
         }
         let t0 = self.clock();
         let fanout = grace_fanout(pages, self.b);
-        let builds = self.partition(build, self.build_keys, depth, fanout, self.build_left, out);
-        let probes = self.partition(probe, self.probe_keys, depth, fanout, !self.build_left, out);
+        // The first pass writes only the columns the join reads; the passes
+        // below it split rows that carry no others.
+        let narrowed = (depth == 0).then(|| self.narrowed(build.schema(), probe.schema()));
+        let keep = |build_side: bool| {
+            let n = narrowed.as_ref()?;
+            Some(n.keep[usize::from(build_side != self.build_left)].as_slice())
+        };
+        let (bk, pk, left) = (self.build_keys, self.probe_keys, self.build_left);
+        let builds = self.partition(build, bk, keep(true), depth, fanout, left, out)?;
+        let probes = self.partition(probe, pk, keep(false), depth, fanout, !left, out)?;
         self.charge(t0, |op| &op.build_ns);
+        let below = narrowed.as_ref().map(|n| self.over(n));
+        let below = below.as_ref().unwrap_or(self);
         // Each pair is freed once it is joined.
         for (build, probe) in builds.into_iter().zip(probes) {
-            self.run(&build, &probe, depth + 1, out)?;
+            below.run(RowsRef::File(&build), RowsRef::File(&probe), depth + 1, out)?;
         }
         Ok(())
     }
 
+    /// This join's parameters over rows narrowed to the columns it reads:
+    /// its keys, its residual's columns and what it emits — for the
+    /// groupjoin, the whole left row and the aggregates' arguments.
+    fn narrowed(&self, build: &Schema, probe: &Schema) -> Narrowed {
+        let (left, right) = if self.build_left { (build, probe) } else { (probe, build) };
+        let (la, ra) = (left.arity(), right.arity());
+        let (lkeys, rkeys) = if self.build_left {
+            (self.build_keys, self.probe_keys)
+        } else {
+            (self.probe_keys, self.build_keys)
+        };
+        let (cols, aggs): (Option<Vec<usize>>, &[AggSpec]) = match self.sink {
+            Sink::Pairs(emit) => (emit.cols.map(<[usize]>::to_vec), &[]),
+            Sink::Groups(aggs) => {
+                let args = aggs.iter().filter_map(|a| a.arg).map(|i| la + i);
+                (Some((0..la).chain(args).collect()), aggs)
+            }
+        };
+        let keep = join_reads(la, ra, lkeys, rkeys, self.residual, cols.as_deref());
+        let emitted = match self.sink {
+            Sink::Pairs(emit) => emit.cols,
+            Sink::Groups(_) => None,
+        };
+        Narrowed::new(keep, la, lkeys, rkeys, self.residual, emitted, aggs)
+    }
+
+    /// This join run over rows narrowed as `n` says.
+    fn over<'n>(&self, n: &'n Narrowed) -> HashJoin<'n>
+    where
+        Self: 'n,
+    {
+        let (build_keys, probe_keys) = if self.build_left {
+            (&n.left_keys, &n.right_keys)
+        } else {
+            (&n.right_keys, &n.left_keys)
+        };
+        HashJoin {
+            exec: self.exec,
+            build_keys,
+            probe_keys,
+            build_left: self.build_left,
+            residual: n.residual.as_ref(),
+            pad: self.pad,
+            sink: match self.sink {
+                Sink::Pairs(_) => Sink::Pairs(n.emit()),
+                Sink::Groups(_) => Sink::Groups(&n.aggs),
+            },
+            b: self.b,
+            op: self.op.clone(),
+        }
+    }
+
     /// Pages the table over `build` fills: the build side's own, or, for
     /// the groupjoin, its rows widened by their aggregates.
-    fn table_pages(&self, build: &HeapFile) -> f64 {
+    fn table_pages(&self, build: RowsRef<'_>) -> f64 {
         let pages = build.page_count() as f64;
         match self.sink {
             Sink::Pairs(_) => pages,
@@ -280,35 +337,40 @@ impl HashJoin<'_> {
         }
     }
 
-    /// Split `file` `fanout` ways by the hash of its `keys` salted with
-    /// `depth`, each partition a file whose pages are written as they fill.
-    /// A tuple with a `NULL` key joins nothing: when it is a left tuple
-    /// (`left`) of a left outer join its row goes to `out` at once, and
-    /// otherwise it is dropped.
+    /// Split `rows` `fanout` ways by the hash of its `keys` salted with
+    /// `depth`, each partition a file whose pages are written as they fill,
+    /// of each row's columns `keep` (all of them when `None`). A tuple with
+    /// a `NULL` key joins nothing: when it is a left tuple (`left`) of a
+    /// left outer join its row goes to `out` at once, and otherwise it is
+    /// dropped.
+    #[allow(clippy::too_many_arguments)]
     fn partition(
         &self,
-        file: &HeapFile,
+        rows: RowsRef<'_>,
         keys: &[usize],
+        keep: Option<&[usize]>,
         depth: u32,
         fanout: usize,
         left: bool,
         out: &mut Vec<Tuple>,
-    ) -> Vec<TempFile> {
+    ) -> Result<Vec<TempFile>> {
         let storage = self.exec.storage();
+        let keep = keep.filter(|keep| keep.len() < rows.schema().arity());
+        let schema = keep.map_or_else(|| rows.schema().clone(), |k| rows.schema().project(k));
         let mut parts: Vec<HeapWriter> =
-            (0..fanout).map(|_| HeapWriter::new(storage, file.schema().clone())).collect();
-        for &pid in file.page_ids() {
-            for t in self.page(pid, depth).tuples() {
-                if null_key(t, keys) {
-                    if left && self.pad {
-                        out.push(self.unmatched(t));
-                    }
-                    continue;
+            (0..fanout).map(|_| HeapWriter::new(storage, schema.clone())).collect();
+        self.each(rows, depth, |t| {
+            if null_key(t, keys) {
+                if left && self.pad {
+                    out.push(self.unmatched(t));
                 }
-                parts[partition_of(t, keys, depth, fanout)].push(storage, t.clone());
+                return Ok(());
             }
-        }
-        parts.into_iter().map(|p| TempFile::new(storage, p.finish(storage))).collect()
+            let part = &mut parts[partition_of(t, keys, depth, fanout)];
+            part.push(storage, keep.map_or_else(|| t.clone(), |k| t.project(k)));
+            Ok(())
+        })?;
+        Ok(parts.into_iter().map(|p| TempFile::new(storage, p.finish(storage))).collect())
     }
 
     /// Build a table of the build tuples bucketed by key hash, then probe
@@ -316,50 +378,46 @@ impl HashJoin<'_> {
     fn in_memory(
         &self,
         emit: JoinEmit<'_>,
-        build: &HeapFile,
-        probe: &HeapFile,
+        build: RowsRef<'_>,
+        probe: RowsRef<'_>,
         depth: u32,
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
         let t0 = self.clock();
-        let mut table: FxHashMap<u64, Vec<Tuple>> = FxHashMap::default();
+        let mut table: Chains<Tuple> = Chains::with_capacity(build.tuple_count());
         let mut held = 0;
-        for &pid in build.page_ids() {
-            for bt in self.page(pid, depth).tuples() {
-                if null_key(bt, self.build_keys) {
-                    continue;
-                }
+        self.each(build, depth, |bt| {
+            if !null_key(bt, self.build_keys) {
                 held += bt.storage_width();
                 let hash = key_hash(FxHasher::default(), bt, self.build_keys);
-                table.entry(hash).or_default().push(bt.clone());
+                table.push(hash, bt.clone());
             }
-        }
+            Ok(())
+        })?;
         self.check_held(held as f64 / self.exec.storage().page_size() as f64, depth);
         self.charge(t0, |op| &op.build_ns);
 
         let t0 = self.clock();
-        for &pid in probe.page_ids() {
-            for pt in self.page(pid, depth).tuples() {
-                let mut matched = false;
-                if !null_key(pt, self.probe_keys) {
-                    let bucket = table.get(&key_hash(FxHasher::default(), pt, self.probe_keys));
-                    for bt in bucket.into_iter().flatten() {
-                        // A different key with the same hash fails here.
-                        let same_key = self
-                            .probe_keys
-                            .iter()
-                            .zip(self.build_keys)
-                            .all(|(&pk, &bk)| pt.get(pk) == bt.get(bk));
-                        if same_key {
-                            matched |= self.emit_if(emit, bt, pt, out)?;
-                        }
+        self.each(probe, depth, |pt| {
+            let mut matched = false;
+            if !null_key(pt, self.probe_keys) {
+                for bt in table.bucket(key_hash(FxHasher::default(), pt, self.probe_keys)) {
+                    // A different key with the same hash fails here.
+                    let same_key = self
+                        .probe_keys
+                        .iter()
+                        .zip(self.build_keys)
+                        .all(|(&pk, &bk)| pt.get(pk) == bt.get(bk));
+                    if same_key {
+                        matched |= self.emit_if(emit, bt, pt, out)?;
                     }
                 }
-                if !matched && self.pad {
-                    out.push(emit.padded(pt));
-                }
             }
-        }
+            if !matched && self.pad {
+                out.push(emit.padded(pt));
+            }
+            Ok(())
+        })?;
         self.charge(t0, |op| &op.probe_ns);
         Ok(())
     }
@@ -371,32 +429,31 @@ impl HashJoin<'_> {
     fn fold(
         &self,
         aggs: &[AggSpec],
-        build: &HeapFile,
-        probe: &HeapFile,
+        build: RowsRef<'_>,
+        probe: RowsRef<'_>,
         depth: u32,
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
         let t0 = self.clock();
         // Every left tuple that may be emitted, in scan order; the table
         // holds the positions of those with a key.
-        let mut groups: Vec<Group> = Vec::new();
-        let mut table: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
+        let mut groups: Vec<Group> = Vec::with_capacity(build.tuple_count());
+        let mut table: Chains<usize> = Chains::with_capacity(build.tuple_count());
         let mut held = 0;
-        for &pid in build.page_ids() {
-            for lt in self.page(pid, depth).tuples() {
-                let keyed = !null_key(lt, self.build_keys);
-                if !keyed && !self.pad {
-                    continue;
-                }
-                held += lt.storage_width();
-                if keyed {
-                    let hash = key_hash(FxHasher::default(), lt, self.build_keys);
-                    table.entry(hash).or_default().push(groups.len());
-                }
-                let states = aggs.iter().map(|a| AggState::new(a.func)).collect();
-                groups.push(Group { row: lt.clone(), states, matched: false });
+        self.each(build, depth, |lt| {
+            let keyed = !null_key(lt, self.build_keys);
+            if !keyed && !self.pad {
+                return Ok(());
             }
-        }
+            held += lt.storage_width();
+            if keyed {
+                let hash = key_hash(FxHasher::default(), lt, self.build_keys);
+                table.push(hash, groups.len());
+            }
+            let states = aggs.iter().map(|a| AggState::new(a.func)).collect();
+            groups.push(Group { row: lt.clone(), states, matched: false });
+            Ok(())
+        })?;
         let page_size = self.exec.storage().page_size();
         let pages = held as f64 / page_size as f64;
         let rows = groups.len() as f64;
@@ -404,34 +461,32 @@ impl HashJoin<'_> {
         self.charge(t0, |op| &op.build_ns);
 
         let t0 = self.clock();
-        for &pid in probe.page_ids() {
-            for rt in self.page(pid, depth).tuples() {
-                if null_key(rt, self.probe_keys) {
+        self.each(probe, depth, |rt| {
+            if null_key(rt, self.probe_keys) {
+                return Ok(());
+            }
+            for &g in table.bucket(key_hash(FxHasher::default(), rt, self.probe_keys)) {
+                let group = &mut groups[g];
+                let lt = &group.row;
+                // A different key with the same hash fails here.
+                let same_key = self
+                    .probe_keys
+                    .iter()
+                    .zip(self.build_keys)
+                    .all(|(&rk, &lk)| rt.get(rk) == lt.get(lk));
+                if !same_key || !self.accepts(lt, rt)? {
                     continue;
                 }
-                let bucket = table.get(&key_hash(FxHasher::default(), rt, self.probe_keys));
-                for &g in bucket.into_iter().flatten() {
-                    let group = &mut groups[g];
-                    let lt = &group.row;
-                    // A different key with the same hash fails here.
-                    let same_key = self
-                        .probe_keys
-                        .iter()
-                        .zip(self.build_keys)
-                        .all(|(&rk, &lk)| rt.get(rk) == lt.get(lk));
-                    if !same_key || !self.accepts(lt, rt)? {
-                        continue;
-                    }
-                    group.matched = true;
-                    for (state, spec) in group.states.iter_mut().zip(aggs) {
-                        match spec.arg {
-                            Some(i) => state.accumulate(rt.get(i))?,
-                            None => state.accumulate_row(),
-                        }
+                group.matched = true;
+                for (state, spec) in group.states.iter_mut().zip(aggs) {
+                    match spec.arg {
+                        Some(i) => state.accumulate(rt.get(i))?,
+                        None => state.accumulate_row(),
                     }
                 }
             }
-        }
+            Ok(())
+        })?;
         for group in groups {
             if group.matched {
                 let aggregates = group.states.iter().map(AggState::finish);
@@ -489,6 +544,26 @@ impl HashJoin<'_> {
         }
     }
 
+    /// Visit every row of `rows` at `depth`: a file's page by page — an
+    /// input through the buffer pool, a partition past it — or held rows
+    /// where they lie.
+    fn each(
+        &self,
+        rows: RowsRef<'_>,
+        depth: u32,
+        mut f: impl FnMut(&Tuple) -> Result<()>,
+    ) -> Result<()> {
+        match rows {
+            RowsRef::File(file) => {
+                for &pid in file.page_ids() {
+                    self.page(pid, depth).tuples().iter().try_for_each(&mut f)?;
+                }
+                Ok(())
+            }
+            RowsRef::Held(held) => held.rows().iter().try_for_each(f),
+        }
+    }
+
     /// A page of a file at `depth`: an input through the buffer pool, a
     /// partition past it.
     fn page(&self, pid: PageId, depth: u32) -> Arc<Page> {
@@ -518,6 +593,63 @@ impl HashJoin<'_> {
         if let (Some(op), Some(t0)) = (&self.op, t0) {
             phase(op).fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
+    }
+}
+
+/// Rows handed over in memory are a table the join builds in memory: they
+/// are the build side (`table`) of an in-memory pass, `pages` of table
+/// under `B − 2`, never a probe side or rows to partition.
+fn check_hand_off(rows: RowsRef<'_>, table: bool, pages: f64, b: f64) {
+    debug_assert!(
+        matches!(rows, RowsRef::File(_)) || (table && hash_build_fits(pages, b)),
+        "{} held rows handed to a hash pass that does not build its table on them in \
+         {pages:.2} of B − 2 = {} pages",
+        rows.tuple_count(),
+        b - 2.0
+    );
+}
+
+/// A hash table of build items by key hash that keeps each hash's items in
+/// the order they came, chained through one array: no allocation per key.
+struct Chains<T> {
+    /// Per hash, its first and last item.
+    ends: FxHashMap<u64, (u32, u32)>,
+    /// Per item, the next with its hash (`u32::MAX`: none).
+    next: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Chains<T> {
+    fn with_capacity(n: usize) -> Chains<T> {
+        let mut ends = FxHashMap::default();
+        ends.reserve(n);
+        Chains { ends, next: Vec::with_capacity(n), items: Vec::with_capacity(n) }
+    }
+
+    fn push(&mut self, hash: u64, item: T) {
+        let at = u32::try_from(self.items.len()).expect("a table holds fewer than 2^32 rows");
+        self.items.push(item);
+        self.next.push(u32::MAX);
+        match self.ends.entry(hash) {
+            Entry::Occupied(mut e) => {
+                let (_, last) = e.get_mut();
+                self.next[*last as usize] = at;
+                *last = at;
+            }
+            Entry::Vacant(e) => {
+                e.insert((at, at));
+            }
+        }
+    }
+
+    /// The items with `hash`, in the order they came.
+    fn bucket(&self, hash: u64) -> impl Iterator<Item = &T> {
+        let mut at = self.ends.get(&hash).map_or(u32::MAX, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            let item = self.items.get(at as usize)?;
+            at = self.next[at as usize];
+            Some(item)
+        })
     }
 }
 

@@ -1,12 +1,12 @@
 //! Join operators: nested-loop and sort-merge, inner and left outer.
 
-use super::{Exec, JoinEmit, JoinKind};
+use super::{join_reads, Exec, JoinEmit, JoinKind, Narrowed};
 use crate::expr::{CExpr, Joined};
 use crate::pred::CPred;
 use crate::Result;
 use nsql_sql::CompareOp;
 use nsql_storage::sort::SortKey;
-use nsql_storage::{HeapFile, Page, PageId, Storage, TempFile};
+use nsql_storage::{external_sort_narrowed, HeapFile, Page, PageId, Storage, TempFile};
 use nsql_types::{ColumnType, FxHashMap, FxHasher, Relation, Schema, Tuple};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -435,22 +435,37 @@ impl Exec {
         emit: JoinEmit<'_>,
     ) -> Result<Vec<Tuple>> {
         assert_eq!(left_keys.len(), right_keys.len(), "key lists must pair up");
-        let sorted = |file: &HeapFile, keys: &[usize], presorted: bool| {
+        // A side that is sorted here is sorted narrowed to the columns the
+        // join reads; one that arrives sorted is merged whole.
+        let (la, ra) = (left.schema().arity(), right.schema().arity());
+        let [lreads, rreads] = join_reads(la, ra, left_keys, right_keys, residual, emit.cols);
+        let keep = |reads: Vec<usize>, arity, presorted| match presorted {
+            true => (0..arity).collect(),
+            false => reads,
+        };
+        let keep = [keep(lreads, la, left_presorted), keep(rreads, ra, right_presorted)];
+        let n = Narrowed::new(keep, la, left_keys, right_keys, residual, emit.cols, &[]);
+        let sorted = |file: &HeapFile, keys: &[usize], keep: &[usize], presorted: bool| {
             (!presorted).then(|| {
                 let keys: Vec<SortKey> = keys.iter().map(|&i| SortKey::asc(i)).collect();
-                TempFile::new(&self.storage, self.sort(file, &keys, false))
+                let file = if keep.len() < file.schema().arity() {
+                    external_sort_narrowed(&self.storage, file, keep, &keys)
+                } else {
+                    self.sort(file, &keys, false)
+                };
+                TempFile::new(&self.storage, file)
             })
         };
-        let lsorted = sorted(left, left_keys, left_presorted);
-        let rsorted = sorted(right, right_keys, right_presorted);
+        let lsorted = sorted(left, &n.left_keys, &n.keep[0], left_presorted);
+        let rsorted = sorted(right, &n.right_keys, &n.keep[1], right_presorted);
         let out = self.merge_sorted(
             lsorted.as_deref().unwrap_or(left),
             rsorted.as_deref().unwrap_or(right),
-            left_keys,
-            right_keys,
-            residual,
+            &n.left_keys,
+            &n.right_keys,
+            n.residual.as_ref(),
             kind,
-            emit,
+            n.emit(),
         );
         // Whether the merge succeeded or not, the sorted copies go left
         // then right, after its last page read and before any result page

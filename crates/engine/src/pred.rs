@@ -209,6 +209,50 @@ impl CPred {
     pub fn always_true() -> CPred {
         CPred::Const(Some(true))
     }
+
+    /// Add every column this predicate reads to `out` (in no order, with
+    /// repeats).
+    pub fn columns(&self, out: &mut Vec<usize>) {
+        let mut expr = |e: &CExpr| {
+            if let CExpr::Col(i) = e {
+                out.push(*i);
+            }
+        };
+        match self {
+            CPred::Const(_) => {}
+            CPred::And(ps) | CPred::Or(ps) => ps.iter().for_each(|p| p.columns(out)),
+            CPred::Not(p) => p.columns(out),
+            CPred::Cmp { left, right, .. } => {
+                expr(left);
+                expr(right);
+            }
+            CPred::InList { expr: e, .. } | CPred::IsNull { expr: e, .. } => expr(e),
+        }
+    }
+
+    /// The same predicate over a row whose column `at(i)` is this one's
+    /// column `i`: evaluated there, it gives what this one gives here.
+    pub fn remap(&self, at: &impl Fn(usize) -> usize) -> CPred {
+        let expr = |e: &CExpr| match e {
+            CExpr::Col(i) => CExpr::Col(at(*i)),
+            lit => lit.clone(),
+        };
+        match self {
+            CPred::Const(v) => CPred::Const(*v),
+            CPred::And(ps) => CPred::And(ps.iter().map(|p| p.remap(at)).collect()),
+            CPred::Or(ps) => CPred::Or(ps.iter().map(|p| p.remap(at)).collect()),
+            CPred::Not(p) => CPred::Not(Box::new(p.remap(at))),
+            CPred::Cmp { left, op, right } => {
+                CPred::Cmp { left: expr(left), op: *op, right: expr(right) }
+            }
+            CPred::InList { expr: e, list, negated } => {
+                CPred::InList { expr: expr(e), list: list.clone(), negated: *negated }
+            }
+            CPred::IsNull { expr: e, negated } => {
+                CPred::IsNull { expr: expr(e), negated: *negated }
+            }
+        }
+    }
 }
 
 /// Compare under 3VL (`None` when either side is `NULL`).

@@ -25,13 +25,20 @@
 //!
 //! The debug assertion in the kernel — no in-memory pass below the depth cap
 //! holds more than `B − 2` pages of build tuples — runs on every case too.
+//!
+//! On wider rows, a join that emits a column list partitions rows narrowed
+//! to the columns it reads — keys, residual, emitted columns — and gives
+//! the rows of its all-column form projected onto the list, spilling no more
+//! pages (`a_narrowed_join_is_the_whole_join_projected`); and a build side
+//! handed over in memory gives the rows, in order, that its file gives
+//! (`a_held_build_side_joins_as_its_file`).
 
 use nsql_engine::cost::{
     grace_levels, hash_join_cost, HashShape, JoinInput, GRACE_MAX_DEPTH,
 };
 use nsql_engine::{CPred, Exec, JoinKind};
 use nsql_sql::parse_query;
-use nsql_storage::{HeapFile, IoSnapshot, Storage, TraceEvent};
+use nsql_storage::{HeapFile, HeldRows, IoSnapshot, Storage, TraceEvent};
 use nsql_testkit::{forall, prop_assert, prop_assert_eq, Rng};
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
 use std::collections::{HashMap, HashSet};
@@ -282,6 +289,7 @@ fn formula_pages(c: &Case, lp: f64, rp: f64, b: f64) -> u64 {
         pages,
         rows: rows as f64,
         sorted: false,
+        spill: pages,
     };
     hash_join_cost(side(lp, c.0.len()), side(rp, c.1.len()), c.3, b, false).total() as u64
 }
@@ -444,4 +452,133 @@ fn keys_across_the_int_float_boundary_join_as_the_nested_loop_joins_them() {
             Ok(())
         },
     );
+}
+
+/// A row of `W(K, A, B, C)`: a key (`NULL` one time in ten, one of two
+/// values at 2^53 one time in ten, else one of `keys`) and three numbers.
+type Wide = (Option<i64>, i64, i64, i64);
+
+fn wide_side(rng: &mut Rng, keys: i64) -> Vec<Wide> {
+    const P: i64 = 1 << 53;
+    let n = rng.gen_range(0usize..120);
+    (0..n)
+        .map(|_| {
+            let k = match rng.gen_range(0..10) {
+                0 => None,
+                1 => Some(P + rng.gen_range(0..2)),
+                _ => Some(rng.gen_range(0..keys)),
+            };
+            (k, rng.gen_range(0..50), rng.gen_range(0..50), rng.gen_range(0..50))
+        })
+        .collect()
+}
+
+fn wide_file(st: &Storage, table: &str, rows: &[Wide]) -> HeapFile {
+    let cols = ["K", "A", "B", "C"];
+    let schema =
+        Schema::new(cols.iter().map(|c| Column::qualified(table, *c, ColumnType::Int)).collect());
+    let tuple = |&(k, a, b, c): &Wide| {
+        let k = k.map_or(Value::Null, Value::Int);
+        Tuple::new(vec![k, Value::Int(a), Value::Int(b), Value::Int(c)])
+    };
+    HeapFile::from_tuples(st, schema, rows.iter().map(tuple))
+}
+
+/// Emitted columns of `L.K, L.A, L.B, L.C, R.K, R.A, R.B, R.C`: a non-empty
+/// list that leaves out `L.B` and `R.B`, which the residual reads.
+fn emitted(rng: &mut Rng) -> Vec<usize> {
+    let mut cols: Vec<usize> =
+        [0, 1, 3, 4, 5, 7].into_iter().filter(|_| rng.gen_bool(0.4)).collect();
+    if cols.is_empty() {
+        cols.push(*rng.choose(&[1, 5]));
+    }
+    if rng.gen_bool(0.3) {
+        cols.reverse();
+    }
+    cols
+}
+
+/// (left, right, index into `POOLS`, left outer, with residual, emitted).
+type WideCase = (Vec<Wide>, Vec<Wide>, usize, bool, bool, Vec<usize>);
+
+fn wide_case(rng: &mut Rng) -> WideCase {
+    // One key: every row of a side in one partition, down to the depth cap.
+    let keys = *rng.choose(&[1, 4, 40, 400]);
+    let (l, r) = (wide_side(rng, keys), wide_side(rng, keys));
+    let pool = rng.gen_range(0usize..POOLS.len());
+    (l, r, pool, rng.gen_bool(0.5), rng.gen_bool(0.6), emitted(rng))
+}
+
+#[test]
+fn a_narrowed_join_is_the_whole_join_projected() {
+    forall(200, "a_narrowed_join_is_the_whole_join_projected", wide_case, |c| {
+        let (left, right, pool, outer, residual, cols) = c;
+        let kind = if *outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+        // Each form on a pool of its own, so the two count their own pages.
+        let join = |cols: Option<&[usize]>| {
+            let st = Storage::new(POOLS[*pool], PAGE_SIZE);
+            let e = Exec::new(st.clone());
+            let (l, r) = (wide_file(&st, "L", left), wide_file(&st, "R", right));
+            let res = pred(&l, &r, "L.B < R.B");
+            st.clear_buffer();
+            let before = st.io_snapshot();
+            let rows = e.hash_join_cols(&l, &r, &[0], &[0], residual.then_some(&res), kind, cols);
+            let (lp, rp) = (l.page_count() as f64, r.page_count() as f64);
+            let shape = HashShape::of(lp, rp, *outer, POOLS[*pool] as f64);
+            (rows.unwrap(), st.io_snapshot().since(&before), shape)
+        };
+        let (whole, whole_io, shape) = join(None);
+        let (narrow, narrow_io, _) = join(Some(cols));
+        let projected: Vec<Tuple> = whole.tuples().iter().map(|t| t.project(cols)).collect();
+        prop_assert_eq!(narrow.schema(), &whole.schema().project(cols), "{cols:?}");
+        let projected = Relation::new(narrow.schema().clone(), projected).unwrap();
+        let same = narrow.same_bag(&projected);
+        prop_assert!(same, "{kind:?} {cols:?}\nnarrow:\n{narrow}\nwhole:\n{projected}");
+        if shape.keeps_left_order() {
+            prop_assert_eq!(narrow.tuples(), projected.tuples(), "the left input's order");
+        }
+        // Narrower rows fill no more pages; in memory nothing is spilled.
+        prop_assert!(narrow_io.writes <= whole_io.writes, "{narrow_io:?} against {whole_io:?}");
+        if shape.partitions == 0 {
+            prop_assert_eq!(narrow_io, whole_io, "in memory: the inputs once");
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn a_held_build_side_joins_as_its_file() {
+    forall(200, "a_held_build_side_joins_as_its_file", wide_case, |c| {
+        let (left, right, pool, outer, residual, cols) = c;
+        let kind = if *outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+        let (b, st) = (POOLS[*pool] as f64, Storage::new(POOLS[*pool], PAGE_SIZE));
+        let e = Exec::new(st.clone());
+        let (l, r) = (wide_file(&st, "L", left), wide_file(&st, "R", right));
+        let shape = HashShape::of(l.page_count() as f64, r.page_count() as f64, *outer, b);
+        if shape.partitions > 0 {
+            return Ok(()); // a side that does not fit is written, never held
+        }
+        let res = pred(&l, &r, "L.B < R.B");
+        let res = residual.then_some(&res);
+        let cols = Some(cols.as_slice());
+        let held = |f: &HeapFile| {
+            let held = HeldRows::new(&st, f.schema().clone(), e.collect(f).into_tuples());
+            prop_assert_eq!(held.page_count(), f.page_count(), "the file's pages");
+            Ok(held)
+        };
+        let stored = e.hash_join_cols(&l, &r, &[0], &[0], res, kind, cols).unwrap();
+        let build = held(if shape.build_left { &l } else { &r })?;
+        st.clear_buffer();
+        let before = st.io_snapshot();
+        let got = if shape.build_left {
+            e.hash_join_cols(&build, &r, &[0], &[0], res, kind, cols)
+        } else {
+            e.hash_join_cols(&l, &build, &[0], &[0], res, kind, cols)
+        };
+        let (io, got) = (st.io_snapshot().since(&before), got.unwrap());
+        let probe = if shape.build_left { r.page_count() } else { l.page_count() };
+        prop_assert_eq!(got.tuples(), stored.tuples(), "rows and order");
+        prop_assert_eq!((io.reads, io.writes), (probe as u64, 0), "only the probe side is read");
+        Ok(())
+    });
 }

@@ -1,8 +1,11 @@
 //! Property tests: the three join algorithms agree with each other on
 //! random inputs (including NULL keys, duplicates, and empty sides), for
 //! both inner and left-outer joins; the key-indexed nested-loop kernel is
-//! indistinguishable from the pair-scanning loop it replaced; and the
-//! in-place merge join from the scan–clone–project one it replaced.
+//! indistinguishable from the pair-scanning loop it replaced; the in-place
+//! merge join from the scan–clone–project one it replaced; and a merge or
+//! hash join that sorts or partitions rows narrowed to the columns it reads
+//! gives its all-column rows projected — in the same order for the merge
+//! join — through pools of 3 to 64 pages.
 
 use nsql_engine::{CPred, EngineError, Exec, JoinKind, Joined};
 use nsql_sql::parse_query;
@@ -651,6 +654,89 @@ fn merge_join_is_indistinguishable_from_scan_clone_merge() {
             prop_assert_eq!(got.io, want.io, "{at}");
             prop_assert_eq!(&got.events, &want.events, "{at}");
             prop_assert_eq!(&got.resident, &want.resident, "{at}");
+            Ok(())
+        },
+    );
+}
+
+/// Rows of `(K, A, B, C)` with keys that are `NULL`, equal (duplicates), at
+/// 2^53 and one past it, or all one value.
+type Wide = (Option<i64>, i64, i64, i64);
+
+fn wide_file(st: &Storage, table: &str, rows: &[Wide]) -> HeapFile {
+    let schema = Schema::new(
+        ["K", "A", "B", "C"].iter().map(|c| Column::qualified(table, *c, ColumnType::Int)).collect(),
+    );
+    let tuple = |&(k, a, b, c): &Wide| {
+        let k = k.map_or(Value::Null, Value::Int);
+        Tuple::new(vec![k, Value::Int(a), Value::Int(b), Value::Int(c)])
+    };
+    HeapFile::from_tuples(st, schema, rows.iter().map(tuple))
+}
+
+fn wide_side(rng: &mut Rng, one_key: bool) -> Vec<Wide> {
+    const P: i64 = 1 << 53;
+    let n = rng.gen_range(0usize..90);
+    (0..n)
+        .map(|_| {
+            let k = match rng.gen_range(0..10) {
+                _ if one_key => Some(7),
+                0 => None,
+                1 => Some(P + rng.gen_range(0..2)),
+                _ => Some(rng.gen_range(0..12)),
+            };
+            (k, rng.gen_range(0..40), rng.gen_range(0..40), rng.gen_range(0..40))
+        })
+        .collect()
+}
+
+#[test]
+fn a_narrowed_sort_or_partition_gives_the_whole_join_projected() {
+    forall(
+        160,
+        "a_narrowed_sort_or_partition_gives_the_whole_join_projected",
+        |rng| {
+            let one_key = rng.gen_bool(0.15);
+            let (l, r) = (wide_side(rng, one_key), wide_side(rng, one_key));
+            // Emitted: any of the eight columns but `L.B` and `R.B`, which
+            // only the residual reads.
+            let mut cols: Vec<usize> =
+                [0, 1, 3, 4, 5, 7].into_iter().filter(|_| rng.gen_bool(0.4)).collect();
+            if cols.is_empty() {
+                cols.push(5);
+            }
+            let pool = *rng.choose(&[3usize, 4, 6, 64]);
+            (l, r, pool, rng.gen_bool(0.5), rng.gen_bool(0.6), cols)
+        },
+        |(left, right, pool, outer, residual, cols)| {
+            let kind = if *outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+            // Each kernel and form on a pool of its own.
+            let run = |merge: bool, cols: Option<&[usize]>| {
+                let st = Storage::new(*pool, 128);
+                let e = Exec::new(st.clone());
+                let (l, r) = (wide_file(&st, "L", left), wide_file(&st, "R", right));
+                let res = compile_on(&l, &r, "L.B < R.B");
+                let res = residual.then_some(&res);
+                let before = st.io_snapshot();
+                let rows = match merge {
+                    true => e.merge_join_cols(&l, &r, &[0], &[0], res, kind, false, false, cols),
+                    false => e.hash_join_cols(&l, &r, &[0], &[0], res, kind, cols),
+                };
+                (rows.unwrap(), st.io_snapshot().since(&before))
+            };
+            for merge in [true, false] {
+                let (whole, whole_io) = run(merge, None);
+                let (narrow, narrow_io) = run(merge, Some(cols));
+                let projected = whole.tuples().iter().map(|t| t.project(cols)).collect();
+                let projected = nsql_types::Relation::new(narrow.schema().clone(), projected);
+                let projected = projected.unwrap();
+                if merge {
+                    prop_assert_eq!(narrow.tuples(), projected.tuples(), "merge {kind:?} {cols:?}");
+                } else {
+                    prop_assert!(narrow.same_bag(&projected), "hash {kind:?} {cols:?}");
+                }
+                prop_assert!(narrow_io.writes <= whole_io.writes, "{narrow_io:?} vs {whole_io:?}");
+            }
             Ok(())
         },
     );

@@ -106,31 +106,63 @@ pub fn sorted_with<R>(
     unique: bool,
     consume: impl FnOnce(Sorted<'_>) -> R,
 ) -> R {
+    sort_pass(storage, input, None, keys, unique, consume)
+}
+
+/// [`external_sort`] of `input`'s rows narrowed to the columns `keep`
+/// (ascending), by `keys` over the narrowed row: pass 0 reads the input
+/// and projects each row before sorting it, so every run, every merge pass
+/// and the file written hold only the kept columns.
+pub fn external_sort_narrowed(
+    storage: &Storage,
+    input: &HeapFile,
+    keep: &[usize],
+    keys: &[SortKey],
+) -> HeapFile {
+    let schema = input.schema().project(keep);
+    sort_pass(storage, input, Some(keep), keys, false, |rows| {
+        HeapFile::from_tuples(storage, schema, rows)
+    })
+}
+
+/// [`sorted_with`] of `input`'s rows, narrowed to the columns `keep` in
+/// pass 0 when given.
+fn sort_pass<R>(
+    storage: &Storage,
+    input: &HeapFile,
+    keep: Option<&[usize]>,
+    keys: &[SortKey],
+    unique: bool,
+    consume: impl FnOnce(Sorted<'_>) -> R,
+) -> R {
     debug_assert!(
         !unique || keys.iter().enumerate().all(|(i, k)| *k == SortKey::asc(i)),
         "a unique sort orders by the whole tuple ascending; {keys:?} would be ignored"
     );
     let b = storage.buffer_pages().max(2);
     let order = Order { keys, unique };
-    // A unique sort's first key is field 0 ascending, if the tuples have one.
-    let first = if unique { Some(SortKey::asc(0)) } else { keys.first().copied() };
     // Pass 0 over up to `b` pages: their tuples, sorted.
+    let schema = keep.map_or_else(|| input.schema().clone(), |k| input.schema().project(k));
     let chunk = |span: &[PageId]| {
         let pages: Vec<Arc<Page>> = span.iter().map(|&id| storage.read_page_direct(id)).collect();
-        let mut rows = sort_rows(&pages, first, |x, y| order.cmp(x, y));
-        if unique {
-            rows.dedup();
-        }
-        rows
+        let on_pages = pages.iter().flat_map(|p| p.tuples());
+        let narrowed: Vec<Tuple> = match keep {
+            Some(keep) => on_pages.clone().map(|t| t.project(keep)).collect(),
+            None => Vec::new(),
+        };
+        let refs: Vec<&Tuple> = match keep {
+            Some(_) => narrowed.iter().collect(),
+            None => on_pages.collect(),
+        };
+        order.sort(refs).into_iter().cloned().collect::<Vec<Tuple>>()
     };
     if input.page_count() <= b {
         return consume(Sorted(Source::Memory(chunk(input.page_ids()).into_iter())));
     }
 
     // One run per chunk; a chunk without tuples leaves none.
-    let write = |rows: Sorted| {
-        TempFile::new(storage, HeapFile::from_tuples(storage, input.schema().clone(), rows))
-    };
+    let write =
+        |rows: Sorted| TempFile::new(storage, HeapFile::from_tuples(storage, schema.clone(), rows));
     let mut runs: Vec<TempFile> = input
         .page_ids()
         .chunks(b)
@@ -170,6 +202,26 @@ impl Order<'_> {
             compare(x, y, self.keys)
         }
     }
+
+    /// `rows` in this order, stably; under `unique` without duplicates.
+    fn sort<'a>(&self, rows: Vec<&'a Tuple>) -> Vec<&'a Tuple> {
+        // A unique sort's first key is field 0 ascending, if the tuples have
+        // one.
+        let first = if self.unique { Some(SortKey::asc(0)) } else { self.keys.first().copied() };
+        let mut rows = sort_rows(rows, first, |x, y| self.cmp(x, y));
+        if self.unique {
+            rows.dedup();
+        }
+        rows
+    }
+}
+
+/// Rows held in memory sorted as [`sorted_with`] sorts an input of at most
+/// `B` pages that holds them: by `keys`, or under `unique` by the whole
+/// tuple with duplicates dropped — the rows, in the order, that the sort of
+/// a file of them hands over.
+pub fn sort_held<'a>(rows: &'a [Tuple], keys: &[SortKey], unique: bool) -> Vec<&'a Tuple> {
+    Order { keys, unique }.sort(rows.iter().collect())
 }
 
 /// Order-preserving fixed-width image of a first-key value: `(rank, n)`
@@ -194,13 +246,12 @@ fn key_prefix(v: &Value) -> Option<(u8, i64)> {
 /// that prefix, so most comparisons are two integer compares and only
 /// prefix ties go on to `cmp`. Otherwise `cmp` decides alone.
 fn sort_rows(
-    pages: &[Arc<Page>],
+    rows: Vec<&Tuple>,
     first: Option<SortKey>,
     cmp: impl Fn(&Tuple, &Tuple) -> Ordering,
-) -> Vec<Tuple> {
-    let rows = || pages.iter().flat_map(|p| p.tuples());
+) -> Vec<&Tuple> {
     let decorated: Option<Vec<((u8, i64), &Tuple)>> = first.and_then(|k| {
-        rows().map(|t| Some((key_prefix(t.values().get(k.index)?)?, t))).collect()
+        rows.iter().map(|&t| Some((key_prefix(t.values().get(k.index)?)?, t))).collect()
     });
     match decorated {
         Some(mut dec) => {
@@ -209,12 +260,12 @@ fn sort_rows(
                 let o = if desc { py.cmp(px) } else { px.cmp(py) };
                 o.then_with(|| cmp(x, y))
             });
-            dec.into_iter().map(|(_, t)| t.clone()).collect()
+            dec.into_iter().map(|(_, t)| t).collect()
         }
         None => {
-            let mut refs: Vec<&Tuple> = rows().collect();
+            let mut refs = rows;
             refs.sort_by(|x, y| cmp(x, y));
-            refs.into_iter().cloned().collect()
+            refs
         }
     }
 }
