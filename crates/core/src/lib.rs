@@ -47,7 +47,7 @@ pub use error::TransformError;
 pub use logical::{AggItem, JoinPred, LogicalJoinKind, LogicalPlan};
 pub use nest_g::{transform_query, transform_query_traced, JaVariant, UnnestOptions};
 pub use nest_ja2::Ja2Config;
-pub use pipeline::{TempTable, TransformPlan};
+pub use pipeline::{AntiJoin, TempTable, TransformPlan};
 
 /// Result alias for transformation.
 pub type Result<T> = std::result::Result<T, TransformError>;

@@ -155,7 +155,8 @@ fn rename_level_refs(q: &mut QueryBlock, old: &str, new: &str) {
     }
 }
 
-fn rename_flat_pred(p: &mut Predicate, old: &str, new: &str) {
+/// Rewrite every reference qualified by `old` in a subquery-free predicate.
+pub(crate) fn rename_flat_pred(p: &mut Predicate, old: &str, new: &str) {
     let fix_operand = |o: &mut Operand| {
         if let Operand::Column(c) = o {
             if c.table.as_deref() == Some(old) {

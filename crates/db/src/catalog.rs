@@ -188,7 +188,7 @@ impl Catalog {
         self.stats().insert(key.clone(), Some(vec![0; schema.arity()]));
         self.counters.insert(key.clone(), self.stats_registry.table_entry(&key));
         let file = HeapFile::from_tuples(&self.storage, schema, Vec::new());
-        self.tables.insert(key.clone(), file);
+        self.tables.insert(key, file);
         self.persist()
     }
 
@@ -648,7 +648,7 @@ mod tests {
         assert_eq!(cat.distinct_count("T", 2), None);
         assert_eq!(storage.io_snapshot(), before, "the recount moves no counter");
         assert_eq!(cat_stats(&cat)["T"], recount);
-        let restored = Catalog::restore(storage.clone(), Some(&cat.snapshot())).unwrap();
+        let restored = Catalog::restore(storage, Some(&cat.snapshot())).unwrap();
         assert_eq!(cat_stats(&restored)["T"], recount);
 
         // The next INSERT makes them stale again.

@@ -301,7 +301,7 @@ impl Database {
                 })?;
                 let mut explain = header_lines(opts, plan.temp_count());
                 explain.extend(plan.trace.iter().cloned());
-                explain.push(format!("canonical: {}", nsql_sql::print_query(&plan.canonical)));
+                explain.push(format!("canonical: {}", plan.canonical_text()));
                 let exec = Exec::new(storage.clone()).with_obs(profile.clone());
                 let mut pe = PlanExecutor::new(exec, &self.catalog, opts.join_policy);
                 pe.set_index_use(opts.index_use);
@@ -581,7 +581,7 @@ mod tests {
         let plain = db.query_with(Q2, &base).unwrap();
         let s1 = db.catalog.storage().io_snapshot();
         let observed = db
-            .query_with(Q2, &QueryOptions { observe: true, ..base.clone() })
+            .query_with(Q2, &QueryOptions { observe: true, ..base })
             .unwrap();
         let s2 = db.catalog.storage().io_snapshot();
         assert!(plain.relation.same_bag(&observed.relation));

@@ -289,10 +289,7 @@ impl Database {
                     let plan = nsql_core::transform_query(self.catalog(), q, &opts.unnest)?;
                     let mut lines = header_lines(opts, plan.temp_count());
                     lines.extend(plan.trace.clone());
-                    lines.push(format!(
-                        "canonical: {}",
-                        nsql_sql::print_query(&plan.canonical)
-                    ));
+                    lines.push(format!("canonical: {}", plan.canonical_text()));
                     lines
                 }
             };
@@ -479,6 +476,8 @@ fn chosen_from_trace(lines: &[String]) -> String {
         "NEST-N-J (type-N)".to_string()
     } else if has("type-A") {
         "type-A constant folding".to_string()
+    } else if has(": anti-join with") {
+        "anti-join (NOT IN / NOT EXISTS)".to_string()
     } else {
         "none (query already flat)".to_string()
     }

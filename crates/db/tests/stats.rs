@@ -111,7 +111,7 @@ fn percentiles_match_exact_sort_oracle_end_to_end() {
         )
         .unwrap();
     assert_eq!(rel.len(), 1);
-    let mut sorted = samples.clone();
+    let mut sorted = samples;
     sorted.sort_unstable();
     for (col, p) in [(0usize, 50u64), (1, 95), (2, 99)] {
         // Nearest-rank oracle, then map the chosen sample through its

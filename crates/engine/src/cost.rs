@@ -18,6 +18,7 @@
 //! the paper's "about 475" figure with real-valued logs — with ceiling the
 //! total is 558. See `EXPERIMENTS.md` (E2).
 
+use crate::ops::JoinKind;
 use nsql_sql::{CompareOp, InRhs, Predicate};
 use nsql_types::{ColumnType, Schema};
 
@@ -526,9 +527,10 @@ pub const GRACE_MAX_DEPTH: u32 = 4;
 /// one place that decides it, for the kernel, its price and the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashShape {
-    /// The table is built on the left input: only an inner join, and only
-    /// when the left has fewer pages (a tie builds right). A left outer join
-    /// builds right, so that its probe sees every left tuple.
+    /// The table is built on the left input: only an inner join or an
+    /// anti-join, and only when the left has fewer pages (a tie builds
+    /// right). A left outer join builds right, so that its probe sees every
+    /// left tuple; an anti-join built left flags the tuples it matched.
     pub build_left: bool,
     /// Partitions of the first Grace pass (`clamp(⌈build/(B−2)⌉, 2, B−1)`);
     /// 0 when the build side fits `B − 2` pages.
@@ -536,9 +538,9 @@ pub struct HashShape {
 }
 
 impl HashShape {
-    /// The shape under a `b`-page pool; `left_outer` for a left outer join.
-    pub fn of(l_pages: f64, r_pages: f64, left_outer: bool, b: f64) -> HashShape {
-        let build_left = !left_outer && l_pages < r_pages;
+    /// The shape of a join of `kind` under a `b`-page pool.
+    pub fn of(l_pages: f64, r_pages: f64, kind: JoinKind, b: f64) -> HashShape {
+        let build_left = kind != JoinKind::LeftOuter && l_pages < r_pages;
         let build = if build_left { l_pages } else { r_pages };
         HashShape { build_left, partitions: hash_partitions(build, b) }
     }
@@ -604,8 +606,9 @@ fn spilled_levels(table: f64, spill: f64, b: f64) -> u32 {
     levels
 }
 
-/// What the hash join costs on inputs `l` and `r` (left outer when
-/// `left_outer`). It builds on the side [`HashShape`] names. A build
+/// What the hash join of `kind` costs on inputs `l` and `r`; an anti-join
+/// costs what the inner join does. It builds on the side [`HashShape`]
+/// names. A build
 /// side that fits `B − 2` pages is hashed in memory while the other side
 /// streams past it: `Pl + Pr`. A larger one is Grace-partitioned first: both
 /// inputs are read, and their rows, narrowed to the columns the join reads
@@ -619,11 +622,11 @@ fn spilled_levels(table: f64, spill: f64, b: f64) -> u32 {
 pub fn hash_join_cost(
     l: JoinInput,
     r: JoinInput,
-    left_outer: bool,
+    kind: JoinKind,
     b: f64,
     priced: bool,
 ) -> JoinCost {
-    let shape = HashShape::of(l.pages, r.pages, left_outer, b);
+    let shape = HashShape::of(l.pages, r.pages, kind, b);
     let build = if shape.build_left { l } else { r };
     JoinCost { work: hash_work(l, r, build.pages, build.spill, b), priced }
 }
@@ -1173,19 +1176,21 @@ mod tests {
     fn the_hash_join_reads_each_input_once_per_level_and_builds_on_the_smaller() {
         let side = |pages, rows| JoinInput { pages, rows, sorted: false, spill: pages };
         let b = 6.0;
-        for (lp, rp, left_outer, build) in [
-            (3.0, 30.0, false, 3.0),   // the left is smaller: built
-            (30.0, 3.0, false, 3.0),   // the right is smaller: built
-            (21.0, 21.0, false, 21.0), // a tie builds right
-            (3.0, 30.0, true, 30.0),   // a left outer join builds right
+        for (lp, rp, kind, build) in [
+            (3.0, 30.0, JoinKind::Inner, 3.0),       // the left is smaller: built
+            (30.0, 3.0, JoinKind::Inner, 3.0),       // the right is smaller: built
+            (21.0, 21.0, JoinKind::Inner, 21.0),     // a tie builds right
+            (3.0, 30.0, JoinKind::LeftOuter, 30.0),  // a left outer join builds right
+            (3.0, 30.0, JoinKind::Anti, 3.0),        // an anti-join builds left
+            (30.0, 3.0, JoinKind::Anti, 3.0),        // ... or right
         ] {
-            let shape = HashShape::of(lp, rp, left_outer, b);
+            let shape = HashShape::of(lp, rp, kind, b);
             assert_eq!(shape.build_left, lp == build && lp != rp);
             assert_eq!(shape.partitions, if build > 4.0 { grace_fanout(build, b) } else { 0 });
             assert_eq!(shape.keeps_left_order(), !shape.build_left && build <= 4.0);
             let levels = f64::from(grace_levels(build, b));
             for priced in [false, true] {
-                let hj = hash_join_cost(side(lp, 100.0), side(rp, 40.0), left_outer, b, priced);
+                let hj = hash_join_cost(side(lp, 100.0), side(rp, 40.0), kind, b, priced);
                 assert_eq!(hj.work.pages, (lp + rp) * (1.0 + 2.0 * levels), "{lp} ⋈ {rp}");
                 let w = &hj.work;
                 assert_eq!((w.hashed, w.partitioned), (140.0, 140.0 * levels), "{lp} ⋈ {rp}");
@@ -1195,7 +1200,7 @@ mod tests {
         // In memory, the hash join reads what a merge join of sorted inputs
         // does, and less than an unsorted one.
         let (_, mj) = classic_join_costs(side(3.0, 100.0), side(30.0, 40.0), b, false);
-        let hj = hash_join_cost(side(3.0, 100.0), side(30.0, 40.0), false, b, false);
+        let hj = hash_join_cost(side(3.0, 100.0), side(30.0, 40.0), JoinKind::Inner, b, false);
         assert_eq!(hj.work.pages, 33.0);
         assert!(mj.work.pages > 33.0);
     }
@@ -1209,7 +1214,7 @@ mod tests {
         assert_eq!(table, 3.0 + 100.0 * 16.0 / 512.0);
         // Over a left that fits as it is, the inner hash join that builds
         // on that left too.
-        let hj = hash_join_cost(small, big, false, b, true);
+        let hj = hash_join_cost(small, big, JoinKind::Inner, b, true);
         assert_eq!(groupjoin_cost(small, big, 3.0, b).work, hj.work);
         // Built on the left whatever the sizes say: 30 pages, two levels.
         let gj = groupjoin_cost(big, small, 30.0, b);

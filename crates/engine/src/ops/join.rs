@@ -1,12 +1,13 @@
-//! Join operators: nested-loop and sort-merge, inner and left outer.
+//! Join operators: nested-loop and sort-merge, inner, left outer and anti.
 
 use super::{join_reads, Exec, JoinEmit, JoinKind, Narrowed};
+use crate::cost::hash_build_fits;
 use crate::expr::{CExpr, Joined};
 use crate::pred::CPred;
 use crate::Result;
 use nsql_sql::CompareOp;
 use nsql_storage::sort::SortKey;
-use nsql_storage::{external_sort_narrowed, HeapFile, Page, PageId, Storage, TempFile};
+use nsql_storage::{external_sort_narrowed, HeapFile, Page, PageId, RowsRef, Storage, TempFile};
 use nsql_types::{ColumnType, FxHashMap, FxHasher, Relation, Schema, Tuple};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -28,7 +29,9 @@ struct NlKey {
 /// `on` that compare a left column with a right column of the same type
 /// class. Only a leading prefix qualifies, because `CPred::And` evaluates
 /// left to right and stops at the first `FALSE`: a key that is `FALSE`
-/// hides everything after it, but nothing before it.
+/// hides everything after it, but nothing before it. A null-aware equality
+/// ([`CPred::NotFalse`], `NOT IN`'s comparison) is a key too: it is `FALSE`
+/// exactly where the equality is, and a `NULL` is never ruled out.
 fn leading_keys(on: &CPred, left: &Schema, right: &Schema) -> Vec<NlKey> {
     let conjuncts = match on {
         CPred::And(ps) => ps.as_slice(),
@@ -37,6 +40,10 @@ fn leading_keys(on: &CPred, left: &Schema, right: &Schema) -> Vec<NlKey> {
     let split = left.arity();
     let mut keys = Vec::new();
     for p in conjuncts {
+        let p = match p {
+            CPred::NotFalse(p) => p,
+            p => p,
+        };
         let CPred::Cmp { left: CExpr::Col(a), op: CompareOp::Eq, right: CExpr::Col(b) } = p
         else {
             break;
@@ -200,7 +207,9 @@ impl Exec {
     /// `FALSE`, so `NULL` or off-type keys on either side, errors raised by
     /// any conjunct, output order and outer-join padding are exactly those
     /// of evaluating `on` on every pair. Without a usable leading key every
-    /// pass is that full evaluation.
+    /// pass is that full evaluation. An anti-join reads and evaluates what
+    /// the inner join does, and emits a left tuple instead of its pairs
+    /// when none was accepted.
     ///
     /// With an operator attached, `build_ns` is the first inner pass and
     /// `probe_ns` the rest.
@@ -213,7 +222,7 @@ impl Exec {
     ) -> Result<HeapFile> {
         let schema = left.schema().join(right.schema());
         let emit = JoinEmit::new(right.schema(), None);
-        let tuples = self.nl_join_tuples(left, right, on, kind, emit)?;
+        let tuples = self.nl_join_tuples(left, right.into(), on, kind, emit)?;
         Ok(HeapFile::from_tuples(&self.storage, schema, tuples))
     }
 
@@ -231,14 +240,20 @@ impl Exec {
     /// [`nl_join_collect`](Exec::nl_join_collect) emitting only `cols` of
     /// the concatenated row (every column when `None`; see [`JoinEmit`]).
     /// `on` is still a predicate over the whole concatenated schema.
-    pub fn nl_join_cols(
+    ///
+    /// The inner may be rows held in memory ([`RowsRef::Held`]) that fit
+    /// the pool beside the outer's page and the output's, `B − 2` pages (the
+    /// hash table's bound): the pages a pass would ask the pool for were
+    /// never written, and every pass reads the rows where they lie.
+    pub fn nl_join_cols<'a>(
         &self,
         left: &HeapFile,
-        right: &HeapFile,
+        right: impl Into<RowsRef<'a>>,
         on: &CPred,
         kind: JoinKind,
         cols: Option<&[usize]>,
     ) -> Result<Relation> {
+        let right = right.into();
         let emit = JoinEmit::new(right.schema(), cols);
         let tuples = self.nl_join_tuples(left, right, on, kind, emit)?;
         Relation::new(emit.schema(left.schema(), right.schema()), tuples)
@@ -248,11 +263,22 @@ impl Exec {
     fn nl_join_tuples(
         &self,
         left: &HeapFile,
-        right: &HeapFile,
+        right: RowsRef<'_>,
         on: &CPred,
         kind: JoinKind,
         emit: JoinEmit<'_>,
     ) -> Result<Vec<Tuple>> {
+        let b = self.storage.buffer_pages() as f64;
+        debug_assert!(
+            matches!(right, RowsRef::File(_)) || hash_build_fits(right.page_count() as f64, b),
+            "a held inner of {} pages, B = {b}",
+            right.page_count()
+        );
+        // The inner's pages in file order; held rows are one page never read.
+        let pages = match right {
+            RowsRef::File(file) => file.page_ids(),
+            RowsRef::Held(_) => &[PageId(0)],
+        };
         let keys = leading_keys(on, left.schema(), right.schema());
         // Build/probe wall-clock lands on the current operator; Instant is
         // only sampled when one is attached.
@@ -262,6 +288,7 @@ impl Exec {
         // `None` until the first inner pass has run (and forever when `on`
         // has no leading key): such passes evaluate `on` on every slot.
         let mut index: Option<InnerIndex> = None;
+        let (pairs, unmatched) = (kind.emits_pairs(), kind.keeps_unmatched());
         let mut out = Vec::new();
         for lt in left.scan(&self.storage) {
             let mut matched = false;
@@ -272,7 +299,9 @@ impl Exec {
             let mut try_pair = |rt: &Tuple| match on.accepts_row(&Joined::new(&lt, rt)) {
                 Ok(true) => {
                     matched = true;
-                    out.push(emit.pair(&lt, rt));
+                    if pairs {
+                        out.push(emit.pair(&lt, rt));
+                    }
                 }
                 Ok(false) => {}
                 Err(e) => {
@@ -289,9 +318,15 @@ impl Exec {
                 (index.is_none() && !keys.is_empty()).then(InnerIndex::default);
             // Every inner page is read on every pass, whatever the index
             // says: an index may save CPU on a page, never the page read.
-            for (page_no, &pid) in right.page_ids().iter().enumerate() {
-                let page = self.storage.read_page(pid);
-                let tuples = page.tuples();
+            for (page_no, &pid) in pages.iter().enumerate() {
+                let page;
+                let tuples = match right {
+                    RowsRef::File(_) => {
+                        page = self.storage.read_page(pid);
+                        page.tuples()
+                    }
+                    RowsRef::Held(held) => held.rows(),
+                };
                 if let Some(ix) = &mut building {
                     ix.add_page(page_no, tuples, &keys);
                 }
@@ -307,7 +342,7 @@ impl Exec {
             if let Some(e) = err {
                 return Err(e);
             }
-            if !matched && kind == JoinKind::LeftOuter {
+            if !matched && unmatched {
                 out.push(emit.padded(&lt));
             }
             if let Some(ix) = building {
@@ -334,7 +369,8 @@ impl Exec {
     /// column order" savings — Section 7.4). For [`JoinKind::LeftOuter`],
     /// unmatched left tuples are emitted `NULL`-padded; as the paper notes
     /// (Section 7.2), the merge outer join costs the same as the standard
-    /// merge join since both relations are scanned in sorted order.
+    /// merge join since both relations are scanned in sorted order. The
+    /// anti-join emits those tuples alone.
     #[allow(clippy::too_many_arguments)]
     pub fn merge_join(
         &self,
@@ -505,6 +541,7 @@ impl Exec {
         // the left tuple whose key gathered them (`None`: no group).
         let mut group: Vec<Tuple> = Vec::new();
         let mut group_of: Option<Tuple> = None;
+        let (pairs, unmatched) = (kind.emits_pairs(), kind.keeps_unmatched());
 
         while let Some(lt) = lcur.peek() {
             let same_group = group_of
@@ -543,11 +580,13 @@ impl Exec {
                     };
                     if ok {
                         matched = true;
-                        out.push(emit.pair(lt, rt));
+                        if pairs {
+                            out.push(emit.pair(lt, rt));
+                        }
                     }
                 }
             }
-            if !matched && kind == JoinKind::LeftOuter {
+            if !matched && unmatched {
                 out.push(emit.padded(lt));
             }
             lcur.advance();

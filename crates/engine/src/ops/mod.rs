@@ -25,7 +25,9 @@
 //! the same memory model: it holds at most `B − 2` pages of its table and
 //! Grace-partitions a larger build side into counted temporaries. Each
 //! comes in inner and **left outer** flavours — the outer join being the
-//! paper's key device for fixing the COUNT bug (Section 5.2).
+//! paper's key device for fixing the COUNT bug (Section 5.2) — and as an
+//! **anti-join**, which keeps the left tuples nothing matched: `NOT EXISTS`
+//! and, with a null-aware comparison, `NOT IN` (DESIGN.md "Anti-join").
 //!
 //! The nested loop reads every inner page once per outer tuple, as the
 //! paper's `Pl + Nl·Pr` prices it, but it does not compare every pair: when
@@ -57,7 +59,7 @@ use nsql_storage::{
 use nsql_types::{Relation, Schema, Tuple, Value};
 use std::sync::Arc;
 
-/// Inner or left-outer join.
+/// Inner, left-outer or anti-join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     /// Ordinary join.
@@ -65,6 +67,25 @@ pub enum JoinKind {
     /// Left outer join: unmatched left tuples appear once, padded with
     /// `NULL`s on the right (the paper's `^`).
     LeftOuter,
+    /// Anti-join: each left tuple no right tuple matches appears once, as
+    /// the left outer join emits it, and no pair appears — the left outer
+    /// join is the inner join plus the anti-join. A match is a pair the
+    /// keys and the residual accept; a null-aware anti-join (`NOT IN`)
+    /// carries its comparison in the residual as [`CPred::NotFalse`].
+    Anti,
+}
+
+impl JoinKind {
+    /// Whether the join emits the pairs it finds (not the anti-join).
+    pub(crate) fn emits_pairs(self) -> bool {
+        self != JoinKind::Anti
+    }
+
+    /// Whether the join emits the left tuples nothing matched (not the
+    /// inner join).
+    pub(crate) fn keeps_unmatched(self) -> bool {
+        self != JoinKind::Inner
+    }
 }
 
 /// What a join emits for a pair that joined: the whole concatenated row

@@ -93,6 +93,10 @@ pub enum CPred {
         /// `IS NOT NULL`?
         negated: bool,
     },
+    /// `p IS NOT FALSE`: `TRUE` where `p` is `TRUE` or `UNKNOWN`. A
+    /// null-aware anti-join's comparison (`NOT IN`'s `x = c`): a `NULL` on
+    /// either side is a match, which drops the outer row.
+    NotFalse(Box<CPred>),
 }
 
 impl CPred {
@@ -152,6 +156,7 @@ impl CPred {
                 let isnull = expr.eval_row(row).is_null();
                 Some(if *negated { !isnull } else { isnull })
             }
+            CPred::NotFalse(p) => Some(p.eval_row(row)? != Some(false)),
         })
     }
 
@@ -221,7 +226,7 @@ impl CPred {
         match self {
             CPred::Const(_) => {}
             CPred::And(ps) | CPred::Or(ps) => ps.iter().for_each(|p| p.columns(out)),
-            CPred::Not(p) => p.columns(out),
+            CPred::Not(p) | CPred::NotFalse(p) => p.columns(out),
             CPred::Cmp { left, right, .. } => {
                 expr(left);
                 expr(right);
@@ -242,6 +247,7 @@ impl CPred {
             CPred::And(ps) => CPred::And(ps.iter().map(|p| p.remap(at)).collect()),
             CPred::Or(ps) => CPred::Or(ps.iter().map(|p| p.remap(at)).collect()),
             CPred::Not(p) => CPred::Not(Box::new(p.remap(at))),
+            CPred::NotFalse(p) => CPred::NotFalse(Box::new(p.remap(at))),
             CPred::Cmp { left, op, right } => {
                 CPred::Cmp { left: expr(left), op: *op, right: expr(right) }
             }

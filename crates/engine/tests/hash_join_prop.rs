@@ -1,9 +1,11 @@
 //! Property tests of the hash join under the paper's memory model: random
 //! inputs (NULL keys, duplicates, empty sides, an all-one-key build side)
-//! through pools of `B ∈ {3, 4, 6, 64}` pages, inner and left outer, with
-//! and without a residual. On every case:
+//! through pools of `B ∈ {3, 4, 6, 64}` pages, inner, left outer and anti,
+//! with no residual, a strict one or a null-aware comparison (`NOT IN`'s,
+//! over a column with NULLs). On every case:
 //!
-//! * the rows are bag-equal to the nested-loop join's;
+//! * the rows are bag-equal to the nested-loop join's, and both to the
+//!   join's definition scanned pair by pair;
 //! * every input page is read once through the pool, every page the join
 //!   writes besides its output is a partition page, read back once past the
 //!   pool and freed before the join returns, and nothing else is read or
@@ -36,10 +38,10 @@
 use nsql_engine::cost::{
     grace_levels, hash_join_cost, HashShape, JoinInput, GRACE_MAX_DEPTH,
 };
-use nsql_engine::{CPred, Exec, JoinKind};
+use nsql_engine::{CPred, Exec, JoinKind, Joined};
 use nsql_sql::parse_query;
 use nsql_storage::{HeapFile, HeldRows, IoSnapshot, Storage, TraceEvent};
-use nsql_testkit::{forall, prop_assert, prop_assert_eq, Rng};
+use nsql_testkit::{forall, prop_assert, prop_assert_eq, Rng, Shrink};
 use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -49,19 +51,74 @@ const POOLS: [usize; 4] = [3, 4, 6, 64];
 /// Seven 18-byte tuples to the page.
 const PAGE_SIZE: usize = 128;
 
-type Rows = Vec<(Option<i64>, i64)>;
+type Rows = Vec<(Option<i64>, Option<i64>)>;
 
 fn file_of(st: &Storage, table: &str, rows: &Rows) -> HeapFile {
     let schema = Schema::new(vec![
         Column::qualified(table, "K", ColumnType::Int),
         Column::qualified(table, "V", ColumnType::Int),
     ]);
-    HeapFile::from_tuples(
-        st,
-        schema,
-        rows.iter()
-            .map(|&(k, v)| Tuple::new(vec![k.map_or(Value::Null, Value::Int), Value::Int(v)])),
-    )
+    let value = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+    let tuple = |&(k, v): &(Option<i64>, Option<i64>)| Tuple::new(vec![value(k), value(v)]);
+    HeapFile::from_tuples(st, schema, rows.iter().map(tuple))
+}
+
+/// What a join matches on beside its key.
+#[derive(Debug, Clone, Copy)]
+enum Residual {
+    None,
+    /// `L.V < R.V`.
+    Strict,
+    /// `(L.V = R.V) IS NOT FALSE`: `NOT IN`'s comparison, a `NULL` on either
+    /// side a match.
+    NullAware,
+}
+
+impl Residual {
+    fn of(self, l: &HeapFile, r: &HeapFile) -> Option<CPred> {
+        match self {
+            Residual::None => None,
+            Residual::Strict => Some(pred(l, r, "L.V < R.V")),
+            Residual::NullAware => Some(CPred::NotFalse(Box::new(pred(l, r, "L.V = R.V")))),
+        }
+    }
+
+    fn draw(rng: &mut Rng) -> Residual {
+        *rng.choose(&[Residual::None, Residual::Strict, Residual::NullAware])
+    }
+}
+
+impl Shrink for Residual {}
+
+/// The join kinds, by an index a case holds (and shrinks toward the inner
+/// join).
+const KINDS: [JoinKind; 3] = [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::Anti];
+
+fn draw_kind(rng: &mut Rng) -> usize {
+    rng.gen_range(0..KINDS.len())
+}
+
+/// The join of `kind` by its definition, every pair tested: a pair matches
+/// when its keys (column 0 of each side) are equal and `residual` accepts
+/// it. The inner join emits the matches, the left outer join them and each
+/// left tuple with none padded, the anti-join only those padded tuples.
+fn pair_scan(l: &Relation, r: &Relation, residual: Option<&CPred>, kind: JoinKind) -> Relation {
+    let mut out = Vec::new();
+    for lt in l.tuples() {
+        let mut matched = false;
+        for rt in r.tuples() {
+            let keys = lt.get(0).sql_eq(rt.get(0)).unwrap() == Some(true);
+            let ok = keys && residual.is_none_or(|p| p.accepts_row(&Joined::new(lt, rt)).unwrap());
+            matched |= ok;
+            if ok && kind != JoinKind::Anti {
+                out.push(lt.join(rt));
+            }
+        }
+        if !matched && kind != JoinKind::Inner {
+            out.push(lt.join_nulls(r.schema().arity()));
+        }
+    }
+    Relation::new(l.schema().join(r.schema()), out).unwrap()
 }
 
 fn pred(l: &HeapFile, r: &HeapFile, cond: &str) -> CPred {
@@ -71,32 +128,27 @@ fn pred(l: &HeapFile, r: &HeapFile, cond: &str) -> CPred {
 }
 
 /// Up to 20 pages of rows over a key domain from one key (every row the
-/// same key: nothing splits it) to more keys than rows, one in ten `NULL`.
-fn side(rng: &mut Rng, keys: i64) -> Rows {
+/// same key: nothing splits it) to more keys than rows, one key in ten and
+/// one value in ten `NULL`; values span `values` (few: the null-aware
+/// comparison matches often).
+fn side(rng: &mut Rng, keys: i64, values: i64) -> Rows {
     let n = rng.gen_range(0usize..140);
-    (0..n)
-        .map(|_| {
-            let k = if rng.gen_bool(0.9) {
-                Some(rng.gen_range(0..keys))
-            } else {
-                None
-            };
-            (k, rng.gen_range(0i64..100))
-        })
-        .collect()
+    let maybe = |rng: &mut Rng, m: i64| rng.gen_bool(0.9).then(|| rng.gen_range(0..m));
+    (0..n).map(|_| (maybe(rng, keys), maybe(rng, values))).collect()
 }
 
-/// (left, right, index into `POOLS`, left outer, with residual).
-type Case = (Rows, Rows, usize, bool, bool);
+/// (left, right, index into `POOLS`, index into `KINDS`, residual).
+type Case = (Rows, Rows, usize, usize, Residual);
 
 fn case(rng: &mut Rng) -> Case {
     let keys = *rng.choose(&[1, 4, 40, 400]);
+    let values = *rng.choose(&[3, 100]);
     (
-        side(rng, keys),
-        side(rng, keys),
+        side(rng, keys, values),
+        side(rng, keys, values),
         rng.gen_range(0usize..POOLS.len()),
-        rng.gen_bool(0.5),
-        rng.gen_bool(0.5),
+        draw_kind(rng),
+        Residual::draw(rng),
     )
 }
 
@@ -113,23 +165,16 @@ struct Run {
 }
 
 fn run(c: &Case) -> Run {
-    let (left, right, pool, outer, residual) = c;
+    let (left, right, pool, kind, residual) = c;
     let st = Storage::new(POOLS[*pool], PAGE_SIZE);
     let e = Exec::new(st.clone());
     let (l, r) = (file_of(&st, "L", left), file_of(&st, "R", right));
-    let res = pred(&l, &r, "L.V < R.V");
-    let kind = if *outer {
-        JoinKind::LeftOuter
-    } else {
-        JoinKind::Inner
-    };
+    let res = residual.of(&l, &r);
     st.clear_buffer();
     let live_before = st.live_pages();
     let before = st.io_snapshot();
     st.start_recording();
-    let out = e
-        .hash_join(&l, &r, &[0], &[0], residual.then_some(&res), kind)
-        .unwrap();
+    let out = e.hash_join(&l, &r, &[0], &[0], res.as_ref(), KINDS[*kind]).unwrap();
     let events = st.take_recording();
     let io = st.io_snapshot().since(&before);
     let out_pages = out.page_ids().iter().map(|p| p.0).collect();
@@ -152,29 +197,21 @@ fn the_hash_join_is_the_nested_loop_join_under_b_pages() {
         "the_hash_join_is_the_nested_loop_join_under_b_pages",
         case,
         |c| {
-            let (_, _, pool, outer, residual) = c;
-            let b = POOLS[*pool] as f64;
+            let (_, _, pool, kind, residual) = c;
+            let (b, kind) = (POOLS[*pool] as f64, &KINDS[*kind]);
             let got = run(c);
 
-            // Rows: the nested loop's, on a pool of its own.
+            // Rows: the nested loop's, on a pool of its own, and both the
+            // definition's.
             let st = Storage::new(64, PAGE_SIZE);
             let e = Exec::new(st.clone());
             let (l, r) = (file_of(&st, "L", &c.0), file_of(&st, "R", &c.1));
-            let on = pred(
-                &l,
-                &r,
-                if *residual {
-                    "L.K = R.K AND L.V < R.V"
-                } else {
-                    "L.K = R.K"
-                },
-            );
-            let kind = if *outer {
-                JoinKind::LeftOuter
-            } else {
-                JoinKind::Inner
-            };
-            let want = e.collect(&e.nl_join(&l, &r, &on, kind).unwrap());
+            let res = residual.of(&l, &r);
+            let keys = std::iter::once(pred(&l, &r, "L.K = R.K"));
+            let on = CPred::And(keys.chain(res.clone()).collect());
+            let want = e.collect(&e.nl_join(&l, &r, &on, *kind).unwrap());
+            let defined = pair_scan(&e.collect(&l), &e.collect(&r), res.as_ref(), *kind);
+            prop_assert!(want.same_bag(&defined), "nested loop:\n{want}\npairs:\n{defined}");
             prop_assert!(
                 got.rows.same_bag(&want),
                 "rows\nhash:\n{}\nnested loop:\n{want}",
@@ -237,7 +274,7 @@ fn the_hash_join_is_the_nested_loop_join_under_b_pages() {
                 lp as u64 + rp as u64 + 2 * spilled.len() as u64,
                 "Pl + Pr + 2·spilled"
             );
-            let shape = HashShape::of(lp, rp, *outer, b);
+            let shape = HashShape::of(lp, rp, *kind, b);
             let build = if shape.build_left { lp } else { rp };
             if shape.partitions == 0 {
                 prop_assert_eq!(io, formula, "in memory: Pl + Pr");
@@ -266,8 +303,10 @@ fn the_hash_join_is_the_nested_loop_join_under_b_pages() {
                     level + 1
                 );
             }
-            let keyed = c.0.iter().chain(&c.1).filter(|(k, _)| k.is_some()).count() as u64;
-            prop_assert!(written[1] * PAGE_SIZE as u64 >= keyed * 18, "{written:?}");
+            let keyed: u64 = c.0.iter().chain(&c.1).filter(|(k, _)| k.is_some()).map(|(_, v)| {
+                if v.is_some() { 18 } else { 11 }
+            }).sum();
+            prop_assert!(written[1] * PAGE_SIZE as u64 >= keyed, "{written:?}");
             // So when the join partitions as many levels as the formula counts,
             // it reads and writes the formula's pages, up to those partly
             // filled pages (the formula does not know which keys are `NULL`).
@@ -291,7 +330,7 @@ fn formula_pages(c: &Case, lp: f64, rp: f64, b: f64) -> u64 {
         sorted: false,
         spill: pages,
     };
-    hash_join_cost(side(lp, c.0.len()), side(rp, c.1.len()), c.3, b, false).total() as u64
+    hash_join_cost(side(lp, c.0.len()), side(rp, c.1.len()), KINDS[c.3], b, false).total() as u64
 }
 
 /// Pages the join spilled per partitioning level, from its page events:
@@ -337,11 +376,11 @@ fn on_spread_keys_the_io_is_the_formulas() {
             let n = rng.gen_range(63usize * 7..100 * 7);
             let mut keys: Vec<i64> = (0..n as i64).collect();
             rng.shuffle(&mut keys);
-            let right: Rows = keys.iter().map(|&k| (Some(k), k % 100)).collect();
+            let right: Rows = keys.iter().map(|&k| (Some(k), Some(k % 100))).collect();
             let left: Rows = (0..rng.gen_range(n..2 * n))
-                .map(|i| (Some(i as i64 % (2 * n as i64)), 0))
+                .map(|i| (Some(i as i64 % (2 * n as i64)), Some(0)))
                 .collect();
-            (left, right, 3usize, rng.gen_bool(0.5), false)
+            (left, right, 3usize, draw_kind(rng), Residual::None)
         },
         |c| {
             let got = run(c);
@@ -363,6 +402,40 @@ fn on_spread_keys_the_io_is_the_formulas() {
             Ok(())
         },
     );
+}
+
+/// An anti-join, strict and null-aware, built on either side and
+/// Grace-partitioned on a three-page pool, is its definition: the left
+/// tuples with a `NULL` key, with no key in the right side, and — strict —
+/// with no right tuple of their key above their value, or — null-aware —
+/// none of their key equal to their value or `NULL`, a `NULL` value of
+/// their own matching any right tuple of their key.
+#[test]
+fn an_anti_join_partitions_on_either_build_side() {
+    let rows = |n: i64, keys: i64| -> Rows {
+        let row = |i: i64| {
+            ((i % 11 != 0).then_some(i % keys), (i % 7 != 0).then_some((i * i + i / 60) % 5))
+        };
+        (0..n).map(row).collect()
+    };
+    let st = Storage::new(3, PAGE_SIZE);
+    let e = Exec::new(st.clone());
+    // 30 pages against 8: the smaller side is built, and partitioned.
+    let (small, big) = (rows(50, 40), rows(200, 60));
+    for (left, right, build_left) in [(&small, &big, true), (&big, &small, false)] {
+        let (l, r) = (file_of(&st, "L", left), file_of(&st, "R", right));
+        let (lp, rp) = (l.page_count() as f64, r.page_count() as f64);
+        let shape = HashShape::of(lp, rp, JoinKind::Anti, 3.0);
+        assert_eq!((shape.build_left, shape.partitions > 0), (build_left, true));
+        for residual in [Residual::None, Residual::Strict, Residual::NullAware] {
+            let res = residual.of(&l, &r);
+            let got = e.hash_join(&l, &r, &[0], &[0], res.as_ref(), JoinKind::Anti).unwrap();
+            let got = e.collect(&got);
+            let want = pair_scan(&e.collect(&l), &e.collect(&r), res.as_ref(), JoinKind::Anti);
+            assert!(!want.is_empty() && want.len() < left.len(), "{residual:?}: {}", want.len());
+            assert!(got.same_bag(&want), "{residual:?}, build left {build_left}\n{got}\n{want}");
+        }
+    }
 }
 
 /// 2^53: beyond it `Value` equality is not transitive. `Float(2^53)` equals
@@ -423,10 +496,10 @@ fn keys_across_the_int_float_boundary_join_as_the_nested_loop_joins_them() {
             let left = numeric_side(rng, float_left);
             let right = numeric_side(rng, !float_left);
             let pool = rng.gen_range(0usize..POOLS.len());
-            (left, right, float_left, pool, rng.gen_bool(0.5), rng.gen_bool(0.5))
+            (left, right, float_left, pool, draw_kind(rng), rng.gen_bool(0.5))
         },
-        |(left, right, float_left, pool, outer, residual)| {
-            let kind = if *outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+        |(left, right, float_left, pool, kind, residual)| {
+            let kind = KINDS[*kind];
             let join = |b: usize, method: &str| {
                 let st = Storage::new(b, PAGE_SIZE);
                 let e = Exec::new(st.clone());
@@ -498,22 +571,23 @@ fn emitted(rng: &mut Rng) -> Vec<usize> {
     cols
 }
 
-/// (left, right, index into `POOLS`, left outer, with residual, emitted).
-type WideCase = (Vec<Wide>, Vec<Wide>, usize, bool, bool, Vec<usize>);
+/// (left, right, index into `POOLS`, index into `KINDS`, with residual,
+/// emitted).
+type WideCase = (Vec<Wide>, Vec<Wide>, usize, usize, bool, Vec<usize>);
 
 fn wide_case(rng: &mut Rng) -> WideCase {
     // One key: every row of a side in one partition, down to the depth cap.
     let keys = *rng.choose(&[1, 4, 40, 400]);
     let (l, r) = (wide_side(rng, keys), wide_side(rng, keys));
     let pool = rng.gen_range(0usize..POOLS.len());
-    (l, r, pool, rng.gen_bool(0.5), rng.gen_bool(0.6), emitted(rng))
+    (l, r, pool, draw_kind(rng), rng.gen_bool(0.6), emitted(rng))
 }
 
 #[test]
 fn a_narrowed_join_is_the_whole_join_projected() {
     forall(200, "a_narrowed_join_is_the_whole_join_projected", wide_case, |c| {
-        let (left, right, pool, outer, residual, cols) = c;
-        let kind = if *outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+        let (left, right, pool, kind, residual, cols) = c;
+        let kind = KINDS[*kind];
         // Each form on a pool of its own, so the two count their own pages.
         let join = |cols: Option<&[usize]>| {
             let st = Storage::new(POOLS[*pool], PAGE_SIZE);
@@ -524,7 +598,7 @@ fn a_narrowed_join_is_the_whole_join_projected() {
             let before = st.io_snapshot();
             let rows = e.hash_join_cols(&l, &r, &[0], &[0], residual.then_some(&res), kind, cols);
             let (lp, rp) = (l.page_count() as f64, r.page_count() as f64);
-            let shape = HashShape::of(lp, rp, *outer, POOLS[*pool] as f64);
+            let shape = HashShape::of(lp, rp, kind, POOLS[*pool] as f64);
             (rows.unwrap(), st.io_snapshot().since(&before), shape)
         };
         let (whole, whole_io, shape) = join(None);
@@ -534,7 +608,10 @@ fn a_narrowed_join_is_the_whole_join_projected() {
         let projected = Relation::new(narrow.schema().clone(), projected).unwrap();
         let same = narrow.same_bag(&projected);
         prop_assert!(same, "{kind:?} {cols:?}\nnarrow:\n{narrow}\nwhole:\n{projected}");
-        if shape.keeps_left_order() {
+        // An anti-join that did not partition keeps the left input's order
+        // built on either side.
+        let anti = kind == JoinKind::Anti && shape.partitions == 0;
+        if shape.keeps_left_order() || anti {
             prop_assert_eq!(narrow.tuples(), projected.tuples(), "the left input's order");
         }
         // Narrower rows fill no more pages; in memory nothing is spilled.
@@ -549,12 +626,12 @@ fn a_narrowed_join_is_the_whole_join_projected() {
 #[test]
 fn a_held_build_side_joins_as_its_file() {
     forall(200, "a_held_build_side_joins_as_its_file", wide_case, |c| {
-        let (left, right, pool, outer, residual, cols) = c;
-        let kind = if *outer { JoinKind::LeftOuter } else { JoinKind::Inner };
+        let (left, right, pool, kind, residual, cols) = c;
+        let kind = KINDS[*kind];
         let (b, st) = (POOLS[*pool] as f64, Storage::new(POOLS[*pool], PAGE_SIZE));
         let e = Exec::new(st.clone());
         let (l, r) = (wide_file(&st, "L", left), wide_file(&st, "R", right));
-        let shape = HashShape::of(l.page_count() as f64, r.page_count() as f64, *outer, b);
+        let shape = HashShape::of(l.page_count() as f64, r.page_count() as f64, kind, b);
         if shape.partitions > 0 {
             return Ok(()); // a side that does not fit is written, never held
         }

@@ -101,7 +101,8 @@ pub struct Notes {
     /// containing NULL. The Section-8 rewrite (`x < ALL` → `x < MIN(…)`)
     /// is "logically (but not necessarily semantically) equivalent" there:
     /// `x < ALL (∅)` is TRUE while `x < NULL` is UNKNOWN, and MIN/MAX skip
-    /// NULLs that make the direct form UNKNOWN.
+    /// NULLs that make the direct form UNKNOWN. Not noted for `!= ALL`,
+    /// which becomes `NOT IN`: a null-aware anti-join, exact, or refused.
     pub all_over_empty_or_null: bool,
     /// An inner block read a NULL value from an enclosing block's binding.
     /// When the query also nests an aggregate or EXISTS, NEST-JA2's final
@@ -109,10 +110,12 @@ pub struct Notes {
     /// gives the tuple an (empty-group) COUNT of 0 — the documented NULL
     /// outer-join-key divergence.
     pub null_outer_ref: bool,
-    /// An `IN`-subquery membership test matched the same outer value more
-    /// than once — the NEST-N-J duplicates condition: Kim's join form then
-    /// duplicates the outer tuple, so only set-level agreement (or bag
-    /// agreement after explicit deduplication) is promised.
+    /// A positive `IN`-subquery (or `= ANY`) membership test matched the
+    /// same outer value more than once — the NEST-N-J duplicates condition:
+    /// Kim's join form then duplicates the outer tuple, so only set-level
+    /// agreement (or bag agreement after explicit deduplication) is
+    /// promised. `NOT IN` is an anti-join, which emits an outer tuple at
+    /// most once.
     pub dup_in_match: bool,
 }
 
@@ -768,7 +771,7 @@ impl Oracle {
                             .iter()
                             .filter(|r| v.sql_eq(r) == Ok(Some(true)))
                             .count();
-                        if matches > 1 {
+                        if matches > 1 && !negated {
                             notes.dup_in_match = true;
                         }
                         raw
@@ -784,6 +787,7 @@ impl Oracle {
                 let v = self.eval_operand(left, frames, notes)?;
                 let rows = self.inner_values(query, frames, notes)?;
                 if *quantifier == Quantifier::All
+                    && *op != CompareOp::Ne
                     && (rows.is_empty() || rows.iter().any(Value::is_null))
                 {
                     notes.all_over_empty_or_null = true;
@@ -1111,6 +1115,24 @@ mod tests {
         let (rel, notes) = o.eval_noted(&q).unwrap();
         assert_eq!(rel.len(), 0, "x > ANY (∅) is FALSE");
         assert!(!notes.all_over_empty_or_null);
+    }
+
+    /// `NOT IN` and `!= ALL` note nothing: the default path anti-joins them,
+    /// exactly, and the literal plans refuse them.
+    #[test]
+    fn negated_membership_notes_no_licence() {
+        let mut o = Oracle::new();
+        o.load("OUTR", int_rel(&["A"], &[&[Some(1)], &[Some(2)]]));
+        o.load("INNR", int_rel(&["B"], &[&[Some(1)], &[Some(1)], &[None]]));
+        o.load("E", int_rel(&["B"], &[]));
+        for src in [
+            "SELECT A FROM OUTR WHERE A NOT IN (SELECT B FROM INNR)",
+            "SELECT A FROM OUTR WHERE A != ALL (SELECT B FROM INNR)",
+            "SELECT A FROM OUTR WHERE A != ALL (SELECT B FROM E)",
+        ] {
+            let (_, notes) = o.eval_noted(&parse_query(src).unwrap()).unwrap();
+            assert!(!notes.dup_in_match && !notes.all_over_empty_or_null, "{src}: {notes:?}");
+        }
     }
 
     #[test]

@@ -344,9 +344,10 @@ RUSTFLAGS="-D warnings" cargo check -p nsql-testkit --all-targets --offline
 echo "==> hot-path crates carry no redundant clones (clippy)"
 # nsql-core is included for the transformation: NEST-G
 # clones query blocks, and a redundant clone there multiplies per query.
-# nsql-sql is included for the child-block walker every crate calls.
+# nsql-sql is included for the child-block walker every crate calls, and
+# nsql-db for the plan executor and the catalog every statement goes through.
 cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec \
-    -p nsql-core -p nsql-types -p nsql-sql \
+    -p nsql-core -p nsql-types -p nsql-sql -p nsql-db \
     --all-targets --offline -- -D clippy::redundant_clone
 
 echo "==> benchmark smoke (one cycle per workload, answers checked; not a measurement)"

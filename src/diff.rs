@@ -23,13 +23,17 @@
 //! * transformed plans must be bag-equal except where a documented
 //!   divergence license applies (tracked by [`nsql_oracle::Notes`], written
 //!   up in DESIGN.md "Oracle semantics"): the `ALL`-over-empty-or-NULL
-//!   MIN/MAX rewrite, COUNT-family aggregates under NULL correlation keys,
-//!   and NEST-N-J's join-expansion duplicates (set equality there, full
-//!   skip when an aggregate would be inflated);
+//!   MIN/MAX rewrite, a plan that grouped over correlation keys (a type-JA
+//!   temporary) under NULL correlation keys, and NEST-N-J's join-expansion
+//!   duplicates of a positive `IN` (set equality there, full skip when an
+//!   aggregate would be inflated). `NOT IN`, `!= ALL` and `NOT EXISTS`
+//!   license nothing: the default path anti-joins them, exactly, or
+//!   refuses them;
 //! * a scalar-subquery cardinality error in the oracle must reproduce as
 //!   the *same* error in nested iteration (transforms are unlicensed);
-//! * a query outside the transformable class (`NOT IN`, `= ALL`, …) may be
-//!   refused by the transformation — refusal is not divergence;
+//! * a query outside the transformable class (`= ALL`, a `NOT IN` over a
+//!   join, …) may be refused by the transformation — refusal is not
+//!   divergence;
 //! * whatever a pipeline returns, rows or a typed error, the statement must
 //!   leave `Storage::live_pages()` where it found it: everything a strategy
 //!   materializes is a temporary.
@@ -637,32 +641,6 @@ fn walk_blocks<'q>(q: &'q QueryBlock, out: &mut Vec<&'q QueryBlock>) {
     }
 }
 
-/// Does the query contain any construct the transformation turns into a
-/// COUNT-family aggregate over correlation keys — aggregate-select
-/// subqueries, `EXISTS` (rewritten to `0 < COUNT(*)`), or non-`= ANY`
-/// quantifiers (rewritten to MIN/MAX)? Those are the forms whose outer-join
-/// grouping diverges from nested iteration when a correlation key is NULL.
-fn has_agg_or_exists_subquery(q: &QueryBlock) -> bool {
-    fn pred_has(p: &Predicate) -> bool {
-        match p {
-            Predicate::And(ps) | Predicate::Or(ps) => ps.iter().any(pred_has),
-            Predicate::Not(p) => pred_has(p),
-            Predicate::Exists { .. } => true,
-            Predicate::Quantified { op, quantifier, .. }
-                if !(*op == CompareOp::Eq && *quantifier == Quantifier::Any) =>
-            {
-                true
-            }
-            // Otherwise: an aggregate block used as a scalar, or either
-            // construct further down.
-            leaf => leaf.child_block_uses().into_iter().any(|(b, scalar)| {
-                (scalar && b.has_aggregate_select()) || has_agg_or_exists_subquery(b)
-            }),
-        }
-    }
-    q.where_clause.as_ref().is_some_and(pred_has)
-}
-
 /// Does *any* block of the query aggregate (aggregate SELECT or GROUP BY)?
 /// Join-expansion duplicates inflate such aggregates, so the duplicates
 /// license downgrades to a full skip rather than a set comparison.
@@ -737,6 +715,8 @@ pub struct PlanCounts {
     /// Hash joins whose build side did not fit `B − 2` pages and was
     /// Grace-partitioned first.
     pub partitioned_joins: u64,
+    /// Anti-join steps (`NOT IN`, `!= ALL`, `NOT EXISTS`).
+    pub anti_joins: u64,
 }
 
 struct Pipeline {
@@ -922,7 +902,6 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
         Err(OracleError::ScalarSubqueryCardinality(n)) => (None, Notes::default(), Some(n)),
         Err(_) => return CaseOutcome::Agree(Vec::new()),
     };
-    let agg_or_exists = has_agg_or_exists_subquery(&case.query);
     let any_aggregate = has_any_aggregate(&case.query);
 
     // The analyzer is (deliberately) stricter than the oracle in places —
@@ -973,14 +952,6 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
                 report.push((p.name, SKIP, PlanCounts::default()));
                 continue;
             }
-            // License (b): a NULL correlation key was read and the query
-            // contains a COUNT-family construct (EXISTS / aggregate
-            // subquery / non-=ANY quantifier): the outer-join grouping
-            // family diverges.
-            if notes.null_outer_ref && agg_or_exists {
-                report.push((p.name, SKIP, PlanCounts::default()));
-                continue;
-            }
             // License (c): an IN matched the same value in >1 inner row.
             // Join expansion changes multiplicities: compare as sets, or
             // skip outright when an aggregate would be inflated.
@@ -990,8 +961,8 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
             }
             let set_only = p.set_only || notes.dup_in_match;
             match res {
-                // Outside the transformable class (NOT IN, = ALL, a block
-                // in an operand position, …): a typed refusal is not
+                // Outside the transformable class (= ALL, a NOT IN over a
+                // join, a block in an operand position, …): a typed refusal is not
                 // divergence. An executor `Unsupported` is — the
                 // transformation let through a plan it cannot run.
                 Err(nsql_db::DbError::Transform(_)) => {
@@ -1013,6 +984,18 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
                          oracle:\n{oracle_rel}\ncase:\n{case:?}",
                         p.name
                     ))
+                }
+                // License (b): a NULL correlation key was read and the plan
+                // grouped over correlation keys — NEST-JA2's (or Kim's)
+                // type-JA temporary, which EXISTS, a non-`= ANY` quantifier
+                // and an aggregate block become: the outer-join grouping
+                // family diverges. A `NOT EXISTS` or `NOT IN` the plan
+                // anti-joins is exact, and licenses nothing.
+                Ok(out)
+                    if notes.null_outer_ref
+                        && out.explain.iter().any(|l| l.starts_with("type-JA nesting")) =>
+                {
+                    report.push((p.name, SKIP, PlanCounts::default()))
                 }
                 Ok(out) => {
                     let agree = if set_only {
@@ -1046,7 +1029,12 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
                         partitioned_joins: out
                             .explain
                             .iter()
-                            .filter(|l| l.starts_with("hash join") && l.ends_with(" partitions"))
+                            .filter(|l| l.starts_with("hash ") && l.ends_with(" partitions"))
+                            .count() as u64,
+                        anti_joins: out
+                            .explain
+                            .iter()
+                            .filter(|l| l.contains(" anti-join (") && !l.contains(": "))
                             .count() as u64,
                     };
                     report.push((p.name, COMPARED, counts));
@@ -1194,6 +1182,8 @@ pub struct PipelineStats {
     pub restricted_inputs: u64,
     /// Grace-partitioned hash joins in the same output.
     pub partitioned_joins: u64,
+    /// Anti-join steps in the same output; none under `tr-literal`.
+    pub anti_joins: u64,
 }
 
 /// Run `cases` random differential cases under the testkit property runner
@@ -1229,6 +1219,7 @@ fn run_property_with(
                                 keyed_temp_joins: 0,
                                 restricted_inputs: 0,
                                 partitioned_joins: 0,
+                                anti_joins: 0,
                             });
                             stats.last_mut().expect("just pushed")
                         }
@@ -1236,6 +1227,7 @@ fn run_property_with(
                     entry.keyed_temp_joins += counts.keyed_temp_joins;
                     entry.restricted_inputs += counts.restricted_inputs;
                     entry.partitioned_joins += counts.partitioned_joins;
+                    entry.anti_joins += counts.anti_joins;
                     if compared {
                         entry.compared += 1;
                     } else {

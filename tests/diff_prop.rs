@@ -95,6 +95,16 @@ fn every_pipeline_agrees_with_the_oracle() {
     }
     let (_, keyed, restricted) = shapes("tr-literal");
     assert_eq!((keyed, restricted), (0, 0), "[tr-literal] ran something other than the paper's plans");
+    // `NOT IN`, `!= ALL` and `NOT EXISTS` meet the oracle as anti-joins,
+    // as a bag and under no license of their own, on the default plans, and
+    // never on the paper's.
+    let anti = |name: &str| stats.iter().find(|s| s.name == name).map_or(0, |s| s.anti_joins);
+    let (default, literal) = (anti("tr-cost-serial"), anti("tr-literal"));
+    eprintln!("anti-join steps: {default} default, {literal} literal");
+    assert_eq!(anti("tr-literal"), 0, "[tr-literal] anti-joined");
+    if compared >= 100 {
+        assert!(anti("tr-cost-serial") > 0, "[tr-cost-serial] no case ran an anti-join");
+    }
     // Grace partitioning must meet the oracle too: on the three-page pool
     // the forced hash join partitions every build side over one page, and
     // a sweep in which none was partitioned compared the in-memory join
