@@ -3,6 +3,12 @@
 //! Semantic analysis: name resolution, correlation discovery, and Kim's
 //! nesting-type classification.
 //!
+//! [`analyze`] is the one name resolver. It walks a statement once and
+//! returns an [`Analyzed`] copy in which every column reference carries the
+//! name of the FROM entry it binds to; classification ([`classify_inner`],
+//! [`query_tree`]) and the NEST-G transformation in `nsql-core` read
+//! correlation off those qualifiers ([`block_is_correlated`]).
+//!
 //! Section 2 of the paper defines four kinds of nested predicate, all
 //! distinguished by two properties of the *inner* query block:
 //!
@@ -25,10 +31,10 @@ pub mod normalize;
 pub mod resolve;
 pub mod tree;
 
-pub use classify::{classify_inner, NestingType};
+pub use classify::{block_is_correlated, classify_inner, NestingType};
 pub use error::AnalyzeError;
 pub use normalize::query_fingerprint;
-pub use resolve::{block_schema, outer_column_refs, validate_query, Resolver, SchemaSource};
+pub use resolve::{analyze, validate_query, Analyzed, SchemaSource};
 pub use tree::{query_tree, QueryTree};
 
 /// Result alias for analysis.

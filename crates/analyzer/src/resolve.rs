@@ -1,9 +1,19 @@
-//! Name resolution and correlation discovery.
+//! Name resolution: the one walk that binds every column reference of a
+//! statement.
+//!
+//! [`analyze`] walks the statement once, over one borrowed stack of scope
+//! schemas: it pushes a block's FROM scope, binds each reference of the
+//! block to the nearest scope that resolves it (SQL's rule), enters the
+//! blocks nested in its WHERE clause, and pops the scope again. Each
+//! reference is rewritten to carry the effective name of the FROM entry it
+//! binds to, so that what comes after — classification, the NEST-G
+//! transformation, EXPLAIN's query tree — reads correlation off the
+//! qualifiers and never looks a schema up again.
 
 use crate::error::AnalyzeError;
 use crate::Result;
-use nsql_sql::{ColumnRef, Operand, Predicate, QueryBlock, ScalarExpr};
-use nsql_types::Schema;
+use nsql_sql::{AggArg, ColumnRef, InRhs, Operand, Predicate, QueryBlock, ScalarExpr};
+use nsql_types::{Schema, TypeError};
 
 /// Source of table schemas (implemented by the catalog in `nsql-db`).
 pub trait SchemaSource {
@@ -18,15 +28,173 @@ impl<S: SchemaSource + ?Sized> SchemaSource for &S {
     }
 }
 
-/// Build the combined scope schema of a block's FROM clause: each table's
-/// schema re-qualified by its effective name (alias if present), then
+/// A statement the analyzer has resolved: a copy of the block in which
+/// every column reference carries the effective name of the FROM entry it
+/// binds to — but an ORDER BY key that names a select alias, which the
+/// SELECT phase resolves — and the block's own scope schema.
+#[derive(Debug, Clone)]
+pub struct Analyzed {
+    block: QueryBlock,
+    schema: Schema,
+}
+
+impl Analyzed {
+    /// The qualified block.
+    pub fn block(&self) -> &QueryBlock {
+        &self.block
+    }
+
+    /// The block's FROM scope: each table's schema qualified by its
+    /// effective name, left to right.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The qualified block, by value.
+    pub fn into_block(self) -> QueryBlock {
+        self.block
+    }
+}
+
+/// Resolve `block`: every table exists, no FROM clause names two entries
+/// alike, and every column reference binds in some scope, unambiguously.
+/// Errors come level by level: a block's FROM clause, then the references
+/// of its SELECT, WHERE, GROUP BY and ORDER BY clauses, then its nested
+/// blocks in evaluation order.
+pub fn analyze<S: SchemaSource>(catalog: &S, block: &QueryBlock) -> Result<Analyzed> {
+    let mut block = block.clone();
+    let schema = walk(catalog, &mut block, &mut Vec::new())?;
+    Ok(Analyzed { block, schema })
+}
+
+/// Validate a query as [`analyze`] does; its block's scope schema.
+pub fn validate_query<S: SchemaSource>(catalog: &S, block: &QueryBlock) -> Result<Schema> {
+    analyze(catalog, block).map(|a| a.schema)
+}
+
+/// Qualify `block` under the enclosing `scopes` (outermost first) and
+/// return its own scope, which is on the stack only while it is walked.
+fn walk<S: SchemaSource>(
+    catalog: &S,
+    block: &mut QueryBlock,
+    scopes: &mut Vec<Schema>,
+) -> Result<Schema> {
+    scopes.push(block_schema(catalog, block)?);
+    let walked = resolve_block(catalog, block, scopes);
+    let local = scopes.pop().expect("pushed above");
+    walked.map(|()| local)
+}
+
+fn resolve_block<S: SchemaSource>(
+    catalog: &S,
+    block: &mut QueryBlock,
+    scopes: &mut Vec<Schema>,
+) -> Result<()> {
+    for item in &mut block.select {
+        if let ScalarExpr::Column(c) | ScalarExpr::Aggregate(_, AggArg::Column(c)) = &mut item.expr
+        {
+            bind(scopes, c)?;
+        }
+    }
+    if let Some(w) = &mut block.where_clause {
+        each_site(w, &mut |site| match site {
+            Site::Column(c) => bind(scopes, c),
+            Site::Block(_) => Ok(()),
+        })?;
+    }
+    for c in &mut block.group_by {
+        bind(scopes, c)?;
+    }
+    for k in &mut block.order_by {
+        // A key no scope resolves may name a select alias: the SELECT phase
+        // orders by output columns.
+        let alias = |c: &ColumnRef| {
+            c.table.is_none()
+                && block.select.iter().any(|i| {
+                    i.alias.as_deref().is_some_and(|a| a.eq_ignore_ascii_case(&c.column))
+                })
+        };
+        match bind(scopes, &mut k.column) {
+            Err(AnalyzeError::UnresolvedColumn(_)) if alias(&k.column) => {}
+            r => r?,
+        }
+    }
+    if let Some(w) = &mut block.where_clause {
+        each_site(w, &mut |site| match site {
+            Site::Column(_) => Ok(()),
+            Site::Block(inner) => walk(catalog, inner, scopes).map(drop),
+        })?;
+    }
+    Ok(())
+}
+
+/// Bind `c` to the nearest scope that resolves it and qualify it with that
+/// entry's effective name.
+fn bind(scopes: &[Schema], c: &mut ColumnRef) -> Result<()> {
+    for scope in scopes.iter().rev() {
+        match scope.resolve(c.table.as_deref(), &c.column) {
+            Ok(i) => {
+                let table = &scope.columns()[i].table;
+                if c.table != *table {
+                    c.table.clone_from(table);
+                }
+                return Ok(());
+            }
+            Err(TypeError::AmbiguousColumn(n)) => return Err(AnalyzeError::AmbiguousColumn(n)),
+            Err(_) => {}
+        }
+    }
+    Err(AnalyzeError::UnresolvedColumn(c.to_string()))
+}
+
+/// A position of a WHERE clause at its block's level: a column reference
+/// or a nested block.
+enum Site<'a> {
+    Column(&'a mut ColumnRef),
+    Block(&'a mut QueryBlock),
+}
+
+/// Visit every site of `p`, in evaluation order, without entering nested
+/// blocks.
+fn each_site(p: &mut Predicate, f: &mut dyn FnMut(Site<'_>) -> Result<()>) -> Result<()> {
+    fn operand(o: &mut Operand, f: &mut dyn FnMut(Site<'_>) -> Result<()>) -> Result<()> {
+        match o {
+            Operand::Column(c) => f(Site::Column(c)),
+            Operand::Literal(_) => Ok(()),
+            Operand::Subquery(q) => f(Site::Block(q)),
+        }
+    }
+    match p {
+        Predicate::And(ps) | Predicate::Or(ps) => ps.iter_mut().try_for_each(|q| each_site(q, f)),
+        Predicate::Not(q) => each_site(q, f),
+        Predicate::Compare { left, right, .. } => {
+            operand(left, f)?;
+            operand(right, f)
+        }
+        Predicate::In { operand: o, rhs, .. } => {
+            operand(o, f)?;
+            match rhs {
+                InRhs::Subquery(q) => f(Site::Block(q)),
+                InRhs::List(_) => Ok(()),
+            }
+        }
+        Predicate::Exists { query, .. } => f(Site::Block(query)),
+        Predicate::Quantified { left, query, .. } => {
+            operand(left, f)?;
+            f(Site::Block(query))
+        }
+        Predicate::IsNull { operand: o, .. } => operand(o, f),
+    }
+}
+
+/// The combined scope schema of a block's FROM clause: each table's schema
+/// re-qualified by its effective name (alias if present), then
 /// concatenated left to right.
-pub fn block_schema<S: SchemaSource>(catalog: &S, block: &QueryBlock) -> Result<Schema> {
-    let mut names = std::collections::HashSet::new();
+fn block_schema<S: SchemaSource>(catalog: &S, block: &QueryBlock) -> Result<Schema> {
     let mut schema = Schema::default();
-    for tref in &block.from {
+    for (i, tref) in block.from.iter().enumerate() {
         let name = tref.effective_name();
-        if !names.insert(name.to_string()) {
+        if block.from[..i].iter().any(|t| t.effective_name() == name) {
             return Err(AnalyzeError::DuplicateTableName(name.to_string()));
         }
         let table = catalog
@@ -37,46 +205,6 @@ pub fn block_schema<S: SchemaSource>(catalog: &S, block: &QueryBlock) -> Result<
     Ok(schema)
 }
 
-/// A resolver for one query block given its enclosing scopes.
-///
-/// `scopes[0]` is the block's own scope; later entries are enclosing blocks
-/// from innermost to outermost. SQL scoping rule: a reference binds to the
-/// nearest scope that can resolve it.
-pub struct Resolver {
-    scopes: Vec<Schema>,
-}
-
-impl Resolver {
-    /// Resolver over the given scope chain (innermost first).
-    pub fn new(scopes: Vec<Schema>) -> Resolver {
-        Resolver { scopes }
-    }
-
-    /// Push an inner scope (returns a new resolver for a child block).
-    pub fn child(&self, inner: Schema) -> Resolver {
-        let mut scopes = Vec::with_capacity(self.scopes.len() + 1);
-        scopes.push(inner);
-        scopes.extend(self.scopes.iter().cloned());
-        Resolver { scopes }
-    }
-
-    /// The scope depth at which `col` resolves: 0 = local, 1 = immediate
-    /// outer, etc. Errors if it resolves nowhere or is ambiguous at the
-    /// binding scope.
-    pub fn binding_depth(&self, col: &ColumnRef) -> Result<usize> {
-        for (depth, scope) in self.scopes.iter().enumerate() {
-            match scope.resolve(col.table.as_deref(), &col.column) {
-                Ok(_) => return Ok(depth),
-                Err(nsql_types::TypeError::AmbiguousColumn(c)) => {
-                    return Err(AnalyzeError::AmbiguousColumn(c))
-                }
-                Err(_) => continue,
-            }
-        }
-        Err(AnalyzeError::UnresolvedColumn(col.to_string()))
-    }
-}
-
 /// Collect the column references appearing at *this block's level*: SELECT
 /// items, GROUP BY / ORDER BY keys, and WHERE operands — but not inside
 /// nested subquery blocks, which form their own scopes.
@@ -85,7 +213,7 @@ pub fn level_column_refs(block: &QueryBlock) -> Vec<&ColumnRef> {
     for item in &block.select {
         match &item.expr {
             ScalarExpr::Column(c) => out.push(c),
-            ScalarExpr::Aggregate(_, nsql_sql::AggArg::Column(c)) => out.push(c),
+            ScalarExpr::Aggregate(_, AggArg::Column(c)) => out.push(c),
             _ => {}
         }
     }
@@ -128,50 +256,6 @@ fn collect_operand_refs<'a>(o: &'a Operand, out: &mut Vec<&'a ColumnRef>) {
     if let Operand::Column(c) = o {
         out.push(c);
     }
-}
-
-/// The column references at `block`'s level that do **not** resolve in the
-/// block's own FROM scope — i.e. the correlated (outer) references. These
-/// are what make a nested predicate type-J/JA rather than type-N/A.
-pub fn outer_column_refs<S: SchemaSource>(
-    catalog: &S,
-    block: &QueryBlock,
-) -> Result<Vec<ColumnRef>> {
-    let local = block_schema(catalog, block)?;
-    let mut out = Vec::new();
-    for c in level_column_refs(block) {
-        match local.resolve(c.table.as_deref(), &c.column) {
-            Ok(_) => {}
-            Err(nsql_types::TypeError::AmbiguousColumn(name)) => {
-                return Err(AnalyzeError::AmbiguousColumn(name))
-            }
-            Err(_) => out.push(c.clone()),
-        }
-    }
-    Ok(out)
-}
-
-/// Fully validate a query: every table exists, every column reference binds
-/// in some scope, and aggregate arguments are local. Returns the block's
-/// scope schema on success.
-pub fn validate_query<S: SchemaSource>(catalog: &S, block: &QueryBlock) -> Result<Schema> {
-    validate_block(catalog, block, &Resolver::new(Vec::new()))
-}
-
-fn validate_block<S: SchemaSource>(
-    catalog: &S,
-    block: &QueryBlock,
-    outer: &Resolver,
-) -> Result<Schema> {
-    let local = block_schema(catalog, block)?;
-    let resolver = outer.child(local.clone());
-    for c in level_column_refs(block) {
-        resolver.binding_depth(c)?;
-    }
-    for inner in block.child_blocks() {
-        validate_block(catalog, inner, &resolver)?;
-    }
-    Ok(local)
 }
 
 #[cfg(test)]
@@ -236,7 +320,11 @@ pub(crate) mod test_catalog {
 mod tests {
     use super::test_catalog::PaperCatalog;
     use super::*;
-    use nsql_sql::parse_query;
+    use nsql_sql::{parse_query, print_query};
+
+    fn qualified(src: &str) -> String {
+        print_query(analyze(&PaperCatalog::new(), &parse_query(src).unwrap()).unwrap().block())
+    }
 
     #[test]
     fn block_schema_concatenates_and_aliases() {
@@ -246,6 +334,7 @@ mod tests {
         assert_eq!(s.arity(), 4 + 5);
         assert!(s.resolve(Some("X"), "QTY").is_ok());
         assert!(s.resolve(Some("SP"), "QTY").is_err(), "alias replaces table name");
+        assert_eq!(analyze(&cat, &q).unwrap().schema(), &s);
     }
 
     #[test]
@@ -261,36 +350,51 @@ mod tests {
     }
 
     #[test]
-    fn correlated_refs_found_in_type_j_query() {
-        // Query (4): inner references S.CITY, S not in inner FROM.
-        let cat = PaperCatalog::new();
-        let q = parse_query(
-            "SELECT SNAME FROM S WHERE SNO IS IN \
-             (SELECT SNO FROM SP WHERE QTY > 100 AND SP.ORIGIN = S.CITY)",
-        )
-        .unwrap();
-        let Some(nsql_sql::Predicate::In {
-            rhs: nsql_sql::InRhs::Subquery(inner), ..
-        }) = &q.where_clause
-        else {
-            panic!()
-        };
-        let outer = outer_column_refs(&cat, inner).unwrap();
-        assert_eq!(outer, vec![ColumnRef::qualified("S", "CITY")]);
+    fn qualifies_bare_refs_to_binding_table() {
+        let printed = qualified(
+            "SELECT PNUM FROM PARTS WHERE QOH = \
+             (SELECT COUNT(SHIPDATE) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)",
+        );
+        assert!(printed.starts_with("SELECT PARTS.PNUM FROM PARTS WHERE PARTS.QOH ="), "{printed}");
+        assert!(printed.contains("COUNT(SUPPLY.SHIPDATE)"), "{printed}");
+        assert!(printed.contains("SUPPLY.SHIPDATE < DATE '1980-01-01'"), "{printed}");
+    }
+
+    /// A reference binds to the nearest scope that resolves it: `PNO` is in
+    /// both `P` (local) and `SP` (outer), `QTY` only in `SP`.
+    #[test]
+    fn the_nearest_scope_binds() {
+        let printed = qualified(
+            "SELECT SNO FROM SP WHERE PNO IN (SELECT PNO FROM P WHERE WEIGHT = QTY AND SP.PNO = PNO)",
+        );
+        assert!(
+            printed.ends_with("(SELECT P.PNO FROM P WHERE P.WEIGHT = SP.QTY AND SP.PNO = P.PNO)"),
+            "{printed}"
+        );
     }
 
     #[test]
-    fn uncorrelated_inner_has_no_outer_refs() {
+    fn alias_becomes_qualifier() {
+        assert_eq!(
+            qualified("SELECT X.PNUM FROM PARTS X WHERE QOH > 1"),
+            "SELECT X.PNUM FROM PARTS X WHERE X.QOH > 1"
+        );
+    }
+
+    /// An ORDER BY key no scope resolves stays as written when it names a
+    /// select alias; the SELECT phase orders by it.
+    #[test]
+    fn order_by_keys_bind_to_a_scope_or_name_an_alias() {
+        assert_eq!(
+            qualified("SELECT PNUM AS X FROM PARTS ORDER BY X, QOH"),
+            "SELECT PARTS.PNUM AS X FROM PARTS ORDER BY X, PARTS.QOH"
+        );
         let cat = PaperCatalog::new();
-        let q = parse_query("SELECT SNO FROM SP WHERE PNO IN (SELECT PNO FROM P WHERE WEIGHT > 50)")
-            .unwrap();
-        let Some(nsql_sql::Predicate::In {
-            rhs: nsql_sql::InRhs::Subquery(inner), ..
-        }) = &q.where_clause
-        else {
-            panic!()
-        };
-        assert!(outer_column_refs(&cat, inner).unwrap().is_empty());
+        for src in ["SELECT PNUM AS X FROM PARTS ORDER BY Y", "SELECT PNUM AS X FROM PARTS ORDER BY T.X"]
+        {
+            let e = validate_query(&cat, &parse_query(src).unwrap());
+            assert!(matches!(e, Err(AnalyzeError::UnresolvedColumn(_))), "{src}: {e:?}");
+        }
     }
 
     #[test]
@@ -319,6 +423,17 @@ mod tests {
         assert!(matches!(validate_query(&cat, &q), Err(AnalyzeError::UnresolvedColumn(_))));
     }
 
+    /// A block's own references are checked before the blocks nested in it.
+    #[test]
+    fn errors_come_level_by_level() {
+        let cat = PaperCatalog::new();
+        let q = parse_query(
+            "SELECT SNO FROM SP WHERE PNO IN (SELECT PNO FROM NOPE) AND WAT = 1",
+        )
+        .unwrap();
+        assert_eq!(validate_query(&cat, &q), Err(AnalyzeError::UnresolvedColumn("WAT".into())));
+    }
+
     /// A block in an operand position is validated like any other.
     #[test]
     fn validate_enters_operand_position_blocks() {
@@ -343,26 +458,10 @@ mod tests {
 
     #[test]
     fn validate_handles_deep_nesting() {
-        let cat = PaperCatalog::new();
-        let q = parse_query(
+        let printed = qualified(
             "SELECT SNAME FROM S WHERE SNO IN (SELECT SNO FROM SP WHERE PNO IN \
              (SELECT PNO FROM P WHERE P.CITY = S.CITY))",
-        )
-        .unwrap();
-        validate_query(&cat, &q).unwrap();
-    }
-
-    #[test]
-    fn binding_depth_prefers_nearest_scope() {
-        let cat = PaperCatalog::new();
-        let outer_q = parse_query("SELECT SNO FROM SP").unwrap();
-        let inner_q = parse_query("SELECT PNO FROM P").unwrap();
-        let outer_scope = block_schema(&cat, &outer_q).unwrap();
-        let inner_scope = block_schema(&cat, &inner_q).unwrap();
-        let r = Resolver::new(vec![outer_scope]).child(inner_scope);
-        // PNO exists in both P (local) and SP (outer): binds locally.
-        assert_eq!(r.binding_depth(&ColumnRef::bare("PNO")).unwrap(), 0);
-        assert_eq!(r.binding_depth(&ColumnRef::bare("QTY")).unwrap(), 1);
-        assert_eq!(r.binding_depth(&ColumnRef::qualified("SP", "PNO")).unwrap(), 1);
+        );
+        assert!(printed.ends_with("(SELECT P.PNO FROM P WHERE P.CITY = S.CITY))"), "{printed}");
     }
 }

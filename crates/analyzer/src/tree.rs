@@ -6,18 +6,15 @@
 //! block, and renders it in the style of the paper's figure.
 
 use crate::classify::{classify_inner, NestingType};
-use crate::resolve::SchemaSource;
-use crate::Result;
+use crate::resolve::Analyzed;
 use nsql_sql::QueryBlock;
 
-/// A node of the query tree: a block, a label (`A`, `B`, … in preorder like
-/// the figure), and its nested children with edge labels.
+/// A node of the query tree: a label (`A`, `B`, … in preorder like the
+/// figure) and its nested children with edge labels.
 #[derive(Debug, Clone)]
 pub struct QueryTree {
     /// Preorder label, `A` for the root.
     pub label: String,
-    /// The query block at this node (subqueries still embedded).
-    pub block: QueryBlock,
     /// Children: (nesting type of the edge, subtree).
     pub children: Vec<(NestingType, QueryTree)>,
 }
@@ -81,11 +78,10 @@ impl QueryTree {
     }
 }
 
-/// Build the query tree for `root`, labelling blocks `A`, `B`, … in
-/// preorder and classifying every edge.
-pub fn query_tree<S: SchemaSource>(catalog: &S, root: &QueryBlock) -> Result<QueryTree> {
-    let mut counter = 0usize;
-    build(catalog, root, &mut counter)
+/// Build the query tree of an analyzed statement, labelling blocks `A`,
+/// `B`, … in preorder and classifying every edge.
+pub fn query_tree(root: &Analyzed) -> QueryTree {
+    build(root.block(), &mut 0)
 }
 
 fn label_for(i: usize) -> String {
@@ -102,18 +98,12 @@ fn label_for(i: usize) -> String {
     s
 }
 
-fn build<S: SchemaSource>(
-    catalog: &S,
-    block: &QueryBlock,
-    counter: &mut usize,
-) -> Result<QueryTree> {
+fn build(block: &QueryBlock, counter: &mut usize) -> QueryTree {
     let label = label_for(*counter);
     *counter += 1;
-    let mut children = Vec::new();
-    for inner in block.child_blocks() {
-        children.push((classify_inner(catalog, inner)?, build(catalog, inner, counter)?));
-    }
-    Ok(QueryTree { label, block: block.clone(), children })
+    let children =
+        block.child_blocks().into_iter().map(|inner| (classify_inner(inner), build(inner, counter)));
+    QueryTree { label, children: children.collect() }
 }
 
 #[cfg(test)]
@@ -122,11 +112,13 @@ mod tests {
     use crate::resolve::test_catalog::PaperCatalog;
     use nsql_sql::parse_query;
 
+    fn tree(src: &str) -> QueryTree {
+        query_tree(&crate::analyze(&PaperCatalog::new(), &parse_query(src).unwrap()).unwrap())
+    }
+
     #[test]
     fn flat_query_is_single_node() {
-        let cat = PaperCatalog::new();
-        let q = parse_query("SELECT SNO FROM SP").unwrap();
-        let t = query_tree(&cat, &q).unwrap();
+        let t = tree("SELECT SNO FROM SP");
         assert_eq!(t.block_count(), 1);
         assert_eq!(t.depth(), 0);
         assert_eq!(t.label, "A");
@@ -136,16 +128,13 @@ mod tests {
     fn figure_2_shape() {
         // A with children B and D; B with children C; C with child E is the
         // figure's shape — build an analogous query: A(B(C(E)), D).
-        let cat = PaperCatalog::new();
-        let q = parse_query(
+        let t = tree(
             "SELECT SNAME FROM S WHERE \
                SNO IN (SELECT SNO FROM SP WHERE \
                          QTY = (SELECT MAX(WEIGHT) FROM P WHERE \
                                   PNO IN (SELECT PNO FROM SP X WHERE X.ORIGIN = S.CITY))) \
                AND CITY IN (SELECT CITY FROM P)",
-        )
-        .unwrap();
-        let t = query_tree(&cat, &q).unwrap();
+        );
         assert_eq!(t.block_count(), 5);
         assert_eq!(t.depth(), 3);
         assert_eq!(t.children.len(), 2);
@@ -162,12 +151,9 @@ mod tests {
 
     #[test]
     fn edge_types_match_classification() {
-        let cat = PaperCatalog::new();
-        let q = parse_query(
+        let t = tree(
             "SELECT PNAME FROM P WHERE PNO = (SELECT MAX(PNO) FROM SP WHERE SP.ORIGIN = P.CITY)",
-        )
-        .unwrap();
-        let t = query_tree(&cat, &q).unwrap();
+        );
         assert_eq!(t.children[0].0, NestingType::TypeJA);
         assert!(t.contains(NestingType::TypeJA));
         assert!(!t.contains(NestingType::TypeN));

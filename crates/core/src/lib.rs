@@ -40,12 +40,11 @@ pub mod nest_ja2;
 pub mod nest_ja_kim;
 pub mod nest_n_j;
 pub mod pipeline;
-pub mod qualify;
 pub mod rewrites;
 
 pub use error::TransformError;
 pub use logical::{AggItem, JoinPred, LogicalJoinKind, LogicalPlan};
-pub use nest_g::{transform_query, transform_query_traced, JaVariant, UnnestOptions};
+pub use nest_g::{transform_analyzed, transform_query, JaVariant, UnnestOptions};
 pub use nest_ja2::Ja2Config;
 pub use pipeline::{AntiJoin, TempTable, TransformPlan};
 

@@ -30,10 +30,10 @@ use crate::nest_ja2::{analyze_ja, apply_ja2, inner_from_plan, Ja2Config, OuterSc
 use crate::nest_ja_kim::apply_ja_kim;
 use crate::nest_n_j::{merge_inner, merge_precondition, rename_flat_pred, Connecting};
 use crate::pipeline::{AntiJoin, TempNamer, TempTable, TransformPlan};
-use crate::qualify::qualify_query;
 use crate::rewrites::rewrite_extended;
 use crate::Result;
-use nsql_analyzer::resolve::{predicate_column_refs, SchemaSource};
+use nsql_analyzer::resolve::predicate_column_refs;
+use nsql_analyzer::{analyze, block_is_correlated, Analyzed, SchemaSource};
 use nsql_obs::Profile;
 use nsql_sql::{
     ColumnRef, CompareOp, InRhs, Operand, Predicate, Quantifier, QueryBlock, ScalarExpr,
@@ -106,27 +106,26 @@ impl UnnestOptions {
 }
 
 /// Transform a nested query into a [`TransformPlan`]: temporary-table
-/// definitions plus a flat canonical query.
+/// definitions plus a flat canonical query. The query is analyzed first
+/// ([`analyze`]); [`transform_analyzed`] is the transformation alone.
 pub fn transform_query<S: SchemaSource>(
     catalog: &S,
     query: &QueryBlock,
     options: &UnnestOptions,
 ) -> Result<TransformPlan> {
-    transform_query_traced(catalog, query, options, &Profile::default())
+    transform_analyzed(analyze(catalog, query)?, options, &Profile::default())
 }
 
-/// [`transform_query`] under a profile: each NEST-G recursion level and
-/// each algorithm dispatch (NEST-N-J merge, type-A temp, NEST-JA2 steps
-/// 1/2a/2b/3, Kim's NEST-JA) opens a nested node. With a disabled profile
-/// this is exactly `transform_query`.
-pub fn transform_query_traced<S: SchemaSource>(
-    catalog: &S,
-    query: &QueryBlock,
+/// Transform an analyzed query, reading correlation off its qualifiers,
+/// under a profile: each NEST-G recursion level and each algorithm
+/// dispatch (NEST-N-J merge, type-A temp, NEST-JA2 steps 1/2a/2b/3, Kim's
+/// NEST-JA) opens a nested node. A disabled profile records nothing.
+pub fn transform_analyzed(
+    query: Analyzed,
     options: &UnnestOptions,
     profile: &Profile,
 ) -> Result<TransformPlan> {
-    let mut q = query.clone();
-    qualify_query(catalog, &mut q)?;
+    let mut q = query.into_block();
     let mut reserved = Vec::new();
     collect_table_names(&q, &mut reserved);
     let mut ctx = Ctx {
@@ -572,24 +571,6 @@ fn check_type_a(inner: &QueryBlock) -> Result<()> {
         return Err(TransformError::Internal("type-A without aggregate".into()));
     }
     Ok(())
-}
-
-/// Syntactic correlation test on a fully-qualified, flat block: any level
-/// reference whose qualifier is not an effective FROM name is an outer
-/// reference.
-fn block_is_correlated(q: &QueryBlock) -> bool {
-    let names = q.from_names();
-    let is_outer = |c: &ColumnRef| !c.table.as_deref().is_some_and(|t| names.contains(&t));
-    if let Some(p) = &q.where_clause {
-        if predicate_column_refs(p).into_iter().any(&is_outer) {
-            return true;
-        }
-    }
-    q.select.iter().any(|item| match &item.expr {
-        ScalarExpr::Column(c) => is_outer(c),
-        ScalarExpr::Aggregate(_, nsql_sql::AggArg::Column(c)) => is_outer(c),
-        _ => false,
-    })
 }
 
 #[cfg(test)]

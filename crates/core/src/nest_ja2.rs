@@ -506,8 +506,7 @@ mod tests {
                 }
             }
         }
-        let mut q = parse_query(src).unwrap();
-        crate::qualify::qualify_query(&Cat, &mut q).unwrap();
+        let q = nsql_analyzer::analyze(&Cat, &parse_query(src).unwrap()).unwrap().into_block();
         let Some(Predicate::Compare { right: Operand::Subquery(inner), .. }) = q.where_clause
         else {
             panic!("expected scalar subquery")

@@ -6,8 +6,8 @@ use crate::explain::{header_lines, ObsReport, TempStat};
 use crate::options::{QueryOptions, Strategy};
 use crate::plan_exec::{observed, PlanExecutor};
 use crate::Result;
-use nsql_analyzer::{query_fingerprint, query_tree, validate_query, QueryTree};
-use nsql_core::{transform_query, transform_query_traced, TransformPlan, UnnestOptions};
+use nsql_analyzer::{analyze, query_fingerprint, query_tree, Analyzed, QueryTree};
+use nsql_core::{transform_analyzed, TransformPlan, UnnestOptions};
 use nsql_engine::{Exec, NestedIter};
 use nsql_obs::stats::{SlowQuery, StatementSample, StatsRegistry};
 use nsql_obs::{IoDelta, Profile, ProfileNode};
@@ -187,18 +187,26 @@ impl Database {
         let span = profile.begin("parse");
         let q = parse_one_select(sql)?;
         profile.end(span);
-        self.run_observed(&q, opts, &profile)
+        self.run_observed(&q, None, opts, &profile)
     }
 
     /// Run a parsed query block under explicit options.
     pub fn run_query(&self, q: &QueryBlock, opts: &QueryOptions) -> Result<QueryOutcome> {
-        self.run_observed(q, opts, &self.profile_for(opts))
+        self.run_observed(q, None, opts, &self.profile_for(opts))
+    }
+
+    /// Analyze `q` once, under an `analyze` node of `profile`.
+    pub(crate) fn analyze(&self, q: &QueryBlock, profile: &Profile) -> Result<Analyzed> {
+        let span = profile.begin("analyze");
+        let analyzed = analyze(&self.catalog, q);
+        profile.end(span);
+        Ok(analyzed?)
     }
 
     /// The profile of one query: disabled unless [`QueryOptions::observe`].
     /// Its I/O probe is a pure load of the storage counters — observation
     /// never perturbs what it measures.
-    fn profile_for(&self, opts: &QueryOptions) -> Profile {
+    pub(crate) fn profile_for(&self, opts: &QueryOptions) -> Profile {
         if !opts.observe {
             return Profile::default();
         }
@@ -213,18 +221,21 @@ impl Database {
     /// any referenced `nsql_stat_*` views to a consistent snapshot, runs
     /// the query, then folds the completed call (success *or* failure) into
     /// the statistics registry and — past the configured threshold — the
-    /// slow-query log. Every observation here is a pure load of storage
-    /// counters or registry side-state: counted I/O never moves.
-    fn run_observed(
+    /// slow-query log, both keyed by the statement as written. Every
+    /// observation here is a pure load of storage counters or registry
+    /// side-state: counted I/O never moves. `analyzed` is `q` analyzed,
+    /// when the caller has done so already.
+    pub(crate) fn run_observed(
         &self,
         q: &QueryBlock,
+        analyzed: Option<Analyzed>,
         opts: &QueryOptions,
         profile: &Profile,
     ) -> Result<QueryOutcome> {
         let registry = self.catalog.stats_registry();
         if !registry.enabled() {
             let mut refusals = 0;
-            return self.run_strategy(q, opts, profile, &mut refusals);
+            return self.run_strategy(q, analyzed, opts, profile, &mut refusals);
         }
         // One snapshot per statement: every scan of a stat view inside this
         // statement (nested blocks included) sees the same materialization.
@@ -233,7 +244,7 @@ impl Database {
         let t0 = Instant::now();
         let io0 = self.catalog.storage().io_snapshot();
         let mut refusals = 0;
-        let result = self.run_strategy(q, opts, profile, &mut refusals);
+        let result = self.run_strategy(q, analyzed, opts, profile, &mut refusals);
         let micros = t0.elapsed().as_micros() as u64;
         let d = self.catalog.storage().io_snapshot().since(&io0);
         let strategy = opts.strategy.resolve().name().to_string();
@@ -269,17 +280,20 @@ impl Database {
         result
     }
 
+    /// Run `q` by its strategy: nested iteration reads the block as
+    /// written, the transformation its analyzed copy.
     fn run_strategy(
         &self,
         q: &QueryBlock,
+        analyzed: Option<Analyzed>,
         opts: &QueryOptions,
         profile: &Profile,
         refusals: &mut u64,
     ) -> Result<QueryOutcome> {
-        let span = profile.begin("analyze");
-        let analyzed = validate_query(&self.catalog, q);
-        profile.end(span);
-        analyzed?;
+        let analyzed = match analyzed {
+            Some(analyzed) => analyzed,
+            None => self.analyze(q, profile)?,
+        };
         let storage = self.catalog.storage();
         if opts.cold_start {
             storage.clear_buffer();
@@ -290,7 +304,7 @@ impl Database {
             Strategy::NestedIteration => self.run_correlated(q, opts, profile)?,
             Strategy::Transform | Strategy::Auto => {
                 let span = profile.begin("transform");
-                let plan = transform_query_traced(&self.catalog, q, &opts.unnest, profile);
+                let plan = transform_analyzed(analyzed, &opts.unnest, profile);
                 profile.end(span);
                 // A transformation error is a *refusal*: the strategy
                 // declined the query shape. The fingerprint aggregates
@@ -348,14 +362,14 @@ impl Database {
     /// Transform a query under `unnest` without executing it (EXPLAIN-only).
     pub fn plan(&self, sql: &str, unnest: &UnnestOptions) -> Result<TransformPlan> {
         let q = parse_one_select(sql)?;
-        validate_query(&self.catalog, &q)?;
-        Ok(transform_query(&self.catalog, &q, unnest)?)
+        let analyzed = self.analyze(&q, &Profile::default())?;
+        Ok(transform_analyzed(analyzed, unnest, &Profile::default())?)
     }
 
     /// The Figure-2 query tree of a SQL query.
     pub fn query_tree(&self, sql: &str) -> Result<QueryTree> {
         let q = parse_one_select(sql)?;
-        Ok(query_tree(&self.catalog, &q)?)
+        Ok(query_tree(&self.analyze(&q, &Profile::default())?))
     }
 }
 

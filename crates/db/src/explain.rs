@@ -16,6 +16,7 @@
 use crate::options::{QueryOptions, Strategy};
 use crate::{Catalog, Database, Result};
 use nsql_analyzer::{query_tree, NestingType};
+use nsql_core::transform_analyzed;
 use nsql_engine::cost::{
     ja2_costs, nested_iteration_cost_j, transformed_merge_join_cost, Ja2Cost, Ja2Params,
     JoinMethod, StrategyCosts, StrategyKind,
@@ -23,7 +24,7 @@ use nsql_engine::cost::{
 use nsql_engine::nested_iter::BlockAccess;
 use nsql_engine::{NestedIter, TableProvider};
 use nsql_index::BTreeIndex;
-use nsql_obs::{Json, ProfileNode};
+use nsql_obs::{Json, Profile, ProfileNode};
 use nsql_sql::QueryBlock;
 use nsql_storage::{HeapFile, IoStats};
 use std::sync::Arc;
@@ -268,14 +269,17 @@ impl Database {
         analyze: bool,
         opts: &QueryOptions,
     ) -> Result<ExplainReport> {
-        let tree = query_tree(self.catalog(), q)?;
+        // One analysis for the tree and the run; the run's profile holds it.
+        let run_opts = QueryOptions { observe: true, ..opts.clone() };
+        let profile = if analyze { self.profile_for(&run_opts) } else { Profile::default() };
+        let analyzed = self.analyze(q, &profile)?;
+        let tree = query_tree(&analyzed);
         let is_ja = tree.contains(NestingType::TypeJA);
         let correlated = is_ja || tree.contains(NestingType::TypeJ);
 
         // Run (ANALYZE) or transform-only (plain EXPLAIN).
         let (strategy, temps, io, rows, obs) = if analyze {
-            let run_opts = QueryOptions { observe: true, ..opts.clone() };
-            let out = self.run_query(q, &run_opts)?;
+            let out = self.run_observed(q, Some(analyzed), &run_opts, &profile)?;
             (out.explain, out.temps, Some(out.io), Some(out.relation.len()), out.obs)
         } else {
             // Plain EXPLAIN opens with the header lines an ANALYZE run would.
@@ -286,7 +290,7 @@ impl Database {
                     lines
                 }
                 Strategy::Transform | Strategy::Auto => {
-                    let plan = nsql_core::transform_query(self.catalog(), q, &opts.unnest)?;
+                    let plan = transform_analyzed(analyzed, &opts.unnest, &profile)?;
                     let mut lines = header_lines(opts, plan.temp_count());
                     lines.extend(plan.trace.clone());
                     lines.push(format!("canonical: {}", plan.canonical_text()));

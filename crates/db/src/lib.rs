@@ -6,12 +6,14 @@
 //! [`Database`] ties the workspace together:
 //!
 //! ```text
-//!   SQL text ──parse──▶ QueryBlock
+//!   SQL text ──parse──▶ QueryBlock ──nsql-analyzer::analyze──▶ Analyzed
+//!        │           (once per statement: every reference qualified)
 //!        │
 //!        ├── Strategy::NestedIteration ──▶ nsql-engine::NestedIter
-//!        │        (System R reference semantics, the paper's baseline)
+//!        │        (System R reference semantics, the paper's baseline;
+//!        │         it reads the block as written)
 //!        │
-//!        └── Strategy::Transform ──▶ nsql-core::transform_query
+//!        └── Strategy::Transform ──▶ nsql-core::transform_analyzed(Analyzed)
 //!                 │      (NEST-N-J / NEST-JA2 / buggy NEST-JA / NEST-G)
 //!                 ▼
 //!            TransformPlan ──▶ plan_exec (temp tables, join-method choice)

@@ -1,13 +1,12 @@
 //! Join operators: nested-loop and sort-merge, inner, left outer and anti.
 
 use super::{join_reads, Exec, JoinEmit, JoinKind, Narrowed};
-use crate::cost::hash_build_fits;
 use crate::expr::{CExpr, Joined};
 use crate::pred::CPred;
 use crate::Result;
 use nsql_sql::CompareOp;
 use nsql_storage::sort::SortKey;
-use nsql_storage::{external_sort_narrowed, HeapFile, Page, PageId, RowsRef, Storage, TempFile};
+use nsql_storage::{external_sort_narrowed, HeapFile, Page, PageId, Storage, TempFile};
 use nsql_types::{ColumnType, FxHashMap, FxHasher, Relation, Schema, Tuple};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -222,7 +221,7 @@ impl Exec {
     ) -> Result<HeapFile> {
         let schema = left.schema().join(right.schema());
         let emit = JoinEmit::new(right.schema(), None);
-        let tuples = self.nl_join_tuples(left, right.into(), on, kind, emit)?;
+        let tuples = self.nl_join_tuples(left, right, on, kind, emit)?;
         Ok(HeapFile::from_tuples(&self.storage, schema, tuples))
     }
 
@@ -240,20 +239,14 @@ impl Exec {
     /// [`nl_join_collect`](Exec::nl_join_collect) emitting only `cols` of
     /// the concatenated row (every column when `None`; see [`JoinEmit`]).
     /// `on` is still a predicate over the whole concatenated schema.
-    ///
-    /// The inner may be rows held in memory ([`RowsRef::Held`]) that fit
-    /// the pool beside the outer's page and the output's, `B − 2` pages (the
-    /// hash table's bound): the pages a pass would ask the pool for were
-    /// never written, and every pass reads the rows where they lie.
-    pub fn nl_join_cols<'a>(
+    pub fn nl_join_cols(
         &self,
         left: &HeapFile,
-        right: impl Into<RowsRef<'a>>,
+        right: &HeapFile,
         on: &CPred,
         kind: JoinKind,
         cols: Option<&[usize]>,
     ) -> Result<Relation> {
-        let right = right.into();
         let emit = JoinEmit::new(right.schema(), cols);
         let tuples = self.nl_join_tuples(left, right, on, kind, emit)?;
         Relation::new(emit.schema(left.schema(), right.schema()), tuples)
@@ -263,22 +256,11 @@ impl Exec {
     fn nl_join_tuples(
         &self,
         left: &HeapFile,
-        right: RowsRef<'_>,
+        right: &HeapFile,
         on: &CPred,
         kind: JoinKind,
         emit: JoinEmit<'_>,
     ) -> Result<Vec<Tuple>> {
-        let b = self.storage.buffer_pages() as f64;
-        debug_assert!(
-            matches!(right, RowsRef::File(_)) || hash_build_fits(right.page_count() as f64, b),
-            "a held inner of {} pages, B = {b}",
-            right.page_count()
-        );
-        // The inner's pages in file order; held rows are one page never read.
-        let pages = match right {
-            RowsRef::File(file) => file.page_ids(),
-            RowsRef::Held(_) => &[PageId(0)],
-        };
         let keys = leading_keys(on, left.schema(), right.schema());
         // Build/probe wall-clock lands on the current operator; Instant is
         // only sampled when one is attached.
@@ -318,15 +300,9 @@ impl Exec {
                 (index.is_none() && !keys.is_empty()).then(InnerIndex::default);
             // Every inner page is read on every pass, whatever the index
             // says: an index may save CPU on a page, never the page read.
-            for (page_no, &pid) in pages.iter().enumerate() {
-                let page;
-                let tuples = match right {
-                    RowsRef::File(_) => {
-                        page = self.storage.read_page(pid);
-                        page.tuples()
-                    }
-                    RowsRef::Held(held) => held.rows(),
-                };
+            for (page_no, &pid) in right.page_ids().iter().enumerate() {
+                let page = self.storage.read_page(pid);
+                let tuples = page.tuples();
                 if let Some(ix) = &mut building {
                     ix.add_page(page_no, tuples, &keys);
                 }

@@ -350,31 +350,6 @@ impl Exec {
         Err(e)
     }
 
-    /// π — evaluate `exprs` per tuple; `distinct` eliminates duplicates via
-    /// an external sort of the projected file. Clones only the projected
-    /// columns of each input tuple and streams the output directly into
-    /// pages (no intermediate `Vec<Tuple>`).
-    pub fn project(
-        &self,
-        input: &HeapFile,
-        exprs: &[CExpr],
-        out_schema: Schema,
-        distinct: bool,
-    ) -> Result<HeapFile> {
-        if out_schema.arity() != exprs.len() {
-            return Err(EngineError::Internal(format!(
-                "project schema arity {} != expr count {}",
-                out_schema.arity(),
-                exprs.len()
-            )));
-        }
-        let proj = Projector::new(exprs);
-        let rows = self.stream_filter_map(input.into(), out_schema, 0, |t| {
-            Ok(Some(proj.apply_ref(t)))
-        })?;
-        Ok(self.deduplicated(TempFile::new(&self.storage, written(rows)), distinct))
-    }
-
     /// `file` as the operator's result, or — under `distinct` — its
     /// duplicate-free sort, the unsorted file freed once that is written.
     fn deduplicated(&self, file: TempFile, distinct: bool) -> HeapFile {
@@ -387,27 +362,14 @@ impl Exec {
 
     /// Combined σ then π in one pass over the input (the paper's
     /// "restriction and projection" of a relation, e.g. building `Rt2` and
-    /// `Rt3` in NEST-JA2). Streams like [`filter`](Exec::filter)/
-    /// [`project`](Exec::project): rejected tuples cost nothing, accepted
-    /// ones clone only their projected columns.
-    pub fn restrict_project(
-        &self,
-        input: &HeapFile,
-        pred: &CPred,
-        exprs: &[CExpr],
-        out_schema: Schema,
-        distinct: bool,
-    ) -> Result<HeapFile> {
-        let rows = self.restrict_project_rows(input, pred, exprs, out_schema, false, 0)?;
-        Ok(self.deduplicated(TempFile::new(&self.storage, written(rows)), distinct))
-    }
-
-    /// [`restrict_project`](Exec::restrict_project) handing its output to a
-    /// consumer that holds it in memory: up to `cap` pages of it are held
+    /// `Rt3` in NEST-JA2): rejected tuples cost nothing, accepted ones clone
+    /// only their projected columns. The output goes to a consumer that
+    /// holds it in memory: up to `cap` pages of it are held
     /// ([`Rows::Held`]), a larger output is written as it fills. Under
     /// `distinct`, held rows that fit the pool are sorted and deduplicated
     /// in memory, as the external sort does an input of at most `B` pages,
-    /// and stay held. The input may be held rows of a consumer that
+    /// and stay held; written ones are sorted to a new file and the
+    /// unsorted one freed. The input may be held rows of a consumer that
     /// streams them (a one-table statement's leftover filter).
     pub fn restrict_project_rows<'a>(
         &self,
@@ -447,23 +409,6 @@ impl Exec {
         self.storage.load_relation(input)
     }
 
-    /// Final-result projection: stream, evaluate, collect in memory.
-    pub fn project_collect(
-        &self,
-        input: &HeapFile,
-        exprs: &[CExpr],
-        out_schema: Schema,
-        distinct: bool,
-    ) -> Result<Relation> {
-        let proj = Projector::new(exprs);
-        let mut tuples: Vec<Tuple> =
-            input.scan_with(&self.storage, |t| Some(proj.apply_ref(t))).collect();
-        if distinct {
-            tuples.sort_by(Tuple::total_cmp);
-            tuples.dedup();
-        }
-        Relation::new(out_schema, tuples).map_err(EngineError::from)
-    }
 }
 
 /// The rows of a writer that held nothing (`cap` 0): its file.
@@ -539,45 +484,12 @@ mod tests {
         assert_eq!(rows_of(e.storage(), &out), vec![vec![Some(2)], vec![Some(3)]]);
     }
 
-    #[test]
-    fn project_reorders_and_computes() {
-        let e = exec();
-        let f = int_file(e.storage(), "T", &["A", "B"], &[&[1, 10], &[2, 20]]);
-        let out_schema = Schema::new(vec![Column::qualified("O", "B", ColumnType::Int)]);
-        let out = e
-            .project(&f, &[CExpr::Col(1)], out_schema, false)
-            .unwrap();
-        assert_eq!(rows_of(e.storage(), &out), vec![vec![Some(10)], vec![Some(20)]]);
-    }
-
-    #[test]
-    fn project_distinct_dedups() {
-        let e = exec();
-        let f = int_file(e.storage(), "T", &["A", "B"], &[&[1, 0], &[1, 1], &[2, 2]]);
-        let out_schema = Schema::new(vec![Column::qualified("O", "A", ColumnType::Int)]);
-        let out = e.project(&f, &[CExpr::Col(0)], out_schema, true).unwrap();
-        assert_eq!(rows_of(e.storage(), &out), vec![vec![Some(1)], vec![Some(2)]]);
-    }
-
-    #[test]
-    fn restrict_project_applies_both() {
-        let e = exec();
-        let f = int_file(e.storage(), "T", &["A", "B"], &[&[1, 5], &[2, 6], &[3, 7]]);
-        let p = pred_on(&f, "A > 1");
-        let out_schema = Schema::new(vec![Column::qualified("O", "B", ColumnType::Int)]);
-        let out = e.restrict_project(&f, &p, &[CExpr::Col(1)], out_schema, false).unwrap();
-        assert_eq!(rows_of(e.storage(), &out), vec![vec![Some(6)], vec![Some(7)]]);
-    }
-
-    #[test]
-    fn project_collect_returns_relation() {
-        let e = exec();
-        let f = int_file(e.storage(), "T", &["A"], &[&[2], &[1], &[2]]);
-        let s = Schema::new(vec![Column::new("A", ColumnType::Int)]);
-        let r = e.project_collect(&f, &[CExpr::Col(0)], s.clone(), false).unwrap();
-        assert_eq!(r.len(), 3);
-        let rd = e.project_collect(&f, &[CExpr::Col(0)], s, true).unwrap();
-        assert_eq!(rd.len(), 2);
+    /// `restrict_project_rows` with no cap: the file it writes.
+    fn written(e: &Exec, f: &HeapFile, p: &CPred, exprs: &[CExpr], schema: Schema) -> HeapFile {
+        match e.restrict_project_rows(f, p, exprs, schema, true, 0).unwrap() {
+            Rows::File(file) => file,
+            Rows::Held(_) => panic!("held with no cap"),
+        }
     }
 
     #[test]
@@ -589,23 +501,16 @@ mod tests {
         let rows: Vec<Vec<i64>> = (0..200).map(|i| vec![i % 5, i]).collect();
         let row_refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
         let f = int_file(e.storage(), "T", &["A", "B"], &row_refs);
-        let live_before = e.storage().live_pages();
+        let p = pred_on(&f, "A >= 1");
         let out_schema = Schema::new(vec![Column::qualified("O", "A", ColumnType::Int)]);
-        let out = e.project(&f, &[CExpr::Col(0)], out_schema, true).unwrap();
-        assert_eq!(out.tuple_count(), 5);
+        let live_before = e.storage().live_pages();
+        let out = written(&e, &f, &p, &[CExpr::Col(0)], out_schema);
+        assert_eq!(out.tuple_count(), 4);
         assert_eq!(
             e.storage().live_pages(),
             live_before + out.page_count(),
             "pre-sort projection pages must be freed"
         );
-
-        // Same invariant on the combined restrict+project path.
-        let p = pred_on(&f, "A >= 1");
-        let out_schema = Schema::new(vec![Column::qualified("O", "A", ColumnType::Int)]);
-        let live_before = e.storage().live_pages();
-        let out2 = e.restrict_project(&f, &p, &[CExpr::Col(0)], out_schema, true).unwrap();
-        assert_eq!(out2.tuple_count(), 4);
-        assert_eq!(e.storage().live_pages(), live_before + out2.page_count());
     }
 
     /// Rows handed over in memory are the rows, in order, of the file the
@@ -625,7 +530,8 @@ mod tests {
             Column::qualified("O", "A", ColumnType::Int),
         ]);
         for distinct in [false, true] {
-            let written = e.restrict_project(&f, &p, &exprs, schema.clone(), distinct).unwrap();
+            let written = e.restrict_project_rows(&f, &p, &exprs, schema.clone(), distinct, 0);
+            let Ok(Rows::File(written)) = written else { panic!("{distinct}: held with no cap") };
             let want = e.collect(&written);
             let held = e.restrict_project_rows(&f, &p, &exprs, schema.clone(), distinct, 6);
             let Ok(Rows::Held(held)) = held else { panic!("{distinct}: not held") };
@@ -652,14 +558,4 @@ mod tests {
         assert_eq!(e.storage().io_snapshot().since(&before).writes, over.page_count() as u64);
     }
 
-    #[test]
-    fn project_arity_mismatch_is_error() {
-        let e = exec();
-        let f = int_file(e.storage(), "T", &["A"], &[&[1]]);
-        let s = Schema::new(vec![
-            Column::new("A", ColumnType::Int),
-            Column::new("B", ColumnType::Int),
-        ]);
-        assert!(e.project(&f, &[CExpr::Col(0)], s, false).is_err());
-    }
 }

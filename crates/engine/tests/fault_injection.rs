@@ -112,9 +112,11 @@ fn aggregation_surfaces_poisoned_page_as_error() {
 #[test]
 fn restrict_project_surfaces_poisoned_page_as_error() {
     let out_schema = Schema::new(vec![Column::qualified("O", "A", ColumnType::Int)]);
-    // Like the filter, with one-column output rows: 13 pages written.
+    // Like the filter, with one-column output rows and no cap, so nothing is
+    // held: 13 pages written.
     let err = check_fails("restrict_project", &[(300, Value::str("rot"))], (43, 13), |e, t, _| {
-        e.restrict_project(t, &filter_pred(t), &[CExpr::Col(0)], out_schema.clone(), false)
+        let exprs = [CExpr::Col(0)];
+        e.restrict_project_rows(t, &filter_pred(t), &exprs, out_schema.clone(), false, 0)
             .map(|_| ())
     });
     assert!(matches!(err, EngineError::Type(_)), "want TypeError, got {err:?}");

@@ -570,7 +570,8 @@ impl<'a> QueryGen<'a> {
     /// drawn: now and then a literal item (in a plain, a grouped or a
     /// global-aggregate list alike), aliases — fresh, or a column's name —
     /// and an ORDER BY over its column items, qualified or bare (when the
-    /// name is unique in the scope), ASC or DESC.
+    /// name is unique in the scope), or over any item by its fresh alias,
+    /// ASC or DESC.
     fn dress_top(
         &self,
         rng: &mut Rng,
@@ -591,13 +592,19 @@ impl<'a> QueryGen<'a> {
         let mut order_by = Vec::new();
         if rng.gen_bool(0.3) {
             for item in select.iter() {
-                let ScalarExpr::Column(c) = &item.expr else { continue };
-                if rng.gen_bool(0.3) {
-                    continue;
-                }
-                let unique = locals.iter().filter(|l| l.name == c.column).count() == 1;
-                let column =
-                    if unique && rng.gen_bool(0.4) { ColumnRef::bare(&c.column) } else { c.clone() };
+                // A fresh alias names no scope column: the key is the alias.
+                let fresh = item.alias.as_deref().filter(|a| a.starts_with('X'));
+                let column = match (&item.expr, fresh) {
+                    (_, Some(alias)) if rng.gen_bool(0.5) => ColumnRef::bare(alias),
+                    (ScalarExpr::Column(c), _) => {
+                        if rng.gen_bool(0.3) {
+                            continue;
+                        }
+                        let unique = locals.iter().filter(|l| l.name == c.column).count() == 1;
+                        if unique && rng.gen_bool(0.4) { ColumnRef::bare(&c.column) } else { c.clone() }
+                    }
+                    _ => continue,
+                };
                 let dir = if rng.gen_bool(0.5) { SortDir::Asc } else { SortDir::Desc };
                 order_by.push(OrderKey { column, dir });
             }
@@ -1297,7 +1304,7 @@ mod tests {
     fn generator_reaches_the_interesting_regions() {
         let mut rng = Rng::from_seed(11);
         let (mut nested, mut nulls, mut dups, mut grouped, mut operand) = (0, 0, 0, 0, 0);
-        let (mut aliased, mut ordered, mut bare_keys) = (0, 0, 0);
+        let (mut aliased, mut ordered, mut bare_keys, mut alias_keys) = (0, 0, 0, 0);
         // Literal items in a plain, a grouped and a global-aggregate list.
         let mut literals = [0; 3];
         for _ in 0..300 {
@@ -1317,6 +1324,7 @@ mod tests {
             aliased += q.select.iter().any(|item| item.alias.is_some()) as usize;
             ordered += !q.order_by.is_empty() as usize;
             bare_keys += q.order_by.iter().any(|k| k.column.table.is_none()) as usize;
+            alias_keys += q.order_by.iter().any(|k| k.column.column.starts_with('X')) as usize;
             if q.select.iter().any(|item| matches!(item.expr, ScalarExpr::Literal(_))) {
                 let shape = match (q.group_by.is_empty(), q.has_aggregate_select()) {
                     (true, false) => 0,
@@ -1342,6 +1350,7 @@ mod tests {
         assert!(operand > 5, "operand-position subqueries must occur: {operand}");
         assert!(aliased > 20, "select aliases must occur: {aliased}");
         assert!(ordered > 40 && bare_keys > 5, "ORDER BY must occur: {ordered}, {bare_keys} bare");
+        assert!(alias_keys > 3, "ORDER BY a select alias must occur: {alias_keys}");
         assert!(literals.iter().all(|&n| n > 3), "literal items in every list: {literals:?}");
     }
 

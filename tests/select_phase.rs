@@ -102,6 +102,17 @@ fn order_by_names_an_aliased_column_by_its_reference() {
     assert_answers(sql, &[&[3], &[3], &[2], &[1]], true);
 }
 
+/// An ORDER BY key that names a select alias, which no FROM scope
+/// resolves: the analyzer leaves it to the SELECT phase, which orders by the
+/// output column, as the oracle does — flat and over a nested block.
+#[test]
+fn order_by_names_a_select_alias() {
+    assert_answers("SELECT PNUM AS X FROM P ORDER BY X", &[&[1], &[2], &[3], &[3]], true);
+    let sql = "SELECT P.QOH AS X FROM P WHERE P.PNUM IN (SELECT S.PNUM FROM S WHERE S.QUAN > 5) \
+               ORDER BY X DESC";
+    assert_answers(sql, &[&[2], &[1], &[1]], true);
+}
+
 #[test]
 fn a_literal_in_a_grouped_block() {
     let sql = "SELECT P.PNUM, 7 FROM P WHERE P.PNUM IN (SELECT S.PNUM FROM S) GROUP BY P.PNUM";
