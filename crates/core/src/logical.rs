@@ -4,8 +4,10 @@
 //! [`QueryBlock`](nsql_sql::QueryBlock), but the temporary tables NEST-JA2
 //! builds need two things SQL-82 query blocks cannot express: an **outer
 //! join** and a GROUP BY over a join result. This small IR covers exactly
-//! the plan shapes the paper's algorithms emit; `nsql-db`'s physical layer
-//! executes it with a configurable join method.
+//! the plan shapes the paper's algorithms emit, and one more off the
+//! paper's literal plans — an aggregate block evaluated once per outer row
+//! ([`LogicalPlan::Apply`]); `nsql-db`'s physical layer executes it with a
+//! configurable join method.
 
 use nsql_sql::{AggArg, AggFunc, ColumnRef, CompareOp, Predicate, SelectItem};
 use std::fmt;
@@ -94,6 +96,27 @@ pub enum LogicalPlan {
         /// Aggregates to compute.
         aggs: Vec<AggItem>,
     },
+    /// A correlated aggregate block evaluated once per row of `outer` (an
+    /// Apply): each outer row, duplicates and `NULL`s included, is a group
+    /// of its own, extended by `aggs` over the rows of `inner` that
+    /// `correlation` is TRUE for paired with it — an empty group's values
+    /// where it is TRUE for none. Every such pair equates the columns of one
+    /// list of `keys` (one list per disjunct of the correlation). Output:
+    /// `outer`'s columns, then one per aggregate.
+    Apply {
+        /// The group table's rows.
+        outer: Box<LogicalPlan>,
+        /// The name `outer`'s columns go by in `keys` and `correlation`.
+        outer_name: String,
+        /// The rows folded into the groups.
+        inner: Box<LogicalPlan>,
+        /// Per disjunct, its equalities (left: outer column, right: inner).
+        keys: Vec<Vec<JoinPred>>,
+        /// The whole correlation predicate, over outer and inner columns.
+        correlation: Predicate,
+        /// Aggregates to compute (arguments are inner columns).
+        aggs: Vec<AggItem>,
+    },
 }
 
 impl LogicalPlan {
@@ -159,22 +182,38 @@ impl LogicalPlan {
             }
             LogicalPlan::Aggregate { input, group_by, aggs } => {
                 let groups: Vec<String> = group_by.iter().map(ColumnRef::to_string).collect();
-                let aggs: Vec<String> = aggs
-                    .iter()
-                    .map(|a| match &a.arg {
-                        AggArg::Star => format!("{}(*) AS {}", a.func.name(), a.alias),
-                        AggArg::Column(c) => format!("{}({c}) AS {}", a.func.name(), a.alias),
-                    })
-                    .collect();
                 out.push_str(&format!(
                     "{pad}Aggregate GROUP BY [{}] COMPUTE [{}]\n",
                     groups.join(", "),
-                    aggs.join(", ")
+                    agg_list(aggs)
                 ));
                 input.explain_into(out, indent + 1);
             }
+            LogicalPlan::Apply { outer, outer_name, inner, keys, correlation, aggs } => {
+                let and = |set: &Vec<JoinPred>| {
+                    set.iter().map(JoinPred::to_string).collect::<Vec<_>>().join(" AND ")
+                };
+                let keys: Vec<String> = keys.iter().map(and).collect();
+                out.push_str(&format!(
+                    "{pad}Apply PER ROW OF {outer_name} ON {} KEYS [{}] COMPUTE [{}]\n",
+                    nsql_sql::print_predicate(correlation),
+                    keys.join("; "),
+                    agg_list(aggs)
+                ));
+                outer.explain_into(out, indent + 1);
+                inner.explain_into(out, indent + 1);
+            }
         }
     }
+}
+
+/// `FUNC(arg) AS alias, …` of an aggregate list.
+fn agg_list(aggs: &[AggItem]) -> String {
+    let each = aggs.iter().map(|a| match &a.arg {
+        AggArg::Star => format!("{}(*) AS {}", a.func.name(), a.alias),
+        AggArg::Column(c) => format!("{}({c}) AS {}", a.func.name(), a.alias),
+    });
+    each.collect::<Vec<_>>().join(", ")
 }
 
 #[cfg(test)]

@@ -25,18 +25,20 @@
 //! inherited by the recursive transformation of inner query blocks").
 
 use crate::error::TransformError;
-use crate::logical::{AggItem, LogicalPlan};
-use crate::nest_ja2::{analyze_ja, apply_ja2, inner_from_plan, Ja2Config, OuterScope};
+use crate::logical::{AggItem, JoinPred, LogicalPlan};
+use crate::nest_ja2::{
+    analyze_ja, apply_ja2, inner_from_plan, Correlation, Ja2Config, JaAnalysis, OuterScope,
+};
 use crate::nest_ja_kim::apply_ja_kim;
 use crate::nest_n_j::{merge_inner, merge_precondition, rename_flat_pred, Connecting};
 use crate::pipeline::{AntiJoin, TempNamer, TempTable, TransformPlan};
 use crate::rewrites::rewrite_extended;
 use crate::Result;
-use nsql_analyzer::resolve::predicate_column_refs;
+use nsql_analyzer::resolve::{level_column_refs, predicate_column_refs};
 use nsql_analyzer::{analyze, block_is_correlated, Analyzed, SchemaSource};
 use nsql_obs::Profile;
 use nsql_sql::{
-    ColumnRef, CompareOp, InRhs, Operand, Predicate, Quantifier, QueryBlock, ScalarExpr,
+    AggArg, ColumnRef, CompareOp, InRhs, Operand, Predicate, Quantifier, QueryBlock, ScalarExpr,
     SelectItem, TableRef,
 };
 
@@ -138,7 +140,7 @@ pub fn transform_analyzed(
         merged_in_membership: false,
         profile: profile.clone(),
     };
-    ctx.nest_g(&mut q, &[])?;
+    ctx.nest_g(&mut q, None)?;
     ctx.name_anti_joins_apart(&q);
     let Ctx { temps, anti_joins, trace, merged_in_membership, .. } = ctx;
     Ok(TransformPlan {
@@ -168,6 +170,23 @@ struct ScopeFrame {
     simple_conjuncts: Vec<Predicate>,
 }
 
+/// A block's [`ScopeFrame`] linked to the scope of the block enclosing it:
+/// the recursion lends each block its ancestors' scopes, nearest first,
+/// and copies none of them.
+struct Scope<'a> {
+    frame: ScopeFrame,
+    parent: Option<&'a Scope<'a>>,
+    /// Enclosing blocks.
+    depth: usize,
+}
+
+impl Scope<'_> {
+    /// The frames from this block's out to the root's.
+    fn frames(&self) -> impl Iterator<Item = &ScopeFrame> {
+        std::iter::successors(Some(self), |s| s.parent).map(|s| &s.frame)
+    }
+}
+
 impl ScopeFrame {
     fn of(block: &QueryBlock) -> ScopeFrame {
         let simple_conjuncts = block
@@ -185,9 +204,9 @@ impl ScopeFrame {
     }
 }
 
-impl OuterScope for [ScopeFrame] {
+impl OuterScope for Scope<'_> {
     fn base_table(&self, effective: &str) -> Option<String> {
-        for frame in self {
+        for frame in self.frames() {
             for t in &frame.from {
                 if t.effective_name().eq_ignore_ascii_case(effective) {
                     return Some(t.table.clone());
@@ -198,7 +217,7 @@ impl OuterScope for [ScopeFrame] {
     }
 
     fn simple_predicates(&self, effective: &str) -> Vec<Predicate> {
-        for frame in self {
+        for frame in self.frames() {
             if !frame
                 .from
                 .iter()
@@ -239,19 +258,26 @@ struct Ctx {
 }
 
 impl Ctx {
-    /// The recursive procedure. `ancestors` runs nearest-first.
-    fn nest_g(&mut self, block: &mut QueryBlock, ancestors: &[ScopeFrame]) -> Result<()> {
+    /// The recursive procedure. `parent` is the enclosing block's scope.
+    fn nest_g(&mut self, block: &mut QueryBlock, parent: Option<&Scope<'_>>) -> Result<()> {
         // Recursion-depth node; an error return below it leaves nodes open,
         // and `end` closes open descendants first, so `?` stays safe.
-        let node = self.profile.begin_with(|| format!("NEST-G depth {}", ancestors.len()));
-        let result = self.nest_g_inner(block, ancestors);
+        let depth = parent.map_or(0, |p| p.depth + 1);
+        let node = self.profile.begin_with(|| format!("NEST-G depth {depth}"));
+        let result = self.nest_g_inner(block, parent, depth);
         self.profile.end(node);
         result
     }
 
-    fn nest_g_inner(&mut self, block: &mut QueryBlock, ancestors: &[ScopeFrame]) -> Result<()> {
+    fn nest_g_inner(
+        &mut self,
+        block: &mut QueryBlock,
+        parent: Option<&Scope<'_>>,
+        depth: usize,
+    ) -> Result<()> {
         // Anti-joins first, before Section 8 rewrites `NOT EXISTS` to a COUNT
         // and `!= ALL` to the `NOT IN` it refuses; then those rewrites.
+        let first_anti = self.anti_joins.len();
         if self.anti_ok {
             if let Some(w) = block.where_clause.take() {
                 block.where_clause = self.take_anti_joins(w);
@@ -261,19 +287,15 @@ impl Ctx {
             block.where_clause = Some(rewrite_extended(w, &mut self.trace));
         }
 
-        // Scope chain for descendants: this block, then the ancestors.
-        let mut chain: Vec<ScopeFrame> = Vec::with_capacity(ancestors.len() + 1);
-        chain.push(ScopeFrame::of(block));
-        chain.extend(ancestors.iter().map(|f| ScopeFrame {
-            from: f.from.clone(),
-            simple_conjuncts: f.simple_conjuncts.clone(),
-        }));
+        // Scope for descendants: this block, linked to its ancestors'.
+        let scope = Scope { frame: ScopeFrame::of(block), parent, depth };
 
         let conjuncts = match block.where_clause.take() {
             Some(p) => p.into_conjuncts(),
             None => Vec::new(),
         };
         let mut kept: Vec<Predicate> = Vec::new();
+        let mut per_rows: Vec<PerRow> = Vec::new();
         for conjunct in conjuncts {
             if conjunct.is_simple() {
                 kept.push(conjunct);
@@ -308,9 +330,17 @@ impl Ctx {
                     )))
                 }
             };
-            let merged =
-                self.transform_nested(block, operand, op, inner, via_membership, &chain)?;
-            kept.push(merged);
+            match self.transform_nested(block, operand, op, inner, via_membership, &scope)? {
+                Nested::Merged(p) => kept.push(p),
+                Nested::PerRow(per_row) => per_rows.push(*per_row),
+            }
+        }
+        // A block correlated by a disjunction reads its outer relation once
+        // every other conjunct is in place: the columns they read go with it.
+        for at in 0..per_rows.len() {
+            let (this, later) = per_rows[at..].split_first().expect("at < len");
+            let replaced = self.apply_per_row(block, &mut kept, this, later, first_anti)?;
+            kept.push(replaced);
         }
         if !kept.is_empty() {
             block.where_clause = Some(Predicate::and(kept));
@@ -318,7 +348,9 @@ impl Ctx {
         Ok(())
     }
 
-    /// Transform one nested predicate; returns the replacement predicate.
+    /// Transform one nested predicate: the replacement predicate, or the
+    /// flattened block when it is to be evaluated per row of this block's
+    /// relation.
     fn transform_nested(
         &mut self,
         block: &mut QueryBlock,
@@ -326,13 +358,13 @@ impl Ctx {
         op: CompareOp,
         mut inner: QueryBlock,
         via_membership: bool,
-        chain: &[ScopeFrame],
-    ) -> Result<Predicate> {
+        scope: &Scope<'_>,
+    ) -> Result<Nested> {
         // Postorder: flatten the inner block first. Its anti-joins end in the
         // canonical query only if its rows do: not an aggregate's.
         let (anti_ok, first_anti) = (self.anti_ok, self.anti_joins.len());
         self.anti_ok &= !inner.has_aggregate_select();
-        let flattened = self.nest_g(&mut inner, chain);
+        let flattened = self.nest_g(&mut inner, Some(scope));
         self.anti_ok = anti_ok;
         flattened?;
 
@@ -363,9 +395,29 @@ impl Ctx {
                 self.profile.end(span);
                 out?
             }
-            // Type-JA: reduce to type-J first.
+            // Type-JA: reduce to type-J first — or, correlated by a
+            // disjunction off the literal plans, evaluate it per outer row.
             (true, true) => {
-                analyze_ja(&inner)?;
+                let ja = match analyze_ja(&inner)? {
+                    ja if self.options.faithful_1987 => ja.conjunctive()?,
+                    ja => ja,
+                };
+                if ja.disjunction.is_some() {
+                    let name = ja.outer_name.as_str();
+                    if !block.from.iter().any(|t| t.effective_name().eq_ignore_ascii_case(name)) {
+                        return Err(TransformError::Unsupported(format!(
+                            "a block correlated by a disjunction must reference a relation of \
+                             the block it is nested in, not {}",
+                            ja.outer_name
+                        )));
+                    }
+                    self.trace.push(format!(
+                        "type-JA nesting: correlated by a disjunction; one groupjoin per row \
+                         of {}",
+                        ja.outer_name
+                    ));
+                    return Ok(Nested::PerRow(Box::new(PerRow { operand, op, inner, ja })));
+                }
                 let ja2 = "NEST-JA2";
                 let (line, span, config) = match self.options.ja_variant {
                     JaVariant::Ja2 => ("applying NEST-JA2", ja2, Some(Ja2Config::default())),
@@ -390,7 +442,7 @@ impl Ctx {
                 let out = match config {
                     Some(config) => apply_ja2(
                         &inner,
-                        chain,
+                        scope,
                         &mut self.namer,
                         &mut self.temps,
                         &mut self.trace,
@@ -423,7 +475,114 @@ impl Ctx {
                 }
             }
         }
-        Ok(outcome.combined_predicate())
+        Ok(Nested::Merged(outcome.combined_predicate()))
+    }
+
+    /// Evaluate the block of `this`, correlated by a disjunction with this
+    /// block's relation `R`, as one groupjoin per row of `R` (DESIGN.md
+    /// "Disjunctive correlation"): the temporary `TEMPn` holds each row of
+    /// `R` — restricted by the conjuncts of `kept` over `R` alone, which
+    /// leave the block, and projected onto the columns the block, the
+    /// blocks `later` and the anti-joins from `first_anti` on read of it —
+    /// extended by the aggregate over the inner rows the correlation pairs
+    /// it with ([`LogicalPlan::Apply`]). The block then reads `TEMPn` under
+    /// `R`'s name; the predicate `x op R.AGGn` replaces the nested one.
+    fn apply_per_row(
+        &mut self,
+        block: &mut QueryBlock,
+        kept: &mut Vec<Predicate>,
+        this: &PerRow,
+        later: &[PerRow],
+        first_anti: usize,
+    ) -> Result<Predicate> {
+        let span = self.profile.begin("per-row groupjoin");
+        let (ja, name) = (&this.ja, this.ja.outer_name.as_str());
+        let disjunction = ja.disjunction.as_ref().expect("a disjunctive block");
+        let at = block.from.iter().position(|t| t.effective_name().eq_ignore_ascii_case(name));
+        let at = at.expect("checked when the block was deferred");
+        let own = |p: &Predicate| {
+            let refs = predicate_column_refs(p);
+            !refs.is_empty() && refs.iter().all(|c| c.table.as_deref() == Some(name))
+        };
+        let restriction: Vec<Predicate> = kept.iter().filter(|p| own(p)).cloned().collect();
+        kept.retain(|p| !own(p));
+
+        // What is read of `R` after the restriction.
+        let mut reads: Vec<&ColumnRef> = Vec::new();
+        for item in &block.select {
+            match &item.expr {
+                ScalarExpr::Column(c) | ScalarExpr::Aggregate(_, AggArg::Column(c)) => {
+                    reads.push(c)
+                }
+                _ => {}
+            }
+        }
+        reads.extend(&block.group_by);
+        reads.extend(block.order_by.iter().map(|k| &k.column));
+        reads.extend(kept.iter().flat_map(predicate_column_refs));
+        for per_row in std::iter::once(this).chain(later) {
+            if let Operand::Column(c) = &per_row.operand {
+                reads.push(c);
+            }
+            reads.extend(level_column_refs(&per_row.inner));
+        }
+        // An anti-joined relation named `R` hides this block's.
+        for anti in self.anti_joins[first_anti..].iter().filter(|a| a.name() != name) {
+            let preds = anti.conjuncts.iter().chain(&anti.null_aware);
+            reads.extend(preds.flat_map(predicate_column_refs));
+        }
+        let mut columns: Vec<&str> = Vec::new();
+        for c in reads.into_iter().filter(|c| c.table.as_deref() == Some(name)) {
+            if !columns.contains(&c.column.as_str()) {
+                columns.push(&c.column);
+            }
+        }
+
+        let temp = self.namer.fresh("TEMP");
+        let mut agg = temp.replacen("TEMP", "AGG", 1);
+        while columns.iter().any(|c| c.eq_ignore_ascii_case(&agg)) {
+            agg.push('_');
+        }
+        let table = block.from[at].table.clone();
+        let scan = LogicalPlan::Scan { table, alias: Some(name.into()) };
+        let restriction = (!restriction.is_empty()).then(|| Predicate::and(restriction));
+        let items = columns.iter().map(|c| SelectItem::column(ColumnRef::qualified(name, *c)));
+        let outer = LogicalPlan::Project {
+            input: Box::new(scan.filtered(restriction)),
+            items: items.collect(),
+            distinct: false,
+        };
+        let keys = disjunction
+            .keys
+            .iter()
+            .map(|set| {
+                let pair = |c: &Correlation| JoinPred {
+                    left: c.outer_col.clone(),
+                    op: CompareOp::Eq,
+                    right: c.inner_col.clone(),
+                };
+                set.iter().map(pair).collect()
+            })
+            .collect();
+        let plan = LogicalPlan::Apply {
+            outer: Box::new(outer),
+            outer_name: name.to_string(),
+            inner: Box::new(inner_from_plan(&this.inner)?.filtered(ja.local_pred.clone())),
+            keys,
+            correlation: disjunction.predicate.clone(),
+            aggs: vec![AggItem { func: ja.func, arg: ja.arg.clone(), alias: agg.clone() }],
+        };
+        self.trace.push(format!(
+            "per-row groupjoin: {temp} := each row of {name} with {} over [{}] on {} key sets",
+            ja.func.name(),
+            this.inner.from_names().join(", "),
+            disjunction.keys.len()
+        ));
+        self.temps.push(TempTable { name: temp.clone(), plan });
+        block.from[at] = TableRef::aliased(&temp, name);
+        self.profile.end(span);
+        let right = Operand::Column(ColumnRef::qualified(name, agg));
+        Ok(Predicate::Compare { left: this.operand.clone(), op: this.op, right })
     }
 
     /// Take the conjuncts of `w` that [`anti_join_of`] makes anti-joins;
@@ -489,6 +648,25 @@ impl Ctx {
             order_by: vec![],
         })
     }
+}
+
+/// What [`Ctx::transform_nested`] made of a nested predicate.
+enum Nested {
+    /// The predicate that replaces it.
+    Merged(Predicate),
+    /// A type-JA block correlated by a disjunction, flattened, which
+    /// [`Ctx::apply_per_row`] evaluates per row of its outer relation once
+    /// the block's other conjuncts are in place.
+    PerRow(Box<PerRow>),
+}
+
+/// A nested predicate `operand op (inner)` whose block is correlated by a
+/// disjunction, and the block's analysis.
+struct PerRow {
+    operand: Operand,
+    op: CompareOp,
+    inner: QueryBlock,
+    ja: JaAnalysis,
 }
 
 /// The anti-join a conjunct is, if it is one: `x NOT IN (…)`, `x != ALL
@@ -889,6 +1067,71 @@ mod tests {
         assert_ne!(anti.name(), "SP", "{plan}");
         let want = format!("ANTI JOIN SP {0} ON {0}.SNO = S.SNO AND {0}.QTY > 5", anti.name());
         assert_eq!(anti.to_string(), want);
+    }
+
+    /// Off the literal plans an aggregate block correlated by a disjunction
+    /// with the parent's relation is one groupjoin per row of it: the
+    /// parent reads the temporary under the relation's name, without the
+    /// conjuncts over that relation alone, which restrict the temporary.
+    #[test]
+    fn a_correlated_or_is_one_groupjoin_per_outer_row() {
+        let src = "SELECT SNO FROM SP WHERE ORIGIN = 'X' AND QTY = (SELECT COUNT(*) FROM P \
+                   WHERE P.PNO = SP.PNO OR P.CITY = SP.ORIGIN AND P.WEIGHT > SP.QTY)";
+        let plan = transform(src);
+        let [temp] = plan.temps.as_slice() else { panic!("{plan}") };
+        let LogicalPlan::Apply { outer, outer_name, keys, aggs, .. } = &temp.plan else {
+            panic!("{plan}")
+        };
+        assert_eq!(outer_name, "SP");
+        assert_eq!(keys.len(), 2, "{plan}");
+        assert_eq!(aggs[0].alias, "AGG1");
+        let explained = outer.explain();
+        assert!(explained.contains("Project [SP.SNO, SP.QTY, SP.PNO, SP.ORIGIN]"), "{explained}");
+        assert!(explained.contains("Filter SP.ORIGIN = 'X'"), "{explained}");
+        assert_eq!(
+            print_query(&plan.canonical),
+            "SELECT SP.SNO FROM TEMP1 SP WHERE SP.QTY = SP.AGG1"
+        );
+        // The paper's plans refuse it, as NEST-JA2 does.
+        let q = parse_query(src).unwrap();
+        let faithful = transform_query(&Cat, &q, &UnnestOptions::faithful());
+        assert!(matches!(faithful, Err(TransformError::Unsupported(_))), "{faithful:?}");
+    }
+
+    /// Two such blocks over one relation: the second reads the first's
+    /// temporary, which carries what the second reads.
+    #[test]
+    fn two_correlated_ors_over_one_relation_chain_their_temporaries() {
+        let plan = transform(
+            "SELECT SNO FROM SP WHERE QTY = (SELECT COUNT(*) FROM P \
+             WHERE P.PNO = SP.PNO OR P.CITY = SP.ORIGIN) AND QTY > (SELECT MAX(WEIGHT) FROM P \
+             WHERE P.PNO = SP.SNO OR P.PNAME = SP.ORIGIN)",
+        );
+        assert_eq!(plan.temps.len(), 2, "{plan}");
+        let LogicalPlan::Apply { outer, .. } = &plan.temps[1].plan else { panic!("{plan}") };
+        assert!(outer.explain().contains("Scan TEMP1 AS SP"), "{plan}");
+        assert_eq!(
+            print_query(&plan.canonical),
+            "SELECT SP.SNO FROM TEMP2 SP WHERE SP.QTY > SP.AGG2"
+        );
+    }
+
+    /// A disjunct without an equality between the block and the outer
+    /// relation, or a disjunction with a relation of a block further out,
+    /// keeps the block refused.
+    #[test]
+    fn other_correlated_ors_stay_refused() {
+        for src in [
+            "SELECT SNO FROM SP WHERE QTY = (SELECT COUNT(*) FROM P \
+             WHERE P.PNO = SP.PNO OR P.WEIGHT > SP.QTY)",
+            "SELECT SNO FROM SP WHERE PNO IN (SELECT PNO FROM P WHERE P.WEIGHT = \
+             (SELECT COUNT(*) FROM S WHERE S.SNO = SP.SNO OR S.CITY = SP.ORIGIN))",
+            "SELECT SNO FROM SP WHERE PNO IN (SELECT PNO FROM P WHERE EXISTS \
+             (SELECT SNO FROM S WHERE S.SNO = SP.SNO OR S.CITY = SP.ORIGIN))",
+        ] {
+            let e = transform_query(&Cat, &parse_query(src).unwrap(), &UnnestOptions::default());
+            assert!(matches!(e, Err(TransformError::Unsupported(_))), "{src}: {e:?}");
+        }
     }
 
     #[test]

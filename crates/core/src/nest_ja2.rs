@@ -56,17 +56,51 @@ pub struct JaAnalysis {
     pub arg: AggArg,
     /// Conjuncts local to the inner relations.
     pub local_pred: Option<Predicate>,
-    /// The correlated join predicates.
+    /// The correlated join predicates, when they are a conjunction of
+    /// column comparisons; empty when the correlation is a [`Disjunction`].
     pub correlations: Vec<Correlation>,
+    /// The correlation, when it is not such a conjunction but a
+    /// disjunction with a key in every disjunct.
+    pub disjunction: Option<Disjunction>,
     /// Effective name of the outer relation all correlations reference.
     pub outer_name: String,
 }
 
+impl JaAnalysis {
+    /// This analysis if its correlation is a conjunction — the class of
+    /// NEST-JA2 and Kim's NEST-JA — and their refusal otherwise.
+    pub fn conjunctive(self) -> Result<JaAnalysis> {
+        match &self.disjunction {
+            None => Ok(self),
+            Some(d) => Err(TransformError::Unsupported(d.refusal.clone())),
+        }
+    }
+}
+
+/// A correlation that is no conjunction of column comparisons but holds a
+/// disjunction each disjunct of which equates an inner column with an outer
+/// one: outside the paper's class, and the class of the per-outer-row
+/// groupjoin off its literal plans ([`LogicalPlan::Apply`]; DESIGN.md
+/// "Disjunctive correlation").
+#[derive(Debug, Clone)]
+pub struct Disjunction {
+    /// Every correlated conjunct, ANDed: the disjunction and whatever else
+    /// references the outer relation.
+    pub predicate: Predicate,
+    /// Per disjunct of the disjunction, its equalities between an inner and
+    /// an outer column (`op` is `=`).
+    pub keys: Vec<Vec<Correlation>>,
+    /// Why NEST-JA2 refuses the block.
+    refusal: String,
+}
+
 /// Decompose a (flat, fully-qualified) aggregate inner block into the parts
 /// the JA algorithms work with. Errors if the block is outside the class
-/// the paper's algorithms handle (disjunctive correlation, multiple outer
-/// relations, non-column correlation operands, an aggregate over an outer
-/// reference, …).
+/// the paper's algorithms handle (multiple outer relations, non-column
+/// correlation operands, an aggregate over an outer reference, …), unless
+/// its correlation is a [`Disjunction`], which NEST-G evaluates per outer
+/// row off the paper's literal plans and NEST-JA2 refuses
+/// ([`JaAnalysis::conjunctive`]).
 pub fn analyze_ja(inner: &QueryBlock) -> Result<JaAnalysis> {
     if inner.select.len() != 1 {
         return Err(TransformError::Unsupported(
@@ -100,8 +134,7 @@ pub fn analyze_ja(inner: &QueryBlock) -> Result<JaAnalysis> {
     }
 
     let mut local = Vec::new();
-    let mut correlations = Vec::new();
-    let mut outer_name: Option<String> = None;
+    let mut correlated = Vec::new();
     for conjunct in inner
         .where_clause
         .as_ref()
@@ -109,22 +142,55 @@ pub fn analyze_ja(inner: &QueryBlock) -> Result<JaAnalysis> {
         .unwrap_or_default()
     {
         let refs = predicate_column_refs(&conjunct);
-        let all_local = refs.iter().all(|c| is_local_ref(c));
-        if all_local {
+        if refs.iter().all(|c| is_local_ref(c)) {
             local.push(conjunct);
-            continue;
+        } else {
+            correlated.push(conjunct);
         }
+    }
+    let (correlations, disjunction, outer_name) = match conjunction(&correlated, &is_local_ref) {
+        Ok((correlations, outer_name)) => (correlations, None, outer_name),
+        Err(TransformError::Unsupported(refusal)) => {
+            let Some((disjunction, outer_name)) =
+                disjunction(&correlated, &is_local_ref, refusal.clone())
+            else {
+                return Err(TransformError::Unsupported(refusal));
+            };
+            (Vec::new(), Some(disjunction), outer_name)
+        }
+        Err(other) => return Err(other),
+    };
+    Ok(JaAnalysis {
+        func,
+        arg,
+        local_pred: if local.is_empty() { None } else { Some(Predicate::and(local)) },
+        correlations,
+        disjunction,
+        outer_name,
+    })
+}
+
+/// The correlated conjuncts of a block as the paper's algorithms take them:
+/// each a comparison of an inner column with a column of the one outer
+/// relation, whose name comes second.
+fn conjunction(
+    correlated: &[Predicate],
+    is_local_ref: &dyn Fn(&ColumnRef) -> bool,
+) -> Result<(Vec<Correlation>, String)> {
+    let mut correlations = Vec::new();
+    let mut outer_name: Option<String> = None;
+    for conjunct in correlated {
         // A correlated conjunct must be a column-to-column comparison with
         // exactly one local side.
         let Predicate::Compare {
             left: Operand::Column(a),
             op,
             right: Operand::Column(b),
-        } = &conjunct
+        } = conjunct
         else {
             return Err(TransformError::Unsupported(format!(
                 "correlated predicate is not a simple column comparison: {}",
-                nsql_sql::print_predicate(&conjunct)
+                nsql_sql::print_predicate(conjunct)
             )));
         };
         let (inner_col, op, outer_col) = match (is_local_ref(a), is_local_ref(b)) {
@@ -133,7 +199,7 @@ pub fn analyze_ja(inner: &QueryBlock) -> Result<JaAnalysis> {
             _ => {
                 return Err(TransformError::Unsupported(format!(
                     "correlated predicate must join one inner and one outer column: {}",
-                    nsql_sql::print_predicate(&conjunct)
+                    nsql_sql::print_predicate(conjunct)
                 )))
             }
         };
@@ -155,13 +221,57 @@ pub fn analyze_ja(inner: &QueryBlock) -> Result<JaAnalysis> {
     let outer_name = outer_name.ok_or_else(|| {
         TransformError::Internal("analyze_ja on uncorrelated block (type-A?)".into())
     })?;
-    Ok(JaAnalysis {
-        func,
-        arg,
-        local_pred: if local.is_empty() { None } else { Some(Predicate::and(local)) },
-        correlations,
-        outer_name,
-    })
+    Ok((correlations, outer_name))
+}
+
+/// The correlated conjuncts of a block as a [`Disjunction`] over one outer
+/// relation, and that relation's name: every column they name is an inner
+/// one or one of that relation's, and one of them is an `OR` each disjunct
+/// of which equates an inner column with an outer one (the first such is
+/// the key). `None` when they are not; `refusal` is NEST-JA2's.
+fn disjunction(
+    correlated: &[Predicate],
+    is_local_ref: &dyn Fn(&ColumnRef) -> bool,
+    refusal: String,
+) -> Option<(Disjunction, String)> {
+    if correlated.iter().any(Predicate::contains_subquery) {
+        return None;
+    }
+    let mut outer_name: Option<&str> = None;
+    for c in correlated.iter().flat_map(predicate_column_refs).filter(|c| !is_local_ref(c)) {
+        let t = c.table.as_deref()?;
+        if *outer_name.get_or_insert(t) != t {
+            return None;
+        }
+    }
+    let outer_name = outer_name?.to_string();
+    let is_outer = |c: &ColumnRef| c.table.as_deref() == Some(outer_name.as_str());
+    let key = |p: &Predicate| {
+        let Predicate::Compare {
+            left: Operand::Column(a),
+            op: CompareOp::Eq,
+            right: Operand::Column(b),
+        } = p
+        else {
+            return None;
+        };
+        let (inner_col, outer_col) = match (is_local_ref(a), is_outer(b), is_local_ref(b)) {
+            (true, true, _) => (a.clone(), b.clone()),
+            (false, _, true) if is_outer(a) => (b.clone(), a.clone()),
+            _ => return None,
+        };
+        Some(Correlation { inner_col, op: CompareOp::Eq, outer_col })
+    };
+    let keys = correlated.iter().find_map(|conjunct| {
+        let Predicate::Or(disjuncts) = conjunct else { return None };
+        let each = disjuncts.iter().map(|d| {
+            let keys: Vec<Correlation> = d.conjuncts().into_iter().filter_map(key).collect();
+            (!keys.is_empty()).then_some(keys)
+        });
+        each.collect::<Option<Vec<_>>>()
+    })?;
+    let predicate = Predicate::and(correlated.to_vec());
+    Some((Disjunction { predicate, keys, refusal }, outer_name))
 }
 
 /// Configuration knobs for [`apply_ja2`] — the defaults are the paper's
@@ -212,7 +322,7 @@ pub fn apply_ja2<S: OuterScope + ?Sized>(
     profile: &Profile,
 ) -> Result<QueryBlock> {
     let analyze_span = profile.begin("analyze type-JA block");
-    let ja = analyze_ja(inner);
+    let ja = analyze_ja(inner).and_then(JaAnalysis::conjunctive);
     profile.end(analyze_span);
     let ja = ja?;
     let outer_base = scope.base_table(&ja.outer_name).ok_or_else(|| {
@@ -556,6 +666,32 @@ mod tests {
              WHERE SUPPLY.PNUM = PARTS.PNUM OR SUPPLY.QUAN > PARTS.QOH)",
         );
         assert!(matches!(analyze_ja(&inner), Err(TransformError::Unsupported(_))));
+    }
+
+    #[test]
+    fn analyzes_a_keyed_disjunction() {
+        // Two disjuncts, one of two key columns, and a non-equality ANDed on.
+        let inner = ja_inner(
+            "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) FROM SUPPLY \
+             WHERE (SUPPLY.PNUM = PARTS.PNUM AND PARTS.QOH = SUPPLY.QUAN OR \
+             SUPPLY.QUAN = PARTS.PNUM) AND SUPPLY.QUAN < PARTS.QOH AND SHIPDATE < 1-1-80)",
+        );
+        let ja = analyze_ja(&inner).unwrap();
+        assert_eq!(ja.outer_name, "PARTS");
+        assert!(ja.correlations.is_empty() && ja.local_pred.is_some());
+        let d = ja.disjunction.as_ref().expect("a disjunction");
+        let keys: Vec<usize> = d.keys.iter().map(Vec::len).collect();
+        assert_eq!(keys, [2, 1]);
+        assert_eq!(d.keys[0][1].inner_col, ColumnRef::qualified("SUPPLY", "QUAN"));
+        assert_eq!(d.keys[0][1].outer_col, ColumnRef::qualified("PARTS", "QOH"));
+        assert_eq!(d.predicate.conjuncts().len(), 2, "the OR and the non-equality");
+        // NEST-JA2 refuses it as it always did.
+        match ja.conjunctive() {
+            Err(TransformError::Unsupported(why)) => {
+                assert!(why.contains("not a simple column comparison"), "{why}")
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub fn apply_ja_kim(
     temps: &mut Vec<TempTable>,
     trace: &mut Vec<String>,
 ) -> Result<QueryBlock> {
-    let ja = analyze_ja(inner)?;
+    let ja = analyze_ja(inner)?.conjunctive()?;
 
     // Step 1: Rt := GROUP BY over the restricted inner relation — no outer
     // join, no projection of the outer relation. (The bugs live here.)
@@ -138,7 +138,7 @@ mod tests {
         // No join anywhere under the aggregate.
         fn has_join(p: &LogicalPlan) -> bool {
             match p {
-                LogicalPlan::Join { .. } => true,
+                LogicalPlan::Join { .. } | LogicalPlan::Apply { .. } => true,
                 LogicalPlan::Filter { input, .. }
                 | LogicalPlan::Project { input, .. }
                 | LogicalPlan::Aggregate { input, .. } => has_join(input),

@@ -33,13 +33,15 @@ use crate::options::{IndexUse, JoinPolicy};
 use crate::Result;
 use nsql_core::{AggItem, AntiJoin, JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
 use nsql_engine::cost::{
-    classic_join_costs, groupjoin_cost, groupjoin_table_pages, hash_join_cost, hash_partitions,
-    index_join_cost, index_restrict_cost, narrowed_pages, narrowed_width, HashShape, JoinInput,
+    classic_join_costs, groupjoin_cost, groupjoin_passes, groupjoin_table_pages, hash_join_cost,
+    hash_partitions, index_join_cost, index_restrict_cost, narrowed_pages, narrowed_width,
+    HashShape, JoinInput,
 };
 use nsql_engine::ops::join_reads;
 use nsql_engine::pred::cannot_raise;
 use nsql_engine::{
-    AggSpec, CExpr, CPred, Exec, JoinEmit, JoinKind, Joined, SelectList, TableProvider,
+    AggSpec, CExpr, CPred, Exec, JoinEmit, JoinKind, Joined, KeySet, SelectList, TableProvider,
+    Unjoined,
 };
 use nsql_index::{BTreeIndex, KeyBound};
 use nsql_obs::Profile;
@@ -421,6 +423,12 @@ impl<T: TableProvider> PlanExecutor<T> {
                 step.run(&self.pass(), &child, faithful, stored_rows, |sink, rel| {
                     store(sink, rel, sorted_by)
                 })
+            }
+            LogicalPlan::Apply { outer, outer_name, inner, keys, correlation, aggs } => {
+                let mut l = self.run_plan(outer)?.requalified(outer_name);
+                let mut r = self.run_plan(inner)?;
+                let gj = self.per_row_groupjoin(&l, &r, keys, correlation, aggs)?;
+                self.groupjoin(&mut l, &mut r, gj)
             }
         }
     }
@@ -892,7 +900,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         let (groups, rows) = (input(l, l.file.page_count() as f64), input(r, rspill));
         let b = self.exec.storage().buffer_pages() as f64;
         let table = groupjoin_table_pages(groups.pages, groups.rows, aggs.len(), page_size);
-        let cost = groupjoin_cost(groups, rows, table, b);
+        let cost = groupjoin_cost(groups, rows, table, 1, b);
         let chosen = cost.total() <= join;
         let partitions = hash_partitions(table, b);
         self.log.push(format!(
@@ -902,21 +910,78 @@ impl<T: TableProvider> PlanExecutor<T> {
             if chosen { "groupjoin" } else { "join" },
         ));
         let aggs = step.specs.iter().map(|s| AggSpec { arg: s.arg.map(|i| i - split), ..*s });
+        let unjoined = match kind {
+            JoinKind::LeftOuter => Unjoined::Padded,
+            _ => Unjoined::Dropped,
+        };
         Ok(chosen.then(|| Groupjoin {
-            lkeys,
-            rkeys,
+            keys: vec![KeySet { left: lkeys, right: rkeys }],
             residual,
-            kind,
+            unjoined,
             aggs: aggs.collect(),
             schema: step.schema,
-            partitions,
+            fits: partitions == 0,
         }))
     }
 
+    /// The groupjoin of an Apply ([`LogicalPlan::Apply`]): every row of `l`
+    /// a group, the rows of `r` folded in where `correlation` is TRUE, found
+    /// through one hash chain per list of `keys`, and a group nothing joined
+    /// the value of an empty one. No other method evaluates a disjunction
+    /// per row, so it runs whatever it costs; its EXPLAIN line gives the
+    /// price and the passes over `r` a table over `B − 2` pages takes.
+    fn per_row_groupjoin(
+        &mut self,
+        l: &PlanOutput,
+        r: &PlanOutput,
+        keys: &[Vec<JoinPred>],
+        correlation: &Predicate,
+        aggs: &[AggItem],
+    ) -> Result<Groupjoin> {
+        let keys = keys
+            .iter()
+            .map(|set| {
+                let JoinKeys { lkeys, rkeys, .. } = join_keys(l, r, set, None)?;
+                Ok(KeySet { left: lkeys, right: rkeys })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let combined = l.file.schema().join(r.file.schema());
+        let residual = CPred::compile(&combined, correlation)?;
+        let columns = l.file.schema().columns().iter();
+        let group_by: Vec<ColumnRef> =
+            columns.map(|c| ColumnRef { table: c.table.clone(), column: c.name.clone() }).collect();
+        let step = GroupStep::new(&aggregate_list(&combined, &group_by, aggs)?, &[])?;
+        let input = |side: &PlanOutput| JoinInput {
+            pages: side.file.page_count() as f64,
+            rows: side.file.tuple_count() as f64,
+            sorted: false,
+            spill: side.file.page_count() as f64,
+        };
+        let (groups, rows) = (input(l), input(r));
+        let storage = self.exec.storage();
+        let (b, page_size) = (storage.buffer_pages() as f64, storage.page_size());
+        let table = groupjoin_table_pages(groups.pages, groups.rows, aggs.len(), page_size);
+        let cost = groupjoin_cost(groups, rows, table, keys.len(), b);
+        let passes = groupjoin_passes(table, b);
+        self.log.push(format!("groupjoin ({} key sets), {passes} passes: {cost}", keys.len()));
+        let split = l.file.schema().arity();
+        let aggs = step.specs.iter().map(|s| AggSpec { arg: s.arg.map(|i| i - split), ..*s });
+        Ok(Groupjoin {
+            keys,
+            residual: Some(residual),
+            unjoined: Unjoined::Empty,
+            aggs: aggs.collect(),
+            schema: step.schema,
+            fits: passes == 1,
+        })
+    }
+
     /// Run the groupjoin [`choose_groupjoin`](Self::choose_groupjoin) took,
-    /// in an operator node of its own: one row per row of `l`, stored. In
-    /// memory it keeps `l`'s order — NEST-JA2's `TEMP3` meets the final join
-    /// pre-sorted, as the GROUP BY's output does — and partitioned none.
+    /// or an Apply's ([`per_row_groupjoin`](Self::per_row_groupjoin)), in an
+    /// operator node of its own: one row per row of `l`, stored. In memory,
+    /// or in chunks over several key sets, it keeps `l`'s order — NEST-JA2's
+    /// `TEMP3` meets the final join pre-sorted, as the GROUP BY's output
+    /// does — and partitioned none.
     fn groupjoin(
         &mut self,
         l: &mut PlanOutput,
@@ -924,19 +989,26 @@ impl<T: TableProvider> PlanExecutor<T> {
         gj: Groupjoin,
     ) -> Result<PlanOutput> {
         let rows_in = (l.file.tuple_count() + r.file.tuple_count()) as u64;
-        let label = format!("groupjoin ({} keys)", gj.lkeys.len());
+        let label = match gj.keys.as_slice() {
+            [one] => format!("groupjoin ({} keys)", one.left.len()),
+            sets => format!("groupjoin ({} key sets)", sets.len()),
+        };
         // Its table is the left input's rows, which it holds when they fit.
-        self.hand_off(l, gj.partitions == 0, &label);
+        self.hand_off(l, gj.fits, &label);
         self.hand_off(r, false, &label);
         let sink = self.pass();
         let exec = sink.exec;
         observed(exec.obs(), || label, rows_in, stored_rows, || {
-            let (lkeys, rkeys, residual) = (&gj.lkeys, &gj.rkeys, gj.residual.as_ref());
+            let (keys, residual) = (&gj.keys, gj.residual.as_ref());
             let (lf, rf) = (&l.file, &r.file);
             let rel =
-                exec.hash_groupjoin(lf, rf, lkeys, rkeys, residual, gj.kind, &gj.aggs, gj.schema)?;
-            let sorted_by = if gj.partitions == 0 { l.sorted_by.clone() } else { Vec::new() };
-            Ok(PlanOutput { duplicate_free: true, ..store(&sink, rel, sorted_by) })
+                exec.hash_groupjoin(lf, rf, keys, residual, gj.unjoined, &gj.aggs, gj.schema)?;
+            // A table over `B − 2` pages is Grace-partitioned on one key set,
+            // and taken in chunks in scan order on several.
+            let ordered = gj.fits || gj.keys.len() > 1;
+            let sorted_by = if ordered { l.sorted_by.clone() } else { Vec::new() };
+            let duplicate_free = l.duplicate_free;
+            Ok(PlanOutput { duplicate_free, ..store(&sink, rel, sorted_by) })
         })
     }
 
@@ -1497,6 +1569,7 @@ fn scans_of(plan: &LogicalPlan, name: &str) -> usize {
         | LogicalPlan::Project { input, .. }
         | LogicalPlan::Aggregate { input, .. } => scans_of(input, name),
         LogicalPlan::Join { left, right, .. } => scans_of(left, name) + scans_of(right, name),
+        LogicalPlan::Apply { outer, inner, .. } => scans_of(outer, name) + scans_of(inner, name),
     }
 }
 
@@ -1567,17 +1640,17 @@ struct JoinChoice {
     explain: Vec<String>,
 }
 
-/// The groupjoin an aggregate step takes: the join's keys and residual, the
-/// aggregates over the right input's columns, the output schema (the left's
-/// columns, then the aggregates) and the partitions of its first Grace pass.
+/// The groupjoin an aggregate step or an Apply takes: its key sets and
+/// residual, what a left row nothing joined emits, the aggregates over the
+/// right input's columns, the output schema (the left's columns, then the
+/// aggregates) and whether its table fits `B − 2` pages.
 struct Groupjoin {
-    lkeys: Vec<usize>,
-    rkeys: Vec<usize>,
+    keys: Vec<KeySet>,
     residual: Option<CPred>,
-    kind: JoinKind,
+    unjoined: Unjoined,
     aggs: Vec<AggSpec>,
     schema: Schema,
-    partitions: usize,
+    fits: bool,
 }
 
 /// How one join step runs, with what that method needs beyond the keys.

@@ -708,11 +708,36 @@ pub fn groupjoin_table_pages(pages: f64, rows: f64, aggs: usize, page_size: usiz
 }
 
 /// What the groupjoin costs on the groups `l` and the rows `r` folded into
-/// them, its table `table` pages ([`groupjoin_table_pages`]): what the hash
-/// join built on `l` costs, whichever input is smaller, and with no rows
-/// emitted. Priced: it runs on the default path only.
-pub fn groupjoin_cost(l: JoinInput, r: JoinInput, table: f64, b: f64) -> JoinCost {
-    JoinCost { work: hash_work(l, r, table, table, b), priced: true }
+/// them over `key_sets` key sets, its table `table` pages
+/// ([`groupjoin_table_pages`]). On one key set: what the hash join built on
+/// `l` costs, whichever input is smaller, and with no rows emitted. On
+/// several: `l` read once and `r` once per pass ([`groupjoin_passes`]), each
+/// left row hashed into every chain and each right row against every chain
+/// on every pass. Priced: it runs on the default path only.
+pub fn groupjoin_cost(
+    l: JoinInput,
+    r: JoinInput,
+    table: f64,
+    key_sets: usize,
+    b: f64,
+) -> JoinCost {
+    if key_sets <= 1 {
+        return JoinCost { work: hash_work(l, r, table, table, b), priced: true };
+    }
+    let passes = groupjoin_passes(table, b) as f64;
+    let work = Work {
+        pages: l.pages + passes * r.pages,
+        hashed: key_sets as f64 * (l.rows + passes * r.rows),
+        ..Work::default()
+    };
+    JoinCost { work, priced: true }
+}
+
+/// The passes over its right input a groupjoin over several key sets makes
+/// with a `table`-page table: one per `B − 2` pages of it, as no hash of
+/// one key set partitions a disjunction.
+pub fn groupjoin_passes(table: f64, b: f64) -> usize {
+    (table / hash_table_pages(b)).ceil().max(1.0) as usize
 }
 
 // -------------------------------------------- nested iteration's access path
@@ -1215,13 +1240,27 @@ mod tests {
         // Over a left that fits as it is, the inner hash join that builds
         // on that left too.
         let hj = hash_join_cost(small, big, JoinKind::Inner, b, true);
-        assert_eq!(groupjoin_cost(small, big, 3.0, b).work, hj.work);
+        assert_eq!(groupjoin_cost(small, big, 3.0, 1, b).work, hj.work);
         // Built on the left whatever the sizes say: 30 pages, two levels.
-        let gj = groupjoin_cost(big, small, 30.0, b);
+        let gj = groupjoin_cost(big, small, 30.0, 1, b);
         assert_eq!((gj.work.pages, gj.work.partitioned), (33.0 * 5.0, 500.0 * 2.0));
         // Widened past `B − 2` pages, it partitions once.
         assert_eq!(hash_partitions(table, b), 2);
-        let gj = groupjoin_cost(small, big, table, b);
+        let gj = groupjoin_cost(small, big, table, 1, b);
         assert_eq!((gj.work.pages, gj.total()), (33.0 * 3.0, gj.work.micros()));
+    }
+
+    #[test]
+    fn a_groupjoin_over_key_sets_reads_its_right_once_per_chunk() {
+        let side = |pages, rows| JoinInput { pages, rows, sorted: false, spill: pages };
+        let (groups, rows, b) = (side(6.0, 100.0), side(98.0, 1500.0), 6.0);
+        // 7.56 pages of table in chunks of `B − 2` = 4: two passes.
+        let table = groupjoin_table_pages(6.0, 100.0, 1, 512);
+        assert_eq!((groupjoin_passes(table, b), groupjoin_passes(4.0, b)), (2, 1));
+        let gj = groupjoin_cost(groups, rows, table, 2, b);
+        assert_eq!(gj.work.pages, 6.0 + 2.0 * 98.0);
+        assert_eq!((gj.work.hashed, gj.work.partitioned), (2.0 * (100.0 + 2.0 * 1500.0), 0.0));
+        // A table that fits is one pass.
+        assert_eq!(groupjoin_cost(groups, rows, 4.0, 2, b).work.pages, 6.0 + 98.0);
     }
 }

@@ -63,10 +63,20 @@
 //! tuple, the tuple and its aggregates, in the left input's order when it
 //! did not partition. It charges its table at the width of those rows
 //! ([`groupjoin_table_pages`]) and partitions a larger one as the join
-//! partitions its build side. Under [`JoinKind::LeftOuter`] a left tuple
-//! nothing joined aggregates one all-`NULL` row — `COUNT(col)` 0,
-//! `COUNT(*)` 1, anything else `NULL`, as the GROUP BY over the padded
-//! join row gives; under [`JoinKind::Inner`] it is dropped.
+//! partitions its build side. A left tuple nothing joined is dropped,
+//! aggregates one all-`NULL` row — `COUNT(col)` 0, `COUNT(*)` 1, anything
+//! else `NULL`, as the GROUP BY over a left outer join's padded row gives
+//! — or takes the value of an empty group ([`Unjoined`]).
+//!
+//! A groupjoin may pair the sides on several **key sets** ([`KeySet`]), one
+//! per disjunct of a correlation `D1 OR D2 OR …` (DESIGN.md "Disjunctive
+//! correlation"): the table keeps one chain per key set, a left tuple in
+//! each whose key it has, and a right tuple looks in every chain, is folded
+//! at most once into each group it finds, and only where the residual — the
+//! whole correlation — accepts the pair. No hash of one key set partitions
+//! a disjunction, so a table over `B − 2` pages is taken in chunks of
+//! `B − 2` pages in scan order, the right input read once per chunk; the
+//! rows keep the left input's order.
 
 use super::{join_reads, AggSpec, Exec, JoinEmit, JoinKind, Narrowed};
 use crate::aggregate::AggState;
@@ -77,7 +87,7 @@ use crate::expr::Joined;
 use crate::pred::CPred;
 use crate::Result;
 use nsql_obs::OpCounters;
-use nsql_storage::{HeapFile, HeapWriter, Page, PageId, RowsRef, TempFile};
+use nsql_storage::{HeapFile, HeapWriter, HeldRows, Page, PageId, RowsRef, TempFile};
 use nsql_types::{FxHashMap, FxHasher, Relation, Schema, Tuple};
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
@@ -149,6 +159,7 @@ impl Exec {
             exec: self,
             build_keys,
             probe_keys,
+            more_keys: &[],
             build_left,
             residual,
             pad: kind.keeps_unmatched(),
@@ -162,36 +173,42 @@ impl Exec {
             .map_err(crate::EngineError::from)
     }
 
-    /// Groupjoin: the join of `left` and `right` on the paired keys (with
-    /// the optional residual) grouped by every column of `left`, computing
-    /// `aggs` — whose arguments are columns of `right` — in one hash pass
-    /// built on `left`, delivered in memory as `out_schema` (the left's
-    /// columns, then one per aggregate). Equal to [`Exec::hash_join`]
-    /// followed by a GROUP BY on the left's columns when `left` holds no
-    /// duplicate row; a duplicated left tuple is a group of its own here.
-    /// `left` may be rows held in memory whose table fits `B − 2` pages.
-    /// See the module doc for the memory charge, the order and `kind`.
+    /// Groupjoin: the join of `left` and `right` on the paired keys of any
+    /// of the key sets `keys` (with the optional residual) grouped by every
+    /// column of `left`, computing `aggs` — whose arguments are columns of
+    /// `right` — in one hash pass built on `left` (a pass per `B − 2`-page
+    /// chunk of it, over several key sets), delivered in memory as
+    /// `out_schema` (the left's columns, then one per aggregate). With one
+    /// key set it equals [`Exec::hash_join`] followed by a GROUP BY on the
+    /// left's columns when `left` holds no duplicate row; a duplicated left
+    /// tuple is a group of its own here. `unjoined` says what a left tuple
+    /// nothing joined emits. `left` may be rows held in memory whose table
+    /// fits `B − 2` pages. See the module doc for the memory charge and the
+    /// order.
     #[allow(clippy::too_many_arguments)]
     pub fn hash_groupjoin<'a>(
         &self,
         left: impl Into<RowsRef<'a>>,
         right: impl Into<RowsRef<'a>>,
-        left_keys: &[usize],
-        right_keys: &[usize],
+        keys: &[KeySet],
         residual: Option<&CPred>,
-        kind: JoinKind,
+        unjoined: Unjoined,
         aggs: &[AggSpec],
         out_schema: Schema,
     ) -> Result<Relation> {
-        assert_eq!(left_keys.len(), right_keys.len(), "key lists must pair up");
+        let (first, more_keys) = keys.split_first().expect("a groupjoin has a key set");
+        for set in keys {
+            assert_eq!(set.left.len(), set.right.len(), "key lists must pair up");
+        }
         let join = HashJoin {
             exec: self,
-            build_keys: left_keys,
-            probe_keys: right_keys,
+            build_keys: &first.left,
+            probe_keys: &first.right,
+            more_keys,
             build_left: true,
             residual,
-            pad: kind == JoinKind::LeftOuter,
-            sink: Sink::Groups(aggs),
+            pad: unjoined != Unjoined::Dropped,
+            sink: Sink::Groups(aggs, unjoined),
             b: self.storage.buffer_pages() as f64,
             op: self.current_op(),
         };
@@ -201,14 +218,40 @@ impl Exec {
     }
 }
 
+/// One key set of a groupjoin: columns of the left input paired
+/// positionally with columns of the right, a pair of tuples joining on it
+/// where each pair of values is equal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeySet {
+    /// Key columns of the left input.
+    pub left: Vec<usize>,
+    /// Key columns of the right input, in the same order.
+    pub right: Vec<usize>,
+}
+
+/// What a groupjoin emits for a left tuple that no right tuple joined.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unjoined {
+    /// Nothing: a GROUP BY over an inner join has no group for it.
+    Dropped,
+    /// The tuple and its aggregates over one all-`NULL` row — `COUNT(col)`
+    /// 0, `COUNT(*)` 1, anything else `NULL` — as a GROUP BY over a left
+    /// outer join's padded row gives.
+    Padded,
+    /// The tuple and the aggregates of an empty group — `COUNT` 0,
+    /// anything else `NULL` — as a correlated aggregate over no rows gives.
+    Empty,
+}
+
 /// What a hash pass makes of the pairs it finds.
 #[derive(Clone, Copy)]
 enum Sink<'a> {
     /// A joined row per pair (the hash join).
     Pairs(JoinEmit<'a>),
     /// A row per left tuple, its aggregates over the right tuples it joined
-    /// (the groupjoin, built on the left).
-    Groups(&'a [AggSpec]),
+    /// (the groupjoin, built on the left), and what one nothing joined
+    /// emits.
+    Groups(&'a [AggSpec], Unjoined),
     /// A row per left tuple nothing joined, and none per pair (the
     /// anti-join).
     Unmatched(JoinEmit<'a>),
@@ -220,6 +263,9 @@ struct Group {
     row: Tuple,
     states: Vec<AggState>,
     matched: bool,
+    /// The ordinal of the last right tuple that reached it through a chain
+    /// (0: none yet), so that one found through two key sets is folded once.
+    seen: u32,
 }
 
 /// One hash join: what its partitioning passes and in-memory passes share.
@@ -227,13 +273,16 @@ struct HashJoin<'a> {
     exec: &'a Exec,
     build_keys: &'a [usize],
     probe_keys: &'a [usize],
+    /// The groupjoin's key sets after the first (build side left); empty
+    /// for every other join.
+    more_keys: &'a [KeySet],
     /// The table holds left tuples and the right input probes it.
     build_left: bool,
     residual: Option<&'a CPred>,
     /// Keep left tuples nothing joined: a left outer join or an anti-join.
     /// The left outer join builds right, so they are probe tuples, padded;
-    /// the groupjoin builds left, and aggregates one all-`NULL` row for
-    /// them; the anti-join does either, and emits them.
+    /// the groupjoin builds left, and emits them as [`Unjoined`] says; the
+    /// anti-join does either, and emits them.
     pad: bool,
     sink: Sink<'a>,
     /// Buffer pages `B`.
@@ -266,8 +315,13 @@ impl HashJoin<'_> {
                     self.in_memory::<false>(emit, build, probe, depth, out)
                 }
                 Sink::Unmatched(_) => self.fold::<true>(&[], build, probe, depth, out),
-                Sink::Groups(aggs) => self.fold::<false>(aggs, build, probe, depth, out),
+                Sink::Groups(aggs, _) => self.fold::<false>(aggs, build, probe, depth, out),
             };
+        }
+        if let Sink::Groups(aggs, _) = self.sink {
+            if !self.more_keys.is_empty() {
+                return self.chunked(aggs, build, probe, out);
+            }
         }
         let t0 = self.clock();
         let fanout = grace_fanout(pages, self.b);
@@ -304,7 +358,7 @@ impl HashJoin<'_> {
         };
         let (cols, aggs): (Option<Vec<usize>>, &[AggSpec]) = match self.sink {
             Sink::Pairs(emit) | Sink::Unmatched(emit) => (emit.cols.map(<[usize]>::to_vec), &[]),
-            Sink::Groups(aggs) => {
+            Sink::Groups(aggs, _) => {
                 let args = aggs.iter().filter_map(|a| a.arg).map(|i| la + i);
                 (Some((0..la).chain(args).collect()), aggs)
             }
@@ -312,7 +366,7 @@ impl HashJoin<'_> {
         let keep = join_reads(la, ra, lkeys, rkeys, self.residual, cols.as_deref());
         let emitted = match self.sink {
             Sink::Pairs(emit) | Sink::Unmatched(emit) => emit.cols,
-            Sink::Groups(_) => None,
+            Sink::Groups(..) => None,
         };
         Narrowed::new(keep, la, lkeys, rkeys, self.residual, emitted, aggs)
     }
@@ -331,13 +385,14 @@ impl HashJoin<'_> {
             exec: self.exec,
             build_keys,
             probe_keys,
+            more_keys: &[],
             build_left: self.build_left,
             residual: n.residual.as_ref(),
             pad: self.pad,
             sink: match self.sink {
                 Sink::Pairs(_) => Sink::Pairs(n.emit()),
                 Sink::Unmatched(_) => Sink::Unmatched(n.emit()),
-                Sink::Groups(_) => Sink::Groups(&n.aggs),
+                Sink::Groups(_, unjoined) => Sink::Groups(&n.aggs, unjoined),
             },
             b: self.b,
             op: self.op.clone(),
@@ -350,7 +405,7 @@ impl HashJoin<'_> {
         let pages = build.page_count() as f64;
         match self.sink {
             Sink::Pairs(_) | Sink::Unmatched(_) => pages,
-            Sink::Groups(aggs) => {
+            Sink::Groups(aggs, _) => {
                 let rows = build.tuple_count() as f64;
                 groupjoin_table_pages(pages, rows, aggs.len(), self.exec.storage().page_size())
             }
@@ -451,12 +506,14 @@ impl HashJoin<'_> {
     }
 
     /// The groupjoin's in-memory pass: a table of the left tuples (`build`)
-    /// and their aggregate states, bucketed by key hash, which the right
-    /// tuples (`probe`) are folded into one at a time; then a row per left
-    /// tuple, in scan order. The anti-join built on the left is the same
-    /// pass with no aggregates: a right tuple only flags the left tuples it
-    /// matches, a flagged one is not tested again, and the rows are those
-    /// of the unflagged ones (`SETTLED`).
+    /// and their aggregate states, bucketed by key hash in one chain per key
+    /// set, which the right tuples (`probe`) are folded into one at a time;
+    /// then a row per left tuple, in scan order. Over several key sets a
+    /// right tuple looks in every chain and is folded once into each group
+    /// it finds. The anti-join built on the left is the same pass with no
+    /// aggregates: a right tuple only flags the left tuples it matches, a
+    /// flagged one is not tested again, and the rows are those of the
+    /// unflagged ones (`SETTLED`).
     fn fold<const SETTLED: bool>(
         &self,
         aggs: &[AggSpec],
@@ -466,56 +523,78 @@ impl HashJoin<'_> {
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
         let t0 = self.clock();
-        // Every left tuple that may be emitted, in scan order; the table
-        // holds the positions of those with a key.
+        let sets: Vec<(&[usize], &[usize])> = std::iter::once((self.build_keys, self.probe_keys))
+            .chain(self.more_keys.iter().map(|k| (k.left.as_slice(), k.right.as_slice())))
+            .collect();
+        // Every left tuple that may be emitted, in scan order; each chain
+        // holds the positions of those with its key.
         let mut groups: Vec<Group> = Vec::with_capacity(build.tuple_count());
-        let mut table: Chains<usize> = Chains::with_capacity(build.tuple_count());
+        let mut tables: Vec<Chains<usize>> =
+            sets.iter().map(|_| Chains::with_capacity(build.tuple_count())).collect();
         let mut held = 0;
         self.each(build, depth, |lt| {
-            let keyed = !null_key(lt, self.build_keys);
+            let mut keyed = false;
+            for (&(keys, _), table) in sets.iter().zip(&mut tables) {
+                if !null_key(lt, keys) {
+                    keyed = true;
+                    table.push(key_hash(FxHasher::default(), lt, keys), groups.len());
+                }
+            }
             if !keyed && !self.pad {
                 return Ok(());
             }
             held += lt.storage_width();
-            if keyed {
-                let hash = key_hash(FxHasher::default(), lt, self.build_keys);
-                table.push(hash, groups.len());
-            }
             let states = aggs.iter().map(|a| AggState::new(a.func)).collect();
-            groups.push(Group { row: lt.clone(), states, matched: false });
+            groups.push(Group { row: lt.clone(), states, matched: false, seen: 0 });
             Ok(())
         })?;
         let page_size = self.exec.storage().page_size();
         let pages = held as f64 / page_size as f64;
         let rows = groups.len() as f64;
-        self.check_held(groupjoin_table_pages(pages, rows, aggs.len(), page_size), depth);
+        // A chunk of a table over several key sets holds one row at least.
+        if groups.len() > 1 {
+            self.check_held(groupjoin_table_pages(pages, rows, aggs.len(), page_size), depth);
+        }
         self.charge(t0, |op| &op.build_ns);
 
         let t0 = self.clock();
+        let several = sets.len() > 1;
+        let mut ordinal = 0u32;
         self.each(probe, depth, |rt| {
-            if null_key(rt, self.probe_keys) {
-                return Ok(());
-            }
-            for &g in table.bucket(key_hash(FxHasher::default(), rt, self.probe_keys)) {
-                let group = &mut groups[g];
-                if SETTLED && group.matched {
+            ordinal += 1;
+            for (&(lkeys, rkeys), table) in sets.iter().zip(&tables) {
+                if null_key(rt, rkeys) {
                     continue;
                 }
-                let lt = &group.row;
-                // A different key with the same hash fails here.
-                let same_key = self
-                    .probe_keys
-                    .iter()
-                    .zip(self.build_keys)
-                    .all(|(&rk, &lk)| rt.get(rk) == lt.get(lk));
-                if !same_key || !self.accepts(lt, rt)? {
-                    continue;
-                }
-                group.matched = true;
-                for (state, spec) in group.states.iter_mut().zip(aggs) {
-                    match spec.arg {
-                        Some(i) => state.accumulate(rt.get(i))?,
-                        None => state.accumulate_row(),
+                for &g in table.bucket(key_hash(FxHasher::default(), rt, rkeys)) {
+                    let group = &mut groups[g];
+                    if SETTLED && group.matched {
+                        continue;
+                    }
+                    let lt = &group.row;
+                    // A different key with the same hash fails here.
+                    let same_key =
+                        rkeys.iter().zip(lkeys).all(|(&rk, &lk)| rt.get(rk) == lt.get(lk));
+                    if !same_key {
+                        continue;
+                    }
+                    // Found through an earlier chain: folded, or refused,
+                    // already.
+                    if several {
+                        if group.seen == ordinal {
+                            continue;
+                        }
+                        group.seen = ordinal;
+                    }
+                    if !self.accepts(lt, rt)? {
+                        continue;
+                    }
+                    group.matched = true;
+                    for (state, spec) in group.states.iter_mut().zip(aggs) {
+                        match spec.arg {
+                            Some(i) => state.accumulate(rt.get(i))?,
+                            None => state.accumulate_row(),
+                        }
                     }
                 }
             }
@@ -532,6 +611,44 @@ impl HashJoin<'_> {
             }
         }
         self.charge(t0, |op| &op.probe_ns);
+        Ok(())
+    }
+
+    /// A groupjoin over several key sets whose table exceeds `B − 2` pages:
+    /// the left tuples in scan order, as many at a time as fill `B − 2`
+    /// pages of table (one at least), each chunk folded in memory in a pass
+    /// over the whole right input.
+    fn chunked(
+        &self,
+        aggs: &[AggSpec],
+        build: RowsRef<'_>,
+        probe: RowsRef<'_>,
+        out: &mut Vec<Tuple>,
+    ) -> Result<()> {
+        let storage = self.exec.storage();
+        let page_size = storage.page_size() as f64;
+        let schema = build.schema();
+        let fold = |chunk: Vec<Tuple>, out: &mut Vec<Tuple>| {
+            let rows = HeldRows::new(storage, schema.clone(), chunk);
+            self.fold::<false>(aggs, RowsRef::Held(&rows), probe, 0, out)
+        };
+        let (mut chunk, mut held) = (Vec::new(), 0);
+        self.each(build, 0, |lt| {
+            let width = lt.storage_width();
+            let rows = (chunk.len() + 1) as f64;
+            let pages = (held + width) as f64 / page_size;
+            let table = groupjoin_table_pages(pages, rows, aggs.len(), page_size as usize);
+            if !chunk.is_empty() && !hash_build_fits(table, self.b) {
+                fold(std::mem::take(&mut chunk), out)?;
+                held = 0;
+            }
+            held += width;
+            chunk.push(lt.clone());
+            Ok(())
+        })?;
+        if !chunk.is_empty() {
+            fold(chunk, out)?;
+        }
         Ok(())
     }
 
@@ -562,15 +679,15 @@ impl HashJoin<'_> {
     }
 
     /// The row of a left tuple `lt` nothing joined, under a left outer
-    /// join or an anti-join: padded with `NULL`s, or with the aggregates of
-    /// one all-`NULL` row.
+    /// join, an anti-join or a groupjoin that keeps it: padded with `NULL`s,
+    /// or with the aggregates of one all-`NULL` row or of none.
     fn unmatched(&self, lt: &Tuple) -> Tuple {
         match self.sink {
             Sink::Pairs(emit) | Sink::Unmatched(emit) => emit.padded(lt),
-            Sink::Groups(aggs) => {
+            Sink::Groups(aggs, unjoined) => {
                 let nulls = aggs.iter().map(|a| {
                     let mut state = AggState::new(a.func);
-                    if a.arg.is_none() {
+                    if a.arg.is_none() && unjoined == Unjoined::Padded {
                         state.accumulate_row();
                     }
                     state.finish()

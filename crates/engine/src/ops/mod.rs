@@ -46,6 +46,7 @@ mod hash_join;
 mod join;
 
 pub use agg::AggSpec;
+pub use hash_join::{KeySet, Unjoined};
 
 use crate::error::EngineError;
 use crate::expr::{CExpr, Joined, Projector, Row};

@@ -15,13 +15,23 @@
 //! `Int(2^53 + 1)`, which differ — are folded as the join pairs them. The
 //! debug assertion in the kernel (no in-memory pass below the depth cap
 //! holds more than `B − 2` pages of table) runs on every case too.
+//!
+//! A groupjoin over a list of key sets — a correlation `D1 OR D2 [OR D3]`,
+//! one disjunct of two columns, sometimes with a non-equality ANDed on —
+//! is held to a nested-loop join on that predicate followed by a GROUP BY
+//! per left row, for every way of emitting a left row nothing joined, over
+//! left sides with duplicate rows and `NULL` keys in every column: the rows
+//! in the left input's order and nothing written; and a table over `B − 2`
+//! pages reads the right side once per chunk of it, as many chunks as
+//! `cost::groupjoin_passes` estimates give or take one.
 
-use nsql_engine::cost::{groupjoin_table_pages, hash_partitions};
-use nsql_engine::{AggSpec, CPred, Exec, JoinKind};
+use nsql_engine::aggregate::AggState;
+use nsql_engine::cost::{groupjoin_passes, groupjoin_table_pages, hash_partitions};
+use nsql_engine::{AggSpec, CPred, Exec, JoinKind, Joined, KeySet, Unjoined};
 use nsql_sql::{parse_query, AggFunc};
 use nsql_storage::{HeapFile, Storage};
 use nsql_testkit::{forall, prop_assert, prop_assert_eq, Rng};
-use nsql_types::{Column, ColumnType, Relation, Schema, Value};
+use nsql_types::{Column, ColumnType, Relation, Schema, Tuple, Value};
 
 /// Pool sizes: one page of table, two, four, and a pool nothing here
 /// overflows.
@@ -155,6 +165,21 @@ fn kind_of(outer: bool) -> JoinKind {
     }
 }
 
+/// What the groupjoin that stands in for a join of `kind_of(outer)` and a
+/// GROUP BY emits for a left row nothing joined.
+fn unjoined_of(outer: bool) -> Unjoined {
+    if outer {
+        Unjoined::Padded
+    } else {
+        Unjoined::Dropped
+    }
+}
+
+/// The one key set `L.K = R.K`.
+fn on_k() -> [KeySet; 1] {
+    [KeySet { left: vec![0], right: vec![0] }]
+}
+
 /// The hash join of the case, grouped by both left columns, in a pool
 /// nothing overflows.
 fn joined_then_grouped(c: &Case) -> Relation {
@@ -187,10 +212,9 @@ fn the_groupjoin_is_the_join_grouped_by_the_left() {
             .hash_groupjoin(
                 &l,
                 &r,
-                &[0],
-                &[0],
+                &on_k(),
                 with_residual.then_some(&res),
-                kind_of(*outer),
+                unjoined_of(*outer),
                 &specs,
                 schema,
             )
@@ -250,7 +274,7 @@ fn a_left_side_over_b_minus_2_pages_is_partitioned() {
             let live = st.live_pages();
             let before = st.io_snapshot();
             let got = e
-                .hash_groupjoin(&l, &r, &[0], &[0], None, kind_of(outer), &specs, schema)
+                .hash_groupjoin(&l, &r, &on_k(), None, unjoined_of(outer), &specs, schema)
                 .unwrap();
             let io = st.io_snapshot().since(&before);
             assert!(io.writes > 0, "{keys} keys, outer {outer}: partitions written");
@@ -276,7 +300,7 @@ fn a_float_beyond_2_53_feeds_every_int_it_equals() {
     let (l, r) = (left_file(&st, &c.0), right_file(&st, &c.1));
     let (specs, schema) = aggregates(&c.5, 0);
     let got = e
-        .hash_groupjoin(&l, &r, &[0], &[0], None, JoinKind::LeftOuter, &specs, schema)
+        .hash_groupjoin(&l, &r, &on_k(), None, Unjoined::Padded, &specs, schema)
         .unwrap();
     let rows: Vec<String> = got.tuples().iter().map(|t| format!("{:?}", t.values())).collect();
     assert_eq!(
@@ -288,4 +312,214 @@ fn a_float_beyond_2_53_feeds_every_int_it_equals() {
         ]
     );
     assert_eq!(exact_bag(&got), exact_bag(&joined_then_grouped(&c)));
+}
+
+/// The disjunctions a key-set case draws from, over `L(K1, K2, K3, V)` and
+/// `R(K1, K2, K3, V)`, and their key sets (columns 0 to 2 on both sides).
+const DISJUNCTIONS: [(&str, &[&[usize]]); 3] = [
+    ("L.K1 = R.K1 OR L.K2 = R.K2", &[&[0], &[1]]),
+    ("L.K1 = R.K1 AND L.K2 = R.K2 OR R.K3 = L.K3", &[&[0, 1], &[2]]),
+    ("L.K1 = R.K1 OR L.K2 = R.K2 AND L.K3 > R.V OR L.K3 = R.K3", &[&[0], &[1], &[2]]),
+];
+
+/// A row `(K1, K2, K3, V)`.
+type Row = (Value, Value, Value, Value);
+
+/// (left rows, right rows, index into `POOLS`, index into `DISJUNCTIONS`,
+/// with a non-equality ANDed on, how an unjoined left row is emitted,
+/// indices into `AGGS`).
+type SetsCase = (Vec<Row>, Vec<Row>, usize, usize, bool, usize, Vec<usize>);
+
+fn values(row: &Row) -> Vec<Value> {
+    vec![row.0.clone(), row.1.clone(), row.2.clone(), row.3.clone()]
+}
+
+const UNJOINED: [Unjoined; 3] = [Unjoined::Dropped, Unjoined::Padded, Unjoined::Empty];
+
+/// Up to 140 rows a side (the right one empty one time in eight), keys
+/// over one to 40 values with one in ten `NULL`, and a left side drawn from
+/// a few rows repeated one time in four.
+fn sets_case(rng: &mut Rng) -> SetsCase {
+    let keys = *rng.choose(&[1, 4, 40]);
+    let row = |rng: &mut Rng| -> Row {
+        let mut k = || key(rng, keys, false, false);
+        let (k1, k2, k3) = (k(), k(), k());
+        let v = if rng.gen_bool(0.1) { Value::Null } else { Value::Int(rng.gen_range(0i64..200)) };
+        (k1, k2, k3, v)
+    };
+    let n = rng.gen_range(0usize..140);
+    let mut left: Vec<Row> = (0..n).map(|_| row(rng)).collect();
+    if rng.gen_bool(0.25) && !left.is_empty() {
+        let few = rng.gen_range(1usize..4).min(left.len());
+        for i in few..left.len() {
+            left[i] = left[rng.gen_range(0..few)].clone();
+        }
+    }
+    let n = if rng.gen_bool(0.125) { 0 } else { rng.gen_range(0usize..140) };
+    let right = (0..n).map(|_| row(rng)).collect();
+    let mut aggs: Vec<usize> = (0..AGGS.len()).collect();
+    rng.shuffle(&mut aggs);
+    aggs.truncate(rng.gen_range(1usize..AGGS.len() + 1));
+    let pool = rng.gen_range(0usize..POOLS.len());
+    let disjunction = rng.gen_range(0usize..DISJUNCTIONS.len());
+    let unjoined = rng.gen_range(0usize..UNJOINED.len());
+    (left, right, pool, disjunction, rng.gen_bool(0.5), unjoined, aggs)
+}
+
+/// `name(K1, K2, K3, V)` of `rows`.
+fn four_columns(st: &Storage, name: &str, rows: &[Row]) -> HeapFile {
+    let cols = ["K1", "K2", "K3", "V"];
+    let column = |c: &&str| Column::qualified(name, *c, ColumnType::Int);
+    let schema = Schema::new(cols.iter().map(column).collect());
+    HeapFile::from_tuples(st, schema, rows.iter().map(|r| Tuple::new(values(r))))
+}
+
+/// The case's correlation over `L ++ R`.
+fn correlation(c: &SetsCase, l: &HeapFile, r: &HeapFile) -> CPred {
+    let (text, _) = DISJUNCTIONS[c.3];
+    let text = if c.4 { format!("({text}) AND L.V < R.V") } else { text.to_string() };
+    let q = parse_query(&format!("SELECT L.V FROM L, R WHERE {text}")).unwrap();
+    CPred::compile(&l.schema().join(r.schema()), q.where_clause.as_ref().unwrap()).unwrap()
+}
+
+/// The nested-loop join of `l` and `r` on `pred` grouped per left row: each
+/// left row (duplicates apart) then `specs` over the right rows `pred` is
+/// TRUE for, and a row nothing joined emitted as `unjoined` says.
+fn nested_loop_grouped(
+    l: &[Row],
+    r: &[Row],
+    pred: &CPred,
+    specs: &[AggSpec],
+    unjoined: Unjoined,
+) -> Vec<Vec<Value>> {
+    let mut out = Vec::new();
+    for lv in l.iter().map(values) {
+        let lt = Tuple::new(lv.clone());
+        let mut states: Vec<AggState> = specs.iter().map(|a| AggState::new(a.func)).collect();
+        let mut matched = false;
+        for rv in r.iter().map(values) {
+            let rt = Tuple::new(rv.clone());
+            if !pred.accepts_row(&Joined::new(&lt, &rt)).unwrap() {
+                continue;
+            }
+            matched = true;
+            for (state, spec) in states.iter_mut().zip(specs) {
+                match spec.arg {
+                    Some(i) => state.accumulate(&rv[i]).unwrap(),
+                    None => state.accumulate_row(),
+                }
+            }
+        }
+        match (matched, unjoined) {
+            (false, Unjoined::Dropped) => continue,
+            (false, Unjoined::Padded) => {
+                for (state, spec) in states.iter_mut().zip(specs) {
+                    if spec.arg.is_none() {
+                        state.accumulate_row();
+                    }
+                }
+            }
+            _ => {}
+        }
+        out.push(lv.iter().cloned().chain(states.iter().map(AggState::finish)).collect());
+    }
+    out
+}
+
+#[test]
+fn key_sets_are_the_or_join_grouped_per_left_row() {
+    forall(300, "key_sets_are_the_or_join_grouped_per_left_row", sets_case, |c| {
+        let (left, right, pool, disjunction, _, unjoined, picked) = c;
+        let b = POOLS[*pool];
+        let st = Storage::new(b, PAGE_SIZE);
+        let e = Exec::new(st.clone());
+        let (l, r) = (four_columns(&st, "L", left), four_columns(&st, "R", right));
+        let pred = correlation(c, &l, &r);
+        let keys: Vec<KeySet> = DISJUNCTIONS[*disjunction]
+            .1
+            .iter()
+            .map(|cols| KeySet { left: cols.to_vec(), right: cols.to_vec() })
+            .collect();
+        // Arguments over `R.V`, column 3.
+        let mut cols: Vec<Column> =
+            ["K1", "K2", "K3", "V"].iter().map(|c| Column::new(*c, ColumnType::Int)).collect();
+        let specs: Vec<AggSpec> = picked
+            .iter()
+            .map(|&a| {
+                let (func, arg, ty) = AGGS[a];
+                cols.push(Column::new(format!("A{a}"), ty));
+                AggSpec { func, arg: arg.map(|_| 3) }
+            })
+            .collect();
+        let unjoined = UNJOINED[*unjoined];
+        st.clear_buffer();
+        let live = st.live_pages();
+        let before = st.io_snapshot();
+        let got = e
+            .hash_groupjoin(&l, &r, &keys, Some(&pred), unjoined, &specs, Schema::new(cols))
+            .unwrap();
+        let io = st.io_snapshot().since(&before);
+        prop_assert_eq!(st.live_pages(), live, "nothing left behind");
+
+        // The same rows in the same order: the left input's, chunk by chunk.
+        let want = nested_loop_grouped(left, right, &pred, &specs, unjoined);
+        let got: Vec<String> = got.tuples().iter().map(|t| format!("{:?}", t.values())).collect();
+        let want: Vec<String> = want.iter().map(|t| format!("{t:?}")).collect();
+        prop_assert_eq!(got, want, "B = {b}");
+
+        let table = groupjoin_table_pages(
+            l.page_count() as f64,
+            l.tuple_count() as f64,
+            specs.len(),
+            PAGE_SIZE,
+        );
+        let (lp, rp) = (l.page_count() as u64, r.page_count() as u64);
+        prop_assert_eq!(io.writes, 0, "chunks are held, never written");
+        if hash_partitions(table, b as f64) == 0 {
+            prop_assert_eq!(io.reads, lp + rp, "in memory: Pl + Pr");
+        } else {
+            // The left side once, the right side once per chunk through the
+            // pool: a chunk holds a row at least.
+            let rows = l.tuple_count() as u64;
+            prop_assert!(io.reads >= lp + rp, "{io:?}");
+            prop_assert!(io.reads <= lp + rows * rp, "{rows} left rows: {io:?}");
+        }
+        Ok(())
+    });
+}
+
+/// Through a three-page pool a table of a left side of 60 rows is several
+/// chunks, each a pass over a right side of more pages than the pool: the
+/// right side is read once per chunk, as many as `cost::groupjoin_passes`
+/// says, give or take the last row of a chunk.
+#[test]
+fn a_table_over_b_minus_2_pages_reads_the_right_once_per_chunk() {
+    let row = |i: i64| (Value::Int(i % 7), Value::Int(i % 5), Value::Null, Value::Int(i));
+    let left: Vec<Row> = (0..60).map(row).collect();
+    let right: Vec<Row> = (0..90).map(|i| row(i * 3)).collect();
+    let st = Storage::new(POOLS[0], PAGE_SIZE);
+    let e = Exec::new(st.clone());
+    let (l, r) = (four_columns(&st, "L", &left), four_columns(&st, "R", &right));
+    let c: SetsCase = (left.clone(), right.clone(), 0, 0, false, 2, vec![1]);
+    let pred = correlation(&c, &l, &r);
+    let keys = [KeySet { left: vec![0], right: vec![0] }, KeySet { left: vec![1], right: vec![1] }];
+    let specs = [AggSpec { func: AggFunc::Count, arg: None }];
+    let schema = Schema::new(
+        ["K1", "K2", "K3", "V", "N"].iter().map(|c| Column::new(*c, ColumnType::Int)).collect(),
+    );
+    let table = groupjoin_table_pages(l.page_count() as f64, 60.0, 1, PAGE_SIZE);
+    let passes = groupjoin_passes(table, POOLS[0] as f64) as u64;
+    assert!(passes > 2 && r.page_count() > POOLS[0], "{passes} passes");
+    st.clear_buffer();
+    let before = st.io_snapshot();
+    let got =
+        e.hash_groupjoin(&l, &r, &keys, Some(&pred), Unjoined::Empty, &specs, schema).unwrap();
+    let io = st.io_snapshot().since(&before);
+    let (lp, rp) = (l.page_count() as u64, r.page_count() as u64);
+    assert_eq!(io.writes, 0);
+    assert_eq!((io.reads - lp) % rp, 0, "{io:?}");
+    assert!((io.reads - lp) / rp >= passes - 1 && (io.reads - lp) / rp <= passes + 1, "{io:?}");
+    let want = nested_loop_grouped(&left, &right, &pred, &specs, Unjoined::Empty);
+    let got: Vec<Vec<Value>> = got.tuples().iter().map(|t| t.values().to_vec()).collect();
+    assert_eq!(got, want);
 }

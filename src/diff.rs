@@ -460,6 +460,29 @@ impl<'a> QueryGen<'a> {
         }
     }
 
+    /// Two correlation conjuncts ORed, the second to the relation the
+    /// first references — `inner.c = outer.c OR inner.d = outer.d` most of
+    /// the time, which the default path evaluates as one groupjoin per
+    /// outer row when that relation is the parent block's.
+    fn disjunctive_correlation(
+        &mut self,
+        rng: &mut Rng,
+        locals: &[ScopeCol],
+        outer: &[ScopeCol],
+    ) -> Predicate {
+        let first = self.correlation(rng, locals, outer);
+        let Predicate::Compare { left: Operand::Column(a), right: Operand::Column(b), .. } = &first
+        else {
+            unreachable!("a correlation compares two columns")
+        };
+        let inner = |c: &ColumnRef| locals.iter().any(|l| Some(&l.alias) == c.table.as_ref());
+        let relation = if inner(a) { &b.table } else { &a.table };
+        let same: Vec<ScopeCol> =
+            outer.iter().filter(|c| Some(&c.alias) == relation.as_ref()).cloned().collect();
+        let second = self.correlation(rng, locals, &same);
+        Predicate::Or(vec![first, second])
+    }
+
     fn block(
         &mut self,
         rng: &mut Rng,
@@ -521,7 +544,13 @@ impl<'a> QueryGen<'a> {
             }
         }
         if !outer.is_empty() && rng.gen_bool(0.75) {
-            conjuncts.push(self.correlation(rng, &locals, outer));
+            let correlation = match mode {
+                BlockMode::OneAgg if rng.gen_bool(0.5) => {
+                    self.disjunctive_correlation(rng, &locals, outer)
+                }
+                _ => self.correlation(rng, &locals, outer),
+            };
+            conjuncts.push(correlation);
         }
         let where_clause =
             if conjuncts.is_empty() { None } else { Some(Predicate::and(conjuncts)) };
@@ -724,6 +753,8 @@ pub struct PlanCounts {
     pub partitioned_joins: u64,
     /// Anti-join steps (`NOT IN`, `!= ALL`, `NOT EXISTS`).
     pub anti_joins: u64,
+    /// Groupjoins per outer row of a block correlated by a disjunction.
+    pub per_row_groupjoins: u64,
 }
 
 struct Pipeline {
@@ -997,10 +1028,11 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
                 // type-JA temporary, which EXISTS, a non-`= ANY` quantifier
                 // and an aggregate block become: the outer-join grouping
                 // family diverges. A `NOT EXISTS` or `NOT IN` the plan
-                // anti-joins is exact, and licenses nothing.
+                // anti-joins, and a block correlated by a disjunction, which
+                // it evaluates per outer row, are exact, and license nothing.
                 Ok(out)
                     if notes.null_outer_ref
-                        && out.explain.iter().any(|l| l.starts_with("type-JA nesting")) =>
+                        && out.explain.iter().any(|l| l.starts_with("type-JA nesting: applying")) =>
                 {
                     report.push((p.name, SKIP, PlanCounts::default()))
                 }
@@ -1042,6 +1074,11 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
                             .explain
                             .iter()
                             .filter(|l| l.contains(" anti-join (") && !l.contains(": "))
+                            .count() as u64,
+                        per_row_groupjoins: out
+                            .explain
+                            .iter()
+                            .filter(|l| l.starts_with("groupjoin (") && l.contains(" key sets)"))
                             .count() as u64,
                     };
                     report.push((p.name, COMPARED, counts));
@@ -1094,6 +1131,9 @@ fn keyed_multi_relation_temps(
             | LogicalPlan::Aggregate { input, .. } => joins_without_key(input),
             LogicalPlan::Join { left, right, on, .. } => {
                 on.is_empty() || joins_without_key(left) || joins_without_key(right)
+            }
+            LogicalPlan::Apply { outer, inner, .. } => {
+                joins_without_key(outer) || joins_without_key(inner)
             }
         }
     }
@@ -1191,6 +1231,9 @@ pub struct PipelineStats {
     pub partitioned_joins: u64,
     /// Anti-join steps in the same output; none under `tr-literal`.
     pub anti_joins: u64,
+    /// Groupjoins per outer row in the same output; none under
+    /// `tr-literal`.
+    pub per_row_groupjoins: u64,
 }
 
 /// Run `cases` random differential cases under the testkit property runner
@@ -1227,6 +1270,7 @@ fn run_property_with(
                                 restricted_inputs: 0,
                                 partitioned_joins: 0,
                                 anti_joins: 0,
+                                per_row_groupjoins: 0,
                             });
                             stats.last_mut().expect("just pushed")
                         }
@@ -1235,6 +1279,7 @@ fn run_property_with(
                     entry.restricted_inputs += counts.restricted_inputs;
                     entry.partitioned_joins += counts.partitioned_joins;
                     entry.anti_joins += counts.anti_joins;
+                    entry.per_row_groupjoins += counts.per_row_groupjoins;
                     if compared {
                         entry.compared += 1;
                     } else {
@@ -1305,6 +1350,8 @@ mod tests {
         let mut rng = Rng::from_seed(11);
         let (mut nested, mut nulls, mut dups, mut grouped, mut operand) = (0, 0, 0, 0, 0);
         let (mut aliased, mut ordered, mut bare_keys, mut alias_keys) = (0, 0, 0, 0);
+        // Aggregate blocks correlated by an `OR` of two column comparisons.
+        let mut disjunctive = 0;
         // Literal items in a plain, a grouped and a global-aggregate list.
         let mut literals = [0; 3];
         for _ in 0..300 {
@@ -1317,6 +1364,15 @@ mod tests {
             if has_operand_position_subquery(&case.query) {
                 operand += 1;
             }
+            let comparison = |p: &Predicate| {
+                let column = |o: &Operand| matches!(o, Operand::Column(_));
+                matches!(p, Predicate::Compare { left, right, .. } if column(left) && column(right))
+            };
+            let ored = |p: &Predicate| matches!(p, Predicate::Or(ds) if ds.iter().all(comparison));
+            disjunctive += blocks[1..].iter().any(|b| {
+                let mut conjuncts = b.where_clause.iter().flat_map(|w| w.conjuncts());
+                b.has_aggregate_select() && conjuncts.any(ored)
+            }) as usize;
             let q = &case.query;
             if !q.group_by.is_empty() {
                 grouped += 1;
@@ -1348,6 +1404,7 @@ mod tests {
         assert!(dups > 100, "duplicate-row biasing must bite: {dups}");
         assert!(grouped > 20, "GROUP BY outer blocks must occur: {grouped}");
         assert!(operand > 5, "operand-position subqueries must occur: {operand}");
+        assert!(disjunctive > 10, "OR-correlated aggregate blocks must occur: {disjunctive}");
         assert!(aliased > 20, "select aliases must occur: {aliased}");
         assert!(ordered > 40 && bare_keys > 5, "ORDER BY must occur: {ordered}, {bare_keys} bare");
         assert!(alias_keys > 3, "ORDER BY a select alias must occur: {alias_keys}");

@@ -105,6 +105,16 @@ fn every_pipeline_agrees_with_the_oracle() {
     if compared >= 100 {
         assert!(anti("tr-cost-serial") > 0, "[tr-cost-serial] no case ran an anti-join");
     }
+    // A block correlated by a disjunction meets the oracle as one groupjoin
+    // per outer row, as a bag, on the default plans; the paper's refuse it.
+    let per_row =
+        |name: &str| stats.iter().find(|s| s.name == name).map_or(0, |s| s.per_row_groupjoins);
+    let (default, literal) = (per_row("tr-cost-serial"), per_row("tr-literal"));
+    eprintln!("per-row groupjoins: {default} default, {literal} literal");
+    assert_eq!(literal, 0, "[tr-literal] ran a per-row groupjoin");
+    if compared >= 100 {
+        assert!(default > 0, "[tr-cost-serial] no case ran a per-row groupjoin");
+    }
     // Grace partitioning must meet the oracle too: on the three-page pool
     // the forced hash join partitions every build side over one page, and
     // a sweep in which none was partitioned compared the in-memory join
