@@ -120,6 +120,26 @@ mod tests {
         assert_eq!(classify_inner(&inner), NestingType::TypeJA);
     }
 
+    /// A block whose FROM entry reuses an enclosing name still reads as
+    /// correlated: the analyzer renamed the entry apart.
+    #[test]
+    fn a_shadowing_block_is_correlated() {
+        for src in [
+            "SELECT X.PNUM FROM PARTS X WHERE X.PNUM IN \
+             (SELECT X.PNUM FROM SUPPLY X WHERE QUAN = QOH)",
+            "SELECT X.PNUM FROM PARTS X WHERE 1 = \
+             (SELECT COUNT(QUAN) FROM SUPPLY X WHERE QUAN = QOH)",
+            "SELECT X.PNUM FROM PARTS X WHERE QOH = \
+             (SELECT MAX(QUAN) FROM SUPPLY X WHERE QUAN <= QOH)",
+        ] {
+            assert!(block_is_correlated(&inner_of(src)), "{src}");
+        }
+        let src = "SELECT X.PNUM FROM PARTS X WHERE EXISTS \
+                   (SELECT QUAN FROM SUPPLY X WHERE QUAN = QOH)";
+        let q = crate::analyze(&PaperCatalog::new(), &parse_query(src).unwrap()).unwrap();
+        assert!(block_is_correlated(q.block().child_blocks()[0]), "{src}");
+    }
+
     #[test]
     fn unqualified_correlation_detected() {
         // ORIGIN belongs to SP; inner FROM has only P, so the bare ORIGIN

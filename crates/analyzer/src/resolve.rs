@@ -7,13 +7,21 @@
 //! blocks nested in its WHERE clause, and pops the scope again. Each
 //! reference is rewritten to carry the effective name of the FROM entry it
 //! binds to, so that what comes after — classification, the NEST-G
-//! transformation, EXPLAIN's query tree — reads correlation off the
-//! qualifiers and never looks a schema up again.
+//! transformation, nested iteration, EXPLAIN's query tree — reads
+//! correlation off the qualifiers and never looks a schema up again.
+//!
+//! A qualifier is a binding: no two scopes of one chain share a name. A FROM
+//! entry whose effective name an enclosing scope already binds gets a fresh
+//! alias (`X` → `X_1`), and the references that bind to it are qualified
+//! with that alias; names the statement wrote still resolve as written. The
+//! names the chain binds are kept with the walk, counted per name past the
+//! first few, so the check is linear. Siblings and the top level keep their
+//! names.
 
 use crate::error::AnalyzeError;
 use crate::Result;
-use nsql_sql::{AggArg, ColumnRef, InRhs, Operand, Predicate, QueryBlock, ScalarExpr};
-use nsql_types::{Schema, TypeError};
+use nsql_sql::{AggArg, ColumnRef, InRhs, Operand, Predicate, QueryBlock, ScalarExpr, TableRef};
+use nsql_types::{FxHashMap, Schema, TypeError};
 
 /// Source of table schemas (implemented by the catalog in `nsql-db`).
 pub trait SchemaSource {
@@ -57,13 +65,14 @@ impl Analyzed {
 }
 
 /// Resolve `block`: every table exists, no FROM clause names two entries
-/// alike, and every column reference binds in some scope, unambiguously.
-/// Errors come level by level: a block's FROM clause, then the references
+/// alike, and every column reference binds in some scope, unambiguously. A
+/// nested FROM entry named as an enclosing one is renamed apart (see the
+/// module docs). Errors come level by level: a block's FROM clause, then the references
 /// of its SELECT, WHERE, GROUP BY and ORDER BY clauses, then its nested
 /// blocks in evaluation order.
 pub fn analyze<S: SchemaSource>(catalog: &S, block: &QueryBlock) -> Result<Analyzed> {
     let mut block = block.clone();
-    let schema = walk(catalog, &mut block, &mut Vec::new())?;
+    let schema = walk(catalog, &mut block, &mut Chain::default())?;
     Ok(Analyzed { block, schema })
 }
 
@@ -72,24 +81,114 @@ pub fn validate_query<S: SchemaSource>(catalog: &S, block: &QueryBlock) -> Resul
     analyze(catalog, block).map(|a| a.schema)
 }
 
-/// Qualify `block` under the enclosing `scopes` (outermost first) and
-/// return its own scope, which is on the stack only while it is walked.
-fn walk<S: SchemaSource>(
-    catalog: &S,
-    block: &mut QueryBlock,
-    scopes: &mut Vec<Schema>,
-) -> Result<Schema> {
-    scopes.push(block_schema(catalog, block)?);
-    let walked = resolve_block(catalog, block, scopes);
-    let local = scopes.pop().expect("pushed above");
-    walked.map(|()| local)
+/// The scopes enclosing the block being walked, outermost first, and the
+/// names their FROM entries bind.
+#[derive(Default)]
+struct Chain {
+    scopes: Vec<Scope>,
+    /// The bound names as a stack, in walk order, each by a case-folded hash
+    /// so that a lookup allocates nothing: the first `NEAR` in place, which
+    /// a short chain never leaves, and per name how many of the rest bind it.
+    /// Two names whose hashes meet count as one, which can only rename an
+    /// entry that did not need it.
+    near: [u64; NEAR],
+    far: FxHashMap<u64, u32>,
+    depth: usize,
+}
+
+/// Bound names a chain holds without allocating.
+const NEAR: usize = 8;
+
+impl Chain {
+    fn key(name: &str) -> u64 {
+        name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b.to_ascii_uppercase())).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    fn binds(&self, name: &str) -> bool {
+        let key = Chain::key(name);
+        self.near[..self.depth.min(NEAR)].contains(&key) || self.far.contains_key(&key)
+    }
+
+    /// Push the names of a FROM clause.
+    fn enter(&mut self, from: &[TableRef]) {
+        for t in from {
+            let key = Chain::key(t.effective_name());
+            match self.near.get_mut(self.depth) {
+                Some(slot) => *slot = key,
+                None => *self.far.entry(key).or_default() += 1,
+            }
+            self.depth += 1;
+        }
+    }
+
+    /// Pop them again.
+    fn leave(&mut self, from: &[TableRef]) {
+        for t in from.iter().rev() {
+            self.depth -= 1;
+            if self.depth >= NEAR {
+                let key = Chain::key(t.effective_name());
+                match self.far.get_mut(&key) {
+                    Some(n) if *n > 1 => *n -= 1,
+                    _ => {
+                        self.far.remove(&key);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One block's FROM scope.
+struct Scope {
+    /// Each table's schema qualified by the name the statement wrote.
+    schema: Schema,
+    /// `(written, bound)`: the entries renamed apart from an enclosing
+    /// scope, by the name references write and the name they are given.
+    renamed: Vec<(String, String)>,
+}
+
+/// Qualify `block` under the enclosing `chain` and return its own scope,
+/// which is on the chain only while it is walked.
+fn walk<S: SchemaSource>(catalog: &S, block: &mut QueryBlock, chain: &mut Chain) -> Result<Schema> {
+    let schema = block_schema(catalog, block)?;
+    let renamed = rename_shadowing(block, chain);
+    chain.enter(&block.from);
+    chain.scopes.push(Scope { schema, renamed });
+    let walked = resolve_block(catalog, block, chain);
+    let local = chain.scopes.pop().expect("pushed above");
+    chain.leave(&block.from);
+    walked.map(|()| local.schema)
+}
+
+/// Give each FROM entry of `block` whose effective name the `chain` binds
+/// the first free alias `NAME_n` — one the chain does not bind and no entry
+/// of this FROM clause is named — and return the renames.
+fn rename_shadowing(block: &mut QueryBlock, chain: &Chain) -> Vec<(String, String)> {
+    let mut renamed = Vec::new();
+    for i in 0..block.from.len() {
+        if !chain.binds(block.from[i].effective_name()) {
+            continue;
+        }
+        let written = block.from[i].effective_name().to_ascii_uppercase();
+        let taken = |name: &str| {
+            chain.binds(name)
+                || block.from.iter().any(|t| t.effective_name().eq_ignore_ascii_case(name))
+        };
+        let fresh = (1..).map(|n| format!("{written}_{n}")).find(|n| !taken(n)).expect("some n");
+        block.from[i].alias = Some(fresh.clone());
+        renamed.push((written, fresh));
+    }
+    renamed
 }
 
 fn resolve_block<S: SchemaSource>(
     catalog: &S,
     block: &mut QueryBlock,
-    scopes: &mut Vec<Schema>,
+    chain: &mut Chain,
 ) -> Result<()> {
+    let scopes = &chain.scopes;
     for item in &mut block.select {
         if let ScalarExpr::Column(c) | ScalarExpr::Aggregate(_, AggArg::Column(c)) = &mut item.expr
         {
@@ -122,21 +221,23 @@ fn resolve_block<S: SchemaSource>(
     if let Some(w) = &mut block.where_clause {
         each_site(w, &mut |site| match site {
             Site::Column(_) => Ok(()),
-            Site::Block(inner) => walk(catalog, inner, scopes).map(drop),
+            Site::Block(inner) => walk(catalog, inner, chain).map(drop),
         })?;
     }
     Ok(())
 }
 
-/// Bind `c` to the nearest scope that resolves it and qualify it with that
-/// entry's effective name.
-fn bind(scopes: &[Schema], c: &mut ColumnRef) -> Result<()> {
+/// Bind `c` to the nearest scope that resolves it, by the names the
+/// statement wrote, and qualify it with the name that entry is bound by.
+fn bind(scopes: &[Scope], c: &mut ColumnRef) -> Result<()> {
     for scope in scopes.iter().rev() {
-        match scope.resolve(c.table.as_deref(), &c.column) {
+        match scope.schema.resolve(c.table.as_deref(), &c.column) {
             Ok(i) => {
-                let table = &scope.columns()[i].table;
-                if c.table != *table {
-                    c.table.clone_from(table);
+                let written = scope.schema.columns()[i].table.as_deref().unwrap_or_default();
+                let renamed = scope.renamed.iter().find(|(w, _)| w.eq_ignore_ascii_case(written));
+                let table = renamed.map_or(written, |(_, bound)| bound.as_str());
+                if c.table.as_deref() != Some(table) {
+                    c.table = Some(table.to_string());
                 }
                 return Ok(());
             }
@@ -454,6 +555,88 @@ mod tests {
         // SNO is in both S and SP.
         let q = parse_query("SELECT SNO FROM S, SP").unwrap();
         assert!(matches!(validate_query(&cat, &q), Err(AnalyzeError::AmbiguousColumn(_))));
+    }
+
+    /// An inner FROM entry named as an enclosing one is renamed apart, and
+    /// the references that bind to it follow; one that binds outside it
+    /// keeps the enclosing name.
+    #[test]
+    fn a_shadowing_entry_is_renamed_and_its_references_follow() {
+        assert_eq!(
+            qualified(
+                "SELECT X.PNUM FROM PARTS X WHERE QOH = \
+                 (SELECT MAX(QUAN) FROM SUPPLY X WHERE X.PNUM = 3 AND QUAN <= QOH)",
+            ),
+            "SELECT X.PNUM FROM PARTS X WHERE X.QOH = (SELECT MAX(X_1.QUAN) FROM SUPPLY X_1 \
+             WHERE X_1.PNUM = 3 AND X_1.QUAN <= X.QOH)"
+        );
+        // Unaliased, the table name is the one renamed.
+        assert_eq!(
+            qualified(
+                "SELECT PNUM FROM PARTS WHERE PNUM IN (SELECT PNUM FROM PARTS WHERE QOH > 1)"
+            ),
+            "SELECT PARTS.PNUM FROM PARTS WHERE PARTS.PNUM IN \
+             (SELECT PARTS_1.PNUM FROM PARTS PARTS_1 WHERE PARTS_1.QOH > 1)"
+        );
+    }
+
+    /// The fresh name is one no scope of the chain binds and no entry of the
+    /// FROM clause is named; a third level reusing the name gets the next
+    /// one, and its references bind to the nearest scope by the written
+    /// name.
+    #[test]
+    fn fresh_names_avoid_the_chain_and_the_from_clause() {
+        let printed = qualified(
+            "SELECT X.PNUM FROM PARTS X, SUPPLY X_1 WHERE X.QOH IN \
+             (SELECT X.PNUM FROM PARTS X WHERE X.PNUM IN \
+              (SELECT X.PNUM FROM SUPPLY X WHERE X.QUAN = X_1.QUAN))",
+        );
+        assert!(printed.contains("(SELECT X_2.PNUM FROM PARTS X_2 WHERE X_2.PNUM IN"), "{printed}");
+        assert!(
+            printed.ends_with("(SELECT X_3.PNUM FROM SUPPLY X_3 WHERE X_3.QUAN = X_1.QUAN))"),
+            "{printed}"
+        );
+        let printed = qualified(
+            "SELECT X.PNUM FROM PARTS X WHERE X.QOH IN (SELECT X.QUAN FROM SUPPLY X, PARTS X_1)",
+        );
+        assert!(printed.ends_with("(SELECT X_2.QUAN FROM SUPPLY X_2, PARTS X_1)"), "{printed}");
+    }
+
+    /// Past the names a chain holds in place: thirteen levels that each
+    /// reuse `X` are `X`, `X_1`, …, `X_12`, and a sibling of the third level,
+    /// walked after the chain below it has been left, is `X_2` again.
+    #[test]
+    fn a_deep_chain_of_one_name_is_renamed_level_by_level() {
+        let mut src = String::new();
+        for _ in 0..12 {
+            src.push_str("SELECT X.PNUM FROM PARTS X WHERE X.QOH IN (");
+        }
+        src.push_str("SELECT X.PNUM FROM PARTS X");
+        src.push_str(&")".repeat(11));
+        src.push_str(" AND X.PNUM IN (SELECT X.PNUM FROM SUPPLY X WHERE X.QUAN = X.QOH))");
+        let printed = qualified(&src);
+        for n in 1..=11 {
+            assert!(printed.contains(&format!("FROM PARTS X_{n} WHERE X_{n}.QOH IN")), "{printed}");
+        }
+        assert!(printed.contains("FROM PARTS X_12)"), "{printed}");
+        assert!(
+            printed.ends_with("(SELECT X_2.PNUM FROM SUPPLY X_2 WHERE X_2.QUAN = X_1.QOH))"),
+            "{printed}"
+        );
+    }
+
+    /// Siblings and the top level keep their names: figure 2 reuses `P` in
+    /// two sibling blocks.
+    #[test]
+    fn siblings_and_the_top_level_keep_their_names() {
+        let src = "SELECT SNAME FROM S WHERE SNO IN (SELECT SNO FROM SP WHERE PNO IN \
+                   (SELECT PNO FROM P WHERE P.CITY = S.CITY)) AND CITY IN (SELECT CITY FROM P)";
+        let printed = qualified(src);
+        assert_eq!(
+            printed,
+            "SELECT S.SNAME FROM S WHERE S.SNO IN (SELECT SP.SNO FROM SP WHERE SP.PNO IN \
+             (SELECT P.PNO FROM P WHERE P.CITY = S.CITY)) AND S.CITY IN (SELECT P.CITY FROM P)"
+        );
     }
 
     #[test]

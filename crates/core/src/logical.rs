@@ -102,12 +102,15 @@ pub enum LogicalPlan {
     /// `correlation` is TRUE for paired with it — an empty group's values
     /// where it is TRUE for none. Every such pair equates the columns of one
     /// list of `keys` (one list per disjunct of the correlation). Output:
-    /// `outer`'s columns, then one per aggregate.
+    /// the `kept` columns of `outer`, then one per aggregate.
     Apply {
         /// The group table's rows.
         outer: Box<LogicalPlan>,
         /// The name `outer`'s columns go by in `keys` and `correlation`.
         outer_name: String,
+        /// The columns of `outer` read after the Apply, by name, in
+        /// `outer`'s order; the ones only the correlation reads go.
+        kept: Vec<String>,
         /// The rows folded into the groups.
         inner: Box<LogicalPlan>,
         /// Per disjunct, its equalities (left: outer column, right: inner).
@@ -189,15 +192,16 @@ impl LogicalPlan {
                 ));
                 input.explain_into(out, indent + 1);
             }
-            LogicalPlan::Apply { outer, outer_name, inner, keys, correlation, aggs } => {
+            LogicalPlan::Apply { outer, outer_name, kept, inner, keys, correlation, aggs } => {
                 let and = |set: &Vec<JoinPred>| {
                     set.iter().map(JoinPred::to_string).collect::<Vec<_>>().join(" AND ")
                 };
                 let keys: Vec<String> = keys.iter().map(and).collect();
                 out.push_str(&format!(
-                    "{pad}Apply PER ROW OF {outer_name} ON {} KEYS [{}] COMPUTE [{}]\n",
+                    "{pad}Apply PER ROW OF {outer_name} ON {} KEYS [{}] KEEP [{}] COMPUTE [{}]\n",
                     nsql_sql::print_predicate(correlation),
                     keys.join("; "),
+                    kept.join(", "),
                     agg_list(aggs)
                 ));
                 outer.explain_into(out, indent + 1);

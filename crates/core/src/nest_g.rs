@@ -507,46 +507,49 @@ impl Ctx {
         let restriction: Vec<Predicate> = kept.iter().filter(|p| own(p)).cloned().collect();
         kept.retain(|p| !own(p));
 
-        // What is read of `R` after the restriction.
-        let mut reads: Vec<&ColumnRef> = Vec::new();
+        // What is read of `R` after the restriction: by the groupjoin alone
+        // (this block's references), or after it too.
+        let mut reads: Vec<(&ColumnRef, bool)> = Vec::new();
         for item in &block.select {
             match &item.expr {
                 ScalarExpr::Column(c) | ScalarExpr::Aggregate(_, AggArg::Column(c)) => {
-                    reads.push(c)
+                    reads.push((c, true))
                 }
                 _ => {}
             }
         }
-        reads.extend(&block.group_by);
-        reads.extend(block.order_by.iter().map(|k| &k.column));
-        reads.extend(kept.iter().flat_map(predicate_column_refs));
+        reads.extend(block.group_by.iter().map(|c| (c, true)));
+        reads.extend(block.order_by.iter().map(|k| (&k.column, true)));
+        reads.extend(kept.iter().flat_map(predicate_column_refs).map(|c| (c, true)));
         for per_row in std::iter::once(this).chain(later) {
             if let Operand::Column(c) = &per_row.operand {
-                reads.push(c);
+                reads.push((c, true));
             }
-            reads.extend(level_column_refs(&per_row.inner));
+            let after = !std::ptr::eq(per_row, this);
+            reads.extend(level_column_refs(&per_row.inner).into_iter().map(|c| (c, after)));
         }
         // An anti-joined relation named `R` hides this block's.
         for anti in self.anti_joins[first_anti..].iter().filter(|a| a.name() != name) {
             let preds = anti.conjuncts.iter().chain(&anti.null_aware);
-            reads.extend(preds.flat_map(predicate_column_refs));
+            reads.extend(preds.flat_map(predicate_column_refs).map(|c| (c, true)));
         }
-        let mut columns: Vec<&str> = Vec::new();
-        for c in reads.into_iter().filter(|c| c.table.as_deref() == Some(name)) {
-            if !columns.contains(&c.column.as_str()) {
-                columns.push(&c.column);
+        let mut columns: Vec<(&str, bool)> = Vec::new();
+        for (c, after) in reads.into_iter().filter(|(c, _)| c.table.as_deref() == Some(name)) {
+            match columns.iter_mut().find(|(seen, _)| *seen == c.column) {
+                Some(seen) => seen.1 |= after,
+                None => columns.push((&c.column, after)),
             }
         }
 
         let temp = self.namer.fresh("TEMP");
         let mut agg = temp.replacen("TEMP", "AGG", 1);
-        while columns.iter().any(|c| c.eq_ignore_ascii_case(&agg)) {
+        while columns.iter().any(|(c, _)| c.eq_ignore_ascii_case(&agg)) {
             agg.push('_');
         }
         let table = block.from[at].table.clone();
         let scan = LogicalPlan::Scan { table, alias: Some(name.into()) };
         let restriction = (!restriction.is_empty()).then(|| Predicate::and(restriction));
-        let items = columns.iter().map(|c| SelectItem::column(ColumnRef::qualified(name, *c)));
+        let items = columns.iter().map(|(c, _)| SelectItem::column(ColumnRef::qualified(name, *c)));
         let outer = LogicalPlan::Project {
             input: Box::new(scan.filtered(restriction)),
             items: items.collect(),
@@ -567,6 +570,7 @@ impl Ctx {
         let plan = LogicalPlan::Apply {
             outer: Box::new(outer),
             outer_name: name.to_string(),
+            kept: columns.iter().filter(|(_, after)| *after).map(|(c, _)| c.to_string()).collect(),
             inner: Box::new(inner_from_plan(&this.inner)?.filtered(ja.local_pred.clone())),
             keys,
             correlation: disjunction.predicate.clone(),
@@ -1041,30 +1045,31 @@ mod tests {
     }
 
     /// An anti-join inside a block NEST-N-J merges rides along with it: its
-    /// references to a renamed relation of that block follow the rename,
-    /// and its own relation, named as a relation of the canonical query,
-    /// is renamed apart.
+    /// references to a relation of that block that a sibling's merge has
+    /// already brought in follow the rename, and its own relation, named as
+    /// a relation of the canonical query, is renamed apart.
     #[test]
     fn merged_anti_joins_follow_renames() {
         let plan = transform(
-            "SELECT SNO FROM SP WHERE PNO IN (SELECT PNO FROM SP WHERE SP.QTY NOT IN \
-             (SELECT WEIGHT FROM P WHERE P.PNO = SP.PNO))",
+            "SELECT SNO FROM S WHERE SNO IN (SELECT SNO FROM SP WHERE QTY > 1) AND SNO IN \
+             (SELECT SNO FROM SP WHERE SP.QTY NOT IN (SELECT WEIGHT FROM P WHERE P.PNO = SP.PNO))",
         );
         let [anti] = plan.anti_joins.as_slice() else { panic!("{plan}") };
         let canonical = print_query(&plan.canonical);
         let renamed = plan.trace.iter().find_map(|l| l.strip_prefix("renamed inner table SP to "));
         let renamed = renamed.unwrap_or_else(|| panic!("{:?}", plan.trace)).split(' ').next();
         let renamed = renamed.unwrap();
-        assert!(canonical.contains(&format!("FROM SP, SP {renamed}")), "{canonical}");
+        assert!(canonical.contains(&format!("FROM S, SP, SP {renamed}")), "{canonical}");
         assert_eq!(anti.to_string(), format!(
             "ANTI JOIN P ON P.PNO = {renamed}.PNO NULL-AWARE {renamed}.QTY = P.WEIGHT"
         ));
         let plan = transform(
-            "SELECT SP.SNO FROM SP, S WHERE SP.SNO = S.SNO AND NOT EXISTS \
+            "SELECT SNO FROM S WHERE SNO IN (SELECT SNO FROM SP WHERE QTY > 1) AND NOT EXISTS \
              (SELECT PNO FROM SP WHERE SP.SNO = S.SNO AND QTY > 5)",
         );
         let [anti] = plan.anti_joins.as_slice() else { panic!("{plan}") };
         assert_ne!(anti.name(), "SP", "{plan}");
+        assert!(plan.trace.iter().any(|l| l.starts_with("renamed anti-joined table SP")), "{plan}");
         let want = format!("ANTI JOIN SP {0} ON {0}.SNO = S.SNO AND {0}.QTY > 5", anti.name());
         assert_eq!(anti.to_string(), want);
     }

@@ -8,9 +8,12 @@
 //! The implementation merges one inner block at a time (the recursive
 //! driver in [`crate::nest_g`] feeds blocks innermost-first, so repeated
 //! application handles any depth). One engineering addition the paper
-//! leaves implicit: when the inner FROM reuses a table name visible in the
-//! outer FROM, the inner occurrence is renamed with a fresh alias so the
-//! merged FROM clause stays well-formed.
+//! leaves implicit: when the inner FROM reuses a name of the outer FROM, the
+//! inner occurrence is renamed with a fresh alias so the merged FROM clause
+//! stays well-formed. The analyzer has already renamed every entry that
+//! shadows an enclosing one, so the names that meet here come from
+//! siblings: a block merged earlier brought its relations into the outer
+//! FROM (figure 2 reuses `P` in two sibling blocks).
 
 use crate::error::TransformError;
 use crate::pipeline::TempNamer;
@@ -91,7 +94,8 @@ pub fn merge_inner(
 ) -> Result<MergeOutcome> {
     merge_precondition(&inner)?;
 
-    // Resolve FROM-name collisions by renaming the inner occurrence.
+    // Resolve FROM-name collisions with a merged sibling by renaming the
+    // inner occurrence.
     let outer_names: Vec<String> =
         outer.from.iter().map(|t| t.effective_name().to_string()).collect();
     let mut renames = Vec::new();

@@ -280,8 +280,7 @@ impl Database {
         result
     }
 
-    /// Run `q` by its strategy: nested iteration reads the block as
-    /// written, the transformation its analyzed copy.
+    /// Run `q` by its strategy; both read its analyzed copy.
     fn run_strategy(
         &self,
         q: &QueryBlock,
@@ -301,7 +300,7 @@ impl Database {
         let before = storage.io_stats();
         let mut temps = Vec::new();
         let (relation, explain) = match opts.strategy {
-            Strategy::NestedIteration => self.run_correlated(q, opts, profile)?,
+            Strategy::NestedIteration => self.run_correlated(&analyzed, opts, profile)?,
             Strategy::Transform | Strategy::Auto => {
                 let span = profile.begin("transform");
                 let plan = transform_analyzed(analyzed, &opts.unnest, profile);
@@ -339,7 +338,7 @@ impl Database {
     /// EXPLAIN lines: the header, then each correlated block's access path.
     fn run_correlated(
         &self,
-        q: &QueryBlock,
+        analyzed: &Analyzed,
         opts: &QueryOptions,
         profile: &Profile,
     ) -> Result<(Relation, Vec<String>)> {
@@ -347,13 +346,13 @@ impl Database {
         let evaluator = NestedIter::new(&self.catalog, self.catalog.storage().clone())
             .with_faithful(opts.unnest.faithful_1987)
             .with_obs(profile.clone());
-        let access = evaluator.access_paths(q)?;
+        let access = evaluator.access_paths(analyzed)?;
         let rel = observed(
             profile,
             || "execute: nested iteration".to_string(),
             0,
             |rel: &Relation| rel.len() as u64,
-            || evaluator.eval_query(q),
+            || evaluator.eval_analyzed(analyzed),
         );
         explain.extend(access.into_iter().map(|a| a.line));
         Ok((rel?, explain))

@@ -15,11 +15,11 @@
 
 use crate::options::{QueryOptions, Strategy};
 use crate::{Catalog, Database, Result};
-use nsql_analyzer::{query_tree, NestingType};
+use nsql_analyzer::{query_tree, Analyzed, NestingType};
 use nsql_core::transform_analyzed;
 use nsql_engine::cost::{
-    ja2_costs, nested_iteration_cost_j, transformed_merge_join_cost, Ja2Cost, Ja2Params,
-    JoinMethod, StrategyCosts, StrategyKind,
+    ja2_costs, nested_iteration_cost_j, transformed_merge_join_cost, AccessCosts, Ja2Cost,
+    Ja2Params, JoinMethod, StrategyCosts, StrategyKind,
 };
 use nsql_engine::nested_iter::BlockAccess;
 use nsql_engine::{NestedIter, TableProvider};
@@ -276,6 +276,18 @@ impl Database {
         let tree = query_tree(&analyzed);
         let is_ja = tree.contains(NestingType::TypeJA);
         let correlated = is_ja || tree.contains(NestingType::TypeJ);
+        // What nested iteration does with each correlated block, asked of the
+        // evaluator before the run: its lines, and the first nested block's
+        // arithmetic.
+        let (access_lines, first_access) = match self.access_paths(&analyzed, opts) {
+            Ok(paths) => {
+                let first = first_subquery(analyzed.block());
+                let is_first = |a: &&BlockAccess| first.is_some_and(|f| std::ptr::eq(a.block, f));
+                let costs = paths.iter().find(is_first).and_then(|a| a.costs);
+                (Ok(paths.into_iter().map(|a| a.line).collect::<Vec<_>>()), Some(costs))
+            }
+            Err(e) => (Err(e), None),
+        };
 
         // Run (ANALYZE) or transform-only (plain EXPLAIN).
         let (strategy, temps, io, rows, obs) = if analyze {
@@ -286,7 +298,7 @@ impl Database {
             let strategy = match opts.strategy {
                 Strategy::NestedIteration => {
                     let mut lines = header_lines(opts, 0);
-                    lines.extend(self.access_paths(q, opts)?.into_iter().map(|a| a.line));
+                    lines.extend(access_lines?);
                     lines
                 }
                 Strategy::Transform | Strategy::Auto => {
@@ -326,9 +338,8 @@ impl Database {
         // Every nested query gets the two-way comparison, uncorrelated
         // blocks too. Flat queries have no strategy choice and render no
         // block.
-        let strategy_costs = inner
-            .zip(params)
-            .and_then(|(inner, p)| self.strategy_costs_for(q, inner, &p, is_ja, opts));
+        let strategy_costs =
+            params.zip(first_access).map(|(p, ni)| strategy_costs_for(ni, &p, is_ja));
 
         Ok(ExplainReport {
             sql: nsql_sql::print_query(q),
@@ -350,7 +361,7 @@ impl Database {
     /// that keeps no access statistics, since planning scans nothing.
     fn access_paths<'q>(
         &self,
-        q: &'q QueryBlock,
+        a: &'q Analyzed,
         opts: &QueryOptions,
     ) -> Result<Vec<BlockAccess<'q>>> {
         struct Unobserved<'c>(&'c Catalog);
@@ -368,7 +379,7 @@ impl Database {
         let tables = Unobserved(self.catalog());
         let evaluator = NestedIter::new(&tables, self.storage().clone())
             .with_faithful(opts.unnest.faithful_1987);
-        Ok(evaluator.access_paths(q)?)
+        Ok(evaluator.access_paths(a)?)
     }
 
     /// Section-7 parameters for `inner_block`, the (first) nested block of
@@ -404,39 +415,26 @@ impl Database {
         let pt4 = pt3.max(pt);
         Some(Ja2Params { pi, pj, pt2, nt2, pt3, pt4, pt, b, fi_ni, ri_sorted: false })
     }
+}
 
-    /// Predicted cost of both executable strategies on `inner_block`, `q`'s
-    /// (first) nested block, with Section-7 parameters `p`. Transform is the
-    /// cheapest NEST-JA2 method combination for type-JA shapes and the
-    /// canonical merge join otherwise.
-    fn strategy_costs_for(
-        &self,
-        q: &QueryBlock,
-        inner_block: &QueryBlock,
-        p: &Ja2Params,
-        is_ja: bool,
-        opts: &QueryOptions,
-    ) -> Option<StrategyCosts> {
-        // What nested iteration would do to the block: the evaluator's own
-        // arithmetic (`nested_access_costs`) where it has a choice, the
-        // paper's worst case where it has none — a block that cannot probe,
-        // an uncorrelated one, any block under the 1987 switch.
-        let access = self.access_paths(q, opts).ok()?;
-        let nested_iteration = access
-            .iter()
-            .find(|a| std::ptr::eq(a.block, inner_block))
-            .and_then(|a| a.costs)
-            .map_or_else(
-                || nested_iteration_cost_j(p.pi, p.pj, p.b, p.fi_ni),
-                |costs| p.pi + costs.chosen(),
-            );
-        let transform = if is_ja {
-            ja2_costs(p).iter().map(|(_, _, c)| c.total()).fold(f64::INFINITY, f64::min)
-        } else {
-            transformed_merge_join_cost(p.pi, p.pj, p.b)
-        };
-        Some(StrategyCosts { nested_iteration, transform })
-    }
+/// Predicted cost of both executable strategies on a statement's first
+/// nested block, with Section-7 parameters `p`. Nested iteration is the
+/// evaluator's own arithmetic (`nested_access_costs`) where it has a choice,
+/// `ni`, and the paper's worst case where it has none — a block that cannot
+/// probe, an uncorrelated one, any block under the 1987 switch. Transform is
+/// the cheapest NEST-JA2 method combination for type-JA shapes and the
+/// canonical merge join otherwise.
+fn strategy_costs_for(ni: Option<AccessCosts>, p: &Ja2Params, is_ja: bool) -> StrategyCosts {
+    let nested_iteration = ni.map_or_else(
+        || nested_iteration_cost_j(p.pi, p.pj, p.b, p.fi_ni),
+        |costs| p.pi + costs.chosen(),
+    );
+    let transform = if is_ja {
+        ja2_costs(p).iter().map(|(_, _, c)| c.total()).fold(f64::INFINITY, f64::min)
+    } else {
+        transformed_merge_join_cost(p.pi, p.pj, p.b)
+    };
+    StrategyCosts { nested_iteration, transform }
 }
 
 /// The decision lines every report opens with — strategy, plan shapes, exec

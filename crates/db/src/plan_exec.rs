@@ -424,10 +424,17 @@ impl<T: TableProvider> PlanExecutor<T> {
                     store(sink, rel, sorted_by)
                 })
             }
-            LogicalPlan::Apply { outer, outer_name, inner, keys, correlation, aggs } => {
+            LogicalPlan::Apply { outer, outer_name, kept, inner, keys, correlation, aggs } => {
                 let mut l = self.run_plan(outer)?.requalified(outer_name);
                 let mut r = self.run_plan(inner)?;
-                let gj = self.per_row_groupjoin(&l, &r, keys, correlation, aggs)?;
+                let mut gj = self.per_row_groupjoin(&l, &r, keys, correlation, aggs)?;
+                let schema = l.file.schema();
+                let mut keep = Vec::new();
+                for c in kept {
+                    keep.push(schema.resolve(Some(outer_name), c)?);
+                }
+                keep.extend(schema.arity()..gj.schema.arity());
+                gj.keep = Some(keep);
                 self.groupjoin(&mut l, &mut r, gj)
             }
         }
@@ -921,6 +928,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             aggs: aggs.collect(),
             schema: step.schema,
             fits: partitions == 0,
+            keep: None,
         }))
     }
 
@@ -973,6 +981,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             aggs: aggs.collect(),
             schema: step.schema,
             fits: passes == 1,
+            keep: None,
         })
     }
 
@@ -1006,8 +1015,20 @@ impl<T: TableProvider> PlanExecutor<T> {
             // A table over `B − 2` pages is Grace-partitioned on one key set,
             // and taken in chunks in scan order on several.
             let ordered = gj.fits || gj.keys.len() > 1;
-            let sorted_by = if ordered { l.sorted_by.clone() } else { Vec::new() };
-            let duplicate_free = l.duplicate_free;
+            let mut sorted_by = if ordered { l.sorted_by.clone() } else { Vec::new() };
+            let mut duplicate_free = l.duplicate_free;
+            // Project the rows in memory, so that what is stored is what is
+            // read; rows that differed only in a dropped column become equal.
+            let rel = match &gj.keep {
+                Some(keep) => {
+                    let at = |c: &usize| keep.iter().position(|k| k == c);
+                    sorted_by = sorted_by.iter().map_while(at).collect();
+                    duplicate_free = false;
+                    let rows = rel.tuples().iter().map(|t| t.project(keep)).collect();
+                    Relation::new(rel.schema().project(keep), rows)?
+                }
+                None => rel,
+            };
             Ok(PlanOutput { duplicate_free, ..store(&sink, rel, sorted_by) })
         })
     }
@@ -1089,7 +1110,8 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// projection" of a relation, priced `P + Pt` — over the join input
     /// `name`: the rows `pred` accepts, their columns `keep`, stored as an
     /// intermediate of this statement with an operator node and an EXPLAIN
-    /// line of its own.
+    /// line of its own. It streams its input, so held rows no pass has
+    /// waited through are read where they are.
     fn restrict_project(
         &mut self,
         name: &str,
@@ -1101,7 +1123,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         let schema = inp.file.schema().clone();
         let cpred = CPred::compile(&schema, pred)?;
         let exprs: Vec<CExpr> = keep.iter().map(|&c| CExpr::Col(c)).collect();
-        self.hand_off(inp, false, "restrict+project");
+        self.hand_off(inp, true, "restrict+project");
         let exec = &self.exec;
         let rows = observed(
             exec.obs(),
@@ -1651,6 +1673,8 @@ struct Groupjoin {
     aggs: Vec<AggSpec>,
     schema: Schema,
     fits: bool,
+    /// The columns of its rows read after it, when not all are.
+    keep: Option<Vec<usize>>,
 }
 
 /// How one join step runs, with what that method needs beyond the keys.

@@ -1,5 +1,6 @@
 //! Execution errors.
 
+use nsql_analyzer::AnalyzeError;
 use nsql_storage::StorageError;
 use nsql_types::TypeError;
 use std::fmt;
@@ -7,6 +8,8 @@ use std::fmt;
 /// Failures during compilation or evaluation of queries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
+    /// Name resolution failed: the statement does not analyze.
+    Analyze(AnalyzeError),
     /// Value-level failure (type mismatch, unknown column, …).
     Type(TypeError),
     /// FROM references a table that does not exist.
@@ -27,6 +30,7 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            EngineError::Analyze(e) => write!(f, "{e}"),
             EngineError::Type(e) => write!(f, "{e}"),
             EngineError::UnknownTable(t) => write!(f, "unknown table: {t}"),
             EngineError::ScalarSubqueryCardinality(n) => {

@@ -67,49 +67,46 @@
 //! the probe path is discarded and re-run by scan.
 //!
 //! Everything else scans, as in 1987: the top-level block, a block over
-//! several files, one whose template declined, one whose key is off-class
-//! or follows a fallible conjunct, one the arithmetic says is evaluated too
-//! seldom to repay a build — EXPLAIN names which ([`NestedIter::access_paths`]).
+//! several files, one whose key is off-class or follows a fallible
+//! conjunct, one the arithmetic says is evaluated too seldom to repay a
+//! build — EXPLAIN names which ([`NestedIter::access_paths`]).
 //!
 //! # One plan per block, one kernel per binding
 //!
+//! Nested iteration runs the statement the analyzer resolved
+//! ([`Analyzed`]): every column reference carries the name of the FROM
+//! entry it binds to, and no two scopes of a chain share a name, so a
+//! block's *outer references* are the qualifiers its FROM does not name.
 //! What the paper charges nested iteration for is the repeated page
 //! retrieval, and on the scan path that is kept to the page: the one binding
 //! loop ([`NestedIter::bindings`]) calls `read_page` for every page of the
 //! block's outermost file, in file order, on every evaluation. Everything
 //! that does *not* depend on the binding is worked out once per block per
-//! query and kept in one value, the block's [`BlockInfo`]: its FROM files
-//! and scope schema, which WHERE conjuncts are simple and which nested (and
-//! each nested one's memo key, below), its free outer references (none ⇔
-//! uncorrelated), its simple conjuncts
-//! compiled to a [`Template`], its access path with the trees it built
-//! and — for an uncorrelated block — its once-only result. What remains
-//! varies:
+//! query, before the first page is read, and kept in one value, the block's
+//! [`BlockInfo`]: its FROM files and scope schema, that scope joined with a
+//! schema of its outer references, where those come from in the enclosing
+//! block's row (none ⇔ uncorrelated), which WHERE conjuncts are simple and
+//! which nested (and each nested one's memo key, below), its simple
+//! conjuncts compiled to [`CPred`]s against the joined scope, its access path
+//! with the trees it built and — for an uncorrelated block — its once-only
+//! result. What remains varies:
 //!
-//! * **per evaluation of the block** — each outer slot of the template is
-//!   looked up once in the scope chain ([`NestedIter::bind`]), giving one
-//!   [`CPred`] per simple conjunct;
-//! * **per tuple** — the bound conjuncts run on the buffered tuple in
-//!   place, one conjunct at a time, stopping at the first non-TRUE one;
-//!   only survivors are cloned. SELECT items, GROUP BY keys and aggregate
-//!   arguments that resolve in the block's own scope project by index,
-//!   through the block's [`SelectList`], compiled with the rest of its
-//!   [`BlockInfo`]; an aggregate argument that does not (an outer
-//!   reference) is looked up in the scope chain per member of its group.
+//! * **per evaluation of the block** — the outer values, projected from the
+//!   enclosing binding by index;
+//! * **per tuple** — the compiled conjuncts run on the buffered tuple in
+//!   place, joined with the outer values ([`Joined`]), one conjunct at a
+//!   time, stopping at the first non-TRUE one; only survivors are cloned.
+//!   SELECT items, GROUP BY keys and aggregate arguments that resolve in the
+//!   block's own scope project by index, through the block's
+//!   [`SelectList`]; an aggregate argument that does not is an outer value.
 //!
-//! That row loop is the only kernel: once the conjuncts are bound, running
-//! them as lanes over a page's column batch costs more than it saves (the
-//! batch conversion is paid per page, the loop stops at a tuple's first
-//! non-TRUE conjunct anyway) — EXPERIMENTS.md, "One block plan, one
-//! kernel", has the six measured pairs.
-//!
-//! The by-name tree interpreter ([`NestedIter::eval_pred`] over an [`Env`])
-//! is still what evaluates *nested* conjuncts — once per distinct binding
-//! that survives the simple ones (below) — and it is the decline path: when
-//! a simple conjunct holds a locally ambiguous reference, or an outer
-//! reference the scope chain does not resolve, the block is interpreted per
-//! tuple, so the error surfaces lazily, if and only if a tuple reaches that
-//! operand.
+//! That row loop is the only kernel: running the conjuncts as lanes over a
+//! page's column batch costs more than it saves (the batch conversion is
+//! paid per page, the loop stops at a tuple's first non-TRUE conjunct
+//! anyway) — EXPERIMENTS.md, "One block plan, one kernel", has the six
+//! measured pairs. The tree interpreter ([`NestedIter::eval_pred`]) is what
+//! evaluates *nested* conjuncts, once per distinct binding that survives the
+//! simple ones (below).
 //!
 //! # One evaluation per distinct binding
 //!
@@ -121,12 +118,10 @@
 //! inner block once per distinct parameter", PAPERS.md).
 //!
 //! * **The key** is the binding projected onto the columns of the block's
-//!   own scope the conjunct reads: its own references and its blocks' free
-//!   references, those the block's schema resolves ([`BlockInfo`] holds the
-//!   column list, worked out once per query). A reference the schema does
-//!   not know is an outer value, fixed for the evaluation, so no part of the
-//!   key. One the schema finds twice is an error the interpreter must raise
-//!   where SQL puts it: the conjunct runs per row, unmemoized. Keys are
+//!   own scope the conjunct reads: its own references and its blocks' outer
+//!   references, those the block's FROM binds ([`BlockInfo`] holds the
+//!   column list, worked out once per query). Any other reference is an
+//!   outer value, fixed for the evaluation, so no part of the key. Keys are
 //!   equal as GROUP BY's are, by the values' total order.
 //! * **Order and errors stay nested iteration's.** The loop still visits
 //!   the bindings in enumeration order and runs the conjuncts in WHERE
@@ -149,18 +144,19 @@
 use crate::aggregate::AggState;
 use crate::cost::{nested_access_costs, selectivity, temp_tree_estimate, AccessCosts, Work};
 use crate::error::EngineError;
-use crate::pred::{cannot_raise, compare_values, not3, CPred, TOperand, TPred, Template};
+use crate::expr::{CExpr, Joined, Row};
+use crate::pred::{and3, cannot_raise, compare_values, not3, or3, CPred};
 use crate::provider::TableProvider;
 use crate::select::{AggInput, SelectAgg, SelectList};
 use crate::Result;
-use nsql_index::BTreeIndex;
 use nsql_analyzer::resolve::{level_column_refs, predicate_column_refs};
+use nsql_analyzer::{analyze, Analyzed, SchemaSource};
+use nsql_index::BTreeIndex;
 use nsql_sql::{ColumnRef, CompareOp, InRhs, Operand, Predicate, Quantifier, QueryBlock};
 use nsql_storage::{HeapFile, PageId, Storage, TempFile};
 use nsql_types::{ColumnType, FxHashMap, Relation, Schema, Tuple, Value};
 use std::cell::{OnceCell, RefCell};
 use std::collections::hash_map::Entry;
-use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -180,29 +176,30 @@ enum UseKind {
     List,
 }
 
-/// Everything known about a block for the whole query, resolved once: a
-/// correlated inner block is *evaluated* per outer tuple, but none of this
-/// changes between evaluations.
+/// Everything known about a block for the whole query, worked out before
+/// the first page is read: a correlated inner block is *evaluated* per outer
+/// tuple, but none of this changes between evaluations.
 struct BlockInfo {
-    /// The (requalified) FROM files and the scope schema they jointly define.
+    /// The FROM files, requalified by their effective names, and the scope
+    /// schema they jointly define.
     files: Vec<HeapFile>,
     schema: Schema,
+    /// `schema` followed by one column per outer reference of the block's
+    /// subtree, typed as the scope binding it declares: the row a simple
+    /// conjunct runs on, a binding joined with the evaluation's outer values.
+    joined: Schema,
+    /// Where each outer value is in the enclosing block's joined row. Empty
+    /// exactly when the block is uncorrelated.
+    outer_at: Vec<usize>,
     /// Per top-level WHERE conjunct, in order: does it hold a query block?
     /// System R applies the others (the simple ones) first.
     nested: Vec<bool>,
     /// Per nested conjunct, in WHERE order: the columns of `schema` its
-    /// verdict depends on, which key its memo in the binding loop. `None`:
-    /// a reference is ambiguous in `schema` (or the 1987 switch is on), and
-    /// the conjunct runs on every binding.
+    /// verdict depends on, which key its memo in the binding loop. `None`
+    /// under the 1987 switch: the conjunct runs on every binding.
     memo_keys: Vec<Option<Vec<usize>>>,
-    /// References in the block's subtree that no scope of the subtree
-    /// resolves — its outer references (deduplicated, first-occurrence
-    /// order). Empty exactly when the block is uncorrelated.
-    free: Vec<ColumnRef>,
-    /// The simple conjuncts compiled against `schema`. `None` records that
-    /// they decline compilation (e.g. a locally ambiguous reference, whose
-    /// error the interpreter raises lazily).
-    template: Option<Template>,
+    /// The simple conjuncts, in WHERE order, compiled against `joined`.
+    conjuncts: Vec<CPred>,
     /// The SELECT phase compiled against `schema`, or the error compiling
     /// it met, raised where the phase runs: after the binding loop.
     select: Result<SelectList>,
@@ -228,6 +225,17 @@ impl BlockInfo {
             .flat_map(|p| p.conjuncts())
             .partition(|_| !*nested.next().expect("one flag per conjunct"))
     }
+
+    /// Where reference `c` is in the joined row: a binding followed by the
+    /// outer values.
+    fn column(&self, c: &ColumnRef) -> Result<usize> {
+        Ok(self.joined.resolve(c.table.as_deref(), &c.column)?)
+    }
+
+    /// The declared type of outer value `slot`.
+    fn outer_type(&self, slot: usize) -> ColumnType {
+        self.joined.columns()[self.schema.arity() + slot].ty
+    }
 }
 
 /// Where a correlated block's tuples come from: decided once per query, up
@@ -251,14 +259,14 @@ struct ProbePlan {
     keys: Vec<ProbeKey>,
     /// The trees probed, one per distinct key column.
     trees: Vec<KeyTree>,
-    /// Declared type of each outer slot of the block's template, where the
-    /// enclosing scopes resolve it. Heap files do not enforce their schema,
-    /// so each evaluation checks the values it binds against these.
-    outer_types: Vec<Option<ColumnType>>,
+    /// The outer values the simple conjuncts read. Heap files do not
+    /// enforce their schema, so each evaluation checks these against their
+    /// declared types.
+    checked: Vec<usize>,
     costs: AccessCosts,
 }
 
-/// One equality of a key conjunct: `trees[tree].col = outer slot`.
+/// One equality of a key conjunct: `trees[tree].col = outer value slot`.
 struct ProbeKey {
     tree: usize,
     slot: usize,
@@ -309,7 +317,7 @@ impl Access {
 /// One correlated block's access path, as EXPLAIN reports it
 /// ([`NestedIter::access_paths`]).
 pub struct BlockAccess<'q> {
-    /// The block.
+    /// The block, in the analyzed statement.
     pub block: &'q QueryBlock,
     /// `block SUPPLY: probe temp index on PNUM — est. … (chose probe)`, or
     /// `… scan (<why it cannot probe>)`.
@@ -328,38 +336,27 @@ fn keys_in_class(tree: &BTreeIndex, ty: ColumnType) -> bool {
     [&stats.min_key, &stats.max_key].into_iter().flatten().all(|k| ty.admits(k))
 }
 
-/// The `(column, outer slot)` pairs of a key conjunct: `Local = Outer` in
-/// either order, or an `OR` of nothing but those.
-fn key_equalities(c: &TPred) -> Option<Vec<(usize, usize)>> {
+/// The `(column, outer slot)` pairs of a key conjunct compiled against a
+/// joined row whose first `local` columns are the block's: `column = outer`
+/// in either order, or an `OR` of nothing but those.
+fn key_equalities(c: &CPred, local: usize) -> Option<Vec<(usize, usize)>> {
     match c {
-        TPred::Cmp { left, op: CompareOp::Eq, right } => match (left, right) {
-            (TOperand::Local(col), TOperand::Outer(slot))
-            | (TOperand::Outer(slot), TOperand::Local(col)) => Some(vec![(*col, *slot)]),
-            _ => None,
-        },
-        TPred::Or(ds) if !ds.is_empty() => {
+        CPred::Cmp { left: CExpr::Col(a), op: CompareOp::Eq, right: CExpr::Col(b) } => {
+            match (*a < local, *b < local) {
+                (true, false) => Some(vec![(*a, b - local)]),
+                (false, true) => Some(vec![(*b, a - local)]),
+                _ => None,
+            }
+        }
+        CPred::Or(ds) if !ds.is_empty() => {
             let pairs: Option<Vec<Vec<(usize, usize)>>> = ds
                 .iter()
-                .map(|d| key_equalities(d).filter(|_| matches!(d, TPred::Cmp { .. })))
+                .map(|d| key_equalities(d, local).filter(|_| matches!(d, CPred::Cmp { .. })))
                 .collect();
             Some(pairs?.concat())
         }
         _ => None,
     }
-}
-
-/// The declared type of outer reference `c` under the scope chain `scopes`
-/// (innermost first), by [`Env::lookup`]'s rule: the nearest scope that
-/// knows the name wins, an ambiguous one ends the search.
-fn declared_type(scopes: &[&Schema], c: &ColumnRef) -> Option<ColumnType> {
-    for schema in scopes {
-        match schema.resolve(c.table.as_deref(), &c.column) {
-            Ok(i) => return Some(schema.columns()[i].ty),
-            Err(nsql_types::TypeError::AmbiguousColumn(_)) => return None,
-            Err(_) => continue,
-        }
-    }
-    None
 }
 
 /// The tuples one run of the binding loop takes from the block's outermost
@@ -369,50 +366,12 @@ enum Tuples<'t> {
     Found(Vec<Tuple>),
 }
 
-/// One evaluation's bind-once step ([`NestedIter::bind`]): the outer values
-/// by template slot, and the simple conjuncts with them in place.
-struct Bound {
-    outer: Vec<Value>,
-    conjuncts: Vec<CPred>,
-}
+/// A [`TableProvider`]'s schemas, for the analyzer.
+struct Schemas<'t, T: ?Sized>(&'t T);
 
-/// The scope chain of the by-name interpreter, innermost first: borrowed
-/// `(schema, tuple)` pairs, so pushing a scope copies a handful of
-/// references. A chain is built per *surviving* binding (for its nested
-/// conjuncts) and per tuple only on the decline path; bound simple
-/// conjuncts never see one — their outer references were looked up here
-/// once per block evaluation.
-#[derive(Clone, Default)]
-struct Env<'e> {
-    scopes: Vec<(&'e Schema, &'e Tuple)>,
-}
-
-impl<'e> Env<'e> {
-    /// The chain extended with an innermost scope. The result lives as long
-    /// as the shortest borrow (`'s`), which is all a per-binding evaluation
-    /// needs.
-    fn child<'s>(&self, schema: &'s Schema, tuple: &'s Tuple) -> Env<'s>
-    where
-        'e: 's,
-    {
-        let mut scopes = Vec::with_capacity(self.scopes.len() + 1);
-        scopes.push((schema, tuple));
-        scopes.extend(self.scopes.iter().copied());
-        Env { scopes }
-    }
-
-    /// Resolve a column against the chain (nearest scope wins).
-    fn lookup(&self, c: &ColumnRef) -> Result<Value> {
-        for (schema, tuple) in &self.scopes {
-            match schema.resolve(c.table.as_deref(), &c.column) {
-                Ok(i) => return Ok(tuple.get(i).clone()),
-                Err(nsql_types::TypeError::AmbiguousColumn(n)) => {
-                    return Err(EngineError::Type(nsql_types::TypeError::AmbiguousColumn(n)))
-                }
-                Err(_) => continue,
-            }
-        }
-        Err(EngineError::Type(nsql_types::TypeError::UnknownColumn(c.to_string())))
+impl<T: TableProvider + ?Sized> SchemaSource for Schemas<'_, T> {
+    fn table_schema(&self, table: &str) -> Option<Schema> {
+        self.0.get_table(table).map(|f| f.schema().clone())
     }
 }
 
@@ -421,8 +380,8 @@ pub struct NestedIter<'a, T: TableProvider + ?Sized> {
     tables: &'a T,
     storage: Storage,
     /// What the query knows about each block, by block address. Addresses
-    /// are stable while the AST is borrowed, i.e. for one query; teardown
-    /// clears the map.
+    /// are stable while the analyzed statement is borrowed, i.e. for one
+    /// query; teardown clears the map.
     blocks: RefCell<FxHashMap<usize, Rc<BlockInfo>>>,
     profile: nsql_obs::Profile,
     /// The paper's nested iteration to the page: no block probes.
@@ -467,9 +426,18 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         self
     }
 
-    /// Evaluate a top-level query.
+    /// Analyze a top-level query against the provider's tables, then
+    /// evaluate it ([`eval_analyzed`](NestedIter::eval_analyzed)). A name
+    /// error is the analyzer's, raised before any page is read.
     pub fn eval_query(&self, q: &QueryBlock) -> Result<Relation> {
-        let result = self.plan(q).and_then(|()| self.eval_block(q, &Env::default()));
+        let analyzed = analyze(&Schemas(self.tables), q).map_err(EngineError::Analyze)?;
+        self.eval_analyzed(&analyzed)
+    }
+
+    /// Evaluate an analyzed top-level query.
+    pub fn eval_analyzed(&self, a: &Analyzed) -> Result<Relation> {
+        let q = a.block();
+        let result = self.prepare(q).and_then(|()| self.eval_block(q, &Tuple::default()));
         self.teardown();
         result
     }
@@ -509,27 +477,118 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         }
     }
 
-    // -------------------------------------------------------- access paths
+    // ------------------------------------------------------------- blocks
 
-    /// Decide the access path of every correlated block under `q`, before
-    /// the first page is read and from counts alone: file sizes, `B`, the
-    /// catalog's indexes, and System R's default selectivities for how often
-    /// each block will be evaluated. Nothing here looks at a tuple. A no-op
-    /// under [`with_faithful`](NestedIter::with_faithful).
-    fn plan(&self, q: &QueryBlock) -> Result<()> {
-        if self.faithful {
+    /// Work out every block's [`BlockInfo`] and access path, unless an
+    /// earlier call for this statement did ([`access_paths`](Self::access_paths)
+    /// and the evaluation share them).
+    fn prepare(&self, root: &QueryBlock) -> Result<()> {
+        if self.blocks.borrow().contains_key(&address(root)) {
             return Ok(());
         }
-        self.plan_children(q, &[], 1.0)
+        let mut outer = FxHashMap::default();
+        outer_refs(root, &mut outer);
+        self.prepare_block(root, None, &outer)?;
+        if !self.faithful {
+            self.plan(root, 1.0);
+        }
+        Ok(())
     }
 
-    /// [`plan`](Self::plan) for the blocks nested in `q`, itself evaluated
-    /// an estimated `evaluations` times under the scopes `outer` (innermost
-    /// first).
-    fn plan_children(&self, q: &QueryBlock, outer: &[&Schema], evaluations: f64) -> Result<()> {
-        let info = self.block_info(q)?;
-        let scopes: Vec<&Schema> =
-            std::iter::once(&info.schema).chain(outer.iter().copied()).collect();
+    /// [`prepare`](Self::prepare) for `q` and the blocks nested in it, where
+    /// `parent` is the enclosing block's joined scope and `outer` each
+    /// block's outer references.
+    fn prepare_block(
+        &self,
+        q: &QueryBlock,
+        parent: Option<&Schema>,
+        outer: &FxHashMap<usize, Vec<ColumnRef>>,
+    ) -> Result<()> {
+        let mut files: Vec<HeapFile> = Vec::new();
+        let mut schema = Schema::default();
+        for tref in &q.from {
+            let file = self
+                .tables
+                .get_table(&tref.table)
+                .ok_or_else(|| EngineError::UnknownTable(tref.table.clone()))?;
+            let qualified = file.schema().requalify(tref.effective_name());
+            schema = schema.join(&qualified);
+            files.push(file.with_schema(qualified));
+        }
+        // Each outer reference binds in the enclosing block's joined scope,
+        // which gives its declared type and its value's place.
+        let mut outer_at = Vec::new();
+        let mut outer_cols = Vec::new();
+        for c in &outer[&address(q)] {
+            let scope = parent.expect("the top-level block has no outer reference");
+            let i = scope.resolve(c.table.as_deref(), &c.column)?;
+            outer_at.push(i);
+            outer_cols.push(scope.columns()[i].clone());
+        }
+        let joined = schema.join(&Schema::new(outer_cols));
+        for sub in q.child_blocks() {
+            self.prepare_block(sub, Some(&joined), outer)?;
+        }
+        let conjuncts = q.where_clause.as_ref().map(|p| p.conjuncts()).unwrap_or_default();
+        let (with_blocks, simple): (Vec<&Predicate>, Vec<&Predicate>) =
+            conjuncts.iter().partition(|p| p.contains_subquery());
+        let memo_keys = with_blocks.iter().map(|p| {
+            let key = (!self.faithful).then(|| self.memo_key(p, &joined, schema.arity()));
+            key.transpose()
+        });
+        let info = BlockInfo {
+            nested: conjuncts.iter().map(|p| p.contains_subquery()).collect(),
+            memo_keys: memo_keys.collect::<Result<_>>()?,
+            conjuncts: simple.iter().map(|p| CPred::compile(&joined, p)).collect::<Result<_>>()?,
+            select: SelectList::compile(&schema, &q.select, &q.group_by, &q.order_by, q.distinct),
+            files,
+            schema,
+            joined,
+            outer_at,
+            result: OnceCell::new(),
+            access: OnceCell::new(),
+        };
+        self.blocks.borrow_mut().insert(address(q), Rc::new(info));
+        Ok(())
+    }
+
+    /// The memo key of nested conjunct `p` in a block whose joined scope is
+    /// `joined`, its first `local` columns the block's own: the columns its
+    /// verdict can depend on — its own references and the outer references
+    /// of the blocks it holds — that the block's FROM binds, deduplicated in
+    /// first-occurrence order. Any other reference is an outer value, fixed
+    /// for one evaluation of the block, and no part of the key.
+    fn memo_key(&self, p: &Predicate, joined: &Schema, local: usize) -> Result<Vec<usize>> {
+        let mut at = Vec::new();
+        for c in predicate_column_refs(p) {
+            at.push(joined.resolve(c.table.as_deref(), &c.column)?);
+        }
+        for sub in p.child_blocks() {
+            at.extend(&self.info(sub).outer_at);
+        }
+        let mut key: Vec<usize> = Vec::new();
+        for i in at {
+            if i < local && !key.contains(&i) {
+                key.push(i);
+            }
+        }
+        Ok(key)
+    }
+
+    /// What [`prepare`](Self::prepare) worked out for `q`.
+    fn info(&self, q: &QueryBlock) -> Rc<BlockInfo> {
+        Rc::clone(&self.blocks.borrow()[&address(q)])
+    }
+
+    // -------------------------------------------------------- access paths
+
+    /// Decide the access path of every correlated block under `q`, itself
+    /// evaluated an estimated `evaluations` times, before the first page is
+    /// read and from counts alone: file sizes, `B`, the catalog's indexes,
+    /// and System R's default selectivities for how often each block will
+    /// be evaluated. Nothing here looks at a tuple.
+    fn plan(&self, q: &QueryBlock, evaluations: f64) {
+        let info = self.info(q);
         // A nested block is evaluated for every tuple of the FROM product
         // that passes the simple conjuncts [SEL 79:33].
         let (simple, _) = info.split(q);
@@ -537,43 +596,26 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let passing: f64 = simple.iter().map(|p| selectivity(p)).product();
         let bindings = evaluations * product * passing;
         for sub in q.child_blocks() {
-            let sub_info = self.block_info(sub)?;
-            if sub_info.free.is_empty() {
+            let sub_info = self.info(sub);
+            if sub_info.outer_at.is_empty() {
                 // Evaluated once, under the empty scope.
-                self.plan_children(sub, &[], 1.0)?;
+                self.plan(sub, 1.0);
             } else {
-                sub_info
-                    .access
-                    .get_or_init(|| self.choose_access(sub, &sub_info, &scopes, bindings));
-                self.plan_children(sub, &scopes, bindings)?;
+                sub_info.access.get_or_init(|| self.choose_access(sub, &sub_info, bindings));
+                self.plan(sub, bindings);
             }
         }
-        Ok(())
     }
 
     /// The access path of correlated block `q`, evaluated an estimated
-    /// `evaluations` times under `scopes`.
-    fn choose_access(
-        &self,
-        q: &QueryBlock,
-        info: &BlockInfo,
-        scopes: &[&Schema],
-        evaluations: f64,
-    ) -> Access {
+    /// `evaluations` times.
+    fn choose_access(&self, q: &QueryBlock, info: &BlockInfo, evaluations: f64) -> Access {
         let [file] = info.files.as_slice() else {
             return Access::Ineligible("its FROM is not one file");
         };
-        let Some(tpl) = &info.template else {
-            return Access::Ineligible("a simple conjunct holds an ambiguous reference");
-        };
-        let columns = info.schema.columns();
-        let outer_types: Vec<Option<ColumnType>> =
-            tpl.outer_refs.iter().map(|c| declared_type(scopes, c)).collect();
-        let key_at = tpl.conjuncts.iter().position(|c| key_equalities(c).is_some());
-        // The template's conjuncts are the simple ones, in WHERE order.
-        let chain: Vec<&Schema> =
-            std::iter::once(&info.schema).chain(scopes.iter().copied()).collect();
-        let declared = |c: &ColumnRef| declared_type(&chain, c);
+        let (local, columns) = (info.schema.arity(), info.joined.columns());
+        let key_at = info.conjuncts.iter().position(|c| key_equalities(c, local).is_some());
+        let declared = |c: &ColumnRef| info.column(c).ok().map(|i| columns[i].ty);
         let fallible_at = info.split(q).0.iter().position(|p| !cannot_raise(p, &declared));
         let pairs = match (key_at, fallible_at) {
             (None, _) => {
@@ -582,11 +624,12 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             (Some(key), Some(before)) if before < key => {
                 return Access::Ineligible("key conjunct follows a fallible conjunct")
             }
-            (Some(key), _) => key_equalities(&tpl.conjuncts[key]).expect("position just found it"),
+            (Some(key), _) => {
+                key_equalities(&info.conjuncts[key], local).expect("position just found it")
+            }
         };
-        let one_class = |&(col, slot): &(usize, usize)| {
-            outer_types[slot].is_some_and(|ty| ty.same_class(columns[col].ty))
-        };
+        let one_class =
+            |&(col, slot): &(usize, usize)| info.outer_type(slot).same_class(columns[col].ty);
         if !pairs.iter().all(one_class) {
             return Access::Ineligible("key column and outer reference differ in class");
         }
@@ -628,28 +671,33 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         }
         let per_evaluation = keys.iter().map(|k| probe_pages[k.tree]).sum();
         let costs = nested_access_costs(evaluations, pj, b, build, per_evaluation);
-        if costs.probes_win() {
-            Access::Probe(ProbePlan { keys, trees, outer_types, costs })
-        } else {
-            Access::Scan(costs)
+        if !costs.probes_win() {
+            return Access::Scan(costs);
         }
+        let mut checked = Vec::new();
+        info.conjuncts.iter().for_each(|c| c.columns(&mut checked));
+        checked.retain(|&i| i >= local);
+        checked.iter_mut().for_each(|i| *i -= local);
+        checked.sort_unstable();
+        checked.dedup();
+        Access::Probe(ProbePlan { keys, trees, checked, costs })
     }
 
-    /// The access path of every correlated block under `q`, outermost
-    /// first, for EXPLAIN: what [`eval_query`](NestedIter::eval_query) and
-    /// its siblings will do, worked out without reading a page. Empty under
+    /// The access path of every correlated block of `a`, outermost first,
+    /// for EXPLAIN: what [`eval_analyzed`](NestedIter::eval_analyzed) will
+    /// do, worked out without reading a page (and kept for it). Empty under
     /// [`with_faithful`](NestedIter::with_faithful), where there is nothing
     /// to choose.
-    pub fn access_paths<'q>(&self, q: &'q QueryBlock) -> Result<Vec<BlockAccess<'q>>> {
-        self.plan(q)?;
+    pub fn access_paths<'q>(&self, a: &'q Analyzed) -> Result<Vec<BlockAccess<'q>>> {
+        self.prepare(a.block())?;
         let mut out = Vec::new();
-        self.collect_access(q, &mut out)?;
+        self.collect_access(a.block(), &mut out);
         Ok(out)
     }
 
-    fn collect_access<'q>(&self, q: &'q QueryBlock, out: &mut Vec<BlockAccess<'q>>) -> Result<()> {
+    fn collect_access<'q>(&self, q: &'q QueryBlock, out: &mut Vec<BlockAccess<'q>>) {
         for sub in q.child_blocks() {
-            let info = self.block_info(sub)?;
+            let info = self.info(sub);
             if let Some(access) = info.access.get() {
                 out.push(BlockAccess {
                     block: sub,
@@ -657,9 +705,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                     costs: access.costs(),
                 });
             }
-            self.collect_access(sub, out)?;
+            self.collect_access(sub, out);
         }
-        Ok(())
     }
 
     /// Have every tree of a probing block at hand, loading the temporary
@@ -698,23 +745,24 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// sends this evaluation to the scan: the block does not probe, or an
     /// outer value is outside its declared class — the comparison it meets
     /// raises, and the scan says on which tuple.
-    fn candidates(&self, q: &QueryBlock, info: &BlockInfo, outer: &[Value]) -> Option<Vec<Tuple>> {
+    fn candidates(&self, q: &QueryBlock, info: &BlockInfo, outer: &Tuple) -> Option<Vec<Tuple>> {
         let Some(Access::Probe(plan)) = info.access.get() else { return None };
-        let declared = |(v, ty): (&Value, &Option<ColumnType>)| {
-            v.is_null() || ty.is_none_or(|ty| ty.admits(v))
+        let declared = |&slot: &usize| {
+            let v = outer.get(slot);
+            v.is_null() || info.outer_type(slot).admits(v)
         };
-        if !outer.iter().zip(&plan.outer_types).all(declared) {
+        if !plan.checked.iter().all(declared) {
             return None;
         }
         let mut found = Vec::new();
-        if plan.keys.iter().all(|k| outer[k.slot].is_null()) {
+        if plan.keys.iter().all(|k| outer.get(k.slot).is_null()) {
             return Some(found);
         }
         if !self.ensure_trees(info, plan) {
             return None;
         }
         for (i, key) in plan.keys.iter().enumerate() {
-            let (at, value) = (&plan.trees[key.tree], &outer[key.slot]);
+            let (at, value) = (&plan.trees[key.tree], outer.get(key.slot));
             let Some(Some(tree)) = at.tree.get() else { return None };
             if value.is_null() {
                 continue;
@@ -726,7 +774,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             let earlier = &plan.keys[..i];
             matches.retain(|t| {
                 !earlier.iter().any(|e| {
-                    matches!(t.get(plan.trees[e.tree].col).sql_eq(&outer[e.slot]), Ok(Some(true)))
+                    let col = plan.trees[e.tree].col;
+                    matches!(t.get(col).sql_eq(outer.get(e.slot)), Ok(Some(true)))
                 })
             });
             found.append(&mut matches);
@@ -734,109 +783,19 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         Some(found)
     }
 
-    // ------------------------------------------------------------- blocks
+    // ---------------------------------------------------------- evaluation
 
-    /// Recall — or, the first time a query meets the block, work out — what
-    /// holds for `q` across all its evaluations. Child blocks are resolved
-    /// on the way (their free references are part of this block's), so an
-    /// unknown table anywhere below `q` is reported here, before any I/O.
-    fn block_info(&self, q: &QueryBlock) -> Result<Rc<BlockInfo>> {
-        let key = q as *const QueryBlock as usize;
-        if let Some(info) = self.blocks.borrow().get(&key) {
-            return Ok(Rc::clone(info));
-        }
-        let mut files: Vec<HeapFile> = Vec::new();
-        let mut schema = Schema::default();
-        let mut seen = HashSet::new();
-        for tref in &q.from {
-            let file = self
-                .tables
-                .get_table(&tref.table)
-                .ok_or_else(|| EngineError::UnknownTable(tref.table.clone()))?;
-            let name = tref.effective_name();
-            if !seen.insert(name.to_string()) {
-                return Err(EngineError::Unsupported(format!(
-                    "duplicate table name/alias in FROM: {name}"
-                )));
-            }
-            let qualified = file.schema().requalify(name);
-            schema = schema.join(&qualified);
-            files.push(file.with_schema(qualified));
-        }
-        // The one free-reference walk: what this level leaves unresolved,
-        // then what each child block's subtree leaves unresolved and this
-        // scope does not bind either.
-        let mut free: Vec<ColumnRef> = Vec::new();
-        let mut note = |c: &ColumnRef| {
-            if schema.try_resolve(c.table.as_deref(), &c.column).is_none() && !free.contains(c) {
-                free.push(c.clone());
-            }
-        };
-        level_column_refs(q).into_iter().for_each(&mut note);
-        for sub in q.child_blocks() {
-            self.block_info(sub)?.free.iter().for_each(&mut note);
-        }
-        let conjuncts = q.where_clause.as_ref().map(|p| p.conjuncts()).unwrap_or_default();
-        let nested: Vec<bool> = conjuncts.iter().map(|p| p.contains_subquery()).collect();
-        let (with_blocks, simple): (Vec<&Predicate>, Vec<&Predicate>) =
-            conjuncts.into_iter().partition(|p| p.contains_subquery());
-        let memo_keys = if self.faithful {
-            vec![None; with_blocks.len()]
-        } else {
-            with_blocks.iter().map(|p| self.memo_key(p, &schema)).collect::<Result<_>>()?
-        };
-        let info = Rc::new(BlockInfo {
-            template: Template::compile(&schema, &simple),
-            select: SelectList::compile(&schema, &q.select, &q.group_by, &q.order_by, q.distinct),
-            files,
-            schema,
-            nested,
-            memo_keys,
-            free,
-            result: OnceCell::new(),
-            access: OnceCell::new(),
-        });
-        self.blocks.borrow_mut().insert(key, Rc::clone(&info));
-        Ok(info)
-    }
-
-    /// The memo key of nested conjunct `p` in a block whose scope is
-    /// `schema`: the columns its verdict can depend on — its own references
-    /// and the free references of the blocks it holds — that `schema`
-    /// resolves, deduplicated in first-occurrence order. A reference the
-    /// schema does not know is an outer value, fixed for one evaluation of
-    /// the block, and no part of the key. `None`: a reference is ambiguous
-    /// in `schema`, and the conjunct must run per row to raise that error
-    /// where nested iteration does.
-    fn memo_key(&self, p: &Predicate, schema: &Schema) -> Result<Option<Vec<usize>>> {
-        let subs: Vec<Rc<BlockInfo>> =
-            p.child_blocks().into_iter().map(|sub| self.block_info(sub)).collect::<Result<_>>()?;
-        let refs = predicate_column_refs(p).into_iter().chain(subs.iter().flat_map(|i| &i.free));
-        let mut key: Vec<usize> = Vec::new();
-        for c in refs {
-            match schema.resolve(c.table.as_deref(), &c.column) {
-                Ok(i) if !key.contains(&i) => key.push(i),
-                Err(nsql_types::TypeError::AmbiguousColumn(_)) => return Ok(None),
-                _ => {}
-            }
-        }
-        Ok(Some(key))
-    }
-
-    /// Evaluate one block under `env`, the scope chain of the enclosing
-    /// bindings: resolve (recalled per query), bind (once per evaluation),
-    /// run the binding loop, then the SELECT phase.
-    fn eval_block(&self, q: &QueryBlock, env: &Env<'_>) -> Result<Relation> {
-        let info = self.block_info(q)?;
-        let (simple, nested) = info.split(q);
-        let bound = self.bind(&info, env);
+    /// Evaluate one block under `outer`, its outer values: run the binding
+    /// loop, then the SELECT phase.
+    fn eval_block(&self, q: &QueryBlock, outer: &Tuple) -> Result<Relation> {
+        let info = self.info(q);
+        let (_, nested) = info.split(q);
         let evaluate = |tuples: Tuples<'_>| -> Result<Relation> {
-            let conjuncts = bound.as_ref().map(|b| b.conjuncts.as_slice());
-            let survivors = self.bindings(&info, tuples, conjuncts, &simple, &nested, env)?;
-            self.eval_select(&info, &survivors, env)
+            let survivors = self.bindings(&info, tuples, &nested, outer)?;
+            self.eval_select(&info, &survivors, outer)
         };
         let scan = || Tuples::Pages(info.outer_pages());
-        match bound.as_ref().and_then(|b| self.candidates(q, &info, &b.outer)) {
+        match self.candidates(q, &info, outer) {
             // What the probe left out are tuples the key conjunct is not
             // TRUE of, which no conjunct after it sees under the scan
             // either, so the survivors are the scan's (in another order,
@@ -849,60 +808,29 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         }
     }
 
-    /// The bind-once step of one block evaluation: look every outer slot of
-    /// the block's compiled simple conjuncts up in `env` — here, not per
-    /// tuple — and put the values in place. `None` declines: the template
-    /// did (a reference is ambiguous in the block's own scope), or an outer
-    /// reference does not resolve in the chain. The interpreter then raises
-    /// that error where SQL's evaluation order puts it — on the first tuple
-    /// that reaches the operand, and not at all if none does.
-    fn bind(&self, info: &BlockInfo, env: &Env<'_>) -> Option<Bound> {
-        let tpl = info.template.as_ref()?;
-        let outer: Vec<Value> =
-            tpl.outer_refs.iter().map(|c| env.lookup(c).ok()).collect::<Option<_>>()?;
-        Some(Bound { conjuncts: tpl.conjuncts(&outer), outer })
-    }
-
     /// The binding loop — the only one, run by `eval_block`. Takes the
     /// tuples of the block's outermost file from `tuples` — pages,
     /// `read_page` called for each in order, or what a probe found; under
     /// every tuple enumerates the remaining FROM files by nested iteration;
-    /// applies the simple conjuncts in order, stopping at the first non-TRUE
-    /// one, then hands the binding — cloned off the page only now — to the
-    /// interpreter for the nested conjuncts under the same rule, each
-    /// evaluated once per distinct memo key (see the module docs). The
-    /// predicate is the arbiter either way: a probe's tuples run every
-    /// conjunct, the key conjunct included. Returns the survivors in
-    /// enumeration order.
-    ///
-    /// Simple conjuncts run bound (by index, on the buffered tuple in
-    /// place) unless `bound` declined.
+    /// applies the compiled simple conjuncts in order, on the tuple joined
+    /// with `outer`, stopping at the first non-TRUE one, then hands the
+    /// binding — cloned off the page only now — to the interpreter for the
+    /// nested conjuncts under the same rule, each evaluated once per
+    /// distinct memo key (see the module docs). The predicate is the arbiter
+    /// either way: a probe's tuples run every conjunct, the key conjunct
+    /// included. Returns the survivors in enumeration order.
     fn bindings(
         &self,
         info: &BlockInfo,
         tuples: Tuples<'_>,
-        bound: Option<&[CPred]>,
-        simple: &[&Predicate],
         nested: &[&Predicate],
-        env: &Env<'_>,
+        outer: &Tuple,
     ) -> Result<Vec<Tuple>> {
-        let schema = &info.schema;
         let passes = |t: &Tuple| -> Result<bool> {
-            match bound {
-                Some(conjuncts) => {
-                    for c in conjuncts {
-                        if c.eval(t)? != Some(true) {
-                            return Ok(false);
-                        }
-                    }
-                }
-                None => {
-                    let here = env.child(schema, t);
-                    for p in simple {
-                        if self.eval_pred(p, &here)? != Some(true) {
-                            return Ok(false);
-                        }
-                    }
+            let row = Joined::new(t, outer);
+            for c in &info.conjuncts {
+                if c.eval_row(&row)? != Some(true) {
+                    return Ok(false);
                 }
             }
             Ok(true)
@@ -913,19 +841,17 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         let mut memos: Vec<FxHashMap<Tuple, Option<bool>>> =
             vec![FxHashMap::default(); nested.len()];
         let mut admit = |binding: Tuple| -> Result<()> {
-            if !nested.is_empty() {
-                let here = env.child(schema, &binding);
-                for ((p, key), memo) in nested.iter().zip(&info.memo_keys).zip(&mut memos) {
-                    let verdict = match key {
-                        Some(cols) => match memo.entry(binding.project(cols)) {
-                            Entry::Occupied(seen) => *seen.get(),
-                            Entry::Vacant(slot) => *slot.insert(self.eval_pred(p, &here)?),
-                        },
-                        None => self.eval_pred(p, &here)?,
-                    };
-                    if verdict != Some(true) {
-                        return Ok(());
-                    }
+            let row = Joined::new(&binding, outer);
+            for ((p, key), memo) in nested.iter().zip(&info.memo_keys).zip(&mut memos) {
+                let verdict = match key {
+                    Some(cols) => match memo.entry(binding.project(cols)) {
+                        Entry::Occupied(seen) => *seen.get(),
+                        Entry::Vacant(slot) => *slot.insert(self.eval_pred(p, info, &row)?),
+                    },
+                    None => self.eval_pred(p, info, &row)?,
+                };
+                if verdict != Some(true) {
+                    return Ok(());
                 }
             }
             survivors.push(binding);
@@ -992,7 +918,12 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// through its [`SelectList`]; an aggregating one first groups them by
     /// hash, in first-encounter order — one group of all of them, even of
     /// none, without GROUP BY — into `[keys…, aggregates…]` rows.
-    fn eval_select(&self, info: &BlockInfo, survivors: &[Tuple], env: &Env<'_>) -> Result<Relation> {
+    fn eval_select(
+        &self,
+        info: &BlockInfo,
+        survivors: &[Tuple],
+        outer: &Tuple,
+    ) -> Result<Relation> {
         let list = info.select.as_ref().map_err(Clone::clone)?;
         if !list.grouped() {
             return list.finish(survivors, false);
@@ -1017,7 +948,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         for (key, members) in &groups {
             let mut row = key.values().to_vec();
             for agg in list.aggs() {
-                row.push(self.aggregate_over(agg, members, &info.schema, env)?);
+                row.push(self.aggregate_over(agg, members, info, outer)?);
             }
             rows.push(Tuple::new(row));
         }
@@ -1028,8 +959,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         &self,
         agg: &SelectAgg,
         members: &[&Tuple],
-        scope_schema: &Schema,
-        env: &Env<'_>,
+        info: &BlockInfo,
+        outer: &Tuple,
     ) -> Result<Value> {
         let mut state = AggState::new(agg.func);
         match &agg.input {
@@ -1039,11 +970,12 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                     state.accumulate(m.get(*i))?;
                 }
             }
-            // An outer or locally ambiguous argument: the scope chain
-            // decides, per member, so the error stays lazy.
+            // An outer reference: one value for the whole evaluation,
+            // accumulated once per member.
             AggInput::Unresolved(c) => {
-                for m in members {
-                    state.accumulate(&env.child(scope_schema, m).lookup(c)?)?;
+                let v = outer.get(info.column(c)? - info.schema.arity());
+                for _ in members {
+                    state.accumulate(v)?;
                 }
             }
         }
@@ -1052,74 +984,62 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
 
     // --------------------------------------------------------- predicates
 
-    fn eval_pred(&self, p: &Predicate, env: &Env<'_>) -> Result<Option<bool>> {
+    /// A nested conjunct of the block `info` describes, on `row`: a binding
+    /// joined with the evaluation's outer values.
+    fn eval_pred(&self, p: &Predicate, info: &BlockInfo, row: &Joined<'_>) -> Result<Option<bool>> {
         match p {
-            Predicate::And(ps) => {
-                let mut unknown = false;
-                for q in ps {
-                    match self.eval_pred(q, env)? {
-                        Some(false) => return Ok(Some(false)),
-                        None => unknown = true,
-                        Some(true) => {}
-                    }
-                }
-                Ok(if unknown { None } else { Some(true) })
-            }
-            Predicate::Or(ps) => {
-                let mut unknown = false;
-                for q in ps {
-                    match self.eval_pred(q, env)? {
-                        Some(true) => return Ok(Some(true)),
-                        None => unknown = true,
-                        Some(false) => {}
-                    }
-                }
-                Ok(if unknown { None } else { Some(false) })
-            }
-            Predicate::Not(q) => Ok(not3(self.eval_pred(q, env)?)),
+            Predicate::And(ps) => and3(ps, |q| self.eval_pred(q, info, row)),
+            Predicate::Or(ps) => or3(ps, |q| self.eval_pred(q, info, row)),
+            Predicate::Not(q) => Ok(not3(self.eval_pred(q, info, row)?)),
             Predicate::Compare { left, op, right } => {
-                let l = self.eval_operand(left, env)?;
-                let r = self.eval_operand(right, env)?;
+                let l = self.eval_operand(left, info, row)?;
+                let r = self.eval_operand(right, info, row)?;
                 compare_values(&l, *op, &r)
             }
             Predicate::In { operand, negated, rhs } => {
-                let v = self.eval_operand(operand, env)?;
+                let v = self.eval_operand(operand, info, row)?;
                 let raw = match rhs {
                     InRhs::List(list) => crate::pred::in_list(&v, list)?,
-                    InRhs::Subquery(q) => self.eval_membership(&v, q, env)?,
+                    InRhs::Subquery(q) => self.eval_membership(&v, q, row)?,
                 };
                 Ok(if *negated { not3(raw) } else { raw })
             }
             Predicate::Exists { negated, query } => {
-                let nonempty = !self.eval_inner_rows(query, env)?.is_empty();
+                let nonempty = !self.eval_inner_rows(query, row)?.is_empty();
                 Ok(Some(if *negated { !nonempty } else { nonempty }))
             }
             Predicate::Quantified { left, op, quantifier, query } => {
-                let v = self.eval_operand(left, env)?;
-                let rows = self.eval_inner_rows(query, env)?;
+                let v = self.eval_operand(left, info, row)?;
+                let rows = self.eval_inner_rows(query, row)?;
                 self.eval_quantified(&v, *op, *quantifier, &rows)
             }
             Predicate::IsNull { operand, negated } => {
-                let v = self.eval_operand(operand, env)?;
+                let v = self.eval_operand(operand, info, row)?;
                 Ok(Some(if *negated { !v.is_null() } else { v.is_null() }))
             }
         }
     }
 
-    fn eval_operand(&self, o: &Operand, env: &Env<'_>) -> Result<Value> {
+    fn eval_operand(&self, o: &Operand, info: &BlockInfo, row: &Joined<'_>) -> Result<Value> {
         match o {
-            Operand::Column(c) => env.lookup(c),
+            Operand::Column(c) => Ok(row.field(info.column(c)?).clone()),
             Operand::Literal(v) => Ok(v.clone()),
-            Operand::Subquery(q) => self.eval_scalar_subquery(q, env),
+            Operand::Subquery(q) => self.eval_scalar_subquery(q, row),
         }
     }
 
-    /// An uncorrelated inner block, its result evaluated under the empty
-    /// scope at its first use and kept for the query (`None`: the block is
+    /// Evaluate correlated block `q` under the enclosing block's `row`.
+    fn eval_nested(&self, q: &QueryBlock, row: &Joined<'_>) -> Result<Relation> {
+        let outer: Tuple = self.info(q).outer_at.iter().map(|&i| row.field(i).clone()).collect();
+        self.eval_block(q, &outer)
+    }
+
+    /// An uncorrelated inner block, its result evaluated without outer
+    /// values at its first use and kept for the query (`None`: the block is
     /// correlated).
     fn once_only(&self, q: &QueryBlock, kind: UseKind) -> Result<Option<Rc<BlockInfo>>> {
-        let info = self.block_info(q)?;
-        if !info.free.is_empty() {
+        let info = self.info(q);
+        if !info.outer_at.is_empty() {
             return Ok(None);
         }
         if info.result.get().is_none() {
@@ -1131,7 +1051,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
 
     /// Evaluate an uncorrelated block into the form its use site consumes.
     fn materialize(&self, q: &QueryBlock, kind: UseKind) -> Result<Cached> {
-        let rel = self.eval_block(q, &Env::default())?;
+        let rel = self.eval_block(q, &Tuple::default())?;
         Ok(match kind {
             UseKind::Scalar => Cached::Scalar(self.scalar_from_relation(rel)?),
             UseKind::List => {
@@ -1151,19 +1071,18 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     }
 
     /// Scalar subquery: at most one row, one column; empty ⇒ NULL.
-    fn eval_scalar_subquery(&self, q: &QueryBlock, env: &Env<'_>) -> Result<Value> {
+    fn eval_scalar_subquery(&self, q: &QueryBlock, row: &Joined<'_>) -> Result<Value> {
         match self.once_only(q, UseKind::Scalar)? {
             Some(info) => match info.result.get() {
                 Some(Cached::Scalar(v)) => Ok(v.clone()),
                 _ => Err(EngineError::Internal("scalar cache corrupted".into())),
             },
             None => {
-                let rel = self.eval_block(q, env)?;
+                let rel = self.eval_nested(q, row)?;
                 self.scalar_from_relation(rel)
             }
         }
     }
-
     fn scalar_from_relation(&self, rel: Relation) -> Result<Value> {
         match rel.len() {
             0 => Ok(Value::Null),
@@ -1175,7 +1094,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// `v IN (subquery)` with System R's materialize-once strategy for
     /// uncorrelated inners: the list is stored as a temporary file and
     /// re-scanned per membership test.
-    fn eval_membership(&self, v: &Value, q: &QueryBlock, env: &Env<'_>) -> Result<Option<bool>> {
+    fn eval_membership(&self, v: &Value, q: &QueryBlock, row: &Joined<'_>) -> Result<Option<bool>> {
         if let Some(file) = self.once_only_list(q)? {
             // Scan the stored list per test (bounded memory, real I/O).
             // Tuples are compared in place on their buffered pages; the scan
@@ -1208,14 +1127,14 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             }
             return Ok(if unknown { None } else { Some(false) });
         }
-        let rows = self.eval_block(q, env)?;
+        let rows = self.eval_nested(q, row)?;
         let list: Vec<Value> = rows.tuples().iter().map(|t| t.get(0).clone()).collect();
         crate::pred::in_list(v, &list)
     }
 
     /// Rows of an inner block (for EXISTS / quantified), materialized once
     /// for uncorrelated blocks.
-    fn eval_inner_rows(&self, q: &QueryBlock, env: &Env<'_>) -> Result<Vec<Value>> {
+    fn eval_inner_rows(&self, q: &QueryBlock, row: &Joined<'_>) -> Result<Vec<Value>> {
         if let Some(file) = self.once_only_list(q)? {
             let mut out = Vec::with_capacity(file.tuple_count());
             file.try_for_each(&self.storage, |t| -> Result<()> {
@@ -1224,7 +1143,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             })?;
             return Ok(out);
         }
-        let rel = self.eval_block(q, env)?;
+        let rel = self.eval_nested(q, row)?;
         Ok(rel.tuples().iter().map(|t| t.get(0).clone()).collect())
     }
 
@@ -1240,19 +1159,39 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         quant: Quantifier,
         rows: &[Value],
     ) -> Result<Option<bool>> {
-        let mut unknown = false;
-        for r in rows {
-            match compare_values(v, op, r)? {
-                Some(true) if quant == Quantifier::Any => return Ok(Some(true)),
-                Some(false) if quant == Quantifier::All => return Ok(Some(false)),
-                None => unknown = true,
-                _ => {}
-            }
+        let compare = |r: &Value| compare_values(v, op, r);
+        match quant {
+            Quantifier::Any => or3(rows, compare),
+            Quantifier::All => and3(rows, compare),
         }
-        Ok(if unknown {
-            None
-        } else {
-            Some(quant == Quantifier::All)
-        })
     }
+}
+
+/// A block's key in the query's block map.
+fn address(q: &QueryBlock) -> usize {
+    q as *const QueryBlock as usize
+}
+
+/// Record the outer references of `q` and of every block nested in it, by
+/// block address, and return `q`'s: the references of its subtree, in
+/// first-occurrence order, whose qualifier its FROM does not name. Every
+/// reference of an analyzed statement carries the name of the entry it
+/// binds to, and no two scopes of a chain share one, so these are exactly
+/// what binds outside the block.
+fn outer_refs(q: &QueryBlock, out: &mut FxHashMap<usize, Vec<ColumnRef>>) -> Vec<ColumnRef> {
+    let names = q.from_names();
+    let mut free: Vec<ColumnRef> = Vec::new();
+    let mut note = |c: &ColumnRef| {
+        let local = c.table.as_deref().is_some_and(|t| names.contains(&t));
+        if !local && !free.contains(c) {
+            free.push(c.clone());
+        }
+    };
+    // An ORDER BY key left unqualified names a select alias.
+    level_column_refs(q).into_iter().filter(|c| c.table.is_some()).for_each(&mut note);
+    for sub in q.child_blocks() {
+        outer_refs(sub, out).iter().for_each(&mut note);
+    }
+    out.insert(address(q), free.clone());
+    free
 }

@@ -5,12 +5,11 @@
 //! `Some(true)` — the rule that makes `MAX(∅) = NULL` drop rows in the
 //! paper's Q5 example and that outer-join `NULL` padding interacts with.
 //!
-//! Two forms. [`CPred`] is the executable one, over column indices of a
-//! fixed tuple schema. A [`Template`] is nested iteration's per-block form:
-//! a block's simple WHERE conjuncts compiled once per query, with outer
-//! (correlated) references left as slots, so each evaluation of the block
-//! binds them as constants ([`Template::conjuncts`]) and gets one [`CPred`]
-//! per conjunct.
+//! [`CPred`] is the one executable form, over column indices of a fixed
+//! tuple schema. Nested iteration compiles a block's simple conjuncts once
+//! against the block's scope joined with its outer references, and runs them
+//! on a binding joined with the evaluation's outer values
+//! ([`crate::expr::Joined`]).
 
 use crate::error::EngineError;
 use crate::expr::{CExpr, Row};
@@ -18,38 +17,33 @@ use crate::Result;
 use nsql_sql::{ColumnRef, CompareOp, InRhs, Operand, Predicate};
 use nsql_types::{ColumnType, Schema, Tuple, Value};
 
-/// Three-valued AND over an iterator of truth values.
-pub fn and3(values: impl IntoIterator<Item = Option<bool>>) -> Option<bool> {
-    let mut unknown = false;
-    for v in values {
-        match v {
-            Some(false) => return Some(false),
-            None => unknown = true,
-            Some(true) => {}
-        }
-    }
-    if unknown {
-        None
-    } else {
-        Some(true)
-    }
+/// Three-valued AND of `items`, each evaluated by `eval` in turn until one
+/// is FALSE or raises: FALSE if one is, else UNKNOWN if one is, else TRUE.
+pub fn and3<T>(items: &[T], eval: impl FnMut(&T) -> Result<Option<bool>>) -> Result<Option<bool>> {
+    fold3(items, false, eval)
 }
 
-/// Three-valued OR over an iterator of truth values.
-pub fn or3(values: impl IntoIterator<Item = Option<bool>>) -> Option<bool> {
+/// Three-valued OR of `items`, each evaluated by `eval` in turn until one
+/// is TRUE or raises: TRUE if one is, else UNKNOWN if one is, else FALSE.
+pub fn or3<T>(items: &[T], eval: impl FnMut(&T) -> Result<Option<bool>>) -> Result<Option<bool>> {
+    fold3(items, true, eval)
+}
+
+/// [`and3`] (`decisive` FALSE) and [`or3`] (`decisive` TRUE).
+fn fold3<T>(
+    items: &[T],
+    decisive: bool,
+    mut eval: impl FnMut(&T) -> Result<Option<bool>>,
+) -> Result<Option<bool>> {
     let mut unknown = false;
-    for v in values {
-        match v {
-            Some(true) => return Some(true),
+    for item in items {
+        match eval(item)? {
+            Some(v) if v == decisive => return Ok(Some(decisive)),
             None => unknown = true,
-            Some(false) => {}
+            Some(_) => {}
         }
     }
-    if unknown {
-        None
-    } else {
-        Some(false)
-    }
+    Ok(if unknown { None } else { Some(!decisive) })
 }
 
 /// Three-valued NOT.
@@ -110,36 +104,8 @@ impl CPred {
     pub fn eval_row<R: Row>(&self, row: &R) -> Result<Option<bool>> {
         Ok(match self {
             CPred::Const(v) => *v,
-            CPred::And(ps) => {
-                let mut unknown = false;
-                for p in ps {
-                    match p.eval_row(row)? {
-                        Some(false) => return Ok(Some(false)),
-                        None => unknown = true,
-                        Some(true) => {}
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(true)
-                }
-            }
-            CPred::Or(ps) => {
-                let mut unknown = false;
-                for p in ps {
-                    match p.eval_row(row)? {
-                        Some(true) => return Ok(Some(true)),
-                        None => unknown = true,
-                        Some(false) => {}
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
+            CPred::And(ps) => and3(ps, |p| p.eval_row(row))?,
+            CPred::Or(ps) => or3(ps, |p| p.eval_row(row))?,
             CPred::Not(p) => not3(p.eval_row(row)?),
             CPred::Cmp { left, op, right } => {
                 compare_values(left.eval_row(row), *op, right.eval_row(row))?
@@ -269,15 +235,7 @@ pub fn compare_values(a: &Value, op: CompareOp, b: &Value) -> Result<Option<bool
 /// SQL `IN` over an in-memory list: `TRUE` if some element equals, else
 /// `UNKNOWN` if any comparison was unknown (NULL involved), else `FALSE`.
 pub fn in_list(v: &Value, list: &[Value]) -> Result<Option<bool>> {
-    let mut unknown = false;
-    for item in list {
-        match v.sql_eq(item)? {
-            Some(true) => return Ok(Some(true)),
-            None => unknown = true,
-            Some(false) => {}
-        }
-    }
-    Ok(if unknown { None } else { Some(false) })
+    or3(list, |item| Ok(v.sql_eq(item)?))
 }
 
 /// Whether evaluating `p` cannot raise, when `declared` gives the declared
@@ -311,193 +269,6 @@ pub fn cannot_raise(p: &Predicate, declared: &impl Fn(&ColumnRef) -> Option<Colu
     }
 }
 
-/// A template operand: local column, outer (correlated) reference by slot,
-/// or literal.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TOperand {
-    /// Column of the local (block) schema, by index.
-    Local(usize),
-    /// Slot into the template's `outer_refs` list; instantiated per
-    /// outer binding.
-    Outer(usize),
-    /// Literal constant.
-    Lit(Value),
-}
-
-/// A template predicate, shaped like [`CPred`] over [`TOperand`]s.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TPred {
-    /// Constant truth value.
-    Const(Option<bool>),
-    /// Conjunction.
-    And(Vec<TPred>),
-    /// Disjunction.
-    Or(Vec<TPred>),
-    /// Negation.
-    Not(Box<TPred>),
-    /// Scalar comparison.
-    Cmp {
-        /// Left side.
-        left: TOperand,
-        /// Operator.
-        op: CompareOp,
-        /// Right side.
-        right: TOperand,
-    },
-    /// Membership in a literal list.
-    InList {
-        /// Tested operand.
-        expr: TOperand,
-        /// List of values.
-        list: Vec<Value>,
-        /// Negated?
-        negated: bool,
-    },
-    /// NULL test.
-    IsNull {
-        /// Tested operand.
-        expr: TOperand,
-        /// `IS NOT NULL`?
-        negated: bool,
-    },
-}
-
-/// A block-level predicate template: a WHERE conjunct list with local
-/// references resolved to column indices and outer references collected
-/// for per-binding instantiation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Template {
-    /// The shaped conjuncts, in WHERE order.
-    pub conjuncts: Vec<TPred>,
-    /// Deduplicated outer references, in first-appearance order; slot `i`
-    /// corresponds to [`TOperand::Outer`]`(i)`.
-    pub outer_refs: Vec<ColumnRef>,
-}
-
-impl Template {
-    /// Compile a WHERE conjunct list against a block's local `schema`.
-    /// Returns `None` when a conjunct holds anything that must stay lazy: a
-    /// subquery in any position, or a reference that is *ambiguous* in the
-    /// local schema (the interpreter raises that error only when a tuple
-    /// reaches the operand; declining keeps that behavior canonical).
-    /// References that simply don't resolve locally become outer slots.
-    pub fn compile(schema: &Schema, conjuncts: &[&Predicate]) -> Option<Template> {
-        let mut outer_refs = Vec::new();
-        let conjuncts = conjuncts
-            .iter()
-            .map(|p| compile_tpred(schema, p, &mut outer_refs))
-            .collect::<Option<_>>()?;
-        Some(Template { conjuncts, outer_refs })
-    }
-
-    /// Bind one evaluation's outer values (`outer_vals[i]` is the resolved
-    /// value of `outer_refs[i]`) and return one [`CPred`] per conjunct.
-    /// WHERE keeps a binding only while every conjunct in turn is TRUE, so
-    /// callers evaluate the list in order and stop at the first non-TRUE
-    /// one — unlike an `AND` *inside* a conjunct, which evaluates on past
-    /// an UNKNOWN operand.
-    pub fn conjuncts(&self, outer_vals: &[Value]) -> Vec<CPred> {
-        debug_assert_eq!(outer_vals.len(), self.outer_refs.len());
-        self.conjuncts.iter().map(|q| instantiate_tpred(q, outer_vals)).collect()
-    }
-}
-
-fn compile_operand(
-    schema: &Schema,
-    o: &Operand,
-    outer_refs: &mut Vec<ColumnRef>,
-) -> Option<TOperand> {
-    match o {
-        Operand::Literal(v) => Some(TOperand::Lit(v.clone())),
-        Operand::Subquery(_) => None,
-        Operand::Column(c) => match schema.resolve(c.table.as_deref(), &c.column) {
-            Ok(i) => Some(TOperand::Local(i)),
-            // Ambiguous in the local scope: the interpreter errors here (the
-            // innermost scope wins ambiguity checks), and it may do so
-            // lazily under OR short-circuit — decline so it stays lazy.
-            Err(nsql_types::TypeError::AmbiguousColumn(_)) => None,
-            Err(_) => {
-                let slot = match outer_refs.iter().position(|r| r == c) {
-                    Some(i) => i,
-                    None => {
-                        outer_refs.push(c.clone());
-                        outer_refs.len() - 1
-                    }
-                };
-                Some(TOperand::Outer(slot))
-            }
-        },
-    }
-}
-
-fn compile_tpred(
-    schema: &Schema,
-    p: &Predicate,
-    outer_refs: &mut Vec<ColumnRef>,
-) -> Option<TPred> {
-    Some(match p {
-        Predicate::And(ps) => TPred::And(
-            ps.iter().map(|q| compile_tpred(schema, q, outer_refs)).collect::<Option<_>>()?,
-        ),
-        Predicate::Or(ps) => TPred::Or(
-            ps.iter().map(|q| compile_tpred(schema, q, outer_refs)).collect::<Option<_>>()?,
-        ),
-        Predicate::Not(q) => TPred::Not(Box::new(compile_tpred(schema, q, outer_refs)?)),
-        Predicate::Compare { left, op, right } => TPred::Cmp {
-            left: compile_operand(schema, left, outer_refs)?,
-            op: *op,
-            right: compile_operand(schema, right, outer_refs)?,
-        },
-        Predicate::In { operand, negated, rhs: InRhs::List(list) } => TPred::InList {
-            expr: compile_operand(schema, operand, outer_refs)?,
-            list: list.clone(),
-            negated: *negated,
-        },
-        Predicate::In { rhs: InRhs::Subquery(_), .. }
-        | Predicate::Exists { .. }
-        | Predicate::Quantified { .. } => return None,
-        Predicate::IsNull { operand, negated } => TPred::IsNull {
-            expr: compile_operand(schema, operand, outer_refs)?,
-            negated: *negated,
-        },
-    })
-}
-
-fn instantiate_operand(o: &TOperand, outer_vals: &[Value]) -> CExpr {
-    match o {
-        TOperand::Local(i) => CExpr::Col(*i),
-        TOperand::Outer(s) => CExpr::Lit(outer_vals[*s].clone()),
-        TOperand::Lit(v) => CExpr::Lit(v.clone()),
-    }
-}
-
-fn instantiate_tpred(p: &TPred, outer_vals: &[Value]) -> CPred {
-    match p {
-        TPred::Const(v) => CPred::Const(*v),
-        TPred::And(ps) => {
-            CPred::And(ps.iter().map(|q| instantiate_tpred(q, outer_vals)).collect())
-        }
-        TPred::Or(ps) => {
-            CPred::Or(ps.iter().map(|q| instantiate_tpred(q, outer_vals)).collect())
-        }
-        TPred::Not(q) => CPred::Not(Box::new(instantiate_tpred(q, outer_vals))),
-        TPred::Cmp { left, op, right } => CPred::Cmp {
-            left: instantiate_operand(left, outer_vals),
-            op: *op,
-            right: instantiate_operand(right, outer_vals),
-        },
-        TPred::InList { expr, list, negated } => CPred::InList {
-            expr: instantiate_operand(expr, outer_vals),
-            list: list.clone(),
-            negated: *negated,
-        },
-        TPred::IsNull { expr, negated } => CPred::IsNull {
-            expr: instantiate_operand(expr, outer_vals),
-            negated: *negated,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,20 +294,37 @@ mod tests {
         ])
     }
 
+    fn truth(v: &Option<bool>) -> Result<Option<bool>> {
+        Ok(*v)
+    }
+
     #[test]
     fn three_valued_and() {
-        assert_eq!(and3([Some(true), Some(true)]), Some(true));
-        assert_eq!(and3([Some(true), Some(false), None]), Some(false));
-        assert_eq!(and3([Some(true), None]), None);
-        assert_eq!(and3([]), Some(true));
+        assert_eq!(and3(&[Some(true), Some(true)], truth), Ok(Some(true)));
+        assert_eq!(and3(&[Some(true), Some(false), None], truth), Ok(Some(false)));
+        assert_eq!(and3(&[Some(true), None], truth), Ok(None));
+        assert_eq!(and3(&[], truth), Ok(Some(true)));
     }
 
     #[test]
     fn three_valued_or() {
-        assert_eq!(or3([Some(false), Some(true), None]), Some(true));
-        assert_eq!(or3([Some(false), None]), None);
-        assert_eq!(or3([Some(false)]), Some(false));
-        assert_eq!(or3([]), Some(false));
+        assert_eq!(or3(&[Some(false), Some(true), None], truth), Ok(Some(true)));
+        assert_eq!(or3(&[Some(false), None], truth), Ok(None));
+        assert_eq!(or3(&[Some(false)], truth), Ok(Some(false)));
+        assert_eq!(or3(&[], truth), Ok(Some(false)));
+    }
+
+    /// The fold stops at the decisive value: what follows it is never
+    /// evaluated, so it cannot raise.
+    #[test]
+    fn the_fold_stops_at_the_decisive_value() {
+        let raise = |v: &Option<bool>| match v {
+            Some(b) => Ok(Some(*b)),
+            None => Err(EngineError::Internal("evaluated past the decisive value".into())),
+        };
+        assert_eq!(and3(&[Some(true), Some(false), None], raise), Ok(Some(false)));
+        assert_eq!(or3(&[Some(false), Some(true), None], raise), Ok(Some(true)));
+        assert!(and3(&[Some(true), None], raise).is_err());
     }
 
     #[test]
@@ -593,50 +381,5 @@ mod tests {
         assert!(CPred::compile(&schema(), q.where_clause.as_ref().unwrap()).is_err());
         let q = parse_query("SELECT A FROM T WHERE EXISTS (SELECT B FROM T)").unwrap();
         assert!(CPred::compile(&schema(), q.where_clause.as_ref().unwrap()).is_err());
-    }
-
-    #[test]
-    fn template_compiles_locals_outers_and_declines_subqueries() {
-        let s = Schema::new(vec![Column::qualified("SUPPLY", "PNUM", ColumnType::Int)]);
-        let q = parse_query(
-            "SELECT PNUM FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND PNUM > 2",
-        )
-        .unwrap();
-        let t = Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).unwrap();
-        assert_eq!(t.outer_refs, vec![ColumnRef::qualified("PARTS", "PNUM")]);
-        // Binding an evaluation's outer value turns the slot into a
-        // constant: one predicate per conjunct.
-        let cs = t.conjuncts(&[Value::Int(7)]);
-        assert_eq!(cs.len(), 2);
-        let rows: Vec<bool> = [7, 3, 7]
-            .iter()
-            .map(|&k| cs.iter().all(|c| c.accepts(&Tuple::new(vec![Value::Int(k)])).unwrap()))
-            .collect();
-        assert_eq!(rows, [true, false, true]);
-
-        // A subquery in any position → decline.
-        for nested in ["PNUM IN (SELECT X FROM Y)", "(SELECT MAX(X) FROM Y) IS NULL"] {
-            let q = parse_query(&format!("SELECT PNUM FROM SUPPLY WHERE {nested}")).unwrap();
-            let conjuncts = q.where_clause.as_ref().unwrap().conjuncts();
-            assert!(Template::compile(&s, &conjuncts).is_none(), "{nested}");
-        }
-    }
-
-    #[test]
-    fn template_declines_locally_ambiguous_references() {
-        let s = Schema::new(vec![
-            Column::qualified("A", "K", ColumnType::Int),
-            Column::qualified("B", "K", ColumnType::Int),
-        ]);
-        let q = parse_query("SELECT K FROM T WHERE K = 1").unwrap();
-        assert!(Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).is_none());
-    }
-
-    #[test]
-    fn outer_refs_deduplicate_by_slot() {
-        let s = Schema::new(vec![Column::qualified("S", "X", ColumnType::Int)]);
-        let q = parse_query("SELECT X FROM S WHERE X = P.K OR X < P.K").unwrap();
-        let t = Template::compile(&s, &q.where_clause.as_ref().unwrap().conjuncts()).unwrap();
-        assert_eq!(t.outer_refs.len(), 1);
     }
 }

@@ -49,9 +49,8 @@ pub(crate) enum AggInput {
     Star,
     /// A column of the scope.
     Column(usize),
-    /// A reference the scope does not resolve — an outer reference, or one
-    /// ambiguous in the scope — which nested iteration looks up per member
-    /// in the scope chain, so a failure is raised only over a member.
+    /// A reference the scope does not resolve: an outer reference, whose
+    /// value nested iteration takes from the evaluation's outer values.
     Unresolved(ColumnRef),
 }
 

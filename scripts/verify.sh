@@ -123,6 +123,7 @@ done <<GATES
 \\b(evict_if_unpinned|evict_lru|pin_page|unpin_page|evict_page)\\b|\\.(un)?pin\\(|\\.pins\\b|pins: u32#$everywhere#-#a buffer-pool pin; pages are immutable Arc<Page>s, so an eviction never invalidates a reader (crates/storage/src/buffer.rs)
 \\b(for_block|is_local|as_f64)\\b|\\bfn (as_column|fork)\\b|\\.(as_column|fork)\\(#$everywhere#-#dead code deleted with no caller: Resolver::for_block / is_local, Operand::as_column, Rng::fork, Value::as_f64
 \\b(qualify_query|qualify_pred|qualify_operand|qualify_ref|Resolver|binding_depth|validate_block|outer_column_refs|transform_query_traced)\\b#$everywhere#-#a second name resolver or its helpers beside nsql_analyzer::analyze, which qualifies each statement once (DESIGN.md "Name resolution")
+\\b(TPred|TOperand|instantiate_tpred|compile_tpred)\\b#$everywhere#-#a second predicate IR beside CPred: nested iteration compiles a block's simple conjuncts once, against the block's scope joined with its outer references (DESIGN.md "Name resolution")
 fn block_is_correlated\\b#$everywhere#crates/analyzer/src/classify\\.rs#a second correlation test beside nsql_analyzer::block_is_correlated, which NEST-G, classify_inner and query_tree share
 \\bproject_collect\\b|fn nl_join_cols<#$everywhere#-#a dead operator variant: Exec::project_collect, or a nested-loop inner held in memory (the plan layer hands the nested loop a file)
 faithful_1987 *[:=] *true|UnnestOptions::faithful\\(|set_faithful\\(true#$non_test#crates/core/src/nest_g\\.rs|crates/db/src/options\\.rs|crates/bench/src/.*|src/diff\\.rs|examples/.*#faithful_1987 is set on a path the default options reach
@@ -174,6 +175,13 @@ resolvers=$(calls '(^|[^a-z_])block_schema[(]' | cut -d: -f1 | sort -u | tr '\n'
 if [ "$resolvers" != "crates/analyzer/src/resolve.rs " ]; then
     echo "files calling block_schema: ${resolvers:-none}"
     echo "FAIL: a scope is built outside the analyzer's walk (or nowhere)"
+    exit 1
+fi
+# Nested iteration runs the analyzed statement: a block's outer references
+# are the qualifiers its FROM does not name, never what its scope fails to
+# resolve.
+if sed '/^#\[cfg(test)\]/q' crates/engine/src/nested_iter.rs | grep -nE '[.]try_resolve[(]'; then
+    echo "FAIL: nested iteration resolves names by itself"
     exit 1
 fi
 

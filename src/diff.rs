@@ -125,10 +125,12 @@ fn class_of(ty: ColumnType) -> Option<Class> {
     }
 }
 
-/// A column visible in some enclosing scope, with the alias that reaches it.
+/// A column visible in some enclosing scope, with the name that reaches it
+/// and the table it is of.
 #[derive(Debug, Clone)]
 struct ScopeCol {
     alias: String,
+    table: usize,
     name: String,
     ty: ColumnType,
 }
@@ -197,6 +199,13 @@ enum BlockMode {
 struct QueryGen<'a> {
     tables: &'a [(String, Relation)],
     next_alias: usize,
+    /// The draws that name an inner block's first FROM entry as an enclosing
+    /// or a sibling one, apart from the main stream, so that a case that
+    /// reuses no name draws what it would without the reuse.
+    names: Rng,
+    /// The table of the last entry left unaliased, which a later block — a
+    /// sibling, often — may name again.
+    unaliased: Option<usize>,
 }
 
 impl<'a> QueryGen<'a> {
@@ -475,12 +484,51 @@ impl<'a> QueryGen<'a> {
         else {
             unreachable!("a correlation compares two columns")
         };
-        let inner = |c: &ColumnRef| locals.iter().any(|l| Some(&l.alias) == c.table.as_ref());
+        let inner = |c: &ColumnRef| locals.iter().any(|l| l.cref() == *c);
         let relation = if inner(a) { &b.table } else { &a.table };
-        let same: Vec<ScopeCol> =
+        let mut same: Vec<ScopeCol> =
             outer.iter().filter(|c| Some(&c.alias) == relation.as_ref()).cloned().collect();
+        // A relation reached through a shadowing name may show no Int column.
+        if !same.iter().any(|c| c.class() == Class::Num) {
+            same = outer.to_vec();
+        }
         let second = self.correlation(rng, locals, &same);
         Predicate::Or(vec![first, second])
+    }
+
+    /// How an inner block names its first FROM entry, over table `ti`:
+    /// `Some(Some(alias))` reuses the name of an enclosing entry over
+    /// another table, `Some(None)` leaves the entry unaliased — by the name
+    /// an earlier block, a sibling often, gave the same table — and `None`
+    /// gives it a fresh alias. The top block always takes a fresh one.
+    fn reused_name(&mut self, ti: usize, outer: &[ScopeCol]) -> Option<Option<String>> {
+        if outer.is_empty() {
+            return None;
+        }
+        let others: Vec<&ScopeCol> = outer.iter().filter(|c| c.table != ti).collect();
+        if !others.is_empty() && self.names.gen_bool(0.2) {
+            return Some(Some(self.names.choose(&others).alias.clone()));
+        }
+        let again = self.unaliased == Some(ti) && self.names.gen_bool(0.9);
+        if again || self.names.gen_bool(0.3) {
+            self.unaliased = Some(ti);
+            return Some(None);
+        }
+        None
+    }
+
+    /// A conjunct reading an enclosing column through the name this block
+    /// shadows: compared with a local column of its class, or tested for
+    /// NULL.
+    fn through_conjunct(&mut self, through: &[&ScopeCol], locals: &[ScopeCol]) -> Predicate {
+        let far = *self.names.choose(through);
+        let near: Vec<&ScopeCol> = locals.iter().filter(|l| l.class() == far.class()).collect();
+        if near.is_empty() || self.names.gen_bool(0.2) {
+            return Predicate::IsNull { operand: far.operand(), negated: self.names.gen_bool(0.5) };
+        }
+        let near = *self.names.choose(&near);
+        let op = *self.names.choose(&[CompareOp::Eq, CompareOp::Lt, CompareOp::Ge]);
+        Predicate::col_cmp(near.cref(), op, far.cref())
     }
 
     fn block(
@@ -511,17 +559,47 @@ impl<'a> QueryGen<'a> {
             chosen[0] = *rng.choose(&with_str);
         }
 
-        let mut from = Vec::new();
-        let mut locals: Vec<ScopeCol> = Vec::new();
-        for &ti in &chosen {
-            let alias = format!("A{}", self.next_alias);
-            self.next_alias += 1;
-            let (name, rel) = &self.tables[ti];
-            from.push(TableRef::aliased(name.clone(), &alias));
-            for c in rel.schema().columns() {
-                locals.push(ScopeCol { alias: alias.clone(), name: c.name.clone(), ty: c.ty });
+        // Now and then the table an earlier block left unaliased, where the
+        // block's demand for a Str column allows.
+        if let Some(t) = self.unaliased.filter(|_| !outer.is_empty()) {
+            let needs_str = matches!(mode, BlockMode::OneCol(Class::Str));
+            let has_str =
+                self.table_has_str(t) || chosen[1..].iter().any(|&i| self.table_has_str(i));
+            if (!needs_str || has_str) && self.names.gen_bool(0.7) {
+                chosen[0] = t;
             }
         }
+        let mut from = Vec::new();
+        let mut locals: Vec<ScopeCol> = Vec::new();
+        for (i, &ti) in chosen.iter().enumerate() {
+            let mut alias = format!("A{}", self.next_alias);
+            self.next_alias += 1;
+            let (name, rel) = &self.tables[ti];
+            let reuse = if i == 0 { self.reused_name(ti, outer) } else { None };
+            let entry = match reuse {
+                Some(Some(reused)) => {
+                    alias = reused;
+                    TableRef::aliased(name.clone(), &alias)
+                }
+                Some(None) => {
+                    alias = name.clone();
+                    TableRef::new(name.clone())
+                }
+                None => TableRef::aliased(name.clone(), &alias),
+            };
+            from.push(entry);
+            for c in rel.schema().columns() {
+                let (name, ty) = (c.name.clone(), c.ty);
+                locals.push(ScopeCol { alias: alias.clone(), table: ti, name, ty });
+            }
+        }
+        // An entry named as an enclosing one hides the columns of that entry
+        // it has itself; the others are reached through the name.
+        let hidden = |c: &ScopeCol| locals.iter().any(|l| l.alias == c.alias && l.name == c.name);
+        let outer: Vec<ScopeCol> = outer.iter().filter(|c| !hidden(c)).cloned().collect();
+        let outer = outer.as_slice();
+        let through: Vec<&ScopeCol> =
+            outer.iter().filter(|c| locals.iter().any(|l| l.alias == c.alias)).collect();
 
         // WHERE: simple + nested conjuncts, plus (for inner blocks) a
         // correlation predicate most of the time.
@@ -543,7 +621,10 @@ impl<'a> QueryGen<'a> {
                 conjuncts.push(self.simple_conjunct(rng, &locals));
             }
         }
-        if !outer.is_empty() && rng.gen_bool(0.75) {
+        if !through.is_empty() && self.names.gen_bool(0.8) {
+            conjuncts.push(self.through_conjunct(&through, &locals));
+        }
+        if outer.iter().any(|c| c.class() == Class::Num) && rng.gen_bool(0.75) {
             let correlation = match mode {
                 BlockMode::OneAgg if rng.gen_bool(0.5) => {
                     self.disjunctive_correlation(rng, &locals, outer)
@@ -662,7 +743,8 @@ pub fn gen_case(rng: &mut Rng) -> DiffCase {
         tables.push((format!("T{i}"), rel));
     }
     let query = {
-        let mut qg = QueryGen { tables: &tables, next_alias: 0 };
+        let names = Rng::from_seed(rng.clone().next_u64() ^ 0x5ade_a11a5);
+        let mut qg = QueryGen { tables: &tables, next_alias: 0, names, unaliased: None };
         qg.block(rng, &[], 2, BlockMode::Top)
     };
     DiffCase { tables, query }
@@ -1345,10 +1427,50 @@ mod tests {
         assert!(matches!(check_case(&case), CaseOutcome::Agree(report) if !report.is_empty()));
     }
 
+    /// Does a block of `q` name a FROM entry as an enclosing block does and
+    /// read, through that name, a column its own entry lacks?
+    fn reads_through_a_shadowing_name(q: &QueryBlock, tables: &[(String, Relation)]) -> bool {
+        fn walk(q: &QueryBlock, enclosing: &[&str], tables: &[(String, Relation)]) -> bool {
+            let lacks = |t: &TableRef, c: &ColumnRef| {
+                let table = tables.iter().find(|(n, _)| *n == t.table).expect("a case table");
+                c.table.as_deref() == Some(t.effective_name())
+                    && table.1.schema().try_resolve(None, &c.column).is_none()
+            };
+            let refs = nsql_analyzer::resolve::level_column_refs(q);
+            let shadowing = q.from.iter().filter(|t| enclosing.contains(&t.effective_name()));
+            if shadowing.into_iter().any(|t| refs.iter().any(|c| lacks(t, c))) {
+                return true;
+            }
+            let enclosing: Vec<&str> = enclosing.iter().copied().chain(q.from_names()).collect();
+            q.child_blocks().into_iter().any(|sub| walk(sub, &enclosing, tables))
+        }
+        walk(q, &[], tables)
+    }
+
+    /// Do two blocks with one parent in `q` each hold an unaliased entry of
+    /// one table?
+    fn siblings_share_a_table_name(q: &QueryBlock) -> bool {
+        let mut blocks = Vec::new();
+        walk_blocks(q, &mut blocks);
+        blocks.iter().any(|b| {
+            let unaliased = |sub: &&QueryBlock| -> Vec<String> {
+                sub.from.iter().filter(|t| t.alias.is_none()).map(|t| t.table.clone()).collect()
+            };
+            let names: Vec<Vec<String>> = b.child_blocks().iter().map(unaliased).collect();
+            names
+                .iter()
+                .enumerate()
+                .any(|(i, a)| names[i + 1..].iter().any(|b| a.iter().any(|n| b.contains(n))))
+        })
+    }
+
     #[test]
     fn generator_reaches_the_interesting_regions() {
         let mut rng = Rng::from_seed(11);
         let (mut nested, mut nulls, mut dups, mut grouped, mut operand) = (0, 0, 0, 0, 0);
+        // An inner block naming an entry as an enclosing one does, and one
+        // naming a table as a sibling does.
+        let (mut shadowing, mut sibling) = (0, 0);
         let (mut aliased, mut ordered, mut bare_keys, mut alias_keys) = (0, 0, 0, 0);
         // Aggregate blocks correlated by an `OR` of two column comparisons.
         let mut disjunctive = 0;
@@ -1364,6 +1486,8 @@ mod tests {
             if has_operand_position_subquery(&case.query) {
                 operand += 1;
             }
+            shadowing += reads_through_a_shadowing_name(&case.query, &case.tables) as usize;
+            sibling += siblings_share_a_table_name(&case.query) as usize;
             let comparison = |p: &Predicate| {
                 let column = |o: &Operand| matches!(o, Operand::Column(_));
                 matches!(p, Predicate::Compare { left, right, .. } if column(left) && column(right))
@@ -1404,6 +1528,8 @@ mod tests {
         assert!(dups > 100, "duplicate-row biasing must bite: {dups}");
         assert!(grouped > 20, "GROUP BY outer blocks must occur: {grouped}");
         assert!(operand > 5, "operand-position subqueries must occur: {operand}");
+        assert!(shadowing > 5, "reads through a shadowing name must occur: {shadowing}");
+        assert!(sibling > 5, "siblings naming one table must occur: {sibling}");
         assert!(disjunctive > 10, "OR-correlated aggregate blocks must occur: {disjunctive}");
         assert!(aliased > 20, "select aliases must occur: {aliased}");
         assert!(ordered > 40 && bare_keys > 5, "ORDER BY must occur: {ordered}, {bare_keys} bare");

@@ -1,30 +1,33 @@
 //! Bind-once nested iteration against the independent oracle.
 //!
-//! Nested iteration resolves a block's names once and evaluates its simple
-//! conjuncts by index; the by-name interpreter is no longer a separate path
-//! to compare against, so the reference here is `nsql-oracle`, which shares
-//! no code with the engine. Generated statements put a correlated inner
-//! block — over one FROM file or two, optionally with a third block inside
-//! it — under NULL-biased data, with `OR` / `NOT` / `IN`-list / `IS NULL`
-//! conjuncts and outer references one and two levels up. Two faults are
-//! planted on purpose, both of which must *decline* binding and leave the
-//! interpreter to raise its error: a reference that is ambiguous in the
-//! inner block's own scope, and an outer reference that resolves nowhere.
+//! Nested iteration runs the analyzed statement: its names are resolved once,
+//! by the analyzer, and a block's simple conjuncts are evaluated by index;
+//! the reference here is `nsql-oracle`, which shares no code with the
+//! engine. Generated statements put a correlated inner block — over one
+//! FROM file or two, optionally with a third block inside it — under
+//! NULL-biased data, with `OR` / `NOT` / `IN`-list / `IS NULL` conjuncts and
+//! outer references one and two levels up. Two faults are planted on
+//! purpose: a reference that is ambiguous in the inner block's own scope,
+//! and an outer reference that resolves nowhere. Each is the analyzer's
+//! error, raised before any page is read, wherever in the block it sits and
+//! whether or not a tuple would reach it.
 //!
-//! Per case: the run agrees with the oracle (rows as bags, error presence).
+//! Per case: a faulted statement raises its fault's error having read no
+//! page; any other agrees with the oracle (rows as bags, error presence).
 //! (There is one kernel: the lane kernel this suite also used to
 //! cross-check is gone.)
 //!
 //! Replays and shrinks through the usual testkit machinery
 //! (`NSQL_TEST_SEED`, `NSQL_TEST_CASES`).
 
+use nsql_analyzer::AnalyzeError;
 use nsql_engine::provider::MemoryProvider;
 use nsql_engine::{EngineError, NestedIter};
 use nsql_oracle::Oracle;
 use nsql_sql::parse_query;
 use nsql_storage::Storage;
 use nsql_testkit::{Rng, Shrink};
-use nsql_types::{ColumnType, Relation, Schema, Tuple, TypeError, Value};
+use nsql_types::{ColumnType, Relation, Schema, Tuple, Value};
 
 type Row = (Option<i64>, Option<i64>, Option<i64>);
 
@@ -62,10 +65,7 @@ struct Case {
     /// its outer references reach `B` (one level up) and `A` (two).
     deep: Option<Vec<String>>,
     /// The planted fault, and whether it is the inner block's *first*
-    /// conjunct. Only then is its error independent of evaluation order
-    /// (the engine stops a binding at the first non-TRUE conjunct, SQL's
-    /// `AND` in the oracle evaluates past UNKNOWN), so only then is error
-    /// presence compared with the oracle.
+    /// conjunct (else its last).
     fault: Option<(Fault, bool)>,
 }
 
@@ -138,8 +138,7 @@ impl Shrink for Case {
     fn shrink(&self) -> Vec<Case> {
         let mut out = Vec::new();
         for t in 0..3 {
-            // Every table keeps a row: the planted faults raise on the first
-            // binding of a non-empty FROM product.
+            // Every table keeps a row.
             for rows in self.tables[t]
                 .shrink()
                 .into_iter()
@@ -238,8 +237,7 @@ fn gen_case(rng: &mut Rng) -> Case {
     });
     Case {
         tables: [gen_rows(rng, 12), gen_rows(rng, 14), gen_rows(rng, 6)],
-        // A planted fault is compared with the oracle only if the inner
-        // block runs for every outer row.
+        // A faulted statement is not run against the oracle.
         outer_simple: (fault.is_none() && rng.gen_bool(0.5))
             .then(|| pick(rng, &OUTER, 1).pop())
             .flatten(),
@@ -266,21 +264,24 @@ fn bound_blocks_agree_with_the_oracle() {
             provider.register(name, storage.store_relation(&rel));
             oracle.load(name, rel);
         }
+        let before = storage.io_stats();
         let got = NestedIter::new(&provider, storage.clone()).eval_query(&q);
 
-        // The planted faults decline binding; what surfaces is the
-        // interpreter's error, by name.
-        if let Some((fault, true)) = case.fault {
+        // A planted fault is the analyzer's error, whatever its position,
+        // raised before a page is read.
+        if let Some((fault, _)) = case.fault {
             let want = match fault {
-                Fault::Ambiguous => TypeError::AmbiguousColumn("V".into()),
-                Fault::Unresolved => TypeError::UnknownColumn("Z.K".into()),
+                Fault::Ambiguous => AnalyzeError::AmbiguousColumn("V".into()),
+                Fault::Unresolved => AnalyzeError::UnresolvedColumn("Z.K".into()),
             };
-            if got != Err(EngineError::Type(want.clone())) {
+            if got != Err(EngineError::Analyze(want.clone())) {
                 return Err(format!("expected {want:?}, got {got:?}\nsql: {sql}"));
             }
-        }
-        if matches!(case.fault, Some((_, false))) {
-            return Ok(()); // raised or not depends on evaluation order
+            let reads = storage.io_stats().since(&before).reads;
+            if reads != 0 {
+                return Err(format!("{reads} pages read before {want:?}\nsql: {sql}"));
+            }
+            return Ok(());
         }
         match (oracle.eval(&q), &got) {
             (Ok(want), Ok(got)) if got.same_bag(&want) => Ok(()),
