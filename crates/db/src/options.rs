@@ -11,8 +11,9 @@ pub enum JoinPolicy {
     ForceMergeJoin,
     /// Hash join wherever an equi-key exists, nested loops otherwise.
     /// A **modern extension** — System R and the paper had no hash join.
-    /// It builds on the input with fewer pages and Grace-partitions a
-    /// build side over `B − 2` pages, as the cost-based choice prices it;
+    /// It builds on the input with fewer pages and splits a build side
+    /// over `B − 2` pages by a hybrid pass, as the cost-based choice prices
+    /// it;
     /// forcing it is the E13 ablation.
     ForceHashJoin,
     /// Pick the cheapest method per join from actual page counts: the

@@ -34,8 +34,7 @@ use crate::Result;
 use nsql_core::{AggItem, AntiJoin, JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
 use nsql_engine::cost::{
     classic_join_costs, groupjoin_cost, groupjoin_passes, groupjoin_table_pages, hash_join_cost,
-    hash_partitions, index_join_cost, index_restrict_cost, narrowed_pages, narrowed_width,
-    HashShape, JoinInput,
+    index_join_cost, index_restrict_cost, narrowed_pages, narrowed_width, HashShape, JoinInput,
 };
 use nsql_engine::ops::join_reads;
 use nsql_engine::pred::cannot_raise;
@@ -612,13 +611,13 @@ impl<T: TableProvider> PlanExecutor<T> {
         // input a method holds in memory anyway.
         let reader = method.label(&what);
         let table = match &method {
-            JoinMethod::Hash(shape) if shape.partitions == 0 => Some(shape.build_left),
+            JoinMethod::Hash(shape) if shape.spilled == 0 => Some(shape.build_left),
             _ => None,
         };
         self.hand_off(l, table == Some(true), &reader);
         self.hand_off(r, table == Some(false), &reader);
         let label = match &method {
-            JoinMethod::Hash(shape) if shape.partitions > 0 => {
+            JoinMethod::Hash(shape) if shape.spilled > 0 => {
                 let [lw, rw] = spill.map(|(_, width)| width);
                 format!("{reader}, partition rows {lw:.0} + {rw:.0} bytes")
             }
@@ -691,7 +690,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             let anti = jkind == JoinKind::Anti;
             let sorted_by = match method {
                 JoinMethod::Merge { .. } => &lkeys,
-                JoinMethod::Hash(shape) if shape.partitions > 0 => &Vec::new(),
+                JoinMethod::Hash(shape) if shape.spilled > 0 => &Vec::new(),
                 JoinMethod::Hash(shape) if shape.build_left && !anti => &Vec::new(),
                 _ => &l.sorted_by,
             };
@@ -827,7 +826,7 @@ impl<T: TableProvider> PlanExecutor<T> {
 
     /// Each input of a join step of `l` and `r` narrowed to the columns it
     /// reads ([`join_reads`]; `cols` of the concatenated row emitted, every
-    /// column when `None`): the pages a Grace partition or a sort run of it
+    /// column when `None`): the pages a spilled partition or a sort run of it
     /// fills, and the bytes of one of its rows, as `cost::narrowed_pages`
     /// estimates them.
     fn spill(
@@ -909,11 +908,11 @@ impl<T: TableProvider> PlanExecutor<T> {
         let table = groupjoin_table_pages(groups.pages, groups.rows, aggs.len(), page_size);
         let cost = groupjoin_cost(groups, rows, table, 1, b);
         let chosen = cost.total() <= join;
-        let partitions = hash_partitions(table, b);
+        let shape = HashShape::built_on(true, table, b);
         self.log.push(format!(
             "groupjoin ({} keys){}: {cost} vs join {join:.1} µs (chose {})",
             lkeys.len(),
-            if partitions > 0 { format!(", {partitions} partitions") } else { String::new() },
+            spilled_note(&shape),
             if chosen { "groupjoin" } else { "join" },
         ));
         let aggs = step.specs.iter().map(|s| AggSpec { arg: s.arg.map(|i| i - split), ..*s });
@@ -927,7 +926,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             unjoined,
             aggs: aggs.collect(),
             schema: step.schema,
-            fits: partitions == 0,
+            fits: shape.spilled == 0,
             keep: None,
         }))
     }
@@ -1012,8 +1011,8 @@ impl<T: TableProvider> PlanExecutor<T> {
             let (lf, rf) = (&l.file, &r.file);
             let rel =
                 exec.hash_groupjoin(lf, rf, keys, residual, gj.unjoined, &gj.aggs, gj.schema)?;
-            // A table over `B − 2` pages is Grace-partitioned on one key set,
-            // and taken in chunks in scan order on several.
+            // A table over `B − 2` pages is partitioned on one key set, and
+            // taken in chunks in scan order on several.
             let ordered = gj.fits || gj.keys.len() > 1;
             let mut sorted_by = if ordered { l.sorted_by.clone() } else { Vec::new() };
             let mut duplicate_free = l.duplicate_free;
@@ -1682,8 +1681,7 @@ enum JoinMethod {
     /// Probe the right side's B+tree on equality key number `key` once per
     /// left tuple (inner joins only).
     IndexProbe { key: usize, index: Arc<BTreeIndex> },
-    /// Which input the table holds, and how many partitions the first
-    /// Grace pass makes.
+    /// Which input the table holds, and what of it the first pass spills.
     Hash(HashShape),
     /// Sort-merge; an input already in key order skips its sort.
     Merge { left_presorted: bool, right_presorted: bool },
@@ -1725,10 +1723,10 @@ impl JoinMethod {
             JoinMethod::IndexProbe { index, .. } => {
                 format!("index nested-loop {join} via {} ({probes} probes)", index.name())
             }
-            JoinMethod::Hash(HashShape { build_left, partitions }) => format!(
+            JoinMethod::Hash(shape) => format!(
                 "hash {join} ({keys} keys{aware}), build {}{}",
-                if *build_left { "left" } else { "right" },
-                if *partitions > 0 { format!(", {partitions} partitions") } else { String::new() },
+                if shape.build_left { "left" } else { "right" },
+                spilled_note(shape),
             ),
             JoinMethod::Merge { left_presorted, right_presorted } => format!(
                 "merge {join} ({keys} keys{aware}){}{}",
@@ -1750,6 +1748,21 @@ impl JoinMethod {
             JoinMethod::Merge { .. } => format!("merge {join} ({keys} keys{aware})"),
             JoinMethod::NestedLoop => format!("nested-loop {join} ({keys} keys{aware})"),
         }
+    }
+}
+
+/// What the first pass of a hash join or groupjoin of `shape` spills, for
+/// its EXPLAIN line: `, 1 partition spilled, 55 of 66 pages resident`, or
+/// nothing when its table fits.
+fn spilled_note(shape: &HashShape) -> String {
+    match shape.spilled {
+        0 => String::new(),
+        k => format!(
+            ", {k} partition{} spilled, {:.0} of {:.0} pages resident",
+            if k == 1 { "" } else { "s" },
+            shape.resident,
+            shape.table
+        ),
     }
 }
 
@@ -2449,7 +2462,7 @@ mod tests {
         assert!(!want.is_empty() && got.same_bag(&want), "got:\n{got}\noracle:\n{want}");
     }
 
-    /// A Grace-partitioned hash join emits partition after partition: over
+    /// A partitioned hash join emits partition after partition: over
     /// a left sorted on the join key, a merge join on that key above it
     /// must still sort its left input. Taking the left's order on trust
     /// merges two sorted runs as one, and loses every match of the second.

@@ -390,7 +390,9 @@ fn every_intermediate_says_where_its_rows_went() {
 
     // Thirty 34-byte rows a side on 128-byte pages: ten pages each against
     // a 4-page pool, so the forced hash join partitions, spilling `A.K, A.X`
-    // (2 + 16 bytes) and `B.K` (2 + 8).
+    // (2 + 16 bytes) and `B.K` (2 + 8). No partition count leaves a page of
+    // that pool to a resident table: the pass is Grace's, three ways (the
+    // line said `, 3 partitions` before the pass was hybrid).
     let mut db = Database::with_storage(4, 128);
     let rows = |n: i64| {
         let rows: Vec<String> = (0..n).map(|i| format!("({}, {i}, {i}, {i})", i % 7)).collect();
@@ -406,7 +408,8 @@ fn every_intermediate_says_where_its_rows_went() {
     let join_policy = nsql_db::JoinPolicy::ForceHashJoin;
     let o = QueryOptions { join_policy, ..opts(&Strategy::Transform) };
     let report = db.explain_query("SELECT A.X FROM A, B WHERE A.K = B.K", true, &o).unwrap();
-    assert!(report.strategy.iter().any(|l| l.contains(" partitions")), "{:#?}", report.strategy);
+    let line = "hash join (1 keys), build right, 3 partitions spilled, 0 of 10 pages resident";
+    assert!(report.strategy.iter().any(|l| l == line), "{:#?}", report.strategy);
     let obs = report.obs.expect("ANALYZE collects a profile");
     let node = "hash join (1 keys), partition rows 18 + 10 bytes";
     assert!(obs.profile.iter().any(|root| has_node(root, node)), "{:#?}", obs.profile);

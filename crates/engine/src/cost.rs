@@ -325,7 +325,8 @@ pub struct Work {
     pub sorted: f64,
     /// Rows hashed into a table or against it.
     pub hashed: f64,
-    /// Rows hashed into a Grace partition, once per partitioning level.
+    /// Rows hashed into a spilled partition, once per level that spills
+    /// them.
     pub partitioned: f64,
 }
 
@@ -407,7 +408,7 @@ pub struct JoinInput {
     /// Whether it arrives in join-key order (a merge join skips its sort).
     pub sorted: bool,
     /// Pages of its rows narrowed to the columns the join reads
-    /// ([`narrowed_pages`]): what a Grace partition or a sort run of it
+    /// ([`narrowed_pages`]): what a spilled partition or a sort run of it
     /// fills. `pages` when the join reads every column.
     pub spill: f64,
 }
@@ -523,39 +524,93 @@ pub fn index_join_cost(l: JoinInput, height: f64, leaves_per_probe: f64, priced:
 /// build side (no hash splits it) comes to.
 pub const GRACE_MAX_DEPTH: u32 = 4;
 
-/// How a hash join on inputs of `l_pages` and `r_pages` pages starts — the
-/// one place that decides it, for the kernel, its price and the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The share of its `B − 2 − k` pages a pass plans its resident table to
+/// fill: keys that spread a little unevenly, and rows packed more densely
+/// than their file's pages, still fit, so the table is rarely demoted.
+const RESIDENT_FILL: f64 = 0.9;
+
+/// How a hash pass over a table of `table` pages starts — the one place
+/// that decides it, for the kernel at every level, its price and the plan.
+/// A table that fits `B − 2` pages is built whole. A larger one is split by
+/// one **hybrid** pass: the keys whose salted hash falls in a resident share
+/// of the range stay in memory as a table of at most `B − 2 − k` pages, and
+/// the rest go to `k` spilled partitions. `k` is the fewest partitions that
+/// each fit `B − 2` pages beside the resident share, which fills
+/// [`RESIDENT_FILL`] of its budget; a table too large for any `k` the pool
+/// has output pages for keeps nothing resident and is split `B − 1` ways
+/// (Grace's pass).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HashShape {
     /// The table is built on the left input: only an inner join or an
     /// anti-join, and only when the left has fewer pages (a tie builds
     /// right). A left outer join builds right, so that its probe sees every
     /// left tuple; an anti-join built left flags the tuples it matched.
     pub build_left: bool,
-    /// Partitions of the first Grace pass (`clamp(⌈build/(B−2)⌉, 2, B−1)`);
-    /// 0 when the build side fits `B − 2` pages.
-    pub partitions: usize,
+    /// Pages of the table: the build side's, or the groupjoin's widened
+    /// rows ([`groupjoin_table_pages`]).
+    pub table: f64,
+    /// Partitions the first pass writes; 0 when the table fits `B − 2`
+    /// pages.
+    pub spilled: usize,
+    /// Pages of the table the first pass keeps in memory: all of it when
+    /// nothing is spilled, none in Grace's pass.
+    pub resident: f64,
 }
 
 impl HashShape {
-    /// The shape of a join of `kind` under a `b`-page pool.
+    /// The shape of a join of `kind` under a `b`-page pool: built on the
+    /// input with fewer pages, its table that input's pages.
     pub fn of(l_pages: f64, r_pages: f64, kind: JoinKind, b: f64) -> HashShape {
         let build_left = kind != JoinKind::LeftOuter && l_pages < r_pages;
-        let build = if build_left { l_pages } else { r_pages };
-        HashShape { build_left, partitions: hash_partitions(build, b) }
+        HashShape::built_on(build_left, if build_left { l_pages } else { r_pages }, b)
+    }
+
+    /// The shape of a pass whose table, built on the left or right input as
+    /// `build_left` says, fills `table` pages of a `b`-page pool.
+    pub fn built_on(build_left: bool, table: f64, b: f64) -> HashShape {
+        let fits = HashShape { build_left, table, spilled: 0, resident: table };
+        if hash_build_fits(table, b) {
+            return fits;
+        }
+        let m = hash_table_pages(b);
+        let most = (m + 1.0).max(2.0) as usize;
+        let split = |spilled: usize| {
+            let resident = RESIDENT_FILL * (m - spilled as f64).max(0.0);
+            HashShape { spilled, resident, ..fits }
+        };
+        (1..most)
+            .map(split)
+            .find(|s| table - s.resident <= s.spilled as f64 * m)
+            .unwrap_or(split(most))
     }
 
     /// Whether the join emits its rows in the left input's order: it built
     /// on the right and did not partition, so the left streamed past the
     /// table in file order.
     pub fn keeps_left_order(&self) -> bool {
-        !self.build_left && self.partitions == 0
+        !self.build_left && self.spilled == 0
+    }
+
+    /// The share of the salted hash range whose rows stay resident: 1 when
+    /// nothing is spilled.
+    pub fn resident_share(&self) -> f64 {
+        if self.spilled == 0 {
+            1.0
+        } else {
+            self.resident / self.table
+        }
+    }
+
+    /// The pages the resident table may hold before it is demoted to a
+    /// spilled partition of its own: `B − 2 − k`.
+    pub fn resident_budget(&self, b: f64) -> f64 {
+        hash_table_pages(b) - self.spilled as f64
     }
 }
 
 /// The buffer pages a hash join may fill with its table: `B − 2`, one page
 /// being the probe side's and one the output's (and never fewer than one).
-fn hash_table_pages(b: f64) -> f64 {
+pub(crate) fn hash_table_pages(b: f64) -> f64 {
     (b - 2.0).max(1.0)
 }
 
@@ -565,60 +620,47 @@ pub(crate) fn hash_build_fits(pages: f64, b: f64) -> bool {
     pages <= hash_table_pages(b)
 }
 
-/// How many partitions one Grace pass splits a `pages`-page build side
-/// into: enough for each to fit [`hash_build_fits`] if the keys spread
-/// evenly, at least two and at most `B − 1` (one page is the input's, one
-/// each partition's output buffer).
-pub(crate) fn grace_fanout(pages: f64, b: f64) -> usize {
-    let most = hash_table_pages(b) + 1.0;
-    (pages / hash_table_pages(b)).ceil().clamp(2.0, most.max(2.0)) as usize
+/// Per level of partitioning a hash pass makes over a `table`-page table
+/// whose partitions carry `spill` pages of it (the columns the join reads)
+/// if every pass splits its keys evenly, the share of the rows written at
+/// that level: the first pass splits by the table's own size, the passes
+/// below it by the spilled partitions', up to [`GRACE_MAX_DEPTH`] levels.
+fn spilled_per_level(table: f64, spill: f64, b: f64) -> impl Iterator<Item = f64> {
+    let first = HashShape::built_on(false, table, b);
+    let (mut shape, mut pages, mut share) = (first, spill, 1.0);
+    std::iter::from_fn(move || {
+        if shape.spilled == 0 {
+            return None;
+        }
+        let kept = 1.0 - shape.resident_share();
+        share *= kept;
+        pages *= kept / shape.spilled as f64;
+        shape = HashShape::built_on(false, pages, b);
+        Some(share)
+    })
+    .take(GRACE_MAX_DEPTH as usize)
 }
 
-/// Partitions of the first Grace pass over a `pages`-page table: 0 when it
-/// fits `B − 2` pages, else [`grace_fanout`].
-pub fn hash_partitions(pages: f64, b: f64) -> usize {
-    if hash_build_fits(pages, b) {
-        0
-    } else {
-        grace_fanout(pages, b)
-    }
-}
-
-/// Partitioning passes a `pages`-page build side needs if every pass splits
-/// it evenly as many ways as [`HashShape::partitions`] says, up to
-/// [`GRACE_MAX_DEPTH`].
-pub fn grace_levels(pages: f64, b: f64) -> u32 {
-    spilled_levels(pages, pages, b)
-}
-
-/// [`grace_levels`] of a `table`-page build side whose partitions carry
-/// only the columns the join reads, `spill` pages of it: the first pass
-/// splits by the table's own size, the passes below it by the partitions'.
-fn spilled_levels(table: f64, spill: f64, b: f64) -> u32 {
-    if hash_build_fits(table, b) {
-        return 0;
-    }
-    let (mut pages, mut levels) = (spill / grace_fanout(table, b) as f64, 1);
-    while !hash_build_fits(pages, b) && levels < GRACE_MAX_DEPTH {
-        pages /= grace_fanout(pages, b) as f64;
-        levels += 1;
-    }
-    levels
+/// Partitioning levels a `pages`-page build side needs if every pass splits
+/// its keys evenly, up to [`GRACE_MAX_DEPTH`].
+pub fn hash_levels(pages: f64, b: f64) -> u32 {
+    spilled_per_level(pages, pages, b).count() as u32
 }
 
 /// What the hash join of `kind` costs on inputs `l` and `r`; an anti-join
 /// costs what the inner join does. It builds on the side [`HashShape`]
-/// names. A build
-/// side that fits `B − 2` pages is hashed in memory while the other side
-/// streams past it: `Pl + Pr`. A larger one is Grace-partitioned first: both
-/// inputs are read, and their rows, narrowed to the columns the join reads
-/// (each side's `spill` pages), are written into partitions by a hash of the
-/// key and read back, once per level of [`grace_levels`], so the pages are
-/// `Pl + Pr + 2·levels·(Sl + Sr)` — a partition's partly filled last page,
-/// and a partition the keys do not split evenly, are what the estimate
-/// leaves out. With `priced` it also carries its in-memory work: every row
-/// is hashed into a partition once per level, `(Nl + Nr)·levels` rows, and
-/// once into or against the table, `Nl + Nr` rows.
+/// names. A build side that fits `B − 2` pages is hashed in memory while the
+/// other side streams past it: `Pl + Pr`. A larger one is split by a hybrid
+/// pass: both inputs are read, the rows of the resident share of the keys
+/// are joined at once, and the others, narrowed to the columns the join
+/// reads (each side's `spill` pages), are written into partitions and read
+/// back, `2·(1 − resident/table)·(Sl + Sr)` pages; each spilled pair is
+/// split the same way while it does not fit ([`hash_levels`]), over its
+/// spilled pages only. A partition's partly filled last page, and keys that
+/// do not spread evenly, are what the estimate leaves out. With `priced` it
+/// also carries its in-memory work: every row hashed into or against a
+/// table once, `Nl + Nr` rows, and into a partition at every level that
+/// spills it.
 pub fn hash_join_cost(
     l: JoinInput,
     r: JoinInput,
@@ -632,16 +674,16 @@ pub fn hash_join_cost(
 }
 
 /// The work of a hash pass over `l` and `r` whose table fills `table`
-/// pages, `spill` pages of it partitioned: both inputs read, and their
-/// narrowed rows written and read back once per level of
-/// [`spilled_levels`]; every row hashed into or against the table once,
-/// and into a partition once per level.
+/// pages, `spill` pages of it partitioned: both inputs read, and the share
+/// of their narrowed rows each level spills written and read back; every
+/// row hashed into or against a table once, and into a partition once per
+/// level that spills it.
 fn hash_work(l: JoinInput, r: JoinInput, table: f64, spill: f64, b: f64) -> Work {
-    let levels = f64::from(spilled_levels(table, spill, b));
+    let spilled: f64 = spilled_per_level(table, spill, b).sum();
     Work {
-        pages: l.pages + r.pages + 2.0 * levels * (l.spill + r.spill),
+        pages: l.pages + r.pages + 2.0 * spilled * (l.spill + r.spill),
         hashed: l.rows + r.rows,
-        partitioned: (l.rows + r.rows) * levels,
+        partitioned: (l.rows + r.rows) * spilled,
         ..Work::default()
     }
 }
@@ -1181,53 +1223,122 @@ mod tests {
     }
 
     #[test]
-    fn grace_partitions_until_the_build_side_fits_b_minus_2() {
+    fn a_pass_splits_until_the_build_side_fits_b_minus_2() {
         // B = 6: four pages of table, at most five partitions a pass.
         for (pages, levels) in
             [(0.0, 0), (4.0, 0), (5.0, 1), (20.0, 1), (21.0, 2), (100.0, 2), (101.0, 3)]
         {
-            assert_eq!(grace_levels(pages, 6.0), levels, "{pages} pages");
+            assert_eq!(hash_levels(pages, 6.0), levels, "{pages} pages");
         }
-        let fanouts = [5.0, 20.0, 1e6].map(|pages| grace_fanout(pages, 6.0));
-        assert_eq!(fanouts, [2, 5, 5]);
+        // Five pages: one partition spilled beside 0.9 of the 4 − 1 pages
+        // left to the table. Twenty: no partition count leaves room for a
+        // resident share, so nothing is resident and five are spilled.
+        let split = |pages, b| {
+            let shape = HashShape::built_on(false, pages, b);
+            (shape.spilled, shape.resident)
+        };
+        assert_eq!([5.0, 20.0, 1e6].map(|pages| split(pages, 6.0)), [(1, 2.7), (5, 0.0), (5, 0.0)]);
+        assert_eq!(split(4.0, 6.0), (0, 4.0));
+        // x20's flat_join: 66 pages over 62 spill one partition and keep 55.
+        let flat = HashShape::built_on(false, 66.0, 64.0);
+        assert_eq!((flat.spilled, (flat.resident * 10.0).round()), (1, 549.0));
+        assert_eq!(flat.resident_budget(64.0), 61.0);
         // B = 3: one page of table, two partitions a pass; the cap holds.
-        assert_eq!([1.0, 2.0, 9.0].map(|pages| grace_levels(pages, 3.0)), [0, 1, 4]);
-        assert_eq!(grace_levels(1e9, 3.0), GRACE_MAX_DEPTH);
+        assert_eq!([1.0, 2.0, 9.0].map(|pages| hash_levels(pages, 3.0)), [0, 1, 4]);
+        assert_eq!(hash_levels(1e9, 3.0), GRACE_MAX_DEPTH);
         // A pool too small for the model still partitions two ways.
-        assert_eq!(grace_fanout(10.0, 1.0), 2);
+        assert_eq!(split(10.0, 1.0), (2, 0.0));
     }
 
     #[test]
-    fn the_hash_join_reads_each_input_once_per_level_and_builds_on_the_smaller() {
+    fn the_hash_join_reads_each_input_once_and_spills_what_is_not_resident() {
         let side = |pages, rows| JoinInput { pages, rows, sorted: false, spill: pages };
         let b = 6.0;
-        for (lp, rp, kind, build) in [
-            (3.0, 30.0, JoinKind::Inner, 3.0),       // the left is smaller: built
-            (30.0, 3.0, JoinKind::Inner, 3.0),       // the right is smaller: built
-            (21.0, 21.0, JoinKind::Inner, 21.0),     // a tie builds right
-            (3.0, 30.0, JoinKind::LeftOuter, 30.0),  // a left outer join builds right
-            (3.0, 30.0, JoinKind::Anti, 3.0),        // an anti-join builds left
-            (30.0, 3.0, JoinKind::Anti, 3.0),        // ... or right
+        // Per case, the share of the rows each level spills: 21 pages are
+        // split five ways with nothing resident, and each 4.2-page pair
+        // again, 2.7 of its pages resident; 30 pages likewise, then 6.
+        let (s21, s30) = (2.0 - 2.7 / 4.2, 2.0 - 2.7 / 6.0);
+        for (lp, rp, kind, build, spilled) in [
+            (3.0, 30.0, JoinKind::Inner, 3.0, 0.0),       // the left is smaller: built
+            (30.0, 3.0, JoinKind::Inner, 3.0, 0.0),       // the right is smaller: built
+            (21.0, 21.0, JoinKind::Inner, 21.0, s21),     // a tie builds right
+            (3.0, 30.0, JoinKind::LeftOuter, 30.0, s30),  // a left outer join builds right
+            (3.0, 30.0, JoinKind::Anti, 3.0, 0.0),        // an anti-join builds left
+            (30.0, 3.0, JoinKind::Anti, 3.0, 0.0),        // ... or right
         ] {
             let shape = HashShape::of(lp, rp, kind, b);
             assert_eq!(shape.build_left, lp == build && lp != rp);
-            assert_eq!(shape.partitions, if build > 4.0 { grace_fanout(build, b) } else { 0 });
+            assert_eq!(shape.table, build);
+            assert_eq!(shape.spilled, if build > 4.0 { 5 } else { 0 });
             assert_eq!(shape.keeps_left_order(), !shape.build_left && build <= 4.0);
-            let levels = f64::from(grace_levels(build, b));
             for priced in [false, true] {
                 let hj = hash_join_cost(side(lp, 100.0), side(rp, 40.0), kind, b, priced);
-                assert_eq!(hj.work.pages, (lp + rp) * (1.0 + 2.0 * levels), "{lp} ⋈ {rp}");
                 let w = &hj.work;
-                assert_eq!((w.hashed, w.partitioned), (140.0, 140.0 * levels), "{lp} ⋈ {rp}");
+                let pages = lp + rp + 2.0 * spilled * (lp + rp);
+                assert!((w.pages - pages).abs() < 1e-9, "{lp} ⋈ {rp}: {} pages", w.pages);
+                assert_eq!(w.hashed, 140.0, "{lp} ⋈ {rp}");
+                assert!((w.partitioned - 140.0 * spilled).abs() < 1e-9, "{lp} ⋈ {rp}");
                 assert_eq!(hj.total(), if priced { hj.work.micros() } else { hj.work.pages });
             }
         }
+        // At the first level only the share that is not resident is spilled:
+        // 66 of x20's pages over B = 64, narrowed to 40, spill 0.168 of 40.
+        let (l, r) = (JoinInput { spill: 40.0, ..side(66.0, 2e4) }, side(300.0, 3e4));
+        let flat = HashShape::of(66.0, 300.0, JoinKind::Inner, 64.0);
+        let hj = hash_join_cost(l, r, JoinKind::Inner, 64.0, false);
+        let kept = 1.0 - flat.resident / 66.0;
+        assert!((hj.work.pages - (366.0 + 2.0 * kept * 340.0)).abs() < 1e-9);
         // In memory, the hash join reads what a merge join of sorted inputs
         // does, and less than an unsorted one.
         let (_, mj) = classic_join_costs(side(3.0, 100.0), side(30.0, 40.0), b, false);
         let hj = hash_join_cost(side(3.0, 100.0), side(30.0, 40.0), JoinKind::Inner, b, false);
         assert_eq!(hj.work.pages, 33.0);
         assert!(mj.work.pages > 33.0);
+    }
+
+    /// Grace's price of the same join: every level partitions the whole
+    /// table, `clamp(⌈p/(B−2)⌉, 2, B−1)` ways, until a partition fits.
+    fn grace_pages(l: JoinInput, r: JoinInput, table: f64, spill: f64, b: f64) -> f64 {
+        let m = (b - 2.0).max(1.0);
+        let fanout = |p: f64| (p / m).ceil().clamp(2.0, (m + 1.0).max(2.0));
+        let mut levels = 0;
+        if table > m {
+            let mut pages = spill / fanout(table);
+            levels = 1;
+            while pages > m && levels < GRACE_MAX_DEPTH {
+                pages /= fanout(pages);
+                levels += 1;
+            }
+        }
+        l.pages + r.pages + 2.0 * f64::from(levels) * (l.spill + r.spill)
+    }
+
+    #[test]
+    fn grace_is_the_zero_resident_pass_and_the_hybrid_one_never_costs_more() {
+        let side = |pages, spill| JoinInput { pages, rows: 10.0 * pages, sorted: false, spill };
+        let m = |b: f64| (b - 2.0).max(1.0);
+        let mut resident = 0;
+        for b in [3.0, 4.0, 6.0, 16.0, 64.0] {
+            for table in (0..3000).map(|p| f64::from(p) / 4.0) {
+                // A left outer join builds on the right.
+                let (l, r) = (side(table * 3.0, table), side(table, table * 0.6));
+                let hj = hash_join_cost(l, r, JoinKind::LeftOuter, b, false).work.pages;
+                let grace = grace_pages(l, r, table, r.spill, b);
+                let shape = HashShape::built_on(false, table, b);
+                // Nothing resident: Grace's pass, its fanout and its price.
+                if shape.spilled > 0 && shape.resident == 0.0 {
+                    let fanout = (table / m(b)).ceil().clamp(2.0, m(b) + 1.0);
+                    assert_eq!(shape.spilled as f64, fanout, "B = {b}, {table} pages");
+                }
+                // B = 3 leaves no page beside the partitions' for a table.
+                if b == 3.0 {
+                    assert_eq!(hj, grace, "B = 3, {table} pages");
+                }
+                assert!(hj <= grace + 1e-9, "B = {b}, {table} pages: {hj} > Grace's {grace}");
+                resident += usize::from(shape.spilled > 0 && shape.resident > 0.0);
+            }
+        }
+        assert!(resident > 1000, "{resident} hybrid passes");
     }
 
     #[test]
@@ -1241,13 +1352,20 @@ mod tests {
         // on that left too.
         let hj = hash_join_cost(small, big, JoinKind::Inner, b, true);
         assert_eq!(groupjoin_cost(small, big, 3.0, 1, b).work, hj.work);
-        // Built on the left whatever the sizes say: 30 pages, two levels.
+        // Built on the left whatever the sizes say: 30 pages split five
+        // ways, then each 6-page pair with 2.7 pages resident.
         let gj = groupjoin_cost(big, small, 30.0, 1, b);
-        assert_eq!((gj.work.pages, gj.work.partitioned), (33.0 * 5.0, 500.0 * 2.0));
-        // Widened past `B − 2` pages, it partitions once.
-        assert_eq!(hash_partitions(table, b), 2);
+        let spilled = 1.0 + (1.0 - 2.7 / 6.0);
+        assert!((gj.work.pages - 33.0 * (1.0 + 2.0 * spilled)).abs() < 1e-9);
+        assert!((gj.work.partitioned - 500.0 * spilled).abs() < 1e-9);
+        // Widened past `B − 2` pages, it spills one partition beside its
+        // resident share.
+        let shape = HashShape::built_on(true, table, b);
+        assert_eq!((shape.spilled, shape.resident), (1, 2.7));
         let gj = groupjoin_cost(small, big, table, 1, b);
-        assert_eq!((gj.work.pages, gj.total()), (33.0 * 3.0, gj.work.micros()));
+        let pages = 33.0 * (1.0 + 2.0 * (1.0 - 2.7 / table));
+        assert!((gj.work.pages - pages).abs() < 1e-9, "{}", gj.work.pages);
+        assert_eq!(gj.total(), gj.work.micros());
     }
 
     #[test]

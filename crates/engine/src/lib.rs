@@ -13,7 +13,7 @@
 //!    materialized, as System R did for type-N/A nesting [SEL 79:33].
 //!
 //! 2. Physical operators ([`ops`]) — scans, filters, projections, duplicate
-//!    elimination, nested-loop and sort-merge joins and a Grace hash join
+//!    elimination, nested-loop and sort-merge joins and a hybrid hash join
 //!    (inner and **left outer**), and sort-based grouped aggregation. The transformed
 //!    (canonical) queries produced by `nsql-core` execute on these, with all
 //!    I/O flowing through the counted buffer pool.

@@ -13,7 +13,7 @@
 //! except under the paper's literal plans, whose executor sorts to a file
 //! and hands the aggregate a presorted input. The merge join's sorts are
 //! written: its two inputs would have to share the `B − 1` run pages. What
-//! a join spills — a Grace partition, a sort run — carries only the columns
+//! a join spills — a hash partition, a sort run — carries only the columns
 //! it reads ([`join_reads`]). The plan layer may hand an operator that holds
 //! its input in memory anyway — a hash table's build side, a GROUP BY that
 //! sorts in memory — rows it never wrote ([`nsql_storage::HeldRows`]), and
@@ -23,7 +23,8 @@
 //! nested-loop ([`Exec::nl_join`]) and sort-merge ([`Exec::merge_join`]) —
 //! and a hash join ([`Exec::hash_join`]), a post-paper extension run under
 //! the same memory model: it holds at most `B − 2` pages of its table and
-//! Grace-partitions a larger build side into counted temporaries. Each
+//! splits a larger build side by a hybrid pass, one share kept in memory
+//! and the rest spilled to counted temporaries. Each
 //! comes in inner and **left outer** flavours — the outer join being the
 //! paper's key device for fixing the COUNT bug (Section 5.2) — and as an
 //! **anti-join**, which keeps the left tuples nothing matched: `NOT EXISTS`
@@ -46,7 +47,7 @@ mod hash_join;
 mod join;
 
 pub use agg::AggSpec;
-pub use hash_join::{KeySet, Unjoined};
+pub use hash_join::{demotions, KeySet, Unjoined};
 
 use crate::error::EngineError;
 use crate::expr::{CExpr, Joined, Projector, Row};

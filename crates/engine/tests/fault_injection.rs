@@ -57,7 +57,21 @@ fn check_fails<F>(label: &str, poison: &[(i64, Value)], io: (u64, u64), op: F) -
 where
     F: Fn(&Exec, &HeapFile, &HeapFile) -> Result<(), EngineError>,
 {
-    let e = Exec::new(Storage::new(6, 256));
+    check_fails_in(6, label, poison, io, op)
+}
+
+/// [`check_fails`] on a cold pool of `pages` pages.
+fn check_fails_in<F>(
+    pages: usize,
+    label: &str,
+    poison: &[(i64, Value)],
+    io: (u64, u64),
+    op: F,
+) -> EngineError
+where
+    F: Fn(&Exec, &HeapFile, &HeapFile) -> Result<(), EngineError>,
+{
+    let e = Exec::new(Storage::new(pages, 256));
     let t = poisoned_file(e.storage(), poison);
     let u = poisoned_file_named(e.storage(), "U", &[]);
     e.storage().clear_buffer();
@@ -122,23 +136,45 @@ fn restrict_project_surfaces_poisoned_page_as_error() {
     assert!(matches!(err, EngineError::Type(_)), "want TypeError, got {err:?}");
 }
 
+/// The hash join of the poisoned `T` with `U` on `A`, its residual
+/// `T.B < 50`.
+fn poisoned_hash_join(e: &Exec, t: &HeapFile, u: &HeapFile) -> Result<(), EngineError> {
+    let combined = t.schema().join(u.schema());
+    let q = parse_query("SELECT T.A FROM T, U WHERE T.B < 50").unwrap();
+    let res = CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap();
+    e.hash_join(t, u, &[0], &[0], Some(&res), JoinKind::Inner).map(|_| ())
+}
+
 #[test]
 fn hash_join_residual_fault_surfaces_as_error() {
     // The poison sits in the probe side's residual-predicate column. T and
     // U are 43 pages each, so the join builds on U (a tie goes right), and
-    // 43 pages do not fit the B − 2 = 4 a six-page pool leaves: both inputs
-    // are read and partitioned five ways. Pair after pair, the build side
-    // still exceeds four pages, so the pair is partitioned three ways again
-    // and its sub-pairs joined, each partition read once. The join stops
-    // in the sub-pair that holds row 300, 132 partition pages written by
-    // then. The result is collected before it is written, and every
-    // partition is freed.
-    let err = check_fails("hash join", &[(300, Value::str("rot"))], (151, 132), |e, t, u| {
-        let combined = t.schema().join(u.schema());
-        let q = parse_query("SELECT T.A FROM T, U WHERE T.B < 50").unwrap();
-        let res = CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap();
-        e.hash_join(t, u, &[0], &[0], Some(&res), JoinKind::Inner).map(|_| ())
-    });
+    // 43 pages do not fit the B − 2 = 4 a six-page pool leaves, nor leave
+    // room for a resident share: both inputs are read and partitioned five
+    // ways. Pair after pair, the build side of 9 pages still exceeds four,
+    // so the pair is split again, 1.8 of its pages resident and two
+    // partitions spilled, and its sub-pairs joined, each partition read
+    // once. The join stops in the sub-pair that holds row 300, 124
+    // partition pages written by then (132 when every pass was Grace's).
+    // The result is collected before it is written, and every partition is
+    // freed.
+    let err = check_fails("hash join", &[(300, Value::str("rot"))], (141, 124), poisoned_hash_join);
+    assert!(matches!(err, EngineError::Type(_)), "want TypeError, got {err:?}");
+}
+
+#[test]
+fn a_fault_inside_the_hybrid_pass_frees_every_partition() {
+    // Every row of T from 300 on is poisoned. Its strings are narrower than
+    // ints, so T fills 40 pages to U's 43 and is the build side; on a
+    // 24-page pool one pass keeps 18.9 of its pages resident and spills the
+    // rest to one partition. U streams past: row 300, on its 22nd page, is
+    // the first whose key falls in the resident share and meets a poisoned
+    // T row, whose residual fails while U is being split. The pass stops
+    // with 31 partition pages written (T's spilled rows, and U's before row
+    // 300), frees them without writing the pages it was filling, and drops
+    // its table.
+    let poison: Vec<(i64, Value)> = (300..ROWS).map(|r| (r, Value::str("rot"))).collect();
+    let err = check_fails_in(24, "hybrid pass", &poison, (62, 31), poisoned_hash_join);
     assert!(matches!(err, EngineError::Type(_)), "want TypeError, got {err:?}");
 }
 

@@ -11,10 +11,16 @@
 //!   input's order, reads each input page once and writes nothing; one that
 //!   partitions frees every partition before it returns.
 //!
+//! On left sides of one key, or of one key in most rows, a partitioned
+//! groupjoin's resident table is demoted in some cases, and the rows are
+//! still the join's grouped (`a_demoted_table_groups_as_the_join`).
+//!
 //! Keys across the Int/Float boundary — `Float(2^53)` equals `Int(2^53)` and
 //! `Int(2^53 + 1)`, which differ — are folded as the join pairs them. The
 //! debug assertion in the kernel (no in-memory pass below the depth cap
-//! holds more than `B − 2` pages of table) runs on every case too.
+//! holds more than `B − 2` pages of table, and no resident table of a pass
+//! that spills `k` partitions more than `B − 2 − k`) runs on every case
+//! too.
 //!
 //! A groupjoin over a list of key sets — a correlation `D1 OR D2 [OR D3]`,
 //! one disjunct of two columns, sometimes with a non-equality ANDed on —
@@ -26,7 +32,8 @@
 //! `cost::groupjoin_passes` estimates give or take one.
 
 use nsql_engine::aggregate::AggState;
-use nsql_engine::cost::{groupjoin_passes, groupjoin_table_pages, hash_partitions};
+use nsql_engine::cost::{groupjoin_passes, groupjoin_table_pages, HashShape};
+use nsql_engine::ops::demotions;
 use nsql_engine::{AggSpec, CPred, Exec, JoinKind, Joined, KeySet, Unjoined};
 use nsql_sql::{parse_query, AggFunc};
 use nsql_storage::{HeapFile, Storage};
@@ -231,7 +238,7 @@ fn the_groupjoin_is_the_join_grouped_by_the_left() {
             specs.len(),
             PAGE_SIZE,
         );
-        if hash_partitions(table, b as f64) == 0 {
+        if HashShape::built_on(true, table, b as f64).spilled == 0 {
             // In memory: the left's order, each input page read once.
             let order: Vec<i64> = got
                 .tuples()
@@ -270,7 +277,8 @@ fn a_left_side_over_b_minus_2_pages_is_partitioned() {
                 specs.len(),
                 PAGE_SIZE,
             );
-            assert!(hash_partitions(table, POOLS[0] as f64) > 0, "{table} pages of table");
+            let shape = HashShape::built_on(true, table, POOLS[0] as f64);
+            assert!(shape.spilled > 0, "{table} pages of table");
             let live = st.live_pages();
             let before = st.io_snapshot();
             let got = e
@@ -284,6 +292,76 @@ fn a_left_side_over_b_minus_2_pages_is_partitioned() {
             assert_eq!(got.len(), rows, "{keys} keys, outer {outer}");
         }
     }
+}
+
+/// A left side whose table is a little over the pool, of one key in every
+/// row or in nine rows in ten, the rest over 40 keys or `NULL`, and a right
+/// side whose rows have that key one time in three, inner and left outer,
+/// with and without the residual, computing every aggregate.
+/// Where the key falls in the resident share, the table outgrows its
+/// `B − 2 − k` pages and is demoted; elsewhere its partition is split down
+/// the levels. Either way the rows are the join's grouped and every
+/// partition is freed. The cases are fixed by their seeds: each pool,
+/// inner and outer, with and without the residual, three times.
+#[test]
+fn a_demoted_table_groups_as_the_join() {
+    let mut demoted = [0; POOLS.len()];
+    let aggs: Vec<usize> = (0..AGGS.len()).collect();
+    for seed in 0..48u64 {
+        let mut rng = Rng::from_seed(seed);
+        let pool = seed as usize % POOLS.len();
+        let (outer, with_residual) = (seed / 4 % 2 == 1, seed / 8 % 2 == 1);
+        let b = POOLS[pool] as f64;
+        // A left row and its slots fill a sixteenth of a page per aggregate
+        // beside its seventh: a table of `B − 1` to `2(B − 2) + 1` pages.
+        let per_row = 1.0 / 7.0 + AGGS.len() as f64 / 16.0;
+        let pages = b - 1.0 + rng.gen_range(0..POOLS[pool] - 2) as f64;
+        let (hot, heavy) = (rng.gen_range(0..1000i64), *rng.choose(&[0.9, 1.0]));
+        let key = |rng: &mut Rng, heavy: f64| match rng.gen_bool(heavy) {
+            true => Value::Int(hot),
+            false => key(rng, 40, false, false),
+        };
+        let left: Vec<Value> =
+            (0..(pages / per_row) as usize).map(|_| key(&mut rng, heavy)).collect();
+        let n = rng.gen_range(left.len()..2 * left.len());
+        let right =
+            (0..n).map(|_| (key(&mut rng, 1.0 / 3.0), Some(rng.gen_range(0..200)))).collect();
+        let c: Case = (left, right, pool, outer, with_residual, aggs.clone());
+
+        let st = Storage::new(POOLS[pool], PAGE_SIZE);
+        let e = Exec::new(st.clone());
+        let (l, r) = (left_file(&st, &c.0), right_file(&st, &c.1));
+        let res = residual(&l, &r);
+        let (specs, schema) = aggregates(&c.5, 0);
+        let table = groupjoin_table_pages(
+            l.page_count() as f64,
+            l.tuple_count() as f64,
+            specs.len(),
+            PAGE_SIZE,
+        );
+        let at = format!("seed {seed}, B = {b}, {table:.2} pages of table");
+        assert!(HashShape::built_on(true, table, b).spilled > 0, "{at}");
+        let live = st.live_pages();
+        let before = demotions();
+        let got = e
+            .hash_groupjoin(
+                &l,
+                &r,
+                &on_k(),
+                with_residual.then_some(&res),
+                unjoined_of(outer),
+                &specs,
+                schema,
+            )
+            .unwrap();
+        demoted[pool] += demotions() - before;
+        assert_eq!(st.live_pages(), live, "{at}: every partition freed");
+        assert_eq!(exact_bag(&got), exact_bag(&joined_then_grouped(&c)), "{at}");
+    }
+    // A widened table has a resident share even in a four-page pool; a
+    // three-page one leaves it none.
+    assert_eq!(demoted[0], 0, "{demoted:?}");
+    assert!(demoted[1..].iter().all(|&n| n > 0), "{demoted:?}");
 }
 
 /// `Float(2^53)` on the right is folded into both `Int(2^53)` and
@@ -475,7 +553,7 @@ fn key_sets_are_the_or_join_grouped_per_left_row() {
         );
         let (lp, rp) = (l.page_count() as u64, r.page_count() as u64);
         prop_assert_eq!(io.writes, 0, "chunks are held, never written");
-        if hash_partitions(table, b as f64) == 0 {
+        if HashShape::built_on(true, table, b as f64).spilled == 0 {
             prop_assert_eq!(io.reads, lp + rp, "in memory: Pl + Pr");
         } else {
             // The left side once, the right side once per chunk through the

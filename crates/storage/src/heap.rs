@@ -202,8 +202,8 @@ impl HeapFile {
 /// A heap file written a page at a time: tuples are packed by the rule of
 /// [`HeapFile::from_tuples`], and each page is written (one counted write)
 /// as soon as the next tuple would not fit on it, so the writer never holds
-/// more than one page of tuples. What Grace partitioning writes its
-/// partitions with.
+/// more than one page of tuples. What the hash join's partitioning pass
+/// writes its spilled partitions with.
 pub struct HeapWriter {
     schema: Schema,
     budget: usize,
@@ -238,6 +238,14 @@ impl HeapWriter {
     /// The file: the last page written, nothing held.
     pub fn finish(self, storage: &Storage) -> HeapFile {
         self.finish_with(|ts| storage.write_new_page(ts))
+    }
+
+    /// Give the file up: free the pages written (no I/O) and drop the rows
+    /// of the page being filled.
+    pub fn discard(self, storage: &Storage) {
+        for &id in &self.pages {
+            storage.free_page(id);
+        }
     }
 
     fn push_with(&mut self, t: Tuple, write: impl FnOnce(Vec<Tuple>) -> PageId) {

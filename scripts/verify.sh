@@ -114,6 +114,7 @@ done <<GATES
 \\b(eval_batched|Verdicts|BatchedParams|batched_cost)\\b|Strategy::Batched|StrategyKind::Batched|QueryOptions::batched\\b#$everywhere#-#batched correlated evaluation, a second correlated evaluator; nested iteration evaluates each distinct binding once (DESIGN.md "One correlated evaluator"). The eval_query_batched stub stays for benchmark/
 \\b(QueryCache|BlockEntry|TempEntry|CacheStats|CacheCounters|CacheCtx|TempKey|replay_temp|temp_keys|result_cache|set_result_cache|record_cache|with_query_cache|cache_counts|normalized_block_signature|table_generation|cache_epoch|STAT_CACHE|nsql_cache|CacheMode)\\b|nsql_stat_cache|NSQL_STAT_CACHE#$everywhere#crates/cache/src/lib\\.rs|crates/db/src/(options|lib)\\.rs#the cross-query result cache, its generation and epoch stamps or its counters; no statement consults a cache (DESIGN.md "No result cache"). CacheMode and nsql-cache stay as stubs for benchmark/
 \\b(held_or_written|packed_pages|file_for|ListIndex)\\b|enum (Reading|Written)\\b|Rows::written#$everywhere#-#a second hold-or-write decision or reader wrapper beside PlanExecutor::hand_off and HoldingWriter, a second copy of the heap packing rule beside HeapWriter::pack, or nested iteration's once-only list index, which returns with a workload that runs it (ROADMAP item 12(e))
+\\bgrace_fanout\\b|\\bhash_partitions\\b|\\bgrace_levels\\b|fn partition\\(|HashJoin::partition\\b#$everywhere#-#a second, Grace-only partitioning path beside the hybrid pass, whose zero-resident case Grace's pass is (DESIGN.md "Join choice"): HashJoin::partition or its fanout and level helpers
 \\bhash_join_tuples\\b#$everywhere#-#a second hash-join entry beside Exec::hash_join_cols, which takes a file or rows held in memory (DESIGN.md "Execution model and the I/O-accounting invariant")
 \\bmerge_runs\\b#$everywhere#crates/storage/tests/sort_prop\\.rs#a second merge loop beside the sort's one merge iterator, which runs every pass and hands the last to its consumer (DESIGN.md "Execution model and the I/O-accounting invariant"); sort_prop keeps the old kernel verbatim as its reference
 (start|take)_recording\\(#$non_test#crates/storage/src/lib\\.rs#a query path records page events; the recorder is left for join_prop and sort_prop only (DESIGN.md "No result cache")

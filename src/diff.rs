@@ -831,7 +831,7 @@ pub struct PlanCounts {
     /// `restrict+project …` lines: join inputs restricted before the join.
     pub restricted_inputs: u64,
     /// Hash joins whose build side did not fit `B − 2` pages and was
-    /// Grace-partitioned first.
+    /// partitioned first.
     pub partitioned_joins: u64,
     /// Anti-join steps (`NOT IN`, `!= ALL`, `NOT EXISTS`).
     pub anti_joins: u64,
@@ -937,7 +937,8 @@ fn pipelines() -> Vec<Pipeline> {
             set_only: false,
         },
         // `tr-hash` again where its build sides do not fit: on the
-        // three-page pool, Grace partitioning.
+        // three-page pool, which leaves no page for a resident table, Grace
+        // partitioning (the hybrid pass with nothing resident).
         Pipeline {
             name: "tr-hash-grace",
             opts: tr(JoinPolicy::ForceHashJoin),
@@ -1150,7 +1151,7 @@ fn check_on(db: &Database, case: &DiffCase, pipelines: &[Pipeline]) -> CaseOutco
                         partitioned_joins: out
                             .explain
                             .iter()
-                            .filter(|l| l.starts_with("hash ") && l.ends_with(" partitions"))
+                            .filter(|l| l.starts_with("hash ") && l.ends_with(" pages resident"))
                             .count() as u64,
                         anti_joins: out
                             .explain
@@ -1309,7 +1310,7 @@ pub struct PipelineStats {
     /// (`restrict+project …` lines) in the same output; again none under
     /// `tr-literal`.
     pub restricted_inputs: u64,
-    /// Grace-partitioned hash joins in the same output.
+    /// Partitioned hash joins in the same output.
     pub partitioned_joins: u64,
     /// Anti-join steps in the same output; none under `tr-literal`.
     pub anti_joins: u64,
