@@ -45,7 +45,7 @@ pub fn ablation(cfg: &RunConfig) -> String {
             }
             // … final canonical query under `final_policy`.
             pe.set_policy(final_policy);
-            let rel = pe.execute_flat_query(&plan.canonical, &plan.anti_joins, false);
+            let rel = pe.run_plan(&plan.root).and_then(|out| out.relation(&storage));
             let rel = rel.expect("canonical");
             let io = storage.io_stats().since(&before);
             assert!(rel.same_bag(&ni.relation), "variant disagrees with reference");

@@ -29,9 +29,9 @@
 //! A transformation produces a [`pipeline::TransformPlan`]: an ordered list
 //! of temporary-table definitions (as [`logical::LogicalPlan`]s, since
 //! NEST-JA2's temporaries need outer joins and GROUP BYs that plain query
-//! blocks cannot express) plus a *canonical* flat `QueryBlock`
-//! (from `nsql_sql`) that a conventional single-level optimizer — ours
-//! lives in `nsql-db` — can execute with its choice of join methods.
+//! blocks cannot express) plus a *canonical* flat `QueryBlock`,
+//! lowered with the blocks it anti-joins into one more `LogicalPlan` that a
+//! single-level optimizer (`nsql-db`'s) executes with its choice of joins.
 
 pub mod error;
 pub mod logical;

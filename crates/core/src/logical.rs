@@ -1,24 +1,30 @@
-//! Logical plans for temporary-table definitions.
-//!
-//! The canonical query a transformation produces is a flat
-//! [`QueryBlock`](nsql_sql::QueryBlock), but the temporary tables NEST-JA2
-//! builds need two things SQL-82 query blocks cannot express: an **outer
-//! join** and a GROUP BY over a join result. This small IR covers exactly
-//! the plan shapes the paper's algorithms emit, and one more off the
-//! paper's literal plans — an aggregate block evaluated once per outer row
-//! ([`LogicalPlan::Apply`]); `nsql-db`'s physical layer executes it with a
-//! configurable join method.
+//! Logical plans: the temporaries a transformation defines, which need an
+//! **outer join** and a GROUP BY over a join result that SQL-82 query
+//! blocks cannot express, and the canonical query with its anti-joins,
+//! lowered into the same IR ([`lower`](crate::pipeline::lower)). It covers
+//! exactly the plan shapes the paper's algorithms emit, and off its literal
+//! plans the anti-join and an aggregate block evaluated once per outer row
+//! ([`LogicalPlan::Apply`]); `nsql-db`'s physical layer executes every tree
+//! with a configurable join method.
 
-use nsql_sql::{AggArg, AggFunc, ColumnRef, CompareOp, Predicate, SelectItem};
+use nsql_sql::{AggArg, AggFunc, ColumnRef, CompareOp, OrderKey, Predicate, SelectItem};
 use std::fmt;
 
-/// Inner or left-outer join at the logical level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The kind of a join at the logical level.
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogicalJoinKind {
     /// Plain join.
     Inner,
     /// Left outer join (the paper's `=+` / COUNT-bug device).
     LeftOuter,
+    /// A left row is kept iff no right row matches it
+    /// ([`AntiJoin`](crate::AntiJoin)); the join's `on` list is empty.
+    Anti {
+        /// A match needs each `TRUE`.
+        conjuncts: Vec<Predicate>,
+        /// A match needs it `TRUE` or `UNKNOWN` (`NOT IN`'s `x = c`).
+        null_aware: Option<Predicate>,
+    },
 }
 
 /// One join predicate: `left-side-column op right-side-column`.
@@ -120,6 +126,22 @@ pub enum LogicalPlan {
         /// Aggregates to compute (arguments are inner columns).
         aggs: Vec<AggItem>,
     },
+    /// The canonical query's SELECT phase, the root of its tree, over a flat
+    /// block: scans, inner and anti-joins, one filter. The executor runs it
+    /// through its join pipeline under either plan shapes.
+    Select {
+        /// The flat block.
+        input: Box<LogicalPlan>,
+        /// The select list.
+        items: Vec<SelectItem>,
+        /// GROUP BY columns.
+        group_by: Vec<ColumnRef>,
+        /// ORDER BY keys.
+        order_by: Vec<OrderKey>,
+        /// `SELECT DISTINCT`, or a final DISTINCT the query does not ask for
+        /// (`TransformPlan::needs_distinct_for_semantics`).
+        distinct: bool,
+    },
 }
 
 impl LogicalPlan {
@@ -174,10 +196,16 @@ impl LogicalPlan {
                 input.explain_into(out, indent + 1);
             }
             LogicalPlan::Join { left, right, kind, on } => {
-                let preds: Vec<String> = on.iter().map(JoinPred::to_string).collect();
+                let mut preds: Vec<String> = on.iter().map(JoinPred::to_string).collect();
                 let kind = match kind {
                     LogicalJoinKind::Inner => "Join",
                     LogicalJoinKind::LeftOuter => "LeftOuterJoin",
+                    LogicalJoinKind::Anti { conjuncts, null_aware } => {
+                        preds.extend(conjuncts.iter().map(nsql_sql::print_predicate));
+                        let aware = null_aware.iter().map(nsql_sql::print_predicate);
+                        preds.extend(aware.map(|p| format!("NULL-AWARE {p}")));
+                        "AntiJoin"
+                    }
                 };
                 out.push_str(&format!("{pad}{kind} ON {}\n", preds.join(" AND ")));
                 left.explain_into(out, indent + 1);
@@ -206,6 +234,10 @@ impl LogicalPlan {
                 ));
                 outer.explain_into(out, indent + 1);
                 inner.explain_into(out, indent + 1);
+            }
+            LogicalPlan::Select { input, .. } => {
+                out.push_str(&format!("{pad}Select\n"));
+                input.explain_into(out, indent + 1);
             }
         }
     }

@@ -31,7 +31,7 @@ use crate::nest_ja2::{
 };
 use crate::nest_ja_kim::apply_ja_kim;
 use crate::nest_n_j::{merge_inner, merge_precondition, rename_flat_pred, Connecting};
-use crate::pipeline::{AntiJoin, TempNamer, TempTable, TransformPlan};
+use crate::pipeline::{lower, AntiJoin, TempNamer, TempTable, TransformPlan};
 use crate::rewrites::rewrite_extended;
 use crate::Result;
 use nsql_analyzer::resolve::{level_column_refs, predicate_column_refs};
@@ -143,13 +143,9 @@ pub fn transform_analyzed(
     ctx.nest_g(&mut q, None)?;
     ctx.name_anti_joins_apart(&q);
     let Ctx { temps, anti_joins, trace, merged_in_membership, .. } = ctx;
-    Ok(TransformPlan {
-        temps,
-        canonical: q,
-        anti_joins,
-        trace,
-        needs_distinct_for_semantics: options.preserve_duplicates && merged_in_membership,
-    })
+    let needs_distinct_for_semantics = options.preserve_duplicates && merged_in_membership;
+    let root = lower(&q, &anti_joins, needs_distinct_for_semantics)?;
+    Ok(TransformPlan { temps, canonical: q, anti_joins, root, trace, needs_distinct_for_semantics })
 }
 
 fn collect_table_names(q: &QueryBlock, out: &mut Vec<String>) {
@@ -530,8 +526,7 @@ impl Ctx {
         }
         // An anti-joined relation named `R` hides this block's.
         for anti in self.anti_joins[first_anti..].iter().filter(|a| a.name() != name) {
-            let preds = anti.conjuncts.iter().chain(&anti.null_aware);
-            reads.extend(preds.flat_map(predicate_column_refs).map(|c| (c, true)));
+            reads.extend(anti.column_refs().into_iter().map(|c| (c, true)));
         }
         let mut columns: Vec<(&str, bool)> = Vec::new();
         for (c, after) in reads.into_iter().filter(|(c, _)| c.table.as_deref() == Some(name)) {

@@ -141,7 +141,8 @@ mod tests {
                 LogicalPlan::Join { .. } | LogicalPlan::Apply { .. } => true,
                 LogicalPlan::Filter { input, .. }
                 | LogicalPlan::Project { input, .. }
-                | LogicalPlan::Aggregate { input, .. } => has_join(input),
+                | LogicalPlan::Aggregate { input, .. }
+                | LogicalPlan::Select { input, .. } => has_join(input),
                 LogicalPlan::Scan { .. } => false,
             }
         }

@@ -475,6 +475,10 @@ impl SchemaSource for Catalog {
 }
 
 impl TableProvider for Catalog {
+    fn schema_of(&self, table: &str) -> Option<Schema> {
+        SchemaSource::table_schema(self, table)
+    }
+
     fn get_table(&self, table: &str) -> Option<HeapFile> {
         let key = table.to_ascii_uppercase();
         if stat_views::is_stat_view(&key) {

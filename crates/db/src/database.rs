@@ -308,13 +308,8 @@ impl Database {
                 // A transformation error is a *refusal*: the strategy
                 // declined the query shape. The fingerprint aggregates
                 // count it separately from ordinary errors.
-                let plan = plan.map_err(|e| {
-                    *refusals += 1;
-                    e
-                })?;
-                let mut explain = header_lines(opts, plan.temp_count());
-                explain.extend(plan.trace.iter().cloned());
-                explain.push(format!("canonical: {}", plan.canonical_text()));
+                let plan = plan.inspect_err(|_| *refusals += 1)?;
+                let mut explain = header_lines(opts, Some(&plan));
                 let exec = Exec::new(storage.clone()).with_obs(profile.clone());
                 let mut pe = PlanExecutor::new(exec, &self.catalog, opts.join_policy);
                 pe.set_index_use(opts.index_use);
@@ -342,7 +337,7 @@ impl Database {
         opts: &QueryOptions,
         profile: &Profile,
     ) -> Result<(Relation, Vec<String>)> {
-        let mut explain = header_lines(opts, 0);
+        let mut explain = header_lines(opts, None);
         let evaluator = NestedIter::new(&self.catalog, self.catalog.storage().clone())
             .with_faithful(opts.unnest.faithful_1987)
             .with_obs(profile.clone());

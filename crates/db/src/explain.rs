@@ -16,7 +16,7 @@
 use crate::options::{QueryOptions, Strategy};
 use crate::{Catalog, Database, Result};
 use nsql_analyzer::{query_tree, Analyzed, NestingType};
-use nsql_core::transform_analyzed;
+use nsql_core::{transform_analyzed, TransformPlan};
 use nsql_engine::cost::{
     ja2_costs, nested_iteration_cost_j, transformed_merge_join_cost, AccessCosts, Ja2Cost,
     Ja2Params, JoinMethod, StrategyCosts, StrategyKind,
@@ -211,7 +211,7 @@ impl ExplainReport {
             ("tree", Json::str(&self.tree)),
             (
                 "strategy",
-                Json::Arr(self.strategy.iter().map(|s| Json::str(s)).collect()),
+                Json::Arr(self.strategy.iter().map(Json::str).collect()),
             ),
             (
                 "predicted",
@@ -297,16 +297,13 @@ impl Database {
             // Plain EXPLAIN opens with the header lines an ANALYZE run would.
             let strategy = match opts.strategy {
                 Strategy::NestedIteration => {
-                    let mut lines = header_lines(opts, 0);
+                    let mut lines = header_lines(opts, None);
                     lines.extend(access_lines?);
                     lines
                 }
                 Strategy::Transform | Strategy::Auto => {
                     let plan = transform_analyzed(analyzed, &opts.unnest, &profile)?;
-                    let mut lines = header_lines(opts, plan.temp_count());
-                    lines.extend(plan.trace.clone());
-                    lines.push(format!("canonical: {}", plan.canonical_text()));
-                    lines
+                    header_lines(opts, Some(&plan))
                 }
             };
             (strategy, Vec::new(), None, None, None)
@@ -437,11 +434,11 @@ fn strategy_costs_for(ni: Option<AccessCosts>, p: &Ja2Params, is_ja: bool) -> St
     StrategyCosts { nested_iteration, transform }
 }
 
-/// The decision lines every report opens with — strategy, plan shapes, exec
-/// mode — built here for plain `EXPLAIN` and for the executing path alike,
-/// so the two cannot drift. `temps` is the transform plan's temporary
-/// count; the correlated strategies ignore it.
-pub(crate) fn header_lines(opts: &QueryOptions, temps: usize) -> Vec<String> {
+/// The decision lines every report opens with — strategy, plan shapes, and
+/// `plan`'s NEST-G trace and canonical query — built here for plain
+/// `EXPLAIN` and the executing path alike, so the two cannot drift.
+pub(crate) fn header_lines(opts: &QueryOptions, plan: Option<&TransformPlan>) -> Vec<String> {
+    let temps = plan.map_or(0, TransformPlan::temp_count);
     let mut lines = vec![match opts.strategy {
         Strategy::NestedIteration => "strategy: nested iteration (System R)".to_string(),
         Strategy::Transform | Strategy::Auto => format!(
@@ -452,6 +449,10 @@ pub(crate) fn header_lines(opts: &QueryOptions, temps: usize) -> Vec<String> {
     }];
     if matches!(opts.strategy, Strategy::Transform | Strategy::Auto) {
         lines.push(format!("plan shapes: {}", plan_shapes(opts)));
+    }
+    if let Some(plan) = plan {
+        lines.extend(plan.trace.iter().cloned());
+        lines.push(format!("canonical: {}", plan.canonical_text()));
     }
     lines
 }

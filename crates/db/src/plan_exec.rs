@@ -1,9 +1,12 @@
 //! Physical execution of transformation output.
 //!
-//! Executes the [`LogicalPlan`] temporaries and the canonical flat query of
-//! a [`TransformPlan`], choosing join methods per [`JoinPolicy`] — the
-//! paper's point is precisely that after transformation "the query
-//! optimizer can choose a merge join method in implementing the joins".
+//! Executes the [`LogicalPlan`] temporaries of a [`TransformPlan`] and then
+//! its root, the canonical query lowered to the same IR, choosing join
+//! methods per [`JoinPolicy`] — the paper's point is precisely that after
+//! transformation "the query optimizer can choose a merge join method in
+//! implementing the joins". [`PlanExecutor::run_plan`] is the one
+//! interpreter of those trees; a flat block in them runs through one join
+//! pipeline (`PlanExecutor::join_inputs`).
 //!
 //! Sort-order metadata rides along with every intermediate so the executor
 //! can harvest the savings Section 7.4 enumerates: `Rt2` is created in join
@@ -31,7 +34,7 @@ use crate::error::DbError;
 use crate::explain::TempStat;
 use crate::options::{IndexUse, JoinPolicy};
 use crate::Result;
-use nsql_core::{AggItem, AntiJoin, JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
+use nsql_core::{AggItem, JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
 use nsql_engine::cost::{
     classic_join_costs, groupjoin_cost, groupjoin_passes, groupjoin_table_pages, hash_join_cost,
     index_join_cost, index_restrict_cost, narrowed_pages, narrowed_width, HashShape, JoinInput,
@@ -45,10 +48,8 @@ use nsql_engine::{
 use nsql_index::{BTreeIndex, KeyBound};
 use nsql_obs::Profile;
 use nsql_storage::sort::SortKey;
-use nsql_storage::{HeapFile, HoldingWriter, Rows, RowsRef, Storage, TempFile};
-use nsql_sql::{
-    AggArg, ColumnRef, CompareOp, Operand, Predicate, QueryBlock, ScalarExpr, SelectItem,
-};
+use nsql_storage::{HeapFile, HeldRows, HoldingWriter, Rows, RowsRef, Storage, TempFile};
+use nsql_sql::{AggArg, ColumnRef, CompareOp, Operand, OrderKey, Predicate, ScalarExpr, SelectItem};
 use nsql_types::{Relation, Schema, Tuple, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -115,6 +116,18 @@ pub struct PlanOutput {
 }
 
 impl PlanOutput {
+    /// The rows in memory, read from their file if they are stored.
+    pub fn relation(&self, storage: &Storage) -> Result<Relation> {
+        Ok(Relation::new(self.file.schema().clone(), self.file.scan(storage).collect())?)
+    }
+
+    /// These rows as the cost model prices a join input, `spill` pages when
+    /// narrowed to what the join reads.
+    fn priced(&self, sorted: bool, spill: f64) -> JoinInput {
+        let (pages, rows) = (self.file.page_count() as f64, self.file.tuple_count() as f64);
+        JoinInput { pages, rows, sorted, spill }
+    }
+
     /// Write these rows if they are held; from here on this output owns
     /// the file. Order, freedom from duplicates and EXPLAIN line stay.
     fn write(&mut self, storage: &Storage) {
@@ -134,8 +147,8 @@ impl PlanOutput {
     }
 }
 
-/// Executor for logical plans and canonical queries over a base provider
-/// plus an overlay of temporary tables. Dropping the executor frees the
+/// Executor for logical plans over a base provider plus an overlay of
+/// temporary tables. Dropping the executor frees the
 /// temporaries still registered with it.
 pub struct PlanExecutor<T: TableProvider> {
     exec: Exec,
@@ -257,8 +270,9 @@ impl<T: TableProvider> PlanExecutor<T> {
     // ----------------------------------------------------------- TransformPlan
 
     /// Execute a full transformation plan: materialize the temporaries in
-    /// order, then run the canonical query. Set `force_distinct` to apply a
-    /// final duplicate elimination (duplicate-preserving mode).
+    /// order, then run its root. The root's DISTINCT already holds
+    /// `needs_distinct_for_semantics`; `force_distinct` adds a final
+    /// duplicate elimination (duplicate-preserving mode).
     pub fn execute_transform_plan(
         &mut self,
         plan: &TransformPlan,
@@ -266,7 +280,7 @@ impl<T: TableProvider> PlanExecutor<T> {
     ) -> Result<Relation> {
         for (i, temp) in plan.temps.iter().enumerate() {
             let exec = self.exec.clone();
-            let out = observed(
+            let mut out = observed(
                 exec.obs(),
                 || format!("materialize {}", temp.name),
                 0,
@@ -276,14 +290,14 @@ impl<T: TableProvider> PlanExecutor<T> {
             // Held rows go to one reader; a temporary two plans read is
             // written for both.
             let later = plan.temps[i + 1..].iter().map(|t| scans_of(&t.plan, &temp.name));
-            let canonical = plan.canonical.from.iter();
-            let readers = later.sum::<usize>()
-                + canonical.filter(|t| t.table.eq_ignore_ascii_case(&temp.name)).count();
-            let mut out = out;
+            let readers = later.sum::<usize>() + scans_of(&plan.root, &temp.name);
             if readers > 1 {
                 out.write(self.exec.storage());
             }
-            let mut line = materialize_line(&temp.name, &out.file, &out.sorted_by);
+            let (tuples, pages) = (out.file.tuple_count(), out.file.page_count());
+            let sorted = if out.sorted_by.is_empty() { "" } else { " (sorted)" };
+            let name = &temp.name;
+            let mut line = format!("materialize {name}: {tuples} tuples, {pages} pages{sorted}");
             if !self.faithful && matches!(out.file, Rows::File(_)) {
                 line.push_str(", written");
             }
@@ -291,14 +305,20 @@ impl<T: TableProvider> PlanExecutor<T> {
             let out = PlanOutput { line: Some(self.log.len() - 1), ..out };
             self.register_temp(&temp.name, out);
         }
-        self.execute_flat_query(&plan.canonical, &plan.anti_joins, force_distinct)
+        // The SELECT phase `lower` puts at the root hands its rows to the
+        // caller as they are; `run_plan` would hold them as an intermediate.
+        let LogicalPlan::Select { input, items, group_by, order_by, distinct } = &plan.root else {
+            return self.run_plan(&plan.root)?.relation(self.exec.storage());
+        };
+        self.select(input, items, group_by, order_by, *distinct || force_distinct)
     }
 
     // ----------------------------------------------------------- LogicalPlan
 
-    /// Execute a logical plan to a materialized heap file. The children a
-    /// step materialized are freed when the step has read them for the
-    /// last time: where its arm ends.
+    /// Execute a logical plan to a materialized heap file — the root's
+    /// SELECT phase to rows held in memory. The children a step materialized
+    /// are freed when the step has read them for the last time: where its
+    /// arm ends.
     pub fn run_plan(&mut self, plan: &LogicalPlan) -> Result<PlanOutput> {
         let cap = self.hold_cap();
         match plan {
@@ -317,7 +337,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                 if let LogicalPlan::Join { left, right, kind: LogicalJoinKind::Inner, on } =
                     input.as_ref()
                 {
-                    return self.run_join(left, right, LogicalJoinKind::Inner, on, Some(pred));
+                    return self.run_join(left, right, &LogicalJoinKind::Inner, on, Some(pred));
                 }
                 let mut child = self.run_plan(input)?;
                 if let Some(out) = self.try_index_restrict(&child, pred, None, cap)? {
@@ -333,11 +353,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                 Ok(self.output(rows, child.sorted_by.clone()))
             }
             LogicalPlan::Project { input, items, distinct } => {
-                let reads = items.iter().filter_map(|item| match &item.expr {
-                    ScalarExpr::Column(c) => Some(c),
-                    _ => None,
-                });
-                let joined = self.run_joined(input, Some(reads.collect()))?;
+                let joined = self.run_joined(input, Some(items_read(items).collect()))?;
                 // Over one relation, Project(Filter(x)) is one
                 // restrict+project pass.
                 let (mut child, mut pred) = match (joined, input.as_ref()) {
@@ -381,7 +397,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             }
             LogicalPlan::Join { left, right, kind, on } => match self.run_joined(plan, None)? {
                 Some(out) => Ok(out),
-                None => self.run_join(left, right, *kind, on, None),
+                None => self.run_join(left, right, kind, on, None),
             },
             LogicalPlan::Aggregate { input, group_by, aggs } => {
                 let joined = self.run_joined(input, Some(aggregate_reads(group_by, aggs)))?;
@@ -390,7 +406,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                     (None, LogicalPlan::Join { left, right, kind, on }) => {
                         let mut l = self.run_plan(left)?;
                         let mut r = self.run_plan(right)?;
-                        let groupjoin = self.choose_groupjoin(&l, &r, *kind, on, group_by, aggs)?;
+                        let groupjoin = self.choose_groupjoin(&l, &r, kind, on, group_by, aggs)?;
                         if let Some(gj) = groupjoin {
                             return self.groupjoin(&mut l, &mut r, gj);
                         }
@@ -398,7 +414,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                         // reads.
                         let reads = aggregate_reads(group_by, aggs);
                         let reads = (!self.faithful).then_some(reads.as_slice());
-                        let (kind, rows) = (join_kind(*kind), stored_rows);
+                        let (kind, rows) = (join_kind(kind)?, stored_rows);
                         let joined =
                             self.join(&mut l, &mut r, kind, on, None, None, reads, rows, store)?;
                         // Left before right, as `run_join` frees them.
@@ -435,6 +451,12 @@ impl<T: TableProvider> PlanExecutor<T> {
                 keep.extend(schema.arity()..gj.schema.arity());
                 gj.keep = Some(keep);
                 self.groupjoin(&mut l, &mut r, gj)
+            }
+            LogicalPlan::Select { input, items, group_by, order_by, distinct } => {
+                let rel = self.select(input, items, group_by, order_by, *distinct)?;
+                let schema = rel.schema().clone();
+                let held = HeldRows::new(self.exec.storage(), schema, rel.into_tuples());
+                Ok(self.output(Rows::Held(held), Vec::new()))
             }
         }
     }
@@ -500,15 +522,15 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// joins two inputs or more under a filter — an inner block other blocks
     /// were merged into arrives as one filter over a key-less join tree
     /// (Section 9) — its leaves are executed and handed, with every conjunct
-    /// of its filters and `on` lists, to the join pipeline of the canonical
-    /// query ([`join_inputs`](Self::join_inputs)); `reads` is what the node
-    /// above reads of the result, `None` for every column. A left outer
-    /// join or an aggregate is a leaf of such a subtree, executed whole
-    /// before any conjunct above it is looked at: the barrier Section 5.2
-    /// asks for, by construction. `None` when there is nothing to decide —
-    /// one input, or joins whose `on` lists are all there is (NEST-JA2's
-    /// `TEMP1 ⋈ TEMP2`) — and under the literal plans, which run the tree
-    /// node by node.
+    /// of its filters and `on` lists, to the join pipeline the root's flat
+    /// block runs through ([`join_inputs`](Self::join_inputs)); `reads` is
+    /// what the node above reads of the result, `None` for every column. A
+    /// left outer join or an aggregate is a leaf of such a subtree, executed
+    /// whole before any conjunct above it is looked at: the barrier Section
+    /// 5.2 asks for, by construction. `None` when there is nothing to decide
+    /// — one input, or joins whose `on` lists are all there is (NEST-JA2's
+    /// `TEMP1 ⋈ TEMP2`) — and under the literal plans, which run a tree below
+    /// the root node by node.
     fn run_joined(
         &mut self,
         plan: &LogicalPlan,
@@ -523,23 +545,31 @@ impl<T: TableProvider> PlanExecutor<T> {
             return Ok(None);
         }
         conjuncts.append(&mut filters);
-        let mut inputs: Vec<PlanOutput> =
-            leaves.into_iter().map(|leaf| self.run_plan(leaf)).collect::<Result<_>>()?;
+        let mut inputs = self.run_leaves(leaves)?;
         let cap = self.hold_cap();
-        self.join_inputs(&mut inputs, &mut conjuncts, &[], reads, cap, stored_rows, store)
+        self.join_inputs(&mut inputs, &mut conjuncts, reads, cap, stored_rows, store)
+    }
+
+    /// Run the inputs of a join pipeline.
+    fn run_leaves<'p>(
+        &mut self,
+        leaves: Vec<Leaf<'p, &'p LogicalPlan>>,
+    ) -> Result<Vec<Leaf<'p, PlanOutput>>> {
+        let run = |l: Leaf<'p, _>| Ok(Leaf { input: self.run_plan(l.input)?, anti: l.anti });
+        leaves.into_iter().map(run).collect()
     }
 
     fn run_join(
         &mut self,
         left: &LogicalPlan,
         right: &LogicalPlan,
-        kind: LogicalJoinKind,
+        kind: &LogicalJoinKind,
         on: &[JoinPred],
         residual: Option<&Predicate>,
     ) -> Result<PlanOutput> {
+        let kind = join_kind(kind)?;
         let mut l = self.run_plan(left)?;
         let mut r = self.run_plan(right)?;
-        let kind = join_kind(kind);
         let out = self.join(&mut l, &mut r, kind, on, residual, None, None, stored_rows, store)?;
         // Left before right, where the trace of record has them.
         drop(l);
@@ -745,15 +775,9 @@ impl<T: TableProvider> PlanExecutor<T> {
             return JoinChoice { method: JoinMethod::NestedLoop, cost: f64::INFINITY, explain };
         }
         let (l_sorted, r_sorted) = (sorted_on(&l.sorted_by, lkeys), sorted_on(&r.sorted_by, rkeys));
-        let input = |side: &PlanOutput, sorted, spill| JoinInput {
-            pages: side.file.page_count() as f64,
-            rows: side.file.tuple_count() as f64,
-            sorted,
-            spill,
-        };
         // Under the default plans each method is priced whole, in
         // microseconds; under the literal ones by its page I/Os alone.
-        let (outer, inner) = (input(l, l_sorted, spill[0]), input(r, r_sorted, spill[1]));
+        let (outer, inner) = (l.priced(l_sorted, spill[0]), r.priced(r_sorted, spill[1]));
         let b = self.exec.storage().buffer_pages() as f64;
         let priced = !self.faithful;
         let (nl, mj) = classic_join_costs(outer, inner, b, priced);
@@ -864,7 +888,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         &mut self,
         l: &PlanOutput,
         r: &PlanOutput,
-        kind: LogicalJoinKind,
+        kind: &LogicalJoinKind,
         on: &[JoinPred],
         group_by: &[ColumnRef],
         aggs: &[AggItem],
@@ -883,17 +907,11 @@ impl<T: TableProvider> PlanExecutor<T> {
         if !on_the_left || step.specs.iter().any(|s| s.arg.is_some_and(|i| i < split)) {
             return Ok(None);
         }
-        let kind = join_kind(kind);
+        let kind = join_kind(kind)?;
         // The join it stands in for emits what the GROUP BY reads.
         let cols = columns_read(&combined, &aggregate_reads(group_by, aggs));
         let spill = self.spill(l, r, &lkeys, &rkeys, residual.as_ref(), Some(&cols));
         let join = self.price_join(l, r, kind, &lkeys, &rkeys, spill.map(|(p, _)| p)).cost;
-        let input = |side: &PlanOutput, spill| JoinInput {
-            pages: side.file.page_count() as f64,
-            rows: side.file.tuple_count() as f64,
-            sorted: false,
-            spill,
-        };
         // Its partitions carry the left's rows whole, and of the right's the
         // keys, the residual's columns and the aggregates' arguments.
         let args = step.specs.iter().filter_map(|s| s.arg);
@@ -903,7 +921,8 @@ impl<T: TableProvider> PlanExecutor<T> {
         let (rp, rn) = (r.file.page_count() as f64, r.file.tuple_count() as f64);
         let page_size = self.exec.storage().page_size();
         let rspill = narrowed_pages(r.file.schema(), &rkeep, rp, rn, page_size);
-        let (groups, rows) = (input(l, l.file.page_count() as f64), input(r, rspill));
+        let lp = l.file.page_count() as f64;
+        let (groups, rows) = (l.priced(false, lp), r.priced(false, rspill));
         let b = self.exec.storage().buffer_pages() as f64;
         let table = groupjoin_table_pages(groups.pages, groups.rows, aggs.len(), page_size);
         let cost = groupjoin_cost(groups, rows, table, 1, b);
@@ -958,13 +977,8 @@ impl<T: TableProvider> PlanExecutor<T> {
         let group_by: Vec<ColumnRef> =
             columns.map(|c| ColumnRef { table: c.table.clone(), column: c.name.clone() }).collect();
         let step = GroupStep::new(&aggregate_list(&combined, &group_by, aggs)?, &[])?;
-        let input = |side: &PlanOutput| JoinInput {
-            pages: side.file.page_count() as f64,
-            rows: side.file.tuple_count() as f64,
-            sorted: false,
-            spill: side.file.page_count() as f64,
-        };
-        let (groups, rows) = (input(l), input(r));
+        let whole = |side: &PlanOutput| side.priced(false, side.file.page_count() as f64);
+        let (groups, rows) = (whole(l), whole(r));
         let storage = self.exec.storage();
         let (b, page_size) = (storage.buffer_pages() as f64, storage.page_size());
         let table = groupjoin_table_pages(groups.pages, groups.rows, aggs.len(), page_size);
@@ -1105,20 +1119,21 @@ impl<T: TableProvider> PlanExecutor<T> {
         Ok(None)
     }
 
-    /// One pass of the paper's own first step — "restriction and
-    /// projection" of a relation, priced `P + Pt` — over the join input
-    /// `name`: the rows `pred` accepts, their columns `keep`, stored as an
-    /// intermediate of this statement with an operator node and an EXPLAIN
-    /// line of its own. It streams its input, so held rows no pass has
-    /// waited through are read where they are.
+    /// The join input `name` restricted by `pred`, of its columns `keep`: by
+    /// a B+tree range scan that wins, else by one pass of the paper's own
+    /// first step — "restriction and projection", priced `P + Pt` — with an
+    /// operator node and an EXPLAIN line of its own, streaming held rows
+    /// where they are. `None` when neither runs (`keep` `None`: whole tables).
     fn restrict_project(
         &mut self,
         name: &str,
         inp: &mut PlanOutput,
         pred: &Predicate,
-        keep: &[usize],
+        keep: Option<&[usize]>,
         cap: usize,
-    ) -> Result<PlanOutput> {
+    ) -> Result<Option<PlanOutput>> {
+        let indexed = self.try_index_restrict(inp, pred, keep, cap)?;
+        let (None, Some(keep)) = (&indexed, keep) else { return Ok(indexed) };
         let schema = inp.file.schema().clone();
         let cpred = CPred::compile(&schema, pred)?;
         let exprs: Vec<CExpr> = keep.iter().map(|&c| CExpr::Col(c)).collect();
@@ -1136,7 +1151,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         )?;
         let sorted_by = remap_sort(&inp.sorted_by, |src| projected_at(&exprs, src));
         let out = self.output(rows, sorted_by);
-        Ok(self.reported(out, format!("restrict+project {name}")))
+        Ok(Some(self.reported(out, format!("restrict+project {name}"))))
     }
 
     /// `out` with an EXPLAIN line of its own: `what`, its size, and — when
@@ -1151,42 +1166,39 @@ impl<T: TableProvider> PlanExecutor<T> {
 
     // -------------------------------------------------------- join pipeline
 
-    /// Join `inputs` left-deep in the order given under the conjuncts
-    /// `remaining`, anti-join the blocks `anti`, and hand the last step's
-    /// rows to `deliver` (`rows` and `deliver` as for [`join`](Self::join)):
-    /// the FROM list and the anti-joins of the canonical query, and the
-    /// relations of a temporary's inner block. The one place that decides
-    /// where a conjunct is applied, which conjuncts are join keys and which
-    /// columns a stored join result carries.
+    /// Join the leaves `inputs` of a flat block in tree order under the
+    /// conjuncts `remaining`, and hand the last step's rows to `deliver`
+    /// (`rows` and `deliver` as for [`join`](Self::join)): the one place that
+    /// decides where a conjunct is applied, which conjuncts are join keys and
+    /// which columns a stored join result carries.
     ///
-    /// An input goes by the qualifiers of its columns. One with conjuncts of
-    /// its own is first replaced, in `inputs`, by its restriction (and, under
-    /// the default plans, projection onto the columns read later); each join
-    /// step then takes the equalities between its two sides as keys and
-    /// whatever else has become evaluable as residual; the last join step
-    /// takes all that is left. An anti-join runs as soon as the columns it
-    /// reads of the join are there ([`anti_join`](Self::anti_join)); before
-    /// an anti-join of the one input, that input takes every conjunct.
-    /// `reads` lists the columns the caller reads of the result. `None` when
-    /// there is one input and no anti-join, and so no step: `remaining` then
-    /// holds the conjuncts that were not applied, and the restricted input,
-    /// which goes to the caller, is held up to `last_cap` pages.
-    #[allow(clippy::too_many_arguments)]
-    fn join_inputs<R>(
+    /// An input goes by the qualifiers of its columns. One joined with
+    /// conjuncts of its own is first replaced, in `inputs`, by its
+    /// restriction (and, under the default plans, projection onto the columns
+    /// read later); each join step then takes the equalities between its two
+    /// sides as keys and whatever else has become evaluable as residual; the
+    /// last join step takes all that is left. An anti-join's relation is
+    /// restricted when its step comes by its conjuncts over it alone; of the
+    /// others, the equalities across are keys. Before an anti-join of the one
+    /// input, that input takes every conjunct. `reads` lists the columns the
+    /// caller reads of the result. `None` when there is no step: `remaining`
+    /// then holds the conjuncts not applied, and the restricted input, which
+    /// goes to the caller, is held up to `last_cap` pages.
+    fn join_inputs<'p, R>(
         &mut self,
-        inputs: &mut [PlanOutput],
+        inputs: &mut [Leaf<'p, PlanOutput>],
         remaining: &mut Vec<Predicate>,
-        anti: &[AntiJoin],
-        reads: Option<Vec<&ColumnRef>>,
+        reads: Option<Vec<&'p ColumnRef>>,
         last_cap: usize,
         rows: impl FnOnce(&R) -> u64,
         deliver: impl FnOnce(&Sink<'_>, Relation, Vec<usize>) -> R,
     ) -> Result<Option<R>> {
         let names: Vec<Vec<String>> =
-            inputs.iter().map(|inp| qualifiers(inp.file.schema())).collect();
-        let steps = pipeline_steps(&names, anti);
-        let cap = if steps.is_empty() { last_cap } else { self.hold_cap() };
-        let lone = inputs.len() == 1 && !steps.is_empty();
+            inputs.iter().map(|inp| qualifiers(inp.input.file.schema())).collect();
+        let steps = inputs.len() - 1;
+        let cap = if steps == 0 { last_cap } else { self.hold_cap() };
+        let lone = inputs.iter().filter(|inp| inp.anti.is_none()).count() == 1 && steps > 0;
+        let anti_reads: Vec<&ColumnRef> = inputs.iter().flat_map(Leaf::anti_refs).collect();
 
         // What the caller reads of the join result; with the conjuncts
         // still pending at a step and the anti-joins still to run,
@@ -1198,13 +1210,17 @@ impl<T: TableProvider> PlanExecutor<T> {
             !self.faithful
                 && reads.iter().all(qualified)
                 && remaining.iter().flat_map(refs_of).all(|c| qualified(&c))
-                && anti.iter().flat_map(anti_refs).all(|c| qualified(&c))
+                && anti_reads.iter().all(qualified)
         });
 
         // Restrict before the join. Inner-join-only pipeline, so early
         // restriction is semantics-preserving, and a projection that keeps
         // duplicates keeps every multiplicity.
-        for (inp, names) in inputs.iter_mut().zip(&names) {
+        for (leaf, names) in inputs.iter_mut().zip(&names) {
+            if leaf.anti.is_some() {
+                continue;
+            }
+            let inp = &mut leaf.input;
             let only_mine = |p: &Predicate| {
                 let refs = refs_of(p);
                 (lone || !refs.is_empty())
@@ -1232,7 +1248,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             let keep = match &tail_reads {
                 Some(tail) => {
                     let later = remaining.iter().filter(|p| !pushable(p)).flat_map(refs_of);
-                    let anti = anti.iter().flat_map(anti_refs);
+                    let anti = anti_reads.iter().copied();
                     let reads: Vec<&ColumnRef> =
                         tail.iter().copied().chain(later).chain(anti).collect();
                     Some(columns_read(inp.file.schema(), &reads))
@@ -1240,16 +1256,12 @@ impl<T: TableProvider> PlanExecutor<T> {
                 None if lone => Some((0..inp.file.schema().arity()).collect()),
                 None => None,
             };
-            let pred = Predicate::and(pushed);
-            let out = match (self.try_index_restrict(inp, &pred, keep.as_deref(), cap)?, &keep) {
-                (Some(out), _) => out,
-                (None, Some(keep)) => {
-                    self.restrict_project(&names.join("+"), inp, &pred, keep, cap)?
-                }
-                // The paper's shape: whole tables into the join but for the
-                // §7 extension, a restriction an index range scan takes and
-                // wins on; otherwise it rides along as a join residual.
-                (None, None) => continue,
+            // The paper's shape: whole tables into the join but for the §7
+            // extension, a restriction an index range scan takes and wins
+            // on; otherwise it rides along as a join residual.
+            let (name, pred) = (names.join("+"), Predicate::and(pushed));
+            let Some(out) = self.restrict_project(&name, inp, &pred, keep.as_deref(), cap)? else {
+                continue;
             };
             remaining.retain(|p| !pushable(p));
             *inp = out;
@@ -1258,155 +1270,119 @@ impl<T: TableProvider> PlanExecutor<T> {
         // The join accumulator; the first input stands in until a step ran.
         let mut acc: Option<PlanOutput> = None;
         let mut acc_names: Vec<String> = names[0].clone();
-        let last_join = steps.iter().rposition(|s| matches!(s, Step::Join(_)));
+        let last_join = inputs.iter().rposition(|inp| inp.anti.is_none());
         let mut sink = Some((rows, deliver));
-        let (first, rest) = inputs.split_first_mut().expect("a FROM list");
-        for (at, &step) in steps.iter().enumerate() {
-            let last = at + 1 == steps.len();
+        for (at, next_names) in names.iter().enumerate().skip(1) {
+            let (done, rest) = inputs.split_at_mut(at);
+            let (next, later) = rest.split_first_mut().expect("a step per input but the first");
             let left = match &mut acc {
                 Some(acc) => acc,
-                None => &mut *first,
+                None => &mut done[0].input,
             };
-            let joined = match step {
-                Step::Join(input) => {
+            let (mut keys, mut residual): (Vec<JoinPred>, Vec<Predicate>) = (vec![], vec![]);
+            let right = &mut next.input;
+            let (kind, null_aware) = match next.anti {
+                None => {
                     // Pull out the predicates usable at this step.
-                    let mut keys: Vec<JoinPred> = Vec::new();
-                    let mut residual: Vec<Predicate> = Vec::new();
                     let mut rest_later: Vec<Predicate> = Vec::new();
                     for p in remaining.drain(..) {
-                        match classify_conjunct(&p, &acc_names, &names[input]) {
+                        match classify_conjunct(&p, &acc_names, next_names) {
                             ConjunctUse::JoinKey(jp) => keys.push(jp),
                             ConjunctUse::Later if Some(at) != last_join => rest_later.push(p),
                             ConjunctUse::Residual | ConjunctUse::Later => residual.push(p),
                         }
                     }
                     *remaining = rest_later;
-                    let residual =
-                        if residual.is_empty() { None } else { Some(Predicate::and(residual)) };
-                    let next = &mut rest[input - 1];
-                    let (kind, residual) = (JoinKind::Inner, residual.as_ref());
-                    let reads = later_reads(&tail_reads, remaining, anti, &steps[at + 1..]);
-                    let reads = reads.as_deref();
-                    if last {
-                        let (rows, deliver) = sink.take().expect("one last step");
-                        return self
-                            .join(left, next, kind, &keys, residual, None, reads, rows, deliver)
-                            .map(Some);
-                    }
-                    let rows = stored_rows;
-                    let joined =
-                        self.join(left, next, kind, &keys, residual, None, reads, rows, store)?;
-                    acc_names.extend_from_slice(&names[input]);
-                    (joined, format!("join {}", acc_names.join("+")))
+                    (JoinKind::Inner, None)
                 }
-                Step::Anti(a) => {
+                Some((conjuncts, null_aware)) => {
                     // The block's conjuncts over its relation alone restrict
                     // it; of the others, the equalities across are keys.
-                    let (block, name) = (&anti[a], [anti[a].name().to_string()]);
-                    let mut split = AntiSplit::default();
-                    for p in &block.conjuncts {
-                        if refs_of(p).iter().all(|c| c.table.as_ref() == Some(&name[0])) {
-                            split.local.push(p.clone());
+                    let mut local = Vec::new();
+                    for p in conjuncts {
+                        if refs_of(p).iter().all(|c| c.table.as_ref() == Some(&next_names[0])) {
+                            local.push(p.clone());
                             continue;
                         }
-                        match classify_conjunct(p, &acc_names, &name) {
-                            ConjunctUse::JoinKey(jp) => split.keys.push(jp),
-                            ConjunctUse::Residual | ConjunctUse::Later => {
-                                split.residual.push(p.clone())
-                            }
+                        match classify_conjunct(p, &acc_names, next_names) {
+                            ConjunctUse::JoinKey(jp) => keys.push(jp),
+                            ConjunctUse::Residual | ConjunctUse::Later => residual.push(p.clone()),
                         }
                     }
-                    let reads = later_reads(&tail_reads, remaining, anti, &steps[at + 1..]);
-                    let reads = reads.as_deref();
-                    if last {
-                        let (rows, deliver) = sink.take().expect("one last step");
-                        return self.anti_join(left, block, split, reads, rows, deliver).map(Some);
+                    if !local.is_empty() {
+                        let read = residual.iter().chain(null_aware).flat_map(refs_of);
+                        let keys = keys.iter().map(|k| &k.right);
+                        let read: Vec<&ColumnRef> = read.chain(keys).collect();
+                        let keep = columns_read(right.file.schema(), &read);
+                        let (pred, cap) = (Predicate::and(local), self.hold_cap());
+                        let name = &next_names[0];
+                        let out = self.restrict_project(name, right, &pred, Some(&keep), cap)?;
+                        *right = out.expect("a projection is always made");
                     }
-                    let joined = self.anti_join(left, block, split, reads, stored_rows, store)?;
-                    (joined, format!("anti-join {} with {}", acc_names.join("+"), block.name()))
+                    (JoinKind::Anti, null_aware)
+                }
+            };
+            let residual = (!residual.is_empty()).then(|| Predicate::and(residual));
+            let residual = residual.as_ref();
+            let reads: Option<Vec<&ColumnRef>> = tail_reads.as_ref().map(|tail| {
+                let pending = later.iter().flat_map(Leaf::anti_refs);
+                let conjuncts = remaining.iter().flat_map(refs_of);
+                tail.iter().copied().chain(conjuncts).chain(pending).collect()
+            });
+            let reads = reads.as_deref();
+            if at == steps {
+                let (rows, deliver) = sink.take().expect("one last step");
+                return self
+                    .join(left, right, kind, &keys, residual, null_aware, reads, rows, deliver)
+                    .map(Some);
+            }
+            let joined = self.join(
+                left, right, kind, &keys, residual, null_aware, reads, stored_rows, store,
+            )?;
+            let what = match kind {
+                JoinKind::Anti => {
+                    format!("anti-join {} with {}", acc_names.join("+"), next_names[0])
+                }
+                _ => {
+                    acc_names.extend_from_slice(next_names);
+                    format!("join {}", acc_names.join("+"))
                 }
             };
             // Replacing the accumulator frees the previous step's file.
             acc = Some(match self.faithful {
-                true => joined.0,
-                false => self.reported(joined.0, joined.1),
+                true => joined,
+                false => self.reported(joined, what),
             });
         }
         Ok(None)
     }
 
-    /// Anti-join `left` with the block `anti`, its conjuncts split by
-    /// [`join_inputs`](Self::join_inputs): its relation, restricted by the
-    /// local ones and projected onto what the step reads of it, is the right
-    /// input; the keys, the strict residual and the membership comparison,
-    /// null-aware, decide a match. `reads`, `rows` and `deliver` as for
-    /// [`join`](Self::join).
-    fn anti_join<R>(
+    /// The root's SELECT phase over the flat block `input`: its inputs and
+    /// anti-joins through the join pipeline, whatever the plan shapes, then
+    /// the projection / aggregation / DISTINCT / ORDER BY in memory.
+    fn select(
         &mut self,
-        left: &mut PlanOutput,
-        anti: &AntiJoin,
-        split: AntiSplit,
-        reads: Option<&[&ColumnRef]>,
-        rows: impl FnOnce(&R) -> u64,
-        deliver: impl FnOnce(&Sink<'_>, Relation, Vec<usize>) -> R,
-    ) -> Result<R> {
-        let name = anti.name();
-        let mut inner = self.lookup(&anti.table.table, name)?;
-        let AntiSplit { local, keys, residual } = split;
-        if !local.is_empty() {
-            let read = residual.iter().chain(&anti.null_aware).flat_map(refs_of);
-            let keys = keys.iter().map(|k| &k.right);
-            let keep = columns_read(inner.file.schema(), &read.chain(keys).collect::<Vec<_>>());
-            let pred = Predicate::and(local);
-            let cap = self.hold_cap();
-            inner = match self.try_index_restrict(&inner, &pred, Some(&keep), cap)? {
-                Some(out) => out,
-                None => self.restrict_project(name, &mut inner, &pred, &keep, cap)?,
-            };
-        }
-        let residual = (!residual.is_empty()).then(|| Predicate::and(residual));
-        let (residual, aware) = (residual.as_ref(), anti.null_aware.as_ref());
-        self.join(left, &mut inner, JoinKind::Anti, &keys, residual, aware, reads, rows, deliver)
-    }
-
-    // ------------------------------------------------------ canonical query
-
-    /// Execute a flat (subquery-free) query block with the blocks `anti`
-    /// anti-joined — a [`TransformPlan`]'s `canonical` and `anti_joins`:
-    /// its FROM list and the anti-joins through the join pipeline, then the
-    /// final projection / aggregation / DISTINCT / ORDER BY in memory.
-    pub fn execute_flat_query(
-        &mut self,
-        q: &QueryBlock,
-        anti: &[AntiJoin],
-        force_distinct: bool,
+        input: &LogicalPlan,
+        items: &[SelectItem],
+        group_by: &[ColumnRef],
+        order_by: &[OrderKey],
+        distinct: bool,
     ) -> Result<Relation> {
-        if q.from.is_empty() {
-            return Err(DbError::Engine(nsql_engine::EngineError::Unsupported(
-                "query with empty FROM".into(),
-            )));
-        }
-        // Resolve inputs. Whatever this statement materializes — a
-        // restricted input, the last join's result — lives until the
-        // function returns, past the statement's last page read.
-        let mut inputs: Vec<PlanOutput> = q
-            .from
-            .iter()
-            .map(|t| self.lookup(&t.table, t.effective_name()))
-            .collect::<Result<_>>()?;
-        let mut remaining: Vec<Predicate> = q
-            .where_clause
-            .as_ref()
-            .map(|p| p.conjuncts().into_iter().cloned().collect())
-            .unwrap_or_default();
-        let reads = Some(select_phase_refs(q));
+        let (mut leaves, mut remaining, mut filters) = (Vec::new(), Vec::new(), Vec::new());
+        flatten(input, &mut leaves, &mut remaining, &mut filters);
+        remaining.append(&mut filters);
+        // Whatever this statement materializes — a restricted input, the
+        // last join's result — lives until the function returns, past the
+        // statement's last page read.
+        let mut inputs = self.run_leaves(leaves)?;
+        let keys = group_by.iter().chain(order_by.iter().map(|k| &k.column));
+        let reads = Some(items_read(items).chain(keys).collect());
 
-        let grouped = !q.group_by.is_empty() || q.has_aggregate_select();
-        let select = |scope: &Schema| {
-            SelectList::compile(scope, &q.select, &q.group_by, &q.order_by, q.distinct)
-        };
+        let grouped = !group_by.is_empty() || items.iter().any(|s| s.expr.as_aggregate().is_some());
+        let select =
+            |scope: &Schema| SelectList::compile(scope, items, group_by, order_by, distinct);
         // Streaming projection needs a plain select list, unsorted.
-        let streamable = !grouped && q.order_by.is_empty() && !q.distinct && !force_distinct;
+        let streamable = !grouped && order_by.is_empty() && !distinct;
         // A one-table statement's restricted input goes straight to the
         // result, which is in memory whatever its size, or to a GROUP BY,
         // which holds what fits the pool.
@@ -1418,18 +1394,18 @@ impl<T: TableProvider> PlanExecutor<T> {
             let keep = |_: &Sink<'_>, rel, _| rel;
             let inputs = &mut inputs;
             if let Some(rel) =
-                self.join_inputs(inputs, &mut remaining, anti, reads, last_cap, rows, keep)?
+                self.join_inputs(inputs, &mut remaining, reads, last_cap, rows, keep)?
             {
-                return Ok(select(rel.schema())?.finish(rel.tuples(), force_distinct)?);
+                return Ok(select(rel.schema())?.finish(rel.tuples(), false)?);
             }
             None
         } else {
             let (inputs, remaining) = (&mut inputs, &mut remaining);
-            self.join_inputs(inputs, remaining, anti, reads, last_cap, stored_rows, store)?
+            self.join_inputs(inputs, remaining, reads, last_cap, stored_rows, store)?
         };
         let acc = match &mut joined {
             Some(joined) => joined,
-            None => &mut inputs[0],
+            None => &mut inputs[0].input,
         };
 
         // Single-table case: apply leftover predicates, streamed from held
@@ -1452,7 +1428,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         if !list.grouped() {
             self.hand_off(working, true, reader);
             let rows: Vec<Tuple> = working.file.scan(self.exec.storage()).collect();
-            return Ok(list.finish(&rows, force_distinct)?);
+            return Ok(list.finish(&rows, false)?);
         }
         let step = GroupStep::new(&list, &working.sorted_by)?;
         let rows = |rel: &Relation| rel.len() as u64;
@@ -1460,7 +1436,7 @@ impl<T: TableProvider> PlanExecutor<T> {
         self.hand_off(working, holds, reader);
         let faithful = self.faithful;
         let groups = step.run(&self.pass(), working, faithful, rows, |_, rel| rel)?;
-        Ok(list.finish(groups.tuples(), force_distinct)?)
+        Ok(list.finish(groups.tuples(), false)?)
     }
 }
 
@@ -1572,6 +1548,14 @@ fn stored_rows(out: &PlanOutput) -> u64 {
     out.file.tuple_count() as u64
 }
 
+/// What a select list reads: its columns and its aggregates' arguments.
+fn items_read(items: &[SelectItem]) -> impl Iterator<Item = &ColumnRef> {
+    items.iter().filter_map(|item| match &item.expr {
+        ScalarExpr::Column(c) | ScalarExpr::Aggregate(_, AggArg::Column(c)) => Some(c),
+        _ => None,
+    })
+}
+
 /// What an aggregate step reads of its input: its GROUP BY columns and its
 /// aggregates' arguments.
 fn aggregate_reads<'a>(group_by: &'a [ColumnRef], aggs: &'a [AggItem]) -> Vec<&'a ColumnRef> {
@@ -1588,7 +1572,8 @@ fn scans_of(plan: &LogicalPlan, name: &str) -> usize {
         LogicalPlan::Scan { table, .. } => usize::from(table.eq_ignore_ascii_case(name)),
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. } => scans_of(input, name),
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Select { input, .. } => scans_of(input, name),
         LogicalPlan::Join { left, right, .. } => scans_of(left, name) + scans_of(right, name),
         LogicalPlan::Apply { outer, inner, .. } => scans_of(outer, name) + scans_of(inner, name),
     }
@@ -1645,10 +1630,14 @@ fn join_keys(
     Ok(JoinKeys { lkeys, rkeys, residual })
 }
 
-fn join_kind(kind: LogicalJoinKind) -> JoinKind {
+/// The kernel's kind of a join run as one node; an anti-join runs in a join
+/// pipeline only, which places its conjuncts.
+fn join_kind(kind: &LogicalJoinKind) -> Result<JoinKind> {
+    let outside = || nsql_engine::EngineError::Internal("an anti-join outside a pipeline".into());
     match kind {
-        LogicalJoinKind::Inner => JoinKind::Inner,
-        LogicalJoinKind::LeftOuter => JoinKind::LeftOuter,
+        LogicalJoinKind::Inner => Ok(JoinKind::Inner),
+        LogicalJoinKind::LeftOuter => Ok(JoinKind::LeftOuter),
+        LogicalJoinKind::Anti { .. } => Err(DbError::Engine(outside())),
     }
 }
 
@@ -1766,86 +1755,6 @@ fn spilled_note(shape: &HashShape) -> String {
     }
 }
 
-/// The EXPLAIN line of a temporary that was just materialized.
-fn materialize_line(name: &str, file: &Rows, sorted_by: &[usize]) -> String {
-    format!(
-        "materialize {}: {} tuples, {} pages{}",
-        name,
-        file.tuple_count(),
-        file.page_count(),
-        if sorted_by.is_empty() { "" } else { " (sorted)" }
-    )
-}
-
-/// An anti-joined block's conjuncts as one step applies them: those over
-/// its relation alone, the equalities across (left: the join's column), and
-/// the rest.
-#[derive(Default)]
-struct AntiSplit {
-    local: Vec<Predicate>,
-    keys: Vec<JoinPred>,
-    residual: Vec<Predicate>,
-}
-
-/// One step of the join pipeline.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    /// Join the input of this index.
-    Join(usize),
-    /// Anti-join the block of this index.
-    Anti(usize),
-}
-
-/// The steps of a join pipeline over inputs going by `names`, with the
-/// blocks `anti` anti-joined: a join of each input after the first, in
-/// order, and each anti-join as soon as every column it reads of the join
-/// is there — last if it never is (its predicates then fail to compile,
-/// as any that does not resolve does).
-fn pipeline_steps(names: &[Vec<String>], anti: &[AntiJoin]) -> Vec<Step> {
-    let mut pending: Vec<usize> = (0..anti.len()).collect();
-    let (mut have, mut steps): (Vec<&String>, Vec<Step>) = (Vec::new(), Vec::new());
-    for (input, names) in names.iter().enumerate() {
-        if input > 0 {
-            steps.push(Step::Join(input));
-        }
-        have.extend(names);
-        pending.retain(|&a| {
-            let there = |t: &String| t.eq_ignore_ascii_case(anti[a].name()) || have.contains(&t);
-            let ready = anti_refs(&anti[a]).all(|c| c.table.as_ref().is_some_and(there));
-            if ready {
-                steps.push(Step::Anti(a));
-            }
-            !ready
-        });
-    }
-    steps.extend(pending.into_iter().map(Step::Anti));
-    steps
-}
-
-/// The column references of an anti-joined block: its conjuncts' and its
-/// null-aware comparison's.
-fn anti_refs(anti: &AntiJoin) -> impl Iterator<Item = &ColumnRef> {
-    anti.conjuncts.iter().chain(&anti.null_aware).flat_map(refs_of)
-}
-
-/// What the pipeline reads of a step's rows after it (`None`: every
-/// column): what the caller reads, the conjuncts still `remaining` and the
-/// anti-joins among the steps `later`.
-fn later_reads<'a>(
-    tail: &Option<Vec<&'a ColumnRef>>,
-    remaining: &'a [Predicate],
-    anti: &'a [AntiJoin],
-    later: &[Step],
-) -> Option<Vec<&'a ColumnRef>> {
-    let tail = tail.as_ref()?;
-    let pending = later.iter().filter_map(|s| match s {
-        Step::Anti(a) => Some(&anti[*a]),
-        Step::Join(_) => None,
-    });
-    let pending = pending.flat_map(anti_refs);
-    Some(tail.iter().copied().chain(remaining.iter().flat_map(refs_of)).chain(pending).collect())
-}
-
 /// How one conjunct participates in a join step.
 enum ConjunctUse {
     JoinKey(JoinPred),
@@ -1879,12 +1788,30 @@ fn classify_conjunct(p: &Predicate, acc_names: &[String], next_names: &[String])
     ConjunctUse::Residual
 }
 
-/// The inputs and conjuncts of the maximal subtree of filters and inner
-/// joins rooted at `plan`, bottom-up: its leaves left to right, the `on`
-/// predicates of its joins, the conjuncts of its filters.
+/// A leaf of a join pipeline, in tree order: `input` is joined to the
+/// leaves before it (the first: the one they join), or anti-joined when
+/// `anti` holds what decides a match — the anti-join's conjuncts and its
+/// null-aware comparison ([`LogicalJoinKind::Anti`]).
+struct Leaf<'p, T> {
+    input: T,
+    anti: Option<(&'p [Predicate], Option<&'p Predicate>)>,
+}
+
+impl<'p, T> Leaf<'p, T> {
+    /// The columns an anti-join reads; none for a joined input.
+    fn anti_refs(&self) -> Vec<&'p ColumnRef> {
+        let Some((conjuncts, null_aware)) = self.anti else { return Vec::new() };
+        conjuncts.iter().chain(null_aware).flat_map(refs_of).collect()
+    }
+}
+
+/// The inputs and conjuncts of the maximal subtree of filters, inner joins
+/// and anti-joins rooted at `plan`, bottom-up: its leaves left to right —
+/// an anti-join's relation after the leaves of its left input — the `on`
+/// predicates of its inner joins, the conjuncts of its filters.
 fn flatten<'p>(
     plan: &'p LogicalPlan,
-    leaves: &mut Vec<&'p LogicalPlan>,
+    leaves: &mut Vec<Leaf<'p, &'p LogicalPlan>>,
     on: &mut Vec<Predicate>,
     filters: &mut Vec<Predicate>,
 ) {
@@ -1899,7 +1826,17 @@ fn flatten<'p>(
             let compare = |p: &JoinPred| Predicate::col_cmp(p.left.clone(), p.op, p.right.clone());
             on.extend(preds.iter().map(compare));
         }
-        leaf => leaves.push(leaf),
+        LogicalPlan::Join {
+            left,
+            right,
+            kind: LogicalJoinKind::Anti { conjuncts, null_aware },
+            ..
+        } => {
+            flatten(left, leaves, on, filters);
+            let anti = Some((conjuncts.as_slice(), null_aware.as_ref()));
+            leaves.push(Leaf { input: right, anti });
+        }
+        leaf => leaves.push(Leaf { input: leaf, anti: None }),
     }
 }
 
@@ -1917,16 +1854,6 @@ fn qualifiers(schema: &Schema) -> Vec<String> {
 /// The column references of one predicate.
 fn refs_of(p: &Predicate) -> Vec<&ColumnRef> {
     nsql_analyzer::resolve::predicate_column_refs(p)
-}
-
-/// What the SELECT phase of a flat query reads of its join result: select
-/// items and aggregate arguments, GROUP BY and ORDER BY keys.
-fn select_phase_refs(q: &QueryBlock) -> Vec<&ColumnRef> {
-    let items = q.select.iter().filter_map(|item| match &item.expr {
-        ScalarExpr::Column(c) | ScalarExpr::Aggregate(_, AggArg::Column(c)) => Some(c),
-        _ => None,
-    });
-    items.chain(&q.group_by).chain(q.order_by.iter().map(|k| &k.column)).collect()
 }
 
 /// New sort-prefix after a projection that delivers input column `src` as
@@ -2041,8 +1968,7 @@ mod tests {
 
     /// The rows of a step's output, held or stored.
     fn collected(pe: &PlanExecutor<&Catalog>, out: &PlanOutput) -> Relation {
-        let rows = out.file.scan(pe.exec().storage()).collect();
-        Relation::new(out.file.schema().clone(), rows).unwrap()
+        out.relation(pe.exec().storage()).unwrap()
     }
 
     fn executor(cat: &Catalog, policy: JoinPolicy) -> PlanExecutor<&Catalog> {
@@ -2059,6 +1985,20 @@ mod tests {
             op: CompareOp::Eq,
             right: ColumnRef::qualified(r, "K"),
         }]
+    }
+
+    /// A caller's `force_distinct` adds a final DISTINCT to a root that has
+    /// none; without it the root keeps its duplicates.
+    #[test]
+    fn force_distinct_deduplicates_the_roots_rows() {
+        let cat = catalog();
+        let q = parse_query("SELECT T.K FROM T WHERE T.V > 0").unwrap();
+        let plan = nsql_core::transform_query(&cat, &q, &nsql_core::UnnestOptions::default());
+        let plan = plan.unwrap();
+        for (force, rows) in [(false, 4), (true, 3)] {
+            let mut pe = executor(&cat, JoinPolicy::CostBased);
+            assert_eq!(pe.execute_transform_plan(&plan, force).unwrap().len(), rows, "{force}");
+        }
     }
 
     #[test]
@@ -2456,7 +2396,8 @@ mod tests {
         assert!(keys.iter().copied().eq(&want), "every TEMP1 row, in order: {keys:?}");
         // A merge join into the final join sorts only the outer relation.
         pe.set_policy(JoinPolicy::ForceMergeJoin);
-        let got = pe.execute_flat_query(&plan.canonical, &plan.anti_joins, false).unwrap();
+        let got = pe.run_plan(&plan.root).unwrap();
+        let got = got.relation(pe.exec().storage()).unwrap();
         assert_eq!(pe.log.last().unwrap(), "merge join (1 keys), right pre-sorted", "{:?}", pe.log);
         let want = oracle.eval(&q).unwrap();
         assert!(!want.is_empty() && got.same_bag(&want), "got:\n{got}\noracle:\n{want}");

@@ -60,7 +60,7 @@ fn strategies() -> [(&'static str, Strategy); 2] {
 
 fn opts(strategy: &Strategy) -> QueryOptions {
     QueryOptions {
-        strategy: strategy.clone(),
+        strategy: *strategy,
         cold_start: true,
         ..QueryOptions::default()
     }

@@ -6,6 +6,7 @@
 //! their table, and per-column distinct-count statistics survive a durable reopen.
 
 use nsql_db::{Database, IndexUse, QueryOptions, Strategy};
+use nsql_engine::NestedIter;
 use nsql_obs::stats::{LatencyHistogram, StatementSample};
 use nsql_testkit::TempDir;
 use nsql_types::Value;
@@ -266,6 +267,23 @@ fn index_probes_are_attributed() {
         .unwrap();
     let after = ints(&rel, 0)[0] as u64;
     assert!(after > before, "index path under Prefer must record probes ({before} -> {after})");
+}
+
+/// Nested iteration's own analysis resolves names against schemas, which
+/// the catalog does not count: one `eval_query` of a one-block statement
+/// records exactly the one scan that evaluates it.
+#[test]
+fn eval_query_counts_only_the_scan_it_runs() {
+    let db = mem_db();
+    let scans = |db: &Database| {
+        let sql = "SELECT SCANS FROM NSQL_STAT_TABLES WHERE TABLE_NAME = 'PARTS'";
+        ints(&db.query(sql).unwrap(), 0)[0]
+    };
+    let before = scans(&db);
+    let q = nsql_sql::parse_query("SELECT PNUM FROM PARTS WHERE QOH > 0").unwrap();
+    let rel = NestedIter::new(db.catalog(), db.storage().clone()).eval_query(&q).unwrap();
+    assert_eq!(rel.len(), 2);
+    assert_eq!(scans(&db) - before, 1, "one scan of PARTS");
 }
 
 /// `nsql_stat_storage` reports live storage counters, including WAL

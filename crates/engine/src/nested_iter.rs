@@ -371,7 +371,7 @@ struct Schemas<'t, T: ?Sized>(&'t T);
 
 impl<T: TableProvider + ?Sized> SchemaSource for Schemas<'_, T> {
     fn table_schema(&self, table: &str) -> Option<Schema> {
-        self.0.get_table(table).map(|f| f.schema().clone())
+        self.0.schema_of(table)
     }
 }
 

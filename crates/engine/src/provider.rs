@@ -2,6 +2,7 @@
 
 use nsql_index::BTreeIndex;
 use nsql_storage::HeapFile;
+use nsql_types::Schema;
 use std::sync::Arc;
 
 /// Source of stored tables. Implemented by the catalog in `nsql-db` and by
@@ -12,6 +13,13 @@ pub trait TableProvider {
     /// case-insensitive). The file's schema columns are qualified by the
     /// base table name.
     fn get_table(&self, table: &str) -> Option<HeapFile>;
+
+    /// The schema of `table`, if it exists: what names are resolved
+    /// against. Defaulted to the heap file's; the catalog overrides it with
+    /// a lookup its statistics do not count as a scan.
+    fn schema_of(&self, table: &str) -> Option<Schema> {
+        self.get_table(table).map(|f| f.schema().clone())
+    }
 
     /// The B+tree indexes on `table`, if any. Defaulted to none so
     /// lightweight test providers need not care; the catalog overrides it.
@@ -29,6 +37,10 @@ pub trait TableProvider {
 impl<T: TableProvider + ?Sized> TableProvider for &T {
     fn get_table(&self, table: &str) -> Option<HeapFile> {
         (**self).get_table(table)
+    }
+
+    fn schema_of(&self, table: &str) -> Option<Schema> {
+        (**self).schema_of(table)
     }
 
     fn get_indexes(&self, table: &str) -> Vec<Arc<BTreeIndex>> {

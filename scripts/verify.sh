@@ -127,15 +127,16 @@ done <<GATES
 \\b(TPred|TOperand|instantiate_tpred|compile_tpred)\\b#$everywhere#-#a second predicate IR beside CPred: nested iteration compiles a block's simple conjuncts once, against the block's scope joined with its outer references (DESIGN.md "Name resolution")
 fn block_is_correlated\\b#$everywhere#crates/analyzer/src/classify\\.rs#a second correlation test beside nsql_analyzer::block_is_correlated, which NEST-G, classify_inner and query_tree share
 \\bproject_collect\\b|fn nl_join_cols<#$everywhere#-#a dead operator variant: Exec::project_collect, or a nested-loop inner held in memory (the plan layer hands the nested loop a file)
+\\b(execute_flat_query|pipeline_steps|later_reads|AntiSplit|select_phase_refs)\\b|enum Step\\b#$everywhere#-#a second interpreter beside run_plan, or the run-time schedule of the canonical query's joins and anti-joins; the canonical query is lowered to a LogicalPlan whose anti-joins are placed when the plan is made (DESIGN.md "One planner for flat blocks")
 faithful_1987 *[:=] *true|UnnestOptions::faithful\\(|set_faithful\\(true#$non_test#crates/core/src/nest_g\\.rs|crates/db/src/options\\.rs|crates/bench/src/.*|src/diff\\.rs|examples/.*#faithful_1987 is set on a path the default options reach
 GATES
 
 echo "==> one planner for flat blocks"
 # Where a conjunct is applied, which conjuncts are join keys and which columns
 # a stored join result carries is decided by PlanExecutor::join_inputs, for
-# the canonical query's FROM list and for a temporary over several relations
-# alike (DESIGN.md "One planner for flat blocks"): outside tests the conjunct
-# classifier has that one caller.
+# the flat block under the canonical query's SELECT phase and for a temporary
+# over several relations alike (DESIGN.md "One planner for flat blocks"):
+# outside tests the conjunct classifier has that one caller.
 callers=$(awk '/^#\[cfg\(test\)\]/ { exit }
     match($0, /fn [a-z_0-9]+/) { current = substr($0, RSTART + 3, RLENGTH - 3) }
     /classify_conjunct\(/ && !/fn classify_conjunct\(/ { print current }' \
@@ -143,6 +144,14 @@ callers=$(awk '/^#\[cfg\(test\)\]/ { exit }
 if [ "$callers" != "join_inputs" ]; then
     echo "callers of classify_conjunct: ${callers:-none}"
     echo "FAIL: join conjuncts are classified outside PlanExecutor::join_inputs (or nowhere)"
+    exit 1
+fi
+# The executor reads the tree alone: the canonical query's SQL block and its
+# list of anti-joins are for EXPLAIN and the figures to print, and an
+# anti-join is a step of the join pipeline, not a path of its own.
+if sed '/^#\[cfg(test)\]/q' crates/db/src/plan_exec.rs \
+    | grep -nE '\b(QueryBlock|AntiJoin)\b|fn anti_join\b'; then
+    echo "FAIL: the plan executor reads the canonical QueryBlock or its AntiJoin list"
     exit 1
 fi
 
@@ -373,6 +382,11 @@ echo "==> hot-path crates carry no redundant clones (clippy)"
 cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec \
     -p nsql-core -p nsql-types -p nsql-sql -p nsql-db \
     --all-targets --offline -- -D clippy::redundant_clone
+
+echo "==> the transformation and the plan executor are lint-clean (clippy)"
+# Every default lint, on every target of the two crates the transformed path
+# runs through: NEST-G and its lowering, and the one plan interpreter.
+cargo clippy --no-deps -p nsql-core -p nsql-db --all-targets --offline -- -D warnings
 
 echo "==> benchmark smoke (one cycle per workload, answers checked; not a measurement)"
 # The standalone package under benchmark/ builds against this checkout. Each

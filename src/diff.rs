@@ -1211,7 +1211,8 @@ fn keyed_multi_relation_temps(
             LogicalPlan::Scan { .. } => false,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Aggregate { input, .. } => joins_without_key(input),
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Select { input, .. } => joins_without_key(input),
             LogicalPlan::Join { left, right, on, .. } => {
                 on.is_empty() || joins_without_key(left) || joins_without_key(right)
             }
