@@ -45,8 +45,7 @@ pub fn ablation(cfg: &RunConfig) -> String {
             }
             // … final canonical query under `final_policy`.
             pe.set_policy(final_policy);
-            let rel = pe.run_plan(&plan.root).and_then(|out| out.relation(&storage));
-            let rel = rel.expect("canonical");
+            let rel = pe.run_root(&plan.root, false).expect("canonical");
             let io = storage.io_stats().since(&before);
             assert!(rel.same_bag(&ni.relation), "variant disagrees with reference");
             rows.push(vec![

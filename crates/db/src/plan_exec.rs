@@ -27,8 +27,21 @@
 //! and it runs before any other join, groupjoin or sort does
 //! ([`PlanExecutor::hand_off`]); any other consumer has it written first,
 //! the pages it would have been written as. A temporary two plans read is
-//! written when it is registered. Under the paper's literal plans
-//! everything is written.
+//! written when it is registered.
+//!
+//! A restriction of a stored file is not run where it is made: it is a
+//! [`Pipe`] — a FROM input's restrict+project in the join pipeline, and a
+//! temporary one plan reads whose plan restricts and projects one file
+//! (NEST-JA2's `TEMP2`). Its consumer decides. A hash join or groupjoin
+//! whose other input is made and whose choice, priced at the pipe's bound
+//! (the source's rows, its pages narrowed to the columns kept), still holds
+//! that input as an in-memory table, takes the pipe as its probe side: the
+//! probe loop reads the source once and restricts and projects each tuple
+//! where it reads it, and nothing is written. Every other consumer drains
+//! the pipe first ([`PlanExecutor::drain`]): the restriction runs there as
+//! it would have where it was made, and the step is chosen on exact sizes.
+//! Under the paper's literal plans nothing is a pipe and everything is
+//! written.
 
 use crate::error::DbError;
 use crate::explain::TempStat;
@@ -42,16 +55,18 @@ use nsql_engine::cost::{
 use nsql_engine::ops::join_reads;
 use nsql_engine::pred::cannot_raise;
 use nsql_engine::{
-    AggSpec, CExpr, CPred, Exec, JoinEmit, JoinKind, Joined, KeySet, SelectList, TableProvider,
-    Unjoined,
+    AggSpec, CExpr, CPred, Exec, HashInput, JoinEmit, JoinKind, Joined, KeySet, Restriction,
+    SelectList, TableProvider, Unjoined,
 };
 use nsql_index::{BTreeIndex, KeyBound};
 use nsql_obs::Profile;
 use nsql_storage::sort::SortKey;
-use nsql_storage::{HeapFile, HeldRows, HoldingWriter, Rows, RowsRef, Storage, TempFile};
+use nsql_storage::{HeapFile, HoldingWriter, Rows, RowsRef, Storage, TempFile};
 use nsql_sql::{AggArg, ColumnRef, CompareOp, Operand, OrderKey, Predicate, ScalarExpr, SelectItem};
 use nsql_types::{Relation, Schema, Tuple, Value};
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Run `f` inside an operator node of `profile` named `label` (a plain
@@ -83,14 +98,138 @@ pub(crate) fn observed<R, E>(
     out
 }
 
+/// What a step hands on: rows it made or views ([`Rows`]), or a [`Pipe`],
+/// rows not made yet.
+pub enum Data {
+    /// A heap file, or rows held for their one consumer.
+    Rows(Rows),
+    /// A restriction of a stored file that its consumer runs.
+    Pipe(Pipe),
+}
+
+impl Data {
+    /// The tuple schema.
+    pub fn schema(&self) -> &Schema {
+        match self {
+            Data::Rows(rows) => rows.schema(),
+            Data::Pipe(pipe) => pipe.restriction.schema(),
+        }
+    }
+
+    /// Pages: the rows', or a pipe's bound, what a choice made before it
+    /// runs prices it at.
+    pub fn page_count(&self) -> usize {
+        match self {
+            Data::Rows(rows) => rows.page_count(),
+            Data::Pipe(pipe) => pipe.restriction.page_count(),
+        }
+    }
+
+    /// Rows: the rows', or a pipe's bound.
+    pub fn tuple_count(&self) -> usize {
+        match self {
+            Data::Rows(rows) => rows.tuple_count(),
+            Data::Pipe(pipe) => pipe.restriction.tuple_count(),
+        }
+    }
+
+    /// The rows made, and the pages they fill or would fill: a pipe's once
+    /// its consumer ran it, its bound before.
+    pub fn sizes(&self) -> (usize, usize) {
+        match self {
+            Data::Pipe(pipe) => pipe.ran.get(),
+            Data::Rows(_) => None,
+        }
+        .unwrap_or((self.tuple_count(), self.page_count()))
+    }
+
+    /// The rows made. A pipe has none: its consumer drains it first
+    /// ([`PlanExecutor::drain`]).
+    pub fn rows(&self) -> &Rows {
+        match self {
+            Data::Rows(rows) => rows,
+            Data::Pipe(pipe) => panic!("{}: a pipe is drained before its rows are read", pipe.what),
+        }
+    }
+
+    /// Every row: a file's through the buffer pool, held ones from memory.
+    pub fn scan(&self, storage: &Storage) -> Box<dyn Iterator<Item = Tuple> + '_> {
+        self.rows().scan(storage)
+    }
+
+    /// The heap file, unless the rows are held or not made.
+    pub fn file(&self) -> Option<&HeapFile> {
+        match self {
+            Data::Rows(rows) => rows.file(),
+            Data::Pipe(_) => None,
+        }
+    }
+
+    /// What a hash pass reads of it.
+    fn input(&self) -> HashInput<'_> {
+        match self {
+            Data::Rows(rows) => rows.into(),
+            Data::Pipe(pipe) => (&pipe.restriction).into(),
+        }
+    }
+
+    /// The same under `schema` (of the same arity; no I/O).
+    fn with_schema(self, schema: Schema) -> Data {
+        match self {
+            Data::Rows(rows) => Data::Rows(rows.with_schema(schema)),
+            Data::Pipe(pipe) => {
+                let restriction = pipe.restriction.with_schema(schema);
+                Data::Pipe(Pipe { restriction, ..pipe })
+            }
+        }
+    }
+}
+
+/// A restriction and projection of a stored file that has not run
+/// ([`Restriction`]): what `join_inputs` makes of a FROM input with
+/// conjuncts of its own, and what a temporary one plan reads is when its
+/// plan restricts and projects one stored file (NEST-JA2's `TEMP2`). Its
+/// consumer decides: the probe side of a hash table or groupjoin that holds
+/// its other input in memory streams it, and any other consumer drains it
+/// first, as the restriction would have run where it was made
+/// ([`PlanExecutor::drain`]).
+pub struct Pipe {
+    restriction: Restriction,
+    /// The head of its EXPLAIN line (`restrict+project PARTS`,
+    /// `materialize TEMP2`), which its consumer completes.
+    what: String,
+    /// What follows the pages on the line when it is drained: ` (sorted)`
+    /// for a temporary that lies in order.
+    tag: &'static str,
+    /// Pages of its rows held rather than written when it is drained.
+    cap: usize,
+    /// The rows it made and the pages they fill, once it ran; shared by
+    /// the views of a registered temporary.
+    ran: Rc<Cell<Option<(usize, usize)>>>,
+}
+
+impl Pipe {
+    /// The same pipe, seen again: what it reports is shared.
+    fn view(&self) -> Pipe {
+        Pipe {
+            restriction: self.restriction.clone(),
+            what: self.what.clone(),
+            tag: self.tag,
+            cap: self.cap,
+            ran: Rc::clone(&self.ran),
+        }
+    }
+}
+
 /// A step's rows plus the (prefix) column indices they are sorted by.
 ///
 /// An output either *views* rows someone else owns — a base table, a
 /// registered temporary — or *is* what a plan step produced, and then
-/// dropping the output frees the pages it wrote.
+/// dropping the output frees the pages it wrote (or, for a pipe, the pages
+/// of the source it owns).
 pub struct PlanOutput {
-    /// The rows: a heap file, or rows held for their one consumer.
-    pub file: Rows,
+    /// The rows: a heap file, rows held for their one consumer, or a pipe.
+    pub file: Data,
     /// Output column indices forming the current sort-order prefix
     /// (empty = unknown order).
     pub sorted_by: Vec<usize>,
@@ -109,9 +248,10 @@ pub struct PlanOutput {
     /// [`PlanExecutor::passes`] when the rows were made: held rows go
     /// unwritten only to a consumer that no other pass ran before.
     made_at: usize,
-    /// Owns `file`'s pages when a plan step materialized them; `None` on a
-    /// view and on held rows. Only the pages matter: the guard's copy of the
-    /// schema is not read.
+    /// Owns `file`'s pages when a plan step materialized them — a pipe's
+    /// source's, when a step made that — and `None` on a view and on held
+    /// rows. Only the pages matter: the guard's copy of the schema is not
+    /// read.
     _owner: Option<TempFile>,
 }
 
@@ -119,6 +259,23 @@ impl PlanOutput {
     /// The rows in memory, read from their file if they are stored.
     pub fn relation(&self, storage: &Storage) -> Result<Relation> {
         Ok(Relation::new(self.file.schema().clone(), self.file.scan(storage).collect())?)
+    }
+
+    /// The same rows, owned by someone else.
+    fn view(&self) -> PlanOutput {
+        let file = match &self.file {
+            Data::Rows(rows) => Data::Rows(rows.clone()),
+            Data::Pipe(pipe) => Data::Pipe(pipe.view()),
+        };
+        PlanOutput {
+            file,
+            sorted_by: self.sorted_by.clone(),
+            duplicate_free: self.duplicate_free,
+            indexes: self.indexes.clone(),
+            line: self.line,
+            made_at: self.made_at,
+            _owner: None,
+        }
     }
 
     /// These rows as the cost model prices a join input, `spill` pages when
@@ -131,10 +288,10 @@ impl PlanOutput {
     /// Write these rows if they are held; from here on this output owns
     /// the file. Order, freedom from duplicates and EXPLAIN line stay.
     fn write(&mut self, storage: &Storage) {
-        if let Rows::Held(held) = &self.file {
+        if let Data::Rows(Rows::Held(held)) = &self.file {
             let file = held.write(storage).keep();
             self._owner = Some(TempFile::new(storage, file.clone()));
-            self.file = Rows::File(file);
+            self.file = Data::Rows(Rows::File(file));
         }
     }
 
@@ -228,15 +385,16 @@ impl<T: TableProvider> PlanExecutor<T> {
     }
 
     /// Sizes of the registered temporaries in name order — the measured
-    /// inputs to the Section-7 predicted-vs-actual cost comparison.
+    /// inputs to the Section-7 predicted-vs-actual cost comparison. A
+    /// temporary its reader streamed reports the rows it made and the pages
+    /// they would have filled.
     pub fn temp_stats(&self) -> Vec<TempStat> {
         let mut v: Vec<TempStat> = self
             .temps
             .iter()
-            .map(|(name, out)| TempStat {
-                name: name.clone(),
-                tuples: out.file.tuple_count(),
-                pages: out.file.page_count(),
+            .map(|(name, out)| {
+                let (tuples, pages) = out.file.sizes();
+                TempStat { name: name.clone(), tuples, pages }
             })
             .collect();
         v.sort_by(|a, b| a.name.cmp(&b.name));
@@ -248,17 +406,9 @@ impl<T: TableProvider> PlanExecutor<T> {
     fn lookup(&self, name: &str, seen_as: &str) -> Result<PlanOutput> {
         let key = name.to_ascii_uppercase();
         let out = if let Some(t) = self.temps.get(&key) {
-            PlanOutput {
-                file: t.file.clone(),
-                sorted_by: t.sorted_by.clone(),
-                duplicate_free: t.duplicate_free,
-                indexes: t.indexes.clone(),
-                line: t.line,
-                made_at: t.made_at,
-                _owner: None,
-            }
+            t.view()
         } else if let Some(file) = self.base.get_table(&key) {
-            let (file, indexes) = (Rows::File(file), self.base.get_indexes(&key));
+            let (file, indexes) = (Data::Rows(Rows::File(file)), self.base.get_indexes(&key));
             let (sorted_by, duplicate_free, line, made_at) = (vec![], false, None, 0);
             PlanOutput { file, sorted_by, duplicate_free, indexes, line, made_at, _owner: None }
         } else {
@@ -270,15 +420,27 @@ impl<T: TableProvider> PlanExecutor<T> {
     // ----------------------------------------------------------- TransformPlan
 
     /// Execute a full transformation plan: materialize the temporaries in
-    /// order, then run its root. The root's DISTINCT already holds
-    /// `needs_distinct_for_semantics`; `force_distinct` adds a final
-    /// duplicate elimination (duplicate-preserving mode).
+    /// order, then run its root ([`run_root`](Self::run_root)). A temporary
+    /// one plan reads that restricts and projects one stored file is
+    /// registered as a pipe, which its reader runs. The root's DISTINCT
+    /// already holds `needs_distinct_for_semantics`; `force_distinct` adds a
+    /// final duplicate elimination (duplicate-preserving mode).
     pub fn execute_transform_plan(
         &mut self,
         plan: &TransformPlan,
         force_distinct: bool,
     ) -> Result<Relation> {
         for (i, temp) in plan.temps.iter().enumerate() {
+            // Held rows go to one reader; a temporary two plans read is
+            // written for both.
+            let later = plan.temps[i + 1..].iter().map(|t| scans_of(&t.plan, &temp.name));
+            let readers = later.sum::<usize>() + scans_of(&plan.root, &temp.name);
+            if readers == 1 {
+                if let Some(pipe) = self.piped_temp(&temp.plan, &temp.name)? {
+                    self.register_temp(&temp.name, pipe);
+                    continue;
+                }
+            }
             let exec = self.exec.clone();
             let mut out = observed(
                 exec.obs(),
@@ -287,10 +449,6 @@ impl<T: TableProvider> PlanExecutor<T> {
                 stored_rows,
                 || self.run_plan(&temp.plan),
             )?;
-            // Held rows go to one reader; a temporary two plans read is
-            // written for both.
-            let later = plan.temps[i + 1..].iter().map(|t| scans_of(&t.plan, &temp.name));
-            let readers = later.sum::<usize>() + scans_of(&plan.root, &temp.name);
             if readers > 1 {
                 out.write(self.exec.storage());
             }
@@ -298,27 +456,169 @@ impl<T: TableProvider> PlanExecutor<T> {
             let sorted = if out.sorted_by.is_empty() { "" } else { " (sorted)" };
             let name = &temp.name;
             let mut line = format!("materialize {name}: {tuples} tuples, {pages} pages{sorted}");
-            if !self.faithful && matches!(out.file, Rows::File(_)) {
+            if !self.faithful && matches!(out.file, Data::Rows(Rows::File(_))) {
                 line.push_str(", written");
             }
             self.log.push(line);
             let out = PlanOutput { line: Some(self.log.len() - 1), ..out };
             self.register_temp(&temp.name, out);
         }
-        // The SELECT phase `lower` puts at the root hands its rows to the
-        // caller as they are; `run_plan` would hold them as an intermediate.
-        let LogicalPlan::Select { input, items, group_by, order_by, distinct } = &plan.root else {
-            return self.run_plan(&plan.root)?.relation(self.exec.storage());
+        self.run_root(&plan.root, force_distinct)
+    }
+
+    /// Run a plan's root, the temporaries it reads registered, to the rows
+    /// of the statement: the SELECT phase `lower` puts there hands them to
+    /// the caller as they are, in memory. `force_distinct` adds a final
+    /// duplicate elimination.
+    pub fn run_root(&mut self, root: &LogicalPlan, force_distinct: bool) -> Result<Relation> {
+        let LogicalPlan::Select { input, items, group_by, order_by, distinct } = root else {
+            let mut out = self.run_plan(root)?;
+            self.drain(&mut out)?;
+            return out.relation(self.exec.storage());
         };
         self.select(input, items, group_by, order_by, *distinct || force_distinct)
     }
 
+    /// The pipe a temporary `name` one plan reads is, when its plan
+    /// restricts and projects one stored file and keeps its duplicates
+    /// (NEST-JA2's `TEMP2`): `None` under the literal plans, for any other
+    /// plan, for held rows, and where a B+tree on the file could serve a
+    /// conjunct — the range scan runs where it is made.
+    fn piped_temp(&mut self, plan: &LogicalPlan, name: &str) -> Result<Option<PlanOutput>> {
+        let LogicalPlan::Project { input, items, distinct: false } = plan else { return Ok(None) };
+        if self.faithful {
+            return Ok(None);
+        }
+        let (scan, pred) = match input.as_ref() {
+            LogicalPlan::Filter { input, pred } => (input.as_ref(), Some(pred)),
+            scan => (scan, None),
+        };
+        let LogicalPlan::Scan { table, alias } = scan else { return Ok(None) };
+        let key = table.to_ascii_uppercase();
+        // Decided before the file is looked up, which counts a scan.
+        let stored = match (self.temps.get(&key), self.base.schema_of(&key)) {
+            (Some(temp), _) => matches!(temp.file, Data::Rows(Rows::File(_))),
+            (None, Some(schema)) => {
+                let indexes = self.base.get_indexes(&key);
+                let schema = schema.requalify(alias.as_deref().unwrap_or(table));
+                let conjuncts = pred.iter().flat_map(|p| p.conjuncts());
+                let mut sargable = conjuncts.filter_map(|c| sargable_conjunct(&schema, c));
+                self.index_use == IndexUse::Never
+                    || !sargable.any(|(col, _, _)| indexes.iter().any(|ix| ix.key_col() == col))
+            }
+            (None, None) => false,
+        };
+        if !stored {
+            return Ok(None);
+        }
+        let mut source = self.lookup(table, alias.as_deref().unwrap_or(table))?;
+        let list = SelectList::compile(source.file.schema(), items, &[], &[], false)?;
+        let cpred = match pred {
+            Some(p) => CPred::compile(source.file.schema(), p)?,
+            None => CPred::always_true(),
+        };
+        let exprs = list.projection()?;
+        let sorted_by = remap_sort(&source.sorted_by, |src| projected_at(&exprs, src));
+        let tag = if sorted_by.is_empty() { "" } else { " (sorted)" };
+        let what = format!("materialize {name}");
+        let (cap, schema) = (self.hold_cap(), list.schema().clone());
+        Ok(Some(self.pipe(&mut source, cpred, exprs, schema, what, tag, cap, sorted_by)))
+    }
+
+    /// A pipe restricting the stored file `source` by `pred` and projecting
+    /// it onto `exprs`, rows of `schema` lying in `sorted_by` order, which
+    /// owns `source`'s pages from here on: its EXPLAIN line is reserved
+    /// here, headed `what`, and completed by its consumer. It is priced at
+    /// the source's rows and its pages narrowed to the columns kept.
+    #[allow(clippy::too_many_arguments)]
+    fn pipe(
+        &mut self,
+        source: &mut PlanOutput,
+        pred: CPred,
+        exprs: Vec<CExpr>,
+        schema: Schema,
+        what: String,
+        tag: &'static str,
+        cap: usize,
+        sorted_by: Vec<usize>,
+    ) -> PlanOutput {
+        let file = source.file.file().expect("a pipe reads a stored file").clone();
+        let kept: Option<Vec<usize>> = exprs
+            .iter()
+            .map(|e| match e {
+                CExpr::Col(c) => Some(*c),
+                _ => None,
+            })
+            .collect();
+        let (pages, rows) = (file.page_count() as f64, file.tuple_count() as f64);
+        let page_size = self.exec.storage().page_size();
+        let bound = match kept {
+            Some(mut kept) => {
+                kept.sort_unstable();
+                kept.dedup();
+                narrowed_pages(file.schema(), &kept, pages, rows, page_size)
+            }
+            None => pages,
+        };
+        let restriction = Restriction::new(file, pred, exprs, schema, bound as usize, page_size);
+        self.log.push(what.clone());
+        let ran = Rc::default();
+        PlanOutput {
+            file: Data::Pipe(Pipe { restriction, what, tag, cap, ran }),
+            sorted_by,
+            duplicate_free: false,
+            indexes: vec![],
+            line: Some(self.log.len() - 1),
+            made_at: self.passes,
+            _owner: source._owner.take(),
+        }
+    }
+
+    /// Run `out` where it is if it is a pipe: the restriction its maker
+    /// would have run ([`Exec::drain`]), its rows held up to the pipe's cap,
+    /// in an operator node of its own; its EXPLAIN line
+    /// says what it made, and its reader completes it
+    /// ([`hand_off`](Self::hand_off)). The pipe's source is freed once it is
+    /// read.
+    fn drain(&mut self, out: &mut PlanOutput) -> Result<()> {
+        let Data::Pipe(pipe) = &out.file else { return Ok(()) };
+        let exec = &self.exec;
+        let rows = observed(
+            exec.obs(),
+            || pipe.what.clone(),
+            0,
+            |rows: &Rows| rows.tuple_count() as u64,
+            || exec.drain(&pipe.restriction, pipe.cap),
+        )?;
+        let (tuples, pages) = (rows.tuple_count(), rows.page_count());
+        pipe.ran.set(Some((tuples, pages)));
+        let written = if let Rows::File(_) = rows { ", written" } else { "" };
+        let line = out.line.expect("a pipe reserves its EXPLAIN line");
+        self.log[line] = format!("{}: {tuples} tuples, {pages} pages{}{written}", pipe.what, pipe.tag);
+        let drained = self.output(rows, std::mem::take(&mut out.sorted_by));
+        *out = PlanOutput { line: Some(line), ..drained };
+        Ok(())
+    }
+
+    /// Complete the EXPLAIN line of `out` if it was a pipe `reader` streamed:
+    /// the rows it made, and the pages they would have filled for its
+    /// registered temporary.
+    fn streamed(&mut self, out: &PlanOutput, reader: &str) {
+        let Data::Pipe(pipe) = &out.file else { return };
+        let (tuples, pages) = pipe.restriction.made();
+        pipe.ran.set(Some((tuples, pages)));
+        if let Some(line) = out.line {
+            self.log[line] = format!("{}: {tuples} tuples, streamed into {reader}", pipe.what);
+        }
+    }
+
     // ----------------------------------------------------------- LogicalPlan
 
-    /// Execute a logical plan to a materialized heap file — the root's
-    /// SELECT phase to rows held in memory. The children a step materialized
-    /// are freed when the step has read them for the last time: where its
-    /// arm ends.
+    /// Execute a logical plan below the root to its output: a heap file,
+    /// rows held for their consumer, or — a scan of a piped temporary — a
+    /// pipe. The children a step materialized are freed when the step has
+    /// read them for the last time: where its arm ends. A SELECT phase runs
+    /// at the root only ([`run_root`](Self::run_root)).
     pub fn run_plan(&mut self, plan: &LogicalPlan) -> Result<PlanOutput> {
         let cap = self.hold_cap();
         match plan {
@@ -340,6 +640,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                     return self.run_join(left, right, &LogicalJoinKind::Inner, on, Some(pred));
                 }
                 let mut child = self.run_plan(input)?;
+                self.drain(&mut child)?;
                 if let Some(out) = self.try_index_restrict(&child, pred, None, cap)? {
                     return Ok(out);
                 }
@@ -347,9 +648,8 @@ impl<T: TableProvider> PlanExecutor<T> {
                 let cpred = CPred::compile(&schema, pred)?;
                 let every: Vec<CExpr> = (0..schema.arity()).map(CExpr::Col).collect();
                 self.hand_off(&mut child, false, "filter");
-                let rows = self
-                    .exec
-                    .restrict_project_rows(&child.file, &cpred, &every, schema, false, cap)?;
+                let rows = child.file.rows();
+                let rows = self.exec.restrict_project_rows(rows, &cpred, &every, schema, false, cap)?;
                 Ok(self.output(rows, child.sorted_by.clone()))
             }
             LogicalPlan::Project { input, items, distinct } => {
@@ -363,6 +663,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                     }
                     (None, other) => (self.run_plan(other)?, None),
                 };
+                self.drain(&mut child)?;
                 if let Some(p) = pred {
                     // The fused filter may route through an index first; the
                     // index pass applies the whole predicate, so the
@@ -384,9 +685,9 @@ impl<T: TableProvider> PlanExecutor<T> {
                     // The duplicate elimination sorts.
                     self.pass();
                 }
-                let rows = self
-                    .exec
-                    .restrict_project_rows(&child.file, &cpred, &exprs, schema, *distinct, cap)?;
+                let rows = child.file.rows();
+                let rows =
+                    self.exec.restrict_project_rows(rows, &cpred, &exprs, schema, *distinct, cap)?;
                 let sorted_by = if *distinct {
                     // Distinct projection leaves the rows whole-tuple sorted.
                     (0..rows.schema().arity()).collect()
@@ -406,7 +707,8 @@ impl<T: TableProvider> PlanExecutor<T> {
                     (None, LogicalPlan::Join { left, right, kind, on }) => {
                         let mut l = self.run_plan(left)?;
                         let mut r = self.run_plan(right)?;
-                        let groupjoin = self.choose_groupjoin(&l, &r, kind, on, group_by, aggs)?;
+                        let groupjoin =
+                            self.choose_groupjoin(&mut l, &mut r, kind, on, group_by, aggs)?;
                         if let Some(gj) = groupjoin {
                             return self.groupjoin(&mut l, &mut r, gj);
                         }
@@ -424,6 +726,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                     }
                     (None, _) => self.run_plan(input)?,
                 };
+                self.drain(&mut child)?;
                 let list = aggregate_list(child.file.schema(), group_by, aggs)?;
                 let step = GroupStep::new(&list, &child.sorted_by)?;
                 if !step.group_idx.is_empty() {
@@ -442,6 +745,8 @@ impl<T: TableProvider> PlanExecutor<T> {
             LogicalPlan::Apply { outer, outer_name, kept, inner, keys, correlation, aggs } => {
                 let mut l = self.run_plan(outer)?.requalified(outer_name);
                 let mut r = self.run_plan(inner)?;
+                self.drain(&mut l)?;
+                self.drain(&mut r)?;
                 let mut gj = self.per_row_groupjoin(&l, &r, keys, correlation, aggs)?;
                 let schema = l.file.schema();
                 let mut keep = Vec::new();
@@ -452,12 +757,9 @@ impl<T: TableProvider> PlanExecutor<T> {
                 gj.keep = Some(keep);
                 self.groupjoin(&mut l, &mut r, gj)
             }
-            LogicalPlan::Select { input, items, group_by, order_by, distinct } => {
-                let rel = self.select(input, items, group_by, order_by, *distinct)?;
-                let schema = rel.schema().clone();
-                let held = HeldRows::new(self.exec.storage(), schema, rel.into_tuples());
-                Ok(self.output(Rows::Held(held), Vec::new()))
-            }
+            LogicalPlan::Select { .. } => Err(DbError::Engine(nsql_engine::EngineError::Internal(
+                "a SELECT phase runs at the root (PlanExecutor::run_root)".into(),
+            ))),
         }
     }
 
@@ -476,7 +778,7 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// most `B` pages.
     fn sorts_in_memory(&self, out: &PlanOutput) -> bool {
         let b = self.exec.storage().buffer_pages();
-        matches!(&out.file, Rows::Held(held) if held.page_count() <= b)
+        matches!(&out.file, Data::Rows(Rows::Held(held)) if held.page_count() <= b)
     }
 
     /// Begin a pass over the buffer pool — a join, a groupjoin, a GROUP BY
@@ -506,7 +808,7 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// have written; a write goes around the buffer pool, so that it happens
     /// later changes no count. The intermediate's EXPLAIN line says which.
     fn hand_off(&mut self, out: &mut PlanOutput, holds: bool, reader: &str) {
-        let Rows::Held(_) = out.file else { return };
+        let Data::Rows(Rows::Held(_)) = out.file else { return };
         let holds = holds && out.made_at == self.passes;
         if let Some(line) = out.line {
             let what = if holds { "held" } else { "written" };
@@ -625,8 +927,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             });
         }
 
-        let spill = self.spill(l, r, &lkeys, &rkeys, residual.as_ref(), cols);
-        let method = self.choose_join(l, r, jkind, &lkeys, &rkeys, spill.map(|(pages, _)| pages));
+        let (method, spill) = self.join_method(l, r, jkind, &lkeys, &rkeys, residual.as_ref(), cols)?;
         let probes = l.file.tuple_count();
         let what = JoinWhat { kind: jkind, keys: lkeys.len(), null_aware: null_aware.is_some() };
         self.log.push(method.explain(&what, probes));
@@ -651,7 +952,7 @@ impl<T: TableProvider> PlanExecutor<T> {
                 let [lw, rw] = spill.map(|(_, width)| width);
                 format!("{reader}, partition rows {lw:.0} + {rw:.0} bytes")
             }
-            _ => reader,
+            _ => reader.clone(),
         };
         let (l, r) = (&*l, &*r);
         // What the methods without a key comparison of their own evaluate
@@ -672,16 +973,17 @@ impl<T: TableProvider> PlanExecutor<T> {
         };
         let sink = self.pass();
         let exec = sink.exec;
-        observed(exec.obs(), || label, rows_in as u64, rows, || {
+        let delivered = observed(exec.obs(), || label, rows_in as u64, rows, || {
             let residual = residual.as_ref();
-            // Only a hash table takes held rows; the other methods read files.
+            // Only a hash pass takes held rows or a pipe; the other methods
+            // read files.
             fn file(out: &PlanOutput) -> &HeapFile {
-                out.file.file().expect("held rows go to a hash table")
+                out.file.file().expect("held rows and pipes go to a hash table")
             }
             let (lf, rf) = (|| file(l), || file(r));
             let rel = match &method {
                 JoinMethod::Hash(_) => {
-                    let (lrows, rrows) = (&l.file, &r.file);
+                    let (lrows, rrows) = (l.file.input(), r.file.input());
                     exec.hash_join_cols(lrows, rrows, &lkeys, &rkeys, residual, jkind, cols)?
                 }
                 JoinMethod::Merge { left_presorted, right_presorted } => exec.merge_join_cols(
@@ -729,7 +1031,45 @@ impl<T: TableProvider> PlanExecutor<T> {
                 None => sorted_by.clone(),
             };
             Ok(deliver(&sink, rel, sorted_by))
-        })
+        });
+        self.streamed(l, &reader);
+        self.streamed(r, &reader);
+        delivered
+    }
+
+    /// How a join step of `l` and `r` runs, and each input narrowed to the
+    /// columns it reads ([`spill`](Self::spill)). When one input is a pipe
+    /// and the other is not, the choice is priced at the pipe's bound; if it
+    /// takes a hash table of the other input held in memory, the pipe is its
+    /// probe side and streams. Otherwise every pipe is drained first and the
+    /// step chosen on exact sizes.
+    #[allow(clippy::too_many_arguments)]
+    fn join_method(
+        &mut self,
+        l: &mut PlanOutput,
+        r: &mut PlanOutput,
+        kind: JoinKind,
+        lkeys: &[usize],
+        rkeys: &[usize],
+        residual: Option<&CPred>,
+        cols: Option<&[usize]>,
+    ) -> Result<(JoinMethod, [(f64, f64); 2])> {
+        let piped = |out: &PlanOutput| matches!(out.file, Data::Pipe(_));
+        if piped(l) != piped(r) {
+            let spill = self.spill(l, r, lkeys, rkeys, residual, cols);
+            let choice = self.price_join(l, r, kind, lkeys, rkeys, spill.map(|(pages, _)| pages));
+            let streams = matches!(&choice.method,
+                JoinMethod::Hash(shape) if shape.spilled == 0 && shape.build_left == piped(r));
+            if streams {
+                self.log.extend(choice.explain.into_iter().map(|line| line + ON_A_BOUND));
+                return Ok((choice.method, spill));
+            }
+        }
+        self.drain(l)?;
+        self.drain(r)?;
+        let spill = self.spill(l, r, lkeys, rkeys, residual, cols);
+        let method = self.choose_join(l, r, kind, lkeys, rkeys, spill.map(|(pages, _)| pages));
+        Ok((method, spill))
     }
 
     /// Decide how one join step runs. Without an equality key only the
@@ -884,15 +1224,50 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// cost-based one of the default plans; it does when it costs at most
     /// what the join method the choice would take costs, as the join and
     /// GROUP BY together cost at least that. The EXPLAIN line says both.
+    ///
+    /// Its table is `l`'s rows, so a pipe there is drained. A pipe `r` is
+    /// priced at its bound: it streams past the table when the groupjoin
+    /// still wins and its table fits `B − 2` pages, and is drained otherwise,
+    /// the step then chosen on its exact sizes.
     fn choose_groupjoin(
         &mut self,
+        l: &mut PlanOutput,
+        r: &mut PlanOutput,
+        kind: &LogicalJoinKind,
+        on: &[JoinPred],
+        group_by: &[ColumnRef],
+        aggs: &[AggItem],
+    ) -> Result<Option<Groupjoin>> {
+        self.drain(l)?;
+        let bound = if let Data::Pipe(_) = r.file { ON_A_BOUND } else { "" };
+        let Some(mut priced) = self.price_groupjoin(l, r, kind, on, group_by, aggs, bound)? else {
+            return Ok(None);
+        };
+        // No pipe, or one that streams past a table that fits.
+        let settled = bound.is_empty() || (priced.chosen && priced.gj.fits);
+        if !settled {
+            self.drain(r)?;
+            let exact = self.price_groupjoin(l, r, kind, on, group_by, aggs, "")?;
+            priced = exact.expect("a drained pipe keeps its schema");
+        }
+        self.log.push(priced.line);
+        Ok(priced.chosen.then_some(priced.gj))
+    }
+
+    /// [`choose_groupjoin`](Self::choose_groupjoin)'s decision on the sizes
+    /// `l` and `r` report, and its EXPLAIN line, `bound` after the prices;
+    /// `None` where no groupjoin may run.
+    #[allow(clippy::too_many_arguments)]
+    fn price_groupjoin(
+        &self,
         l: &PlanOutput,
         r: &PlanOutput,
         kind: &LogicalJoinKind,
         on: &[JoinPred],
         group_by: &[ColumnRef],
         aggs: &[AggItem],
-    ) -> Result<Option<Groupjoin>> {
+        bound: &str,
+    ) -> Result<Option<PricedGroupjoin>> {
         if self.faithful || self.policy != JoinPolicy::CostBased || !l.duplicate_free {
             return Ok(None);
         }
@@ -928,18 +1303,18 @@ impl<T: TableProvider> PlanExecutor<T> {
         let cost = groupjoin_cost(groups, rows, table, 1, b);
         let chosen = cost.total() <= join;
         let shape = HashShape::built_on(true, table, b);
-        self.log.push(format!(
-            "groupjoin ({} keys){}: {cost} vs join {join:.1} µs (chose {})",
+        let line = format!(
+            "groupjoin ({} keys){}: {cost} vs join {join:.1} µs{bound} (chose {})",
             lkeys.len(),
             spilled_note(&shape),
             if chosen { "groupjoin" } else { "join" },
-        ));
+        );
         let aggs = step.specs.iter().map(|s| AggSpec { arg: s.arg.map(|i| i - split), ..*s });
         let unjoined = match kind {
             JoinKind::LeftOuter => Unjoined::Padded,
             _ => Unjoined::Dropped,
         };
-        Ok(chosen.then(|| Groupjoin {
+        let gj = Groupjoin {
             keys: vec![KeySet { left: lkeys, right: rkeys }],
             residual,
             unjoined,
@@ -947,7 +1322,8 @@ impl<T: TableProvider> PlanExecutor<T> {
             schema: step.schema,
             fits: shape.spilled == 0,
             keep: None,
-        }))
+        };
+        Ok(Some(PricedGroupjoin { gj, chosen, line }))
     }
 
     /// The groupjoin of an Apply ([`LogicalPlan::Apply`]): every row of `l`
@@ -1015,14 +1391,16 @@ impl<T: TableProvider> PlanExecutor<T> {
             [one] => format!("groupjoin ({} keys)", one.left.len()),
             sets => format!("groupjoin ({} key sets)", sets.len()),
         };
-        // Its table is the left input's rows, which it holds when they fit.
+        // Its table is the left input's rows, which it holds when they fit;
+        // a pipe on the right streams past it.
         self.hand_off(l, gj.fits, &label);
         self.hand_off(r, false, &label);
         let sink = self.pass();
         let exec = sink.exec;
-        observed(exec.obs(), || label, rows_in, stored_rows, || {
+        let reader = label.clone();
+        let out = observed(exec.obs(), || label, rows_in, stored_rows, || {
             let (keys, residual) = (&gj.keys, gj.residual.as_ref());
-            let (lf, rf) = (&l.file, &r.file);
+            let (lf, rf) = (l.file.input(), r.file.input());
             let rel =
                 exec.hash_groupjoin(lf, rf, keys, residual, gj.unjoined, &gj.aggs, gj.schema)?;
             // A table over `B − 2` pages is partitioned on one key set, and
@@ -1043,7 +1421,9 @@ impl<T: TableProvider> PlanExecutor<T> {
                 None => rel,
             };
             Ok(PlanOutput { duplicate_free, ..store(&sink, rel, sorted_by) })
-        })
+        });
+        self.streamed(r, &reader);
+        out
     }
 
     /// Try to satisfy `pred` over `out` (a base-table scan with live
@@ -1120,10 +1500,12 @@ impl<T: TableProvider> PlanExecutor<T> {
     }
 
     /// The join input `name` restricted by `pred`, of its columns `keep`: by
-    /// a B+tree range scan that wins, else by one pass of the paper's own
-    /// first step — "restriction and projection", priced `P + Pt` — with an
-    /// operator node and an EXPLAIN line of its own, streaming held rows
-    /// where they are. `None` when neither runs (`keep` `None`: whole tables).
+    /// a B+tree range scan that wins, run here, else by one pass of the
+    /// paper's own first step — "restriction and projection", priced `P +
+    /// Pt` — a pipe its consumer runs when the input is a stored file on the
+    /// default plans, and otherwise run here, streaming held rows where they
+    /// are, with an operator node and an EXPLAIN line of its own. `None`
+    /// when neither runs (`keep` `None`: whole tables).
     fn restrict_project(
         &mut self,
         name: &str,
@@ -1132,26 +1514,28 @@ impl<T: TableProvider> PlanExecutor<T> {
         keep: Option<&[usize]>,
         cap: usize,
     ) -> Result<Option<PlanOutput>> {
+        self.drain(inp)?;
         let indexed = self.try_index_restrict(inp, pred, keep, cap)?;
         let (None, Some(keep)) = (&indexed, keep) else { return Ok(indexed) };
         let schema = inp.file.schema().clone();
         let cpred = CPred::compile(&schema, pred)?;
         let exprs: Vec<CExpr> = keep.iter().map(|&c| CExpr::Col(c)).collect();
+        let sorted_by = remap_sort(&inp.sorted_by, |src| projected_at(&exprs, src));
+        let (what, out_schema) = (format!("restrict+project {name}"), schema.project(keep));
+        if !self.faithful && inp.file.file().is_some() {
+            return Ok(Some(self.pipe(inp, cpred, exprs, out_schema, what, "", cap, sorted_by)));
+        }
         self.hand_off(inp, true, "restrict+project");
         let exec = &self.exec;
         let rows = observed(
             exec.obs(),
-            || format!("restrict+project {name}"),
+            || what.clone(),
             0,
             |rows: &Rows| rows.tuple_count() as u64,
-            || {
-                let out_schema = schema.project(keep);
-                exec.restrict_project_rows(&inp.file, &cpred, &exprs, out_schema, false, cap)
-            },
+            || exec.restrict_project_rows(inp.file.rows(), &cpred, &exprs, out_schema, false, cap),
         )?;
-        let sorted_by = remap_sort(&inp.sorted_by, |src| projected_at(&exprs, src));
         let out = self.output(rows, sorted_by);
-        Ok(Some(self.reported(out, format!("restrict+project {name}"))))
+        Ok(Some(self.reported(out, what)))
     }
 
     /// `out` with an EXPLAIN line of its own: `what`, its size, and — when
@@ -1159,7 +1543,7 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// rows completes the line ([`hand_off`](Self::hand_off)).
     fn reported(&mut self, out: PlanOutput, what: String) -> PlanOutput {
         let (tuples, pages) = (out.file.tuple_count(), out.file.page_count());
-        let written = if let Rows::File(_) = out.file { ", written" } else { "" };
+        let written = if let Data::Rows(Rows::File(_)) = out.file { ", written" } else { "" };
         self.log.push(format!("{what}: {tuples} tuples, {pages} pages{written}"));
         PlanOutput { line: Some(self.log.len() - 1), ..out }
     }
@@ -1407,6 +1791,7 @@ impl<T: TableProvider> PlanExecutor<T> {
             Some(joined) => joined,
             None => &mut inputs[0].input,
         };
+        self.drain(acc)?;
 
         // Single-table case: apply leftover predicates, streamed from held
         // rows where they lie, into the consumer the restricted input would
@@ -1418,9 +1803,9 @@ impl<T: TableProvider> PlanExecutor<T> {
             let cpred = CPred::compile(&schema, &Predicate::and(remaining))?;
             let every: Vec<CExpr> = (0..schema.arity()).map(CExpr::Col).collect();
             self.hand_off(acc, true, reader);
-            let rows = self
-                .exec
-                .restrict_project_rows(&acc.file, &cpred, &every, schema, false, last_cap)?;
+            let rows = acc.file.rows();
+            let rows =
+                self.exec.restrict_project_rows(rows, &cpred, &every, schema, false, last_cap)?;
             filtered = Some(self.output(rows, acc.sorted_by.clone()));
         }
         let working = filtered.as_mut().unwrap_or(acc);
@@ -1489,7 +1874,7 @@ impl GroupStep {
     ) -> Result<R> {
         let (exec, rows_in) = (sink.exec, input.file.tuple_count() as u64);
         observed(exec.obs(), || "group-by".to_string(), rows_in, rows, || {
-            let input = RowsRef::from(&input.file);
+            let input = RowsRef::from(input.file.rows());
             let schema = self.schema.clone();
             let sorted = match input {
                 RowsRef::File(file) if faithful && !self.presorted && !self.group_idx.is_empty() =>
@@ -1529,7 +1914,8 @@ impl Sink<'_> {
     fn output(&self, rows: Rows, sorted_by: Vec<usize>) -> PlanOutput {
         let _owner = rows.file().map(|file| TempFile::new(self.exec.storage(), file.clone()));
         let (duplicate_free, indexes, line, made_at) = (false, vec![], None, self.made_at);
-        PlanOutput { file: rows, sorted_by, duplicate_free, indexes, line, made_at, _owner }
+        let file = Data::Rows(rows);
+        PlanOutput { file, sorted_by, duplicate_free, indexes, line, made_at, _owner }
     }
 }
 
@@ -1664,6 +2050,18 @@ struct Groupjoin {
     /// The columns of its rows read after it, when not all are.
     keep: Option<Vec<usize>>,
 }
+
+/// What [`PlanExecutor::price_groupjoin`] decided: the groupjoin, whether
+/// it is cheaper than the join, and the EXPLAIN line that says so.
+struct PricedGroupjoin {
+    gj: Groupjoin,
+    chosen: bool,
+    line: String,
+}
+
+/// What ends the EXPLAIN line of a choice priced on a pipe's bound: the
+/// rows it makes are at most the bound's, and so is what it costs.
+const ON_A_BOUND: &str = ", priced on a bound (≤)";
 
 /// How one join step runs, with what that method needs beyond the keys.
 enum JoinMethod {
@@ -2396,8 +2794,7 @@ mod tests {
         assert!(keys.iter().copied().eq(&want), "every TEMP1 row, in order: {keys:?}");
         // A merge join into the final join sorts only the outer relation.
         pe.set_policy(JoinPolicy::ForceMergeJoin);
-        let got = pe.run_plan(&plan.root).unwrap();
-        let got = got.relation(pe.exec().storage()).unwrap();
+        let got = pe.run_root(&plan.root, false).unwrap();
         assert_eq!(pe.log.last().unwrap(), "merge join (1 keys), right pre-sorted", "{:?}", pe.log);
         let want = oracle.eval(&q).unwrap();
         assert!(!want.is_empty() && got.same_bag(&want), "got:\n{got}\noracle:\n{want}");

@@ -236,10 +236,12 @@ fn kim_geometry() {
             // it (69 r + 2 w).
             snap(67, 0, 0, 67),
             // ja_count, ja_max: groupjoin on TEMP1 and the final hash join on
-            // TEMP3, both held; the restricted PARTS is the probe side and is
-            // written (112 r + 18 w, 111 r + 17 w).
-            snap(108, 14, 0, 108),
-            snap(108, 14, 0, 108),
+            // TEMP3, both held; TEMP2 and the restricted PARTS stream into
+            // them as their probe sides (108 r + 14 w when the restricted
+            // PARTS was written for its hash join; 112 r + 18 w, 111 r + 17 w
+            // before that).
+            snap(94, 0, 0, 94),
+            snap(94, 0, 0, 94),
             // ml3: the first join's partitions carry the columns it reads
             // (330 r + 223 w), and its hybrid passes keep a share of their
             // tables resident (233 r + 126 w under Grace).
@@ -277,13 +279,16 @@ fn restricted_inner_fits_the_pool() {
             // j: 100 probes of the index; their outer is written.
             snap(173, 4, 220, 173),
             // ja_count, ja_max: TEMP1 and TEMP3 held (274 r + 40 w,
-            // 272 r + 38 w).
-            snap(266, 32, 0, 266),
-            snap(266, 32, 0, 266),
+            // 272 r + 38 w), and TEMP2 and the restricted PARTS streamed
+            // into them (266 r + 32 w when both were written).
+            snap(234, 0, 0, 234),
+            snap(234, 0, 0, 234),
             // ml3: narrowed partitions, and the first join's output held for
             // the second join's build (511 r + 244 w); hybrid passes keep a
-            // share of their tables resident (438 r + 171 w under Grace).
-            snap(408, 141, 0, 321),
+            // share of their tables resident (438 r + 171 w under Grace);
+            // the restricted S2 streams into that table (408 r + 141 w when
+            // it was written for it).
+            snap(354, 87, 0, 267),
             // flat_join: PARTS spills PNUM and GRP, and the join's output is
             // held for the GROUP BY (346 r + 179 w); hybrid passes keep a
             // share of their tables resident (316 r + 149 w under Grace).
@@ -634,9 +639,12 @@ fn a_temporary_over_two_relations_is_joined_on_its_key() {
     let (got, io) = run(&db, N_IN_JA, &QueryOptions::default());
     assert!(got.same_bag(&want), "nested iteration:\n{want}\ndefault:\n{got}");
     // The restricted P2 is held for the hash build, the merge join's output
-    // for its GROUP BY and TEMP3 for the final hash build; TEMP1 and TEMP2
-    // are written for the merge join (327 r + 26 w before).
-    assert_eq!(io, snap(316, 15, 0, 313));
+    // for its GROUP BY and TEMP3 for the final hash build, and the
+    // restricted PARTS streams past it (316 r + 15 w when it was written for
+    // it; 327 r + 26 w before). TEMP1 and TEMP2 are written for the merge
+    // join: TEMP1 waited through the join of P2 and SUPPLY, and TEMP2 is
+    // made of two relations.
+    assert_eq!(io, snap(312, 11, 0, 309));
     assert!(
         io.total() < probing.total() && probing.total() < paper.total(),
         "{io:?} against {probing:?} probing and {paper:?} rescanning"
@@ -650,6 +658,8 @@ fn a_temporary_over_two_relations_is_joined_on_its_key() {
     let rejected = |l: &String| l.starts_with("groupjoin (1 keys): ") && l.ends_with("(chose join)");
     assert!(explain.iter().any(rejected), "{explain:#?}");
     assert!(has("group-by: input pre-sorted, no sort pass"), "{explain:#?}");
+    assert!(has("materialize TEMP1: 100 tuples, 2 pages (sorted), written for merge join"));
+    assert!(has("restrict+project PARTS: 100 tuples, streamed into hash join (2 keys)"));
 }
 
 /// A one-table statement's restricted input goes straight into its result:
@@ -692,14 +702,16 @@ fn a_one_table_filter_writes_nothing() {
     }
 }
 
-/// A held intermediate goes unwritten only to a consumer that runs before
-/// any other join, groupjoin or sort does. `VENDOR`'s restriction is a
-/// page, small enough for the second join's hash table, but it is made
-/// before the first join, which partitions with the whole pool: a B-page
-/// system would have had to write it then, so it is written for the hash
-/// build, where its page is read back.
+/// A restricted input is a pipe, which nothing runs while it waits: it is
+/// made where its join comes. `VENDOR`'s restriction is a page, small
+/// enough for the second join's hash table, and its join comes after the
+/// first, which partitions with the whole pool. Made before that join, as it
+/// once was, it would have had to be written then and read back for the
+/// hash build; drained where the second join comes, no other pass runs
+/// before its reader, so the hash table takes it held. The first join
+/// builds its table on the restricted `SUPPLY`, which is drained there.
 #[test]
-fn a_restricted_input_that_waits_through_a_join_is_written() {
+fn a_restricted_input_waits_through_a_join_as_a_pipe() {
     const SQL: &str = "SELECT PARTS.PNUM, VENDOR.CITY FROM SUPPLY, PARTS, VENDOR \
         WHERE SUPPLY.PNUM = PARTS.PNUM AND PARTS.GRP = VENDOR.GRP \
         AND SUPPLY.EPOCH < 50 AND VENDOR.RATING = 4";
@@ -716,16 +728,69 @@ fn a_restricted_input_that_waits_through_a_join_is_written() {
     let (want, _) = run(&db, SQL, &QueryOptions::transformed());
     let (got, io) = run(&db, SQL, &QueryOptions::default());
     assert!(!want.is_empty() && got.same_bag(&want), "{want}\n{got}");
-    // One write and one read more than keeping the page would cost
-    // (275 r + 104 w); 284 r + 113 w when every hash pass was Grace's.
-    assert_eq!(io, snap(276, 105, 0, 215));
+    // One write and one read less than when the restriction ran before the
+    // first join and waited through it (276 r + 105 w); 284 r + 113 w when
+    // every hash pass was Grace's.
+    assert_eq!(io, snap(275, 104, 0, 214));
     let explain = db.query_with(SQL, &QueryOptions::default()).unwrap().explain;
     let at = |what: &str| explain.iter().position(|l| l.contains(what));
     let vendor = at("restrict+project VENDOR: ").expect("VENDOR is restricted");
+    let supply = at("restrict+project SUPPLY: ").expect("SUPPLY is restricted");
     let partitioned = at(" spilled, ").expect("the first join partitions");
-    assert!(vendor < partitioned, "{explain:#?}");
-    assert!(explain[vendor].ends_with(", 1 pages, written for hash join (1 keys)"), "{explain:#?}");
+    // Each line keeps the place of the restriction in the pipeline.
+    assert!(supply < vendor && vendor < partitioned, "{explain:#?}");
+    assert!(explain[supply].ends_with(", 15 pages, written"), "{explain:#?}");
+    assert!(explain[vendor].ends_with(", 1 pages, held for hash join (1 keys)"), "{explain:#?}");
     assert!(explain.iter().any(|l| l == "hash join (1 keys), build right"), "{explain:#?}");
+}
+
+/// The benchmark's statement texts at Kim's geometry, in memory and on the
+/// indexed file store: no restricted input, temporary or join result is
+/// written for a hash join or a groupjoin — what is written is read by a
+/// partitioning pass, an index nested loop or a merge join — and the
+/// restrictions that would have been written for an in-memory table stream
+/// into it: NEST-JA2's `TEMP2` into the groupjoin and the restricted `PARTS`
+/// into the hash table of `TEMP3`. (`ml3`'s restricted `S2` streams into the
+/// table of the first join's result where that fits `B − 2` pages, at
+/// `restricted_inner_fits_the_pool`'s geometry; here it does not, and both
+/// partition.)
+#[test]
+fn no_input_is_written_for_an_in_memory_table() {
+    let kim = |indexed| Geometry {
+        what: if indexed { "B = 6, file store, IX_SUPPLY_PNUM" } else { "B = 6" },
+        parts: 1000,
+        supply: 1500,
+        buffer_pages: 6,
+        indexed,
+        unique_serial: false,
+    };
+    let dir = TempDir::new("default-path-streamed");
+    let mut mem = Database::with_storage(6, 512);
+    let mut file = Database::open_with(6, 512, dir.path()).unwrap();
+    load(&mut mem, &kim(false));
+    load(&mut file, &kim(true));
+    let texts = STATEMENTS.iter().map(|(name, sql, _)| (*name, *sql));
+    let texts: Vec<(&str, &str)> = texts.chain([("j_notin", J_NOTIN), ("ja_or", JA_OR)]).collect();
+    for (db, indexed) in [(&mem, false), (&file, true)] {
+        for (name, sql) in &texts {
+            let explain = db.query_with(sql, &QueryOptions::default()).unwrap().explain;
+            let at = format!("{name}, {}", kim(indexed).what);
+            let into_a_table = |l: &&String| {
+                l.contains("written for hash") || l.contains("written for groupjoin")
+            };
+            assert!(!explain.iter().any(|l| into_a_table(&l)), "{at}: {explain:#?}");
+            let streamed: Vec<&str> = explain
+                .iter()
+                .filter_map(|l| l.split_once(": ").filter(|(_, r)| r.contains("streamed into")))
+                .map(|(what, _)| what)
+                .collect();
+            let want: &[&str] = match *name {
+                "ja_count" | "ja_max" => &["materialize TEMP2", "restrict+project PARTS"],
+                _ => &[],
+            };
+            assert_eq!(streamed, want, "{at}: {explain:#?}");
+        }
+    }
 }
 
 /// `NOT IN` on the default path is a null-aware anti-join, where nested

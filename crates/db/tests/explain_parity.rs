@@ -99,9 +99,9 @@ fn plain_and_analyze_reports_agree_on_decision_lines() {
 /// The plan-shapes line names the one switch's setting, identically in both
 /// reports, exactly where plans are built (the correlated strategies build
 /// none); and under the default shapes ANALYZE shows what they did — each
-/// restricted input on a line and as an operator node, the pages and the
-/// priced total on the join-choice line — where the literal plans show
-/// neither.
+/// restricted input on a line (here streamed into the hash join, whose
+/// operator node does its work), the pages and the priced total on the
+/// join-choice line — where the literal plans show neither.
 #[test]
 fn the_plan_shapes_line_names_what_ran() {
     let db = mem_db();
@@ -123,13 +123,17 @@ fn the_plan_shapes_line_names_what_ran() {
                 continue;
             }
             let text = analyzed.render_lines().join("\n");
-            let restricted = text.contains("restrict+project PARTS: 2 tuples, 1 pages");
+            let restricted =
+                text.contains("restrict+project PARTS: 2 tuples, streamed into hash join (2 keys)");
             let two_terms = text.contains(" pages + ") && text.contains(" µs / mj ");
             assert_eq!(restricted, !faithful_1987, "{text}");
             assert_eq!(two_terms, !faithful_1987, "{text}");
+            // The restricted input streams into the hash join: its work is
+            // the join's node, and it has none of its own.
             let obs = analyzed.obs.expect("ANALYZE collects a profile");
-            let node = obs.profile.iter().any(|root| has_node(root, "restrict+project PARTS"));
-            assert_eq!(node, !faithful_1987, "{:#?}", obs.profile);
+            let node = |name| obs.profile.iter().any(|root| has_node(root, name));
+            assert!(!node("restrict+project PARTS"), "{:#?}", obs.profile);
+            assert_eq!(node("hash join (2 keys)"), !faithful_1987, "{:#?}", obs.profile);
         }
     }
 }
@@ -363,7 +367,8 @@ fn analyze_json_keeps_its_schema_for_every_nesting_type() {
 }
 
 /// Under the default shapes every intermediate's line says where its rows
-/// went — written, or held for the consumer that holds them anyway — and a
+/// went — written, held for the consumer that holds them anyway, or
+/// streamed into the one that reads a restriction as it runs — and a
 /// hash join that partitions names the bytes of the narrowed rows it
 /// spills on its operator line. The literal plans write every temporary
 /// and their lines say only what they hold.
@@ -382,7 +387,8 @@ fn every_intermediate_says_where_its_rows_went() {
             let lines: Vec<&String> = report.strategy.iter().filter(intermediate).collect();
             assert!(!lines.is_empty(), "{:#?}", report.strategy);
             for l in lines {
-                let says = [", written", ", held for "].iter().any(|end| l.contains(end));
+                let ends = [", written", ", held for ", ", streamed into "];
+                let says = ends.iter().any(|end| l.contains(end));
                 assert_eq!(says, !faithful_1987, "{l}");
             }
         }

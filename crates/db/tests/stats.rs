@@ -286,6 +286,40 @@ fn eval_query_counts_only_the_scan_it_runs() {
     assert_eq!(scans(&db) - before, 1, "one scan of PARTS");
 }
 
+/// NEST-JA2's `TEMP2` streamed into the groupjoin — never written, read by
+/// its one reader as that reads `SUPPLY` — counts one scan of `SUPPLY` and
+/// its five tuples, and `QueryOutcome::temps` reports the rows it made and
+/// the pages they fill as when it is written (under a forced join policy,
+/// which drains it for the merge join): three tuples, one page.
+#[test]
+fn a_streamed_temporary_counts_one_scan_and_reports_its_sizes() {
+    let db = mem_db();
+    let supply = |db: &Database| {
+        let sql = "SELECT SCANS, TUPLES_READ FROM NSQL_STAT_TABLES WHERE TABLE_NAME = 'SUPPLY'";
+        let rel = db.query(sql).unwrap();
+        (ints(&rel, 0)[0], ints(&rel, 1)[0])
+    };
+    let temp2 = |out: &nsql_db::QueryOutcome| {
+        let t = out.temps.iter().find(|t| t.name == "TEMP2").expect("TEMP2 registered");
+        (t.tuples, t.pages)
+    };
+    let q = nsql_sql::parse_query(Q2).unwrap();
+    let (scans, tuples) = supply(&db);
+    let streamed = db.run_query(&q, &QueryOptions::default()).unwrap();
+    assert!(
+        streamed.explain.iter().any(|l| l == "materialize TEMP2: 3 tuples, streamed into groupjoin (1 keys)"),
+        "{:#?}",
+        streamed.explain
+    );
+    assert_eq!(supply(&db), (scans + 1, tuples + 5), "one scan of SUPPLY's five tuples");
+    let forced = QueryOptions { join_policy: nsql_db::JoinPolicy::ForceMergeJoin, ..Default::default() };
+    let written = db.run_query(&q, &forced).unwrap();
+    assert!(written.explain.iter().any(|l| l.starts_with("materialize TEMP2: 3 tuples, 1 pages")));
+    assert_eq!(temp2(&streamed), temp2(&written));
+    assert_eq!(temp2(&streamed), (3, 1));
+    assert!(streamed.relation.same_bag(&written.relation));
+}
+
 /// `nsql_stat_storage` reports live storage counters, including WAL
 /// commits and checkpoints on a durable backend.
 #[test]

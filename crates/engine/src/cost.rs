@@ -24,11 +24,10 @@ use nsql_types::{ColumnType, Schema};
 
 /// Sort cost: `2·P·log_{B-1}(P)`, 0 for relations of at most one page.
 ///
-/// The `pages <= 1` guard is written as `!(pages > 1.0)` so a NaN page
-/// estimate (degenerate statistics) also short-circuits to 0 instead of
-/// propagating NaN into a strategy comparison.
+/// A NaN page estimate (degenerate statistics) is 0 as well, rather than a
+/// NaN propagated into a strategy comparison.
 pub fn sort_cost(pages: f64, buffer: f64) -> f64 {
-    if !(pages > 1.0) {
+    if pages.is_nan() || pages <= 1.0 {
         return 0.0;
     }
     let base = (buffer - 1.0).max(2.0);

@@ -58,7 +58,7 @@ pub mod select;
 pub use error::EngineError;
 pub use expr::{CExpr, Joined, Projector, Row};
 pub use nested_iter::NestedIter;
-pub use ops::{AggSpec, Exec, JoinEmit, JoinKind, KeySet, Unjoined};
+pub use ops::{AggSpec, Exec, HashInput, JoinEmit, JoinKind, KeySet, Restriction, Unjoined};
 pub use pred::CPred;
 pub use provider::{MemoryProvider, TableProvider};
 pub use select::SelectList;

@@ -32,7 +32,15 @@
 //! and the passes below the first run on them with keys, residual and
 //! output list remapped; a resident row is the input's own tuple, a
 //! reference, not a copy. A build side that fits may be rows held in memory
-//! ([`RowsRef::Held`]), read where they lie.
+//! ([`RowsRef::Held`]), read where they lie. The probe side of a pass that
+//! holds its whole table may be a pipe ([`Restriction`](super::Restriction),
+//! [`HashInput::Pipe`]): a restriction and projection of a file that has not
+//! run, which the probe loop runs as it reads each source page, once,
+//! through the buffer pool — the restricted rows are never written and read
+//! back — counting the rows it makes and the pages they would fill. Its
+//! bound stands in for its pages where the build side is chosen. Neither
+//! held rows nor a pipe ever reach a partitioning or chunked pass
+//! (`check_hand_off`).
 //!
 //! The in-memory pass and the resident share of a hybrid pass are the same
 //! steps ([`HashJoin::table`], [`HashJoin::insert`], [`HashJoin::probe`],
@@ -93,7 +101,7 @@
 //! `B − 2` pages in scan order, the right input read once per chunk; the
 //! rows keep the left input's order.
 
-use super::{join_reads, AggSpec, Exec, JoinEmit, JoinKind, Narrowed};
+use super::{join_reads, AggSpec, Exec, HashInput, JoinEmit, JoinKind, Narrowed};
 use crate::aggregate::AggState;
 use crate::cost::{
     groupjoin_table_pages, hash_build_fits, hash_table_pages, HashShape, GRACE_MAX_DEPTH,
@@ -148,12 +156,15 @@ impl Exec {
     /// [`hash_join_collect`](Exec::hash_join_collect) emitting only `cols`
     /// of the concatenated row (every column when `None`; see
     /// [`JoinEmit`]). Either input may be rows held in memory; one that is
-    /// must be the side the table is built on, and fit `B − 2` pages.
+    /// must be the side the table is built on, and fit `B − 2` pages. Either
+    /// may be a pipe ([`Restriction`](super::Restriction)); one that is must
+    /// be the probe side of a table that fits, and its bound decides the
+    /// side as the pages of rows would.
     #[allow(clippy::too_many_arguments)]
     pub fn hash_join_cols<'a>(
         &self,
-        left: impl Into<RowsRef<'a>>,
-        right: impl Into<RowsRef<'a>>,
+        left: impl Into<HashInput<'a>>,
+        right: impl Into<HashInput<'a>>,
         left_keys: &[usize],
         right_keys: &[usize],
         residual: Option<&CPred>,
@@ -199,13 +210,13 @@ impl Exec {
     /// left's columns when `left` holds no duplicate row; a duplicated left
     /// tuple is a group of its own here. `unjoined` says what a left tuple
     /// nothing joined emits. `left` may be rows held in memory whose table
-    /// fits `B − 2` pages. See the module doc for the memory charge and the
-    /// order.
+    /// fits `B − 2` pages, and `right` a pipe streamed past such a table.
+    /// See the module doc for the memory charge and the order.
     #[allow(clippy::too_many_arguments)]
     pub fn hash_groupjoin<'a>(
         &self,
-        left: impl Into<RowsRef<'a>>,
-        right: impl Into<RowsRef<'a>>,
+        left: impl Into<HashInput<'a>>,
+        right: impl Into<HashInput<'a>>,
         keys: &[KeySet],
         residual: Option<&CPred>,
         unjoined: Unjoined,
@@ -326,16 +337,17 @@ impl HashJoin<'_> {
     /// `depth − 1`, whose rows carry only the columns the join reads.
     fn run(
         &self,
-        build: RowsRef<'_>,
-        probe: RowsRef<'_>,
+        build: HashInput<'_>,
+        probe: HashInput<'_>,
         depth: u32,
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
         let pages = self.table_pages(build);
         let shape = HashShape::built_on(self.build_left, pages, self.b);
         let whole = depth == GRACE_MAX_DEPTH || shape.spilled == 0;
-        check_hand_off(build, whole, pages, self.b);
-        check_hand_off(probe, false, 0.0, self.b);
+        check_hand_off(build, true, whole, pages, self.b);
+        let in_memory = depth == 0 && shape.spilled == 0;
+        check_hand_off(probe, false, in_memory, 0.0, self.b);
         if whole {
             self.in_memory(build, probe, depth, out)
         } else if !self.more_keys.is_empty() {
@@ -416,7 +428,7 @@ impl HashJoin<'_> {
 
     /// Pages the table over `build` fills: the build side's own, or, for
     /// the groupjoin, its rows widened by their aggregates.
-    fn table_pages(&self, build: RowsRef<'_>) -> f64 {
+    fn table_pages(&self, build: HashInput<'_>) -> f64 {
         let pages = build.page_count() as f64;
         match self.sink {
             Sink::Pairs(_) | Sink::Unmatched(_) => pages,
@@ -443,8 +455,8 @@ impl HashJoin<'_> {
     /// time and emit what the sink keeps of the table.
     fn in_memory(
         &self,
-        build: RowsRef<'_>,
-        probe: RowsRef<'_>,
+        build: HashInput<'_>,
+        probe: HashInput<'_>,
         depth: u32,
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
@@ -490,8 +502,8 @@ impl HashJoin<'_> {
     fn hybrid(
         &self,
         shape: HashShape,
-        build: RowsRef<'_>,
-        probe: RowsRef<'_>,
+        build: HashInput<'_>,
+        probe: HashInput<'_>,
         depth: u32,
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
@@ -565,7 +577,7 @@ impl HashJoin<'_> {
         let below = below.as_ref().unwrap_or(self);
         // Each pair is freed once it is joined.
         for (build, probe) in builds.finish().into_iter().zip(probes.finish()) {
-            below.run(RowsRef::File(&build), RowsRef::File(&probe), depth + 1, out)?;
+            below.run((&*build).into(), (&*probe).into(), depth + 1, out)?;
         }
         Ok(())
     }
@@ -574,12 +586,17 @@ impl HashJoin<'_> {
     /// the left tuples in scan order, as many at a time as fill `B − 2`
     /// pages of table (one at least), each chunk folded in memory in a pass
     /// over the whole right input.
-    fn chunked(&self, build: RowsRef<'_>, probe: RowsRef<'_>, out: &mut Vec<Tuple>) -> Result<()> {
+    fn chunked(
+        &self,
+        build: HashInput<'_>,
+        probe: HashInput<'_>,
+        out: &mut Vec<Tuple>,
+    ) -> Result<()> {
         let storage = self.exec.storage();
         let schema = build.schema();
         let fold = |chunk: Vec<Tuple>, out: &mut Vec<Tuple>| {
             let rows = HeldRows::new(storage, schema.clone(), chunk);
-            self.in_memory(RowsRef::Held(&rows), probe, 0, out)
+            self.in_memory((&rows).into(), probe, 0, out)
         };
         let (mut chunk, mut held) = (Vec::new(), 0);
         self.each(build, 0, |lt| {
@@ -823,22 +840,24 @@ impl HashJoin<'_> {
     }
 
     /// Visit every row of `rows` at `depth`: a file's page by page — an
-    /// input through the buffer pool, a partition past it — or held rows
-    /// where they lie.
+    /// input through the buffer pool, a partition past it — held rows where
+    /// they lie, or the rows a pipe makes of its source's pages as it reads
+    /// them.
     fn each(
         &self,
-        rows: RowsRef<'_>,
+        rows: HashInput<'_>,
         depth: u32,
         mut f: impl FnMut(&Tuple) -> Result<()>,
     ) -> Result<()> {
         match rows {
-            RowsRef::File(file) => {
+            HashInput::Rows(RowsRef::File(file)) => {
                 for &pid in file.page_ids() {
                     self.page(pid, depth).tuples().iter().try_for_each(&mut f)?;
                 }
                 Ok(())
             }
-            RowsRef::Held(held) => held.rows().iter().try_for_each(f),
+            HashInput::Rows(RowsRef::Held(held)) => held.rows().iter().try_for_each(f),
+            HashInput::Pipe(pipe) => pipe.stream(|pid| self.page(pid, depth), f),
         }
     }
 
@@ -977,15 +996,22 @@ impl Drop for Spill<'_> {
     }
 }
 
-/// Rows handed over in memory are a table the join builds in memory: they
-/// are the build side (`table`) of an in-memory pass, `pages` of table
-/// under `B − 2`, never a probe side or rows to partition.
-fn check_hand_off(rows: RowsRef<'_>, table: bool, pages: f64, b: f64) {
+/// What reaches a hash pass without a file of its own is read once, in
+/// memory: held rows are the build side (`table`) of a pass that holds its
+/// whole table (`whole`), `pages` of it under `B − 2`; a pipe is the probe
+/// side of an in-memory pass of the operator's own inputs. Neither is ever
+/// partitioned, taken in chunks or read twice.
+fn check_hand_off(rows: HashInput<'_>, table: bool, whole: bool, pages: f64, b: f64) {
     debug_assert!(
-        matches!(rows, RowsRef::File(_)) || (table && hash_build_fits(pages, b)),
-        "{} held rows handed to a hash pass that does not build its table on them in \
-         {pages:.2} of B − 2 = {} pages",
+        match rows {
+            HashInput::Rows(RowsRef::File(_)) => true,
+            HashInput::Rows(RowsRef::Held(_)) => table && whole && hash_build_fits(pages, b),
+            HashInput::Pipe(_) => !table && whole,
+        },
+        "{} rows not in a file handed to a hash pass that does not read them once in memory \
+         ({} side, {pages:.2} of B − 2 = {} pages)",
         rows.tuple_count(),
+        if table { "build" } else { "probe" },
         b - 2.0
     );
 }

@@ -56,9 +56,11 @@ use crate::Result;
 use nsql_obs::{OpCounters, Profile};
 use nsql_storage::sort::{sort_held, SortKey};
 use nsql_storage::{
-    external_sort, HeapFile, HeldRows, HoldingWriter, Rows, RowsRef, Storage, TempFile,
+    external_sort, HeapFile, HeldRows, HoldingWriter, Page, PageId, PageTally, Rows, RowsRef,
+    Storage, TempFile,
 };
 use nsql_types::{Relation, Schema, Tuple, Value};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Inner, left-outer or anti-join.
@@ -220,6 +222,157 @@ impl Narrowed {
     /// What the join emits, over the narrowed rows.
     fn emit(&self) -> JoinEmit<'_> {
         JoinEmit { cols: self.cols.as_deref(), right_arity: self.keep[1].len() }
+    }
+}
+
+/// A restriction and projection of a stored file that has not run: a
+/// *pipe*. Its consumer either drains it ([`Exec::drain`]), or — the probe
+/// side of an in-memory hash table ([`Exec::hash_join_cols`],
+/// [`Exec::hash_groupjoin`]) — streams it: the pass reads each source page
+/// once, through the buffer pool, keeps the tuples `pred` accepts and
+/// projects them where it reads them. A streamed
+/// pipe writes nothing; it counts the rows it made and the pages
+/// [`HoldingWriter`] would have packed them into ([`Restriction::made`]).
+#[derive(Clone)]
+pub struct Restriction {
+    source: HeapFile,
+    pred: CPred,
+    exprs: Vec<CExpr>,
+    schema: Schema,
+    bound: usize,
+    made: Cell<PageTally>,
+}
+
+impl Restriction {
+    /// The rows of `source` that `pred` accepts, projected onto `exprs` as
+    /// rows of `schema`, to be packed on `page_size`-byte pages; a choice
+    /// made before it runs prices it at the source's rows and at `bound`
+    /// pages.
+    pub fn new(
+        source: HeapFile,
+        pred: CPred,
+        exprs: Vec<CExpr>,
+        schema: Schema,
+        bound: usize,
+        page_size: usize,
+    ) -> Restriction {
+        let made = Cell::new(PageTally::new(page_size));
+        Restriction { source, pred, exprs, schema, bound, made }
+    }
+
+    /// The schema of the rows it makes.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The same restriction making rows of `schema` (of the same arity).
+    pub fn with_schema(self, schema: Schema) -> Restriction {
+        assert_eq!(schema.arity(), self.schema.arity());
+        Restriction { schema, ..self }
+    }
+
+    /// Pages it makes at most: the source's, narrowed to the columns kept.
+    pub fn page_count(&self) -> usize {
+        self.bound
+    }
+
+    /// Rows it makes at most: the source's.
+    pub fn tuple_count(&self) -> usize {
+        self.source.tuple_count()
+    }
+
+    /// The rows its last stream made and the pages they pack into.
+    pub fn made(&self) -> (usize, usize) {
+        let made = self.made.get();
+        (made.tuples(), made.pages())
+    }
+
+    /// Stream it: each row it makes, in source order, to `f`, the source's
+    /// pages read by `page`. Stops at the first error.
+    fn stream(
+        &self,
+        page: impl Fn(PageId) -> Arc<Page>,
+        mut f: impl FnMut(&Tuple) -> Result<()>,
+    ) -> Result<()> {
+        let proj = Projector::new(&self.exprs);
+        let mut made = self.made.get().restarted();
+        for &pid in self.source.page_ids() {
+            for t in page(pid).tuples() {
+                if self.pred.accepts(t)? {
+                    let row = proj.apply_ref(t);
+                    made.add(row.storage_width());
+                    f(&row)?;
+                }
+            }
+        }
+        self.made.set(made);
+        Ok(())
+    }
+}
+
+/// What a hash pass reads: rows in a file or held in memory, or a pipe
+/// ([`Restriction`]), which only the probe side of an in-memory pass takes.
+#[derive(Clone, Copy)]
+pub enum HashInput<'a> {
+    /// Rows made before the pass.
+    Rows(RowsRef<'a>),
+    /// A restriction streamed as the pass reads it.
+    Pipe(&'a Restriction),
+}
+
+impl<'a> HashInput<'a> {
+    /// The tuple schema.
+    pub fn schema(self) -> &'a Schema {
+        match self {
+            HashInput::Rows(rows) => rows.schema(),
+            HashInput::Pipe(pipe) => pipe.schema(),
+        }
+    }
+
+    /// Pages: the rows', or a pipe's bound.
+    pub fn page_count(self) -> usize {
+        match self {
+            HashInput::Rows(rows) => rows.page_count(),
+            HashInput::Pipe(pipe) => pipe.page_count(),
+        }
+    }
+
+    /// Rows: the rows', or a pipe's bound.
+    pub fn tuple_count(self) -> usize {
+        match self {
+            HashInput::Rows(rows) => rows.tuple_count(),
+            HashInput::Pipe(pipe) => pipe.tuple_count(),
+        }
+    }
+}
+
+impl<'a> From<RowsRef<'a>> for HashInput<'a> {
+    fn from(rows: RowsRef<'a>) -> HashInput<'a> {
+        HashInput::Rows(rows)
+    }
+}
+
+impl<'a> From<&'a HeapFile> for HashInput<'a> {
+    fn from(file: &'a HeapFile) -> HashInput<'a> {
+        HashInput::Rows(file.into())
+    }
+}
+
+impl<'a> From<&'a HeldRows> for HashInput<'a> {
+    fn from(held: &'a HeldRows) -> HashInput<'a> {
+        HashInput::Rows(held.into())
+    }
+}
+
+impl<'a> From<&'a Rows> for HashInput<'a> {
+    fn from(rows: &'a Rows) -> HashInput<'a> {
+        HashInput::Rows(rows.into())
+    }
+}
+
+impl<'a> From<&'a Restriction> for HashInput<'a> {
+    fn from(pipe: &'a Restriction) -> HashInput<'a> {
+        HashInput::Pipe(pipe)
     }
 }
 
@@ -399,6 +552,14 @@ impl Exec {
                 Rows::File(self.deduplicated(TempFile::new(&self.storage, file), true))
             }
         })
+    }
+
+    /// Drain the pipe `pipe` where it is: its restriction and projection in
+    /// one pass ([`Exec::restrict_project_rows`]), up to `cap` pages of its
+    /// rows held.
+    pub fn drain(&self, pipe: &Restriction, cap: usize) -> Result<Rows> {
+        let (pred, exprs, schema) = (&pipe.pred, &pipe.exprs, pipe.schema.clone());
+        self.restrict_project_rows(&pipe.source, pred, exprs, schema, false, cap)
     }
 
     /// External sort (thin wrapper over [`external_sort`]).

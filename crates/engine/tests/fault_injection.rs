@@ -8,9 +8,9 @@
 //! injected at the data level: a value of the wrong type planted on a chosen
 //! page makes exactly that tuple's evaluation fail with a `TypeError`.
 
-use nsql_engine::{AggSpec, CExpr, CPred, EngineError, Exec, JoinKind};
+use nsql_engine::{AggSpec, CExpr, CPred, EngineError, Exec, JoinKind, Restriction};
 use nsql_sql::{parse_query, AggFunc};
-use nsql_storage::{HeapFile, IoSnapshot, Storage};
+use nsql_storage::{HeapFile, HeldRows, IoSnapshot, Storage};
 use nsql_types::{Column, ColumnType, Schema, Tuple, Value};
 
 const ROWS: i64 = 600;
@@ -178,6 +178,50 @@ fn a_fault_inside_the_hybrid_pass_frees_every_partition() {
     assert!(matches!(err, EngineError::Type(_)), "want TypeError, got {err:?}");
 }
 
+/// A pipe over the poisoned `T` restricted by `pred` (over `T`) and
+/// projected whole, streamed as the probe side of a hash join on `A` past a
+/// table of `U` held in memory — rows `A` = 300 and 0 to 9, one page — with
+/// the residual `T.B < 50` when `residual`.
+fn streamed_hash_join(e: &Exec, t: &HeapFile, pred: &str, residual: bool) -> Result<(), EngineError> {
+    let st = e.storage();
+    let rows = [300].into_iter().chain(0..10);
+    let rows = rows.map(|a| Tuple::new(vec![Value::Int(a), Value::Int(a % 97)])).collect();
+    let u = HeldRows::new(st, t.schema().requalify("U"), rows);
+    let q = parse_query(&format!("SELECT T.A FROM T WHERE {pred}")).unwrap();
+    let pred = CPred::compile(t.schema(), q.where_clause.as_ref().unwrap()).unwrap();
+    let (exprs, schema) = (vec![CExpr::Col(0), CExpr::Col(1)], t.schema().clone());
+    let pipe = Restriction::new(t.clone(), pred, exprs, schema, t.page_count(), st.page_size());
+    let combined = u.schema().join(t.schema());
+    let q = parse_query("SELECT T.A FROM U, T WHERE T.B < 50").unwrap();
+    let res = CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap();
+    let res = residual.then_some(&res);
+    e.hash_join_cols(&u, &pipe, &[0], &[0], res, JoinKind::Inner, None).map(|_| ())
+}
+
+#[test]
+fn a_fault_read_off_a_streamed_probe_sides_source_frees_the_held_table() {
+    // The restriction `T.A < 1000` reads only the clean `A` and keeps every
+    // row; row 300, on T's 22nd page, meets the held row of its key, and
+    // the residual reads its poisoned `B`. The pass stops there: 22 pages
+    // read, nothing written, the table dropped.
+    let poison = [(300, Value::str("rot"))];
+    let err = check_fails("streamed probe, residual", &poison, (22, 0), |e, t, _| {
+        streamed_hash_join(e, t, "T.A < 1000", true)
+    });
+    assert!(matches!(err, EngineError::Type(_)), "want TypeError, got {err:?}");
+}
+
+#[test]
+fn a_restriction_that_raises_mid_stream_frees_the_held_table() {
+    // The pipe's own predicate `B < 50` raises on row 300: as the drained
+    // restriction's first error, but the stream stops at its page.
+    let poison = [(300, Value::str("rot"))];
+    let err = check_fails("streamed probe, restriction", &poison, (22, 0), |e, t, _| {
+        streamed_hash_join(e, t, "B < 50", false)
+    });
+    assert!(matches!(err, EngineError::Type(_)), "want TypeError, got {err:?}");
+}
+
 /// Sanity: a *clean* run of the same shapes succeeds — the harness fails
 /// because of the fault, not the setup.
 #[test]
@@ -185,4 +229,6 @@ fn unpoisoned_runs_succeed() {
     let e = Exec::new(Storage::new(6, 256));
     let f = poisoned_file(e.storage(), &[]);
     assert!(e.filter(&f, &filter_pred(&f)).is_ok());
+    assert!(streamed_hash_join(&e, &f, "T.A < 1000", true).is_ok());
+    assert!(streamed_hash_join(&e, &f, "B < 50", false).is_ok());
 }

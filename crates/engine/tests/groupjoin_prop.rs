@@ -30,11 +30,18 @@
 //! in the left input's order and nothing written; and a table over `B − 2`
 //! pages reads the right side once per chunk of it, as many chunks as
 //! `cost::groupjoin_passes` estimates give or take one.
+//!
+//! A right side that is a restriction of a file not yet run (a pipe,
+//! `Restriction`), streamed past a table that fits `B − 2` pages, for every
+//! way of emitting a left row nothing joined, gives the rows, in order, that
+//! the restriction written to a file and read back gives, reads the file
+//! once and writes nothing: the drained path's reads but the restricted
+//! file's pages (`a_streamed_right_side_groups_as_its_drained_rows`).
 
 use nsql_engine::aggregate::AggState;
-use nsql_engine::cost::{groupjoin_passes, groupjoin_table_pages, HashShape};
+use nsql_engine::cost::{groupjoin_passes, groupjoin_table_pages, narrowed_pages, HashShape};
 use nsql_engine::ops::demotions;
-use nsql_engine::{AggSpec, CPred, Exec, JoinKind, Joined, KeySet, Unjoined};
+use nsql_engine::{AggSpec, CExpr, CPred, Exec, JoinKind, Joined, KeySet, Restriction, Unjoined};
 use nsql_sql::{parse_query, AggFunc};
 use nsql_storage::{HeapFile, Storage};
 use nsql_testkit::{forall, prop_assert, prop_assert_eq, Rng};
@@ -600,4 +607,96 @@ fn a_table_over_b_minus_2_pages_reads_the_right_once_per_chunk() {
     let want = nested_loop_grouped(&left, &right, &pred, &specs, Unjoined::Empty);
     let got: Vec<Vec<Value>> = got.tuples().iter().map(|t| t.values().to_vec()).collect();
     assert_eq!(got, want);
+}
+
+/// (the case, each right row's `W`, which the pipe keeps below `below`,
+/// `below`, index into `UNJOINED`).
+type PipeCase = (Case, Vec<i64>, i64, usize);
+
+fn pipe_case(rng: &mut Rng) -> PipeCase {
+    let mut c = case(rng);
+    // A left side of a few rows, most of them a table within `B − 2` pages.
+    let most = 5 * (POOLS[c.2] - 2).min(8);
+    c.0.truncate(rng.gen_range(0..most));
+    let w = (0..c.1.len()).map(|_| rng.gen_range(0i64..50)).collect();
+    (c, w, *rng.choose(&[0, 25, 40, 50]), rng.gen_range(0usize..UNJOINED.len()))
+}
+
+/// What one groupjoin of a pipe case did: its rows, its reads and writes,
+/// and the restricted rows and the pages they fill.
+struct PipeRun {
+    rows: Relation,
+    io: (u64, u64),
+    made: (usize, usize),
+}
+
+/// The groupjoin of a pipe case on a cold pool of its own, its right side
+/// `R(K, V, W)` restricted by `W < below` onto `K, V` and streamed (`drained`
+/// false) or written to a file by `Exec::drain` and that
+/// file read (`drained`). `None` where the table does not fit `B − 2` pages,
+/// which no plan streams a pipe past.
+fn groupjoin_of_a_pipe(c: &PipeCase, drained: bool) -> Option<PipeRun> {
+    let ((left, right, pool, _, with_residual, picked), ws, below, unjoined) = c;
+    let b = POOLS[*pool];
+    let st = Storage::new(b, PAGE_SIZE);
+    let e = Exec::new(st.clone());
+    let l = left_file(&st, left);
+    let (specs, schema) = aggregates(picked, 0);
+    let table = groupjoin_table_pages(l.page_count() as f64, l.tuple_count() as f64, specs.len(), PAGE_SIZE);
+    if HashShape::built_on(true, table, b as f64).spilled > 0 {
+        return None;
+    }
+    let keys: Vec<Value> = right.iter().map(|(k, _)| k.clone()).collect();
+    let cols = [("K", key_type(&keys)), ("V", ColumnType::Int), ("W", ColumnType::Int)];
+    let src_schema = Schema::new(cols.iter().map(|(c, ty)| Column::qualified("R", *c, *ty)).collect());
+    let rows = right.iter().zip(ws).map(|((k, v), w)| {
+        Tuple::new(vec![k.clone(), v.map_or(Value::Null, Value::Int), Value::Int(*w)])
+    });
+    let src = HeapFile::from_tuples(&st, src_schema, rows);
+    let q = parse_query(&format!("SELECT R.K FROM R WHERE R.W < {below}")).unwrap();
+    let pred = CPred::compile(src.schema(), q.where_clause.as_ref().unwrap()).unwrap();
+    let (pages, n) = (src.page_count() as f64, src.tuple_count() as f64);
+    let bound = narrowed_pages(src.schema(), &[0, 1], pages, n, PAGE_SIZE) as usize;
+    let out = src.schema().project(&[0, 1]);
+    let pipe = Restriction::new(src, pred, vec![CExpr::Col(0), CExpr::Col(1)], out.clone(), bound, PAGE_SIZE);
+    let res = {
+        let combined = l.schema().join(&out);
+        let q = parse_query("SELECT L.V FROM L, R WHERE L.V < R.V").unwrap();
+        CPred::compile(&combined, q.where_clause.as_ref().unwrap()).unwrap()
+    };
+    let res = with_residual.then_some(&res);
+    let unjoined = UNJOINED[*unjoined];
+    st.clear_buffer();
+    let before = st.io_snapshot();
+    let (rows, made) = if drained {
+        let rows = e.drain(&pipe, 0).unwrap();
+        let file = rows.file().expect("nothing is held with no cap").clone();
+        let rows = e.hash_groupjoin(&l, &file, &on_k(), res, unjoined, &specs, schema).unwrap();
+        (rows, (file.tuple_count(), file.page_count()))
+    } else {
+        let rows = e.hash_groupjoin(&l, &pipe, &on_k(), res, unjoined, &specs, schema).unwrap();
+        (rows, pipe.made())
+    };
+    let io = st.io_snapshot().since(&before);
+    Some(PipeRun { rows, io: (io.reads, io.writes), made })
+}
+
+#[test]
+fn a_streamed_right_side_groups_as_its_drained_rows() {
+    let streamed: [std::cell::Cell<usize>; POOLS.len()] = Default::default();
+    forall(300, "a_streamed_right_side_groups_as_its_drained_rows", pipe_case, |c| {
+        let Some(got) = groupjoin_of_a_pipe(c, false) else { return Ok(()) };
+        let want = groupjoin_of_a_pipe(c, true).expect("the same case");
+        let pool = c.0 .2;
+        streamed[pool].set(streamed[pool].get() + 1);
+        prop_assert_eq!(got.made, want.made, "the rows made and the pages they fill");
+        prop_assert_eq!(got.rows.tuples(), want.rows.tuples(), "rows and order");
+        let pages = want.made.1 as u64;
+        let writes = (got.io.1, want.io.1);
+        prop_assert_eq!(writes, (0, pages), "only the drained file is written");
+        prop_assert_eq!(got.io.0, want.io.0 - pages, "the drained reads but the file's");
+        Ok(())
+    });
+    let streamed = streamed.map(std::cell::Cell::into_inner);
+    assert!(streamed.iter().all(|&n| n > 10), "cases streamed per pool: {streamed:?}");
 }

@@ -44,10 +44,18 @@
 //! pages (`a_narrowed_join_is_the_whole_join_projected`); and a build side
 //! handed over in memory gives the rows, in order, that its file gives
 //! (`a_held_build_side_joins_as_its_file`).
+//!
+//! A probe side that is a restriction of a file not yet run (a pipe,
+//! `Restriction`), streamed past a table that fits `B − 2` pages, gives the
+//! rows, in order, that the restriction written to a file and read back
+//! gives, reads the file once and writes nothing: the drained path's reads
+//! but the restricted file's pages (`a_streamed_probe_side_joins_as_its_drained_rows`).
 
-use nsql_engine::cost::{hash_join_cost, hash_levels, HashShape, JoinInput, GRACE_MAX_DEPTH};
+use nsql_engine::cost::{
+    hash_join_cost, hash_levels, narrowed_pages, HashShape, JoinInput, GRACE_MAX_DEPTH,
+};
 use nsql_engine::ops::demotions;
-use nsql_engine::{CPred, Exec, JoinKind, Joined};
+use nsql_engine::{CExpr, CPred, Exec, JoinKind, Joined, Restriction};
 use nsql_sql::parse_query;
 use nsql_storage::{HeapFile, HeldRows, IoSnapshot, Storage, TraceEvent};
 use nsql_testkit::{forall, prop_assert, prop_assert_eq, Rng, Shrink};
@@ -724,4 +732,122 @@ fn a_demoted_table_joins_as_the_nested_loop() {
     // resident share; the others demote some of these tables.
     assert_eq!(&demoted[..2], &[0, 0], "{demoted:?}");
     assert!(demoted[2..].iter().all(|&n| n > 0), "{demoted:?}");
+}
+
+/// The columns of `W(K, A, B, C)` a restriction keeps, in order: always the
+/// key, first, and `B`, which a residual reads.
+const KEPT: [&[usize]; 4] = [&[0, 1, 2, 3], &[0, 1, 2], &[0, 2], &[0, 2, 3]];
+
+/// (table side, the pipe's source, index into `POOLS`, index into `KINDS`,
+/// residual, the pipe is the left input, the pipe keeps `C` below this,
+/// index into `KEPT`).
+type PipeCase = (Vec<Wide>, Vec<Wide>, usize, usize, Residual, bool, i64, usize);
+
+fn pipe_case(rng: &mut Rng) -> PipeCase {
+    let keys = *rng.choose(&[1, 4, 40, 400]);
+    let pool = rng.gen_range(0usize..POOLS.len());
+    // A table side of a few rows, most of them within `B − 2` pages.
+    let most = 3 * (POOLS[pool] - 2).min(8) + 2;
+    let mut table = wide_side(rng, keys);
+    table.truncate(rng.gen_range(0..most));
+    let kind = draw_kind(rng);
+    // A left outer join builds on the right: its probe side is the left.
+    let pipe_left = KINDS[kind] == JoinKind::LeftOuter || rng.gen_bool(0.5);
+    let below = *rng.choose(&[0, 25, 40, 50]);
+    let kept = rng.gen_range(0..KEPT.len());
+    (table, wide_side(rng, keys), pool, kind, Residual::draw(rng), pipe_left, below, kept)
+}
+
+/// What one join of a pipe case did.
+struct PipeRun {
+    rows: Relation,
+    io: IoSnapshot,
+    /// The restricted rows and the pages they fill.
+    made: (usize, usize),
+    /// Which input the table was built on.
+    build_left: bool,
+}
+
+/// The join of the case with its pipe streamed (`drained` false) or first
+/// written to a file by `Exec::drain` and that file joined
+/// (`drained`), on a cold pool of its own; `None` where a streamed pipe
+/// would not be the probe side of an in-memory table, which no plan does.
+fn pipe_run(c: &PipeCase, drained: bool) -> Option<PipeRun> {
+    let (table, source, pool, kind, residual, pipe_left, below, kept) = c;
+    let (kind, b) = (KINDS[*kind], POOLS[*pool] as f64);
+    let st = Storage::new(POOLS[*pool], PAGE_SIZE);
+    let e = Exec::new(st.clone());
+    let (pname, tname) = if *pipe_left { ("L", "R") } else { ("R", "L") };
+    let (t, src) = (wide_file(&st, tname, table), wide_file(&st, pname, source));
+    let q = parse_query(&format!("SELECT {pname}.K FROM {pname} WHERE {pname}.C < {below}"));
+    let pred = CPred::compile(src.schema(), q.unwrap().where_clause.as_ref().unwrap()).unwrap();
+    let kept = KEPT[*kept];
+    let exprs: Vec<CExpr> = kept.iter().map(|&c| CExpr::Col(c)).collect();
+    let schema = src.schema().project(kept);
+    let (pages, rows) = (src.page_count() as f64, src.tuple_count() as f64);
+    let bound = narrowed_pages(src.schema(), kept, pages, rows, PAGE_SIZE) as usize;
+    let (lp, rp) = if *pipe_left { (bound, t.page_count()) } else { (t.page_count(), bound) };
+    let shape = HashShape::of(lp as f64, rp as f64, kind, b);
+    if shape.spilled > 0 || shape.build_left == *pipe_left {
+        return None;
+    }
+    let pipe = Restriction::new(src, pred, exprs, schema.clone(), bound, PAGE_SIZE);
+    // The residual over the two inputs as the join sees them, on `B`.
+    let (ls, rs) = if *pipe_left { (&schema, t.schema()) } else { (t.schema(), &schema) };
+    let on_b = |cond: &str| {
+        let q = parse_query(&format!("SELECT L.K FROM L, R WHERE {cond}")).unwrap();
+        CPred::compile(&ls.join(rs), q.where_clause.as_ref().unwrap()).unwrap()
+    };
+    let res = match residual {
+        Residual::None => None,
+        Residual::Strict => Some(on_b("L.B < R.B")),
+        Residual::NullAware => Some(CPred::NotFalse(Box::new(on_b("L.B = R.B")))),
+    };
+    st.clear_buffer();
+    let live = st.live_pages();
+    let before = st.io_snapshot();
+    let (rows, made, build_left) = if drained {
+        let rows = e.drain(&pipe, 0).unwrap();
+        let file = rows.file().expect("nothing is held with no cap").clone();
+        let made = (file.tuple_count(), file.page_count());
+        let (lp, rp) = if *pipe_left { (&file, &t) } else { (&t, &file) };
+        let rows = e.hash_join_cols(lp, rp, &[0], &[0], res.as_ref(), kind, None).unwrap();
+        let shape = HashShape::of(lp.page_count() as f64, rp.page_count() as f64, kind, b);
+        (rows, made, shape.build_left)
+    } else {
+        let rows = if *pipe_left {
+            e.hash_join_cols(&pipe, &t, &[0], &[0], res.as_ref(), kind, None)
+        } else {
+            e.hash_join_cols(&t, &pipe, &[0], &[0], res.as_ref(), kind, None)
+        };
+        assert_eq!(st.live_pages(), live, "a streamed pipe writes nothing");
+        (rows.unwrap(), pipe.made(), shape.build_left)
+    };
+    Some(PipeRun { rows, io: st.io_snapshot().since(&before), made, build_left })
+}
+
+#[test]
+fn a_streamed_probe_side_joins_as_its_drained_rows() {
+    let streamed: [std::cell::Cell<usize>; POOLS.len()] = Default::default();
+    forall(300, "a_streamed_probe_side_joins_as_its_drained_rows", pipe_case, |c| {
+        let Some(got) = pipe_run(c, false) else { return Ok(()) };
+        let want = pipe_run(c, true).expect("the same case");
+        streamed[c.2].set(streamed[c.2].get() + 1);
+        prop_assert_eq!(got.made, want.made, "the rows made and the pages they fill");
+        // Built on the same input, the rows come in the same order; the
+        // drained rows may be fewer pages than the table, and then build it.
+        if got.build_left == want.build_left {
+            prop_assert_eq!(got.rows.tuples(), want.rows.tuples(), "rows and order");
+        } else {
+            prop_assert!(got.rows.same_bag(&want.rows), "{}\n{}", got.rows, want.rows);
+        }
+        // The drained path writes the restricted file and reads it back.
+        let pages = want.made.1 as u64;
+        prop_assert_eq!(got.io.writes, 0, "nothing written");
+        prop_assert_eq!(want.io.writes, pages, "the restricted file");
+        prop_assert_eq!(got.io.reads, want.io.reads - pages, "the drained reads but the file's");
+        Ok(())
+    });
+    let streamed = streamed.map(std::cell::Cell::into_inner);
+    assert!(streamed.iter().all(|&n| n > 10), "cases streamed per pool: {streamed:?}");
 }

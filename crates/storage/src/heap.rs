@@ -206,11 +206,58 @@ impl HeapFile {
 /// writes its spilled partitions with.
 pub struct HeapWriter {
     schema: Schema,
-    budget: usize,
     pages: Vec<PageId>,
     current: Vec<Tuple>,
+    /// The packing of the rows so far: the page being filled is `current`.
+    tally: PageTally,
+}
+
+/// The one packing rule of every heap page, counted without the rows: a
+/// tuple that does not fit beside those already on the page starts the next
+/// one (at least one tuple a page). What [`HeapWriter`] packs by, and what a
+/// stream that makes rows without writing them counts the pages of those
+/// rows by.
+#[derive(Debug, Clone, Copy)]
+pub struct PageTally {
+    budget: usize,
     used: usize,
-    tuple_count: usize,
+    closed: usize,
+    tuples: usize,
+}
+
+impl PageTally {
+    /// No rows yet, on pages of `page_size` bytes.
+    pub fn new(page_size: usize) -> PageTally {
+        PageTally { budget: page_size, used: 0, closed: 0, tuples: 0 }
+    }
+
+    /// Count a tuple of `width` bytes; whether it closed the page being
+    /// filled, and so starts the next.
+    pub fn add(&mut self, width: usize) -> bool {
+        let closes = self.tuples > 0 && self.used + width > self.budget;
+        if closes {
+            self.used = 0;
+            self.closed += 1;
+        }
+        self.used += width;
+        self.tuples += 1;
+        closes
+    }
+
+    /// The same rule with no rows counted.
+    pub fn restarted(self) -> PageTally {
+        PageTally::new(self.budget)
+    }
+
+    /// Pages the tuples counted fill.
+    pub fn pages(&self) -> usize {
+        self.closed + usize::from(self.tuples > 0)
+    }
+
+    /// Tuples counted.
+    pub fn tuples(&self) -> usize {
+        self.tuples
+    }
 }
 
 impl HeapWriter {
@@ -220,14 +267,7 @@ impl HeapWriter {
     }
 
     fn packing(schema: Schema, budget: usize) -> HeapWriter {
-        HeapWriter {
-            schema,
-            budget,
-            pages: Vec::new(),
-            current: Vec::new(),
-            used: 0,
-            tuple_count: 0,
-        }
+        HeapWriter { schema, pages: Vec::new(), current: Vec::new(), tally: PageTally::new(budget) }
     }
 
     /// Add `t`, writing the current page first if `t` does not fit on it.
@@ -255,20 +295,15 @@ impl HeapWriter {
     }
 
     /// Put `t` on the page being filled, by the one packing rule of every
-    /// heap page: a tuple that does not fit beside those already on the
-    /// page starts the next one (at least one tuple a page). The page it
-    /// closed, if it closed one, for the caller to write or hold.
+    /// heap page ([`PageTally`]). The page it closed, if it closed one, for
+    /// the caller to write or hold.
     fn pack(&mut self, t: Tuple) -> Option<Vec<Tuple>> {
         debug_assert_eq!(t.arity(), self.schema.arity(), "tuple arity must match heap schema");
-        let w = t.storage_width();
-        let closed = (!self.current.is_empty() && self.used + w > self.budget).then(|| {
-            self.used = 0;
+        let closed = self.tally.add(t.storage_width()).then(|| {
             // The next page is sized like this one, so it is not regrown.
             let next = Vec::with_capacity(self.current.len());
             std::mem::replace(&mut self.current, next)
         });
-        self.used += w;
-        self.tuple_count += 1;
         self.current.push(t);
         closed
     }
@@ -277,7 +312,8 @@ impl HeapWriter {
         if !self.current.is_empty() {
             self.pages.push(write(self.current));
         }
-        HeapFile { schema: self.schema, pages: Arc::new(self.pages), tuple_count: self.tuple_count }
+        let tuple_count = self.tally.tuples();
+        HeapFile { schema: self.schema, pages: Arc::new(self.pages), tuple_count }
     }
 }
 

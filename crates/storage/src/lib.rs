@@ -47,7 +47,7 @@ pub use buffer::BufferPool;
 pub use disk::{Disk, DiskManager, MemBackend, Page, PageId, SYSTEM_PAGE_BASE};
 pub use durable::{FaultPlan, FileStore, RecoveryReport};
 pub use error::StorageError;
-pub use heap::{HeapFile, HeapWriter, HeldRows, HoldingWriter, Rows, RowsRef, TempFile};
+pub use heap::{HeapFile, HeapWriter, HeldRows, HoldingWriter, PageTally, Rows, RowsRef, TempFile};
 pub use sort::{external_sort, external_sort_narrowed, sorted_with};
 pub use stats::{IoSnapshot, IoStats};
 

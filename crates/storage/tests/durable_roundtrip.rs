@@ -35,7 +35,7 @@ fn committed_pages_survive_reopen() {
     assert!(pages.len() > 1, "should span pages");
 
     let (st2, report) = Storage::file_backed(8, 256, dir.path()).unwrap();
-    assert_eq!(report.wal_records_applied as usize, pages.len() + 1);
+    assert_eq!(report.wal_records_applied, pages.len() + 1);
     assert_eq!(report.commits_applied, 1);
     assert!(!report.torn_tail);
     assert_eq!(st2.durable().unwrap().committed_meta().as_deref(), Some(&b"meta-v1"[..]));

@@ -383,10 +383,12 @@ cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec \
     -p nsql-core -p nsql-types -p nsql-sql -p nsql-db \
     --all-targets --offline -- -D clippy::redundant_clone
 
-echo "==> the transformation and the plan executor are lint-clean (clippy)"
-# Every default lint, on every target of the two crates the transformed path
-# runs through: NEST-G and its lowering, and the one plan interpreter.
-cargo clippy --no-deps -p nsql-core -p nsql-db --all-targets --offline -- -D warnings
+echo "==> the transformation, the plan executor and its kernels are lint-clean (clippy)"
+# Every default lint, on every target of the crates the transformed path
+# runs through: NEST-G and its lowering, the one plan interpreter, the
+# operators it runs and the storage they read and write.
+cargo clippy --no-deps -p nsql-core -p nsql-db -p nsql-engine -p nsql-storage \
+    --all-targets --offline -- -D warnings
 
 echo "==> benchmark smoke (one cycle per workload, answers checked; not a measurement)"
 # The standalone package under benchmark/ builds against this checkout. Each
