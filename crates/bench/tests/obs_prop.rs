@@ -104,11 +104,12 @@ fn observed_probes(spec: WorkloadSpec) -> usize {
     let extra = [("flat-join", FLAT_JOIN), ("type-N in type-JA", N_IN_JA)];
     for (name, sql) in QUERIES.into_iter().chain(extra) {
         // The paper's plans under each strategy, then the default path:
-        // an input it restricts first is an operator node of its own
-        // (type-J, flat-join; inside a temporary over two relations,
-        // under its `materialize` node, for the last shape), as is the
-        // tree a probing block of nested iteration builds (the four
-        // correlated shapes), and the tree must still add up.
+        // an input it restricts first runs inside the hash join it streams
+        // into (type-J, flat-join; inside a temporary over two relations,
+        // under its `materialize` node, for the last shape), the tree a
+        // probing block of nested iteration builds is an operator node of
+        // its own (the four correlated shapes), and the tree must still add
+        // up.
         for base in [
             QueryOptions::nested_iteration(),
             QueryOptions::transformed(),
@@ -142,9 +143,13 @@ fn observed_probes(spec: WorkloadSpec) -> usize {
             if sql == N_IN_JA && base.strategy == Strategy::Auto {
                 let temp2 = obs.profile.iter().find_map(|r| r.find("materialize TEMP2"));
                 let temp2 = temp2.unwrap_or_else(|| panic!("{tag}: {:#?}", obs.profile));
-                let planned = temp2.find("restrict+project P2").is_some()
-                    && temp2.children.iter().any(|c| c.name.contains("join (1 keys)"));
-                assert!(planned, "{tag}: {temp2:#?}");
+                let streamed = |l: &String| {
+                    let into_the_join = l.contains(", streamed into hash join");
+                    l.starts_with("restrict+project P2: ") && into_the_join
+                };
+                let planned = temp2.children.iter().any(|c| c.name.contains("join (1 keys)"))
+                    && observed.explain.iter().any(streamed);
+                assert!(planned, "{tag}: {temp2:#?}\n{:#?}", observed.explain);
             }
             let probes = observed.explain.iter().any(|l| l.contains(": probe temp index"));
             let built =

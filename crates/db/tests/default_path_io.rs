@@ -32,6 +32,7 @@
 
 use nsql_db::{Database, JoinPolicy, QueryOptions, Strategy};
 use nsql_engine::cost::{temp_tree_estimate, PRICES};
+use nsql_engine::ops::demotions;
 use nsql_obs::ProfileNode;
 use nsql_storage::IoSnapshot;
 use nsql_testkit::TempDir;
@@ -121,14 +122,21 @@ fn load(db: &mut Database, g: &Geometry) {
     };
     let supply: Vec<[i64; 4]> =
         (0..g.supply).map(|_| [next(g.parts), next(8), next(100), next(3 * g.parts)]).collect();
+    // Per part, the count of its early shipments and their largest quantity.
+    let mut early = vec![(0, None); g.parts as usize];
+    for s in supply.iter().filter(|s| s[2] < 50) {
+        let (count, most) = &mut early[s[0] as usize];
+        *count += 1;
+        *most = (*most).max(Some(s[1]));
+    }
     let parts: Vec<[i64; 4]> = (0..g.parts as i64)
         .map(|p| {
-            let early = supply.iter().filter(|s| s[0] == p && s[2] < 50).map(|s| s[1]);
+            let (count, most) = early[p as usize];
             // A third of the parts carry their early-shipment count as QOH, a
             // third the largest early quantity: no statement answers empty.
             let qoh = match p % 3 {
-                0 => early.count() as i64,
-                1 => early.max().unwrap_or(0),
+                0 => count,
+                1 => most.unwrap_or(0),
                 _ => p % 6,
             };
             let serial = if g.unique_serial {
@@ -231,7 +239,10 @@ fn kim_geometry() {
             // n: hash join, partitioned; PARTS spills 2 of its 4 columns
             // (106 r + 39 w before), and its hybrid passes keep a share of
             // the table resident (93 r + 26 w when every pass was Grace's).
-            snap(81, 14, 0, 72),
+            // The restricted SUPPLY streams into it as its build side, where
+            // it was held and then written for the partitioning pass (81 r +
+            // 14 w); the bound fixes Grace's split.
+            snap(76, 9, 0, 67),
             // j: hash join built in memory on the restricted PARTS, held for
             // it (69 r + 2 w).
             snap(67, 0, 0, 67),
@@ -244,12 +255,16 @@ fn kim_geometry() {
             snap(94, 0, 0, 94),
             // ml3: the first join's partitions carry the columns it reads
             // (330 r + 223 w), and its hybrid passes keep a share of their
-            // tables resident (233 r + 126 w under Grace).
-            snap(211, 104, 0, 137),
+            // tables resident (233 r + 126 w under Grace). The restricted S2
+            // streams into the first join's partitioning pass, where its 22
+            // pages were written and read back (211 r + 104 w).
+            snap(189, 82, 0, 115),
             // flat_join: PARTS spills PNUM and GRP, and the join's output is
             // held for the GROUP BY (159 r + 92 w); its hybrid passes keep a
-            // share of their tables resident (142 r + 75 w under Grace).
-            snap(134, 67, 0, 79),
+            // share of their tables resident (142 r + 75 w under Grace). The
+            // restricted SUPPLY streams into it as its build side, where its
+            // 12 pages were written and read back (134 r + 67 w).
+            snap(122, 55, 0, 67),
             // static_n: the restricted VENDOR is held for the hash build
             // (32 r + 1 w).
             snap(31, 0, 0, 31),
@@ -276,8 +291,10 @@ fn restricted_inner_fits_the_pool() {
             // n: the restricted SUPPLY is held for the hash build
             // (178 r + 11 w before).
             snap(167, 0, 0, 167),
-            // j: 100 probes of the index; their outer is written.
-            snap(173, 4, 220, 173),
+            // j: priced at the restricted PARTS' bound the hash join wins,
+            // and PARTS streams into it as its build side (173 r + 4 w when
+            // the choice was made on the written PARTS: 100 index probes).
+            snap(167, 0, 0, 167),
             // ja_count, ja_max: TEMP1 and TEMP3 held (274 r + 40 w,
             // 272 r + 38 w), and TEMP2 and the restricted PARTS streamed
             // into them (266 r + 32 w when both were written).
@@ -292,7 +309,9 @@ fn restricted_inner_fits_the_pool() {
             // flat_join: PARTS spills PNUM and GRP, and the join's output is
             // held for the GROUP BY (346 r + 179 w); hybrid passes keep a
             // share of their tables resident (316 r + 149 w under Grace).
-            snap(273, 106, 0, 195),
+            // The restricted SUPPLY streams into it as its build side, where
+            // it was written and read back (273 r + 106 w).
+            snap(250, 83, 0, 167),
             // static_n, static_join: as at B = 6 (72 r + 1 w, 73 r + 2 w).
             snap(71, 0, 0, 71),
             snap(71, 0, 0, 71),
@@ -317,8 +336,11 @@ fn the_join_methods_are_pinned() {
     };
     const HASH_RIGHT: &str = "hash join (1 keys), build right";
     const ON_TEMP3: &[&str] = &["groupjoin (1 keys)", "hash join (2 keys), build right"];
+    // The restricted SUPPLY streams in as the build side, and the split its
+    // bound fixes keeps none of it resident (`3 partitions spilled, 1 of 11
+    // pages resident` on the exact size it had when it was written).
     const N_HASH: &str =
-        "hash join (1 keys), build right, 3 partitions spilled, 1 of 11 pages resident";
+        "hash join (1 keys), build right, 5 partitions spilled, 0 of 11 pages resident";
     const ML3_SECOND: &str =
         "hash join (2 keys), build left, 5 partitions spilled, 0 of 18 pages resident";
     const FLAT_HASH: &str =
@@ -707,9 +729,9 @@ fn a_one_table_filter_writes_nothing() {
 /// enough for the second join's hash table, and its join comes after the
 /// first, which partitions with the whole pool. Made before that join, as it
 /// once was, it would have had to be written then and read back for the
-/// hash build; drained where the second join comes, no other pass runs
-/// before its reader, so the hash table takes it held. The first join
-/// builds its table on the restricted `SUPPLY`, which is drained there.
+/// hash build; it streams into the second join's table where that join
+/// comes. The first join builds its partitioned table on the restricted
+/// `SUPPLY`, which streams into it too.
 #[test]
 fn a_restricted_input_waits_through_a_join_as_a_pipe() {
     const SQL: &str = "SELECT PARTS.PNUM, VENDOR.CITY FROM SUPPLY, PARTS, VENDOR \
@@ -728,10 +750,11 @@ fn a_restricted_input_waits_through_a_join_as_a_pipe() {
     let (want, _) = run(&db, SQL, &QueryOptions::transformed());
     let (got, io) = run(&db, SQL, &QueryOptions::default());
     assert!(!want.is_empty() && got.same_bag(&want), "{want}\n{got}");
-    // One write and one read less than when the restriction ran before the
-    // first join and waited through it (276 r + 105 w); 284 r + 113 w when
-    // every hash pass was Grace's.
-    assert_eq!(io, snap(275, 104, 0, 214));
+    // The restricted SUPPLY's 15 pages and more are neither written nor
+    // read back, where it was drained for the first join (275 r + 104 w);
+    // 276 r + 105 w when the restriction ran before the first join and
+    // waited through it, 284 r + 113 w when every hash pass was Grace's.
+    assert_eq!(io, snap(255, 84, 0, 199));
     let explain = db.query_with(SQL, &QueryOptions::default()).unwrap().explain;
     let at = |what: &str| explain.iter().position(|l| l.contains(what));
     let vendor = at("restrict+project VENDOR: ").expect("VENDOR is restricted");
@@ -739,23 +762,23 @@ fn a_restricted_input_waits_through_a_join_as_a_pipe() {
     let partitioned = at(" spilled, ").expect("the first join partitions");
     // Each line keeps the place of the restriction in the pipeline.
     assert!(supply < vendor && vendor < partitioned, "{explain:#?}");
-    assert!(explain[supply].ends_with(", 15 pages, written"), "{explain:#?}");
-    assert!(explain[vendor].ends_with(", 1 pages, held for hash join (1 keys)"), "{explain:#?}");
+    assert!(explain[supply].ends_with(", streamed into hash join (1 keys)"), "{explain:#?}");
+    assert!(explain[vendor].ends_with(", streamed into hash join (1 keys)"), "{explain:#?}");
     assert!(explain.iter().any(|l| l == "hash join (1 keys), build right"), "{explain:#?}");
 }
 
 /// The benchmark's statement texts at Kim's geometry, in memory and on the
-/// indexed file store: no restricted input, temporary or join result is
-/// written for a hash join or a groupjoin — what is written is read by a
-/// partitioning pass, an index nested loop or a merge join — and the
-/// restrictions that would have been written for an in-memory table stream
-/// into it: NEST-JA2's `TEMP2` into the groupjoin and the restricted `PARTS`
-/// into the hash table of `TEMP3`. (`ml3`'s restricted `S2` streams into the
-/// table of the first join's result where that fits `B − 2` pages, at
-/// `restricted_inner_fits_the_pool`'s geometry; here it does not, and both
-/// partition.)
+/// indexed file store, and `flat_join` at the benchmark's x20 geometry
+/// (20 000 parts, 30 000 shipments, 4 KiB pages, `B = 64`): no restricted
+/// input or temporary is written for a hash join or a groupjoin, whether the
+/// pass holds its table in memory or partitions it — a restriction that
+/// feeds one streams into it, on either side — and no join result is
+/// written for one it could be held for. What is written is read by a
+/// partitioning pass (a join result), an index nested loop or a merge join,
+/// and its EXPLAIN line names that reader. No statement demotes a table at
+/// either scale.
 #[test]
-fn no_input_is_written_for_an_in_memory_table() {
+fn no_restricted_input_is_written_for_a_hash_pass() {
     let kim = |indexed| Geometry {
         what: if indexed { "B = 6, file store, IX_SUPPLY_PNUM" } else { "B = 6" },
         parts: 1000,
@@ -769,28 +792,67 @@ fn no_input_is_written_for_an_in_memory_table() {
     let mut file = Database::open_with(6, 512, dir.path()).unwrap();
     load(&mut mem, &kim(false));
     load(&mut file, &kim(true));
+    let x20 = Geometry {
+        what: "x20, B = 64",
+        parts: 20_000,
+        supply: 30_000,
+        buffer_pages: 64,
+        indexed: false,
+        unique_serial: false,
+    };
+    let mut big = Database::with_storage(64, 4096);
+    load(&mut big, &x20);
     let texts = STATEMENTS.iter().map(|(name, sql, _)| (*name, *sql));
     let texts: Vec<(&str, &str)> = texts.chain([("j_notin", J_NOTIN), ("ja_or", JA_OR)]).collect();
-    for (db, indexed) in [(&mem, false), (&file, true)] {
-        for (name, sql) in &texts {
-            let explain = db.query_with(sql, &QueryOptions::default()).unwrap().explain;
-            let at = format!("{name}, {}", kim(indexed).what);
-            let into_a_table = |l: &&String| {
-                l.contains("written for hash") || l.contains("written for groupjoin")
-            };
-            assert!(!explain.iter().any(|l| into_a_table(&l)), "{at}: {explain:#?}");
-            let streamed: Vec<&str> = explain
-                .iter()
-                .filter_map(|l| l.split_once(": ").filter(|(_, r)| r.contains("streamed into")))
-                .map(|(what, _)| what)
-                .collect();
-            let want: &[&str] = match *name {
-                "ja_count" | "ja_max" => &["materialize TEMP2", "restrict+project PARTS"],
-                _ => &[],
-            };
-            assert_eq!(streamed, want, "{at}: {explain:#?}");
+    let flat_join = texts.iter().filter(|(name, _)| *name == "flat_join");
+    let runs = texts.iter().map(|t| (&mem, kim(false).what, *t));
+    let runs = runs.chain(texts.iter().map(|t| (&file, kim(true).what, *t)));
+    let runs: Vec<_> = runs.chain(flat_join.map(|t| (&big, x20.what, *t))).collect();
+    for (db, geometry, (name, sql)) in runs {
+        let before = demotions();
+        let explain = db.query_with(sql, &QueryOptions::default()).unwrap().explain;
+        let at = format!("{name}, {geometry}");
+        assert_eq!(demotions(), before, "{at}: a table was demoted");
+        // An input's line says what became of it: held, streamed, or
+        // written — for which reader, when a reader asked for it.
+        let written_for_a_hash_pass = |l: &&String| {
+            let reader = l.split_once(", written for ").map(|(_, reader)| reader);
+            reader.is_some_and(|r| r.starts_with("hash ") || r.starts_with("groupjoin"))
+        };
+        assert!(!explain.iter().any(|l| written_for_a_hash_pass(&l)), "{at}: {explain:#?}");
+        let input =
+            |l: &&String| l.starts_with("restrict+project ") || l.starts_with("materialize ");
+        for l in explain.iter().filter(input).filter(|l| l.ends_with(", written")) {
+            assert!(l.starts_with("materialize "), "{at}: {l} has no reader");
         }
+        let streamed: Vec<&str> = explain
+            .iter()
+            .filter_map(|l| l.split_once(": ").filter(|(_, r)| r.contains("streamed into")))
+            .map(|(what, _)| what)
+            .collect();
+        let want: &[&str] = match (name, geometry == kim(true).what) {
+            ("n" | "flat_join", _) => &["restrict+project SUPPLY"],
+            ("j", false) | ("j_notin", _) => &["restrict+project PARTS"],
+            ("ja_count" | "ja_max", _) => &["materialize TEMP2", "restrict+project PARTS"],
+            ("ml3", _) => &["restrict+project S2"],
+            ("static_n", _) => &["restrict+project VENDOR"],
+            _ => &[],
+        };
+        assert_eq!(streamed, want, "{at}: {explain:#?}");
     }
+    let explain = big.query_with(STATEMENTS[5].1, &QueryOptions::default()).unwrap().explain;
+    let streamed = explain.iter().any(|l| {
+        let into_the_join = l.ends_with(" tuples, streamed into hash join (1 keys)");
+        l.starts_with("restrict+project SUPPLY: ") && into_the_join
+    });
+    assert!(streamed, "{explain:#?}");
+    assert!(!explain.iter().any(|l| l.contains("written")), "{explain:#?}");
+    // The split fixed when the table overflowed keeps less of it resident
+    // than exact sizes would have (55 of 67 pages when the restriction was
+    // written first).
+    let partitioned =
+        "hash join (1 keys), build right, 1 partition spilled, 52 of 67 pages resident";
+    assert!(explain.iter().any(|l| l == partitioned), "{explain:#?}");
 }
 
 /// `NOT IN` on the default path is a null-aware anti-join, where nested

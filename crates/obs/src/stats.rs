@@ -345,7 +345,7 @@ impl StatsSnapshot {
                                 ("writes", Json::num(q.writes as f64)),
                                 (
                                     "explain",
-                                    Json::Arr(q.explain.iter().map(|l| Json::str(l)).collect()),
+                                    Json::Arr(q.explain.iter().map(Json::str).collect()),
                                 ),
                             ])
                         })

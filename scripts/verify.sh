@@ -386,8 +386,10 @@ cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec \
 echo "==> the transformation, the plan executor and its kernels are lint-clean (clippy)"
 # Every default lint, on every target of the crates the transformed path
 # runs through: NEST-G and its lowering, the one plan interpreter, the
-# operators it runs and the storage they read and write.
+# operators it runs and the storage they read and write, the profile
+# counters the hash passes record into, the B+tree and the row type.
 cargo clippy --no-deps -p nsql-core -p nsql-db -p nsql-engine -p nsql-storage \
+    -p nsql-obs -p nsql-index -p nsql-types \
     --all-targets --offline -- -D warnings
 
 echo "==> benchmark smoke (one cycle per workload, answers checked; not a measurement)"
