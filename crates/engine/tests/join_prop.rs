@@ -181,8 +181,8 @@ fn emitted_columns_equal_the_projected_all_column_result() {
                 ),
                 (
                     "hash",
-                    row.hash_join_cols(&l, &r, &[0], &[0], res, kind, None),
-                    row.hash_join_cols(&l, &r, &[0], &[0], res, kind, cols),
+                    row.hash_join_cols(&l, &r, &[0], &[0], res, kind, None).map(|(rel, _)| rel),
+                    row.hash_join_cols(&l, &r, &[0], &[0], res, kind, cols).map(|(rel, _)| rel),
                 ),
             ];
             let cols = cols.unwrap();
@@ -783,7 +783,9 @@ fn a_narrowed_sort_or_partition_gives_the_whole_join_projected() {
                 st.start_recording();
                 let rows = match merge {
                     true => e.merge_join_cols(&l, &r, &[0], &[0], res, kind, false, false, cols),
-                    false => e.hash_join_cols(&l, &r, &[0], &[0], res, kind, cols),
+                    false => {
+                        e.hash_join_cols(&l, &r, &[0], &[0], res, kind, cols).map(|(rel, _)| rel)
+                    }
                 };
                 (rows.unwrap(), Writes::of(&st.take_recording()))
             };

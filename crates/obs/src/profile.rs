@@ -264,6 +264,16 @@ impl Profile {
         self.open(true, name)
     }
 
+    /// Rename the innermost open node: what an operator learns of itself
+    /// only as it runs (the split a hash join's first pass took). `name`
+    /// only runs when the profile records and a node is open.
+    pub fn rename_current(&self, name: impl FnOnce() -> String) {
+        let Some(rec) = &self.inner else { return };
+        if let Some(open) = rec.lock().expect("profile lock").open.last_mut() {
+            open.node.name = name();
+        }
+    }
+
     /// The counters of the innermost open node, when it is an operator:
     /// where engine internals record rows and build/probe time.
     pub fn current_op(&self) -> Option<Arc<OpCounters>> {
@@ -318,6 +328,7 @@ mod tests {
         let a = p.begin("x");
         let b = p.begin_with(|| unreachable!("name closure ran on a disabled profile"));
         let c = p.begin_op(|| unreachable!("name closure ran on a disabled profile"));
+        p.rename_current(|| unreachable!("name closure ran on a disabled profile"));
         assert!(p.current_op().is_none());
         [c, b, a].into_iter().for_each(|id| p.end(id));
         assert_eq!(p.scope("s", || 42), 42);
@@ -345,6 +356,19 @@ mod tests {
         assert_eq!((c.name.as_str(), c.children[0].name.as_str()), ("c", "d"));
         assert!(o.find("inner 1").is_some() && o.find("d").is_none());
         assert!(p.finish().is_empty(), "finish leaves the profile empty");
+    }
+
+    #[test]
+    fn a_rename_reaches_the_innermost_open_node_only() {
+        let (_, p) = counted();
+        let outer = p.begin_op(|| "hash join (1 keys)".to_string());
+        p.scope("inner", || {});
+        p.rename_current(|| "hash join (1 keys), partition rows 8 + 4 bytes".to_string());
+        p.end(outer);
+        p.rename_current(|| unreachable!("no node is open"));
+        let roots = p.finish();
+        assert_eq!(roots[0].name, "hash join (1 keys), partition rows 8 + 4 bytes");
+        assert_eq!(roots[0].children[0].name, "inner");
     }
 
     #[test]
